@@ -2,7 +2,7 @@
 //! the k-way sorted merge behind the `merge` combiner.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use kq_coreutils::sort::merge_streams;
+use kq_coreutils::sort::LineOrder;
 use kq_stream::split_stream;
 use kq_workloads::inputs::gutenberg_text;
 use std::hint::black_box;
@@ -24,6 +24,8 @@ fn bench_split_merge(c: &mut Criterion) {
     let mut lines: Vec<&str> = text.lines().collect();
     lines.sort_unstable();
     let sorted: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    // Flags are parsed once, as a fold does; pieces go in as bytes.
+    let order = LineOrder::parse(&[]).unwrap();
     let mut group = c.benchmark_group("merge");
     group.throughput(Throughput::Bytes(sorted.len() as u64));
     group.sample_size(20);
@@ -38,9 +40,9 @@ fn bench_split_merge(c: &mut Criterion) {
             }
             buckets
         };
-        let refs: Vec<&str> = pieces.iter().map(String::as_str).collect();
+        let refs: Vec<&[u8]> = pieces.iter().map(String::as_bytes).collect();
         group.bench_function(format!("merge_1MB_w{w}"), |b| {
-            b.iter(|| merge_streams(&[], black_box(&refs)).unwrap().len())
+            b.iter(|| order.merge(black_box(&refs)).len())
         });
     }
     group.finish();

@@ -1,7 +1,8 @@
 //! `grep` — BRE line matching over the flag subset in the corpus:
 //! `-c` (count), `-v` (invert), `-i` (case-insensitive), and their
 //! combinations (`-vc`, `-vi`, `-vw`-style clusters are split), plus `-n`
-//! (line numbers).
+//! (line numbers) and `-E` (the pattern is an extended regular expression:
+//! `|`, `(..)`, `+`, `?` unescaped).
 //!
 //! `grep -n` is an instructive *unsupported* case: its correct combiner
 //! would offset the `N:` prefixes of the second stream, but `':'` is not
@@ -19,7 +20,7 @@
 //! the differential-test oracle ([`GrepCmd::run_reference`]).
 
 use crate::{Bytes, CmdError, ExecContext, Rope, UnixCommand};
-use kq_pattern::Regex;
+use kq_pattern::{Regex, Syntax};
 
 /// The `grep` command.
 pub struct GrepCmd {
@@ -37,6 +38,7 @@ impl GrepCmd {
         let mut invert = false;
         let mut insensitive = false;
         let mut number = false;
+        let mut syntax = Syntax::Basic;
         let mut pattern: Option<&String> = None;
         for a in args {
             if let Some(flags) = a.strip_prefix('-') {
@@ -49,6 +51,7 @@ impl GrepCmd {
                         'v' => invert = true,
                         'i' => insensitive = true,
                         'n' => number = true,
+                        'E' => syntax = Syntax::Extended,
                         other => {
                             return Err(CmdError::new("grep", format!("unknown flag -{other}")))
                         }
@@ -61,16 +64,12 @@ impl GrepCmd {
             }
         }
         let pattern = pattern.ok_or_else(|| CmdError::new("grep", "missing pattern"))?;
-        let regex = if insensitive {
-            Regex::new_case_insensitive(pattern)
-        } else {
-            Regex::new(pattern)
-        }
-        .map_err(|e| CmdError::new("grep", e.to_string()))?;
+        let regex = Regex::with_syntax(pattern, syntax, insensitive)
+            .map_err(|e| CmdError::new("grep", e.to_string()))?;
         let mut display = String::from("grep");
         for a in args {
             display.push(' ');
-            if a.contains(' ') || a.contains('\\') || a.contains('*') || a.contains('$') {
+            if a.contains([' ', '\\', '*', '$', '|', '(', ')', '?']) {
                 display.push('\'');
                 display.push_str(a);
                 display.push('\'');

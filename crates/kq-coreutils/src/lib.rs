@@ -75,6 +75,16 @@ pub(crate) fn read_file_str(
     path: &str,
     command: &str,
 ) -> Result<Option<String>, CmdError> {
+    Ok(read_file_bytes(ctx, path, command)?.map(Bytes::into_string))
+}
+
+/// [`read_file_str`] without the copy: the validated file as the shared
+/// slice the VFS holds.
+pub(crate) fn read_file_bytes(
+    ctx: &ExecContext,
+    path: &str,
+    command: &str,
+) -> Result<Option<Bytes>, CmdError> {
     let Some(bytes) = ctx.vfs.read_bytes(path) else {
         return Ok(None);
     };
@@ -84,7 +94,7 @@ pub(crate) fn read_file_str(
             format!("{path}: input is not valid UTF-8"),
         ));
     }
-    Ok(Some(bytes.into_string()))
+    Ok(Some(bytes))
 }
 
 /// An execution failure: the in-process analogue of a command writing to

@@ -7,9 +7,35 @@
 //! comparison; `-r` reverses the final result. `-u` keeps the first line of
 //! each run of key-equal lines.
 //!
-//! The merge mode doubles as the implementation of the combiner DSL's
+//! # The kernel
+//!
+//! Sorting and merging share one comparator, [`LineOrder`], that works on
+//! byte slices and decorates each line **once** with a `u64` key, so the
+//! comparisons that decide an order are integer compares:
+//!
+//! * byte order (plain and `-f`): the line's first seven bytes, big-endian
+//!   (upper-cased under `-f`), then `min(len, 8)`. Two lines of up to seven
+//!   bytes are ordered by their keys alone — a zero-padded shorter line is
+//!   a prefix of the longer one, and the length byte settles that — so a
+//!   word stream sorts without touching the lines again. Only lines of
+//!   eight bytes or more that share a seven-byte prefix compare slices,
+//!   from byte seven on;
+//! * `-n` and `-k1n`: the parsed numeric value, mapped to a `u64` that
+//!   orders like the number (`-0` and `0` tie). Nothing is parsed inside a
+//!   comparison.
+//!
+//! `sort` builds a `Vec` of `(key, offset, len)` over the input bytes — no
+//! copy of the input — sorts it, and writes one pre-sized output. `-m` is
+//! a loser tree over one cursor per stream, each holding its current
+//! line's key: `log2 k` comparisons per emitted line, stream index as the
+//! tie-break (earlier streams win, as GNU `sort -m` does), and no per-line
+//! allocation — under `-u` the "previous line" is a slice of its source
+//! stream.
+//!
+//! The merge doubles as the implementation of the combiner DSL's
 //! `merge <flags>` operator (`unixMerge` in the paper, realized as
-//! `sort -m <flags>`), exposed programmatically via [`merge_streams`].
+//! `sort -m <flags>`), exposed programmatically via [`LineOrder::merge`]
+//! and, for the out-of-core fold, [`LineOrder::merge_to`].
 
 use crate::{Bytes, CmdError, ExecContext, UnixCommand};
 use std::cmp::Ordering;
@@ -130,202 +156,367 @@ fn parse_key(spec: &str, flags: &mut SortFlags) -> Result<(), CmdError> {
 
 /// GNU-style numeric prefix value: optional blanks, optional sign, digits
 /// with optional decimal part. Non-numeric prefixes count as zero.
-fn numeric_prefix(s: &str) -> f64 {
-    let t = s.trim_start_matches([' ', '\t']);
-    let mut end = 0;
-    let bytes = t.as_bytes();
-    if end < bytes.len() && (bytes[end] == b'-' || bytes[end] == b'+') {
-        end += 1;
-    }
-    let mut seen_digit = false;
-    while end < bytes.len() && bytes[end].is_ascii_digit() {
-        end += 1;
-        seen_digit = true;
-    }
-    if end < bytes.len() && bytes[end] == b'.' {
-        let mut e2 = end + 1;
-        while e2 < bytes.len() && bytes[e2].is_ascii_digit() {
-            e2 += 1;
-            seen_digit = true;
-        }
-        if e2 > end + 1 {
-            end = e2;
+fn numeric_prefix(s: &[u8]) -> f64 {
+    let blanks = s.iter().take_while(|&&c| c == b' ' || c == b'\t').count();
+    let t = &s[blanks..];
+    let mut end = usize::from(matches!(t.first(), Some(b'-' | b'+')));
+    let digits = |from: usize| t[from..].iter().take_while(|c| c.is_ascii_digit()).count();
+    let whole = digits(end);
+    end += whole;
+    let mut fraction = 0;
+    if t.get(end) == Some(&b'.') {
+        fraction = digits(end + 1);
+        if fraction > 0 {
+            end += 1 + fraction;
         }
     }
-    if !seen_digit {
+    if whole + fraction == 0 {
         return 0.0;
     }
-    t[..end].parse().unwrap_or(0.0)
+    // Sign, digits and a dot: ASCII, so the conversion cannot fail.
+    std::str::from_utf8(&t[..end])
+        .ok()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or(0.0)
 }
 
-fn key_compare(a: &str, b: &str, flags: SortFlags) -> Ordering {
-    if flags.key_field1_numeric {
-        let fa = a.split_ascii_whitespace().next().unwrap_or("");
-        let fb = b.split_ascii_whitespace().next().unwrap_or("");
-        return numeric_prefix(fa)
-            .partial_cmp(&numeric_prefix(fb))
-            .unwrap_or(Ordering::Equal);
+/// Maps a (non-NaN) number to a `u64` that orders the same way, with `-0`
+/// and `0` equal.
+fn numeric_key(value: f64) -> u64 {
+    let bits = if value == 0.0 { 0 } else { value.to_bits() };
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
     }
-    if flags.numeric {
-        return numeric_prefix(a)
-            .partial_cmp(&numeric_prefix(b))
-            .unwrap_or(Ordering::Equal);
-    }
-    if flags.fold_case {
+}
+
+/// Line offsets and lengths are kept as `u32`, which makes a sort entry 16
+/// bytes — the sort moves entries, and 24-byte ones cost half again as
+/// much — so one segment of a sort is at most this long.
+const MAX_SEGMENT: usize = u32::MAX as usize;
+
+/// Lines this long or longer carry [`LONG`] in their key's low byte and
+/// compare their tails from byte `PREFIX` on.
+const PREFIX: usize = 7;
+const LONG: u8 = 8;
+
+/// The byte-order key: seven bytes of prefix (upper-cased when `fold`),
+/// zero-padded, then `min(len, 8)`.
+fn prefix_key(line: &[u8], fold: bool) -> u64 {
+    let mut key = line.len().min(usize::from(LONG)) as u64;
+    for (i, &b) in line.iter().take(PREFIX).enumerate() {
         // GNU -f folds lowercase onto uppercase (byte-wise under C).
-        let fold = |s: &str| {
-            s.bytes()
-                .map(|c| c.to_ascii_uppercase())
-                .collect::<Vec<_>>()
-        };
-        return fold(a).cmp(&fold(b));
+        let b = if fold { b.to_ascii_uppercase() } else { b };
+        key |= u64::from(b) << (56 - 8 * i);
     }
-    a.as_bytes().cmp(b.as_bytes())
+    key
 }
 
-/// Full comparator: key order, then last-resort byte order, then `-r`.
-fn line_compare(a: &str, b: &str, flags: SortFlags) -> Ordering {
-    let primary = key_compare(a, b, flags);
-    let ord = if primary != Ordering::Equal || flags.unique {
-        primary
-    } else {
-        a.as_bytes().cmp(b.as_bytes())
-    };
-    if flags.reverse {
-        ord.reverse()
-    } else {
-        ord
-    }
+fn folded(line: &[u8]) -> impl Iterator<Item = u8> + '_ {
+    line.iter().map(u8::to_ascii_uppercase)
 }
 
-fn sort_lines(input: &str, flags: SortFlags) -> String {
-    let mut lines: Vec<&str> = kq_stream::lines_of(input).collect();
-    lines.sort_by(|a, b| line_compare(a, b, flags));
-    let mut out = String::with_capacity(input.len() + 1);
-    let mut prev: Option<&str> = None;
-    for l in lines {
-        if flags.unique {
-            if let Some(p) = prev {
-                if key_compare(p, l, flags) == Ordering::Equal {
-                    continue;
-                }
+/// The line order of one `sort` flag set: how a line is decorated with its
+/// key and how two decorated lines compare. Parse the flags once with
+/// [`LineOrder::parse`] and merge any number of times.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LineOrder {
+    flags: SortFlags,
+}
+
+impl LineOrder {
+    /// The order of `sort <flag_words>` (the flags of a `merge <flags>`
+    /// combiner).
+    pub fn parse(flag_words: &[String]) -> Result<LineOrder, CmdError> {
+        SortCmd::parse(flag_words).map(|cmd| LineOrder { flags: cmd.flags })
+    }
+
+    /// True when the key is a number (`-k1n` and `-n` outrank `-f`).
+    fn numeric(self) -> bool {
+        self.flags.key_field1_numeric || self.flags.numeric
+    }
+
+    /// Decorates a line: computed once per line, never inside a comparison.
+    fn key(self, line: &[u8]) -> u64 {
+        if self.flags.key_field1_numeric {
+            let field = line
+                .split(u8::is_ascii_whitespace)
+                .find(|f| !f.is_empty())
+                .unwrap_or(&[]);
+            numeric_key(numeric_prefix(field))
+        } else if self.flags.numeric {
+            numeric_key(numeric_prefix(line))
+        } else {
+            prefix_key(line, self.flags.fold_case)
+        }
+    }
+
+    /// The flagged key comparison (what `-u` dedupes by).
+    fn key_compare(self, (ka, a): (u64, &[u8]), (kb, b): (u64, &[u8])) -> Ordering {
+        let by_key = ka.cmp(&kb);
+        if by_key != Ordering::Equal || self.numeric() || ka as u8 != LONG {
+            return by_key;
+        }
+        // Equal keys carry equal length bytes: both lines reach PREFIX.
+        if self.flags.fold_case {
+            folded(&a[PREFIX..]).cmp(folded(&b[PREFIX..]))
+        } else {
+            a[PREFIX..].cmp(&b[PREFIX..])
+        }
+    }
+
+    /// Full comparator: key order, then last-resort byte order, then `-r`.
+    fn compare(self, a: (u64, &[u8]), b: (u64, &[u8])) -> Ordering {
+        let mut ord = self.key_compare(a, b);
+        // Plain byte order has no last resort left: key-equal is identical.
+        if ord == Ordering::Equal && !self.flags.unique && (self.numeric() || self.flags.fold_case)
+        {
+            ord = a.1.cmp(b.1);
+        }
+        if self.flags.reverse {
+            ord.reverse()
+        } else {
+            ord
+        }
+    }
+
+    /// Sorts the lines of `input` (an unterminated final line counts as a
+    /// line) into one newline-terminated output. Inputs longer than
+    /// `max_segment` (in production, [`MAX_SEGMENT`]) are sorted in
+    /// line-aligned segments and merged — "sort every split, then
+    /// `sort -m`", on one thread.
+    fn sort(self, input: &[u8], max_segment: usize) -> Result<Vec<u8>, CmdError> {
+        let mut runs = Vec::new();
+        let mut rest = input;
+        while rest.len() > max_segment {
+            let cut = rest[..max_segment]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .ok_or_else(|| {
+                    CmdError::new("sort", format!("a line is longer than {max_segment} bytes"))
+                })?;
+            let (segment, tail) = rest.split_at(cut + 1);
+            runs.push(self.sort_segment(segment));
+            rest = tail;
+        }
+        let last = self.sort_segment(rest);
+        if runs.is_empty() {
+            return Ok(last);
+        }
+        runs.push(last);
+        let runs: Vec<&[u8]> = runs.iter().map(Vec::as_slice).collect();
+        Ok(self.merge(&runs))
+    }
+
+    /// Sorts at most [`MAX_SEGMENT`] bytes: decorate every line once, sort
+    /// the decorations, write the lines out in that order.
+    fn sort_segment(self, input: &[u8]) -> Vec<u8> {
+        #[derive(Clone, Copy)]
+        struct Entry {
+            key: u64,
+            start: u32,
+            len: u32,
+        }
+        let line = |e: &Entry| (e.key, &input[e.start as usize..][..e.len as usize]);
+        let lines = input.iter().filter(|&&b| b == b'\n').count() + 1;
+        let mut entries: Vec<Entry> = Vec::with_capacity(lines);
+        if !input.is_empty() {
+            let mut start = 0;
+            let body = input.strip_suffix(b"\n").unwrap_or(input);
+            for text in body.split(|&b| b == b'\n') {
+                entries.push(Entry {
+                    key: self.key(text),
+                    start: start as u32,
+                    len: text.len() as u32,
+                });
+                start += text.len() + 1;
             }
         }
-        out.push_str(l);
-        out.push('\n');
-        prev = Some(l);
+        // Two steps, both stable: order the bare keys (integer compares,
+        // nothing but the entries touched), then settle each run of equal
+        // keys with the full comparator, which for equal keys goes straight
+        // to the tie-breaks.
+        if self.flags.reverse {
+            entries.sort_by_key(|e| std::cmp::Reverse(e.key));
+        } else {
+            entries.sort_by_key(|e| e.key);
+        }
+        for run in entries.chunk_by_mut(|a, b| a.key == b.key) {
+            run.sort_by(|a, b| self.compare(line(a), line(b)));
+        }
+        let mut out = Vec::with_capacity(input.len() + 1);
+        let mut prev: Option<&Entry> = None;
+        for e in &entries {
+            if self.flags.unique
+                && prev.is_some_and(|p| self.key_compare(line(p), line(e)) == Ordering::Equal)
+            {
+                continue;
+            }
+            out.extend_from_slice(line(e).1);
+            out.push(b'\n');
+            prev = Some(e);
+        }
+        out
     }
-    out
-}
 
-fn merge_sorted(streams: &[&str], flags: SortFlags) -> String {
-    let mut out = String::new();
-    merge_sorted_to(streams, flags, usize::MAX, &mut |frag, _| {
-        out.push_str(frag);
+    /// `sort -m <flags>`: merges pre-sorted streams into one output. This
+    /// is the `unixMerge` primitive behind the combiner DSL's `merge`
+    /// operator and the k-way merge used by parallel pipelines (paper
+    /// §3.5).
+    pub fn merge(self, streams: &[&[u8]]) -> Vec<u8> {
+        let total: usize = streams.iter().map(|s| s.len()).sum();
+        // One newline per stream covers unterminated final lines.
+        let mut out = Vec::with_capacity(total + streams.len());
+        self.merge_fragments(streams, &mut out, usize::MAX, &mut |_, _| Ok(()))
+            .expect("a sink that is never full is never called");
+        out
+    }
+
+    /// Streaming form of [`merge`](LineOrder::merge): hands the output to
+    /// `sink` in line-aligned fragments of at least `fragment_bytes` (the
+    /// final fragment may be smaller; each fragment exceeds the threshold
+    /// by at most one line). Alongside each fragment the sink receives,
+    /// per stream, how many input bytes the merge has consumed so far —
+    /// the hook the out-of-core fold uses to drop mapped run pages behind
+    /// the merge frontier instead of holding every run resident until the
+    /// end.
+    pub fn merge_to(
+        self,
+        streams: &[&[u8]],
+        fragment_bytes: usize,
+        sink: &mut MergeSink,
+    ) -> Result<(), CmdError> {
+        let mut buf = Vec::new();
+        let consumed = self.merge_fragments(streams, &mut buf, fragment_bytes, sink)?;
+        if !buf.is_empty() {
+            sink(&buf, &consumed)?;
+        }
         Ok(())
-    })
-    .expect("in-memory merge sink is infallible");
-    out
+    }
+
+    /// The merge behind both entry points: appends merged lines to `buf`,
+    /// draining it through `sink` whenever it reaches `fragment_bytes`.
+    /// Returns the bytes consumed per stream; what is left in `buf` is the
+    /// caller's to flush.
+    fn merge_fragments(
+        self,
+        streams: &[&[u8]],
+        buf: &mut Vec<u8>,
+        fragment_bytes: usize,
+        sink: &mut MergeSink,
+    ) -> Result<Vec<usize>, CmdError> {
+        let k = streams.len();
+        let mut cursors: Vec<Cursor> = streams.iter().map(|s| Cursor::new(self, s)).collect();
+        // True when stream `a`'s current line goes out before stream
+        // `b`'s: an exhausted stream loses to every live one, and equal
+        // lines leave in stream order.
+        let beats =
+            |cursors: &[Cursor], a: usize, b: usize| match (cursors[a].line, cursors[b].line) {
+                (Some(x), Some(y)) => self.compare(x, y).then(a.cmp(&b)) == Ordering::Less,
+                (x, _) => x.is_some(),
+            };
+        // A loser tree over the k cursors: leaf `i` sits at position
+        // `i + k` of an implicit binary tree, `tree[n]` for `1 <= n < k`
+        // holds the loser of the match played at node `n`, and `tree[0]`
+        // the overall winner. `replay` carries a contender from its leaf
+        // to the root; while the tree is being built a contender parks at
+        // the first empty node instead (the other subtree's winner plays
+        // it later).
+        const EMPTY: usize = usize::MAX;
+        let mut tree = vec![EMPTY; k.max(1)];
+        let replay = |tree: &mut [usize], cursors: &[Cursor], leaf: usize| {
+            let mut contender = leaf;
+            let mut node = (leaf + k) / 2;
+            while node > 0 {
+                if tree[node] == EMPTY {
+                    tree[node] = contender;
+                    return;
+                }
+                if beats(cursors, tree[node], contender) {
+                    std::mem::swap(&mut tree[node], &mut contender);
+                }
+                node /= 2;
+            }
+            tree[0] = contender;
+        };
+        for leaf in 0..k {
+            replay(&mut tree, &cursors, leaf);
+        }
+
+        let mut consumed = vec![0usize; k];
+        let mut prev: Option<(u64, &[u8])> = None;
+        while let Some(&winner) = tree.first().filter(|&&w| w != EMPTY) {
+            let cursor = &mut cursors[winner];
+            let Some(line) = cursor.line else {
+                break;
+            };
+            let dup = self.flags.unique
+                && prev.is_some_and(|p| self.key_compare(p, line) == Ordering::Equal);
+            if !dup {
+                buf.extend_from_slice(line.1);
+                buf.push(b'\n');
+                prev = Some(line);
+            }
+            consumed[winner] = streams[winner].len() - cursor.rest.len();
+            if buf.len() >= fragment_bytes {
+                sink(buf, &consumed)?;
+                buf.clear();
+            }
+            cursor.advance(self);
+            // A line equal to the one that just won wins the same matches
+            // (sorted word streams repeat lines in long runs); anything
+            // else plays its way up again.
+            let repeated = cursor
+                .line
+                .is_some_and(|next| self.compare(line, next) == Ordering::Equal);
+            if !repeated {
+                replay(&mut tree, &cursors, winner);
+            }
+        }
+        Ok(consumed)
+    }
 }
 
-/// The fragment consumer for [`merge_streams_to`]: receives each merged
+/// A position in a stream of lines, holding the current line decorated
+/// with its key. `"\n"` holds one empty line, `""` none, and an
+/// unterminated final line is a line.
+struct Cursor<'a> {
+    /// The current line, `None` once the stream is exhausted.
+    line: Option<(u64, &'a [u8])>,
+    /// What follows the current line and its newline.
+    rest: &'a [u8],
+}
+
+impl<'a> Cursor<'a> {
+    fn new(order: LineOrder, data: &'a [u8]) -> Cursor<'a> {
+        let mut cursor = Cursor {
+            line: None,
+            rest: data,
+        };
+        cursor.advance(order);
+        cursor
+    }
+
+    fn advance(&mut self, order: LineOrder) {
+        self.line = None;
+        if !self.rest.is_empty() {
+            let end = self
+                .rest
+                .iter()
+                .position(|&b| b == b'\n')
+                .unwrap_or(self.rest.len());
+            let (text, rest) = self.rest.split_at(end);
+            self.line = Some((order.key(text), text));
+            self.rest = rest.get(1..).unwrap_or(&[]);
+        }
+    }
+}
+
+/// The fragment consumer for [`LineOrder::merge_to`]: receives each merged
 /// line-aligned fragment plus, per input stream, the count of bytes the
 /// merge has consumed from it so far.
-pub type MergeSink<'a> = dyn FnMut(&str, &[usize]) -> Result<(), CmdError> + 'a;
-
-/// The emit-based merge behind both [`merge_streams`] (one flat string)
-/// and [`merge_streams_to`] (bounded-memory fragments with per-stream
-/// progress, so callers holding the streams as mapped regions can release
-/// the merged-past prefix while the merge is still running).
-fn merge_sorted_to(
-    streams: &[&str],
-    flags: SortFlags,
-    fragment_bytes: usize,
-    sink: &mut MergeSink,
-) -> Result<(), CmdError> {
-    // Loser-tree-style merge via a sorted frontier: O(n log w) total, with
-    // stream index as the stability tiebreak (earlier streams win ties, as
-    // GNU sort -m does).
-    let mut iters: Vec<_> = streams
-        .iter()
-        .map(|s| kq_stream::lines_of(s).peekable())
-        .collect();
-    // Frontier of (line, stream index), kept sorted descending so the next
-    // line to emit is at the back.
-    let mut frontier: Vec<(&str, usize)> = Vec::with_capacity(iters.len());
-    let frontier_cmp = |a: &(&str, usize), b: &(&str, usize), flags: SortFlags| {
-        line_compare(a.0, b.0, flags).then(a.1.cmp(&b.1)).reverse()
-    };
-    for (i, it) in iters.iter_mut().enumerate() {
-        if let Some(&line) = it.peek() {
-            frontier.push((line, i));
-        }
-    }
-    frontier.sort_by(|a, b| frontier_cmp(a, b, flags));
-    // Bytes of each stream merged so far. The `+ 1` accounts for the
-    // newline; the clamp covers a final line without one.
-    let mut consumed = vec![0usize; streams.len()];
-    let mut buf = String::new();
-    let mut prev: Option<String> = None;
-    while let Some((line, i)) = frontier.pop() {
-        iters[i].next();
-        consumed[i] = (consumed[i] + line.len() + 1).min(streams[i].len());
-        let dup = flags.unique
-            && prev
-                .as_deref()
-                .is_some_and(|p| key_compare(p, line, flags) == Ordering::Equal);
-        if !dup {
-            buf.push_str(line);
-            buf.push('\n');
-            prev = Some(line.to_owned());
-        }
-        if buf.len() >= fragment_bytes {
-            sink(&buf, &consumed)?;
-            buf.clear();
-        }
-        if let Some(&next) = iters[i].peek() {
-            let entry = (next, i);
-            let pos = frontier
-                .binary_search_by(|probe| frontier_cmp(probe, &entry, flags))
-                .unwrap_or_else(|e| e);
-            frontier.insert(pos, entry);
-        }
-    }
-    if !buf.is_empty() {
-        sink(&buf, &consumed)?;
-    }
-    Ok(())
-}
-
-/// Programmatic `sort -m <flags>`: merges pre-sorted streams. This is the
-/// `unixMerge` primitive behind the combiner DSL's `merge` operator and the
-/// k-way merge used by parallel pipelines (paper §3.5).
-pub fn merge_streams(flag_words: &[String], streams: &[&str]) -> Result<String, CmdError> {
-    let mut args: Vec<String> = flag_words.to_vec();
-    args.push("-m".to_owned());
-    let cmd = SortCmd::parse(&args)?;
-    Ok(merge_sorted(streams, cmd.flags))
-}
-
-/// Streaming form of [`merge_streams`]: merges pre-sorted streams and
-/// hands the output to `sink` in line-aligned fragments of at least
-/// `fragment_bytes` (the final fragment may be smaller; each fragment
-/// exceeds the threshold by at most one line). Alongside each fragment
-/// the sink receives, per stream, how many input bytes the merge has
-/// consumed so far — the hook the out-of-core fold uses to drop mapped
-/// run pages behind the merge frontier instead of holding every run
-/// resident until the end.
-pub fn merge_streams_to(
-    flag_words: &[String],
-    streams: &[&str],
-    fragment_bytes: usize,
-    sink: &mut MergeSink,
-) -> Result<(), CmdError> {
-    let mut args: Vec<String> = flag_words.to_vec();
-    args.push("-m".to_owned());
-    let cmd = SortCmd::parse(&args)?;
-    merge_sorted_to(streams, cmd.flags, fragment_bytes, sink)
-}
+pub type MergeSink<'a> = dyn FnMut(&[u8], &[usize]) -> Result<(), CmdError> + 'a;
 
 impl UnixCommand for SortCmd {
     fn display(&self) -> String {
@@ -337,32 +528,151 @@ impl UnixCommand for SortCmd {
     }
 
     fn run(&self, input: Bytes, ctx: &ExecContext) -> Result<Bytes, CmdError> {
-        let input = crate::input_str(&input, "sort")?;
-        let text =
-            || -> Result<String, CmdError> {
-                let mut contents: Vec<String> = Vec::new();
-                if self.files.is_empty() {
-                    contents.push(input.to_owned());
+        crate::input_str(&input, "sort")?;
+        let mut contents: Vec<Bytes> = Vec::new();
+        if self.files.is_empty() {
+            contents.push(input);
+        } else {
+            for f in &self.files {
+                contents.push(if f == "-" {
+                    input.clone()
                 } else {
-                    for f in &self.files {
-                        if f == "-" {
-                            contents.push(input.to_owned());
-                        } else {
-                            contents.push(crate::read_file_str(ctx, f, "sort")?.ok_or_else(
-                                || CmdError::new("sort", format!("cannot read: {f}")),
-                            )?);
-                        }
+                    crate::read_file_bytes(ctx, f, "sort")?
+                        .ok_or_else(|| CmdError::new("sort", format!("cannot read: {f}")))?
+                });
+            }
+        }
+        let order = LineOrder { flags: self.flags };
+        let out = if self.merge {
+            let streams: Vec<&[u8]> = contents.iter().map(Bytes::as_bytes).collect();
+            order.merge(&streams)
+        } else {
+            order.sort(kq_stream::concat_bytes(&contents).as_bytes(), MAX_SEGMENT)?
+        };
+        // Whole lines of validated text, reordered: the scan cannot fail,
+        // and it marks the output as text for every later stage.
+        Bytes::from(out)
+            .into_text()
+            .map_err(|_| CmdError::new("sort", "input is not valid UTF-8"))
+    }
+}
+
+/// The comparator this module used before the key-cached kernel, kept
+/// verbatim as the oracle the kernel is tested against: it re-derives keys
+/// inside every comparison and works on `&str`.
+#[cfg(test)]
+mod reference {
+    use super::SortFlags;
+    use std::cmp::Ordering;
+
+    fn numeric_prefix(s: &str) -> f64 {
+        let t = s.trim_start_matches([' ', '\t']);
+        let mut end = 0;
+        let bytes = t.as_bytes();
+        if end < bytes.len() && (bytes[end] == b'-' || bytes[end] == b'+') {
+            end += 1;
+        }
+        let mut seen_digit = false;
+        while end < bytes.len() && bytes[end].is_ascii_digit() {
+            end += 1;
+            seen_digit = true;
+        }
+        if end < bytes.len() && bytes[end] == b'.' {
+            let mut e2 = end + 1;
+            while e2 < bytes.len() && bytes[e2].is_ascii_digit() {
+                e2 += 1;
+                seen_digit = true;
+            }
+            if e2 > end + 1 {
+                end = e2;
+            }
+        }
+        if !seen_digit {
+            return 0.0;
+        }
+        t[..end].parse().unwrap_or(0.0)
+    }
+
+    pub fn key_compare(a: &str, b: &str, flags: SortFlags) -> Ordering {
+        if flags.key_field1_numeric {
+            let fa = a.split_ascii_whitespace().next().unwrap_or("");
+            let fb = b.split_ascii_whitespace().next().unwrap_or("");
+            return numeric_prefix(fa)
+                .partial_cmp(&numeric_prefix(fb))
+                .unwrap_or(Ordering::Equal);
+        }
+        if flags.numeric {
+            return numeric_prefix(a)
+                .partial_cmp(&numeric_prefix(b))
+                .unwrap_or(Ordering::Equal);
+        }
+        if flags.fold_case {
+            let fold = |s: &str| {
+                s.bytes()
+                    .map(|c| c.to_ascii_uppercase())
+                    .collect::<Vec<_>>()
+            };
+            return fold(a).cmp(&fold(b));
+        }
+        a.as_bytes().cmp(b.as_bytes())
+    }
+
+    pub fn line_compare(a: &str, b: &str, flags: SortFlags) -> Ordering {
+        let primary = key_compare(a, b, flags);
+        let ord = if primary != Ordering::Equal || flags.unique {
+            primary
+        } else {
+            a.as_bytes().cmp(b.as_bytes())
+        };
+        if flags.reverse {
+            ord.reverse()
+        } else {
+            ord
+        }
+    }
+
+    pub fn sort_lines(input: &str, flags: SortFlags) -> String {
+        let mut lines: Vec<&str> = kq_stream::lines_of(input).collect();
+        lines.sort_by(|a, b| line_compare(a, b, flags));
+        emit(lines, flags)
+    }
+
+    /// Picks the smallest head by (line order, stream index) until every
+    /// stream is drained.
+    pub fn merge_sorted(streams: &[&str], flags: SortFlags) -> String {
+        let mut heads: Vec<_> = streams
+            .iter()
+            .map(|s| kq_stream::lines_of(s).peekable())
+            .collect();
+        let mut merged = Vec::new();
+        loop {
+            let mut best: Option<(usize, &str)> = None;
+            for (i, head) in heads.iter_mut().enumerate() {
+                if let Some(&line) = head.peek() {
+                    if best.is_none_or(|(_, b)| line_compare(line, b, flags) == Ordering::Less) {
+                        best = Some((i, line));
                     }
                 }
-                if self.merge {
-                    let refs: Vec<&str> = contents.iter().map(String::as_str).collect();
-                    Ok(merge_sorted(&refs, self.flags))
-                } else {
-                    let joined = contents.concat();
-                    Ok(sort_lines(&joined, self.flags))
-                }
-            };
-        text().map(Bytes::from)
+            }
+            let Some((i, line)) = best else { break };
+            heads[i].next();
+            merged.push(line);
+        }
+        emit(merged, flags)
+    }
+
+    fn emit(ordered: Vec<&str>, flags: SortFlags) -> String {
+        let mut out = String::new();
+        let mut prev: Option<&str> = None;
+        for l in ordered {
+            if flags.unique && prev.is_some_and(|p| key_compare(p, l, flags) == Ordering::Equal) {
+                continue;
+            }
+            out.push_str(l);
+            out.push('\n');
+            prev = Some(l);
+        }
+        out
     }
 }
 
@@ -377,6 +687,16 @@ mod tests {
             .unwrap()
             .run_str(input, &ExecContext::default())
             .unwrap()
+    }
+
+    fn order(flags: &str) -> LineOrder {
+        let words: Vec<String> = flags.split_whitespace().map(str::to_owned).collect();
+        LineOrder::parse(&words).unwrap()
+    }
+
+    fn merge(flags: &str, streams: &[&str]) -> String {
+        let streams: Vec<&[u8]> = streams.iter().map(|s| s.as_bytes()).collect();
+        String::from_utf8(order(flags).merge(&streams)).unwrap()
     }
 
     #[test]
@@ -419,43 +739,112 @@ mod tests {
     }
 
     #[test]
+    fn keys_alone_order_lines_shorter_than_the_prefix() {
+        // A shorter line is a prefix of the longer one, NULs included.
+        let input = "ab\na\0\na\n\nabcdefg\nabcdef\nabcdefgh\nabcdefg\0\n";
+        assert_eq!(
+            run("sort", input),
+            "\na\na\0\nab\nabcdef\nabcdefg\nabcdefg\0\nabcdefgh\n"
+        );
+    }
+
+    #[test]
+    fn a_missing_final_newline_is_supplied() {
+        assert_eq!(run("sort", "b\na"), "a\nb\n");
+        assert_eq!(merge("", &["a\nc", "b"]), "a\nb\nc\n");
+    }
+
+    #[test]
+    fn non_utf8_input_is_a_sort_error() {
+        let cmd = parse_command("sort").unwrap();
+        let err = cmd
+            .run(
+                Bytes::from(vec![b'a', b'\n', 0xff, b'\n']),
+                &ExecContext::default(),
+            )
+            .unwrap_err();
+        assert_eq!(err.to_string(), "sort: input is not valid UTF-8");
+    }
+
+    #[test]
+    fn a_line_that_fits_no_segment_is_an_error() {
+        let err = order("")
+            .sort(b"short\na line of nineteen\n", 8)
+            .unwrap_err();
+        assert_eq!(err.to_string(), "sort: a line is longer than 8 bytes");
+        assert_eq!(order("").sort(b"b\na\nd\nc\n", 4).unwrap(), b"a\nb\nc\nd\n");
+    }
+
+    #[test]
     fn merge_two_sorted_streams_equals_full_sort() {
         let x1 = "a\nc\ne\n";
         let x2 = "b\nc\nd\n";
-        let merged = merge_streams(&[], &[x1, x2]).unwrap();
-        assert_eq!(merged, run("sort", &format!("{x1}{x2}")));
+        assert_eq!(merge("", &[x1, x2]), run("sort", &format!("{x1}{x2}")));
     }
 
     #[test]
     fn merge_respects_flags() {
         let y1 = "9\n2\n"; // sorted under -rn
         let y2 = "10\n1\n";
-        let merged = merge_streams(&["-rn".to_owned()], &[y1, y2]).unwrap();
-        assert_eq!(merged, "10\n9\n2\n1\n");
+        assert_eq!(merge("-rn", &[y1, y2]), "10\n9\n2\n1\n");
     }
 
     #[test]
-    fn merge_streams_to_fragments_reassemble_and_track_progress() {
+    fn merge_of_nothing_one_and_empty_streams() {
+        assert_eq!(merge("", &[]), "");
+        assert_eq!(merge("", &["a\nb\n"]), "a\nb\n");
+        assert_eq!(merge("", &["", "b\n", "", "a\n", ""]), "a\nb\n");
+        assert_eq!(merge("-u", &["\n", "\n"]), "\n");
+    }
+
+    #[test]
+    fn merge_ties_leave_in_stream_order_and_unique_keeps_the_first() {
+        // Key-equal under -nu: the earlier stream's spelling survives.
+        assert_eq!(merge("-nu", &["01\n2\n", "1\n02\n"]), "01\n2\n");
+        assert_eq!(merge("-nu", &["1\n02\n", "01\n2\n"]), "1\n02\n");
+        assert_eq!(merge("-fu", &["a\n", "A\n", "a\n"]), "a\n");
+        // Identical lines: progress shows stream 0 drained first, then 1.
+        let streams: [&[u8]; 3] = [b"k\nk\n", b"k\n", b"k\n"];
+        let mut progress = Vec::new();
+        order("")
+            .merge_to(&streams, 1, &mut |frag, consumed| {
+                assert_eq!(frag, b"k\n");
+                progress.push(consumed.to_vec());
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(
+            progress,
+            [[2, 0, 0], [4, 0, 0], [4, 2, 0], [4, 2, 2]].map(|p| p.to_vec())
+        );
+    }
+
+    #[test]
+    fn merge_to_fragments_reassemble_and_track_progress() {
         let s1 = "a\nc\ne\ng\n";
         let s2 = "b\nd\nf\n";
-        let flat = merge_streams(&[], &[s1, s2]).unwrap();
-        let mut pieces: Vec<String> = Vec::new();
+        let streams = [s1.as_bytes(), s2.as_bytes()];
+        let flat = merge("", &[s1, s2]);
+        let mut pieces: Vec<u8> = Vec::new();
+        let mut fragments = 0;
         let mut last = vec![0usize; 2];
-        merge_streams_to(&[], &[s1, s2], 3, &mut |frag, consumed| {
-            // Fragments are line-aligned and progress is monotone.
-            assert!(frag.ends_with('\n'));
-            assert!(consumed[0] >= last[0] && consumed[1] >= last[1]);
-            last = consumed.to_vec();
-            pieces.push(frag.to_owned());
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(pieces.concat(), flat);
-        assert!(pieces.len() > 1, "fragment_bytes=3 must flush mid-merge");
+        order("")
+            .merge_to(&streams, 3, &mut |frag, consumed| {
+                // Fragments are line-aligned and progress is monotone.
+                assert_eq!(frag.last(), Some(&b'\n'));
+                assert!(consumed[0] >= last[0] && consumed[1] >= last[1]);
+                last = consumed.to_vec();
+                pieces.extend_from_slice(frag);
+                fragments += 1;
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(pieces, flat.as_bytes());
+        assert!(fragments > 1, "fragment_bytes=3 must flush mid-merge");
         // After the final fragment everything has been consumed.
         assert_eq!(last, vec![s1.len(), s2.len()]);
         // A sink error propagates.
-        let err = merge_streams_to(&[], &[s1, s2], 1, &mut |_, _| {
+        let err = order("").merge_to(&streams, 1, &mut |_, _| {
             Err(CmdError::new("sort", "sink says no"))
         });
         assert!(err.is_err());
@@ -475,6 +864,15 @@ mod tests {
     }
 
     #[test]
+    fn file_operands_concatenate_with_stdin() {
+        let vfs = crate::Vfs::new();
+        vfs.write("f", "c\na\n");
+        let ctx = ExecContext::with_vfs(vfs);
+        let c = parse_command("sort f -").unwrap();
+        assert_eq!(c.run_str("b\n", &ctx).unwrap(), "a\nb\nc\n");
+    }
+
+    #[test]
     fn parallel_option_ignored() {
         assert_eq!(run("sort --parallel=1", "b\na\n"), "a\nb\n");
     }
@@ -483,6 +881,91 @@ mod tests {
     fn empty_input() {
         assert_eq!(run("sort", ""), "");
         assert_eq!(run("sort -u", "\n\n"), "\n");
+    }
+
+    /// Every flag set the corpus uses, plus the combinations the parser
+    /// accepts on top of them.
+    const FLAG_SETS: [&str; 13] = [
+        "", "-r", "-n", "-rn", "-nr", "-f", "-u", "-nu", "-fu", "-k1n", "-ru", "-fr", "-nf",
+    ];
+
+    /// Lines that sit on every edge of the key encoding: empty, shorter
+    /// and longer than the seven-byte prefix, sharing seven and eight
+    /// bytes, NULs where the padding is, high bytes inside valid UTF-8,
+    /// case pairs, and the numeric spellings (`-0`/`0`, `+5`, `.5`,
+    /// leading blanks, trailing garbage, no number at all, overflow).
+    const VOCABULARY: [&str; 60] = [
+        "",
+        " ",
+        "a",
+        "A",
+        "ab",
+        "aB",
+        "Ab",
+        "abcdef",
+        "abcdefg",
+        "ABCDEFG",
+        "abcdefgh",
+        "abcdefgH",
+        "ABCDEFGh",
+        "abcdefghi",
+        "abcdefghI",
+        "abcdefgz",
+        "abcdefg\0",
+        "abcdefg\0x",
+        "a\0",
+        "a\0b",
+        "\0",
+        "é",
+        "éa",
+        "abcdefé",
+        "abcdefgé",
+        "abcdefgÉ",
+        "日本語",
+        "日本語x",
+        "-0",
+        "0",
+        "00",
+        "+5",
+        "5",
+        "05",
+        "5.0",
+        "5.",
+        ".5",
+        "0.5",
+        "-.5",
+        "-5",
+        "-5x",
+        "  7",
+        "\t7",
+        " 7 b",
+        "7 a",
+        "7  a",
+        "10",
+        "9",
+        "1e3",
+        "x",
+        "x 3",
+        "3 x",
+        "3 y",
+        "  3 y",
+        "-",
+        "+",
+        ".",
+        "--5",
+        "99999999999999999999",
+        "99999999999999999998",
+    ];
+
+    fn text(picks: &[usize], final_newline: bool) -> String {
+        let mut s: String = picks
+            .iter()
+            .map(|&i| format!("{}\n", VOCABULARY[i]))
+            .collect();
+        if !final_newline {
+            s.pop();
+        }
+        s
     }
 
     proptest! {
@@ -499,6 +982,71 @@ mod tests {
         }
 
         #[test]
+        fn prop_sort_equals_the_reference_comparator(
+            picks in proptest::collection::vec(0usize..VOCABULARY.len(), 0..48),
+            final_newline in 0usize..2,
+        ) {
+            let input = text(&picks, final_newline == 1);
+            for flags in FLAG_SETS {
+                let order = order(flags);
+                let expect = reference::sort_lines(&input, order.flags);
+                // In one segment, and in segments of a line or two.
+                for max_segment in [MAX_SEGMENT, 24] {
+                    let got = order.sort(input.as_bytes(), max_segment).unwrap();
+                    prop_assert_eq!(
+                        &String::from_utf8(got).unwrap(),
+                        &expect,
+                        "sort {} of {:?}", flags, input
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn prop_merge_equals_the_reference_comparator(
+            streams in proptest::collection::vec(
+                (proptest::collection::vec(0usize..VOCABULARY.len(), 0..12), 0usize..2),
+                0..6,
+            ),
+        ) {
+            for flags in FLAG_SETS {
+                let order = order(flags);
+                // Each stream arrives the way a parallel `sort <flags>`
+                // leaves it; the last line may lack its newline.
+                let sorted: Vec<String> = streams
+                    .iter()
+                    .map(|(picks, final_newline)| {
+                        let mut s = reference::sort_lines(&text(picks, true), order.flags);
+                        if *final_newline == 0 {
+                            s.pop();
+                        }
+                        s
+                    })
+                    .collect();
+                let views: Vec<&str> = sorted.iter().map(String::as_str).collect();
+                let expect = reference::merge_sorted(&views, order.flags);
+                prop_assert_eq!(&merge(flags, &views), &expect, "merge {} of {:?}", flags, views);
+                // Fragmenting changes nothing, and progress ends at the end
+                // (unless -u dropped the lines after the last fragment).
+                let bytes: Vec<&[u8]> = views.iter().map(|s| s.as_bytes()).collect();
+                let mut pieces = Vec::new();
+                let mut last = vec![0; bytes.len()];
+                order.merge_to(&bytes, 5, &mut |frag, consumed| {
+                    pieces.extend_from_slice(frag);
+                    last = consumed.to_vec();
+                    Ok(())
+                }).unwrap();
+                prop_assert_eq!(&String::from_utf8(pieces).unwrap(), &expect);
+                let lens: Vec<usize> = views.iter().map(|s| s.len()).collect();
+                if order.flags.unique || expect.is_empty() {
+                    prop_assert!(last.iter().zip(&lens).all(|(done, len)| done <= len));
+                } else {
+                    prop_assert_eq!(last, lens);
+                }
+            }
+        }
+
+        #[test]
         fn prop_merge_matches_sort_of_concat(
             a in proptest::collection::vec("[a-e]{0,4}", 0..20),
             b in proptest::collection::vec("[a-e]{0,4}", 0..20),
@@ -509,8 +1057,7 @@ mod tests {
                 s.iter().map(|l| format!("{l}\n")).collect()
             };
             let (s1, s2) = (mk(&a), mk(&b));
-            let merged = merge_streams(&[], &[s1.as_str(), s2.as_str()]).unwrap();
-            prop_assert_eq!(merged, run("sort", &format!("{s1}{s2}")));
+            prop_assert_eq!(merge("", &[&s1, &s2]), run("sort", &format!("{s1}{s2}")));
         }
 
         #[test]

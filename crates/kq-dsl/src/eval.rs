@@ -6,9 +6,10 @@
 //! the candidate.
 
 use crate::ast::{Combiner, RecOp, RunOp, StructOp};
+use kq_coreutils::sort::LineOrder;
 use kq_stream::{
     add_pad, del_back, del_front, del_pad, split_first, split_first_line, split_last_line,
-    split_last_nonempty_line,
+    split_last_nonempty_line, Bytes,
 };
 
 /// An evaluation failure.
@@ -35,7 +36,13 @@ impl std::error::Error for EvalError {}
 /// The fragment consumer for [`RunEnv::merge_stream`]: receives each
 /// merged line-aligned fragment plus, per input stream, the count of bytes
 /// the merge has consumed from it so far.
-pub type MergeStreamSink<'a> = dyn FnMut(&str, &[usize]) -> Result<(), EvalError> + 'a;
+pub type MergeStreamSink<'a> = dyn FnMut(&[u8], &[usize]) -> Result<(), EvalError> + 'a;
+
+/// The line order of a `merge <flags>` combiner, parsed once per combine
+/// (or once per fold) and handed to every [`RunEnv::merge`] call it makes.
+pub fn merge_order(flags: &[String]) -> Result<LineOrder, EvalError> {
+    LineOrder::parse(flags).map_err(|e| EvalError::Command(e.to_string()))
+}
 
 /// The environment needed by `RunOp` combiners: how to re-run the command
 /// `f` and how to invoke `unixMerge`.
@@ -51,16 +58,19 @@ pub trait RunEnv: Sync {
     fn rerun(&self, input: &str) -> Result<String, EvalError>;
 
     /// `unixMerge <flags>`: merge pre-sorted streams (`sort -m <flags>`).
-    fn merge(&self, flags: &[String], streams: &[&str]) -> Result<String, EvalError>;
+    /// The streams are the substreams' bytes, borrowed in place, and the
+    /// result is a data-plane slice: nothing is copied on the way in or
+    /// out.
+    fn merge(&self, order: LineOrder, streams: &[&[u8]]) -> Result<Bytes, EvalError>;
 
     /// Byte-plane `rerun_f`: execute `f` on a shared byte slice without
     /// round-tripping through owned strings. The default shim copies;
     /// command-backed environments override it with a zero-copy hand-off.
-    fn rerun_bytes(&self, input: kq_stream::Bytes) -> Result<kq_stream::Bytes, EvalError> {
+    fn rerun_bytes(&self, input: Bytes) -> Result<Bytes, EvalError> {
         let text = input
             .to_str()
             .map_err(|_| EvalError::Command("substream is not valid UTF-8".to_owned()))?;
-        self.rerun(text).map(kq_stream::Bytes::from)
+        self.rerun(text).map(Bytes::from)
     }
 
     /// Streaming `unixMerge <flags>`: merge pre-sorted streams, handing
@@ -75,15 +85,15 @@ pub trait RunEnv: Sync {
     /// merge.
     fn merge_stream(
         &self,
-        flags: &[String],
-        streams: &[&str],
+        order: LineOrder,
+        streams: &[&[u8]],
         fragment_bytes: usize,
         sink: &mut MergeStreamSink,
     ) -> Result<(), EvalError> {
         let _ = fragment_bytes;
-        let merged = self.merge(flags, streams)?;
+        let merged = self.merge(order, streams)?;
         let consumed: Vec<usize> = streams.iter().map(|s| s.len()).collect();
-        sink(&merged, &consumed)
+        sink(merged.as_bytes(), &consumed)
     }
 }
 
@@ -96,7 +106,7 @@ impl RunEnv for NoRunEnv {
         Err(EvalError::Command("rerun unavailable".to_owned()))
     }
 
-    fn merge(&self, _flags: &[String], _streams: &[&str]) -> Result<String, EvalError> {
+    fn merge(&self, _order: LineOrder, _streams: &[&[u8]]) -> Result<Bytes, EvalError> {
         Err(EvalError::Command("merge unavailable".to_owned()))
     }
 }
@@ -116,12 +126,16 @@ impl RunEnv for CommandEnv<'_> {
             .map_err(|e| EvalError::Command(e.to_string()))
     }
 
-    fn merge(&self, flags: &[String], streams: &[&str]) -> Result<String, EvalError> {
-        kq_coreutils::sort::merge_streams(flags, streams)
-            .map_err(|e| EvalError::Command(e.to_string()))
+    fn merge(&self, order: LineOrder, streams: &[&[u8]]) -> Result<Bytes, EvalError> {
+        // One validation scan marks the merged lines as text, so every
+        // later stage views them in O(1); it fails only when a substream
+        // was not text to begin with.
+        Bytes::from(order.merge(streams))
+            .into_text()
+            .map_err(|_| EvalError::Command("substream is not valid UTF-8".to_owned()))
     }
 
-    fn rerun_bytes(&self, input: kq_stream::Bytes) -> Result<kq_stream::Bytes, EvalError> {
+    fn rerun_bytes(&self, input: Bytes) -> Result<Bytes, EvalError> {
         self.command
             .run(input, self.ctx)
             .map_err(|e| EvalError::Command(e.to_string()))
@@ -129,8 +143,8 @@ impl RunEnv for CommandEnv<'_> {
 
     fn merge_stream(
         &self,
-        flags: &[String],
-        streams: &[&str],
+        order: LineOrder,
+        streams: &[&[u8]],
         fragment_bytes: usize,
         sink: &mut MergeStreamSink,
     ) -> Result<(), EvalError> {
@@ -138,13 +152,12 @@ impl RunEnv for CommandEnv<'_> {
         // command layer's error type, so stash it and restore on the way
         // out instead of stringifying it.
         let mut sink_err: Option<EvalError> = None;
-        let res =
-            kq_coreutils::sort::merge_streams_to(flags, streams, fragment_bytes, &mut |f, c| {
-                sink(f, c).map_err(|e| {
-                    sink_err = Some(e);
-                    kq_coreutils::CmdError::new("sort", "merge sink failed")
-                })
-            });
+        let res = order.merge_to(streams, fragment_bytes, &mut |f, c| {
+            sink(f, c).map_err(|e| {
+                sink_err = Some(e);
+                kq_coreutils::CmdError::new("sort", "merge sink failed")
+            })
+        });
         res.map_err(|e| {
             sink_err
                 .take()
@@ -164,7 +177,9 @@ pub fn eval(g: &Combiner, y1: &str, y2: &str, env: &dyn RunEnv) -> Result<String
             joined.push_str(y2);
             env.rerun(&joined)
         }
-        Combiner::Run(RunOp::Merge(flags)) => env.merge(flags, &[y1, y2]),
+        Combiner::Run(RunOp::Merge(flags)) => env
+            .merge(merge_order(flags)?, &[y1.as_bytes(), y2.as_bytes()])
+            .map(Bytes::into_string),
     }
 }
 

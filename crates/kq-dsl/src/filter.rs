@@ -58,12 +58,14 @@ pub fn filter_candidates_partitioned(
     }
     let chunk = candidates.len().div_ceil(workers);
     let mut mask = vec![false; candidates.len()];
+    let trace = kq_trace::current();
     std::thread::scope(|scope| {
         let mut rest: &mut [bool] = &mut mask;
         for part in candidates.chunks(chunk) {
             let (slots, tail) = rest.split_at_mut(part.len());
             rest = tail;
             scope.spawn(move || {
+                let _trace = trace.attach();
                 for (slot, candidate) in slots.iter_mut().zip(part) {
                     *slot = plausible(candidate, observations, env);
                 }

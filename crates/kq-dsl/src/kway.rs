@@ -7,8 +7,9 @@
 //! applied pairwise, folding left until one stream remains.
 
 use crate::ast::{Candidate, Combiner, RecOp, RunOp};
-use crate::eval::{eval, EvalError, RunEnv};
+use crate::eval::{eval, merge_order, EvalError, RunEnv};
 use crate::spill::SpillConfig;
+use kq_coreutils::sort::LineOrder;
 use kq_stream::{Bytes, ReleaseCursor};
 
 /// Text view of a substream for the string-semantic combiners; a
@@ -50,8 +51,9 @@ pub enum CombineStrategy {
 ///
 /// Pieces arrive and leave as [`Bytes`]: a single surviving piece is
 /// returned by refcount bump, k-way `concat` gathers the segments with at
-/// most one memcpy ([`Rope::into_bytes`]), and `rerun` hands the gathered
-/// stream to the command without an extra owned-string round trip.
+/// most one memcpy ([`Rope::into_bytes`]), `merge` reads the pieces' bytes
+/// in place and writes one pre-sized output, and `rerun` hands the
+/// gathered stream to the command without an owned-string round trip.
 pub fn combine_all(
     candidate: &Candidate,
     pieces: &[Bytes],
@@ -67,12 +69,10 @@ pub fn combine_all_with(
     pieces: &[Bytes],
     env: &dyn RunEnv,
 ) -> Result<Bytes, EvalError> {
-    let live: Vec<&Bytes> = pieces.iter().filter(|p| !p.is_empty()).collect();
-    match live.as_slice() {
-        [] => return Ok(Bytes::new()),
-        [one] => return Ok((*one).clone()),
-        _ => {}
-    }
+    let live = match live_pieces(pieces) {
+        Ok(live) => live,
+        Err(settled) => return Ok(settled),
+    };
     if strategy == CombineStrategy::Flat {
         match &candidate.op {
             // concat == `cat $*`: a segment gather, no pairwise work.
@@ -83,11 +83,11 @@ pub fn combine_all_with(
                 }
                 return Ok(kq_stream::concat_bytes(ordered));
             }
-            // merge == `sort -m <flags> $*`: borrow the piece text in
+            // merge == `sort -m <flags> $*`: borrow the piece bytes in
             // place (no per-piece copies).
             Combiner::Run(RunOp::Merge(flags)) => {
-                let views: Vec<&str> = live.iter().map(|p| view(p)).collect::<Result<_, _>>()?;
-                return env.merge(flags, &views).map(Bytes::from);
+                let views: Vec<&[u8]> = live.iter().map(|p| p.as_bytes()).collect();
+                return env.merge(merge_order(flags)?, &views);
             }
             // rerun == gather everything, re-run `f` once on the bytes.
             Combiner::Run(RunOp::Rerun) => {
@@ -150,9 +150,17 @@ fn combine_pair(
 /// [`combine_all`] needs the complete piece list, which forces the
 /// streaming executor to buffer a stage's whole output before combining —
 /// exactly the barrier this type removes. Pieces are pushed in stream
-/// order and the combine work happens inside [`push`](IncrementalFold::push),
-/// overlapping with whatever produces the pieces; [`finish`](IncrementalFold::finish)
-/// only settles the remainder.
+/// order and the combine work overlaps with whatever produces the pieces;
+/// [`finish`](IncrementalFold::finish) only settles the remainder.
+///
+/// A fold usually sits behind a lock that the producers of its pieces
+/// share, so [`push`](IncrementalFold::push) itself never does work
+/// proportional to a run: when enough pieces are pending it cuts them
+/// into a [`RunBatch`] and hands that back. The caller merges the batch
+/// with the lock released ([`RunBatch::merge`]) and gives the run back
+/// through [`install`](IncrementalFold::install), which slots it by batch
+/// index — batches may come back in any order and `finish` still sees the
+/// runs in stream order.
 ///
 /// Strategy per combiner (mirroring [`CombineStrategy::Flat`]):
 ///
@@ -161,9 +169,9 @@ fn combine_pair(
 /// * `rerun` — pieces are gathered and the command re-executes once at
 ///   `finish` (pairwise rerun would re-run the command per piece on a
 ///   growing accumulator, O(n·k) command work);
-/// * `merge` — run accumulation: arrivals are k-way merged into one
-///   sorted run as soon as enough of them exist, and `finish` merges the
-///   runs. Without a spill config a run forms every [`MERGE_RUN_ARITY`]
+/// * `merge` — run accumulation: arrivals are cut into a batch as soon
+///   as enough of them exist, each batch is k-way merged into one sorted
+///   run, and `finish` merges the runs. Without a spill config a run forms every [`MERGE_RUN_ARITY`]
 ///   pieces; under one, runs are sized to the budget instead — pieces
 ///   accumulate until their bytes reach a quarter of
 ///   [`SpillConfig::budget_bytes`] (capped at [`MERGE_RUN_MAX_PIECES`]
@@ -219,18 +227,22 @@ enum FoldState {
     Concat(Vec<Bytes>),
     /// Rerun: gather everything, one re-execution at finish.
     Gather(Vec<Bytes>),
-    /// Merge: k-way merge pending pieces into a run once they reach the
+    /// Merge: pending pieces are cut into a batch once they reach the
     /// run-size trigger — [`merge_run_target`] bytes (`pending_bytes`
     /// tracks that) under a spill config, [`MERGE_RUN_ARITY`] pieces
-    /// otherwise; finish merges the runs (earlier runs first, keeping
-    /// the stability tiebreak of one flat merge). Under a spill config a
-    /// run that would push the heap-resident total (`heap_bytes`) past the
-    /// budget goes to a temp file instead and lives in `runs` as a mapped
-    /// slice; once any run has spilled (`spilled`), finish streams the
-    /// final merge through a temp file too, so the heap never holds more
-    /// than the budget plus one pending run.
+    /// otherwise; the batch's k-way merge becomes `runs[batch index]`
+    /// (`None` while the batch is out being merged), and finish merges the
+    /// runs (earlier runs first, keeping the stability tiebreak of one
+    /// flat merge). Under a spill config a run that would push the
+    /// heap-resident total (`heap_bytes`) past the budget goes to a temp
+    /// file instead and lives in `runs` as a mapped slice; once any run
+    /// has spilled (`spilled`), finish streams the final merge through a
+    /// temp file too, so the heap never holds more than the budget plus
+    /// the pending pieces and the batches out being merged.
     Merge {
-        runs: Vec<Bytes>,
+        /// The flags' line order, parsed once for the whole fold.
+        order: Result<LineOrder, EvalError>,
+        runs: Vec<Option<Bytes>>,
         pending: Vec<Bytes>,
         pending_bytes: usize,
         heap_bytes: usize,
@@ -271,7 +283,8 @@ impl<'a> IncrementalFold<'a> {
         let state = match &candidate.op {
             Combiner::Rec(RecOp::Concat) if !candidate.swapped => FoldState::Concat(Vec::new()),
             Combiner::Run(RunOp::Rerun) => FoldState::Gather(Vec::new()),
-            Combiner::Run(RunOp::Merge(_)) => FoldState::Merge {
+            Combiner::Run(RunOp::Merge(flags)) => FoldState::Merge {
+                order: merge_order(flags),
                 runs: Vec::new(),
                 pending: Vec::new(),
                 pending_bytes: 0,
@@ -293,20 +306,23 @@ impl<'a> IncrementalFold<'a> {
     }
 
     /// Folds in the next substream (empty pieces are skipped, as in
-    /// [`combine_all`]). Combine errors surface immediately.
-    pub fn push(&mut self, piece: Bytes) -> Result<(), EvalError> {
+    /// [`combine_all`]). Combine errors surface immediately. A merge fold
+    /// whose pending pieces reached the run trigger returns them as a
+    /// batch: merge it ([`RunBatch::merge`]) outside any lock that guards
+    /// this fold and [`install`](IncrementalFold::install) the run.
+    pub fn push(&mut self, piece: Bytes) -> Result<Option<RunBatch<'a>>, EvalError> {
         if piece.is_empty() {
-            return Ok(());
+            return Ok(None);
         }
         let (candidate, env) = (self.candidate, self.env);
         match &mut self.state {
             FoldState::Concat(segments) | FoldState::Gather(segments) => segments.push(piece),
             FoldState::Merge {
+                order,
                 runs,
                 pending,
                 pending_bytes,
-                heap_bytes,
-                spilled,
+                ..
             } => {
                 *pending_bytes += piece.len();
                 pending.push(piece);
@@ -317,11 +333,15 @@ impl<'a> IncrementalFold<'a> {
                     None => pending.len() >= MERGE_RUN_ARITY,
                 };
                 if cut {
-                    let run = combine_all(candidate, pending, env)?;
-                    pending.clear();
+                    let batch = RunBatch {
+                        env,
+                        order: order.clone()?,
+                        index: runs.len(),
+                        pieces: std::mem::take(pending),
+                    };
+                    runs.push(None);
                     *pending_bytes = 0;
-                    let run = maybe_spill_run(run, &self.spill, heap_bytes, spilled)?;
-                    runs.push(run);
+                    return Ok(Some(batch));
                 }
             }
             FoldState::Counter {
@@ -334,7 +354,7 @@ impl<'a> IncrementalFold<'a> {
                     match slot.take() {
                         None => {
                             *slot = Some(store_group(carry, &self.spill, heap_bytes, spilled)?);
-                            return Ok(());
+                            return Ok(None);
                         }
                         Some(earlier) => {
                             if !earlier.is_mmap_backed() {
@@ -348,6 +368,24 @@ impl<'a> IncrementalFold<'a> {
                 slots.push(Some(carry));
             }
         }
+        Ok(None)
+    }
+
+    /// Takes back the run merged from a batch [`push`](IncrementalFold::push)
+    /// handed out, applying the spill policy to it. Runs may be installed
+    /// in any order; each lands in its batch's place in the stream.
+    pub fn install(&mut self, merged: MergedRun) -> Result<(), EvalError> {
+        let FoldState::Merge {
+            runs,
+            heap_bytes,
+            spilled,
+            ..
+        } = &mut self.state
+        else {
+            unreachable!("only merge folds hand out batches");
+        };
+        let run = maybe_spill_run(merged.run, &self.spill, heap_bytes, spilled)?;
+        runs[merged.index] = Some(run);
         Ok(())
     }
 
@@ -366,22 +404,29 @@ impl<'a> IncrementalFold<'a> {
             FoldState::Concat(segments) => Ok(kq_stream::concat_bytes(&segments)),
             FoldState::Gather(segments) => combine_all(candidate, &segments, env),
             FoldState::Merge {
-                mut runs,
+                order,
+                runs,
                 pending,
                 pending_bytes: _,
                 mut heap_bytes,
                 mut spilled,
             } => {
+                let order = order?;
+                let mut runs: Vec<Bytes> = runs
+                    .into_iter()
+                    .map(|run| run.expect("finish before every batch was installed"))
+                    .collect();
                 if !pending.is_empty() {
-                    let run = combine_all(candidate, &pending, env)?;
+                    let run = merge_pieces(env, order, &pending)?;
+                    drop(pending);
                     let run = maybe_spill_run(run, &spill, &mut heap_bytes, &mut spilled)?;
                     runs.push(run);
                 }
                 if !spilled {
-                    return combine_all(candidate, &runs, env);
+                    return merge_pieces(env, order, &runs);
                 }
                 let cfg = spill.as_ref().expect("a run spilled without a config");
-                merge_spilled_runs(candidate, env, runs, cfg)
+                merge_spilled_runs(env, order, runs, cfg)
             }
             FoldState::Counter {
                 slots,
@@ -412,6 +457,63 @@ impl<'a> IncrementalFold<'a> {
             }
         }
     }
+}
+
+/// The non-empty pieces when at least two of them need combining;
+/// otherwise the settled result — nothing, or the one live piece by
+/// refcount bump.
+fn live_pieces(pieces: &[Bytes]) -> Result<Vec<&Bytes>, Bytes> {
+    let live: Vec<&Bytes> = pieces.iter().filter(|p| !p.is_empty()).collect();
+    match live.as_slice() {
+        [] => Err(Bytes::new()),
+        [one] => Err((*one).clone()),
+        _ => Ok(live),
+    }
+}
+
+/// k-way `merge` of a piece list, with [`combine_all`]'s shortcuts.
+fn merge_pieces(env: &dyn RunEnv, order: LineOrder, pieces: &[Bytes]) -> Result<Bytes, EvalError> {
+    match live_pieces(pieces) {
+        Ok(live) => {
+            let views: Vec<&[u8]> = live.iter().map(|p| p.as_bytes()).collect();
+            env.merge(order, &views)
+        }
+        Err(settled) => Ok(settled),
+    }
+}
+
+/// The pending pieces of a merge fold, cut at the run trigger and handed
+/// back by [`IncrementalFold::push`] so their k-way merge — the O(run)
+/// part of run accumulation — happens outside whatever lock guards the
+/// fold.
+pub struct RunBatch<'a> {
+    env: &'a dyn RunEnv,
+    order: LineOrder,
+    /// Position of the batch's run among the fold's runs.
+    index: usize,
+    pieces: Vec<Bytes>,
+}
+
+impl RunBatch<'_> {
+    /// Position of this batch among the batches its fold has cut.
+    pub fn index(&self) -> usize {
+        self.index
+    }
+
+    /// Merges the batch into one sorted run.
+    pub fn merge(self) -> Result<MergedRun, EvalError> {
+        Ok(MergedRun {
+            index: self.index,
+            run: merge_pieces(self.env, self.order, &self.pieces)?,
+        })
+    }
+}
+
+/// A merged [`RunBatch`], to be given back with
+/// [`IncrementalFold::install`].
+pub struct MergedRun {
+    index: usize,
+    run: Bytes,
 }
 
 /// Fragment granularity of the streamed spilled-run merge: how much merged
@@ -448,7 +550,7 @@ fn maybe_spill_run(
         return Ok(run);
     }
     let mut writer = kq_io::RunWriter::create(&cfg.dir).map_err(spill_err)?;
-    writer.write(view(&run)?).map_err(spill_err)?;
+    writer.write(run.as_bytes()).map_err(spill_err)?;
     cfg.metrics.record_spill(run.len() as u64);
     // Drop the heap run before mapping the file back, so the two copies
     // never coexist.
@@ -501,7 +603,7 @@ pub fn spill_piece_batch(pieces: &mut [Bytes], cfg: &SpillConfig) -> Result<usiz
     }
     let mut writer = kq_io::RunWriter::create(&cfg.dir).map_err(spill_err)?;
     for (i, _) in &spans {
-        writer.write(view(&pieces[*i])?).map_err(spill_err)?;
+        writer.write(pieces[*i].as_bytes()).map_err(spill_err)?;
     }
     cfg.metrics.record_spill(total as u64);
     let mapped = writer.finish().map_err(spill_err)?;
@@ -534,14 +636,11 @@ pub fn spill_piece_batch(pieces: &mut [Bytes], cfg: &SpillConfig) -> Result<usiz
 /// spilled, i.e. the data already outgrew the budget; the extra disk
 /// round-trip per wave is the agreed price.
 fn merge_spilled_runs(
-    candidate: &Candidate,
     env: &dyn RunEnv,
+    order: LineOrder,
     mut runs: Vec<Bytes>,
     cfg: &SpillConfig,
 ) -> Result<Bytes, EvalError> {
-    let Combiner::Run(RunOp::Merge(flags)) = &candidate.op else {
-        unreachable!("only merge folds spill runs");
-    };
     runs.retain(|r| !r.is_empty());
     while runs.len() > 1 {
         let mut next = Vec::with_capacity(runs.len().div_ceil(MERGE_RUN_ARITY));
@@ -551,7 +650,7 @@ fn merge_spilled_runs(
             if group.len() == 1 {
                 next.extend(group);
             } else {
-                next.push(merge_run_group(env, flags, &group, cfg)?);
+                next.push(merge_run_group(env, order, &group, cfg)?);
             }
             // `group` drops here: a merged group's sources are finished
             // with, freeing their heap bytes or unmapping their files
@@ -568,18 +667,18 @@ fn merge_spilled_runs(
 /// independent of total group bytes.
 fn merge_run_group(
     env: &dyn RunEnv,
-    flags: &[String],
+    order: LineOrder,
     group: &[Bytes],
     cfg: &SpillConfig,
 ) -> Result<Bytes, EvalError> {
-    let views: Vec<&str> = group.iter().map(view).collect::<Result<_, _>>()?;
+    let views: Vec<&[u8]> = group.iter().map(Bytes::as_bytes).collect();
     let mut out = kq_io::RunWriter::create(&cfg.dir).map_err(spill_err)?;
     let mut cursors: Vec<ReleaseCursor> = group
         .iter()
         .map(|_| ReleaseCursor::new(SPILL_MERGE_RELEASE_LAG))
         .collect();
     env.merge_stream(
-        flags,
+        order,
         &views,
         SPILL_MERGE_FRAGMENT,
         &mut |frag, consumed| {
@@ -613,9 +712,16 @@ mod tests {
             Ok(format!("f({input})"))
         }
 
-        fn merge(&self, _flags: &[String], streams: &[&str]) -> Result<String, EvalError> {
-            kq_coreutils::sort::merge_streams(&[], streams)
-                .map_err(|e| EvalError::Command(e.to_string()))
+        fn merge(&self, order: LineOrder, streams: &[&[u8]]) -> Result<Bytes, EvalError> {
+            Ok(Bytes::from(order.merge(streams)))
+        }
+    }
+
+    /// A push the way a single owner of the fold does it: a batch handed
+    /// back is merged and installed on the spot.
+    fn push(fold: &mut IncrementalFold<'_>, piece: &Bytes) {
+        if let Some(batch) = fold.push(piece.clone()).unwrap() {
+            fold.install(batch.merge().unwrap()).unwrap();
         }
     }
 
@@ -745,7 +851,7 @@ mod tests {
     fn incremental(c: &Candidate, pieces: &[Bytes], env: &dyn RunEnv) -> Bytes {
         let mut fold = IncrementalFold::new(c, env);
         for p in pieces {
-            fold.push(p.clone()).unwrap();
+            push(&mut fold, p);
         }
         fold.finish().unwrap()
     }
@@ -815,6 +921,42 @@ mod tests {
     }
 
     #[test]
+    fn batches_installed_out_of_arrival_order_finish_in_stream_order() {
+        // Every line is its piece number under `-n`, with a tail that
+        // last-resort byte order would sort the other way: only batch
+        // *position* keeps key-equal lines in stream order under -nu.
+        let c = Candidate::run(RunOp::Merge(vec!["-nu".to_owned()]));
+        let pieces: Vec<Bytes> = (0..MERGE_RUN_ARITY * 3 + 2)
+            .map(|i| Bytes::from(format!("{} piece {}\n", i % 5, 999 - i)))
+            .collect();
+        let flat = combine_all(&c, &pieces, &FakeEnv).unwrap();
+        let mut fold = IncrementalFold::new(&c, &FakeEnv);
+        let mut batches = Vec::new();
+        for p in &pieces {
+            batches.extend(fold.push(p.clone()).unwrap());
+        }
+        let indices: Vec<usize> = batches.iter().map(RunBatch::index).collect();
+        assert_eq!(indices, [0, 1, 2], "one batch per full arity of pieces");
+        // Last batch back first.
+        for batch in batches.into_iter().rev() {
+            fold.install(batch.merge().unwrap()).unwrap();
+        }
+        assert_eq!(fold.finish().unwrap(), flat);
+    }
+
+    #[test]
+    fn an_unparsable_merge_flag_fails_the_fold_not_the_constructor() {
+        let c = Candidate::run(RunOp::Merge(vec!["-Z".to_owned()]));
+        let mut fold = IncrementalFold::new(&c, &FakeEnv);
+        for _ in 0..MERGE_RUN_ARITY - 1 {
+            assert!(fold.push(Bytes::from("a\n")).unwrap().is_none());
+        }
+        assert!(fold.push(Bytes::from("a\n")).is_err());
+        let fold = IncrementalFold::new(&c, &FakeEnv);
+        assert!(fold.finish().is_err());
+    }
+
+    #[test]
     fn incremental_rerun_executes_once() {
         // One re-execution over the gathered stream, not one per push.
         let c = Candidate::run(RunOp::Rerun);
@@ -877,7 +1019,7 @@ mod tests {
         with_spill_dir("zero", 0, |cfg| {
             let mut fold = IncrementalFold::new_with_spill(&c, &FakeEnv, Some(cfg.clone()));
             for p in &pieces {
-                fold.push(p.clone()).unwrap();
+                push(&mut fold, p);
             }
             assert_eq!(fold.finish().unwrap(), flat);
             let (runs, written, mapped) = cfg.metrics.snapshot();
@@ -900,7 +1042,7 @@ mod tests {
         with_spill_dir("sized", total / 8, |cfg| {
             let mut fold = IncrementalFold::new_with_spill(&c, &FakeEnv, Some(cfg.clone()));
             for p in &pieces {
-                fold.push(p.clone()).unwrap();
+                push(&mut fold, p);
             }
             assert_eq!(fold.finish().unwrap(), flat);
             let (runs, _, _) = cfg.metrics.snapshot();
@@ -937,7 +1079,7 @@ mod tests {
         with_spill_dir("counter", 0, |cfg| {
             let mut fold = IncrementalFold::new_with_spill(&c, &NoRunEnv, Some(cfg.clone()));
             for p in &pieces {
-                fold.push(p.clone()).unwrap();
+                push(&mut fold, p);
             }
             assert_eq!(fold.finish().unwrap(), flat);
             let (runs, written, _) = cfg.metrics.snapshot();
@@ -954,7 +1096,7 @@ mod tests {
         with_spill_dir("counter-mem", usize::MAX, |cfg| {
             let mut fold = IncrementalFold::new_with_spill(&c, &NoRunEnv, Some(cfg.clone()));
             for p in &pieces {
-                fold.push(p.clone()).unwrap();
+                push(&mut fold, p);
             }
             assert_eq!(fold.finish().unwrap(), flat);
             assert_eq!(cfg.metrics.snapshot(), (0, 0, 0), "no spill under budget");
@@ -1002,17 +1144,14 @@ mod tests {
             .iter()
             .map(|p| {
                 // Pre-sort each piece under -u semantics (dedup by key).
-                let sorted =
-                    kq_coreutils::sort::merge_streams(&["-u".to_owned()], &[p.to_str().unwrap()])
-                        .unwrap();
-                Bytes::from(sorted)
+                command.run(p.clone(), &ctx).unwrap()
             })
             .collect();
         let flat = combine_all(&c, &pieces, &env).unwrap();
         with_spill_dir("cmdenv", 0, |cfg| {
             let mut fold = IncrementalFold::new_with_spill(&c, &env, Some(cfg.clone()));
             for p in &pieces {
-                fold.push(p.clone()).unwrap();
+                push(&mut fold, p);
             }
             assert_eq!(fold.finish().unwrap(), flat);
         });
@@ -1026,7 +1165,7 @@ mod tests {
         with_spill_dir("generous", usize::MAX, |cfg| {
             let mut fold = IncrementalFold::new_with_spill(&c, &FakeEnv, Some(cfg.clone()));
             for p in &pieces {
-                fold.push(p.clone()).unwrap();
+                push(&mut fold, p);
             }
             assert_eq!(fold.finish().unwrap(), flat);
             assert_eq!(cfg.metrics.snapshot(), (0, 0, 0), "no spill under budget");
@@ -1043,7 +1182,7 @@ mod tests {
         with_spill_dir("abandon", 0, |cfg| {
             let mut fold = IncrementalFold::new_with_spill(&c, &FakeEnv, Some(cfg.clone()));
             for p in &pieces {
-                fold.push(p.clone()).unwrap();
+                push(&mut fold, p);
             }
             let (runs, _, _) = cfg.metrics.snapshot();
             assert_eq!(
@@ -1083,7 +1222,7 @@ mod tests {
             };
             let mut fold = IncrementalFold::new_with_spill(&c, &FakeEnv, Some(cfg));
             for p in &pieces {
-                fold.push(p.clone()).unwrap();
+                push(&mut fold, p);
             }
             let got = fold.finish().unwrap();
             std::fs::remove_dir_all(&dir).ok();

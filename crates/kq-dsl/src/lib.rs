@@ -21,6 +21,27 @@
 //! Table 2 and Definitions B.11–B.15 ([`repr`]), and k-way combining for
 //! `k > 2` parallel substreams ([`kway`], paper §3.5).
 //!
+//! # The merge combiner runs on the byte plane
+//!
+//! `merge <flags>` is the combiner of every sorting stage, so it is the
+//! barrier of every parallel `sort`, and it never leaves the data plane:
+//! [`RunEnv::merge`] and [`RunEnv::merge_stream`] take the substreams as
+//! byte slices borrowed from their [`kq_stream::Bytes`] and hand back
+//! `Bytes` (or fragments of bytes) — there is no `&str` view, `String`
+//! result, or re-wrap on the way. The flags are parsed into a
+//! [`kq_coreutils::sort::LineOrder`] once per combine
+//! ([`eval::merge_order`]) — once per *fold* for an
+//! [`IncrementalFold`], which then makes many merges with it — and the
+//! merge itself is `kq_coreutils::sort`'s key-cached loser tree.
+//!
+//! An [`IncrementalFold`] over `merge` never merges inside
+//! [`push`](IncrementalFold::push): when enough pieces are pending it
+//! cuts them into a [`kway::RunBatch`] and returns it, so a caller that
+//! guards the fold with a lock can merge the batch with the lock released
+//! and [`install`](IncrementalFold::install) the run afterwards. Runs are
+//! slotted by batch index, so batches may come back in any order and
+//! `finish` still merges them in stream order.
+//!
 //! ```
 //! use kq_dsl::ast::{Combiner, RecOp, StructOp};
 //! use kq_dsl::eval::{eval, NoRunEnv};

@@ -66,12 +66,14 @@ impl RunWriter {
         })
     }
 
-    /// Appends a text fragment to the run.
-    pub fn write(&mut self, fragment: &str) -> io::Result<()> {
+    /// Appends a fragment of the run's text to it, as bytes: the data
+    /// plane does not re-view merged lines as `str` just to write them
+    /// ([`finish`](RunWriter::finish) validates the run once, as a whole).
+    pub fn write(&mut self, fragment: &[u8]) -> io::Result<()> {
         self.inner
             .as_mut()
             .expect("write after finish")
-            .write_all(fragment.as_bytes())?;
+            .write_all(fragment)?;
         self.written += fragment.len();
         Ok(())
     }
@@ -104,10 +106,11 @@ impl RunWriter {
                 }
             }
         };
-        // The writer only ever accepted `&str`, so this validation cannot
-        // fail; it marks the text fast path (and, for mapped runs, walks
-        // the view window-by-window with trailing release, so even the
-        // validation pass stays out-of-core).
+        // Callers write whole lines of text they already validated, so
+        // this fails only on a caller's bug; it marks the text fast path
+        // (and, for mapped runs, walks the view window-by-window with
+        // trailing release, so even the validation pass stays
+        // out-of-core).
         bytes
             .into_text()
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "spilled run is not UTF-8"))
@@ -153,8 +156,8 @@ mod tests {
         let dir = TempDir::new("roundtrip");
         let mut w = RunWriter::create(&dir.0).unwrap();
         let payload = "alpha\nbeta\n".repeat(500);
-        w.write(&payload[..payload.len() / 2]).unwrap();
-        w.write(&payload[payload.len() / 2..]).unwrap();
+        w.write(&payload.as_bytes()[..payload.len() / 2]).unwrap();
+        w.write(&payload.as_bytes()[payload.len() / 2..]).unwrap();
         assert_eq!(w.written(), payload.len());
         assert_eq!(dir.entries(), 1, "run file exists while writing");
         let bytes = w.finish().unwrap();
@@ -165,10 +168,19 @@ mod tests {
     }
 
     #[test]
+    fn a_run_that_is_not_text_fails_at_finish() {
+        let dir = TempDir::new("nontext");
+        let mut w = RunWriter::create(&dir.0).unwrap();
+        w.write(b"ok\n\xff\n").unwrap();
+        assert_eq!(w.finish().unwrap_err().kind(), io::ErrorKind::InvalidData);
+        assert_eq!(dir.entries(), 0);
+    }
+
+    #[test]
     fn dropped_writer_removes_its_file() {
         let dir = TempDir::new("abandon");
         let mut w = RunWriter::create(&dir.0).unwrap();
-        w.write("half a run\n").unwrap();
+        w.write(b"half a run\n").unwrap();
         assert_eq!(dir.entries(), 1);
         drop(w);
         assert_eq!(dir.entries(), 0, "abandoned runs must not leak");
@@ -189,7 +201,7 @@ mod tests {
         let writers: Vec<RunWriter> = (0..8).map(|_| RunWriter::create(&dir.0).unwrap()).collect();
         assert_eq!(dir.entries(), 8, "every writer got its own file");
         for (i, mut w) in writers.into_iter().enumerate() {
-            w.write(&format!("run {i}\n")).unwrap();
+            w.write(format!("run {i}\n").as_bytes()).unwrap();
             assert_eq!(
                 w.finish().unwrap().as_bytes(),
                 format!("run {i}\n").as_bytes()

@@ -14,6 +14,9 @@ type Caps = RefCell<Vec<Option<(usize, usize)>>>;
 
 struct Ctx<'a> {
     text: &'a [char],
+    /// `text[0]` is the start of the line (false when `replace` searches
+    /// the rest of a line after an earlier match).
+    at_line_start: bool,
     ci: bool,
     caps: Caps,
 }
@@ -98,17 +101,48 @@ impl<'a> Ctx<'a> {
                     None => false,
                 }
             }
-            Piece::Group(idx, inner) => self.seq_match(&inner.atoms, 0, pos, &mut |p| {
-                let old = self.caps.borrow()[*idx - 1];
-                self.caps.borrow_mut()[*idx - 1] = Some((pos, p));
-                if k(p) {
-                    true
-                } else {
-                    self.caps.borrow_mut()[*idx - 1] = old;
-                    false
-                }
-            }),
+            Piece::Alt(branches) => self.alt_match(branches, pos, k),
+            Piece::Group(idx, inner) => self.group_match(*idx, inner, pos, k),
         }
+    }
+
+    // The two composite pieces live out of line: `piece_match` runs once
+    // per start position of every line, almost always on a literal or a
+    // class, and should not carry their frames.
+
+    #[inline(never)]
+    fn alt_match(&self, branches: &[Ast], pos: usize, k: &mut dyn FnMut(usize) -> bool) -> bool {
+        branches.iter().any(|branch| self.ast_match(branch, pos, k))
+    }
+
+    #[inline(never)]
+    fn group_match(
+        &self,
+        idx: usize,
+        inner: &Ast,
+        pos: usize,
+        k: &mut dyn FnMut(usize) -> bool,
+    ) -> bool {
+        self.ast_match(inner, pos, &mut |p| {
+            let old = self.caps.borrow()[idx - 1];
+            self.caps.borrow_mut()[idx - 1] = Some((pos, p));
+            if k(p) {
+                true
+            } else {
+                self.caps.borrow_mut()[idx - 1] = old;
+                false
+            }
+        })
+    }
+
+    /// Matches one branch at `pos`, honouring its anchors.
+    fn ast_match(&self, ast: &Ast, pos: usize, k: &mut dyn FnMut(usize) -> bool) -> bool {
+        if ast.anchored_start && !(pos == 0 && self.at_line_start) {
+            return false;
+        }
+        self.seq_match(&ast.atoms, 0, pos, &mut |p| {
+            (!ast.anchored_end || p == self.text.len()) && k(p)
+        })
     }
 
     fn star_match(&self, piece: &Piece, pos: usize, k: &mut dyn FnMut(usize) -> bool) -> bool {
@@ -144,20 +178,6 @@ impl<'a> Ctx<'a> {
     }
 }
 
-fn count_groups(ast: &Ast) -> usize {
-    fn walk(atoms: &[Atom], max: &mut usize) {
-        for a in atoms {
-            if let Piece::Group(idx, inner) = &a.piece {
-                *max = (*max).max(*idx);
-                walk(&inner.atoms, max);
-            }
-        }
-    }
-    let mut max = 0;
-    walk(&ast.atoms, &mut max);
-    max
-}
-
 /// A successful match: char-index span plus group capture spans.
 pub(crate) struct MatchResult {
     pub start: usize,
@@ -165,21 +185,31 @@ pub(crate) struct MatchResult {
     pub caps: Vec<Option<(usize, usize)>>,
 }
 
-pub(crate) fn search_chars(ast: &Ast, text: &[char], ci: bool) -> Option<MatchResult> {
-    let ngroups = count_groups(ast);
-    let starts: Box<dyn Iterator<Item = usize>> = if ast.anchored_start {
-        Box::new(std::iter::once(0))
-    } else {
-        Box::new(0..=text.len())
-    };
-    for start in starts {
+/// Searches `text` for the leftmost match. `at_line_start` says whether
+/// `text[0]` begins the line (`^` matches only there).
+pub(crate) fn search_chars(
+    ast: &Ast,
+    text: &[char],
+    at_line_start: bool,
+    ci: bool,
+) -> Option<MatchResult> {
+    // The top-level branch's own anchors are settled here, once per
+    // search, not once per start position: an anchored pattern can only
+    // match at the start of the line.
+    if ast.anchored_start && !at_line_start {
+        return None;
+    }
+    let ngroups = ast.group_count();
+    let last_start = if ast.anchored_start { 0 } else { text.len() };
+    let anchored_end = ast.anchored_end;
+    for start in 0..=last_start {
         let ctx = Ctx {
             text,
+            at_line_start,
             ci,
             caps: RefCell::new(vec![None; ngroups]),
         };
         let mut matched_end = None;
-        let anchored_end = ast.anchored_end;
         ctx.seq_match(&ast.atoms, 0, start, &mut |p| {
             if anchored_end && p != text.len() {
                 return false;
@@ -201,7 +231,7 @@ pub(crate) fn search_chars(ast: &Ast, text: &[char], ci: bool) -> Option<MatchRe
 /// Searches `line`, returning the byte range of the leftmost match.
 pub(crate) fn search(ast: &Ast, line: &str, ci: bool) -> Option<(usize, usize)> {
     let chars: Vec<char> = line.chars().collect();
-    let m = search_chars(ast, &chars, ci)?;
+    let m = search_chars(ast, &chars, true, ci)?;
     // Convert char indices back to byte offsets.
     let mut byte_offsets: Vec<usize> = Vec::with_capacity(chars.len() + 1);
     let mut off = 0;
@@ -242,16 +272,11 @@ pub(crate) fn replace(ast: &Ast, line: &str, template: &str, global: bool, ci: b
     let mut pos = 0usize;
     loop {
         let rest = &chars[pos..];
-        let Some(m) = search_chars(ast, rest, ci) else {
+        // `^` matches only at pos == 0 overall (e.g. 's/^/p/' fires once).
+        let Some(m) = search_chars(ast, rest, pos == 0, ci) else {
             out.extend(&chars[pos..]);
             break;
         };
-        // For anchored-start patterns a match is only valid at pos == 0 of
-        // the remaining text when pos == 0 overall (e.g. 's/^/p/' fires once).
-        if ast.anchored_start && pos > 0 {
-            out.extend(&chars[pos..]);
-            break;
-        }
         let (abs_start, abs_end) = (pos + m.start, pos + m.end);
         out.extend(&chars[pos..abs_start]);
         let shifted = MatchResult {
@@ -289,8 +314,8 @@ pub(crate) fn replace(ast: &Ast, line: &str, template: &str, global: bool, ci: b
         if pos >= chars.len() {
             // Allow one trailing empty match (e.g. 's/x*/-/g' on "ab" ends
             // with "-a-b-").
-            if let Some(m2) = search_chars(ast, &[], ci) {
-                if m2.start == 0 && m2.end == 0 && !ast.anchored_start {
+            if let Some(m2) = search_chars(ast, &[], false, ci) {
+                if m2.start == 0 && m2.end == 0 {
                     let shifted = MatchResult {
                         start: chars.len(),
                         end: chars.len(),
@@ -308,10 +333,33 @@ pub(crate) fn replace(ast: &Ast, line: &str, template: &str, global: bool, ci: b
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse;
+    use crate::parse::Syntax;
+
+    fn parse(pat: &str) -> Result<Ast, crate::ParseError> {
+        crate::parse::parse(pat, Syntax::Basic)
+    }
 
     fn find(pat: &str, s: &str) -> Option<(usize, usize)> {
         search(&parse(pat).unwrap(), s, false)
+    }
+
+    #[test]
+    fn alternation_tries_branches_in_order_at_the_leftmost_start() {
+        assert_eq!(find("cd\\|ab", "xabcd"), Some((1, 3)));
+        assert_eq!(find("\\(light\\|land\\) of", "the land of"), Some((4, 11)));
+        assert_eq!(find("\\(a\\|b\\)*c", "xabbac"), Some((1, 6)));
+        // Anchors bind to their own branch.
+        assert_eq!(find("^a\\|b$", "ba"), None);
+        assert_eq!(find("^a\\|b$", "ab"), Some((0, 1)));
+        assert_eq!(find("^a\\|b$", "xb"), Some((1, 2)));
+        // A backreference sees whichever branch matched.
+        assert_eq!(find("\\(a\\|b\\)\\1", "abba"), Some((1, 3)));
+    }
+
+    #[test]
+    fn an_anchored_branch_fires_once_in_a_global_replace() {
+        let ast = parse("^a\\|c").unwrap();
+        assert_eq!(replace(&ast, "aaca", "-", true, false), "-a-a");
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! The KumQuat benchmark corpus uses `grep`/`sed` with BRE patterns —
 //! literals, `.`, `*`, bracket expressions (ranges, negation, POSIX classes
-//! such as `[:punct:]`), anchors, `\(..\)` groups, and backreferences
-//! (`nfa-regex.sh` uses `\(.\).*\1\(.\).*\2...`). Backreferences make the
+//! such as `[:punct:]`), anchors, `\(..\)` groups, GNU's `\|` alternation,
+//! and backreferences (`nfa-regex.sh` uses `\(.\).*\1\(.\).*\2...`); the
+//! same engine runs the extended spelling (`grep -E`: `(..)`, `|`, `+`,
+//! `?`) through [`Regex::with_syntax`]. Backreferences make the
 //! language non-regular, so the engine is a classic backtracking matcher —
 //! perfectly adequate for the short lines these pipelines process.
 //!
@@ -26,7 +28,7 @@ mod exec;
 mod parse;
 mod sample;
 
-pub use parse::ParseError;
+pub use parse::{ParseError, Syntax};
 
 use parse::Ast;
 use rand::Rng;
@@ -42,18 +44,20 @@ pub struct Regex {
 impl Regex {
     /// Compiles a BRE pattern.
     pub fn new(pattern: &str) -> Result<Regex, ParseError> {
-        Ok(Regex {
-            ast: parse::parse(pattern)?,
-            case_insensitive: false,
-            pattern: pattern.to_owned(),
-        })
+        Regex::with_syntax(pattern, Syntax::Basic, false)
     }
 
-    /// Compiles a BRE pattern that matches case-insensitively (`grep -i`).
-    pub fn new_case_insensitive(pattern: &str) -> Result<Regex, ParseError> {
+    /// Compiles a pattern in either syntax (`grep -E` is
+    /// [`Syntax::Extended`]), optionally matching case-insensitively
+    /// (`grep -i`).
+    pub fn with_syntax(
+        pattern: &str,
+        syntax: Syntax,
+        case_insensitive: bool,
+    ) -> Result<Regex, ParseError> {
         Ok(Regex {
-            ast: parse::parse(pattern)?,
-            case_insensitive: true,
+            ast: parse::parse(pattern, syntax)?,
+            case_insensitive,
             pattern: pattern.to_owned(),
         })
     }
@@ -172,12 +176,16 @@ mod tests {
     #[test]
     fn vowel_syllable_patterns() {
         // poets 6_4/6_5 patterns.
-        let one = Regex::new_case_insensitive("^[^aeiou]*[aeiou][^aeiou]*$").unwrap();
+        let one = Regex::with_syntax("^[^aeiou]*[aeiou][^aeiou]*$", Syntax::Basic, true).unwrap();
         assert!(one.is_match("cat"));
         assert!(one.is_match("A"));
         assert!(!one.is_match("idea"));
-        let two =
-            Regex::new_case_insensitive("^[^aeiou]*[aeiou][^aeiou]*[aeiou][^aeiou]$").unwrap();
+        let two = Regex::with_syntax(
+            "^[^aeiou]*[aeiou][^aeiou]*[aeiou][^aeiou]$",
+            Syntax::Basic,
+            true,
+        )
+        .unwrap();
         assert!(two.is_match("pilot"));
         assert!(!two.is_match("cat"));
     }
@@ -210,10 +218,10 @@ mod tests {
 
     #[test]
     fn case_insensitive() {
-        let re = Regex::new_case_insensitive("[aeiou]").unwrap();
+        let re = Regex::with_syntax("[aeiou]", Syntax::Basic, true).unwrap();
         assert!(re.is_match("XYZA"));
         assert!(!re.is_match("XYZ"));
-        let re = Regex::new_case_insensitive("bell").unwrap();
+        let re = Regex::with_syntax("bell", Syntax::Basic, true).unwrap();
         assert!(re.is_match("BELL labs"));
     }
 

@@ -1,20 +1,28 @@
-//! BRE pattern parser.
+//! BRE and ERE pattern parser.
 //!
 //! Grammar (the subset exercised by the benchmark corpus, which is the
-//! standard BRE core):
+//! standard BRE core plus GNU's `\|`), in BRE spelling:
 //!
 //! ```text
-//! pattern := '^'? atom* '$'?
+//! pattern := branch ('\|' branch)*
+//! branch  := '^'? atom* '$'?
 //! atom    := piece '*'?
 //! piece   := '.' | literal | '\' escaped | bracket | '\(' pattern '\)' | '\N'
 //! bracket := '[' '^'? item+ ']'    item := class | range | char
 //! class   := '[:' name ':]'
 //! ```
 //!
-//! BRE quirks implemented: `^` is an anchor only as the first character and
-//! `$` only as the last (literals elsewhere); `*` as the first character is
-//! a literal; `]` first inside a bracket is a literal; `-` first or last in
-//! a bracket is a literal.
+//! [`Syntax::Extended`] (`grep -E`) is the same grammar with the
+//! operators unescaped — `|`, `(`, `)` — and with the `+` and `?`
+//! quantifiers; a backslash there makes the next character a literal.
+//! Interval expressions (`{n,m}`) are rejected, not silently matched as
+//! text.
+//!
+//! Quirks implemented: `^` is an anchor only as the first character of a
+//! branch and `$` only as the last (literals elsewhere — ERE's
+//! anchors-anywhere is not modelled); `*` as the first character is a
+//! literal; `]` first inside a bracket is a literal; `-` first or last in a
+//! bracket is a literal.
 
 use std::fmt;
 
@@ -102,6 +110,15 @@ impl PosixClass {
     }
 }
 
+/// Which operator spelling a pattern uses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Syntax {
+    /// POSIX basic: `\(`, `\)`, and GNU's `\|`.
+    Basic,
+    /// POSIX extended (`grep -E`): `(`, `)`, `|`, `+`, `?`.
+    Extended,
+}
+
 /// A single matchable unit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Piece {
@@ -118,6 +135,10 @@ pub enum Piece {
     Group(usize, Box<Ast>),
     /// `\N` backreference to group N.
     Backref(usize),
+    /// Alternation: the first branch that lets the rest of the pattern
+    /// match wins (leftmost-first, not POSIX leftmost-longest — the two
+    /// agree on *whether* a line matches, which is all `grep` asks).
+    Alt(Vec<Ast>),
 }
 
 /// A piece plus its quantifier.
@@ -128,7 +149,8 @@ pub struct Atom {
     pub star: bool,
 }
 
-/// A parsed pattern: optional anchors around a sequence of atoms.
+/// A parsed branch: optional anchors around a sequence of atoms. A
+/// pattern with several branches is one atom, a [`Piece::Alt`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Ast {
     pub anchored_start: bool,
@@ -136,22 +158,39 @@ pub struct Ast {
     pub atoms: Vec<Atom>,
 }
 
+impl Ast {
+    /// The highest capture-group index in the pattern.
+    pub(crate) fn group_count(&self) -> usize {
+        self.atoms
+            .iter()
+            .map(|atom| match &atom.piece {
+                Piece::Group(idx, inner) => (*idx).max(inner.group_count()),
+                Piece::Alt(branches) => branches.iter().map(Ast::group_count).max().unwrap_or(0),
+                _ => 0,
+            })
+            .max()
+            .unwrap_or(0)
+    }
+}
+
 struct Parser<'a> {
     chars: Vec<char>,
     pos: usize,
     group_count: usize,
     pattern: &'a str,
+    syntax: Syntax,
 }
 
-/// Parses a BRE pattern into an [`Ast`].
-pub fn parse(pattern: &str) -> Result<Ast, ParseError> {
+/// Parses a pattern into an [`Ast`].
+pub fn parse(pattern: &str, syntax: Syntax) -> Result<Ast, ParseError> {
     let mut p = Parser {
         chars: pattern.chars().collect(),
         pos: 0,
         group_count: 0,
         pattern,
+        syntax,
     };
-    let ast = p.parse_sequence(true)?;
+    let ast = p.parse_alternation()?;
     if p.pos != p.chars.len() {
         return Err(p.err("unbalanced group close"));
     }
@@ -178,36 +217,106 @@ impl<'a> Parser<'a> {
         c
     }
 
-    /// Parses a sequence of atoms until end of pattern or `\)`.
-    /// `top_level` controls anchor interpretation.
-    fn parse_sequence(&mut self, top_level: bool) -> Result<Ast, ParseError> {
+    /// True when the pattern continues with operator `op` at `at`, in
+    /// this syntax's spelling (`\op` basic, bare `op` extended).
+    fn operator_at(&self, at: usize, op: char) -> bool {
+        match self.syntax {
+            Syntax::Basic => {
+                self.chars.get(at) == Some(&'\\') && self.chars.get(at + 1) == Some(&op)
+            }
+            Syntax::Extended => self.chars.get(at) == Some(&op),
+        }
+    }
+
+    /// Consumes operator `op` if the pattern continues with it.
+    fn eat_operator(&mut self, op: char) -> bool {
+        let found = self.operator_at(self.pos, op);
+        if found {
+            self.pos += if self.syntax == Syntax::Basic { 2 } else { 1 };
+        }
+        found
+    }
+
+    /// True at the end of a branch: end of pattern, `|`, or `)`.
+    fn branch_ends_at(&self, at: usize) -> bool {
+        at >= self.chars.len() || self.operator_at(at, '|') || self.operator_at(at, ')')
+    }
+
+    /// Parses branches until end of pattern or a group close. One branch
+    /// is returned as itself; several become a single [`Piece::Alt`] atom.
+    fn parse_alternation(&mut self) -> Result<Ast, ParseError> {
+        let mut branches = vec![self.parse_branch()?];
+        while self.eat_operator('|') {
+            branches.push(self.parse_branch()?);
+        }
+        Ok(if branches.len() == 1 {
+            branches.remove(0)
+        } else {
+            Ast {
+                atoms: vec![Atom {
+                    piece: Piece::Alt(branches),
+                    star: false,
+                }],
+                ..Ast::default()
+            }
+        })
+    }
+
+    /// Parses a sequence of atoms up to the end of its branch.
+    fn parse_branch(&mut self) -> Result<Ast, ParseError> {
         let mut ast = Ast::default();
-        if top_level && self.peek() == Some('^') {
+        if self.peek() == Some('^') {
             ast.anchored_start = true;
             self.pos += 1;
         }
-        loop {
+        while !self.branch_ends_at(self.pos) {
+            if self.peek() == Some('$') && self.branch_ends_at(self.pos + 1) {
+                ast.anchored_end = true;
+                self.pos += 1;
+                break;
+            }
+            let piece = self.parse_piece(ast.atoms.is_empty() && !ast.anchored_start)?;
             match self.peek() {
-                None => break,
-                Some('\\') if self.chars.get(self.pos + 1) == Some(&')') => break,
-                Some('$') if top_level && self.pos + 1 == self.chars.len() => {
-                    ast.anchored_end = true;
+                Some('*') => {
                     self.pos += 1;
-                    break;
+                    ast.atoms.push(Atom { piece, star: true });
                 }
-                Some(_) => {
-                    let piece = self.parse_piece(ast.atoms.is_empty() && !ast.anchored_start)?;
-                    let star = if self.peek() == Some('*') {
-                        self.pos += 1;
-                        true
-                    } else {
-                        false
+                // `p+` is `pp*`.
+                Some('+') if self.syntax == Syntax::Extended => {
+                    self.pos += 1;
+                    ast.atoms.push(Atom {
+                        piece: piece.clone(),
+                        star: false,
+                    });
+                    ast.atoms.push(Atom { piece, star: true });
+                }
+                // `p?` is `p` or nothing, `p` preferred.
+                Some('?') if self.syntax == Syntax::Extended => {
+                    self.pos += 1;
+                    let one = Ast {
+                        atoms: vec![Atom { piece, star: false }],
+                        ..Ast::default()
                     };
-                    ast.atoms.push(Atom { piece, star });
+                    ast.atoms.push(Atom {
+                        piece: Piece::Alt(vec![one, Ast::default()]),
+                        star: false,
+                    });
                 }
+                _ => ast.atoms.push(Atom { piece, star: false }),
             }
         }
         Ok(ast)
+    }
+
+    /// The inside of a group, after its open operator.
+    fn parse_group(&mut self) -> Result<Piece, ParseError> {
+        self.group_count += 1;
+        let idx = self.group_count;
+        let inner = self.parse_alternation()?;
+        if !self.eat_operator(')') {
+            return Err(self.err("unterminated group"));
+        }
+        Ok(Piece::Group(idx, Box::new(inner)))
     }
 
     fn parse_piece(&mut self, first: bool) -> Result<Piece, ParseError> {
@@ -215,20 +324,15 @@ impl<'a> Parser<'a> {
         Ok(match c {
             '.' => Piece::AnyChar,
             '[' => self.parse_bracket()?,
-            '*' if first => Piece::Literal('*'), // BRE: leading '*' is literal
+            '*' if first => Piece::Literal('*'), // a leading '*' is literal
+            '(' if self.syntax == Syntax::Extended => self.parse_group()?,
+            '{' if self.syntax == Syntax::Extended => {
+                return Err(self.err("interval expressions are not supported"))
+            }
             '\\' => {
                 let e = self.bump().ok_or_else(|| self.err("dangling backslash"))?;
                 match e {
-                    '(' => {
-                        self.group_count += 1;
-                        let idx = self.group_count;
-                        let inner = self.parse_sequence(false)?;
-                        // consume "\)"
-                        if self.bump() != Some('\\') || self.bump() != Some(')') {
-                            return Err(self.err("unterminated group"));
-                        }
-                        Piece::Group(idx, Box::new(inner))
-                    }
+                    '(' if self.syntax == Syntax::Basic => self.parse_group()?,
                     '1'..='9' => {
                         let idx = e.to_digit(10).unwrap() as usize;
                         if idx > self.group_count {
@@ -313,7 +417,12 @@ impl<'a> Parser<'a> {
 
 #[cfg(test)]
 mod tests {
+    use super::Syntax::{Basic, Extended};
     use super::*;
+
+    fn parse(pattern: &str) -> Result<Ast, ParseError> {
+        super::parse(pattern, Basic)
+    }
 
     #[test]
     fn parses_plain_literal() {
@@ -379,5 +488,65 @@ mod tests {
         let ast = parse("a$b").unwrap();
         assert_eq!(ast.atoms[1].piece, Piece::Literal('$'));
         assert!(!ast.anchored_end);
+    }
+
+    #[test]
+    fn alternation_is_one_atom_of_branches() {
+        let ast = parse("ab\\|c").unwrap();
+        let [Atom {
+            piece: Piece::Alt(branches),
+            star: false,
+        }] = ast.atoms.as_slice()
+        else {
+            panic!("expected one alternation atom, got {ast:?}");
+        };
+        assert_eq!(branches.len(), 2);
+        assert_eq!(branches[0].atoms.len(), 2);
+        assert_eq!(branches[1].atoms.len(), 1);
+        // The same pattern, extended spelling.
+        assert_eq!(super::parse("ab|c", Extended).unwrap(), ast);
+        // Unescaped in BRE and escaped in ERE, `|` is a character.
+        assert_eq!(parse("a|b").unwrap().atoms.len(), 3);
+        assert_eq!(super::parse("a\\|b", Extended).unwrap().atoms.len(), 3);
+    }
+
+    #[test]
+    fn alternation_inside_a_group_and_anchors_per_branch() {
+        let ast = parse("\\(light\\|land\\) of").unwrap();
+        match &ast.atoms[0].piece {
+            Piece::Group(1, inner) => {
+                assert!(matches!(&inner.atoms[0].piece, Piece::Alt(b) if b.len() == 2))
+            }
+            other => panic!("expected group, got {other:?}"),
+        }
+        assert_eq!(ast.group_count(), 1);
+        let ast = parse("^a\\|b$").unwrap();
+        let Piece::Alt(branches) = &ast.atoms[0].piece else {
+            panic!("expected alternation");
+        };
+        assert!(branches[0].anchored_start && !branches[0].anchored_end);
+        assert!(!branches[1].anchored_start && branches[1].anchored_end);
+    }
+
+    #[test]
+    fn extended_quantifiers_desugar() {
+        // a+ is aa*; a? is (a|nothing).
+        let plus = super::parse("a+", Extended).unwrap();
+        assert_eq!(plus, parse("aa*").unwrap());
+        let opt = super::parse("ab?", Extended).unwrap();
+        assert!(
+            matches!(&opt.atoms[1].piece, Piece::Alt(b) if b.len() == 2 && b[1].atoms.is_empty())
+        );
+        // In BRE both are characters.
+        assert_eq!(parse("a+").unwrap().atoms[1].piece, Piece::Literal('+'));
+        assert_eq!(parse("a?").unwrap().atoms[1].piece, Piece::Literal('?'));
+        // Groups nest and number the same way.
+        assert_eq!(
+            super::parse("(a(b))\\2", Extended).unwrap().group_count(),
+            2
+        );
+        assert!(super::parse("a{2}", Extended).is_err());
+        assert!(super::parse("(a", Extended).is_err());
+        assert!(super::parse("a)", Extended).is_err());
     }
 }

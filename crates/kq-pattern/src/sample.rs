@@ -24,7 +24,7 @@ struct Sampler<'r, R: Rng + ?Sized> {
 
 /// Samples a string matching `ast`. `star_max` bounds `*` repetitions.
 pub fn sample<R: Rng + ?Sized>(ast: &Ast, rng: &mut R, star_max: usize) -> String {
-    let ngroups = max_group(ast);
+    let ngroups = ast.group_count();
     let mut s = Sampler {
         rng,
         star_max,
@@ -33,20 +33,6 @@ pub fn sample<R: Rng + ?Sized>(ast: &Ast, rng: &mut R, star_max: usize) -> Strin
     let mut out = String::new();
     s.emit_seq(&ast.atoms, &mut out);
     out
-}
-
-fn max_group(ast: &Ast) -> usize {
-    fn walk(atoms: &[Atom], max: &mut usize) {
-        for a in atoms {
-            if let Piece::Group(idx, inner) = &a.piece {
-                *max = (*max).max(*idx);
-                walk(&inner.atoms, max);
-            }
-        }
-    }
-    let mut max = 0;
-    walk(&ast.atoms, &mut max);
-    max
 }
 
 impl<R: Rng + ?Sized> Sampler<'_, R> {
@@ -77,6 +63,10 @@ impl<R: Rng + ?Sized> Sampler<'_, R> {
             Piece::Backref(idx) => {
                 let text = self.groups[*idx - 1].clone();
                 out.push_str(&text);
+            }
+            Piece::Alt(branches) => {
+                let branch = &branches[self.rng.gen_range(0..branches.len())];
+                self.emit_seq(&branch.atoms, out);
             }
         }
     }

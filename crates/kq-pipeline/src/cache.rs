@@ -24,6 +24,7 @@
 //! ```text
 //! kumquat-combiner-cache v1 seed=<rng_seed> max_size=<n>
 //! <escaped-key>\t-                      # synthesis proved: no combiner
+//! <escaped-key>\t?                      # no combiner: every probe failed
 //! <escaped-key>\t+\t<cand>;<cand>;...   # the plausible set (kq_dsl::codec)
 //! ```
 //!
@@ -58,10 +59,14 @@
 //! either promotes it (counted `validated`) or discards it and
 //! re-synthesizes (counted `rejected`). Negative entries cannot be
 //! replayed and are trusted as-is — a wrong negative only loses
-//! parallelism (the stage runs sequentially), never correctness. Negative
-//! results whose input profile was `Unsupported` (a probe environment
-//! problem, e.g. a file dependency the script writes later) are not
-//! persisted at all: they describe the context, not the command.
+//! parallelism (the stage runs sequentially), never correctness. A
+//! negative whose input profile was `Unsupported` (every probe failed,
+//! e.g. on a file dependency the script writes later) describes the
+//! context as much as the command, so it is stored as its own verdict
+//! (`?`) and trusted only for as long as the context stays that way: the
+//! first lookup runs the probes again (`kq_synth::probe_profile`, three
+//! tiny command runs) and either confirms it (counted `validated` — no
+//! miss, no synthesis) or discards it and synthesizes.
 
 use kq_coreutils::Command;
 use kq_dsl::ast::Candidate;
@@ -227,19 +232,32 @@ pub struct CacheStats {
     pub loaded: usize,
 }
 
+/// A verdict as the on-disk store holds it.
+#[derive(Debug, Clone, PartialEq)]
+enum Stored {
+    /// `-`: synthesis proved no combiner exists.
+    NoCombiner,
+    /// `?`: no combiner, because every input probe failed.
+    Unsupported,
+    /// `+`: the plausible set.
+    Plausible(Vec<Candidate>),
+}
+
 /// One cached verdict.
 enum Slot {
     /// Trusted: synthesized (or validated) in this process. `None` means
     /// synthesis proved no combiner exists.
     Ready {
         combiner: Option<Arc<SynthesizedCombiner>>,
-        /// Whether `save` writes this entry (manual registrations and
-        /// Unsupported-profile negatives stay process-local).
+        /// Whether `save` writes this entry (manual registrations stay
+        /// process-local).
         persist: bool,
     },
-    /// Loaded from disk, pending replay validation. `None` is a persisted
-    /// negative verdict.
-    Disk(Option<Vec<Candidate>>),
+    /// Trusted: every input probe failed in this process, so there is no
+    /// combiner here. Saved as [`Stored::Unsupported`].
+    Unsupported,
+    /// Loaded from disk, pending validation.
+    Disk(Stored),
 }
 
 /// What a cache lookup found (validation is the caller's job — it needs
@@ -249,6 +267,9 @@ pub enum CacheLookup {
     Ready(Option<Arc<SynthesizedCombiner>>),
     /// A disk entry whose candidates must be spot-checked first.
     NeedsValidation(Vec<Candidate>),
+    /// A disk entry that says every input probe failed: settle it with
+    /// [`CombinerCache::resolve_probe`] after probing again.
+    NeedsProbe,
     /// Nothing cached.
     Miss,
 }
@@ -329,7 +350,12 @@ impl CombinerCache {
                 self.stats.hits += 1;
                 CacheLookup::Ready(combiner.clone())
             }
-            Some(Slot::Disk(None)) => {
+            Some(Slot::Unsupported) => {
+                self.stats.hits += 1;
+                CacheLookup::Ready(None)
+            }
+            Some(Slot::Disk(Stored::Unsupported)) => CacheLookup::NeedsProbe,
+            Some(Slot::Disk(Stored::NoCombiner)) => {
                 // Negative entries cannot be replayed; trust them (worst
                 // case a stage stays sequential).
                 let slot = Slot::Ready {
@@ -340,7 +366,9 @@ impl CombinerCache {
                 self.stats.hits += 1;
                 CacheLookup::Ready(None)
             }
-            Some(Slot::Disk(Some(candidates))) => CacheLookup::NeedsValidation(candidates.clone()),
+            Some(Slot::Disk(Stored::Plausible(candidates))) => {
+                CacheLookup::NeedsValidation(candidates.clone())
+            }
         }
     }
 
@@ -370,6 +398,33 @@ impl CombinerCache {
             self.stats.rejected += 1;
             None
         }
+    }
+
+    /// Settles a [`CacheLookup::NeedsProbe`] verdict: `Some(None)` (no
+    /// combiner, a validated hit) when the probes still all fail, `None`
+    /// (entry dropped, the caller synthesizes) when one now succeeds.
+    pub fn resolve_probe(
+        &mut self,
+        key: &str,
+        still_unsupported: bool,
+    ) -> Option<Option<Arc<SynthesizedCombiner>>> {
+        if still_unsupported {
+            self.entries.insert(key.to_owned(), Slot::Unsupported);
+            self.stats.hits += 1;
+            self.stats.validated += 1;
+            Some(None)
+        } else {
+            self.entries.remove(key);
+            self.stats.rejected += 1;
+            None
+        }
+    }
+
+    /// Records that synthesis found no combiner because every input probe
+    /// failed (see the trust policy in the module docs).
+    pub fn insert_unsupported(&mut self, key: impl Into<String>) {
+        self.dirty = true;
+        self.entries.insert(key.into(), Slot::Unsupported);
     }
 
     /// Records a synthesis result (or a manual registration with
@@ -431,9 +486,12 @@ impl CombinerCache {
                     combiner: Some(c),
                     persist: true,
                 } => body.push(format!("{encoded_key}\t+\t{}", encode_set(&c.plausible))),
+                Slot::Unsupported | Slot::Disk(Stored::Unsupported) => {
+                    body.push(format!("{encoded_key}\t?"))
+                }
                 // Entries loaded but never needed this run pass through.
-                Slot::Disk(None) => body.push(format!("{encoded_key}\t-")),
-                Slot::Disk(Some(cands)) => {
+                Slot::Disk(Stored::NoCombiner) => body.push(format!("{encoded_key}\t-")),
+                Slot::Disk(Stored::Plausible(cands)) => {
                     body.push(format!("{encoded_key}\t+\t{}", encode_set(cands)))
                 }
             }
@@ -458,7 +516,7 @@ fn encode_set(candidates: &[Candidate]) -> String {
         .join(";")
 }
 
-type StoreEntries = Vec<(String, Option<Vec<Candidate>>)>;
+type StoreEntries = Vec<(String, Stored)>;
 
 fn parse_store(text: &str, fingerprint: (u64, usize)) -> Result<StoreEntries, String> {
     let mut lines = text.lines();
@@ -481,7 +539,8 @@ fn parse_store(text: &str, fingerprint: (u64, usize)) -> Result<StoreEntries, St
         let key = unescape_token(fields.next().unwrap_or(""))
             .map_err(|e| format!("line {}: bad key: {e}", no + 2))?;
         match (fields.next(), fields.next(), fields.next()) {
-            (Some("-"), None, None) => entries.push((key, None)),
+            (Some("-"), None, None) => entries.push((key, Stored::NoCombiner)),
+            (Some("?"), None, None) => entries.push((key, Stored::Unsupported)),
             (Some("+"), Some(cands), None) => {
                 let mut set = Vec::new();
                 for part in cands.split(';') {
@@ -493,7 +552,7 @@ fn parse_store(text: &str, fingerprint: (u64, usize)) -> Result<StoreEntries, St
                 if set.is_empty() {
                     return Err(format!("line {}: empty plausible set", no + 2));
                 }
-                entries.push((key, Some(set)));
+                entries.push((key, Stored::Plausible(set)));
             }
             _ => return Err(format!("line {}: malformed entry", no + 2)),
         }
@@ -645,12 +704,48 @@ mod tests {
     }
 
     #[test]
+    fn an_all_probes_failed_verdict_persists_and_is_probed_again() {
+        let path = tmpfile("unsupported");
+        let config = SynthesisConfig::default();
+        let mut cache = CombinerCache::open(&path, &config);
+        cache.insert_unsupported("comm\x1f-2\x1f-3\x1f|\x1f-\x1flater");
+        // Trusted where it was observed.
+        assert!(matches!(
+            cache.lookup("comm\x1f-2\x1f-3\x1f|\x1f-\x1flater"),
+            CacheLookup::Ready(None)
+        ));
+        assert!(cache.save().unwrap());
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.lines().any(|l| l.ends_with("\t?")), "{text}");
+
+        // Reloaded: pending until the probes are run again.
+        for (still_unsupported, hits, rejected) in [(true, 2, 0), (false, 0, 1)] {
+            let mut reloaded = CombinerCache::open(&path, &config);
+            assert_eq!(reloaded.stats.loaded, 1);
+            let key = "comm\x1f-2\x1f-3\x1f|\x1f-\x1flater";
+            assert!(matches!(reloaded.lookup(key), CacheLookup::NeedsProbe));
+            let resolved = reloaded.resolve_probe(key, still_unsupported);
+            assert_eq!(resolved.is_some(), still_unsupported);
+            let again = reloaded.lookup(key);
+            if still_unsupported {
+                assert!(matches!(again, CacheLookup::Ready(None)));
+            } else {
+                assert!(matches!(again, CacheLookup::Miss));
+            }
+            assert_eq!(reloaded.stats.hits, hits);
+            assert_eq!(reloaded.stats.rejected, rejected);
+            assert_eq!(reloaded.stats.misses, 0);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn rejected_validation_discards_the_entry() {
         let config = SynthesisConfig::default();
         let mut cache = CombinerCache::in_memory(&config);
         cache.entries.insert(
             "k".to_owned(),
-            Slot::Disk(Some(vec![Candidate::rec(RecOp::Concat)])),
+            Slot::Disk(Stored::Plausible(vec![Candidate::rec(RecOp::Concat)])),
         );
         let CacheLookup::NeedsValidation(cands) = cache.lookup("k") else {
             panic!("expected pending entry");

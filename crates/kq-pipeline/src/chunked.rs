@@ -95,11 +95,13 @@ fn pooled_map(
     let (task_tx, task_rx) = channel::bounded::<(usize, Bytes)>(workers * 2);
     let (result_tx, result_rx) = channel::unbounded::<(usize, Duration, Result<Bytes, CmdError>)>();
 
+    let trace = kq_trace::current();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let task_rx = task_rx.clone();
             let result_tx = result_tx.clone();
             scope.spawn(move || {
+                let _trace = trace.attach();
                 for (idx, chunk) in task_rx.iter() {
                     let span = kq_trace::span("chunked", "map")
                         .si(si)

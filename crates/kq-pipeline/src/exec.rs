@@ -365,6 +365,7 @@ fn run_parallel_inner(
                     let mut results: Vec<Result<(Bytes, Duration), CmdError>> =
                         Vec::with_capacity(pieces.len());
                     if use_threads {
+                        let trace = kq_trace::current();
                         std::thread::scope(|scope| {
                             let handles: Vec<_> = pieces
                                 .iter()
@@ -372,6 +373,7 @@ fn run_parallel_inner(
                                 .map(|(pi, piece)| {
                                     let piece = piece.clone();
                                     scope.spawn(move || {
+                                        let _trace = trace.attach();
                                         let span = kq_trace::span("static", "piece")
                                             .si(si)
                                             .ni(stage_idx)

@@ -81,6 +81,19 @@
 //! idle). `tests/fold_finalize_stress.rs` hammers the window at both
 //! gather and combine folds under tiny chunks and a shallow queue.
 //!
+//! The same count keeps the node lock short. Integrating a map result
+//! into a merge fold is O(1) under the lock: when the fold has enough
+//! pieces for a run it hands them back as a batch
+//! (`kq_synth::IncrementalCombine::push`), the task bumps `inflight` for
+//! the batch, drops the lock, k-way merges the batch (a `fold-merge`
+//! span, timed into [`StageTiming::combine_time`]), and re-takes the lock
+//! only to install the run at the batch's index and retire the claim. So
+//! a worker's finished map never waits behind another worker's run merge,
+//! finalization cannot start while a batch is out, and `finish` sees the
+//! runs in stream order whatever order they came back in (the third test
+//! of `tests/fold_finalize_stress.rs`). The streaming executor's barrier
+//! collector owns its fold outright and merges each batch on the spot.
+//!
 //! # Spill lifecycle (bounded-memory barrier folds)
 //!
 //! A merge-combiner fold normally keeps every sorted run on the heap
@@ -154,10 +167,13 @@
 //! Every executor is instrumented through [`kq_trace`]: node-task spans
 //! (`dataflow`/`streaming`/`chunked`/`static`/`serial` categories), graph
 //! structure metas, and per-node counters (bytes in/out, tasks,
-//! max-queued, send/recv stall time). Instrumentation is off unless a
-//! `kq_trace::TraceSession` is live — a disabled probe is one relaxed
-//! atomic load, so the executors' hot loops carry no tracing cost on
-//! normal runs (`crates/bench/benches/trace_overhead.rs` guards this).
+//! max-queued, send/recv stall time). Instrumentation is off unless the
+//! calling thread carries a live `kq_trace::TraceSession` — every pool
+//! hands the caller's session to its workers at spawn, so a run records
+//! into the session that asked for it and into no other. A disabled probe
+//! is one relaxed atomic load, so the executors' hot loops carry no
+//! tracing cost on normal runs
+//! (`crates/bench/benches/trace_overhead.rs` guards this).
 //! Span identity is `(kind, cat, name, si, ni, seq, label)`: `si` the
 //! statement index, `ni` the dataflow node / stage index, `seq` the chunk
 //! ordinal. Chunk cuts are deterministic for a given input and chunk

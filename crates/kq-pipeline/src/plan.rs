@@ -484,6 +484,20 @@ impl Planner {
                 kq_trace::instant("cache", verdict).label(key).emit();
                 resolved
             }
+            CacheLookup::NeedsProbe => {
+                let still_unsupported = matches!(
+                    kq_synth::probe_profile(command, ctx),
+                    InputProfile::Unsupported
+                );
+                let resolved = self.cache.resolve_probe(key, still_unsupported);
+                let verdict = if resolved.is_some() {
+                    "validated"
+                } else {
+                    "rejected"
+                };
+                kq_trace::instant("cache", verdict).label(key).emit();
+                resolved
+            }
             CacheLookup::Miss => {
                 kq_trace::instant("cache", "miss").label(key).emit();
                 None
@@ -493,18 +507,22 @@ impl Planner {
 
     /// Records one synthesis result: the report, the miss, and the cache
     /// entry. Unsupported-profile negatives describe the probe
-    /// environment (e.g. a file the script writes later), not the
-    /// command — they stay out of the persistent store.
+    /// environment (e.g. a file the script writes later) as much as the
+    /// command — they are stored as such and probed again before a later
+    /// run trusts them.
     fn record_synthesis(
         &mut self,
         key: String,
         report: SynthesisReport,
     ) -> Option<Arc<SynthesizedCombiner>> {
         let combiner = report.combiner().cloned().map(Arc::new);
-        let persist = combiner.is_some() || !matches!(report.profile, InputProfile::Unsupported);
+        if combiner.is_none() && matches!(report.profile, InputProfile::Unsupported) {
+            self.cache.insert_unsupported(key);
+        } else {
+            self.cache.insert(key, combiner.clone(), true);
+        }
         self.cache.stats.misses += 1;
         self.reports.push(report);
-        self.cache.insert(key, combiner.clone(), persist);
         combiner
     }
 

@@ -327,7 +327,9 @@ enum Phase {
 struct NodeState<'a> {
     phase: Phase,
     cancelled: bool,
-    /// Chunks claimed (inflight counter bumped) but not yet integrated.
+    /// Chunks claimed but not yet integrated, plus run batches cut from
+    /// `accum` and not yet installed back: work in progress outside the
+    /// lock that finalization must wait for.
     inflight: usize,
     /// Reorder buffer: results keyed by input pop ordinal.
     pending: BTreeMap<usize, Bytes>,
@@ -720,11 +722,16 @@ pub fn run_dataflow(
 
     let locals: Vec<Worker<Task>> = (0..workers).map(|_| Worker::new_fifo()).collect();
     let stealers: Vec<Stealer<Task>> = locals.iter().map(Worker::stealer).collect();
+    // The pool records into the caller's trace session, if it has one.
+    let trace = kq_trace::current();
     std::thread::scope(|scope| {
         for (idx, local) in locals.into_iter().enumerate() {
             let rt = &rt;
             let stealers = &stealers;
-            scope.spawn(move || worker_loop(rt, local, stealers, idx));
+            scope.spawn(move || {
+                let _trace = trace.attach();
+                worker_loop(rt, local, stealers, idx)
+            });
         }
     });
 
@@ -1176,6 +1183,13 @@ fn pop_input(stmt: &StmtRt<'_>, ni: usize) -> Result<(usize, Bytes, usize), bool
 /// One map task at a StageWorker or Fold(Combine) node: claim one input
 /// chunk, run the chain on it outside every lock, integrate the result in
 /// input order, forward/fold, and finalize when the input is exhausted.
+///
+/// Integration under the node lock is O(pieces), never O(bytes): a merge
+/// fold that has enough pieces for a run hands them back as a batch
+/// ([`IncrementalCombine::push`]), and this task merges the batch after
+/// dropping the lock — so the other workers' finished maps integrate
+/// while it does — and installs the run by batch index. The batch counts
+/// as `inflight` until then, so finalization waits for it.
 fn map_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
     let stmt = &cx.rt.stmts[si];
     let node = &stmt.graph.nodes[ni];
@@ -1236,6 +1250,7 @@ fn map_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
     span.done();
 
     let mut pushed = 0usize;
+    let mut batches = Vec::new();
     {
         let mut st = lock(&stmt.nodes[ni]);
         st.inflight -= 1;
@@ -1287,14 +1302,38 @@ fn map_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
                     .ni(ni)
                     .seq(st.next_seq - 1);
                 let t0 = Instant::now();
-                st.accum.as_mut().expect("combine fold accum").push(ready);
+                let batch = st.accum.as_mut().expect("combine fold accum").push(ready);
                 let elapsed = t0.elapsed();
                 span.done();
                 st.combine_time += elapsed;
+                if let Some(batch) = batch {
+                    st.inflight += 1;
+                    batches.push(batch);
+                }
             }
         }
     }
     schedule_pushes(cx, si, ni + 1, pushed);
+    for batch in batches {
+        let span = kq_trace::span("dataflow", "fold-merge")
+            .si(si)
+            .ni(ni)
+            .seq(batch.index());
+        let t0 = Instant::now();
+        let merged = batch.merge();
+        let elapsed = t0.elapsed();
+        span.done();
+        let mut st = lock(&stmt.nodes[ni]);
+        st.inflight -= 1;
+        st.combine_time += elapsed;
+        if st.cancelled {
+            return;
+        }
+        st.accum
+            .as_mut()
+            .expect("combine fold accum")
+            .install(merged);
+    }
     maybe_finalize_map(cx, si, ni);
 }
 

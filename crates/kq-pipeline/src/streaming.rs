@@ -289,10 +289,14 @@ fn run_statement(
         };
     }
 
+    // Every thread of the statement records into the caller's trace
+    // session, if it has one.
+    let trace = kq_trace::current();
     std::thread::scope(|scope| {
         let feed_tx = txs.next().expect("feeder sender");
         let feed_input = input.clone();
         scope.spawn(move || {
+            let _trace = trace.attach();
             // A send failure means downstream tore down; unwind quietly.
             // The feeder has no StageTiming, so its telemetry is discarded
             // (the `streaming/send` span still records the feed interval).
@@ -315,6 +319,7 @@ fn run_statement(
                     let stage_idx = segment.stages.start;
                     let cmd = &statement.stages[stage_idx].command;
                     scope.spawn(move || -> Result<StageTiming, CmdError> {
+                        let _trace = trace.attach();
                         // The demand token is the receiver itself: hold it
                         // only until `lines` complete lines exist, then
                         // drop it so every upstream producer unwinds
@@ -388,6 +393,7 @@ fn run_statement(
                 StreamSegmentKind::Sequential => {
                     let cmd = &statement.stages[segment.stages.start].command;
                     scope.spawn(move || -> Result<StageTiming, CmdError> {
+                        let _trace = trace.attach();
                         let mut rope = Rope::new();
                         let mut telem = crate::exec::QueueTelemetry::default();
                         loop {
@@ -459,6 +465,7 @@ fn run_statement(
                         let res_tx = res_tx.clone();
                         let chain = chain.clone();
                         scope.spawn(move || {
+                            let _trace = trace.attach();
                             for (seq, chunk) in rx.iter() {
                                 let in_len = chunk.len();
                                 let span = kq_trace::span("streaming", "map")
@@ -483,7 +490,10 @@ fn run_statement(
                     match segment.kind {
                         StreamSegmentKind::Streaming => scope.spawn({
                             let eager = eager_flush[seg_idx];
-                            move || collect_streaming(label, res_rx, seg_tx, chunk_bytes, eager)
+                            move || {
+                                let _trace = trace.attach();
+                                collect_streaming(label, res_rx, seg_tx, chunk_bytes, eager)
+                            }
                         }),
                         StreamSegmentKind::Barrier => {
                             let closing = segment.stages.start;
@@ -496,6 +506,7 @@ fn run_statement(
                             let closing_cmd = &statement.stages[closing].command;
                             let spill = opts.spill.as_ref().map(|p| p.stage_config());
                             scope.spawn(move || {
+                                let _trace = trace.attach();
                                 collect_barrier(
                                     (si, seg_idx),
                                     label,
@@ -703,7 +714,7 @@ fn collect_barrier(
                 .ni(ni)
                 .seq(next - 1);
             let t0 = Instant::now();
-            accum.push(piece);
+            accum.push_inline(piece);
             span.done();
             combine_time += t0.elapsed();
         }

@@ -164,6 +164,7 @@ impl SynthesizedCombiner {
             raw: (!authoritative).then(Vec::new),
             raw_spill: if authoritative { None } else { spill.clone() },
             raw_heap_bytes: 0,
+            fed: false,
             fold: Some(kway::IncrementalFold::new_with_spill(
                 self.primary(),
                 env,
@@ -192,6 +193,8 @@ pub struct IncrementalCombine<'a> {
     raw_spill: Option<kq_dsl::SpillConfig>,
     /// Heap-resident bytes currently in `raw` (mapped entries excluded).
     raw_heap_bytes: usize,
+    /// A non-empty piece has been pushed.
+    fed: bool,
     /// The primary-member fold; `None` after the speculation (selective
     /// path) or the fold itself (authoritative path) failed.
     fold: Option<kway::IncrementalFold<'a>>,
@@ -202,20 +205,29 @@ pub struct IncrementalCombine<'a> {
     failed: Option<EvalError>,
 }
 
-impl IncrementalCombine<'_> {
+impl<'a> IncrementalCombine<'a> {
     /// Folds in the next substream. Never fails: an error either defers
     /// to [`finish`](Self::finish) (authoritative path) or disables the
     /// speculation so `finish` takes the gather-first fallback
     /// (selective path).
-    pub fn push(&mut self, piece: Bytes) {
+    ///
+    /// A `merge` fold whose pending pieces reached the run trigger hands
+    /// them back as a batch instead of merging them here (see
+    /// [`kway::IncrementalFold::push`]): merge it wherever no lock on this
+    /// combine is held and give the outcome to
+    /// [`install`](Self::install). [`push_inline`](Self::push_inline) does
+    /// both on the spot for callers that own the combine outright.
+    pub fn push(&mut self, piece: Bytes) -> Option<kway::RunBatch<'a>> {
+        self.fed |= !piece.is_empty();
+        let mut batch = None;
         match &mut self.raw {
             None => {
                 // Authoritative: the primary is combine_all's selection
                 // for any piece list; fold and drop the handle.
                 if let Some(fold) = &mut self.fold {
-                    if let Err(e) = fold.push(piece) {
-                        self.failed = Some(e);
-                        self.fold = None;
+                    match fold.push(piece) {
+                        Ok(cut) => batch = cut,
+                        Err(e) => self.fail(e),
                     }
                 }
             }
@@ -235,8 +247,10 @@ impl IncrementalCombine<'_> {
                         || piece
                             .to_str()
                             .is_ok_and(|s| domain::in_domain(&primary.op, s));
-                    if !admissible || fold.push(piece.clone()).is_err() {
-                        self.fold = None;
+                    let cut = admissible.then(|| fold.push(piece.clone()).ok()).flatten();
+                    match cut {
+                        Some(cut) => batch = cut,
+                        None => self.fold = None,
                     }
                 }
                 let resident = if piece.is_empty() || piece.is_mmap_backed() {
@@ -258,6 +272,37 @@ impl IncrementalCombine<'_> {
                 }
             }
         }
+        batch
+    }
+
+    /// Takes back the outcome of merging a batch [`push`](Self::push)
+    /// handed out. A failed merge fails the combine the way a failed push
+    /// does.
+    pub fn install(&mut self, merged: Result<kway::MergedRun, EvalError>) {
+        let Some(fold) = &mut self.fold else {
+            return;
+        };
+        if let Err(e) = merged.and_then(|run| fold.install(run)) {
+            self.fail(e);
+        }
+    }
+
+    /// [`push`](Self::push), with a batch it hands back merged and
+    /// installed before returning.
+    pub fn push_inline(&mut self, piece: Bytes) {
+        if let Some(batch) = self.push(piece) {
+            self.install(batch.merge());
+        }
+    }
+
+    /// Gives up on the primary-member fold: the error is final on the
+    /// authoritative path, and the gather-first fallback takes over on the
+    /// selective one.
+    fn fail(&mut self, e: EvalError) {
+        self.fold = None;
+        if self.raw.is_none() {
+            self.failed = Some(e);
+        }
     }
 
     /// Number of raw piece handles currently retained for the
@@ -269,7 +314,15 @@ impl IncrementalCombine<'_> {
     }
 
     /// Settles into the combined stream.
+    ///
+    /// A combine that was fed nothing — no piece at all, or only empty
+    /// ones, as when an upstream `grep` matched no line — is the command
+    /// run on the empty stream: `wc -l` still owes its `0`. (Skipping
+    /// empty pieces is only sound next to a non-empty one.)
     pub fn finish(self) -> Result<Bytes, EvalError> {
+        if !self.fed {
+            return self.env.rerun_bytes(Bytes::new());
+        }
         match self.raw {
             None => match (self.fold, self.failed) {
                 (Some(fold), None) => fold.finish(),
@@ -354,9 +407,12 @@ mod tests {
             fn rerun(&self, input: &str) -> Result<String, EvalError> {
                 Ok(input.to_owned())
             }
-            fn merge(&self, _flags: &[String], streams: &[&str]) -> Result<String, EvalError> {
-                kq_coreutils::sort::merge_streams(&[], streams)
-                    .map_err(|e| EvalError::Command(e.to_string()))
+            fn merge(
+                &self,
+                order: kq_coreutils::sort::LineOrder,
+                streams: &[&[u8]],
+            ) -> Result<Bytes, EvalError> {
+                Ok(Bytes::from(order.merge(streams)))
             }
         }
         // A sort-shaped composite: [merge, rerun] — multi-member, but the
@@ -372,7 +428,7 @@ mod tests {
             .collect();
         let mut inc = s.incremental(&MergeEnv);
         for p in &pieces {
-            inc.push(p.clone());
+            inc.push_inline(p.clone());
             assert_eq!(inc.retained_handles(), 0, "merge path must not pin pieces");
         }
         let expect = s.combine_all(&pieces, &MergeEnv).unwrap();
@@ -382,8 +438,8 @@ mod tests {
             RecOp::First,
         ))]);
         let mut inc = s.incremental(&NoRunEnv);
-        inc.push(Bytes::from("a\nb\n"));
-        inc.push(Bytes::from("b\nc\n"));
+        inc.push_inline(Bytes::from("a\nb\n"));
+        inc.push_inline(Bytes::from("b\nc\n"));
         assert_eq!(inc.retained_handles(), 0);
         assert_eq!(inc.finish().unwrap(), "a\nb\nc\n");
     }
@@ -400,7 +456,7 @@ mod tests {
         let pieces = vec![Bytes::from("3\n"), Bytes::from("4\n"), Bytes::from("5\n")];
         let mut inc = s.incremental(&NoRunEnv);
         for p in &pieces {
-            inc.push(p.clone());
+            inc.push_inline(p.clone());
         }
         assert_eq!(inc.retained_handles(), pieces.len());
         assert_eq!(inc.finish().unwrap(), "12\n");
@@ -412,7 +468,7 @@ mod tests {
         let expect = s.combine_all(&odd, &NoRunEnv).unwrap();
         let mut inc = s.incremental(&NoRunEnv);
         for p in &odd {
-            inc.push(p.clone());
+            inc.push_inline(p.clone());
         }
         assert_eq!(inc.finish().unwrap(), expect);
     }
@@ -445,7 +501,7 @@ mod tests {
         let expect = s.combine_all(&odd, &NoRunEnv).unwrap();
         let mut inc = s.incremental_with_spill(&NoRunEnv, Some(cfg.clone()));
         for p in &odd {
-            inc.push(p.clone());
+            inc.push_inline(p.clone());
         }
         assert_eq!(inc.retained_handles(), odd.len(), "handles stay retained");
         assert_eq!(inc.finish().unwrap(), expect);
@@ -455,6 +511,29 @@ mod tests {
         let leftovers = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(leftovers, 0, "spill dir must be clean after the combine");
+    }
+
+    #[test]
+    fn a_combine_fed_nothing_is_the_command_on_the_empty_stream() {
+        let wc = kq_coreutils::parse_command("wc -l").unwrap();
+        let ctx = kq_coreutils::ExecContext::default();
+        let env = kq_dsl::CommandEnv {
+            command: &wc,
+            ctx: &ctx,
+        };
+        let s = SynthesizedCombiner::from_plausible(vec![
+            Candidate::rec(RecOp::Back(Delim::Newline, Box::new(RecOp::Add))),
+            Candidate::rec(RecOp::Fuse(Delim::Newline, Box::new(RecOp::Add))),
+        ]);
+        assert_eq!(s.incremental(&env).finish().unwrap(), "0\n");
+        let mut inc = s.incremental(&env);
+        inc.push_inline(Bytes::new());
+        inc.push_inline(Bytes::new());
+        assert_eq!(inc.finish().unwrap(), "0\n");
+        let mut inc = s.incremental(&env);
+        inc.push_inline(Bytes::new());
+        inc.push_inline(Bytes::from("3\n"));
+        assert_eq!(inc.finish().unwrap(), "3\n");
     }
 
     #[test]

@@ -66,6 +66,6 @@ pub mod synthesize;
 
 pub use composite::{IncrementalCombine, SynthesizedCombiner};
 pub use pool::SynthPool;
-pub use preprocess::{prefix_bound, preprocess, InputProfile, Preprocessed};
+pub use preprocess::{prefix_bound, preprocess, probe_profile, InputProfile, Preprocessed};
 pub use shape::{Config, InputShape, Mutation};
 pub use synthesize::{spot_check, synthesize, SynthesisConfig, SynthesisOutcome, SynthesisReport};

@@ -61,12 +61,15 @@ impl SynthPool {
         }
         let next = AtomicUsize::new(0);
         let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+        // Workers record into the caller's trace session, if it has one.
+        let trace = kq_trace::current();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let next = &next;
                     let f = &f;
                     scope.spawn(move || {
+                        let _trace = trace.attach();
                         let mut produced: Vec<(usize, R)> = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);

@@ -121,7 +121,6 @@ pub fn preprocess<R: Rng + ?Sized>(
     ctx: &ExecContext,
     rng: &mut R,
 ) -> Preprocessed {
-    ensure_probe_files(ctx);
     let (dictionary, line_hint) = extract_literals(command, rng);
     let profile = probe_profile(command, ctx);
     let mut pre = Preprocessed {
@@ -148,8 +147,15 @@ fn extract_literals<R: Rng + ?Sized>(
     let mut line_hint = None;
     match command.program() {
         "grep" => {
-            if let Some(pattern) = argv[1..].iter().find(|a| !a.starts_with('-')) {
-                if let Ok(re) = Regex::new(pattern) {
+            let (flags, operands): (Vec<_>, Vec<_>) =
+                argv[1..].iter().partition(|a| a.starts_with('-'));
+            let syntax = if flags.iter().any(|f| f.contains('E')) {
+                kq_pattern::Syntax::Extended
+            } else {
+                kq_pattern::Syntax::Basic
+            };
+            if let Some(pattern) = operands.first() {
+                if let Ok(re) = Regex::with_syntax(pattern, syntax, false) {
                     for _ in 0..10 {
                         let s = re.sample(rng, 3);
                         if !s.is_empty() && !s.contains('\n') {
@@ -220,8 +226,11 @@ fn cut_delimiter(argv: &[String]) -> Option<char> {
 }
 
 /// The three canonical probes (paper §3.2): unsorted words, sorted words,
-/// file names.
-fn probe_profile(command: &Command, ctx: &ExecContext) -> InputProfile {
+/// file names (the probe files are written first if missing). Public so
+/// the planner can re-check a cached "every probe failed" verdict without
+/// running synthesis.
+pub fn probe_profile(command: &Command, ctx: &ExecContext) -> InputProfile {
+    ensure_probe_files(ctx);
     let unsorted = "mango\napple\nzebra\nbanana\ncherry\napple\n";
     let sorted = "apple\napple\nbanana\ncherry\nmango\nzebra\n";
     let filenames: String = PROBE_FILES.iter().map(|f| format!("{f}\n")).collect();

@@ -7,15 +7,23 @@
 //! the dataflow graph's nodes and statement dependencies). The recorder is
 //! feature-off-by-default and lock-cheap:
 //!
-//! * **Disabled** (no [`TraceSession`] active), every instrumentation
-//!   point is a single relaxed atomic load and an early return — no
-//!   allocation, no clock read, no lock. The executors stay within noise
-//!   of their un-instrumented selves (`benches/trace_overhead.rs` guards
-//!   this).
-//! * **Enabled**, records go to a thread-local buffer; the process-global
-//!   sink is only locked when a thread exits (scoped pool workers flush
-//!   through their TLS destructor) or the session finishes. The hot path
-//!   is two monotonic clock reads and a `Vec` push per span.
+//! * **Disabled** (no [`TraceSession`] live, or none handed to the
+//!   calling thread), every instrumentation point is a relaxed atomic
+//!   load — plus one thread-local read while some other thread's session
+//!   is live — and an early return: no allocation, no clock read, no
+//!   lock. The executors stay within noise of their un-instrumented
+//!   selves (`benches/trace_overhead.rs` guards this).
+//! * **Enabled**, records go to a thread-local buffer tagged with the
+//!   thread's session; the process-global sink is only locked when a
+//!   thread exits or a session finishes. The hot path is two monotonic
+//!   clock reads and a `Vec` push per span.
+//!
+//! Recording is scoped to a session, not to the process: a thread records
+//! only while it carries a live session's id. [`TraceSession::start`]
+//! attaches the calling thread; thread pools hand the session on with
+//! [`current`] and [`SessionRef::attach`] (every executor pool and the
+//! synthesis pool do). Concurrent sessions produce disjoint traces and an
+//! untraced run next to a traced one records nothing.
 //!
 //! # Span taxonomy
 //!
@@ -39,7 +47,7 @@
 //! | `static` | `stage`, `piece`, `combine` | the static executor |
 //! | `chunked` | `stage`, `map`, `combine` | the chunked executor |
 //! | `streaming` | `statement`, `send`, `map`, `bounded-run`, `seq-run`, `fold-push`, `fold-finish`, `early-exit` | the streaming executor |
-//! | `dataflow` | `run`, `gather-input`, `split`, `map`, `fold-push`, `fold-finish`, `gather`, `gather-run`, `emit`, `early-exit`, `cancel`, `stmt-finish`, per-node counters | the shared-pool executor, one span per node task |
+//! | `dataflow` | `run`, `gather-input`, `split`, `map`, `fold-push`, `fold-merge`, `fold-finish`, `gather`, `gather-run`, `emit`, `early-exit`, `cancel`, `stmt-finish`, per-node counters | the shared-pool executor, one span per node task |
 //! | `graph` | node-kind metas (`split`, `worker`, `fold`, `gather`, `bounded`), `dep` | dataflow graph structure |
 //!
 //! # Exports
@@ -62,4 +70,6 @@ pub mod report;
 
 pub use chrome::write_chrome_trace;
 pub use record::{parse_jsonl, write_jsonl, Kind, Record};
-pub use recorder::{counter, enabled, instant, meta, span, Event, Span, TraceSession};
+pub use recorder::{
+    counter, current, enabled, instant, meta, span, Attached, Event, SessionRef, Span, TraceSession,
+};

@@ -149,6 +149,57 @@ fn full_corpus_adaptive_knobs_match_serial_including_redirects() {
     );
 }
 
+/// A fold that no line reaches still owes the command's output on the
+/// empty stream: `grep zzz | wc -l` prints `0`, not nothing. Covers the
+/// counting folds (`wc -l`, `grep -c`), the merge fold (`sort`), the
+/// stitch fold (`uniq -c`) and a fold behind an empty fold
+/// (`sort -u | wc -l`), with the no-match filter first or in the middle,
+/// and an input file that is empty to begin with.
+#[test]
+fn folds_that_receive_no_line_match_serial() {
+    let mut input = String::new();
+    for i in 0..3000 {
+        input.push_str(&format!("word{} payload {}\n", i % 17, i));
+    }
+    let scripts = [
+        "cat /in.txt | grep zzz | wc -l",
+        "cat /in.txt | grep zzz | grep -c word",
+        "cat /in.txt | grep zzz | sort",
+        "cat /in.txt | grep zzz | sort | uniq -c",
+        "cat /in.txt | grep zzz | sort -u | wc -l",
+        "cat /in.txt | cut -d ' ' -f 1 | grep zzz | sort | uniq -c | sort -rn",
+        "cat /in.txt | sort | grep zzz | uniq -c | wc -l",
+        "cat /empty.txt | wc -l",
+        "cat /empty.txt | sort | uniq -c | wc -l",
+    ];
+    let mut planner = Planner::new(SynthesisConfig::default());
+    let env = HashMap::new();
+    for text in scripts {
+        let ctx = ExecContext::default();
+        ctx.vfs.write("/in.txt", input.as_str());
+        ctx.vfs.write("/empty.txt", "");
+        let parsed = parse_script(text, &env).unwrap();
+        let plan = planner.plan(&parsed, &ctx, &input[..input.len().min(8_000)]);
+        let serial = run_serial(&parsed, &ctx).unwrap();
+        for workers in [1usize, 4] {
+            for chunk_bytes in [1usize, 700, 16 << 20] {
+                let opts = DataflowOptions {
+                    workers,
+                    chunk: ChunkSizing::Fixed(chunk_bytes),
+                    queue: QueueCredit::Fixed(2),
+                    fuse_streamable: true,
+                    spill: None,
+                };
+                let got = run_dataflow(&parsed, &plan, &ctx, &opts).unwrap();
+                assert_eq!(
+                    got.output, serial.output,
+                    "{text}: dataflow diverged (w={workers}, chunk={chunk_bytes})"
+                );
+            }
+        }
+    }
+}
+
 /// Every dataflow stage timing carries queue telemetry, and per-chunk
 /// nodes report one task per chunk — the observability contract the
 /// perf analysis relies on.

@@ -16,6 +16,12 @@
 //! channel: a hang panics the test with the iteration number instead of
 //! wedging the suite. (A detached thread is deliberate — `thread::scope`
 //! would join the hung worker and turn the panic back into a wedge.)
+//!
+//! The same harness covers the run batches a merge fold hands out to be
+//! merged *outside* the node lock: with four workers several batches are
+//! out at once and come back in whatever order their merges finish, the
+//! batch count holds finalization off, and `sort -nu` makes the order
+//! they are installed in visible in the output.
 
 use kq_coreutils::ExecContext;
 use kq_pipeline::parse::{parse_script, Script};
@@ -28,31 +34,37 @@ use std::time::Duration;
 
 const ITERATIONS: usize = 3000;
 
-/// Plans `script_text` over a 300-line input and returns the shared
-/// state each stress iteration re-executes.
-fn plan_stress_script(script_text: &str) -> (Arc<Script>, Arc<PlannedScript>, Arc<ExecContext>) {
+/// Plans `script_text` over `input` and returns the shared state each
+/// stress iteration re-executes.
+fn plan_stress_script(
+    script_text: &str,
+    input: &str,
+) -> (Arc<Script>, Arc<PlannedScript>, Arc<ExecContext>) {
     let env: HashMap<String, String> = HashMap::new();
-    let mut input = String::new();
-    for i in 0..300 {
-        input.push_str(&format!("line {} {}\n", i % 7, i));
-    }
     let script = parse_script(script_text, &env).unwrap();
     let ctx = ExecContext::default();
-    ctx.vfs.write("/in.txt", &input);
+    ctx.vfs.write("/in.txt", input);
     let mut planner = Planner::new(SynthesisConfig::default());
-    let plan = planner.plan(&script, &ctx, &input);
+    let plan = planner.plan(&script, &ctx, input);
     (Arc::new(script), Arc::new(plan), Arc::new(ctx))
 }
 
-/// Runs the planned script `ITERATIONS` times under the race-friendly
+/// 300 lines: some fifty 64-byte chunks.
+fn short_input() -> String {
+    (0..300)
+        .map(|i| format!("line {} {}\n", i % 7, i))
+        .collect()
+}
+
+/// Runs the planned script `iterations` times under the race-friendly
 /// configuration, each run on a detached watchdog-guarded thread.
-fn stress(script_text: &str) {
-    let (script, plan, ctx) = plan_stress_script(script_text);
+fn stress(script_text: &str, input: &str, iterations: usize) {
+    let (script, plan, ctx) = plan_stress_script(script_text, input);
     let expect = {
         let opts = DataflowOptions::default();
         run_dataflow(&script, &plan, &ctx, &opts).unwrap().output
     };
-    for iter in 0..ITERATIONS {
+    for iter in 0..iterations {
         let (tx, rx) = mpsc::channel();
         let (script, plan, ctx) = (script.clone(), plan.clone(), ctx.clone());
         std::thread::spawn(move || {
@@ -78,7 +90,7 @@ fn stress(script_text: &str) {
 /// fed by the split, the shape whose finalization was lost.
 #[test]
 fn gather_finalize_stress() {
-    stress("cat /in.txt | sed 1d | sort");
+    stress("cat /in.txt | sed 1d | sort", &short_input(), ITERATIONS);
 }
 
 /// The same window at a Fold(Combine) node: no gather stage in the
@@ -86,5 +98,23 @@ fn gather_finalize_stress() {
 /// racing the closed-edge observer.
 #[test]
 fn combine_finalize_stress() {
-    stress("cat /in.txt | sort");
+    stress("cat /in.txt | sort", &short_input(), ITERATIONS);
+}
+
+/// Run batches merged outside the node lock. 1500 lines are some two
+/// hundred chunks, so the `sort -nu` fold cuts six batches of 32 pieces
+/// and several are out being merged at once; the output keeps, per
+/// number, the line that came first in the stream — which it only does
+/// when every batch lands in its own place however late it comes back,
+/// and when finalization waits for the last of them.
+#[test]
+fn run_batches_merged_outside_the_lock_finish_in_stream_order() {
+    let input: String = (0..1500)
+        .map(|i| format!("{} line {}\n", i % 7, 1499 - i))
+        .collect();
+    let expect: String = (0..7).map(|k| format!("{k} line {}\n", 1499 - k)).collect();
+    let (script, plan, ctx) = plan_stress_script("cat /in.txt | sort -nu", &input);
+    let once = run_dataflow(&script, &plan, &ctx, &DataflowOptions::default()).unwrap();
+    assert_eq!(once.output, expect);
+    stress("cat /in.txt | sort -nu", &input, ITERATIONS / 3);
 }

@@ -50,6 +50,45 @@ fn corpus_grep_stages_agree_with_reference_path() {
     );
 }
 
+/// BRE alternation (`\|`) and `-E`: both spellings select the same lines
+/// on both paths, alone and combined with the other flags.
+#[test]
+fn alternation_and_extended_syntax_agree_on_both_paths() {
+    let input = "the light of day\nno land of mine\nlandof\nLIGHT of\nplain\na|b\n";
+    let cases: [(&[&str], &str); 8] = [
+        (
+            &["\\(light\\|land\\) of"],
+            "the light of day\nno land of mine\n",
+        ),
+        (
+            &["-E", "(light|land) of"],
+            "the light of day\nno land of mine\n",
+        ),
+        (&["light\\|plain"], "the light of day\nplain\n"),
+        (&["-E", "light|plain"], "the light of day\nplain\n"),
+        (&["-Ei", "^(no|light)"], "no land of mine\nLIGHT of\n"),
+        (&["-Ec", "lan?d ?of"], "2\n"),
+        (&["-vE", "l(i|a)+"], "LIGHT of\na|b\n"),
+        // Unescaped in BRE, escaped in ERE: the character itself.
+        (&["a|b"], "a|b\n"),
+    ];
+    let ctx = ExecContext::default();
+    for (args, expect) in cases {
+        let argv: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
+        let g = GrepCmd::parse(&argv).unwrap_or_else(|e| panic!("grep {args:?}: {e}"));
+        let fast = g.run(Bytes::from(input), &ctx).unwrap();
+        assert_eq!(fast.as_str(), expect, "grep {args:?}");
+        assert_eq!(
+            g.run_reference(input),
+            expect,
+            "grep {args:?} (reference path)"
+        );
+    }
+    let escaped = GrepCmd::parse(&["-E".to_owned(), "a\\|b".to_owned()]).unwrap();
+    assert_eq!(escaped.run_reference(input), "a|b\n");
+    assert!(GrepCmd::parse(&["-E".to_owned(), "a{2}".to_owned()]).is_err());
+}
+
 #[test]
 fn fast_path_is_zero_copy_for_dense_matches() {
     // The point of the fast path: a selecting grep over realistic text

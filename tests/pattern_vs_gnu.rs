@@ -19,10 +19,11 @@ fn gnu_grep_available() -> bool {
         .unwrap_or(false)
 }
 
-/// Runs host `grep PATTERN` over `input`, returning the selected lines.
-/// Treats exit code 1 (no matches) as success with empty output.
-fn gnu_grep(pattern: &str, input: &str) -> Option<String> {
+/// Runs host `grep [-E] PATTERN` over `input`, returning the selected
+/// lines. Treats exit code 1 (no matches) as success with empty output.
+fn gnu_grep(pattern: &str, input: &str, syntax: kq_pattern::Syntax) -> Option<String> {
     let mut child = Proc::new("grep")
+        .args((syntax == kq_pattern::Syntax::Extended).then_some("-E"))
         .arg("--")
         .arg(pattern)
         .stdin(Stdio::piped())
@@ -102,7 +103,7 @@ fn bre_engine_matches_gnu_grep_on_random_patterns() {
         let input: String = (0..12)
             .map(|_| format!("{}\n", random_line(&mut rng)))
             .collect();
-        let Some(gnu) = gnu_grep(&pattern, &input) else {
+        let Some(gnu) = gnu_grep(&pattern, &input, kq_pattern::Syntax::Basic) else {
             continue;
         };
         let ours: String = input
@@ -117,4 +118,69 @@ fn bre_engine_matches_gnu_grep_on_random_patterns() {
         compared += 1;
     }
     assert!(compared > 100, "only {compared} cases compared");
+}
+
+/// Alternation, against GNU grep in both spellings: two or three random
+/// branches of the same atoms as above, at the top level or inside a
+/// group with a tail, written `\|`/`\(..\)` for plain `grep` and
+/// `|`/`(..)` for `grep -E`.
+#[test]
+fn alternation_matches_gnu_grep_in_both_syntaxes() {
+    if !gnu_grep_available() {
+        eprintln!("skipping: no GNU grep on this host");
+        return;
+    }
+    use kq_pattern::Syntax::{Basic, Extended};
+    let mut rng = SmallRng::seed_from_u64(0xA17);
+    let mut compared = 0usize;
+    for _ in 0..200 {
+        // Anchors stay out of the branches: `random_pattern` may put them
+        // there, and the two engines agree on those only at branch edges.
+        let branches: Vec<String> = (0..rng.gen_range(2..=3))
+            .map(|_| random_pattern(&mut rng).replace(['^', '$'], ""))
+            .filter(|b| !b.is_empty())
+            .collect();
+        if branches.len() < 2 {
+            continue;
+        }
+        let grouped = rng.gen_bool(0.5);
+        let tail = if grouped {
+            random_line(&mut rng).replace(['.', ' '], "")
+        } else {
+            String::new()
+        };
+        let spell = |or: &str, open: &str, close: &str| {
+            let body = branches.join(or);
+            if grouped {
+                format!("{open}{body}{close}{tail}")
+            } else {
+                body
+            }
+        };
+        let input: String = (0..12)
+            .map(|_| format!("{}\n", random_line(&mut rng)))
+            .collect();
+        for (syntax, pattern) in [
+            (Basic, spell("\\|", "\\(", "\\)")),
+            (Extended, spell("|", "(", ")")),
+        ] {
+            let Ok(re) = kq_pattern::Regex::with_syntax(&pattern, syntax, false) else {
+                continue;
+            };
+            let Some(gnu) = gnu_grep(&pattern, &input, syntax) else {
+                continue;
+            };
+            let ours: String = input
+                .lines()
+                .filter(|l| re.is_match(l))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            assert_eq!(
+                ours, gnu,
+                "{syntax:?} pattern {pattern:?} disagrees with GNU grep on {input:?}"
+            );
+            compared += 1;
+        }
+    }
+    assert!(compared > 150, "only {compared} cases compared");
 }

@@ -21,11 +21,17 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 /// Barrier-bearing scripts: a pure sort, a sort feeding a stitch-combined
-/// `uniq -c`, and an add-combined `wc`.
+/// `uniq -c`, an add-combined `wc`, and a `sort -nu` over `"<key>
+/// <value>"` lines, whose output keeps the first line of each key *in
+/// stream order*. Under the one-byte budget every piece is a run batch of
+/// its own, merged outside the fold's lock and installed whenever it
+/// comes back, so that last script diverges unless each run lands at its
+/// batch's position.
 const SCRIPTS: &[&str] = &[
     "cat /in.txt | sort",
     "cat /in.txt | sort | uniq -c",
     "cat /in.txt | wc",
+    "cat /in.txt | cut -d ' ' -f 2,4 | sort -nu",
 ];
 
 /// A fresh spill directory for one test, removed (and asserted empty) by

@@ -2,9 +2,10 @@
 //! JSONL/Chrome exports, the span-identity determinism contract, graph
 //! coverage, and the `trace report` critical path.
 //!
-//! These tests live in their own binary on purpose: the kq-trace recorder
-//! is process-global (one `TraceSession` at a time), and a dedicated
-//! binary keeps its serialization away from the rest of the suite.
+//! The tests run concurrently in one process under default test
+//! threading: a trace session records only the threads it was handed to,
+//! so neighbouring runs — traced or not — cannot leak into each other.
+//! The last two tests pin that with barriers instead of relying on luck.
 
 use kq_cli::run_cli;
 use std::collections::BTreeMap;
@@ -56,10 +57,28 @@ impl Drop for Scratch {
     }
 }
 
+/// A record's identity: everything but timestamps, thread id and value.
+fn identity(r: &kq_trace::Record) -> String {
+    format!(
+        "{}/{}/{}/{:?}/{:?}/{:?}/{}",
+        r.kind.as_str(),
+        r.cat,
+        r.name,
+        r.si,
+        r.ni,
+        r.seq,
+        r.label
+    )
+}
+
 fn run_traced(s: &Scratch, trace: &str, workers: &str) -> Vec<kq_trace::Record> {
+    run_traced_script(&s.script, trace, workers)
+}
+
+fn run_traced_script(script: &str, trace: &str, workers: &str) -> Vec<kq_trace::Record> {
     let out = call(&[
         "run",
-        &s.script,
+        script,
         "--exec",
         "dataflow",
         "--workers",
@@ -118,17 +137,7 @@ fn span_identities_are_stable_across_runs_and_workers() {
             if r.cat == "synth" || r.cat == "cache" || r.cat == "ingest" || r.cat == "chunk" {
                 continue;
             }
-            let key = format!(
-                "{}/{}/{}/{:?}/{:?}/{:?}/{}",
-                r.kind.as_str(),
-                r.cat,
-                r.name,
-                r.si,
-                r.ni,
-                r.seq,
-                r.label
-            );
-            *m.entry(key).or_default() += 1;
+            *m.entry(identity(r)).or_default() += 1;
         }
         m
     };
@@ -259,4 +268,85 @@ fn metrics_flag_controls_the_metrics_block() {
         "metrics block leaked without --metrics: {:?}",
         without.notes
     );
+}
+
+/// The sorted identities of the records a run controls: its graph and its
+/// node tasks.
+fn dataflow_identities(records: &[kq_trace::Record]) -> Vec<String> {
+    let mut keys: Vec<String> = records
+        .iter()
+        .filter(|r| r.cat == "dataflow" || r.cat == "graph")
+        .map(identity)
+        .collect();
+    keys.sort();
+    keys
+}
+
+/// A traced and an untraced CLI call at the same time: the untraced run
+/// executes entirely inside the traced run's session window (the channel
+/// handshake forces it), and the trace must equal a trace taken alone.
+#[test]
+fn an_untraced_run_alongside_a_traced_one_leaves_no_records() {
+    let s = Scratch::new("alongside");
+    let alone = dataflow_identities(&run_traced(&s, &s.trace_path("alone.json"), "2"));
+
+    let (inside_tx, inside_rx) = std::sync::mpsc::channel::<()>();
+    let (ran_tx, ran_rx) = std::sync::mpsc::channel::<()>();
+    let scratch = &s;
+    let records = std::thread::scope(|scope| {
+        scope.spawn(move || {
+            let s = scratch;
+            inside_rx.recv().unwrap();
+            // A whole run — planning, synthesis pool, scheduler pool.
+            let out = call(&["run", &s.script, "--exec", "dataflow", "--workers", "2"]);
+            assert!(!out.notes.iter().any(|n| n.starts_with("trace:")));
+            ran_tx.send(()).unwrap();
+        });
+        let session = kq_trace::TraceSession::start();
+        inside_tx.send(()).unwrap();
+        ran_rx.recv().unwrap();
+        // Only now does the traced thread do its own work.
+        let trace = s.trace_path("with-neighbour.json");
+        let inner = run_traced(&s, &trace, "2");
+        (session.finish(), inner)
+    });
+    let (outer, inner) = records;
+    assert_eq!(dataflow_identities(&inner), alone);
+    // The enclosing session saw nothing of the untraced neighbour, and
+    // nothing of the nested CLI session either.
+    assert!(
+        dataflow_identities(&outer).is_empty(),
+        "records leaked into a session that ran nothing: {outer:?}"
+    );
+}
+
+/// Two traced CLI calls over different scripts, forced to overlap: each
+/// trace holds exactly what the same call records on its own.
+#[test]
+fn two_traced_runs_at_once_produce_disjoint_traces() {
+    let s = Scratch::new("disjoint");
+    let other = format!(
+        "cat {} | cut -d ' ' -f 2 | sort -u",
+        s.dir.join("in.txt").display()
+    );
+    let alone_a = dataflow_identities(&run_traced(&s, &s.trace_path("a0.json"), "2"));
+    let alone_b = dataflow_identities(&run_traced_script(&other, &s.trace_path("b0.json"), "2"));
+    assert_ne!(alone_a, alone_b, "the two scripts must be told apart");
+
+    for round in 0..4 {
+        let barrier = std::sync::Barrier::new(2);
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| {
+                barrier.wait();
+                run_traced(&s, &s.trace_path(&format!("a{round}.json")), "2")
+            });
+            let b = scope.spawn(|| {
+                barrier.wait();
+                run_traced_script(&other, &s.trace_path(&format!("b{round}.json")), "2")
+            });
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(dataflow_identities(&a), alone_a, "round {round}");
+        assert_eq!(dataflow_identities(&b), alone_b, "round {round}");
+    }
 }
