@@ -54,6 +54,21 @@ impl<'a> SliceRuns<'a> {
         self.out.push(bytes);
     }
 
+    /// [`SliceRuns::finish`] for line-oriented output: when the last thing
+    /// emitted is the input's final line and that line is unterminated,
+    /// it gains the `'\n'` GNU `grep` and `sed` give it — the one case
+    /// that leaves pure slicing.
+    pub(crate) fn finish_terminated(mut self) -> Bytes {
+        let kept_tail = self
+            .run
+            .as_ref()
+            .is_some_and(|run| run.end == self.input.len());
+        if kept_tail && !self.input.ends_with_newline() {
+            self.lit(Bytes::from("\n"));
+        }
+        self.finish()
+    }
+
     pub(crate) fn finish(mut self) -> Bytes {
         if let Some(run) = self.run.take() {
             self.out.push(self.input.slice(run));
@@ -87,6 +102,26 @@ mod tests {
         runs.lit(Bytes::from("\n"));
         runs.keep(6..8);
         assert_eq!(runs.finish(), "aabb\ncc");
+    }
+
+    #[test]
+    fn only_a_kept_unterminated_final_line_gains_a_newline() {
+        let input = Bytes::from("ab\ncd");
+        let finish = |kept: &[(usize, usize)]| {
+            let mut runs = SliceRuns::new(&input);
+            for &(start, end) in kept {
+                runs.keep(start..end);
+            }
+            runs.finish_terminated()
+        };
+        assert_eq!(finish(&[(0, 3), (3, 5)]), "ab\ncd\n");
+        assert_eq!(finish(&[(3, 5)]), "cd\n");
+        assert_eq!(finish(&[(0, 3)]), "ab\n");
+        assert_eq!(finish(&[]), "");
+        let whole = Bytes::from("ab\n");
+        let mut runs = SliceRuns::new(&whole);
+        runs.keep(0..3);
+        assert!(runs.finish_terminated().shares_buffer(&whole));
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! `grep` — BRE line matching over the flag subset in the corpus:
-//! `-c` (count), `-v` (invert), `-i` (case-insensitive), and their
-//! combinations (`-vc`, `-vi`, `-vw`-style clusters are split), plus `-n`
-//! (line numbers) and `-E` (the pattern is an extended regular expression:
-//! `|`, `(..)`, `+`, `?` unescaped).
+//! `grep` — line matching over the flag subset in the corpus: `-c`
+//! (count), `-v` (invert), `-i` (case-insensitive), `-n` (line numbers),
+//! in any cluster (`-vc`, `-vi`), with the pattern read as a basic regular
+//! expression, as an extended one under `-E` (`|`, `(..)`, `+`, `?`,
+//! `{n,m}` unescaped), or as a fixed string under `-F`; `-e PAT` names the
+//! pattern explicitly. `-w`, file operands and a second pattern are
+//! errors.
 //!
 //! `grep -n` is an instructive *unsupported* case: its correct combiner
 //! would offset the `N:` prefixes of the second stream, but `':'` is not
@@ -10,17 +12,25 @@
 //! every candidate — a Table 9-style entry created by an output format
 //! rather than by command semantics.
 //!
-//! Plain selection (`grep PAT`, `-v`, `-i` — no `-c`/`-n` reformatting)
-//! takes a **byte fast path**: matching lines are returned as sub-slices
-//! of the input [`Bytes`], with adjacent matches coalesced into runs. An
-//! all-match result is the input handle itself (refcount bump, zero
-//! copies — also zero *pages touched* beyond the match scan when the
-//! input is a mapped file); sparse results gather once, sized to the
-//! output. The old rebuild-a-`String` path remains for `-c`/`-n` and as
-//! the differential-test oracle ([`GrepCmd::run_reference`]).
+//! Matching is one pass over the whole input:
+//! [`kq_pattern::Regex::matching_lines`] yields the byte range of every
+//! matching line (a lazily built DFA, or a substring search when the
+//! pattern is a plain string; see that crate's docs), and [`GrepCmd::run`]
+//! is one loop over those ranges and the gaps between them, whatever the
+//! output form. The verbatim forms (`grep PAT`, `-v`, `-i`) emit selected
+//! lines as sub-slices of the input [`Bytes`], adjacent ones coalesced
+//! into runs: an all-match result is the input handle itself (refcount
+//! bump, zero copies — also zero *pages touched* beyond the match scan
+//! when the input is a mapped file), and sparse results gather once,
+//! sized to the output. `-c` only counts and `-n` writes its prefixes; no
+//! form builds a `String` per line. The old line-at-a-time loop survives
+//! as the differential tests' oracle ([`GrepCmd::run_reference`]).
 
-use crate::{Bytes, CmdError, ExecContext, Rope, UnixCommand};
+use crate::fastpath::SliceRuns;
+use crate::{Bytes, CmdError, ExecContext, UnixCommand};
 use kq_pattern::{Regex, Syntax};
+use std::fmt::Write as _;
+use std::ops::Range;
 
 /// The `grep` command.
 pub struct GrepCmd {
@@ -39,28 +49,46 @@ impl GrepCmd {
         let mut insensitive = false;
         let mut number = false;
         let mut syntax = Syntax::Basic;
-        let mut pattern: Option<&String> = None;
-        for a in args {
-            if let Some(flags) = a.strip_prefix('-') {
-                if flags.is_empty() || pattern.is_some() {
-                    return Err(CmdError::new("grep", format!("bad option {a}")));
-                }
-                for f in flags.chars() {
-                    match f {
-                        'c' => count = true,
-                        'v' => invert = true,
-                        'i' => insensitive = true,
-                        'n' => number = true,
-                        'E' => syntax = Syntax::Extended,
-                        other => {
-                            return Err(CmdError::new("grep", format!("unknown flag -{other}")))
+        let mut pattern: Option<&str> = None;
+        let mut set_pattern = |text| match pattern.replace(text) {
+            None => Ok(()),
+            Some(_) => Err(CmdError::new(
+                "grep",
+                "one pattern only: file operands and repeated -e are not supported",
+            )),
+        };
+        let mut words = args.iter();
+        while let Some(a) = words.next() {
+            let Some(flags) = a.strip_prefix('-') else {
+                set_pattern(a)?;
+                continue;
+            };
+            if flags.is_empty() {
+                return Err(CmdError::new("grep", format!("bad option {a}")));
+            }
+            for (at, f) in flags.char_indices() {
+                match f {
+                    'c' => count = true,
+                    'v' => invert = true,
+                    'i' => insensitive = true,
+                    'n' => number = true,
+                    'E' => syntax = Syntax::Extended,
+                    'F' => syntax = Syntax::Fixed,
+                    'e' => {
+                        // The pattern is the rest of the cluster, else
+                        // the next word.
+                        let attached = &flags[at + 1..];
+                        if !attached.is_empty() {
+                            set_pattern(attached)?;
+                        } else if let Some(next) = words.next() {
+                            set_pattern(next)?;
+                        } else {
+                            return Err(CmdError::new("grep", "option -e requires an argument"));
                         }
+                        break;
                     }
+                    other => return Err(CmdError::new("grep", format!("unknown flag -{other}"))),
                 }
-            } else if pattern.is_none() {
-                pattern = Some(a);
-            } else {
-                return Err(CmdError::new("grep", "file operands are not supported"));
             }
         }
         let pattern = pattern.ok_or_else(|| CmdError::new("grep", "missing pattern"))?;
@@ -69,7 +97,7 @@ impl GrepCmd {
         let mut display = String::from("grep");
         for a in args {
             display.push(' ');
-            if a.contains([' ', '\\', '*', '$', '|', '(', ')', '?']) {
+            if a.contains([' ', '\\', '*', '$', '|', '(', ')', '?', '{', '}']) {
                 display.push('\'');
                 display.push_str(a);
                 display.push('\'');
@@ -86,49 +114,14 @@ impl GrepCmd {
         })
     }
 
-    /// True when a matched line is emitted verbatim (no `-c` count, no
-    /// `-n` prefix) — the precondition for the slice fast path.
-    fn emits_verbatim(&self) -> bool {
-        !self.count && !self.number
+    /// The compiled pattern (synthesis samples matching strings from it).
+    pub fn regex(&self) -> &Regex {
+        &self.regex
     }
 
-    /// The slice fast path: walks line boundaries, tests each line, and
-    /// emits matches as coalesced sub-slice runs of `input`. `text` must
-    /// be the UTF-8 view of `input` (same indices).
-    fn run_select_slices(&self, input: &Bytes, text: &str) -> Bytes {
-        let mut out = Rope::new();
-        let mut run_start: Option<usize> = None;
-        let mut pos = 0usize;
-        let len = text.len();
-        while pos < len {
-            let (line_end, next) = match text[pos..].find('\n') {
-                Some(i) => (pos + i, pos + i + 1),
-                None => (len, len),
-            };
-            let hit = self.regex.is_match(&text[pos..line_end]) != self.invert;
-            if hit {
-                run_start.get_or_insert(pos);
-            } else if let Some(s) = run_start.take() {
-                out.push(input.slice(s..pos));
-            }
-            pos = next;
-        }
-        if let Some(s) = run_start.take() {
-            out.push(input.slice(s..len));
-            if !text.ends_with('\n') {
-                // GNU grep newline-terminates a matched unterminated
-                // final line; only this rare case leaves pure slicing.
-                out.push(Bytes::from("\n"));
-            }
-        }
-        out.into_bytes()
-    }
-
-    /// The pre-fast-path implementation: rebuilds the output as a fresh
-    /// `String`, one line at a time. Still the real path for `-c`/`-n`
-    /// (their output is a reformatting, not a subsequence of the input)
-    /// and the oracle the differential tests compare the slice path
-    /// against.
+    /// The line-at-a-time implementation, one `is_match` and one rebuilt
+    /// line each: the oracle the differential tests compare
+    /// [`GrepCmd::run`] against.
     #[doc(hidden)]
     pub fn run_reference(&self, input: &str) -> String {
         let mut out = String::new();
@@ -163,10 +156,48 @@ impl UnixCommand for GrepCmd {
 
     fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
         let text = crate::input_str(&input, "grep")?;
-        if self.emits_verbatim() {
-            return Ok(self.run_select_slices(&input, text));
+        let mut runs = SliceRuns::new(&input);
+        let mut numbered = String::new();
+        let mut selected_lines = 0usize;
+        let mut line_no = 0usize;
+        // The input is an alternation of gaps (runs of whole lines that do
+        // not match) and matching lines; `-v` decides which of the two is
+        // selected, the flags what a selected span turns into.
+        let mut span = |span: Range<usize>, selected: bool| {
+            if span.is_empty() {
+                return;
+            }
+            if !selected {
+                if self.number {
+                    line_no += kq_stream::line_count(&text[span]);
+                }
+            } else if self.count {
+                selected_lines += kq_stream::line_count(&text[span]);
+            } else if self.number {
+                for line in text[span].split_terminator('\n') {
+                    line_no += 1;
+                    let _ = writeln!(numbered, "{line_no}:{line}");
+                }
+            } else {
+                runs.keep(span);
+            }
+        };
+        let mut pos = 0;
+        for line in self.regex.matching_lines(text) {
+            let next = (line.end + 1).min(text.len());
+            span(pos..line.start, self.invert);
+            span(line.start..next, !self.invert);
+            pos = next;
         }
-        Ok(Bytes::from(self.run_reference(text)))
+        span(pos..text.len(), self.invert);
+
+        Ok(if self.count {
+            Bytes::from(format!("{selected_lines}\n"))
+        } else if self.number {
+            Bytes::from(numbered)
+        } else {
+            runs.finish_terminated()
+        })
     }
 }
 
@@ -271,7 +302,41 @@ mod tests {
     }
 
     #[test]
-    fn slice_path_agrees_with_reference_on_edge_cases() {
+    fn fixed_strings_and_explicit_patterns() {
+        let input = "a.c\nabc\n-v\nA.C\n";
+        assert_eq!(run("grep -F a.c", input), "a.c\n");
+        assert_eq!(run("grep -Fi a.c", input), "a.c\nA.C\n");
+        assert_eq!(run("grep -Fc '.'", input), "2\n");
+        assert_eq!(run("grep -F '[a]*$'", "x[a]*$y\naaa\n"), "x[a]*$y\n");
+        assert_eq!(run("grep -e a.c", input), "a.c\nabc\n");
+        assert_eq!(run("grep -ea.c", input), "a.c\nabc\n");
+        assert_eq!(run("grep -ve a.c", input), "-v\nA.C\n");
+        assert_eq!(run("grep -c -e -v", input), "1\n");
+        assert_eq!(run("grep -Fe -v", input), "-v\n");
+        assert!(parse_command("grep -e").is_err());
+        assert!(parse_command("grep -e a -e b").is_err());
+        assert!(parse_command("grep -e a file").is_err());
+        assert!(parse_command("grep a file").is_err());
+        assert!(parse_command("grep -w a").is_err());
+    }
+
+    #[test]
+    fn intervals_in_both_spellings() {
+        let input = "b\nab\naab\naaab\n";
+        assert_eq!(run(r"grep 'a\{1,2\}'", input), "ab\naab\naaab\n");
+        assert_eq!(run(r"grep '^a\{2\}b'", input), "aab\n");
+        assert_eq!(run("grep -E '^a{2,}b'", input), "aab\naaab\n");
+        assert_eq!(run("grep -Ec '^a{0,1}b'", input), "2\n");
+        assert!(parse_command("grep -E 'a{2'").is_err());
+        // Braces survive shell re-emission quoted.
+        assert_eq!(
+            parse_command("grep -E 'a{1,2}'").unwrap().display(),
+            "grep -E 'a{1,2}'"
+        );
+    }
+
+    #[test]
+    fn every_output_form_agrees_with_reference_on_edge_cases() {
         let cases = [
             "",
             "\n",
@@ -283,8 +348,26 @@ mod tests {
             "a\n\nb\n",
             "aa\nbb\naa\n",
             "zzz\n\nzzz",
+            "a\r\nb\r\n\r\na",
+            "b\nb\na\nb\nb\na",
         ];
-        for cmd_line in ["grep a", "grep -v a", "grep -i A", "grep '^$'"] {
+        for cmd_line in [
+            "grep a",
+            "grep -v a",
+            "grep -i A",
+            "grep '^$'",
+            "grep -c a",
+            "grep -vc a",
+            "grep -n a",
+            "grep -vn a",
+            "grep -nc a",
+            "grep -n '^$'",
+            "grep -vc '^$'",
+            "grep -F a",
+            "grep -n ''",
+            "grep -vn ''",
+            r"grep -n '\(.\)\1'",
+        ] {
             let g = grep(cmd_line);
             for input in cases {
                 let fast = g.run(Bytes::from(input), &ExecContext::default()).unwrap();

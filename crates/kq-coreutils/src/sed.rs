@@ -7,7 +7,17 @@
 //! * `Nd` — delete the N-th line (`sed 1d` … `sed 5d`, Table 9's
 //!   no-combiner-exists commands);
 //! * `$d` — delete the last line.
+//!
+//! Substitution takes a **byte fast path** over the same whole-buffer
+//! scan as `grep` ([`kq_pattern::Regex::matching_lines`]): lines the
+//! pattern does not match pass through as sub-slices of the input
+//! [`Bytes`], coalesced into runs, and only the lines it accepts are
+//! rebuilt (the backtracker computes their match and capture spans). An
+//! input without a match comes back as the input handle itself. The
+//! line-at-a-time loop survives as the differential tests' oracle
+//! ([`SedCmd::run_reference`]), and still runs the address forms.
 
+use crate::fastpath::SliceRuns;
 use crate::{Bytes, CmdError, ExecContext, UnixCommand};
 use kq_pattern::Regex;
 
@@ -137,54 +147,81 @@ impl UnixCommand for SedCmd {
     }
 
     fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
-        let input = crate::input_str(&input, "sed")?;
-        let text = || -> Result<String, CmdError> {
-            let mut out = String::with_capacity(input.len());
-            match &self.script {
-                Script::Substitute {
-                    regex,
-                    replacement,
-                    global,
-                } => {
-                    for line in kq_stream::lines_of(input) {
-                        let new = if *global {
-                            regex.replace_all(line, replacement)
-                        } else {
-                            regex.replace_first(line, replacement)
-                        };
-                        out.push_str(&new);
-                        out.push('\n');
-                    }
-                }
-                Script::QuitAfter(n) => {
-                    for (i, line) in kq_stream::lines_of(input).enumerate() {
-                        if i >= *n {
-                            break;
-                        }
-                        out.push_str(line);
-                        out.push('\n');
-                    }
-                }
-                Script::DeleteLine(n) => {
-                    for (i, line) in kq_stream::lines_of(input).enumerate() {
-                        if i + 1 == *n {
-                            continue;
-                        }
-                        out.push_str(line);
-                        out.push('\n');
-                    }
-                }
-                Script::DeleteLast => {
-                    let lines: Vec<&str> = kq_stream::lines_of(input).collect();
-                    for line in lines.iter().take(lines.len().saturating_sub(1)) {
-                        out.push_str(line);
-                        out.push('\n');
-                    }
+        let text = crate::input_str(&input, "sed")?;
+        let Script::Substitute {
+            regex,
+            replacement,
+            global,
+        } = &self.script
+        else {
+            return Ok(Bytes::from(self.run_reference(text)));
+        };
+        let mut runs = SliceRuns::new(&input);
+        // Consecutive rewritten lines gather here and go out as one piece.
+        let mut rewritten = String::new();
+        let mut pos = 0;
+        for line in regex.matching_lines(text) {
+            if line.start > pos && !rewritten.is_empty() {
+                runs.lit(Bytes::from(std::mem::take(&mut rewritten)));
+            }
+            runs.keep(pos..line.start);
+            regex.replace_into(&text[line.clone()], replacement, *global, &mut rewritten);
+            rewritten.push('\n');
+            pos = (line.end + 1).min(text.len());
+        }
+        if !rewritten.is_empty() {
+            runs.lit(Bytes::from(rewritten));
+        }
+        runs.keep(pos..text.len());
+        Ok(runs.finish_terminated())
+    }
+}
+
+impl SedCmd {
+    /// The line-at-a-time implementation, every line rebuilt into a fresh
+    /// `String`: what the address forms run, and the oracle the
+    /// differential tests compare the substitution fast path against.
+    #[doc(hidden)]
+    pub fn run_reference(&self, input: &str) -> String {
+        let mut out = String::with_capacity(input.len());
+        match &self.script {
+            Script::Substitute {
+                regex,
+                replacement,
+                global,
+            } => {
+                for line in kq_stream::lines_of(input) {
+                    regex.replace_into(line, replacement, *global, &mut out);
+                    out.push('\n');
                 }
             }
-            Ok(out)
-        };
-        text().map(Bytes::from)
+            Script::QuitAfter(n) => {
+                for (i, line) in kq_stream::lines_of(input).enumerate() {
+                    if i >= *n {
+                        break;
+                    }
+                    out.push_str(line);
+                    out.push('\n');
+                }
+            }
+            Script::DeleteLine(n) => {
+                for (i, line) in kq_stream::lines_of(input).enumerate() {
+                    if i + 1 == *n {
+                        continue;
+                    }
+                    out.push_str(line);
+                    out.push('\n');
+                }
+            }
+            Script::DeleteLast => {
+                let lines: Vec<&str> = kq_stream::lines_of(input).collect();
+                for line in lines.iter().take(lines.len().saturating_sub(1)) {
+                    out.push_str(line);
+                    out.push('\n');
+                }
+            }
+        }
+        out
     }
 }
 

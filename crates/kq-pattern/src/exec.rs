@@ -1,11 +1,17 @@
-//! Backtracking execution of parsed BRE patterns.
+//! Backtracking execution of parsed patterns: the executor for what an
+//! automaton cannot do — backreferences, and the match and capture spans
+//! `sed`'s replacement needs. Whether a line matches a pattern without a
+//! backreference is decided by [`crate::automaton`], in time linear in
+//! the line; this module then only runs on lines that are known to match.
 //!
 //! A continuation-passing backtracker: each piece matcher receives the
 //! current position and a continuation to invoke on every way it can match.
 //! Greedy `*` tries the longest repetition first, so the first accepted
 //! match is the greedy one — the behaviour `grep`/`sed` users expect for the
 //! corpus patterns. Captures live in a `RefCell` so the continuations can
-//! record and roll back group spans during backtracking.
+//! record and roll back group spans during backtracking. Time is
+//! exponential in the number of adjacent stars on a line that does not
+//! match (`a*a*a*b` against a run of `a`).
 
 use crate::parse::{Ast, Atom, ClassItem, Piece};
 use std::cell::RefCell;
@@ -21,67 +27,49 @@ struct Ctx<'a> {
     caps: Caps,
 }
 
-impl<'a> Ctx<'a> {
-    fn eq_char(&self, a: char, b: char) -> bool {
-        if self.ci {
-            a.eq_ignore_ascii_case(&b)
-        } else {
-            a == b
-        }
+/// Character equality under `-i`, which folds ASCII letters only.
+pub(crate) fn eq_char(ci: bool, a: char, b: char) -> bool {
+    if ci {
+        a.eq_ignore_ascii_case(&b)
+    } else {
+        a == b
     }
+}
 
-    fn class_contains(&self, negated: bool, items: &[ClassItem], c: char) -> bool {
-        let mut inside = false;
-        for item in items {
-            let hit = match item {
-                ClassItem::Char(x) => self.eq_char(c, *x),
-                ClassItem::Range(lo, hi) => {
-                    if self.ci {
-                        let cl = c.to_ascii_lowercase();
-                        let cu = c.to_ascii_uppercase();
-                        (*lo..=*hi).contains(&cl) || (*lo..=*hi).contains(&cu)
-                    } else {
-                        (*lo..=*hi).contains(&c)
-                    }
-                }
-                ClassItem::Posix(p) => {
-                    if self.ci {
-                        p.contains(c.to_ascii_lowercase()) || p.contains(c.to_ascii_uppercase())
-                    } else {
-                        p.contains(c)
-                    }
-                }
-            };
-            if hit {
-                inside = true;
-                break;
-            }
+/// Membership of `c` in a bracket expression. Both executors decide it
+/// here: the automaton asks once per ASCII character when it compiles.
+pub(crate) fn class_contains(ci: bool, negated: bool, items: &[ClassItem], c: char) -> bool {
+    let folded = |test: &dyn Fn(char) -> bool| {
+        if ci {
+            test(c.to_ascii_lowercase()) || test(c.to_ascii_uppercase())
+        } else {
+            test(c)
         }
-        inside != negated
+    };
+    let inside = items.iter().any(|item| match item {
+        ClassItem::Char(x) => eq_char(ci, c, *x),
+        ClassItem::Range(lo, hi) => folded(&|c| (*lo..=*hi).contains(&c)),
+        ClassItem::Posix(p) => folded(&|c| p.contains(c)),
+    });
+    inside != negated
+}
+
+impl<'a> Ctx<'a> {
+    /// Whether a piece that consumes exactly one character takes `c`;
+    /// false for the composite pieces, which never do.
+    fn char_match(&self, piece: &Piece, c: char) -> bool {
+        match piece {
+            Piece::Literal(x) => eq_char(self.ci, c, *x),
+            Piece::AnyChar => c != '\n',
+            Piece::Class { negated, items } => class_contains(self.ci, *negated, items, c),
+            Piece::Backref(_) | Piece::Alt(_) | Piece::Group(..) => false,
+        }
     }
 
     fn piece_match(&self, piece: &Piece, pos: usize, k: &mut dyn FnMut(usize) -> bool) -> bool {
         match piece {
-            Piece::Literal(c) => {
-                if pos < self.text.len() && self.eq_char(self.text[pos], *c) {
-                    k(pos + 1)
-                } else {
-                    false
-                }
-            }
-            Piece::AnyChar => {
-                if pos < self.text.len() && self.text[pos] != '\n' {
-                    k(pos + 1)
-                } else {
-                    false
-                }
-            }
-            Piece::Class { negated, items } => {
-                if pos < self.text.len() && self.class_contains(*negated, items, self.text[pos]) {
-                    k(pos + 1)
-                } else {
-                    false
-                }
+            Piece::Literal(_) | Piece::AnyChar | Piece::Class { .. } => {
+                pos < self.text.len() && self.char_match(piece, self.text[pos]) && k(pos + 1)
             }
             Piece::Backref(idx) => {
                 let span = self.caps.borrow()[*idx - 1];
@@ -89,7 +77,8 @@ impl<'a> Ctx<'a> {
                     Some((s, e)) => {
                         let len = e - s;
                         if pos + len <= self.text.len()
-                            && (0..len).all(|i| self.eq_char(self.text[pos + i], self.text[s + i]))
+                            && (0..len)
+                                .all(|i| eq_char(self.ci, self.text[pos + i], self.text[s + i]))
                         {
                             k(pos + len)
                         } else {
@@ -146,6 +135,19 @@ impl<'a> Ctx<'a> {
     }
 
     fn star_match(&self, piece: &Piece, pos: usize, k: &mut dyn FnMut(usize) -> bool) -> bool {
+        // A one-character piece needs no recursion (a frame per repetition
+        // overflows the stack on a long run): take the longest run, then
+        // give it back one character at a time.
+        if matches!(
+            piece,
+            Piece::Literal(_) | Piece::AnyChar | Piece::Class { .. }
+        ) {
+            let run = self.text[pos..]
+                .iter()
+                .take_while(|&&c| self.char_match(piece, c))
+                .count();
+            return (pos..=pos + run).rev().any(k);
+        }
         // Greedy: attempt one more repetition first (progress required to
         // avoid infinite recursion on nullable pieces), then fall back.
         if self.piece_match(piece, pos, &mut |p| p > pos && self.star_match(piece, p, k)) {
@@ -265,10 +267,17 @@ fn expand_replacement(template: &str, text: &[char], m: &MatchResult, out: &mut 
     }
 }
 
-/// Implements `sed`-style substitution over a single line.
-pub(crate) fn replace(ast: &Ast, line: &str, template: &str, global: bool, ci: bool) -> String {
+/// Implements `sed`-style substitution over a single line, appending the
+/// rewritten line to `out`.
+pub(crate) fn replace(
+    ast: &Ast,
+    line: &str,
+    template: &str,
+    global: bool,
+    ci: bool,
+    out: &mut String,
+) {
     let chars: Vec<char> = line.chars().collect();
-    let mut out = String::with_capacity(line.len());
     let mut pos = 0usize;
     loop {
         let rest = &chars[pos..];
@@ -288,7 +297,7 @@ pub(crate) fn replace(ast: &Ast, line: &str, template: &str, global: bool, ci: b
                 .map(|c| c.map(|(s, e)| (s + pos, e + pos)))
                 .collect(),
         };
-        expand_replacement(template, &chars, &shifted, &mut out);
+        expand_replacement(template, &chars, &shifted, out);
         if !global {
             out.extend(&chars[abs_end..]);
             break;
@@ -321,13 +330,12 @@ pub(crate) fn replace(ast: &Ast, line: &str, template: &str, global: bool, ci: b
                         end: chars.len(),
                         caps: m2.caps,
                     };
-                    expand_replacement(template, &chars, &shifted, &mut out);
+                    expand_replacement(template, &chars, &shifted, out);
                 }
             }
             break;
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -341,6 +349,12 @@ mod tests {
 
     fn find(pat: &str, s: &str) -> Option<(usize, usize)> {
         search(&parse(pat).unwrap(), s, false)
+    }
+
+    fn replace(ast: &Ast, line: &str, template: &str, global: bool, ci: bool) -> String {
+        let mut out = String::new();
+        super::replace(ast, line, template, global, ci, &mut out);
+        out
     }
 
     #[test]

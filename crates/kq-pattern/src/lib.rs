@@ -1,13 +1,58 @@
-//! A from-scratch POSIX Basic Regular Expression (BRE) engine.
+//! A from-scratch POSIX regular expression engine for the in-process
+//! `grep` and `sed`.
 //!
 //! The KumQuat benchmark corpus uses `grep`/`sed` with BRE patterns —
-//! literals, `.`, `*`, bracket expressions (ranges, negation, POSIX classes
-//! such as `[:punct:]`), anchors, `\(..\)` groups, GNU's `\|` alternation,
-//! and backreferences (`nfa-regex.sh` uses `\(.\).*\1\(.\).*\2...`); the
-//! same engine runs the extended spelling (`grep -E`: `(..)`, `|`, `+`,
-//! `?`) through [`Regex::with_syntax`]. Backreferences make the
-//! language non-regular, so the engine is a classic backtracking matcher —
-//! perfectly adequate for the short lines these pipelines process.
+//! literals, `.`, `*`, `\{n,m\}` intervals, bracket expressions (ranges,
+//! negation, POSIX classes such as `[:punct:]`), anchors, `\(..\)` groups,
+//! GNU's `\|` alternation, and backreferences (`nfa-regex.sh` uses
+//! `\(.\).*\1\(.\).*\2...`); the same engine runs the extended spelling
+//! (`grep -E`: `(..)`, `|`, `+`, `?`, `{n,m}`) and fixed strings
+//! (`grep -F`) through [`Regex::with_syntax`].
+//!
+//! # Two executors
+//!
+//! Which one runs is a function of the pattern and of the question asked,
+//! never of a setting:
+//!
+//! * **The automaton** answers "which lines match" for every pattern
+//!   without a backreference — all of the corpus but `nfa-regex.sh`. The
+//!   pattern compiles to a byte-level NFA, linear in its length, when the
+//!   [`Regex`] is built; a search determinises it lazily, building only
+//!   the DFA states the text reaches, in scratch owned by that search
+//!   (`Regex` holds no cache and no lock and is `Clone + Sync`).
+//!   [`Regex::matching_lines`] is its entry point: one pass over a whole
+//!   buffer, yielding the byte range of each matching line.
+//!   [`Regex::is_match`] is the same scan over one line.
+//! * **The backtracker** runs patterns with a backreference, which are
+//!   not regular, and computes what an automaton does not keep: the span
+//!   of the leftmost match and of each group, for [`Regex::find`] and for
+//!   the `&` and `\1`..`\9` of [`Regex::replace_into`]. `sed` asks it only
+//!   about lines the automaton has accepted.
+//!
+//! # The whole-buffer contract
+//!
+//! * `'\n'` separates lines and is never matched: not by `.`, not by a
+//!   negated bracket expression, not by the escape `\n`. An unterminated
+//!   last line is a line; a buffer that ends in `'\n'` has no empty line
+//!   after it.
+//! * `^` holds at the start of a line and `$` where the next byte is
+//!   `'\n'` or the buffer ends, each for the branch it is written in.
+//! * The buffer is UTF-8 (a `&str`), and `.` and bracket expressions
+//!   consume one whole scalar, so `[^x]` takes all of `é`, never half.
+//!   `-i` folds ASCII letters only.
+//! * A search keeps at most 1024 DFA states; past that it drops them and
+//!   carries on from where it is. Answers do not change, only speed.
+//!
+//! # Cost
+//!
+//! Compiling is O(pattern) (intervals are expanded by the parser, which
+//! bounds them). The automaton's scan is O(text): one table lookup per
+//! byte once its states exist, less where it can skip — a pattern that is
+//! a plain string is a substring search, and a scan with nothing in
+//! progress jumps to the next byte that could start a match, or past the
+//! rest of a line already decided. A state's first visit costs O(pattern).
+//! The backtracker is exponential in the worst case (`a*a*a*b` on a line
+//! of `a`) and recurses once per repetition of a starred group.
 //!
 //! Beyond matching, KumQuat's *preprocessing* step (paper §3.2) extracts
 //! regexes from commands and generates dictionaries of strings that match
@@ -19,24 +64,35 @@
 //! let re = Regex::new(r"li\(.\)ht.*\1").unwrap();   // backreference
 //! assert!(re.is_match("light night: g again"));
 //! assert!(!re.is_match("light"));
+//!
+//! let re = Regex::new("l[ia][gn][hd]t* of").unwrap();
+//! let text = "the light of day\nno match\nthe land of nod";
+//! let lines: Vec<&str> = re.matching_lines(text).map(|r| &text[r]).collect();
+//! assert_eq!(lines, ["the light of day", "the land of nod"]);
 //! ```
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod automaton;
 mod exec;
 mod parse;
 mod sample;
 
+pub use automaton::MatchingLines;
 pub use parse::{ParseError, Syntax};
 
+use automaton::Program;
 use parse::Ast;
 use rand::Rng;
 
-/// A compiled Basic Regular Expression.
+/// A compiled regular expression.
 #[derive(Debug, Clone)]
 pub struct Regex {
     ast: Ast,
+    /// The automaton; `None` when the pattern has a backreference. Boxed:
+    /// its byte-class table alone is 256 bytes.
+    program: Option<Box<Program>>,
     case_insensitive: bool,
     pattern: String,
 }
@@ -47,16 +103,19 @@ impl Regex {
         Regex::with_syntax(pattern, Syntax::Basic, false)
     }
 
-    /// Compiles a pattern in either syntax (`grep -E` is
-    /// [`Syntax::Extended`]), optionally matching case-insensitively
-    /// (`grep -i`).
+    /// Compiles a pattern in any syntax (`grep -E` is
+    /// [`Syntax::Extended`], `grep -F` is [`Syntax::Fixed`]), optionally
+    /// matching case-insensitively (`grep -i`).
     pub fn with_syntax(
         pattern: &str,
         syntax: Syntax,
         case_insensitive: bool,
     ) -> Result<Regex, ParseError> {
+        let ast = parse::parse(pattern, syntax)?;
+        let program = (!ast.has_backref()).then(|| Box::new(Program::new(&ast, case_insensitive)));
         Ok(Regex {
-            ast: parse::parse(pattern, syntax)?,
+            ast,
+            program,
             case_insensitive,
             pattern: pattern.to_owned(),
         })
@@ -67,14 +126,35 @@ impl Regex {
         &self.pattern
     }
 
-    /// Search semantics: true when the pattern matches anywhere in `line`
-    /// (`grep` applies this per line; `line` must not contain `'\n'`).
-    pub fn is_match(&self, line: &str) -> bool {
-        self.find(line).is_some()
+    /// The lines of `text` that the pattern matches anywhere, in order:
+    /// the byte range of each, without its `'\n'`. One pass over the whole
+    /// buffer (see the crate docs for the contract); an empty `text` has
+    /// no line.
+    pub fn matching_lines<'r, 't>(&'r self, text: &'t str) -> MatchingLines<'r, 't> {
+        MatchingLines::new(
+            &self.ast,
+            self.program.as_deref(),
+            self.case_insensitive,
+            text,
+        )
     }
 
-    /// Returns the byte range of the leftmost match, if any.
+    /// Search semantics: true when the pattern matches anywhere in `line`
+    /// (`line` must not contain `'\n'`; the empty string is an empty line).
+    pub fn is_match(&self, line: &str) -> bool {
+        if line.is_empty() {
+            // No line to yield, but `^$` and `x*` do match the empty one.
+            return self.matching_lines("\n").next().is_some();
+        }
+        self.matching_lines(line).next().is_some()
+    }
+
+    /// Returns the byte range of the leftmost match, if any: the
+    /// backtracker's answer, asked only when the line matches at all.
     pub fn find(&self, line: &str) -> Option<(usize, usize)> {
+        if !self.is_match(line) {
+            return None;
+        }
         exec::search(&self.ast, line, self.case_insensitive)
     }
 
@@ -82,12 +162,33 @@ impl Regex {
     /// replacement string supports `&` (whole match) and `\1`..`\9` (group
     /// captures), as in `sed s///`.
     pub fn replace_first(&self, line: &str, replacement: &str) -> String {
-        exec::replace(&self.ast, line, replacement, false, self.case_insensitive)
+        let mut out = String::with_capacity(line.len());
+        self.replace_into(line, replacement, false, &mut out);
+        out
     }
 
     /// Replaces every non-overlapping match (`sed s///g`).
     pub fn replace_all(&self, line: &str, replacement: &str) -> String {
-        exec::replace(&self.ast, line, replacement, true, self.case_insensitive)
+        let mut out = String::with_capacity(line.len());
+        self.replace_into(line, replacement, true, &mut out);
+        out
+    }
+
+    /// Appends `line` to `out` with its first match — every match when
+    /// `global` — replaced as [`Regex::replace_first`] describes. This is
+    /// the backtracker, whatever the pattern: a caller with many lines
+    /// filters them through [`Regex::matching_lines`] first and rewrites
+    /// only those (a line without a match comes back unchanged, but may
+    /// take exponentially long to say so).
+    pub fn replace_into(&self, line: &str, replacement: &str, global: bool, out: &mut String) {
+        exec::replace(
+            &self.ast,
+            line,
+            replacement,
+            global,
+            self.case_insensitive,
+            out,
+        );
     }
 
     /// Generates a random string that matches this pattern — the dictionary

@@ -6,7 +6,8 @@
 //! ```text
 //! pattern := branch ('\|' branch)*
 //! branch  := '^'? atom* '$'?
-//! atom    := piece '*'?
+//! atom    := piece ('*' | interval)?
+//! interval:= '\{' n (',' m?)? '\}'
 //! piece   := '.' | literal | '\' escaped | bracket | '\(' pattern '\)' | '\N'
 //! bracket := '[' '^'? item+ ']'    item := class | range | char
 //! class   := '[:' name ':]'
@@ -15,8 +16,15 @@
 //! [`Syntax::Extended`] (`grep -E`) is the same grammar with the
 //! operators unescaped — `|`, `(`, `)` — and with the `+` and `?`
 //! quantifiers; a backslash there makes the next character a literal.
-//! Interval expressions (`{n,m}`) are rejected, not silently matched as
-//! text.
+//! [`Syntax::Fixed`] (`grep -F`) has no grammar: every character is
+//! itself.
+//!
+//! Every quantifier but `*` is desugared here, so both executors only
+//! ever see `*`: `p+` is `pp*`, `p?` is `p` or nothing, and the interval
+//! `p\{n,m\}` (`p{n,m}` extended) is `n` copies of `p` followed by `p*`
+//! when `m` is absent, else by `m - n` nested optional copies. Because an
+//! interval copies its piece, counts above [`INTERVAL_MAX`] and patterns
+//! whose expansion exceeds [`EXPANSION_MAX`] atoms are parse errors.
 //!
 //! Quirks implemented: `^` is an anchor only as the first character of a
 //! branch and `$` only as the last (literals elsewhere — ERE's
@@ -115,9 +123,17 @@ impl PosixClass {
 pub enum Syntax {
     /// POSIX basic: `\(`, `\)`, and GNU's `\|`.
     Basic,
-    /// POSIX extended (`grep -E`): `(`, `)`, `|`, `+`, `?`.
+    /// POSIX extended (`grep -E`): `(`, `)`, `|`, `+`, `?`, `{n,m}`.
     Extended,
+    /// A fixed string (`grep -F`): no character is an operator.
+    Fixed,
 }
+
+/// The largest count an interval expression may name.
+pub(crate) const INTERVAL_MAX: usize = 255;
+
+/// The most atoms all interval expansions of one pattern may add.
+pub(crate) const EXPANSION_MAX: usize = 10_000;
 
 /// A single matchable unit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -171,22 +187,82 @@ impl Ast {
             .max()
             .unwrap_or(0)
     }
+
+    /// True when the pattern contains a backreference: its language is
+    /// not regular, so only the backtracker can run it.
+    pub(crate) fn has_backref(&self) -> bool {
+        self.atoms.iter().any(|atom| atom.piece.has_backref())
+    }
+
+    /// Atoms in this branch, nested ones included.
+    fn size(&self) -> usize {
+        self.atoms.iter().map(|atom| atom.piece.size()).sum()
+    }
+}
+
+impl Piece {
+    fn has_backref(&self) -> bool {
+        match self {
+            Piece::Backref(_) => true,
+            Piece::Group(_, inner) => inner.has_backref(),
+            Piece::Alt(branches) => branches.iter().any(Ast::has_backref),
+            _ => false,
+        }
+    }
+
+    fn size(&self) -> usize {
+        match self {
+            Piece::Group(_, inner) => 1 + inner.size(),
+            Piece::Alt(branches) => 1 + branches.iter().map(Ast::size).sum::<usize>(),
+            _ => 1,
+        }
+    }
+
+    /// `p?`: `p` or nothing, `p` preferred; `rest` follows `p` inside
+    /// the taken branch (the nesting an interval's optional tail needs).
+    fn optional(self, rest: Option<Atom>) -> Piece {
+        let mut atoms = vec![Atom {
+            piece: self,
+            star: false,
+        }];
+        atoms.extend(rest);
+        let taken = Ast {
+            atoms,
+            ..Ast::default()
+        };
+        Piece::Alt(vec![taken, Ast::default()])
+    }
 }
 
 struct Parser<'a> {
     chars: Vec<char>,
     pos: usize,
     group_count: usize,
+    /// Atoms added by interval expansion so far.
+    expanded: usize,
     pattern: &'a str,
     syntax: Syntax,
 }
 
 /// Parses a pattern into an [`Ast`].
 pub fn parse(pattern: &str, syntax: Syntax) -> Result<Ast, ParseError> {
+    if syntax == Syntax::Fixed {
+        return Ok(Ast {
+            atoms: pattern
+                .chars()
+                .map(|c| Atom {
+                    piece: Piece::Literal(c),
+                    star: false,
+                })
+                .collect(),
+            ..Ast::default()
+        });
+    }
     let mut p = Parser {
         chars: pattern.chars().collect(),
         pos: 0,
         group_count: 0,
+        expanded: 0,
         pattern,
         syntax,
     };
@@ -225,6 +301,7 @@ impl<'a> Parser<'a> {
                 self.chars.get(at) == Some(&'\\') && self.chars.get(at + 1) == Some(&op)
             }
             Syntax::Extended => self.chars.get(at) == Some(&op),
+            Syntax::Fixed => false,
         }
     }
 
@@ -290,22 +367,96 @@ impl<'a> Parser<'a> {
                     });
                     ast.atoms.push(Atom { piece, star: true });
                 }
-                // `p?` is `p` or nothing, `p` preferred.
                 Some('?') if self.syntax == Syntax::Extended => {
                     self.pos += 1;
-                    let one = Ast {
-                        atoms: vec![Atom { piece, star: false }],
-                        ..Ast::default()
-                    };
                     ast.atoms.push(Atom {
-                        piece: Piece::Alt(vec![one, Ast::default()]),
+                        piece: piece.optional(None),
                         star: false,
                     });
+                }
+                _ if self.eat_operator('{') => {
+                    let (min, max) = self.parse_interval()?;
+                    self.expand_interval(piece, min, max, &mut ast.atoms)?;
                 }
                 _ => ast.atoms.push(Atom { piece, star: false }),
             }
         }
         Ok(ast)
+    }
+
+    /// The inside of an interval, after its open operator: `n`, `n,` or
+    /// `n,m`, then the close operator.
+    fn parse_interval(&mut self) -> Result<(usize, Option<usize>), ParseError> {
+        let min = self
+            .parse_count()?
+            .ok_or_else(|| self.err("invalid interval: missing count"))?;
+        let max = if self.peek() == Some(',') {
+            self.pos += 1;
+            self.parse_count()?
+        } else {
+            Some(min)
+        };
+        if !self.eat_operator('}') {
+            return Err(self.err("unterminated interval"));
+        }
+        if max.is_some_and(|max| max < min) {
+            return Err(self.err("invalid interval: minimum exceeds maximum"));
+        }
+        Ok((min, max))
+    }
+
+    /// A run of digits, `None` when there is none.
+    fn parse_count(&mut self) -> Result<Option<usize>, ParseError> {
+        let start = self.pos;
+        let mut n = 0usize;
+        while let Some(d) = self.peek().and_then(|c| c.to_digit(10)) {
+            n = n * 10 + d as usize;
+            if n > INTERVAL_MAX {
+                return Err(self.err(&format!(
+                    "interval count exceeds the supported maximum of {INTERVAL_MAX}"
+                )));
+            }
+            self.pos += 1;
+        }
+        Ok((self.pos > start).then_some(n))
+    }
+
+    /// Appends `piece{min,max}` to `atoms` in terms of `*` and
+    /// alternation (see the module docs).
+    fn expand_interval(
+        &mut self,
+        piece: Piece,
+        min: usize,
+        max: Option<usize>,
+        atoms: &mut Vec<Atom>,
+    ) -> Result<(), ParseError> {
+        self.expanded += piece.size() * max.unwrap_or(min + 1);
+        if self.expanded > EXPANSION_MAX {
+            return Err(self.err(&format!(
+                "interval expressions expand to more than {EXPANSION_MAX} atoms"
+            )));
+        }
+        for _ in 0..min {
+            atoms.push(Atom {
+                piece: piece.clone(),
+                star: false,
+            });
+        }
+        match max {
+            None => atoms.push(Atom { piece, star: true }),
+            Some(max) => {
+                // (p(p(p)?)?)? rather than p?p?p?: a failing match tries
+                // each count once instead of every subset.
+                let tail = (min..max).fold(None, |rest, _| {
+                    Some(Atom {
+                        piece: piece.clone().optional(rest),
+                        star: false,
+                    })
+                });
+                atoms.extend(tail);
+            }
+        }
+        Ok(())
     }
 
     /// The inside of a group, after its open operator.
@@ -327,12 +478,15 @@ impl<'a> Parser<'a> {
             '*' if first => Piece::Literal('*'), // a leading '*' is literal
             '(' if self.syntax == Syntax::Extended => self.parse_group()?,
             '{' if self.syntax == Syntax::Extended => {
-                return Err(self.err("interval expressions are not supported"))
+                return Err(self.err("interval without a preceding expression"))
             }
             '\\' => {
                 let e = self.bump().ok_or_else(|| self.err("dangling backslash"))?;
                 match e {
                     '(' if self.syntax == Syntax::Basic => self.parse_group()?,
+                    '{' if self.syntax == Syntax::Basic => {
+                        return Err(self.err("interval without a preceding expression"))
+                    }
                     '1'..='9' => {
                         let idx = e.to_digit(10).unwrap() as usize;
                         if idx > self.group_count {
@@ -545,8 +699,94 @@ mod tests {
             super::parse("(a(b))\\2", Extended).unwrap().group_count(),
             2
         );
-        assert!(super::parse("a{2}", Extended).is_err());
         assert!(super::parse("(a", Extended).is_err());
         assert!(super::parse("a)", Extended).is_err());
+    }
+
+    #[test]
+    fn intervals_desugar_in_both_spellings() {
+        for (basic, extended, same_as) in [
+            ("a\\{2\\}", "a{2}", "aa"),
+            ("a\\{2,\\}", "a{2,}", "aaa*"),
+            ("a\\{0,\\}b", "a{0,}b", "a*b"),
+            ("a\\{0\\}b", "a{0}b", "b"),
+            ("[ab]\\{1\\}", "[ab]{1}", "[ab]"),
+        ] {
+            let want = parse(same_as).unwrap();
+            assert_eq!(parse(basic).unwrap(), want, "{basic}");
+            assert_eq!(
+                super::parse(extended, Extended).unwrap(),
+                want,
+                "{extended}"
+            );
+        }
+        // {1,3} is a(a(a)?)?: one nested optional per count above the
+        // minimum.
+        let a = || Atom {
+            piece: Piece::Literal('a'),
+            star: false,
+        };
+        let optional = |atoms: Vec<Atom>| Atom {
+            piece: Piece::Alt(vec![
+                Ast {
+                    atoms,
+                    ..Ast::default()
+                },
+                Ast::default(),
+            ]),
+            star: false,
+        };
+        let bounded = parse("a\\{1,3\\}").unwrap();
+        assert_eq!(
+            bounded.atoms,
+            [a(), optional(vec![a(), optional(vec![a()])])]
+        );
+        assert_eq!(bounded, super::parse("a{1,3}", Extended).unwrap());
+        // A group keeps its index in every copy.
+        assert_eq!(parse("\\(a\\)\\{2\\}\\1").unwrap().group_count(), 1);
+        // Unescaped in BRE, braces are characters.
+        assert_eq!(parse("a{2}").unwrap().atoms.len(), 4);
+    }
+
+    #[test]
+    fn malformed_and_oversized_intervals_are_errors() {
+        for bad in [
+            "a\\{2",
+            "a\\{,2\\}",
+            "a\\{x\\}",
+            "a\\{3,2\\}",
+            "\\{2\\}",
+            "a\\{256\\}",
+            "a\\{1,256\\}",
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+        for bad in ["a{2", "a{,2}", "a{3,2}", "{2}", "a{256}"] {
+            assert!(super::parse(bad, Extended).is_err(), "{bad}");
+        }
+        assert!(parse("a\\{255\\}").is_ok());
+        // Nesting multiplies: 200 * 200 copies is past the expansion bound.
+        let err = parse("\\(a\\{200\\}\\)\\{200\\}").unwrap_err();
+        assert!(err.message.contains("10000"), "{err}");
+        let err = parse("a\\{256\\}").unwrap_err();
+        assert!(err.message.contains("255"), "{err}");
+    }
+
+    #[test]
+    fn fixed_syntax_has_no_operators() {
+        let ast = super::parse("^a.*\\(b\\)$", super::Syntax::Fixed).unwrap();
+        assert!(!ast.anchored_start && !ast.anchored_end);
+        assert_eq!(ast.atoms.len(), 10);
+        assert!(ast
+            .atoms
+            .iter()
+            .all(|a| matches!(a.piece, Piece::Literal(_)) && !a.star));
+    }
+
+    #[test]
+    fn backreferences_are_found_at_any_depth() {
+        assert!(!parse("\\(a\\|b\\)*c").unwrap().has_backref());
+        assert!(parse("\\(a\\)\\1").unwrap().has_backref());
+        assert!(parse("\\(a\\)\\(x\\|\\(y\\1\\)\\)").unwrap().has_backref());
     }
 }

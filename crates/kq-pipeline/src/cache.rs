@@ -575,6 +575,8 @@ mod tests {
         // The satellite's canonical example plus a few families.
         assert_eq!(key_of("grep -n -c p"), key_of("grep -cn p"));
         assert_eq!(key_of("grep -cn p"), key_of("grep -nc p"));
+        assert_eq!(key_of("grep -F -c p"), key_of("grep -cF p"));
+        assert_eq!(key_of("grep -ie p"), key_of("grep -i -ep"));
         assert_eq!(key_of("sort -rn"), key_of("sort -nr"));
         assert_eq!(key_of("sort -r -n"), key_of("sort -nr"));
         assert_eq!(key_of("tr -cs A-Za-z x"), key_of("tr -sc A-Za-z x"));
@@ -588,6 +590,9 @@ mod tests {
     fn differing_operands_or_flags_miss() {
         assert_ne!(key_of("grep -cn p"), key_of("grep -cn q"));
         assert_ne!(key_of("grep -c p"), key_of("grep -cn p"));
+        // The same text is a different pattern as a fixed string.
+        assert_ne!(key_of("grep -F a.c"), key_of("grep a.c"));
+        assert_ne!(key_of("grep -e p"), key_of("grep -e q"));
         assert_ne!(key_of("sort"), key_of("sort -r"));
         assert_ne!(key_of("cut -d ',' -f 1"), key_of("cut -d ',' -f 2"));
         assert_ne!(key_of("head -n 3"), key_of("head -n 4"));

@@ -411,6 +411,9 @@ mod tests {
             "cat",
             "grep fox",
             "grep -i -v pattern",
+            "grep -F a.c",
+            "grep -Fvi a.c",
+            "grep -e fox",
             "tr A-Z a-z",
             "tr -d '\\n'",
             "tr -cs A-Za-z '\\n'", // squeeze: must NOT be stateless
@@ -434,6 +437,8 @@ mod tests {
         assert_eq!(class_of("sort -rn"), EffectClass::CommutativeFold);
         assert_eq!(class_of("wc -l"), EffectClass::CommutativeFold);
         assert_eq!(class_of("grep -c fox"), EffectClass::CommutativeFold);
+        assert_eq!(class_of("grep -cF fox"), EffectClass::CommutativeFold);
+        assert_eq!(class_of("grep -vce fox"), EffectClass::CommutativeFold);
         assert_eq!(class_of("uniq"), EffectClass::PureParallelizable);
         assert_eq!(class_of("uniq -c"), EffectClass::PureParallelizable);
         assert_eq!(class_of("head -n 3"), EffectClass::PureParallelizable);
@@ -445,6 +450,7 @@ mod tests {
         assert_eq!(class_of("nl"), EffectClass::OrderSensitive);
         assert_eq!(class_of("cat -n"), EffectClass::OrderSensitive);
         assert_eq!(class_of("grep -n fox"), EffectClass::OrderSensitive);
+        assert_eq!(class_of("grep -nF fox"), EffectClass::OrderSensitive);
         assert_eq!(class_of("sed '1d'"), EffectClass::OrderSensitive);
         assert_eq!(class_of("sed '100q'"), EffectClass::OrderSensitive);
         assert_eq!(class_of("sed '$d'"), EffectClass::OrderSensitive);

@@ -147,20 +147,13 @@ fn extract_literals<R: Rng + ?Sized>(
     let mut line_hint = None;
     match command.program() {
         "grep" => {
-            let (flags, operands): (Vec<_>, Vec<_>) =
-                argv[1..].iter().partition(|a| a.starts_with('-'));
-            let syntax = if flags.iter().any(|f| f.contains('E')) {
-                kq_pattern::Syntax::Extended
-            } else {
-                kq_pattern::Syntax::Basic
-            };
-            if let Some(pattern) = operands.first() {
-                if let Ok(re) = Regex::with_syntax(pattern, syntax, false) {
-                    for _ in 0..10 {
-                        let s = re.sample(rng, 3);
-                        if !s.is_empty() && !s.contains('\n') {
-                            dictionary.push(s);
-                        }
+            // The command's own parser knows which word is the pattern
+            // and in which syntax (`-E`, `-F`, `-e PAT`).
+            if let Ok(grep) = kq_coreutils::grep::GrepCmd::parse(&argv[1..]) {
+                for _ in 0..10 {
+                    let s = grep.regex().sample(rng, 3);
+                    if !s.is_empty() && !s.contains('\n') {
+                        dictionary.push(s);
                     }
                 }
             }
@@ -355,6 +348,14 @@ mod tests {
         assert!(!p.dictionary.is_empty());
         let re = Regex::new("light.light").unwrap();
         assert!(p.dictionary.iter().all(|w| re.is_match(w)));
+        // A fixed string is its own only sample; `-e` names the pattern
+        // even when it looks like a flag.
+        let fixed = pre("grep -cF 'a.*b'");
+        assert!(!fixed.dictionary.is_empty());
+        assert!(fixed.dictionary.iter().all(|w| w == "a.*b"));
+        let explicit = pre("grep -ie -x");
+        assert!(!explicit.dictionary.is_empty());
+        assert!(explicit.dictionary.iter().all(|w| w == "-x"));
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Differential harness for the grep byte fast path: every `grep` stage
-//! appearing in the 70-script paper corpus runs over that script's
-//! generated input through both implementations — the slice fast path
-//! (coalesced sub-slices of the input `Bytes`) and the pre-existing
-//! rebuild-a-`String` path — and the outputs must be byte-identical.
+//! Differential harness for `grep`: every `grep` stage appearing in the
+//! 70-script paper corpus runs over that script's generated input through
+//! both implementations — `run` (one whole-buffer scan, selected lines as
+//! coalesced sub-slices of the input `Bytes`) and the line-at-a-time
+//! `run_reference` — in every output form, and the outputs must be
+//! byte-identical.
 
 use kq_coreutils::grep::GrepCmd;
 use kq_coreutils::{Bytes, ExecContext, UnixCommand};
@@ -26,20 +27,27 @@ fn corpus_grep_stages_agree_with_reference_path() {
                 if stage.command.program() != "grep" {
                     continue;
                 }
-                let g = GrepCmd::parse(&stage.command.argv()[1..]).unwrap_or_else(|e| {
-                    panic!("{}/{} grep parse: {e}", script.suite.dir(), script.id)
-                });
-                let fast = g
-                    .run(Bytes::from(input.as_str()), &ctx)
-                    .unwrap_or_else(|e| panic!("{}/{}: {e}", script.suite.dir(), script.id));
-                assert_eq!(
-                    fast.as_str(),
-                    g.run_reference(&input),
-                    "{}/{}: fast path diverged for {:?}",
-                    script.suite.dir(),
-                    script.id,
-                    stage.command.display()
-                );
+                // The stage as written, then its pattern under the other
+                // output forms: all of them are one loop in `run`.
+                for extra in ["", "-c", "-n", "-v", "-vc", "-vn"] {
+                    let mut args: Vec<String> = vec![extra.to_owned()];
+                    args.retain(|a| !a.is_empty());
+                    args.extend_from_slice(&stage.command.argv()[1..]);
+                    let g = GrepCmd::parse(&args).unwrap_or_else(|e| {
+                        panic!("{}/{} grep parse: {e}", script.suite.dir(), script.id)
+                    });
+                    let fast = g
+                        .run(Bytes::from(input.as_str()), &ctx)
+                        .unwrap_or_else(|e| panic!("{}/{}: {e}", script.suite.dir(), script.id));
+                    assert_eq!(
+                        fast.as_str(),
+                        g.run_reference(&input),
+                        "{}/{}: run diverged for {:?} with {extra:?}",
+                        script.suite.dir(),
+                        script.id,
+                        stage.command.display()
+                    );
+                }
                 grep_stages += 1;
             }
         }
@@ -86,7 +94,43 @@ fn alternation_and_extended_syntax_agree_on_both_paths() {
     }
     let escaped = GrepCmd::parse(&["-E".to_owned(), "a\\|b".to_owned()]).unwrap();
     assert_eq!(escaped.run_reference(input), "a|b\n");
-    assert!(GrepCmd::parse(&["-E".to_owned(), "a{2}".to_owned()]).is_err());
+}
+
+/// `-F` (the pattern is a string, metacharacters and all), `-e PAT`, and
+/// intervals in both spellings, on both paths and with the other flags.
+#[test]
+fn fixed_strings_explicit_patterns_and_intervals_agree_on_both_paths() {
+    let input = "a.c\nabc\nA.C x\n.*\naac\naaac\n-v\n\nlast a.c";
+    let cases: [(&[&str], &str); 14] = [
+        (&["-F", "a.c"], "a.c\nlast a.c\n"),
+        (&["-Fi", "a.c"], "a.c\nA.C x\nlast a.c\n"),
+        (&["-Fc", "a.c"], "2\n"),
+        (&["-Fv", "a"], "A.C x\n.*\n-v\n\n"),
+        (&["-Fn", ".*"], "4:.*\n"),
+        (&["-F", "-e", "-v"], "-v\n"),
+        (&["a.c"], "a.c\nabc\naac\naaac\nlast a.c\n"),
+        (&["-e", "a.c"], "a.c\nabc\naac\naaac\nlast a.c\n"),
+        (&["-cea.c"], "5\n"),
+        (&["-n", "-e", "^$"], "8:\n"),
+        (&["^a\\{2\\}c"], "aac\n"),
+        (&["-E", "^a{2,3}c$"], "aac\naaac\n"),
+        (&["-Ec", "a{1,2}c"], "2\n"),
+        (&["-vE", "(a|A).{0,1}(c|C)"], ".*\n-v\n\n"),
+    ];
+    let ctx = ExecContext::default();
+    for (args, expect) in cases {
+        let argv: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
+        let g = GrepCmd::parse(&argv).unwrap_or_else(|e| panic!("grep {args:?}: {e}"));
+        let fast = g.run(Bytes::from(input), &ctx).unwrap();
+        assert_eq!(fast.as_str(), expect, "grep {args:?}");
+        assert_eq!(
+            g.run_reference(input),
+            expect,
+            "grep {args:?} (reference path)"
+        );
+    }
+    assert!(GrepCmd::parse(&["-E".to_owned(), "a{2".to_owned()]).is_err());
+    assert!(GrepCmd::parse(&["a\\{999\\}".to_owned()]).is_err());
 }
 
 #[test]

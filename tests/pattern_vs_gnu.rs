@@ -1,6 +1,7 @@
-//! Differential testing of the from-scratch BRE engine (`kq-pattern`)
+//! Differential testing of the from-scratch regex engine (`kq-pattern`)
 //! against the host's GNU grep: random patterns drawn from the corpus's
-//! BRE subset, random line sets, byte-identical selected lines.
+//! BRE subset (and their extended and fixed-string spellings), random
+//! line sets, byte-identical selected lines.
 //!
 //! Skips silently when `grep` cannot be spawned.
 
@@ -19,11 +20,15 @@ fn gnu_grep_available() -> bool {
         .unwrap_or(false)
 }
 
-/// Runs host `grep [-E] PATTERN` over `input`, returning the selected
+/// Runs host `grep [-E|-F] PATTERN` over `input`, returning the selected
 /// lines. Treats exit code 1 (no matches) as success with empty output.
 fn gnu_grep(pattern: &str, input: &str, syntax: kq_pattern::Syntax) -> Option<String> {
     let mut child = Proc::new("grep")
-        .args((syntax == kq_pattern::Syntax::Extended).then_some("-E"))
+        .args(match syntax {
+            kq_pattern::Syntax::Basic => None,
+            kq_pattern::Syntax::Extended => Some("-E"),
+            kq_pattern::Syntax::Fixed => Some("-F"),
+        })
         .arg("--")
         .arg(pattern)
         .stdin(Stdio::piped())
@@ -183,4 +188,105 @@ fn alternation_matches_gnu_grep_in_both_syntaxes() {
         }
     }
     assert!(compared > 150, "only {compared} cases compared");
+}
+
+/// Interval expressions, against GNU grep in both spellings: a random
+/// atom under `\{n\}`, `\{n,\}` or `\{n,m\}` (`{..}` for `grep -E`)
+/// between random context, on lines made of few letters so that runs of
+/// every length occur.
+#[test]
+fn intervals_match_gnu_grep_in_both_syntaxes() {
+    if !gnu_grep_available() {
+        eprintln!("skipping: no GNU grep on this host");
+        return;
+    }
+    use kq_pattern::Syntax::{Basic, Extended};
+    let mut rng = SmallRng::seed_from_u64(0x1A7);
+    let mut compared = 0usize;
+    for _ in 0..150 {
+        let atom = ["a", "b", ".", "[ab]", "[^a]"][rng.gen_range(0..5)];
+        let grouped = rng.gen_bool(0.3);
+        let min = rng.gen_range(0..4);
+        let bounds = match rng.gen_range(0..3) {
+            0 => format!("{min}"),
+            1 => format!("{min},"),
+            _ => format!("{min},{}", min + rng.gen_range(0..3)),
+        };
+        let before = ["", "^", "a", "^b", "x"][rng.gen_range(0..5)];
+        let after = ["", "$", "b", "a$", "x"][rng.gen_range(0..5)];
+        let spell = |open: &str, close: &str, lbrace: &str, rbrace: &str| {
+            let body = if grouped {
+                format!("{open}{atom}b{close}")
+            } else {
+                atom.to_owned()
+            };
+            format!("{before}{body}{lbrace}{bounds}{rbrace}{after}")
+        };
+        let input: String = (0..16)
+            .map(|_| {
+                let n = rng.gen_range(0..8);
+                let line: String = (0..n)
+                    .map(|_| ['a', 'a', 'b', 'b', 'x'][rng.gen_range(0..5)])
+                    .collect();
+                format!("{line}\n")
+            })
+            .collect();
+        for (syntax, pattern) in [
+            (Basic, spell("\\(", "\\)", "\\{", "\\}")),
+            (Extended, spell("(", ")", "{", "}")),
+        ] {
+            let Ok(re) = kq_pattern::Regex::with_syntax(&pattern, syntax, false) else {
+                continue;
+            };
+            let Some(gnu) = gnu_grep(&pattern, &input, syntax) else {
+                continue;
+            };
+            let ours: String = re
+                .matching_lines(&input)
+                .map(|line| format!("{}\n", &input[line]))
+                .collect();
+            assert_eq!(
+                ours, gnu,
+                "{syntax:?} pattern {pattern:?} disagrees with GNU grep on {input:?}"
+            );
+            compared += 1;
+        }
+    }
+    assert!(compared > 250, "only {compared} cases compared");
+    // The reported bug: `\{` used to parse as a literal brace.
+    let re = kq_pattern::Regex::new("a\\{1,2\\}").unwrap();
+    assert!(re.is_match("xay") && !re.is_match("xy"));
+    // Past the stated bound the pattern is refused, not mis-compiled.
+    let err = kq_pattern::Regex::new("a\\{1,300\\}").unwrap_err();
+    assert!(err.to_string().contains("255"), "{err}");
+}
+
+/// `grep -F`: the random patterns of the first test, read as plain
+/// strings by both sides.
+#[test]
+fn fixed_strings_match_gnu_grep() {
+    if !gnu_grep_available() {
+        eprintln!("skipping: no GNU grep on this host");
+        return;
+    }
+    let mut rng = SmallRng::seed_from_u64(0xF1);
+    for _ in 0..60 {
+        let pattern = random_pattern(&mut rng);
+        let re = kq_pattern::Regex::with_syntax(&pattern, kq_pattern::Syntax::Fixed, false)
+            .expect("every string is a fixed pattern");
+        let mut input: String = (0..10)
+            .map(|_| format!("{}\n", random_line(&mut rng)))
+            .collect();
+        input.push_str(&format!("x{pattern}y\n{pattern}"));
+        let gnu = gnu_grep(&pattern, &input, kq_pattern::Syntax::Fixed)
+            .expect("GNU grep accepts every fixed string");
+        let ours: String = re
+            .matching_lines(&input)
+            .map(|line| format!("{}\n", &input[line]))
+            .collect();
+        assert_eq!(
+            ours, gnu,
+            "-F {pattern:?} disagrees with GNU grep on {input:?}"
+        );
+    }
 }

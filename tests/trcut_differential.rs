@@ -1,16 +1,17 @@
-//! Differential harness for the `tr -d`, `cut`, and `uniq` byte fast
-//! paths.
+//! Differential harness for the `tr -d`, `cut`, `uniq` and `sed s///`
+//! byte fast paths.
 //!
 //! These commands gained `grep`-style slice fast paths: output assembled
 //! as coalesced sub-slices of the input `Bytes` instead of a rebuilt
 //! `String`. This suite mirrors `tests/grep_differential.rs`: walk every
-//! corpus script, re-parse each `tr`/`cut`/`uniq` stage, and run the fast
-//! path against the reference implementation on the script's own
+//! corpus script, re-parse each `tr`/`cut`/`uniq`/`sed` stage, and run the
+//! fast path against the reference implementation on the script's own
 //! generated input — so the slice paths are validated on exactly the SET
-//! specs and field lists real scripts use, not just hand-picked unit
-//! cases.
+//! specs, field lists and substitutions real scripts use, not just
+//! hand-picked unit cases.
 
 use kq_coreutils::cut::CutCmd;
+use kq_coreutils::sed::SedCmd;
 use kq_coreutils::tr::TrCmd;
 use kq_coreutils::uniq::UniqCmd;
 use kq_coreutils::{Bytes, ExecContext, UnixCommand};
@@ -148,6 +149,98 @@ fn corpus_uniq_stages_fast_path_matches_reference() {
     );
 }
 
+#[test]
+fn corpus_sed_stages_fast_path_matches_reference() {
+    let scale = Scale {
+        input_bytes: 20_000,
+    };
+    let ctx_proto = ExecContext::default();
+    let mut stages_checked = 0usize;
+    for script in corpus() {
+        let ctx = ExecContext::default();
+        let env = setup(script, &ctx, &scale, 0xBEEF);
+        let parsed = parse_script(script.text, &env)
+            .unwrap_or_else(|e| panic!("{}/{} parse: {e}", script.suite.dir(), script.id));
+        let input = ctx.vfs.read(&env["IN"]).unwrap();
+        // The same stream without its final newline: the last line is
+        // rewritten or passed through unterminated.
+        let unterminated = input.trim_end_matches('\n');
+        for statement in &parsed.statements {
+            for stage in &statement.stages {
+                if stage.command.program() != "sed" {
+                    continue;
+                }
+                let sed = SedCmd::parse(&stage.command.argv()[1..])
+                    .unwrap_or_else(|e| panic!("{}: {e}", stage.command.display()));
+                for text in [input.as_str(), unterminated] {
+                    let fast = sed
+                        .run(Bytes::from(text), &ctx_proto)
+                        .unwrap_or_else(|e| panic!("{}: {e}", stage.command.display()));
+                    assert_eq!(
+                        fast.as_str(),
+                        sed.run_reference(text),
+                        "{}/{}: {} fast path diverged",
+                        script.suite.dir(),
+                        script.id,
+                        stage.command.display()
+                    );
+                }
+                stages_checked += 1;
+            }
+        }
+    }
+    assert!(
+        stages_checked >= 5,
+        "corpus drifted: only {stages_checked} sed stages checked"
+    );
+}
+
+/// Substitutions against the inputs where slicing and rebuilding could
+/// part ways: no line, empty lines, an unterminated final line, patterns
+/// that match every line (empty matches, anchors alone), a few lines, or
+/// none.
+#[test]
+fn sed_fast_path_agrees_with_reference_on_edge_cases() {
+    let inputs = [
+        "",
+        "\n",
+        "a\n",
+        "x\n",
+        "\n\n",
+        "a",
+        "a\nb",
+        "a\n\nb\n",
+        "aa\nbb\naa\n",
+        "zzz\n\nzzz",
+        "xa\r\nb\r\n",
+        "b\nb\na\nxax\nb\nb\na",
+    ];
+    let scripts = [
+        "s/x*/-/g",
+        "s;^;/books/;",
+        "s/$/0s/",
+        "s/a/b/",
+        "s/a/b/g",
+        "s/q/r/",
+        "s/^$/empty/",
+        "s/\\(a\\)\\(x*\\)/\\2\\1&/g",
+        "s/\\(.\\)\\1/<&>/",
+        "s/a*a*a*a*a*a*a*a*c/never/",
+    ];
+    let ctx = ExecContext::default();
+    for script in scripts {
+        let sed = SedCmd::parse(&[script.to_owned()]).unwrap();
+        for input in inputs {
+            let fast = sed.run(Bytes::from(input), &ctx).unwrap();
+            assert_eq!(
+                fast.as_str(),
+                sed.run_reference(input),
+                "sed {script:?} diverged on {input:?}"
+            );
+        }
+    }
+}
+
 /// The zero-copy contract: selections that keep entire inputs return the
 /// input buffer itself, not a copy — on corpus-shaped data, not toys.
 #[test]
@@ -182,4 +275,18 @@ fn full_keep_results_share_the_input_buffer() {
         out.shares_buffer(&input),
         "all-unique uniq must be a refcount bump"
     );
+
+    let sed = SedCmd::parse(&["s/river/stream/".to_owned()]).unwrap();
+    let out = sed.run(input.clone(), &ctx).unwrap();
+    assert_eq!(out, input);
+    assert!(
+        out.shares_buffer(&input),
+        "a substitution that matches no line must be a refcount bump"
+    );
+    // One rewritten line in the middle: everything around it is sliced.
+    let sed = SedCmd::parse(&["s/^beta two$/BETA/".to_owned()]).unwrap();
+    let out = sed
+        .run(Bytes::from("alpha one\nbeta two\ngamma three\n"), &ctx)
+        .unwrap();
+    assert_eq!(out, "alpha one\nBETA\ngamma three\n");
 }
