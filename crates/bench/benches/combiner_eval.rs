@@ -1,5 +1,7 @@
-//! Micro-benchmarks of combiner evaluation (Figure 6 semantics): the inner
-//! loop of candidate filtering, executed millions of times per synthesis.
+//! Micro-benchmarks of combiner evaluation (Figure 6 semantics): what the
+//! executors' folds run per combine, and what synthesis runs to confirm
+//! the ids its trie walk keeps (a few per observation, no longer one per
+//! candidate).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use kq_dsl::ast::{Combiner, RecOp, StructOp};

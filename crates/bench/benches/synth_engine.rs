@@ -6,11 +6,12 @@
 //! * `cold_serial` — every unique command synthesized from scratch with
 //!   `workers = 1` (the pre-engine behaviour, and the baseline the other
 //!   two must beat);
-//! * `cold_parallel_w4` — the same work with the observe/filter phases
-//!   and the per-command fan-out on a 4-worker pool. Reports are
-//!   byte-identical to serial (asserted here per iteration); the win is
-//!   wall clock only, so expect parity on a single-core host and the
-//!   speedup on multicore;
+//! * `cold_parallel_w4` — the same work with the observe phase and the
+//!   per-command fan-out on a 4-worker pool (the filter phase is a walk
+//!   of the combiner trie and spawns nothing at any worker count).
+//!   Reports are byte-identical to serial (asserted here per iteration);
+//!   the win is wall clock only, so expect parity on a single-core host
+//!   and the speedup on multicore;
 //! * `warm_cache` — a `Planner` resolving every command out of a
 //!   pre-written on-disk combiner store (load + validate-on-hit, zero
 //!   synthesis rounds), the repeat-invocation regime.

@@ -86,7 +86,7 @@ USAGE:
                                [--rerun-threshold R]
         Parse a pipeline script and print the parallelization plan plus a
         synthesis summary (per-command wall time, cache hit/miss counts).
-        --synth-workers fans candidate filtering and distinct-command
+        --synth-workers fans observation runs and distinct-command
         synthesis out over N threads (plans are identical for every N);
         --combiner-cache persists synthesized combiners to FILE so repeat
         invocations skip synthesis (on-disk hits are re-validated against

@@ -90,7 +90,7 @@ fn struct_in_domain(s: &StructOp, y: &str) -> bool {
 
 /// Decomposes a padded table line `pad ++ h ++ d ++ t`, requiring `d ∉ h`.
 /// Returns `None` when the field delimiter is absent.
-fn table_line(d: Delim, line: &str) -> Option<(&str, &str)> {
+pub(crate) fn table_line(d: Delim, line: &str) -> Option<(&str, &str)> {
     let (_pad, rest) = del_pad(line);
     let (h, t) = split_first(d.as_char(), rest);
     t.map(|t| (h, t))

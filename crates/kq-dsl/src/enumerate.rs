@@ -16,7 +16,8 @@
 //! | 2          | 12440 |    13960 |     4 | 26404 |
 //! | 3          | 59048 |    51392 |     4 | 110444 |
 
-use crate::ast::{Candidate, Combiner, RecOp, RunOp, StructOp};
+use crate::ast::Candidate;
+use crate::space::CandidateSpace;
 use kq_stream::Delim;
 
 /// Enumeration parameters.
@@ -76,87 +77,109 @@ impl std::fmt::Display for SpaceBreakdown {
     }
 }
 
-/// Enumerates every RecOp with at most `budget` expansions.
-fn rec_ops(budget: usize, delims: &[Delim]) -> Vec<RecOp> {
-    let mut out = Vec::new();
-    if budget == 0 {
-        return out;
-    }
-    out.extend([RecOp::Add, RecOp::Concat, RecOp::First, RecOp::Second]);
-    if budget >= 2 {
-        for child in rec_ops(budget - 1, delims) {
-            for &d in delims {
-                out.push(RecOp::Front(d, Box::new(child.clone())));
-                out.push(RecOp::Back(d, Box::new(child.clone())));
-                out.push(RecOp::Fuse(d, Box::new(child.clone())));
-            }
-        }
-    }
-    out
+/// Materialises the full candidate space (both argument orders) together
+/// with its per-class breakdown: `(0..len).map(candidate)` over the
+/// [`CandidateSpace`], which holds the one definition of the order.
+/// Synthesis never calls this — it asks the space which ids pass — but
+/// tests, benches and the codec's round-trip do.
+pub fn enumerate_candidates(config: &EnumConfig) -> (Vec<Candidate>, SpaceBreakdown) {
+    let space = CandidateSpace::new(config);
+    let candidates = (0..space.len() as u32)
+        .map(|id| space.candidate(id))
+        .collect();
+    (candidates, space.breakdown())
 }
 
-/// Enumerates the full candidate space (both argument orders) together
-/// with its per-class breakdown.
-pub fn enumerate_candidates(config: &EnumConfig) -> (Vec<Candidate>, SpaceBreakdown) {
-    let budget = config.max_size.saturating_sub(2);
-    let mut combiners: Vec<Combiner> = Vec::new();
+/// The recursive, tree-building enumeration the space replaced, kept as
+/// the definition of the order that `CandidateSpace::candidate` is tested
+/// against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use crate::ast::{Combiner, RecOp, RunOp, StructOp};
+    use kq_stream::Delim;
 
-    let recs = rec_ops(budget, &config.delims);
-    let rec_count = recs.len();
-    combiners.extend(recs.iter().cloned().map(Combiner::Rec));
-
-    // StructOp: one expansion for the struct node itself.
-    let mut struct_count = 0;
-    if budget >= 2 {
-        let children = rec_ops(budget - 1, &config.delims);
-        for b in &children {
-            combiners.push(Combiner::Struct(StructOp::Stitch(b.clone())));
-            struct_count += 1;
+    /// Enumerates every RecOp with at most `budget` expansions.
+    fn rec_ops(budget: usize, delims: &[Delim]) -> Vec<RecOp> {
+        let mut out = Vec::new();
+        if budget == 0 {
+            return out;
         }
-        for &d in &config.delims {
-            for b in &children {
-                combiners.push(Combiner::Struct(StructOp::Offset(d, b.clone())));
-                struct_count += 1;
-            }
-        }
-        // stitch2: two children sharing the remaining budget.
-        for &d in &config.delims {
-            for b1 in rec_ops(budget.saturating_sub(2), &config.delims) {
-                let b2_budget = budget - 1 - b1.expansions();
-                for b2 in rec_ops(b2_budget, &config.delims) {
-                    combiners.push(Combiner::Struct(StructOp::Stitch2(d, b1.clone(), b2)));
-                    struct_count += 1;
+        out.extend([RecOp::Add, RecOp::Concat, RecOp::First, RecOp::Second]);
+        if budget >= 2 {
+            for child in rec_ops(budget - 1, delims) {
+                for &d in delims {
+                    out.push(RecOp::Front(d, Box::new(child.clone())));
+                    out.push(RecOp::Back(d, Box::new(child.clone())));
+                    out.push(RecOp::Fuse(d, Box::new(child.clone())));
                 }
             }
         }
+        out
     }
 
-    let run_ops = [
-        Combiner::Run(RunOp::Rerun),
-        Combiner::Run(RunOp::Merge(config.merge_flags.clone())),
-    ];
-    combiners.extend(run_ops.iter().cloned());
+    pub(crate) fn enumerate_candidates(config: &EnumConfig) -> (Vec<Candidate>, SpaceBreakdown) {
+        let budget = config.max_size.saturating_sub(2);
+        let mut combiners: Vec<Combiner> = Vec::new();
 
-    let breakdown = SpaceBreakdown {
-        rec: rec_count * 2,
-        structural: struct_count * 2,
-        run: run_ops.len() * 2,
-    };
+        let recs = rec_ops(budget, &config.delims);
+        let rec_count = recs.len();
+        combiners.extend(recs.iter().cloned().map(Combiner::Rec));
 
-    let mut candidates = Vec::with_capacity(combiners.len() * 2);
-    for op in combiners {
-        candidates.push(Candidate {
-            op: op.clone(),
-            swapped: false,
-        });
-        candidates.push(Candidate { op, swapped: true });
+        // StructOp: one expansion for the struct node itself.
+        let mut struct_count = 0;
+        if budget >= 2 {
+            let children = rec_ops(budget - 1, &config.delims);
+            for b in &children {
+                combiners.push(Combiner::Struct(StructOp::Stitch(b.clone())));
+                struct_count += 1;
+            }
+            for &d in &config.delims {
+                for b in &children {
+                    combiners.push(Combiner::Struct(StructOp::Offset(d, b.clone())));
+                    struct_count += 1;
+                }
+            }
+            // stitch2: two children sharing the remaining budget.
+            for &d in &config.delims {
+                for b1 in rec_ops(budget.saturating_sub(2), &config.delims) {
+                    let b2_budget = budget - 1 - b1.expansions();
+                    for b2 in rec_ops(b2_budget, &config.delims) {
+                        combiners.push(Combiner::Struct(StructOp::Stitch2(d, b1.clone(), b2)));
+                        struct_count += 1;
+                    }
+                }
+            }
+        }
+
+        let run_ops = [
+            Combiner::Run(RunOp::Rerun),
+            Combiner::Run(RunOp::Merge(config.merge_flags.clone())),
+        ];
+        combiners.extend(run_ops.iter().cloned());
+
+        let breakdown = SpaceBreakdown {
+            rec: rec_count * 2,
+            structural: struct_count * 2,
+            run: run_ops.len() * 2,
+        };
+
+        let mut candidates = Vec::with_capacity(combiners.len() * 2);
+        for op in combiners {
+            candidates.push(Candidate {
+                op: op.clone(),
+                swapped: false,
+            });
+            candidates.push(Candidate { op, swapped: true });
+        }
+        (candidates, breakdown)
     }
-    (candidates, breakdown)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::{Combiner, RecOp, RunOp, StructOp};
 
     fn space(n_delims: usize) -> SpaceBreakdown {
         let config = EnumConfig {
@@ -190,6 +213,46 @@ mod tests {
         let b = space(3);
         assert_eq!((b.rec, b.structural, b.run), (59048, 51392, 4));
         assert_eq!(b.total(), 110444);
+    }
+
+    #[test]
+    fn space_decodes_to_the_reference_enumeration() {
+        // Ids are positions in the order the recursive enumeration
+        // produced, for every tier, budget and delimiter choice.
+        let mut configs: Vec<EnumConfig> = (0..=3)
+            .map(|n| EnumConfig {
+                delims: Delim::ALL[..n].to_vec(),
+                merge_flags: vec!["-rn".to_owned()],
+                ..EnumConfig::default()
+            })
+            .collect();
+        configs.push(EnumConfig {
+            delims: vec![Delim::Newline, Delim::Space, Delim::Comma],
+            ..EnumConfig::default()
+        });
+        for max_size in 0..=8 {
+            configs.push(EnumConfig {
+                delims: vec![Delim::Space, Delim::Newline],
+                max_size,
+                ..EnumConfig::default()
+            });
+        }
+        for config in &configs {
+            let (want, want_breakdown) = reference::enumerate_candidates(config);
+            let space = CandidateSpace::new(config);
+            assert_eq!(space.len(), want.len(), "{config:?}");
+            assert_eq!(space.breakdown(), want_breakdown, "{config:?}");
+            for (id, candidate) in want.iter().enumerate() {
+                assert_eq!(&space.candidate(id as u32), candidate, "{config:?} id {id}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn decoding_past_the_end_panics() {
+        let space = CandidateSpace::new(&EnumConfig::default());
+        space.candidate(space.len() as u32);
     }
 
     #[test]

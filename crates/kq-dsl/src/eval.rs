@@ -47,12 +47,11 @@ pub fn merge_order(flags: &[String]) -> Result<LineOrder, EvalError> {
 /// The environment needed by `RunOp` combiners: how to re-run the command
 /// `f` and how to invoke `unixMerge`.
 ///
-/// `Sync` is a supertrait so one environment can serve concurrent
-/// candidate filtering ([`crate::filter`]): partitions of a candidate set
-/// are evaluated on worker threads that share the `&dyn RunEnv`. Both
-/// built-in environments qualify ([`NoRunEnv`] is stateless;
-/// [`CommandEnv`] borrows a `Send + Sync` command and context), and the
-/// requirement is what makes `&dyn RunEnv: Send`.
+/// `Sync` is a supertrait so one environment can serve the worker threads
+/// of a parallel fold, which share the `&dyn RunEnv`. Both built-in
+/// environments qualify ([`NoRunEnv`] is stateless; [`CommandEnv`] borrows
+/// a `Send + Sync` command and context), and the requirement is what
+/// makes `&dyn RunEnv: Send`.
 pub trait RunEnv: Sync {
     /// `rerun_f`: execute `f` on the given input.
     fn rerun(&self, input: &str) -> Result<String, EvalError>;
@@ -183,17 +182,25 @@ pub fn eval(g: &Combiner, y1: &str, y2: &str, env: &dyn RunEnv) -> Result<String
     }
 }
 
+/// The value of `add y1 y2`: both arguments are non-empty digit runs and
+/// neither they nor their sum leave `i64`. The one definition of the
+/// rule — [`eval`] renders the sum, the candidate-space walk
+/// ([`crate::space`]) compares it against the expected output.
+pub(crate) fn add_digit_runs(y1: &str, y2: &str) -> Result<i64, EvalError> {
+    let parse = |s: &str| -> Result<i64, EvalError> {
+        if s.is_empty() || !s.bytes().all(|c| c.is_ascii_digit()) {
+            return Err(EvalError::Domain("add expects a digit run"));
+        }
+        s.parse().map_err(|_| EvalError::Domain("add overflow"))
+    };
+    parse(y1)?
+        .checked_add(parse(y2)?)
+        .ok_or(EvalError::Domain("add overflow"))
+}
+
 pub(crate) fn eval_rec(b: &RecOp, y1: &str, y2: &str) -> Result<String, EvalError> {
     match b {
-        RecOp::Add => {
-            let parse = |s: &str| -> Result<i64, EvalError> {
-                if s.is_empty() || !s.bytes().all(|c| c.is_ascii_digit()) {
-                    return Err(EvalError::Domain("add expects a digit run"));
-                }
-                s.parse().map_err(|_| EvalError::Domain("add overflow"))
-            };
-            Ok((parse(y1)? + parse(y2)?).to_string())
-        }
+        RecOp::Add => add_digit_runs(y1, y2).map(|sum| sum.to_string()),
         RecOp::Concat => {
             let mut out = String::with_capacity(y1.len() + y2.len());
             out.push_str(y1);
@@ -391,6 +398,27 @@ mod tests {
         assert!(rec(R::Add, "4x", "9").is_err());
         assert!(rec(R::Add, "", "9").is_err());
         assert!(rec(R::Add, "-4", "9").is_err());
+    }
+
+    #[test]
+    fn add_overflow_is_a_domain_error() {
+        // Each argument fits `i64`, their sum does not: this used to panic
+        // in debug builds and wrap to "-2" in release builds.
+        let max = i64::MAX.to_string();
+        assert_eq!(
+            rec(R::Add, &max, &max),
+            Err(EvalError::Domain("add overflow"))
+        );
+        assert_eq!(
+            rec(R::Add, &max, "1"),
+            Err(EvalError::Domain("add overflow"))
+        );
+        assert_eq!(rec(R::Add, &max, "0").unwrap(), max);
+        // A 20-digit argument already fails to parse.
+        assert_eq!(
+            rec(R::Add, "99999999999999999999", "1"),
+            Err(EvalError::Domain("add overflow"))
+        );
     }
 
     #[test]

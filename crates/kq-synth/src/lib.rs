@@ -5,28 +5,32 @@
 //! 1. preprocesses the command line — extracting regex/number literals and
 //!    probing `f` with three canonical inputs to pick an input profile
 //!    ([`preprocess`]);
-//! 2. enumerates the candidate combiner space `G_n` for the command's
-//!    delimiter alphabet (`kq_dsl::enumerate`);
+//! 2. lays out the candidate combiner space `G_n` for the command's
+//!    delimiter alphabet — implicitly, as counts (`kq_dsl::space`), never
+//!    as a list of trees;
 //! 3. repeatedly generates input stream pairs from gradient-mutated *input
 //!    shapes* ([`shape`], [`gen`]; paper Algorithm 2), runs `f` to obtain
-//!    observations `⟨f(x1), f(x2), f(x1++x2)⟩`, and discards candidates
-//!    that are not plausible (Definition 3.9);
+//!    observations `⟨f(x1), f(x2), f(x1++x2)⟩`, and keeps only the
+//!    candidate ids each observation leaves plausible (Definition 3.9),
+//!    decided by one walk of the combiner trie per observation;
 //! 4. stops when no progress is made for several rounds, returning either
 //!    a composite combiner over the surviving set ([`composite`]) or `None`
 //!    when every candidate was eliminated (Table 9's unsupported commands).
 //!
 //! # The parallel synthesis engine
 //!
-//! Synthesis is staged so its two expensive sides fan out over a
-//! [`SynthPool`] ([`pool`]): *observation generation* (command executions
-//! on generated stream pairs) and *candidate elimination* (plausibility
-//! checks over the candidate set) each run as independent jobs, while the
-//! RNG-driven input generation and the order-sensitive dedup stay serial.
-//! Every parallel phase is a pure map whose results slot back in input
-//! order, so a report is **byte-identical for every worker count** — the
-//! pool buys wall clock, never different answers (`SynthesisConfig::workers`;
-//! pinned corpus-wide by `tests/synth_engine.rs`). The same pool fans a
-//! script's *distinct* commands out during planning
+//! Synthesis is staged: the RNG-driven input generation and the
+//! order-sensitive dedup are serial, *observation generation* (command
+//! executions on generated stream pairs — a process per run for an
+//! external command) fans out over a [`SynthPool`] ([`pool`]) as
+//! independent jobs whose results slot back in input order, and
+//! *candidate elimination* is sorted-id-set arithmetic on the answers of
+//! `kq_dsl::CandidateSpace::passing_among`, which needs no threads. A
+//! report is therefore **byte-identical for every worker count** — the
+//! pool buys wall clock, never different answers
+//! (`SynthesisConfig::workers`; pinned corpus-wide, and against the
+//! per-candidate loop this replaced, by `tests/synth_engine.rs`). The
+//! same pool fans a script's *distinct* commands out during planning
 //! (`kq_pipeline::plan::Planner`).
 //!
 //! # Caching and validation
@@ -68,4 +72,6 @@ pub use composite::{IncrementalCombine, SynthesizedCombiner};
 pub use pool::SynthPool;
 pub use preprocess::{prefix_bound, preprocess, probe_profile, InputProfile, Preprocessed};
 pub use shape::{Config, InputShape, Mutation};
+#[doc(hidden)]
+pub use synthesize::synthesize_reference;
 pub use synthesize::{spot_check, synthesize, SynthesisConfig, SynthesisOutcome, SynthesisReport};

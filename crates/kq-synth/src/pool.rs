@@ -2,11 +2,10 @@
 //!
 //! One pool serves both parallel axes of the synthesis engine:
 //!
-//! * **within one command** — candidate filtering fans partitions of the
-//!   candidate set out over the pool
-//!   ([`kq_dsl::filter_candidates_partitioned`]), and observation
-//!   collection maps command executions over generated stream pairs
-//!   ([`SynthPool::map`]);
+//! * **within one command** — observation collection maps command
+//!   executions over generated stream pairs ([`SynthPool::map`]); deciding
+//!   which candidates an observation leaves plausible is one walk of the
+//!   combiner trie (`kq_dsl::space`) and spawns nothing;
 //! * **across commands** — the planner synthesizes a script's distinct
 //!   stdin-reading commands concurrently, one [`SynthPool::map`] item per
 //!   command.
@@ -14,8 +13,8 @@
 //! Like the executors' pools, workers are *scoped threads spawned per
 //! batch* (there is no long-lived pool object to keep alive across
 //! borrows); work is handed out through an atomic cursor so an expensive
-//! item (one slow command synthesis, one rerun-heavy candidate partition)
-//! does not straggle a whole fixed partition. Results land in input order,
+//! item (one slow command synthesis, one slow external command run) does
+//! not straggle a whole fixed partition. Results land in input order,
 //! and every job is a pure function of its item — so the output is
 //! byte-for-byte independent of worker count and scheduling, which is
 //! what keeps synthesis deterministic under `--synth-workers`.
@@ -92,17 +91,6 @@ impl SynthPool {
             .into_iter()
             .map(|s| s.expect("every item produced a result"))
             .collect()
-    }
-
-    /// Candidate filtering on the pool: one `bool` per candidate, equal to
-    /// the serial filter (see [`kq_dsl::filter`]).
-    pub fn filter(
-        &self,
-        candidates: &[kq_dsl::Candidate],
-        observations: &[kq_dsl::Observation],
-        env: &dyn kq_dsl::RunEnv,
-    ) -> Vec<bool> {
-        kq_dsl::filter_candidates_partitioned(candidates, observations, env, self.workers)
     }
 }
 

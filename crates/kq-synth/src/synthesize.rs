@@ -11,33 +11,40 @@
 //!
 //! # Staged rounds and parallelism
 //!
-//! Each gradient step runs in four phases so the two expensive sides —
-//! *observation generation* (three command executions per input pair) and
-//! *candidate elimination* (one evaluation per candidate per observation)
-//! — both fan out over a [`SynthPool`] while the RNG-driven and
-//! order-sensitive bookkeeping stays serial:
+//! The candidate set is never materialised. `alive` is a sorted list of
+//! candidate ids into a [`CandidateSpace`] ("every id" until the first
+//! observation arrives), and each gradient step runs in four phases:
 //!
 //! 1. **generate** (serial, RNG): input pairs for all twelve mutations, in
 //!    the exact (mutation, pair) order the serial algorithm draws them —
 //!    the only phase that touches the RNG;
 //! 2. **observe** (pool): run `f` on each pair to form
-//!    `⟨f(x1), f(x2), f(x1++x2)⟩`, one independent job per pair;
+//!    `⟨f(x1), f(x2), f(x1++x2)⟩`, one independent job per pair on the
+//!    [`SynthPool`] — an external command spawns a process per run, so
+//!    this is the phase worth fanning out;
 //! 3. **dedup** (serial, ordered): drop observations already seen, keeping
 //!    first-occurrence order so counterexample attribution is stable;
-//! 4. **filter** (pool): one plausibility verdict per (candidate, fresh
-//!    observation). Gradient scores are order-independent sums over the
-//!    verdict matrix, the counterexample is the first fresh observation
-//!    (in generation order) that eliminates anything, and retention keeps
-//!    exactly the candidates whose row is all-true.
+//! 4. **filter** (serial, no threads): for each fresh observation, the
+//!    live ids that are plausible for it
+//!    ([`CandidateSpace::passing_among`]: one walk of the combiner trie,
+//!    then [`plausible`] on the handful of ids the walk keeps, the RunOp
+//!    candidates included while they are alive). Everything else is
+//!    arithmetic on sorted id lists: a mutation's gradient score is
+//!    `|alive| − |⋂ passing over its observations|`, the counterexample is
+//!    the first fresh observation (in generation order) whose list is
+//!    shorter than `alive`, and retention is the intersection over all of
+//!    them. Combiner ASTs are built for the survivors only, at the end.
 //!
-//! Retention filters against the *fresh* observations only: every live
+//! Retention consults the *fresh* observations only: every live
 //! candidate already passed all prior observations (that is what kept it
 //! live), and plausibility over a concatenated observation list is the
 //! conjunction of per-observation plausibility — so the incremental
-//! filter provably equals the serial `retain` over the cumulative list.
+//! filter provably equals a `retain` over the cumulative list.
 //! Every phase's output is a pure function of the phase inputs, so the
-//! whole report is byte-identical for any `workers` value (pinned over
-//! the corpus by `tests/synth_engine.rs`).
+//! whole report is byte-identical for any `workers` value, and equal to
+//! what the per-candidate loop it replaced computes —
+//! [`synthesize_reference`] keeps that loop for `tests/synth_engine.rs`
+//! to compare against over the whole corpus.
 
 use crate::composite::SynthesizedCombiner;
 use crate::gen::stream_pair;
@@ -47,7 +54,7 @@ use crate::shape::{InputShape, Mutation};
 use kq_coreutils::{Command, ExecContext};
 use kq_dsl::ast::Candidate;
 use kq_dsl::eval::CommandEnv;
-use kq_dsl::{enumerate_candidates, plausible, EnumConfig, Observation, SpaceBreakdown};
+use kq_dsl::{plausible, CandidateSpace, EnumConfig, Observation, SpaceBreakdown};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
@@ -73,8 +80,8 @@ pub struct SynthesisConfig {
     /// (Algorithm 2). With `false`, mutations are chosen uniformly at
     /// random — the ablation baseline for the paper's gradient design.
     pub use_gradient: bool,
-    /// Worker threads for the observe/filter phases (and, in the planner,
-    /// for synthesizing distinct commands concurrently). Affects wall
+    /// Worker threads for the observe phase (and, in the planner, for
+    /// synthesizing distinct commands concurrently). Affects wall
     /// clock only: the report is identical for every value (see the
     /// crate-level determinism discussion).
     pub workers: usize,
@@ -162,7 +169,75 @@ pub fn synthesize(
     ctx: &ExecContext,
     config: &SynthesisConfig,
 ) -> SynthesisReport {
-    let span = kq_trace::span("synth", "synthesize").label(command.display());
+    run(command, ctx, config, false)
+}
+
+/// [`synthesize`] with the filter phase done the way it was before the
+/// candidate space became implicit: every candidate enumerated as a tree,
+/// every live one evaluated against every fresh observation. The reports
+/// are equal field by field; this one is the oracle that says so.
+#[doc(hidden)]
+pub fn synthesize_reference(
+    command: &Command,
+    ctx: &ExecContext,
+    config: &SynthesisConfig,
+) -> SynthesisReport {
+    run(command, ctx, config, true)
+}
+
+/// The live candidates: ids into the space, ascending.
+struct Alive<'a> {
+    space: &'a CandidateSpace,
+    /// `None` until the first observation: every id.
+    ids: Option<Vec<u32>>,
+    /// The reference loop's trees, indexed by id.
+    enumerated: Option<Vec<Candidate>>,
+}
+
+impl Alive<'_> {
+    fn len(&self) -> usize {
+        self.ids.as_ref().map_or(self.space.len(), Vec::len)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The live ids plausible for `o`, ascending.
+    fn passing(&self, o: &Observation, env: &CommandEnv<'_>) -> Vec<u32> {
+        let Some(candidates) = &self.enumerated else {
+            return match &self.ids {
+                Some(ids) => self.space.passing_among(ids, o, env),
+                None => self.space.passing(o, env),
+            };
+        };
+        let holds = |id: &u32| plausible(&candidates[*id as usize], std::slice::from_ref(o), env);
+        match &self.ids {
+            Some(ids) => ids.iter().copied().filter(holds).collect(),
+            None => (0..candidates.len() as u32).filter(holds).collect(),
+        }
+    }
+}
+
+/// The ids present in every list (each ascending); `None` for no lists,
+/// which constrain nothing.
+fn intersection(lists: &[Vec<u32>]) -> Option<Vec<u32>> {
+    let (first, rest) = lists.split_first()?;
+    let mut common = first.clone();
+    for list in rest {
+        common.retain(|id| list.binary_search(id).is_ok());
+    }
+    Some(common)
+}
+
+fn run(
+    command: &Command,
+    ctx: &ExecContext,
+    config: &SynthesisConfig,
+    reference: bool,
+) -> SynthesisReport {
+    let label = command.display();
+    let span = kq_trace::span("synth", "synthesize").label(&label);
     let start = Instant::now();
     let pool = SynthPool::new(config.workers);
     let mut rng = SmallRng::seed_from_u64(config.rng_seed);
@@ -172,7 +247,12 @@ pub fn synthesize(
         max_size: config.max_size,
         merge_flags: pre.merge_flags.clone(),
     };
-    let (mut alive, space) = enumerate_candidates(&enum_config);
+    let space = CandidateSpace::new(&enum_config);
+    let mut alive = Alive {
+        space: &space,
+        ids: None,
+        enumerated: reference.then(|| kq_dsl::enumerate_candidates(&enum_config).0),
+    };
     let env = CommandEnv { command, ctx };
 
     let mut observations: Vec<Observation> = Vec::new();
@@ -190,8 +270,8 @@ pub fn synthesize(
         // exist yet): no observation can certify any candidate.
         span.done();
         return SynthesisReport {
-            command: command.display(),
-            space,
+            command: label,
+            space: space.breakdown(),
             elapsed: start.elapsed(),
             rounds: 0,
             observations: 0,
@@ -205,7 +285,7 @@ pub fn synthesize(
     while rounds < config.max_rounds && !alive.is_empty() {
         rounds += 1;
         kq_trace::instant("synth", "round")
-            .label(command.display())
+            .label(&label)
             .seq(rounds)
             .v(alive.len() as f64)
             .emit();
@@ -239,22 +319,31 @@ pub fn synthesize(
     }
 
     // A verdict needs evidence: with no successful observations, every
-    // candidate is vacuously "plausible" and none is certified.
-    let outcome = if alive.is_empty() || observations.is_empty() {
-        SynthesisOutcome::NoCombiner { counterexample }
-    } else {
-        SynthesisOutcome::Synthesized(SynthesizedCombiner::from_plausible(alive))
+    // candidate is vacuously "plausible" and none is certified. (With
+    // one, `alive` is an explicit list, and only now do its ids become
+    // trees.)
+    let survivors = alive
+        .ids
+        .filter(|ids| !ids.is_empty() && !observations.is_empty());
+    let outcome = match survivors {
+        None => SynthesisOutcome::NoCombiner { counterexample },
+        Some(ids) => SynthesisOutcome::Synthesized(SynthesizedCombiner::from_plausible(
+            ids.into_iter().map(|id| space.candidate(id)).collect(),
+        )),
     };
     kq_trace::counter("synth", "rounds", rounds as f64)
-        .label(command.display())
+        .label(&label)
         .emit();
     kq_trace::counter("synth", "observations", observations.len() as f64)
-        .label(command.display())
+        .label(&label)
+        .emit();
+    kq_trace::counter("synth", "trie-nodes", space.trie_nodes() as f64)
+        .label(&label)
         .emit();
     span.done();
     SynthesisReport {
-        command: command.display(),
-        space,
+        command: label,
+        space: space.breakdown(),
         elapsed: start.elapsed(),
         rounds,
         observations: observations.len(),
@@ -263,10 +352,10 @@ pub fn synthesize(
     }
 }
 
-/// Algorithm 2: one gradient descent over shape mutations, staged so the
-/// observe and filter phases fan out over the pool (see the module docs).
-/// All generated observations filter the candidate set; the mutation that
-/// eliminated the most candidates seeds the next step.
+/// Algorithm 2: one gradient descent over shape mutations, staged as the
+/// module docs describe. All generated observations filter the candidate
+/// set; the mutation that eliminated the most candidates seeds the next
+/// step.
 #[allow(clippy::too_many_arguments)]
 fn gradient_round(
     command: &Command,
@@ -275,14 +364,14 @@ fn gradient_round(
     mut shape: InputShape,
     config: &SynthesisConfig,
     rng: &mut SmallRng,
-    alive: &mut Vec<Candidate>,
+    alive: &mut Alive<'_>,
     observations: &mut Vec<Observation>,
     seen: &mut HashSet<Observation>,
     counterexample: &mut Option<(String, String)>,
     env: &CommandEnv<'_>,
     pool: &SynthPool,
 ) {
-    for _step in 0..config.gradient_steps {
+    for step in 0..config.gradient_steps {
         // Phase 1 — generate (serial; the RNG draws happen in the same
         // (mutation, pair) order as the serial algorithm's).
         let shapes: Vec<InputShape> = Mutation::all().iter().map(|m| shape.mutate(*m)).collect();
@@ -297,8 +386,10 @@ fn gradient_round(
 
         // Phase 2 — observe (pool): three command executions per pair,
         // each an independent job; results slot back in generation order.
+        let observing = kq_trace::span("synth", "observe").seq(step);
         let observed: Vec<Option<Observation>> =
             pool.map(&pairs, |_, (_, x1, x2)| observe(command, ctx, x1, x2));
+        observing.done();
 
         // Phase 3 — dedup (serial, ordered): keep first occurrences only,
         // recording which span of the fresh list each mutation produced.
@@ -323,38 +414,30 @@ fn gradient_round(
             spans.push(start..fresh.len());
         }
 
-        // Phase 4 — filter (pool): the (candidate × fresh observation)
-        // verdict matrix, partitioned over candidates.
-        let verdicts: Vec<Vec<bool>> = pool.map(alive, |_, c| {
-            fresh
-                .iter()
-                .map(|o| plausible(c, std::slice::from_ref(o), env))
-                .collect()
-        });
+        // Phase 4 — filter: per fresh observation, the live ids it leaves
+        // plausible.
+        let live = alive.len();
+        let filtering = kq_trace::span("synth", "filter").seq(step).v(live as f64);
+        let passing: Vec<Vec<u32>> = fresh.iter().map(|o| alive.passing(o, env)).collect();
+        filtering.done();
 
         // Counterexample: the first fresh observation (generation order)
         // that eliminates any live candidate — same pair the serial
         // algorithm records at insertion time.
         if counterexample.is_none() {
-            for (oi, pair) in fresh_pairs.iter().enumerate() {
-                if verdicts.iter().any(|row| !row[oi]) {
-                    *counterexample = Some(pair.clone());
-                    break;
-                }
+            if let Some(oi) = passing.iter().position(|ids| ids.len() < live) {
+                *counterexample = Some(fresh_pairs[oi].clone());
             }
         }
 
         // Score: how many live candidates does each mutation's batch
-        // eliminate? A candidate is eliminated by a batch iff some
-        // observation in the batch's span fails it — an order-independent
-        // sum over the verdict matrix. Ties keep the earliest mutation,
-        // as the serial fold does.
+        // eliminate? A candidate survives a batch iff every observation
+        // in the batch's span leaves it plausible. Ties keep the earliest
+        // mutation, as the serial fold does.
         let mut best: Option<(usize, usize)> = None;
         for (mi, span) in spans.iter().enumerate() {
-            let eliminated = verdicts
-                .iter()
-                .filter(|row| span.clone().any(|oi| !row[oi]))
-                .count();
+            let eliminated =
+                intersection(&passing[span.clone()]).map_or(0, |kept| live - kept.len());
             match best {
                 Some((score, _)) if score >= eliminated => {}
                 _ => best = Some((eliminated, mi)),
@@ -362,11 +445,12 @@ fn gradient_round(
         }
 
         // Retention: every live candidate already passed the cumulative
-        // observation set (that is the loop invariant the previous retain
-        // established), so keeping the all-true rows equals the serial
-        // retain over `observations ++ fresh`.
-        let mask: Vec<bool> = verdicts.iter().map(|row| row.iter().all(|&b| b)).collect();
-        kq_dsl::retain_by_mask(alive, &mask);
+        // observation set (that is the loop invariant the previous
+        // retention established), so intersecting over the fresh ones
+        // equals a retain over `observations ++ fresh`.
+        if let Some(kept) = intersection(&passing) {
+            alive.ids = Some(kept);
+        }
         observations.extend(fresh);
         if alive.is_empty() {
             return;
@@ -610,6 +694,62 @@ mod tests {
         let r = synthesize(&command, &ctx, &SynthesisConfig::default());
         assert!(r.combiner().is_none());
         assert_eq!(r.observations, 0);
+    }
+
+    #[test]
+    fn reports_equal_the_per_candidate_reference_loop() {
+        // One command per verdict shape: a RecOp, both StructOp families,
+        // RunOps, a three-delimiter space, no combiner at all (with its
+        // counterexample), and a command nothing can be observed for.
+        let lines = [
+            "wc -l",
+            "uniq",
+            "uniq -c",
+            "sort -rn",
+            "tr -cs A-Za-z '\\n'",
+            "awk '{print $2, $0}'",
+            "sed 1d",
+            "comm -23 - /not/written/yet",
+        ];
+        for line in lines {
+            for (workers, use_gradient) in [(1, true), (3, true), (1, false)] {
+                let config = SynthesisConfig {
+                    workers,
+                    use_gradient,
+                    ..SynthesisConfig::default()
+                };
+                let command = parse_command(line).unwrap();
+                let want = synthesize_reference(&command, &ExecContext::default(), &config);
+                let got = synthesize(&command, &ExecContext::default(), &config);
+                let shown = |r: &SynthesisReport| -> Vec<String> {
+                    r.plausible().iter().map(|c| c.to_string()).collect()
+                };
+                assert_eq!(got.space, want.space, "{line}");
+                assert_eq!(got.rounds, want.rounds, "{line}");
+                assert_eq!(got.observations, want.observations, "{line}");
+                assert_eq!(got.profile, want.profile, "{line}");
+                assert_eq!(shown(&got), shown(&want), "{line}");
+                match (&got.outcome, &want.outcome) {
+                    (
+                        SynthesisOutcome::NoCombiner { counterexample: g },
+                        SynthesisOutcome::NoCombiner { counterexample: w },
+                    ) => assert_eq!(g, w, "{line}"),
+                    (SynthesisOutcome::Synthesized(_), SynthesisOutcome::Synthesized(_)) => {}
+                    _ => panic!("{line}: verdicts differ"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn intersection_of_sorted_id_lists() {
+        assert_eq!(intersection(&[]), None);
+        assert_eq!(intersection(&[vec![1, 4, 9]]), Some(vec![1, 4, 9]));
+        assert_eq!(
+            intersection(&[vec![1, 4, 9, 12], vec![0, 4, 12, 13], vec![4, 5, 12]]),
+            Some(vec![4, 12])
+        );
+        assert_eq!(intersection(&[vec![1, 2], vec![]]), Some(vec![]));
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! | cat | names | layer |
 //! |---|---|---|
 //! | `plan` | `plan` | `Planner::plan` wall time |
-//! | `synth` | `synthesize`, `round`, `rounds`, `observations` | per-command synthesis |
+//! | `synth` | `synthesize` span, under it `observe` and `filter` spans per gradient step; `round` instant; `rounds`, `observations`, `trie-nodes` counters | per-command synthesis |
 //! | `cache` | `validate` span; `hit`, `validated`, `rejected`, `miss` instants | combiner-cache lookups |
 //! | `ingest` | `read` (label `map`/`heap`), `release` | file → data-plane ingest, page release |
 //! | `chunk` | `cut` | incremental re-chunking |

@@ -16,6 +16,16 @@
 //! whole trace extent, so the path total equals the run's wall clock by
 //! construction and the busy/wait split says *where* that wall clock
 //! went — the input signal for the ROADMAP's adaptive-execution work.
+//!
+//! # The synthesis split
+//!
+//! A cold plan runs before any dataflow node does. Under each
+//! `synth/synthesize` span the synthesizer records a `synth/observe` and
+//! a `synth/filter` span per gradient step and one `synth/trie-nodes`
+//! counter per command; [`analyze`] sums them into [`SynthStat`], so the
+//! report says how much of planning went to *running the command* and how
+//! much to *deciding candidates* (the rest is input generation and
+//! preprocessing probes).
 
 use crate::record::{Kind, Record};
 use std::collections::BTreeMap;
@@ -60,6 +70,23 @@ pub struct PathStep {
     pub wait_ns: u64,
 }
 
+/// Combiner synthesis in the trace, summed over commands (which may have
+/// been synthesized concurrently: these are busy times, not wall clock).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SynthStat {
+    /// Commands synthesized (`synth/synthesize` spans).
+    pub commands: usize,
+    /// Total time inside `synth/synthesize`, ns.
+    pub total_ns: u64,
+    /// Of that, running the command on generated inputs (`synth/observe`).
+    pub observe_ns: u64,
+    /// Of that, deciding which candidates each observation leaves
+    /// plausible (`synth/filter`).
+    pub filter_ns: u64,
+    /// Combiner-trie nodes the filter phase visited (`synth/trie-nodes`).
+    pub trie_nodes: u64,
+}
+
 /// Everything [`analyze`] derives from a record set.
 #[derive(Debug, Clone)]
 pub struct Analysis {
@@ -74,6 +101,8 @@ pub struct Analysis {
     /// Sum of the path windows, ns. Tiles the extent when the trace has
     /// dataflow spans; 0 otherwise.
     pub path_total_ns: u64,
+    /// Where cold planning's synthesis time went.
+    pub synthesis: SynthStat,
 }
 
 fn merge_intervals(intervals: &mut Vec<(u64, u64)>) {
@@ -102,6 +131,20 @@ pub fn analyze(records: &[Record]) -> Analysis {
     let t_min = spans.iter().map(|r| r.t0).min().unwrap_or(0);
     let t_max = spans.iter().map(|r| r.t1).max().unwrap_or(0);
     let extent_ns = t_max.saturating_sub(t_min);
+
+    let mut synthesis = SynthStat::default();
+    for r in records.iter().filter(|r| r.cat == "synth") {
+        match (r.kind, r.name.as_str()) {
+            (Kind::Span, "synthesize") => {
+                synthesis.commands += 1;
+                synthesis.total_ns += r.t1 - r.t0;
+            }
+            (Kind::Span, "observe") => synthesis.observe_ns += r.t1 - r.t0,
+            (Kind::Span, "filter") => synthesis.filter_ns += r.t1 - r.t0,
+            (Kind::Counter, "trie-nodes") => synthesis.trie_nodes += r.v.unwrap_or(0.0) as u64,
+            _ => {}
+        }
+    }
 
     // Graph structure from the meta records.
     let mut nodes: BTreeMap<(u64, u64), NodeStat> = BTreeMap::new();
@@ -224,6 +267,7 @@ pub fn analyze(records: &[Record]) -> Analysis {
         nodes: nodes.into_values().collect(),
         path,
         path_total_ns,
+        synthesis,
     }
 }
 
@@ -240,6 +284,23 @@ pub fn render_report(a: &Analysis, top: usize) -> String {
         a.span_count,
         ms(a.extent_ns)
     );
+    let synth = &a.synthesis;
+    if synth.commands > 0 {
+        let other = synth
+            .total_ns
+            .saturating_sub(synth.observe_ns + synth.filter_ns);
+        let _ = writeln!(
+            out,
+            "synthesis: {} command(s), {:.1} ms = {:.1} ms running the command \
+             + {:.1} ms deciding candidates ({} trie node(s)) + {:.1} ms other",
+            synth.commands,
+            ms(synth.total_ns),
+            ms(synth.observe_ns),
+            ms(synth.filter_ns),
+            synth.trie_nodes,
+            ms(other)
+        );
+    }
     if a.path.is_empty() {
         out.push_str("critical path: no dataflow node spans in this trace\n");
     } else {
@@ -453,6 +514,46 @@ mod tests {
         assert_eq!(a.path_total_ns, 0);
         let rendered = render_report(&a, 5);
         assert!(rendered.contains("critical path"), "{rendered}");
+    }
+
+    #[test]
+    fn synthesis_split_sums_the_phases_over_commands() {
+        let synth = |kind: Kind, name: &str, t0: u64, t1: u64, v: Option<f64>| {
+            let mut r = span(0, 0, t0, t1);
+            (r.kind, r.cat, r.name, r.v) = (kind, "synth".into(), name.into(), v);
+            (r.si, r.ni) = (None, None);
+            r
+        };
+        let records = vec![
+            synth(Kind::Span, "synthesize", 0, 1000, None),
+            synth(Kind::Span, "observe", 100, 400, None),
+            synth(Kind::Span, "filter", 400, 450, None),
+            synth(Kind::Span, "observe", 500, 700, None),
+            synth(Kind::Span, "filter", 700, 720, None),
+            synth(Kind::Counter, "trie-nodes", 1000, 1000, Some(96.0)),
+            synth(Kind::Span, "synthesize", 2000, 2500, None),
+            synth(Kind::Counter, "trie-nodes", 2500, 2500, Some(4.0)),
+            synth(Kind::Counter, "rounds", 2500, 2500, Some(2.0)),
+        ];
+        let a = analyze(&records);
+        assert_eq!(
+            a.synthesis,
+            SynthStat {
+                commands: 2,
+                total_ns: 1500,
+                observe_ns: 500,
+                filter_ns: 70,
+                trie_nodes: 100,
+            }
+        );
+        let rendered = render_report(&a, 5);
+        assert!(
+            rendered.contains("synthesis: 2 command(s)") && rendered.contains("(100 trie node(s))"),
+            "{rendered}"
+        );
+        // A trace without synthesis says nothing about it.
+        let quiet = render_report(&analyze(&[span(0, 0, 0, 10)]), 5);
+        assert!(!quiet.contains("synthesis:"), "{quiet}");
     }
 
     #[test]

@@ -1,9 +1,14 @@
 //! The parallel synthesis engine's contract, pinned end to end:
 //!
-//! 1. **Determinism** — `synthesize` with `workers ∈ {1, 4}` produces an
-//!    identical `SynthesisReport` (candidate sets, outcome, rounds,
-//!    observations, counterexample) for every unique stdin-reading
-//!    command in the 70-script corpus. The pool buys wall clock only.
+//! 1. **Determinism, and equality with the loop it replaced** —
+//!    `synthesize` with `workers ∈ {1, 4}`, and with the gradient off,
+//!    produces for every unique stdin-reading command in the 70-script
+//!    corpus the `SynthesisReport` (space, rounds, observations,
+//!    plausible set in order, counterexample) that
+//!    `kq_synth::synthesize_reference` does — the per-candidate loop over
+//!    the materialised space, kept as the oracle. The pool buys wall
+//!    clock only, and the trie walk decides exactly what evaluating every
+//!    candidate decides.
 //! 2. **Warm-cache planning** — planning the corpus against a shared
 //!    on-disk combiner cache twice synthesizes everything exactly once:
 //!    the second planner reports zero syntheses (everything validates out
@@ -18,7 +23,9 @@ use kq_pipeline::cache::{cache_key, CombinerCache};
 use kq_pipeline::exec::run_serial;
 use kq_pipeline::parse::parse_script;
 use kq_pipeline::plan::{Planner, StageMode};
-use kq_synth::{synthesize, SynthesisConfig, SynthesisOutcome};
+use kq_synth::{
+    synthesize, synthesize_reference, SynthesisConfig, SynthesisOutcome, SynthesisReport,
+};
 use kq_workloads::{corpus, setup, Scale};
 use proptest::prelude::*;
 
@@ -69,42 +76,59 @@ fn outcome_fingerprint(
     }
 }
 
+/// Everything in a report but its wall time, field by field.
+fn assert_same_report(want: &SynthesisReport, got: &SynthesisReport, what: &str) {
+    let line = &want.command;
+    assert_eq!(want.command, got.command, "{what}");
+    assert_eq!(want.space, got.space, "{line}: search space ({what})");
+    assert_eq!(want.rounds, got.rounds, "{line}: rounds ({what})");
+    assert_eq!(
+        want.observations, got.observations,
+        "{line}: observations ({what})"
+    );
+    assert_eq!(want.profile, got.profile, "{line}: profile ({what})");
+    assert_eq!(
+        outcome_fingerprint(&want.outcome),
+        outcome_fingerprint(&got.outcome),
+        "{line}: outcome/candidate set ({what})"
+    );
+}
+
 #[test]
-fn synthesis_is_identical_at_one_and_four_workers_across_the_corpus() {
-    let serial_config = SynthesisConfig {
+fn synthesis_equals_the_reference_loop_at_any_worker_count_across_the_corpus() {
+    let config = SynthesisConfig {
         workers: 1,
         ..SynthesisConfig::default()
     };
     let parallel_config = SynthesisConfig {
         workers: 4,
-        ..serial_config.clone()
+        ..config.clone()
     };
+    let ungraded_config = SynthesisConfig {
+        use_gradient: false,
+        ..config.clone()
+    };
+    let fresh = ExecContext::default;
     let mut checked = 0usize;
+    let mut synthesized = 0usize;
     for_each_unique_command(|command| {
-        let ctx = ExecContext::default();
-        let serial = synthesize(command, &ctx, &serial_config);
-        let ctx = ExecContext::default();
-        let parallel = synthesize(command, &ctx, &parallel_config);
-        let line = command.display();
-        assert_eq!(serial.rounds, parallel.rounds, "{line}: rounds");
-        assert_eq!(
-            serial.observations, parallel.observations,
-            "{line}: observations"
-        );
-        assert_eq!(
-            serial.space.total(),
-            parallel.space.total(),
-            "{line}: search space"
-        );
-        assert_eq!(serial.profile, parallel.profile, "{line}: profile");
-        assert_eq!(
-            outcome_fingerprint(&serial.outcome),
-            outcome_fingerprint(&parallel.outcome),
-            "{line}: outcome/candidate set"
-        );
+        let reference = synthesize_reference(command, &fresh(), &config);
+        let serial = synthesize(command, &fresh(), &config);
+        assert_same_report(&reference, &serial, "workers 1 vs reference");
+        let parallel = synthesize(command, &fresh(), &parallel_config);
+        assert_same_report(&reference, &parallel, "workers 4 vs reference");
+
+        let reference = synthesize_reference(command, &fresh(), &ungraded_config);
+        let ungraded = synthesize(command, &fresh(), &ungraded_config);
+        assert_same_report(&reference, &ungraded, "no gradient vs reference");
         checked += 1;
+        synthesized += usize::from(serial.combiner().is_some());
     });
     assert!(checked > 100, "checked only {checked} commands");
+    assert!(
+        synthesized > 80,
+        "only {synthesized} commands have a combiner"
+    );
 }
 
 proptest! {
@@ -229,6 +253,38 @@ fn warm_cache_plans_the_corpus_without_synthesizing_and_identically() {
     );
     assert_eq!(cold_modes, warm_modes, "plans must not depend on the cache");
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn cold_corpus_plan_writes_the_same_cache_file_at_any_synth_worker_count() {
+    // What `kumquat corpus --plan --combiner-cache F` leaves on disk is a
+    // function of the corpus and the seed alone: plausible sets in
+    // enumeration order, commands in first-encounter order.
+    let cold_cache = |workers: &str| {
+        let path = cache_path(&format!("cold-w{workers}"));
+        std::fs::remove_file(&path).ok();
+        let args = [
+            "corpus",
+            "--plan",
+            "--synth-workers",
+            workers,
+            "--combiner-cache",
+        ];
+        let mut args: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
+        args.push(path.display().to_string());
+        let out = kq_cli::run_cli(&args).unwrap();
+        assert!(
+            out.stdout.contains("planned 70 script(s)"),
+            "{}",
+            out.stdout
+        );
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        bytes
+    };
+    let serial = cold_cache("1");
+    assert!(serial.len() > 1000, "cache of {} bytes", serial.len());
+    assert_eq!(serial, cold_cache("2"));
 }
 
 #[test]

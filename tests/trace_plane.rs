@@ -206,6 +206,49 @@ fn critical_path_total_matches_trace_extent() {
     assert!(out.stdout.contains("top busy nodes:"), "{}", out.stdout);
 }
 
+/// A cold plan splits into running the command and deciding candidates:
+/// every `synth/synthesize` span holds its gradient steps' `observe` and
+/// `filter` spans, each command reports the trie nodes its walks visited,
+/// and `trace report` prints the split.
+#[test]
+fn cold_plan_splits_into_observe_and_filter() {
+    let s = Scratch::new("synth-split");
+    let trace = s.trace_path("t.json");
+    let records = run_traced(&s, &trace, "2");
+    let synth = |kind: kq_trace::Kind, name: &str| -> Vec<&kq_trace::Record> {
+        let of = |r: &&kq_trace::Record| r.kind == kind && r.cat == "synth" && r.name == name;
+        records.iter().filter(of).collect()
+    };
+    let commands = synth(kq_trace::Kind::Span, "synthesize");
+    // `sort`, `uniq -c` and `sort -rn` need synthesis (`cut` is stateless).
+    assert!(commands.len() >= 3, "{} synthesize span(s)", commands.len());
+    let observes = synth(kq_trace::Kind::Span, "observe");
+    let filters = synth(kq_trace::Kind::Span, "filter");
+    assert!(observes.len() >= commands.len());
+    assert_eq!(
+        observes.len(),
+        filters.len(),
+        "one of each per gradient step"
+    );
+    for phase in observes.iter().chain(&filters) {
+        let parent = commands
+            .iter()
+            .find(|c| c.tid == phase.tid && c.t0 <= phase.t0 && phase.t1 <= c.t1);
+        assert!(parent.is_some(), "{phase:?} lies in no synthesize span");
+    }
+    let nodes = synth(kq_trace::Kind::Counter, "trie-nodes");
+    assert_eq!(nodes.len(), commands.len());
+    assert!(nodes.iter().all(|r| r.v.unwrap_or(0.0) > 0.0));
+
+    let analysis = kq_trace::report::analyze(&records);
+    assert_eq!(analysis.synthesis.commands, commands.len());
+    assert!(
+        analysis.synthesis.observe_ns + analysis.synthesis.filter_ns <= analysis.synthesis.total_ns
+    );
+    let out = call(&["trace", "report", &trace]);
+    assert!(out.stdout.contains("deciding candidates"), "{}", out.stdout);
+}
+
 /// The Chrome export is well-formed JSON with one metadata-named track
 /// per dataflow graph node and complete-event spans on worker tracks.
 #[test]
