@@ -14,7 +14,7 @@ use kq_pipeline::cache::CombinerCache;
 use kq_pipeline::exec::{run_parallel, run_serial};
 use kq_pipeline::parse::{parse_script, InputSource, Script};
 use kq_pipeline::plan::{PlannedScript, Planner};
-use kq_stream::Bytes;
+use kq_stream::{Bytes, Rope};
 use kq_synth::SynthesisConfig;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -23,8 +23,12 @@ use std::path::Path;
 /// What a subcommand produced.
 #[derive(Debug, Default)]
 pub struct CliOutput {
-    /// Text for stdout.
-    pub stdout: String,
+    /// What goes to stdout, as the segments the subcommand produced it in:
+    /// one for a report, the buffers a run's statements ended in for `run`
+    /// (mapped spill files included). The binary writes them out one after
+    /// the other, so the output is never gathered into one heap buffer;
+    /// [`text`](CliOutput::text) is the gathered form for tests.
+    pub stdout: Rope,
     /// Diagnostics for stderr.
     pub notes: Vec<String>,
     /// Process exit code. Nonzero for subcommands that ran successfully
@@ -36,11 +40,21 @@ pub struct CliOutput {
 
 impl CliOutput {
     fn from_stdout(stdout: String) -> CliOutput {
+        CliOutput::with_notes(stdout, Vec::new())
+    }
+
+    fn with_notes(stdout: String, notes: Vec<String>) -> CliOutput {
         CliOutput {
-            stdout,
-            notes: Vec::new(),
+            stdout: Bytes::from(stdout).into(),
+            notes,
             exit_code: 0,
         }
+    }
+
+    /// The stdout text in one piece (a copy: for tests and assertions, not
+    /// for writing the output).
+    pub fn text(&self) -> String {
+        self.stdout.segments().iter().map(Bytes::as_str).collect()
     }
 }
 
@@ -101,7 +115,8 @@ USAGE:
                                [--rerun-threshold R]
                                [--spill-mb N] [--spill-dir DIR]
                                [--trace-out FILE] [--metrics]
-        Execute a script with N-way data parallelism (default 4); the
+        Execute a script with N-way data parallelism (default: the
+        number of cores available to the process); the
         parallel output is verified against the serial output unless
         --no-verify is given (the serial oracle re-reads the whole input
         onto the heap — skip it for out-of-core runs). Files named
@@ -153,13 +168,14 @@ USAGE:
         Compile the script into a runnable POSIX shell script that uses
         the real Unix commands plus the synthesized combiners.
     kumquat corpus [--suite NAME] [--plan] [--combiner-cache FILE]
-                   [--synth-workers N]
+                   [--synth-workers N] [--trace-out FILE] [--metrics]
         List the 70-script benchmark corpus from the paper. With --plan,
         generate each script's inputs and plan it, sharing one combiner
         cache across the whole corpus, then print per-command synthesis
         times and cache statistics (CI plans the corpus twice against a
         shared --combiner-cache and asserts the second pass reports zero
-        synthesis rounds).
+        synthesis rounds). --trace-out and --metrics record the planning
+        pass the way they record a run.
 ";
 
 fn synthesis_config(args: &ParsedArgs) -> Result<SynthesisConfig, String> {
@@ -230,11 +246,7 @@ fn cmd_synthesize(args: &ParsedArgs) -> Result<CliOutput, String> {
     };
     let ctx = ExecContext::default();
     let report = kq_synth::synthesize(&command, &ctx, &synthesis_config(args)?);
-    Ok(CliOutput {
-        stdout: render_synthesis(&report),
-        notes,
-        exit_code: 0,
-    })
+    Ok(CliOutput::with_notes(render_synthesis(&report), notes))
 }
 
 /// `kumquat check`: the static analysis pass — parse, classify on the
@@ -259,9 +271,8 @@ fn cmd_check(args: &ParsedArgs) -> Result<CliOutput, String> {
         other => return Err(format!("--format must be 'human' or 'json', got {other:?}")),
     };
     Ok(CliOutput {
-        stdout,
-        notes: Vec::new(),
         exit_code: i32::from(!analysis.passes(args.flag("deny-warnings"))),
+        ..CliOutput::from_stdout(stdout)
     })
 }
 
@@ -347,6 +358,12 @@ fn load_referenced_files(script: &Script, ctx: &ExecContext, opts: &IngestOption
     notes
 }
 
+/// The `--workers` default: one pool thread per core the host gives this
+/// process (1 when it will not say).
+fn host_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 struct PlannedRun {
     script: Script,
     plan: PlannedScript,
@@ -419,11 +436,7 @@ fn cmd_plan(args: &ParsedArgs) -> Result<CliOutput, String> {
         &planned.planner.reports,
         planned.planner.cache_stats(),
     ));
-    Ok(CliOutput {
-        stdout,
-        notes: planned.notes,
-        exit_code: 0,
-    })
+    Ok(CliOutput::with_notes(stdout, planned.notes))
 }
 
 fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
@@ -437,7 +450,11 @@ fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
         .opt("exec")
         .or_else(|| args.opt("executor"))
         .unwrap_or("dataflow");
-    let workers = args.opt_parse_nonzero("workers", 4)?;
+    // Asking the host costs a few file reads: only when the flag is absent.
+    let workers = match args.opt("workers") {
+        Some(_) => args.opt_parse_nonzero("workers", 1)?,
+        None => host_parallelism(),
+    };
     let chunk_kb = args.opt_parse_nonzero_or_auto("chunk-kb", 64)?;
     let queue_depth = args.opt_parse_nonzero_or_auto("queue-depth", 4)?;
     if executor != "dataflow" {
@@ -468,12 +485,8 @@ fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
         return Err("--spill-mb requires --exec streaming or --exec dataflow".into());
     }
     // The trace session wraps planning, the serial oracle, and the
-    // parallel run: --trace-out captures every layer's spans, --metrics
-    // aggregates them into the end-of-run metrics block. Off by default —
-    // with neither flag the recorder stays a relaxed-load no-op.
-    let trace_out = args.opt("trace-out").map(str::to_owned);
-    let want_metrics = args.flag("metrics");
-    let session = (trace_out.is_some() || want_metrics).then(kq_trace::TraceSession::start);
+    // parallel run.
+    let tracing = Tracing::start(args);
     let planned = plan_from_args(args)?;
     // The serial oracle gathers the whole input and output on the heap —
     // exactly what an out-of-core run cannot afford. --no-verify skips it
@@ -483,8 +496,12 @@ fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
     } else {
         Some(run_serial(&planned.script, &planned.ctx).map_err(|e| e.to_string())?)
     };
-    let parallel = match executor {
+    // Stdout stays the segments the run produced (see `CliOutput::stdout`);
+    // only the dataflow executor produces more than one.
+    let whole = |run: kq_pipeline::ExecutionResult| (Rope::from(run.output), run.timings);
+    let (output, timings) = match executor {
         "static" => run_parallel(&planned.script, &planned.plan, &planned.ctx, workers, honor)
+            .map(whole)
             .map_err(|e| e.to_string())?,
         "chunked" => {
             let opts = kq_pipeline::chunked::ChunkedOptions {
@@ -493,6 +510,7 @@ fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
                 honor_elimination: honor,
             };
             kq_pipeline::chunked::run_chunked(&planned.script, &planned.plan, &planned.ctx, &opts)
+                .map(whole)
                 .map_err(|e| e.to_string())?
         }
         "streaming" => {
@@ -504,6 +522,7 @@ fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
                 spill: spill.clone(),
             };
             kq_pipeline::run_streaming(&planned.script, &planned.plan, &planned.ctx, &opts)
+                .map(whole)
                 .map_err(|e| e.to_string())?
         }
         "dataflow" => {
@@ -520,7 +539,7 @@ fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
                 fuse_streamable: honor,
                 spill: spill.clone(),
             };
-            kq_pipeline::run_dataflow(&planned.script, &planned.plan, &planned.ctx, &opts)
+            kq_pipeline::run_dataflow_segments(&planned.script, &planned.plan, &planned.ctx, &opts)
                 .map_err(|e| e.to_string())?
         }
         other => {
@@ -531,7 +550,7 @@ fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
     };
     let mut notes = planned.notes;
     if let Some(serial) = &serial {
-        if parallel.output != serial.output {
+        if !output.eq_bytes(serial.output.as_bytes()) {
             return Err("parallel output diverged from serial output (combiner bug)".into());
         }
     }
@@ -540,23 +559,53 @@ fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
         workers,
         planned.script.statements.len(),
         &planned.plan,
-        &parallel.timings,
+        &timings,
         serial.is_some(),
     ));
-    if let Some(session) = session {
-        let records = session.finish();
-        if let Some(path) = &trace_out {
-            notes.extend(write_trace_files(path, &records)?);
-        }
-        if want_metrics {
-            notes.extend(kq_trace::report::render_metrics(&records));
-        }
-    }
+    tracing.finish(&mut notes)?;
     Ok(CliOutput {
-        stdout: parallel.output.into_string(),
+        stdout: output,
         notes,
         exit_code: 0,
     })
+}
+
+/// The `--trace-out FILE` / `--metrics` session of one invocation, shared
+/// by every subcommand that records (`run`, `corpus --plan`): --trace-out
+/// captures every layer's spans, --metrics aggregates them into the
+/// end-of-run metrics block. Off by default — with neither flag no session
+/// starts and the recorder stays a relaxed-load no-op.
+struct Tracing {
+    session: Option<kq_trace::TraceSession>,
+    trace_out: Option<String>,
+    want_metrics: bool,
+}
+
+impl Tracing {
+    fn start(args: &ParsedArgs) -> Tracing {
+        let trace_out = args.opt("trace-out").map(str::to_owned);
+        let want_metrics = args.flag("metrics");
+        Tracing {
+            session: (trace_out.is_some() || want_metrics).then(kq_trace::TraceSession::start),
+            trace_out,
+            want_metrics,
+        }
+    }
+
+    /// Ends the session, writes the trace files and appends the notes.
+    fn finish(self, notes: &mut Vec<String>) -> Result<(), String> {
+        let Some(session) = self.session else {
+            return Ok(());
+        };
+        let records = session.finish();
+        if let Some(path) = &self.trace_out {
+            notes.extend(write_trace_files(path, &records)?);
+        }
+        if self.want_metrics {
+            notes.extend(kq_trace::report::render_metrics(&records));
+        }
+        Ok(())
+    }
 }
 
 /// Writes the two `--trace-out` artifacts: the JSONL record stream at
@@ -619,17 +668,9 @@ fn cmd_emit(args: &ParsedArgs) -> Result<CliOutput, String> {
     if let Some(path) = args.opt("out") {
         std::fs::write(path, &emitted.script).map_err(|e| format!("{path}: {e}"))?;
         notes.push(format!("wrote {path}"));
-        Ok(CliOutput {
-            stdout: String::new(),
-            notes,
-            exit_code: 0,
-        })
+        Ok(CliOutput::with_notes(String::new(), notes))
     } else {
-        Ok(CliOutput {
-            stdout: emitted.script,
-            notes,
-            exit_code: 0,
-        })
+        Ok(CliOutput::with_notes(emitted.script, notes))
     }
 }
 
@@ -674,6 +715,7 @@ fn cmd_corpus(args: &ParsedArgs) -> Result<CliOutput, String> {
 /// statistics. The trailing "synthesis rounds" line is what CI's
 /// warm-cache job asserts reaches zero on the second pass.
 fn cmd_corpus_plan(args: &ParsedArgs, filter: Option<&str>) -> Result<CliOutput, String> {
+    let tracing = Tracing::start(args);
     let mut notes = Vec::new();
     let mut planner = planner_from_args(args, &mut notes)?;
     let scale = kq_workloads::Scale::tests();
@@ -719,11 +761,8 @@ fn cmd_corpus_plan(args: &ParsedArgs, filter: Option<&str>) -> Result<CliOutput,
     )
     .unwrap();
     finish_planning(&mut planner, &mut notes);
-    Ok(CliOutput {
-        stdout: out,
-        notes,
-        exit_code: 0,
-    })
+    tracing.finish(&mut notes)?;
+    Ok(CliOutput::with_notes(out, notes))
 }
 
 /// The planning sample for a corpus script: a line-aligned 16 KiB prefix
@@ -746,7 +785,7 @@ mod tests {
     #[test]
     fn synthesize_subcommand_reports_combiner() {
         let out = call(&["synthesize", "wc -l"]).unwrap();
-        assert!(out.stdout.contains("(back '\\n' add)"));
+        assert!(out.text().contains("(back '\\n' add)"));
     }
 
     #[test]
@@ -764,9 +803,9 @@ mod tests {
         }
         let out = call(&["synthesize", "wc -l", "--external"]).unwrap();
         assert!(
-            out.stdout.contains("(back '\\n' add)"),
+            out.text().contains("(back '\\n' add)"),
             "got: {}",
-            out.stdout
+            out.text()
         );
         assert!(out.notes.iter().any(|n| n.contains("real system binary")));
     }
@@ -782,14 +821,14 @@ mod tests {
         let out = call(&["check", "cat /in.txt | grep fox | sort | uniq -c"]).unwrap();
         assert_eq!(out.exit_code, 0);
         assert!(
-            out.stdout.contains("statically stateless"),
+            out.text().contains("statically stateless"),
             "{}",
-            out.stdout
+            out.text()
         );
         assert!(
-            out.stdout.contains("0 error(s), 0 warning(s)"),
+            out.text().contains("0 error(s), 0 warning(s)"),
             "{}",
-            out.stdout
+            out.text()
         );
     }
 
@@ -798,7 +837,7 @@ mod tests {
         let script = "cat /t.txt | grep a | sort > /t.txt";
         let lenient = call(&["check", script]).unwrap();
         assert_eq!(lenient.exit_code, 0);
-        assert!(lenient.stdout.contains("KQ103"), "{}", lenient.stdout);
+        assert!(lenient.text().contains("KQ103"), "{}", lenient.text());
         let strict = call(&["check", script, "--deny-warnings"]).unwrap();
         assert_eq!(strict.exit_code, 1);
     }
@@ -808,17 +847,17 @@ mod tests {
         let out = call(&["check", "cat /in.txt | sort >"]).unwrap();
         assert_eq!(out.exit_code, 1);
         assert!(
-            out.stdout.contains("error[KQ001] statement 1, line 1"),
+            out.text().contains("error[KQ001] statement 1, line 1"),
             "{}",
-            out.stdout
+            out.text()
         );
     }
 
     #[test]
     fn check_json_format_and_bad_format_error() {
         let out = call(&["check", "cat /in.txt | wc -l", "--format", "json"]).unwrap();
-        assert!(out.stdout.starts_with("{\"summary\":"), "{}", out.stdout);
-        assert!(out.stdout.ends_with("}\n"), "{}", out.stdout);
+        assert!(out.text().starts_with("{\"summary\":"), "{}", out.text());
+        assert!(out.text().ends_with("}\n"), "{}", out.text());
         let err = call(&["check", "cat /in.txt | wc -l", "--format", "yaml"]).unwrap_err();
         assert!(err.contains("--format must be"), "{err}");
     }
@@ -832,15 +871,15 @@ mod tests {
     #[test]
     fn help_prints_usage() {
         let out = call(&["help"]).unwrap();
-        assert!(out.stdout.contains("kumquat synthesize"));
+        assert!(out.text().contains("kumquat synthesize"));
     }
 
     #[test]
     fn corpus_lists_all_suites() {
         let out = call(&["corpus"]).unwrap();
-        assert!(out.stdout.contains("70 script(s)"), "got: {}", out.stdout);
+        assert!(out.text().contains("70 script(s)"), "got: {}", out.text());
         let poets = call(&["corpus", "--suite", "poets"]).unwrap();
-        assert!(poets.stdout.contains("22 script(s)"));
+        assert!(poets.text().contains("22 script(s)"));
         assert!(call(&["corpus", "--suite", "nope"]).is_err());
     }
 
@@ -853,10 +892,10 @@ mod tests {
         let script = format!("cat {} | cut -d ' ' -f 1 | sort | uniq -c", input.display());
 
         let plan = call(&["plan", &script]).unwrap();
-        assert!(plan.stdout.contains("stages parallelized"));
+        assert!(plan.text().contains("stages parallelized"));
 
         let run = call(&["run", &script, "--workers", "3"]).unwrap();
-        assert!(run.stdout.contains(" a\n"), "got: {}", run.stdout);
+        assert!(run.text().contains(" a\n"), "got: {}", run.text());
         assert!(
             run.notes.iter().any(|n| n.contains("verified")),
             "notes: {:?}",
@@ -883,7 +922,7 @@ mod tests {
             "1",
         ])
         .unwrap();
-        assert!(run.stdout.contains(" a\n"), "got: {}", run.stdout);
+        assert!(run.text().contains(" a\n"), "got: {}", run.text());
         assert!(run.notes.iter().any(|n| n.contains("chunked")));
         assert!(call(&["run", &script, "--executor", "warp"]).is_err());
         std::fs::remove_dir_all(&dir).ok();
@@ -912,7 +951,7 @@ mod tests {
             "2",
         ])
         .unwrap();
-        assert!(run.stdout.contains(" b\n"), "got: {}", run.stdout);
+        assert!(run.text().contains(" b\n"), "got: {}", run.text());
         assert!(
             run.notes.iter().any(|n| n.contains("streaming")),
             "notes: {:?}",
@@ -939,7 +978,7 @@ mod tests {
             "2",
         ])
         .unwrap();
-        assert_eq!(run.stdout, "b x\n");
+        assert_eq!(run.text(), "b x\n");
         assert!(
             run.notes
                 .iter()
@@ -983,7 +1022,7 @@ mod tests {
             "2",
         ])
         .unwrap();
-        assert!(run.stdout.contains(" b\n"), "got: {}", run.stdout);
+        assert!(run.text().contains(" b\n"), "got: {}", run.text());
         assert!(
             run.notes
                 .iter()
@@ -1013,7 +1052,7 @@ mod tests {
             "2",
         ])
         .unwrap();
-        assert_eq!(run.stdout, "b x\n");
+        assert_eq!(run.text(), "b x\n");
         assert!(
             run.notes
                 .iter()
@@ -1032,7 +1071,7 @@ mod tests {
         std::fs::write(&input, "b x\na y\nb z\n".repeat(40)).unwrap();
         let script = format!("cat {} | cut -d ' ' -f 1 | sort | uniq -c", input.display());
         let run = call(&["run", &script, "--workers", "2"]).unwrap();
-        assert!(run.stdout.contains(" b\n"), "got: {}", run.stdout);
+        assert!(run.text().contains(" b\n"), "got: {}", run.text());
         assert!(
             run.notes.iter().any(|n| n.contains("work-stealing pool")
                 && n.contains("verified: dataflow")
@@ -1040,6 +1079,46 @@ mod tests {
             "default run must report the dataflow executor: {:?}",
             run.notes
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn workers_default_to_the_cores_the_host_offers() {
+        let dir = std::env::temp_dir().join(format!("kq-cli-workers-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let input = dir.join("w.txt");
+        std::fs::write(&input, "b x\na y\nb z\n".repeat(40)).unwrap();
+        let script = format!("cat {} | sort | uniq -c", input.display());
+        let cores = std::thread::available_parallelism().unwrap().get();
+        let pool = |notes: &[String]| {
+            let note = notes.iter().find(|n| n.contains("work-stealing pool"));
+            note.expect("the dataflow run reports its pool").clone()
+        };
+        let run = call(&["run", &script]).unwrap();
+        let expect = format!("pool of {cores} worker thread(s)");
+        assert!(pool(&run.notes).ends_with(&expect), "{:?}", run.notes);
+        // The flag still decides when given.
+        let run = call(&["run", &script, "--workers", "3"]).unwrap();
+        assert!(pool(&run.notes).ends_with("pool of 3 worker thread(s)"));
+        assert!(USAGE.contains("number of cores available"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_run_writes_stdout_from_its_segments() {
+        // Two statements print: stdout is their two buffers, in order,
+        // and `text()` is the gathered form.
+        let dir = std::env::temp_dir().join(format!("kq-cli-segments-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let input = dir.join("w.txt");
+        std::fs::write(&input, "b\na\nc\n").unwrap();
+        let script = format!(
+            "cat {inp} | sort\ncat {inp} | sort -r",
+            inp = input.display()
+        );
+        let run = call(&["run", &script, "--workers", "2"]).unwrap();
+        assert_eq!(run.stdout.segment_count(), 2);
+        assert_eq!(run.text(), "a\nb\nc\nc\nb\na\n");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1066,7 +1145,7 @@ mod tests {
             "auto",
         ])
         .unwrap();
-        assert!(run.stdout.contains(" b\n"), "got: {}", run.stdout);
+        assert!(run.text().contains(" b\n"), "got: {}", run.text());
         assert!(
             run.notes.iter().any(|n| n.starts_with("adaptive:")
                 && n.contains("chunk auto")
@@ -1134,7 +1213,7 @@ mod tests {
         let script = format!("cat {} | cut -d ' ' -f 1 | sort | uniq -c", input.display());
         let mapped = call(&["run", &script, "--mmap", "on", "--exec", "streaming"]).unwrap();
         let heap = call(&["run", &script, "--mmap", "off"]).unwrap();
-        assert_eq!(mapped.stdout, heap.stdout, "backings must be invisible");
+        assert_eq!(mapped.text(), heap.text(), "backings must be invisible");
         assert!(
             mapped.notes.iter().any(|n| n.contains("mapped")),
             "notes should report the mapping: {:?}",
@@ -1157,7 +1236,7 @@ mod tests {
         let script = format!("cat {} | cut -d ' ' -f 1 | sort", input.display());
         let verified = call(&["run", &script]).unwrap();
         let unverified = call(&["run", &script, "--no-verify", "--exec", "streaming"]).unwrap();
-        assert_eq!(verified.stdout, unverified.stdout);
+        assert_eq!(verified.text(), unverified.text());
         assert!(unverified.notes.iter().any(|n| n.contains("unverified")));
         assert!(!unverified.notes.iter().any(|n| n.contains("equals serial")));
         std::fs::remove_dir_all(&dir).ok();
@@ -1204,12 +1283,12 @@ mod tests {
         let script = format!("cat {} | grep a | wc -l", input.display());
         let out = call(&["plan", &script]).unwrap();
         assert!(
-            out.stdout.contains("command(s) synthesized"),
+            out.text().contains("command(s) synthesized"),
             "{}",
-            out.stdout
+            out.text()
         );
         // grep is lattice-short-circuited; wc -l is the synthesized one.
-        assert!(out.stdout.contains(" ms  wc -l"), "{}", out.stdout);
+        assert!(out.text().contains(" ms  wc -l"), "{}", out.text());
         assert!(
             out.notes
                 .iter()
@@ -1217,7 +1296,7 @@ mod tests {
             "{:?}",
             out.notes
         );
-        assert!(out.stdout.contains("combiner cache:"), "{}", out.stdout);
+        assert!(out.text().contains("combiner cache:"), "{}", out.text());
         assert!(
             out.notes.iter().any(|n| n.contains("synthesis:")),
             "{:?}",
@@ -1239,9 +1318,9 @@ mod tests {
         let cold = call(&["plan", &script, "--combiner-cache", &cache_arg]).unwrap();
         // grep short-circuits on the lattice; sort and uniq -c synthesize.
         assert!(
-            cold.stdout.contains("2 command(s) synthesized"),
+            cold.text().contains("2 command(s) synthesized"),
             "{}",
-            cold.stdout
+            cold.text()
         );
         assert!(
             cold.notes
@@ -1256,18 +1335,18 @@ mod tests {
         // synthesizes, and the plan is unchanged.
         let warm = call(&["plan", &script, "--combiner-cache", &cache_arg]).unwrap();
         assert!(
-            warm.stdout.contains("0 command(s) synthesized"),
+            warm.text().contains("0 command(s) synthesized"),
             "{}",
-            warm.stdout
+            warm.text()
         );
-        assert!(warm.stdout.contains("(2 validated"), "{}", warm.stdout);
+        assert!(warm.text().contains("(2 validated"), "{}", warm.text());
         let plan_of = |s: &str| {
             s.lines()
                 .take_while(|l| !l.starts_with("synthesis:"))
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        assert_eq!(plan_of(&cold.stdout), plan_of(&warm.stdout));
+        assert_eq!(plan_of(&cold.text()), plan_of(&warm.text()));
 
         // A run through the warm cache still verifies against serial.
         let run = call(&[
@@ -1297,9 +1376,9 @@ mod tests {
             poisoned.notes
         );
         assert!(
-            poisoned.stdout.contains("2 command(s) synthesized"),
+            poisoned.text().contains("2 command(s) synthesized"),
             "{}",
-            poisoned.stdout
+            poisoned.text()
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1320,14 +1399,14 @@ mod tests {
         ])
         .unwrap();
         assert!(
-            cold.stdout.contains("planned 4 script(s)"),
+            cold.text().contains("planned 4 script(s)"),
             "{}",
-            cold.stdout
+            cold.text()
         );
         assert!(
-            !cold.stdout.contains("synthesis rounds: 0"),
+            !cold.text().contains("synthesis rounds: 0"),
             "{}",
-            cold.stdout
+            cold.text()
         );
         let warm = call(&[
             "corpus",
@@ -1339,14 +1418,14 @@ mod tests {
         ])
         .unwrap();
         assert!(
-            warm.stdout.contains("synthesis rounds: 0"),
+            warm.text().contains("synthesis rounds: 0"),
             "{}",
-            warm.stdout
+            warm.text()
         );
         assert!(
-            warm.stdout.contains("0 command(s) synthesized"),
+            warm.text().contains("0 command(s) synthesized"),
             "{}",
-            warm.stdout
+            warm.text()
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1386,7 +1465,7 @@ mod tests {
                 .unwrap()
                 .to_owned()
         };
-        assert_ne!(par_line(&default.stdout), par_line(&strict.stdout));
+        assert_ne!(par_line(&default.text()), par_line(&strict.text()));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1404,8 +1483,8 @@ mod tests {
         std::fs::write(&input, "b\na\nc\n".repeat(10)).unwrap();
         let script = format!("cat {} | sort", input.display());
         let out = call(&["emit", &script, "--workers", "2"]).unwrap();
-        assert!(out.stdout.starts_with("#!/bin/sh"));
-        assert!(out.stdout.contains("sort -m"));
+        assert!(out.text().starts_with("#!/bin/sh"));
+        assert!(out.text().contains("sort -m"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

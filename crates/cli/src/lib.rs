@@ -13,7 +13,7 @@
 //!
 //! ```
 //! let out = kq_cli::run_cli(&["synthesize".into(), "wc -l".into()]).unwrap();
-//! assert!(out.stdout.contains("(back '\\n' add)"));
+//! assert!(out.text().contains("(back '\\n' add)"));
 //! ```
 
 #![deny(unsafe_code)]

@@ -10,9 +10,14 @@ fn main() {
                 eprintln!("kumquat: {note}");
             }
             let mut stdout = std::io::stdout().lock();
-            if stdout.write_all(output.stdout.as_bytes()).is_err() {
-                // Broken pipe (e.g. `kumquat corpus | head`) is not an error.
-                std::process::exit(0);
+            // One write per segment, each dropped once written: a mapped
+            // spill file is unmapped again as soon as it is out.
+            for segment in output.stdout.into_segments() {
+                if stdout.write_all(segment.as_bytes()).is_err() {
+                    // Broken pipe (e.g. `kumquat corpus | head`) is not an
+                    // error.
+                    std::process::exit(0);
+                }
             }
             // Findings exit (`check --deny-warnings`): 1, distinct from
             // the argument/IO error exit 2 below.

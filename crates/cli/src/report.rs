@@ -207,12 +207,15 @@ pub fn render_run_notes(
     for (si, stages) in timings.statements.iter().enumerate() {
         for stage in stages {
             if let Some(sp) = stage.spill.filter(|sp| sp.runs_spilled > 0) {
+                // The files of the closing merge are output, not runs:
+                // a merge that ran in p parts wrote p of them.
                 notes.push(format!(
-                    "spill: statement {} ({}) wrote {} run(s), {} KiB to disk, \
-                     mapped {} KiB back for the merge",
+                    "spill: statement {} ({}) wrote {} run(s) and {} part(s) of the merged \
+                     output, {} KiB to disk, mapped {} KiB back for the merge",
                     si + 1,
                     stage.label,
-                    sp.runs_spilled,
+                    sp.runs_spilled.saturating_sub(sp.merge_parts),
+                    sp.merge_parts,
                     sp.bytes_written / 1024,
                     sp.bytes_mapped / 1024
                 ));

@@ -36,6 +36,18 @@
 //! `merge <flags>` operator (`unixMerge` in the paper, realized as
 //! `sort -m <flags>`), exposed programmatically via [`LineOrder::merge`]
 //! and, for the out-of-core fold, [`LineOrder::merge_to`].
+//!
+//! # Merging in parts
+//!
+//! A k-way merge is one thread's work however many streams it reads. To
+//! spread it, [`LineOrder::partition`] cuts the sorted streams into key
+//! ranges the way a sample sort does — splitter lines sampled from the
+//! streams, every stream cut at its lower bound for each splitter — and
+//! the ranges are merged independently, by the same `merge`/`merge_to`,
+//! and concatenated. A boundary only ever separates lines the full
+//! comparator orders strictly, so `-u`, the folded and numeric orders, `-r`
+//! and the stream-index tie-break come out exactly as in the flat merge;
+//! the method's documentation states the contract.
 
 use crate::{Bytes, CmdError, ExecContext, UnixCommand};
 use std::cmp::Ordering;
@@ -476,6 +488,131 @@ impl LineOrder {
         }
         Ok(consumed)
     }
+
+    /// Cuts `runs` — each sorted under this order, the way `sort <flags>`
+    /// or a merge leaves it — into `parts` key ranges whose merges are
+    /// independent: `result[p][r]` is the byte range of run `r` that
+    /// belongs to part `p`, every run is tiled by its ranges in part
+    /// order, and merging each part's ranges (runs in the same order) and
+    /// concatenating the outputs in part order is byte for byte the flat
+    /// [`merge`](LineOrder::merge) of the whole runs.
+    ///
+    /// The contract is about which lines a boundary may separate: only
+    /// lines the full comparator orders *strictly*. Each boundary is a
+    /// splitter line, and every run is cut at its lower bound — the first
+    /// line that does not compare less than the splitter — so all lines
+    /// that compare equal to it, in every run, start the same part. Lines
+    /// the comparator calls equal (key-equal lines under `-u`, whatever
+    /// their bytes under `-n` or `-f`; identical lines otherwise)
+    /// therefore never straddle a boundary: `-u` drops exactly the
+    /// duplicates the flat merge drops, and the stream-index tie-break
+    /// decides among the same candidates.
+    ///
+    /// Splitters are lines sampled one per so many bytes across the runs (a
+    /// fixed number per part, so parts come out within a few percent of
+    /// even unless one key dominates), which makes the cut a pure function
+    /// of the runs. Parts may be empty: an input of one repeated line puts
+    /// everything in the last part.
+    ///
+    /// `done_with` is called with a run's index each time the search has
+    /// finished reading that run for the moment — after sampling it, and
+    /// after each boundary search in it. Sampling and binary searches
+    /// touch pages all over a run (and a page fault maps its neighbours
+    /// along with it), so a caller whose runs are mapped files and should
+    /// stay out of core drops the run's resident pages there; the search
+    /// keeps copies of the lines it sampled, not references into the runs.
+    /// Callers with runs in memory pass `&mut |_| {}`.
+    pub fn partition(
+        self,
+        runs: &[&[u8]],
+        parts: usize,
+        done_with: &mut dyn FnMut(usize),
+    ) -> Vec<Vec<std::ops::Range<usize>>> {
+        /// Samples per part: the largest part exceeds the mean by a few
+        /// percent at 32, and the whole sample stays a few KB to sort.
+        const OVERSAMPLE: usize = 32;
+        let parts = parts.max(1);
+        let total: usize = runs.iter().map(|r| r.len()).sum();
+        let mut samples: Vec<(u64, Vec<u8>)> = Vec::new();
+        if parts > 1 && total > 0 {
+            let step = (total / (parts * OVERSAMPLE)).max(1);
+            // One sample per `step` bytes of the runs' concatenation, at an
+            // offset inside its step that changes from sample to sample
+            // (multiples of the golden ratio): runs about as long as a
+            // step would otherwise all be sampled at the same depth, and
+            // the sample would see only that slice of the key space.
+            let mut cell = 0usize;
+            let mut skipped = 0usize;
+            for (r, run) in runs.iter().enumerate() {
+                loop {
+                    let jitter = (cell as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+                    let pos = cell * step + (jitter as usize) % step - skipped;
+                    if pos >= run.len() {
+                        break;
+                    }
+                    let (start, end) = line_around(run, 0, pos);
+                    let line = &run[start..end];
+                    samples.push((self.key(line), line.to_vec()));
+                    cell += 1;
+                }
+                skipped += run.len();
+                done_with(r);
+            }
+            samples.sort_by(|a, b| self.compare((a.0, &a.1), (b.0, &b.1)));
+        }
+        let mut from = vec![0usize; runs.len()];
+        let mut cuts = Vec::with_capacity(parts);
+        for p in 1..=parts {
+            let upto: Vec<usize> = match samples.get(p * samples.len() / parts) {
+                // Searching from the previous cut keeps every run's
+                // ranges in order whatever the run holds.
+                Some((key, line)) if p < parts => (0..runs.len())
+                    .map(|r| {
+                        let cut = self.lower_bound(runs[r], from[r], (*key, line));
+                        done_with(r);
+                        cut
+                    })
+                    .collect(),
+                _ => runs.iter().map(|r| r.len()).collect(),
+            };
+            cuts.push(from.iter().zip(&upto).map(|(&lo, &hi)| lo..hi).collect());
+            from = upto;
+        }
+        cuts
+    }
+
+    /// The offset of the first line of `run`, at or after the line start
+    /// `lo`, that does not compare less than `splitter` (`run.len()` when
+    /// every line does).
+    fn lower_bound(self, run: &[u8], mut lo: usize, splitter: (u64, &[u8])) -> usize {
+        // `lo` and `hi` are line starts (or the end): lines before `lo`
+        // compare less than the splitter, lines from `hi` on do not.
+        let mut hi = run.len();
+        while lo < hi {
+            let (start, end) = line_around(run, lo, lo + (hi - lo) / 2);
+            let line = &run[start..end];
+            if self.compare((self.key(line), line), splitter) == Ordering::Less {
+                lo = (end + 1).min(run.len());
+            } else {
+                hi = start;
+            }
+        }
+        lo
+    }
+}
+
+/// The bounds, newline excluded, of the line of `run` that holds byte
+/// `pos`; `from` is a line start at or before `pos`.
+fn line_around(run: &[u8], from: usize, pos: usize) -> (usize, usize) {
+    let start = run[from..pos]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(from, |nl| from + nl + 1);
+    let end = run[pos..]
+        .iter()
+        .position(|&b| b == b'\n')
+        .map_or(run.len(), |nl| pos + nl);
+    (start, end)
 }
 
 /// A position in a stream of lines, holding the current line decorated
@@ -968,6 +1105,109 @@ mod tests {
         s
     }
 
+    type Cuts = Vec<Vec<std::ops::Range<usize>>>;
+
+    /// Each part of a [`LineOrder::partition`] merged on its own, the
+    /// outputs concatenated in part order.
+    fn merge_in_parts(order: LineOrder, runs: &[&[u8]], cuts: &Cuts) -> Vec<u8> {
+        cuts.iter()
+            .flat_map(|ranges| {
+                let slices: Vec<&[u8]> = runs
+                    .iter()
+                    .zip(ranges)
+                    .map(|(run, r)| &run[r.clone()])
+                    .collect();
+                order.merge(&slices)
+            })
+            .collect()
+    }
+
+    /// The partition contract: every run is tiled by its ranges, every
+    /// cut falls on a line start, and each line of a part compares
+    /// strictly less (under the reference comparator) than each line of
+    /// every later part — so no two comparator-equal lines are separated.
+    fn check_cuts(order: LineOrder, runs: &[&[u8]], cuts: &Cuts) {
+        for (r, run) in runs.iter().enumerate() {
+            let mut at = 0;
+            for ranges in cuts {
+                assert_eq!(ranges[r].start, at, "run {r} is not tiled: {cuts:?}");
+                at = ranges[r].end;
+                assert!(
+                    at == 0 || at == run.len() || run[at - 1] == b'\n',
+                    "cut at {at} of run {r} is inside a line"
+                );
+            }
+            assert_eq!(at, run.len(), "run {r} is not covered: {cuts:?}");
+        }
+        let mut previous_max: Option<&str> = None;
+        for ranges in cuts {
+            let lines: Vec<&str> = runs
+                .iter()
+                .zip(ranges)
+                .flat_map(|(run, r)| {
+                    kq_stream::lines_of(std::str::from_utf8(&run[r.clone()]).unwrap())
+                })
+                .collect();
+            let cmp = |a: &&str, b: &&str| reference::line_compare(a, b, order.flags);
+            let (Some(min), Some(max)) = (
+                lines.iter().copied().min_by(cmp),
+                lines.iter().copied().max_by(cmp),
+            ) else {
+                continue;
+            };
+            if let Some(before) = previous_max {
+                assert_eq!(
+                    reference::line_compare(before, min, order.flags),
+                    Ordering::Less,
+                    "{before:?} and {min:?} are not strictly ordered across a boundary"
+                );
+            }
+            previous_max = Some(max);
+        }
+    }
+
+    #[test]
+    fn partition_edges() {
+        let cut = |flags: &str, runs: &[&str], parts: usize| {
+            let order = order(flags);
+            let runs: Vec<&[u8]> = runs.iter().map(|r| r.as_bytes()).collect();
+            let cuts = order.partition(&runs, parts, &mut |_| {});
+            assert_eq!(cuts.len(), parts.max(1));
+            check_cuts(order, &runs, &cuts);
+            assert_eq!(merge_in_parts(order, &runs, &cuts), order.merge(&runs));
+            cuts
+        };
+        let non_empty = |cuts: &Cuts| {
+            cuts.iter()
+                .filter(|ranges| ranges.iter().any(|r| !r.is_empty()))
+                .count()
+        };
+        // No runs, empty runs, and fewer lines than parts.
+        assert!(cut("", &[], 4).iter().all(Vec::is_empty));
+        assert_eq!(non_empty(&cut("", &["", ""], 3)), 0);
+        cut("", &["", "a\nb\n", ""], 5);
+        cut("-n", &["1\n", "2\n3\n"], 9);
+        // Zero parts is one part.
+        assert_eq!(cut("", &["a\n"], 0), vec![vec![0..2]]);
+        // One repeated line cannot be divided, identical or merely
+        // comparator-equal (distinct bytes under -f, -n and -u).
+        assert_eq!(non_empty(&cut("", &["k\nk\nk\n", "k\nk\n", "k\n"], 4)), 1);
+        assert_eq!(non_empty(&cut("-fu", &["a\n", "A\n", "a\n"], 3)), 1);
+        assert_eq!(non_empty(&cut("-nu", &["1\n01\n", "+1x\n1.0\n"], 3)), 1);
+        // Two keys, many lines: at most two parts have lines, and the
+        // equal lines stay together.
+        let twos = "a\n".repeat(40) + &"b\n".repeat(40);
+        assert!(non_empty(&cut("", &[&twos, &twos, "a\nb"], 8)) <= 2);
+        // Unterminated final lines, in the middle of the order and at its
+        // end; NUL and high bytes on both sides of a cut.
+        cut("", &["a\nc\ne", "b\nd\nf"], 3);
+        cut("-r", &["z\nm\na", "y\nb"], 2);
+        cut("", &["\0\na\0\né\n日本語", "\0\nabcdefg\0\nabcdefgé\n"], 4);
+        // A spread of keys divides: every part of a four-way cut is used.
+        let spread: String = (0..400).map(|i| format!("{i:04}\n")).collect();
+        assert_eq!(non_empty(&cut("", &[&spread, &spread], 4)), 4);
+    }
+
     proptest! {
         #[test]
         fn prop_sort_output_is_sorted_permutation(
@@ -1042,6 +1282,39 @@ mod tests {
                     prop_assert!(last.iter().zip(&lens).all(|(done, len)| done <= len));
                 } else {
                     prop_assert_eq!(last, lens);
+                }
+            }
+        }
+
+        #[test]
+        fn prop_part_merges_concatenate_to_the_flat_merge(
+            streams in proptest::collection::vec(
+                (proptest::collection::vec(0usize..VOCABULARY.len(), 0..12), 0usize..2),
+                0..6,
+            ),
+        ) {
+            for flags in FLAG_SETS {
+                let order = order(flags);
+                let sorted: Vec<String> = streams
+                    .iter()
+                    .map(|(picks, final_newline)| {
+                        let mut s = reference::sort_lines(&text(picks, true), order.flags);
+                        if *final_newline == 0 {
+                            s.pop();
+                        }
+                        s
+                    })
+                    .collect();
+                let runs: Vec<&[u8]> = sorted.iter().map(|s| s.as_bytes()).collect();
+                let flat = order.merge(&runs);
+                for parts in 1..=9 {
+                    let cuts = order.partition(&runs, parts, &mut |_| {});
+                    prop_assert_eq!(cuts.len(), parts);
+                    prop_assert_eq!(
+                        &merge_in_parts(order, &runs, &cuts), &flat,
+                        "merge {} of {:?} in {} parts", flags, sorted, parts
+                    );
+                    check_cuts(order, &runs, &cuts);
                 }
             }
         }

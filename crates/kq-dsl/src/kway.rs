@@ -10,7 +10,7 @@ use crate::ast::{Candidate, Combiner, RecOp, RunOp};
 use crate::eval::{eval, merge_order, EvalError, RunEnv};
 use crate::spill::SpillConfig;
 use kq_coreutils::sort::LineOrder;
-use kq_stream::{Bytes, ReleaseCursor};
+use kq_stream::{Bytes, ReleaseCursor, Rope};
 
 /// Text view of a substream for the string-semantic combiners; a
 /// non-UTF-8 piece is a domain error, not a panic.
@@ -162,6 +162,27 @@ fn combine_pair(
 /// index — batches may come back in any order and `finish` still sees the
 /// runs in stream order.
 ///
+/// The closing merge is handed out the same way. [`finish`] of a merge
+/// fold is *plan the parts, merge each part, concatenate*:
+/// [`plan_finish`] cuts the runs and the pieces still pending into key
+/// ranges ([`LineOrder::partition`] — one part per [`FINISH_PART_BYTES`]
+/// folded, at most [`FINISH_MAX_PARTS`], so the count depends on the bytes
+/// folded and on nothing else) and returns one [`FinishPart`] per range,
+/// each owning O(1) slices of the runs and pieces. A part is merged by the
+/// code that merged the whole fold before there were parts — its share of
+/// the pending tail into a last run, then `merge_pieces` in memory or,
+/// once a run has spilled, `merge_spilled_runs` with its release cursors
+/// and a temp file of its own — on whatever thread its holder likes, and
+/// the outputs concatenate in part order to the bytes of the one flat
+/// merge. Below two parts the single part *is* that flat merge. `finish`
+/// runs the parts inline, one after the other, so there is one closing
+/// path: a caller that owns the fold outright (the streaming executor's
+/// collector, every test) and the dataflow scheduler, which runs the parts
+/// as pool tasks, differ only in where `FinishPart::merge` is called.
+///
+/// [`finish`]: IncrementalFold::finish
+/// [`plan_finish`]: IncrementalFold::plan_finish
+///
 /// Strategy per combiner (mirroring [`CombineStrategy::Flat`]):
 ///
 /// * unswapped `concat` — pieces accumulate in a segment list; `finish`
@@ -207,6 +228,30 @@ pub struct IncrementalFold<'a> {
 /// that run merging genuinely overlaps with piece production on long
 /// streams. Also the per-wave input bound of the out-of-core run merge.
 pub const MERGE_RUN_ARITY: usize = 32;
+
+/// Bytes of accumulated runs per part of a merge fold's closing merge (see
+/// [`IncrementalFold::plan_finish`]): large enough that a part's merge
+/// dwarfs the cost of cutting it and that folds of KBs — counts, `sort -u`
+/// of a selective `grep` — close with the one flat merge they always had,
+/// small enough that a sort of tens of MiB gives every worker of a pool
+/// several parts to balance with.
+pub const FINISH_PART_BYTES: usize = 2 << 20;
+
+/// Ceiling on the parts of one closing merge: under a spill budget every
+/// part streams through a temp file of its own, and each is a segment of
+/// the fold's output.
+pub const FINISH_MAX_PARTS: usize = 32;
+
+/// The bytes a merge fold holds: its runs (those installed) and the
+/// pieces still pending.
+fn folded_bytes(runs: &[Option<Bytes>], pending_bytes: usize) -> usize {
+    runs.iter().flatten().map(Bytes::len).sum::<usize>() + pending_bytes
+}
+
+/// Parts to cut a closing merge over `total_bytes` of runs into.
+fn finish_part_count(total_bytes: usize, part_bytes: usize) -> usize {
+    (total_bytes / part_bytes.max(1)).clamp(1, FINISH_MAX_PARTS)
+}
 
 /// Ceiling on pieces per merge run under budget-derived sizing: bounds the
 /// arity of each run-forming k-way merge (and its per-piece bookkeeping)
@@ -389,44 +434,99 @@ impl<'a> IncrementalFold<'a> {
         Ok(())
     }
 
-    /// Settles the fold into the combined stream (empty when nothing was
-    /// pushed).
-    pub fn finish(self) -> Result<Bytes, EvalError> {
+    /// How many parts [`plan_finish`](IncrementalFold::plan_finish) will
+    /// cut the closing merge into (before dropping any that come out
+    /// empty): a pure function of the bytes folded so far. One for every
+    /// fold that is not a merge.
+    pub fn finish_parts(&self) -> usize {
+        match &self.state {
+            FoldState::Merge {
+                runs,
+                pending_bytes,
+                ..
+            } => finish_part_count(folded_bytes(runs, *pending_bytes), FINISH_PART_BYTES),
+            _ => 1,
+        }
+    }
+
+    /// Does everything [`finish`](IncrementalFold::finish) does except the
+    /// part merges, and returns those as work to be done: merge each part
+    /// ([`FinishPart::merge`]) wherever and in whatever order suits, and
+    /// concatenate the outputs by [`FinishPart::index`]. Every fold that
+    /// is not a merge settles here and returns its result as one finished
+    /// part.
+    pub fn plan_finish(self) -> Result<Vec<FinishPart<'a>>, EvalError> {
+        self.plan_finish_at(FINISH_PART_BYTES)
+    }
+
+    /// [`plan_finish`](IncrementalFold::plan_finish) with the part size
+    /// as an argument, so tests can cut folds of a few lines.
+    fn plan_finish_at(self, part_bytes: usize) -> Result<Vec<FinishPart<'a>>, EvalError> {
         let IncrementalFold {
             candidate,
             env,
             state,
             spill,
         } = self;
-        match state {
+        let settled = match state {
             // Only constructed for unswapped concat: stream order is
             // output order.
-            FoldState::Concat(segments) => Ok(kq_stream::concat_bytes(&segments)),
-            FoldState::Gather(segments) => combine_all(candidate, &segments, env),
+            FoldState::Concat(segments) => kq_stream::concat_bytes(&segments),
+            FoldState::Gather(segments) => combine_all(candidate, &segments, env)?,
             FoldState::Merge {
                 order,
                 runs,
                 pending,
-                pending_bytes: _,
-                mut heap_bytes,
-                mut spilled,
+                pending_bytes,
+                heap_bytes,
+                spilled,
             } => {
                 let order = order?;
-                let mut runs: Vec<Bytes> = runs
+                let parts = finish_part_count(folded_bytes(&runs, pending_bytes), part_bytes);
+                let runs: Vec<Bytes> = runs
                     .into_iter()
                     .map(|run| run.expect("finish before every batch was installed"))
                     .collect();
-                if !pending.is_empty() {
-                    let run = merge_pieces(env, order, &pending)?;
-                    drop(pending);
-                    let run = maybe_spill_run(run, &spill, &mut heap_bytes, &mut spilled)?;
-                    runs.push(run);
+                // Once a run has spilled — or the pending tail, settled
+                // into a last run, would be the first to — every part
+                // streams through a temp file, so the heap never holds the
+                // merged output.
+                let spill = spill.filter(|cfg| {
+                    spilled || heap_bytes.saturating_add(pending_bytes) > cfg.budget_bytes
+                });
+                let part = |index: usize, runs: Vec<Bytes>, tail: Vec<Bytes>| FinishPart {
+                    index,
+                    work: PartWork::Merge {
+                        env,
+                        order,
+                        runs,
+                        tail,
+                        spill: spill.clone(),
+                    },
+                };
+                if parts < 2 {
+                    return Ok(vec![part(0, runs, pending)]);
                 }
-                if !spilled {
-                    return merge_pieces(env, order, &runs);
-                }
-                let cfg = spill.as_ref().expect("a run spilled without a config");
-                merge_spilled_runs(env, order, runs, cfg)
+                // The pending pieces are sorted streams like the runs, so
+                // they are cut with them and each part settles its own
+                // share of the tail.
+                let streams: Vec<&Bytes> = runs.iter().chain(&pending).collect();
+                let views: Vec<&[u8]> = streams.iter().map(|s| s.as_bytes()).collect();
+                // Searching a spilled run leaves pages all over it
+                // resident: drop them as soon as each search is done, or
+                // planning alone would map every run whole.
+                let mut release = |r: usize| streams[r].release_range(0..streams[r].len());
+                return Ok(order
+                    .partition(&views, parts, &mut release)
+                    .into_iter()
+                    .filter(|ranges| ranges.iter().any(|r| !r.is_empty()))
+                    .enumerate()
+                    .map(|(index, ranges)| {
+                        let mut slices = streams.iter().zip(ranges).map(|(s, r)| s.slice(r));
+                        let of_runs = slices.by_ref().take(runs.len()).collect();
+                        part(index, of_runs, slices.collect())
+                    })
+                    .collect());
             }
             FoldState::Counter {
                 slots,
@@ -453,7 +553,89 @@ impl<'a> IncrementalFold<'a> {
                         }
                     });
                 }
-                Ok(acc.unwrap_or_default())
+                acc.unwrap_or_default()
+            }
+        };
+        Ok(vec![FinishPart::settled(settled)])
+    }
+
+    /// Settles the fold into the combined stream (empty when nothing was
+    /// pushed): [`plan_finish`](IncrementalFold::plan_finish), with every
+    /// part merged here and now. The segments of the result are the parts'
+    /// outputs — a merge fold that spilled never gathers them onto the
+    /// heap.
+    pub fn finish(self) -> Result<Rope, EvalError> {
+        merge_parts(self.plan_finish()?)
+    }
+}
+
+/// Merges `parts` one after the other and concatenates the outputs.
+fn merge_parts(parts: Vec<FinishPart<'_>>) -> Result<Rope, EvalError> {
+    parts.into_iter().map(FinishPart::merge).collect()
+}
+
+/// One independent piece of a fold's closing work, handed out by
+/// [`IncrementalFold::plan_finish`]: a key range of a merge fold's runs
+/// still to be merged, or — for folds that do not partition — the settled
+/// result. The outputs of a fold's parts, concatenated by
+/// [`index`](FinishPart::index), are the fold's combined stream.
+pub struct FinishPart<'a> {
+    index: usize,
+    work: PartWork<'a>,
+}
+
+enum PartWork<'a> {
+    Settled(Bytes),
+    Merge {
+        env: &'a dyn RunEnv,
+        order: LineOrder,
+        /// This part's slice of every run, in run order.
+        runs: Vec<Bytes>,
+        /// This part's slice of every piece still pending when the fold
+        /// closed: merged into the part's last run first. (It stays on the
+        /// heap, where the pieces already are: all parts' tails together
+        /// are smaller than one run.)
+        tail: Vec<Bytes>,
+        /// Set when the fold spilled: the merge streams through a temp
+        /// file, releasing the run slices' pages behind its frontier.
+        spill: Option<SpillConfig>,
+    },
+}
+
+impl<'a> FinishPart<'a> {
+    /// A finished part holding `combined`: how a fold that settles without
+    /// partitioning returns its result.
+    pub fn settled(combined: Bytes) -> FinishPart<'a> {
+        FinishPart {
+            index: 0,
+            work: PartWork::Settled(combined),
+        }
+    }
+
+    /// Position of this part's output in the combined stream.
+    pub fn index(&self) -> usize {
+        self.index
+    }
+
+    /// Merges the part into its segment of the combined stream.
+    pub fn merge(self) -> Result<Bytes, EvalError> {
+        match self.work {
+            PartWork::Settled(combined) => Ok(combined),
+            PartWork::Merge {
+                env,
+                order,
+                mut runs,
+                tail,
+                spill,
+            } => {
+                if !tail.is_empty() {
+                    runs.push(merge_pieces(env, order, &tail)?);
+                    drop(tail);
+                }
+                match spill {
+                    None => merge_pieces(env, order, &runs),
+                    Some(cfg) => merge_spilled_runs(env, order, runs, &cfg),
+                }
             }
         }
     }
@@ -614,10 +796,11 @@ pub fn spill_piece_batch(pieces: &mut [Bytes], cfg: &SpillConfig) -> Result<usiz
     Ok(total)
 }
 
-/// The out-of-core final merge: an arity-bounded merge tree over the
-/// accumulated runs, each wave streaming `env.merge_stream` fragments into
-/// a fresh temp file while releasing every mapped run's consumed prefix
-/// behind the merge frontier, then mapping the merged output back.
+/// The out-of-core final merge of one [`FinishPart`]: an arity-bounded
+/// merge tree over the part's slices of the accumulated runs, each wave
+/// streaming `env.merge_stream` fragments into a fresh temp file while
+/// releasing every mapped run's consumed prefix behind the merge frontier,
+/// then mapping the merged output back.
 ///
 /// Bounding each wave at [`MERGE_RUN_ARITY`] inputs is a memory bound, not
 /// a comparison-cost tweak: the kernel keeps a frontier window of pages
@@ -642,6 +825,10 @@ fn merge_spilled_runs(
     cfg: &SpillConfig,
 ) -> Result<Bytes, EvalError> {
     runs.retain(|r| !r.is_empty());
+    // The file the last wave writes is this part of the fold's output.
+    if runs.len() > 1 {
+        cfg.metrics.record_part();
+    }
     while runs.len() > 1 {
         let mut next = Vec::with_capacity(runs.len().div_ceil(MERGE_RUN_ARITY));
         while !runs.is_empty() {
@@ -853,7 +1040,7 @@ mod tests {
         for p in pieces {
             push(&mut fold, p);
         }
-        fold.finish().unwrap()
+        fold.finish().unwrap().into_bytes()
     }
 
     #[test]
@@ -941,7 +1128,7 @@ mod tests {
         for batch in batches.into_iter().rev() {
             fold.install(batch.merge().unwrap()).unwrap();
         }
-        assert_eq!(fold.finish().unwrap(), flat);
+        assert_eq!(fold.finish().unwrap().into_bytes(), flat);
     }
 
     #[test]
@@ -1021,7 +1208,7 @@ mod tests {
             for p in &pieces {
                 push(&mut fold, p);
             }
-            assert_eq!(fold.finish().unwrap(), flat);
+            assert_eq!(fold.finish().unwrap().into_bytes(), flat);
             let (runs, written, mapped) = cfg.metrics.snapshot();
             // One run per piece, plus the wave merges of the finish.
             assert!(runs >= pieces.len() as u64, "runs spilled: {runs}");
@@ -1044,7 +1231,7 @@ mod tests {
             for p in &pieces {
                 push(&mut fold, p);
             }
-            assert_eq!(fold.finish().unwrap(), flat);
+            assert_eq!(fold.finish().unwrap().into_bytes(), flat);
             let (runs, _, _) = cfg.metrics.snapshot();
             // Target = total/32: roughly 32 runs form, the over-budget
             // ones spill — strictly fewer spills than pieces proves the
@@ -1081,7 +1268,7 @@ mod tests {
             for p in &pieces {
                 push(&mut fold, p);
             }
-            assert_eq!(fold.finish().unwrap(), flat);
+            assert_eq!(fold.finish().unwrap().into_bytes(), flat);
             let (runs, written, _) = cfg.metrics.snapshot();
             assert!(runs > 0, "counter groups must spill at budget 0");
             assert!(written > 0);
@@ -1098,7 +1285,7 @@ mod tests {
             for p in &pieces {
                 push(&mut fold, p);
             }
-            assert_eq!(fold.finish().unwrap(), flat);
+            assert_eq!(fold.finish().unwrap().into_bytes(), flat);
             assert_eq!(cfg.metrics.snapshot(), (0, 0, 0), "no spill under budget");
         });
     }
@@ -1153,7 +1340,7 @@ mod tests {
             for p in &pieces {
                 push(&mut fold, p);
             }
-            assert_eq!(fold.finish().unwrap(), flat);
+            assert_eq!(fold.finish().unwrap().into_bytes(), flat);
         });
     }
 
@@ -1167,7 +1354,7 @@ mod tests {
             for p in &pieces {
                 push(&mut fold, p);
             }
-            assert_eq!(fold.finish().unwrap(), flat);
+            assert_eq!(fold.finish().unwrap().into_bytes(), flat);
             assert_eq!(cfg.metrics.snapshot(), (0, 0, 0), "no spill under budget");
         });
     }
@@ -1191,6 +1378,147 @@ mod tests {
                 "budget 0 spills one run per piece before the drop"
             );
             drop(fold);
+        });
+    }
+
+    /// Pieces of `n` lines each as `sort <flags>` leaves them, keys drawn
+    /// from a small alphabet so equal lines recur across pieces.
+    fn keyed_pieces(flags: &str, pieces: usize, n: usize) -> Vec<Bytes> {
+        let sort = kq_coreutils::parse_command(&format!("sort {flags}")).unwrap();
+        let ctx = kq_coreutils::ExecContext::default();
+        (0..pieces)
+            .map(|p| {
+                let lines: String = (0..n)
+                    .map(|i| format!("{} {p}\n", (i * 7 + p * 13) % 23))
+                    .collect();
+                sort.run(Bytes::from(lines), &ctx).unwrap()
+            })
+            .collect()
+    }
+
+    fn merge_candidate(flags: &str) -> Candidate {
+        Candidate::run(RunOp::Merge(
+            flags.split_whitespace().map(str::to_owned).collect(),
+        ))
+    }
+
+    #[test]
+    fn finish_in_parts_of_a_few_lines_equals_combine_all() {
+        for flags in ["", "-u", "-n", "-nu", "-r"] {
+            let c = merge_candidate(flags);
+            let pieces = keyed_pieces(flags, MERGE_RUN_ARITY * 2 + 5, 9);
+            let flat = combine_all(&c, &pieces, &FakeEnv).unwrap();
+            let total: usize = pieces.iter().map(Bytes::len).sum();
+            // In memory, then with every run spilled, then with a budget
+            // that keeps the first runs resident.
+            for budget in [None, Some(0), Some(total / 3)] {
+                for part_bytes in [1, 40, 300, total / 3, total * 2] {
+                    let tag = format!("parts-{part_bytes}-{}", budget.unwrap_or(usize::MAX));
+                    with_spill_dir(&tag, budget.unwrap_or(0), |cfg| {
+                        let spill = budget.map(|_| cfg.clone());
+                        let mut fold = IncrementalFold::new_with_spill(&c, &FakeEnv, spill);
+                        for p in &pieces {
+                            push(&mut fold, p);
+                        }
+                        let parts = fold.plan_finish_at(part_bytes).unwrap();
+                        // `-u` runs are smaller than the pieces they merged.
+                        let at_most = finish_part_count(total, part_bytes);
+                        assert!((1..=at_most).contains(&parts.len()));
+                        if part_bytes <= 40 {
+                            assert!(parts.len() > 2, "{flags:?}: the fold must cut");
+                        }
+                        let indices: Vec<usize> = parts.iter().map(FinishPart::index).collect();
+                        assert_eq!(indices, (0..parts.len()).collect::<Vec<_>>());
+                        let got = merge_parts(parts).unwrap().into_bytes();
+                        assert_eq!(
+                            got, flat,
+                            "merge {flags:?}, budget {budget:?}, parts of {part_bytes} bytes"
+                        );
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parts_merged_out_of_order_concatenate_by_index() {
+        let c = merge_candidate("-nu");
+        let pieces = keyed_pieces("-nu", MERGE_RUN_ARITY + 7, 12);
+        let flat = combine_all(&c, &pieces, &FakeEnv).unwrap();
+        let mut fold = IncrementalFold::new(&c, &FakeEnv);
+        for p in &pieces {
+            push(&mut fold, p);
+        }
+        let parts = fold.plan_finish_at(64).unwrap();
+        let mut slots: Vec<Option<Bytes>> = vec![None; parts.len()];
+        for part in parts.into_iter().rev() {
+            let index = part.index();
+            slots[index] = Some(part.merge().unwrap());
+        }
+        let rope: Rope = slots.into_iter().flatten().collect();
+        assert_eq!(rope.into_bytes(), flat);
+    }
+
+    #[test]
+    fn the_part_count_follows_the_bytes_folded_and_small_folds_do_not_cut() {
+        assert_eq!(finish_part_count(0, FINISH_PART_BYTES), 1);
+        assert_eq!(
+            finish_part_count(2 * FINISH_PART_BYTES - 1, FINISH_PART_BYTES),
+            1
+        );
+        assert_eq!(
+            finish_part_count(2 * FINISH_PART_BYTES, FINISH_PART_BYTES),
+            2
+        );
+        assert_eq!(
+            finish_part_count(usize::MAX, FINISH_PART_BYTES),
+            FINISH_MAX_PARTS
+        );
+        // A fold of KBs plans one part — the flat merge — and folds that
+        // are not merges settle in planning.
+        let c = merge_candidate("");
+        let pieces = spill_pieces(MERGE_RUN_ARITY + 3);
+        let mut fold = IncrementalFold::new(&c, &FakeEnv);
+        for p in &pieces {
+            push(&mut fold, p);
+        }
+        assert_eq!(fold.finish_parts(), 1);
+        assert_eq!(fold.plan_finish().unwrap().len(), 1);
+        let concat = Candidate::rec(RecOp::Concat);
+        let mut fold = IncrementalFold::new(&concat, &NoRunEnv);
+        push(&mut fold, &Bytes::from("a\n"));
+        push(&mut fold, &Bytes::from("b\n"));
+        assert_eq!(fold.finish_parts(), 1);
+        let parts = fold.plan_finish().unwrap();
+        assert_eq!(parts.len(), 1);
+        assert_eq!(merge_parts(parts).unwrap().into_bytes(), "a\nb\n");
+    }
+
+    #[test]
+    fn a_spilled_fold_writes_one_file_per_part_and_says_so() {
+        let c = merge_candidate("");
+        let pieces = keyed_pieces("", MERGE_RUN_ARITY, 9);
+        let flat = combine_all(&c, &pieces, &FakeEnv).unwrap();
+        with_spill_dir("part-files", 0, |cfg| {
+            let mut fold = IncrementalFold::new_with_spill(&c, &FakeEnv, Some(cfg.clone()));
+            for p in &pieces {
+                push(&mut fold, p);
+            }
+            let (runs_before, ..) = cfg.metrics.snapshot();
+            let parts = fold.plan_finish_at(200).unwrap();
+            let cut = parts.len() as u64;
+            assert!(cut > 2);
+            let rope = merge_parts(parts).unwrap();
+            assert_eq!(rope.segment_count() as u64, cut, "one mapped file per part");
+            assert!(rope.segments().iter().all(Bytes::is_mmap_backed));
+            assert_eq!(rope.into_bytes(), flat);
+            assert_eq!(cfg.metrics.merge_parts(), cut);
+            let (runs_after, ..) = cfg.metrics.snapshot();
+            assert_eq!(
+                runs_after - runs_before,
+                cut,
+                "one wave per part at this arity"
+            );
         });
     }
 
@@ -1224,7 +1552,7 @@ mod tests {
             for p in &pieces {
                 push(&mut fold, p);
             }
-            let got = fold.finish().unwrap();
+            let got = fold.finish().unwrap().into_bytes();
             std::fs::remove_dir_all(&dir).ok();
             proptest::prop_assert_eq!(got, flat);
         }

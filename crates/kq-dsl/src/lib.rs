@@ -69,6 +69,26 @@
 //! slotted by batch index, so batches may come back in any order and
 //! `finish` still merges them in stream order.
 //!
+//! The closing merge is handed out the same way, and for the same reason:
+//! it is the one merge that reads every byte, and a k-way merge is one
+//! thread's work. [`finish`](IncrementalFold::finish) of a merge fold is
+//! *plan the parts, merge each part, concatenate*.
+//! [`plan_finish`](IncrementalFold::plan_finish) cuts the runs (and the
+//! pieces still pending) into key ranges with
+//! [`LineOrder::partition`](kq_coreutils::sort::LineOrder::partition) —
+//! sample-sort splitters, every stream cut where no two lines the
+//! comparator calls equal are separated, so `-u`, `-f`, `-n`, `-r` and the
+//! stream-order tie-break are those of the one flat merge — and returns a
+//! [`kway::FinishPart`] per range, owning O(1) slices. A part is merged by
+//! what merged the whole fold before: in memory, or through a temp file of
+//! its own with release cursors once a run has spilled. The part count is
+//! a function of the bytes folded (one per [`kway::FINISH_PART_BYTES`], at
+//! most [`kway::FINISH_MAX_PARTS`]); below two parts the one part is the
+//! flat merge, so folds of KBs close exactly as they did. `finish` runs
+//! the parts inline and returns their outputs as the segments of a
+//! [`kq_stream::Rope`], never gathered; a scheduler runs the same parts as
+//! tasks of its pool.
+//!
 //! ```
 //! use kq_dsl::ast::{Combiner, RecOp, StructOp};
 //! use kq_dsl::eval::{eval, NoRunEnv};

@@ -56,6 +56,7 @@ pub struct SpillMetrics {
     runs_spilled: AtomicU64,
     bytes_written: AtomicU64,
     bytes_mapped: AtomicU64,
+    merge_parts: AtomicU64,
 }
 
 impl SpillMetrics {
@@ -72,6 +73,18 @@ impl SpillMetrics {
         kq_trace::instant("spill", "map-back")
             .v(bytes as f64)
             .emit();
+    }
+
+    /// Notes that one of the files counted by
+    /// [`record_spill`](SpillMetrics::record_spill) is (or will be) a part
+    /// of the fold's merged output rather than a run still to be merged.
+    pub fn record_part(&self) {
+        self.merge_parts.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// How many of the spilled files are parts of the merged output.
+    pub fn merge_parts(&self) -> u64 {
+        self.merge_parts.load(Ordering::Relaxed)
     }
 
     /// A consistent-enough snapshot: (runs spilled, bytes written, bytes

@@ -67,13 +67,18 @@ pub struct StageTiming {
 /// stage whose `runs_spilled` is non-zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpillTelemetry {
-    /// Sorted runs (including the streamed final merge output) written to
-    /// temp files.
+    /// Temp files written: sorted runs still to be merged, plus the files
+    /// of the streamed final merge ([`merge_parts`](Self::merge_parts) of
+    /// them).
     pub runs_spilled: u64,
     /// Total bytes written to spill files.
     pub bytes_written: u64,
     /// Total bytes mapped back for merging.
     pub bytes_mapped: u64,
+    /// How many of the files are parts of the fold's merged output — one
+    /// per part of a closing merge that ran in parts, one otherwise — not
+    /// runs.
+    pub merge_parts: u64,
 }
 
 impl SpillTelemetry {
@@ -84,6 +89,7 @@ impl SpillTelemetry {
             runs_spilled,
             bytes_written,
             bytes_mapped,
+            merge_parts: metrics.merge_parts(),
         }
     }
 }

@@ -94,6 +94,40 @@
 //! of `tests/fold_finalize_stress.rs`). The streaming executor's barrier
 //! collector owns its fold outright and merges each batch on the spot.
 //!
+//! **The finishing phase.** The finish itself used to be one task: the
+//! k-way merge of every run, on one thread, with the rest of the pool idle
+//! (on a 32 MiB sort at two workers, 39% of the wall clock). A merge fold
+//! that has folded enough bytes — `kq_dsl::kway::FINISH_PART_BYTES` per
+//! part, so the decision never depends on `--workers` — now finishes in
+//! parts. The task that claimed the finalization plans them (a
+//! `fold-partition` span: splitters sampled from the runs, every run cut
+//! by binary search, no bytes moved; `kq_dsl::IncrementalFold::plan_finish`),
+//! stores them in the node as `Phase::Finishing`, and schedules one
+//! ordinary `(si, ni)` task per part. Each such task claims the next
+//! unclaimed part under the node lock (counted in `inflight` while it is
+//! out), merges it with the lock released (a `fold-finish` span whose
+//! `seq` is the part index, timed into [`StageTiming::combine_time`]),
+//! and slots the output by part index; the task that fills the last slot
+//! — whichever it is — flips the node to `Emitting` over the ordered
+//! segments and starts the emission. There is no thread outside the pool
+//! and no new node or edge: the graph IR, `DataflowGraph::validate` and
+//! `kumquat check` do not know the phase exists. A part that fails takes
+//! the node out of the phase under the lock before it reports, so the
+//! statement fails once and siblings still out are dropped when they come
+//! back; cancellation (`cancel_upstream`, a statement error elsewhere)
+//! drops the phase the same way — unclaimed parts with it, claimed ones on
+//! return — like a run batch that is never installed. An emitter walks the
+//! segment list and never cuts a chunk across two parts, so downstream
+//! chunk boundaries, and with them every trace span identity, are equal
+//! at every worker count. Below two parts nothing of this runs: the
+//! finalizing task merges the one part itself, as before.
+//!
+//! A statement's stdout stays the segments its last node emitted
+//! ([`scheduler::run_dataflow_segments`]); the CLI writes them out one
+//! after the other. [`run_dataflow`] gathers them into
+//! [`ExecutionResult::output`], and a `> file` redirect gathers them once
+//! into the buffer the VFS keeps.
+//!
 //! # Spill lifecycle (bounded-memory barrier folds)
 //!
 //! A merge-combiner fold normally keeps every sorted run on the heap
@@ -109,11 +143,13 @@
 //!    exit path (success, error, cancellation, even SIGKILL once the
 //!    process dies);
 //! 2. `finish()` then streams the k-way merge of the mapped runs through
-//!    a bounded fragment sink into one output run file, releasing each
+//!    a bounded fragment sink into an output run file — one per part of
+//!    the closing merge, see the finishing phase above — releasing each
 //!    run's consumed pages as the merge frontier passes them
-//!    ([`kq_stream::ReleaseCursor`]), and maps that output back the same
+//!    ([`kq_stream::ReleaseCursor`]), and maps the output back the same
 //!    way — so neither the runs nor the merged result are ever fully
-//!    heap-resident;
+//!    heap-resident (planning the parts drops the pages its searches
+//!    touched as it goes);
 //! 3. the executor snapshots the stage's [`kq_dsl::SpillMetrics`] into
 //!    [`StageTiming::spill`] ([`exec::SpillTelemetry`]), which the CLI
 //!    reports as `spill: ...` notes.
@@ -227,8 +263,8 @@ pub use lattice::{classify, EffectClass, EffectSet};
 pub use parse::{InputSource, ParseError, Script, SourceSpan, Stage, Statement};
 pub use plan::{PlannedScript, PlannedStage, Planner, StageMode, StreamSegment, StreamSegmentKind};
 pub use scheduler::{
-    run_dataflow, ChunkSizing, DataflowOptions, QueueCredit, DEFAULT_CHUNK_BYTES,
-    DEFAULT_QUEUE_DEPTH,
+    run_dataflow, run_dataflow_segments, ChunkSizing, DataflowOptions, QueueCredit,
+    DEFAULT_CHUNK_BYTES, DEFAULT_QUEUE_DEPTH,
 };
 pub use sim::{PipelineCosts, SimParams};
 pub use streaming::{run_streaming, StreamingOptions};

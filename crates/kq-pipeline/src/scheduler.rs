@@ -7,8 +7,9 @@
 //! threads. Each statement's plan becomes a [`DataflowGraph`]
 //! (see [`crate::dataflow`] for the node and edge semantics), and the unit
 //! of scheduling is a *task*: "make progress at node N of statement S" —
-//! process one chunk at a map node, drain the input of a fold, cut the
-//! next chunk at a split, emit the next chunk of a materialized output.
+//! process one chunk at a map node, drain the input of a fold, merge one
+//! part of a fold's closing merge, cut the next chunk at a split, emit the
+//! next chunk of a materialized output.
 //!
 //! # Scheduling
 //!
@@ -256,19 +257,28 @@ impl Edge {
 
 /// A lazy cursor over a materialized stream: cuts line-aligned chunks on
 /// demand and trails a page-release hint (`release_lag` bytes) behind,
-/// mirroring the streaming executor's `send_chunked` discipline.
+/// mirroring the streaming executor's `send_chunked` discipline. The
+/// stream is a list of segments — one for an input or a command's output,
+/// one per part for a fold that finished in parts — and a chunk never
+/// spans two of them, so chunk boundaries are a function of the segments
+/// alone.
 struct Emit {
-    source: Bytes,
+    /// What is left to cut, the segment under the cursor first. A segment
+    /// is dropped once it is cut through: the chunks in flight keep its
+    /// buffer alive, and a mapped part file goes away with the last one.
+    segments: VecDeque<Bytes>,
+    /// Bytes of the front segment already cut.
     cursor: usize,
+    /// Bytes of the front segment already released.
     released: usize,
     /// Chunks cut so far — the `seq` stamp on the cut's trace span.
     chunks: usize,
 }
 
 impl Emit {
-    fn new(source: Bytes) -> Emit {
+    fn new(source: impl Into<Rope>) -> Emit {
         Emit {
-            source,
+            segments: source.into().into_segments().into(),
             cursor: 0,
             released: 0,
             chunks: 0,
@@ -276,17 +286,24 @@ impl Emit {
     }
 
     fn done(&self) -> bool {
-        self.cursor >= self.source.len()
+        self.segments.is_empty()
     }
 
     fn next_chunk(&mut self, chunk_bytes: usize, release_lag: usize) -> Bytes {
-        let end = next_chunk_end(self.source.as_bytes(), self.cursor, chunk_bytes);
-        let chunk = self.source.slice(self.cursor..end);
+        let source = self.segments.front().expect("a stream that is not done");
+        let end = next_chunk_end(source.as_bytes(), self.cursor, chunk_bytes);
+        let chunk = source.slice(self.cursor..end);
         self.cursor = end;
         self.chunks += 1;
-        if self.cursor > self.released + 2 * release_lag {
+        if end == source.len() {
+            // A segment is rarely long enough for the trailing release to
+            // fire inside it: let go of what cutting it made resident.
+            source.release_range(self.released..end);
+            self.segments.pop_front();
+            (self.cursor, self.released) = (0, 0);
+        } else if self.cursor > self.released + 2 * release_lag {
             let upto = self.cursor - release_lag;
-            self.source.release_range(self.released..upto);
+            source.release_range(self.released..upto);
             self.released = upto;
         }
         chunk
@@ -294,7 +311,11 @@ impl Emit {
 
     /// Nobody will read the rest: drop the whole resident tail.
     fn abandon(&self) {
-        self.source.release_range(self.released..self.source.len());
+        let mut from = self.released;
+        for source in &self.segments {
+            source.release_range(from..source.len());
+            from = 0;
+        }
     }
 }
 
@@ -309,27 +330,46 @@ fn next_chunk_end(bytes: &[u8], start: usize, target: usize) -> usize {
 }
 
 /// What a node is currently doing.
-enum Phase {
+enum Phase<'a> {
     /// Consuming input chunks.
     Collecting,
     /// One task is running the node's command (gather/bounded folds) or
     /// finishing its combiner — long work done outside every lock.
     Running,
+    /// Fold(Combine): the closing merge was cut into parts, each merged by
+    /// a pool task of its own.
+    Finishing(Finishing<'a>),
     /// Streaming a materialized output downstream, credit-gated.
     Emitting(Emit),
     /// Output edge closed (or node cancelled); nothing left to do.
     Done,
 }
 
+/// The finishing phase of a combine fold whose closing merge runs in
+/// parts (see the crate docs, "Fold finalization protocol"). One
+/// `(si, ni)` task was scheduled per part; each claims the next unclaimed
+/// part, merges it outside the node lock and slots the output, and the
+/// task that fills the last slot starts the emission. Cancellation drops
+/// the phase — the unclaimed parts with it, and each part out being merged
+/// when its task comes back — like a run batch that is never installed.
+struct Finishing<'a> {
+    unclaimed: VecDeque<kq_dsl::kway::FinishPart<'a>>,
+    /// Merged parts by part index.
+    merged: Vec<Option<Bytes>>,
+    /// Parts not yet slotted.
+    left: usize,
+}
+
 /// Runtime state of one node, guarded by its mutex. The lock order is
 /// `node state → that node's output edge`; input-edge operations never
 /// nest inside the state lock.
 struct NodeState<'a> {
-    phase: Phase,
+    phase: Phase<'a>,
     cancelled: bool,
-    /// Chunks claimed but not yet integrated, plus run batches cut from
-    /// `accum` and not yet installed back: work in progress outside the
-    /// lock that finalization must wait for.
+    /// Chunks claimed but not yet integrated, run batches cut from
+    /// `accum` and not yet installed back, and parts of the closing merge
+    /// claimed and not yet slotted: work in progress outside the lock.
+    /// Finalization waits for it to reach zero.
     inflight: usize,
     /// Reorder buffer: results keyed by input pop ordinal.
     pending: BTreeMap<usize, Bytes>,
@@ -412,7 +452,8 @@ struct StmtRt<'a> {
     finished: AtomicBool,
     deps_left: AtomicUsize,
     dependents: Vec<usize>,
-    output: Mutex<Option<Bytes>>,
+    /// The statement's stdout (unset for a redirected statement).
+    output: Mutex<Option<Rope>>,
 }
 
 struct IdleGate {
@@ -486,13 +527,32 @@ fn lock<'m, T>(m: &'m Mutex<T>) -> std::sync::MutexGuard<'m, T> {
 }
 
 /// Runs a planned script on the shared work-stealing pool (see the
-/// [module docs](self)).
+/// [module docs](self)), gathering the script's stdout into one buffer.
+/// [`run_dataflow_segments`] is the same run without the gather.
 pub fn run_dataflow(
     script: &Script,
     plan: &PlannedScript,
     ctx: &ExecContext,
     opts: &DataflowOptions,
 ) -> Result<ExecutionResult, CmdError> {
+    let (output, timings) = run_dataflow_segments(script, plan, ctx, opts)?;
+    Ok(ExecutionResult {
+        output: output.into_bytes(),
+        timings,
+    })
+}
+
+/// [`run_dataflow`], with the script's stdout as the segments the
+/// statements' last nodes produced: the statements' outputs in statement
+/// order, each one buffer — or, behind a fold that finished in parts, one
+/// buffer per part (mapped part files under a spill budget). Writing the
+/// segments out one after the other never copies them onto the heap.
+pub fn run_dataflow_segments(
+    script: &Script,
+    plan: &PlannedScript,
+    ctx: &ExecContext,
+    opts: &DataflowOptions,
+) -> Result<(Rope, TimingLog), CmdError> {
     let workers = opts.workers.max(1);
     let (chunk, fixed_chunk) = match opts.chunk {
         ChunkSizing::Fixed(b) => (ChunkSizing::Fixed(b.max(1)), b.max(1)),
@@ -757,19 +817,19 @@ pub fn run_dataflow(
         });
     }
     for (si, stmt) in rt.stmts.iter().enumerate() {
-        if let Some(bytes) = lock(&stmt.output).take() {
-            output.push(bytes);
-        }
+        output.extend(
+            lock(&stmt.output)
+                .take()
+                .unwrap_or_default()
+                .into_segments(),
+        );
         let stages = snapshot_timings(stmt);
         if kq_trace::enabled() {
             emit_node_counters(si, &stages);
         }
         timings.statements.push(stages);
     }
-    Ok(ExecutionResult {
-        output: output.into_bytes(),
-        timings,
-    })
+    Ok((output, timings))
 }
 
 /// Conservative read/write dependency analysis over VFS paths:
@@ -1058,7 +1118,7 @@ fn start_statement(cx: &Cx<'_, '_>, si: usize) {
             if stmt.statement.stages.is_empty() {
                 // Pure plumbing (`cat a > b`): the input stream is the
                 // output, handle-through without touching the pool.
-                finish_statement(cx, si, Some(input));
+                finish_statement(cx, si, Some(input.into()));
             } else {
                 if matches!(cx.rt.chunk, ChunkSizing::Auto) {
                     // Base heuristic: ~8 chunks per worker gets the pool
@@ -1153,14 +1213,15 @@ fn close_edge(cx: &Cx<'_, '_>, si: usize, i: usize) {
     }
 }
 
-fn drain_sink(stmt: &StmtRt<'_>, i: usize) -> Bytes {
+/// The chunks that reached the sink, in order. Chunks cut from one buffer
+/// join back into one segment ([`Rope::push`]), so a statement's output
+/// has a segment per buffer the last node emitted — one per part for a
+/// fold that finished in parts — not one per chunk.
+fn drain_sink(stmt: &StmtRt<'_>, i: usize) -> Rope {
     let mut q = lock(&stmt.edges[i].q);
-    let mut rope = Rope::new();
-    for chunk in q.items.drain(..) {
-        rope.push(chunk);
-    }
+    let rope = q.items.drain(..).collect();
     stmt.edges[i].len.store(0, Ordering::Relaxed);
-    rope.into_bytes()
+    rope
 }
 
 /// Pops one chunk (with its order stamp and the pre-pop queue length)
@@ -1190,6 +1251,10 @@ fn pop_input(stmt: &StmtRt<'_>, ni: usize) -> Result<(usize, Bytes, usize), bool
 /// dropping the lock — so the other workers' finished maps integrate
 /// while it does — and installs the run by batch index. The batch counts
 /// as `inflight` until then, so finalization waits for it.
+///
+/// A task that finds the node past collecting continues whatever phase it
+/// is in: the emission of a combined output, or — for a fold finishing in
+/// parts — the merge of the next unclaimed part ([`finish_part_task`]).
 fn map_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
     let stmt = &cx.rt.stmts[si];
     let node = &stmt.graph.nodes[ni];
@@ -1207,6 +1272,11 @@ fn map_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
             Phase::Emitting(_) => {
                 drop(st);
                 emit_task(cx, si, ni);
+                return;
+            }
+            Phase::Finishing(_) => {
+                drop(st);
+                finish_part_task(cx, si, ni);
                 return;
             }
             _ => return,
@@ -1376,25 +1446,120 @@ fn maybe_finalize_map(cx: &Cx<'_, '_>, si: usize, ni: usize) {
             st.phase = Phase::Running;
             st.accum.take().expect("combine fold accum")
         };
-        let closing = stmt.chains[ni][0];
-        let span = kq_trace::span("dataflow", "fold-finish").si(si).ni(ni);
+        if accum.finish_parts() < 2 {
+            let span = kq_trace::span("dataflow", "fold-finish").si(si).ni(ni);
+            let t0 = Instant::now();
+            let finished = accum.finish();
+            span.done();
+            match finished {
+                Err(e) => stmt_error(cx, si, fold_error(stmt, ni, e)),
+                Ok(combined) => start_fold_emit(cx, si, ni, combined, t0.elapsed()),
+            }
+            return;
+        }
+        // The closing merge is large enough to cut: plan the parts here
+        // and let the pool merge them, one `(si, ni)` task per part.
+        let span = kq_trace::span("dataflow", "fold-partition").si(si).ni(ni);
         let t0 = Instant::now();
-        let finished = accum.finish();
+        let planned = accum.plan_finish();
         span.done();
-        match finished {
-            Err(e) => stmt_error(cx, si, CmdError::new(closing.display(), e.to_string())),
-            Ok(combined) => {
-                let elapsed = t0.elapsed();
+        match planned {
+            Err(e) => stmt_error(cx, si, fold_error(stmt, ni, e)),
+            Ok(parts) => {
+                let count = parts.len();
                 {
                     let mut st = lock(&stmt.nodes[ni]);
-                    st.combine_time += elapsed;
-                    st.bytes_out = combined.len();
-                    st.phase = Phase::Emitting(Emit::new(combined));
+                    st.combine_time += t0.elapsed();
+                    if st.cancelled {
+                        return;
+                    }
+                    st.phase = Phase::Finishing(Finishing {
+                        unclaimed: parts.into(),
+                        merged: vec![None; count],
+                        left: count,
+                    });
                 }
-                emit_task(cx, si, ni);
+                for _ in 0..count {
+                    cx.schedule((si, ni));
+                }
             }
         }
     }
+}
+
+/// A combine fold's error, attributed to the fold's command.
+fn fold_error(stmt: &StmtRt<'_>, ni: usize, e: kq_dsl::EvalError) -> CmdError {
+    CmdError::new(stmt.chains[ni][0].display(), e.to_string())
+}
+
+/// One task of a combine fold's finishing phase: claim the next unclaimed
+/// part of the closing merge, merge it outside every lock, slot the
+/// output by part index — and, when it was the last part, start emitting
+/// the segments in order.
+fn finish_part_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
+    let stmt = &cx.rt.stmts[si];
+    let part = {
+        let mut st = lock(&stmt.nodes[ni]);
+        let Phase::Finishing(finishing) = &mut st.phase else {
+            return;
+        };
+        let Some(part) = finishing.unclaimed.pop_front() else {
+            return;
+        };
+        st.inflight += 1;
+        part
+    };
+    let index = part.index();
+    let span = kq_trace::span("dataflow", "fold-finish")
+        .si(si)
+        .ni(ni)
+        .seq(index);
+    let t0 = Instant::now();
+    let merged = part.merge();
+    let elapsed = t0.elapsed();
+    span.done();
+    let segments: Rope = {
+        let mut st = lock(&stmt.nodes[ni]);
+        st.inflight -= 1;
+        st.combine_time += elapsed;
+        // A cancelled node is `Done`: the part's output is dropped here.
+        let Phase::Finishing(finishing) = &mut st.phase else {
+            return;
+        };
+        match merged {
+            Err(e) => {
+                // Leave the phase under the lock, so that a sibling part
+                // failing at the same moment is dropped, not reported.
+                st.phase = Phase::Done;
+                drop(st);
+                stmt_error(cx, si, fold_error(stmt, ni, e));
+                return;
+            }
+            Ok(segment) => finishing.merged[index] = Some(segment),
+        }
+        finishing.left -= 1;
+        if finishing.left > 0 {
+            return;
+        }
+        let merged = std::mem::take(&mut finishing.merged);
+        st.phase = Phase::Running;
+        merged.into_iter().flatten().collect()
+    };
+    start_fold_emit(cx, si, ni, segments, Duration::ZERO);
+}
+
+/// Switches a settled combine fold to emitting its combined stream.
+fn start_fold_emit(cx: &Cx<'_, '_>, si: usize, ni: usize, combined: Rope, busy: Duration) {
+    {
+        let mut st = lock(&cx.rt.stmts[si].nodes[ni]);
+        st.combine_time += busy;
+        if st.cancelled {
+            return;
+        }
+        st.bytes_out = combined.len();
+        st.phase = Phase::Emitting(Emit::new(combined));
+    }
+    emit_task(cx, si, ni);
 }
 
 /// One task at a Fold(Gather) or BoundedConsumer node: claim one queued
@@ -1678,7 +1843,7 @@ fn stmt_error(cx: &Cx<'_, '_>, si: usize, err: CmdError) {
 
 /// Completes a statement: stores/redirects its output, releases
 /// dependents, and — when it is the last one — shuts the pool down.
-fn finish_statement(cx: &Cx<'_, '_>, si: usize, output: Option<Bytes>) {
+fn finish_statement(cx: &Cx<'_, '_>, si: usize, output: Option<Rope>) {
     let stmt = &cx.rt.stmts[si];
     if stmt.finished.swap(true, Ordering::AcqRel) {
         return;
@@ -1686,9 +1851,11 @@ fn finish_statement(cx: &Cx<'_, '_>, si: usize, output: Option<Bytes>) {
     kq_trace::instant("dataflow", "stmt-finish").si(si).emit();
     if let Some(out) = output {
         match &stmt.statement.output {
-            // Redirection stores the shared slice — no copy — and must
-            // land before any dependent statement starts reading.
-            Some(target) => cx.rt.ctx.vfs.write(target.clone(), out),
+            // Redirection stores the shared slice — no copy, unless the
+            // output is several buffers, which gather once into the one
+            // the VFS keeps — and must land before any dependent statement
+            // starts reading.
+            Some(target) => cx.rt.ctx.vfs.write(target.clone(), out.into_bytes()),
             None => *lock(&stmt.output) = Some(out),
         }
         for &d in &stmt.dependents {

@@ -137,8 +137,9 @@ impl Default for StreamingOptions {
 /// stream, and its payload (a refcounted slice — sending is an Arc bump).
 type Chunk = (usize, Bytes);
 
-/// Sends `source` downstream as lazily cut, line-aligned chunks, with a
-/// page-release hint trailing `release_lag` bytes behind the cursor.
+/// Sends a stream — `segments`, in order — downstream as lazily cut,
+/// line-aligned chunks, with a page-release hint trailing `release_lag`
+/// bytes behind the cursor.
 ///
 /// This is the out-of-core discipline shared by the feeder and by every
 /// segment that re-chunks a materialized stream: boundaries are computed
@@ -153,38 +154,47 @@ type Chunk = (usize, Bytes);
 /// `telem.max_queued` — the send-side view of how full the bounded edge
 /// actually ran.
 fn send_chunked(
-    source: &Bytes,
+    segments: impl IntoIterator<Item = Bytes>,
     chunk_bytes: usize,
     release_lag: usize,
     tx: &channel::Sender<Chunk>,
     telem: &mut crate::exec::QueueTelemetry,
 ) -> bool {
-    let span = kq_trace::span("streaming", "send").v(source.len() as f64);
-    let mut fed = 0usize;
-    let mut released = 0usize;
-    for chunk in source.chunks(chunk_bytes).enumerate() {
-        let len = chunk.1.len();
-        let t0 = Instant::now();
-        let sent = tx.send(chunk);
-        telem.send_stall += t0.elapsed();
-        if sent.is_err() {
-            // The consumer disappeared — cancellation (a bounded consumer
-            // satisfied its demand) or failure teardown. Nobody will read
-            // the rest of this stream: drop the whole resident tail of a
-            // mapped source, including the in-flight window (a straggler
-            // worker touching an already-delivered slice merely refaults).
-            source.release_range(released..source.len());
-            return false;
+    // A chunk never spans two segments (the parts of a partitioned fold
+    // output are separate buffers), ordinals run on across them, and a
+    // segment is dropped once it is cut through: the chunks in flight keep
+    // its buffer alive, and a mapped part file goes away with the last.
+    let mut ordinal = 0usize;
+    for source in segments {
+        let span = kq_trace::span("streaming", "send").v(source.len() as f64);
+        let mut fed = 0usize;
+        let mut released = 0usize;
+        for chunk in source.chunks(chunk_bytes) {
+            let len = chunk.len();
+            let t0 = Instant::now();
+            let sent = tx.send((ordinal, chunk));
+            telem.send_stall += t0.elapsed();
+            if sent.is_err() {
+                // The consumer disappeared — cancellation (a bounded
+                // consumer satisfied its demand) or failure teardown.
+                // Nobody will read the rest of this stream: drop the whole
+                // resident tail of a mapped source, including the
+                // in-flight window (a straggler worker touching an
+                // already-delivered slice merely refaults).
+                source.release_range(released..source.len());
+                return false;
+            }
+            ordinal += 1;
+            telem.max_queued = telem.max_queued.max(tx.len());
+            fed += len;
+            if fed > released + 2 * release_lag {
+                let upto = fed - release_lag;
+                source.release_range(released..upto);
+                released = upto;
+            }
         }
-        telem.max_queued = telem.max_queued.max(tx.len());
-        fed += len;
-        if fed > released + 2 * release_lag {
-            let upto = fed - release_lag;
-            source.release_range(released..upto);
-            released = upto;
-        }
+        span.done();
     }
-    span.done();
     true
 }
 
@@ -302,7 +312,7 @@ fn run_statement(
             // (the `streaming/send` span still records the feed interval).
             let mut discarded = crate::exec::QueueTelemetry::default();
             send_chunked(
-                &feed_input,
+                [feed_input],
                 chunk_bytes,
                 release_lag,
                 &feed_tx,
@@ -371,7 +381,7 @@ fn run_statement(
                         let elapsed = t0.elapsed();
                         run_span.done();
                         let bytes_out = out.len();
-                        send_chunked(&out, chunk_bytes, release_lag, &seg_tx, &mut telem);
+                        send_chunked([out], chunk_bytes, release_lag, &seg_tx, &mut telem);
                         Ok(StageTiming {
                             label: cmd.display(),
                             parallel: false,
@@ -426,7 +436,7 @@ fn run_statement(
                         // mapped input itself: chunk it lazily with the
                         // same trailing release as the feeder, or the
                         // re-chunk scan would page the whole map in.
-                        send_chunked(&out, chunk_bytes, release_lag, &seg_tx, &mut telem);
+                        send_chunked([out], chunk_bytes, release_lag, &seg_tx, &mut telem);
                         Ok(StageTiming {
                             label: cmd.display(),
                             parallel: false,
@@ -729,8 +739,15 @@ fn collect_barrier(
         span.done();
         let combined = finished.map_err(|e| CmdError::new(closing_cmd.display(), e.to_string()))?;
         combine_time += t0.elapsed();
-        send_chunked(&combined, chunk_bytes, release_lag, &seg_tx, &mut telem);
-        combined.len()
+        let bytes_out = combined.len();
+        send_chunked(
+            combined.into_segments(),
+            chunk_bytes,
+            release_lag,
+            &seg_tx,
+            &mut telem,
+        );
+        bytes_out
     };
     Ok(StageTiming {
         label,

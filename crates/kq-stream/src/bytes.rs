@@ -744,12 +744,28 @@ impl Rope {
         Rope::default()
     }
 
-    /// Appends a segment (O(1); empty segments are dropped).
+    /// Appends a segment (O(1); empty segments are dropped). A segment
+    /// that continues the previous one — the next view of the same backing
+    /// buffer — extends it instead of starting a new one, so the chunks of
+    /// one materialized stream, re-gathered in order, are one segment
+    /// again: the shape every executor sink produces (for a spilled sort
+    /// that stream is a mapped merge file of hundreds of MiB, and the
+    /// gather memcpy this avoids would be the run's peak-RSS high-water
+    /// mark).
     pub fn push(&mut self, segment: Bytes) {
-        if !segment.is_empty() {
-            self.text = self.text && segment.to_str().is_ok();
-            self.len += segment.len();
-            self.segments.push(segment);
+        if segment.is_empty() {
+            return;
+        }
+        self.len += segment.len();
+        match self.segments.last_mut() {
+            // Same backing buffer, so the same whole-buffer text flag.
+            Some(last) if Arc::ptr_eq(&last.buf, &segment.buf) && last.end == segment.start => {
+                last.end = segment.end;
+            }
+            _ => {
+                self.text = self.text && segment.to_str().is_ok();
+                self.segments.push(segment);
+            }
         }
     }
 
@@ -779,21 +795,15 @@ impl Rope {
     }
 
     /// Flattens into one contiguous [`Bytes`]. A rope of zero or one
-    /// segments is returned without copying, and so is a rope whose
-    /// segments are *adjacent views of one shared backing* — the shape
-    /// every executor sink produces when it re-gathers the chunks of a
-    /// materialized stage output (for a spilled sort that output is a
-    /// multi-hundred-MiB mapped merge file, and the gather memcpy this
-    /// avoids would be the run's peak-RSS high-water mark). Only disjoint
-    /// or reordered segments pay the single gather memcpy.
+    /// segments is returned without copying — which, since
+    /// [`push`](Rope::push) joins adjacent views of one backing, covers
+    /// every in-order re-gather of a single stream; only disjoint or
+    /// reordered segments pay the single gather memcpy.
     pub fn into_bytes(mut self) -> Bytes {
         match self.segments.len() {
             0 => Bytes::new(),
             1 => self.segments.pop().expect("one segment"),
             _ => {
-                if let Some(joined) = Rope::coalesce(&self.segments) {
-                    return joined;
-                }
                 let mut out = Vec::with_capacity(self.len);
                 for seg in &self.segments {
                     out.extend_from_slice(seg.as_bytes());
@@ -803,36 +813,37 @@ impl Rope {
         }
     }
 
-    /// The zero-copy reassembly fast path: when every segment views the
-    /// same backing buffer and they tile it back-to-back in order, the
-    /// concatenation *is* the spanning view.
-    fn coalesce(segments: &[Bytes]) -> Option<Bytes> {
-        let first = segments.first()?;
-        let mut end = first.end;
-        for seg in &segments[1..] {
-            if !Arc::ptr_eq(&first.buf, &seg.buf) || seg.start != end {
-                return None;
-            }
-            end = seg.end;
+    /// True when the rope's bytes, in order, are exactly `other` — a
+    /// comparison that gathers nothing.
+    pub fn eq_bytes(&self, mut other: &[u8]) -> bool {
+        self.len == other.len()
+            && self.segments.iter().all(|seg| {
+                let (head, rest) = other.split_at(seg.len());
+                other = rest;
+                head == seg.as_bytes()
+            })
+    }
+}
+
+impl Extend<Bytes> for Rope {
+    fn extend<I: IntoIterator<Item = Bytes>>(&mut self, iter: I) {
+        for seg in iter {
+            self.push(seg);
         }
-        Some(Bytes {
-            buf: first.buf.clone(),
-            start: first.start,
-            end,
-            // Same backing buffer, so every segment carries the same
-            // whole-buffer text flag.
-            text: first.text,
-        })
     }
 }
 
 impl FromIterator<Bytes> for Rope {
     fn from_iter<I: IntoIterator<Item = Bytes>>(iter: I) -> Rope {
         let mut rope = Rope::new();
-        for seg in iter {
-            rope.push(seg);
-        }
+        rope.extend(iter);
         rope
+    }
+}
+
+impl From<Bytes> for Rope {
+    fn from(segment: Bytes) -> Rope {
+        std::iter::once(segment).collect()
     }
 }
 
@@ -928,8 +939,9 @@ mod tests {
         // The executor-sink shape: one stream cut into chunks, re-gathered
         // in order. Reassembly must return a view of the original backing.
         let b = Bytes::from("alpha\nbeta\ngamma\ndelta\n");
+        assert!(b.chunks(6).count() > 1, "test needs several chunks");
         let rope: Rope = b.chunks(6).collect();
-        assert!(rope.segment_count() > 1, "test needs several chunks");
+        assert_eq!(rope.segment_count(), 1, "adjacent slices join on push");
         let out = rope.into_bytes();
         assert_eq!(out, b);
         assert!(out.shares_buffer(&b), "adjacent slices must coalesce");
@@ -937,6 +949,9 @@ mod tests {
         let gapped: Rope = [b.slice(0..6), b.slice(11..17)].into_iter().collect();
         assert_eq!(gapped.into_bytes(), "alpha\ngamma\n");
         let mixed: Rope = [b.slice(0..6), Bytes::from("x\n")].into_iter().collect();
+        assert_eq!(mixed.segment_count(), 2);
+        assert!(mixed.eq_bytes(b"alpha\nx\n"));
+        assert!(!mixed.eq_bytes(b"alpha\nx") && !mixed.eq_bytes(b"alpha\ny\n"));
         assert_eq!(mixed.into_bytes(), "alpha\nx\n");
     }
 

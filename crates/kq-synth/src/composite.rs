@@ -11,7 +11,7 @@
 use kq_dsl::ast::{Candidate, Combiner, RecOp};
 use kq_dsl::eval::{EvalError, RunEnv};
 use kq_dsl::{domain, kway};
-use kq_stream::Bytes;
+use kq_stream::{Bytes, Rope};
 
 /// The synthesis product: an executable combiner built from the plausible
 /// set, plus the metadata the benchmark tables report.
@@ -313,31 +313,58 @@ impl<'a> IncrementalCombine<'a> {
         self.raw.as_ref().map_or(0, Vec::len)
     }
 
-    /// Settles into the combined stream.
+    /// How many parts [`plan_finish`](Self::plan_finish) will cut the
+    /// closing work into (see [`kway::IncrementalFold::finish_parts`]):
+    /// more than one only for a live authoritative `merge` fold that has
+    /// accumulated enough bytes.
+    pub fn finish_parts(&self) -> usize {
+        match (&self.raw, &self.fold) {
+            (None, Some(fold)) if self.fed => fold.finish_parts(),
+            _ => 1,
+        }
+    }
+
+    /// Everything [`finish`](Self::finish) does short of merging the
+    /// parts of a `merge` fold's closing merge, which come back as work
+    /// (see [`kway::IncrementalFold::plan_finish`]): merge each wherever no
+    /// lock on the combine's owner is held and concatenate the outputs by
+    /// part index. Every other combine settles here and returns one
+    /// finished part.
     ///
     /// A combine that was fed nothing — no piece at all, or only empty
     /// ones, as when an upstream `grep` matched no line — is the command
     /// run on the empty stream: `wc -l` still owes its `0`. (Skipping
     /// empty pieces is only sound next to a non-empty one.)
-    pub fn finish(self) -> Result<Bytes, EvalError> {
-        if !self.fed {
-            return self.env.rerun_bytes(Bytes::new());
-        }
-        match self.raw {
-            None => match (self.fold, self.failed) {
-                (Some(fold), None) => fold.finish(),
-                (_, Some(e)) => Err(e),
-                (None, None) => unreachable!("fold disabled without a recorded error"),
-            },
-            Some(raw) => {
-                if let Some(fold) = self.fold {
-                    if let Ok(combined) = fold.finish() {
-                        return Ok(combined);
-                    }
-                }
-                self.combiner.combine_all(&raw, self.env)
+    pub fn plan_finish(self) -> Result<Vec<kway::FinishPart<'a>>, EvalError> {
+        let settled = if !self.fed {
+            self.env.rerun_bytes(Bytes::new())?
+        } else {
+            match self.raw {
+                None => match (self.fold, self.failed) {
+                    (Some(fold), None) => return fold.plan_finish(),
+                    (_, Some(e)) => return Err(e),
+                    (None, None) => unreachable!("fold disabled without a recorded error"),
+                },
+                // Selective: the primary is never `merge` (its domain is
+                // universal), so there is nothing to hand out, and a
+                // failed speculation needs every raw piece at once.
+                Some(raw) => match self.fold.map(kway::IncrementalFold::finish) {
+                    Some(Ok(combined)) => combined.into_bytes(),
+                    _ => self.combiner.combine_all(&raw, self.env)?,
+                },
             }
-        }
+        };
+        Ok(vec![kway::FinishPart::settled(settled)])
+    }
+
+    /// Settles into the combined stream: [`plan_finish`](Self::plan_finish)
+    /// with every part merged here, one after the other. The result's
+    /// segments are the parts' outputs.
+    pub fn finish(self) -> Result<Rope, EvalError> {
+        self.plan_finish()?
+            .into_iter()
+            .map(kway::FinishPart::merge)
+            .collect()
     }
 }
 
@@ -432,7 +459,7 @@ mod tests {
             assert_eq!(inc.retained_handles(), 0, "merge path must not pin pieces");
         }
         let expect = s.combine_all(&pieces, &MergeEnv).unwrap();
-        assert_eq!(inc.finish().unwrap(), expect);
+        assert_eq!(inc.finish().unwrap().into_bytes(), expect);
         // Single-member composites are authoritative whatever the domain.
         let s = SynthesizedCombiner::from_plausible(vec![Candidate::structural(StructOp::Stitch(
             RecOp::First,
@@ -441,7 +468,7 @@ mod tests {
         inc.push_inline(Bytes::from("a\nb\n"));
         inc.push_inline(Bytes::from("b\nc\n"));
         assert_eq!(inc.retained_handles(), 0);
-        assert_eq!(inc.finish().unwrap(), "a\nb\nc\n");
+        assert_eq!(inc.finish().unwrap().into_bytes(), "a\nb\nc\n");
     }
 
     #[test]
@@ -459,7 +486,7 @@ mod tests {
             inc.push_inline(p.clone());
         }
         assert_eq!(inc.retained_handles(), pieces.len());
-        assert_eq!(inc.finish().unwrap(), "12\n");
+        assert_eq!(inc.finish().unwrap().into_bytes(), "12\n");
         // Pieces outside the primary's domain but inside the second
         // member's ("3\n4" has no trailing newline, so `back` rejects it
         // while `fuse` admits it): the speculation is abandoned and the
@@ -470,7 +497,7 @@ mod tests {
         for p in &odd {
             inc.push_inline(p.clone());
         }
-        assert_eq!(inc.finish().unwrap(), expect);
+        assert_eq!(inc.finish().unwrap().into_bytes(), expect);
     }
 
     #[test]
@@ -504,7 +531,7 @@ mod tests {
             inc.push_inline(p.clone());
         }
         assert_eq!(inc.retained_handles(), odd.len(), "handles stay retained");
-        assert_eq!(inc.finish().unwrap(), expect);
+        assert_eq!(inc.finish().unwrap().into_bytes(), expect);
         let (runs, written, _) = cfg.metrics.snapshot();
         assert!(runs > 0, "raw handles must batch-spill at budget 0");
         assert!(written > 0);
@@ -525,15 +552,15 @@ mod tests {
             Candidate::rec(RecOp::Back(Delim::Newline, Box::new(RecOp::Add))),
             Candidate::rec(RecOp::Fuse(Delim::Newline, Box::new(RecOp::Add))),
         ]);
-        assert_eq!(s.incremental(&env).finish().unwrap(), "0\n");
+        assert_eq!(s.incremental(&env).finish().unwrap().into_bytes(), "0\n");
         let mut inc = s.incremental(&env);
         inc.push_inline(Bytes::new());
         inc.push_inline(Bytes::new());
-        assert_eq!(inc.finish().unwrap(), "0\n");
+        assert_eq!(inc.finish().unwrap().into_bytes(), "0\n");
         let mut inc = s.incremental(&env);
         inc.push_inline(Bytes::new());
         inc.push_inline(Bytes::from("3\n"));
-        assert_eq!(inc.finish().unwrap(), "3\n");
+        assert_eq!(inc.finish().unwrap().into_bytes(), "3\n");
     }
 
     #[test]

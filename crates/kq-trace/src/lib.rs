@@ -47,7 +47,7 @@
 //! | `static` | `stage`, `piece`, `combine` | the static executor |
 //! | `chunked` | `stage`, `map`, `combine` | the chunked executor |
 //! | `streaming` | `statement`, `send`, `map`, `bounded-run`, `seq-run`, `fold-push`, `fold-finish`, `early-exit` | the streaming executor |
-//! | `dataflow` | `run`, `gather-input`, `split`, `map`, `fold-push`, `fold-merge`, `fold-finish`, `gather`, `gather-run`, `emit`, `early-exit`, `cancel`, `stmt-finish`, per-node counters | the shared-pool executor, one span per node task |
+//! | `dataflow` | `run`, `gather-input`, `split`, `map`, `fold-push`, `fold-merge`, `fold-partition`, `fold-finish`, `gather`, `gather-run`, `emit`, `early-exit`, `cancel`, `stmt-finish`, per-node counters | the shared-pool executor, one span per node task |
 //! | `graph` | node-kind metas (`split`, `worker`, `fold`, `gather`, `bounded`), `dep` | dataflow graph structure |
 //!
 //! # Exports

@@ -115,6 +115,22 @@ fn zipf_word<R: Rng + ?Sized>(rng: &mut R) -> &'static str {
     VOCAB[idx.min(VOCAB.len() - 1)]
 }
 
+/// `lines` unsorted lines of 35 bytes or so, `<number> key <k> value <i>
+/// filler`, for tests of large sorts: the numbers are drawn from three
+/// times as many values as there are lines, so about one line in seven
+/// repeats a number seen earlier in the stream (`sort -nu` must keep the
+/// earlier one) and a sort's output is as large as its input.
+pub fn numbered_lines(lines: usize, seed: u64) -> String {
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x6e75_6d62);
+    let mut out = String::with_capacity(lines * 36);
+    for i in 0..lines {
+        let number = rng.gen_range(0..3 * lines);
+        let key = rng.gen_range(0..997);
+        out.push_str(&format!("{number} key {key} value {i} filler\n"));
+    }
+    out
+}
+
 /// Book-like text: sentences wrapped at ~60 columns, capitalized sentence
 /// heads, punctuation, occasional blank lines and accented characters
 /// (exercising `iconv`/`col`).

@@ -182,14 +182,14 @@ fn broken_fixture_trips_hazard_lints_and_nonzero_exit() {
     // CLI surface: --deny-warnings turns the warnings into a nonzero exit.
     let out =
         kq_cli::run_cli(&["check".into(), "--deny-warnings".into(), fixture.to_owned()]).unwrap();
-    assert_eq!(out.exit_code, 1, "stdout: {}", out.stdout);
-    assert!(out.stdout.contains("KQ101"), "stdout: {}", out.stdout);
-    assert!(out.stdout.contains("KQ102"), "stdout: {}", out.stdout);
+    assert_eq!(out.exit_code, 1, "stdout: {}", out.text());
+    assert!(out.text().contains("KQ101"), "stdout: {}", out.text());
+    assert!(out.text().contains("KQ102"), "stdout: {}", out.text());
     let clean = kq_cli::run_cli(&[
         "check".into(),
         "--deny-warnings".into(),
         "cat /in.txt | grep fox | wc -l".into(),
     ])
     .unwrap();
-    assert_eq!(clean.exit_code, 0, "stdout: {}", clean.stdout);
+    assert_eq!(clean.exit_code, 0, "stdout: {}", clean.text());
 }

@@ -200,6 +200,50 @@ fn folds_that_receive_no_line_match_serial() {
     }
 }
 
+/// Folds large enough that their closing merge runs in parts (one per
+/// 2 MiB folded), in memory: a `sort` that folds 6.6 MiB in three parts
+/// into a redirect target (gathered once for the VFS), a `sort -nu` over
+/// that file whose parts must keep, per number, the line that came first,
+/// a `sort -r` to stdout (three segments), and a fold downstream of a
+/// partitioned one — its chunks are cut from the parts, never across two.
+/// One, two and four workers; thousands of pieces, a few dozen, and one.
+#[test]
+fn closing_merges_in_parts_match_serial_including_redirects() {
+    let input = kq_workloads::inputs::numbered_lines(200_000, 17);
+    let text = "cat /in.txt | sort > /out/sorted\n\
+                cat /out/sorted | sort -nu\n\
+                cat /in.txt | sort -r\n\
+                cat /in.txt | sort | cut -d ' ' -f 3 | uniq -c | sort -rn | head -n 5";
+    let parsed = parse_script(text, &HashMap::new()).unwrap();
+    let serial_ctx = ExecContext::default();
+    serial_ctx.vfs.write("/in.txt", input.as_str());
+    let mut planner = Planner::new(SynthesisConfig::default());
+    let plan = planner.plan(&parsed, &serial_ctx, &input[..input.len().min(8_000)]);
+    let serial = run_serial(&parsed, &serial_ctx).unwrap();
+    let sorted = serial_ctx.vfs.read_bytes("/out/sorted").unwrap();
+    assert!(sorted.len() > 6 << 20, "the sort must fold three parts");
+    for workers in [1usize, 2, 4] {
+        for chunk_bytes in [700usize, 64 << 10, 16 << 20] {
+            let ctx = ExecContext::default();
+            ctx.vfs.write("/in.txt", input.as_str());
+            let opts = DataflowOptions {
+                workers,
+                chunk: ChunkSizing::Fixed(chunk_bytes),
+                queue: QueueCredit::Fixed(4),
+                fuse_streamable: true,
+                spill: None,
+            };
+            let got = run_dataflow(&parsed, &plan, &ctx, &opts).unwrap();
+            let at = format!("w={workers}, chunk={chunk_bytes}");
+            assert!(got.output == serial.output, "stdout diverged ({at})");
+            assert!(
+                ctx.vfs.read_bytes("/out/sorted").unwrap() == sorted,
+                "/out/sorted diverged ({at})"
+            );
+        }
+    }
+}
+
 /// Every dataflow stage timing carries queue telemetry, and per-chunk
 /// nodes report one task per chunk — the observability contract the
 /// perf analysis relies on.

@@ -7,7 +7,8 @@
 //! scheduler replaces all of that with one fixed pool. This test runs a
 //! 2-statement script under `workers = 2` while a sampler thread polls
 //! `/proc/self/status` `Threads:` and asserts the peak over the baseline
-//! never exceeds the worker budget.
+//! never exceeds the worker budget. The first statement's sort is large
+//! enough to finish in parts: those are tasks of the same pool.
 
 use kq_coreutils::ExecContext;
 use kq_pipeline::parse::parse_script;
@@ -32,7 +33,9 @@ fn thread_count() -> usize {
 fn two_statement_script_stays_within_the_worker_budget() {
     const WORKERS: usize = 2;
     let ctx = ExecContext::default();
-    let input: String = (0..40_000)
+    // 5 MiB: the first statement's `sort` folds enough for its closing
+    // merge to run in parts — pool tasks, which must not cost a thread.
+    let input: String = (0..260_000)
         .map(|i| format!("word{} tail{} extra{}\n", i % 13, i % 7, i % 29))
         .collect();
     ctx.vfs.write("/in.txt", input);
@@ -81,8 +84,15 @@ fn two_statement_script_stays_within_the_worker_budget() {
     // worker from run N overlapping run N+1's spawns would otherwise read
     // as a budget violation (join() returns before the kernel task is gone).
     for _ in 0..3 {
+        let session = kq_trace::TraceSession::start();
         let got = run_dataflow(&script, &plan, &ctx, &opts).unwrap();
         assert!(!got.output.is_empty());
+        let partitions = session
+            .finish()
+            .iter()
+            .filter(|r| r.name == "fold-partition")
+            .count();
+        assert_eq!(partitions, 1, "the big sort finishes in parts");
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while thread_count() > baseline {
             assert!(

@@ -141,3 +141,68 @@ fn cancelled_256mib_producer_terminates_promptly_without_draining() {
         grep.bytes_in
     );
 }
+
+/// `sort | head -n 5` behind a sort whose closing merge runs in parts,
+/// under a spill budget, on the dataflow executor. The fold emits once
+/// its last part is slotted, the first chunk of the first part satisfies
+/// the bound, and the teardown must drop the part files nobody will read
+/// — the pool has to come to rest (watchdog) with the serial answer and
+/// an empty spill directory, at one, two and four workers.
+#[test]
+fn head_behind_a_sort_that_finishes_in_parts_cancels_cleanly() {
+    use kq_pipeline::scheduler::{run_dataflow, ChunkSizing, DataflowOptions, QueueCredit};
+
+    let input = kq_workloads::inputs::numbered_lines(200_000, 23);
+    assert!(input.len() > 6 << 20, "three parts need 6 MiB");
+    let ctx = ExecContext::default();
+    ctx.vfs.write("/in.txt", input.as_str());
+    let script = parse_script("cat /in.txt | sort | head -n 5", &HashMap::new()).unwrap();
+    let mut planner = Planner::new(SynthesisConfig::default());
+    let plan = planner.plan(&script, &ctx, &input[..8_000]);
+    let serial = run_serial(&script, &ctx).unwrap();
+    assert_eq!(serial.output.as_str().lines().count(), 5);
+
+    let dir = std::env::temp_dir().join(format!("kq-early-exit-parts-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let (script, plan, ctx) = (
+        std::sync::Arc::new(script),
+        std::sync::Arc::new(plan),
+        std::sync::Arc::new(ctx),
+    );
+    for workers in [1usize, 2, 4] {
+        let opts = DataflowOptions {
+            workers,
+            chunk: ChunkSizing::Fixed(64 << 10),
+            queue: QueueCredit::Fixed(2),
+            fuse_streamable: true,
+            spill: Some(kq_dsl::SpillPolicy {
+                budget_bytes: 1 << 20,
+                dir: Some(dir.clone()),
+            }),
+        };
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let (script, plan, ctx) = (script.clone(), plan.clone(), ctx.clone());
+        let handle = std::thread::spawn(move || {
+            let result = run_dataflow(&script, &plan, &ctx, &opts);
+            done_tx.send(()).ok();
+            result
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the cancelled fold left the pool waiting");
+        let got = handle.join().expect("dataflow thread panicked").unwrap();
+        assert_eq!(got.output, serial.output, "w={workers}");
+        let stages = &got.timings.statements[0];
+        let sort = stages.iter().find(|s| s.label == "sort").unwrap();
+        assert_eq!(
+            sort.spill.unwrap().merge_parts,
+            3,
+            "the sort must have finished in parts (w={workers})"
+        );
+        let head = stages.iter().find(|s| s.label.starts_with("head")).unwrap();
+        assert!(head.early_exit.is_some(), "head exits early (w={workers})");
+        let left = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
+        assert_eq!(left, 0, "spill files left behind at w={workers}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

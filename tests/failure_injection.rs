@@ -357,3 +357,128 @@ fn streaming_clean_run_of_custom_stage_matches_serial() {
     let got = streaming_under_watchdog(ctx, script, plan, opts).unwrap();
     assert_eq!(got, serial.output);
 }
+
+/// A `sort` that, when handed the chunk holding only the trigger line,
+/// replaces the spill directory with a plain file — from then on no run
+/// file can be created there — and sorts that chunk to nothing.
+struct SabotagedSort {
+    sort: Command,
+    spill_dir: std::path::PathBuf,
+}
+
+const SABOTAGE_TRIGGER: &str = "TRIGGER: the spill directory goes\n";
+
+impl UnixCommand for SabotagedSort {
+    fn display(&self) -> String {
+        "sabotaged-sort".to_owned()
+    }
+
+    fn run(&self, input: Bytes, ctx: &ExecContext) -> Result<Bytes, CmdError> {
+        if input.as_bytes() == SABOTAGE_TRIGGER.as_bytes() {
+            std::fs::remove_dir_all(&self.spill_dir).ok();
+            std::fs::write(&self.spill_dir, "not a directory").unwrap();
+            return Ok(Bytes::new());
+        }
+        self.sort.run(input, ctx)
+    }
+}
+
+/// A part of a fold's closing merge that fails. The fold spills under a
+/// 1 MiB budget (24 runs of four 64 KiB chunks each, none pending when it
+/// closes), so its three parts each open a temp file — which the trigger
+/// chunk, the last of the stream, has made impossible. With one worker
+/// the order is fixed: every run is installed before the trigger chunk is
+/// mapped, planning succeeds, and the first part to run fails; the trace
+/// must show one teardown and no part merged after it. With more workers
+/// the trigger can overtake a run still being installed, so only the
+/// outcome is pinned: the run fails once, returns, and leaves no file.
+#[test]
+fn a_failing_part_of_the_closing_merge_fails_the_statement_once() {
+    use kumquat::dsl::ast::{Candidate, RunOp};
+    use kumquat::pipeline::scheduler::{run_dataflow, ChunkSizing, DataflowOptions, QueueCredit};
+    use kumquat::synth::SynthesizedCombiner;
+
+    // 32-byte lines, so 64 KiB chunks end exactly on line ends and the
+    // trigger line is a chunk of its own.
+    let mut input = String::with_capacity(6 << 20);
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    while input.len() < 6 << 20 {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        input.push_str(&format!("{state:020} padding...\n"));
+    }
+    assert_eq!(input.len() % (64 << 10), 0);
+    let sample = input[..32 * 100].to_owned();
+    input.push_str(SABOTAGE_TRIGGER);
+
+    for workers in [1usize, 2, 4] {
+        let base =
+            std::env::temp_dir().join(format!("kq-failing-part-{}-{workers}", std::process::id()));
+        std::fs::remove_dir_all(&base).ok();
+        let spill_dir = base.join("spill");
+        std::fs::create_dir_all(&spill_dir).unwrap();
+        let ctx = ExecContext::default();
+        ctx.vfs.write("/in.txt", input.as_str());
+        let script = Script {
+            statements: vec![Statement {
+                stages: vec![Stage {
+                    command: Command::custom(
+                        vec!["sabotaged-sort".into()],
+                        Box::new(SabotagedSort {
+                            sort: kumquat::coreutils::parse_command("sort").unwrap(),
+                            spill_dir: spill_dir.clone(),
+                        }),
+                    ),
+                    span: Default::default(),
+                }],
+                input: InputSource::Files(vec!["/in.txt".to_owned()]),
+                output: None,
+                span: Default::default(),
+            }],
+        };
+        let mut planner = Planner::new(SynthesisConfig::default());
+        planner.register_manual(
+            "sabotaged-sort",
+            SynthesizedCombiner::from_plausible(vec![Candidate::run(RunOp::Merge(vec![]))]),
+        );
+        let plan = planner.plan(&script, &ctx, &sample);
+        assert!(plan.statements[0].stages[0].mode.is_parallel());
+        let opts = DataflowOptions {
+            workers,
+            chunk: ChunkSizing::Fixed(64 << 10),
+            queue: QueueCredit::Fixed(4),
+            fuse_streamable: true,
+            spill: Some(kumquat::dsl::SpillPolicy {
+                budget_bytes: 1 << 20,
+                dir: Some(spill_dir.clone()),
+            }),
+        };
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            let session = kq_trace::TraceSession::start();
+            let result = run_dataflow(&script, &plan, &ctx, &opts).map(|r| r.output);
+            let records = session.finish();
+            done_tx.send(()).ok();
+            (result, records)
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the failing part left the pool waiting");
+        let (result, records) = handle.join().expect("dataflow thread panicked");
+        let err = result.expect_err("no run file can be created: the sort must fail");
+        assert!(err.to_string().contains("spill"), "{err}");
+        let named = |name: &str| records.iter().filter(|r| r.name == name).count();
+        assert_eq!(named("cancel"), 1, "one teardown at w={workers}");
+        if workers == 1 {
+            assert_eq!(named("fold-partition"), 1, "planning came first");
+            assert_eq!(named("fold-finish"), 1, "the parts behind it were dropped");
+        }
+        let left: Vec<_> = std::fs::read_dir(&base)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, ["spill"], "only the sabotage itself at w={workers}");
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+}

@@ -22,8 +22,15 @@
 //! out at once and come back in whatever order their merges finish, the
 //! batch count holds finalization off, and `sort -nu` makes the order
 //! they are installed in visible in the output.
+//!
+//! And it covers the finishing phase of a fold whose closing merge is cut
+//! into parts (`partitioned_finish_stress`): the finalizing task schedules
+//! one pool task per part, four workers merge parts of uneven size at once
+//! and slot them in whatever order they finish, and the task that fills
+//! the last slot — any of them — must start the emission exactly once.
 
 use kq_coreutils::ExecContext;
+use kq_pipeline::exec::run_serial;
 use kq_pipeline::parse::{parse_script, Script};
 use kq_pipeline::plan::{PlannedScript, Planner};
 use kq_pipeline::scheduler::{run_dataflow, ChunkSizing, DataflowOptions, QueueCredit};
@@ -57,20 +64,28 @@ fn short_input() -> String {
 }
 
 /// Runs the planned script `iterations` times under the race-friendly
-/// configuration, each run on a detached watchdog-guarded thread.
+/// configuration (64-byte chunks, a queue two deep), each run on a
+/// detached watchdog-guarded thread.
 fn stress(script_text: &str, input: &str, iterations: usize) {
-    let (script, plan, ctx) = plan_stress_script(script_text, input);
-    let expect = {
-        let opts = DataflowOptions::default();
-        run_dataflow(&script, &plan, &ctx, &opts).unwrap().output
-    };
+    stress_with(script_text, input, iterations, 64);
+}
+
+/// [`stress`] at a given chunk size.
+fn stress_with(script_text: &str, input: &str, iterations: usize, chunk_bytes: usize) {
+    // Plan over a line-aligned head of the input, run over all of it.
+    let head = input[..input.len().min(32_000)]
+        .rfind('\n')
+        .map_or(input.len(), |nl| nl + 1);
+    let (script, plan, ctx) = plan_stress_script(script_text, &input[..head]);
+    ctx.vfs.write("/in.txt", input);
+    let expect = run_serial(&script, &ctx).unwrap().output;
     for iter in 0..iterations {
         let (tx, rx) = mpsc::channel();
         let (script, plan, ctx) = (script.clone(), plan.clone(), ctx.clone());
         std::thread::spawn(move || {
             let opts = DataflowOptions {
                 workers: 4,
-                chunk: ChunkSizing::Fixed(64),
+                chunk: ChunkSizing::Fixed(chunk_bytes),
                 queue: QueueCredit::Fixed(2),
                 fuse_streamable: true,
                 spill: None,
@@ -117,4 +132,22 @@ fn run_batches_merged_outside_the_lock_finish_in_stream_order() {
     let once = run_dataflow(&script, &plan, &ctx, &DataflowOptions::default()).unwrap();
     assert_eq!(once.output, expect);
     stress("cat /in.txt | sort -nu", &input, ITERATIONS / 3);
+}
+
+/// The finishing phase. Nine MiB of lines fold into four parts under
+/// `sort` and (one line in seven repeating an earlier number, so the
+/// deduplicated runs are smaller) three under `sort -nu`; with 64 KiB
+/// chunks the fold also has four or five run batches out before it
+/// closes. A lost or doubled hand-over between the part tasks hangs the
+/// run or reorders its segments; `sort -nu` shows a part that merged the
+/// wrong slice of a run, by keeping the wrong line of a number.
+#[test]
+fn partitioned_finish_stress() {
+    // One run takes a debug build seconds and a release build some tens
+    // of milliseconds.
+    let iterations = if cfg!(debug_assertions) { 4 } else { 500 };
+    let input = kq_workloads::inputs::numbered_lines(280_000, 29);
+    assert!(input.len() > 8 << 20, "four parts need 8 MiB");
+    stress_with("cat /in.txt | sort", &input, iterations, 64 << 10);
+    stress_with("cat /in.txt | sort -nu", &input, iterations, 64 << 10);
 }

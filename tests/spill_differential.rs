@@ -219,3 +219,66 @@ fn early_exit_run_leaves_no_spill_files() {
     }
     assert_clean(&dir);
 }
+
+/// The closing merge in parts, under a budget: every part streams its key
+/// range of the spilled runs into a temp file of its own, the statement's
+/// stdout (or the redirect target, gathered once) is the part files in
+/// order, and none of them is left behind — at one, two and four workers,
+/// at chunk sizes that give thousands of pieces, a few dozen, and one.
+#[test]
+fn closing_merge_in_parts_matches_serial_under_a_budget() {
+    let dir = spill_dir("parts");
+    // Some 6.6 MiB: three parts for the plain sorts, two for `sort -nu`
+    // (one line in seven repeats an earlier number and is dropped).
+    let input = kq_workloads::inputs::numbered_lines(200_000, 17);
+    let script_text = "cat /in.txt | sort > /out/sorted\n\
+                       cat /out/sorted | sort -nu\n\
+                       cat /in.txt | sort -r";
+    let (script, plan, serial_ctx) = plan_over(script_text, &input[..64 << 10]);
+    serial_ctx.vfs.write("/in.txt", input.as_str());
+    let serial = run_serial(&script, &serial_ctx).unwrap();
+    let sorted = serial_ctx.vfs.read_bytes("/out/sorted").unwrap();
+    assert!(serial.output.len() > 10 << 20 && sorted.len() > 6 << 20);
+    for workers in [1, 2, 4] {
+        for chunk_bytes in [700, 64 << 10, 16 << 20] {
+            let ctx = ExecContext::default();
+            ctx.vfs.write("/in.txt", input.as_str());
+            let opts = DataflowOptions {
+                workers,
+                chunk: ChunkSizing::Fixed(chunk_bytes),
+                queue: QueueCredit::Fixed(4),
+                fuse_streamable: true,
+                spill: Some(SpillPolicy {
+                    budget_bytes: 1 << 20,
+                    dir: Some(dir.clone()),
+                }),
+            };
+            let got = run_dataflow(&script, &plan, &ctx, &opts).unwrap();
+            let at = format!("w={workers} chunk={chunk_bytes}");
+            assert!(got.output == serial.output, "stdout diverged at {at}");
+            assert!(
+                ctx.vfs.read_bytes("/out/sorted").unwrap() == sorted,
+                "/out/sorted diverged at {at}"
+            );
+            // Each of the three folds wrote one file per part of its
+            // closing merge: 6.6 MiB in three parts, twice, and the
+            // deduplicated numbers in two. A fold that saw one chunk has
+            // one run, and its parts are slices of that run: no file.
+            let expect = if chunk_bytes > input.len() {
+                [0, 0, 0]
+            } else {
+                [3, 2, 3]
+            };
+            let parts: Vec<u64> = got
+                .timings
+                .statements
+                .iter()
+                .flatten()
+                .filter_map(|t| t.spill)
+                .map(|sp| sp.merge_parts)
+                .collect();
+            assert_eq!(parts, expect, "part files at {at}");
+        }
+    }
+    assert_clean(&dir);
+}

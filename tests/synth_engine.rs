@@ -274,9 +274,9 @@ fn cold_corpus_plan_writes_the_same_cache_file_at_any_synth_worker_count() {
         args.push(path.display().to_string());
         let out = kq_cli::run_cli(&args).unwrap();
         assert!(
-            out.stdout.contains("planned 70 script(s)"),
+            out.text().contains("planned 70 script(s)"),
             "{}",
-            out.stdout
+            out.text()
         );
         let bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).ok();

@@ -202,8 +202,8 @@ fn critical_path_total_matches_trace_extent() {
 
     // The subcommand renders the same analysis.
     let out = call(&["trace", "report", &trace, "--top", "3"]);
-    assert!(out.stdout.contains("critical path:"), "{}", out.stdout);
-    assert!(out.stdout.contains("top busy nodes:"), "{}", out.stdout);
+    assert!(out.text().contains("critical path:"), "{}", out.text());
+    assert!(out.text().contains("top busy nodes:"), "{}", out.text());
 }
 
 /// A cold plan splits into running the command and deciding candidates:
@@ -246,7 +246,110 @@ fn cold_plan_splits_into_observe_and_filter() {
         analysis.synthesis.observe_ns + analysis.synthesis.filter_ns <= analysis.synthesis.total_ns
     );
     let out = call(&["trace", "report", &trace]);
-    assert!(out.stdout.contains("deciding candidates"), "{}", out.stdout);
+    assert!(out.text().contains("deciding candidates"), "{}", out.text());
+}
+
+/// A run whose first fold finishes in parts: 5 MiB sorted under 64 KiB
+/// chunks closes with a two-part merge. The trace has one `fold-partition`
+/// span for the planning and one `fold-finish` span per part, `seq` the
+/// part index; since the part count follows the bytes folded and never the
+/// worker count, the span identities are the same multiset at two workers
+/// and at four; and the node's finish being several spans on several
+/// threads leaves the critical path tiling the trace.
+#[test]
+fn a_finish_in_parts_traces_one_span_per_part_whatever_the_workers() {
+    let s = Scratch::new("parts");
+    let input = s.dir.join("big.txt");
+    let mut text = String::with_capacity(5 << 20);
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    while text.len() < 5 << 20 {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        text.push_str(&format!(
+            "{:07} w{}\n",
+            (state >> 33) % 3_000_000,
+            state % 5
+        ));
+    }
+    std::fs::write(&input, text).unwrap();
+    let script = format!(
+        "cat {} | sort | cut -d ' ' -f 2 | uniq -c | wc -l",
+        input.display()
+    );
+    let traced = |name: &str, workers: &str| {
+        let trace = s.trace_path(name);
+        call(&[
+            "run",
+            &script,
+            "--workers",
+            workers,
+            "--trace-out",
+            &trace,
+            "--no-verify",
+        ]);
+        let text = std::fs::read_to_string(&trace).unwrap();
+        kq_trace::parse_jsonl(&text).expect("trace JSONL must parse")
+    };
+    let two = traced("two.json", "2");
+    let four = traced("four.json", "4");
+
+    let of_sort = |records: &[kq_trace::Record], name: &str| -> Vec<Option<u64>> {
+        let mut seqs: Vec<Option<u64>> = records
+            .iter()
+            .filter(|r| r.kind == kq_trace::Kind::Span && r.name == name && r.ni == Some(1))
+            .map(|r| r.seq)
+            .collect();
+        seqs.sort();
+        seqs
+    };
+    assert_eq!(of_sort(&two, "fold-partition"), [None]);
+    assert_eq!(of_sort(&two, "fold-finish"), [Some(0), Some(1)]);
+    // The folds downstream see KBs and finish in one unnumbered span.
+    let unnumbered = |r: &&kq_trace::Record| r.name == "fold-finish" && r.seq.is_none();
+    assert_eq!(two.iter().filter(unnumbered).count(), 2);
+
+    assert_eq!(dataflow_identities(&two), dataflow_identities(&four));
+
+    for records in [&two, &four] {
+        let analysis = kq_trace::report::analyze(records);
+        assert!(analysis.extent_ns > 0);
+        assert_eq!(analysis.path_total_ns, analysis.extent_ns);
+    }
+}
+
+/// `corpus --plan` records through the same session `run` does:
+/// `--trace-out` writes both files with the synthesis spans in them, and
+/// `--metrics` prints the aggregated block.
+#[test]
+fn corpus_plan_takes_trace_out_and_metrics() {
+    let s = Scratch::new("corpus-plan");
+    let trace = s.trace_path("plan.json");
+    let out = call(&[
+        "corpus",
+        "--plan",
+        "--suite",
+        "oneliners",
+        "--trace-out",
+        &trace,
+        "--metrics",
+    ]);
+    assert!(out.text().contains("stages parallel"), "{}", out.text());
+    assert!(out.notes.iter().any(|n| n.starts_with("trace:")));
+    assert!(out
+        .notes
+        .iter()
+        .any(|n| n.starts_with("metrics: span synth/synthesize:")));
+    let records = kq_trace::parse_jsonl(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+    let synthesized = |r: &&kq_trace::Record| r.cat == "synth" && r.name == "synthesize";
+    assert!(records.iter().filter(synthesized).count() > 10);
+    assert!(std::path::Path::new(&s.trace_path("plan.chrome.json")).is_file());
+    // Without the flags nothing is recorded and nothing is said.
+    let quiet = call(&["corpus", "--plan", "--suite", "oneliners"]);
+    assert!(!quiet
+        .notes
+        .iter()
+        .any(|n| n.starts_with("trace:") || n.starts_with("metrics:")));
 }
 
 /// The Chrome export is well-formed JSON with one metadata-named track
