@@ -133,7 +133,14 @@ USAGE:
         graph and runs the whole script on one shared work-stealing pool
         of exactly --workers threads: independent statements overlap,
         dependent ones (linked by > file redirects) wait, and early exit
-        also drops chunks already queued upstream. (--executor is
+        also drops chunks already queued upstream. A 'sort | uniq -c'
+        (or 'sort | uniq') pair of parallel stages runs there as one
+        counting fold — each chunk hash-counted, the counts merged —
+        instead of a sort of every line and a second pass over it,
+        reported as 'counting fold: s1 stages 4-5 ...'. --no-opt runs the
+        plan without its rewrites: every parallel stage combines (no
+        Theorem 5 elimination, no fused chunk-local runs) and such a pair
+        stays two stages. (--executor is
         accepted as an alias for --exec.) Under --exec dataflow the two
         capacity knobs accept 'auto': --chunk-kb auto derives each
         statement's chunk size from its input size and the worker count,
@@ -430,7 +437,11 @@ fn planning_sample(script: &Script, ctx: &ExecContext) -> String {
 }
 
 fn cmd_plan(args: &ParsedArgs) -> Result<CliOutput, String> {
-    let planned = plan_from_args(args)?;
+    let mut planned = plan_from_args(args)?;
+    planned.notes.extend(crate::report::render_fold_pair_notes(
+        &planned.script,
+        &planned.plan,
+    ));
     let mut stdout = render_plan(&planned.script, &planned.plan);
     stdout.push_str(&render_synthesis_summary(
         &planned.planner.reports,
@@ -549,6 +560,14 @@ fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
         }
     };
     let mut notes = planned.notes;
+    // The other executors, and the dataflow graph under --no-opt, run the
+    // plan stage by stage.
+    if executor == "dataflow" && honor {
+        notes.extend(crate::report::render_fold_pair_notes(
+            &planned.script,
+            &planned.plan,
+        ));
+    }
     if let Some(serial) = &serial {
         if !output.eq_bytes(serial.output.as_bytes()) {
             return Err("parallel output diverged from serial output (combiner bug)".into());
@@ -1060,6 +1079,44 @@ mod tests {
             "notes: {:?}",
             run.notes
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fold_pairs_are_reported_where_they_are_fused() {
+        let dir = std::env::temp_dir().join(format!("kq-cli-foldpair-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let input = dir.join("w.txt");
+        std::fs::write(&input, "b x\na y\nb z\n".repeat(400)).unwrap();
+        let script = format!(
+            "cat {inp} | cut -d ' ' -f 1 | sort | uniq -c | sort -rn\n\
+             cat {inp} | cut -d ' ' -f 2 | sort -r | uniq",
+            inp = input.display()
+        );
+        let expect = "    800 b\n    400 a\nz\ny\nx\n";
+        let notes = [
+            "counting fold: s1 stages 2-3 'sort | uniq -c'",
+            "unique fold: s2 stages 2-3 'sort -r | uniq'",
+        ];
+        let has_notes = |out: &CliOutput| notes.map(|n| out.notes.iter().any(|have| have == n));
+        // The plan says what it records; a dataflow run says what it ran.
+        assert_eq!(has_notes(&call(&["plan", &script]).unwrap()), [true, true]);
+        let run = call(&["run", &script, "--workers", "2", "--chunk-kb", "1"]).unwrap();
+        assert_eq!(run.text(), expect);
+        assert_eq!(has_notes(&run), [true, true]);
+        // --no-opt and the stage-by-stage executors run two stages.
+        for extra in [&["--no-opt"][..], &["--exec", "streaming"]] {
+            let mut words = vec!["run", &script, "--workers", "2", "--chunk-kb", "1"];
+            words.extend_from_slice(extra);
+            let run = call(&words).unwrap();
+            assert_eq!(run.text(), expect, "{extra:?}");
+            assert_eq!(has_notes(&run), [false, false], "{extra:?}");
+        }
+        // `check` names the same pairs without planning anything.
+        let check = call(&["check", &script]).unwrap();
+        for note in notes {
+            assert!(check.text().contains(note), "{}", check.text());
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

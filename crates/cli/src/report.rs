@@ -94,6 +94,22 @@ pub fn render_plan(script: &Script, plan: &PlannedScript) -> String {
     out
 }
 
+/// One note per `sort | uniq` pair the plan fuses into one fold under the
+/// dataflow executor (`counting fold: s1 stages 4-5 'sort | uniq -c'`):
+/// what the planner decided beyond per-stage modes.
+pub fn render_fold_pair_notes(script: &Script, plan: &PlannedScript) -> Vec<String> {
+    let mut notes = Vec::new();
+    for (si, (statement, planned)) in script.statements.iter().zip(&plan.statements).enumerate() {
+        for (gi, stage) in planned.stages.iter().enumerate() {
+            if let Some(pair) = stage.fold_pair {
+                let (sort, uniq) = (&statement.stages[gi], &statement.stages[gi + 1]);
+                notes.push(pair.note(si, gi, &sort.command, &uniq.command));
+            }
+        }
+    }
+    notes
+}
+
 /// Total synthesis wall time in milliseconds. (An empty float sum is
 /// `-0.0`, which `{:.1}` renders as "-0.0 ms"; normalize it away.)
 pub(crate) fn total_synthesis_ms(reports: &[SynthesisReport]) -> f64 {

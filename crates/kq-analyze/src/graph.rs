@@ -10,11 +10,15 @@
 //! dynamic plan may parallelize more — but it exercises the same
 //! [`DataflowGraph::build`] + fusion rewrite the scheduler runs, so the
 //! structural invariants ([`DataflowGraph::validate`]) and the fusion
-//! legality rule (fused runs span chunk-local stages only) are checked on
-//! a graph of the real shape family.
+//! legality rules (fused runs span chunk-local stages only; a fused fold
+//! spans a `sort | uniq` pair the lattice licenses) are checked on a graph
+//! of the real shape family. The static plan also carries the lattice's
+//! answer about every such pair ([`PlannedStage::fold_pair`]) — what the
+//! planner will fuse once synthesis makes both stages parallel — which
+//! `kumquat check` reports ([`fold_pair_sites`]).
 
 use crate::diag::{Diagnostic, Severity};
-use kq_pipeline::lattice::{self, EffectClass};
+use kq_pipeline::lattice::{self, EffectClass, FoldPair};
 use kq_pipeline::plan::{PlannedStage, PlannedStatement, StageMode};
 use kq_pipeline::scheduler::DEFAULT_QUEUE_DEPTH;
 use kq_pipeline::{DataflowGraph, NodeKind, Script, Statement};
@@ -42,6 +46,10 @@ pub fn static_plan(statement: &Statement, classes: &[EffectClass]) -> PlannedSta
                 mode,
                 streamable,
                 line_bound: kq_synth::prefix_bound(&stage.command),
+                fold_pair: statement
+                    .stages
+                    .get(stage_idx + 1)
+                    .and_then(|next| lattice::fold_pair(&stage.command, &next.command)),
             }
         })
         .collect();
@@ -61,33 +69,59 @@ pub fn static_plan(statement: &Statement, classes: &[EffectClass]) -> PlannedSta
     PlannedStatement { stages }
 }
 
-/// Verifies every statement's dataflow graph (`KQ201`–`KQ203`).
-pub fn verify_graphs(script: &Script, classes: &[Vec<EffectClass>]) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for (si, (statement, stage_classes)) in script.statements.iter().zip(classes).enumerate() {
-        let planned = static_plan(statement, stage_classes);
-        let graph = DataflowGraph::build(&planned, true);
+/// A `sort | uniq` pair of adjacent stages that the lattice licenses to
+/// run as one fold under the dataflow executor.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FoldPairSite {
+    /// Statement index (0-based).
+    pub statement: usize,
+    /// Index of the `sort` stage within the statement (0-based); the
+    /// `uniq` is the next stage.
+    pub stage: usize,
+    /// What the pair folds into.
+    pub pair: FoldPair,
+    /// [`FoldPair::note`] for the pair: the line `check` and the run notes
+    /// print.
+    pub note: String,
+}
 
-        // KQ201/KQ202 — structural invariants and queue-credit coverage.
-        for problem in graph.validate(planned.stages.len(), DEFAULT_QUEUE_DEPTH) {
-            let code = if problem.contains("queue credit") {
-                "KQ202"
-            } else {
-                "KQ201"
-            };
-            out.push(
-                Diagnostic::new(code, Severity::Error, format!("dataflow graph: {problem}"))
-                    .at_statement(si, statement.span),
-            );
+/// Every fold pair of the script, in source order: the sites the planner
+/// fuses when both stages parallelize.
+pub fn fold_pair_sites(script: &Script) -> Vec<FoldPairSite> {
+    let mut sites = Vec::new();
+    for (si, statement) in script.statements.iter().enumerate() {
+        for (gi, stages) in statement.stages.windows(2).enumerate() {
+            let (sort, uniq) = (&stages[0].command, &stages[1].command);
+            if let Some(pair) = lattice::fold_pair(sort, uniq) {
+                sites.push(FoldPairSite {
+                    statement: si,
+                    stage: gi,
+                    pair,
+                    note: pair.note(si, gi, sort, uniq),
+                });
+            }
         }
+    }
+    sites
+}
 
-        // KQ203 — fusion legality: a fused StageWorker run must span
-        // chunk-local stages only. `fuse_streamable` only merges
-        // StageWorker neighbors, so this can fire only if the rewrite (or
-        // a hand-built graph) regresses; it is the static twin of the
-        // scheduler's debug assertion.
-        for node in &graph.nodes {
-            if node.kind == NodeKind::StageWorker && node.stages.len() > 1 {
+/// `KQ203` — fusion legality of one statement's graph: a fused
+/// StageWorker run must span chunk-local stages only, and a fused fold
+/// must span exactly a `sort | uniq` pair the lattice licenses. The
+/// rewrites of [`DataflowGraph::build`] produce nothing else, so this can
+/// fire only if a rewrite (or a hand-built graph) regresses; it is the
+/// static twin of the scheduler's debug assertion.
+pub fn fusion_findings(
+    si: usize,
+    statement: &Statement,
+    planned: &PlannedStatement,
+    graph: &DataflowGraph,
+) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    for node in graph.nodes.iter().filter(|n| n.stages.len() > 1) {
+        let first = node.stages.start;
+        match node.kind {
+            NodeKind::StageWorker => {
                 for idx in node.stages.clone() {
                     if !planned.stages[idx].streamable {
                         out.push(
@@ -109,7 +143,56 @@ pub fn verify_graphs(script: &Script, classes: &[Vec<EffectClass>]) -> Vec<Diagn
                     }
                 }
             }
+            NodeKind::Fold { .. } => {
+                let licensed = node.stages.len() == 2
+                    && lattice::fold_pair(
+                        &statement.stages[first].command,
+                        &statement.stages[first + 1].command,
+                    )
+                    .is_some();
+                if !licensed {
+                    out.push(
+                        Diagnostic::new(
+                            "KQ203",
+                            Severity::Error,
+                            format!(
+                                "fused fold over stages {:?} is not a sort | uniq pair the \
+                                 lattice licenses",
+                                node.stages
+                            ),
+                        )
+                        .at_stage(si, first, statement.stages[first].span),
+                    );
+                }
+            }
+            // `validate` (KQ201) reports every other multi-stage node.
+            NodeKind::Split | NodeKind::BoundedConsumer { .. } => {}
         }
+    }
+    out
+}
+
+/// Verifies every statement's dataflow graph (`KQ201`–`KQ203`).
+pub fn verify_graphs(script: &Script, classes: &[Vec<EffectClass>]) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    for (si, (statement, stage_classes)) in script.statements.iter().zip(classes).enumerate() {
+        let planned = static_plan(statement, stage_classes);
+        let graph = DataflowGraph::build(&planned, true);
+
+        // KQ201/KQ202 — structural invariants and queue-credit coverage.
+        for problem in graph.validate(&planned, DEFAULT_QUEUE_DEPTH) {
+            let code = if problem.contains("queue credit") {
+                "KQ202"
+            } else {
+                "KQ201"
+            };
+            out.push(
+                Diagnostic::new(code, Severity::Error, format!("dataflow graph: {problem}"))
+                    .at_statement(si, statement.span),
+            );
+        }
+
+        out.extend(fusion_findings(si, statement, &planned, &graph));
     }
     out
 }
@@ -144,6 +227,60 @@ mod tests {
         .unwrap();
         let classes = classes_for(&script);
         assert!(verify_graphs(&script, &classes).is_empty());
+    }
+
+    #[test]
+    fn fold_pairs_are_reported_and_unlicensed_fused_folds_are_kq203() {
+        use kq_pipeline::FoldMode;
+        let env: HashMap<String, String> = HashMap::new();
+        let script = parse_script(
+            "cat /in.txt | tr A-Z a-z | sort | uniq -c | sort -rn\n\
+             cat /in.txt | sort -u | uniq -c\n\
+             cat /in.txt | sort -r | uniq | sort -f | uniq\n",
+            &env,
+        )
+        .unwrap();
+        let sites = fold_pair_sites(&script);
+        let notes: Vec<&str> = sites.iter().map(|s| s.note.as_str()).collect();
+        assert_eq!(
+            notes,
+            [
+                "counting fold: s1 stages 2-3 'sort | uniq -c'",
+                "unique fold: s3 stages 1-2 'sort -r | uniq'"
+            ]
+        );
+        // The static plan records the same answers, on the sort's stage.
+        let classes = classes_for(&script);
+        let planned = static_plan(&script.statements[0], &classes[0]);
+        let recorded: Vec<Option<FoldPair>> = planned.stages.iter().map(|s| s.fold_pair).collect();
+        assert_eq!(recorded, [None, Some(FoldPair::Counting), None, None]);
+        assert!(verify_graphs(&script, &classes).is_empty());
+
+        // A graph whose folds were fused by hand: over the licensed pair
+        // of statement 1 nothing fires; over `sort -u | uniq -c` KQ203.
+        let fuse_stages = |si: usize, first: usize| {
+            let statement = &script.statements[si];
+            let planned = static_plan(statement, &classes[si]);
+            let mut graph = DataflowGraph::build(&planned, true);
+            let at = graph
+                .nodes
+                .iter()
+                .position(|n| n.stages.start == first && !n.stages.is_empty())
+                .unwrap();
+            graph.nodes[at].kind = NodeKind::Fold {
+                mode: FoldMode::Combine,
+            };
+            graph.nodes[at].stages.end += 1;
+            graph.nodes.remove(at + 1);
+            fusion_findings(si, statement, &planned, &graph)
+        };
+        assert!(fuse_stages(0, 1).is_empty());
+        let findings = fuse_stages(1, 0);
+        assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].code, "KQ203");
+        assert!(findings[0].message.contains("not a sort | uniq pair"));
+        // `uniq -c | sort -rn`: two folds, but no pair.
+        assert_eq!(fuse_stages(0, 2)[0].code, "KQ203");
     }
 
     #[test]

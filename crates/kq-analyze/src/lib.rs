@@ -14,7 +14,8 @@
 //!    same [`kq_pipeline::dataflow::DataflowGraph`] IR the work-stealing
 //!    scheduler executes, and the graph's structural invariants,
 //!    queue-credit coverage, and fusion legality are checked
-//!    (`KQ201`–`KQ203`).
+//!    (`KQ201`–`KQ203`); the `sort | uniq` pairs the lattice licenses to
+//!    run as one fold are named ([`Analysis::fold_pairs`]).
 //! 3. **Hazard lints** ([`hazards`]): use-before-def, dead writes, and
 //!    read/write aliasing over the exact access relation the scheduler's
 //!    dependency pass uses (`KQ101`–`KQ103`).
@@ -32,7 +33,8 @@ pub mod graph;
 pub mod hazards;
 
 pub use diag::{Diagnostic, Severity};
-pub use kq_pipeline::lattice::{classify, effects, EffectClass, EffectSet};
+pub use graph::FoldPairSite;
+pub use kq_pipeline::lattice::{classify, effects, fold_pair, EffectClass, EffectSet, FoldPair};
 
 use kq_pipeline::lattice;
 use kq_pipeline::parse::parse_script;
@@ -64,6 +66,11 @@ pub struct Analysis {
     pub stages: usize,
     /// Per-stage effect classes, flattened.
     pub classes: Vec<StageClass>,
+    /// The `sort | uniq` pairs the lattice licenses to run as one fold
+    /// (what the planner fuses when both stages parallelize), in source
+    /// order. Facts about the plan, not findings: they are rendered after
+    /// the diagnostics and do not count among them.
+    pub fold_pairs: Vec<FoldPairSite>,
 }
 
 impl Analysis {
@@ -107,6 +114,10 @@ impl Analysis {
             out.push_str(&d.to_string());
             out.push('\n');
         }
+        for site in &self.fold_pairs {
+            out.push_str(&site.note);
+            out.push('\n');
+        }
         out.push_str(&format!(
             "check: {} statement(s), {} stage(s), {} statically classified \
              ({} short-circuit synthesis), {} error(s), {} warning(s)\n",
@@ -140,15 +151,29 @@ impl Analysis {
                 )
             })
             .collect();
+        let fold_pairs: Vec<String> = self
+            .fold_pairs
+            .iter()
+            .map(|site| {
+                format!(
+                    "{{\"statement\":{},\"stage\":{},\"fold\":\"{}\"}}",
+                    site.statement,
+                    site.stage,
+                    site.pair.as_str()
+                )
+            })
+            .collect();
         format!(
             "{{\"summary\":{{\"statements\":{},\"stages\":{},\"short_circuitable\":{},\
-             \"errors\":{},\"warnings\":{}}},\"classes\":[{}],\"diagnostics\":[{}]}}",
+             \"errors\":{},\"warnings\":{}}},\"classes\":[{}],\"fold_pairs\":[{}],\
+             \"diagnostics\":[{}]}}",
             self.statements,
             self.stages,
             self.short_circuitable(),
             self.errors(),
             self.warnings(),
             classes.join(","),
+            fold_pairs.join(","),
             diags.join(",")
         )
     }
@@ -177,6 +202,7 @@ pub fn check_script(script_text: &str, env: &HashMap<String, String>) -> Analysi
                 statements: 0,
                 stages: 0,
                 classes: Vec::new(),
+                fold_pairs: Vec::new(),
             };
         }
     };
@@ -240,6 +266,7 @@ pub fn check_parsed(script: &Script) -> Analysis {
         statements: script.statements.len(),
         stages: script.statements.iter().map(|s| s.stages.len()).sum(),
         classes,
+        fold_pairs: graph::fold_pair_sites(script),
     }
 }
 
@@ -260,6 +287,14 @@ mod tests {
         assert_eq!(a.short_circuitable(), 2); // grep, tr
         let infos: Vec<&str> = a.diagnostics.iter().map(|d| d.code).collect();
         assert_eq!(infos, vec!["KQ301", "KQ301", "KQ302", "KQ302"]);
+        // The pair is named, in both renderings, and is not a finding.
+        assert_eq!(a.fold_pairs.len(), 1);
+        assert!(a
+            .render_human()
+            .contains("counting fold: s1 stages 3-4 'sort | uniq -c'\n"));
+        assert!(a
+            .to_json()
+            .contains("\"fold_pairs\":[{\"statement\":0,\"stage\":2,\"fold\":\"counting\"}]"));
     }
 
     #[test]

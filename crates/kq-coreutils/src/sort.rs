@@ -48,7 +48,38 @@
 //! comparator orders strictly, so `-u`, the folded and numeric orders, `-r`
 //! and the stream-index tie-break come out exactly as in the flat merge;
 //! the method's documentation states the contract.
+//!
+//! # Counted mode
+//!
+//! `sort <flags> | uniq -c` asks the sort only for adjacency: absent `-u`
+//! the comparator ends in the last-resort byte order, so two lines compare
+//! equal exactly when they are the same bytes, and the pair is one keyed
+//! count. [`LineOrder::counted`] is that pair as a line order. Its streams
+//! are *counted runs* — distinct lines in the sort's order, each behind
+//! the count column `uniq -c` prints (optional blanks, digits, exactly one
+//! blank; [`crate::uniq`] owns the format) — and every operation reads a
+//! line's key and bytes **past the count column**:
+//!
+//! * [`LineOrder::sort_bytes`] turns raw lines into a counted run — the
+//!   bytes `sort <flags> | uniq -c` prints for them. A chunk with few
+//!   distinct lines is counted in a hash table over line slices and only
+//!   the distinct lines are sorted; when the table stops being small
+//!   against the lines read (or probes too long) the chunk is sorted with
+//!   the kernel above and adjacent equal lines are counted. Same bytes
+//!   either way;
+//! * [`LineOrder::merge`] and [`LineOrder::merge_to`] add the counts of
+//!   equal lines where a `-u` merge drops the duplicate, and rewrite the
+//!   column (a sum of 10^7 or more widens it, as `uniq -c` does);
+//! * [`LineOrder::partition`] cuts by the counted lines, so a boundary
+//!   separates only entries for lines the comparator orders strictly: all
+//!   runs' entries for one line land in one part and their counts meet.
+//!
+//! Merging counted runs of the pieces of a stream, in any grouping, gives
+//! the counted run of the whole stream. The mode is a parameter of the
+//! merge loop's instantiation, not a test inside it: the plain merge is
+//! the code it was.
 
+use crate::uniq::{push_counted, split_counted};
 use crate::{Bytes, CmdError, ExecContext, UnixCommand};
 use std::cmp::Ordering;
 
@@ -229,19 +260,139 @@ fn folded(line: &[u8]) -> impl Iterator<Item = u8> + '_ {
     line.iter().map(u8::to_ascii_uppercase)
 }
 
+/// The lines of a segment with the counting table's hash of each, found
+/// and hashed in one pass, eight bytes at a time: a word with a newline in
+/// it ends the line, and what precedes the newline is the line's last
+/// word. A line of up to seven bytes — a word stream has little else —
+/// costs one load, one newline test and two multiplications. An
+/// unterminated final line is a line; `""` holds none.
+struct HashedLines<'a> {
+    input: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Iterator for HashedLines<'a> {
+    /// A line (newline excluded), its offset, its hash.
+    type Item = (&'a [u8], usize, u64);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        const ONES: u64 = 0x0101_0101_0101_0101;
+        const HIGHS: u64 = 0x8080_8080_8080_8080;
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        // Each word is multiplied in and its high half folded down, so the
+        // low bits a table index takes depend on every byte.
+        let mix = |h: u64, word: u64| {
+            let h = (h ^ word).wrapping_mul(K);
+            h ^ (h >> 32)
+        };
+        let start = self.pos;
+        if start >= self.input.len() {
+            return None;
+        }
+        let (mut at, mut hash) = (start, 0u64);
+        let end = loop {
+            let Some(word) = self.input.get(at..at + 8) else {
+                // The last seven bytes of the segment, one at a time.
+                let rest = &self.input[at..];
+                let len = rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
+                let word = rest[..len]
+                    .iter()
+                    .rev()
+                    .fold(0u64, |word, &b| word << 8 | u64::from(b));
+                hash = mix(hash, word);
+                break at + len;
+            };
+            let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+            // A byte of `x` is zero where `word` has a newline, and the
+            // lowest set high bit of `found` marks the first such byte.
+            let x = word ^ (ONES * u64::from(b'\n'));
+            let found = x.wrapping_sub(ONES) & !x & HIGHS;
+            if found != 0 {
+                let len = (found.trailing_zeros() / 8) as usize;
+                hash = mix(hash, word & ((1u64 << (8 * len)) - 1));
+                break at + len;
+            }
+            hash = mix(hash, word);
+            at += 8;
+        };
+        self.pos = end + 1;
+        // The length tells lines apart that differ in trailing NULs.
+        let hash = mix(hash, (end - start) as u64);
+        Some((&self.input[start..end], start, hash))
+    }
+}
+
 /// The line order of one `sort` flag set: how a line is decorated with its
 /// key and how two decorated lines compare. Parse the flags once with
 /// [`LineOrder::parse`] and merge any number of times.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LineOrder {
     flags: SortFlags,
+    /// Counted mode (see the [module docs](self)): streams are counted
+    /// runs, and keys and comparisons read past the count column.
+    counted: bool,
 }
+
+/// One line of a segment being sorted: its key and where it is.
+#[derive(Clone, Copy)]
+struct Entry {
+    key: u64,
+    start: u32,
+    len: u32,
+}
+
+impl Entry {
+    fn line(self, input: &[u8]) -> (u64, &[u8]) {
+        (self.key, &input[self.start as usize..][..self.len as usize])
+    }
+}
+
+/// Lines [`LineOrder::count_segment`] reads into its table before it first
+/// asks whether the table is still small against them: any text starts
+/// with mostly new lines, and what share stays new shows only after the
+/// first thousand.
+const FIRST_TABLE_CHECK: usize = 1024;
 
 impl LineOrder {
     /// The order of `sort <flag_words>` (the flags of a `merge <flags>`
     /// combiner).
     pub fn parse(flag_words: &[String]) -> Result<LineOrder, CmdError> {
-        SortCmd::parse(flag_words).map(|cmd| LineOrder { flags: cmd.flags })
+        SortCmd::parse(flag_words).map(|cmd| LineOrder {
+            flags: cmd.flags,
+            counted: false,
+        })
+    }
+
+    /// This order under `-u`: the order of `sort -u <flags>`.
+    pub fn unique(self) -> LineOrder {
+        LineOrder {
+            flags: SortFlags {
+                unique: true,
+                ..self.flags
+            },
+            ..self
+        }
+    }
+
+    /// This order in counted mode — the order of `sort <flags> | uniq -c`
+    /// (see the [module docs](self)). Defined for orders without `-u`,
+    /// whose comparator calls only identical lines equal.
+    pub fn counted(self) -> LineOrder {
+        debug_assert!(!self.flags.unique, "`sort -u | uniq -c` is not a count");
+        LineOrder {
+            counted: true,
+            ..self
+        }
+    }
+
+    /// What keys and comparisons read of a line of one of this order's
+    /// streams: the line, or in counted mode what follows its count column.
+    fn payload(self, line: &[u8]) -> &[u8] {
+        if self.counted {
+            split_counted(line).1
+        } else {
+            line
+        }
     }
 
     /// True when the key is a number (`-k1n` and `-n` outrank `-f`).
@@ -293,11 +444,25 @@ impl LineOrder {
         }
     }
 
+    /// `sort <flags>` of one stream of text — in counted mode
+    /// `sort <flags> | uniq -c` of it, as one pass (the input is raw lines,
+    /// the output a counted run). Foreign bytes are `sort`'s error.
+    pub fn sort_bytes(self, input: &Bytes) -> Result<Bytes, CmdError> {
+        crate::input_str(input, "sort")?;
+        // Whole lines of validated text, reordered (behind ASCII count
+        // columns in counted mode): the scan cannot fail, and it marks the
+        // output as text for every later stage.
+        Bytes::from(self.sort(input.as_bytes(), MAX_SEGMENT)?)
+            .into_text()
+            .map_err(|_| CmdError::new("sort", "input is not valid UTF-8"))
+    }
+
     /// Sorts the lines of `input` (an unterminated final line counts as a
     /// line) into one newline-terminated output. Inputs longer than
     /// `max_segment` (in production, [`MAX_SEGMENT`]) are sorted in
     /// line-aligned segments and merged — "sort every split, then
-    /// `sort -m`", on one thread.
+    /// `sort -m`", on one thread. In counted mode the segments are counted
+    /// and the merge adds their counts.
     fn sort(self, input: &[u8], max_segment: usize) -> Result<Vec<u8>, CmdError> {
         let mut runs = Vec::new();
         let mut rest = input;
@@ -322,15 +487,33 @@ impl LineOrder {
     }
 
     /// Sorts at most [`MAX_SEGMENT`] bytes: decorate every line once, sort
-    /// the decorations, write the lines out in that order.
+    /// the decorations, write the lines out in that order (counted mode:
+    /// [`count_segment`](LineOrder::count_segment)).
     fn sort_segment(self, input: &[u8]) -> Vec<u8> {
-        #[derive(Clone, Copy)]
-        struct Entry {
-            key: u64,
-            start: u32,
-            len: u32,
+        if self.counted {
+            return self.count_segment(input, FIRST_TABLE_CHECK);
         }
-        let line = |e: &Entry| (e.key, &input[e.start as usize..][..e.len as usize]);
+        let mut entries = self.entries(input);
+        self.order_by(input, &mut entries, |e| *e);
+        let mut out = Vec::with_capacity(input.len() + 1);
+        let mut prev: Option<Entry> = None;
+        for e in entries {
+            if self.flags.unique
+                && prev.is_some_and(|p| {
+                    self.key_compare(p.line(input), e.line(input)) == Ordering::Equal
+                })
+            {
+                continue;
+            }
+            out.extend_from_slice(e.line(input).1);
+            out.push(b'\n');
+            prev = Some(e);
+        }
+        out
+    }
+
+    /// One decorated entry per line of `input`, in input order.
+    fn entries(self, input: &[u8]) -> Vec<Entry> {
         let lines = input.iter().filter(|&&b| b == b'\n').count() + 1;
         let mut entries: Vec<Entry> = Vec::with_capacity(lines);
         if !input.is_empty() {
@@ -345,31 +528,125 @@ impl LineOrder {
                 start += text.len() + 1;
             }
         }
-        // Two steps, both stable: order the bare keys (integer compares,
-        // nothing but the entries touched), then settle each run of equal
-        // keys with the full comparator, which for equal keys goes straight
-        // to the tie-breaks.
+        entries
+    }
+
+    /// Sorts `items` by the lines their entries name. Two steps, both
+    /// stable: order the bare keys (integer compares, nothing but the
+    /// items touched), then settle each run of equal keys with the full
+    /// comparator, which for equal keys goes straight to the tie-breaks.
+    fn order_by<T>(self, input: &[u8], items: &mut [T], entry: impl Fn(&T) -> Entry + Copy) {
         if self.flags.reverse {
-            entries.sort_by_key(|e| std::cmp::Reverse(e.key));
+            items.sort_by_key(|t| std::cmp::Reverse(entry(t).key));
         } else {
-            entries.sort_by_key(|e| e.key);
+            items.sort_by_key(|t| entry(t).key);
         }
-        for run in entries.chunk_by_mut(|a, b| a.key == b.key) {
-            run.sort_by(|a, b| self.compare(line(a), line(b)));
+        for run in items.chunk_by_mut(|a, b| entry(a).key == entry(b).key) {
+            run.sort_by(|a, b| self.compare(entry(a).line(input), entry(b).line(input)));
         }
-        let mut out = Vec::with_capacity(input.len() + 1);
-        let mut prev: Option<&Entry> = None;
-        for e in &entries {
-            if self.flags.unique
-                && prev.is_some_and(|p| self.key_compare(line(p), line(e)) == Ordering::Equal)
-            {
-                continue;
+    }
+
+    /// The counted-mode segment kernel: the distinct lines of `input` in
+    /// this order, each behind its count — the bytes of
+    /// `sort <flags> | uniq -c`. Lines the comparator calls equal are
+    /// identical (no `-u`), so counting identical lines in a table and
+    /// sorting the distinct ones is counting the adjacent equal lines of
+    /// the sorted segment. The table is tried first and abandoned for the
+    /// sort when it stops being small (see
+    /// [`count_distinct`](LineOrder::count_distinct)); `first_check` is
+    /// [`FIRST_TABLE_CHECK`] outside tests, which force the sort with 1
+    /// and the table with `usize::MAX`.
+    fn count_segment(self, input: &[u8], first_check: usize) -> Vec<u8> {
+        let groups = match self.count_distinct(input, first_check) {
+            // The table hands the groups back in first-occurrence order.
+            Some(mut groups) => {
+                self.order_by(input, &mut groups, |g| g.0);
+                groups
             }
-            out.extend_from_slice(line(e).1);
-            out.push(b'\n');
-            prev = Some(e);
+            None => {
+                let mut entries = self.entries(input);
+                self.order_by(input, &mut entries, |e| *e);
+                let mut groups: Vec<(Entry, u64)> = Vec::new();
+                for e in entries {
+                    match groups.last_mut() {
+                        Some((prev, n)) if prev.line(input).1 == e.line(input).1 => *n += 1,
+                        _ => groups.push((e, 1)),
+                    }
+                }
+                groups
+            }
+        };
+        let bytes: usize = groups.iter().map(|g| g.0.len as usize + 9).sum();
+        let mut out = Vec::with_capacity(bytes);
+        for (e, n) in groups {
+            push_counted(&mut out, n, e.line(input).1);
         }
         out
+    }
+
+    /// Counts the distinct lines of `input` in an open-addressing table
+    /// over line slices (linear probing, at most half full). Returns
+    /// `None` when the table is not small against the lines read — asked
+    /// each time their number doubles, from `first_check` lines on: more
+    /// than three in four of them distinct, so the sort of the distinct
+    /// lines that follows saves little over sorting them all — or, from
+    /// then on, when probing has cost more than that sort would: the hash
+    /// is not keyed, and lines chosen to collide must not be able to make
+    /// a chunk quadratic.
+    fn count_distinct(self, input: &[u8], first_check: usize) -> Option<Vec<(Entry, u64)>> {
+        const EMPTY: u32 = u32::MAX;
+        let mut slots = vec![EMPTY; 256];
+        let mut hashes: Vec<u64> = Vec::new();
+        let mut groups: Vec<(Entry, u64)> = Vec::new();
+        let (mut lines, mut probes) = (0usize, 0usize);
+        for (text, start, hash) in (HashedLines { input, pos: 0 }) {
+            lines += 1;
+            if lines >= first_check && lines.is_power_of_two() && groups.len() * 4 > lines * 3 {
+                return None;
+            }
+            let mask = slots.len() - 1;
+            let mut at = hash as usize & mask;
+            loop {
+                let slot = slots[at];
+                if slot == EMPTY {
+                    break;
+                }
+                let (e, n) = &mut groups[slot as usize];
+                if hashes[slot as usize] == hash && e.line(input).1 == text {
+                    *n += 1;
+                    break;
+                }
+                probes += 1;
+                at = (at + 1) & mask;
+            }
+            if slots[at] == EMPTY {
+                slots[at] = groups.len() as u32;
+                hashes.push(hash);
+                groups.push((
+                    Entry {
+                        key: self.key(text),
+                        start: start as u32,
+                        len: text.len() as u32,
+                    },
+                    1,
+                ));
+                if lines >= first_check && probes > 16 * lines {
+                    return None;
+                }
+                if groups.len() * 2 > slots.len() {
+                    slots = vec![EMPTY; slots.len() * 4];
+                    let mask = slots.len() - 1;
+                    for (g, &hash) in hashes.iter().enumerate() {
+                        let mut at = hash as usize & mask;
+                        while slots[at] != EMPTY {
+                            at = (at + 1) & mask;
+                        }
+                        slots[at] = g as u32;
+                    }
+                }
+            }
+        }
+        Some(groups)
     }
 
     /// `sort -m <flags>`: merges pre-sorted streams into one output. This
@@ -418,8 +695,31 @@ impl LineOrder {
         fragment_bytes: usize,
         sink: &mut MergeSink,
     ) -> Result<Vec<usize>, CmdError> {
+        // The one place the mode is tested: each instantiation of the loop
+        // is compiled for its mode alone.
+        if self.counted {
+            self.merge_loop::<true>(streams, buf, fragment_bytes, sink)
+        } else {
+            self.merge_loop::<false>(streams, buf, fragment_bytes, sink)
+        }
+    }
+
+    /// [`merge_fragments`](LineOrder::merge_fragments) for plain line
+    /// streams, or with `COUNTED` for counted runs: cursors hold each
+    /// line past its count column, and a line that compares equal to the
+    /// one held back adds its count to it instead of following it out.
+    fn merge_loop<const COUNTED: bool>(
+        self,
+        streams: &[&[u8]],
+        buf: &mut Vec<u8>,
+        fragment_bytes: usize,
+        sink: &mut MergeSink,
+    ) -> Result<Vec<usize>, CmdError> {
         let k = streams.len();
-        let mut cursors: Vec<Cursor> = streams.iter().map(|s| Cursor::new(self, s)).collect();
+        let mut cursors: Vec<Cursor> = streams
+            .iter()
+            .map(|s| Cursor::new::<COUNTED>(self, s))
+            .collect();
         // True when stream `a`'s current line goes out before stream
         // `b`'s: an exhausted stream loses to every live one, and equal
         // lines leave in stream order.
@@ -458,24 +758,39 @@ impl LineOrder {
 
         let mut consumed = vec![0usize; k];
         let mut prev: Option<(u64, &[u8])> = None;
+        // COUNTED: how often `prev` — held back, not yet written — has
+        // occurred so far.
+        let mut occurrences = 0u64;
         while let Some(&winner) = tree.first().filter(|&&w| w != EMPTY) {
             let cursor = &mut cursors[winner];
             let Some(line) = cursor.line else {
                 break;
             };
-            let dup = self.flags.unique
-                && prev.is_some_and(|p| self.key_compare(p, line) == Ordering::Equal);
-            if !dup {
-                buf.extend_from_slice(line.1);
-                buf.push(b'\n');
-                prev = Some(line);
+            if COUNTED {
+                if prev.is_some_and(|p| self.compare(p, line) == Ordering::Equal) {
+                    occurrences = occurrences.saturating_add(cursor.count);
+                } else {
+                    if let Some(p) = prev {
+                        push_counted(buf, occurrences, p.1);
+                    }
+                    prev = Some(line);
+                    occurrences = cursor.count;
+                }
+            } else {
+                let dup = self.flags.unique
+                    && prev.is_some_and(|p| self.key_compare(p, line) == Ordering::Equal);
+                if !dup {
+                    buf.extend_from_slice(line.1);
+                    buf.push(b'\n');
+                    prev = Some(line);
+                }
             }
             consumed[winner] = streams[winner].len() - cursor.rest.len();
             if buf.len() >= fragment_bytes {
                 sink(buf, &consumed)?;
                 buf.clear();
             }
-            cursor.advance(self);
+            cursor.advance::<COUNTED>(self);
             // A line equal to the one that just won wins the same matches
             // (sorted word streams repeat lines in long runs); anything
             // else plays its way up again.
@@ -484,6 +799,11 @@ impl LineOrder {
                 .is_some_and(|next| self.compare(line, next) == Ordering::Equal);
             if !repeated {
                 replay(&mut tree, &cursors, winner);
+            }
+        }
+        if COUNTED {
+            if let Some(p) = prev {
+                push_counted(buf, occurrences, p.1);
             }
         }
         Ok(consumed)
@@ -551,7 +871,7 @@ impl LineOrder {
                         break;
                     }
                     let (start, end) = line_around(run, 0, pos);
-                    let line = &run[start..end];
+                    let line = self.payload(&run[start..end]);
                     samples.push((self.key(line), line.to_vec()));
                     cell += 1;
                 }
@@ -590,7 +910,7 @@ impl LineOrder {
         let mut hi = run.len();
         while lo < hi {
             let (start, end) = line_around(run, lo, lo + (hi - lo) / 2);
-            let line = &run[start..end];
+            let line = self.payload(&run[start..end]);
             if self.compare((self.key(line), line), splitter) == Ordering::Less {
                 lo = (end + 1).min(run.len());
             } else {
@@ -617,25 +937,29 @@ fn line_around(run: &[u8], from: usize, pos: usize) -> (usize, usize) {
 
 /// A position in a stream of lines, holding the current line decorated
 /// with its key. `"\n"` holds one empty line, `""` none, and an
-/// unterminated final line is a line.
+/// unterminated final line is a line. `COUNTED` cursors read counted runs:
+/// the current line is what follows the count column, the count beside it.
 struct Cursor<'a> {
     /// The current line, `None` once the stream is exhausted.
     line: Option<(u64, &'a [u8])>,
+    /// The current line's count (`COUNTED` cursors only).
+    count: u64,
     /// What follows the current line and its newline.
     rest: &'a [u8],
 }
 
 impl<'a> Cursor<'a> {
-    fn new(order: LineOrder, data: &'a [u8]) -> Cursor<'a> {
+    fn new<const COUNTED: bool>(order: LineOrder, data: &'a [u8]) -> Cursor<'a> {
         let mut cursor = Cursor {
             line: None,
+            count: 0,
             rest: data,
         };
-        cursor.advance(order);
+        cursor.advance::<COUNTED>(order);
         cursor
     }
 
-    fn advance(&mut self, order: LineOrder) {
+    fn advance<const COUNTED: bool>(&mut self, order: LineOrder) {
         self.line = None;
         if !self.rest.is_empty() {
             let end = self
@@ -643,7 +967,10 @@ impl<'a> Cursor<'a> {
                 .iter()
                 .position(|&b| b == b'\n')
                 .unwrap_or(self.rest.len());
-            let (text, rest) = self.rest.split_at(end);
+            let (mut text, rest) = self.rest.split_at(end);
+            if COUNTED {
+                (self.count, text) = split_counted(text);
+            }
             self.line = Some((order.key(text), text));
             self.rest = rest.get(1..).unwrap_or(&[]);
         }
@@ -679,7 +1006,10 @@ impl UnixCommand for SortCmd {
                 });
             }
         }
-        let order = LineOrder { flags: self.flags };
+        let order = LineOrder {
+            flags: self.flags,
+            counted: false,
+        };
         let out = if self.merge {
             let streams: Vec<&[u8]> = contents.iter().map(Bytes::as_bytes).collect();
             order.merge(&streams)
@@ -796,6 +1126,20 @@ mod reference {
             merged.push(line);
         }
         emit(merged, flags)
+    }
+
+    /// `uniq -c` of `sorted`, one `format!` per run of equal lines.
+    pub fn count_lines(sorted: &str) -> String {
+        let mut out = String::new();
+        let mut lines = kq_stream::lines_of(sorted).peekable();
+        while let Some(line) = lines.next() {
+            let mut n = 1u64;
+            while lines.next_if_eq(&line).is_some() {
+                n += 1;
+            }
+            out.push_str(&format!("{n:>7} {line}\n"));
+        }
+        out
     }
 
     fn emit(ordered: Vec<&str>, flags: SortFlags) -> String {
@@ -1141,12 +1485,14 @@ mod tests {
         }
         let mut previous_max: Option<&str> = None;
         for ranges in cuts {
+            // Counted runs are cut by the lines behind their count columns.
             let lines: Vec<&str> = runs
                 .iter()
                 .zip(ranges)
                 .flat_map(|(run, r)| {
                     kq_stream::lines_of(std::str::from_utf8(&run[r.clone()]).unwrap())
                 })
+                .map(|l| std::str::from_utf8(order.payload(l.as_bytes())).unwrap())
                 .collect();
             let cmp = |a: &&str, b: &&str| reference::line_compare(a, b, order.flags);
             let (Some(min), Some(max)) = (
@@ -1206,6 +1552,195 @@ mod tests {
         // A spread of keys divides: every part of a four-way cut is used.
         let spread: String = (0..400).map(|i| format!("{i:04}\n")).collect();
         assert_eq!(non_empty(&cut("", &[&spread, &spread], 4)), 4);
+    }
+
+    /// The flag sets of [`FLAG_SETS`] a counted order is defined for:
+    /// every one without `-u`.
+    const COUNTED_FLAG_SETS: [&str; 9] = ["", "-r", "-n", "-rn", "-nr", "-f", "-k1n", "-fr", "-nf"];
+
+    /// `sort <flags> | uniq -c` by the reference comparator.
+    fn counted_reference(input: &str, flags: SortFlags) -> String {
+        reference::count_lines(&reference::sort_lines(input, flags))
+    }
+
+    /// The counted segment kernel with the table abandoned by the
+    /// production rule, never (table forced) and at once (sort forced).
+    fn count_every_way(order: LineOrder, input: &str) -> [String; 3] {
+        [FIRST_TABLE_CHECK, usize::MAX, 1]
+            .map(|small| String::from_utf8(order.count_segment(input.as_bytes(), small)).unwrap())
+    }
+
+    #[test]
+    fn counted_sort_is_the_pair_of_commands() {
+        let input = "b\n  12 x\na\n\nb\n12 x\n  12 x\n \nb\n\n10\n9\nB";
+        for flags in COUNTED_FLAG_SETS {
+            let sorted = run(&format!("sort {flags}"), input);
+            let expect = run("uniq -c", &sorted);
+            let order = order(flags).counted();
+            let got = order.sort_bytes(&Bytes::from(input)).unwrap();
+            assert_eq!(got.as_str(), expect, "sort {flags} | uniq -c");
+            assert_eq!(
+                count_every_way(order, input),
+                [(); 3].map(|()| expect.clone())
+            );
+        }
+        let counted = order("").counted();
+        assert_eq!(counted.sort_bytes(&Bytes::new()).unwrap(), "");
+        assert_eq!(
+            counted.sort_bytes(&Bytes::from("\n\n")).unwrap(),
+            "      2 \n"
+        );
+        let err = counted
+            .sort_bytes(&Bytes::from(vec![b'a', b'\n', 0xff, b'\n']))
+            .unwrap_err();
+        assert_eq!(err.to_string(), "sort: input is not valid UTF-8");
+    }
+
+    #[test]
+    fn hashed_lines_are_the_lines_and_equal_lines_hash_alike() {
+        let lines = |input: &'static str| -> Vec<(&[u8], usize, u64)> {
+            HashedLines {
+                input: input.as_bytes(),
+                pos: 0,
+            }
+            .collect()
+        };
+        assert!(lines("").is_empty());
+        // Lines around the eight-byte word, newlines at every offset of
+        // one, a final line with and without its newline, in the last
+        // seven bytes of the input and before them.
+        for input in [
+            "\n",
+            "a",
+            "a\n\nbb\n",
+            "abcdefg\nabcdefgh\nabcdefghi\n\nabcdefghijklmnopq\nab",
+            "abcdefgh\nabcdefgh",
+            "1234567\n12345678\n123456789\n1234567",
+        ] {
+            let got = lines(input);
+            let expect: Vec<&str> = kq_stream::lines_of(input).collect();
+            let texts: Vec<&[u8]> = got.iter().map(|l| l.0).collect();
+            assert_eq!(
+                texts,
+                expect.iter().map(|l| l.as_bytes()).collect::<Vec<_>>()
+            );
+            for &(line, start, hash) in &got {
+                assert_eq!(&input.as_bytes()[start..start + line.len()], line);
+                for &(other, _, other_hash) in &got {
+                    assert_eq!(line == other, hash == other_hash, "{input:?}");
+                }
+            }
+        }
+        // Trailing NULs are part of the line.
+        let [(_, _, a), (_, _, b)] = lines("a\na\0\n")[..] else {
+            panic!("two lines");
+        };
+        assert_ne!(a, b);
+    }
+
+    #[test]
+    fn the_table_is_kept_while_small_and_abandoned_when_not() {
+        let counted = order("-n").counted();
+        // Seven hundred distinct lines, each three times, all of them new
+        // in the first seven hundred: a table.
+        let few: String = (0..2100).map(|i| format!("{} x\n", i % 700)).collect();
+        assert!(counted
+            .count_distinct(few.as_bytes(), FIRST_TABLE_CHECK)
+            .is_some());
+        // Nine lines in ten distinct: the sort, at the first check.
+        let many: String = (0..2100)
+            .map(|i| format!("{} x\n", i - i % 10 / 9))
+            .collect();
+        assert!(counted
+            .count_distinct(many.as_bytes(), FIRST_TABLE_CHECK)
+            .is_none());
+        // Too few lines to ask: a table whatever they are.
+        assert!(counted
+            .count_distinct(&many.as_bytes()[..2000], FIRST_TABLE_CHECK)
+            .is_some());
+        for input in [few, many] {
+            let expect = counted_reference(&input, counted.flags);
+            assert_eq!(
+                count_every_way(counted, &input),
+                [(); 3].map(|()| expect.clone())
+            );
+        }
+    }
+
+    #[test]
+    fn counted_merges_add_counts_and_widen_the_column() {
+        let counted = order("").counted();
+        let merge = |streams: &[&str]| {
+            let views: Vec<&[u8]> = streams.iter().map(|s| s.as_bytes()).collect();
+            String::from_utf8(counted.merge(&views)).unwrap()
+        };
+        assert_eq!(merge(&[]), "");
+        assert_eq!(merge(&["", "      2 a\n"]), "      2 a\n");
+        // Empty lines, lines that start with blanks and digits, and an
+        // unterminated final line.
+        assert_eq!(
+            merge(&[
+                "      1 \n      2   12 x\n      1 12 x",
+                "      3 \n      1   12 x\n      4 a"
+            ]),
+            "      4 \n      3   12 x\n      1 12 x\n      4 a\n"
+        );
+        // A sum of 10^7 widens the column, and the wider column reads back.
+        let wide = merge(&["9999999 x\n      1 y\n", "      1 x\n"]);
+        assert_eq!(wide, "10000000 x\n      1 y\n");
+        assert_eq!(
+            merge(&[&wide, "      5 x\n      5 z\n"]),
+            "10000005 x\n      1 y\n      5 z\n"
+        );
+        let runs: [&[u8]; 2] = [wide.as_bytes(), b"      5 x\n      5 z\n"];
+        for parts in 1..=9 {
+            let cuts = counted.partition(&runs, parts, &mut |_| {});
+            check_cuts(counted, &runs, &cuts);
+            assert_eq!(
+                merge_in_parts(counted, &runs, &cuts),
+                counted.merge(&runs),
+                "{parts} parts"
+            );
+        }
+    }
+
+    /// The counted mode is an instantiation of the merge loop, not a test
+    /// in it: an eight-way merge of a few MiB of short lines keeps a pace
+    /// no per-line detour leaves room for. (Optimised builds only, best of
+    /// five: this is a floor at a third of what the loop does on a laptop
+    /// core, not a benchmark.)
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn plain_merge_keeps_its_pace() {
+        const PLAIN_MERGE_FLOOR_MBPS: f64 = 40.0;
+        let runs: Vec<Vec<u8>> = (0..8u64)
+            .map(|r| {
+                let mut lines: Vec<u64> = (0..100_000u64)
+                    .map(|i| (i * 8 + r).wrapping_mul(0x9E37_79B9_7F4A_7C15) % 1_000_000)
+                    .collect();
+                lines.sort_unstable();
+                lines
+                    .iter()
+                    .map(|n| format!("{n:06}\n"))
+                    .collect::<String>()
+                    .into_bytes()
+            })
+            .collect();
+        let views: Vec<&[u8]> = runs.iter().map(Vec::as_slice).collect();
+        let bytes: usize = views.iter().map(|v| v.len()).sum();
+        let best = (0..5)
+            .map(|_| {
+                let t0 = std::time::Instant::now();
+                assert_eq!(std::hint::black_box(order("").merge(&views)).len(), bytes);
+                t0.elapsed()
+            })
+            .min()
+            .unwrap();
+        let mbps = bytes as f64 / 1e6 / best.as_secs_f64();
+        assert!(
+            mbps >= PLAIN_MERGE_FLOOR_MBPS,
+            "plain merge at {mbps:.0} MB/s"
+        );
     }
 
     proptest! {
@@ -1313,6 +1848,79 @@ mod tests {
                     prop_assert_eq!(
                         &merge_in_parts(order, &runs, &cuts), &flat,
                         "merge {} of {:?} in {} parts", flags, sorted, parts
+                    );
+                    check_cuts(order, &runs, &cuts);
+                }
+            }
+        }
+
+        #[test]
+        fn prop_counted_kernel_equals_uniq_c_of_the_reference_sort(
+            picks in proptest::collection::vec(0usize..VOCABULARY.len(), 0..48),
+            final_newline in 0usize..2,
+        ) {
+            let input = text(&picks, final_newline == 1);
+            for flags in COUNTED_FLAG_SETS {
+                let order = order(flags).counted();
+                let expect = counted_reference(&input, order.flags);
+                prop_assert_eq!(
+                    &count_every_way(order, &input),
+                    &[(); 3].map(|()| expect.clone()),
+                    "sort {} | uniq -c of {:?}", flags, input
+                );
+                // In segments of a line or two, the merge adding them up.
+                let got = order.sort(input.as_bytes(), 24).unwrap();
+                prop_assert_eq!(&String::from_utf8(got).unwrap(), &expect);
+            }
+        }
+
+        #[test]
+        fn prop_counted_merges_equal_the_pair_on_the_concatenation(
+            streams in proptest::collection::vec(
+                (proptest::collection::vec(0usize..VOCABULARY.len(), 0..12), 0usize..2),
+                0..6,
+            ),
+        ) {
+            for flags in COUNTED_FLAG_SETS {
+                let order = order(flags).counted();
+                // Each stream arrives the way the kernel leaves a chunk;
+                // the last line may lack its newline.
+                let whole: String = streams.iter().map(|(picks, _)| text(picks, true)).collect();
+                let expect = counted_reference(&whole, order.flags);
+                let counted: Vec<String> = streams
+                    .iter()
+                    .map(|(picks, final_newline)| {
+                        let mut s = counted_reference(&text(picks, true), order.flags);
+                        if *final_newline == 0 {
+                            s.pop();
+                        }
+                        s
+                    })
+                    .collect();
+                let runs: Vec<&[u8]> = counted.iter().map(|s| s.as_bytes()).collect();
+                let flat = order.merge(&runs);
+                prop_assert_eq!(
+                    std::str::from_utf8(&flat).unwrap(), &expect,
+                    "counted merge {} of {:?}", flags, counted
+                );
+                let mut pieces = Vec::new();
+                let mut last = vec![0; runs.len()];
+                order.merge_to(&runs, 5, &mut |frag, consumed| {
+                    pieces.extend_from_slice(frag);
+                    last = consumed.to_vec();
+                    Ok(())
+                }).unwrap();
+                prop_assert_eq!(&pieces, &flat);
+                if !flat.is_empty() {
+                    prop_assert_eq!(last, runs.iter().map(|r| r.len()).collect::<Vec<_>>());
+                }
+                // No boundary separates two runs' entries for one line.
+                for parts in 1..=9 {
+                    let cuts = order.partition(&runs, parts, &mut |_| {});
+                    prop_assert_eq!(cuts.len(), parts);
+                    prop_assert_eq!(
+                        &merge_in_parts(order, &runs, &cuts), &flat,
+                        "counted merge {} of {:?} in {} parts", flags, counted, parts
                     );
                     check_cuts(order, &runs, &cuts);
                 }

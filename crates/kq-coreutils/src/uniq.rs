@@ -4,13 +4,21 @@
 //! `stitch2` combiner deformats it with `delPad`/`addPad`, and the
 //! synthesized combiner must reproduce it byte-for-byte.
 //!
-//! Plain `uniq` (no `-c`) emits a *subsequence of its input bytes* — the
-//! first line of every run of equal lines, newline included — so it takes
-//! the [`SliceRuns`](crate::fastpath) byte fast path: kept lines coalesce
-//! into maximal sub-slices of the input, and an all-unique input comes
-//! back as the input handle itself (a refcount bump, zero copies). `-c`
-//! rewrites every line and stays on the string path, which doubles as
-//! the differential-test oracle ([`UniqCmd::run_reference`]).
+//! Both forms work on line slices of the input bytes. Plain `uniq` emits a
+//! *subsequence of its input bytes* — the first line of every run of equal
+//! lines, newline included — so it takes the
+//! [`SliceRuns`](crate::fastpath) byte fast path: kept lines coalesce into
+//! maximal sub-slices of the input, and an all-unique input comes back as
+//! the input handle itself (a refcount bump, zero copies). `-c` rewrites
+//! every line: a run-length count over the slices into one pre-sized
+//! buffer.
+//!
+//! # The count column
+//!
+//! `push_counted` is the one place that writes the count column and
+//! `split_counted` the one place that reads it back; the counting kernel
+//! and the count-adding merge of [`crate::sort`] share them, so a counted
+//! line is the same bytes whoever wrote it.
 
 use crate::fastpath::SliceRuns;
 use crate::{Bytes, CmdError, ExecContext, UnixCommand};
@@ -64,10 +72,40 @@ impl UniqCmd {
         runs.finish()
     }
 
-    /// The line-at-a-time implementation — the real path for `-c` and the
-    /// oracle the differential tests compare the slice path against.
-    #[doc(hidden)]
-    pub fn run_reference(&self, input: &str) -> String {
+    /// `uniq -c` on the byte plane: a run-length count over line slices.
+    /// The buffer is sized for the worst case (no two adjacent lines equal:
+    /// every line gains a count column), so it never grows. (A byte split
+    /// rather than `kq_stream::lines_of`: on a word stream, where this
+    /// runs after every `sort`, the `str` searcher costs twice as much per
+    /// line.)
+    fn run_counted(bytes: &[u8]) -> Vec<u8> {
+        let lines = bytes.iter().filter(|&&b| b == b'\n').count() + 1;
+        let mut out = Vec::with_capacity(bytes.len() + (COUNT_WIDTH + 1) * lines + 1);
+        let mut current: Option<(&[u8], u64)> = None;
+        let body = bytes.strip_suffix(b"\n").unwrap_or(bytes);
+        if !bytes.is_empty() {
+            for line in body.split(|&b| b == b'\n') {
+                match &mut current {
+                    Some((prev, n)) if *prev == line => *n += 1,
+                    _ => {
+                        if let Some((prev, n)) = current {
+                            push_counted(&mut out, n, prev);
+                        }
+                        current = Some((line, 1));
+                    }
+                }
+            }
+        }
+        if let Some((prev, n)) = current {
+            push_counted(&mut out, n, prev);
+        }
+        out
+    }
+
+    /// The line-at-a-time `&str` implementation both byte paths replaced,
+    /// kept verbatim as the oracle they are tested against.
+    #[cfg(test)]
+    fn run_reference(&self, input: &str) -> String {
         let mut out = String::with_capacity(input.len());
         let mut current: Option<(&str, u64)> = None;
         let emit = |line: &str, n: u64, out: &mut String| {
@@ -95,6 +133,52 @@ impl UniqCmd {
     }
 }
 
+/// Columns the count of a `uniq -c` line is right-aligned in.
+const COUNT_WIDTH: usize = 7;
+
+/// Appends one `uniq -c` output line — GNU's `"%7lu %s\n"`: the count
+/// right-aligned in seven columns (a count of 10^7 or more widens the
+/// column), exactly one blank, the line, a newline.
+pub(crate) fn push_counted(out: &mut Vec<u8>, count: u64, line: &[u8]) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = count;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    let width = digits.len() - at;
+    out.resize(out.len() + COUNT_WIDTH.saturating_sub(width), b' ');
+    out.extend_from_slice(&digits[at..]);
+    out.push(b' ');
+    out.extend_from_slice(line);
+    out.push(b'\n');
+}
+
+/// Reads a `uniq -c` output line (newline excluded) back into its count
+/// and the line counted: optional blanks, digits, exactly one blank, and
+/// everything after it — further blanks and digits included, so a counted
+/// `"  12 x"` comes back whole. Total: a line with no count column reads
+/// as count 0, and a count past `u64` saturates.
+pub(crate) fn split_counted(line: &[u8]) -> (u64, &[u8]) {
+    let mut at = line.iter().take_while(|&&b| b == b' ').count();
+    let mut count = 0u64;
+    while let Some(digit) = line.get(at).filter(|b| b.is_ascii_digit()) {
+        count = count
+            .saturating_mul(10)
+            .saturating_add(u64::from(digit - b'0'));
+        at += 1;
+    }
+    if line.get(at) == Some(&b' ') {
+        at += 1;
+    }
+    (count, &line[at..])
+}
+
 impl UnixCommand for UniqCmd {
     fn display(&self) -> String {
         if self.count {
@@ -109,7 +193,12 @@ impl UnixCommand for UniqCmd {
         if !self.count {
             return Ok(self.run_uniq_slices(&input, text));
         }
-        Ok(Bytes::from(self.run_reference(text)))
+        // Whole lines of validated text behind ASCII count columns: the
+        // scan cannot fail, and it marks the output as text for every
+        // later stage.
+        Bytes::from(UniqCmd::run_counted(text.as_bytes()))
+            .into_text()
+            .map_err(|_| CmdError::new("uniq", "input is not valid UTF-8"))
     }
 }
 
@@ -167,7 +256,7 @@ mod tests {
     }
 
     #[test]
-    fn slice_path_agrees_with_reference_on_edge_cases() {
+    fn byte_paths_agree_with_reference_on_edge_cases() {
         let cases = [
             "",
             "\n",
@@ -180,15 +269,59 @@ mod tests {
             "x\nx\ny\nx\n",
             "é\né\nü\n",
             "last line unterminated\nlast line unterminated",
+            "  12 x\n  12 x\n12 x\n",
+            "a\0\na\0\na\n",
         ];
-        let u = UniqCmd::parse(&[]).unwrap();
-        for input in cases {
-            let fast = u.run(Bytes::from(input), &ExecContext::default()).unwrap();
+        for flags in [vec![], vec!["-c".to_owned()]] {
+            let u = UniqCmd::parse(&flags).unwrap();
+            for input in cases {
+                let fast = u.run(Bytes::from(input), &ExecContext::default()).unwrap();
+                assert_eq!(
+                    fast.as_str(),
+                    u.run_reference(input),
+                    "uniq {flags:?} diverged on {input:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_count_column_round_trips_and_widens() {
+        for (count, line, expect) in [
+            (1, "w", "      1 w\n"),
+            (9_999_999, "", "9999999 \n"),
+            (10_000_000, "  12 x", "10000000   12 x\n"),
+            (u64::MAX, "é", "18446744073709551615 é\n"),
+        ] {
+            let mut out = Vec::new();
+            push_counted(&mut out, count, line.as_bytes());
+            assert_eq!(out, expect.as_bytes());
             assert_eq!(
-                fast.as_str(),
-                u.run_reference(input),
-                "uniq diverged on {input:?}"
+                split_counted(&out[..out.len() - 1]),
+                (count, line.as_bytes())
             );
+        }
+        // Total on lines that carry no count column.
+        assert_eq!(split_counted(b""), (0, &b""[..]));
+        assert_eq!(split_counted(b"x 1"), (0, &b"x 1"[..]));
+        assert_eq!(split_counted(b"   7"), (7, &b""[..]));
+        assert_eq!(
+            split_counted(b"99999999999999999999999 x"),
+            (u64::MAX, &b"x"[..])
+        );
+    }
+
+    #[test]
+    fn non_utf8_input_is_a_uniq_error() {
+        for flags in [vec![], vec!["-c".to_owned()]] {
+            let err = UniqCmd::parse(&flags)
+                .unwrap()
+                .run(
+                    Bytes::from(vec![b'a', b'\n', 0xff]),
+                    &ExecContext::default(),
+                )
+                .unwrap_err();
+            assert_eq!(err.to_string(), "uniq: input is not valid UTF-8");
         }
     }
 
@@ -221,17 +354,19 @@ mod tests {
         }
 
         #[test]
-        fn prop_slice_path_matches_reference(
-            lines in proptest::collection::vec("[ab]{0,2}", 0..50),
+        fn prop_byte_paths_match_reference(
+            lines in proptest::collection::vec("[ab ]{0,2}", 0..50),
             terminated in 0usize..2,
         ) {
             let mut input: String = lines.iter().map(|l| format!("{l}\n")).collect();
             if terminated == 0 {
                 input.pop();
             }
-            let u = UniqCmd::parse(&[]).unwrap();
-            let fast = u.run(Bytes::from(input.as_str()), &ExecContext::default()).unwrap();
-            prop_assert_eq!(fast.as_str(), u.run_reference(&input));
+            for flags in [vec![], vec!["-c".to_owned()]] {
+                let u = UniqCmd::parse(&flags).unwrap();
+                let fast = u.run(Bytes::from(input.as_str()), &ExecContext::default()).unwrap();
+                prop_assert_eq!(fast.as_str(), u.run_reference(&input));
+            }
         }
     }
 }

@@ -215,6 +215,14 @@ fn combine_pair(
 /// stream (see `strategies_agree_on_corpus_combiners` and the
 /// `combine_strategies_agree_on_split_pieces` property), so the fold
 /// grouping cannot change the result.
+///
+/// A merge fold is parameterized by its [`LineOrder`] and by nothing else,
+/// so the same fold serves a `sort` stage fused with the `uniq` that
+/// follows it ([`merging`](IncrementalFold::merging)): over a *counted*
+/// order the pieces are counted runs (`sort | uniq -c` of each chunk) and
+/// every merge — of a batch, of a part of the closing merge, of a wave of
+/// spilled runs — adds the counts of equal lines, which is as associative
+/// as dropping duplicates is under `-u`. No other piece of the fold knows.
 pub struct IncrementalFold<'a> {
     candidate: &'a Candidate,
     env: &'a dyn RunEnv,
@@ -304,6 +312,20 @@ enum FoldState {
     },
 }
 
+impl FoldState {
+    /// An empty merge fold over `order`.
+    fn merge(order: Result<LineOrder, EvalError>) -> FoldState {
+        FoldState::Merge {
+            order,
+            runs: Vec::new(),
+            pending: Vec::new(),
+            pending_bytes: 0,
+            heap_bytes: 0,
+            spilled: false,
+        }
+    }
+}
+
 impl<'a> IncrementalFold<'a> {
     /// An empty fold for `candidate` (finishing immediately yields the
     /// empty stream, like [`combine_all`] on no pieces).
@@ -328,14 +350,7 @@ impl<'a> IncrementalFold<'a> {
         let state = match &candidate.op {
             Combiner::Rec(RecOp::Concat) if !candidate.swapped => FoldState::Concat(Vec::new()),
             Combiner::Run(RunOp::Rerun) => FoldState::Gather(Vec::new()),
-            Combiner::Run(RunOp::Merge(flags)) => FoldState::Merge {
-                order: merge_order(flags),
-                runs: Vec::new(),
-                pending: Vec::new(),
-                pending_bytes: 0,
-                heap_bytes: 0,
-                spilled: false,
-            },
+            Combiner::Run(RunOp::Merge(flags)) => FoldState::merge(merge_order(flags)),
             _ => FoldState::Counter {
                 slots: Vec::new(),
                 heap_bytes: 0,
@@ -346,6 +361,30 @@ impl<'a> IncrementalFold<'a> {
             candidate,
             env,
             state,
+            spill,
+        }
+    }
+
+    /// The merge fold of a `merge <flags>` candidate, run under `order`
+    /// instead of the order its flags name: how the streams of a stage that
+    /// *follows* the sort fold when the pair is one keyed aggregation —
+    /// `sort <flags> | uniq -c` outputs under [`LineOrder::counted`] (the
+    /// merge adds the counts of equal lines), `sort | uniq` outputs under
+    /// [`LineOrder::unique`]. Everything else is the merge fold of
+    /// [`new_with_spill`](IncrementalFold::new_with_spill): run batches,
+    /// spill and the closing merge in parts see ordinary line runs, and
+    /// every merge goes through `env` with the order given here.
+    pub fn merging(
+        candidate: &'a Candidate,
+        order: LineOrder,
+        env: &'a dyn RunEnv,
+        spill: Option<SpillConfig>,
+    ) -> IncrementalFold<'a> {
+        debug_assert!(matches!(candidate.op, Combiner::Run(RunOp::Merge(_))));
+        IncrementalFold {
+            candidate,
+            env,
+            state: FoldState::merge(Ok(order)),
             spill,
         }
     }
@@ -1433,6 +1472,105 @@ mod tests {
                         assert_eq!(
                             got, flat,
                             "merge {flags:?}, budget {budget:?}, parts of {part_bytes} bytes"
+                        );
+                    });
+                }
+            }
+        }
+    }
+
+    /// The fold of a fused `sort <flags> | uniq [-c]` pair: the pieces are
+    /// what the pair prints for each chunk, the fold runs under the counted
+    /// (or `-u`) order, and the result — closed in parts of a few lines, in
+    /// memory and with runs spilled — is what the two commands print for
+    /// the whole stream.
+    #[test]
+    fn a_counted_fold_in_parts_equals_sort_then_uniq_c() {
+        let ctx = kq_coreutils::ExecContext::default();
+        let run = |line: &str, input: Bytes| {
+            kq_coreutils::parse_command(line)
+                .unwrap()
+                .run(input, &ctx)
+                .unwrap()
+        };
+        // Lines that recur within a chunk and across chunks, some with
+        // blanks and digits up front, some differing only in case.
+        let chunks: Vec<Bytes> = (0..MERGE_RUN_ARITY * 2 + 5)
+            .map(|p| {
+                let lines: String = (0..9)
+                    .map(|i| match (i * 7 + p * 13) % 23 {
+                        k @ 0..=4 => format!("  {k} x\n"),
+                        k @ 5..=9 => format!("{k}\n"),
+                        k if k % 2 == 0 => format!("Key{k}\n"),
+                        k => format!("key{}\n", k - 1),
+                    })
+                    .collect();
+                Bytes::from(lines)
+            })
+            .collect();
+        let whole = kq_stream::concat_bytes(&chunks);
+        for (flags, uniq) in [
+            ("", "uniq -c"),
+            ("-n", "uniq -c"),
+            ("-r", "uniq -c"),
+            ("-f", "uniq -c"),
+            ("-k1n", "uniq -c"),
+            ("", "uniq"),
+            ("-r", "uniq"),
+        ] {
+            let sort = format!("sort {flags}");
+            let expect = run(uniq, run(&sort, whole.clone()));
+            let c = merge_candidate(flags);
+            let plain = merge_order(
+                &flags
+                    .split_whitespace()
+                    .map(str::to_owned)
+                    .collect::<Vec<_>>(),
+            )
+            .unwrap();
+            let order = if uniq == "uniq" {
+                plain.unique()
+            } else {
+                plain.counted()
+            };
+            let pieces: Vec<Bytes> = chunks
+                .iter()
+                .map(|chunk| run(uniq, run(&sort, chunk.clone())))
+                .collect();
+            if uniq == "uniq -c" {
+                let kernel: Vec<Bytes> = chunks
+                    .iter()
+                    .map(|c| order.sort_bytes(c).unwrap())
+                    .collect();
+                assert_eq!(kernel, pieces, "the chunk kernel under {flags:?}");
+            }
+            let command = kq_coreutils::parse_command(&sort).unwrap();
+            let env = crate::eval::CommandEnv {
+                command: &command,
+                ctx: &ctx,
+            };
+            let total: usize = pieces.iter().map(Bytes::len).sum();
+            for budget in [None, Some(0), Some(total / 3)] {
+                for part_bytes in [1, 40, 300, total * 2] {
+                    let tag = format!(
+                        "counted-{}-{part_bytes}-{}",
+                        flags.len() + uniq.len(),
+                        budget.unwrap_or(usize::MAX)
+                    );
+                    with_spill_dir(&tag, budget.unwrap_or(0), |cfg| {
+                        let spill = budget.map(|_| cfg.clone());
+                        let mut fold = IncrementalFold::merging(&c, order, &env, spill);
+                        for p in &pieces {
+                            push(&mut fold, p);
+                        }
+                        let parts = fold.plan_finish_at(part_bytes).unwrap();
+                        if part_bytes <= 40 {
+                            assert!(parts.len() > 2, "{sort} | {uniq}: the fold must cut");
+                        }
+                        let got = merge_parts(parts).unwrap().into_bytes();
+                        assert_eq!(
+                            got, expect,
+                            "{sort} | {uniq}, budget {budget:?}, parts of {part_bytes} bytes"
                         );
                     });
                 }

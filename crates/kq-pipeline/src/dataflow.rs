@@ -16,6 +16,7 @@
 //! | [`NodeKind::Split`] | the statement's gathered input | line-aligned chunks, cut lazily | one task at a time |
 //! | [`NodeKind::StageWorker`] | chunks | per-chunk outputs of a chunk-local command run, re-normalized by an incremental chunker and forwarded **in input order** | one scheduler task per chunk, any number in flight |
 //! | [`NodeKind::Fold`] ([`FoldMode::Combine`]) | chunks | the stage's synthesized combiner folded over per-chunk outputs in input order; only the combined stream moves on, re-chunked | per-chunk map tasks in parallel, the fold itself in arrival order |
+//! | [`NodeKind::Fold`] ([`FoldMode::Combine`]) over **two stages** — a `sort \| uniq [-c]` pair (see "Counting rewrite") | chunks | per chunk, what the pair prints for it — the chunk's distinct lines in the sort's order, with their counts under `-c`; these fold through the sort's `merge` under the counted (or `-u`) order; the result is byte for byte the second stage's output | as a one-stage combine fold: the node *is* one |
 //! | [`NodeKind::Fold`] ([`FoldMode::Gather`]) | chunks | the command run once over the gathered input, re-chunked | one task at a time |
 //! | [`NodeKind::BoundedConsumer`] | chunks, **in stream order**, only until `lines` complete lines exist | the command run once on the prefix, re-chunked | one task at a time |
 //!
@@ -32,6 +33,42 @@
 //! so per-chunk composition commutes with concatenation — and produces
 //! exactly the shape [`stream_segments`]`(true)` describes, but as a
 //! mechanical rewrite instead of a special case in segment planning.
+//!
+//! # Counting rewrite
+//!
+//! A second rewrite, under the same switch as fusion
+//! ([`DataflowGraph::fuse_fold_pairs`]): a [`FoldMode::Combine`] `sort`
+//! node directly followed by a [`FoldMode::Combine`] `uniq` node becomes
+//! **one** combine fold spanning both stages when the plan says the pair is
+//! licensed ([`PlannedStage::fold_pair`], the answer of
+//! [`crate::lattice::fold_pair`]). `uniq` needs the sort only for
+//! adjacency, and absent `-u` the sort's comparator calls exactly the
+//! identical lines equal, so the pair is one keyed aggregation:
+//!
+//! * **map** — each chunk becomes what `sort <flags> | uniq -c` prints for
+//!   it: its distinct lines in the sort's order behind their counts (for a
+//!   plain `uniq`, what `sort -u` prints). For the counting pair that is
+//!   one kernel (`LineOrder::counted` + `sort_bytes`): a hash count while
+//!   the chunk has few distinct lines, the sort plus a count of adjacent
+//!   equals otherwise — never the full sort *and* a second pass;
+//! * **fold** — the sort stage's own `merge <flags>` fold, run under the
+//!   counted order: every merge reads a line's key past the count column
+//!   and, where a `-u` merge drops a duplicate, adds the counts. Run
+//!   batches, spill, the closing merge in parts and the scheduler's
+//!   `Finishing` phase see ordinary line runs. (Plain `uniq`: the `-u`
+//!   order, nothing new at all.);
+//! * **output** — exactly the bytes the `uniq` stage would have emitted,
+//!   so nothing downstream changes.
+//!
+//! What it removes: the sort of every line (a word stream of megabytes
+//! has KBs of distinct lines), the merge of those megabytes, and the whole
+//! second barrier — `uniq -c`'s stitch fold re-touching the sorted stream.
+//! `fuse_streamable = false` builds neither rewrite, so every suite that
+//! runs both settings compares the two graphs; [`run_serial`] and the
+//! other executors always run the two stages.
+//!
+//! [`PlannedStage::fold_pair`]: crate::plan::PlannedStage::fold_pair
+//! [`run_serial`]: crate::exec::run_serial
 //!
 //! # Cancellation propagation
 //!
@@ -99,6 +136,12 @@ pub enum NodeKind {
     },
 }
 
+/// The kind of a parallel barrier stage's node — the only kind the
+/// counting rewrite fuses.
+const COMBINE: NodeKind = NodeKind::Fold {
+    mode: FoldMode::Combine,
+};
+
 /// One node of a statement's dataflow graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataflowNode {
@@ -106,7 +149,8 @@ pub struct DataflowNode {
     pub kind: NodeKind,
     /// Stage index range within the statement (`start..end`, end
     /// exclusive). Empty (`0..0`) for [`NodeKind::Split`]; length > 1 only
-    /// for fused [`NodeKind::StageWorker`] runs.
+    /// for fused [`NodeKind::StageWorker`] runs and for the two-stage
+    /// combine fold of a licensed `sort | uniq` pair.
     pub stages: Range<usize>,
     /// Demand propagation: this node's output chain reaches a
     /// [`NodeKind::BoundedConsumer`] through chunk-local nodes only, so
@@ -127,9 +171,11 @@ impl DataflowGraph {
     ///
     /// The graph is assembled unfused — one node per stage — and, with
     /// `fuse_streamable`, adjacent [`NodeKind::StageWorker`] nodes are then
-    /// merged by the [fusion rewrite](Self::fuse_streamable). The resulting
-    /// node list (ignoring the leading `Split`) corresponds one-to-one with
-    /// [`stream_segments`]`(fuse_streamable)`.
+    /// merged by the [fusion rewrite](Self::fuse_streamable) and licensed
+    /// `sort | uniq` fold pairs by the
+    /// [counting rewrite](Self::fuse_fold_pairs). Short of those pairs, the
+    /// resulting node list (ignoring the leading `Split`) corresponds
+    /// one-to-one with [`stream_segments`]`(fuse_streamable)`.
     ///
     /// [`stream_segments`]: crate::plan::PlannedStatement::stream_segments
     pub fn build(planned: &PlannedStatement, fuse_streamable: bool) -> DataflowGraph {
@@ -158,6 +204,7 @@ impl DataflowGraph {
         let mut graph = DataflowGraph { nodes };
         if fuse_streamable {
             graph.fuse_streamable();
+            graph.fuse_fold_pairs(planned);
         }
         graph.compute_eager_flush();
         graph
@@ -182,6 +229,28 @@ impl DataflowGraph {
         }
     }
 
+    /// The counting rewrite (see the [module docs](self)): a one-stage
+    /// combine fold whose stage the plan marks as the `sort` of a licensed
+    /// pair ([`PlannedStage::fold_pair`](crate::plan::PlannedStage::fold_pair)),
+    /// directly followed by a one-stage combine fold, absorbs it — one node
+    /// over both stages, the edge between them gone.
+    pub fn fuse_fold_pairs(&mut self, planned: &PlannedStatement) {
+        let single_combine = |node: &DataflowNode| node.kind == COMBINE && node.stages.len() == 1;
+        let mut i = 0;
+        while i + 1 < self.nodes.len() {
+            let (sort, uniq) = (&self.nodes[i], &self.nodes[i + 1]);
+            if single_combine(sort)
+                && single_combine(uniq)
+                && planned.stages[sort.stages.start].fold_pair.is_some()
+            {
+                debug_assert_eq!(sort.stages.end, uniq.stages.start);
+                self.nodes[i].stages.end = self.nodes[i + 1].stages.end;
+                self.nodes.remove(i + 1);
+            }
+            i += 1;
+        }
+    }
+
     /// Checks the structural invariants every well-formed statement graph
     /// satisfies, returning one human-readable violation per breach (empty
     /// means valid). The scheduler asserts this under `debug_assertions`
@@ -194,8 +263,11 @@ impl DataflowGraph {
     ///    stages, and no other `Split` appears;
     /// 2. the remaining nodes' stage ranges partition `0..n_stages`
     ///    contiguously and in order — no gap, overlap, or inversion;
-    /// 3. only [`NodeKind::StageWorker`] nodes (fused chunk-local runs) may
-    ///    span more than one stage;
+    /// 3. only two kinds of node span more than one stage:
+    ///    [`NodeKind::StageWorker`] nodes (fused chunk-local runs), and a
+    ///    combine fold over exactly the two stages of a `sort | uniq` pair
+    ///    the plan licenses (`planned.stages[start].fold_pair`) — any other
+    ///    multi-stage fold is a rewrite gone wrong;
     /// 4. [`DataflowNode::eager_flush`] agrees with the canonical
     ///    right-to-left demand propagation — a stale flag after a rewrite
     ///    would let a sparse stage sit on the lines a bounded consumer
@@ -204,7 +276,8 @@ impl DataflowGraph {
     ///    (`queue_seed >= 1`) — a [`NodeKind::Fold`] buffers its whole
     ///    input before emitting, so a zero-credit edge upstream of a fold
     ///    deadlocks the statement.
-    pub fn validate(&self, n_stages: usize, queue_seed: usize) -> Vec<String> {
+    pub fn validate(&self, planned: &PlannedStatement, queue_seed: usize) -> Vec<String> {
+        let n_stages = planned.stages.len();
         let mut problems = Vec::new();
         match self.nodes.first() {
             Some(n) if n.kind == NodeKind::Split && n.stages == (0..0) => {}
@@ -232,10 +305,16 @@ impl DataflowGraph {
                     node.kind, node.stages
                 ));
             }
-            if node.stages.len() > 1 && node.kind != NodeKind::StageWorker {
+            let licensed_pair = node.kind == COMBINE
+                && node.stages.len() == 2
+                && planned
+                    .stages
+                    .get(node.stages.start)
+                    .is_some_and(|sort| sort.fold_pair.is_some());
+            if node.stages.len() > 1 && node.kind != NodeKind::StageWorker && !licensed_pair {
                 problems.push(format!(
-                    "node {i} ({:?}) spans stages {:?}; only fused StageWorker runs may \
-                     span more than one stage",
+                    "node {i} ({:?}) spans stages {:?}; only fused StageWorker runs and the \
+                     combine fold of a licensed sort | uniq pair may span more than one stage",
                     node.kind, node.stages
                 ));
             }
@@ -296,14 +375,24 @@ mod tests {
         s
     }
 
-    fn graph(script_text: &str, fuse: bool) -> DataflowGraph {
+    fn planned(script_text: &str) -> PlannedStatement {
         let env: HashMap<String, String> = HashMap::new();
         let script = parse_script(script_text, &env).unwrap();
         let ctx = ExecContext::default();
         ctx.vfs.write("/in.txt", sample_text());
         let mut planner = Planner::new(SynthesisConfig::default());
-        let planned = planner.plan(&script, &ctx, &sample_text());
-        DataflowGraph::build(&planned.statements[0], fuse)
+        planner
+            .plan(&script, &ctx, &sample_text())
+            .statements
+            .remove(0)
+    }
+
+    fn graph(script_text: &str, fuse: bool) -> DataflowGraph {
+        DataflowGraph::build(&planned(script_text), fuse)
+    }
+
+    fn shape(g: &DataflowGraph) -> Vec<(NodeKind, Range<usize>)> {
+        g.nodes.iter().map(|n| (n.kind, n.stages.clone())).collect()
     }
 
     #[test]
@@ -312,10 +401,8 @@ mod tests {
             "cat /in.txt | tr -cs A-Za-z '\\n' | tr A-Z a-z | grep o | sort | uniq -c | sort -rn",
             true,
         );
-        let shape: Vec<(NodeKind, Range<usize>)> =
-            g.nodes.iter().map(|n| (n.kind, n.stages.clone())).collect();
         assert_eq!(
-            shape,
+            shape(&g),
             vec![
                 (NodeKind::Split, 0..0),
                 (
@@ -325,26 +412,49 @@ mod tests {
                     0..1
                 ), // tr -cs: rerun, no shrink
                 (NodeKind::StageWorker, 1..3), // tr | grep fused by the rewrite
-                (
-                    NodeKind::Fold {
-                        mode: FoldMode::Combine
-                    },
-                    3..4
-                ), // sort
-                (
-                    NodeKind::Fold {
-                        mode: FoldMode::Combine
-                    },
-                    4..5
-                ), // uniq -c
-                (
-                    NodeKind::Fold {
-                        mode: FoldMode::Combine
-                    },
-                    5..6
-                ), // sort -rn
+                (COMBINE, 3..5),               // sort | uniq -c: one counting fold
+                (COMBINE, 5..6),               // sort -rn
             ]
         );
+    }
+
+    #[test]
+    fn counting_rewrite_fuses_exactly_the_licensed_fold_pairs() {
+        // Both kinds of pair, back to back; the second sort is not the
+        // `uniq` of the first pair, and `sort -rn` has no `uniq` after it.
+        let text = "cat /in.txt | sort -r | uniq | sort -f | uniq -c | sort -rn";
+        let p = planned(text);
+        assert_eq!(
+            shape(&DataflowGraph::build(&p, true)),
+            vec![
+                (NodeKind::Split, 0..0),
+                (COMBINE, 0..2),
+                (COMBINE, 2..4),
+                (COMBINE, 4..5),
+            ]
+        );
+        // The switch that leaves chunk-local stages unfused leaves these
+        // alone too: one node per stage.
+        let unfused = DataflowGraph::build(&p, false);
+        assert_eq!(unfused.nodes.len(), 6);
+        assert!(unfused.nodes.iter().all(|n| n.stages.len() <= 1));
+        // Pairs the lattice does not license, and a licensed-looking pair
+        // with a stage in between or a redirect between statements.
+        for text in [
+            "cat /in.txt | sort -u | uniq -c",
+            "cat /in.txt | sort -f | uniq",
+            "cat /in.txt | sort /in.txt | uniq -c",
+            "cat /in.txt | sort | grep fox | uniq -c",
+        ] {
+            let g = graph(text, true);
+            assert!(
+                g.nodes
+                    .iter()
+                    .all(|n| n.kind != COMBINE || n.stages.len() == 1),
+                "{text}: {:?}",
+                shape(&g)
+            );
+        }
     }
 
     #[test]
@@ -387,16 +497,20 @@ mod tests {
     #[test]
     fn validate_accepts_built_graphs_and_rejects_broken_ones() {
         let script = "cat /in.txt | grep fox | tr A-Z a-z | sort | head -n 2";
+        let plan = planned(script);
         for fuse in [false, true] {
             let g = graph(script, fuse);
-            assert_eq!(g.validate(4, 8), Vec::<String>::new());
+            assert_eq!(g.validate(&plan, 8), Vec::<String>::new());
         }
 
         let mut g = graph(script, true);
         // A gap in the stage partition.
         let last = g.nodes.len() - 1;
         g.nodes[last].stages.start += 1;
-        assert!(g.validate(4, 8).iter().any(|p| p.contains("previous node")));
+        assert!(g
+            .validate(&plan, 8)
+            .iter()
+            .any(|p| p.contains("previous node")));
 
         // A fold pretending to span a fused run.
         let mut g = graph(script, true);
@@ -408,25 +522,65 @@ mod tests {
         g.nodes[fold - 1].stages.end -= 1;
         g.nodes[fold].stages.start -= 1;
         assert!(g
-            .validate(4, 8)
+            .validate(&plan, 8)
             .iter()
             .any(|p| p.contains("span more than one stage")));
 
         // A stale eager_flush flag after a rewrite.
         let mut g = graph(script, true);
         g.nodes[0].eager_flush = !g.nodes[0].eager_flush;
-        assert!(g.validate(4, 8).iter().any(|p| p.contains("eager_flush")));
+        assert!(g
+            .validate(&plan, 8)
+            .iter()
+            .any(|p| p.contains("eager_flush")));
 
         // Zero queue credit deadlocks every fold.
         let g = graph(script, true);
-        assert!(g.validate(4, 0).iter().any(|p| p.contains("queue credit")));
+        assert!(g
+            .validate(&plan, 0)
+            .iter()
+            .any(|p| p.contains("queue credit")));
 
         // Wrong stage count.
         let g = graph(script, true);
+        let longer = planned("cat /in.txt | grep fox | tr A-Z a-z | sort | head -n 2 | wc -l");
         assert!(g
-            .validate(5, 8)
+            .validate(&longer, 8)
             .iter()
             .any(|p| p.contains("has 5 stage(s)")));
+    }
+
+    #[test]
+    fn validate_admits_the_licensed_two_stage_fold_and_no_other() {
+        let text = "cat /in.txt | tr A-Z a-z | sort | uniq -c | sort -rn | wc -l";
+        let plan = planned(text);
+        let spans_too_much = |g: &DataflowGraph| {
+            g.validate(&plan, 8)
+                .iter()
+                .any(|p| p.contains("span more than one stage"))
+        };
+        let built = DataflowGraph::build(&plan, true);
+        assert_eq!(shape(&built)[2], (COMBINE, 1..3));
+        assert_eq!(built.validate(&plan, 8), Vec::<String>::new());
+        // The same fold one stage further on: `uniq -c | sort -rn` is not
+        // a pair anyone licensed.
+        let mut g = DataflowGraph::build(&plan, false);
+        g.nodes[3].stages.end += 1;
+        g.nodes.remove(4);
+        assert_eq!(shape(&g)[3], (COMBINE, 2..4));
+        assert!(spans_too_much(&g));
+        // The licensed pair with a third stage swallowed.
+        let mut g = built.clone();
+        g.nodes[2].stages.end += 1;
+        g.nodes.remove(3);
+        assert_eq!(shape(&g)[2], (COMBINE, 1..4));
+        assert!(spans_too_much(&g));
+        // A gather fold over the licensed stages.
+        let mut g = built.clone();
+        g.nodes[2].kind = NodeKind::Fold {
+            mode: FoldMode::Gather,
+        };
+        assert!(spans_too_much(&g));
     }
 
     #[test]

@@ -18,14 +18,44 @@
 //! ```
 //!
 //! Lower is stronger. [`EffectClass::Stateless`] is the only class the
-//! planner acts on without running anything: a stateless command is a
-//! per-line (or per-byte) pure map, so `f(x ++ y) = f(x) ++ f(y)` for
-//! line-aligned pieces and its combiner is plain `concat` — exactly what
-//! dynamic synthesis would find, minus the synthesis. Every other class is
-//! advisory: it feeds `kumquat check` diagnostics and the
-//! lattice/synthesis agreement test, but planning still goes through
-//! synthesis so plans cannot silently diverge from the observed-behaviour
-//! path.
+//! planner acts on *per command* without running anything: a stateless
+//! command is a per-line (or per-byte) pure map, so
+//! `f(x ++ y) = f(x) ++ f(y)` for line-aligned pieces and its combiner is
+//! plain `concat` — exactly what dynamic synthesis would find, minus the
+//! synthesis. Every other class is advisory on its own: it feeds
+//! `kumquat check` diagnostics and the lattice/synthesis agreement test,
+//! but planning still goes through synthesis so plans cannot silently
+//! diverge from the observed-behaviour path.
+//!
+//! # Fold pairs: the first class acted on beyond `Stateless`
+//!
+//! A [`EffectClass::CommutativeFold`] `sort` followed by a
+//! [`EffectClass::PureParallelizable`] `uniq` is where the lattice removes
+//! work instead of skipping synthesis. `uniq` is order-aware only about
+//! *adjacency*, and it needs the sort for nothing else: when the sort's
+//! comparator calls two lines equal exactly when they are the same bytes,
+//! the pair is one keyed aggregation — count (or keep one of) each
+//! distinct line — whose per-chunk results merge by key. [`fold_pair`] is
+//! the legality test over the two normalized signatures, the planner
+//! records its answer on [`PlannedStage::fold_pair`], and
+//! [`DataflowGraph::build`] turns a licensed pair of combine folds into
+//! one fold spanning both stages (see "Counting rewrite" in
+//! [`crate::dataflow`]).
+//!
+//! The condition on the sort is why `-u` and file operands are excluded.
+//! The in-process `sort` compares by its flagged key and then, *absent
+//! `-u`*, by the whole line's bytes — so under `-n`, `-r`, `-f` and `-k1n`
+//! alike, lines that compare equal are identical and identical lines are
+//! adjacent. `-u` switches that last resort off and keeps one line per
+//! *key*: `sort -nu | uniq -c` counts spellings that survived, not lines
+//! that occurred. `-m` does not sort at all. A file operand makes the
+//! stream the concatenation of files the chunks never see (and a `sort`
+//! that reads only files is a source, not a stage). `uniq` must be plain
+//! or exactly `-c`: `-d`, `-u`, `-i`, `-f N` ask about runs in ways a count
+//! per line does not answer. Any flag not named here means no rewrite.
+//!
+//! [`PlannedStage::fold_pair`]: crate::plan::PlannedStage::fold_pair
+//! [`DataflowGraph::build`]: crate::dataflow::DataflowGraph::build
 //!
 //! # Soundness
 //!
@@ -359,6 +389,82 @@ fn classify_fold(sig: &Signature) -> EffectClass {
     }
 }
 
+/// What a `sort` stage and the `uniq` stage that follows it fold into when
+/// the pair is one keyed aggregation (see the [module docs](self)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FoldPair {
+    /// `sort <flags> | uniq -c`: per chunk, the distinct lines with their
+    /// counts; the fold merges them adding the counts of equal lines.
+    Counting,
+    /// `sort [-r] | uniq`, where key-equal is identical: per chunk
+    /// `sort -u`; the fold is the `-u` merge.
+    Unique,
+}
+
+impl FoldPair {
+    /// Stable lowercase name (run notes, `kumquat check`).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            FoldPair::Counting => "counting",
+            FoldPair::Unique => "unique",
+        }
+    }
+
+    /// The one line that says where a pair is and what it folds into, as
+    /// run notes, plan notes and `kumquat check` all print it:
+    /// `counting fold: s1 stages 4-5 'sort | uniq -c'` (statement and
+    /// stages counted from one; `stage` is the sort's index from zero).
+    pub fn note(self, statement: usize, stage: usize, sort: &Command, uniq: &Command) -> String {
+        format!(
+            "{} fold: s{} stages {}-{} '{} | {}'",
+            self.as_str(),
+            statement + 1,
+            stage + 1,
+            stage + 2,
+            sort.display(),
+            uniq.display()
+        )
+    }
+}
+
+/// The legality test of the counting rewrite: `Some` when `sort | uniq`,
+/// as adjacent stages, compute one keyed aggregation. Both commands must
+/// read their standard input and take no operand; `sort` may carry `-n`,
+/// `-r`, `-f` and a field-1 key (`-k1n` and its spellings) before
+/// `uniq -c`, and nothing but `-r` before a plain `uniq`, which is
+/// `sort -u` only in byte order. Conservative like [`classify`]: any flag
+/// not listed here — `-u`, `-m`, `-s`, a long option — means `None`.
+pub fn fold_pair(sort: &Command, uniq: &Command) -> Option<FoldPair> {
+    if !sort.reads_stdin() || !uniq.reads_stdin() {
+        return None;
+    }
+    let (sort, uniq) = (signature(sort)?, signature(uniq)?);
+    if sort.program != "sort" || uniq.program != "uniq" {
+        return None;
+    }
+    if !sort.operands.is_empty() || !uniq.operands.is_empty() {
+        return None;
+    }
+    // `-k=1`, `-k=1n`, `-k=1,1n`, …: field one, with modifiers the flags
+    // below also spell.
+    let field1_key = |f: &String| {
+        f.strip_prefix("-k=").is_some_and(|spec| {
+            spec.split(',').all(|part| {
+                part.strip_prefix('1')
+                    .is_some_and(|mods| mods.chars().all(|m| matches!(m, 'n' | 'r' | 'f')))
+            })
+        })
+    };
+    let sort_flag = |f: &String| matches!(f.as_str(), "-n" | "-r" | "-f") || field1_key(f);
+    if uniq.flags == ["-c"] && sort.flags.iter().all(sort_flag) {
+        Some(FoldPair::Counting)
+    } else if uniq.flags.is_empty() && sort.flags.iter().all(|f| f == "-r") {
+        Some(FoldPair::Unique)
+    } else {
+        None
+    }
+}
+
 /// The combiner a classification certifies without synthesis: plain
 /// `concat` for [`EffectClass::Stateless`], nothing for every other class
 /// (they only *promise* a combiner exists; synthesis must still find it so
@@ -458,6 +564,69 @@ mod tests {
         assert_eq!(class_of("xargs wc -l"), EffectClass::Unknown);
         // Sources never classify: the parallelization question is moot.
         assert_eq!(class_of("cat big.txt"), EffectClass::Unknown);
+    }
+
+    #[test]
+    fn fold_pairs_are_licensed_by_both_signatures() {
+        let pair = |sort: &str, uniq: &str| {
+            fold_pair(&parse_command(sort).unwrap(), &parse_command(uniq).unwrap())
+        };
+        for sort in [
+            "sort",
+            "sort -n",
+            "sort -r",
+            "sort -rn",
+            "sort -nr",
+            "sort -f",
+            "sort -fr",
+            "sort -k1n",
+            "sort -k 1n",
+            "sort -k1,1n",
+            "sort -r -n",
+        ] {
+            assert_eq!(pair(sort, "uniq -c"), Some(FoldPair::Counting), "{sort}");
+            assert_eq!(pair(sort, "uniq --count"), None, "long spelling: {sort}");
+        }
+        assert_eq!(pair("sort", "uniq"), Some(FoldPair::Unique));
+        assert_eq!(pair("sort -r", "uniq"), Some(FoldPair::Unique));
+        assert_eq!(
+            FoldPair::Counting.note(
+                0,
+                3,
+                &parse_command("sort -f").unwrap(),
+                &parse_command("uniq -c").unwrap()
+            ),
+            "counting fold: s1 stages 4-5 'sort -f | uniq -c'"
+        );
+        // Key-equal is not identical outside byte order.
+        for sort in ["sort -f", "sort -n", "sort -k1n", "sort -rn"] {
+            assert_eq!(pair(sort, "uniq"), None, "{sort} | uniq");
+        }
+        // -u, -m, -s, long options, operands.
+        for sort in [
+            "sort -u",
+            "sort -nu",
+            "sort -m",
+            "sort -s",
+            "sort --parallel=1",
+            "sort f.txt",
+            "sort -",
+            "sort -n f.txt",
+        ] {
+            assert_eq!(pair(sort, "uniq -c"), None, "{sort} | uniq -c");
+            assert_eq!(pair(sort, "uniq"), None, "{sort} | uniq");
+        }
+        // A `uniq` asking about runs (the in-process one parses no such
+        // flag; a wrapped system binary would).
+        let uniq_d = Command::custom(
+            vec!["uniq".to_owned(), "-d".to_owned()],
+            Box::new(kq_coreutils::uniq::UniqCmd::parse(&[]).unwrap()),
+        );
+        assert_eq!(fold_pair(&parse_command("sort").unwrap(), &uniq_d), None);
+        // Only `sort` then `uniq`, in that order.
+        assert_eq!(pair("uniq -c", "sort"), None);
+        assert_eq!(pair("sort", "sort"), None);
+        assert_eq!(pair("sort", "wc -l"), None);
     }
 
     #[test]

@@ -89,6 +89,14 @@ pub struct PlannedStage {
     /// Independent of the sequential/parallel mode decision: running the
     /// command once on a `k`-line prefix is exact under either plan.
     pub line_bound: Option<usize>,
+    /// Set on a `sort` stage that the lattice licenses to fold together
+    /// with the `uniq` stage after it ([`lattice::fold_pair`]): the
+    /// dataflow graph turns the two combine folds into one spanning both
+    /// stages (the counting rewrite of [`crate::dataflow`]). The planner
+    /// sets it only when both stages parallelize and the sort's combiner
+    /// is a `merge` — the fused fold is that merge under a derived order.
+    /// Executors that run stage by stage ignore it.
+    pub fold_pair: Option<lattice::FoldPair>,
 }
 
 /// Planning result for one statement.
@@ -651,21 +659,44 @@ impl Planner {
             };
             *eliminated = true;
         }
+        // Third pass: the `sort | uniq` pairs that fold as one keyed
+        // aggregation — a lattice question about the two commands, asked
+        // only where both stages combine and the sort's combiner merges.
+        let fold_pairs: Vec<Option<lattice::FoldPair>> = (0..modes.len())
+            .map(|i| {
+                let (StageMode::Parallel { combiner, .. }, Some(StageMode::Parallel { .. })) =
+                    (&modes[i], modes.get(i + 1))
+                else {
+                    return None;
+                };
+                if !self.use_lattice || combiner.merge_order().is_none() {
+                    return None;
+                }
+                lattice::fold_pair(
+                    &statement.stages[i].command,
+                    &statement.stages[i + 1].command,
+                )
+            })
+            .collect();
         PlannedStatement {
             stages: modes
                 .into_iter()
                 .zip(streamable)
+                .zip(fold_pairs)
                 .enumerate()
-                .map(|(stage_idx, (mode, streamable))| PlannedStage {
-                    stage_idx,
-                    mode,
-                    streamable,
-                    // The early-exit contract comes from the parsed
-                    // command itself (exact, never widened) — a stage
-                    // with a file operand reads no stdin and reports
-                    // no bound.
-                    line_bound: kq_synth::prefix_bound(&statement.stages[stage_idx].command),
-                })
+                .map(
+                    |(stage_idx, ((mode, streamable), fold_pair))| PlannedStage {
+                        stage_idx,
+                        mode,
+                        streamable,
+                        // The early-exit contract comes from the parsed
+                        // command itself (exact, never widened) — a stage
+                        // with a file operand reads no stdin and reports
+                        // no bound.
+                        line_bound: kq_synth::prefix_bound(&statement.stages[stage_idx].command),
+                        fold_pair,
+                    },
+                )
                 .collect(),
         }
     }
@@ -882,6 +913,45 @@ mod tests {
         assert!(synthesized(&without, "grep fox"));
         assert!(synthesized(&with, "sort"));
         assert!(synthesized(&with, "uniq -c"));
+    }
+
+    #[test]
+    fn licensed_sort_uniq_pairs_are_recorded_on_the_sort_stage() {
+        use crate::lattice::FoldPair;
+        let pairs = |text: &str| -> Vec<Option<FoldPair>> {
+            let (planned, _) = plan(text);
+            planned.statements[0]
+                .stages
+                .iter()
+                .map(|s| s.fold_pair)
+                .collect()
+        };
+        assert_eq!(
+            pairs("cat $IN | tr A-Z a-z | sort | uniq -c | sort -rn"),
+            vec![None, Some(FoldPair::Counting), None, None]
+        );
+        assert_eq!(
+            pairs("cat $IN | sort -r | uniq | sort -f | uniq -c"),
+            vec![Some(FoldPair::Unique), None, Some(FoldPair::Counting), None]
+        );
+        // The pairs the lattice does not license stay two stages, and so
+        // does a licensed pair whose second stage runs sequentially.
+        assert_eq!(pairs("cat $IN | sort -u | uniq -c"), vec![None, None]);
+        assert_eq!(pairs("cat $IN | sort -f | uniq"), vec![None, None]);
+        assert_eq!(pairs("cat $IN | sort /in.txt | uniq -c"), vec![None, None]);
+        assert_eq!(pairs("cat $IN | sort | wc -l"), vec![None, None]);
+        // Without the lattice the planner acts on nothing it says.
+        let env: Map<String, String> = [("IN".to_owned(), "/in.txt".to_owned())].into();
+        let script = parse_script("cat $IN | sort | uniq -c", &env).unwrap();
+        let ctx = ExecContext::default();
+        ctx.vfs.write("/in.txt", sample_text());
+        let mut planner = Planner::new(SynthesisConfig::default());
+        planner.use_lattice = false;
+        let planned = planner.plan(&script, &ctx, &sample_text());
+        assert!(planned.statements[0]
+            .stages
+            .iter()
+            .all(|s| s.fold_pair.is_none()));
     }
 
     #[test]

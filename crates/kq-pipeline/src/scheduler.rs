@@ -7,7 +7,9 @@
 //! threads. Each statement's plan becomes a [`DataflowGraph`]
 //! (see [`crate::dataflow`] for the node and edge semantics), and the unit
 //! of scheduling is a *task*: "make progress at node N of statement S" —
-//! process one chunk at a map node, drain the input of a fold, merge one
+//! process one chunk at a map node (through the node's commands — or, at a
+//! counting fold, through the `sort | uniq -c` kernel of its counted line
+//! order), drain the input of a fold, merge one
 //! part of a fold's closing merge, cut the next chunk at a split, emit the
 //! next chunk of a materialized output.
 //!
@@ -20,7 +22,13 @@
 //! Workers never block on data: a node that cannot progress (input empty,
 //! or downstream edge at capacity) simply returns, and the event that
 //! unblocks it — an upstream push, a downstream pop freeing a credit —
-//! schedules it again. Sleep/wake uses a generation-counted condvar: a
+//! schedules it again. A pop schedules one task, but any number of chunks
+//! may be queued behind a gated stage worker, each of whose tasks has come
+//! and gone: the node counts the tasks it sent away and a task that gets
+//! through the gate re-issues one of them, so none is lost however rarely
+//! the consumer pops (in the unfused graph a selective `grep` between two
+//! chunk-local stages pops once per dozens of chunks it is handed).
+//! Sleep/wake uses a generation-counted condvar: a
 //! worker records the generation *before* its final queue scan, so a task
 //! pushed concurrently either shows up in the scan or bumps the
 //! generation and cancels the sleep.
@@ -81,14 +89,16 @@
 //! sweep both `auto` knobs.
 
 use crate::chunked::run_chain;
-use crate::dataflow::{DataflowGraph, FoldMode, NodeKind};
+use crate::dataflow::{DataflowGraph, DataflowNode, FoldMode, NodeKind};
 use crate::exec::{
     gather_files, AdaptiveTelemetry, EarlyExit, ExecutionResult, QueueTelemetry, StageTiming,
     TimingLog,
 };
+use crate::lattice::FoldPair;
 use crate::parse::{InputSource, Script, Statement};
-use crate::plan::{PlannedScript, StageMode};
+use crate::plan::{PlannedScript, PlannedStatement, StageMode};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
+use kq_coreutils::sort::LineOrder;
 use kq_coreutils::{CmdError, Command, ExecContext};
 use kq_dsl::eval::CommandEnv;
 use kq_stream::{Bytes, IncrementalChunker, Rope};
@@ -371,6 +381,14 @@ struct NodeState<'a> {
     /// claimed and not yet slotted: work in progress outside the lock.
     /// Finalization waits for it to reach zero.
     inflight: usize,
+    /// StageWorker: tasks that found the output edge at capacity and went
+    /// away without claiming the chunk they were scheduled for. Each is
+    /// owed: a task that gets through the gate schedules one of them
+    /// again. A downstream pop schedules one task, which alone would leave
+    /// every other chunk queued here waiting for a pop that need not come
+    /// (a selective stage between this node and the next fold pushes
+    /// nothing for most chunks it takes).
+    deferred: usize,
     /// Reorder buffer: results keyed by input pop ordinal.
     pending: BTreeMap<usize, Bytes>,
     next_seq: usize,
@@ -408,6 +426,7 @@ impl NodeState<'_> {
             phase: Phase::Collecting,
             cancelled: false,
             inflight: 0,
+            deferred: 0,
             pending: BTreeMap::new(),
             next_seq: 0,
             chunker: None,
@@ -436,6 +455,9 @@ struct StmtRt<'a> {
     graph: DataflowGraph,
     /// Command chain per node (empty for the split node).
     chains: Vec<Vec<&'a Command>>,
+    /// Per node: the counted order of a counting fold (`sort | uniq -c` as
+    /// one node), whose map is that order's kernel instead of the chain.
+    count_orders: Vec<Option<LineOrder>>,
     nodes: Vec<Mutex<NodeState<'a>>>,
     /// `edges[i]` carries node `i`'s output; the last edge is the sink.
     edges: Vec<Edge>,
@@ -526,6 +548,31 @@ fn lock<'m, T>(m: &'m Mutex<T>) -> std::sync::MutexGuard<'m, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// The order the fold of a two-stage combine node merges under (see
+/// "Counting rewrite" in [`crate::dataflow`]): the sort stage's `merge`
+/// order, counted for `sort | uniq -c` and under `-u` for `sort | uniq`.
+/// `None` for every one-stage node.
+fn fold_pair_order(
+    node: &DataflowNode,
+    planned: &PlannedStatement,
+) -> Option<(FoldPair, LineOrder)> {
+    if node.stages.len() < 2 || !matches!(node.kind, NodeKind::Fold { .. }) {
+        return None;
+    }
+    let sort = &planned.stages[node.stages.start];
+    let pair = sort.fold_pair.expect("a two-stage fold is a licensed pair");
+    let StageMode::Parallel { combiner, .. } = &sort.mode else {
+        unreachable!("combine folds are parallel stages");
+    };
+    let order = combiner
+        .merge_order()
+        .expect("the planner licenses only sorts that merge");
+    Some(match pair {
+        FoldPair::Counting => (pair, order.counted()),
+        FoldPair::Unique => (pair, order.unique()),
+    })
+}
+
 /// Runs a planned script on the shared work-stealing pool (see the
 /// [module docs](self)), gathering the script's stdout into one buffer.
 /// [`run_dataflow_segments`] is the same run without the gather.
@@ -575,7 +622,7 @@ pub fn run_dataflow_segments(
         .collect();
     if cfg!(debug_assertions) {
         for (si, (graph, planned)) in graphs.iter().zip(&plan.statements).enumerate() {
-            let problems = graph.validate(planned.stages.len(), queue_seed);
+            let problems = graph.validate(planned, queue_seed);
             assert!(
                 problems.is_empty(),
                 "statement {si} dataflow graph violates its invariants: {problems:?}"
@@ -630,6 +677,11 @@ pub fn run_dataflow_segments(
                     .collect()
             })
             .collect();
+        let pair_orders: Vec<Option<(FoldPair, LineOrder)>> = graph
+            .nodes
+            .iter()
+            .map(|node| fold_pair_order(node, &plan.statements[si]))
+            .collect();
         let nodes: Vec<Mutex<NodeState<'_>>> = graph
             .nodes
             .iter()
@@ -653,11 +705,22 @@ pub fn run_dataflow_segments(
                         // counters are per-node, not script-global.
                         let spill = opts.spill.as_ref().map(|p| p.stage_config());
                         state.spill_metrics = spill.as_ref().map(|cfg| cfg.metrics.clone());
-                        state.accum = Some(combiner.incremental_with_spill(env, spill));
+                        state.accum = Some(match pair_orders[ni] {
+                            Some((_, order)) => combiner.incremental_merging(order, env, spill),
+                            None => combiner.incremental_with_spill(env, spill),
+                        });
                     }
                     _ => {}
                 }
                 Mutex::new(state)
+            })
+            .collect();
+        let count_orders = pair_orders
+            .into_iter()
+            .map(|pair| match pair {
+                Some((FoldPair::Counting, order)) => Some(order),
+                // `sort | uniq` of a chunk is its `sort -u`: the chain.
+                _ => None,
             })
             .collect();
         let edges = (0..graph.nodes.len())
@@ -680,6 +743,7 @@ pub fn run_dataflow_segments(
             statement,
             graph,
             chains,
+            count_orders,
             nodes,
             edges,
             base_chunk: AtomicUsize::new(fixed_chunk),
@@ -1260,7 +1324,7 @@ fn map_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
     let node = &stmt.graph.nodes[ni];
     let is_worker = node.kind == NodeKind::StageWorker;
     let last = ni + 1 == stmt.graph.nodes.len();
-    {
+    let reissue = {
         let mut st = lock(&stmt.nodes[ni]);
         if st.cancelled {
             return;
@@ -1286,12 +1350,20 @@ fn map_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
         // consume everything before emitting — no gate.
         if is_worker && !last && stmt.edges[ni].check_gate() {
             st.gate_since.get_or_insert_with(Instant::now);
+            st.deferred += 1;
             return;
         }
         if let Some(gated) = st.gate_since.take() {
             st.telem.send_stall += gated.elapsed();
         }
         st.inflight += 1;
+        // Through the gate: one of the tasks it sent away comes back.
+        let owed = st.deferred > 0;
+        st.deferred -= usize::from(owed);
+        owed
+    };
+    if reissue {
+        cx.schedule((si, ni));
     }
     let (seq, chunk, len_at) = match pop_input(stmt, ni) {
         Ok(popped) => popped,
@@ -1315,7 +1387,10 @@ fn map_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
         .seq(seq)
         .v(chunk.len() as f64);
     let t0 = Instant::now();
-    let result = run_chain(&stmt.chains[ni], chunk.clone(), cx.rt.ctx);
+    let result = match stmt.count_orders[ni] {
+        Some(counted) => counted.sort_bytes(&chunk),
+        None => run_chain(&stmt.chains[ni], chunk.clone(), cx.rt.ctx),
+    };
     let dur = t0.elapsed();
     span.done();
 

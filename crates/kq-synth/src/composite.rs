@@ -8,7 +8,8 @@
 //! (`concat`/`first`/`second`), that member alone suffices — its domain is
 //! a superset of every other member's.
 
-use kq_dsl::ast::{Candidate, Combiner, RecOp};
+use kq_coreutils::sort::LineOrder;
+use kq_dsl::ast::{Candidate, Combiner, RecOp, RunOp};
 use kq_dsl::eval::{EvalError, RunEnv};
 use kq_dsl::{domain, kway};
 use kq_stream::{Bytes, Rope};
@@ -75,6 +76,17 @@ impl SynthesizedCombiner {
         self.members
             .iter()
             .all(|c| matches!(c.op, Combiner::Run(kq_dsl::ast::RunOp::Rerun)))
+    }
+
+    /// The line order of the `merge <flags>` this composite folds with —
+    /// `None` when its primary is anything but a `merge` whose flags parse.
+    /// A planner that fuses a `sort` with the stage after it asks here
+    /// whether the sort merges, and under which order.
+    pub fn merge_order(&self) -> Option<LineOrder> {
+        match &self.primary().op {
+            Combiner::Run(RunOp::Merge(flags)) => kq_dsl::eval::merge_order(flags).ok(),
+            _ => None,
+        }
     }
 
     /// Combines two streams: the first member whose domain admits both
@@ -156,20 +168,43 @@ impl SynthesizedCombiner {
         env: &'a dyn RunEnv,
         spill: Option<kq_dsl::SpillConfig>,
     ) -> IncrementalCombine<'a> {
+        let fold = kway::IncrementalFold::new_with_spill(self.primary(), env, spill.clone());
+        self.incremental_over(fold, env, spill)
+    }
+
+    /// The incremental combine of a composite whose primary is `merge`
+    /// ([`merge_order`](Self::merge_order) is `Some`), merging under
+    /// `order` instead: see [`kway::IncrementalFold::merging`]. `merge`'s
+    /// domain is universal, so this is the authoritative path — pieces fold
+    /// in and their handles drop.
+    pub fn incremental_merging<'a>(
+        &'a self,
+        order: LineOrder,
+        env: &'a dyn RunEnv,
+        spill: Option<kq_dsl::SpillConfig>,
+    ) -> IncrementalCombine<'a> {
+        let fold = kway::IncrementalFold::merging(self.primary(), order, env, spill);
+        self.incremental_over(fold, env, None)
+    }
+
+    /// An incremental combine speculating on `fold`, a fold of the primary
+    /// member; `raw_spill` bounds the raw handles of the selective path.
+    fn incremental_over<'a>(
+        &'a self,
+        fold: kway::IncrementalFold<'a>,
+        env: &'a dyn RunEnv,
+        raw_spill: Option<kq_dsl::SpillConfig>,
+    ) -> IncrementalCombine<'a> {
         let authoritative =
             self.members.len() == 1 || kq_dsl::domain::is_universal(&self.primary().op);
         IncrementalCombine {
             combiner: self,
             env,
             raw: (!authoritative).then(Vec::new),
-            raw_spill: if authoritative { None } else { spill.clone() },
+            raw_spill: raw_spill.filter(|_| !authoritative),
             raw_heap_bytes: 0,
             fed: false,
-            fold: Some(kway::IncrementalFold::new_with_spill(
-                self.primary(),
-                env,
-                spill,
-            )),
+            fold: Some(fold),
             failed: None,
         }
     }
@@ -371,7 +406,7 @@ impl<'a> IncrementalCombine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kq_dsl::ast::{RunOp, StructOp};
+    use kq_dsl::ast::StructOp;
     use kq_dsl::eval::NoRunEnv;
     use kq_stream::Delim;
 

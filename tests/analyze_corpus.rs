@@ -8,7 +8,9 @@
 //! 3. `check` is clean — even under `--deny-warnings` semantics — on all
 //!    70 benchmark scripts;
 //! 4. a deliberately broken fixture trips the hazard lints and makes the
-//!    CLI exit nonzero.
+//!    CLI exit nonzero;
+//! 5. the `sort | uniq` pairs `check` names are exactly the pairs the
+//!    planner fuses into one fold, corpus-wide.
 
 use kq_analyze::EffectClass;
 use kq_cli::{emit_script, EmitOptions};
@@ -192,4 +194,88 @@ fn broken_fixture_trips_hazard_lints_and_nonzero_exit() {
     ])
     .unwrap();
     assert_eq!(clean.exit_code, 0, "stdout: {}", clean.text());
+}
+
+/// (5) The counting rewrite, statically and dynamically: every
+/// `sort | uniq [-c]` pair the planner records — and the dataflow graph
+/// therefore fuses into one two-stage fold — is a pair `check` reports
+/// from the signatures alone, and every pair `check` reports is one the
+/// planner fuses (in the corpus both stages of each always parallelize and
+/// the sort's combiner is always `merge`). The pairs the lattice refuses
+/// stay two nodes.
+#[test]
+fn check_reports_exactly_the_fold_pairs_the_planner_fuses() {
+    use kq_pipeline::{DataflowGraph, NodeKind};
+    let mut planner = Planner::new(SynthesisConfig::default());
+    let mut scripts_with_a_pair = 0usize;
+    for script in corpus() {
+        let ctx = ExecContext::default();
+        let env = setup(script, &ctx, &SCALE, 0xF01D);
+        let parsed = parse_script(script.text, &env).unwrap();
+        let sample = ctx.vfs.read(&env["IN"]).unwrap();
+        let plan = planner.plan(&parsed, &ctx, planning_sample(&sample, 12_000));
+        // (statement, sort stage) of every two-stage fold in the graphs.
+        let mut fused: Vec<(usize, usize)> = Vec::new();
+        for (si, planned) in plan.statements.iter().enumerate() {
+            let graph = DataflowGraph::build(planned, true);
+            assert!(graph.validate(planned, 4).is_empty());
+            for node in &graph.nodes {
+                if matches!(node.kind, NodeKind::Fold { .. }) && node.stages.len() > 1 {
+                    assert_eq!(node.stages.len(), 2);
+                    fused.push((si, node.stages.start));
+                }
+            }
+        }
+        let analysis = kq_analyze::check_script(script.text, &env);
+        let reported: Vec<(usize, usize)> = analysis
+            .fold_pairs
+            .iter()
+            .map(|site| (site.statement, site.stage))
+            .collect();
+        assert_eq!(
+            fused,
+            reported,
+            "{}/{}: planner-fused pairs vs `check`",
+            script.suite.dir(),
+            script.id
+        );
+        for site in &analysis.fold_pairs {
+            assert!(
+                analysis.render_human().contains(&site.note),
+                "check must name {}",
+                site.note
+            );
+        }
+        scripts_with_a_pair += usize::from(!fused.is_empty());
+    }
+    assert!(
+        scripts_with_a_pair >= 36,
+        "only {scripts_with_a_pair} corpus scripts have a fold pair"
+    );
+
+    // The pairs that must stay two nodes, through the real planner
+    // (`sort | uniq -d`, which this reproduction's `uniq` does not parse,
+    // is refused by `lattice::fold_pair`'s own test).
+    for text in [
+        "cat /in.txt | sort -u | uniq -c",
+        "cat /in.txt | sort /in.txt | uniq -c",
+        "cat /in.txt | sort > /t\ncat /t | uniq -c",
+        "cat /in.txt | sort -f | uniq",
+    ] {
+        let ctx = ExecContext::default();
+        ctx.vfs.write("/in.txt", "b x\na y\nb x\n".repeat(40));
+        let parsed = parse_script(text, &HashMap::new()).unwrap();
+        let plan = planner.plan(&parsed, &ctx, &"b x\na y\nb x\n".repeat(40));
+        for planned in &plan.statements {
+            let graph = DataflowGraph::build(planned, true);
+            assert!(
+                graph.nodes.iter().all(|n| n.stages.len() <= 1),
+                "{text}: {:?}",
+                graph.nodes
+            );
+        }
+        assert!(kq_analyze::check_script(text, &HashMap::new())
+            .fold_pairs
+            .is_empty());
+    }
 }

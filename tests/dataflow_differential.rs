@@ -13,6 +13,12 @@
 //! stdout and every redirect target, and a watchdog test pins the
 //! cancellation property: a bounded consumer stops a 256 MiB producer
 //! after O(first match) bytes, including chunks already queued.
+//!
+//! The counting rewrite (`sort | uniq [-c]` as one fold) has its own
+//! sweeps: every corpus script the planner fuses a pair in, and generated
+//! multi-MiB inputs of low and high cardinality, run fused, unfused
+//! (`fuse_streamable: false`, what `--no-opt` builds) and serially —
+//! stdout and every redirect target, at one, two and four workers.
 
 use kq_coreutils::ExecContext;
 use kq_pipeline::exec::run_serial;
@@ -239,6 +245,160 @@ fn closing_merges_in_parts_match_serial_including_redirects() {
             assert!(
                 ctx.vfs.read_bytes("/out/sorted").unwrap() == sorted,
                 "/out/sorted diverged ({at})"
+            );
+        }
+    }
+}
+
+/// The sweep of the counting-rewrite suites: one, two and four workers at
+/// chunks of 700 B, 64 KiB and 16 MiB.
+fn sweep() -> impl Iterator<Item = (usize, usize)> {
+    [1usize, 2, 4]
+        .into_iter()
+        .flat_map(|w| [700usize, 64 << 10, 16 << 20].map(|c| (w, c)))
+}
+
+fn fixed_opts(workers: usize, chunk_bytes: usize, fuse: bool) -> DataflowOptions {
+    DataflowOptions {
+        workers,
+        chunk: ChunkSizing::Fixed(chunk_bytes),
+        queue: QueueCredit::Fixed(2),
+        fuse_streamable: fuse,
+        spill: None,
+    }
+}
+
+/// How many fold nodes of a plan's graphs span two stages, with or
+/// without the graph rewrites.
+fn fused_folds(plan: &kq_pipeline::PlannedScript, fuse: bool) -> usize {
+    plan.statements
+        .iter()
+        .flat_map(|p| kq_pipeline::DataflowGraph::build(p, fuse).nodes)
+        .filter(|n| matches!(n.kind, kq_pipeline::NodeKind::Fold { .. }) && n.stages.len() == 2)
+        .count()
+}
+
+/// Every corpus script with a `sort | uniq [-c]` pair the planner fuses:
+/// the fused graph, the unfused graph and the serial oracle agree on
+/// stdout and on every redirect target, at one, two and four workers and
+/// at chunks of 700 B, 64 KiB and 16 MiB. Each run gets a fresh context,
+/// so a redirect target is what that run wrote.
+#[test]
+fn corpus_scripts_with_a_fused_fold_pair_match_serial_fused_and_unfused() {
+    let scale = Scale {
+        input_bytes: 10_000,
+    };
+    let mut planner = Planner::new(SynthesisConfig::default());
+    let mut scripts = 0usize;
+    let mut pairs = 0usize;
+    for script in corpus() {
+        let serial_ctx = ExecContext::default();
+        let env = setup(script, &serial_ctx, &scale, 0xC0F0);
+        let parsed = parse_script(script.text, &env).unwrap();
+        let sample = serial_ctx.vfs.read(&env["IN"]).unwrap();
+        let cut = sample[..sample.len().min(8_000)]
+            .rfind('\n')
+            .map_or(sample.len(), |i| i + 1);
+        let plan = planner.plan(&parsed, &serial_ctx, &sample[..cut]);
+        let fused = fused_folds(&plan, true);
+        if fused == 0 {
+            continue;
+        }
+        assert_eq!(
+            fused_folds(&plan, false),
+            0,
+            "the switch builds neither rewrite"
+        );
+        scripts += 1;
+        pairs += fused;
+        let id = format!("{}/{}", script.suite.dir(), script.id);
+        let serial = run_serial(&parsed, &serial_ctx).unwrap_or_else(|e| panic!("{id}: {e}"));
+        let targets: Vec<String> = parsed
+            .statements
+            .iter()
+            .filter_map(|s| s.output.clone())
+            .collect();
+        for fuse in [true, false] {
+            for (workers, chunk_bytes) in sweep() {
+                let ctx = ExecContext::default();
+                setup(script, &ctx, &scale, 0xC0F0);
+                let at = format!("{id} (fuse={fuse}, w={workers}, chunk={chunk_bytes})");
+                let opts = fixed_opts(workers, chunk_bytes, fuse);
+                let got = run_dataflow(&parsed, &plan, &ctx, &opts)
+                    .unwrap_or_else(|e| panic!("{at}: {e}"));
+                assert_eq!(got.output, serial.output, "{at}: stdout");
+                for target in &targets {
+                    assert_eq!(
+                        ctx.vfs.read_bytes(target),
+                        serial_ctx.vfs.read_bytes(target),
+                        "{at}: {target}"
+                    );
+                }
+            }
+        }
+    }
+    // 29 scripts with `sort | uniq -c`, 7 with `sort | uniq`, one with
+    // `sort -f | uniq -c`: 36 scripts with at least one pair.
+    assert!(scripts >= 36, "only {scripts} corpus scripts fuse a pair");
+    assert!(pairs >= scripts);
+}
+
+/// The counting fold on inputs large enough for thousands of chunks, run
+/// batches and (high cardinality) a closing merge in parts: a word stream
+/// with some hundred distinct words — every chunk's table stays small and
+/// the fold merges KBs — and a number stream where nine lines in ten are
+/// distinct — every chunk is sorted and counted, and the counted runs are
+/// as large as the input. Fused, unfused and serial; stdout and a redirect
+/// target that a later statement reads back. (Megabytes in an optimised
+/// build; an unoptimised one takes a tenth.)
+#[test]
+fn counting_folds_match_serial_on_low_and_high_cardinality_megabytes() {
+    let scale = if cfg!(debug_assertions) { 10 } else { 1 };
+    let lines = 360_000 / scale;
+    let words = kq_workloads::inputs::gutenberg_text((3 << 20) / scale, 134);
+    let numbers = kq_workloads::inputs::numbered_lines(lines, 90);
+    let text = "cat /words.txt | tr -cs A-Za-z '\\n' | tr A-Z a-z | sort | uniq -c | sort -rn\n\
+                cat /numbers.txt | cut -d ' ' -f 1 | sort -n | uniq -c > /out/counts\n\
+                cat /out/counts | sort -rn | head -n 7\n\
+                cat /numbers.txt | cut -d ' ' -f 1 | sort -r | uniq | wc -l\n\
+                cat /words.txt | tr -cs A-Za-z '\\n' | sort -f | uniq -c | sort -k1n | tail -n 4";
+    let parsed = parse_script(text, &HashMap::new()).unwrap();
+    let fresh = || {
+        let ctx = ExecContext::default();
+        ctx.vfs.write("/words.txt", words.as_str());
+        ctx.vfs.write("/numbers.txt", numbers.as_str());
+        ctx
+    };
+    let serial_ctx = fresh();
+    let mut planner = Planner::new(SynthesisConfig::default());
+    let plan = planner.plan(&parsed, &serial_ctx, &words[..8_000]);
+    assert_eq!(fused_folds(&plan, true), 4);
+    let serial = run_serial(&parsed, &serial_ctx).unwrap();
+    let counts = serial_ctx.vfs.read_bytes("/out/counts").unwrap();
+    // Nine numbers in ten are distinct: the counted stream is the size of
+    // the sorted one, count columns and all.
+    assert!(counts.count_newlines() * 10 > lines * 8);
+    if scale == 1 {
+        assert!(
+            counts.len() > 4 << 20,
+            "the counted runs must close in parts"
+        );
+    }
+    for fuse in [true, false] {
+        for (workers, chunk_bytes) in sweep() {
+            let ctx = fresh();
+            let got = run_dataflow(
+                &parsed,
+                &plan,
+                &ctx,
+                &fixed_opts(workers, chunk_bytes, fuse),
+            )
+            .unwrap();
+            let at = format!("fuse={fuse}, w={workers}, chunk={chunk_bytes}");
+            assert!(got.output == serial.output, "stdout diverged ({at})");
+            assert!(
+                ctx.vfs.read_bytes("/out/counts").unwrap() == counts,
+                "/out/counts diverged ({at})"
             );
         }
     }

@@ -7,7 +7,9 @@
 //! scheduler replaces all of that with one fixed pool. This test runs a
 //! 2-statement script under `workers = 2` while a sampler thread polls
 //! `/proc/self/status` `Threads:` and asserts the peak over the baseline
-//! never exceeds the worker budget. The first statement's sort is large
+//! never exceeds the worker budget. The first statement's `sort | uniq -c`
+//! is one counting fold, and its chunks are so small (some twenty lines,
+//! all distinct) that the counted runs are as large as the input — large
 //! enough to finish in parts: those are tasks of the same pool.
 
 use kq_coreutils::ExecContext;
@@ -33,8 +35,9 @@ fn thread_count() -> usize {
 fn two_statement_script_stays_within_the_worker_budget() {
     const WORKERS: usize = 2;
     let ctx = ExecContext::default();
-    // 5 MiB: the first statement's `sort` folds enough for its closing
-    // merge to run in parts — pool tasks, which must not cost a thread.
+    // 5 MiB: the first statement's counting fold folds enough for its
+    // closing merge to run in parts — pool tasks, which must not cost a
+    // thread.
     let input: String = (0..260_000)
         .map(|i| format!("word{} tail{} extra{}\n", i % 13, i % 7, i % 29))
         .collect();
@@ -92,7 +95,7 @@ fn two_statement_script_stays_within_the_worker_budget() {
             .iter()
             .filter(|r| r.name == "fold-partition")
             .count();
-        assert_eq!(partitions, 1, "the big sort finishes in parts");
+        assert_eq!(partitions, 1, "the big counting fold finishes in parts");
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while thread_count() > baseline {
             assert!(

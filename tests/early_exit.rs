@@ -206,3 +206,72 @@ fn head_behind_a_sort_that_finishes_in_parts_cancels_cleanly() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `head` behind a counting fold (`sort -n | uniq -c` as one node), on the
+/// dataflow executor: directly — the fold is cancelled while it emits
+/// some 400 KB of counted lines in 4 KiB chunks, of which the first
+/// satisfies the bound — and behind the `sort -rn` that follows it in the
+/// paper's word count. The pool has to come to rest (watchdog) with the
+/// serial answer and an early exit on record, at one, two and four
+/// workers.
+#[test]
+fn head_behind_a_counting_fold_cancels_cleanly() {
+    use kq_pipeline::scheduler::{run_dataflow, ChunkSizing, DataflowOptions, QueueCredit};
+
+    let input = kq_workloads::inputs::numbered_lines(30_000, 37);
+    let ctx = std::sync::Arc::new(ExecContext::default());
+    ctx.vfs.write("/in.txt", input.as_str());
+    let mut planner = Planner::new(SynthesisConfig::default());
+    for (text, lines) in [
+        (
+            "cat /in.txt | cut -d ' ' -f 1 | sort -n | uniq -c | head -n 3",
+            3,
+        ),
+        (
+            "cat /in.txt | cut -d ' ' -f 1 | sort -n | uniq -c | sort -rn | head -n 5",
+            5,
+        ),
+    ] {
+        let script = parse_script(text, &HashMap::new()).unwrap();
+        let plan = planner.plan(&script, &ctx, &input[..8_000]);
+        assert!(
+            plan.statements[0].stages[1].fold_pair.is_some(),
+            "{text}: the pair must fuse"
+        );
+        let serial = run_serial(&script, &ctx).unwrap();
+        assert_eq!(serial.output.as_str().lines().count(), lines);
+        let (script, plan) = (std::sync::Arc::new(script), std::sync::Arc::new(plan));
+        for workers in [1usize, 2, 4] {
+            let opts = DataflowOptions {
+                workers,
+                chunk: ChunkSizing::Fixed(4 << 10),
+                queue: QueueCredit::Fixed(2),
+                fuse_streamable: true,
+                spill: None,
+            };
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let (script, plan, ctx) = (script.clone(), plan.clone(), ctx.clone());
+            let handle = std::thread::spawn(move || {
+                let result = run_dataflow(&script, &plan, &ctx, &opts);
+                done_tx.send(()).ok();
+                result
+            });
+            done_rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("the cancelled counting fold left the pool waiting");
+            let got = handle.join().expect("dataflow thread panicked").unwrap();
+            assert_eq!(got.output, serial.output, "{text} (w={workers})");
+            let stages = &got.timings.statements[0];
+            assert!(
+                stages.iter().any(|s| s.label == "sort -n | uniq -c"),
+                "{text}: no counting fold among {:?}",
+                stages.iter().map(|s| &s.label).collect::<Vec<_>>()
+            );
+            let head = stages.iter().find(|s| s.label.starts_with("head")).unwrap();
+            assert!(
+                head.early_exit.is_some(),
+                "{text}: head exits early (w={workers})"
+            );
+        }
+    }
+}

@@ -482,3 +482,65 @@ fn a_failing_part_of_the_closing_merge_fails_the_statement_once() {
         std::fs::remove_dir_all(&base).unwrap();
     }
 }
+
+/// A map error inside a counting fold. The node's map is the counting
+/// kernel, which fails the way `sort` does on bytes that are not text; the
+/// file is text except for one line in one chunk, well past the planning
+/// sample. The statement must fail once — `sort`'s error, one teardown —
+/// with the maps of the chunks around it in flight on other workers, and
+/// the run must return.
+#[test]
+fn a_map_error_inside_a_counting_fold_fails_the_statement_once() {
+    use kumquat::pipeline::parse::parse_script;
+    use kumquat::pipeline::scheduler::{run_dataflow, ChunkSizing, DataflowOptions, QueueCredit};
+
+    let mut input: Vec<u8> = Vec::new();
+    for i in 0..20_000 {
+        input.extend_from_slice(format!("word{} tail{}\n", i % 41, i % 7).as_bytes());
+        if i == 12_345 {
+            input.extend_from_slice(b"not \xff\xfe text\n");
+        }
+    }
+    let sample = String::from_utf8(input[..8_000].to_vec()).unwrap();
+    for workers in [1usize, 2, 4] {
+        let script = parse_script(
+            "cat /in.txt | sort | uniq -c | sort -rn",
+            &std::collections::HashMap::new(),
+        )
+        .unwrap();
+        let ctx = ExecContext::default();
+        ctx.vfs.write("/in.txt", Bytes::from(input.clone()));
+        let mut planner = Planner::new(SynthesisConfig::default());
+        let plan = planner.plan(&script, &ctx, &sample);
+        assert!(plan.statements[0].stages[0].fold_pair.is_some());
+        let opts = DataflowOptions {
+            workers,
+            chunk: ChunkSizing::Fixed(2 << 10),
+            queue: QueueCredit::Fixed(4),
+            fuse_streamable: true,
+            spill: None,
+        };
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            let session = kq_trace::TraceSession::start();
+            let result = run_dataflow(&script, &plan, &ctx, &opts).map(|r| r.output);
+            let records = session.finish();
+            done_tx.send(()).ok();
+            (result, records)
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the failing map left the pool waiting");
+        let (result, records) = handle.join().expect("dataflow thread panicked");
+        let err = result.expect_err("a chunk that is not text must fail the fold");
+        assert_eq!(err.to_string(), "sort: input is not valid UTF-8");
+        let named = |name: &str| records.iter().filter(|r| r.name == name).count();
+        assert_eq!(named("cancel"), 1, "one teardown at w={workers}");
+        assert_eq!(named("stmt-finish"), 1, "one statement end at w={workers}");
+        assert_eq!(
+            named("fold-finish"),
+            0,
+            "nothing left to settle at w={workers}"
+        );
+    }
+}

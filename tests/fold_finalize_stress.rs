@@ -28,6 +28,11 @@
 //! one pool task per part, four workers merge parts of uneven size at once
 //! and slot them in whatever order they finish, and the task that fills
 //! the last slot — any of them — must start the emission exactly once.
+//!
+//! `unfused_worker_chain_stress` is a lost wakeup of another kind, in the
+//! graph `--no-opt` builds: a chunk-local stage gated on a full edge used
+//! to drop the task it was scheduled with, and a selective stage behind it
+//! pops less often than that.
 
 use kq_coreutils::ExecContext;
 use kq_pipeline::exec::run_serial;
@@ -67,11 +72,11 @@ fn short_input() -> String {
 /// configuration (64-byte chunks, a queue two deep), each run on a
 /// detached watchdog-guarded thread.
 fn stress(script_text: &str, input: &str, iterations: usize) {
-    stress_with(script_text, input, iterations, 64);
+    stress_with(script_text, input, iterations, 64, true);
 }
 
-/// [`stress`] at a given chunk size.
-fn stress_with(script_text: &str, input: &str, iterations: usize, chunk_bytes: usize) {
+/// [`stress`] at a given chunk size, with or without the graph rewrites.
+fn stress_with(script_text: &str, input: &str, iterations: usize, chunk_bytes: usize, fuse: bool) {
     // Plan over a line-aligned head of the input, run over all of it.
     let head = input[..input.len().min(32_000)]
         .rfind('\n')
@@ -87,7 +92,7 @@ fn stress_with(script_text: &str, input: &str, iterations: usize, chunk_bytes: u
                 workers: 4,
                 chunk: ChunkSizing::Fixed(chunk_bytes),
                 queue: QueueCredit::Fixed(2),
-                fuse_streamable: true,
+                fuse_streamable: fuse,
                 spill: None,
             };
             let got = run_dataflow(&script, &plan, &ctx, &opts).unwrap();
@@ -148,6 +153,50 @@ fn partitioned_finish_stress() {
     let iterations = if cfg!(debug_assertions) { 4 } else { 500 };
     let input = kq_workloads::inputs::numbered_lines(280_000, 29);
     assert!(input.len() > 8 << 20, "four parts need 8 MiB");
-    stress_with("cat /in.txt | sort", &input, iterations, 64 << 10);
-    stress_with("cat /in.txt | sort -nu", &input, iterations, 64 << 10);
+    stress_with("cat /in.txt | sort", &input, iterations, 64 << 10, true);
+    stress_with("cat /in.txt | sort -nu", &input, iterations, 64 << 10, true);
+}
+
+/// The counting fold (`sort | uniq -c` as one node) in the same windows:
+/// fifty chunks of a few lines each through the table kernel and a
+/// one-part closing merge, then — 1.4 MiB of numbers, nine in ten
+/// distinct, in 4 KiB chunks — eleven run batches of counted runs out at
+/// once, every chunk sorted rather than hashed. A count that a lost or
+/// doubled hand-over drops or adds shows in the output.
+#[test]
+fn counting_fold_finalize_stress() {
+    stress(
+        "cat /in.txt | cut -d ' ' -f 2 | sort | uniq -c | sort -rn",
+        &short_input(),
+        ITERATIONS / 3,
+    );
+    let iterations = if cfg!(debug_assertions) { 4 } else { 300 };
+    let numbers = kq_workloads::inputs::numbered_lines(40_000, 31);
+    stress_with(
+        "cat /in.txt | cut -d ' ' -f 1 | sort -n | uniq -c | tail -n 3",
+        &numbers,
+        iterations,
+        4 << 10,
+        true,
+    );
+}
+
+/// The unfused graph (`fuse_streamable: false`, what `--no-opt` builds)
+/// puts chunk-local stages back to back: `tr` fills its edge to `grep`
+/// past the credit, `grep` keeps one line in dozens and so pushes — and is
+/// popped from — rarely. A `tr` or `grep` task that finds its output edge
+/// full must not be forgotten, or the chunks it was scheduled for wait
+/// for pops that never come.
+#[test]
+fn unfused_worker_chain_stress() {
+    let input: String = (0..600)
+        .map(|i| format!("e4 e5 {}. Nf3 Nc6 x{} d4\n", i % 50, i % 9))
+        .collect();
+    stress_with(
+        "cat /in.txt | tr ' ' '\\n' | grep '\\.' | grep 1 | wc -l",
+        &input,
+        ITERATIONS / 6,
+        64,
+        false,
+    );
 }

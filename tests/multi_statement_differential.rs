@@ -7,7 +7,10 @@
 //! by redirect targets must serialize (RAW/WAW/WAR over the VFS), while
 //! independent statements overlap on the shared pool. Equality covers
 //! both the concatenated stdout *and* the final contents of every
-//! redirect target, at chunk sizes bracketing the inputs and w ∈ {1, 4}.
+//! redirect target, at chunk sizes bracketing the inputs and w ∈ {1, 2, 4}.
+//! The dataflow executor runs every script twice — with its graph rewrites
+//! (fused chunk-local runs, `sort | uniq [-c]` as one counting fold) and
+//! without them, the graph `--no-opt` builds.
 
 use kq_coreutils::ExecContext;
 use kq_pipeline::chunked::{run_chunked, ChunkedOptions};
@@ -47,6 +50,17 @@ fn scripts() -> Vec<(&'static str, &'static str)> {
              cat /out/t | tr a-z A-Z > /out/u\n\
              cat /in.txt | tail -n 20 > /out/t\n\
              cat /out/t /out/u | wc -l",
+        ),
+        (
+            "counting-chain",
+            // `sort | uniq -c` and `sort -r | uniq` fold as one node each,
+            // into redirect targets a later statement reads back; a pair
+            // split by a redirect (`sort > t`, then `uniq -c`) stays two.
+            "cat /in.txt | cut -d ' ' -f 1 | sort | uniq -c > /out/counts\n\
+             cat /in.txt | cut -d ' ' -f 2 | sort -r | uniq > /out/seconds\n\
+             cat /out/counts /out/seconds | sort -rn | head -n 6\n\
+             cat /in.txt | cut -d ' ' -f 3 | sort > /out/thirds\n\
+             cat /out/thirds | uniq -c | sort -rn | head -n 3",
         ),
         (
             "independent",
@@ -105,6 +119,18 @@ fn multi_statement_scripts_agree_across_all_executors() {
 
         let sample = make_input(80);
         let plan = planner.plan(&parsed, &fresh_ctx(&input), &sample);
+        if name == "counting-chain" {
+            let pairs: Vec<usize> = plan
+                .statements
+                .iter()
+                .map(|p| p.stages.iter().filter(|s| s.fold_pair.is_some()).count())
+                .collect();
+            assert_eq!(
+                pairs,
+                [1, 1, 0, 0, 0],
+                "{name}: which statements fuse a pair"
+            );
+        }
 
         // Oracle: serial on a fresh context, stdout + every target.
         let serial_ctx = fresh_ctx(&input);
@@ -129,7 +155,7 @@ fn multi_statement_scripts_agree_across_all_executors() {
             }
         };
 
-        for workers in [1usize, 4] {
+        for workers in [1usize, 2, 4] {
             let ctx = fresh_ctx(&input);
             let got = run_parallel(&parsed, &plan, &ctx, workers, true)
                 .unwrap_or_else(|e| panic!("{name} parallel (w={workers}): {e}"));
@@ -168,22 +194,20 @@ fn multi_statement_scripts_agree_across_all_executors() {
                     got.output,
                 );
 
-                let ctx = fresh_ctx(&input);
-                let dopts = DataflowOptions {
-                    workers,
-                    chunk: ChunkSizing::Fixed(chunk_bytes),
-                    queue: QueueCredit::Fixed(2),
-                    fuse_streamable: true,
-                    spill: None,
-                };
-                let got = run_dataflow(&parsed, &plan, &ctx, &dopts).unwrap_or_else(|e| {
-                    panic!("{name} dataflow (w={workers}, c={chunk_bytes}): {e}")
-                });
-                check(
-                    &format!("dataflow w={workers} c={chunk_bytes}"),
-                    &ctx,
-                    got.output,
-                );
+                for fuse in [true, false] {
+                    let ctx = fresh_ctx(&input);
+                    let dopts = DataflowOptions {
+                        workers,
+                        chunk: ChunkSizing::Fixed(chunk_bytes),
+                        queue: QueueCredit::Fixed(2),
+                        fuse_streamable: fuse,
+                        spill: None,
+                    };
+                    let at = format!("dataflow w={workers} c={chunk_bytes} fuse={fuse}");
+                    let got = run_dataflow(&parsed, &plan, &ctx, &dopts)
+                        .unwrap_or_else(|e| panic!("{name} {at}: {e}"));
+                    check(&at, &ctx, got.output);
+                }
             }
         }
     }

@@ -20,8 +20,10 @@ use kq_synth::SynthesisConfig;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
-/// Barrier-bearing scripts: a pure sort, a sort feeding a stitch-combined
-/// `uniq -c`, an add-combined `wc`, and a `sort -nu` over `"<key>
+/// Barrier-bearing scripts: a pure sort, a `sort | uniq -c` (one counting
+/// fold under the dataflow executor, whose counted runs spill like any
+/// others; a sort feeding a stitch-combined `uniq -c` under the streaming
+/// one), an add-combined `wc`, and a `sort -nu` over `"<key>
 /// <value>"` lines, whose output keeps the first line of each key *in
 /// stream order*. Under the one-byte budget every piece is a run batch of
 /// its own, merged outside the fold's lock and installed whenever it
@@ -278,6 +280,75 @@ fn closing_merge_in_parts_matches_serial_under_a_budget() {
                 .map(|sp| sp.merge_parts)
                 .collect();
             assert_eq!(parts, expect, "part files at {at}");
+        }
+    }
+    assert_clean(&dir);
+}
+
+/// A counting fold whose counted runs outgrow the budget and whose closing
+/// merge runs in parts: 12 MiB of numbered lines, nine numbers in ten
+/// distinct, so `sort -n | uniq -c` folds some 4.4 MiB of counted runs —
+/// past the 1 MiB budget (runs spill, and every later merge adds counts
+/// reading mapped runs) and past two parts' worth (each part streams its
+/// key range into a file of its own). The unfused graph spills its sort
+/// and its `uniq -c` fold separately and must print the same bytes; no
+/// file may be left behind by either.
+#[test]
+fn a_counting_fold_spills_counted_runs_and_closes_in_parts() {
+    let dir = spill_dir("counted");
+    let input = kq_workloads::inputs::numbered_lines(360_000, 41);
+    let script_text = "cat /in.txt | cut -d ' ' -f 1 | sort -n | uniq -c > /out/counts\n\
+                       cat /out/counts | wc -l\n\
+                       cat /in.txt | cut -d ' ' -f 1 | sort -n | uniq -c | sort -rn | head -n 4";
+    let (script, plan, serial_ctx) = plan_over(script_text, &input[..64 << 10]);
+    serial_ctx.vfs.write("/in.txt", input.as_str());
+    let serial = run_serial(&script, &serial_ctx).unwrap();
+    let counts = serial_ctx.vfs.read_bytes("/out/counts").unwrap();
+    assert!(
+        counts.len() > 4 << 20,
+        "two parts need 4 MiB of counted lines"
+    );
+    for (workers, chunk_bytes, fuse) in [
+        (1, 64 << 10, true),
+        (2, 64 << 10, true),
+        (4, 64 << 10, true),
+        (2, 700, true),
+        (2, 64 << 10, false),
+    ] {
+        let ctx = ExecContext::default();
+        ctx.vfs.write("/in.txt", input.as_str());
+        let opts = DataflowOptions {
+            workers,
+            chunk: ChunkSizing::Fixed(chunk_bytes),
+            queue: QueueCredit::Fixed(4),
+            fuse_streamable: fuse,
+            spill: Some(SpillPolicy {
+                budget_bytes: 1 << 20,
+                dir: Some(dir.clone()),
+            }),
+        };
+        let got = run_dataflow(&script, &plan, &ctx, &opts).unwrap();
+        let at = format!("w={workers} chunk={chunk_bytes} fuse={fuse}");
+        assert!(got.output == serial.output, "stdout diverged at {at}");
+        assert!(
+            ctx.vfs.read_bytes("/out/counts").unwrap() == counts,
+            "/out/counts diverged at {at}"
+        );
+        if fuse {
+            // The counting folds of statements 1 and 3 each wrote runs and
+            // one file per part of their closing merge.
+            for statement in [0, 2] {
+                let fold = got.timings.statements[statement]
+                    .iter()
+                    .find(|t| t.label == "sort -n | uniq -c")
+                    .unwrap_or_else(|| panic!("no counting fold in statement {statement} at {at}"));
+                let spill = fold.spill.expect("a budget was set");
+                assert_eq!(spill.merge_parts, 2, "part files at {at}");
+                assert!(
+                    spill.runs_spilled > spill.merge_parts,
+                    "counted runs spilled at {at}"
+                );
+            }
         }
     }
     assert_clean(&dir);

@@ -318,6 +318,61 @@ fn a_finish_in_parts_traces_one_span_per_part_whatever_the_workers() {
     }
 }
 
+/// A run with a counting fold: `sort | uniq -c` is one graph node — kind
+/// `fold`, labelled with both commands, under the span names every fold
+/// has — there is no `uniq -c` node, `--no-opt` brings it back, and the
+/// span identities are the same multiset at two workers and at four.
+#[test]
+fn a_counting_fold_is_one_fold_node_with_stable_span_identities() {
+    let s = Scratch::new("counting");
+    let script = format!(
+        "cat {} | cut -d ' ' -f 1 | sort | uniq -c | sort -rn",
+        s.dir.join("in.txt").display()
+    );
+    let two = run_traced_script(&script, &s.trace_path("two.json"), "2");
+    let four = run_traced_script(&script, &s.trace_path("four.json"), "4");
+    assert_eq!(dataflow_identities(&two), dataflow_identities(&four));
+
+    let nodes = |records: &[kq_trace::Record]| -> Vec<(String, String)> {
+        records
+            .iter()
+            .filter(|r| r.kind == kq_trace::Kind::Meta && r.cat == "graph" && r.name != "dep")
+            .map(|r| (r.name.clone(), r.label.clone()))
+            .collect()
+    };
+    let pair = ("fold".to_owned(), "sort | uniq -c".to_owned());
+    assert!(nodes(&two).contains(&pair), "{:?}", nodes(&two));
+    assert!(nodes(&two).iter().all(|(_, label)| label != "uniq -c"));
+    let ni = two
+        .iter()
+        .find(|r| r.cat == "graph" && r.label == pair.1)
+        .and_then(|r| r.ni);
+    let names: std::collections::BTreeSet<&str> = two
+        .iter()
+        .filter(|r| r.kind == kq_trace::Kind::Span && r.cat == "dataflow" && r.ni == ni)
+        .map(|r| r.name.as_str())
+        .collect();
+    assert_eq!(
+        names.into_iter().collect::<Vec<_>>(),
+        ["emit", "fold-finish", "fold-push", "map"],
+        "a fold of KBs: no run batch, one closing merge"
+    );
+
+    let unfused = s.trace_path("unfused.json");
+    call(&[
+        "run",
+        &script,
+        "--no-opt",
+        "--workers",
+        "2",
+        "--trace-out",
+        &unfused,
+    ]);
+    let unfused = kq_trace::parse_jsonl(&std::fs::read_to_string(&unfused).unwrap()).unwrap();
+    assert!(!nodes(&unfused).contains(&pair));
+    assert!(nodes(&unfused).contains(&("fold".to_owned(), "uniq -c".to_owned())));
+}
+
 /// `corpus --plan` records through the same session `run` does:
 /// `--trace-out` writes both files with the synthesis spans in them, and
 /// `--metrics` prints the aggregated block.
