@@ -137,10 +137,14 @@ USAGE:
         (or 'sort | uniq') pair of parallel stages runs there as one
         counting fold — each chunk hash-counted, the counts merged —
         instead of a sort of every line and a second pass over it,
-        reported as 'counting fold: s1 stages 4-5 ...'. --no-opt runs the
-        plan without its rewrites: every parallel stage combines (no
-        Theorem 5 elimination, no fused chunk-local runs) and such a pair
-        stays two stages. (--executor is
+        reported as 'counting fold: s1 stages 4-5 ...'; and a 'tr -s'
+        that splits text into lines (tr -cs A-Za-z '\\n': its combiner is
+        a rerun, so it plans sequential unless it shrinks its input) runs
+        there chunk by chunk — what it carries across a chunk boundary
+        is one newline — reported as 'seam: s1 stage 1 ...'. --no-opt
+        runs the plan without its rewrites: every parallel stage combines
+        (no Theorem 5 elimination, no fused chunk-local runs), such a
+        pair stays two stages and such a 'tr' runs once. (--executor is
         accepted as an alias for --exec.) Under --exec dataflow the two
         capacity knobs accept 'auto': --chunk-kb auto derives each
         statement's chunk size from its input size and the worker count,
@@ -438,7 +442,7 @@ fn planning_sample(script: &Script, ctx: &ExecContext) -> String {
 
 fn cmd_plan(args: &ParsedArgs) -> Result<CliOutput, String> {
     let mut planned = plan_from_args(args)?;
-    planned.notes.extend(crate::report::render_fold_pair_notes(
+    planned.notes.extend(crate::report::render_rewrite_notes(
         &planned.script,
         &planned.plan,
     ));
@@ -563,7 +567,7 @@ fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
     // The other executors, and the dataflow graph under --no-opt, run the
     // plan stage by stage.
     if executor == "dataflow" && honor {
-        notes.extend(crate::report::render_fold_pair_notes(
+        notes.extend(crate::report::render_rewrite_notes(
             &planned.script,
             &planned.plan,
         ));
@@ -1083,36 +1087,38 @@ mod tests {
     }
 
     #[test]
-    fn fold_pairs_are_reported_where_they_are_fused() {
+    fn graph_rewrites_are_reported_where_they_are_built() {
         let dir = std::env::temp_dir().join(format!("kq-cli-foldpair-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let input = dir.join("w.txt");
         std::fs::write(&input, "b x\na y\nb z\n".repeat(400)).unwrap();
         let script = format!(
             "cat {inp} | cut -d ' ' -f 1 | sort | uniq -c | sort -rn\n\
-             cat {inp} | cut -d ' ' -f 2 | sort -r | uniq",
+             cat {inp} | cut -d ' ' -f 2 | sort -r | uniq\n\
+             cat {inp} | tr -s ' ' '\\n' | sort -u",
             inp = input.display()
         );
-        let expect = "    800 b\n    400 a\nz\ny\nx\n";
+        let expect = "    800 b\n    400 a\nz\ny\nx\na\nb\nx\ny\nz\n";
         let notes = [
             "counting fold: s1 stages 2-3 'sort | uniq -c'",
             "unique fold: s2 stages 2-3 'sort -r | uniq'",
+            "seam: s3 stage 1 'tr -s ' ' '\\n'' runs chunk-local",
         ];
         let has_notes = |out: &CliOutput| notes.map(|n| out.notes.iter().any(|have| have == n));
         // The plan says what it records; a dataflow run says what it ran.
-        assert_eq!(has_notes(&call(&["plan", &script]).unwrap()), [true, true]);
+        assert_eq!(has_notes(&call(&["plan", &script]).unwrap()), [true; 3]);
         let run = call(&["run", &script, "--workers", "2", "--chunk-kb", "1"]).unwrap();
         assert_eq!(run.text(), expect);
-        assert_eq!(has_notes(&run), [true, true]);
-        // --no-opt and the stage-by-stage executors run two stages.
+        assert_eq!(has_notes(&run), [true; 3]);
+        // --no-opt and the stage-by-stage executors run stage by stage.
         for extra in [&["--no-opt"][..], &["--exec", "streaming"]] {
             let mut words = vec!["run", &script, "--workers", "2", "--chunk-kb", "1"];
             words.extend_from_slice(extra);
             let run = call(&words).unwrap();
             assert_eq!(run.text(), expect, "{extra:?}");
-            assert_eq!(has_notes(&run), [false, false], "{extra:?}");
+            assert_eq!(has_notes(&run), [false; 3], "{extra:?}");
         }
-        // `check` names the same pairs without planning anything.
+        // `check` names the same sites without planning anything.
         let check = call(&["check", &script]).unwrap();
         for note in notes {
             assert!(check.text().contains(note), "{}", check.text());

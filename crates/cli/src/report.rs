@@ -9,6 +9,7 @@
 
 use kq_pipeline::cache::CacheStats;
 use kq_pipeline::exec::TimingLog;
+use kq_pipeline::lattice::seam_note;
 use kq_pipeline::parse::Script;
 use kq_pipeline::plan::{PlannedScript, StageMode};
 use kq_synth::{SynthesisOutcome, SynthesisReport};
@@ -94,13 +95,18 @@ pub fn render_plan(script: &Script, plan: &PlannedScript) -> String {
     out
 }
 
-/// One note per `sort | uniq` pair the plan fuses into one fold under the
-/// dataflow executor (`counting fold: s1 stages 4-5 'sort | uniq -c'`):
-/// what the planner decided beyond per-stage modes.
-pub fn render_fold_pair_notes(script: &Script, plan: &PlannedScript) -> Vec<String> {
+/// One note per site where the dataflow executor's graph departs from the
+/// per-stage modes — what the planner decided beyond them: a `sort | uniq`
+/// pair fused into one fold (`counting fold: s1 stages 4-5 'sort | uniq -c'`)
+/// and a sequential `tr -s` run chunk by chunk under its newline seam
+/// (`seam: s1 stage 1 'tr -cs A-Za-z '\n'' runs chunk-local`).
+pub fn render_rewrite_notes(script: &Script, plan: &PlannedScript) -> Vec<String> {
     let mut notes = Vec::new();
     for (si, (statement, planned)) in script.statements.iter().zip(&plan.statements).enumerate() {
         for (gi, stage) in planned.stages.iter().enumerate() {
+            if stage.seam {
+                notes.push(seam_note(si, gi, &statement.stages[gi].command));
+            }
             if let Some(pair) = stage.fold_pair {
                 let (sort, uniq) = (&statement.stages[gi], &statement.stages[gi + 1]);
                 notes.push(pair.note(si, gi, &sort.command, &uniq.command));

@@ -14,8 +14,10 @@
 //! spans a `sort | uniq` pair the lattice licenses) are checked on a graph
 //! of the real shape family. The static plan also carries the lattice's
 //! answer about every such pair ([`PlannedStage::fold_pair`]) — what the
-//! planner will fuse once synthesis makes both stages parallel — which
-//! `kumquat check` reports ([`fold_pair_sites`]).
+//! planner will fuse once synthesis makes both stages parallel — and about
+//! every `tr -s` that runs chunk-local under a newline seam
+//! ([`PlannedStage::seam`]), which `kumquat check` reports
+//! ([`fold_pair_sites`], [`seam_sites`]).
 
 use crate::diag::{Diagnostic, Severity};
 use kq_pipeline::lattice::{self, EffectClass, FoldPair};
@@ -43,6 +45,9 @@ pub fn static_plan(statement: &Statement, classes: &[EffectClass]) -> PlannedSta
             let streamable = mode.is_parallel();
             PlannedStage {
                 stage_idx,
+                // What the planner records once synthesis finds this
+                // stage's combiner to be `rerun`.
+                seam: !streamable && lattice::newline_seam(&stage.command),
                 mode,
                 streamable,
                 line_bound: kq_synth::prefix_bound(&stage.command),
@@ -105,12 +110,46 @@ pub fn fold_pair_sites(script: &Script) -> Vec<FoldPairSite> {
     sites
 }
 
-/// `KQ203` — fusion legality of one statement's graph: a fused
-/// StageWorker run must span chunk-local stages only, and a fused fold
-/// must span exactly a `sort | uniq` pair the lattice licenses. The
-/// rewrites of [`DataflowGraph::build`] produce nothing else, so this can
-/// fire only if a rewrite (or a hand-built graph) regresses; it is the
-/// static twin of the scheduler's debug assertion.
+/// A `tr -s` stage that the lattice licenses to run chunk by chunk under a
+/// one-newline seam ([`lattice::newline_seam`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SeamSite {
+    /// Statement index (0-based).
+    pub statement: usize,
+    /// Index of the stage within the statement (0-based).
+    pub stage: usize,
+    /// [`lattice::seam_note`] for the stage: the line `check` and the run
+    /// notes print.
+    pub note: String,
+}
+
+/// Every seam stage of the script, in source order: the sites the dataflow
+/// graph lifts out of their folds when synthesis finds the stage's combiner
+/// to be `rerun`.
+pub fn seam_sites(script: &Script) -> Vec<SeamSite> {
+    let mut sites = Vec::new();
+    for (si, statement) in script.statements.iter().enumerate() {
+        for (gi, stage) in statement.stages.iter().enumerate() {
+            if lattice::newline_seam(&stage.command) {
+                sites.push(SeamSite {
+                    statement: si,
+                    stage: gi,
+                    note: lattice::seam_note(si, gi, &stage.command),
+                });
+            }
+        }
+    }
+    sites
+}
+
+/// `KQ203` — fusion legality of one statement's graph: a StageWorker run
+/// must span chunk-local stages only — but for its first stage, which may
+/// be a seam stage instead — a seam stage may sit nowhere else in a fused
+/// node, and a fused fold must span exactly a `sort | uniq` pair the
+/// lattice licenses. The rewrites of [`DataflowGraph::build`] produce
+/// nothing else, so this can fire only if a rewrite (or a hand-built
+/// graph) regresses; it is the static twin of the scheduler's debug
+/// assertion.
 pub fn fusion_findings(
     si: usize,
     statement: &Statement,
@@ -118,19 +157,26 @@ pub fn fusion_findings(
     graph: &DataflowGraph,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for node in graph.nodes.iter().filter(|n| n.stages.len() > 1) {
+    for node in &graph.nodes {
         let first = node.stages.start;
         match node.kind {
             NodeKind::StageWorker => {
                 for idx in node.stages.clone() {
-                    if !planned.stages[idx].streamable {
+                    let stage = &planned.stages[idx];
+                    let heads_seam = idx == first && stage.seam;
+                    if !(stage.streamable || heads_seam) {
+                        let what = if stage.seam {
+                            "a seam stage behind the head of its run"
+                        } else {
+                            "not chunk-local"
+                        };
                         out.push(
                             Diagnostic::new(
                                 "KQ203",
                                 Severity::Error,
                                 format!(
                                     "fused run over stages {:?} includes stage {idx}, \
-                                     which is not chunk-local",
+                                     which is {what}",
                                     node.stages
                                 ),
                             )
@@ -143,7 +189,7 @@ pub fn fusion_findings(
                     }
                 }
             }
-            NodeKind::Fold { .. } => {
+            NodeKind::Fold { .. } if node.stages.len() > 1 => {
                 let licensed = node.stages.len() == 2
                     && lattice::fold_pair(
                         &statement.stages[first].command,
@@ -166,7 +212,7 @@ pub fn fusion_findings(
                 }
             }
             // `validate` (KQ201) reports every other multi-stage node.
-            NodeKind::Split | NodeKind::BoundedConsumer { .. } => {}
+            NodeKind::Split | NodeKind::Fold { .. } | NodeKind::BoundedConsumer { .. } => {}
         }
     }
     out
@@ -281,6 +327,48 @@ mod tests {
         assert!(findings[0].message.contains("not a sort | uniq pair"));
         // `uniq -c | sort -rn`: two folds, but no pair.
         assert_eq!(fuse_stages(0, 2)[0].code, "KQ203");
+    }
+
+    #[test]
+    fn seam_stages_are_reported_and_misplaced_ones_are_kq203() {
+        let env: HashMap<String, String> = HashMap::new();
+        let script = parse_script(
+            "cat /in.txt | grep o | tr -cs A-Za-z '\\n' | tr A-Z a-z | sort\n\
+             cat /in.txt | tr -s '\\n' ' ' | tr -s ' ' '\\n'\n",
+            &env,
+        )
+        .unwrap();
+        let notes: Vec<String> = seam_sites(&script).into_iter().map(|s| s.note).collect();
+        assert_eq!(
+            notes,
+            [
+                "seam: s1 stage 2 'tr -cs A-Za-z '\\n'' runs chunk-local",
+                "seam: s2 stage 2 'tr -s ' ' '\\n'' runs chunk-local"
+            ]
+        );
+        let classes = classes_for(&script);
+        assert!(verify_graphs(&script, &classes).is_empty());
+        // The static plan marks the stage and the graph puts it at the
+        // head of the run `tr A-Z a-z` fuses into.
+        let statement = &script.statements[0];
+        let planned = static_plan(statement, &classes[0]);
+        let seams: Vec<bool> = planned.stages.iter().map(|s| s.seam).collect();
+        assert_eq!(seams, [false, true, false, false]);
+        let graph = DataflowGraph::build(&planned, true);
+        assert_eq!(graph.nodes[2].kind, NodeKind::StageWorker);
+        assert_eq!(graph.nodes[2].stages, 1..3);
+        assert!(fusion_findings(0, statement, &planned, &graph).is_empty());
+        // Fused into the `grep` before it, the seam stage no longer sees
+        // the chunks of its own input edge.
+        let mut fused = graph.clone();
+        fused.nodes[1].stages.end = 3;
+        fused.nodes.remove(2);
+        let findings = fusion_findings(0, statement, &planned, &fused);
+        assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].code, "KQ203");
+        assert!(findings[0].message.contains("a seam stage behind the head"));
+        // `validate` calls the same graph malformed (KQ201).
+        assert!(!fused.validate(&planned, DEFAULT_QUEUE_DEPTH).is_empty());
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!    scheduler executes, and the graph's structural invariants,
 //!    queue-credit coverage, and fusion legality are checked
 //!    (`KQ201`–`KQ203`); the `sort | uniq` pairs the lattice licenses to
-//!    run as one fold are named ([`Analysis::fold_pairs`]).
+//!    run as one fold are named ([`Analysis::fold_pairs`]), and so are the
+//!    `tr -s` stages it licenses to run chunk-local ([`Analysis::seams`]).
 //! 3. **Hazard lints** ([`hazards`]): use-before-def, dead writes, and
 //!    read/write aliasing over the exact access relation the scheduler's
 //!    dependency pass uses (`KQ101`–`KQ103`).
@@ -33,7 +34,7 @@ pub mod graph;
 pub mod hazards;
 
 pub use diag::{Diagnostic, Severity};
-pub use graph::FoldPairSite;
+pub use graph::{FoldPairSite, SeamSite};
 pub use kq_pipeline::lattice::{classify, effects, fold_pair, EffectClass, EffectSet, FoldPair};
 
 use kq_pipeline::lattice;
@@ -71,6 +72,10 @@ pub struct Analysis {
     /// order. Facts about the plan, not findings: they are rendered after
     /// the diagnostics and do not count among them.
     pub fold_pairs: Vec<FoldPairSite>,
+    /// The `tr -s` stages the lattice licenses to run chunk by chunk under
+    /// a one-newline seam, in source order. Facts about the plan like
+    /// [`Analysis::fold_pairs`], rendered with them.
+    pub seams: Vec<SeamSite>,
 }
 
 impl Analysis {
@@ -114,8 +119,9 @@ impl Analysis {
             out.push_str(&d.to_string());
             out.push('\n');
         }
-        for site in &self.fold_pairs {
-            out.push_str(&site.note);
+        let notes = self.fold_pairs.iter().map(|site| &site.note);
+        for note in notes.chain(self.seams.iter().map(|site| &site.note)) {
+            out.push_str(note);
             out.push('\n');
         }
         out.push_str(&format!(
@@ -163,10 +169,20 @@ impl Analysis {
                 )
             })
             .collect();
+        let seams: Vec<String> = self
+            .seams
+            .iter()
+            .map(|site| {
+                format!(
+                    "{{\"statement\":{},\"stage\":{}}}",
+                    site.statement, site.stage
+                )
+            })
+            .collect();
         format!(
             "{{\"summary\":{{\"statements\":{},\"stages\":{},\"short_circuitable\":{},\
              \"errors\":{},\"warnings\":{}}},\"classes\":[{}],\"fold_pairs\":[{}],\
-             \"diagnostics\":[{}]}}",
+             \"seams\":[{}],\"diagnostics\":[{}]}}",
             self.statements,
             self.stages,
             self.short_circuitable(),
@@ -174,6 +190,7 @@ impl Analysis {
             self.warnings(),
             classes.join(","),
             fold_pairs.join(","),
+            seams.join(","),
             diags.join(",")
         )
     }
@@ -203,6 +220,7 @@ pub fn check_script(script_text: &str, env: &HashMap<String, String>) -> Analysi
                 stages: 0,
                 classes: Vec::new(),
                 fold_pairs: Vec::new(),
+                seams: Vec::new(),
             };
         }
     };
@@ -267,6 +285,7 @@ pub fn check_parsed(script: &Script) -> Analysis {
         stages: script.statements.iter().map(|s| s.stages.len()).sum(),
         classes,
         fold_pairs: graph::fold_pair_sites(script),
+        seams: graph::seam_sites(script),
     }
 }
 
@@ -295,6 +314,16 @@ mod tests {
         assert!(a
             .to_json()
             .contains("\"fold_pairs\":[{\"statement\":0,\"stage\":2,\"fold\":\"counting\"}]"));
+        assert!(a.seams.is_empty());
+        // A seam stage is named the same way.
+        let a = check("cat /in.txt | tr -cs A-Za-z '\\n' | sort\n");
+        assert!(a.passes(true), "unexpected findings: {:?}", a.diagnostics);
+        assert!(a
+            .render_human()
+            .contains("seam: s1 stage 1 'tr -cs A-Za-z '\\n'' runs chunk-local\n"));
+        assert!(a
+            .to_json()
+            .contains("\"seams\":[{\"statement\":0,\"stage\":0}]"));
     }
 
     #[test]

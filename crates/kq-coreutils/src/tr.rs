@@ -12,9 +12,23 @@
 //! Pure deletion (`tr -d`, `tr -cd` — no squeeze, ASCII SET1) takes a
 //! **byte fast path** like `grep`'s: kept bytes are emitted as coalesced
 //! sub-slice runs of the input [`Bytes`] (a delete that removes nothing
-//! returns the input handle, zero copies). The character-at-a-time
-//! implementation remains for translate/squeeze and as the oracle
-//! ([`TrCmd::run_reference`]) the differential tests compare against.
+//! returns the input handle, zero copies). Translate, squeeze and `-ds`
+//! over ASCII sets run from a 256-entry **byte table** built once in
+//! [`TrCmd::parse`] ([`ByteTable`]): one load per input byte, no branch on
+//! the data. The character-at-a-time implementation remains for a
+//! non-ASCII SET and as the oracle ([`TrCmd::run_reference`]) the
+//! differential tests compare both fast paths against.
+//!
+//! # The newline seam
+//!
+//! A squeezing `tr` carries one character of state from one line-aligned
+//! piece of its input to the next: the last character it wrote. When the
+//! command passes `'\n'` through untouched and squeezes it — the word
+//! splitter `tr -cs A-Za-z '\n'` and its relatives — that character is
+//! `'\n'` after every non-empty piece, whatever the piece held, so
+//! `f(x ++ y) = f(x) ++ (f(y) minus one leading '\n')`.
+//! [`TrCmd::newline_seam`] answers whether a command is of that kind; the
+//! dataflow executor uses it to run the stage chunk by chunk.
 
 use crate::fastpath::SliceRuns;
 use crate::{Bytes, CmdError, ExecContext, UnixCommand};
@@ -25,6 +39,11 @@ enum SetItem {
     /// `[c*]` (pad to SET1's length) or `[c*n]`.
     Repeat(char, Option<usize>),
 }
+
+/// Largest `[c*n]` count accepted: no set is longer than the number of
+/// characters there are, and a count read from the command line must not
+/// size an allocation unchecked.
+const MAX_REPEAT: usize = 0x11_0000;
 
 fn parse_set(spec: &str, cmd: &str) -> Result<Vec<SetItem>, CmdError> {
     let chars: Vec<char> = spec.chars().collect();
@@ -66,12 +85,23 @@ fn parse_set(spec: &str, cmd: &str) -> Result<Vec<SetItem>, CmdError> {
                         j += 1;
                     }
                     if chars.get(j) == Some(&']') {
-                        let count = if digits.is_empty() {
-                            None
-                        } else {
-                            // Leading 0 means octal in GNU tr; corpus uses
-                            // plain decimal counts only.
-                            Some(digits.parse::<usize>().unwrap_or(0))
+                        // GNU: a count with a leading 0 is octal, and a
+                        // count of zero means the same as none — fill.
+                        let radix = if digits.starts_with('0') { 8 } else { 10 };
+                        let count = match digits.as_str() {
+                            "" => None,
+                            digits => Some(
+                                usize::from_str_radix(digits, radix)
+                                    .ok()
+                                    .filter(|&n| n <= MAX_REPEAT)
+                                    .ok_or_else(|| {
+                                        CmdError::new(
+                                            cmd,
+                                            format!("invalid repeat count '{digits}'"),
+                                        )
+                                    })?,
+                            )
+                            .filter(|&n| n > 0),
                         };
                         items.push(SetItem::Repeat(rep_char, count));
                         i = j + 1;
@@ -211,7 +241,6 @@ fn expand_set2(items: &[SetItem], target_len: usize) -> Vec<char> {
             v.push(last);
         }
     }
-    v.truncate(target_len.max(v.len()));
     v
 }
 
@@ -248,6 +277,97 @@ impl CharSet {
     }
 }
 
+/// One entry per input byte: the byte it becomes, and how it takes part
+/// in squeezing and deletion.
+///
+/// The low byte of an entry is the output byte. An entry without
+/// [`ByteTable::LONE`] is written only when the byte written last differs
+/// from it — a member of the squeeze set; [`ByteTable::DROP`] marks a byte
+/// of the delete set of `-ds`, which writes nothing and is not "written
+/// last" either. Valid for UTF-8 input when every SET character is ASCII:
+/// a multi-byte character is then outside SET1 and SET2 and its bytes
+/// share one fate. Under `-c` that fate is to become one fill character,
+/// which the table spells as: the lead byte becomes the fill, and each
+/// continuation byte is the fill *repeated* — never written, since the
+/// byte written last is then the fill itself.
+struct ByteTable {
+    entries: [u16; 256],
+    shape: TableShape,
+}
+
+/// Which loop a [`ByteTable`] needs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TableShape {
+    /// Every entry is [`ByteTable::LONE`]: a mapped copy.
+    Map,
+    /// Some entry squeezes, none drops: what was written last is what the
+    /// previous input byte became.
+    Squeeze,
+    /// Some entry drops: what was written last is carried past them.
+    Drop,
+}
+
+impl ByteTable {
+    /// Never a repeat of the byte written last.
+    const LONE: u16 = 1 << 8;
+    const DROP: u16 = 1 << 9;
+    /// "Nothing written yet": equal to no entry.
+    const NONE: u16 = u16::MAX;
+
+    fn new(entries: [u16; 256]) -> ByteTable {
+        let shape = if entries.iter().any(|e| e & Self::DROP != 0) {
+            TableShape::Drop
+        } else if entries.iter().any(|e| e & Self::LONE == 0) {
+            TableShape::Squeeze
+        } else {
+            TableShape::Map
+        };
+        ByteTable { entries, shape }
+    }
+
+    /// Both compacting loops are branchless: every byte is written, and
+    /// the cursor moves on only past the ones that stay, so a squeezed or
+    /// dropped byte costs what a kept one does and text that alternates
+    /// between the two every few bytes mispredicts nothing.
+    fn run(&self, input: &[u8]) -> Vec<u8> {
+        let entries = &self.entries;
+        if self.shape == TableShape::Map {
+            return input.iter().map(|&b| entries[b as usize] as u8).collect();
+        }
+        let mut out = vec![0u8; input.len()];
+        let (mut at, mut last) = (0usize, Self::NONE);
+        if self.shape == TableShape::Squeeze {
+            for &b in input {
+                let entry = entries[b as usize];
+                out[at] = entry as u8;
+                at += usize::from(entry != last);
+                last = entry & 0xFF;
+            }
+        } else {
+            for &b in input {
+                let entry = entries[b as usize];
+                let dropped = entry & Self::DROP != 0;
+                out[at] = entry as u8;
+                at += usize::from(!dropped & (entry != last));
+                last = if dropped { last } else { entry & 0xFF };
+            }
+        }
+        out.truncate(at);
+        out
+    }
+}
+
+/// How [`TrCmd::run`] executes, decided once in [`TrCmd::parse`].
+enum Kernel {
+    /// [`TrCmd::run_delete_slices`].
+    DeleteSlices,
+    /// Translate, squeeze or `-ds` over ASCII sets.
+    Table(Box<ByteTable>),
+    /// A SET with a non-ASCII character, or a squeeze of non-ASCII
+    /// characters themselves (`-cs` with one SET): character at a time.
+    Reference,
+}
+
 /// The `tr` command.
 pub struct TrCmd {
     complement: bool,
@@ -256,6 +376,7 @@ pub struct TrCmd {
     set1: Vec<char>,
     set2_items: Vec<SetItem>,
     display: String,
+    kernel: Kernel,
 }
 
 impl TrCmd {
@@ -267,14 +388,14 @@ impl TrCmd {
         let mut sets: Vec<&String> = Vec::new();
         for a in args {
             if let Some(flags) = a.strip_prefix('-') {
-                if flags.is_empty() || !flags.chars().all(|c| "cds".contains(c)) {
+                if flags.is_empty() || !flags.chars().all(|c| "cCds".contains(c)) {
                     // A literal operand starting with '-' never occurs in
                     // the corpus; treat as an error to catch typos.
                     return Err(CmdError::new("tr", format!("invalid option {a}")));
                 }
                 for f in flags.chars() {
                     match f {
-                        'c' => complement = true,
+                        'c' | 'C' => complement = true,
                         'd' => delete = true,
                         's' => squeeze = true,
                         _ => unreachable!(),
@@ -304,14 +425,128 @@ impl TrCmd {
             display.push(' ');
             display.push_str(&shell_quote(a));
         }
-        Ok(TrCmd {
+        let mut cmd = TrCmd {
             complement,
             delete,
             squeeze,
             set1,
             set2_items,
             display,
-        })
+            kernel: Kernel::Reference,
+        };
+        cmd.kernel = if cmd.deletes_verbatim() {
+            Kernel::DeleteSlices
+        } else {
+            cmd.byte_table()
+                .map_or(Kernel::Reference, |t| Kernel::Table(Box::new(t)))
+        };
+        Ok(cmd)
+    }
+
+    /// Whether every non-empty newline-terminated piece of input leaves
+    /// this command in one state — it last wrote a `'\n'` that it will
+    /// squeeze — so that for line-aligned pieces
+    /// `f(x ++ y) = f(x) ++ (f(y) minus one leading '\n')` (see the
+    /// [module docs](self)). True when the command squeezes `'\n'` and
+    /// neither deletes it nor translates it to something else:
+    /// `-cs A-Za-z '\n'`, `-s ' ' '\n'`; not `-s '\n' ' '`, `-ds '\n' x`
+    /// or `-cs 'A-Za-z\n' ' '`. Answered from the byte table, so `false`
+    /// for a command with a non-ASCII SET.
+    pub fn newline_seam(&self) -> bool {
+        let Kernel::Table(table) = &self.kernel else {
+            return false;
+        };
+        // Written as itself, never dropped, and squeezed.
+        table.entries[b'\n' as usize] == u16::from(b'\n')
+    }
+
+    /// The byte table of a translate, squeeze or `-ds` command whose sets
+    /// are ASCII (see [`ByteTable`]); it follows
+    /// [`run_reference`](Self::run_reference) case by case.
+    fn byte_table(&self) -> Option<ByteTable> {
+        let squeeze_members = if self.delete {
+            expand_set1(&self.set2_items)
+        } else {
+            Vec::new()
+        };
+        if !self.set1.iter().chain(&squeeze_members).all(char::is_ascii) {
+            return None;
+        }
+        let mut entries: [u16; 256] = std::array::from_fn(|b| b as u16 | ByteTable::LONE);
+        if self.delete {
+            for b in 0..=u8::MAX {
+                // Every byte of a multi-byte character is outside an ASCII
+                // SET1: deleted exactly under `-c`.
+                let in_set1 = b.is_ascii() && self.set1.contains(&char::from(b));
+                if in_set1 != self.complement {
+                    entries[usize::from(b)] |= ByteTable::DROP;
+                }
+            }
+            for c in squeeze_members {
+                entries[c as usize] &= !ByteTable::LONE;
+            }
+        } else if self.set2_items.is_empty() {
+            if self.complement {
+                // The reference squeezes a repeated non-ASCII *character*.
+                return None;
+            }
+            for &c in &self.set1 {
+                entries[c as usize] &= !ByteTable::LONE;
+            }
+        } else {
+            let (table, set2, fallback) = self.translation();
+            if !set2.iter().all(char::is_ascii) {
+                return None;
+            }
+            for (entry, &to) in entries.iter_mut().zip(&table) {
+                *entry = to as u16 | ByteTable::LONE;
+            }
+            if self.complement {
+                // One character in, one character out (see `ByteTable`).
+                for (b, entry) in entries.iter_mut().enumerate().skip(0x80) {
+                    *entry = if b < 0xC0 {
+                        fallback as u16
+                    } else {
+                        fallback as u16 | ByteTable::LONE
+                    };
+                }
+            }
+            if self.squeeze {
+                for entry in &mut entries {
+                    if set2.contains(&char::from(*entry as u8)) {
+                        *entry &= !ByteTable::LONE;
+                    }
+                }
+            }
+        }
+        Some(ByteTable::new(entries))
+    }
+
+    /// The ASCII half of a translation: what each of the 128 ASCII
+    /// characters becomes, SET2 as expanded, and its last character (what
+    /// `-c` maps everything beyond ASCII to). With `-c`, GNU builds the
+    /// complement of SET1 in ascending character order and maps it
+    /// element-wise onto SET2 (padded with its last character).
+    fn translation(&self) -> ([char; 128], Vec<char>, char) {
+        let mut table: [char; 128] = std::array::from_fn(|i| char::from(i as u8));
+        let from: Vec<char> = if self.complement {
+            let set1 = CharSet::from_chars(&self.set1);
+            table
+                .iter()
+                .copied()
+                .filter(|&c| !set1.contains(c))
+                .collect()
+        } else {
+            self.set1.clone()
+        };
+        let set2 = expand_set2(&self.set2_items, from.len().max(1));
+        let fallback = *set2.last().expect("SET2 cannot be empty here");
+        for (i, &c) in from.iter().enumerate() {
+            if c.is_ascii() {
+                table[c as usize] = set2[i.min(set2.len() - 1)];
+            }
+        }
+        (table, set2, fallback)
     }
 }
 
@@ -361,9 +596,9 @@ impl TrCmd {
         runs.finish()
     }
 
-    /// The character-at-a-time implementation — the real path for
-    /// translate/squeeze and the oracle the differential tests compare
-    /// the slice path against.
+    /// The character-at-a-time implementation — the real path for a
+    /// non-ASCII SET and the oracle the differential tests compare the
+    /// slice path and the byte table against.
     #[doc(hidden)]
     pub fn run_reference(&self, input: &str) -> String {
         let set1 = CharSet::from_chars(&self.set1);
@@ -407,37 +642,11 @@ impl TrCmd {
             return out;
         }
 
-        // Translate (then optionally squeeze SET2 members). With -c, GNU
-        // builds the complement of SET1 in ascending character order and
-        // maps it element-wise onto SET2 (padded with its last character).
-        let mut table = [0u32; 128];
-        for (i, b) in table.iter_mut().enumerate() {
-            *b = i as u32;
-        }
-        let (set2, fallback) = if self.complement {
-            let comp: Vec<char> = (0u32..128)
-                .filter_map(char::from_u32)
-                .filter(|&c| !set1.contains(c))
-                .collect();
-            let set2 = expand_set2(&self.set2_items, comp.len().max(1));
-            let fallback = *set2.last().expect("SET2 cannot be empty here");
-            for (i, &c) in comp.iter().enumerate() {
-                table[c as usize] = set2[i.min(set2.len() - 1)] as u32;
-            }
-            (set2, fallback)
-        } else {
-            let set2 = expand_set2(&self.set2_items, self.set1.len().max(1));
-            let fallback = *set2.last().expect("SET2 cannot be empty here");
-            for (i, &c) in self.set1.iter().enumerate() {
-                if (c as u32) < 128 {
-                    table[c as usize] = set2[i.min(set2.len() - 1)] as u32;
-                }
-            }
-            (set2, fallback)
-        };
+        // Translate (then optionally squeeze SET2 members).
+        let (table, set2, fallback) = self.translation();
         let translate = |c: char| -> char {
-            if (c as u32) < 128 {
-                char::from_u32(table[c as usize]).unwrap_or(c)
+            if c.is_ascii() {
+                table[c as usize]
             } else if self.complement {
                 // Non-ASCII characters are outside every corpus SET1.
                 fallback
@@ -472,10 +681,16 @@ impl UnixCommand for TrCmd {
 
     fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
         let text = crate::input_str(&input, "tr")?;
-        if self.deletes_verbatim() {
-            return Ok(self.run_delete_slices(&input, text));
-        }
-        Ok(Bytes::from(self.run_reference(text)))
+        Ok(match &self.kernel {
+            Kernel::DeleteSlices => self.run_delete_slices(&input, text),
+            Kernel::Table(table) => Bytes::from(
+                // One scan instead of one per downstream stage: a `String`
+                // is known text, a `Vec<u8>` is validated by every reader.
+                String::from_utf8(table.run(text.as_bytes()))
+                    .expect("ASCII sets over UTF-8 input write UTF-8"),
+            ),
+            Kernel::Reference => Bytes::from(self.run_reference(text)),
+        })
     }
 }
 
@@ -638,6 +853,147 @@ mod tests {
         assert!(!tr("tr -ds ',' 'x'").deletes_verbatim());
         assert!(!tr("tr a-z A-Z").deletes_verbatim());
         assert!(!tr("tr -s ' ' ' '").deletes_verbatim());
+    }
+
+    #[test]
+    fn repeat_count_with_a_leading_zero_is_octal() {
+        // GNU: `[x*010]` is eight copies, `[x*10]` ten.
+        assert_eq!(
+            run("tr abcdefghij '[x*010]y'", "abcdefghij\n"),
+            "xxxxxxxxyy\n"
+        );
+        assert_eq!(
+            run("tr abcdefghij '[x*10]y'", "abcdefghij\n"),
+            "xxxxxxxxxx\n"
+        );
+        // A count of zero fills, like no count.
+        assert_eq!(run("tr ab '[x*0]'", "ab\n"), "xx\n");
+        assert!(parse_command("tr ab '[x*09]'").is_err());
+        assert!(parse_command("tr ab '[x*99999999999999999999]'").is_err());
+        assert!(parse_command("tr ab '[x*9999999999]'").is_err());
+    }
+
+    #[test]
+    fn capital_c_complements_like_c() {
+        assert_eq!(run("tr -C a-b x", "abc\n"), "abxx");
+        assert_eq!(
+            run(r"tr -Cs A-Za-z '\n'", "one  two\n"),
+            run(r"tr -cs A-Za-z '\n'", "one  two\n")
+        );
+    }
+
+    #[test]
+    fn ascii_sets_run_from_the_byte_table() {
+        for line in [
+            r"tr -cs A-Za-z '\n'",
+            "tr A-Z a-z",
+            "tr -ds ',' 'x'",
+            "tr -s ' '",
+            r"tr -c A-Za-z '\n'",
+        ] {
+            assert!(matches!(tr(line).kernel, Kernel::Table(_)), "{line}");
+        }
+        let shape = |line: &str| match tr(line).kernel {
+            Kernel::Table(table) => table.shape,
+            _ => unreachable!("{line}"),
+        };
+        assert_eq!(shape("tr A-Z a-z"), TableShape::Map);
+        assert_eq!(shape(r"tr -cs A-Za-z '\n'"), TableShape::Squeeze);
+        assert_eq!(shape(r"tr -c A-Za-z '\n'"), TableShape::Squeeze);
+        assert_eq!(shape("tr -ds ',' 'x'"), TableShape::Drop);
+        // Non-ASCII sets, and a squeeze of non-ASCII characters themselves.
+        for line in [
+            "tr \u{e9} e",
+            "tr e \u{e9}",
+            "tr -ds x \u{e9}",
+            "tr -cs a-z",
+        ] {
+            assert!(matches!(tr(line).kernel, Kernel::Reference), "{line}");
+        }
+        assert!(matches!(tr("tr -d x").kernel, Kernel::DeleteSlices));
+    }
+
+    #[test]
+    fn byte_table_agrees_with_reference_on_edge_cases() {
+        let cases = [
+            "",
+            "\n",
+            "\n\n\n",
+            "a",
+            "  lead, then words  \n",
+            "no newline at the end",
+            "\u{e9}",
+            "\u{e9}\u{e9}\n",
+            "a\u{e9}\u{e9}  b\u{4e16}\u{754c},,c\n\n",
+            "x,,y,,,\u{e9},,z\n",
+            "aa  bb\n\n  cc",
+        ];
+        for cmd_line in [
+            r"tr -cs A-Za-z '\n'",
+            r"tr -sc '[A-Z][a-z]' '[\012*]'",
+            r"tr -c A-Za-z '\n'",
+            r"tr -s ' ' '\n'",
+            r"tr -s '\n' ' '",
+            "tr -s ' a'",
+            "tr -ds ',' 'a\u{20}'",
+            r"tr -cds 'a-z\n' 'a-z'",
+            "tr A-Z a-z",
+            "tr '[a-z]' 'P'",
+            r"tr -sc '[AEIOUaeiou\012]' ' '",
+            // Fall back to the reference.
+            "tr -cs a-z",
+            "tr \u{e9} e",
+        ] {
+            let t = tr(cmd_line);
+            for input in cases {
+                let fast = t.run(Bytes::from(input), &ExecContext::default()).unwrap();
+                assert_eq!(
+                    fast.as_str(),
+                    t.run_reference(input),
+                    "{cmd_line:?} diverged on {input:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn newline_seam_is_a_squeezed_untouched_newline() {
+        for line in [
+            r"tr -cs A-Za-z '\n'",
+            r"tr -sc '[A-Z][a-z]' '[\012*]'",
+            r"tr -s ' ' '\n'",
+            r"tr -s '\n'",
+            r"tr -ds x '\n'",
+            r"tr -Cs A-Za-z '\012'",
+        ] {
+            assert!(tr(line).newline_seam(), "{line}");
+        }
+        for line in [
+            r"tr -s '\n' ' '",        // retargets '\n'
+            r"tr -ds '\n' x",         // deletes it
+            r"tr -cs 'A-Za-z\n' ' '", // keeps it, squeezes something else
+            r"tr -c A-Za-z '\n'",     // no squeeze
+            "tr A-Z a-z",
+            r"tr -d '\n'",
+            r"tr -cs a-z", // reference kernel
+        ] {
+            assert!(!tr(line).newline_seam(), "{line}");
+        }
+        // The law itself, on pieces with every kind of edge.
+        let pieces = ["  a b\n", "\n", ",,\n", "c  d\n", "\u{e9}e\n", "tail"];
+        for line in [r"tr -cs A-Za-z '\n'", r"tr -s ' ' '\n'", r"tr -ds , '\n'"] {
+            let t = tr(line);
+            let whole = t.run_reference(&pieces.concat());
+            let mut joined = String::new();
+            for (i, piece) in pieces.iter().enumerate() {
+                let out = t.run_reference(piece);
+                joined.push_str(match out.strip_prefix('\n') {
+                    Some(rest) if i > 0 => rest,
+                    _ => &out,
+                });
+            }
+            assert_eq!(joined, whole, "{line}");
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! |---|---|---|---|
 //! | [`NodeKind::Split`] | the statement's gathered input | line-aligned chunks, cut lazily | one task at a time |
 //! | [`NodeKind::StageWorker`] | chunks | per-chunk outputs of a chunk-local command run, re-normalized by an incremental chunker and forwarded **in input order** | one scheduler task per chunk, any number in flight |
+//! | [`NodeKind::StageWorker`] headed by a **seam stage** — a `tr -s` that splits text into lines (see "Seam rewrite") | chunks | as above, except that the head stage's output for every chunk but the first loses one leading `'\n'` before the rest of the run sees it | as any stage worker: the node *is* one |
 //! | [`NodeKind::Fold`] ([`FoldMode::Combine`]) | chunks | the stage's synthesized combiner folded over per-chunk outputs in input order; only the combined stream moves on, re-chunked | per-chunk map tasks in parallel, the fold itself in arrival order |
 //! | [`NodeKind::Fold`] ([`FoldMode::Combine`]) over **two stages** — a `sort \| uniq [-c]` pair (see "Counting rewrite") | chunks | per chunk, what the pair prints for it — the chunk's distinct lines in the sort's order, with their counts under `-c`; these fold through the sort's `merge` under the counted (or `-u`) order; the result is byte for byte the second stage's output | as a one-stage combine fold: the node *is* one |
 //! | [`NodeKind::Fold`] ([`FoldMode::Gather`]) | chunks | the command run once over the gathered input, re-chunked | one task at a time |
@@ -69,6 +70,46 @@
 //!
 //! [`PlannedStage::fold_pair`]: crate::plan::PlannedStage::fold_pair
 //! [`run_serial`]: crate::exec::run_serial
+//!
+//! # Seam rewrite
+//!
+//! The third rewrite under that switch
+//! ([`DataflowGraph::lift_seam_stages`]) takes a serial pass off the
+//! chain: a one-stage [`NodeKind::Fold`] whose stage the plan marks
+//! [`PlannedStage::seam`] — the gather fold of a stage planned sequential,
+//! or the fold of one planned parallel, which would gather the chunk
+//! outputs and rerun the command over them — becomes a
+//! [`NodeKind::StageWorker`]. Such a
+//! stage is a `tr -s` that leaves `'\n'` alone and squeezes it — the word
+//! splitter `tr -cs A-Za-z '\n'` — and the only thing it carries from one
+//! line-aligned piece of its input to the next is the last character it
+//! wrote, which after any non-empty piece is `'\n'`
+//! ([`crate::lattice::newline_seam`]). So for chunks `x0, x1, …`:
+//!
+//! ```text
+//! f(x0 ++ x1 ++ …) = f(x0) ++ strip(f(x1)) ++ …      strip = drop one leading '\n'
+//! ```
+//!
+//! which the scheduler computes per chunk: the node's map runs the stage,
+//! drops the leading `'\n'` of its output when the chunk is not the first,
+//! and pipes the result through the rest of the run. Two things make "not
+//! the first" decidable from the chunk's pop ordinal alone. A seam stage
+//! always **heads** its node — chunk-local successors fuse into it, it
+//! never fuses into a predecessor — so the ordinal counts the stage's own
+//! input pieces; and **no edge ever carries an empty chunk** (splits and
+//! re-chunkers never cut one; `push_edge` asserts it), so every piece
+//! before it was non-empty and ended in `'\n'`. The stripped outputs are
+//! again newline-terminated pieces of the stage's true output, which is
+//! all the chunk-local stages behind it ask for.
+//!
+//! What it removes is the gather: the one task that ran the stage over the
+//! whole stream while the pool waited, and the whole stream held in memory
+//! at once. A `head` behind such a stage now cancels it after a chunk.
+//! `fuse_streamable = false` keeps the fold, and [`run_serial`] and
+//! the other executors run the stage once, so every differential suite
+//! that runs both compares the seam with the rerun it stands for.
+//!
+//! [`PlannedStage::seam`]: crate::plan::PlannedStage::seam
 //!
 //! # Cancellation propagation
 //!
@@ -150,12 +191,27 @@ pub struct DataflowNode {
     /// Stage index range within the statement (`start..end`, end
     /// exclusive). Empty (`0..0`) for [`NodeKind::Split`]; length > 1 only
     /// for fused [`NodeKind::StageWorker`] runs and for the two-stage
-    /// combine fold of a licensed `sort | uniq` pair.
+    /// combine fold of a licensed `sort | uniq` pair. Every stage of a
+    /// `StageWorker` is chunk-local, except that the first may instead be a
+    /// seam stage ([`DataflowNode::heads_seam`]).
     pub stages: Range<usize>,
     /// Demand propagation: this node's output chain reaches a
     /// [`NodeKind::BoundedConsumer`] through chunk-local nodes only, so
     /// complete lines must ship immediately (see the [module docs](self)).
     pub eager_flush: bool,
+}
+
+impl DataflowNode {
+    /// True for a [`NodeKind::StageWorker`] whose first stage is a seam
+    /// stage of `planned` (see "Seam rewrite" in the [module docs](self)):
+    /// the node whose map strips the seam.
+    pub fn heads_seam(&self, planned: &PlannedStatement) -> bool {
+        self.kind == NodeKind::StageWorker
+            && planned
+                .stages
+                .get(self.stages.start)
+                .is_some_and(|stage| stage.seam)
+    }
 }
 
 /// A statement's dataflow graph: a linear node chain; edge `i` connects
@@ -170,12 +226,14 @@ impl DataflowGraph {
     /// Builds the graph for one planned statement.
     ///
     /// The graph is assembled unfused — one node per stage — and, with
-    /// `fuse_streamable`, adjacent [`NodeKind::StageWorker`] nodes are then
-    /// merged by the [fusion rewrite](Self::fuse_streamable) and licensed
-    /// `sort | uniq` fold pairs by the
-    /// [counting rewrite](Self::fuse_fold_pairs). Short of those pairs, the
-    /// resulting node list (ignoring the leading `Split`) corresponds
-    /// one-to-one with [`stream_segments`]`(fuse_streamable)`.
+    /// `fuse_streamable`, seam stages are lifted out of their gather folds
+    /// by the [seam rewrite](Self::lift_seam_stages), adjacent
+    /// [`NodeKind::StageWorker`] nodes are then merged by the
+    /// [fusion rewrite](Self::fuse_streamable) and licensed `sort | uniq`
+    /// fold pairs by the [counting rewrite](Self::fuse_fold_pairs). Short
+    /// of those seams and pairs, the resulting node list (ignoring the
+    /// leading `Split`) corresponds one-to-one with
+    /// [`stream_segments`]`(fuse_streamable)`.
     ///
     /// [`stream_segments`]: crate::plan::PlannedStatement::stream_segments
     pub fn build(planned: &PlannedStatement, fuse_streamable: bool) -> DataflowGraph {
@@ -203,22 +261,40 @@ impl DataflowGraph {
         }
         let mut graph = DataflowGraph { nodes };
         if fuse_streamable {
-            graph.fuse_streamable();
+            graph.lift_seam_stages(planned);
+            graph.fuse_streamable(planned);
             graph.fuse_fold_pairs(planned);
         }
         graph.compute_eager_flush();
         graph
     }
 
+    /// The seam rewrite (see the [module docs](self)): a fold over a stage
+    /// the plan marks [`PlannedStage::seam`](crate::plan::PlannedStage::seam)
+    /// becomes a stage worker, which [`DataflowNode::heads_seam`] then
+    /// recognizes. Runs first, on the one-node-per-stage graph.
+    pub fn lift_seam_stages(&mut self, planned: &PlannedStatement) {
+        for node in &mut self.nodes {
+            if matches!(node.kind, NodeKind::Fold { .. }) && planned.stages[node.stages.start].seam
+            {
+                debug_assert_eq!(node.stages.len(), 1);
+                node.kind = NodeKind::StageWorker;
+            }
+        }
+    }
+
     /// The fusion rewrite: merges every adjacent pair of
     /// [`NodeKind::StageWorker`] nodes into one node spanning both stage
-    /// ranges, deleting the edge between them. Applied to fixpoint, this
-    /// turns each maximal run of chunk-local stages into a single node.
-    pub fn fuse_streamable(&mut self) {
+    /// ranges, deleting the edge between them — unless the second heads a
+    /// seam, whose map must see the chunks of its own input edge. Applied
+    /// to fixpoint, this turns each maximal run of chunk-local stages, with
+    /// the seam stage that may lead it, into a single node.
+    pub fn fuse_streamable(&mut self, planned: &PlannedStatement) {
         let mut i = 0;
         while i + 1 < self.nodes.len() {
             let fusable = self.nodes[i].kind == NodeKind::StageWorker
-                && self.nodes[i + 1].kind == NodeKind::StageWorker;
+                && self.nodes[i + 1].kind == NodeKind::StageWorker
+                && !self.nodes[i + 1].heads_seam(planned);
             if fusable {
                 debug_assert_eq!(self.nodes[i].stages.end, self.nodes[i + 1].stages.start);
                 self.nodes[i].stages.end = self.nodes[i + 1].stages.end;
@@ -268,6 +344,12 @@ impl DataflowGraph {
     ///    combine fold over exactly the two stages of a `sort | uniq` pair
     ///    the plan licenses (`planned.stages[start].fold_pair`) — any other
     ///    multi-stage fold is a rewrite gone wrong;
+    ///    and within a [`NodeKind::StageWorker`] every stage is chunk-local
+    ///    ([`PlannedStage::streamable`](crate::plan::PlannedStage::streamable))
+    ///    but possibly the first, which may be a seam stage instead. A seam
+    ///    stage anywhere else — behind another stage of a run, in a fold
+    ///    over two stages, in a bounded consumer — is a rewrite gone wrong
+    ///    (a one-stage fold is where it sits in the unfused graph);
     /// 4. [`DataflowNode::eager_flush`] agrees with the canonical
     ///    right-to-left demand propagation — a stale flag after a rewrite
     ///    would let a sparse stage sit on the lines a bounded consumer
@@ -317,6 +399,30 @@ impl DataflowGraph {
                      combine fold of a licensed sort | uniq pair may span more than one stage",
                     node.kind, node.stages
                 ));
+            }
+            for idx in node.stages.clone() {
+                // A range past the plan is reported below, once.
+                let Some(stage) = planned.stages.get(idx) else {
+                    break;
+                };
+                let heads = idx == node.stages.start;
+                let legal = match node.kind {
+                    NodeKind::StageWorker => stage.streamable || (heads && stage.seam),
+                    NodeKind::Fold { .. } => node.stages.len() == 1 || !stage.seam,
+                    _ => !stage.seam,
+                };
+                if !legal {
+                    problems.push(format!(
+                        "node {i} ({:?}) over stages {:?} holds stage {idx}, which is {}",
+                        node.kind,
+                        node.stages,
+                        if stage.seam {
+                            "a seam stage: it may only head a StageWorker"
+                        } else {
+                            "not chunk-local"
+                        }
+                    ));
+                }
             }
             cursor = cursor.max(node.stages.end);
         }
@@ -405,17 +511,92 @@ mod tests {
             shape(&g),
             vec![
                 (NodeKind::Split, 0..0),
-                (
-                    NodeKind::Fold {
-                        mode: FoldMode::Gather
-                    },
-                    0..1
-                ), // tr -cs: rerun, no shrink
-                (NodeKind::StageWorker, 1..3), // tr | grep fused by the rewrite
-                (COMBINE, 3..5),               // sort | uniq -c: one counting fold
-                (COMBINE, 5..6),               // sort -rn
+                // tr -cs (rerun, no shrink: a seam stage) heads the run
+                // that tr | grep fuse into.
+                (NodeKind::StageWorker, 0..3),
+                (COMBINE, 3..5), // sort | uniq -c: one counting fold
+                (COMBINE, 5..6), // sort -rn
             ]
         );
+    }
+
+    const GATHER: NodeKind = NodeKind::Fold {
+        mode: FoldMode::Gather,
+    };
+
+    #[test]
+    fn seam_rewrite_lifts_licensed_gathers_and_keeps_them_at_the_head() {
+        // Behind a chunk-local stage the seam stage starts a node of its
+        // own; two in a row do not fuse either; what follows fuses in.
+        let text = "cat /in.txt | grep o | tr -cs A-Za-z '\\n' | tr A-Z a-z \
+                    | tr -s ' ' '\\n' | cut -c 1-3 | sort";
+        let p = planned(text);
+        let seams: Vec<bool> = p.stages.iter().map(|s| s.seam).collect();
+        assert_eq!(seams, [false, true, false, true, false, false]);
+        let g = DataflowGraph::build(&p, true);
+        assert_eq!(
+            shape(&g),
+            vec![
+                (NodeKind::Split, 0..0),
+                (NodeKind::StageWorker, 0..1),
+                (NodeKind::StageWorker, 1..3),
+                (NodeKind::StageWorker, 3..5),
+                (COMBINE, 5..6),
+            ]
+        );
+        let heads: Vec<bool> = g.nodes.iter().map(|n| n.heads_seam(&p)).collect();
+        assert_eq!(heads, [false, false, true, true, false]);
+        assert_eq!(g.validate(&p, 8), Vec::<String>::new());
+        // The switch that builds no rewrite keeps the gather folds.
+        let unfused = DataflowGraph::build(&p, false);
+        assert_eq!(unfused.nodes[2].kind, GATHER);
+        assert_eq!(unfused.nodes[4].kind, GATHER);
+        assert!(unfused.nodes.iter().all(|n| !n.heads_seam(&p)));
+        assert_eq!(unfused.validate(&p, 8), Vec::<String>::new());
+        // A squeeze the lattice refuses stays a gather fold, and so does
+        // any other sequential stage.
+        for text in [
+            "cat /in.txt | tr -s '\\n' ' ' | sort",
+            "cat /in.txt | sed 1d | sort",
+        ] {
+            assert_eq!(graph(text, true).nodes[1].kind, GATHER, "{text}");
+        }
+        // A bounded consumer behind a seam node demands eager flushes
+        // through it.
+        let g = graph("cat /in.txt | tr -cs A-Za-z '\\n' | head -n 3", true);
+        assert_eq!(g.nodes[1].kind, NodeKind::StageWorker);
+        assert!(g.nodes[0].eager_flush && g.nodes[1].eager_flush);
+    }
+
+    #[test]
+    fn validate_admits_a_seam_stage_only_at_the_head_of_a_worker() {
+        let text = "cat /in.txt | grep o | tr -cs A-Za-z '\\n' | tr A-Z a-z | sort";
+        let p = planned(text);
+        let misplaced = |g: &DataflowGraph| {
+            g.validate(&p, 8)
+                .iter()
+                .any(|problem| problem.contains("a seam stage"))
+        };
+        let built = DataflowGraph::build(&p, true);
+        assert!(!misplaced(&built));
+        // Fused into its predecessor: the seam stage is stage 1 of 0..3.
+        let mut g = built.clone();
+        g.nodes[1].stages.end = g.nodes[2].stages.end;
+        g.nodes.remove(2);
+        assert!(misplaced(&g));
+        // Swallowed by a fold over two stages.
+        let mut g = DataflowGraph::build(&p, false);
+        g.nodes[2].stages.end = g.nodes[3].stages.end;
+        g.nodes.remove(3);
+        assert!(misplaced(&g));
+        // A stage that is neither chunk-local nor a seam, in a worker.
+        let mut g = built.clone();
+        let sort = g.nodes.len() - 1;
+        g.nodes[sort].kind = NodeKind::StageWorker;
+        assert!(g
+            .validate(&p, 8)
+            .iter()
+            .any(|problem| problem.contains("not chunk-local")));
     }
 
     #[test]
@@ -472,11 +653,9 @@ mod tests {
 
     #[test]
     fn fusion_rewrite_merges_maximal_streamable_runs() {
-        let mut g = graph(
-            "cat /in.txt | grep o | tr A-Z a-z | cut -c 1-5 | sort",
-            false,
-        );
-        g.fuse_streamable();
+        let p = planned("cat /in.txt | grep o | tr A-Z a-z | cut -c 1-5 | sort");
+        let mut g = DataflowGraph::build(&p, false);
+        g.fuse_streamable(&p);
         let workers: Vec<Range<usize>> = g
             .nodes
             .iter()

@@ -57,6 +57,27 @@
 //! [`PlannedStage::fold_pair`]: crate::plan::PlannedStage::fold_pair
 //! [`DataflowGraph::build`]: crate::dataflow::DataflowGraph::build
 //!
+//! # Seams: an `OrderSensitive` command whose carried state is known
+//!
+//! `tr -s` is [`EffectClass::OrderSensitive`] because a squeeze reaches
+//! across any split point, and synthesis finds it nothing better than
+//! `rerun`. But *what* crosses the split is one character — the last one
+//! written — and for the squeezes that split text into lines
+//! (`tr -cs A-Za-z '\n'`, `tr -s ' ' '\n'`) that character is `'\n'` after
+//! every non-empty line-aligned piece, whatever the piece held. So
+//! `f(x ++ y) = f(x) ++ (f(y) minus one leading '\n')`: the `rerun` at the
+//! seam is an O(1) slice of the right-hand output. [`newline_seam`] asks
+//! the parsed command ([`kq_coreutils::tr::TrCmd::newline_seam`]) whether
+//! it is of that kind; the planner records the answer on
+//! [`PlannedStage::seam`] where synthesis found `rerun` — the stage would
+//! otherwise run once over its gathered input, or over its gathered chunk
+//! outputs — and [`DataflowGraph::build`] runs such a stage chunk by chunk
+//! (see "Seam rewrite" in [`crate::dataflow`]). The stage's planned *mode*
+//! stays what the rerun-cost rule made it: the licence is a fact about the
+//! dataflow graph, and every executor that runs stage by stage ignores it.
+//!
+//! [`PlannedStage::seam`]: crate::plan::PlannedStage::seam
+//!
 //! # Soundness
 //!
 //! The table is deliberately *under*-approximating. A command is
@@ -69,6 +90,7 @@
 //! `PureParallelizable` ⇒ synthesis finds *a* combiner).
 
 use crate::cache::cache_key;
+use kq_coreutils::tr::TrCmd;
 use kq_coreutils::Command;
 use kq_dsl::ast::{Candidate, RecOp};
 use kq_dsl::codec::unescape_token;
@@ -89,8 +111,9 @@ pub enum EffectClass {
     CommutativeFold,
     /// Correct only on the whole stream in order (`tail`, `nl`, `tr -s`,
     /// `sed` with addresses): naive splitting changes observable output,
-    /// so only synthesis (which may still find a rerun combiner) can
-    /// parallelize it.
+    /// so synthesis decides (it may still find a rerun combiner) — except
+    /// where the state that crosses a split is known exactly, which is
+    /// what [`newline_seam`] licenses for a line-splitting `tr -s`.
     OrderSensitive,
     /// Not statically understood; dynamic synthesis decides.
     Unknown,
@@ -465,6 +488,31 @@ pub fn fold_pair(sort: &Command, uniq: &Command) -> Option<FoldPair> {
     }
 }
 
+/// The seam licence (see the [module docs](self)): `true` when `command`
+/// is a stdin-reading `tr` that squeezes `'\n'` and neither deletes nor
+/// retargets it, so that over non-empty line-aligned pieces
+/// `f(x ++ y) = f(x) ++ (f(y) minus one leading '\n')`. Decided by the
+/// in-process `tr`'s own parse of the argv; anything it rejects, and any
+/// SET it does not run from its byte table, is `false`.
+pub fn newline_seam(command: &Command) -> bool {
+    command.reads_stdin()
+        && command.program() == "tr"
+        && TrCmd::parse(&command.argv()[1..]).is_ok_and(|tr| tr.newline_seam())
+}
+
+/// The one line that says where a seam stage is, as run notes, plan notes
+/// and `kumquat check` all print it:
+/// `seam: s1 stage 2 'tr -cs A-Za-z '\n'' runs chunk-local` (statement and
+/// stage counted from one; `stage` is the index from zero).
+pub fn seam_note(statement: usize, stage: usize, command: &Command) -> String {
+    format!(
+        "seam: s{} stage {} '{}' runs chunk-local",
+        statement + 1,
+        stage + 1,
+        command.display()
+    )
+}
+
 /// The combiner a classification certifies without synthesis: plain
 /// `concat` for [`EffectClass::Stateless`], nothing for every other class
 /// (they only *promise* a combiner exists; synthesis must still find it so
@@ -627,6 +675,42 @@ mod tests {
         assert_eq!(pair("uniq -c", "sort"), None);
         assert_eq!(pair("sort", "sort"), None);
         assert_eq!(pair("sort", "wc -l"), None);
+    }
+
+    #[test]
+    fn seams_are_licensed_by_the_parsed_sets() {
+        let seam = |line: &str| newline_seam(&parse_command(line).unwrap());
+        for line in [
+            "tr -cs A-Za-z '\\n'",
+            "tr -sc '[A-Z][a-z]' '[\\012*]'",
+            "tr -s ' ' '\\n'",
+            "tr -c -s A-Za-z '\\n'",
+        ] {
+            assert!(seam(line), "{line}");
+            assert_eq!(class_of(line), EffectClass::OrderSensitive, "{line}");
+        }
+        for line in [
+            "tr -s '\\n' ' '",
+            "tr -ds '\\n' x",
+            "tr -cs 'A-Za-z\\n' ' '",
+            "tr -c A-Za-z '\\n'",
+            "tr A-Z a-z",
+            "sort",
+            "uniq",
+        ] {
+            assert!(!seam(line), "{line}");
+        }
+        // A command that only calls itself `tr` but takes what `tr` does
+        // not parse.
+        let odd = Command::custom(
+            vec!["tr".to_owned(), "--squeeze".to_owned()],
+            Box::new(kq_coreutils::uniq::UniqCmd::parse(&[]).unwrap()),
+        );
+        assert!(!newline_seam(&odd));
+        assert_eq!(
+            seam_note(0, 1, &parse_command("tr -cs A-Za-z '\\n'").unwrap()),
+            "seam: s1 stage 2 'tr -cs A-Za-z '\\n'' runs chunk-local"
+        );
     }
 
     #[test]

@@ -51,14 +51,17 @@
 //! barrier versus sequential) lives in
 //! [`plan::PlannedStatement::stream_segments`]; the dataflow executor
 //! reifies the same classification as a graph IR ([`dataflow`]) and
-//! executes it with a shared scheduler ([`scheduler`]). Two rewrites of
-//! that graph go beyond the classification, both switched off together
+//! executes it with a shared scheduler ([`scheduler`]). Three rewrites of
+//! that graph go beyond the classification, all switched off together
 //! (`fuse_streamable: false`, `--no-opt`): adjacent chunk-local stages
-//! fuse into one node, and a `sort | uniq [-c]` pair of barrier stages that
+//! fuse into one node, a `sort | uniq [-c]` pair of barrier stages that
 //! [`lattice::fold_pair`] licenses becomes one counting fold (see
-//! "Counting rewrite" in [`dataflow`]). The other executors always run the
-//! plan stage by stage, which is what makes [`exec::run_serial`] the oracle
-//! for both.
+//! "Counting rewrite" in [`dataflow`]), and a rerun-combined `tr -s` that
+//! [`lattice::newline_seam`] licenses — the word splitter
+//! `tr -cs A-Za-z '\n'` — runs chunk by chunk at the head of a chunk-local
+//! node instead of once over its gathered input ("Seam rewrite"). The
+//! other executors always run the plan stage by stage, which is what makes
+//! [`exec::run_serial`] the oracle for all three.
 //! `crates/bench/benches/streaming_exec.rs` measures streaming against
 //! chunked on a multi-stage pipeline, and
 //! `crates/bench/benches/dataflow_exec.rs` measures dataflow against
@@ -266,7 +269,7 @@ pub use exec::{
     AdaptiveTelemetry, EarlyExit, ExecutionResult, QueueTelemetry, SpillTelemetry, StageTiming,
     TimingLog,
 };
-pub use lattice::{classify, fold_pair, EffectClass, EffectSet, FoldPair};
+pub use lattice::{classify, fold_pair, newline_seam, EffectClass, EffectSet, FoldPair};
 pub use parse::{InputSource, ParseError, Script, SourceSpan, Stage, Statement};
 pub use plan::{PlannedScript, PlannedStage, Planner, StageMode, StreamSegment, StreamSegmentKind};
 pub use scheduler::{

@@ -12,7 +12,11 @@
 //!   **sequential**;
 //! * a rerun-only combiner on a command that does not significantly shrink
 //!   its input (e.g. `tr -cs A-Za-z '\n'`) → **sequential**, per §2's cost
-//!   observation;
+//!   observation — though where the lattice knows exactly what a
+//!   rerun-combined command carries across a split
+//!   ([`lattice::newline_seam`]: that `tr` does, `tr -s '\n' ' '` does
+//!   not) the stage is also marked [`PlannedStage::seam`], whichever mode
+//!   it got, and the dataflow executor runs it chunk by chunk all the same;
 //! * otherwise → **parallel**.
 //!
 //! A parallel stage whose combiner is plain `concat` and whose successor is
@@ -97,6 +101,19 @@ pub struct PlannedStage {
     /// is a `merge` — the fused fold is that merge under a derived order.
     /// Executors that run stage by stage ignore it.
     pub fold_pair: Option<lattice::FoldPair>,
+    /// Set on a stage that the lattice licenses to run chunk by chunk under
+    /// a one-newline seam ([`lattice::newline_seam`]): for non-empty
+    /// line-aligned pieces, `f(x ++ y)` is `f(x)` followed by `f(y)` less
+    /// one leading `'\n'`. The planner sets it only where synthesis found a
+    /// `rerun` combiner — the seam *is* that rerun, reduced to an O(1)
+    /// slice — and leaves the mode what the cost rule made it:
+    /// [`StageMode::Sequential`] where the command does not shrink its
+    /// input (the word splitter on prose), parallel where it does (the same
+    /// command on a table of numbers). The dataflow graph turns the stage's
+    /// fold, gathering or rerun-combining, into the head of a chunk-local
+    /// node (the seam rewrite of [`crate::dataflow`]). Executors that run
+    /// stage by stage ignore it.
+    pub seam: bool,
 }
 
 /// Planning result for one statement.
@@ -321,7 +338,9 @@ pub struct Planner {
     /// planning sample). A rerun combiner re-executes the command on the
     /// concatenated worker outputs, so parallelizing only wins when the
     /// command *shrinks* its stream — `sort -u` or `grep -c` do,
-    /// `tr -cs A-Za-z '\n'` does not. `0.5` (the default) demands at
+    /// `tr -cs A-Za-z '\n'` does not (that one is sequential by this rule
+    /// and runs chunk-local anyway, as a [`PlannedStage::seam`]; a
+    /// `sed 100q` has no such way out). `0.5` (the default) demands at
     /// least a 2× reduction; `1.0` accepts any non-growing stage; values
     /// near `0` effectively disable rerun parallelism. Exposed on the CLI
     /// as `--rerun-threshold`, validated to be a real number in `(0, 1]`.
@@ -610,9 +629,12 @@ impl Planner {
         ctx: &ExecContext,
         sample: &str,
     ) -> PlannedStatement {
-        // First pass: decide sequential/parallel per stage.
+        // First pass: decide sequential/parallel per stage — and, for a
+        // stage whose combiner is `rerun`, whether the lattice knows the
+        // rerun to be a one-newline seam.
         let mut modes: Vec<StageMode> = Vec::with_capacity(statement.stages.len());
-        for stage in &statement.stages {
+        let mut seams = vec![false; statement.stages.len()];
+        for (idx, stage) in statement.stages.iter().enumerate() {
             let cmd = &stage.command;
             if !cmd.reads_stdin() {
                 modes.push(StageMode::Sequential);
@@ -622,6 +644,7 @@ impl Planner {
                 modes.push(StageMode::Sequential);
                 continue;
             };
+            seams[idx] = self.use_lattice && combiner.is_rerun() && lattice::newline_seam(cmd);
             if combiner.is_rerun() && !self.shrinks_enough(cmd, ctx, sample) {
                 // §2: parallelizing with a rerun combiner only pays when
                 // the command significantly reduces the stream.
@@ -683,9 +706,10 @@ impl Planner {
                 .into_iter()
                 .zip(streamable)
                 .zip(fold_pairs)
+                .zip(seams)
                 .enumerate()
                 .map(
-                    |(stage_idx, ((mode, streamable), fold_pair))| PlannedStage {
+                    |(stage_idx, (((mode, streamable), fold_pair), seam))| PlannedStage {
                         stage_idx,
                         mode,
                         streamable,
@@ -695,6 +719,7 @@ impl Planner {
                         // no bound.
                         line_bound: kq_synth::prefix_bound(&statement.stages[stage_idx].command),
                         fold_pair,
+                        seam,
                     },
                 )
                 .collect(),
@@ -952,6 +977,79 @@ mod tests {
             .stages
             .iter()
             .all(|s| s.fold_pair.is_none()));
+    }
+
+    #[test]
+    fn seams_are_recorded_where_synthesis_found_a_licensed_rerun() {
+        // (seam, parallel) per stage, planned against `sample`.
+        let plan_on = |planner: &mut Planner, text: &str, sample: &str| -> Vec<(bool, bool)> {
+            let env: Map<String, String> = [("IN".to_owned(), "/in.txt".to_owned())].into();
+            let script = parse_script(text, &env).unwrap();
+            let ctx = ExecContext::default();
+            ctx.vfs.write("/in.txt", sample);
+            let planned = planner.plan(&script, &ctx, sample);
+            planned.statements[0]
+                .stages
+                .iter()
+                .map(|s| (s.seam, s.mode.is_parallel()))
+                .collect()
+        };
+        let seams = |planner: &mut Planner, text: &str| -> Vec<bool> {
+            plan_on(planner, text, &sample_text())
+                .into_iter()
+                .map(|(seam, _)| seam)
+                .collect()
+        };
+        let mut planner = Planner::new(SynthesisConfig::default());
+        // On prose the splitter does not shrink its input: sequential, and
+        // a seam. On a table of numbers it does: parallel, and a seam.
+        let wf = "cat $IN | tr -cs A-Za-z '\\n' | tr A-Z a-z | sort";
+        assert_eq!(
+            plan_on(&mut planner, wf, &sample_text()),
+            [(true, false), (false, true), (false, true)]
+        );
+        let numbers = "12 345 6789 x 0 11 22 33 44 55\n".repeat(100);
+        assert_eq!(
+            plan_on(&mut planner, wf, &numbers)[0],
+            (true, true),
+            "a rerun that pays is still a seam"
+        );
+        assert_eq!(
+            seams(
+                &mut planner,
+                "cat $IN | sort | tr -s ' ' '\\n' | tr -sc '[A-Z][a-z]' '[\\012*]'"
+            ),
+            [false, true, true]
+        );
+        // Squeezes the lattice refuses, and stages that are sequential for
+        // another reason (`sed 1d`: no combiner at all).
+        for text in [
+            "cat $IN | tr -s '\\n' ' '",
+            "cat $IN | tr -ds '\\n' x",
+            "cat $IN | tr -cs 'A-Za-z\\n' ' '",
+            "cat $IN | sed 1d | tr A-Z a-z",
+        ] {
+            assert!(seams(&mut planner, text).iter().all(|s| !s), "{text}");
+        }
+        // A licensed command whose combiner is not `rerun`: the planner
+        // acts on what synthesis found, not on the licence alone.
+        use kq_dsl::ast::{Candidate, RecOp};
+        let mut manual = Planner::new(SynthesisConfig::default());
+        manual.register_manual(
+            "tr -cs A-Za-z '\\n'",
+            SynthesizedCombiner::from_plausible(vec![Candidate::rec(RecOp::Concat)]),
+        );
+        assert_eq!(
+            seams(&mut manual, "cat $IN | tr -cs A-Za-z '\\n' | sort"),
+            [false, false]
+        );
+        // Without the lattice the planner acts on nothing it says.
+        let mut without = Planner::new(SynthesisConfig::default());
+        without.use_lattice = false;
+        assert_eq!(
+            seams(&mut without, "cat $IN | tr -cs A-Za-z '\\n' | sort"),
+            [false, false]
+        );
     }
 
     #[test]

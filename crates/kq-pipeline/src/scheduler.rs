@@ -7,9 +7,10 @@
 //! threads. Each statement's plan becomes a [`DataflowGraph`]
 //! (see [`crate::dataflow`] for the node and edge semantics), and the unit
 //! of scheduling is a *task*: "make progress at node N of statement S" —
-//! process one chunk at a map node (through the node's commands — or, at a
+//! process one chunk at a map node (through the node's commands — at a
 //! counting fold, through the `sort | uniq -c` kernel of its counted line
-//! order), drain the input of a fold, merge one
+//! order; behind a seam stage, with the seam's `'\n'` taken off first),
+//! drain the input of a fold, merge one
 //! part of a fold's closing merge, cut the next chunk at a split, emit the
 //! next chunk of a materialized output.
 //!
@@ -220,6 +221,9 @@ struct EdgeQ {
     pop_seq: usize,
     /// Sticky end-of-stream marker, set after the producer's final push.
     closed: bool,
+    /// The last chunk pushed did not end in `'\n'`. Only a stream's final
+    /// chunk may: [`push_edge`] asserts it in debug builds.
+    unterminated: bool,
 }
 
 struct Edge {
@@ -455,9 +459,8 @@ struct StmtRt<'a> {
     graph: DataflowGraph,
     /// Command chain per node (empty for the split node).
     chains: Vec<Vec<&'a Command>>,
-    /// Per node: the counted order of a counting fold (`sort | uniq -c` as
-    /// one node), whose map is that order's kernel instead of the chain.
-    count_orders: Vec<Option<LineOrder>>,
+    /// Per node: what a map task does with a chunk.
+    maps: Vec<NodeMap>,
     nodes: Vec<Mutex<NodeState<'a>>>,
     /// `edges[i]` carries node `i`'s output; the last edge is the sink.
     edges: Vec<Edge>,
@@ -476,6 +479,36 @@ struct StmtRt<'a> {
     dependents: Vec<usize>,
     /// The statement's stdout (unset for a redirected statement).
     output: Mutex<Option<Rope>>,
+}
+
+/// What a map task at a node computes from one input chunk.
+enum NodeMap {
+    /// The node's command chain.
+    Chain,
+    /// A counting fold (`sort | uniq -c` as one node): the kernel of its
+    /// counted order instead of the chain.
+    Counted(LineOrder),
+    /// A stage worker headed by a seam stage
+    /// ([`DataflowNode::heads_seam`]): the chain, with the head's output
+    /// for every chunk but the first less one leading `'\n'`.
+    Seam,
+}
+
+/// The map of a seam-headed node (see "Seam rewrite" in
+/// [`crate::dataflow`]): `seq` is the chunk's pop ordinal on the node's
+/// input edge, and every chunk popped before it was non-empty.
+fn run_seam_chain(
+    chain: &[&Command],
+    seq: usize,
+    chunk: Bytes,
+    ctx: &ExecContext,
+) -> Result<Bytes, CmdError> {
+    let (head, rest) = chain.split_first().expect("a seam node has its stage");
+    let mut out = head.run(chunk, ctx)?;
+    if seq > 0 && out.as_bytes().first() == Some(&b'\n') {
+        out = out.slice(1..out.len());
+    }
+    run_chain(rest, out, ctx)
 }
 
 struct IdleGate {
@@ -715,12 +748,14 @@ pub fn run_dataflow_segments(
                 Mutex::new(state)
             })
             .collect();
-        let count_orders = pair_orders
+        let maps = pair_orders
             .into_iter()
-            .map(|pair| match pair {
-                Some((FoldPair::Counting, order)) => Some(order),
+            .zip(&graph.nodes)
+            .map(|(pair, node)| match pair {
+                Some((FoldPair::Counting, order)) => NodeMap::Counted(order),
                 // `sort | uniq` of a chunk is its `sort -u`: the chain.
-                _ => None,
+                _ if node.heads_seam(&plan.statements[si]) => NodeMap::Seam,
+                _ => NodeMap::Chain,
             })
             .collect();
         let edges = (0..graph.nodes.len())
@@ -743,7 +778,7 @@ pub fn run_dataflow_segments(
             statement,
             graph,
             chains,
-            count_orders,
+            maps,
             nodes,
             edges,
             base_chunk: AtomicUsize::new(fixed_chunk),
@@ -1245,10 +1280,16 @@ fn split_task(cx: &Cx<'_, '_>, si: usize) {
 }
 
 /// Pushes one chunk onto edge `i` (caller holds the producing node's
-/// state lock, preserving stream order).
+/// state lock, preserving stream order). No producer cuts an empty chunk
+/// or one that ends mid-line before the stream does ([`Emit::next_chunk`]
+/// and [`IncrementalChunker`] never do), and a seam node relies on it: its
+/// chunk `seq > 0` follows `seq` non-empty newline-terminated ones.
 fn push_edge(stmt: &StmtRt<'_>, i: usize, chunk: Bytes) {
+    debug_assert!(!chunk.is_empty(), "an edge never carries an empty chunk");
     let mut q = lock(&stmt.edges[i].q);
     debug_assert!(!q.closed, "push after close");
+    debug_assert!(!q.unterminated, "only a stream's last chunk ends mid-line");
+    q.unterminated = !chunk.ends_with_newline();
     q.items.push_back(chunk);
     stmt.edges[i].len.fetch_add(1, Ordering::Relaxed);
 }
@@ -1387,9 +1428,10 @@ fn map_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
         .seq(seq)
         .v(chunk.len() as f64);
     let t0 = Instant::now();
-    let result = match stmt.count_orders[ni] {
-        Some(counted) => counted.sort_bytes(&chunk),
-        None => run_chain(&stmt.chains[ni], chunk.clone(), cx.rt.ctx),
+    let result = match &stmt.maps[ni] {
+        NodeMap::Chain => run_chain(&stmt.chains[ni], chunk.clone(), cx.rt.ctx),
+        NodeMap::Counted(order) => order.sort_bytes(&chunk),
+        NodeMap::Seam => run_seam_chain(&stmt.chains[ni], seq, chunk.clone(), cx.rt.ctx),
     };
     let dur = t0.elapsed();
     span.done();

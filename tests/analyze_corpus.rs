@@ -279,3 +279,71 @@ fn check_reports_exactly_the_fold_pairs_the_planner_fuses() {
             .is_empty());
     }
 }
+
+/// (6) The seam rewrite, statically and dynamically: every stage the
+/// planner marks a seam — and the dataflow graph therefore runs at the
+/// head of a chunk-local node instead of in a fold — is a stage `check`
+/// reports from the command alone, and every stage `check` reports is one
+/// the planner marks (in the corpus synthesis finds each of them `rerun`,
+/// whether or not the planning sample makes the rerun look worth a
+/// parallel stage: the `poets` scripts' `$IN` is a list of file names,
+/// which a word splitter shrinks to nothing). The sites and the scripts
+/// they are in are pinned by count.
+#[test]
+fn check_reports_exactly_the_seam_stages_the_planner_lifts() {
+    use kq_pipeline::{DataflowGraph, NodeKind};
+    let mut planner = Planner::new(SynthesisConfig::default());
+    let (mut sites, mut scripts, mut planned_parallel) = (0usize, 0usize, 0usize);
+    for script in corpus() {
+        let ctx = ExecContext::default();
+        let env = setup(script, &ctx, &SCALE, 0x5EA4);
+        let parsed = parse_script(script.text, &env).unwrap();
+        let sample = ctx.vfs.read(&env["IN"]).unwrap();
+        let plan = planner.plan(&parsed, &ctx, planning_sample(&sample, 12_000));
+        // (statement, stage) of the head of every seam node in the graphs.
+        let mut lifted: Vec<(usize, usize)> = Vec::new();
+        for (si, planned) in plan.statements.iter().enumerate() {
+            let graph = DataflowGraph::build(planned, true);
+            assert!(graph.validate(planned, 4).is_empty());
+            for node in &graph.nodes {
+                if node.heads_seam(planned) {
+                    lifted.push((si, node.stages.start));
+                    planned_parallel +=
+                        usize::from(planned.stages[node.stages.start].mode.is_parallel());
+                }
+                // No seam stage is left in a fold.
+                let folds = matches!(node.kind, NodeKind::Fold { .. });
+                assert!(!(folds && planned.stages[node.stages.start].seam));
+            }
+        }
+        let analysis = kq_analyze::check_script(script.text, &env);
+        let reported: Vec<(usize, usize)> = analysis
+            .seams
+            .iter()
+            .map(|site| (site.statement, site.stage))
+            .collect();
+        assert_eq!(
+            lifted,
+            reported,
+            "{}/{}: planner-lifted seams vs `check`",
+            script.suite.dir(),
+            script.id
+        );
+        for site in &analysis.seams {
+            assert!(
+                analysis.render_human().contains(&site.note),
+                "check must name {}",
+                site.note
+            );
+        }
+        sites += lifted.len();
+        scripts += usize::from(!lifted.is_empty());
+    }
+    assert_eq!(
+        (sites, scripts),
+        (30, 27),
+        "seam stages across the corpus, and the scripts they are in"
+    );
+    // Four of them plan parallel on the file-list sample.
+    assert_eq!(planned_parallel, 4);
+}

@@ -19,6 +19,12 @@
 //! multi-MiB inputs of low and high cardinality, run fused, unfused
 //! (`fuse_streamable: false`, what `--no-opt` builds) and serially —
 //! stdout and every redirect target, at one, two and four workers.
+//!
+//! So has the seam rewrite (a line-splitting `tr -s` run chunk by chunk):
+//! the stage at the head of a statement, behind a `grep` that empties
+//! whole chunks, behind a fold, twice in a row, and in front of `head`, on
+//! inputs that start with separators and that end without a newline —
+//! fused, unfused and serially, at chunks of 1 B, 1 KiB and 64 KiB.
 
 use kq_coreutils::ExecContext;
 use kq_pipeline::exec::run_serial;
@@ -402,6 +408,104 @@ fn counting_folds_match_serial_on_low_and_high_cardinality_megabytes() {
             );
         }
     }
+}
+
+/// The seam rewrite against the two oracles it has — the graph `--no-opt`
+/// builds, where the stage gathers and runs once, and `run_serial` — in
+/// every position a seam node can take, on text whose chunks start with
+/// separators, hold nothing but separators, or (behind the `grep`) never
+/// reach the node at all.
+#[test]
+fn seam_stages_match_serial_fused_and_unfused() {
+    // ~150 KB: a few chunks at 64 KiB, one per line at 1 B. Lines start
+    // with blanks, are blank, hold only punctuation, or carry multi-byte
+    // characters; `needle` lines come in two clusters with more than
+    // 64 KiB of other lines in between.
+    let mut body = String::new();
+    for i in 0..4200usize {
+        let line = match i % 7 {
+            0 => format!("  lead blanks {i}  twice  \n"),
+            1 => "\n".to_owned(),
+            2 => " ,, ;; \n".to_owned(),
+            3 => format!("caf\u{e9} \u{e9}\u{e9} na\u{ef}ve {i}\n"),
+            4 if i % 2100 < 40 => format!("needle  in  cluster {i}\n"),
+            _ => format!("plain words, some Upper CASE; number {}\n", i % 13),
+        };
+        body.push_str(&line);
+    }
+    // Mostly digits: the splitter shrinks this one to a tenth, so it plans
+    // parallel — a rerun that pays — and is lifted out of a combine fold.
+    let digits: String = (0..3000usize)
+        .map(|i| format!("{i} {} 00 needle{} 12345 {}  678\n", i * 7, i % 3, i % 11))
+        .collect();
+    let inputs = [
+        // Separators first, newline last.
+        format!(" \n\n ,,\n{body}"),
+        // A word first, no newline last.
+        format!("{body}tail  without newline"),
+        digits,
+    ];
+    let mut seams_planned = [0usize; 2];
+    let scripts = [
+        "cat /in.txt | tr -cs A-Za-z '\\n' | tr A-Z a-z | sort | uniq -c | sort -rn",
+        "cat /in.txt | grep needle | tr -cs A-Za-z '\\n' | tr A-Z a-z | grep -v e",
+        "cat /in.txt | sort | tr -s ' ' '\\n' | uniq -c",
+        "cat /in.txt | tr -s ' ' '\\n' | tr -sc '[A-Z][a-z]' '[\\012*]' | wc -l",
+        "cat /in.txt | tr -cs A-Za-z '\\n' | head -n 3",
+        "cat /in.txt | tr -cs A-Za-z '\\n' > /out/words\ncat /out/words | tr A-Z a-z | sort -u",
+    ];
+    let mut planner = Planner::new(SynthesisConfig::default());
+    for text in scripts {
+        let parsed = parse_script(text, &HashMap::new()).unwrap();
+        for input in &inputs {
+            let fresh = || {
+                let ctx = ExecContext::default();
+                ctx.vfs.write("/in.txt", input.as_str());
+                ctx
+            };
+            let serial_ctx = fresh();
+            let plan = planner.plan(&parsed, &serial_ctx, &input[..8_000]);
+            // Every `tr -s` of these scripts heads a node of the fused
+            // graph; the unfused graph has none.
+            let seam_nodes = |fuse: bool| {
+                plan.statements
+                    .iter()
+                    .map(|p| {
+                        let graph = kq_pipeline::DataflowGraph::build(p, fuse);
+                        graph.nodes.iter().filter(|n| n.heads_seam(p)).count()
+                    })
+                    .sum::<usize>()
+            };
+            assert_eq!(seam_nodes(true), text.matches("tr -").count(), "{text}");
+            assert_eq!(seam_nodes(false), 0, "{text}");
+            for stage in plan.statements.iter().flat_map(|p| &p.stages) {
+                seams_planned[usize::from(stage.mode.is_parallel())] += usize::from(stage.seam);
+            }
+            let serial = run_serial(&parsed, &serial_ctx).unwrap();
+            for fuse in [true, false] {
+                for workers in [1usize, 2, 4] {
+                    for chunk_bytes in [1usize, 1 << 10, 64 << 10] {
+                        let ctx = fresh();
+                        let opts = fixed_opts(workers, chunk_bytes, fuse);
+                        let at = format!("{text} (fuse={fuse}, w={workers}, chunk={chunk_bytes})");
+                        let got = run_dataflow(&parsed, &plan, &ctx, &opts)
+                            .unwrap_or_else(|e| panic!("{at}: {e}"));
+                        assert!(got.output == serial.output, "{at}: stdout");
+                        assert!(
+                            ctx.vfs.read_bytes("/out/words")
+                                == serial_ctx.vfs.read_bytes("/out/words"),
+                            "{at}: /out/words"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    let [sequential, parallel] = seams_planned;
+    assert!(
+        sequential > 0 && parallel > 0,
+        "seam stages planned sequential: {sequential}, parallel: {parallel}"
+    );
 }
 
 /// Every dataflow stage timing carries queue telemetry, and per-chunk

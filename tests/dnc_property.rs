@@ -2,6 +2,11 @@
 //! must satisfy `f(x1 ++ x2) = g(f(x1), f(x2))` on inputs the synthesizer
 //! never saw. For every supported command family we synthesize once, then
 //! hammer the combiner with hundreds of fresh random stream pairs.
+//!
+//! The seam licence (`kq_pipeline::lattice::newline_seam`) claims such an
+//! equation without synthesis — `f(x0 ++ x1 ++ …)` is `f(x0)` followed by
+//! each `f(xi)` less one leading newline — and is held to it here the same
+//! way, for every corpus `tr` stage it licenses.
 
 use kq_coreutils::{parse_command, ExecContext};
 use kq_dsl::eval::CommandEnv;
@@ -169,5 +174,152 @@ fn dnc_generalizes_to_k_substreams() {
             let expect = command.run(combined.clone(), &ctx).unwrap();
             assert_eq!(got, expect, "{cmd} at k={k} on {combined:?}");
         }
+    }
+}
+
+/// Random text for a word splitter: words, runs of blanks and
+/// punctuation, empty and separator-only lines, multi-byte characters,
+/// separators at the very start, and sometimes no final newline.
+fn random_text(rng: &mut SmallRng, max_lines: usize) -> String {
+    const TOKENS: [&str; 14] = [
+        "alpha",
+        "Beta",
+        "x",
+        " ",
+        "  ",
+        "\t",
+        ",",
+        ",,",
+        ";",
+        "\u{e9}",
+        "\u{e9}\u{e9}",
+        "42",
+        "-",
+        "z z",
+    ];
+    let mut out = String::new();
+    for _ in 0..rng.gen_range(1..=max_lines) {
+        for _ in 0..rng.gen_range(0..6) {
+            out.push_str(TOKENS[rng.gen_range(0..TOKENS.len())]);
+        }
+        out.push('\n');
+    }
+    if rng.gen_bool(0.2) {
+        out.pop();
+    }
+    out
+}
+
+/// `f(x0) ++ strip(f(x1)) ++ …` over `text` cut after the given newlines,
+/// `strip` dropping one leading `'\n'`: what a seam node computes.
+fn seamed(command: &kq_coreutils::Command, ctx: &ExecContext, pieces: &[&str]) -> String {
+    let mut out = String::new();
+    for (i, piece) in pieces.iter().enumerate() {
+        let y = command.run_str(piece, ctx).unwrap();
+        out.push_str(match y.strip_prefix('\n') {
+            Some(rest) if i > 0 => rest,
+            _ => &y,
+        });
+    }
+    out
+}
+
+/// Cuts `text` after a random subset of its newlines: non-empty
+/// line-aligned pieces, the last one unterminated when `text` is.
+fn random_line_aligned_pieces<'a>(rng: &mut SmallRng, text: &'a str) -> Vec<&'a str> {
+    let mut pieces = Vec::new();
+    let mut start = 0;
+    for (i, _) in text.match_indices('\n') {
+        if i + 1 < text.len() && rng.gen_bool(0.3) {
+            pieces.push(&text[start..=i]);
+            start = i + 1;
+        }
+    }
+    pieces.push(&text[start..]);
+    pieces
+}
+
+/// Every `tr` stage of the corpus that the lattice licenses satisfies the
+/// seam equation on random text at random line-aligned cuts — and so do
+/// the licensed shapes the corpus does not use.
+#[test]
+fn seam_equation_holds_for_every_licensed_corpus_tr_stage() {
+    use kq_pipeline::lattice::newline_seam;
+    let mut lines: Vec<String> = vec![
+        r"tr -s ' ' '\n'".to_owned(),
+        r"tr -s '\n'".to_owned(),
+        r"tr -ds , '\n'".to_owned(),
+        r"tr -Cs a-z '\012'".to_owned(),
+    ];
+    let mut stages = 0usize;
+    let mut refused: Vec<String> = Vec::new();
+    for script in kq_workloads::corpus() {
+        let ctx = ExecContext::default();
+        let scale = kq_workloads::Scale { input_bytes: 2_000 };
+        let env = kq_workloads::setup(script, &ctx, &scale, 7);
+        let parsed = kq_pipeline::parse::parse_script(script.text, &env).unwrap();
+        for stage in parsed.statements.iter().flat_map(|st| &st.stages) {
+            let command = &stage.command;
+            let squeezes = command.program() == "tr"
+                && command
+                    .argv()
+                    .get(1)
+                    .is_some_and(|flags| flags.starts_with('-') && flags.contains('s'));
+            if newline_seam(command) {
+                assert!(squeezes, "{}", command.display());
+                stages += 1;
+                if !lines.contains(&command.display()) {
+                    lines.push(command.display());
+                }
+            } else if squeezes {
+                refused.push(command.display());
+            }
+        }
+    }
+    // The corpus squeezes to put one word, or one letter run, on a line —
+    // but for the one stage that keeps the newlines and squeezes blanks.
+    assert!(stages >= 30, "only {stages} licensed corpus stages");
+    assert_eq!(refused, [r"tr -sc '[AEIOUaeiou\012]' ' '"]);
+    let ctx = ExecContext::default();
+    let mut rng = SmallRng::seed_from_u64(0x5EA4);
+    for line in &lines {
+        let command = parse_command(line).unwrap();
+        assert!(newline_seam(&command), "{line}");
+        for _ in 0..200 {
+            let text = random_text(&mut rng, 12);
+            if text.is_empty() {
+                continue;
+            }
+            let pieces = random_line_aligned_pieces(&mut rng, &text);
+            assert_eq!(
+                seamed(&command, &ctx, &pieces),
+                command.run_str(&text, &ctx).unwrap(),
+                "{line}: seam equation violated at {pieces:?}"
+            );
+        }
+    }
+}
+
+/// The squeezes the licence refuses are refused for a reason: each has
+/// line-aligned pieces on which the seam equation is false.
+#[test]
+fn refused_squeezes_break_the_seam_equation() {
+    use kq_pipeline::lattice::newline_seam;
+    let ctx = ExecContext::default();
+    for (line, pieces) in [
+        // '\n' becomes ' ': what is carried is a blank, not a newline.
+        (r"tr -s '\n' ' '", ["a\n\n", "\nb\n"]),
+        // '\n' is deleted: what is carried is whatever came before it.
+        (r"tr -ds '\n' x", ["ax\n", "xb\n"]),
+        // '\n' is kept but not squeezed: a leading one is output.
+        (r"tr -cs 'A-Za-z\n' ' '", ["a\n", "\nb\n"]),
+    ] {
+        let command = parse_command(line).unwrap();
+        assert!(!newline_seam(&command), "{line}");
+        assert_ne!(
+            seamed(&command, &ctx, &pieces),
+            command.run_str(&pieces.concat(), &ctx).unwrap(),
+            "{line}"
+        );
     }
 }

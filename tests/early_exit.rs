@@ -275,3 +275,57 @@ fn head_behind_a_counting_fold_cancels_cleanly() {
         }
     }
 }
+
+/// `head` behind the word splitter. `tr -cs A-Za-z '\n'` plans sequential
+/// (its combiner is `rerun` and it does not shrink), and as a gather fold
+/// it read its whole input before `head` saw a line; as a seam node it is
+/// chunk-local, so `head -n 3` is satisfied by the first chunk and cancels
+/// the rest. The unfused graph still gathers — and still agrees.
+#[test]
+fn head_behind_the_word_splitter_exits_early() {
+    use kq_pipeline::scheduler::{run_dataflow, ChunkSizing, DataflowOptions, QueueCredit};
+
+    let input = kq_workloads::inputs::gutenberg_text(2 << 20, 11);
+    let ctx = ExecContext::default();
+    ctx.vfs.write("/in.txt", input.as_str());
+    let script = parse_script(
+        "cat /in.txt | tr -cs A-Za-z '\\n' | head -n 3",
+        &HashMap::new(),
+    )
+    .unwrap();
+    let mut planner = Planner::new(SynthesisConfig::default());
+    let plan = planner.plan(&script, &ctx, &input[..8_000]);
+    assert!(plan.statements[0].stages[0].seam, "the splitter is a seam");
+    let serial = run_serial(&script, &ctx).unwrap();
+    assert_eq!(serial.output.as_str().lines().count(), 3);
+    for fuse in [true, false] {
+        for workers in [1usize, 2, 4] {
+            let opts = DataflowOptions {
+                workers,
+                chunk: ChunkSizing::Fixed(4 << 10),
+                queue: QueueCredit::Fixed(2),
+                fuse_streamable: fuse,
+                spill: None,
+            };
+            let got = run_dataflow(&script, &plan, &ctx, &opts).unwrap();
+            assert_eq!(got.output, serial.output, "fuse={fuse}, w={workers}");
+            let stages = &got.timings.statements[0];
+            let (tr, head) = (&stages[0], &stages[1]);
+            assert!(tr.label.starts_with("tr -cs") && head.label.starts_with("head"));
+            if fuse {
+                let early = head
+                    .early_exit
+                    .expect("head exits early behind a seam node");
+                assert_eq!(early.stage, 1);
+                assert!(
+                    tr.bytes_in < input.len() / 4,
+                    "tr read {} of {} bytes despite the cancellation (w={workers})",
+                    tr.bytes_in,
+                    input.len()
+                );
+            } else {
+                assert_eq!(tr.bytes_in, input.len(), "the gather fold reads it all");
+            }
+        }
+    }
+}

@@ -4,6 +4,9 @@
 //! line sets, byte-identical selected lines.
 //!
 //! Skips silently when `grep` cannot be spawned.
+//!
+//! Beside it, and gated the same way, `tr`'s SET grammar against the
+//! host's GNU `tr` ([`tr_sets_match_gnu_tr`]).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -288,5 +291,72 @@ fn fixed_strings_match_gnu_grep() {
             ours, gnu,
             "-F {pattern:?} disagrees with GNU grep on {input:?}"
         );
+    }
+}
+
+/// Runs host `tr ARGS` over `input` in the C locale; `None` when `tr`
+/// cannot be spawned or rejects the arguments.
+fn gnu_tr(args: &[&str], input: &str) -> Option<String> {
+    let mut child = Proc::new("tr")
+        .args(args)
+        .env("LC_ALL", "C")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .ok()?;
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(input.as_bytes())
+        .ok()?;
+    let out = child.wait_with_output().ok()?;
+    out.status
+        .success()
+        .then(|| String::from_utf8_lossy(&out.stdout).into_owned())
+}
+
+/// The corners of `tr`'s SET grammar where this reproduction once read a
+/// set differently from GNU `tr`: a `[c*n]` count with a leading zero is
+/// octal (and a zero count fills), `-C` is `-c`. ASCII input only — on
+/// multi-byte characters GNU `tr` works byte by byte and this one
+/// character by character, by design. Skips when `tr` cannot be spawned.
+#[test]
+fn tr_sets_match_gnu_tr() {
+    if gnu_tr(&["a", "b"], "a\n").is_none() {
+        eprintln!("tr not available; skipping");
+        return;
+    }
+    let inputs = [
+        "abcdefghij\n",
+        "  The quick, brown fox -- jumps!\n\nover\tthe lazy dog  \n",
+        "jihgfedcba abc xyz\n",
+    ];
+    let cases: [&[&str]; 8] = [
+        &["abcdefghij", "[x*010]y"],
+        &["abcdefghij", "[x*10]y"],
+        &["abcdefghij", "[x*0]"],
+        &["abcdefghij", "[x*3][y*]"],
+        &["-C", "a-j", "x"],
+        &["-Cs", "A-Za-z", "\\n"],
+        &["-cs", "A-Za-z", "\\012"],
+        &["-sC", "[A-Z][a-z]", "[\\012*]"],
+    ];
+    let ctx = kq_coreutils::ExecContext::default();
+    for args in cases {
+        let argv: Vec<String> = std::iter::once("tr")
+            .chain(args.iter().copied())
+            .map(str::to_owned)
+            .collect();
+        let ours = kq_coreutils::from_argv(&argv).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+        for input in inputs {
+            let expect = gnu_tr(args, input).unwrap_or_else(|| panic!("GNU tr rejected {args:?}"));
+            assert_eq!(
+                ours.run_str(input, &ctx).unwrap(),
+                expect,
+                "tr {args:?} on {input:?}"
+            );
+        }
     }
 }

@@ -1,14 +1,16 @@
-//! Differential harness for the `tr -d`, `cut`, `uniq` and `sed s///`
-//! byte fast paths.
+//! Differential harness for the `tr`, `cut`, `uniq` and `sed s///` byte
+//! fast paths.
 //!
 //! These commands gained `grep`-style slice fast paths: output assembled
 //! as coalesced sub-slices of the input `Bytes` instead of a rebuilt
-//! `String`. This suite mirrors `tests/grep_differential.rs`: walk every
-//! corpus script, re-parse each `tr`/`cut`/`uniq`/`sed` stage, and run the
-//! fast path against the reference implementation on the script's own
-//! generated input — so the slice paths are validated on exactly the SET
-//! specs, field lists and substitutions real scripts use, not just
-//! hand-picked unit cases.
+//! `String` — and `tr`'s translate, squeeze and `-ds` a byte-table kernel,
+//! so that for every `tr` stage `run` and `run_reference` are two
+//! different programs. This suite mirrors `tests/grep_differential.rs`:
+//! walk every corpus script, re-parse each `tr`/`cut`/`uniq`/`sed` stage,
+//! and run the fast path against the reference implementation on the
+//! script's own generated input — so the fast paths are validated on
+//! exactly the SET specs, field lists and substitutions real scripts use,
+//! not just hand-picked unit cases.
 
 use kq_coreutils::cut::CutCmd;
 use kq_coreutils::sed::SedCmd;
@@ -18,6 +20,24 @@ use kq_coreutils::{Bytes, ExecContext, UnixCommand};
 use kq_pipeline::parse::parse_script;
 use kq_workloads::{corpus, setup, Scale};
 
+/// Inputs where a byte table and a character loop could part ways: no
+/// byte, no final newline, separators first, nothing but separators,
+/// multi-byte characters alone, doubled, and next to squeezed bytes.
+const TR_EDGES: [&str; 12] = [
+    "",
+    "\n",
+    "no final newline",
+    "  , leading separators\n",
+    " \t ,,;; \n\n\n",
+    "\n\n\nblank lines first\n\n",
+    "\u{e9}",
+    "\u{e9}\u{e9}\n",
+    "caf\u{e9}  \u{e9}\u{e9}t\u{e9},,\u{4e16}\u{754c}  x\n",
+    "aa  bb,,cc\u{e9}\u{e9}  \n  dd",
+    "UPPER lower 0123 [brackets] a-z\n",
+    "x,,y,,,z\n,,\n",
+];
+
 #[test]
 fn corpus_tr_stages_fast_path_matches_reference() {
     let scale = Scale {
@@ -25,6 +45,17 @@ fn corpus_tr_stages_fast_path_matches_reference() {
     };
     let ctx_proto = ExecContext::default();
     let mut stages_checked = 0usize;
+    let agree = |t: &TrCmd, input: &str, what: &str| {
+        let fast = t
+            .run(Bytes::from(input), &ctx_proto)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(
+            fast.as_str(),
+            t.run_reference(input),
+            "{what}: fast path diverged on {:?}",
+            &input[..input.len().min(80)]
+        );
+    };
     for script in corpus() {
         let ctx = ExecContext::default();
         let env = setup(script, &ctx, &scale, 0xBEEF);
@@ -38,17 +69,16 @@ fn corpus_tr_stages_fast_path_matches_reference() {
                 }
                 let t = TrCmd::parse(&stage.command.argv()[1..])
                     .unwrap_or_else(|e| panic!("{}: {e}", stage.command.display()));
-                let fast = t
-                    .run(Bytes::from(input.as_str()), &ctx_proto)
-                    .unwrap_or_else(|e| panic!("{}: {e}", stage.command.display()));
-                assert_eq!(
-                    fast.as_str(),
-                    t.run_reference(&input),
-                    "{}/{}: {} fast path diverged",
+                let what = format!(
+                    "{}/{}: {}",
                     script.suite.dir(),
                     script.id,
                     stage.command.display()
                 );
+                agree(&t, &input, &what);
+                for edge in TR_EDGES {
+                    agree(&t, edge, &what);
+                }
                 stages_checked += 1;
             }
         }
@@ -57,6 +87,27 @@ fn corpus_tr_stages_fast_path_matches_reference() {
         stages_checked >= 10,
         "corpus drifted: only {stages_checked} tr stages checked"
     );
+    // Shapes the corpus has no stage of: `-c` without `-s` (a multi-byte
+    // character becomes one fill character), `-ds`, a squeeze with one
+    // SET, `-C`, and SETs that send `run` back to the reference.
+    for line in [
+        r"tr -c A-Za-z '\n'",
+        r"tr -c 'a-z\n' '[#*]'",
+        "tr -ds ',' ' a'",
+        r"tr -cds 'a-z\n' 'a-z\n'",
+        "tr -s ' ,'",
+        r"tr -Cs A-Za-z '\012'",
+        "tr -cs a-z",
+        "tr \u{e9} e",
+        "tr -s e \u{e9}",
+        "tr -ds , \u{e9}",
+    ] {
+        let words = kq_coreutils::split_words(line).unwrap();
+        let t = TrCmd::parse(&words[1..]).unwrap_or_else(|e| panic!("{line}: {e}"));
+        for edge in TR_EDGES {
+            agree(&t, edge, line);
+        }
+    }
 }
 
 #[test]
