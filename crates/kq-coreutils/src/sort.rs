@@ -9,9 +9,8 @@
 //!
 //! # The kernel
 //!
-//! Sorting and merging share one comparator, [`LineOrder`], that works on
-//! byte slices and decorates each line **once** with a `u64` key, so the
-//! comparisons that decide an order are integer compares:
+//! Sorting works on byte slices and decorates each line **once** with a
+//! `u64` key, so the comparisons that decide an order are integer compares:
 //!
 //! * byte order (plain and `-f`): the line's first seven bytes, big-endian
 //!   (upper-cased under `-f`), then `min(len, 8)`. Two lines of up to seven
@@ -25,12 +24,52 @@
 //!   comparison.
 //!
 //! `sort` builds a `Vec` of `(key, offset, len)` over the input bytes — no
-//! copy of the input — sorts it, and writes one pre-sized output. `-m` is
-//! a loser tree over one cursor per stream, each holding its current
-//! line's key: `log2 k` comparisons per emitted line, stream index as the
-//! tie-break (earlier streams win, as GNU `sort -m` does), and no per-line
-//! allocation — under `-u` the "previous line" is a slice of its source
-//! stream.
+//! copy of the input — sorts it, and writes one pre-sized output.
+//!
+//! `-m` sees lines differently: the lines of sorted runs share prefixes far
+//! longer than seven bytes (`key 287 item 24…`, the count column under
+//! `-rn`, word pairs), so a seven-byte key would leave nearly every match
+//! to a byte compare from byte seven on. The merge is a loser tree over
+//! **offset-value codes** (Conner; Graefe & Do, "Offset-value coding in
+//! database query processing"). Every flag set is lexicographic order over
+//! a virtual *symbol string* per line, read lazily and never materialised;
+//! a symbol is a byte plus one, or 0 for the end of a part:
+//!
+//! | flags | symbol string |
+//! |---|---|
+//! | plain (`-u` or not) | the bytes, end |
+//! | `-f` | the upper-cased bytes, end, the bytes, end |
+//! | `-fu` | the upper-cased bytes, end |
+//! | `-n`, `-k1n` | the key's eight big-endian bytes, the bytes, end |
+//! | `-nu` | the key's eight bytes, end |
+//!
+//! The raw bytes after a folded or numeric lead are the last-resort order,
+//! which `-u` does without. `-r` complements every symbol, ends included;
+//! the stream index still breaks ties in stream order. In counted mode (see
+//! below) the bytes are those past the count column.
+//!
+//! A line's *code* against a base line it does not precede packs the first
+//! position where their strings differ and the line's symbol there into a
+//! `u64`, longer shared prefixes smaller: of two lines coded against one
+//! base, the smaller code is the earlier line, and equal lines are the
+//! code 0, "duplicate". Each tree node holds its loser coded against the
+//! line that beat it, and all of those on the winner's path are coded
+//! against the winner. So when a stream wins and moves on, its next line is
+//! coded against the line just emitted — one common-prefix scan, eight
+//! bytes at a time — and played up the path: each match is one integer
+//! compare, and only equal codes compare symbols, from the position after
+//! the shared one, re-coding the loser. Lines that are equal go to the
+//! earlier stream. A winner coded "duplicate" equals the line emitted
+//! before it: that is what `-u` drops and what a counted merge adds up.
+//!
+//! Per emitted line that is one newline scan (eight bytes at a time), one
+//! prefix scan against the line before, and `log2 k` integer compares,
+//! bytes touched again only where two streams' lines share the prefix up
+//! to their codes. No per-line allocation: the lines are slices of their
+//! streams. A stream that turns out unsorted (its next line precedes the
+//! last) is not an error: that line plays up its path with full compares,
+//! as every line did before codes, and the earliest current line still goes
+//! out first, as GNU `sort -m` does.
 //!
 //! The merge doubles as the implementation of the combiner DSL's
 //! `merge <flags>` operator (`unixMerge` in the paper, realized as
@@ -76,8 +115,8 @@
 //!
 //! Merging counted runs of the pieces of a stream, in any grouping, gives
 //! the counted run of the whole stream. The mode is a parameter of the
-//! merge loop's instantiation, not a test inside it: the plain merge is
-//! the code it was.
+//! merge loop's instantiation, not a test inside it: the plain merge does
+//! not test for it per line.
 
 use crate::uniq::{push_counted, split_counted};
 use crate::{Bytes, CmdError, ExecContext, UnixCommand};
@@ -260,12 +299,55 @@ fn folded(line: &[u8]) -> impl Iterator<Item = u8> + '_ {
     line.iter().map(u8::to_ascii_uppercase)
 }
 
+const ONES: u64 = 0x0101_0101_0101_0101;
+const HIGHS: u64 = 0x8080_8080_8080_8080;
+
+/// Eight bytes of `bytes` from `at`, the first in the low byte.
+fn word_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("eight bytes"))
+}
+
+/// The end of the line of `input` that starts at `at` — the offset of its
+/// newline, or `input.len()` — found eight bytes at a time: a word with a
+/// newline in it ends the line, and what precedes the newline is the
+/// line's last word. Every word of the line goes to `word` as it is read,
+/// the last one masked to the line's bytes (0 when the line ends on a word
+/// boundary): the counting table hashes lines that way ([`HashedLines`]),
+/// and a merge's streams pass `|_| {}`.
+#[inline(always)]
+fn line_end(input: &[u8], mut at: usize, mut word: impl FnMut(u64)) -> usize {
+    loop {
+        if at + 8 > input.len() {
+            // The last seven bytes of the input, one at a time.
+            let rest = &input[at..];
+            let len = rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
+            word(
+                rest[..len]
+                    .iter()
+                    .rev()
+                    .fold(0u64, |word, &b| word << 8 | u64::from(b)),
+            );
+            return at + len;
+        }
+        let w = word_at(input, at);
+        // A byte of `x` is zero where `w` has a newline, and the lowest set
+        // high bit of `found` marks the first such byte.
+        let x = w ^ (ONES * u64::from(b'\n'));
+        let found = x.wrapping_sub(ONES) & !x & HIGHS;
+        if found != 0 {
+            let len = (found.trailing_zeros() / 8) as usize;
+            word(w & ((1u64 << (8 * len)) - 1));
+            return at + len;
+        }
+        word(w);
+        at += 8;
+    }
+}
+
 /// The lines of a segment with the counting table's hash of each, found
-/// and hashed in one pass, eight bytes at a time: a word with a newline in
-/// it ends the line, and what precedes the newline is the line's last
-/// word. A line of up to seven bytes — a word stream has little else —
-/// costs one load, one newline test and two multiplications. An
-/// unterminated final line is a line; `""` holds none.
+/// and hashed in one pass by [`line_end`]. A line of up to seven bytes — a
+/// word stream has little else — costs one load, one newline test and two
+/// multiplications. An unterminated final line is a line; `""` holds none.
 struct HashedLines<'a> {
     input: &'a [u8],
     pos: usize,
@@ -276,8 +358,6 @@ impl<'a> Iterator for HashedLines<'a> {
     type Item = (&'a [u8], usize, u64);
 
     fn next(&mut self) -> Option<Self::Item> {
-        const ONES: u64 = 0x0101_0101_0101_0101;
-        const HIGHS: u64 = 0x8080_8080_8080_8080;
         const K: u64 = 0x9E37_79B9_7F4A_7C15;
         // Each word is multiplied in and its high half folded down, so the
         // low bits a table index takes depend on every byte.
@@ -289,32 +369,8 @@ impl<'a> Iterator for HashedLines<'a> {
         if start >= self.input.len() {
             return None;
         }
-        let (mut at, mut hash) = (start, 0u64);
-        let end = loop {
-            let Some(word) = self.input.get(at..at + 8) else {
-                // The last seven bytes of the segment, one at a time.
-                let rest = &self.input[at..];
-                let len = rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
-                let word = rest[..len]
-                    .iter()
-                    .rev()
-                    .fold(0u64, |word, &b| word << 8 | u64::from(b));
-                hash = mix(hash, word);
-                break at + len;
-            };
-            let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
-            // A byte of `x` is zero where `word` has a newline, and the
-            // lowest set high bit of `found` marks the first such byte.
-            let x = word ^ (ONES * u64::from(b'\n'));
-            let found = x.wrapping_sub(ONES) & !x & HIGHS;
-            if found != 0 {
-                let len = (found.trailing_zeros() / 8) as usize;
-                hash = mix(hash, word & ((1u64 << (8 * len)) - 1));
-                break at + len;
-            }
-            hash = mix(hash, word);
-            at += 8;
-        };
+        let mut hash = 0u64;
+        let end = line_end(self.input, start, |word| hash = mix(hash, word));
         self.pos = end + 1;
         // The length tells lines apart that differ in trailing NULs.
         let hash = mix(hash, (end - start) as u64);
@@ -705,9 +761,9 @@ impl LineOrder {
     }
 
     /// [`merge_fragments`](LineOrder::merge_fragments) for plain line
-    /// streams, or with `COUNTED` for counted runs: cursors hold each
-    /// line past its count column, and a line that compares equal to the
-    /// one held back adds its count to it instead of following it out.
+    /// streams, or with `COUNTED` for counted runs: streams hold each line
+    /// past its count column, and a line equal to the one held back adds
+    /// its count to it instead of following it out.
     fn merge_loop<const COUNTED: bool>(
         self,
         streams: &[&[u8]],
@@ -715,98 +771,59 @@ impl LineOrder {
         fragment_bytes: usize,
         sink: &mut MergeSink,
     ) -> Result<Vec<usize>, CmdError> {
-        let k = streams.len();
-        let mut cursors: Vec<Cursor> = streams
-            .iter()
-            .map(|s| Cursor::new::<COUNTED>(self, s))
-            .collect();
-        // True when stream `a`'s current line goes out before stream
-        // `b`'s: an exhausted stream loses to every live one, and equal
-        // lines leave in stream order.
-        let beats =
-            |cursors: &[Cursor], a: usize, b: usize| match (cursors[a].line, cursors[b].line) {
-                (Some(x), Some(y)) => self.compare(x, y).then(a.cmp(&b)) == Ordering::Less,
-                (x, _) => x.is_some(),
-            };
-        // A loser tree over the k cursors: leaf `i` sits at position
-        // `i + k` of an implicit binary tree, `tree[n]` for `1 <= n < k`
-        // holds the loser of the match played at node `n`, and `tree[0]`
-        // the overall winner. `replay` carries a contender from its leaf
-        // to the root; while the tree is being built a contender parks at
-        // the first empty node instead (the other subtree's winner plays
-        // it later).
-        const EMPTY: usize = usize::MAX;
-        let mut tree = vec![EMPTY; k.max(1)];
-        let replay = |tree: &mut [usize], cursors: &[Cursor], leaf: usize| {
-            let mut contender = leaf;
-            let mut node = (leaf + k) / 2;
-            while node > 0 {
-                if tree[node] == EMPTY {
-                    tree[node] = contender;
-                    return;
-                }
-                if beats(cursors, tree[node], contender) {
-                    std::mem::swap(&mut tree[node], &mut contender);
-                }
-                node /= 2;
-            }
-            tree[0] = contender;
-        };
-        for leaf in 0..k {
-            replay(&mut tree, &cursors, leaf);
-        }
-
-        let mut consumed = vec![0usize; k];
-        let mut prev: Option<(u64, &[u8])> = None;
-        // COUNTED: how often `prev` — held back, not yet written — has
-        // occurred so far.
-        let mut occurrences = 0u64;
-        while let Some(&winner) = tree.first().filter(|&&w| w != EMPTY) {
-            let cursor = &mut cursors[winner];
-            let Some(line) = cursor.line else {
-                break;
-            };
+        let mut tree = LoserTree::new::<COUNTED>(self, streams);
+        let mut consumed = vec![0usize; streams.len()];
+        // COUNTED: the line held back, not yet written, and how often it
+        // has occurred so far.
+        let mut held: Option<(&[u8], u64)> = None;
+        while let Some((code, winner)) = tree.winner() {
+            let stream = &tree.streams[winner];
+            let line = stream
+                .head
+                .expect("a winner that is not drained has a line");
             if COUNTED {
-                if prev.is_some_and(|p| self.compare(p, line) == Ordering::Equal) {
-                    occurrences = occurrences.saturating_add(cursor.count);
-                } else {
-                    if let Some(p) = prev {
-                        push_counted(buf, occurrences, p.1);
+                match &mut held {
+                    Some((_, n)) if code == DUPLICATE => *n = n.saturating_add(stream.count),
+                    _ => {
+                        if let Some((text, n)) = held {
+                            push_counted(buf, n, text);
+                        }
+                        held = Some((line.text, stream.count));
                     }
-                    prev = Some(line);
-                    occurrences = cursor.count;
                 }
-            } else {
-                let dup = self.flags.unique
-                    && prev.is_some_and(|p| self.key_compare(p, line) == Ordering::Equal);
-                if !dup {
-                    buf.extend_from_slice(line.1);
-                    buf.push(b'\n');
-                    prev = Some(line);
-                }
+            } else if !(self.flags.unique && code == DUPLICATE) {
+                buf.extend_from_slice(line.text);
+                buf.push(b'\n');
             }
-            consumed[winner] = streams[winner].len() - cursor.rest.len();
+            consumed[winner] = streams[winner].len() - stream.rest.len();
             if buf.len() >= fragment_bytes {
                 sink(buf, &consumed)?;
                 buf.clear();
             }
-            cursor.advance::<COUNTED>(self);
-            // A line equal to the one that just won wins the same matches
-            // (sorted word streams repeat lines in long runs); anything
-            // else plays its way up again.
-            let repeated = cursor
-                .line
-                .is_some_and(|next| self.compare(line, next) == Ordering::Equal);
-            if !repeated {
-                replay(&mut tree, &cursors, winner);
-            }
+            tree.advance::<COUNTED>(winner, line);
         }
-        if COUNTED {
-            if let Some(p) = prev {
-                push_counted(buf, occurrences, p.1);
-            }
+        if let Some((text, n)) = held {
+            push_counted(buf, n, text);
         }
         Ok(consumed)
+    }
+
+    /// The symbol string this order merges by (see the
+    /// [module docs](self)).
+    fn symbols(self) -> Symbols {
+        let lead = if self.numeric() {
+            Lead::Numeric
+        } else if self.flags.fold_case {
+            Lead::Folded
+        } else {
+            Lead::Bytes
+        };
+        Symbols {
+            order: self,
+            lead,
+            tail: !self.flags.unique,
+            reverse: self.flags.reverse,
+        }
     }
 
     /// Cuts `runs` — each sorted under this order, the way `sort <flags>`
@@ -935,44 +952,401 @@ fn line_around(run: &[u8], from: usize, pos: usize) -> (usize, usize) {
     (start, end)
 }
 
-/// A position in a stream of lines, holding the current line decorated
-/// with its key. `"\n"` holds one empty line, `""` none, and an
-/// unterminated final line is a line. `COUNTED` cursors read counted runs:
-/// the current line is what follows the count column, the count beside it.
-struct Cursor<'a> {
-    /// The current line, `None` once the stream is exhausted.
-    line: Option<(u64, &'a [u8])>,
-    /// The current line's count (`COUNTED` cursors only).
+/// What a symbol string starts with (see the [module docs](self)).
+#[derive(Debug, Clone, Copy)]
+enum Lead {
+    /// The line's bytes: plain byte order.
+    Bytes,
+    /// The line's bytes, ASCII upper-cased: `-f`.
+    Folded,
+    /// The eight big-endian bytes of the line's numeric key: `-n`, `-k1n`.
+    Numeric,
+}
+
+/// The symbol string of one flag set: the order a merge compares lines by.
+#[derive(Debug, Clone, Copy)]
+struct Symbols {
+    /// The order, for its numeric key.
+    order: LineOrder,
+    lead: Lead,
+    /// The line's bytes follow a folded or numeric lead: the last-resort
+    /// order, absent under `-u`.
+    tail: bool,
+    /// `-r`: every symbol complemented.
+    reverse: bool,
+}
+
+/// The symbol that ends a part of a symbol string; a byte `b` is `b + 1`.
+const END: u32 = 0;
+/// The largest symbol: `-r` maps a symbol `s` to `MAX_SYMBOL - s`.
+const MAX_SYMBOL: u32 = 256;
+
+/// The code of a line equal to its base.
+const DUPLICATE: u64 = 0;
+/// The code of a drained stream: after every line.
+const DRAINED: u64 = u64::MAX;
+/// Low bits of a code that hold the symbol (`0..=MAX_SYMBOL`).
+const SYMBOL_BITS: u32 = 9;
+/// Offsets are stored as `OFFSET_LIMIT - offset`, so that a longer prefix
+/// shared with the base is a smaller code; no offset reaches it.
+const OFFSET_LIMIT: u64 = 1 << 48;
+
+/// The offset-value code of a line whose symbol string first differs from
+/// its base's at `offset`, where the line has `symbol`.
+fn ovc(offset: usize, symbol: u32) -> u64 {
+    (OFFSET_LIMIT - offset as u64) << SYMBOL_BITS | u64::from(symbol)
+}
+
+/// The offset a code (not [`DUPLICATE`] or [`DRAINED`]) was made from.
+fn ovc_offset(code: u64) -> usize {
+    (OFFSET_LIMIT - (code >> SYMBOL_BITS)) as usize
+}
+
+/// ASCII upper-casing of eight bytes at once: a byte in `a..=z` loses
+/// `0x20`, every other byte stays as it is.
+fn upper_word(w: u64) -> u64 {
+    // The low seven bits of each byte, offset so that a byte's high bit
+    // says "at least `a`" and "past `z`"; no sum carries into the next byte.
+    let low = w & !HIGHS;
+    let from_a = low + ONES * (0x80 - u64::from(b'a'));
+    let past_z = low + ONES * (0x80 - u64::from(b'z') - 1);
+    let lower = from_a & !past_z & !w & HIGHS;
+    w - (lower >> 2)
+}
+
+/// The first index at or after `from` where `a` and `b` differ — as bytes,
+/// or upper-cased when `fold` — with the symbol of each there (a byte plus
+/// one, [`END`] past its end); `None` when they agree from `from` on.
+/// Callers know the two agree before `from`, so `from` past the end of one
+/// means both ended there.
+#[inline]
+fn first_diff(a: &[u8], b: &[u8], from: usize, fold: bool) -> Option<(usize, u32, u32)> {
+    let n = a.len().min(b.len());
+    let mut at = from;
+    if at > n {
+        return None;
+    }
+    let fold_byte = |c: u8| if fold { c.to_ascii_uppercase() } else { c };
+    while at + 8 <= n {
+        let (x, y) = (word_at(a, at), word_at(b, at));
+        let differ = if fold {
+            upper_word(x) ^ upper_word(y)
+        } else {
+            x ^ y
+        };
+        if differ != 0 {
+            at += (differ.trailing_zeros() / 8) as usize;
+            break;
+        }
+        at += 8;
+    }
+    while at < n && fold_byte(a[at]) == fold_byte(b[at]) {
+        at += 1;
+    }
+    let symbol = |s: &[u8]| s.get(at).map_or(END, |&c| u32::from(fold_byte(c)) + 1);
+    let (x, y) = (symbol(a), symbol(b));
+    (x != y).then_some((at, x, y))
+}
+
+/// The bytes `data[start..end]`, at most eight of them, as a big-endian
+/// word, zero-padded: one load where `data` has eight bytes from `start`.
+fn lead_word(data: &[u8], start: usize, end: usize) -> u64 {
+    let len = end - start;
+    let word = if start + 8 <= data.len() {
+        let w = word_at(data, start);
+        if len >= 8 {
+            w
+        } else {
+            w & ((1u64 << (8 * len)) - 1)
+        }
+    } else {
+        data[start..end]
+            .iter()
+            .rev()
+            .fold(0u64, |w, &b| w << 8 | u64::from(b))
+    };
+    word.swap_bytes()
+}
+
+/// [`first_diff`] over a line's bytes, the first eight positions decided
+/// by the heads' words: a line of up to eight bytes is one XOR.
+#[inline]
+fn bytes_diff(a: Head, b: Head, from: usize, fold: bool) -> Option<(usize, u32, u32)> {
+    let n = a.text.len().min(b.text.len());
+    let mut at = from;
+    if at < 8 && at <= n {
+        // Past a line's end its word is zero-padded, so a difference the
+        // words show past the shorter line's end is read at that end.
+        let differ = (a.word ^ b.word) << (8 * at);
+        at = if differ == 0 {
+            n.min(8)
+        } else {
+            n.min(at + (differ.leading_zeros() / 8) as usize)
+        };
+    }
+    first_diff(a.text, b.text, at, fold)
+}
+
+impl Symbols {
+    /// The first position at or after `from` where the symbol strings of
+    /// `a` and `b` differ, with the symbol of each there; `None` when they
+    /// are equal from `from` on. The strings must agree before `from`.
+    #[inline(always)]
+    fn diff(self, a: Head, b: Head, from: usize) -> Option<(usize, u32, u32)> {
+        // The bytes as the part after a lead of `skip` symbols.
+        let tail = |skip: usize| {
+            first_diff(a.text, b.text, from.saturating_sub(skip), false)
+                .map(|(at, x, y)| (skip + at, x, y))
+        };
+        let found = match self.lead {
+            Lead::Bytes => bytes_diff(a, b, from, false),
+            Lead::Folded => {
+                let folded = if from <= a.text.len().min(b.text.len()) {
+                    bytes_diff(a, b, from, true)
+                } else {
+                    None
+                };
+                // Equal folded, so equally long: the bytes follow the end.
+                if folded.is_none() && self.tail {
+                    tail(a.text.len() + 1)
+                } else {
+                    folded
+                }
+            }
+            Lead::Numeric => {
+                let keys = if from < 8 {
+                    (a.word ^ b.word) << (8 * from)
+                } else {
+                    0
+                };
+                if keys != 0 {
+                    let at = from + (keys.leading_zeros() / 8) as usize;
+                    let symbol = |key: u64| u32::from((key >> (56 - 8 * at)) as u8) + 1;
+                    Some((at, symbol(a.word), symbol(b.word)))
+                } else if self.tail {
+                    tail(8)
+                } else {
+                    None
+                }
+            }
+        };
+        found.map(|(at, x, y)| (at, self.orient(x), self.orient(y)))
+    }
+
+    /// The first symbol of a line's string: its code against the empty
+    /// base, which every line follows, is `ovc(0, first)`.
+    fn first(self, head: Head) -> u32 {
+        self.orient(match self.lead {
+            Lead::Bytes => head.text.first().map_or(END, |&b| u32::from(b) + 1),
+            Lead::Folded => head
+                .text
+                .first()
+                .map_or(END, |&b| u32::from(b.to_ascii_uppercase()) + 1),
+            Lead::Numeric => (head.word >> 56) as u32 + 1,
+        })
+    }
+
+    fn orient(self, symbol: u32) -> u32 {
+        if self.reverse {
+            MAX_SYMBOL - symbol
+        } else {
+            symbol
+        }
+    }
+}
+
+/// A line as a merge compares it: its bytes (past the count column in
+/// counted mode) and the first eight symbols of its string's lead as one
+/// big-endian word — the numeric key, or the first eight bytes
+/// (upper-cased under `-f`) zero-padded.
+#[derive(Clone, Copy)]
+struct Head<'a> {
+    text: &'a [u8],
+    word: u64,
+}
+
+/// One input of a merge, at its current line. `"\n"` holds one empty line,
+/// `""` none, and an unterminated final line is a line. A counted stream's
+/// line is what follows the count column, the count beside it.
+struct Stream<'a> {
+    /// The current line, `None` once the stream is drained.
+    head: Option<Head<'a>>,
+    /// The current line's count (counted streams only).
     count: u64,
     /// What follows the current line and its newline.
     rest: &'a [u8],
 }
 
-impl<'a> Cursor<'a> {
-    fn new<const COUNTED: bool>(order: LineOrder, data: &'a [u8]) -> Cursor<'a> {
-        let mut cursor = Cursor {
-            line: None,
+impl<'a> Stream<'a> {
+    fn new<const COUNTED: bool>(symbols: Symbols, data: &'a [u8]) -> Stream<'a> {
+        let mut stream = Stream {
+            head: None,
             count: 0,
             rest: data,
         };
-        cursor.advance::<COUNTED>(order);
-        cursor
+        stream.advance::<COUNTED>(symbols);
+        stream
     }
 
-    fn advance<const COUNTED: bool>(&mut self, order: LineOrder) {
-        self.line = None;
+    #[inline(always)]
+    fn advance<const COUNTED: bool>(&mut self, symbols: Symbols) {
+        self.head = None;
         if !self.rest.is_empty() {
-            let end = self
-                .rest
-                .iter()
-                .position(|&b| b == b'\n')
-                .unwrap_or(self.rest.len());
+            let end = line_end(self.rest, 0, |_| {});
             let (mut text, rest) = self.rest.split_at(end);
             if COUNTED {
                 (self.count, text) = split_counted(text);
             }
-            self.line = Some((order.key(text), text));
+            let lead = lead_word(self.rest, end - text.len(), end);
+            let word = match symbols.lead {
+                Lead::Bytes => lead,
+                Lead::Folded => upper_word(lead),
+                Lead::Numeric => symbols.order.key(text),
+            };
+            self.head = Some(Head { text, word });
             self.rest = rest.get(1..).unwrap_or(&[]);
+        }
+    }
+}
+
+/// A parked-at marker: the node has no contender yet (the tree is being
+/// built).
+const EMPTY: usize = usize::MAX;
+
+/// The merge's tournament: a loser tree over offset-value codes (see "The
+/// kernel" in the [module docs](self)).
+struct LoserTree<'a> {
+    symbols: Symbols,
+    streams: Vec<Stream<'a>>,
+    /// `(code, stream)`. Leaf `i` sits at position `i + k` of an implicit
+    /// binary tree; `nodes[n]` for `1 <= n < k` holds the loser of the match
+    /// played at node `n`, coded against that match's winner, and
+    /// `nodes[0]` the overall winner, coded against the line that won
+    /// before it.
+    nodes: Vec<(u64, usize)>,
+}
+
+impl<'a> LoserTree<'a> {
+    fn new<const COUNTED: bool>(order: LineOrder, data: &[&'a [u8]]) -> LoserTree<'a> {
+        let symbols = order.symbols();
+        let mut tree = LoserTree {
+            symbols,
+            streams: data
+                .iter()
+                .map(|d| Stream::new::<COUNTED>(symbols, d))
+                .collect(),
+            nodes: vec![(DRAINED, EMPTY); data.len().max(1)],
+        };
+        // Every stream's line plays up from its leaf, coded against the
+        // empty base; a contender parks at the first empty node (the other
+        // subtree's winner plays it later).
+        for leaf in 0..data.len() {
+            let code = tree.streams[leaf]
+                .head
+                .map_or(DRAINED, |head| ovc(0, symbols.first(head)));
+            tree.replay(leaf, code);
+        }
+        tree
+    }
+
+    /// The overall winner and its code, `None` once every stream is drained.
+    fn winner(&self) -> Option<(u64, usize)> {
+        let (code, winner) = self.nodes[0];
+        (code != DRAINED).then_some((code, winner))
+    }
+
+    /// Carries stream `leaf`, its line coded `code` against the base every
+    /// node on its path holds codes against, from its leaf to the root.
+    #[inline(always)]
+    fn replay(&mut self, leaf: usize, mut code: u64) {
+        let k = self.streams.len();
+        let mut winner = leaf;
+        let mut node = (leaf + k) / 2;
+        while node > 0 {
+            let (held_code, held) = self.nodes[node];
+            if held == EMPTY {
+                self.nodes[node] = (code, winner);
+                return;
+            }
+            if held_code == code {
+                // The same code against the same base: the strings agree
+                // through its offset (or are equal, or both drained).
+                let (held_wins, loser_code) = match code {
+                    DUPLICATE | DRAINED => (held < winner, code),
+                    _ => self.decide(held, winner, ovc_offset(code) + 1),
+                };
+                if held_wins {
+                    self.nodes[node] = (loser_code, winner);
+                    winner = held;
+                } else {
+                    self.nodes[node].0 = loser_code;
+                }
+            } else if held_code < code {
+                self.nodes[node] = (code, winner);
+                (code, winner) = (held_code, held);
+            }
+            node /= 2;
+        }
+        self.nodes[0] = (code, winner);
+    }
+
+    /// Carries stream `leaf` from its leaf to the root comparing lines from
+    /// their first symbol: its line precedes the one the codes on its path
+    /// are against, so they cannot order it. Each loser on the way is
+    /// re-coded against the line that beat it, which is what codes mean.
+    fn replay_in_full(&mut self, leaf: usize) {
+        let k = self.streams.len();
+        let mut winner = leaf;
+        let mut node = (leaf + k) / 2;
+        while node > 0 {
+            let held = self.nodes[node].1;
+            let (held_wins, loser_code) = self.decide(held, winner, 0);
+            if held_wins {
+                self.nodes[node] = (loser_code, winner);
+                winner = held;
+            } else {
+                self.nodes[node].0 = loser_code;
+            }
+            node /= 2;
+        }
+        self.nodes[0].1 = winner;
+    }
+
+    /// Plays stream `a` against stream `b`, whose lines' symbol strings
+    /// agree before `from`: whether `a` wins, and the loser's code against
+    /// the winner. A drained stream loses to a live one, and equal lines go
+    /// to the earlier stream, the loser coded a duplicate.
+    fn decide(&self, a: usize, b: usize, from: usize) -> (bool, u64) {
+        match (self.streams[a].head, self.streams[b].head) {
+            (Some(x), Some(y)) => match self.symbols.diff(x, y, from) {
+                None => (a < b, DUPLICATE),
+                Some((at, sx, sy)) if sx < sy => (true, ovc(at, sy)),
+                Some((at, sx, _)) => (false, ovc(at, sx)),
+            },
+            (x, y) => (x.is_some() || (y.is_none() && a < b), DRAINED),
+        }
+    }
+
+    /// Moves stream `winner` past `line`, the line it just gave the
+    /// output, and plays its next line coded against `line`.
+    fn advance<const COUNTED: bool>(&mut self, winner: usize, line: Head<'a>) {
+        let stream = &mut self.streams[winner];
+        stream.advance::<COUNTED>(self.symbols);
+        let Some(next) = stream.head else {
+            return self.replay(winner, DRAINED);
+        };
+        match self.symbols.diff(line, next, 0) {
+            // Equal to the line that just won, so it wins the same matches:
+            // the codes on its path are against that line already.
+            None => self.nodes[0].0 = DUPLICATE,
+            Some((at, x, y)) if x < y => self.replay(winner, ovc(at, y)),
+            // The stream is not sorted: `next` precedes `line`, so it
+            // precedes every other stream's line too and wins its way up.
+            // It is no duplicate; its code against the empty base says so.
+            Some(_) => {
+                self.replay_in_full(winner);
+                self.nodes[0].0 = ovc(0, self.symbols.first(next));
+            }
         }
     }
 }
@@ -1370,12 +1744,12 @@ mod tests {
         "", "-r", "-n", "-rn", "-nr", "-f", "-u", "-nu", "-fu", "-k1n", "-ru", "-fr", "-nf",
     ];
 
-    /// Lines that sit on every edge of the key encoding: empty, shorter
-    /// and longer than the seven-byte prefix, sharing seven and eight
-    /// bytes, NULs where the padding is, high bytes inside valid UTF-8,
-    /// case pairs, and the numeric spellings (`-0`/`0`, `+5`, `.5`,
+    /// Lines that sit on every edge of the sort's key encoding: empty,
+    /// shorter and longer than the seven-byte prefix, sharing seven and
+    /// eight bytes, NULs where the padding is, high bytes inside valid
+    /// UTF-8, case pairs, and the numeric spellings (`-0`/`0`, `+5`, `.5`,
     /// leading blanks, trailing garbage, no number at all, overflow).
-    const VOCABULARY: [&str; 60] = [
+    const KEY_EDGES: [&str; 60] = [
         "",
         " ",
         "a",
@@ -1438,10 +1812,63 @@ mod tests {
         "99999999999999999998",
     ];
 
+    /// [`KEY_EDGES`] and the lines on the edges of the merge's codes:
+    /// lines sharing 8, 15, 16, 17, 40 and 100-byte prefixes — around the
+    /// eight-byte words of the prefix scan, behind a count column that
+    /// gives every one the numeric key 1 — that differ only in their last
+    /// byte, only in case, or by ending; prefix chains `a`, `ab`, `abc`, …;
+    /// U+10FFFF next to ASCII; and numeric keys one ulp apart.
+    fn vocabulary() -> &'static [String] {
+        static WORDS: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
+        WORDS.get_or_init(|| {
+            const LONG: &str = "      1 key 287 item 24 wolf dog Apple Pear yak emu \
+                newt fox bird CAT 0123456789 the quick brown fox jumps over the lazy dog";
+            let mut words: Vec<String> = KEY_EDGES.iter().map(|&w| w.to_owned()).collect();
+            for p in [8, 15, 16, 17, 40, 100] {
+                let prefix = &LONG[..p];
+                words.push(prefix.to_owned());
+                for last in ["a", "b", "B", "\0"] {
+                    words.push(format!("{prefix}{last}"));
+                }
+                words.push(format!("{}a", prefix.to_ascii_uppercase()));
+            }
+            let alphabet = "abcdefghijklmnopq";
+            words.extend((1..=alphabet.len()).map(|n| alphabet[..n].to_owned()));
+            words.push(alphabet.to_ascii_uppercase());
+            for w in [
+                "\u{10FFFF}",
+                "a\u{10FFFF}",
+                "\u{10FFFF}a",
+                "abcdefg\u{10FFFF}",
+            ] {
+                words.push(w.to_owned());
+            }
+            // Numeric keys that differ only in their last byte (1 and the
+            // next `f64`), and spellings of 1 that differ in their first.
+            for w in [" 1", "1", "1.0000000000000002"] {
+                words.push(w.to_owned());
+            }
+            let mut seen = std::collections::HashSet::new();
+            words.retain(|w| seen.insert(w.clone()));
+            words
+        })
+    }
+
+    /// A segment size that cuts `input` into segments of a line or two:
+    /// 24 bytes, or the longest line if that is longer.
+    fn small_segment(input: &str) -> usize {
+        input
+            .split('\n')
+            .map(|l| l.len() + 1)
+            .max()
+            .unwrap_or(0)
+            .max(24)
+    }
+
     fn text(picks: &[usize], final_newline: bool) -> String {
         let mut s: String = picks
             .iter()
-            .map(|&i| format!("{}\n", VOCABULARY[i]))
+            .map(|&i| format!("{}\n", vocabulary()[i]))
             .collect();
         if !final_newline {
             s.pop();
@@ -1705,42 +2132,153 @@ mod tests {
     }
 
     /// The counted mode is an instantiation of the merge loop, not a test
-    /// in it: an eight-way merge of a few MiB of short lines keeps a pace
-    /// no per-line detour leaves room for. (Optimised builds only, best of
-    /// five: this is a floor at a third of what the loop does on a laptop
-    /// core, not a benchmark.)
+    /// in it, and matches are integer compares: a merge of a few MiB keeps
+    /// a pace no per-line detour leaves room for — eight runs of short
+    /// lines, and 64 runs of lines that share a 13-byte prefix, where a
+    /// comparator that re-read the shared bytes at every tree level would
+    /// fall behind. (Optimised builds only, best of five: floors, not
+    /// benchmarks. The shared-prefix floor is a third of the ~265 MB/s the
+    /// loop does on one core of a 2-core host; the short-line floor was a
+    /// third of the key-cached loop's pace on a laptop core, and this loop
+    /// does ~330 MB/s there.)
     #[test]
     #[cfg(not(debug_assertions))]
     fn plain_merge_keeps_its_pace() {
-        const PLAIN_MERGE_FLOOR_MBPS: f64 = 40.0;
-        let runs: Vec<Vec<u8>> = (0..8u64)
-            .map(|r| {
-                let mut lines: Vec<u64> = (0..100_000u64)
-                    .map(|i| (i * 8 + r).wrapping_mul(0x9E37_79B9_7F4A_7C15) % 1_000_000)
-                    .collect();
-                lines.sort_unstable();
-                lines
-                    .iter()
-                    .map(|n| format!("{n:06}\n"))
-                    .collect::<String>()
-                    .into_bytes()
-            })
-            .collect();
-        let views: Vec<&[u8]> = runs.iter().map(Vec::as_slice).collect();
-        let bytes: usize = views.iter().map(|v| v.len()).sum();
-        let best = (0..5)
-            .map(|_| {
-                let t0 = std::time::Instant::now();
-                assert_eq!(std::hint::black_box(order("").merge(&views)).len(), bytes);
-                t0.elapsed()
-            })
-            .min()
-            .unwrap();
-        let mbps = bytes as f64 / 1e6 / best.as_secs_f64();
+        const SHORT_LINES_FLOOR_MBPS: f64 = 40.0;
+        const SHARED_PREFIX_FLOOR_MBPS: f64 = 85.0;
+        let runs = |k: u64, lines: u64, line: &dyn Fn(u64) -> String| -> Vec<Vec<u8>> {
+            (0..k)
+                .map(|r| {
+                    let mut keys: Vec<u64> = (0..lines)
+                        .map(|i| (i * k + r).wrapping_mul(0x9E37_79B9_7F4A_7C15) % 10_000_000)
+                        .collect();
+                    keys.sort_unstable();
+                    keys.iter()
+                        .map(|&n| line(n))
+                        .collect::<String>()
+                        .into_bytes()
+                })
+                .collect()
+        };
+        let pace = |runs: &[Vec<u8>]| {
+            let views: Vec<&[u8]> = runs.iter().map(Vec::as_slice).collect();
+            let bytes: usize = views.iter().map(|v| v.len()).sum();
+            let best = (0..5)
+                .map(|_| {
+                    let t0 = std::time::Instant::now();
+                    assert_eq!(std::hint::black_box(order("").merge(&views)).len(), bytes);
+                    t0.elapsed()
+                })
+                .min()
+                .unwrap();
+            bytes as f64 / 1e6 / best.as_secs_f64()
+        };
+        let short = pace(&runs(8, 100_000, &|n| format!("{:06}\n", n % 1_000_000)));
         assert!(
-            mbps >= PLAIN_MERGE_FLOOR_MBPS,
-            "plain merge at {mbps:.0} MB/s"
+            short >= SHORT_LINES_FLOOR_MBPS,
+            "plain merge of short lines at {short:.0} MB/s"
         );
+        let shared = pace(&runs(64, 6_000, &|n| format!("key 287 item {n:07}\n")));
+        assert!(
+            shared >= SHARED_PREFIX_FLOOR_MBPS,
+            "plain merge of lines with a shared prefix at {shared:.0} MB/s"
+        );
+    }
+
+    /// The eight-byte case folding of the prefix scan is the byte's.
+    #[test]
+    fn upper_word_folds_every_byte_alone() {
+        for b in 0..=255u8 {
+            for at in 0..8 {
+                // The byte among neighbours that sit on the range edges.
+                let mut bytes = *b"`az{@AZ[";
+                bytes[at] = b;
+                let expect = bytes.map(|c| c.to_ascii_uppercase());
+                let word = u64::from_le_bytes(bytes);
+                assert_eq!(
+                    upper_word(word),
+                    u64::from_le_bytes(expect),
+                    "{b:#x} at {at}"
+                );
+            }
+        }
+    }
+
+    /// The stream-count shapes of the k-way tests: one stream, powers of
+    /// two and their neighbours, and more streams than any batch merges.
+    const WAYS: [usize; 9] = [1, 2, 3, 5, 31, 33, 64, 65, 130];
+
+    /// Every fragment `merge_to` hands out in fragments of `bytes`,
+    /// concatenated; the consumed progress after each.
+    fn fragments(order: LineOrder, streams: &[&[u8]], bytes: usize) -> (Vec<u8>, Vec<Vec<usize>>) {
+        let (mut out, mut progress) = (Vec::new(), Vec::new());
+        order
+            .merge_to(streams, bytes, &mut |frag, consumed| {
+                out.extend_from_slice(frag);
+                progress.push(consumed.to_vec());
+                Ok(())
+            })
+            .unwrap();
+        (out, progress)
+    }
+
+    #[test]
+    fn identical_streams_leave_in_stream_order() {
+        for k in WAYS {
+            // One line repeated in every stream: the merge drains stream 0,
+            // then stream 1, and so on.
+            let line = "      1 key 287 item 24 wolf dog\n".repeat(2);
+            let streams = vec![line.as_bytes(); k];
+            for flags in FLAG_SETS {
+                let order = order(flags);
+                let (out, progress) = fragments(order, &streams, 1);
+                let expect = if order.flags.unique {
+                    &line[..line.len() / 2]
+                } else {
+                    &line.repeat(k)
+                };
+                assert_eq!(
+                    std::str::from_utf8(&out).unwrap(),
+                    expect,
+                    "{flags} over {k}"
+                );
+                if !order.flags.unique {
+                    for consumed in progress {
+                        let open = consumed.iter().position(|&c| c < line.len()).unwrap_or(k);
+                        assert!(
+                            consumed[open..].iter().skip(1).all(|&c| c == 0),
+                            "{flags} over {k}: {consumed:?}"
+                        );
+                    }
+                }
+            }
+            // Key-equal spellings, one per stream: `-u` keeps the first.
+            let spellings = |spell: &dyn Fn(usize) -> String| -> Vec<String> {
+                (0..k).map(|i| format!("{}\n", spell(i))).collect()
+            };
+            for (flags, spelled) in [
+                ("-nu", spellings(&|i| format!("{}7", "0".repeat(i)))),
+                ("-rnu", spellings(&|i| format!("{}7 x", " ".repeat(i)))),
+                (
+                    "-fu",
+                    spellings(&|i| format!("{i:08b}").replace('0', "a").replace('1', "A")),
+                ),
+            ] {
+                let views: Vec<&str> = spelled.iter().map(String::as_str).collect();
+                assert_eq!(merge(flags, &views), spelled[0], "{flags} over {k}");
+            }
+            // Counts add up past 10^7 and widen the column.
+            let each = 10_000_000 / k as u64 + 1;
+            let counted = format!("{each:>7} x\n{:>7} y\n", 1);
+            let streams = vec![counted.as_bytes(); k];
+            let merged = order("").counted().merge(&streams);
+            let sum = each * k as u64;
+            assert_eq!(
+                String::from_utf8(merged).unwrap(),
+                format!("{sum} x\n{k:>7} y\n"),
+                "over {k}"
+            );
+        }
     }
 
     proptest! {
@@ -1758,7 +2296,7 @@ mod tests {
 
         #[test]
         fn prop_sort_equals_the_reference_comparator(
-            picks in proptest::collection::vec(0usize..VOCABULARY.len(), 0..48),
+            picks in proptest::collection::vec(0usize..vocabulary().len(), 0..48),
             final_newline in 0usize..2,
         ) {
             let input = text(&picks, final_newline == 1);
@@ -1766,7 +2304,7 @@ mod tests {
                 let order = order(flags);
                 let expect = reference::sort_lines(&input, order.flags);
                 // In one segment, and in segments of a line or two.
-                for max_segment in [MAX_SEGMENT, 24] {
+                for max_segment in [MAX_SEGMENT, small_segment(&input)] {
                     let got = order.sort(input.as_bytes(), max_segment).unwrap();
                     prop_assert_eq!(
                         &String::from_utf8(got).unwrap(),
@@ -1780,7 +2318,7 @@ mod tests {
         #[test]
         fn prop_merge_equals_the_reference_comparator(
             streams in proptest::collection::vec(
-                (proptest::collection::vec(0usize..VOCABULARY.len(), 0..12), 0usize..2),
+                (proptest::collection::vec(0usize..vocabulary().len(), 0..12), 0usize..2),
                 0..6,
             ),
         ) {
@@ -1822,9 +2360,80 @@ mod tests {
         }
 
         #[test]
+        fn prop_k_way_merges_equal_the_reference(
+            ways in 0usize..WAYS.len(),
+            picks in proptest::collection::vec(0usize..vocabulary().len(), 0..240),
+            lump in 1usize..5,
+            unterminated in 0u64..u64::MAX,
+        ) {
+            // Picks go to the streams in lumps of consecutive picks, so
+            // streams share lines and runs; a stream may end unterminated.
+            let k = WAYS[ways];
+            let mut texts = vec![String::new(); k];
+            for (j, &p) in picks.iter().enumerate() {
+                texts[(j / lump) % k].push_str(&format!("{}\n", vocabulary()[p]));
+            }
+            let cut = |i: usize, mut s: String| {
+                if unterminated >> (i % 64) & 1 == 1 {
+                    s.pop();
+                }
+                s
+            };
+            let check = |order: LineOrder, runs: &[String], expect: &str| {
+                let views: Vec<&[u8]> = runs.iter().map(|s| s.as_bytes()).collect();
+                prop_assert_eq!(String::from_utf8(order.merge(&views)).unwrap(), expect);
+                for bytes in [1, 5] {
+                    let (out, _) = fragments(order, &views, bytes);
+                    prop_assert_eq!(String::from_utf8(out).unwrap(), expect);
+                }
+                Ok(())
+            };
+            for flags in FLAG_SETS {
+                let order = order(flags);
+                let sorted: Vec<String> = texts
+                    .iter()
+                    .enumerate()
+                    .map(|(i, t)| cut(i, reference::sort_lines(t, order.flags)))
+                    .collect();
+                let views: Vec<&str> = sorted.iter().map(String::as_str).collect();
+                check(order, &sorted, &reference::merge_sorted(&views, order.flags))?;
+            }
+            let whole: String = texts.concat();
+            for flags in COUNTED_FLAG_SETS {
+                let order = order(flags).counted();
+                let counted: Vec<String> = texts
+                    .iter()
+                    .enumerate()
+                    .map(|(i, t)| cut(i, counted_reference(t, order.flags)))
+                    .collect();
+                check(order, &counted, &counted_reference(&whole, order.flags))?;
+            }
+        }
+
+        /// `sort -m` of streams that are not sorted still sends the
+        /// earliest current line out first, as the reference does.
+        #[test]
+        fn prop_merge_of_unsorted_streams_takes_the_earliest_line(
+            streams in proptest::collection::vec(
+                (proptest::collection::vec(0usize..vocabulary().len(), 0..12), 0usize..2),
+                0..6,
+            ),
+        ) {
+            let texts: Vec<String> = streams
+                .iter()
+                .map(|(picks, final_newline)| text(picks, *final_newline == 1))
+                .collect();
+            let views: Vec<&str> = texts.iter().map(String::as_str).collect();
+            for flags in FLAG_SETS {
+                let expect = reference::merge_sorted(&views, order(flags).flags);
+                prop_assert_eq!(&merge(flags, &views), &expect, "merge {} of {:?}", flags, views);
+            }
+        }
+
+        #[test]
         fn prop_part_merges_concatenate_to_the_flat_merge(
             streams in proptest::collection::vec(
-                (proptest::collection::vec(0usize..VOCABULARY.len(), 0..12), 0usize..2),
+                (proptest::collection::vec(0usize..vocabulary().len(), 0..12), 0usize..2),
                 0..6,
             ),
         ) {
@@ -1856,7 +2465,7 @@ mod tests {
 
         #[test]
         fn prop_counted_kernel_equals_uniq_c_of_the_reference_sort(
-            picks in proptest::collection::vec(0usize..VOCABULARY.len(), 0..48),
+            picks in proptest::collection::vec(0usize..vocabulary().len(), 0..48),
             final_newline in 0usize..2,
         ) {
             let input = text(&picks, final_newline == 1);
@@ -1869,7 +2478,7 @@ mod tests {
                     "sort {} | uniq -c of {:?}", flags, input
                 );
                 // In segments of a line or two, the merge adding them up.
-                let got = order.sort(input.as_bytes(), 24).unwrap();
+                let got = order.sort(input.as_bytes(), small_segment(&input)).unwrap();
                 prop_assert_eq!(&String::from_utf8(got).unwrap(), &expect);
             }
         }
@@ -1877,7 +2486,7 @@ mod tests {
         #[test]
         fn prop_counted_merges_equal_the_pair_on_the_concatenation(
             streams in proptest::collection::vec(
-                (proptest::collection::vec(0usize..VOCABULARY.len(), 0..12), 0usize..2),
+                (proptest::collection::vec(0usize..vocabulary().len(), 0..12), 0usize..2),
                 0..6,
             ),
         ) {

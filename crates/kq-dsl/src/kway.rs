@@ -200,7 +200,12 @@ fn combine_pair(
 ///   a small merge frontier rather than one run per arity-batch of
 ///   arrivals. Each byte moves through at most two merges (versus one for
 ///   the all-at-once merge — that's the price of overlapping — and
-///   `log k` for a pairwise tree);
+///   `log k` for a pairwise tree). A merge costs one prefix scan per line
+///   plus `log2 k` integer compares (the offset-value-coded loser tree of
+///   [`LineOrder::merge`]): on 31-byte keyed lines with long shared
+///   prefixes, ~90 ns/line for a 64-way batch and ~65 ns/line for an
+///   8-way closing merge on one core of a 2-core host (152 and 97 ns/line
+///   with the seven-byte-key comparator before it);
 /// * everything else (the structural stitches, arithmetic folds) — a
 ///   binary-counter tree fold: slot *i* holds a combined group of `2^i`
 ///   adjacent pieces, so each push performs O(1) amortized combines and

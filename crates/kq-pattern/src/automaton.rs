@@ -1136,6 +1136,20 @@ mod tests {
     }
 
     #[test]
+    fn replacing_in_a_line_without_a_match_is_linear() {
+        let line = "a".repeat(64 * 1024);
+        let copy = line.clone();
+        let (first, all) = within_two_seconds(move || {
+            let re = Regex::new("\\(a*\\)*b").unwrap();
+            (re.replace_first(&copy, "x"), re.replace_all(&copy, "x"))
+        });
+        assert!(
+            first == line && all == line,
+            "the line must come back unchanged"
+        );
+    }
+
+    #[test]
     fn an_exploding_subset_construction_stays_under_the_state_cap() {
         // The state after each byte records which of the last 21 were an
         // `a`: 2^21 states in full, one new one per byte of random text.

@@ -26,8 +26,9 @@
 //! * **The backtracker** runs patterns with a backreference, which are
 //!   not regular, and computes what an automaton does not keep: the span
 //!   of the leftmost match and of each group, for [`Regex::find`] and for
-//!   the `&` and `\1`..`\9` of [`Regex::replace_into`]. `sed` asks it only
-//!   about lines the automaton has accepted.
+//!   the `&` and `\1`..`\9` of [`Regex::replace_into`]. For a pattern
+//!   without a backreference both ask it only about lines the automaton
+//!   has accepted, and so does `sed`.
 //!
 //! # The whole-buffer contract
 //!
@@ -175,12 +176,16 @@ impl Regex {
     }
 
     /// Appends `line` to `out` with its first match — every match when
-    /// `global` — replaced as [`Regex::replace_first`] describes. This is
-    /// the backtracker, whatever the pattern: a caller with many lines
-    /// filters them through [`Regex::matching_lines`] first and rewrites
-    /// only those (a line without a match comes back unchanged, but may
-    /// take exponentially long to say so).
+    /// `global` — replaced as [`Regex::replace_first`] describes. A line
+    /// the automaton rejects comes back unchanged after one linear scan;
+    /// the backtracker runs only on lines that match (and on every line of
+    /// a pattern with a backreference). A caller with many lines still
+    /// does better filtering them through [`Regex::matching_lines`] first.
     pub fn replace_into(&self, line: &str, replacement: &str, global: bool, out: &mut String) {
+        if self.program.is_some() && !self.is_match(line) {
+            out.push_str(line);
+            return;
+        }
         exec::replace(
             &self.ast,
             line,

@@ -6,7 +6,8 @@
 //! Skips silently when `grep` cannot be spawned.
 //!
 //! Beside it, and gated the same way, `tr`'s SET grammar against the
-//! host's GNU `tr` ([`tr_sets_match_gnu_tr`]).
+//! host's GNU `tr` ([`tr_sets_match_gnu_tr`]) and `sort`/`sort -m` against
+//! GNU `sort` on lines with long shared prefixes ([`sort_matches_gnu_sort`]).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -359,4 +360,139 @@ fn tr_sets_match_gnu_tr() {
             );
         }
     }
+}
+
+/// Runs host `sort ARGS` over `input` in the C locale; `None` when `sort`
+/// cannot be spawned or fails.
+fn gnu_sort(args: &[String], input: &str) -> Option<String> {
+    let mut child = Proc::new("sort")
+        .args(args)
+        .env("LC_ALL", "C")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .ok()?;
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(input.as_bytes())
+        .ok()?;
+    let out = child.wait_with_output().ok()?;
+    out.status
+        .success()
+        .then(|| String::from_utf8_lossy(&out.stdout).into_owned())
+}
+
+/// A line that shares a long prefix with many others — the shape that
+/// decides a merge by more than its first eight bytes: an optional count
+/// column, a prefix (or the start of one) of up to 73 bytes, sometimes
+/// upper-cased, and a short tail of letters, digits, blanks and signs.
+fn shared_prefix_line(rng: &mut SmallRng) -> String {
+    const PREFIXES: [&str; 5] = [
+        "",
+        "key 287 item 24",
+        "wolf dog item 00",
+        "      1 ",
+        "key 287 item 24 wolf dog Apple Pear yak emu newt fox bird CAT 0123456789",
+    ];
+    let mut line = String::new();
+    if rng.gen_bool(0.3) {
+        line.push_str(&format!("{:>7} ", rng.gen_range(0..40)));
+    }
+    let prefix = PREFIXES[rng.gen_range(0..PREFIXES.len())];
+    let cut = if rng.gen_bool(0.7) {
+        prefix.len()
+    } else {
+        rng.gen_range(0..=prefix.len())
+    };
+    line.push_str(&prefix[..cut]);
+    if rng.gen_bool(0.2) {
+        line.make_ascii_uppercase();
+    }
+    let tail = "aAbB 09-.x";
+    for _ in 0..rng.gen_range(0..4) {
+        line.push(tail.as_bytes()[rng.gen_range(0..tail.len())] as char);
+    }
+    line
+}
+
+/// `sort <flags>` and `sort -m <flags>` of files GNU `sort <flags>` sorted,
+/// against GNU `sort` under `LC_ALL=C`, on lines with long shared prefixes
+/// and repeats, for every flag set the kernel's reference comparator
+/// agrees with GNU on — all of those the kernel tests use: plain, `-r`,
+/// `-n`, `-rn`, `-nr`, `-f`, `-u`, `-nu`, `-fu`, `-k1n`, `-ru`, `-fr`,
+/// `-nf`. (The lines leave out what the reference reads differently from
+/// GNU by design: a leading `+`, which GNU `-n` does not take as a sign,
+/// and numbers past `f64` precision, which `-nu` would call equal.) Skips
+/// when `sort` cannot be spawned.
+#[test]
+fn sort_matches_gnu_sort() {
+    if gnu_sort(&[], "b\na\n").as_deref() != Some("a\nb\n") {
+        eprintln!("sort not available; skipping");
+        return;
+    }
+    const FLAG_SETS: [&str; 13] = [
+        "", "-r", "-n", "-rn", "-nr", "-f", "-u", "-nu", "-fu", "-k1n", "-ru", "-fr", "-nf",
+    ];
+    let dir = std::env::temp_dir().join(format!("kq-sort-vs-gnu-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut rng = SmallRng::seed_from_u64(0x5027);
+    let mut compared = 0usize;
+    for _ in 0..8 {
+        let files = rng.gen_range(1..=5);
+        let pieces: Vec<String> = (0..files)
+            .map(|_| {
+                let pool: Vec<String> = (0..8).map(|_| shared_prefix_line(&mut rng)).collect();
+                (0..rng.gen_range(0..40))
+                    .map(|_| format!("{}\n", pool[rng.gen_range(0..pool.len())]))
+                    .collect()
+            })
+            .collect();
+        let whole = pieces.concat();
+        for flags in FLAG_SETS {
+            let flag_words: Vec<String> = flags.split_whitespace().map(str::to_owned).collect();
+            let argv = |merge: bool, files: &[String]| -> Vec<String> {
+                let mut argv = vec!["sort".to_owned()];
+                if merge {
+                    argv.push("-m".to_owned());
+                }
+                argv.extend(flag_words.iter().cloned());
+                argv.extend(files.iter().cloned());
+                argv
+            };
+            let ctx = kq_coreutils::ExecContext::with_vfs(kq_coreutils::Vfs::new());
+            let ours = |argv: &[String], input: &str| {
+                kq_coreutils::from_argv(argv)
+                    .and_then(|cmd| cmd.run_str(input, &ctx))
+                    .unwrap_or_else(|e| panic!("{argv:?}: {e}"))
+            };
+            let gnu = gnu_sort(&flag_words, &whole).expect("GNU sort failed");
+            assert_eq!(
+                ours(&argv(false, &[]), &whole),
+                gnu,
+                "sort {flags} of {whole:?}"
+            );
+            // Each piece sorted by GNU, written to a file for GNU and to
+            // the VFS for the in-process command, then merged by both.
+            let mut paths = Vec::new();
+            for (i, piece) in pieces.iter().enumerate() {
+                let sorted = gnu_sort(&flag_words, piece).expect("GNU sort failed");
+                let path = dir.join(format!("piece{i}")).to_string_lossy().into_owned();
+                std::fs::write(&path, &sorted).unwrap();
+                ctx.vfs.write(path.clone(), sorted);
+                paths.push(path);
+            }
+            let gnu_merged = gnu_sort(&argv(true, &paths)[1..], "").expect("GNU sort -m failed");
+            assert_eq!(
+                ours(&argv(true, &paths), ""),
+                gnu_merged,
+                "sort -m {flags} of {pieces:?}"
+            );
+            compared += 1;
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(compared, 8 * FLAG_SETS.len());
 }
