@@ -1,11 +1,11 @@
-//! Adaptive versus static execution on the dataflow scheduler — the
+//! Auto versus fixed chunk sizing on the dataflow scheduler — the
 //! closed-loop tuning layer's report card, persisted to
 //! `BENCH_adaptive.json`.
 //!
-//! Four configurations of the same fold-heavy pipeline at w=4: the static
-//! default (fixed 128 KiB chunks, fixed queue credit), auto chunk sizing
-//! alone, credit rebalancing alone, and both knobs together. Alongside
-//! the medians the harness records the *sort merge frontier* — the fold
+//! Two configurations of the same fold-heavy pipeline at w=4: the static
+//! default (fixed 128 KiB chunks) and auto chunk sizing, both with the
+//! fixed default queue credit. Alongside the medians the harness records
+//! the *sort merge frontier* — the fold
 //! node's task count, i.e. how many sorted runs the barrier had to k-way
 //! merge. Auto chunking exists to shrink that number: the input-sized
 //! base target plus online coarsening feeds the fold few large runs
@@ -33,10 +33,9 @@ const WORKERS: usize = 4;
 const STATIC_CHUNK_BYTES: usize = 128 * 1024;
 const STATIC_QUEUE_DEPTH: usize = 4;
 
-/// A multi-segment pipeline ending in the merge barrier under test: the
-/// chunk-local segment (grep|tr) rate-mismatches the splitter, giving the
-/// credit controller something to observe, and the sort fold's task count
-/// is the merge frontier the chunk coarsening is meant to shrink.
+/// A multi-segment pipeline ending in the merge barrier under test: a
+/// chunk-local segment (grep|tr) feeding a sort fold whose task count is
+/// the merge frontier the chunk coarsening is meant to shrink.
 const SCRIPT: &str = "cat /in.txt | grep -v qqq | tr A-Z a-z | sort";
 
 fn quick_mode() -> bool {
@@ -100,7 +99,6 @@ struct BenchRow {
     median: Duration,
     samples: usize,
     sort_frontier: u64,
-    credit_shifts: u64,
 }
 
 fn main() {
@@ -114,52 +112,36 @@ fn main() {
         .unwrap_or(input.len());
     let plan = planner.plan(&script, &fresh_ctx(&input), &input[..cut]);
 
-    let configs: [(&'static str, ChunkSizing, QueueCredit); 4] = [
-        (
-            "static",
-            ChunkSizing::Fixed(STATIC_CHUNK_BYTES),
-            QueueCredit::Fixed(STATIC_QUEUE_DEPTH),
-        ),
-        (
-            "auto_chunk",
-            ChunkSizing::Auto,
-            QueueCredit::Fixed(STATIC_QUEUE_DEPTH),
-        ),
-        (
-            "rebalanced_credit",
-            ChunkSizing::Fixed(STATIC_CHUNK_BYTES),
-            QueueCredit::Auto,
-        ),
-        ("auto", ChunkSizing::Auto, QueueCredit::Auto),
+    let configs: [(&'static str, ChunkSizing); 2] = [
+        ("static", ChunkSizing::Fixed(STATIC_CHUNK_BYTES)),
+        ("auto_chunk", ChunkSizing::Auto),
     ];
-    let opts_for = |chunk: ChunkSizing, queue: QueueCredit| DataflowOptions {
+    let opts_for = |chunk: ChunkSizing| DataflowOptions {
         workers: WORKERS,
         chunk,
-        queue,
+        queue: QueueCredit::Fixed(STATIC_QUEUE_DEPTH),
         fuse_streamable: true,
         spill: None,
     };
 
     // Correctness guard before timing anything: every configuration must
-    // match serial byte-for-byte — adaptation moves chunk boundaries and
-    // queue credit, never bytes.
+    // match serial byte-for-byte — adaptation moves chunk boundaries,
+    // never bytes.
     let serial = run_serial(&script, &fresh_ctx(&input)).unwrap();
-    for (name, chunk, queue) in configs {
-        let r = run_dataflow(&script, &plan, &fresh_ctx(&input), &opts_for(chunk, queue)).unwrap();
+    for (name, chunk) in configs {
+        let r = run_dataflow(&script, &plan, &fresh_ctx(&input), &opts_for(chunk)).unwrap();
         assert_eq!(r.output, serial.output, "{name}: diverged from serial");
-        let adaptive_expected =
-            matches!(chunk, ChunkSizing::Auto) || matches!(queue, QueueCredit::Auto);
         assert_eq!(
             r.timings.adaptive.is_some(),
-            adaptive_expected,
+            matches!(chunk, ChunkSizing::Auto),
             "{name}: adaptive telemetry presence is wrong"
         );
     }
 
     let n = if quick_mode() { 3 } else { 9 };
     let mut rows: Vec<BenchRow> = Vec::new();
-    for (name, chunk, queue) in configs {
-        let opts = opts_for(chunk, queue);
+    for (name, chunk) in configs {
+        let opts = opts_for(chunk);
         let mut last: Option<ExecutionResult> = None;
         let (median, samples) = median_of(n, || {
             let ctx = fresh_ctx(&input);
@@ -172,9 +154,8 @@ fn main() {
         });
         let last = last.expect("at least one sample ran");
         let frontier = sort_frontier(&last);
-        let shifts = last.timings.adaptive.map(|a| a.credit_shifts).unwrap_or(0);
         println!(
-            "{:<32} median: {:>9.2} ms  (sort frontier {frontier}, {shifts} credit shift(s), {samples} samples)",
+            "{:<32} median: {:>9.2} ms  (sort frontier {frontier}, {samples} samples)",
             format!("adaptive_exec/{name}"),
             median.as_secs_f64() * 1e3,
         );
@@ -183,7 +164,6 @@ fn main() {
             median,
             samples,
             sort_frontier: frontier,
-            credit_shifts: shifts,
         });
     }
 
@@ -193,7 +173,7 @@ fn main() {
             .map(|r| r.sort_frontier)
             .unwrap()
     };
-    let (static_frontier, auto_frontier) = (frontier("static"), frontier("auto"));
+    let (static_frontier, auto_frontier) = (frontier("static"), frontier("auto_chunk"));
     // The chunk-sizing frontier is a pure function of input size and the
     // coarsening schedule — deterministic, so asserted here rather than
     // left to JSON consumers. The auto base only rises above the static
@@ -223,12 +203,11 @@ fn main() {
     for (i, row) in rows.iter().enumerate() {
         let comma = if i + 1 == rows.len() { "" } else { "," };
         json.push_str(&format!(
-            "    \"{}\": {{\"median_ms\": {:.3}, \"samples\": {}, \"sort_frontier\": {}, \"credit_shifts\": {}}}{comma}\n",
+            "    \"{}\": {{\"median_ms\": {:.3}, \"samples\": {}, \"sort_frontier\": {}}}{comma}\n",
             row.name,
             row.median.as_secs_f64() * 1e3,
             row.samples,
-            row.sort_frontier,
-            row.credit_shifts
+            row.sort_frontier
         ));
     }
     json.push_str("  },\n");

@@ -13,7 +13,7 @@
 //!   on the same 64 MiB stream;
 //! * `split_scaling/*` — Bytes split cost across 1→64 MiB inputs (flat when
 //!   split is pointer arithmetic, linear when it copies);
-//! * `chunked_exec/*` — the chunked executor's piece setup (split + chunk
+//! * `chunk_plumbing/*` — a chunk pool's piece setup (split + chunk
 //!   hand-off + gather) in both regimes.
 //!
 //! Run with `cargo bench --bench bytes_dataplane` and record the numbers
@@ -27,7 +27,7 @@ use std::hint::black_box;
 const MIB: usize = 1024 * 1024;
 
 /// The pre-refactor piece setup: line-aligned split returning borrowed
-/// views, then one owned copy per piece (what `run_parallel` did before
+/// views, then one owned copy per piece (what the paper's split did before
 /// the Bytes data plane).
 fn legacy_split_owned(input: &str, k: usize) -> Vec<String> {
     kq_stream::split_stream(input, k)
@@ -80,18 +80,18 @@ fn bench_split_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_chunked_exec(c: &mut Criterion) {
-    // Chunked-executor piece plumbing: cut the stream into 64 KiB chunks,
+fn bench_chunk_plumbing(c: &mut Criterion) {
+    // A chunk pool's piece plumbing: cut the stream into 64 KiB chunks,
     // hand each through a pass-through stage, and gather the outputs in
-    // order — the data movement run_chunked performs around the real
-    // command work. The legacy path owns every chunk and regathers with
+    // order — the data movement a chunk-mapping executor performs around
+    // the real command work. The legacy path owns every chunk and regathers with
     // String concat; the Bytes path moves refcounted handles and regathers
     // through a rope.
     let text = gutenberg_text(64 * MIB, 23);
     let shared = Bytes::from(text.as_str());
     let chunk = 64 * 1024;
 
-    let mut group = c.benchmark_group("chunked_exec");
+    let mut group = c.benchmark_group("chunk_plumbing");
     group.throughput(Throughput::Bytes(text.len() as u64));
     group.sample_size(10);
     group.bench_function("string_64MiB_64KiB_chunks", |b| {
@@ -113,6 +113,6 @@ criterion_group!(
     benches,
     bench_split,
     bench_split_scaling,
-    bench_chunked_exec
+    bench_chunk_plumbing
 );
 criterion_main!(benches);

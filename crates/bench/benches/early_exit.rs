@@ -1,24 +1,22 @@
 //! Early-exit cancellation versus full consumption.
 //!
 //! The corpus's `… | head -n 1`-shaped pipelines consume a prefix of
-//! their stream; every executor except streaming still pays for the whole
-//! input. This bench pins the win on a `cat big | grep needle | head -n 1`
-//! pipeline whose needle sits on line one:
+//! their stream; the serial oracle still pays for the whole input. This
+//! bench pins the win on a `cat big | grep needle | head -n 1` pipeline
+//! whose needle sits on line one:
 //!
 //! * `streaming_early_exit` — the bounded consumer's demand token cancels
 //!   the feeder and the grep pool after O(first match) bytes;
 //! * `streaming_full_scan` — the same upstream terminated by `wc -l`
 //!   (which must read everything), so the same executor does the same
 //!   per-byte work *without* a cancellation: the baseline for what the
-//!   demand token saves (mirrors the CI out-of-core comparison);
-//! * `chunked_full` — the chunked executor, which always reads everything.
+//!   demand token saves (mirrors the CI out-of-core comparison).
 //!
 //! Input defaults to 16 MiB (`KQ_EARLY_EXIT_BENCH_KB` overrides;
 //! `KQ_BENCH_QUICK=1` shrinks to 1 MiB for the CI smoke run).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kq_coreutils::ExecContext;
-use kq_pipeline::chunked::{run_chunked, ChunkedOptions};
 use kq_pipeline::exec::run_serial;
 use kq_pipeline::parse::parse_script;
 use kq_pipeline::plan::Planner;
@@ -92,17 +90,6 @@ fn bench_early_exit(c: &mut Criterion) {
     group.bench_function("streaming_full_scan", |b| {
         b.iter(|| {
             let r = run_streaming(black_box(&unbounded), &unbounded_plan, &ctx, &sopts).unwrap();
-            r.output.len()
-        })
-    });
-    let copts = ChunkedOptions {
-        workers: 2,
-        chunk_bytes: 128 * 1024,
-        honor_elimination: true,
-    };
-    group.bench_function("chunked_full", |b| {
-        b.iter(|| {
-            let r = run_chunked(black_box(&bounded), &bounded_plan, &ctx, &copts).unwrap();
             r.output.len()
         })
     });

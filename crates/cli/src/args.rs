@@ -101,13 +101,18 @@ impl ParsedArgs {
     /// `--name` parsed as a *nonzero* count, or `default` when absent.
     /// Every caller is a capacity knob (workers, chunk size, queue depth)
     /// where 0 would deadlock the bounded queues or make no progress, so
-    /// zero is rejected with its own message rather than a parse error.
+    /// zero is rejected with its own message; anything that is not a
+    /// number at all (`auto` where no `auto` exists, `-3`, `deep`) is
+    /// rejected as not a positive integer.
     pub fn opt_parse_nonzero(&self, name: &str, default: usize) -> Result<usize, String> {
-        let v = self.opt_parse::<usize>(name, default)?;
-        if v == 0 {
-            return Err(format!("--{name} must be at least 1"));
+        let Some(raw) = self.opt(name) else {
+            return Ok(default);
+        };
+        match raw.parse::<usize>() {
+            Ok(0) => Err(format!("--{name} must be at least 1")),
+            Ok(v) => Ok(v),
+            Err(_) => Err(format!("--{name} must be a positive integer, got {raw:?}")),
         }
-        Ok(v)
     }
 
     /// `--name` parsed as a *nonzero* count or the literal `auto`
@@ -285,10 +290,10 @@ mod tests {
             "--chunk-kb must be at least 1"
         );
         let a = parse(&["run", "x", "--chunk-kb", "wide"]);
-        assert!(a
-            .opt_parse_nonzero_or_auto("chunk-kb", 64)
-            .unwrap_err()
-            .contains("invalid value"));
+        assert_eq!(
+            a.opt_parse_nonzero_or_auto("chunk-kb", 64).unwrap_err(),
+            "--chunk-kb must be a positive integer, got \"wide\""
+        );
     }
 
     #[test]
@@ -319,7 +324,19 @@ mod tests {
     fn non_numeric_count_names_the_option() {
         let a = parse(&["run", "x", "--queue-depth", "deep"]);
         let err = a.opt_parse_nonzero("queue-depth", 4).unwrap_err();
-        assert!(err.contains("--queue-depth"), "{err}");
-        assert!(err.contains("invalid value"), "{err}");
+        assert_eq!(
+            err,
+            "--queue-depth must be a positive integer, got \"deep\""
+        );
+    }
+
+    #[test]
+    fn a_count_without_an_auto_mode_rejects_auto() {
+        let a = parse(&["run", "x", "--queue-depth", "auto"]);
+        let err = a.opt_parse_nonzero("queue-depth", 4).unwrap_err();
+        assert_eq!(
+            err,
+            "--queue-depth must be a positive integer, got \"auto\""
+        );
     }
 }

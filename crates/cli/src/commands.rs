@@ -11,9 +11,9 @@ use crate::report::{render_plan, render_synthesis, render_synthesis_summary};
 use kq_coreutils::ExecContext;
 use kq_io::{IngestOptions, MmapMode};
 use kq_pipeline::cache::CombinerCache;
-use kq_pipeline::exec::{run_parallel, run_serial};
+use kq_pipeline::exec::run_serial;
 use kq_pipeline::parse::{parse_script, InputSource, Script};
-use kq_pipeline::plan::{PlannedScript, Planner};
+use kq_pipeline::plan::{planning_sample, PlannedScript, Planner};
 use kq_stream::{Bytes, Rope};
 use kq_synth::SynthesisConfig;
 use std::collections::HashMap;
@@ -108,8 +108,8 @@ USAGE:
         the output/input shrink ratio, in (0, 1], below which a
         rerun-combiner stage still parallelizes (default 0.5).
     kumquat run <script|file> [--workers N] [--no-opt] [--var ...]
-                               [--exec static|chunked|streaming|dataflow]
-                               [--chunk-kb N|auto] [--queue-depth N|auto]
+                               [--exec dataflow|streaming]
+                               [--chunk-kb N|auto] [--queue-depth N]
                                [--mmap auto|on|off] [--no-verify]
                                [--synth-workers N] [--combiner-cache FILE]
                                [--rerun-threshold R]
@@ -123,17 +123,16 @@ USAGE:
         by the script are read from the host filesystem — memory-mapped
         into the data plane when large (--mmap auto, the default; 'on'
         and 'off' force one backing), so multi-GB inputs are never copied
-        into the heap. The chunked executor load-balances many small
-        chunks over the worker pool; the streaming executor additionally
-        pipelines stages through bounded chunk queues so a stage starts
-        before its predecessor finishes, and cancels upstream work early
-        once a prefix-bounded consumer (head -n k, sed kq) is satisfied
-        (reported as 'early-exit: ... after M chunk(s)'). The dataflow
-        executor — the default — compiles every statement to a dataflow
-        graph and runs the whole script on one shared work-stealing pool
-        of exactly --workers threads: independent statements overlap,
-        dependent ones (linked by > file redirects) wait, and early exit
-        also drops chunks already queued upstream. A 'sort | uniq -c'
+        into the heap. The dataflow executor — the default — compiles
+        every statement to a dataflow graph and runs the whole script on
+        one shared work-stealing pool of exactly --workers threads:
+        stages pass chunks of --chunk-kb KiB (default 64) through queues
+        of --queue-depth chunks (default 4), so a stage starts before its
+        predecessor finishes; independent statements overlap, dependent
+        ones (linked by > file redirects) wait, and once a prefix-bounded
+        consumer (head -n k, sed kq) is satisfied the upstream work still
+        queued is dropped (reported as 'early-exit: ... after M
+        chunk(s)'). A 'sort | uniq -c'
         (or 'sort | uniq') pair of parallel stages runs there as one
         counting fold — each chunk hash-counted, the counts merged —
         instead of a sort of every line and a second pass over it,
@@ -144,17 +143,17 @@ USAGE:
         is one newline — reported as 'seam: s1 stage 1 ...'. --no-opt
         runs the plan without its rewrites: every parallel stage combines
         (no Theorem 5 elimination, no fused chunk-local runs), such a
-        pair stays two stages and such a 'tr' runs once. (--executor is
-        accepted as an alias for --exec.) Under --exec dataflow the two
-        capacity knobs accept 'auto': --chunk-kb auto derives each
-        statement's chunk size from its input size and the worker count,
-        then coarsens barrier-feeding chunks online so sort-style folds
-        merge few large runs; --queue-depth auto starts every queue at
-        the default credit and rebalances credit from starved queues to
-        gated ones from live stall telemetry. Adaptation never changes
-        output bytes — only chunk boundaries and scheduling — and is
-        reported in an 'adaptive: ...' note. --spill-mb N
-        (streaming/dataflow only) bounds
+        pair stays two stages and such a 'tr' runs once. --chunk-kb auto
+        derives each statement's chunk size from its input size and the
+        worker count, then coarsens barrier-feeding chunks online so
+        sort-style folds merge few large runs; adaptation never changes
+        output bytes — only chunk boundaries — and is reported in an
+        'adaptive: ...' note. --exec streaming runs each statement in
+        turn on threads of its own per stage group, connected by bounded
+        channels, and runs the plan stage by stage; it keeps a large
+        spilling sort inside a tighter memory bound than the dataflow
+        pool does today (--chunk-kb auto is dataflow-only). (--executor
+        is accepted as an alias for --exec.) --spill-mb N bounds
         the memory of barrier folds (sort and friends): once a fold's
         resident sorted runs would exceed N MiB, further runs are written
         to temp files and mapped back for the final k-way merge, so a
@@ -177,7 +176,10 @@ USAGE:
         top N bottleneck nodes (default 5).
     kumquat emit <script|file> [--workers N] [--no-opt] [--out FILE]
         Compile the script into a runnable POSIX shell script that uses
-        the real Unix commands plus the synthesized combiners.
+        the real Unix commands plus the synthesized combiners. It emits
+        the paper's plan — split, run, combine per stage, with Theorem 5
+        elimination — without the dataflow executor's graph rewrites
+        (chunk-local fusion, counting folds, seams).
     kumquat corpus [--suite NAME] [--plan] [--combiner-cache FILE]
                    [--synth-workers N] [--trace-out FILE] [--metrics]
         List the 70-script benchmark corpus from the paper. With --plan,
@@ -417,29 +419,6 @@ fn plan_from_args(args: &ParsedArgs) -> Result<PlannedRun, String> {
     })
 }
 
-fn planning_sample(script: &Script, ctx: &ExecContext) -> String {
-    for statement in &script.statements {
-        if let InputSource::Files(files) = &statement.input {
-            if let Some(content) = files.first().and_then(|f| ctx.vfs.read_bytes(f)) {
-                // Copy only the sampled prefix — never the whole file (the
-                // input may be a multi-GB mapped region). Walk the cut
-                // back off any UTF-8 continuation bytes.
-                let bytes = content.as_bytes();
-                let mut cap = bytes.len().min(64 * 1024);
-                while cap > 0 && cap < bytes.len() && (bytes[cap] & 0xC0) == 0x80 {
-                    cap -= 1;
-                }
-                let mut sample = String::from_utf8_lossy(&bytes[..cap]).into_owned();
-                if !sample.ends_with('\n') {
-                    sample.push('\n');
-                }
-                return sample;
-            }
-        }
-    }
-    "the quick brown fox\njumps over the lazy dog\nthe end\n".repeat(30)
-}
-
 fn cmd_plan(args: &ParsedArgs) -> Result<CliOutput, String> {
     let mut planned = plan_from_args(args)?;
     planned.notes.extend(crate::report::render_rewrite_notes(
@@ -455,40 +434,36 @@ fn cmd_plan(args: &ParsedArgs) -> Result<CliOutput, String> {
 }
 
 fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
-    // All capacity knobs are validated up front — even ones the selected
-    // executor ignores — so `--queue-depth 0` fails the same clear way
-    // under every `--exec`. The dataflow executor is the default; the
-    // adaptive sentinels (`--chunk-kb auto`, `--queue-depth auto`) parse
-    // to `None` and are rejected below for the executors that cannot
-    // honor them.
+    // The executor and every capacity knob are validated up front, before
+    // any file is read, so `--queue-depth 0` fails the same clear way
+    // under either `--exec`. The dataflow executor is the default; the
+    // adaptive sentinel `--chunk-kb auto` parses to `None` and is rejected
+    // below for the streaming executor, which cannot honor it.
     let executor = args
         .opt("exec")
         .or_else(|| args.opt("executor"))
         .unwrap_or("dataflow");
+    if !matches!(executor, "dataflow" | "streaming") {
+        return Err(format!(
+            "--exec must be 'dataflow' or 'streaming', got {executor:?}"
+        ));
+    }
     // Asking the host costs a few file reads: only when the flag is absent.
     let workers = match args.opt("workers") {
         Some(_) => args.opt_parse_nonzero("workers", 1)?,
         None => host_parallelism(),
     };
     let chunk_kb = args.opt_parse_nonzero_or_auto("chunk-kb", 64)?;
-    let queue_depth = args.opt_parse_nonzero_or_auto("queue-depth", 4)?;
-    if executor != "dataflow" {
-        if chunk_kb.is_none() {
-            return Err("--chunk-kb auto requires --exec dataflow".into());
-        }
-        if queue_depth.is_none() {
-            return Err("--queue-depth auto requires --exec dataflow".into());
-        }
+    let queue_depth = args.opt_parse_nonzero("queue-depth", kq_pipeline::DEFAULT_QUEUE_DEPTH)?;
+    if executor == "streaming" && chunk_kb.is_none() {
+        return Err("--chunk-kb auto requires --exec dataflow".into());
     }
-    let fixed_chunk_bytes = |kb: Option<usize>| kb.unwrap_or(64) * 1024;
-    let fixed_depth = |d: Option<usize>| d.unwrap_or(4);
     let honor = !args.flag("no-opt");
-    // --spill-mb turns on bounded-memory barrier folds (streaming and
-    // dataflow executors): sorted runs past the budget go to temp files
-    // and come back memory-mapped for the final merge. Off by default —
-    // spilling trades disk I/O for resident memory. --spill-dir overrides
-    // the run-file directory (default: the system temp dir) but does not
-    // by itself enable spilling.
+    // --spill-mb turns on bounded-memory barrier folds: sorted runs past
+    // the budget go to temp files and come back memory-mapped for the
+    // final merge. Off by default — spilling trades disk I/O for resident
+    // memory. --spill-dir overrides the run-file directory (default: the
+    // system temp dir) but does not by itself enable spilling.
     let spill = match args.opt("spill-mb") {
         None => None,
         Some(_) => Some(kq_dsl::SpillPolicy {
@@ -496,9 +471,6 @@ fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
             dir: args.opt("spill-dir").map(std::path::PathBuf::from),
         }),
     };
-    if spill.is_some() && !matches!(executor, "streaming" | "dataflow") {
-        return Err("--spill-mb requires --exec streaming or --exec dataflow".into());
-    }
     // The trace session wraps planning, the serial oracle, and the
     // parallel run.
     let tracing = Tracing::start(args);
@@ -513,59 +485,33 @@ fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
     };
     // Stdout stays the segments the run produced (see `CliOutput::stdout`);
     // only the dataflow executor produces more than one.
-    let whole = |run: kq_pipeline::ExecutionResult| (Rope::from(run.output), run.timings);
-    let (output, timings) = match executor {
-        "static" => run_parallel(&planned.script, &planned.plan, &planned.ctx, workers, honor)
-            .map(whole)
-            .map_err(|e| e.to_string())?,
-        "chunked" => {
-            let opts = kq_pipeline::chunked::ChunkedOptions {
-                workers,
-                chunk_bytes: fixed_chunk_bytes(chunk_kb),
-                honor_elimination: honor,
-            };
-            kq_pipeline::chunked::run_chunked(&planned.script, &planned.plan, &planned.ctx, &opts)
-                .map(whole)
-                .map_err(|e| e.to_string())?
-        }
-        "streaming" => {
-            let opts = kq_pipeline::StreamingOptions {
-                workers,
-                chunk_bytes: fixed_chunk_bytes(chunk_kb),
-                queue_depth: fixed_depth(queue_depth),
-                fuse_streamable: honor,
-                spill: spill.clone(),
-            };
-            kq_pipeline::run_streaming(&planned.script, &planned.plan, &planned.ctx, &opts)
-                .map(whole)
-                .map_err(|e| e.to_string())?
-        }
-        "dataflow" => {
-            let opts = kq_pipeline::DataflowOptions {
-                workers,
-                chunk: match chunk_kb {
-                    Some(kb) => kq_pipeline::ChunkSizing::Fixed(kb * 1024),
-                    None => kq_pipeline::ChunkSizing::Auto,
-                },
-                queue: match queue_depth {
-                    Some(d) => kq_pipeline::QueueCredit::Fixed(d),
-                    None => kq_pipeline::QueueCredit::Auto,
-                },
-                fuse_streamable: honor,
-                spill: spill.clone(),
-            };
-            kq_pipeline::run_dataflow_segments(&planned.script, &planned.plan, &planned.ctx, &opts)
-                .map_err(|e| e.to_string())?
-        }
-        other => {
-            return Err(format!(
-                "--exec must be 'static', 'chunked', 'streaming', or 'dataflow', got {other:?}"
-            ))
-        }
-    };
+    let (output, timings) = if executor == "streaming" {
+        let opts = kq_pipeline::StreamingOptions {
+            workers,
+            chunk_bytes: chunk_kb.unwrap_or(64) * 1024,
+            queue_depth,
+            fuse_streamable: honor,
+            spill,
+        };
+        kq_pipeline::run_streaming(&planned.script, &planned.plan, &planned.ctx, &opts)
+            .map(|run| (Rope::from(run.output), run.timings))
+    } else {
+        let opts = kq_pipeline::DataflowOptions {
+            workers,
+            chunk: match chunk_kb {
+                Some(kb) => kq_pipeline::ChunkSizing::Fixed(kb * 1024),
+                None => kq_pipeline::ChunkSizing::Auto,
+            },
+            queue: kq_pipeline::QueueCredit::Fixed(queue_depth),
+            fuse_streamable: honor,
+            spill,
+        };
+        kq_pipeline::run_dataflow_segments(&planned.script, &planned.plan, &planned.ctx, &opts)
+    }
+    .map_err(|e| e.to_string())?;
     let mut notes = planned.notes;
-    // The other executors, and the dataflow graph under --no-opt, run the
-    // plan stage by stage.
+    // The streaming executor, and the dataflow graph under --no-opt, run
+    // the plan stage by stage.
     if executor == "dataflow" && honor {
         notes.extend(crate::report::render_rewrite_notes(
             &planned.script,
@@ -928,27 +874,20 @@ mod tests {
     }
 
     #[test]
-    fn run_with_chunked_executor() {
-        let dir = std::env::temp_dir().join(format!("kq-cli-chunk-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let input = dir.join("w.txt");
-        std::fs::write(&input, "b x\na y\nb z\n".repeat(50)).unwrap();
-        let script = format!("cat {} | cut -d ' ' -f 1 | sort | uniq -c", input.display());
-        let run = call(&[
-            "run",
-            &script,
-            "--workers",
-            "3",
-            "--executor",
-            "chunked",
-            "--chunk-kb",
-            "1",
-        ])
-        .unwrap();
-        assert!(run.text().contains(" a\n"), "got: {}", run.text());
-        assert!(run.notes.iter().any(|n| n.contains("chunked")));
-        assert!(call(&["run", &script, "--executor", "warp"]).is_err());
-        std::fs::remove_dir_all(&dir).ok();
+    fn removed_executors_are_rejected_before_anything_runs() {
+        // The script names no file: the executor check comes first.
+        for gone in ["static", "chunked", "warp"] {
+            let err = call(&["run", "cat /absent | sort", "--exec", gone]).unwrap_err();
+            assert_eq!(
+                err,
+                format!("--exec must be 'dataflow' or 'streaming', got {gone:?}")
+            );
+            let err = call(&["run", "cat /absent | sort", "--executor", gone]).unwrap_err();
+            assert!(
+                err.starts_with("--exec must be 'dataflow' or 'streaming'"),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -1008,13 +947,6 @@ mod tests {
                 .any(|n| n.starts_with("early-exit:") && n.contains("head -n 1")),
             "notes: {:?}",
             run.notes
-        );
-        // The other executors read everything: no early-exit note.
-        let chunked = call(&["run", &script, "--exec", "chunked"]).unwrap();
-        assert!(
-            !chunked.notes.iter().any(|n| n.starts_with("early-exit:")),
-            "notes: {:?}",
-            chunked.notes
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1110,7 +1042,7 @@ mod tests {
         let run = call(&["run", &script, "--workers", "2", "--chunk-kb", "1"]).unwrap();
         assert_eq!(run.text(), expect);
         assert_eq!(has_notes(&run), [true; 3]);
-        // --no-opt and the stage-by-stage executors run stage by stage.
+        // --no-opt and the streaming executor run stage by stage.
         for extra in [&["--no-opt"][..], &["--exec", "streaming"]] {
             let mut words = vec!["run", &script, "--workers", "2", "--chunk-kb", "1"];
             words.extend_from_slice(extra);
@@ -1195,24 +1127,14 @@ mod tests {
             "cat {} | cut -d ' ' -f 1 | sort | uniq -c | sort -rn",
             input.display()
         );
-        // Auto knobs run the same bytes (the run verifies against serial)
-        // and add the adaptive note.
-        let run = call(&[
-            "run",
-            &script,
-            "--workers",
-            "2",
-            "--chunk-kb",
-            "auto",
-            "--queue-depth",
-            "auto",
-        ])
-        .unwrap();
+        // Auto chunk sizing runs the same bytes (the run verifies against
+        // serial) and adds the adaptive note.
+        let run = call(&["run", &script, "--workers", "2", "--chunk-kb", "auto"]).unwrap();
         assert!(run.text().contains(" b\n"), "got: {}", run.text());
         assert!(
-            run.notes.iter().any(|n| n.starts_with("adaptive:")
-                && n.contains("chunk auto")
-                && n.contains("rebalanced")),
+            run.notes
+                .iter()
+                .any(|n| n.starts_with("adaptive: chunk auto (") && n.ends_with(" KiB max)")),
             "notes: {:?}",
             run.notes
         );
@@ -1228,18 +1150,22 @@ mod tests {
     }
 
     #[test]
-    fn auto_knobs_require_the_dataflow_executor() {
+    fn chunk_kb_auto_requires_the_dataflow_executor() {
         let s = "cat x | sort";
         let err = call(&["run", s, "--exec", "streaming", "--chunk-kb", "auto"]).unwrap_err();
-        assert!(
-            err.contains("--chunk-kb auto requires --exec dataflow"),
-            "{err}"
-        );
-        let err = call(&["run", s, "--exec", "chunked", "--queue-depth", "auto"]).unwrap_err();
-        assert!(
-            err.contains("--queue-depth auto requires --exec dataflow"),
-            "{err}"
-        );
+        assert_eq!(err, "--chunk-kb auto requires --exec dataflow");
+    }
+
+    #[test]
+    fn queue_depth_auto_is_rejected_under_every_executor() {
+        let s = "cat x | sort";
+        for exec in ["dataflow", "streaming"] {
+            let err = call(&["run", s, "--exec", exec, "--queue-depth", "auto"]).unwrap_err();
+            assert_eq!(
+                err, "--queue-depth must be a positive integer, got \"auto\"",
+                "{exec}"
+            );
+        }
     }
 
     #[test]
@@ -1255,9 +1181,15 @@ mod tests {
         let err = call(&["run", s, "--chunk-kb", "0"]).unwrap_err();
         assert!(err.contains("--chunk-kb must be at least 1"), "{err}");
         let err = call(&["run", s, "--queue-depth", "deep"]).unwrap_err();
-        assert!(err.contains("--queue-depth: invalid value"), "{err}");
+        assert!(
+            err.contains("--queue-depth must be a positive integer"),
+            "{err}"
+        );
         let err = call(&["run", s, "--chunk-kb", "wide"]).unwrap_err();
-        assert!(err.contains("--chunk-kb: invalid value"), "{err}");
+        assert!(
+            err.contains("--chunk-kb must be a positive integer"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -184,25 +184,15 @@ pub fn render_run_notes(
             "dataflow: {statements} statement(s) share one work-stealing pool of {workers} worker thread(s)",
         ));
     }
-    // Adaptive ledger: present exactly when an auto knob ran. Reports the
-    // chunk-size trajectory (initial heuristic → coarsened maximum) and
-    // the controller's credit movement. (CI greps this line.)
+    // Adaptive ledger: present exactly when auto chunk sizing ran.
+    // Reports the chunk-size trajectory (initial heuristic → coarsened
+    // maximum). (CI greps this line.)
     if let Some(a) = timings.adaptive {
-        let chunk_part = if a.auto_chunk {
-            format!(
-                "chunk auto ({} KiB initial, {} KiB max)",
-                a.initial_chunk_bytes / 1024,
-                a.max_chunk_bytes / 1024
-            )
-        } else {
-            "chunk fixed".to_owned()
-        };
-        let credit_part = if a.rebalanced {
-            format!("queue credit rebalanced ({} shift(s))", a.credit_shifts)
-        } else {
-            "queue credit fixed".to_owned()
-        };
-        notes.push(format!("adaptive: {chunk_part}; {credit_part}"));
+        notes.push(format!(
+            "adaptive: chunk auto ({} KiB initial, {} KiB max)",
+            a.initial_chunk_bytes / 1024,
+            a.max_chunk_bytes / 1024
+        ));
     }
     // Early-exit ledger: a prefix-bounded stage (head -n k / sed kq) that
     // satisfied its demand before end-of-input reports how little it

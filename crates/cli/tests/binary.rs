@@ -25,6 +25,23 @@ fn unknown_subcommand_exits_nonzero() {
 }
 
 #[test]
+fn removed_executors_exit_two_naming_the_two_that_remain() {
+    for gone in ["static", "chunked"] {
+        let out = kumquat()
+            .args(["run", "cat /absent | sort", "--exec", gone])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "--exec {gone}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--exec must be 'dataflow' or 'streaming'"),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty());
+    }
+}
+
+#[test]
 fn synthesize_prints_report_on_stdout() {
     let out = kumquat().args(["synthesize", "wc -l"]).output().unwrap();
     assert!(out.status.success());

@@ -56,9 +56,10 @@ pub use kq_stream as stream;
 pub use kq_synth as synth;
 
 use kq_coreutils::{CmdError, ExecContext};
-use kq_pipeline::exec::{run_parallel, run_serial};
+use kq_pipeline::exec::run_serial;
 use kq_pipeline::parse::{parse_script, Script};
-use kq_pipeline::plan::{PlannedScript, Planner};
+use kq_pipeline::plan::{planning_sample, PlannedScript, Planner};
+use kq_pipeline::{run_dataflow, DataflowOptions};
 use kq_synth::{SynthesisConfig, SynthesisReport};
 use std::collections::HashMap;
 
@@ -123,8 +124,9 @@ impl Kumquat {
         parse_script(script_text, &self.env).map_err(CmdError::from)
     }
 
-    /// Parses, plans, and executes a script with `workers`-way data
-    /// parallelism, verifying the parallel output against the serial one.
+    /// Parses, plans, and executes a script on the dataflow executor with a
+    /// pool of `workers` threads, verifying the parallel output against the
+    /// serial one.
     pub fn parallelize_and_run(
         &mut self,
         script_text: &str,
@@ -133,7 +135,11 @@ impl Kumquat {
         let script = self.parse(script_text)?;
         let serial = run_serial(&script, &self.ctx)?;
         let plan = self.plan(&script)?;
-        let parallel = run_parallel(&script, &plan, &self.ctx, workers, true)?;
+        let opts = DataflowOptions {
+            workers,
+            ..DataflowOptions::default()
+        };
+        let parallel = run_dataflow(&script, &plan, &self.ctx, &opts)?;
         if parallel.output != serial.output {
             return Err(CmdError::new(
                 "kumquat",
@@ -149,7 +155,7 @@ impl Kumquat {
 
     /// Plans a parsed script (synthesizing combiners as needed).
     pub fn plan(&mut self, script: &Script) -> Result<PlannedScript, CmdError> {
-        let sample = self.planning_sample(script)?;
+        let sample = planning_sample(script, &self.ctx);
         Ok(self.planner.plan(script, &self.ctx, &sample))
     }
 
@@ -163,29 +169,27 @@ impl Kumquat {
     pub fn lattice_short_circuits(&self) -> usize {
         self.planner.lattice_short_circuits
     }
-
-    /// A sample of the script's own input for the planner's cost probes,
-    /// falling back to generic text when the script has no file input.
-    fn planning_sample(&self, script: &Script) -> Result<String, CmdError> {
-        use kq_pipeline::parse::InputSource;
-        for statement in &script.statements {
-            if let InputSource::Files(files) = &statement.input {
-                if let Some(content) = files.first().and_then(|f| self.ctx.vfs.read(f)) {
-                    let cap = content.len().min(64 * 1024);
-                    let mut sample = content[..cap].to_owned();
-                    if !sample.ends_with('\n') {
-                        sample.push('\n');
-                    }
-                    return Ok(sample);
-                }
-            }
-        }
-        Ok("the quick brown fox\njumps over the lazy dog\nthe end\n".repeat(30))
-    }
 }
 
 impl Default for Kumquat {
     fn default() -> Self {
         Kumquat::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The planning sample is cut at 64 KiB; a multi-byte character that
+    /// straddles the cut is left out whole instead of split mid-character.
+    #[test]
+    fn planning_a_file_with_a_character_across_the_sample_cut_does_not_panic() {
+        let mut kq = Kumquat::new();
+        let mut text = "a".repeat(65_535);
+        text.push_str("é\n");
+        kq.write_file("/in", text);
+        let run = kq.parallelize_and_run("cat /in | wc -l", 2).unwrap();
+        assert_eq!(run.output, "1\n");
     }
 }

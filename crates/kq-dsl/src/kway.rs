@@ -4,7 +4,7 @@
 //! output substreams. Three combiners generalize natively — `concat` is
 //! `cat $*`, `merge <flags>` is `sort -m <flags> $*`, and `rerun` is one
 //! re-execution over the concatenation — while every other combiner is
-//! applied pairwise, folding left until one stream remains.
+//! applied pairwise, in a balanced tree, until one stream remains.
 
 use crate::ast::{Candidate, Combiner, RecOp, RunOp};
 use crate::eval::{eval, merge_order, EvalError, RunEnv};
@@ -20,30 +20,13 @@ fn view(piece: &Bytes) -> Result<&str, EvalError> {
         .map_err(|_| EvalError::Command("substream is not valid UTF-8".to_owned()))
 }
 
-/// How a binary combiner is generalized to `k` substreams.
+/// Combines `k` parallel output substreams with the given candidate.
 ///
-/// The paper (§3.5) specifies the `Flat` behaviour — native k-way
-/// implementations for `concat`/`merge`/`rerun`, pairwise application
-/// "until only one substream remains" for everything else — but leaves the
-/// pairwise order open. The other two strategies make that order explicit
-/// so the ablation bench can measure the difference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CombineStrategy {
-    /// Native k-way where available (`cat $*`, `sort -m $*`, one rerun),
-    /// balanced tree fold otherwise. This is what execution uses.
-    Flat,
-    /// Balanced pairwise tree for *every* combiner: each byte is touched
-    /// `O(log k)` times.
-    TreeFold,
-    /// Left fold, combining the accumulator with one piece at a time: the
-    /// accumulator is re-traversed at every step (`O(n·k)` bytes for
-    /// `concat`-like combiners) — the naive reading of "apply the combiner
-    /// on two substreams repeatedly".
-    FoldLeft,
-}
-
-/// Combines `k` parallel output substreams with the given candidate using
-/// the default [`CombineStrategy::Flat`] strategy.
+/// The paper (§3.5) generalizes three combiners natively — `concat` is
+/// `cat $*`, `merge <flags>` is `sort -m <flags> $*`, and `rerun` is one
+/// re-execution over the concatenation — and applies every other combiner
+/// pairwise "until only one substream remains", here as a balanced tree
+/// fold, so each byte is touched `O(log k)` times.
 ///
 /// Empty substreams (a worker that received no lines) are skipped: they
 /// contribute nothing to the combined stream, matching the behaviour of
@@ -59,76 +42,49 @@ pub fn combine_all(
     pieces: &[Bytes],
     env: &dyn RunEnv,
 ) -> Result<Bytes, EvalError> {
-    combine_all_with(CombineStrategy::Flat, candidate, pieces, env)
-}
-
-/// Combines `k` substreams with an explicit [`CombineStrategy`].
-pub fn combine_all_with(
-    strategy: CombineStrategy,
-    candidate: &Candidate,
-    pieces: &[Bytes],
-    env: &dyn RunEnv,
-) -> Result<Bytes, EvalError> {
     let live = match live_pieces(pieces) {
         Ok(live) => live,
         Err(settled) => return Ok(settled),
     };
-    if strategy == CombineStrategy::Flat {
-        match &candidate.op {
-            // concat == `cat $*`: a segment gather, no pairwise work.
-            Combiner::Rec(RecOp::Concat) => {
-                let mut ordered = live;
-                if candidate.swapped {
-                    ordered.reverse();
-                }
-                return Ok(kq_stream::concat_bytes(ordered));
+    match &candidate.op {
+        // concat == `cat $*`: a segment gather, no pairwise work.
+        Combiner::Rec(RecOp::Concat) => {
+            let mut ordered = live;
+            if candidate.swapped {
+                ordered.reverse();
             }
-            // merge == `sort -m <flags> $*`: borrow the piece bytes in
-            // place (no per-piece copies).
-            Combiner::Run(RunOp::Merge(flags)) => {
-                let views: Vec<&[u8]> = live.iter().map(|p| p.as_bytes()).collect();
-                return env.merge(merge_order(flags)?, &views);
-            }
-            // rerun == gather everything, re-run `f` once on the bytes.
-            Combiner::Run(RunOp::Rerun) => {
-                return env.rerun_bytes(kq_stream::concat_bytes(live));
-            }
-            _ => {}
+            return Ok(kq_stream::concat_bytes(ordered));
         }
+        // merge == `sort -m <flags> $*`: borrow the piece bytes in
+        // place (no per-piece copies).
+        Combiner::Run(RunOp::Merge(flags)) => {
+            let views: Vec<&[u8]> = live.iter().map(|p| p.as_bytes()).collect();
+            return env.merge(merge_order(flags)?, &views);
+        }
+        // rerun == gather everything, re-run `f` once on the bytes.
+        Combiner::Run(RunOp::Rerun) => {
+            return env.rerun_bytes(kq_stream::concat_bytes(live));
+        }
+        _ => {}
     }
-    match strategy {
-        CombineStrategy::FoldLeft => {
-            let mut acc = live[0].clone();
-            for piece in &live[1..] {
-                let (x, y) = candidate.oriented(view(&acc)?, view(piece)?);
-                acc = Bytes::from(eval(&candidate.op, x, y, env)?);
-            }
-            Ok(acc)
-        }
-        // Tree fold: touches each byte O(log k) times, matching the
-        // paper's observation that pairwise application "until only one
-        // substream remains" stays cheap. Leaves enter the tree as
-        // refcounted slices; only combined intermediates are owned.
-        CombineStrategy::Flat | CombineStrategy::TreeFold => {
-            let mut level: Vec<Bytes> = live.into_iter().cloned().collect();
-            while level.len() > 1 {
-                let mut next = Vec::with_capacity(level.len().div_ceil(2));
-                let mut it = level.chunks(2);
-                for pair in &mut it {
-                    match pair {
-                        [a, b] => {
-                            let (x, y) = candidate.oriented(view(a)?, view(b)?);
-                            next.push(Bytes::from(eval(&candidate.op, x, y, env)?));
-                        }
-                        [a] => next.push(a.clone()),
-                        _ => unreachable!("chunks(2) yields 1- or 2-element slices"),
-                    }
+    // Tree fold. Leaves enter the tree as refcounted slices; only
+    // combined intermediates are owned.
+    let mut level: Vec<Bytes> = live.into_iter().cloned().collect();
+    while level.len() > 1 {
+        let mut next = Vec::with_capacity(level.len().div_ceil(2));
+        for pair in level.chunks(2) {
+            match pair {
+                [a, b] => {
+                    let (x, y) = candidate.oriented(view(a)?, view(b)?);
+                    next.push(Bytes::from(eval(&candidate.op, x, y, env)?));
                 }
-                level = next;
+                [a] => next.push(a.clone()),
+                _ => unreachable!("chunks(2) yields 1- or 2-element slices"),
             }
-            Ok(level.pop().expect("at least one piece"))
         }
+        level = next;
     }
+    Ok(level.pop().expect("at least one piece"))
 }
 
 /// Combines two adjacent substream groups with a binary combiner (the
@@ -183,7 +139,7 @@ fn combine_pair(
 /// [`finish`]: IncrementalFold::finish
 /// [`plan_finish`]: IncrementalFold::plan_finish
 ///
-/// Strategy per combiner (mirroring [`CombineStrategy::Flat`]):
+/// How each combiner folds (mirroring [`combine_all`]):
 ///
 /// * unswapped `concat` — pieces accumulate in a segment list; `finish`
 ///   is the single gather memcpy (zero work per push);
@@ -217,8 +173,8 @@ fn combine_pair(
 ///   their output size.
 ///
 /// All of these combiners are associative on adjacent pieces of a split
-/// stream (see `strategies_agree_on_corpus_combiners` and the
-/// `combine_strategies_agree_on_split_pieces` property), so the fold
+/// stream (see `combine_all_matches_the_pairwise_fold_on_corpus_combiners`
+/// and the `combine_strategies_agree_on_split_pieces` property), so the fold
 /// grouping cannot change the result.
 ///
 /// A merge fold is parameterized by its [`LineOrder`] and by nothing else,
@@ -339,7 +295,7 @@ impl<'a> IncrementalFold<'a> {
     }
 
     /// Like [`new`](IncrementalFold::new), but with a spill policy: merge
-    /// runs are sized to the budget ([`merge_run_target`]) and go to temp
+    /// runs are sized to the budget (`merge_run_target`) and go to temp
     /// files once the heap-resident run bytes would cross
     /// `spill.budget_bytes`, and a fold that spilled streams its final
     /// merge through a temp file as well (see [`crate::spill`]).
@@ -1015,11 +971,28 @@ mod tests {
         assert_eq!(combine_all(&c, &[], &NoRunEnv).unwrap(), "");
     }
 
-    /// All three strategies agree for the combiners the corpus produces:
-    /// they differ only in evaluation order, and combining adjacent pieces
-    /// of a split stream is associative for these operators.
+    /// The pairwise reference for k-way combining: the binary combiner
+    /// folded left over the non-empty pieces through [`eval`], one piece
+    /// at a time — "apply the combiner on two substreams until one
+    /// remains", read literally.
+    fn fold_pairwise(c: &Candidate, pieces: &[Bytes], env: &dyn RunEnv) -> Bytes {
+        let mut live = pieces.iter().filter(|p| !p.is_empty());
+        let Some(first) = live.next() else {
+            return Bytes::new();
+        };
+        live.fold(first.clone(), |acc, piece| {
+            let (x, y) = c.oriented(acc.as_str(), piece.as_str());
+            Bytes::from(eval(&c.op, x, y, env).unwrap())
+        })
+    }
+
+    /// `combine_all` agrees with the pairwise fold for the combiners the
+    /// corpus produces: native k-way `concat`, and the tree fold of the
+    /// rest, differ from it only in evaluation order, and combining
+    /// adjacent pieces of a split stream is associative for these
+    /// operators.
     #[test]
-    fn strategies_agree_on_corpus_combiners() {
+    fn combine_all_matches_the_pairwise_fold_on_corpus_combiners() {
         let cases: Vec<(Candidate, Vec<Bytes>)> = vec![
             (
                 Candidate::rec(RecOp::Concat),
@@ -1043,40 +1016,31 @@ mod tests {
             ),
         ];
         for (cand, pieces) in cases {
-            let flat = combine_all_with(CombineStrategy::Flat, &cand, &pieces, &NoRunEnv).unwrap();
-            let tree =
-                combine_all_with(CombineStrategy::TreeFold, &cand, &pieces, &NoRunEnv).unwrap();
-            let fold =
-                combine_all_with(CombineStrategy::FoldLeft, &cand, &pieces, &NoRunEnv).unwrap();
-            assert_eq!(flat, tree, "flat vs tree for {cand}");
-            assert_eq!(flat, fold, "flat vs fold for {cand}");
-        }
-    }
-
-    #[test]
-    fn swapped_concat_reverses_under_every_strategy() {
-        let mut c = Candidate::rec(RecOp::Concat);
-        c.swapped = true;
-        let pieces = s(&["a\n", "b\n", "c\n"]);
-        for strat in [
-            CombineStrategy::Flat,
-            CombineStrategy::TreeFold,
-            CombineStrategy::FoldLeft,
-        ] {
+            let flat = combine_all(&cand, &pieces, &NoRunEnv).unwrap();
             assert_eq!(
-                combine_all_with(strat, &c, &pieces, &NoRunEnv).unwrap(),
-                "c\nb\na\n",
-                "{strat:?}"
+                flat,
+                fold_pairwise(&cand, &pieces, &NoRunEnv),
+                "flat vs pairwise for {cand}"
             );
         }
     }
 
     #[test]
-    fn fold_left_merge_stays_sorted() {
+    fn swapped_concat_reverses_natively_and_pairwise() {
+        let mut c = Candidate::rec(RecOp::Concat);
+        c.swapped = true;
+        let pieces = s(&["a\n", "b\n", "c\n"]);
+        assert_eq!(combine_all(&c, &pieces, &NoRunEnv).unwrap(), "c\nb\na\n");
+        assert_eq!(fold_pairwise(&c, &pieces, &NoRunEnv), "c\nb\na\n");
+    }
+
+    #[test]
+    fn pairwise_merge_matches_the_kway_merge() {
         let c = Candidate::run(RunOp::Merge(vec![]));
         let pieces = s(&["a\nd\n", "b\n", "c\ne\n"]);
-        let fold = combine_all_with(CombineStrategy::FoldLeft, &c, &pieces, &FakeEnv).unwrap();
+        let fold = fold_pairwise(&c, &pieces, &FakeEnv);
         assert_eq!(fold, "a\nb\nc\nd\ne\n");
+        assert_eq!(combine_all(&c, &pieces, &FakeEnv).unwrap(), fold);
     }
 
     fn incremental(c: &Candidate, pieces: &[Bytes], env: &dyn RunEnv) -> Bytes {

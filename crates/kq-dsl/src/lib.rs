@@ -125,7 +125,7 @@ pub use codec::{decode_candidate, encode_candidate};
 pub use enumerate::{enumerate_candidates, EnumConfig, SpaceBreakdown};
 pub use eval::{CommandEnv, EvalError, RunEnv};
 pub use kq_stream::Delim;
-pub use kway::{combine_all, combine_all_with, CombineStrategy, IncrementalFold};
+pub use kway::{combine_all, IncrementalFold};
 pub use space::CandidateSpace;
 pub use spill::{SpillConfig, SpillMetrics, SpillPolicy};
 

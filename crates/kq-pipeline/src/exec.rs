@@ -1,21 +1,24 @@
-//! Script executors.
+//! The serial oracle, the paper's measured split/combine run, and the
+//! records every executor reports.
 //!
-//! * [`run_serial`] — the paper's measurement infrastructure: every stage
-//!   runs to completion before the next starts, outputs buffered between
-//!   stages.
-//! * [`run_parallel`] — KumQuat's generated data-parallel pipeline: each
-//!   parallel stage splits its input into `w` line-aligned substreams, runs
-//!   `w` command instances on real threads, and combines the outputs with
-//!   the synthesized combiner — unless the combiner was eliminated
-//!   (Theorem 5), in which case the substreams flow to the next stage.
+//! * [`run_serial`] — the paper's measurement infrastructure and the byte
+//!   oracle of every parallel executor: every stage runs to completion
+//!   before the next starts, outputs buffered between stages.
+//! * [`run_parallel_measured`] — KumQuat's generated data-parallel
+//!   pipeline as the paper states it: each parallel stage splits its input
+//!   into `w` line-aligned substreams, runs `w` command instances (one
+//!   after the other, so each piece's time is its own), and combines the
+//!   outputs with the synthesized combiner — unless the combiner was
+//!   eliminated (Theorem 5), in which case the substreams flow to the next
+//!   stage.
 //!
-//! Both executors record a [`TimingLog`] of per-piece wall-clock durations;
-//! the [`crate::sim`] scheduler replays those measurements on virtual
-//! workers to produce the performance-table numbers.
+//! Both record a [`TimingLog`] of per-piece wall-clock durations; the
+//! [`crate::sim`] scheduler replays those measurements on virtual workers
+//! to produce the performance-table numbers.
 
 use crate::parse::{InputSource, Script, Statement};
 use crate::plan::{PlannedScript, StageMode};
-use kq_coreutils::{CmdError, ExecContext};
+use kq_coreutils::{CmdError, Command, ExecContext};
 use kq_dsl::eval::CommandEnv;
 use kq_stream::{Bytes, Rope};
 use std::time::{Duration, Instant};
@@ -38,26 +41,22 @@ pub struct StageTiming {
     pub bytes_in: usize,
     /// Output bytes produced (post-combine for parallel stages).
     pub bytes_out: usize,
-    /// Total piece output bytes *before* combining (equals `bytes_out`
-    /// for sequential stages; the distributed cost model uses the
-    /// difference as the combiner's shrink).
-    pub bytes_out_pieces: usize,
     /// Early exit: set when this stage was a prefix-bounded consumer
-    /// (`head -n k`, `sed kq`) under the streaming executor and satisfied
+    /// (`head -n k`, `sed kq`) under a pipelined executor and satisfied
     /// its demand without waiting for end-of-input — it released its
     /// receiver (the demand token), so any upstream producer still running
     /// unwound without draining the rest of the stream. `None` for stages
-    /// that read their whole input (every stage under the other
-    /// executors). The CLI reports these as
+    /// that read their whole input (every stage of [`run_serial`] and
+    /// [`run_parallel_measured`]). The CLI reports these as
     /// `early-exit: statement N stage M ... after K chunk(s)`.
     pub early_exit: Option<EarlyExit>,
     /// Queue-stall and occupancy counters for executors that move chunks
     /// through queues (streaming, dataflow). `None` under the batch
-    /// executors, which have no inter-stage queues to stall on.
+    /// runs, which have no inter-stage queues to stall on.
     pub queue: Option<QueueTelemetry>,
     /// Spill activity for barrier folds run under a spill budget
     /// (`--spill-mb`): `None` when no budget was configured for the stage
-    /// (including every batch-executor stage); `Some` with zeroed counters
+    /// (including every batch-run stage); `Some` with zeroed counters
     /// when a budget was set but never crossed.
     pub spill: Option<SpillTelemetry>,
 }
@@ -95,7 +94,7 @@ impl SpillTelemetry {
 }
 
 /// Per-node queue telemetry — the measurable cost of moving chunks
-/// between stages, feeding the future adaptive-tuning plane.
+/// between stages.
 ///
 /// Under the streaming executor the stalls are literal blocking time in
 /// channel `send`/`recv`; under the dataflow scheduler (which never
@@ -139,26 +138,18 @@ impl StageTiming {
     }
 }
 
-/// What the dataflow executor's closed-loop tuning layer actually did
-/// during a run (`--chunk-kb auto`, `--queue-depth auto`): the run-level
-/// summary behind the CLI's `adaptive:` report line. Per-decision detail
-/// (every chunk-target growth, every credit shift) is emitted as
-/// `adaptive` kq-trace instants.
+/// What the dataflow executor's auto chunk sizing did during a run
+/// (`--chunk-kb auto`: an input-size heuristic plus online coarsening of
+/// barrier-feeding producers): the run-level summary behind the CLI's
+/// `adaptive:` report line. Per-decision detail (every chunk-target
+/// growth) is emitted as `adaptive` kq-trace instants.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdaptiveTelemetry {
-    /// Chunk sizing ran in auto mode (input-size heuristic + online
-    /// coarsening of barrier-feeding producers).
-    pub auto_chunk: bool,
     /// Smallest initial chunk target the input-size heuristic chose for
     /// any statement (0 when no statement started).
     pub initial_chunk_bytes: usize,
     /// Largest chunk target any producer coarsened to.
     pub max_chunk_bytes: usize,
-    /// Queue credit ran in auto mode (controller shifts credit from
-    /// starved edges to gated ones).
-    pub rebalanced: bool,
-    /// Credit moves the controller performed.
-    pub credit_shifts: u64,
 }
 
 /// Per-statement stage timings for a whole script run.
@@ -166,8 +157,8 @@ pub struct AdaptiveTelemetry {
 pub struct TimingLog {
     /// One vector of stage timings per statement.
     pub statements: Vec<Vec<StageTiming>>,
-    /// Closed-loop tuning summary — `Some` only for dataflow runs with at
-    /// least one `auto` knob active.
+    /// Auto chunk sizing summary — `Some` only for dataflow runs under
+    /// `ChunkSizing::Auto`.
     pub adaptive: Option<AdaptiveTelemetry>,
 }
 
@@ -210,6 +201,22 @@ pub(crate) fn gather_files(input: &InputSource, ctx: &ExecContext) -> Result<Byt
     }
 }
 
+/// Runs `chain` (a fused run of chunk-local commands) over one chunk. The
+/// chunk enters the first command as the refcounted slice itself — no
+/// per-chunk copy. Shared by the streaming executor's segment pools and
+/// the dataflow scheduler's map tasks.
+pub(crate) fn run_chain(
+    chain: &[&Command],
+    chunk: Bytes,
+    ctx: &ExecContext,
+) -> Result<Bytes, CmdError> {
+    let mut cur = chunk;
+    for cmd in chain {
+        cur = cmd.run(cur, ctx)?;
+    }
+    Ok(cur)
+}
+
 /// Runs a script serially, stage to completion (the `u1` configuration and
 /// the baseline for output-correctness checks).
 pub fn run_serial(script: &Script, ctx: &ExecContext) -> Result<ExecutionResult, CmdError> {
@@ -237,7 +244,6 @@ pub fn run_serial(script: &Script, ctx: &ExecContext) -> Result<ExecutionResult,
                 combine_time: Duration::ZERO,
                 bytes_in,
                 bytes_out: out.len(),
-                bytes_out_pieces: out.len(),
                 early_exit: None,
                 queue: None,
                 spill: None,
@@ -265,50 +271,28 @@ enum State {
     Split(Vec<Bytes>),
 }
 
-/// Runs a planned script with `workers`-way data parallelism on real
-/// threads.
+/// Runs a planned script the way the paper states its parallel pipeline:
+/// each parallel stage splits its input into `workers` line-aligned
+/// pieces, runs one command instance per piece, and combines the outputs
+/// with the synthesized combiner.
 ///
 /// `honor_elimination` selects the optimized pipeline (Theorem 5 applied)
 /// versus the unoptimized one that combines after every parallel stage —
 /// the paper's `T` versus `u` configurations.
 ///
-/// Piece durations in the returned log are wall-clock times of genuinely
-/// concurrent threads: on an oversubscribed host they include contention.
-/// Use [`run_parallel_measured`] when the log feeds the [`crate::sim`]
-/// scheduler.
-pub fn run_parallel(
-    script: &Script,
-    plan: &PlannedScript,
-    ctx: &ExecContext,
-    workers: usize,
-    honor_elimination: bool,
-) -> Result<ExecutionResult, CmdError> {
-    run_parallel_inner(script, plan, ctx, workers, honor_elimination, true)
-}
-
-/// Like [`run_parallel`], but executes the pieces of each parallel stage
-/// one at a time so every recorded piece duration is that piece's own
-/// cost. This is the measurement mode behind the performance tables: the
-/// virtual scheduler in [`crate::sim`] replays these unbiased durations on
-/// `w` virtual workers, which is the honest way to report parallel wall
-/// clock from a host with fewer cores than the paper's 80 (see DESIGN.md).
+/// The pieces of a stage run one at a time, so every recorded piece
+/// duration is that piece's own cost. This is the measurement mode behind
+/// the performance tables: the virtual scheduler in [`crate::sim`] replays
+/// these unbiased durations on `w` virtual workers, which is the honest
+/// way to report parallel wall clock from a host with fewer cores than the
+/// paper's 80. Running a script in parallel is the dataflow executor's
+/// job ([`crate::scheduler::run_dataflow`]).
 pub fn run_parallel_measured(
     script: &Script,
     plan: &PlannedScript,
     ctx: &ExecContext,
     workers: usize,
     honor_elimination: bool,
-) -> Result<ExecutionResult, CmdError> {
-    run_parallel_inner(script, plan, ctx, workers, honor_elimination, false)
-}
-
-fn run_parallel_inner(
-    script: &Script,
-    plan: &PlannedScript,
-    ctx: &ExecContext,
-    workers: usize,
-    honor_elimination: bool,
-    use_threads: bool,
 ) -> Result<ExecutionResult, CmdError> {
     assert!(workers >= 1, "need at least one worker");
     let mut output = Rope::new();
@@ -329,7 +313,7 @@ fn run_parallel_inner(
                         }
                     };
                     let bytes_in = input.len();
-                    let span = kq_trace::span("static", "stage")
+                    let span = kq_trace::span("measured", "stage")
                         .si(si)
                         .ni(stage_idx)
                         .label(cmd.display())
@@ -345,7 +329,6 @@ fn run_parallel_inner(
                         combine_time: Duration::ZERO,
                         bytes_in,
                         bytes_out: out.len(),
-                        bytes_out_pieces: out.len(),
                         early_exit: None,
                         queue: None,
                         spill: None,
@@ -365,60 +348,22 @@ fn run_parallel_inner(
                         State::Split(p) => p,
                     };
                     let bytes_in: usize = pieces.iter().map(Bytes::len).sum();
-                    // Run one command instance per piece: on real threads
-                    // (correctness mode) or one at a time (measured mode).
-                    // Threads receive their piece as a refcount bump.
-                    let mut results: Vec<Result<(Bytes, Duration), CmdError>> =
-                        Vec::with_capacity(pieces.len());
-                    if use_threads {
-                        let trace = kq_trace::current();
-                        std::thread::scope(|scope| {
-                            let handles: Vec<_> = pieces
-                                .iter()
-                                .enumerate()
-                                .map(|(pi, piece)| {
-                                    let piece = piece.clone();
-                                    scope.spawn(move || {
-                                        let _trace = trace.attach();
-                                        let span = kq_trace::span("static", "piece")
-                                            .si(si)
-                                            .ni(stage_idx)
-                                            .seq(pi)
-                                            .v(piece.len() as f64);
-                                        let t0 = Instant::now();
-                                        let out = cmd.run(piece, ctx)?;
-                                        span.done();
-                                        Ok((out, t0.elapsed()))
-                                    })
-                                })
-                                .collect();
-                            for h in handles {
-                                results.push(h.join().expect("worker thread panicked"));
-                            }
-                        });
-                    } else {
-                        for (pi, piece) in pieces.iter().enumerate() {
-                            let span = kq_trace::span("static", "piece")
-                                .si(si)
-                                .ni(stage_idx)
-                                .seq(pi)
-                                .v(piece.len() as f64);
-                            let t0 = Instant::now();
-                            results
-                                .push(cmd.run(piece.clone(), ctx).map(|out| (out, t0.elapsed())));
-                            span.done();
-                        }
+                    // One command instance per piece, one at a time; each
+                    // receives its piece as a refcount bump.
+                    let mut outputs = Vec::with_capacity(pieces.len());
+                    let mut piece_times = Vec::with_capacity(pieces.len());
+                    for (pi, piece) in pieces.into_iter().enumerate() {
+                        let span = kq_trace::span("measured", "piece")
+                            .si(si)
+                            .ni(stage_idx)
+                            .seq(pi)
+                            .v(piece.len() as f64);
+                        let t0 = Instant::now();
+                        outputs.push(cmd.run(piece, ctx)?);
+                        piece_times.push(t0.elapsed());
+                        span.done();
                     }
-                    let mut outputs = Vec::with_capacity(results.len());
-                    let mut piece_times = Vec::with_capacity(results.len());
-                    for r in results {
-                        let (out, d) = r?;
-                        outputs.push(out);
-                        piece_times.push(d);
-                    }
-                    let bytes_out_pieces: usize = outputs.iter().map(Bytes::len).sum();
-                    let eliminate_now = *eliminated && honor_elimination;
-                    if eliminate_now {
+                    if *eliminated && honor_elimination {
                         // Theorem 5: the substream vector flows to the
                         // next stage with zero copies.
                         stage_timings.push(StageTiming {
@@ -428,8 +373,7 @@ fn run_parallel_inner(
                             piece_times,
                             combine_time: Duration::ZERO,
                             bytes_in,
-                            bytes_out: bytes_out_pieces,
-                            bytes_out_pieces,
+                            bytes_out: outputs.iter().map(Bytes::len).sum(),
                             early_exit: None,
                             queue: None,
                             spill: None,
@@ -437,7 +381,7 @@ fn run_parallel_inner(
                         state = State::Split(outputs);
                     } else {
                         let env = CommandEnv { command: cmd, ctx };
-                        let span = kq_trace::span("static", "combine")
+                        let span = kq_trace::span("measured", "combine")
                             .si(si)
                             .ni(stage_idx)
                             .label(cmd.display());
@@ -455,7 +399,6 @@ fn run_parallel_inner(
                             combine_time,
                             bytes_in,
                             bytes_out: combined.len(),
-                            bytes_out_pieces,
                             early_exit: None,
                             queue: None,
                             spill: None,
@@ -516,7 +459,7 @@ mod tests {
         let plan = planner.plan(&script, &ctx, &make_input());
         for workers in [1, 2, 3, 5, 8] {
             for honor in [false, true] {
-                let par = run_parallel(&script, &plan, &ctx, workers, honor).unwrap();
+                let par = run_parallel_measured(&script, &plan, &ctx, workers, honor).unwrap();
                 assert_eq!(
                     par.output, serial.output,
                     "script {script_text:?} differs at w={workers} honor={honor}"
@@ -563,7 +506,7 @@ mod tests {
         ctx.vfs.write("/in.txt", make_input());
         let mut planner = Planner::new(SynthesisConfig::default());
         let plan = planner.plan(&script, &ctx, &make_input());
-        let result = run_parallel(&script, &plan, &ctx, 4, true).unwrap();
+        let result = run_parallel_measured(&script, &plan, &ctx, 4, true).unwrap();
         let stages = &result.timings.statements[0];
         assert_eq!(stages.len(), 2);
         assert!(stages[0].parallel);
@@ -583,7 +526,7 @@ mod tests {
         let serial = run_serial(&script, &ctx).unwrap();
         let mut planner = Planner::new(SynthesisConfig::default());
         let plan = planner.plan(&script, &ctx, "b\na\n");
-        let par = run_parallel(&script, &plan, &ctx, 16, true).unwrap();
+        let par = run_parallel_measured(&script, &plan, &ctx, 16, true).unwrap();
         assert_eq!(par.output, serial.output);
     }
 

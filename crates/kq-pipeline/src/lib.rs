@@ -4,11 +4,12 @@
 //! script into pipelines ([`parse`]), synthesize a combiner per stage and
 //! decide which stages parallelize ([`plan`] — including the Theorem 5
 //! intermediate-combiner elimination and the §2 rerun-cost heuristic),
-//! execute serially or with `w`-way data parallelism ([`exec`]), and
-//! compute the virtual wall-clock times the paper's performance tables
-//! report ([`sim`] — a measured-cost scheduler replaying per-piece
-//! durations, the honest substitute for the paper's 80-core testbed on a
-//! single-core host; see DESIGN.md).
+//! execute the script in parallel ([`scheduler::run_dataflow`]) against
+//! the serial oracle ([`exec::run_serial`]), and compute the virtual
+//! wall-clock times the paper's performance tables report ([`sim`] — a
+//! measured-cost scheduler replaying the per-piece durations of
+//! [`exec::run_parallel_measured`], the honest substitute for the paper's
+//! 80-core testbed on a small host).
 //!
 //! # The zero-copy data plane
 //!
@@ -18,12 +19,11 @@
 //! * input gathering reads the virtual filesystem by refcount bump
 //!   (multi-file inputs gather through a [`kq_stream::Rope`], one memcpy
 //!   total);
-//! * splitting a stage input into `w` substreams ([`exec::run_parallel`])
-//!   or into load-balanced chunks ([`chunked::run_chunked`]) allocates
-//!   O(pieces): each piece is a slice of the parent buffer, and worker
-//!   threads receive it as an `Arc` clone;
-//! * a stage whose combiner is eliminated (Theorem 5) forwards its
-//!   substream *vector* to the next stage with zero copies;
+//! * cutting a stage input into chunks allocates O(chunks): each chunk is
+//!   a slice of the parent buffer, and worker threads receive it as an
+//!   `Arc` clone;
+//! * chunk-local stages whose combiner is eliminated (Theorem 5) pass
+//!   their chunks on to the next stage with zero copies;
 //! * k-way `concat` combining gathers segments with at most one memcpy,
 //!   and `> file` redirection stores the shared slice directly.
 //!
@@ -34,18 +34,19 @@
 //!
 //! # The executor matrix
 //!
-//! Five executors share the data plane and produce byte-identical output
-//! (asserted across the whole corpus by `tests/streaming_differential.rs`
-//! and `tests/dataflow_differential.rs`); they differ in how work is
-//! scheduled:
+//! Two parallel executors share the data plane and produce byte-identical
+//! output to the serial oracle (asserted across the whole corpus by
+//! `tests/dataflow_differential.rs` and `tests/streaming_differential.rs`):
 //!
-//! | executor | parallelism | barriers | wins when |
+//! | executor | parallelism | barriers | role |
 //! |---|---|---|---|
-//! | [`exec::run_serial`] | none | every stage | correctness baseline; tiny inputs |
-//! | [`exec::run_parallel`] | `w` static pieces per stage | every segment | uniform per-line cost (the paper's executor) |
-//! | [`chunked::run_chunked`] | many chunks over a `w`-thread pool | every segment | skewed per-line cost (dynamic balancing) |
-//! | [`streaming::run_streaming`] | pool per segment, segments pipelined | only where a stage truly needs its whole input | multi-segment pipelines: chunk-local stages (`grep`/`tr`/`cut`) flow chunks onward immediately, and barrier stages (`sort`, `uniq -c`) fold their combiner *while upstream still computes* |
-//! | [`scheduler::run_dataflow`] | one work-stealing pool of `w` threads for the *whole script* | graph properties, not thread boundaries | multi-statement scripts: every statement's [`dataflow`] graph shares the same fixed pool (no per-statement spawn/teardown), independent statements overlap, and early exit tears down queued upstream work |
+//! | [`exec::run_serial`] | none | every stage | the byte oracle every parallel run is checked against |
+//! | [`scheduler::run_dataflow`] | one work-stealing pool of `w` threads for the *whole script* | graph properties, not thread boundaries | the executor: every statement's [`dataflow`] graph shares the same fixed pool (no per-statement spawn/teardown), independent statements overlap, barrier stages fold *while upstream still computes*, and early exit tears down queued upstream work |
+//! | [`streaming::run_streaming`] | a thread pool per segment, segments pipelined over bounded channels | only where a stage truly needs its whole input | the out-of-core bound: a statement's memory is its channels' capacity plus its folds' spill budget, so a 256 MiB sort under a 64 MiB spill budget stays under 160 MiB resident — which the dataflow pool, whose run batches in flight, queued chunks and finish parts are not budget-accounted, does not yet meet |
+//!
+//! [`exec::run_parallel_measured`] is not an executor but a measurement:
+//! the paper's split/combine pipeline with each piece run alone, whose
+//! per-piece times [`sim`] replays on virtual workers.
 //!
 //! The streaming executor's segment classification (chunk-local versus
 //! barrier versus sequential) lives in
@@ -60,12 +61,10 @@
 //! [`lattice::newline_seam`] licenses — the word splitter
 //! `tr -cs A-Za-z '\n'` — runs chunk by chunk at the head of a chunk-local
 //! node instead of once over its gathered input ("Seam rewrite"). The
-//! other executors always run the plan stage by stage, which is what makes
-//! [`exec::run_serial`] the oracle for all three.
-//! `crates/bench/benches/streaming_exec.rs` measures streaming against
-//! chunked on a multi-stage pipeline, and
-//! `crates/bench/benches/dataflow_exec.rs` measures dataflow against
-//! streaming on a multi-statement script.
+//! serial oracle and the streaming executor always run the plan stage by
+//! stage, which is what makes [`exec::run_serial`] the oracle for all
+//! three. `crates/bench/benches/dataflow_exec.rs` measures dataflow
+//! against streaming on a multi-statement script.
 //!
 //! # Fold finalization protocol
 //!
@@ -173,10 +172,9 @@
 //!
 //! # The adaptive control loop
 //!
-//! The dataflow executor can run two of its knobs closed-loop
-//! ([`scheduler::ChunkSizing::Auto`] / [`scheduler::QueueCredit::Auto`],
-//! CLI `--chunk-kb auto` / `--queue-depth auto` under the default
-//! `--exec dataflow`):
+//! The dataflow executor can size its chunks closed-loop
+//! ([`scheduler::ChunkSizing::Auto`], CLI `--chunk-kb auto` under the
+//! default `--exec dataflow`):
 //!
 //! * **Adaptive chunk sizing.** Each statement's base chunk target is
 //!   derived from its input size and the worker count when the statement
@@ -186,32 +184,27 @@
 //!   wave of small chunks gets every worker busy; later, larger chunks
 //!   amortize per-chunk overhead and shrink the fold's merge frontier
 //!   (fewer, bigger sorted runs to k-way merge).
-//! * **Queue-credit rebalancing.** Edges start at the default credit and
-//!   a controller tick — piggybacked on the worker loop between tasks, no
-//!   extra thread — samples per-edge gate/starve event deltas and moves
-//!   one chunk of credit per tick from the most starved edge to the most
-//!   gated one (floor 1, cap 8× the seed).
 //! * **Spill-aware run sizing.** Under a spill budget a merge fold
 //!   accumulates incoming pieces until a quarter of the budget before
 //!   sorting/spilling a run ([`kq_dsl` `kway`]), so run count tracks the
 //!   budget rather than the chunk count.
 //!
-//! The invariant that makes all three safe: **adaptation moves chunk
-//! boundaries and scheduling, never bytes**. Chunk targets are pure
-//! functions of (statement base, chunks already cut) — independent of
-//! timing, credit, and worker interleaving — and reorder buffers already
-//! make every node's output order-deterministic, so serial byte-equality
-//! holds with the knobs on; `tests/dataflow_differential.rs` sweeps the
-//! corpus with both knobs on at several worker counts. Decisions are
-//! traced (`adaptive` instants) and summarized in
+//! The invariant that makes both safe: **adaptation moves chunk
+//! boundaries, never bytes**. Chunk targets are pure functions of
+//! (statement base, chunks already cut) — independent of timing, queue
+//! state, and worker interleaving — and reorder buffers already make
+//! every node's output order-deterministic, so serial byte-equality holds
+//! with the knob on; `tests/dataflow_differential.rs` sweeps the corpus
+//! with auto chunk sizing at several worker counts. Decisions are traced
+//! (`adaptive` instants) and summarized in
 //! [`TimingLog::adaptive`](exec::AdaptiveTelemetry);
-//! `crates/bench/benches/adaptive_exec.rs` measures auto against static
-//! configurations (`BENCH_adaptive.json`).
+//! `crates/bench/benches/adaptive_exec.rs` measures auto against the
+//! fixed default (`BENCH_adaptive.json`).
 //!
 //! # The trace plane
 //!
 //! Every executor is instrumented through [`kq_trace`]: node-task spans
-//! (`dataflow`/`streaming`/`chunked`/`static`/`serial` categories), graph
+//! (`dataflow`/`streaming`/`serial`/`measured` categories), graph
 //! structure metas, and per-node counters (bytes in/out, tasks,
 //! max-queued, send/recv stall time). Instrumentation is off unless the
 //! calling thread carries a live `kq_trace::TraceSession` — every pool
@@ -232,9 +225,10 @@
 //! the critical path).
 
 //! ```
-//! use kq_pipeline::exec::{run_parallel, run_serial};
+//! use kq_pipeline::exec::run_serial;
 //! use kq_pipeline::parse::parse_script;
 //! use kq_pipeline::plan::Planner;
+//! use kq_pipeline::{run_dataflow, DataflowOptions};
 //! use kq_coreutils::ExecContext;
 //! use kq_synth::SynthesisConfig;
 //!
@@ -244,7 +238,8 @@
 //! let mut planner = Planner::new(SynthesisConfig::default());
 //! let plan = planner.plan(&script, &ctx, "b\na\nb\n");
 //! let serial = run_serial(&script, &ctx).unwrap();
-//! let parallel = run_parallel(&script, &plan, &ctx, 4, true).unwrap();
+//! let opts = DataflowOptions { workers: 4, ..DataflowOptions::default() };
+//! let parallel = run_dataflow(&script, &plan, &ctx, &opts).unwrap();
 //! assert_eq!(parallel.output, serial.output);
 //! ```
 
@@ -252,9 +247,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod chunked;
 pub mod dataflow;
-pub mod dist;
 pub mod exec;
 pub mod lattice;
 pub mod parse;
@@ -271,7 +264,10 @@ pub use exec::{
 };
 pub use lattice::{classify, fold_pair, newline_seam, EffectClass, EffectSet, FoldPair};
 pub use parse::{InputSource, ParseError, Script, SourceSpan, Stage, Statement};
-pub use plan::{PlannedScript, PlannedStage, Planner, StageMode, StreamSegment, StreamSegmentKind};
+pub use plan::{
+    planning_sample, PlannedScript, PlannedStage, Planner, StageMode, StreamSegment,
+    StreamSegmentKind,
+};
 pub use scheduler::{
     run_dataflow, run_dataflow_segments, ChunkSizing, DataflowOptions, QueueCredit,
     DEFAULT_CHUNK_BYTES, DEFAULT_QUEUE_DEPTH,

@@ -27,7 +27,7 @@
 
 use crate::cache::{cache_key, CacheLookup, CacheStats, CombinerCache};
 use crate::lattice;
-use crate::parse::{Script, Statement};
+use crate::parse::{InputSource, Script, Statement};
 use kq_coreutils::ExecContext;
 use kq_synth::{
     spot_check, synthesize, InputProfile, SynthPool, SynthesisConfig, SynthesisReport,
@@ -138,52 +138,11 @@ impl PlannedStatement {
             .count()
     }
 
-    /// Groups the statement's stages into execution segments.
-    ///
-    /// A *segment* is either one sequential stage, or a maximal run of
-    /// parallel stages linked by eliminated intermediate combiners and
-    /// closed by the run's final (combining) stage. With
-    /// `honor_elimination = false`, every parallel stage forms its own
-    /// segment (the paper's unoptimized `u_w` configuration).
-    ///
-    /// Segments are what executors and the shell emitter iterate over:
-    /// split once per segment, pipe the whole command run per piece,
-    /// combine once.
-    pub fn segments(&self, honor_elimination: bool) -> Vec<StageSegment> {
-        let mut out = Vec::new();
-        let mut idx = 0;
-        while idx < self.stages.len() {
-            match &self.stages[idx].mode {
-                StageMode::Sequential => {
-                    out.push(StageSegment::Sequential { stage: idx });
-                    idx += 1;
-                }
-                StageMode::Parallel { .. } => {
-                    let start = idx;
-                    while honor_elimination
-                        && self.stages[idx].mode.is_eliminated()
-                        && idx + 1 < self.stages.len()
-                        && self.stages[idx + 1].mode.is_parallel()
-                    {
-                        idx += 1;
-                    }
-                    out.push(StageSegment::Parallel {
-                        stages: start..idx + 1,
-                    });
-                    idx += 1;
-                }
-            }
-        }
-        out
-    }
-
     /// Groups the statement's stages into *streaming* segments — the unit
     /// the bounded-queue streaming executor spawns workers for.
     ///
-    /// Unlike [`segments`](Self::segments) (which fuses an eliminated run
-    /// *into* its closing combiner stage for split-once/combine-once
-    /// execution), streaming segmentation breaks at every stage that must
-    /// see its whole input:
+    /// Streaming segmentation breaks at every stage that must see its
+    /// whole input:
     ///
     /// * a maximal run of consecutive [`streamable`](PlannedStage::streamable)
     ///   stages forms one [`StreamSegmentKind::Streaming`] segment — chunks
@@ -282,23 +241,6 @@ pub struct StreamSegment {
     pub kind: StreamSegmentKind,
 }
 
-/// One execution segment of a planned statement (see
-/// [`PlannedStatement::segments`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StageSegment {
-    /// A single stage running on the whole stream.
-    Sequential {
-        /// Stage index within the statement.
-        stage: usize,
-    },
-    /// A run of parallel stages piped per piece, combined once at the end
-    /// (with the last stage's combiner).
-    Parallel {
-        /// Stage index range (`start..end`, end exclusive).
-        stages: std::ops::Range<usize>,
-    },
-}
-
 /// Planning result for a whole script.
 #[derive(Debug)]
 pub struct PlannedScript {
@@ -322,6 +264,38 @@ impl PlannedScript {
             .map(PlannedStatement::eliminated_count)
             .sum()
     }
+}
+
+/// Bytes of the script's input that [`planning_sample`] hands the planner.
+const PLANNING_SAMPLE_BYTES: usize = 64 * 1024;
+
+/// The sample [`Planner::plan`] probes a script's commands on: the first
+/// 64 KiB of the first input file any statement reads,
+/// newline-terminated, or generic text when no statement reads a file that
+/// exists yet.
+///
+/// Only the sampled prefix is copied — never the whole file, which may be
+/// a multi-GB mapped region — and the cut walks back off UTF-8
+/// continuation bytes, so a multi-byte character straddling the cap is
+/// left out whole rather than split.
+pub fn planning_sample(script: &Script, ctx: &ExecContext) -> String {
+    for statement in &script.statements {
+        if let InputSource::Files(files) = &statement.input {
+            if let Some(content) = files.first().and_then(|f| ctx.vfs.read_bytes(f)) {
+                let bytes = content.as_bytes();
+                let mut cap = bytes.len().min(PLANNING_SAMPLE_BYTES);
+                while cap > 0 && cap < bytes.len() && (bytes[cap] & 0xC0) == 0x80 {
+                    cap -= 1;
+                }
+                let mut sample = String::from_utf8_lossy(&bytes[..cap]).into_owned();
+                if !sample.ends_with('\n') {
+                    sample.push('\n');
+                }
+                return sample;
+            }
+        }
+    }
+    "the quick brown fox\njumps over the lazy dog\nthe end\n".repeat(30)
 }
 
 /// The planner: synthesis cache plus heuristics.

@@ -50,7 +50,7 @@
 //!
 //! # Backpressure, cancellation, out-of-core
 //!
-//! Edges are soft-bounded at [`DataflowOptions::queue_depth`] chunks: a
+//! Edges are soft-bounded at [`DataflowOptions::queue`] chunks: a
 //! producer claims new input only while its output edge is below the
 //! bound (in-flight results may overshoot it by the amount already
 //! claimed). Early exit is the graph teardown described in
@@ -61,39 +61,27 @@
 //! cursor exactly like the streaming feeder, so mapped multi-GB inputs
 //! stream through at O(window) resident memory.
 //!
-//! # Adaptive control loop
+//! # Auto chunk sizing
 //!
-//! Two knobs can run closed-loop instead of fixed (see the crate docs for
-//! the full signal/invariant discussion):
-//!
-//! * [`ChunkSizing::Auto`] — each statement's base chunk target comes
-//!   from its input size and the worker count, and producers that feed a
-//!   combine fold coarsen geometrically as they cut
-//!   ([`coarsened_target`]), so barrier folds see few large runs. The
-//!   target is a pure function of (base, chunks already cut): chunk
-//!   boundaries never depend on timing, credit, or worker interleaving.
-//! * [`QueueCredit::Auto`] — edges start at the default depth and a
-//!   controller tick ([`maybe_rebalance`], piggybacked on the worker loop
-//!   between tasks — no extra thread) samples per-edge gate/starve event
-//!   deltas and moves one credit per tick from the most starved edge to
-//!   the most gated one. Credit moves scheduling, never bytes: reorder
-//!   buffers already make output independent of queue capacity.
-//!
-//! Every decision is traced (`adaptive` instants: `chunk-init`,
-//! `chunk-grow`, `credit-shift`) and summarized in
-//! [`TimingLog::adaptive`](crate::exec::TimingLog).
+//! Under [`ChunkSizing::Auto`] each statement's base chunk target comes
+//! from its input size and the worker count, and producers that feed a
+//! combine fold coarsen geometrically as they cut (`coarsened_target`),
+//! so barrier folds see few large runs. The target is a pure function of
+//! (base, chunks already cut): chunk boundaries never depend on timing,
+//! queue state, or worker interleaving (see the crate docs). Every
+//! decision is traced (`adaptive` instants: `chunk-init`, `chunk-grow`)
+//! and summarized in [`TimingLog::adaptive`](crate::exec::TimingLog).
 //!
 //! Byte-equality with [`run_serial`](crate::exec::run_serial) across the
 //! corpus — plus multi-statement scripts with redirect dependencies — is
 //! asserted by `tests/dataflow_differential.rs` and
 //! `tests/multi_statement_differential.rs`; the differential suites also
-//! sweep both `auto` knobs.
+//! sweep auto chunk sizing.
 
-use crate::chunked::run_chain;
 use crate::dataflow::{DataflowGraph, DataflowNode, FoldMode, NodeKind};
 use crate::exec::{
-    gather_files, AdaptiveTelemetry, EarlyExit, ExecutionResult, QueueTelemetry, StageTiming,
-    TimingLog,
+    gather_files, run_chain, AdaptiveTelemetry, EarlyExit, ExecutionResult, QueueTelemetry,
+    StageTiming, TimingLog,
 };
 use crate::lattice::FoldPair;
 use crate::parse::{InputSource, Script, Statement};
@@ -131,16 +119,10 @@ pub enum ChunkSizing {
 pub enum QueueCredit {
     /// Every edge holds this many chunks of credit for the whole run.
     Fixed(usize),
-    /// Rebalanced (`--queue-depth auto`): edges start at the default
-    /// depth and a controller tick moves credit from starved edges to
-    /// gated ones based on live stall telemetry (see the
-    /// [module docs](self)).
-    Auto,
 }
 
 /// Default per-edge credit in chunks: the `Fixed` value
-/// [`DataflowOptions::default`] uses and the seed every edge starts from
-/// under [`QueueCredit::Auto`].
+/// [`DataflowOptions::default`] uses.
 pub const DEFAULT_QUEUE_DEPTH: usize = 4;
 
 /// Default fixed chunk target ([`DataflowOptions::default`], CLI
@@ -167,9 +149,6 @@ const COARSEN_EVERY: usize = 8;
 /// target stops growing after ~56 cuts, or earlier at
 /// [`AUTO_CHUNK_MAX`]).
 const MAX_COARSEN_DOUBLINGS: u32 = 6;
-
-/// Minimum interval between credit-rebalancing controller ticks.
-const CREDIT_TICK: Duration = Duration::from_millis(1);
 
 /// Tuning for the dataflow executor.
 #[derive(Debug, Clone)]
@@ -230,16 +209,8 @@ struct Edge {
     q: Mutex<EdgeQ>,
     /// Mirror of `q.items.len()` for lock-free credit checks.
     len: AtomicUsize,
-    /// Chunks of queue credit this edge currently holds. Fixed for the
-    /// whole run under [`QueueCredit::Fixed`]; the rebalancing controller
-    /// moves it between edges under [`QueueCredit::Auto`].
-    credit: AtomicUsize,
-    /// Times a producer found the edge at capacity (the controller's
-    /// "gated" signal). Monotonic.
-    gate_events: AtomicUsize,
-    /// Times the consumer found the edge empty before close (the
-    /// controller's "starved" signal). Monotonic.
-    starve_events: AtomicUsize,
+    /// Chunks of queue credit this edge holds for the whole run.
+    credit: usize,
 }
 
 impl Edge {
@@ -247,25 +218,13 @@ impl Edge {
         Edge {
             q: Mutex::new(EdgeQ::default()),
             len: AtomicUsize::new(0),
-            credit: AtomicUsize::new(credit),
-            gate_events: AtomicUsize::new(0),
-            starve_events: AtomicUsize::new(0),
+            credit,
         }
     }
 
-    /// Lock-free credit gate, counting a gate event when at capacity.
+    /// Lock-free credit gate: true when the edge is at capacity.
     fn check_gate(&self) -> bool {
-        if self.len.load(Ordering::Relaxed) >= self.credit.load(Ordering::Relaxed) {
-            self.gate_events.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Counts a starve event (consumer found the edge empty and open).
-    fn note_starved(&self) {
-        self.starve_events.fetch_add(1, Ordering::Relaxed);
+        self.len.load(Ordering::Relaxed) >= self.credit
     }
 }
 
@@ -418,7 +377,6 @@ struct NodeState<'a> {
     combine_time: Duration,
     bytes_in: usize,
     bytes_out: usize,
-    bytes_out_pieces: usize,
     telem: QueueTelemetry,
     gate_since: Option<Instant>,
     starve_since: Option<Instant>,
@@ -445,7 +403,6 @@ impl NodeState<'_> {
             combine_time: Duration::ZERO,
             bytes_in: 0,
             bytes_out: 0,
-            bytes_out_pieces: 0,
             telem: QueueTelemetry::default(),
             gate_since: None,
             starve_since: None,
@@ -516,14 +473,6 @@ struct IdleGate {
     cv: Condvar,
 }
 
-/// The credit-rebalancing controller's private state: the last tick time
-/// and, per statement, the (gate, starve) event counts already consumed,
-/// so each tick acts on deltas rather than run totals.
-struct Controller {
-    last: Instant,
-    seen: Vec<Vec<(usize, usize)>>,
-}
-
 /// Shared run state: everything the worker pool operates on.
 struct RunState<'a> {
     stmts: Vec<StmtRt<'a>>,
@@ -535,18 +484,11 @@ struct RunState<'a> {
     ctx: &'a ExecContext,
     /// The configured chunk sizing mode (resolved: `Fixed` is clamped ≥1).
     chunk: ChunkSizing,
-    /// Per-edge credit cap under rebalancing (8× the seed): no edge can
-    /// absorb the whole script's credit.
-    max_credit: usize,
-    /// Credit rebalancing enabled ([`QueueCredit::Auto`]).
-    rebalance: bool,
     workers: usize,
     release_lag: usize,
-    controller: Mutex<Controller>,
-    // Adaptive telemetry, aggregated into `TimingLog::adaptive`.
+    // Auto chunk telemetry, aggregated into `TimingLog::adaptive`.
     initial_chunk: AtomicUsize,
     max_chunk: AtomicUsize,
-    credit_shifts: AtomicUsize,
 }
 
 /// Per-thread scheduling context: where this thread's follow-up tasks go.
@@ -640,11 +582,8 @@ pub fn run_dataflow_segments(
         // until then the floor stands in wherever a static size is needed.
         ChunkSizing::Auto => (ChunkSizing::Auto, AUTO_CHUNK_MIN),
     };
-    let queue_seed = match opts.queue {
-        QueueCredit::Fixed(d) => d.max(1),
-        QueueCredit::Auto => DEFAULT_QUEUE_DEPTH,
-    };
-    let rebalance = matches!(opts.queue, QueueCredit::Auto);
+    let QueueCredit::Fixed(depth) = opts.queue;
+    let queue_depth = depth.max(1);
 
     // Build the graphs first: the release lag and combiner environments
     // depend on their shapes.
@@ -655,7 +594,7 @@ pub fn run_dataflow_segments(
         .collect();
     if cfg!(debug_assertions) {
         for (si, (graph, planned)) in graphs.iter().zip(&plan.statements).enumerate() {
-            let problems = graph.validate(planned, queue_seed);
+            let problems = graph.validate(planned, queue_depth);
             assert!(
                 problems.is_empty(),
                 "statement {si} dataflow graph violates its invariants: {problems:?}"
@@ -671,7 +610,7 @@ pub fn run_dataflow_segments(
         ChunkSizing::Auto => AUTO_CHUNK_MAX,
     };
     let release_lag = lag_chunk
-        .saturating_mul(queue_seed + workers)
+        .saturating_mul(queue_depth + workers)
         .saturating_mul(max_nodes + 2)
         .max(16 << 20);
 
@@ -759,7 +698,7 @@ pub fn run_dataflow_segments(
             })
             .collect();
         let edges = (0..graph.nodes.len())
-            .map(|_| Edge::new(queue_seed))
+            .map(|_| Edge::new(queue_depth))
             .collect();
         let feeds_fold: Vec<bool> = (0..graph.nodes.len())
             .map(|ni| {
@@ -837,10 +776,6 @@ pub fn run_dataflow_segments(
     let _run_span = kq_trace::span("dataflow", "run").v(stmts.len() as f64);
 
     let total = stmts.len();
-    let seen: Vec<Vec<(usize, usize)>> = stmts
-        .iter()
-        .map(|s| vec![(0usize, 0usize); s.graph.nodes.len().saturating_sub(1)])
-        .collect();
     let rt = RunState {
         stmts,
         injector: Injector::new(),
@@ -853,17 +788,10 @@ pub fn run_dataflow_segments(
         finished_count: AtomicUsize::new(0),
         ctx,
         chunk,
-        max_credit: queue_seed.saturating_mul(8),
-        rebalance,
         workers,
         release_lag,
-        controller: Mutex::new(Controller {
-            last: Instant::now(),
-            seen,
-        }),
         initial_chunk: AtomicUsize::new(usize::MAX),
         max_chunk: AtomicUsize::new(0),
-        credit_shifts: AtomicUsize::new(0),
     };
 
     // Seed every dependency-free statement, then let the pool run.
@@ -904,15 +832,11 @@ pub fn run_dataflow_segments(
 
     let mut output = Rope::new();
     let mut timings = TimingLog::default();
-    let auto_chunk = matches!(chunk, ChunkSizing::Auto);
-    if auto_chunk || rebalance {
+    if matches!(chunk, ChunkSizing::Auto) {
         let initial = rt.initial_chunk.load(Ordering::Relaxed);
         timings.adaptive = Some(AdaptiveTelemetry {
-            auto_chunk,
             initial_chunk_bytes: if initial == usize::MAX { 0 } else { initial },
             max_chunk_bytes: rt.max_chunk.load(Ordering::Relaxed),
-            rebalanced: rebalance,
-            credit_shifts: rt.credit_shifts.load(Ordering::Relaxed) as u64,
         });
     }
     for (si, stmt) in rt.stmts.iter().enumerate() {
@@ -997,7 +921,6 @@ fn worker_loop(rt: &RunState<'_>, local: Worker<Task>, stealers: &[Stealer<Task>
     loop {
         while let Some(task) = find_task(rt, &local, stealers, idx) {
             run_task(&cx, task);
-            maybe_rebalance(&cx);
         }
         // Record the generation *before* the confirming scan: a task
         // pushed after this read bumps the generation and cancels the
@@ -1008,7 +931,6 @@ fn worker_loop(rt: &RunState<'_>, local: Worker<Task>, stealers: &[Stealer<Task>
         }
         if let Some(task) = find_task(rt, &local, stealers, idx) {
             run_task(&cx, task);
-            maybe_rebalance(&cx);
             continue;
         }
         let mut guard = lock(&rt.idle.generation);
@@ -1080,74 +1002,6 @@ fn chunk_target(rt: &RunState<'_>, stmt: &StmtRt<'_>, si: usize, ni: usize, cuts
     }
     rt.max_chunk.fetch_max(target, Ordering::Relaxed);
     target
-}
-
-/// One credit-rebalancing controller tick, piggybacked on the worker loop
-/// between tasks (no dedicated thread — the pool's thread budget is part
-/// of the executor's contract). At most one worker ticks at a time
-/// (`try_lock`), at most once per [`CREDIT_TICK`]. Each tick looks at the
-/// gate/starve event *deltas* since the previous tick and, per unfinished
-/// statement, moves one chunk of credit from the most starved edge to the
-/// most gated one — bounded below by 1 and above by
-/// [`RunState::max_credit`]. Credit affects only when producers run;
-/// reorder buffers keep the output byte-identical regardless.
-fn maybe_rebalance(cx: &Cx<'_, '_>) {
-    let rt = cx.rt;
-    if !rt.rebalance {
-        return;
-    }
-    let Ok(mut ctl) = rt.controller.try_lock() else {
-        return;
-    };
-    if ctl.last.elapsed() < CREDIT_TICK {
-        return;
-    }
-    ctl.last = Instant::now();
-    for (si, stmt) in rt.stmts.iter().enumerate() {
-        if stmt.finished.load(Ordering::Relaxed) {
-            continue;
-        }
-        // Interior edges only: the sink edge has no credit gate.
-        let interior = stmt.graph.nodes.len().saturating_sub(1);
-        let mut gated: Option<(usize, usize)> = None; // (delta, edge)
-        let mut starved: Option<(usize, usize)> = None;
-        for ei in 0..interior {
-            let edge = &stmt.edges[ei];
-            let gate = edge.gate_events.load(Ordering::Relaxed);
-            let starve = edge.starve_events.load(Ordering::Relaxed);
-            let (pg, ps) = std::mem::replace(&mut ctl.seen[si][ei], (gate, starve));
-            let dg = gate.saturating_sub(pg);
-            let ds = starve.saturating_sub(ps);
-            if dg > gated.map_or(0, |(best, _)| best) {
-                gated = Some((dg, ei));
-            }
-            if ds > starved.map_or(0, |(best, _)| best) {
-                starved = Some((ds, ei));
-            }
-        }
-        let (Some((_, gi)), Some((_, di))) = (gated, starved) else {
-            continue;
-        };
-        if gi == di {
-            continue;
-        }
-        let donor = &stmt.edges[di];
-        let gainer = &stmt.edges[gi];
-        let donor_credit = donor.credit.load(Ordering::Relaxed);
-        let gainer_credit = gainer.credit.load(Ordering::Relaxed);
-        if donor_credit > 1 && gainer_credit < rt.max_credit {
-            donor.credit.store(donor_credit - 1, Ordering::Relaxed);
-            gainer.credit.store(gainer_credit + 1, Ordering::Relaxed);
-            rt.credit_shifts.fetch_add(1, Ordering::Relaxed);
-            kq_trace::instant("adaptive", "credit-shift")
-                .si(si)
-                .ni(gi)
-                .v((gainer_credit + 1) as f64)
-                .emit();
-            // The freed credit may unblock the gated producer right now.
-            cx.schedule((si, gi));
-        }
-    }
 }
 
 fn run_task(cx: &Cx<'_, '_>, (si, ni): Task) {
@@ -1330,20 +1184,16 @@ fn drain_sink(stmt: &StmtRt<'_>, i: usize) -> Rope {
 }
 
 /// Pops one chunk (with its order stamp and the pre-pop queue length)
-/// from node `ni`'s input edge.
-fn pop_input(stmt: &StmtRt<'_>, ni: usize) -> Result<(usize, Bytes, usize), bool> {
+/// from node `ni`'s input edge; `None` when the edge is empty.
+fn pop_input(stmt: &StmtRt<'_>, ni: usize) -> Option<(usize, Bytes, usize)> {
     let edge = &stmt.edges[ni - 1];
     let mut q = lock(&edge.q);
     let len_at = q.items.len();
-    match q.items.pop_front() {
-        Some(chunk) => {
-            let seq = q.pop_seq;
-            q.pop_seq += 1;
-            edge.len.fetch_sub(1, Ordering::Relaxed);
-            Ok((seq, chunk, len_at))
-        }
-        None => Err(q.closed),
-    }
+    let chunk = q.items.pop_front()?;
+    let seq = q.pop_seq;
+    q.pop_seq += 1;
+    edge.len.fetch_sub(1, Ordering::Relaxed);
+    Some((seq, chunk, len_at))
 }
 
 /// One map task at a StageWorker or Fold(Combine) node: claim one input
@@ -1407,11 +1257,8 @@ fn map_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
         cx.schedule((si, ni));
     }
     let (seq, chunk, len_at) = match pop_input(stmt, ni) {
-        Ok(popped) => popped,
-        Err(closed) => {
-            if !closed {
-                stmt.edges[ni - 1].note_starved();
-            }
+        Some(popped) => popped,
+        None => {
             let mut st = lock(&stmt.nodes[ni]);
             st.inflight -= 1;
             st.starve_since.get_or_insert_with(Instant::now);
@@ -1465,7 +1312,6 @@ fn map_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
             st.pending.remove(&next)
         } {
             st.next_seq += 1;
-            st.bytes_out_pieces += ready.len();
             if is_worker {
                 st.bytes_out += ready.len();
                 // Retarget per ready piece: the target depends only on
@@ -1705,17 +1551,14 @@ fn gather_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
         st.inflight += 1;
     }
     let popped = pop_input(stmt, ni);
-    let popped_err = popped.is_err();
-    let gather_span = match &popped {
-        Ok((seq, chunk, _)) => Some(
-            kq_trace::span("dataflow", "gather")
-                .si(si)
-                .ni(ni)
-                .seq(*seq)
-                .v(chunk.len() as f64),
-        ),
-        Err(_) => None,
-    };
+    let popped_none = popped.is_none();
+    let gather_span = popped.as_ref().map(|(seq, chunk, _)| {
+        kq_trace::span("dataflow", "gather")
+            .si(si)
+            .ni(ni)
+            .seq(*seq)
+            .v(chunk.len() as f64)
+    });
     let mut satisfied = false;
     let mut exit_chunks = 0usize;
     {
@@ -1725,13 +1568,10 @@ fn gather_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
             return;
         }
         match popped {
-            Err(closed) => {
-                if !closed {
-                    stmt.edges[ni - 1].note_starved();
-                }
+            None => {
                 st.starve_since.get_or_insert_with(Instant::now);
             }
-            Ok((seq, chunk, len_at)) => {
+            Some((seq, chunk, len_at)) => {
                 if let Some(starved) = st.starve_since.take() {
                     st.telem.recv_stall += starved.elapsed();
                 }
@@ -1785,13 +1625,13 @@ fn gather_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
         return;
     }
     // The pop freed one credit upstream.
-    if !popped_err {
+    if !popped_none {
         cx.schedule((si, ni - 1));
     }
     // Every retiring claim re-checks finalization, successful pops
     // included. Without the re-check on this path there is a lost-wakeup
     // window: task A claims `inflight` and pops the *final* chunk; task B
-    // pops `Err(closed)`, retires, and sees closed+empty but bails on
+    // pops nothing, retires, and sees closed+empty but bails on
     // A's `inflight > 0`; A then integrates and — if it only rescheduled
     // upstream (a no-op once the split is Done) — nobody ever runs the
     // finalize check again, `done` is never set, and the pool sleeps
@@ -1847,7 +1687,6 @@ fn run_gathered(cx: &Cx<'_, '_>, si: usize, ni: usize) {
                 let mut st = lock(&stmt.nodes[ni]);
                 st.piece_times.push(elapsed);
                 st.bytes_out = out.len();
-                st.bytes_out_pieces = out.len();
                 st.phase = Phase::Emitting(Emit::new(out));
             }
             emit_task(cx, si, ni);
@@ -2012,7 +1851,6 @@ fn snapshot_timings(stmt: &StmtRt<'_>) -> Vec<StageTiming> {
             combine_time: st.combine_time,
             bytes_in: st.bytes_in,
             bytes_out: st.bytes_out,
-            bytes_out_pieces: st.bytes_out_pieces,
             early_exit: st.early_exit,
             queue: Some(st.telem),
             spill: st
@@ -2087,7 +1925,7 @@ mod tests {
         }
     }
 
-    /// Runs `script_text` with both adaptive knobs on and asserts byte
+    /// Runs `script_text` with auto chunk sizing and asserts byte
     /// equality with serial plus sane adaptive telemetry.
     fn check_adaptive(script_text: &str) {
         let env: HashMap<String, String> = HashMap::new();
@@ -2101,7 +1939,7 @@ mod tests {
             let opts = DataflowOptions {
                 workers,
                 chunk: ChunkSizing::Auto,
-                queue: QueueCredit::Auto,
+                queue: QueueCredit::Fixed(DEFAULT_QUEUE_DEPTH),
                 fuse_streamable: true,
                 spill: None,
             };
@@ -2110,8 +1948,10 @@ mod tests {
                 got.output, serial.output,
                 "{script_text:?} differs under adaptation (w={workers})"
             );
-            let adaptive = got.timings.adaptive.expect("auto knobs report telemetry");
-            assert!(adaptive.auto_chunk && adaptive.rebalanced);
+            let adaptive = got
+                .timings
+                .adaptive
+                .expect("auto chunk sizing reports telemetry");
             assert!(
                 adaptive.initial_chunk_bytes >= AUTO_CHUNK_MIN,
                 "auto base respects the floor"

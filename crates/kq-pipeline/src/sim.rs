@@ -193,7 +193,6 @@ mod tests {
             combine_time: ms(combine),
             bytes_in: 0,
             bytes_out: 0,
-            bytes_out_pieces: 0,
             early_exit: None,
             queue: None,
             spill: None,

@@ -1,12 +1,10 @@
 //! Bounded-queue streaming executor: chunks flow stage-to-stage before the
 //! previous stage finishes.
 //!
-//! Every other executor in this crate barriers between stages — a stage's
-//! whole output materializes before the next stage starts, even in
-//! [`run_chunked`](crate::chunked::run_chunked), whose parallelism is
-//! *within* a segment. This executor instead runs every planned segment
-//! (see [`PlannedStatement::stream_segments`]) concurrently, connected by
-//! bounded MPMC channels carrying line-aligned [`Bytes`] chunks:
+//! This executor runs every planned segment (see
+//! [`PlannedStatement::stream_segments`]) of a statement concurrently, on
+//! threads of its own, connected by bounded MPMC channels carrying
+//! line-aligned [`Bytes`] chunks; statements run one after the other:
 //!
 //! * a **feeder** splits the statement input into chunks and pushes them
 //!   into the first channel;
@@ -85,8 +83,7 @@
 //! [`SynthesizedCombiner::incremental`]: kq_synth::SynthesizedCombiner::incremental
 //! [`IncrementalChunker`]: kq_stream::IncrementalChunker
 
-use crate::chunked::run_chain;
-use crate::exec::{gather_files, ExecutionResult, StageTiming, TimingLog};
+use crate::exec::{gather_files, run_chain, ExecutionResult, StageTiming, TimingLog};
 use crate::parse::{Script, Statement};
 use crate::plan::{PlannedScript, PlannedStatement, StageMode, StreamSegmentKind};
 use crossbeam::channel;
@@ -390,7 +387,6 @@ fn run_statement(
                             combine_time: Duration::ZERO,
                             bytes_in,
                             bytes_out,
-                            bytes_out_pieces: bytes_out,
                             early_exit: (!upstream_done).then_some(crate::exec::EarlyExit {
                                 stage: stage_idx,
                                 chunks,
@@ -445,7 +441,6 @@ fn run_statement(
                             combine_time: Duration::ZERO,
                             bytes_in,
                             bytes_out,
-                            bytes_out_pieces: bytes_out,
                             early_exit: None,
                             queue: Some(telem),
                             spill: None,
@@ -455,9 +450,8 @@ fn run_statement(
                 StreamSegmentKind::Streaming | StreamSegmentKind::Barrier => {
                     // The pool: `workers` threads pull chunks off the
                     // segment's input channel (MPMC, cloned receiver) and
-                    // report results unordered on a bounded side channel —
-                    // the same shape as the chunked executor's pool, with
-                    // the feeder replaced by the upstream segment.
+                    // report results unordered on a bounded side channel,
+                    // fed by the upstream segment.
                     let chain: Vec<&Command> = segment
                         .stages
                         .clone()
@@ -657,7 +651,6 @@ fn collect_streaming(
         combine_time: Duration::ZERO,
         bytes_in,
         bytes_out,
-        bytes_out_pieces: bytes_out,
         early_exit: None,
         queue: Some(telem),
         spill: None,
@@ -689,7 +682,7 @@ fn collect_barrier(
     let mut pending: BTreeMap<usize, Bytes> = BTreeMap::new();
     let mut next = 0usize;
     let mut piece_times: Vec<Duration> = Vec::new();
-    let (mut bytes_in, mut bytes_out_pieces) = (0usize, 0usize);
+    let mut bytes_in = 0usize;
     let mut combine_time = Duration::ZERO;
     // Downstream teardown ends the collection without combining the rest
     // — a failing segment's handle carries the error, and a bounded
@@ -718,7 +711,6 @@ fn collect_barrier(
         pending.insert(seq, out);
         while let Some(piece) = pending.remove(&next) {
             next += 1;
-            bytes_out_pieces += piece.len();
             let span = kq_trace::span("streaming", "fold-push")
                 .si(si)
                 .ni(ni)
@@ -757,7 +749,6 @@ fn collect_barrier(
         combine_time,
         bytes_in,
         bytes_out,
-        bytes_out_pieces,
         early_exit: None,
         queue: Some(telem),
         spill: spill_metrics
@@ -778,7 +769,6 @@ fn empty_timing(label: String, parallel: bool, eliminated: bool) -> StageTiming 
         combine_time: Duration::ZERO,
         bytes_in: 0,
         bytes_out: 0,
-        bytes_out_pieces: 0,
         early_exit: None,
         queue: None,
         spill: None,

@@ -105,10 +105,9 @@ pub fn split_stream(input: &str, k: usize) -> Vec<&str> {
 /// `target_bytes` bytes each (at least one line per chunk).
 ///
 /// Unlike [`split_stream`], the chunk *count* is data-driven: a 1 MiB
-/// stream with `target_bytes = 64 KiB` yields ≈ 16 chunks. The chunked
-/// executor feeds these to a worker pool, so many small chunks give
-/// dynamic load balancing where [`split_stream`]'s `k` equal pieces give
-/// static assignment.
+/// stream with `target_bytes = 64 KiB` yields ≈ 16 chunks. Fed to a
+/// worker pool, many small chunks give dynamic load balancing where
+/// [`split_stream`]'s `k` equal pieces give static assignment.
 ///
 /// Shares [`split_stream`]'s invariants: concatenation reproduces the
 /// input, no line is split, every chunk but possibly the last ends with

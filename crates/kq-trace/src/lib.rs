@@ -1,8 +1,9 @@
 //! The workspace's tracing and metrics plane.
 //!
 //! Every layer of the pipeline — planning, synthesis, ingest, chunking,
-//! folds, and all five executors — records its work through this crate as
-//! **spans** (an interval of work), **instants** (a point event),
+//! folds, the serial oracle and both parallel executors — records its work
+//! through this crate as **spans** (an interval of work), **instants** (a
+//! point event),
 //! **counters** (a named quantity), and **meta** records (structure, e.g.
 //! the dataflow graph's nodes and statement dependencies). The recorder is
 //! feature-off-by-default and lock-cheap:
@@ -44,8 +45,7 @@
 //! | `chunk` | `cut` | incremental re-chunking |
 //! | `spill` | `run-out`, `map-back` | bounded-memory fold spills |
 //! | `serial` | `stage` | the serial oracle |
-//! | `static` | `stage`, `piece`, `combine` | the static executor |
-//! | `chunked` | `stage`, `map`, `combine` | the chunked executor |
+//! | `measured` | `stage`, `piece`, `combine` | the paper's measured split/combine run |
 //! | `streaming` | `statement`, `send`, `map`, `bounded-run`, `seq-run`, `fold-push`, `fold-finish`, `early-exit` | the streaming executor |
 //! | `dataflow` | `run`, `gather-input`, `split`, `map`, `fold-push`, `fold-merge`, `fold-partition`, `fold-finish`, `gather`, `gather-run`, `emit`, `early-exit`, `cancel`, `stmt-finish`, per-node counters | the shared-pool executor, one span per node task |
 //! | `graph` | node-kind metas (`split`, `worker`, `fold`, `gather`, `bounded`), `dep` | dataflow graph structure |

@@ -7,8 +7,9 @@
 //! ```
 
 use kq_coreutils::ExecContext;
-use kq_pipeline::exec::{run_parallel, run_serial};
+use kq_pipeline::exec::run_serial;
 use kq_pipeline::plan::Planner;
+use kq_pipeline::{run_dataflow, DataflowOptions};
 use kq_synth::SynthesisConfig;
 use kq_workloads::{corpus, setup, Scale, Suite};
 
@@ -35,7 +36,11 @@ fn main() {
         let plan = planner.plan(&parsed, &ctx, &sample[..cut]);
 
         let serial = run_serial(&parsed, &ctx).expect("serial");
-        let par = run_parallel(&parsed, &plan, &ctx, 6, true).expect("parallel");
+        let opts = DataflowOptions {
+            workers: 6,
+            ..DataflowOptions::default()
+        };
+        let par = run_dataflow(&parsed, &plan, &ctx, &opts).expect("parallel");
         assert_eq!(serial.output, par.output, "{} diverged", script.id);
 
         let (k, n) = plan.parallelized_counts();

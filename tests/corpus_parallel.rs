@@ -1,16 +1,34 @@
 //! The headline end-to-end property over the whole corpus: for every one
 //! of the 70 benchmark scripts, the KumQuat-parallelized pipeline produces
 //! exactly the serial output — at multiple worker counts, with and without
-//! the Theorem 5 optimization, on real threads and in measured mode.
+//! the Theorem 5 optimization, on the dataflow executor and in the
+//! paper's measured split/combine mode.
 //! (The paper: "The generated parallel pipelines all produce correct
 //! outputs (same outputs as the original scripts).")
 
 use kq_coreutils::ExecContext;
-use kq_pipeline::exec::{run_parallel, run_parallel_measured, run_serial};
-use kq_pipeline::parse::parse_script;
-use kq_pipeline::plan::Planner;
+use kq_pipeline::exec::{run_parallel_measured, run_serial, ExecutionResult};
+use kq_pipeline::parse::{parse_script, Script};
+use kq_pipeline::plan::{PlannedScript, Planner};
+use kq_pipeline::{run_dataflow, ChunkSizing, DataflowOptions};
 use kq_synth::SynthesisConfig;
 use kq_workloads::{corpus, setup, Scale};
+
+/// A dataflow run on `workers` threads cutting `chunk_bytes` chunks.
+fn dataflow(
+    script: &Script,
+    plan: &PlannedScript,
+    ctx: &ExecContext,
+    workers: usize,
+    chunk_bytes: usize,
+) -> ExecutionResult {
+    let opts = DataflowOptions {
+        workers,
+        chunk: ChunkSizing::Fixed(chunk_bytes),
+        ..DataflowOptions::default()
+    };
+    run_dataflow(script, plan, ctx, &opts).unwrap()
+}
 
 #[test]
 fn all_seventy_scripts_parallelize_correctly() {
@@ -35,13 +53,12 @@ fn all_seventy_scripts_parallelize_correctly() {
         let serial = run_serial(&parsed, &ctx)
             .unwrap_or_else(|e| panic!("{}/{} serial: {e}", script.suite.dir(), script.id));
 
-        // Real threads, optimized, w = 3.
-        let threaded = run_parallel(&parsed, &plan, &ctx, 3, true)
-            .unwrap_or_else(|e| panic!("{}/{} threaded: {e}", script.suite.dir(), script.id));
+        // The dataflow executor, optimized, w = 3, several chunks.
+        let par = dataflow(&parsed, &plan, &ctx, 3, 4096);
         assert_eq!(
-            threaded.output,
+            par.output,
             serial.output,
-            "{}/{} diverged (threads, w=3, optimized)",
+            "{}/{} diverged (dataflow, w=3, optimized)",
             script.suite.dir(),
             script.id
         );
@@ -72,7 +89,8 @@ fn all_seventy_scripts_parallelize_correctly() {
 #[test]
 fn worker_count_does_not_change_output() {
     // Deeper sweep on a boundary-sensitive pipeline (uniq -c merges across
-    // splits at every worker count).
+    // splits at every worker count), one chunk per worker like the
+    // paper's static split.
     let scale = Scale {
         input_bytes: 30_000,
     };
@@ -84,8 +102,9 @@ fn worker_count_does_not_change_output() {
     let mut planner = Planner::new(SynthesisConfig::default());
     let plan = planner.plan(&parsed, &ctx, &sample[..16_000]);
     let serial = run_serial(&parsed, &ctx).unwrap();
+    let input_len = ctx.vfs.read_bytes(&env["IN"]).unwrap().len();
     for w in 1..=9 {
-        let par = run_parallel(&parsed, &plan, &ctx, w, true).unwrap();
+        let par = dataflow(&parsed, &plan, &ctx, w, input_len.div_ceil(w));
         assert_eq!(par.output, serial.output, "w={w}");
     }
 }
@@ -109,7 +128,7 @@ fn different_seeds_still_verify() {
         let sample = ctx.vfs.read(&env["IN"]).unwrap();
         let plan = planner.plan(&parsed, &ctx, &sample[..sample.len().min(8_000)]);
         let serial = run_serial(&parsed, &ctx).unwrap();
-        let par = run_parallel(&parsed, &plan, &ctx, 4, true).unwrap();
+        let par = dataflow(&parsed, &plan, &ctx, 4, 3072);
         assert_eq!(par.output, serial.output, "seed {seed}");
     }
 }

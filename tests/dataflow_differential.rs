@@ -8,9 +8,9 @@
 //! gating, fusion, fold finalization, early-exit teardown — is in play on
 //! every script. The sweep brackets the chunking extremes (1 byte → one
 //! chunk per line; 16 MiB → one chunk total, i.e. serial execution with
-//! scheduler plumbing) at w ∈ {1, 4}, a second sweep runs with both
-//! *adaptive* knobs on (auto chunk sizing + credit rebalancing) checking
-//! stdout and every redirect target, and a watchdog test pins the
+//! scheduler plumbing) at w ∈ {1, 4}, a second sweep runs with *auto*
+//! chunk sizing checking stdout and every redirect target, and a
+//! watchdog test pins the
 //! cancellation property: a bounded consumer stops a 256 MiB producer
 //! after O(first match) bytes, including chunks already queued.
 //!
@@ -30,7 +30,9 @@ use kq_coreutils::ExecContext;
 use kq_pipeline::exec::run_serial;
 use kq_pipeline::parse::parse_script;
 use kq_pipeline::plan::Planner;
-use kq_pipeline::scheduler::{run_dataflow, ChunkSizing, DataflowOptions, QueueCredit};
+use kq_pipeline::scheduler::{
+    run_dataflow, ChunkSizing, DataflowOptions, QueueCredit, DEFAULT_QUEUE_DEPTH,
+};
 use kq_synth::SynthesisConfig;
 use kq_workloads::{corpus, setup, Scale};
 use std::collections::HashMap;
@@ -80,14 +82,13 @@ fn full_corpus_dataflow_matches_serial_across_chunkings_and_workers() {
     assert!(count >= 70, "corpus shrank to {count} scripts");
 }
 
-/// The adaptation-invariance sweep: with *both* auto knobs on — adaptive
-/// chunk sizing and queue-credit rebalancing — every corpus script must
-/// stay byte-identical to serial, for stdout AND every `> file` redirect
-/// target. The knobs move chunk boundaries and queue credit at runtime,
-/// driven by timing-dependent stall samples; this test pins the contract
-/// that none of that ever reaches the bytes. Each configuration runs in a
-/// fresh context (same deterministic setup seed) so redirect targets
-/// can't leak results between runs.
+/// The adaptation-invariance sweep: with auto chunk sizing on, every
+/// corpus script must stay byte-identical to serial, for stdout AND every
+/// `> file` redirect target. The knob moves chunk boundaries — an
+/// input-size base, then coarsening as producers cut — and this test pins
+/// the contract that none of that ever reaches the bytes. Each
+/// configuration runs in a fresh context (same deterministic setup seed)
+/// so redirect targets can't leak results between runs.
 #[test]
 fn full_corpus_adaptive_knobs_match_serial_including_redirects() {
     let scale = Scale {
@@ -130,7 +131,7 @@ fn full_corpus_adaptive_knobs_match_serial_including_redirects() {
             let opts = DataflowOptions {
                 workers,
                 chunk: ChunkSizing::Auto,
-                queue: QueueCredit::Auto,
+                queue: QueueCredit::Fixed(DEFAULT_QUEUE_DEPTH),
                 fuse_streamable: true,
                 spill: None,
             };

@@ -1,7 +1,7 @@
 //! Multi-statement differential suite: scripts with three or more
 //! statements — including chains of `> file` redirects that later
-//! statements read back — must produce identical results under every
-//! executor.
+//! statements read back — must produce identical results under both
+//! parallel executors.
 //!
 //! This is the shape the dataflow scheduler exists for: statements linked
 //! by redirect targets must serialize (RAW/WAW/WAR over the VFS), while
@@ -13,8 +13,7 @@
 //! without them, the graph `--no-opt` builds.
 
 use kq_coreutils::ExecContext;
-use kq_pipeline::chunked::{run_chunked, ChunkedOptions};
-use kq_pipeline::exec::{run_parallel, run_serial};
+use kq_pipeline::exec::run_serial;
 use kq_pipeline::parse::parse_script;
 use kq_pipeline::plan::Planner;
 use kq_pipeline::scheduler::{run_dataflow, ChunkSizing, DataflowOptions, QueueCredit};
@@ -156,27 +155,7 @@ fn multi_statement_scripts_agree_across_all_executors() {
         };
 
         for workers in [1usize, 2, 4] {
-            let ctx = fresh_ctx(&input);
-            let got = run_parallel(&parsed, &plan, &ctx, workers, true)
-                .unwrap_or_else(|e| panic!("{name} parallel (w={workers}): {e}"));
-            check(&format!("parallel w={workers}"), &ctx, got.output);
-
             for chunk_bytes in [1usize, 700, 16 << 20] {
-                let ctx = fresh_ctx(&input);
-                let copts = ChunkedOptions {
-                    workers,
-                    chunk_bytes,
-                    honor_elimination: true,
-                };
-                let got = run_chunked(&parsed, &plan, &ctx, &copts).unwrap_or_else(|e| {
-                    panic!("{name} chunked (w={workers}, c={chunk_bytes}): {e}")
-                });
-                check(
-                    &format!("chunked w={workers} c={chunk_bytes}"),
-                    &ctx,
-                    got.output,
-                );
-
                 let ctx = fresh_ctx(&input);
                 let sopts = StreamingOptions {
                     workers,

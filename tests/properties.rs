@@ -1,12 +1,12 @@
 //! Cross-crate property tests: total-function behaviour of the DSL
-//! evaluator, strategy-independence of k-way combining, shell-quoting
+//! evaluator, k-way combining against the pairwise fold, shell-quoting
 //! round trips, CLI-parser robustness, and heap-versus-mmap backing
 //! equivalence for the `Bytes` data plane.
 
 use kq_coreutils::split_words;
 use kq_dsl::ast::{Candidate, Combiner, RecOp, StructOp};
 use kq_dsl::eval::{eval, NoRunEnv};
-use kq_dsl::{combine_all_with, CombineStrategy, Delim};
+use kq_dsl::{combine_all, Delim};
 use proptest::prelude::*;
 
 /// Strategy producing arbitrary small RecOp trees.
@@ -50,6 +50,19 @@ fn any_combiner() -> BoxedStrategy<Combiner> {
         (any_delim(), rec_op(1)).prop_map(|(d, b)| Combiner::Struct(StructOp::Offset(d, b))),
     ]
     .boxed()
+}
+
+/// The pairwise reference for k-way combining: the binary combiner folded
+/// left over the non-empty pieces through `eval`, one piece at a time.
+fn fold_pairwise(cand: &Candidate, pieces: &[kq_stream::Bytes]) -> Result<String, String> {
+    let mut live = pieces.iter().filter(|p| !p.is_empty()).map(|p| p.as_str());
+    let Some(first) = live.next() else {
+        return Ok(String::new());
+    };
+    live.try_fold(first.to_owned(), |acc, piece| {
+        let (x, y) = cand.oriented(&acc, piece);
+        eval(&cand.op, x, y, &NoRunEnv).map_err(|e| e.to_string())
+    })
 }
 
 /// True when the combiner applies `fuse` anywhere in its tree (see
@@ -183,10 +196,11 @@ proptest! {
         }
     }
 
-    /// Strategy independence: for associative-on-adjacent-pieces
-    /// combiners (everything the corpus synthesizes), the three k-way
-    /// strategies agree byte for byte on piece lists produced by
-    /// splitting a stream.
+    /// Native k-way combining against the pairwise reference: for
+    /// associative-on-adjacent-pieces combiners (everything the corpus
+    /// synthesizes), `combine_all` — native `concat`, a tree fold for the
+    /// rest — agrees byte for byte with folding the binary combiner left
+    /// over piece lists produced by splitting a stream.
     #[test]
     fn combine_strategies_agree_on_split_pieces(
         lines in proptest::collection::vec("[a-c]{1,3}", 1..24),
@@ -198,11 +212,10 @@ proptest! {
             Candidate::rec(RecOp::Concat),
             Candidate::structural(StructOp::Stitch(RecOp::First)),
         ] {
-            let flat = combine_all_with(CombineStrategy::Flat, &cand, &pieces, &NoRunEnv);
-            let tree = combine_all_with(CombineStrategy::TreeFold, &cand, &pieces, &NoRunEnv);
-            let fold = combine_all_with(CombineStrategy::FoldLeft, &cand, &pieces, &NoRunEnv);
-            prop_assert_eq!(&flat, &tree, "{} tree", &cand);
-            prop_assert_eq!(&flat, &fold, "{} fold", &cand);
+            let flat = combine_all(&cand, &pieces, &NoRunEnv)
+                .map(|b| b.as_str().to_owned())
+                .map_err(|e| e.to_string());
+            prop_assert_eq!(&flat, &fold_pairwise(&cand, &pieces), "{} pairwise", &cand);
         }
     }
 

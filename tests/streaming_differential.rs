@@ -1,25 +1,35 @@
-//! The serial-vs-streaming differential harness: every executor must
-//! produce byte-identical output on every script of the paper corpus.
+//! The serial-vs-streaming differential harness: both parallel executors
+//! must produce byte-identical output on every script of the paper corpus.
 //!
-//! `run_serial` is the semantics oracle. `run_parallel` (static split),
-//! `run_chunked` (dynamic load balancing), and `run_streaming`
-//! (bounded-queue pipelining) each re-schedule the same work in a
-//! different way, and the combiner equation is the only thing standing
-//! between a scheduling change and silent corruption — so the whole
-//! 70-script corpus runs through all four, and the streaming executor
-//! additionally sweeps chunk sizes including the degenerate extremes
-//! (1 byte → one chunk per line; larger than the input → one chunk
-//! total, i.e. serial execution with channel plumbing).
+//! `run_serial` is the semantics oracle. `run_dataflow` (one
+//! work-stealing pool for the whole script) and `run_streaming`
+//! (bounded-queue pipelining, a thread set per statement) each
+//! re-schedule the same work in a different way, and the combiner
+//! equation is the only thing standing between a scheduling change and
+//! silent corruption — so the whole 70-script corpus runs through all
+//! three, the dataflow executor at a small and a larger-than-any-input
+//! chunk size, and the streaming executor additionally sweeps the
+//! degenerate 1-byte chunk (one chunk per line; the large one is one
+//! chunk total, i.e. serial execution with queue plumbing).
 
 use kq_coreutils::ExecContext;
-use kq_pipeline::chunked::{run_chunked, ChunkedOptions};
-use kq_pipeline::exec::{run_parallel, run_serial};
+use kq_pipeline::exec::run_serial;
 use kq_pipeline::parse::parse_script;
 use kq_pipeline::plan::Planner;
 use kq_pipeline::streaming::{run_streaming, StreamingOptions};
+use kq_pipeline::{run_dataflow, ChunkSizing, DataflowOptions};
 use kq_synth::SynthesisConfig;
 use kq_workloads::{corpus, setup, Scale};
 use std::collections::HashMap;
+
+/// The dataflow arm of both sweeps: three workers, the default queue.
+fn dataflow_options(chunk_bytes: usize) -> DataflowOptions {
+    DataflowOptions {
+        workers: 3,
+        chunk: ChunkSizing::Fixed(chunk_bytes),
+        ..DataflowOptions::default()
+    }
+}
 
 #[test]
 fn full_corpus_all_executors_agree() {
@@ -43,18 +53,14 @@ fn full_corpus_all_executors_agree() {
         let id = format!("{}/{}", script.suite.dir(), script.id);
         let serial = run_serial(&parsed, &ctx).unwrap_or_else(|e| panic!("{id} serial: {e}"));
 
-        let parallel = run_parallel(&parsed, &plan, &ctx, 3, true)
-            .unwrap_or_else(|e| panic!("{id} parallel: {e}"));
-        assert_eq!(parallel.output, serial.output, "{id}: parallel diverged");
-
-        let copts = ChunkedOptions {
-            workers: 3,
-            chunk_bytes: 700,
-            honor_elimination: true,
-        };
-        let chunked = run_chunked(&parsed, &plan, &ctx, &copts)
-            .unwrap_or_else(|e| panic!("{id} chunked: {e}"));
-        assert_eq!(chunked.output, serial.output, "{id}: chunked diverged");
+        for chunk_bytes in [700usize, 1 << 24] {
+            let dataflow = run_dataflow(&parsed, &plan, &ctx, &dataflow_options(chunk_bytes))
+                .unwrap_or_else(|e| panic!("{id} dataflow (chunk={chunk_bytes}): {e}"));
+            assert_eq!(
+                dataflow.output, serial.output,
+                "{id}: dataflow diverged at chunk_bytes={chunk_bytes}"
+            );
+        }
 
         // Streaming sweep: degenerate 1-byte chunks (one line each), a
         // mid-size target, and a target larger than any input.
@@ -79,8 +85,8 @@ fn full_corpus_all_executors_agree() {
 /// Mapped inputs through every executor: the backing store must be
 /// invisible. A heap-ingested context is the oracle (serial semantics on
 /// owned buffers — exactly the pre-mmap world); the mmap-ingested context
-/// runs parallel, chunked, and streaming at chunk sizes bracketing the
-/// file size. Cases cover the documented edges: the empty file (mmap
+/// runs serial, dataflow and streaming, both parallel executors at chunk
+/// sizes bracketing the file size. Cases cover the documented edges: the empty file (mmap
 /// refuses zero length — heap fallback), a file without a trailing
 /// newline (unterminated final chunk), and a file much larger than the
 /// chunk size (many chunks slicing one mapped region).
@@ -140,22 +146,15 @@ fn mmap_backed_inputs_match_heap_ingest_on_every_executor() {
                 .unwrap_or_else(|e| panic!("{name} mmap serial: {e}"));
             assert_eq!(serial_m.output, oracle.output, "{name}: serial diverged");
 
-            let parallel = run_parallel(&parsed, &plan, &mmap_ctx, 3, true)
-                .unwrap_or_else(|e| panic!("{name} mmap parallel: {e}"));
-            assert_eq!(parallel.output, oracle.output, "{name}: parallel diverged");
-
-            let copts = ChunkedOptions {
-                workers: 3,
-                chunk_bytes,
-                honor_elimination: true,
-            };
-            let chunked = run_chunked(&parsed, &plan, &mmap_ctx, &copts)
-                .unwrap_or_else(|e| panic!("{name} mmap chunked: {e}"));
-            assert_eq!(chunked.output, oracle.output, "{name}: chunked diverged");
-
             // Chunk sizes bracketing the file: many chunks per map, and
             // one chunk swallowing the whole file.
             for cb in [chunk_bytes, 1 << 24] {
+                let dataflow = run_dataflow(&parsed, &plan, &mmap_ctx, &dataflow_options(cb))
+                    .unwrap_or_else(|e| panic!("{name} mmap dataflow (chunk={cb}): {e}"));
+                assert_eq!(
+                    dataflow.output, oracle.output,
+                    "{name}: dataflow diverged at chunk_bytes={cb}"
+                );
                 let sopts = StreamingOptions {
                     workers: 2,
                     chunk_bytes: cb,

@@ -15,7 +15,7 @@
 //!    of the store) and yields plans with identical stage modes.
 //! 3. **Executor equivalence under the parallel planner** — plans built
 //!    with `synth-workers = 4` (and plans resolved from the warm cache)
-//!    drive the chunked and streaming executors to byte-identical output
+//!    drive the dataflow and streaming executors to byte-identical output
 //!    against serial.
 
 use kq_coreutils::ExecContext;
@@ -318,18 +318,18 @@ fn parallel_planner_keeps_executors_byte_identical() {
             assert_eq!(planner.reports.len(), 0, "second pass must be warm");
         }
         let serial = run_serial(&parsed, &ctx).unwrap();
-        let chunked = kq_pipeline::chunked::run_chunked(
+        let dataflow = kq_pipeline::run_dataflow(
             &parsed,
             &plan,
             &ctx,
-            &kq_pipeline::chunked::ChunkedOptions {
+            &kq_pipeline::DataflowOptions {
                 workers: 3,
-                chunk_bytes: 700,
-                honor_elimination: true,
+                chunk: kq_pipeline::ChunkSizing::Fixed(700),
+                ..kq_pipeline::DataflowOptions::default()
             },
         )
         .unwrap();
-        assert_eq!(chunked.output, serial.output, "chunked (pass {pass})");
+        assert_eq!(dataflow.output, serial.output, "dataflow (pass {pass})");
         let streaming = kq_pipeline::run_streaming(
             &parsed,
             &plan,
