@@ -140,10 +140,15 @@ USAGE:
         that splits text into lines (tr -cs A-Za-z '\\n': its combiner is
         a rerun, so it plans sequential unless it shrinks its input) runs
         there chunk by chunk — what it carries across a chunk boundary
-        is one newline — reported as 'seam: s1 stage 1 ...'. --no-opt
+        is one newline — reported as 'seam: s1 stage 1 ...'. Any other
+        parallel 'sort' whose combiner merges in its own order passes its
+        chunks to its fold unsorted, and the fold sorts them a batch at a
+        time where it would merge their sorted copies, reported as
+        'sorting fold: s1 stage 2 ...'. --no-opt
         runs the plan without its rewrites: every parallel stage combines
         (no Theorem 5 elimination, no fused chunk-local runs), such a
-        pair stays two stages and such a 'tr' runs once. --chunk-kb auto
+        pair stays two stages, such a 'tr' runs once and every 'sort'
+        sorts its own chunks. --chunk-kb auto
         derives each statement's chunk size from its input size and the
         worker count, then coarsens barrier-feeding chunks online so
         sort-style folds merge few large runs; adaptation never changes
@@ -179,7 +184,7 @@ USAGE:
         the real Unix commands plus the synthesized combiners. It emits
         the paper's plan — split, run, combine per stage, with Theorem 5
         elimination — without the dataflow executor's graph rewrites
-        (chunk-local fusion, counting folds, seams).
+        (chunk-local fusion, counting folds, seams, sorting folds).
     kumquat corpus [--suite NAME] [--plan] [--combiner-cache FILE]
                    [--synth-workers N] [--trace-out FILE] [--metrics]
         List the 70-script benchmark corpus from the paper. With --plan,
@@ -1033,22 +1038,30 @@ mod tests {
         let expect = "    800 b\n    400 a\nz\ny\nx\na\nb\nx\ny\nz\n";
         let notes = [
             "counting fold: s1 stages 2-3 'sort | uniq -c'",
+            "sorting fold: s1 stage 4 'sort -rn'",
             "unique fold: s2 stages 2-3 'sort -r | uniq'",
+            "sorting fold: s2 stage 2 'sort -r'",
             "seam: s3 stage 1 'tr -s ' ' '\\n'' runs chunk-local",
+            "sorting fold: s3 stage 2 'sort -u'",
         ];
         let has_notes = |out: &CliOutput| notes.map(|n| out.notes.iter().any(|have| have == n));
         // The plan says what it records; a dataflow run says what it ran.
-        assert_eq!(has_notes(&call(&["plan", &script]).unwrap()), [true; 3]);
+        assert_eq!(has_notes(&call(&["plan", &script]).unwrap()), [true; 6]);
         let run = call(&["run", &script, "--workers", "2", "--chunk-kb", "1"]).unwrap();
         assert_eq!(run.text(), expect);
-        assert_eq!(has_notes(&run), [true; 3]);
+        assert_eq!(has_notes(&run), [true; 6]);
+        // The sort of the counting pair keeps its counting map.
+        assert!(!run
+            .notes
+            .iter()
+            .any(|n| n == "sorting fold: s1 stage 2 'sort'"));
         // --no-opt and the streaming executor run stage by stage.
         for extra in [&["--no-opt"][..], &["--exec", "streaming"]] {
             let mut words = vec!["run", &script, "--workers", "2", "--chunk-kb", "1"];
             words.extend_from_slice(extra);
             let run = call(&words).unwrap();
             assert_eq!(run.text(), expect, "{extra:?}");
-            assert_eq!(has_notes(&run), [false; 3], "{extra:?}");
+            assert_eq!(has_notes(&run), [false; 6], "{extra:?}");
         }
         // `check` names the same sites without planning anything.
         let check = call(&["check", &script]).unwrap();

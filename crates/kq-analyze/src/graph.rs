@@ -16,14 +16,16 @@
 //! answer about every such pair ([`PlannedStage::fold_pair`]) — what the
 //! planner will fuse once synthesis makes both stages parallel — and about
 //! every `tr -s` that runs chunk-local under a newline seam
-//! ([`PlannedStage::seam`]), which `kumquat check` reports
-//! ([`fold_pair_sites`], [`seam_sites`]).
+//! ([`PlannedStage::seam`]), and about every `sort` whose fold may sort
+//! raw chunks ([`PlannedStage::sorting`]), which `kumquat check` reports
+//! ([`fold_pair_sites`], [`seam_sites`], [`sorting_sites`]).
 
 use crate::diag::{Diagnostic, Severity};
+use kq_coreutils::Command;
 use kq_pipeline::lattice::{self, EffectClass, FoldPair};
 use kq_pipeline::plan::{PlannedStage, PlannedStatement, StageMode};
 use kq_pipeline::scheduler::DEFAULT_QUEUE_DEPTH;
-use kq_pipeline::{DataflowGraph, NodeKind, Script, Statement};
+use kq_pipeline::{DataflowGraph, FoldMode, NodeKind, Script, Statement};
 use std::sync::Arc;
 
 /// Builds the conservative static plan for one statement from its
@@ -43,18 +45,22 @@ pub fn static_plan(statement: &Statement, classes: &[EffectClass]) -> PlannedSta
                 None => StageMode::Sequential,
             };
             let streamable = mode.is_parallel();
+            let fold_pair = statement
+                .stages
+                .get(stage_idx + 1)
+                .and_then(|next| lattice::fold_pair(&stage.command, &next.command));
             PlannedStage {
                 stage_idx,
                 // What the planner records once synthesis finds this
                 // stage's combiner to be `rerun`.
                 seam: !streamable && lattice::newline_seam(&stage.command),
+                // And once it finds the `merge` of the order the stage
+                // sorts by.
+                sorting: sorts_raw(&stage.command, fold_pair),
                 mode,
                 streamable,
                 line_bound: kq_synth::prefix_bound(&stage.command),
-                fold_pair: statement
-                    .stages
-                    .get(stage_idx + 1)
-                    .and_then(|next| lattice::fold_pair(&stage.command, &next.command)),
+                fold_pair,
             }
         })
         .collect();
@@ -72,6 +78,13 @@ pub fn static_plan(statement: &Statement, classes: &[EffectClass]) -> PlannedSta
         }
     }
     PlannedStatement { stages }
+}
+
+/// Whether a stage is a `sort` the lattice licenses to fold raw chunks
+/// ([`lattice::sorting_order`]) and the counting rewrite leaves to it: a
+/// `sort | uniq -c` pair keeps its counting map.
+fn sorts_raw(command: &Command, fold_pair: Option<FoldPair>) -> bool {
+    lattice::sorting_order(command).is_some() && fold_pair != Some(FoldPair::Counting)
 }
 
 /// A `sort | uniq` pair of adjacent stages that the lattice licenses to
@@ -142,11 +155,49 @@ pub fn seam_sites(script: &Script) -> Vec<SeamSite> {
     sites
 }
 
+/// A `sort` stage whose fold the lattice licenses to sort raw chunks
+/// ([`lattice::sorting_order`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SortingSite {
+    /// Statement index (0-based).
+    pub statement: usize,
+    /// Index of the stage within the statement (0-based).
+    pub stage: usize,
+    /// [`lattice::sorting_note`] for the stage: the line `check` and the
+    /// run notes print.
+    pub note: String,
+}
+
+/// Every sorting fold of the script, in source order: the `sort` stages
+/// whose folds the dataflow graph feeds raw chunks once synthesis finds
+/// each stage's combiner to merge in the order it sorts by — all but the
+/// sorts of counting pairs.
+pub fn sorting_sites(script: &Script) -> Vec<SortingSite> {
+    let mut sites = Vec::new();
+    for (si, statement) in script.statements.iter().enumerate() {
+        for (gi, stage) in statement.stages.iter().enumerate() {
+            let pair = statement
+                .stages
+                .get(gi + 1)
+                .and_then(|next| lattice::fold_pair(&stage.command, &next.command));
+            if sorts_raw(&stage.command, pair) {
+                sites.push(SortingSite {
+                    statement: si,
+                    stage: gi,
+                    note: lattice::sorting_note(si, gi, &stage.command),
+                });
+            }
+        }
+    }
+    sites
+}
+
 /// `KQ203` — fusion legality of one statement's graph: a StageWorker run
 /// must span chunk-local stages only — but for its first stage, which may
 /// be a seam stage instead — a seam stage may sit nowhere else in a fused
-/// node, and a fused fold must span exactly a `sort | uniq` pair the
-/// lattice licenses. The rewrites of [`DataflowGraph::build`] produce
+/// node, a fused fold must span exactly a `sort | uniq` pair the lattice
+/// licenses, and a fold fed raw chunks must be a `sort` the lattice
+/// licenses for that, alone or at the head of a unique pair. The rewrites of [`DataflowGraph::build`] produce
 /// nothing else, so this can fire only if a rewrite (or a hand-built
 /// graph) regresses; it is the static twin of the scheduler's debug
 /// assertion.
@@ -213,6 +264,31 @@ pub fn fusion_findings(
             }
             // `validate` (KQ201) reports every other multi-stage node.
             NodeKind::Split | NodeKind::Fold { .. } | NodeKind::BoundedConsumer { .. } => {}
+        }
+        if node.kind
+            == (NodeKind::Fold {
+                mode: FoldMode::Sort,
+            })
+        {
+            let pair = statement.stages.get(first + 1).and_then(|next| {
+                lattice::fold_pair(&statement.stages[first].command, &next.command)
+            });
+            let licensed = sorts_raw(&statement.stages[first].command, pair)
+                && (node.stages.len() == 1 || pair == Some(FoldPair::Unique));
+            if !licensed {
+                out.push(
+                    Diagnostic::new(
+                        "KQ203",
+                        Severity::Error,
+                        format!(
+                            "sorting fold over stages {:?} is not a sort the lattice licenses to \
+                             fold raw chunks",
+                            node.stages
+                        ),
+                    )
+                    .at_stage(si, first, statement.stages[first].span),
+                );
+            }
         }
     }
     out
@@ -369,6 +445,67 @@ mod tests {
         assert!(findings[0].message.contains("a seam stage behind the head"));
         // `validate` calls the same graph malformed (KQ201).
         assert!(!fused.validate(&planned, DEFAULT_QUEUE_DEPTH).is_empty());
+    }
+
+    #[test]
+    fn sorting_sites_are_reported_and_unlicensed_sorting_folds_are_kq203() {
+        let env: HashMap<String, String> = HashMap::new();
+        let script = parse_script(
+            "cat /in.txt | sort -rn | head -n 3\n\
+             cat /in.txt | sort | uniq -c | sort -k1n\n\
+             cat /in.txt | sort -r | uniq\n\
+             cat /in.txt | sort -m\n\
+             cat /in.txt | sort - /in.txt | sort -u\n",
+            &env,
+        )
+        .unwrap();
+        let notes: Vec<String> = sorting_sites(&script).into_iter().map(|s| s.note).collect();
+        assert_eq!(
+            notes,
+            [
+                "sorting fold: s1 stage 1 'sort -rn'",
+                "sorting fold: s2 stage 3 'sort -k1n'",
+                "sorting fold: s3 stage 1 'sort -r'",
+                "sorting fold: s5 stage 2 'sort -u'",
+            ]
+        );
+        let classes = classes_for(&script);
+        assert!(verify_graphs(&script, &classes).is_empty());
+        // The static plan records the same answers.
+        let planned = static_plan(&script.statements[1], &classes[1]);
+        let sorting: Vec<bool> = planned.stages.iter().map(|s| s.sorting).collect();
+        assert_eq!(sorting, [false, false, true]);
+        // A sorting fold made by hand: over a licensed sort, or the unique
+        // pair, nothing fires; over the counting pair's sort, a merge, or a
+        // sort with an operand, KQ203.
+        let sort_fold = |si: usize, first: usize, stages: usize| {
+            let statement = &script.statements[si];
+            let planned = static_plan(statement, &classes[si]);
+            let mut graph = DataflowGraph::build(&planned, true);
+            let at = graph
+                .nodes
+                .iter()
+                .position(|n| n.stages.start == first && !n.stages.is_empty())
+                .unwrap();
+            graph.nodes[at].kind = NodeKind::Fold {
+                mode: FoldMode::Sort,
+            };
+            for _ in 1..stages {
+                graph.nodes[at].stages.end += 1;
+                graph.nodes.remove(at + 1);
+            }
+            fusion_findings(si, statement, &planned, &graph)
+        };
+        assert!(sort_fold(0, 0, 1).is_empty());
+        assert!(sort_fold(2, 0, 2).is_empty());
+        for (si, first, stages) in [(1, 0, 1), (1, 0, 2), (3, 0, 1), (4, 0, 1)] {
+            let findings = sort_fold(si, first, stages);
+            assert!(
+                findings.iter().any(|f| f.code == "KQ203"
+                    && f.message.contains("is not a sort the lattice licenses")),
+                "s{si}: {findings:?}"
+            );
+        }
     }
 
     #[test]

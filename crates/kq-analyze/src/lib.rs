@@ -16,7 +16,9 @@
 //!    queue-credit coverage, and fusion legality are checked
 //!    (`KQ201`–`KQ203`); the `sort | uniq` pairs the lattice licenses to
 //!    run as one fold are named ([`Analysis::fold_pairs`]), and so are the
-//!    `tr -s` stages it licenses to run chunk-local ([`Analysis::seams`]).
+//!    `tr -s` stages it licenses to run chunk-local ([`Analysis::seams`])
+//!    and the `sort` stages whose folds it licenses to sort raw chunks
+//!    ([`Analysis::sortings`]).
 //! 3. **Hazard lints** ([`hazards`]): use-before-def, dead writes, and
 //!    read/write aliasing over the exact access relation the scheduler's
 //!    dependency pass uses (`KQ101`–`KQ103`).
@@ -34,7 +36,7 @@ pub mod graph;
 pub mod hazards;
 
 pub use diag::{Diagnostic, Severity};
-pub use graph::{FoldPairSite, SeamSite};
+pub use graph::{FoldPairSite, SeamSite, SortingSite};
 pub use kq_pipeline::lattice::{classify, effects, fold_pair, EffectClass, EffectSet, FoldPair};
 
 use kq_pipeline::lattice;
@@ -76,6 +78,10 @@ pub struct Analysis {
     /// a one-newline seam, in source order. Facts about the plan like
     /// [`Analysis::fold_pairs`], rendered with them.
     pub seams: Vec<SeamSite>,
+    /// The `sort` stages whose folds the lattice licenses to sort raw
+    /// chunks, in source order. Facts about the plan like
+    /// [`Analysis::fold_pairs`], rendered with them.
+    pub sortings: Vec<SortingSite>,
 }
 
 impl Analysis {
@@ -119,8 +125,10 @@ impl Analysis {
             out.push_str(&d.to_string());
             out.push('\n');
         }
-        let notes = self.fold_pairs.iter().map(|site| &site.note);
-        for note in notes.chain(self.seams.iter().map(|site| &site.note)) {
+        let notes = (self.fold_pairs.iter().map(|site| &site.note))
+            .chain(self.seams.iter().map(|site| &site.note))
+            .chain(self.sortings.iter().map(|site| &site.note));
+        for note in notes {
             out.push_str(note);
             out.push('\n');
         }
@@ -179,10 +187,20 @@ impl Analysis {
                 )
             })
             .collect();
+        let sortings: Vec<String> = self
+            .sortings
+            .iter()
+            .map(|site| {
+                format!(
+                    "{{\"statement\":{},\"stage\":{}}}",
+                    site.statement, site.stage
+                )
+            })
+            .collect();
         format!(
             "{{\"summary\":{{\"statements\":{},\"stages\":{},\"short_circuitable\":{},\
              \"errors\":{},\"warnings\":{}}},\"classes\":[{}],\"fold_pairs\":[{}],\
-             \"seams\":[{}],\"diagnostics\":[{}]}}",
+             \"seams\":[{}],\"sortings\":[{}],\"diagnostics\":[{}]}}",
             self.statements,
             self.stages,
             self.short_circuitable(),
@@ -191,6 +209,7 @@ impl Analysis {
             classes.join(","),
             fold_pairs.join(","),
             seams.join(","),
+            sortings.join(","),
             diags.join(",")
         )
     }
@@ -221,6 +240,7 @@ pub fn check_script(script_text: &str, env: &HashMap<String, String>) -> Analysi
                 classes: Vec::new(),
                 fold_pairs: Vec::new(),
                 seams: Vec::new(),
+                sortings: Vec::new(),
             };
         }
     };
@@ -286,6 +306,7 @@ pub fn check_parsed(script: &Script) -> Analysis {
         classes,
         fold_pairs: graph::fold_pair_sites(script),
         seams: graph::seam_sites(script),
+        sortings: graph::sorting_sites(script),
     }
 }
 
@@ -324,6 +345,16 @@ mod tests {
         assert!(a
             .to_json()
             .contains("\"seams\":[{\"statement\":0,\"stage\":0}]"));
+        // And so is a sort whose fold sorts raw chunks — but not the sort
+        // of a counting pair.
+        assert!(a
+            .render_human()
+            .contains("sorting fold: s1 stage 2 'sort'\n"));
+        assert!(a
+            .to_json()
+            .contains("\"sortings\":[{\"statement\":0,\"stage\":1}]"));
+        let a = check("cat /in.txt | sort | uniq -c\n");
+        assert!(a.sortings.is_empty() && a.to_json().contains("\"sortings\":[]"));
     }
 
     #[test]

@@ -118,26 +118,32 @@ fn combine_pair(
 /// index — batches may come back in any order and `finish` still sees the
 /// runs in stream order.
 ///
-/// The closing merge is handed out the same way. [`finish`] of a merge
-/// fold is *plan the parts, merge each part, concatenate*:
-/// [`plan_finish`] cuts the runs and the pieces still pending into key
-/// ranges ([`LineOrder::partition`] — one part per [`FINISH_PART_BYTES`]
-/// folded, at most [`FINISH_MAX_PARTS`], so the count depends on the bytes
-/// folded and on nothing else) and returns one [`FinishPart`] per range,
-/// each owning O(1) slices of the runs and pieces. A part is merged by the
-/// code that merged the whole fold before there were parts — its share of
-/// the pending tail into a last run, then `merge_pieces` in memory or,
-/// once a run has spilled, `merge_spilled_runs` with its release cursors
-/// and a temp file of its own — on whatever thread its holder likes, and
-/// the outputs concatenate in part order to the bytes of the one flat
-/// merge. Below two parts the single part *is* that flat merge. `finish`
-/// runs the parts inline, one after the other, so there is one closing
-/// path: a caller that owns the fold outright (the streaming executor's
-/// collector, every test) and the dataflow scheduler, which runs the parts
-/// as pool tasks, differ only in where `FinishPart::merge` is called.
+/// The end of the input is handed out the same way: [`seal`] turns the
+/// pieces still pending into ordinary run batches, cut by bytes into
+/// batches of about a part's bytes, so that several workers make runs of
+/// the tail at once and the closing merge reads nothing but runs.
+///
+/// The closing merge is handed out too. [`finish`] of a merge fold is
+/// *seal, plan the parts, merge each part, concatenate*: [`plan_finish`]
+/// cuts the runs into key ranges ([`LineOrder::partition`] — one part per
+/// [`FINISH_PART_BYTES`] folded, at most [`FINISH_MAX_PARTS`], so the count
+/// depends on the bytes folded and on nothing else) and returns one
+/// [`FinishPart`] per range, each owning O(1) slices of the runs. A part is
+/// merged by the code that merged the whole fold before there were parts —
+/// `merge_pieces` in memory or, once a run has spilled,
+/// `merge_spilled_runs` with its release cursors and a temp file of its
+/// own — on whatever thread its holder likes, and the outputs concatenate
+/// in part order to the bytes of the one flat merge. Below two parts the
+/// single part *is* that flat merge. `finish` seals and runs the batches
+/// and parts inline, one after the other, so there is one closing path: a
+/// caller that owns the fold outright (the streaming executor's collector,
+/// every test) and the dataflow scheduler, which runs the batches and the
+/// parts as pool tasks, differ only in where [`RunBatch::merge`] and
+/// `FinishPart::merge` are called.
 ///
 /// [`finish`]: IncrementalFold::finish
 /// [`plan_finish`]: IncrementalFold::plan_finish
+/// [`seal`]: IncrementalFold::seal
 ///
 /// How each combiner folds (mirroring [`combine_all`]):
 ///
@@ -148,8 +154,11 @@ fn combine_pair(
 ///   growing accumulator, O(n·k) command work);
 /// * `merge` — run accumulation: arrivals are cut into a batch as soon
 ///   as enough of them exist, each batch is k-way merged into one sorted
-///   run, and `finish` merges the runs. Without a spill config a run forms every [`MERGE_RUN_ARITY`]
-///   pieces; under one, runs are sized to the budget instead — pieces
+///   run — or, in a [`sorting`](IncrementalFold::sorting) fold of raw
+///   chunks, sorted into one — and `finish` merges the runs. Without a
+///   spill config a run forms every [`MERGE_RUN_ARITY`]
+///   pieces (every [`SORT_RUN_BYTES`] of raw chunks); under one, runs are
+///   sized to the budget instead — pieces
 ///   accumulate until their bytes reach a quarter of
 ///   [`SpillConfig::budget_bytes`] (capped at [`MERGE_RUN_MAX_PIECES`]
 ///   pieces), so a spilling sort writes few large runs and `finish` faces
@@ -161,7 +170,11 @@ fn combine_pair(
 ///   [`LineOrder::merge`]): on 31-byte keyed lines with long shared
 ///   prefixes, ~90 ns/line for a 64-way batch and ~65 ns/line for an
 ///   8-way closing merge on one core of a 2-core host (152 and 97 ns/line
-///   with the seven-byte-key comparator before it);
+///   with the seven-byte-key comparator before it). A sorting fold's batch
+///   costs one sort ([`LineOrder::sort_bytes`]: ~57 ns/line on a 4 MiB
+///   batch of those lines), where the chunk sorts and the batch merge of a
+///   merging fold cost ~86 + ~90, so each line is sorted once and merged
+///   once;
 /// * everything else (the structural stitches, arithmetic folds) — a
 ///   binary-counter tree fold: slot *i* holds a combined group of `2^i`
 ///   adjacent pieces, so each push performs O(1) amortized combines and
@@ -184,6 +197,7 @@ fn combine_pair(
 /// every merge — of a batch, of a part of the closing merge, of a wave of
 /// spilled runs — adds the counts of equal lines, which is as associative
 /// as dropping duplicates is under `-u`. No other piece of the fold knows.
+/// Nor do they know whether a batch was merged or sorted into its run.
 pub struct IncrementalFold<'a> {
     candidate: &'a Candidate,
     env: &'a dyn RunEnv,
@@ -227,13 +241,28 @@ fn finish_part_count(total_bytes: usize, part_bytes: usize) -> usize {
 /// when the budget allows very large runs of very small pieces.
 pub const MERGE_RUN_MAX_PIECES: usize = 1024;
 
-/// The budget-derived run-size target in bytes, when a spill config is
-/// present: a quarter of the budget, so a spilling fold keeps at most a
-/// handful of in-progress/resident runs while still writing runs that are
-/// orders of magnitude larger than arriving pieces (a 64 MiB budget makes
-/// 16 MiB runs instead of one run per [`MERGE_RUN_ARITY`] chunks).
-fn merge_run_target(spill: &Option<SpillConfig>) -> Option<usize> {
-    spill.as_ref().map(|cfg| (cfg.budget_bytes / 4).max(1))
+/// Bytes of raw chunks per run batch of a [`sorting`] fold when no spill
+/// budget informs the sizing. Sorting a batch takes about 2.5 times its
+/// bytes beside it on short lines — a 24-byte entry per line and the radix
+/// sort's second buffer — where merging one takes only its output: at
+/// 512 KiB a sort's working set stays within that of a merge batch of
+/// [`MERGE_RUN_ARITY`] 64 KiB chunks, and in a core's cache.
+///
+/// [`sorting`]: IncrementalFold::sorting
+pub const SORT_RUN_BYTES: usize = 512 << 10;
+
+/// The run-size target in bytes: under a spill config a quarter of the
+/// budget, so a spilling fold keeps at most a handful of
+/// in-progress/resident runs while still writing runs that are orders of
+/// magnitude larger than arriving pieces (a 64 MiB budget makes 16 MiB
+/// runs instead of one run per [`MERGE_RUN_ARITY`] chunks); without one,
+/// [`SORT_RUN_BYTES`] for the raw chunks of a sorting fold, and none — a
+/// run per [`MERGE_RUN_ARITY`] pieces — for sorted ones.
+fn merge_run_target(spill: &Option<SpillConfig>, raw: bool) -> Option<usize> {
+    match spill {
+        Some(cfg) => Some((cfg.budget_bytes / 4).max(1)),
+        None => raw.then_some(SORT_RUN_BYTES),
+    }
 }
 
 enum FoldState {
@@ -243,8 +272,9 @@ enum FoldState {
     Gather(Vec<Bytes>),
     /// Merge: pending pieces are cut into a batch once they reach the
     /// run-size trigger — [`merge_run_target`] bytes (`pending_bytes`
-    /// tracks that) under a spill config, [`MERGE_RUN_ARITY`] pieces
-    /// otherwise; the batch's k-way merge becomes `runs[batch index]`
+    /// tracks that) under a spill config or for raw chunks,
+    /// [`MERGE_RUN_ARITY`] pieces otherwise; the batch's run becomes
+    /// `runs[batch index]`
     /// (`None` while the batch is out being merged), and finish merges the
     /// runs (earlier runs first, keeping the stability tiebreak of one
     /// flat merge). Under a spill config a run that would push the
@@ -256,6 +286,11 @@ enum FoldState {
     Merge {
         /// The flags' line order, parsed once for the whole fold.
         order: Result<LineOrder, EvalError>,
+        /// The pieces are raw chunks of the stream, not sorted runs: a
+        /// batch is sorted, not merged (a [`sorting`] fold).
+        ///
+        /// [`sorting`]: IncrementalFold::sorting
+        raw: bool,
         runs: Vec<Option<Bytes>>,
         pending: Vec<Bytes>,
         pending_bytes: usize,
@@ -274,10 +309,11 @@ enum FoldState {
 }
 
 impl FoldState {
-    /// An empty merge fold over `order`.
-    fn merge(order: Result<LineOrder, EvalError>) -> FoldState {
+    /// An empty merge fold over `order`, of sorted runs or of `raw` chunks.
+    fn merge(order: Result<LineOrder, EvalError>, raw: bool) -> FoldState {
         FoldState::Merge {
             order,
+            raw,
             runs: Vec::new(),
             pending: Vec::new(),
             pending_bytes: 0,
@@ -311,7 +347,7 @@ impl<'a> IncrementalFold<'a> {
         let state = match &candidate.op {
             Combiner::Rec(RecOp::Concat) if !candidate.swapped => FoldState::Concat(Vec::new()),
             Combiner::Run(RunOp::Rerun) => FoldState::Gather(Vec::new()),
-            Combiner::Run(RunOp::Merge(flags)) => FoldState::merge(merge_order(flags)),
+            Combiner::Run(RunOp::Merge(flags)) => FoldState::merge(merge_order(flags), false),
             _ => FoldState::Counter {
                 slots: Vec::new(),
                 heap_bytes: 0,
@@ -345,7 +381,33 @@ impl<'a> IncrementalFold<'a> {
         IncrementalFold {
             candidate,
             env,
-            state: FoldState::merge(Ok(order)),
+            state: FoldState::merge(Ok(order), false),
+            spill,
+        }
+    }
+
+    /// The merge fold of a `merge <flags>` candidate fed *raw* chunks of a
+    /// `sort`'s input instead of the chunks' sorted outputs: the fold of
+    /// the sorting rewrite. Batches are cut as for any merge fold but by
+    /// bytes when there is no budget ([`SORT_RUN_BYTES`]), and a
+    /// batch becomes a run by one `sort` of its pieces' concatenation under
+    /// `order` ([`LineOrder::sort_bytes`]) where another fold merges them —
+    /// the same run, since `sort(x1 ++ … ++ xk) = merge(sort(x1), …,
+    /// sort(xk))` with ties to the earlier input. Runs, spill and the
+    /// closing merge are those of every merge fold; the pieces still
+    /// pending when the input ends must be [`seal`](IncrementalFold::seal)ed
+    /// into runs before anything is merged.
+    pub fn sorting(
+        candidate: &'a Candidate,
+        order: LineOrder,
+        env: &'a dyn RunEnv,
+        spill: Option<SpillConfig>,
+    ) -> IncrementalFold<'a> {
+        debug_assert!(matches!(candidate.op, Combiner::Run(RunOp::Merge(_))));
+        IncrementalFold {
+            candidate,
+            env,
+            state: FoldState::merge(Ok(order), true),
             spill,
         }
     }
@@ -364,6 +426,7 @@ impl<'a> IncrementalFold<'a> {
             FoldState::Concat(segments) | FoldState::Gather(segments) => segments.push(piece),
             FoldState::Merge {
                 order,
+                raw,
                 runs,
                 pending,
                 pending_bytes,
@@ -371,7 +434,7 @@ impl<'a> IncrementalFold<'a> {
             } => {
                 *pending_bytes += piece.len();
                 pending.push(piece);
-                let cut = match merge_run_target(&self.spill) {
+                let cut = match merge_run_target(&self.spill, *raw) {
                     Some(target) => {
                         *pending_bytes >= target || pending.len() >= MERGE_RUN_MAX_PIECES
                     }
@@ -381,6 +444,7 @@ impl<'a> IncrementalFold<'a> {
                     let batch = RunBatch {
                         env,
                         order: order.clone()?,
+                        raw: *raw,
                         index: runs.len(),
                         pieces: std::mem::take(pending),
                     };
@@ -434,6 +498,91 @@ impl<'a> IncrementalFold<'a> {
         Ok(())
     }
 
+    /// Closes the fold's input: the pieces still pending become run
+    /// batches, handed back to be merged ([`RunBatch::merge`]) wherever
+    /// suits — each on a worker of its own — and
+    /// [`install`](IncrementalFold::install)ed like those
+    /// [`push`](IncrementalFold::push) cuts, so that the closing merge reads
+    /// runs only. The tail is cut by bytes, at line ends — one piece may
+    /// feed two batches — into batches of about a part's bytes
+    /// ([`FINISH_PART_BYTES`]), a pure function of the pieces like every
+    /// other cut the fold makes. Folds that are not merges, and merges with
+    /// nothing pending, hand out nothing.
+    pub fn seal(&mut self) -> Result<Vec<RunBatch<'a>>, EvalError> {
+        self.seal_at(FINISH_PART_BYTES)
+    }
+
+    /// [`seal`](IncrementalFold::seal) with the part size as an argument
+    /// (see [`plan_finish_at`](IncrementalFold::plan_finish_at)).
+    fn seal_at(&mut self, part_bytes: usize) -> Result<Vec<RunBatch<'a>>, EvalError> {
+        let env = self.env;
+        let FoldState::Merge {
+            order,
+            raw,
+            runs,
+            pending,
+            pending_bytes,
+            ..
+        } = &mut self.state
+        else {
+            return Ok(Vec::new());
+        };
+        if pending.is_empty() {
+            return Ok(Vec::new());
+        }
+        let order = order.clone()?;
+        let batches = (*pending_bytes / part_bytes.max(1)).max(1);
+        let target = pending_bytes.div_ceil(batches);
+        // Batches of `target` bytes, give or take a line: a piece that
+        // overfills a batch is cut at a line end — a line-aligned slice of
+        // a sorted piece is sorted, and of a raw one raw — and its rest
+        // starts the next. Contiguous in stream order, as `push` cuts them.
+        let mut groups = vec![Vec::new()];
+        let mut room = target;
+        for mut piece in pending.drain(..) {
+            while piece.len() > room {
+                let Some(nl) = piece.as_bytes()[room - 1..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                else {
+                    break;
+                };
+                let cut = room + nl;
+                if cut == piece.len() {
+                    break;
+                }
+                groups
+                    .last_mut()
+                    .expect("a group")
+                    .push(piece.slice(0..cut));
+                piece = piece.slice(cut..piece.len());
+                groups.push(Vec::new());
+                room = target;
+            }
+            room = room.saturating_sub(piece.len());
+            groups.last_mut().expect("a group").push(piece);
+            if room == 0 {
+                groups.push(Vec::new());
+                room = target;
+            }
+        }
+        groups.retain(|group| !group.is_empty());
+        *pending_bytes = 0;
+        Ok(groups
+            .into_iter()
+            .map(|pieces| {
+                runs.push(None);
+                RunBatch {
+                    env,
+                    order,
+                    raw: *raw,
+                    index: runs.len() - 1,
+                    pieces,
+                }
+            })
+            .collect())
+    }
+
     /// How many parts [`plan_finish`](IncrementalFold::plan_finish) will
     /// cut the closing merge into (before dropping any that come out
     /// empty): a pure function of the bytes folded so far. One for every
@@ -460,8 +609,13 @@ impl<'a> IncrementalFold<'a> {
     }
 
     /// [`plan_finish`](IncrementalFold::plan_finish) with the part size
-    /// as an argument, so tests can cut folds of a few lines.
-    fn plan_finish_at(self, part_bytes: usize) -> Result<Vec<FinishPart<'a>>, EvalError> {
+    /// as an argument, so tests can cut folds of a few lines. A fold not
+    /// yet [`seal`](IncrementalFold::seal)ed is sealed here, its batches
+    /// merged one after the other.
+    fn plan_finish_at(mut self, part_bytes: usize) -> Result<Vec<FinishPart<'a>>, EvalError> {
+        for batch in self.seal_at(part_bytes)? {
+            self.install(batch.merge()?)?;
+        }
         let IncrementalFold {
             candidate,
             env,
@@ -477,54 +631,46 @@ impl<'a> IncrementalFold<'a> {
                 order,
                 runs,
                 pending,
-                pending_bytes,
-                heap_bytes,
                 spilled,
+                ..
             } => {
+                debug_assert!(pending.is_empty(), "sealed above");
                 let order = order?;
-                let parts = finish_part_count(folded_bytes(&runs, pending_bytes), part_bytes);
+                let parts = finish_part_count(folded_bytes(&runs, 0), part_bytes);
                 let runs: Vec<Bytes> = runs
                     .into_iter()
                     .map(|run| run.expect("finish before every batch was installed"))
                     .collect();
-                // Once a run has spilled — or the pending tail, settled
-                // into a last run, would be the first to — every part
-                // streams through a temp file, so the heap never holds the
-                // merged output.
-                let spill = spill.filter(|cfg| {
-                    spilled || heap_bytes.saturating_add(pending_bytes) > cfg.budget_bytes
-                });
-                let part = |index: usize, runs: Vec<Bytes>, tail: Vec<Bytes>| FinishPart {
+                // Once a run has spilled, every part streams through a temp
+                // file, so the heap never holds the merged output.
+                let spill = spill.filter(|_| spilled);
+                let part = |index: usize, runs: Vec<Bytes>| FinishPart {
                     index,
                     work: PartWork::Merge {
                         env,
                         order,
                         runs,
-                        tail,
                         spill: spill.clone(),
                     },
                 };
                 if parts < 2 {
-                    return Ok(vec![part(0, runs, pending)]);
+                    return Ok(vec![part(0, runs)]);
                 }
-                // The pending pieces are sorted streams like the runs, so
-                // they are cut with them and each part settles its own
-                // share of the tail.
-                let streams: Vec<&Bytes> = runs.iter().chain(&pending).collect();
-                let views: Vec<&[u8]> = streams.iter().map(|s| s.as_bytes()).collect();
+                let views: Vec<&[u8]> = runs.iter().map(Bytes::as_bytes).collect();
                 // Searching a spilled run leaves pages all over it
                 // resident: drop them as soon as each search is done, or
                 // planning alone would map every run whole.
-                let mut release = |r: usize| streams[r].release_range(0..streams[r].len());
+                let mut release = |r: usize| runs[r].release_range(0..runs[r].len());
                 return Ok(order
                     .partition(&views, parts, &mut release)
                     .into_iter()
                     .filter(|ranges| ranges.iter().any(|r| !r.is_empty()))
                     .enumerate()
                     .map(|(index, ranges)| {
-                        let mut slices = streams.iter().zip(ranges).map(|(s, r)| s.slice(r));
-                        let of_runs = slices.by_ref().take(runs.len()).collect();
-                        part(index, of_runs, slices.collect())
+                        part(
+                            index,
+                            runs.iter().zip(ranges).map(|(s, r)| s.slice(r)).collect(),
+                        )
                     })
                     .collect());
             }
@@ -591,11 +737,6 @@ enum PartWork<'a> {
         order: LineOrder,
         /// This part's slice of every run, in run order.
         runs: Vec<Bytes>,
-        /// This part's slice of every piece still pending when the fold
-        /// closed: merged into the part's last run first. (It stays on the
-        /// heap, where the pieces already are: all parts' tails together
-        /// are smaller than one run.)
-        tail: Vec<Bytes>,
         /// Set when the fold spilled: the merge streams through a temp
         /// file, releasing the run slices' pages behind its frontier.
         spill: Option<SpillConfig>,
@@ -624,19 +765,12 @@ impl<'a> FinishPart<'a> {
             PartWork::Merge {
                 env,
                 order,
-                mut runs,
-                tail,
+                runs,
                 spill,
-            } => {
-                if !tail.is_empty() {
-                    runs.push(merge_pieces(env, order, &tail)?);
-                    drop(tail);
-                }
-                match spill {
-                    None => merge_pieces(env, order, &runs),
-                    Some(cfg) => merge_spilled_runs(env, order, runs, &cfg),
-                }
-            }
+            } => match spill {
+                None => merge_pieces(env, order, &runs),
+                Some(cfg) => merge_spilled_runs(env, order, runs, &cfg),
+            },
         }
     }
 }
@@ -665,12 +799,15 @@ fn merge_pieces(env: &dyn RunEnv, order: LineOrder, pieces: &[Bytes]) -> Result<
 }
 
 /// The pending pieces of a merge fold, cut at the run trigger and handed
-/// back by [`IncrementalFold::push`] so their k-way merge — the O(run)
-/// part of run accumulation — happens outside whatever lock guards the
-/// fold.
+/// back by [`IncrementalFold::push`] (or by [`IncrementalFold::seal`] when
+/// the input ends) so that making them a run — a k-way merge, or for the
+/// raw chunks of a [`sorting`](IncrementalFold::sorting) fold one sort —
+/// happens outside whatever lock guards the fold.
 pub struct RunBatch<'a> {
     env: &'a dyn RunEnv,
     order: LineOrder,
+    /// The pieces are raw chunks: sort them, do not merge them.
+    raw: bool,
     /// Position of the batch's run among the fold's runs.
     index: usize,
     pieces: Vec<Bytes>,
@@ -682,11 +819,22 @@ impl RunBatch<'_> {
         self.index
     }
 
-    /// Merges the batch into one sorted run.
+    /// Makes the batch one sorted run: the merge of its sorted pieces, or
+    /// the sort of its raw ones' concatenation (which joins adjacent views
+    /// of one buffer, the chunks of a split, without a copy).
     pub fn merge(self) -> Result<MergedRun, EvalError> {
+        let run = if self.raw {
+            let input = kq_stream::concat_bytes(&self.pieces);
+            drop(self.pieces);
+            self.order
+                .sort_bytes(&input)
+                .map_err(|e| EvalError::Command(e.to_string()))?
+        } else {
+            merge_pieces(self.env, self.order, &self.pieces)?
+        };
         Ok(MergedRun {
             index: self.index,
-            run: merge_pieces(self.env, self.order, &self.pieces)?,
+            run,
         })
     }
 }
@@ -1545,6 +1693,171 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The raw chunks of one stream, as a split cuts them: adjacent
+    /// line-aligned slices of one buffer, `lines` lines each. Lines repeat
+    /// within and across chunks, spell one number several ways (`07`,
+    /// `7`, ` 7`, `+7`), differ only in case, and share long prefixes.
+    fn raw_chunks(chunks: usize, lines: usize) -> Vec<Bytes> {
+        let text: String = (0..chunks * lines)
+            .map(|i| match (i * 7 + i / 13) % 11 {
+                0 => format!("{:02}\n", i % 9),
+                1 => format!("{}\n", i % 9),
+                2 => format!(" {} x\n", i % 9),
+                3 => format!("+{}\n", i % 9),
+                4 => format!("Key{} shared tail\n", i % 5),
+                5 => format!("key{} shared tail\n", i % 5),
+                6 => "\n".to_owned(),
+                k => format!("key 287 item {:03} {k}\n", i % 17),
+            })
+            .collect();
+        let whole = Bytes::from(text);
+        let mut chunks_out = Vec::new();
+        let mut at = 0;
+        for _ in 0..chunks {
+            let end = at
+                + whole.as_bytes()[at..]
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &b)| b == b'\n')
+                    .nth(lines - 1)
+                    .map_or(whole.len() - at, |(i, _)| i + 1);
+            chunks_out.push(whole.slice(at..end));
+            at = end;
+        }
+        chunks_out
+    }
+
+    /// The fold of the sorting rewrite: raw chunks in, batches sorted
+    /// into runs, and out the bytes `sort <flags>` prints for the whole
+    /// stream — for every flag set, in memory and spilled, closed in one
+    /// part and in several, with no piece pending at the end (every piece
+    /// its own batch under budget 0), one, and many — the pieces of a
+    /// split, and copies of them that no longer sit side by side.
+    #[test]
+    fn a_sorting_fold_of_raw_chunks_equals_the_sort_of_the_stream() {
+        let ctx = kq_coreutils::ExecContext::default();
+        for flags in [
+            "", "-r", "-n", "-rn", "-nr", "-f", "-u", "-nu", "-fu", "-k1n", "-ru", "-fr", "-nf",
+        ] {
+            let sort = kq_coreutils::parse_command(&format!("sort {flags}")).unwrap();
+            let order = merge_order(
+                &flags
+                    .split_whitespace()
+                    .map(str::to_owned)
+                    .collect::<Vec<_>>(),
+            )
+            .unwrap();
+            let c = merge_candidate(flags);
+            let env = crate::eval::CommandEnv {
+                command: &sort,
+                ctx: &ctx,
+            };
+            for pieces in [1, 2 * MERGE_RUN_ARITY + 5] {
+                let split = raw_chunks(pieces, 23);
+                let copies: Vec<Bytes> = split
+                    .iter()
+                    .map(|p| Bytes::from(p.as_str().to_owned()))
+                    .collect();
+                let whole = kq_stream::concat_bytes(&split);
+                let expect = sort.run(whole.clone(), &ctx).unwrap();
+                let total = whole.len();
+                for chunks in [&split, &copies] {
+                    for budget in [None, Some(0), Some(total / 3)] {
+                        for part_bytes in [40, total * 2] {
+                            let tag = format!(
+                                "sorting-{}-{pieces}-{part_bytes}-{}",
+                                flags.len(),
+                                budget.unwrap_or(usize::MAX)
+                            );
+                            with_spill_dir(&tag, budget.unwrap_or(0), |cfg| {
+                                let spill = budget.map(|_| cfg.clone());
+                                let mut fold = IncrementalFold::sorting(&c, order, &env, spill);
+                                for p in chunks {
+                                    push(&mut fold, p);
+                                }
+                                let parts = fold.plan_finish_at(part_bytes).unwrap();
+                                let got = merge_parts(parts).unwrap().into_bytes();
+                                assert_eq!(
+                                    got, expect,
+                                    "sort {flags} of {pieces} piece(s), budget {budget:?}, \
+                                     parts of {part_bytes} bytes"
+                                );
+                            });
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Without a budget, raw chunks are cut into batches by their bytes,
+    /// sorted pieces by their number.
+    #[test]
+    fn raw_batches_are_cut_by_bytes_and_sorted_ones_by_count() {
+        let c = merge_candidate("");
+        let order = LineOrder::parse(&[]).unwrap();
+        let piece = Bytes::from("b\na\n".repeat(SORT_RUN_BYTES / 32));
+        assert_eq!(piece.len() * 8, SORT_RUN_BYTES);
+        let mut sorting = IncrementalFold::sorting(&c, order, &FakeEnv, None);
+        let mut merging = IncrementalFold::new(&c, &FakeEnv);
+        for i in 1..=MERGE_RUN_ARITY {
+            let raw_cut = sorting.push(piece.clone()).unwrap().is_some();
+            let merge_cut = merging.push(piece.clone()).unwrap().is_some();
+            assert_eq!((raw_cut, merge_cut), (i % 8 == 0, i == MERGE_RUN_ARITY));
+        }
+    }
+
+    #[test]
+    fn sealing_cuts_the_tail_by_bytes_at_line_ends() {
+        let c = merge_candidate("");
+        let order = LineOrder::parse(&[]).unwrap();
+        let pieces = raw_chunks(3, 40);
+        let total: usize = pieces.iter().map(Bytes::len).sum();
+        // Three raw pieces that close in parts of a third of their bytes:
+        // three batches, each about a third, cut at line ends, that are
+        // the pieces' bytes in order.
+        let mut fold = IncrementalFold::sorting(&c, order, &FakeEnv, None);
+        for p in &pieces {
+            assert!(fold.push(p.clone()).unwrap().is_none());
+        }
+        let batches = fold.seal_at(total / 3).unwrap();
+        assert_eq!(batches.len(), 3);
+        let indices: Vec<usize> = batches.iter().map(RunBatch::index).collect();
+        assert_eq!(indices, [0, 1, 2]);
+        let mut cut = Vec::new();
+        for batch in &batches {
+            let bytes: usize = batch.pieces.iter().map(Bytes::len).sum();
+            assert!(bytes.abs_diff(total / 3) < 40, "{bytes} of {total}");
+            assert!(batch.pieces.iter().all(|p| p.as_bytes().ends_with(b"\n")));
+            cut.extend(batch.pieces.iter().cloned());
+        }
+        assert_eq!(
+            kq_stream::concat_bytes(&cut),
+            kq_stream::concat_bytes(&pieces)
+        );
+        // Sealed: nothing is left to hand out.
+        assert!(fold.seal_at(total / 3).unwrap().is_empty());
+        // Below a part's bytes, the tail is one batch, raw or sorted.
+        for raw in [true, false] {
+            let mut fold = if raw {
+                IncrementalFold::sorting(&c, order, &FakeEnv, None)
+            } else {
+                IncrementalFold::new(&c, &FakeEnv)
+            };
+            pieces.iter().for_each(|p| push(&mut fold, p));
+            assert_eq!(fold.seal().unwrap().len(), 1);
+        }
+        // Nothing pending, or no merge: nothing to hand out.
+        assert!(IncrementalFold::sorting(&c, order, &FakeEnv, None)
+            .seal()
+            .unwrap()
+            .is_empty());
+        let cat = Candidate::rec(RecOp::Concat);
+        let mut concat = IncrementalFold::new(&cat, &NoRunEnv);
+        push(&mut concat, &pieces[0]);
+        assert!(concat.seal().unwrap().is_empty());
     }
 
     #[test]

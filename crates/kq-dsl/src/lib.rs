@@ -59,7 +59,7 @@
 //! [`kq_coreutils::sort::LineOrder`] once per combine
 //! ([`eval::merge_order`]) — once per *fold* for an
 //! [`IncrementalFold`], which then makes many merges with it — and the
-//! merge itself is `kq_coreutils::sort`'s key-cached loser tree.
+//! merge itself is `kq_coreutils::sort`'s offset-value-coded loser tree.
 //!
 //! An [`IncrementalFold`] over `merge` never merges inside
 //! [`push`](IncrementalFold::push): when enough pieces are pending it
@@ -67,14 +67,19 @@
 //! guards the fold with a lock can merge the batch with the lock released
 //! and [`install`](IncrementalFold::install) the run afterwards. Runs are
 //! slotted by batch index, so batches may come back in any order and
-//! `finish` still merges them in stream order.
+//! `finish` still merges them in stream order. A
+//! [`sorting`](IncrementalFold::sorting) fold is fed a `sort`'s raw input
+//! chunks instead of their sorted outputs and makes each batch a run by
+//! one sort of its concatenation — the same run. When the input ends,
+//! [`seal`](IncrementalFold::seal) hands out the pieces still pending as
+//! batches of their own, cut by bytes.
 //!
 //! The closing merge is handed out the same way, and for the same reason:
 //! it is the one merge that reads every byte, and a k-way merge is one
 //! thread's work. [`finish`](IncrementalFold::finish) of a merge fold is
-//! *plan the parts, merge each part, concatenate*.
-//! [`plan_finish`](IncrementalFold::plan_finish) cuts the runs (and the
-//! pieces still pending) into key ranges with
+//! *seal, plan the parts, merge each part, concatenate*.
+//! [`plan_finish`](IncrementalFold::plan_finish) cuts the runs into key
+//! ranges with
 //! [`LineOrder::partition`](kq_coreutils::sort::LineOrder::partition) —
 //! sample-sort splitters, every stream cut where no two lines the
 //! comparator calls equal are separated, so `-u`, `-f`, `-n`, `-r` and the

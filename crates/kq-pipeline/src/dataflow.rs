@@ -18,6 +18,7 @@
 //! | [`NodeKind::StageWorker`] headed by a **seam stage** — a `tr -s` that splits text into lines (see "Seam rewrite") | chunks | as above, except that the head stage's output for every chunk but the first loses one leading `'\n'` before the rest of the run sees it | as any stage worker: the node *is* one |
 //! | [`NodeKind::Fold`] ([`FoldMode::Combine`]) | chunks | the stage's synthesized combiner folded over per-chunk outputs in input order; only the combined stream moves on, re-chunked | per-chunk map tasks in parallel, the fold itself in arrival order |
 //! | [`NodeKind::Fold`] ([`FoldMode::Combine`]) over **two stages** — a `sort \| uniq [-c]` pair (see "Counting rewrite") | chunks | per chunk, what the pair prints for it — the chunk's distinct lines in the sort's order, with their counts under `-c`; these fold through the sort's `merge` under the counted (or `-u`) order; the result is byte for byte the second stage's output | as a one-stage combine fold: the node *is* one |
+//! | [`NodeKind::Fold`] ([`FoldMode::Sort`]) — a `sort`, or the `sort \| uniq` of a unique pair (see "Sorting rewrite") | chunks | nothing per chunk: the chunks reach the fold as they are, batches of them are sorted into runs (under `-u` for the pair) and the runs merged by the stage's `merge`; the result is the stage's output | a sort per run batch, batches in parallel; the closing merge in parts as for any merge fold |
 //! | [`NodeKind::Fold`] ([`FoldMode::Gather`]) | chunks | the command run once over the gathered input, re-chunked | one task at a time |
 //! | [`NodeKind::BoundedConsumer`] | chunks, **in stream order**, only until `lines` complete lines exist | the command run once on the prefix, re-chunked | one task at a time |
 //!
@@ -111,6 +112,45 @@
 //!
 //! [`PlannedStage::seam`]: crate::plan::PlannedStage::seam
 //!
+//! # Sorting rewrite
+//!
+//! The fourth rewrite under the switch ([`DataflowGraph::sort_runs`]),
+//! run last: a [`FoldMode::Combine`] fold whose first stage the plan marks
+//! [`PlannedStage::sorting`] — a `sort` whose combiner is the `merge` of
+//! the very order it sorts by, alone or at the head of a unique pair the
+//! counting rewrite fused — becomes a [`FoldMode::Sort`] fold. A parallel
+//! `sort` sorts every chunk and the fold merges the sorted chunks, in two
+//! levels (run batches, then the closing merge): every line handled three
+//! times, and the sorted chunks exist only to be merged. But merging the
+//! sorts of pieces is sorting them together:
+//!
+//! ```text
+//! sort(x1 ++ … ++ xk) = merge(sort(x1), …, sort(xk))
+//! ```
+//!
+//! where the merge hands ties to the earlier piece and a stable sort keeps
+//! them in input order. So the node's map passes each chunk through as it
+//! is, and the fold — the stage's own merge fold, cutting run batches
+//! where it would, or without a budget every 512 KiB
+//! (`kq_dsl::kway::SORT_RUN_BYTES`) — makes each batch one run by **one
+//! sort of the batch's concatenation** (adjacent chunks of a split
+//! concatenate without a copy) instead of a merge of its sorted chunks.
+//! The runs merge in batch order as before, so `-u` still keeps the first
+//! of key-equal lines; the chunks still pending when the input ends are
+//! sealed into batches of a part's bytes
+//! (`kq_dsl::kway::IncrementalFold::seal`), sorted as pool tasks of their
+//! own, so that the closing merge in parts reads runs only.
+//!
+//! What it removes: the sort of every 64 KiB chunk and the merge of their
+//! sorted copies — each line is sorted once, in a run of half a megabyte
+//! or more, and merged once. A counting pair keeps its counting map (its chunks shrink
+//! to their distinct lines before they reach the fold), so the planner
+//! does not mark its sort. `fuse_streamable = false` keeps every chunk's
+//! sort, and [`run_serial`] and the other executors run the stage on its
+//! own, so the suites that run both settings compare the two.
+//!
+//! [`PlannedStage::sorting`]: crate::plan::PlannedStage::sorting
+//!
 //! # Cancellation propagation
 //!
 //! Early exit is edge teardown propagated through the graph. When a
@@ -152,6 +192,10 @@ pub enum FoldMode {
     /// A sequential stage (no combiner, or a rerun that does not pay):
     /// chunks gather into a rope and the command runs once.
     Gather,
+    /// A parallel `sort` (or `sort | uniq` pair) whose chunks reach the
+    /// fold raw: batches of chunks are sorted into runs and the runs merged
+    /// by the stage's combiner (see "Sorting rewrite").
+    Sort,
 }
 
 /// The operation a dataflow node performs (see the [module docs](self)).
@@ -178,9 +222,14 @@ pub enum NodeKind {
 }
 
 /// The kind of a parallel barrier stage's node — the only kind the
-/// counting rewrite fuses.
+/// counting and sorting rewrites act on.
 const COMBINE: NodeKind = NodeKind::Fold {
     mode: FoldMode::Combine,
+};
+
+/// The kind of a fold the sorting rewrite made.
+const SORT: NodeKind = NodeKind::Fold {
+    mode: FoldMode::Sort,
 };
 
 /// One node of a statement's dataflow graph.
@@ -229,11 +278,12 @@ impl DataflowGraph {
     /// `fuse_streamable`, seam stages are lifted out of their gather folds
     /// by the [seam rewrite](Self::lift_seam_stages), adjacent
     /// [`NodeKind::StageWorker`] nodes are then merged by the
-    /// [fusion rewrite](Self::fuse_streamable) and licensed `sort | uniq`
-    /// fold pairs by the [counting rewrite](Self::fuse_fold_pairs). Short
-    /// of those seams and pairs, the resulting node list (ignoring the
-    /// leading `Split`) corresponds one-to-one with
-    /// [`stream_segments`]`(fuse_streamable)`.
+    /// [fusion rewrite](Self::fuse_streamable), licensed `sort | uniq`
+    /// fold pairs by the [counting rewrite](Self::fuse_fold_pairs), and
+    /// licensed sorts' folds turned into sorting folds by the
+    /// [sorting rewrite](Self::sort_runs). Short of those seams and pairs,
+    /// the resulting node list (ignoring the leading `Split`) corresponds
+    /// one-to-one with [`stream_segments`]`(fuse_streamable)`.
     ///
     /// [`stream_segments`]: crate::plan::PlannedStatement::stream_segments
     pub fn build(planned: &PlannedStatement, fuse_streamable: bool) -> DataflowGraph {
@@ -264,6 +314,7 @@ impl DataflowGraph {
             graph.lift_seam_stages(planned);
             graph.fuse_streamable(planned);
             graph.fuse_fold_pairs(planned);
+            graph.sort_runs(planned);
         }
         graph.compute_eager_flush();
         graph
@@ -327,6 +378,20 @@ impl DataflowGraph {
         }
     }
 
+    /// The sorting rewrite (see the [module docs](self)): a combine fold
+    /// whose first stage the plan marks
+    /// [`PlannedStage::sorting`](crate::plan::PlannedStage::sorting) — a
+    /// one-stage `sort`, or the `sort | uniq` of a unique pair the counting
+    /// rewrite fused — becomes a [`FoldMode::Sort`] fold. Runs last, on the
+    /// pairs the counting rewrite left.
+    pub fn sort_runs(&mut self, planned: &PlannedStatement) {
+        for node in &mut self.nodes {
+            if node.kind == COMBINE && planned.stages[node.stages.start].sorting {
+                node.kind = SORT;
+            }
+        }
+    }
+
     /// Checks the structural invariants every well-formed statement graph
     /// satisfies, returning one human-readable violation per breach (empty
     /// means valid). The scheduler asserts this under `debug_assertions`
@@ -341,9 +406,11 @@ impl DataflowGraph {
     ///    contiguously and in order — no gap, overlap, or inversion;
     /// 3. only two kinds of node span more than one stage:
     ///    [`NodeKind::StageWorker`] nodes (fused chunk-local runs), and a
-    ///    combine fold over exactly the two stages of a `sort | uniq` pair
-    ///    the plan licenses (`planned.stages[start].fold_pair`) — any other
-    ///    multi-stage fold is a rewrite gone wrong;
+    ///    combine (or sorting) fold over exactly the two stages of a
+    ///    `sort | uniq` pair the plan licenses
+    ///    (`planned.stages[start].fold_pair`) — any other multi-stage fold
+    ///    is a rewrite gone wrong; a [`FoldMode::Sort`] fold's first stage
+    ///    is one the plan marks `sorting`, and a counting pair is never one;
     ///    and within a [`NodeKind::StageWorker`] every stage is chunk-local
     ///    ([`PlannedStage::streamable`](crate::plan::PlannedStage::streamable))
     ///    but possibly the first, which may be a seam stage instead. A seam
@@ -387,17 +454,25 @@ impl DataflowGraph {
                     node.kind, node.stages
                 ));
             }
-            let licensed_pair = node.kind == COMBINE
+            let first = planned.stages.get(node.stages.start);
+            let licensed_pair = (node.kind == COMBINE || node.kind == SORT)
                 && node.stages.len() == 2
-                && planned
-                    .stages
-                    .get(node.stages.start)
-                    .is_some_and(|sort| sort.fold_pair.is_some());
+                && first.is_some_and(|sort| sort.fold_pair.is_some());
             if node.stages.len() > 1 && node.kind != NodeKind::StageWorker && !licensed_pair {
                 problems.push(format!(
                     "node {i} ({:?}) spans stages {:?}; only fused StageWorker runs and the \
                      combine fold of a licensed sort | uniq pair may span more than one stage",
                     node.kind, node.stages
+                ));
+            }
+            let sorts = first.is_some_and(|sort| {
+                sort.sorting && sort.fold_pair != Some(crate::lattice::FoldPair::Counting)
+            });
+            if node.kind == SORT && !sorts {
+                problems.push(format!(
+                    "node {i} is a sorting fold over stages {:?}, whose first stage the plan \
+                     does not license to fold raw chunks",
+                    node.stages
                 ));
             }
             for idx in node.stages.clone() {
@@ -515,7 +590,7 @@ mod tests {
                 // that tr | grep fuse into.
                 (NodeKind::StageWorker, 0..3),
                 (COMBINE, 3..5), // sort | uniq -c: one counting fold
-                (COMBINE, 5..6), // sort -rn
+                (SORT, 5..6),    // sort -rn: a sorting fold
             ]
         );
     }
@@ -541,7 +616,7 @@ mod tests {
                 (NodeKind::StageWorker, 0..1),
                 (NodeKind::StageWorker, 1..3),
                 (NodeKind::StageWorker, 3..5),
-                (COMBINE, 5..6),
+                (SORT, 5..6),
             ]
         );
         let heads: Vec<bool> = g.nodes.iter().map(|n| n.heads_seam(&p)).collect();
@@ -609,9 +684,11 @@ mod tests {
             shape(&DataflowGraph::build(&p, true)),
             vec![
                 (NodeKind::Split, 0..0),
-                (COMBINE, 0..2),
+                // The unique pair, and the last sort, sort raw chunks too;
+                // the counting pair keeps its counting map.
+                (SORT, 0..2),
                 (COMBINE, 2..4),
-                (COMBINE, 4..5),
+                (SORT, 4..5),
             ]
         );
         // The switch that leaves chunk-local stages unfused leaves these
@@ -631,11 +708,71 @@ mod tests {
             assert!(
                 g.nodes
                     .iter()
-                    .all(|n| n.kind != COMBINE || n.stages.len() == 1),
+                    .all(|n| !matches!(n.kind, NodeKind::Fold { .. }) || n.stages.len() == 1),
                 "{text}: {:?}",
                 shape(&g)
             );
         }
+    }
+
+    #[test]
+    fn sorting_rewrite_marks_exactly_the_licensed_sorts() {
+        let kinds = |text: &str, fuse: bool| -> Vec<NodeKind> {
+            graph(text, fuse).nodes.iter().map(|n| n.kind).collect()
+        };
+        let split = NodeKind::Split;
+        // Plain, unique, numeric, reversed, folded and field-keyed sorts;
+        // the counting pair keeps its map.
+        for text in [
+            "cat /in.txt | sort",
+            "cat /in.txt | sort -u",
+            "cat /in.txt | sort -rn",
+            "cat /in.txt | sort -fu",
+            "cat /in.txt | sort -k1n",
+            "cat /in.txt | sort --parallel=1",
+        ] {
+            assert_eq!(kinds(text, true), [split, SORT], "{text}");
+            // `--no-opt` builds none of it.
+            assert_eq!(kinds(text, false), [split, COMBINE], "{text}");
+        }
+        assert_eq!(
+            kinds("cat /in.txt | sort | uniq -c", true),
+            [split, COMBINE]
+        );
+        assert_eq!(kinds("cat /in.txt | sort -r | uniq", true), [split, SORT]);
+        // A merge, and a sort of a named stream besides its input, are not
+        // sorts of their input chunks.
+        for text in ["cat /in.txt | sort -m", "cat /in.txt | sort - /in.txt"] {
+            assert!(!kinds(text, true).contains(&SORT), "{text}");
+        }
+        // Every graph the rewrite builds is valid; a sorting fold the plan
+        // does not license is not.
+        for text in [
+            "cat /in.txt | sort -r | uniq | sort -f | uniq -c | sort -rn",
+            "cat /in.txt | sort -m",
+        ] {
+            let p = planned(text);
+            assert_eq!(
+                DataflowGraph::build(&p, true).validate(&p, 8),
+                Vec::<String>::new()
+            );
+            let mut g = DataflowGraph::build(&p, false);
+            for node in &mut g.nodes[1..] {
+                node.kind = SORT;
+            }
+            let refused = g.validate(&p, 8);
+            assert!(
+                refused.iter().any(|p| p.contains("does not license")),
+                "{text}: {refused:?}"
+            );
+        }
+        let p = planned("cat /in.txt | sort | uniq -c");
+        let mut g = DataflowGraph::build(&p, true);
+        g.nodes[1].kind = SORT;
+        assert!(g
+            .validate(&p, 8)
+            .iter()
+            .any(|p| p.contains("sorting fold over stages 0..2")));
     }
 
     #[test]

@@ -78,6 +78,25 @@
 //!
 //! [`PlannedStage::seam`]: crate::plan::PlannedStage::seam
 //!
+//! # Sorting folds: a `CommutativeFold` whose map is its combiner's work
+//!
+//! A parallel `sort` maps every chunk through `sort` and merges the sorted
+//! chunks — and a merge of sorted pieces is what sorting them together
+//! makes: `sort(x1 ++ … ++ xk) = merge(sort(x1), …, sort(xk))`, where the
+//! merge hands ties to the earlier piece and a stable sort keeps them in
+//! input order. So the sort of each chunk is work the fold could do on
+//! more lines at once. [`sorting_order`] licenses a stage for that: a
+//! stdin-reading `sort` with no `-m` (which merges, not sorts) and no
+//! operand (whose lines the chunks never see); the planner records it on
+//! [`PlannedStage::sorting`] where the stage's combiner merges under that
+//! very order — the order the fold's sorts must keep — and
+//! [`DataflowGraph::build`] turns the stage's fold into one fed raw chunks
+//! (see "Sorting rewrite" in [`crate::dataflow`]). A `sort | uniq -c`
+//! counting fold keeps its own map, so a sort the counting rewrite takes
+//! is not marked.
+//!
+//! [`PlannedStage::sorting`]: crate::plan::PlannedStage::sorting
+//!
 //! # Soundness
 //!
 //! The table is deliberately *under*-approximating. A command is
@@ -90,6 +109,7 @@
 //! `PureParallelizable` ⇒ synthesis finds *a* combiner).
 
 use crate::cache::cache_key;
+use kq_coreutils::sort::{LineOrder, SortCmd};
 use kq_coreutils::tr::TrCmd;
 use kq_coreutils::Command;
 use kq_dsl::ast::{Candidate, RecOp};
@@ -507,6 +527,32 @@ pub fn newline_seam(command: &Command) -> bool {
 pub fn seam_note(statement: usize, stage: usize, command: &Command) -> String {
     format!(
         "seam: s{} stage {} '{}' runs chunk-local",
+        statement + 1,
+        stage + 1,
+        command.display()
+    )
+}
+
+/// The sorting licence (see the [module docs](self)): the order in which
+/// `command` sorts its standard input, when it is a stdin-reading `sort`
+/// that the in-process command parses, with no `-m` and no operand —
+/// `None` for anything else. A `sort` stage whose fold merges under this
+/// same order may feed the fold its raw chunks, sorted there a batch at a
+/// time (`sort(x1 ++ … ++ xk) = merge(sort(x1), …, sort(xk))`, ties to the
+/// earlier input).
+pub fn sorting_order(command: &Command) -> Option<LineOrder> {
+    if !command.reads_stdin() || command.program() != "sort" {
+        return None;
+    }
+    SortCmd::parse(&command.argv()[1..]).ok()?.stdin_order()
+}
+
+/// The one line that says where a sorting fold is, as run notes, plan
+/// notes and `kumquat check` all print it: `sorting fold: s1 stage 1 'sort'`
+/// (statement and stage counted from one; `stage` is the index from zero).
+pub fn sorting_note(statement: usize, stage: usize, command: &Command) -> String {
+    format!(
+        "sorting fold: s{} stage {} '{}'",
         statement + 1,
         stage + 1,
         command.display()

@@ -52,18 +52,20 @@
 //! barrier versus sequential) lives in
 //! [`plan::PlannedStatement::stream_segments`]; the dataflow executor
 //! reifies the same classification as a graph IR ([`dataflow`]) and
-//! executes it with a shared scheduler ([`scheduler`]). Three rewrites of
+//! executes it with a shared scheduler ([`scheduler`]). Four rewrites of
 //! that graph go beyond the classification, all switched off together
 //! (`fuse_streamable: false`, `--no-opt`): adjacent chunk-local stages
 //! fuse into one node, a `sort | uniq [-c]` pair of barrier stages that
 //! [`lattice::fold_pair`] licenses becomes one counting fold (see
-//! "Counting rewrite" in [`dataflow`]), and a rerun-combined `tr -s` that
+//! "Counting rewrite" in [`dataflow`]), a rerun-combined `tr -s` that
 //! [`lattice::newline_seam`] licenses — the word splitter
 //! `tr -cs A-Za-z '\n'` — runs chunk by chunk at the head of a chunk-local
-//! node instead of once over its gathered input ("Seam rewrite"). The
-//! serial oracle and the streaming executor always run the plan stage by
-//! stage, which is what makes [`exec::run_serial`] the oracle for all
-//! three. `crates/bench/benches/dataflow_exec.rs` measures dataflow
+//! node instead of once over its gathered input ("Seam rewrite"), and a
+//! `sort` that [`lattice::sorting_order`] licenses passes its chunks to its
+//! fold unsorted, the fold sorting them a run batch at a time ("Sorting
+//! rewrite"). The serial oracle and the streaming executor always run the
+//! plan stage by stage, which is what makes [`exec::run_serial`] the
+//! oracle for all four. `crates/bench/benches/dataflow_exec.rs` measures dataflow
 //! against streaming on a multi-statement script.
 //!
 //! # Fold finalization protocol
@@ -102,6 +104,18 @@
 //! runs in stream order whatever order they came back in (the third test
 //! of `tests/fold_finalize_stress.rs`). The streaming executor's barrier
 //! collector owns its fold outright and merges each batch on the spot.
+//!
+//! **The sealing phase.** The pieces a merge fold still holds when its
+//! input ends are not merged into the closing merge's parts: the task that
+//! claims the finalization seals the fold
+//! (`kq_synth::IncrementalCombine::seal`), which cuts them by bytes into
+//! ordinary run batches, stores them in the node as `Phase::Sealing` and
+//! schedules one `(si, ni)` task per batch. Each claims a batch under the
+//! lock, makes it a run with the lock released (a `fold-merge` span, as for
+//! every batch) and installs it; the task that installs the last — or the
+//! sealing task, when there was nothing to cut — goes on to the finish. A
+//! sorting fold's tail is raw chunks that no partition could cut; sealed,
+//! it is sorted by as many workers as it has batches.
 //!
 //! **The finishing phase.** The finish itself used to be one task: the
 //! k-way merge of every run, on one thread, with the rest of the pool idle
@@ -262,7 +276,9 @@ pub use exec::{
     AdaptiveTelemetry, EarlyExit, ExecutionResult, QueueTelemetry, SpillTelemetry, StageTiming,
     TimingLog,
 };
-pub use lattice::{classify, fold_pair, newline_seam, EffectClass, EffectSet, FoldPair};
+pub use lattice::{
+    classify, fold_pair, newline_seam, sorting_order, EffectClass, EffectSet, FoldPair,
+};
 pub use parse::{InputSource, ParseError, Script, SourceSpan, Stage, Statement};
 pub use plan::{
     planning_sample, PlannedScript, PlannedStage, Planner, StageMode, StreamSegment,

@@ -114,6 +114,16 @@ pub struct PlannedStage {
     /// node (the seam rewrite of [`crate::dataflow`]). Executors that run
     /// stage by stage ignore it.
     pub seam: bool,
+    /// Set on a `sort` stage that the lattice licenses to feed its fold
+    /// raw chunks ([`lattice::sorting_order`]): the fold sorts batches of
+    /// chunks, each into one run, where the stage would sort every chunk
+    /// and the fold merge them (the sorting rewrite of
+    /// [`crate::dataflow`]). The planner sets it only where the stage
+    /// parallelizes and its combiner merges under the order the stage sorts
+    /// by, and not on the sort of a counting pair
+    /// ([`lattice::FoldPair::Counting`]), whose fold keeps its own map.
+    /// Executors that run stage by stage ignore it.
+    pub sorting: bool,
 }
 
 /// Planning result for one statement.
@@ -675,25 +685,47 @@ impl Planner {
                 )
             })
             .collect();
+        // Fourth pass: the sorts whose folds may sort raw chunks — where
+        // the combiner merges under the order the command sorts by.
+        let sorting: Vec<bool> = modes
+            .iter()
+            .zip(&fold_pairs)
+            .zip(&statement.stages)
+            .map(|((mode, pair), stage)| {
+                let StageMode::Parallel { combiner, .. } = mode else {
+                    return false;
+                };
+                self.use_lattice
+                    && *pair != Some(lattice::FoldPair::Counting)
+                    && combiner.merge_order().is_some()
+                    && combiner.merge_order() == lattice::sorting_order(&stage.command)
+            })
+            .collect();
         PlannedStatement {
             stages: modes
                 .into_iter()
                 .zip(streamable)
                 .zip(fold_pairs)
                 .zip(seams)
+                .zip(sorting)
                 .enumerate()
                 .map(
-                    |(stage_idx, (((mode, streamable), fold_pair), seam))| PlannedStage {
-                        stage_idx,
-                        mode,
-                        streamable,
-                        // The early-exit contract comes from the parsed
-                        // command itself (exact, never widened) — a stage
-                        // with a file operand reads no stdin and reports
-                        // no bound.
-                        line_bound: kq_synth::prefix_bound(&statement.stages[stage_idx].command),
-                        fold_pair,
-                        seam,
+                    |(stage_idx, ((((mode, streamable), fold_pair), seam), sorting))| {
+                        PlannedStage {
+                            stage_idx,
+                            mode,
+                            streamable,
+                            // The early-exit contract comes from the parsed
+                            // command itself (exact, never widened) — a
+                            // stage with a file operand reads no stdin and
+                            // reports no bound.
+                            line_bound: kq_synth::prefix_bound(
+                                &statement.stages[stage_idx].command,
+                            ),
+                            fold_pair,
+                            seam,
+                            sorting,
+                        }
                     },
                 )
                 .collect(),
@@ -1024,6 +1056,63 @@ mod tests {
             seams(&mut without, "cat $IN | tr -cs A-Za-z '\\n' | sort"),
             [false, false]
         );
+    }
+
+    #[test]
+    fn sorting_is_licensed_where_the_combiner_merges_in_the_sorts_own_order() {
+        use kq_dsl::ast::{Candidate, RunOp};
+        use kq_synth::SynthesizedCombiner;
+        let sorting = |planner: &mut Planner, text: &str| -> Vec<bool> {
+            let env: Map<String, String> = [("IN".to_owned(), "/in.txt".to_owned())].into();
+            let script = parse_script(text, &env).unwrap();
+            let ctx = ExecContext::default();
+            ctx.vfs.write("/in.txt", sample_text());
+            let planned = planner.plan(&script, &ctx, &sample_text());
+            planned.statements[0]
+                .stages
+                .iter()
+                .map(|s| s.sorting)
+                .collect()
+        };
+        let mut planner = Planner::new(SynthesisConfig::default());
+        for (text, expect) in [
+            ("cat $IN | sort", &[true][..]),
+            ("cat $IN | sort -nu | wc -l", &[true, false]),
+            ("cat $IN | sort -fr --parallel=2", &[true]),
+            // The unique pair sorts raw chunks; the counting pair counts.
+            ("cat $IN | sort -r | uniq", &[true, false]),
+            ("cat $IN | sort -rn | uniq -c", &[false, false]),
+            ("cat $IN | sort | uniq -c | sort -rn", &[false, false, true]),
+            // A merge, a file operand beside the input, a file instead of
+            // it, and a stage that is no sort.
+            ("cat $IN | sort -m", &[false]),
+            ("cat $IN | sort - /in.txt", &[false]),
+            ("cat $IN | grep o | sort /in.txt", &[false, false]),
+            ("cat $IN | uniq -c", &[false]),
+        ] {
+            assert_eq!(sorting(&mut planner, text), expect, "{text}");
+        }
+        // A combiner that merges in another order than the sort sorts by
+        // is refused; one that merges in the same order is licensed.
+        let merge = |flags: &[&str]| {
+            let flags = flags.iter().map(|f| f.to_string()).collect();
+            SynthesizedCombiner::from_plausible(vec![Candidate::run(RunOp::Merge(flags))])
+        };
+        let mut manual = Planner::new(SynthesisConfig::default());
+        manual.register_manual("sort -n", merge(&["-r"]));
+        manual.register_manual("sort -f", merge(&["-f"]));
+        assert_eq!(sorting(&mut manual, "cat $IN | sort -n"), [false]);
+        assert_eq!(sorting(&mut manual, "cat $IN | sort -f"), [true]);
+        // Nor does a `merge` make a merge, or a sort of more than its
+        // input, a sort of its input chunks.
+        manual.register_manual("sort -m", merge(&[]));
+        manual.register_manual("sort - /in.txt", merge(&[]));
+        assert_eq!(sorting(&mut manual, "cat $IN | sort -m"), [false]);
+        assert_eq!(sorting(&mut manual, "cat $IN | sort - /in.txt"), [false]);
+        // Without the lattice the planner acts on nothing it says.
+        let mut without = Planner::new(SynthesisConfig::default());
+        without.use_lattice = false;
+        assert_eq!(sorting(&mut without, "cat $IN | sort"), [false]);
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! of scheduling is a *task*: "make progress at node N of statement S" —
 //! process one chunk at a map node (through the node's commands — at a
 //! counting fold, through the `sort | uniq -c` kernel of its counted line
-//! order; behind a seam stage, with the seam's `'\n'` taken off first),
-//! drain the input of a fold, merge one
-//! part of a fold's closing merge, cut the next chunk at a split, emit the
-//! next chunk of a materialized output.
+//! order; at a sorting fold, through nothing; behind a seam stage, with
+//! the seam's `'\n'` taken off first), drain the input of a fold, make a
+//! run of a batch a fold sealed, merge one part of a fold's closing merge,
+//! cut the next chunk at a split, emit the next chunk of a materialized
+//! output.
 //!
 //! # Scheduling
 //!
@@ -309,6 +310,10 @@ enum Phase<'a> {
     /// One task is running the node's command (gather/bounded folds) or
     /// finishing its combiner — long work done outside every lock.
     Running,
+    /// Fold(Combine): the input ended, and the pieces the fold still held
+    /// were cut into run batches, each merged by a pool task of its own;
+    /// the closing merge waits for the last.
+    Sealing(VecDeque<kq_dsl::kway::RunBatch<'a>>),
     /// Fold(Combine): the closing merge was cut into parts, each merged by
     /// a pool task of its own.
     Finishing(Finishing<'a>),
@@ -442,6 +447,10 @@ struct StmtRt<'a> {
 enum NodeMap {
     /// The node's command chain.
     Chain,
+    /// A sorting fold (see "Sorting rewrite" in [`crate::dataflow`]):
+    /// nothing — the chunk goes to the fold as it is, sorted there in a
+    /// batch with its neighbours.
+    Raw,
     /// A counting fold (`sort | uniq -c` as one node): the kernel of its
     /// counted order instead of the chain.
     Counted(LineOrder),
@@ -626,7 +635,7 @@ pub fn run_dataflow_segments(
                 .iter()
                 .map(|node| match node.kind {
                     NodeKind::Fold {
-                        mode: FoldMode::Combine,
+                        mode: FoldMode::Combine | FoldMode::Sort,
                     } => Some(CommandEnv {
                         command: &statement.stages[node.stages.start].command,
                         ctx,
@@ -665,7 +674,7 @@ pub fn run_dataflow_segments(
                         state.chunker = Some(IncrementalChunker::new(fixed_chunk));
                     }
                     NodeKind::Fold {
-                        mode: FoldMode::Combine,
+                        mode: mode @ (FoldMode::Combine | FoldMode::Sort),
                     } => {
                         let StageMode::Parallel { combiner, .. } =
                             &plan.statements[si].stages[node.stages.start].mode
@@ -677,9 +686,16 @@ pub fn run_dataflow_segments(
                         // counters are per-node, not script-global.
                         let spill = opts.spill.as_ref().map(|p| p.stage_config());
                         state.spill_metrics = spill.as_ref().map(|cfg| cfg.metrics.clone());
-                        state.accum = Some(match pair_orders[ni] {
-                            Some((_, order)) => combiner.incremental_merging(order, env, spill),
-                            None => combiner.incremental_with_spill(env, spill),
+                        let pair_order = pair_orders[ni].map(|(_, order)| order);
+                        state.accum = Some(match (mode, pair_order) {
+                            (FoldMode::Sort, order) => {
+                                let order = order.or_else(|| combiner.merge_order()).expect(
+                                    "the planner licenses only sorts whose combiner merges",
+                                );
+                                combiner.incremental_sorting(order, env, spill)
+                            }
+                            (_, Some(order)) => combiner.incremental_merging(order, env, spill),
+                            (_, None) => combiner.incremental_with_spill(env, spill),
                         });
                     }
                     _ => {}
@@ -691,6 +707,13 @@ pub fn run_dataflow_segments(
             .into_iter()
             .zip(&graph.nodes)
             .map(|(pair, node)| match pair {
+                _ if node.kind
+                    == (NodeKind::Fold {
+                        mode: FoldMode::Sort,
+                    }) =>
+                {
+                    NodeMap::Raw
+                }
                 Some((FoldPair::Counting, order)) => NodeMap::Counted(order),
                 // `sort | uniq` of a chunk is its `sort -u`: the chain.
                 _ if node.heads_seam(&plan.statements[si]) => NodeMap::Seam,
@@ -707,7 +730,7 @@ pub fn run_dataflow_segments(
                     Some(n) if matches!(
                         n.kind,
                         NodeKind::Fold {
-                            mode: FoldMode::Combine
+                            mode: FoldMode::Combine | FoldMode::Sort
                         }
                     )
                 )
@@ -750,7 +773,7 @@ pub fn run_dataflow_segments(
                     NodeKind::Split => "split",
                     NodeKind::StageWorker => "worker",
                     NodeKind::Fold {
-                        mode: FoldMode::Combine,
+                        mode: FoldMode::Combine | FoldMode::Sort,
                     } => "fold",
                     NodeKind::Fold {
                         mode: FoldMode::Gather,
@@ -1010,7 +1033,7 @@ fn run_task(cx: &Cx<'_, '_>, (si, ni): Task) {
         NodeKind::Split => split_task(cx, si),
         NodeKind::StageWorker
         | NodeKind::Fold {
-            mode: FoldMode::Combine,
+            mode: FoldMode::Combine | FoldMode::Sort,
         } => map_task(cx, si, ni),
         NodeKind::Fold {
             mode: FoldMode::Gather,
@@ -1229,6 +1252,11 @@ fn map_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
                 emit_task(cx, si, ni);
                 return;
             }
+            Phase::Sealing(_) => {
+                drop(st);
+                sealed_batch_task(cx, si, ni);
+                return;
+            }
             Phase::Finishing(_) => {
                 drop(st);
                 finish_part_task(cx, si, ni);
@@ -1277,6 +1305,7 @@ fn map_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
     let t0 = Instant::now();
     let result = match &stmt.maps[ni] {
         NodeMap::Chain => run_chain(&stmt.chains[ni], chunk.clone(), cx.rt.ctx),
+        NodeMap::Raw => Ok(chunk.clone()),
         NodeMap::Counted(order) => order.sort_bytes(&chunk),
         NodeMap::Seam => run_seam_chain(&stmt.chains[ni], seq, chunk.clone(), cx.rt.ctx),
     };
@@ -1399,52 +1428,121 @@ fn maybe_finalize_map(cx: &Cx<'_, '_>, si: usize, ni: usize) {
         schedule_pushes(cx, si, ni + 1, pushed);
         close_edge(cx, si, ni);
     } else {
-        // Fold(Combine): settle the incremental fold outside the lock —
-        // this is where `sort`'s final run merge happens.
-        let accum = {
-            let mut st = lock(&stmt.nodes[ni]);
-            if st.cancelled || !matches!(st.phase, Phase::Collecting) || st.inflight > 0 {
-                return;
-            }
-            st.phase = Phase::Running;
-            st.accum.take().expect("combine fold accum")
-        };
-        if accum.finish_parts() < 2 {
-            let span = kq_trace::span("dataflow", "fold-finish").si(si).ni(ni);
-            let t0 = Instant::now();
-            let finished = accum.finish();
-            span.done();
-            match finished {
-                Err(e) => stmt_error(cx, si, fold_error(stmt, ni, e)),
-                Ok(combined) => start_fold_emit(cx, si, ni, combined, t0.elapsed()),
-            }
+        seal_fold(cx, si, ni);
+    }
+}
+
+/// Closes a combine fold whose input is exhausted: the pieces it still
+/// holds become run batches, merged by pool tasks, one `(si, ni)` task per
+/// batch — or, when there are none, the closing merge starts at once.
+fn seal_fold(cx: &Cx<'_, '_>, si: usize, ni: usize) {
+    let stmt = &cx.rt.stmts[si];
+    let count = {
+        let mut st = lock(&stmt.nodes[ni]);
+        if st.cancelled || !matches!(st.phase, Phase::Collecting) || st.inflight > 0 {
             return;
         }
-        // The closing merge is large enough to cut: plan the parts here
-        // and let the pool merge them, one `(si, ni)` task per part.
-        let span = kq_trace::span("dataflow", "fold-partition").si(si).ni(ni);
+        let batches = st.accum.as_mut().expect("combine fold accum").seal();
+        let count = batches.len();
+        st.phase = Phase::Sealing(batches.into());
+        count
+    };
+    if count == 0 {
+        finish_fold(cx, si, ni);
+    }
+    for _ in 0..count {
+        cx.schedule((si, ni));
+    }
+}
+
+/// One task of a combine fold's sealing phase: claim the next run batch,
+/// merge it outside every lock and install the run — then try the closing
+/// merge, which the task that installs the last run starts.
+fn sealed_batch_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
+    let stmt = &cx.rt.stmts[si];
+    let batch = {
+        let mut st = lock(&stmt.nodes[ni]);
+        let Phase::Sealing(batches) = &mut st.phase else {
+            return;
+        };
+        let Some(batch) = batches.pop_front() else {
+            return;
+        };
+        st.inflight += 1;
+        batch
+    };
+    let span = kq_trace::span("dataflow", "fold-merge")
+        .si(si)
+        .ni(ni)
+        .seq(batch.index());
+    let t0 = Instant::now();
+    let merged = batch.merge();
+    let elapsed = t0.elapsed();
+    span.done();
+    {
+        let mut st = lock(&stmt.nodes[ni]);
+        st.inflight -= 1;
+        st.combine_time += elapsed;
+        if st.cancelled {
+            return;
+        }
+        st.accum
+            .as_mut()
+            .expect("combine fold accum")
+            .install(merged);
+    }
+    finish_fold(cx, si, ni);
+}
+
+/// Settles a sealed combine fold once no batch is out, outside the lock —
+/// this is where `sort`'s closing merge happens: here when it is one part,
+/// as pool tasks when it was cut into several.
+fn finish_fold(cx: &Cx<'_, '_>, si: usize, ni: usize) {
+    let stmt = &cx.rt.stmts[si];
+    let accum = {
+        let mut st = lock(&stmt.nodes[ni]);
+        let sealed = matches!(&st.phase, Phase::Sealing(batches) if batches.is_empty());
+        if st.cancelled || !sealed || st.inflight > 0 {
+            return;
+        }
+        st.phase = Phase::Running;
+        st.accum.take().expect("combine fold accum")
+    };
+    if accum.finish_parts() < 2 {
+        let span = kq_trace::span("dataflow", "fold-finish").si(si).ni(ni);
         let t0 = Instant::now();
-        let planned = accum.plan_finish();
+        let finished = accum.finish();
         span.done();
-        match planned {
+        match finished {
             Err(e) => stmt_error(cx, si, fold_error(stmt, ni, e)),
-            Ok(parts) => {
-                let count = parts.len();
-                {
-                    let mut st = lock(&stmt.nodes[ni]);
-                    st.combine_time += t0.elapsed();
-                    if st.cancelled {
-                        return;
-                    }
-                    st.phase = Phase::Finishing(Finishing {
-                        unclaimed: parts.into(),
-                        merged: vec![None; count],
-                        left: count,
-                    });
+            Ok(combined) => start_fold_emit(cx, si, ni, combined, t0.elapsed()),
+        }
+        return;
+    }
+    // The closing merge is large enough to cut: plan the parts here
+    // and let the pool merge them, one `(si, ni)` task per part.
+    let span = kq_trace::span("dataflow", "fold-partition").si(si).ni(ni);
+    let t0 = Instant::now();
+    let planned = accum.plan_finish();
+    span.done();
+    match planned {
+        Err(e) => stmt_error(cx, si, fold_error(stmt, ni, e)),
+        Ok(parts) => {
+            let count = parts.len();
+            {
+                let mut st = lock(&stmt.nodes[ni]);
+                st.combine_time += t0.elapsed();
+                if st.cancelled {
+                    return;
                 }
-                for _ in 0..count {
-                    cx.schedule((si, ni));
-                }
+                st.phase = Phase::Finishing(Finishing {
+                    unclaimed: parts.into(),
+                    merged: vec![None; count],
+                    left: count,
+                });
+            }
+            for _ in 0..count {
+                cx.schedule((si, ni));
             }
         }
     }
@@ -1839,7 +1937,7 @@ fn snapshot_timings(stmt: &StmtRt<'_>) -> Vec<StageTiming> {
         let (parallel, eliminated) = match node.kind {
             NodeKind::StageWorker => (true, true),
             NodeKind::Fold {
-                mode: FoldMode::Combine,
+                mode: FoldMode::Combine | FoldMode::Sort,
             } => (true, false),
             _ => (false, false),
         };

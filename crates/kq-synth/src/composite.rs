@@ -187,6 +187,20 @@ impl SynthesizedCombiner {
         self.incremental_over(fold, env, None)
     }
 
+    /// The incremental combine of a `sort` stage fed its raw input chunks
+    /// instead of their sorted outputs, merging under `order` — the fold
+    /// of the sorting rewrite ([`kway::IncrementalFold::sorting`]).
+    /// Authoritative like [`incremental_merging`](Self::incremental_merging).
+    pub fn incremental_sorting<'a>(
+        &'a self,
+        order: LineOrder,
+        env: &'a dyn RunEnv,
+        spill: Option<kq_dsl::SpillConfig>,
+    ) -> IncrementalCombine<'a> {
+        let fold = kway::IncrementalFold::sorting(self.primary(), order, env, spill);
+        self.incremental_over(fold, env, None)
+    }
+
     /// An incremental combine speculating on `fold`, a fold of the primary
     /// member; `raw_spill` bounds the raw handles of the selective path.
     fn incremental_over<'a>(
@@ -319,6 +333,27 @@ impl<'a> IncrementalCombine<'a> {
         };
         if let Err(e) = merged.and_then(|run| fold.install(run)) {
             self.fail(e);
+        }
+    }
+
+    /// Closes the input: the pieces a `merge` fold still holds come back
+    /// as run batches (see [`kway::IncrementalFold::seal`]), to be merged
+    /// and [`install`](Self::install)ed before
+    /// [`plan_finish`](Self::plan_finish). Nothing comes back from any other
+    /// combine.
+    pub fn seal(&mut self) -> Vec<kway::RunBatch<'a>> {
+        if self.raw.is_some() {
+            return Vec::new();
+        }
+        let Some(fold) = &mut self.fold else {
+            return Vec::new();
+        };
+        match fold.seal() {
+            Ok(cut) => cut,
+            Err(e) => {
+                self.fail(e);
+                Vec::new()
+            }
         }
     }
 

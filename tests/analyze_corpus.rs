@@ -10,7 +10,9 @@
 //! 4. a deliberately broken fixture trips the hazard lints and makes the
 //!    CLI exit nonzero;
 //! 5. the `sort | uniq` pairs `check` names are exactly the pairs the
-//!    planner fuses into one fold, corpus-wide.
+//!    planner fuses into one fold, corpus-wide;
+//! 6. so are the `tr -s` seam stages the planner lifts out of their folds;
+//! 7. and the `sort` stages whose folds the planner feeds raw chunks.
 
 use kq_analyze::EffectClass;
 use kq_cli::{emit_script, EmitOptions};
@@ -346,4 +348,69 @@ fn check_reports_exactly_the_seam_stages_the_planner_lifts() {
     );
     // Four of them plan parallel on the file-list sample.
     assert_eq!(planned_parallel, 4);
+}
+
+/// (7) The sorting rewrite, statically and dynamically: every `sort` stage
+/// whose fold the dataflow graph feeds raw chunks is one `check` reports
+/// from the command alone, and every one `check` reports is such a fold in
+/// the graph (in the corpus every stdin-reading `sort` parallelizes with
+/// the `merge` of its own flags). The sorts of counting pairs are neither;
+/// the sites are pinned by count.
+#[test]
+fn check_reports_exactly_the_sorting_folds_the_planner_builds() {
+    use kq_pipeline::{DataflowGraph, FoldMode, NodeKind};
+    let mut planner = Planner::new(SynthesisConfig::default());
+    let (mut sites, mut scripts) = (0usize, 0usize);
+    for script in corpus() {
+        let ctx = ExecContext::default();
+        let env = setup(script, &ctx, &SCALE, 0x5027);
+        let parsed = parse_script(script.text, &env).unwrap();
+        let sample = ctx.vfs.read(&env["IN"]).unwrap();
+        let plan = planner.plan(&parsed, &ctx, planning_sample(&sample, 12_000));
+        let mut built: Vec<(usize, usize)> = Vec::new();
+        for (si, planned) in plan.statements.iter().enumerate() {
+            let graph = DataflowGraph::build(planned, true);
+            assert!(graph.validate(planned, 4).is_empty());
+            for node in &graph.nodes {
+                if node.kind
+                    == (NodeKind::Fold {
+                        mode: FoldMode::Sort,
+                    })
+                {
+                    built.push((si, node.stages.start));
+                }
+            }
+            // `--no-opt` builds none.
+            assert!(DataflowGraph::build(planned, false)
+                .nodes
+                .iter()
+                .all(|n| n.kind
+                    != NodeKind::Fold {
+                        mode: FoldMode::Sort
+                    }));
+        }
+        let analysis = kq_analyze::check_script(script.text, &env);
+        let reported: Vec<(usize, usize)> = analysis
+            .sortings
+            .iter()
+            .map(|site| (site.statement, site.stage))
+            .collect();
+        assert_eq!(
+            built,
+            reported,
+            "{}/{}: planner-built sorting folds vs `check`",
+            script.suite.dir(),
+            script.id
+        );
+        for site in &analysis.sortings {
+            assert!(analysis.render_human().contains(&site.note));
+        }
+        sites += built.len();
+        scripts += usize::from(!built.is_empty());
+    }
+    assert_eq!(
+        (sites, scripts),
+        (54, 42),
+        "sorting folds across the corpus, and the scripts they are in"
+    );
 }

@@ -509,6 +509,173 @@ fn seam_stages_match_serial_fused_and_unfused() {
     );
 }
 
+/// The flag sets of `sort` the kernel and the merge are tested on.
+const SORT_FLAG_SETS: [&str; 13] = [
+    "", "-r", "-n", "-rn", "-nr", "-f", "-u", "-nu", "-fu", "-k1n", "-ru", "-fr", "-nf",
+];
+
+/// GNU `sort -n`'s number at the head of a line — blanks, an optional `-`,
+/// digits, a fraction; no `+` — computed apart from the kernel, for the
+/// first-spelling check below.
+fn leading_number(line: &str) -> f64 {
+    let t = line.trim_start_matches([' ', '\t']);
+    let sign = usize::from(t.starts_with('-'));
+    let digits = |s: &str| s.bytes().take_while(u8::is_ascii_digit).count();
+    let whole = digits(&t[sign..]);
+    let mut end = sign + whole;
+    let fraction = if t[end..].starts_with('.') {
+        digits(&t[end + 1..])
+    } else {
+        0
+    };
+    if fraction > 0 {
+        end += 1 + fraction;
+    }
+    if whole + fraction == 0 {
+        0.0
+    } else {
+        t[..end].parse().unwrap()
+    }
+}
+
+/// `lines` fixed-width lines (34 bytes and a newline, so a 700-byte chunk
+/// is exactly 20 of them) of numbers spelled several ways — the first
+/// occurrence of each number spelled `007 first`, later ones `7 later`,
+/// ` 7.0 Later` or `+7 plus` (no number at all to GNU `-n`) — words that
+/// differ only in case, and keyed lines sharing a 21-byte prefix. Each
+/// number first appears somewhere in the middle of the stream and recurs
+/// after it, in later chunks and run batches.
+fn spelled_lines(lines: usize) -> String {
+    let mut seen = [0usize; 300];
+    (0..lines)
+        .map(|i| {
+            let k = (i * 7919 + i / 11) % 300;
+            seen[k] += 1;
+            let content = match (seen[k] - 1) % 7 {
+                0 => format!("{k:03} first"),
+                1 => format!("{k} later"),
+                2 => format!(" {k}.0 Later"),
+                3 => format!("+{k} plus"),
+                4 => format!("Word{} case", k % 7),
+                5 => format!("WORD{} CASE", k % 7),
+                _ => format!("key 287 item 24 wolf {k}"),
+            };
+            format!("{content:_<34}\n")
+        })
+        .collect()
+}
+
+/// The sorting rewrite against the graph `--no-opt` builds (every chunk
+/// sorted by its `sort`, the sorted chunks merged) and against
+/// `run_serial`: all thirteen flag sets and both unique pairs, as redirect
+/// targets and on stdout, at one, two and four workers, chunks of 700 B,
+/// 64 KiB and 16 MiB, and no budget, a budget of 0 and one of half the
+/// input. The pieces pending when a fold's input ends — the tail its seal
+/// turns into batches — are none (budget 0; half the input at 64 KiB
+/// chunks), one (a 16 MiB chunk) or many (700 B chunks: all of them
+/// without a budget, and under `--no-opt` the 17 past the last batch of
+/// 32). Under `-nu` and `-fu` the line kept for each key is its
+/// first spelling in the stream, however the spellings fall into chunks
+/// and batches.
+#[test]
+fn sorting_folds_match_serial_and_no_opt_for_every_flag_set() {
+    let batches = if cfg!(debug_assertions) { 2 } else { 6 };
+    let input = spelled_lines(20 * (32 * batches + 17));
+    let mut text = String::new();
+    for (i, flags) in SORT_FLAG_SETS.iter().enumerate() {
+        let target = if *flags == "-nu" {
+            String::new()
+        } else {
+            format!(" > /out/s{i}")
+        };
+        text.push_str(&format!("cat /in.txt | sort {flags}{target}\n"));
+    }
+    text.push_str("cat /in.txt | sort | uniq > /out/u\ncat /in.txt | sort -r | uniq > /out/ru");
+    let parsed = parse_script(&text, &HashMap::new()).unwrap();
+    let targets: Vec<String> = parsed
+        .statements
+        .iter()
+        .filter_map(|s| s.output.clone())
+        .collect();
+    let fresh = || {
+        let ctx = ExecContext::default();
+        ctx.vfs.write("/in.txt", input.as_str());
+        ctx
+    };
+    let serial_ctx = fresh();
+    let mut planner = Planner::new(SynthesisConfig::default());
+    let plan = planner.plan(&parsed, &serial_ctx, &input[..8_000]);
+    let sorting_folds = |fuse: bool| {
+        plan.statements
+            .iter()
+            .flat_map(|p| kq_pipeline::DataflowGraph::build(p, fuse).nodes)
+            .filter(|n| {
+                n.kind
+                    == kq_pipeline::NodeKind::Fold {
+                        mode: kq_pipeline::FoldMode::Sort,
+                    }
+            })
+            .count()
+    };
+    assert_eq!((sorting_folds(true), sorting_folds(false)), (15, 0));
+    let serial = run_serial(&parsed, &serial_ctx).unwrap();
+    // The first spelling of each number, and of each word, wins.
+    let first_of = |key: &dyn Fn(&str) -> String| {
+        let mut firsts: Vec<(String, &str)> = Vec::new();
+        for line in input.lines() {
+            if !firsts.iter().any(|(k, _)| *k == key(line)) {
+                firsts.push((key(line), line));
+            }
+        }
+        firsts
+    };
+    let firsts = first_of(&|l| format!("{:e}", leading_number(l)));
+    assert_eq!(serial.output.as_str().lines().count(), firsts.len());
+    for line in serial.output.as_str().lines() {
+        assert!(
+            firsts.iter().any(|(_, first)| *first == line),
+            "-nu: {line}"
+        );
+    }
+    let fu = serial_ctx.vfs.read("/out/s8").unwrap();
+    let firsts = first_of(&|l| l.to_ascii_uppercase());
+    assert_eq!(fu.lines().count(), firsts.len());
+    for line in fu.lines() {
+        assert!(
+            firsts.iter().any(|(_, first)| *first == line),
+            "-fu: {line}"
+        );
+    }
+    let dir = std::env::temp_dir().join(format!("kq-sorting-fold-{}", std::process::id()));
+    for fuse in [true, false] {
+        for (workers, chunk_bytes) in sweep() {
+            for budget in [None, Some(0), Some(input.len() / 2)] {
+                let ctx = fresh();
+                let opts = DataflowOptions {
+                    spill: budget.map(|budget_bytes| kq_dsl::SpillPolicy {
+                        budget_bytes,
+                        dir: Some(dir.clone()),
+                    }),
+                    ..fixed_opts(workers, chunk_bytes, fuse)
+                };
+                let at = format!("fuse={fuse}, w={workers}, chunk={chunk_bytes}, {budget:?}");
+                let got = run_dataflow(&parsed, &plan, &ctx, &opts)
+                    .unwrap_or_else(|e| panic!("{at}: {e}"));
+                assert!(got.output == serial.output, "{at}: stdout");
+                for target in &targets {
+                    assert!(
+                        ctx.vfs.read_bytes(target) == serial_ctx.vfs.read_bytes(target),
+                        "{at}: {target}"
+                    );
+                }
+            }
+        }
+    }
+    let leftovers = std::fs::read_dir(&dir).map_or(0, |d| d.count());
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(leftovers, 0, "run files left behind");
+}
+
 /// Every dataflow stage timing carries queue telemetry, and per-chunk
 /// nodes report one task per chunk — the observability contract the
 /// perf analysis relies on.

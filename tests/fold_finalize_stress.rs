@@ -23,6 +23,10 @@
 //! batch count holds finalization off, and `sort -nu` makes the order
 //! they are installed in visible in the output.
 //!
+//! It covers the sealing phase, where the pieces a fold holds when its
+//! input ends become run batches merged — for a sorting fold, sorted — as
+//! pool tasks of their own (`sealed_tail_batches_stress`).
+//!
 //! And it covers the finishing phase of a fold whose closing merge is cut
 //! into parts (`partitioned_finish_stress`): the finalizing task schedules
 //! one pool task per part, four workers merge parts of uneven size at once
@@ -122,11 +126,13 @@ fn combine_finalize_stress() {
 }
 
 /// Run batches merged outside the node lock. 1500 lines are some two
-/// hundred chunks, so the `sort -nu` fold cuts six batches of 32 pieces
-/// and several are out being merged at once; the output keeps, per
-/// number, the line that came first in the stream — which it only does
-/// when every batch lands in its own place however late it comes back,
-/// and when finalization waits for the last of them.
+/// hundred chunks, so the `sort -nu` fold of sorted chunks (the graph
+/// `--no-opt` builds; the sorting fold of the rewritten one takes them as
+/// one sealed batch) cuts six batches of 32 pieces and several are out
+/// being merged at once; the output keeps, per number, the line that came
+/// first in the stream — which it only does when every batch lands in its
+/// own place however late it comes back, and when finalization waits for
+/// the last of them.
 #[test]
 fn run_batches_merged_outside_the_lock_finish_in_stream_order() {
     let input: String = (0..1500)
@@ -136,14 +142,13 @@ fn run_batches_merged_outside_the_lock_finish_in_stream_order() {
     let (script, plan, ctx) = plan_stress_script("cat /in.txt | sort -nu", &input);
     let once = run_dataflow(&script, &plan, &ctx, &DataflowOptions::default()).unwrap();
     assert_eq!(once.output, expect);
-    stress("cat /in.txt | sort -nu", &input, ITERATIONS / 3);
+    stress_with("cat /in.txt | sort -nu", &input, ITERATIONS / 3, 64, false);
 }
 
 /// The finishing phase. Nine MiB of lines fold into four parts under
 /// `sort` and (one line in seven repeating an earlier number, so the
 /// deduplicated runs are smaller) three under `sort -nu`; with 64 KiB
-/// chunks the fold also has four or five run batches out before it
-/// closes. A lost or doubled hand-over between the part tasks hangs the
+/// chunks the fold also has several run batches out before it closes. A lost or doubled hand-over between the part tasks hangs the
 /// run or reorders its segments; `sort -nu` shows a part that merged the
 /// wrong slice of a run, by keeping the wrong line of a number.
 #[test]
@@ -155,6 +160,23 @@ fn partitioned_finish_stress() {
     assert!(input.len() > 8 << 20, "four parts need 8 MiB");
     stress_with("cat /in.txt | sort", &input, iterations, 64 << 10, true);
     stress_with("cat /in.txt | sort -nu", &input, iterations, 64 << 10, true);
+}
+
+/// The sealing phase of a sorting fold: one 16 MiB chunk holds all of 5
+/// MiB of lines, so nothing is cut while the input arrives and the seal
+/// turns that one raw piece into two batches, cut at a line end, which two
+/// workers sort at once and install in whichever order they finish; the
+/// task that installs the last starts the closing merge in two parts,
+/// exactly once. `sort -nu` shows a batch that landed in the wrong place,
+/// or a piece cut anywhere but at a line end, by keeping the wrong line of
+/// a number.
+#[test]
+fn sealed_tail_batches_stress() {
+    let iterations = if cfg!(debug_assertions) { 2 } else { 60 };
+    let input = kq_workloads::inputs::numbered_lines(160_000, 37);
+    assert!(input.len() > 4 << 20, "two batches need 4 MiB");
+    stress_with("cat /in.txt | sort -nu", &input, iterations, 16 << 20, true);
+    stress_with("cat /in.txt | sort -r", &input, iterations, 16 << 20, true);
 }
 
 /// The counting fold (`sort | uniq -c` as one node) in the same windows:

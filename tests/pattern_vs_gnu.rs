@@ -387,8 +387,9 @@ fn gnu_sort(args: &[String], input: &str) -> Option<String> {
 
 /// A line that shares a long prefix with many others — the shape that
 /// decides a merge by more than its first eight bytes: an optional count
-/// column, a prefix (or the start of one) of up to 73 bytes, sometimes
-/// upper-cased, and a short tail of letters, digits, blanks and signs.
+/// column or `+`-led number, a prefix (or the start of one) of up to 73
+/// bytes, sometimes upper-cased, and a short tail of letters, digits,
+/// blanks and signs.
 fn shared_prefix_line(rng: &mut SmallRng) -> String {
     const PREFIXES: [&str; 5] = [
         "",
@@ -400,6 +401,9 @@ fn shared_prefix_line(rng: &mut SmallRng) -> String {
     let mut line = String::new();
     if rng.gen_bool(0.3) {
         line.push_str(&format!("{:>7} ", rng.gen_range(0..40)));
+    } else if rng.gen_bool(0.15) {
+        let blank = if rng.gen_bool(0.5) { " " } else { "" };
+        line.push_str(&format!("{blank}+{} ", rng.gen_range(0..40)));
     }
     let prefix = PREFIXES[rng.gen_range(0..PREFIXES.len())];
     let cut = if rng.gen_bool(0.7) {
@@ -411,7 +415,7 @@ fn shared_prefix_line(rng: &mut SmallRng) -> String {
     if rng.gen_bool(0.2) {
         line.make_ascii_uppercase();
     }
-    let tail = "aAbB 09-.x";
+    let tail = "aAbB 09-+.x";
     for _ in 0..rng.gen_range(0..4) {
         line.push(tail.as_bytes()[rng.gen_range(0..tail.len())] as char);
     }
@@ -423,10 +427,11 @@ fn shared_prefix_line(rng: &mut SmallRng) -> String {
 /// and repeats, for every flag set the kernel's reference comparator
 /// agrees with GNU on — all of those the kernel tests use: plain, `-r`,
 /// `-n`, `-rn`, `-nr`, `-f`, `-u`, `-nu`, `-fu`, `-k1n`, `-ru`, `-fr`,
-/// `-nf`. (The lines leave out what the reference reads differently from
-/// GNU by design: a leading `+`, which GNU `-n` does not take as a sign,
-/// and numbers past `f64` precision, which `-nu` would call equal.) Skips
-/// when `sort` cannot be spawned.
+/// `-nf` — in rounds of up to two hundred lines and, past the sort
+/// kernel's insertion and radix thresholds, of thousands. (The lines leave
+/// out what the reference reads differently from GNU by design: numbers
+/// past `f64` precision, which `-nu` would call equal.) Skips when `sort`
+/// cannot be spawned.
 #[test]
 fn sort_matches_gnu_sort() {
     if gnu_sort(&[], "b\na\n").as_deref() != Some("a\nb\n") {
@@ -440,12 +445,19 @@ fn sort_matches_gnu_sort() {
     std::fs::create_dir_all(&dir).unwrap();
     let mut rng = SmallRng::seed_from_u64(0x5027);
     let mut compared = 0usize;
-    for _ in 0..8 {
+    for round in 0..10 {
         let files = rng.gen_range(1..=5);
+        let (pool_size, lines) = if round < 8 {
+            (8, 0..40)
+        } else {
+            (400, 800..2000)
+        };
         let pieces: Vec<String> = (0..files)
             .map(|_| {
-                let pool: Vec<String> = (0..8).map(|_| shared_prefix_line(&mut rng)).collect();
-                (0..rng.gen_range(0..40))
+                let pool: Vec<String> = (0..pool_size)
+                    .map(|_| shared_prefix_line(&mut rng))
+                    .collect();
+                (0..rng.gen_range(lines.clone()))
                     .map(|_| format!("{}\n", pool[rng.gen_range(0..pool.len())]))
                     .collect()
             })
@@ -494,5 +506,5 @@ fn sort_matches_gnu_sort() {
         }
     }
     std::fs::remove_dir_all(&dir).unwrap();
-    assert_eq!(compared, 8 * FLAG_SETS.len());
+    assert_eq!(compared, 10 * FLAG_SETS.len());
 }

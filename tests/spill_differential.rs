@@ -226,7 +226,10 @@ fn early_exit_run_leaves_no_spill_files() {
 /// range of the spilled runs into a temp file of its own, the statement's
 /// stdout (or the redirect target, gathered once) is the part files in
 /// order, and none of them is left behind — at one, two and four workers,
-/// at chunk sizes that give thousands of pieces, a few dozen, and one.
+/// at chunk sizes that give thousands of pieces, a few dozen, and one; in
+/// the graph the rewrites build, where the sorts' folds sort raw chunks a
+/// batch at a time, and in the one `--no-opt` builds, where every chunk is
+/// sorted on its own and the folds merge them.
 #[test]
 fn closing_merge_in_parts_matches_serial_under_a_budget() {
     let dir = spill_dir("parts");
@@ -241,46 +244,49 @@ fn closing_merge_in_parts_matches_serial_under_a_budget() {
     let serial = run_serial(&script, &serial_ctx).unwrap();
     let sorted = serial_ctx.vfs.read_bytes("/out/sorted").unwrap();
     assert!(serial.output.len() > 10 << 20 && sorted.len() > 6 << 20);
-    for workers in [1, 2, 4] {
-        for chunk_bytes in [700, 64 << 10, 16 << 20] {
-            let ctx = ExecContext::default();
-            ctx.vfs.write("/in.txt", input.as_str());
-            let opts = DataflowOptions {
-                workers,
-                chunk: ChunkSizing::Fixed(chunk_bytes),
-                queue: QueueCredit::Fixed(4),
-                fuse_streamable: true,
-                spill: Some(SpillPolicy {
-                    budget_bytes: 1 << 20,
-                    dir: Some(dir.clone()),
-                }),
-            };
-            let got = run_dataflow(&script, &plan, &ctx, &opts).unwrap();
-            let at = format!("w={workers} chunk={chunk_bytes}");
-            assert!(got.output == serial.output, "stdout diverged at {at}");
-            assert!(
-                ctx.vfs.read_bytes("/out/sorted").unwrap() == sorted,
-                "/out/sorted diverged at {at}"
-            );
-            // Each of the three folds wrote one file per part of its
-            // closing merge: 6.6 MiB in three parts, twice, and the
-            // deduplicated numbers in two. A fold that saw one chunk has
-            // one run, and its parts are slices of that run: no file.
-            let expect = if chunk_bytes > input.len() {
-                [0, 0, 0]
-            } else {
-                [3, 2, 3]
-            };
-            let parts: Vec<u64> = got
-                .timings
-                .statements
-                .iter()
-                .flatten()
-                .filter_map(|t| t.spill)
-                .map(|sp| sp.merge_parts)
-                .collect();
-            assert_eq!(parts, expect, "part files at {at}");
-        }
+    let sweep = [1, 2, 4]
+        .into_iter()
+        .flat_map(|w| [700, 64 << 10, 16 << 20].map(|c| (w, c, true)))
+        .chain([(2, 64 << 10, false), (2, 16 << 20, false)]);
+    for (workers, chunk_bytes, fuse) in sweep {
+        let ctx = ExecContext::default();
+        ctx.vfs.write("/in.txt", input.as_str());
+        let opts = DataflowOptions {
+            workers,
+            chunk: ChunkSizing::Fixed(chunk_bytes),
+            queue: QueueCredit::Fixed(4),
+            fuse_streamable: fuse,
+            spill: Some(SpillPolicy {
+                budget_bytes: 1 << 20,
+                dir: Some(dir.clone()),
+            }),
+        };
+        let got = run_dataflow(&script, &plan, &ctx, &opts).unwrap();
+        let at = format!("w={workers} chunk={chunk_bytes} fuse={fuse}");
+        assert!(got.output == serial.output, "stdout diverged at {at}");
+        assert!(
+            ctx.vfs.read_bytes("/out/sorted").unwrap() == sorted,
+            "/out/sorted diverged at {at}"
+        );
+        // Each of the three folds wrote one file per part of its closing
+        // merge: 6.6 MiB in three parts, twice, and the deduplicated
+        // numbers in two. A fold that saw one chunk — one batch past a
+        // budget's run size — has one run, and its parts are slices of
+        // that run: no file.
+        let expect = if chunk_bytes > input.len() {
+            [0, 0, 0]
+        } else {
+            [3, 2, 3]
+        };
+        let parts: Vec<u64> = got
+            .timings
+            .statements
+            .iter()
+            .flatten()
+            .filter_map(|t| t.spill)
+            .map(|sp| sp.merge_parts)
+            .collect();
+        assert_eq!(parts, expect, "part files at {at}");
     }
     assert_clean(&dir);
 }

@@ -354,8 +354,8 @@ fn a_counting_fold_is_one_fold_node_with_stable_span_identities() {
         .collect();
     assert_eq!(
         names.into_iter().collect::<Vec<_>>(),
-        ["emit", "fold-finish", "fold-push", "map"],
-        "a fold of KBs: no run batch, one closing merge"
+        ["emit", "fold-finish", "fold-merge", "fold-push", "map"],
+        "a fold of KBs: its pieces sealed into one run batch, one closing merge"
     );
 
     let unfused = s.trace_path("unfused.json");
