@@ -13,7 +13,7 @@ use kq_io::{IngestOptions, MmapMode};
 use kq_pipeline::cache::CombinerCache;
 use kq_pipeline::exec::run_serial;
 use kq_pipeline::parse::{parse_script, InputSource, Script};
-use kq_pipeline::plan::{planning_sample, PlannedScript, Planner};
+use kq_pipeline::plan::{planning_sample, PlannedScript, Planner, PreparedScript};
 use kq_stream::{Bytes, Rope};
 use kq_synth::SynthesisConfig;
 use std::collections::HashMap;
@@ -100,8 +100,9 @@ USAGE:
                                [--rerun-threshold R]
         Parse a pipeline script and print the parallelization plan plus a
         synthesis summary (per-command wall time, cache hit/miss counts).
-        --synth-workers fans observation runs and distinct-command
-        synthesis out over N threads (plans are identical for every N);
+        --synth-workers synthesizes distinct commands on N threads
+        (default: the number of cores available to the process; plans are
+        identical for every N);
         --combiner-cache persists synthesized combiners to FILE so repeat
         invocations skip synthesis (on-disk hits are re-validated against
         a fresh observation before being trusted); --rerun-threshold sets
@@ -192,14 +193,22 @@ USAGE:
         cache across the whole corpus, then print per-command synthesis
         times and cache statistics (CI plans the corpus twice against a
         shared --combiner-cache and asserts the second pass reports zero
-        synthesis rounds). --trace-out and --metrics record the planning
-        pass the way they record a run.
+        synthesis rounds). The scripts plan in one pass: while one plans,
+        the next few are generated and their uncached commands queued to
+        the --synth-workers threads (default: the number of cores), so
+        the whole corpus's syntheses overlap; the output is the same for
+        every N. --trace-out and --metrics record the planning pass the
+        way they record a run.
 ";
 
 fn synthesis_config(args: &ParsedArgs) -> Result<SynthesisConfig, String> {
     let mut config = SynthesisConfig::default();
     config.rng_seed = args.opt_parse("seed", config.rng_seed)?;
-    config.workers = args.opt_parse_nonzero("synth-workers", 4)?;
+    // Like --workers: the host is asked only when the flag is absent.
+    config.workers = match args.opt("synth-workers") {
+        Some(_) => args.opt_parse_nonzero("synth-workers", 1)?,
+        None => host_parallelism(),
+    };
     Ok(config)
 }
 
@@ -225,7 +234,8 @@ fn finish_planning(planner: &mut Planner, notes: &mut Vec<String>) {
     let synth_ms = crate::report::total_synthesis_ms(&planner.reports);
     let rounds: usize = planner.reports.iter().map(|r| r.rounds).sum();
     notes.push(format!(
-        "synthesis: {} command(s) synthesized in {synth_ms:.1} ms ({rounds} round(s)); \
+        "synthesis: {} command(s) synthesized in {synth_ms:.1} ms summed over commands \
+         ({rounds} round(s)); \
          combiner cache: {} hit(s) ({} validated, {} rejected), {} miss(es); \
          lattice: {} short-circuit(s)",
         planner.reports.len(),
@@ -376,8 +386,8 @@ fn load_referenced_files(script: &Script, ctx: &ExecContext, opts: &IngestOption
     notes
 }
 
-/// The `--workers` default: one pool thread per core the host gives this
-/// process (1 when it will not say).
+/// The `--workers` and `--synth-workers` default: one thread per core the
+/// host gives this process (1 when it will not say).
 fn host_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -683,44 +693,42 @@ fn cmd_corpus(args: &ParsedArgs) -> Result<CliOutput, String> {
     Ok(CliOutput::from_stdout(out))
 }
 
-/// `kumquat corpus --plan`: generate each corpus script's inputs, plan it
-/// against one shared planner (and, with `--combiner-cache`, one shared
-/// on-disk store), and report per-command synthesis times plus cache
-/// statistics. The trailing "synthesis rounds" line is what CI's
-/// warm-cache job asserts reaches zero on the second pass.
+/// `kumquat corpus --plan`: generate each corpus script's inputs, plan
+/// the scripts in one pass of one shared planner (and, with
+/// `--combiner-cache`, one shared on-disk store), and report per-command
+/// synthesis times plus cache statistics. The trailing "synthesis rounds"
+/// line is what CI's warm-cache job asserts reaches zero on the second
+/// pass.
 fn cmd_corpus_plan(args: &ParsedArgs, filter: Option<&str>) -> Result<CliOutput, String> {
     let tracing = Tracing::start(args);
     let mut notes = Vec::new();
     let mut planner = planner_from_args(args, &mut notes)?;
-    let scale = kq_workloads::Scale::tests();
-    let mut out = String::new();
-    let mut shown = 0usize;
-    for script in kq_workloads::corpus() {
-        let suite = script.suite.dir();
-        if filter.is_some_and(|f| f != suite) {
-            continue;
-        }
-        let ctx = ExecContext::default();
-        let env = kq_workloads::setup(script, &ctx, &scale, 0xC0FFEE);
-        let parsed =
-            parse_script(script.text, &env).map_err(|e| format!("{suite}/{}: {e}", script.id))?;
-        let sample = corpus_planning_sample(&env, &ctx)
-            .ok_or_else(|| format!("{suite}/{}: no $IN input generated", script.id))?;
-        let plan = planner.plan(&parsed, &ctx, &sample);
-        let (k, n) = plan.parallelized_counts();
-        writeln!(
-            out,
-            "{suite:>14}  {:<16} {k}/{n} stages parallel",
-            script.id
-        )
-        .unwrap();
-        shown += 1;
-    }
-    if shown == 0 {
+    let scripts: Vec<_> = kq_workloads::corpus()
+        .iter()
+        .filter(|script| filter.is_none_or(|f| f == script.suite.dir()))
+        .collect();
+    if scripts.is_empty() {
         return Err(format!(
             "no scripts match --suite {:?} (suites: analytics-mts, oneliners, poets, unix50)",
             filter.unwrap_or("")
         ));
+    }
+    let scale = kq_workloads::Scale::tests();
+    let plans = planner.plan_all(
+        scripts
+            .iter()
+            .map(|script| prepare_corpus_script(script, &scale)),
+    )?;
+    let mut out = String::new();
+    for (script, plan) in scripts.iter().zip(&plans) {
+        let (k, n) = plan.parallelized_counts();
+        writeln!(
+            out,
+            "{:>14}  {:<16} {k}/{n} stages parallel",
+            script.suite.dir(),
+            script.id
+        )
+        .unwrap();
     }
     out.push_str(&render_synthesis_summary(
         &planner.reports,
@@ -729,8 +737,9 @@ fn cmd_corpus_plan(args: &ParsedArgs, filter: Option<&str>) -> Result<CliOutput,
     let rounds: usize = planner.reports.iter().map(|r| r.rounds).sum();
     writeln!(
         out,
-        "planned {shown} script(s); synthesis rounds: {rounds}; \
+        "planned {} script(s); synthesis rounds: {rounds}; \
          lattice short-circuits: {}",
+        plans.len(),
         planner.lattice_short_circuits
     )
     .unwrap();
@@ -739,12 +748,31 @@ fn cmd_corpus_plan(args: &ParsedArgs, filter: Option<&str>) -> Result<CliOutput,
     Ok(CliOutput::with_notes(out, notes))
 }
 
+/// One corpus script, generated and parsed, with its planning sample.
+fn prepare_corpus_script(
+    script: &kq_workloads::BenchmarkScript,
+    scale: &kq_workloads::Scale,
+) -> Result<PreparedScript, String> {
+    let name = format!("{}/{}", script.suite.dir(), script.id);
+    let ctx = ExecContext::default();
+    let env = kq_workloads::setup(script, &ctx, scale, 0xC0FFEE);
+    let parsed = parse_script(script.text, &env).map_err(|e| format!("{name}: {e}"))?;
+    let sample = corpus_planning_sample(&env, &ctx)
+        .ok_or_else(|| format!("{name}: no $IN input generated"))?;
+    Ok(PreparedScript {
+        script: parsed,
+        ctx,
+        sample,
+    })
+}
+
 /// The planning sample for a corpus script: a line-aligned 16 KiB prefix
 /// of its generated `$IN` input (the same probe the corpus test suite
-/// plans against).
-fn corpus_planning_sample(env: &HashMap<String, String>, ctx: &ExecContext) -> Option<String> {
-    let sample = ctx.vfs.read(env.get("IN")?)?;
-    Some(kq_workloads::planning_sample(&sample, 16_000).to_owned())
+/// plans against), sliced out of the input the context holds — no copy.
+fn corpus_planning_sample(env: &HashMap<String, String>, ctx: &ExecContext) -> Option<Bytes> {
+    let input = ctx.vfs.read_bytes(env.get("IN")?)?;
+    let cut = kq_workloads::planning_sample(input.to_str().ok()?, 16_000).len();
+    Some(input.slice(0..cut))
 }
 
 #[cfg(test)]
@@ -1436,6 +1464,24 @@ mod tests {
             warm.text()
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn synth_workers_default_to_the_host_core_count() {
+        let parse = |words: &[&str]| {
+            let v: Vec<String> = words.iter().map(|s| (*s).to_owned()).collect();
+            synthesis_config(&ParsedArgs::parse(&v).unwrap())
+        };
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(parse(&["plan", "x"]).unwrap().workers, cores);
+        assert_eq!(
+            parse(&["plan", "x", "--synth-workers", "3"])
+                .unwrap()
+                .workers,
+            3
+        );
+        let err = parse(&["corpus", "--plan", "--synth-workers", "0"]).unwrap_err();
+        assert!(err.contains("--synth-workers must be at least 1"), "{err}");
     }
 
     #[test]

@@ -133,13 +133,14 @@ pub(crate) fn total_synthesis_ms(reports: &[SynthesisReport]) -> f64 {
 
 /// Renders the planner's synthesis ledger: per-command wall time for
 /// every command synthesized this process (cache hits cost none and list
-/// none) plus the cache hit/miss/validated counters.
+/// none) plus the cache hit/miss/validated counters. The total sums the
+/// commands' times, so it exceeds the wall clock when syntheses overlap.
 pub fn render_synthesis_summary(reports: &[SynthesisReport], stats: CacheStats) -> String {
     let mut out = String::new();
     let total_ms = total_synthesis_ms(reports);
     writeln!(
         out,
-        "synthesis: {} command(s) synthesized in {total_ms:.1} ms",
+        "synthesis: {} command(s) synthesized in {total_ms:.1} ms summed over commands",
         reports.len()
     )
     .unwrap();

@@ -339,6 +339,12 @@ impl CombinerCache {
         self.path.as_deref()
     }
 
+    /// Whether any entry — trusted, or on disk pending validation — is
+    /// held for `key`. Touches no counter.
+    pub fn contains(&self, key: &str) -> bool {
+        self.entries.contains_key(key)
+    }
+
     /// Looks up a key. Bumps the hit counter for trusted entries; disk
     /// entries are returned for validation without touching counters —
     /// settle them with [`CombinerCache::resolve_validation`] or a fresh

@@ -281,8 +281,8 @@ pub use lattice::{
 };
 pub use parse::{InputSource, ParseError, Script, SourceSpan, Stage, Statement};
 pub use plan::{
-    planning_sample, PlannedScript, PlannedStage, Planner, StageMode, StreamSegment,
-    StreamSegmentKind,
+    planning_sample, PlannedScript, PlannedStage, Planner, PreparedScript, StageMode,
+    StreamSegment, StreamSegmentKind,
 };
 pub use scheduler::{
     run_dataflow, run_dataflow_segments, ChunkSizing, DataflowOptions, QueueCredit,

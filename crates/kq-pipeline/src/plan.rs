@@ -1,12 +1,13 @@
 //! Parallelization planning (paper §2, §3.5).
 //!
-//! Planning is two-phase: the planner first walks the script to collect
-//! its *distinct* stdin-reading commands and synthesizes the uncached
-//! ones concurrently on a [`kq_synth::SynthPool`] (the paper synthesizes
-//! once per unique command/flag combination; combiners are cached under a
-//! normalized command signature, optionally persisted on disk — see
-//! [`crate::cache`]). It then assembles each statement's plan from the
-//! cache, deciding the stage's execution mode:
+//! Planning a script is two-phase: the planner first walks the script to
+//! collect its *distinct* stdin-reading commands and resolves each one —
+//! from the combiner cache, from the effect lattice, or by synthesis on a
+//! [`kq_synth::SynthPool`] (the paper synthesizes once per unique
+//! command/flag combination; combiners are cached under a normalized
+//! command signature, optionally persisted on disk — see [`crate::cache`]).
+//! It then assembles each statement's plan from the cache, deciding the
+//! stage's execution mode:
 //!
 //! * no combiner, or a command that does not read its standard input →
 //!   **sequential**;
@@ -24,16 +25,22 @@
 //! the worker substreams flow directly into the next stage. The elimination
 //! additionally requires the stage's outputs to be newline-terminated
 //! streams — `tr -d '\n'` fails that precondition and keeps its combiner.
+//!
+//! Many scripts plan in one pass ([`Planner::plan_all`]; [`Planner::plan`]
+//! is its one-script case): while one script plans, the pass reads ahead
+//! and queues the commands of the next scripts that nothing cached yet
+//! covers, so synthesis of the whole batch overlaps on the pool.
 
 use crate::cache::{cache_key, CacheLookup, CacheStats, CombinerCache};
 use crate::lattice;
 use crate::parse::{InputSource, Script, Statement};
-use kq_coreutils::ExecContext;
+use kq_coreutils::{Bytes, Command, ExecContext};
+use kq_synth::pool::Jobs;
 use kq_synth::{
     spot_check, synthesize, InputProfile, SynthPool, SynthesisConfig, SynthesisReport,
     SynthesizedCombiner,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// How a planned stage executes.
@@ -308,6 +315,114 @@ pub fn planning_sample(script: &Script, ctx: &ExecContext) -> String {
     "the quick brown fox\njumps over the lazy dog\nthe end\n".repeat(30)
 }
 
+/// A script ready for [`Planner::plan_all`]: its parse, the context its
+/// commands run in, and the sample the planning probes run on.
+pub struct PreparedScript {
+    /// The parsed script.
+    pub script: Script,
+    /// The context its commands (and their syntheses) run in.
+    pub ctx: ExecContext,
+    /// The planning sample: UTF-8 text, e.g. a line-aligned slice of the
+    /// script's input that `ctx` holds anyway.
+    pub sample: Bytes,
+}
+
+/// What planning reads of one script: owned ([`PreparedScript`]) in a
+/// many-script pass, borrowed in [`Planner::plan`].
+trait PlanSource: Send + Sync {
+    fn parts(&self) -> (&Script, &ExecContext, &str);
+}
+
+impl PlanSource for PreparedScript {
+    fn parts(&self) -> (&Script, &ExecContext, &str) {
+        (&self.script, &self.ctx, self.sample.as_str())
+    }
+}
+
+impl PlanSource for (&Script, &ExecContext, &str) {
+    fn parts(&self) -> (&Script, &ExecContext, &str) {
+        *self
+    }
+}
+
+/// One cold command for the synthesis pool: its cache key and where it
+/// stands in the script that uses it first. `Command` is not `Clone`, so
+/// the job holds the script itself.
+struct SynthJob<P> {
+    key: String,
+    source: Arc<P>,
+    statement: usize,
+    stage: usize,
+}
+
+impl<P: PlanSource> SynthJob<P> {
+    fn synthesize(&self, config: &SynthesisConfig) -> SynthesisReport {
+        let (script, ctx, _) = self.source.parts();
+        let command = &script.statements[self.statement].stages[self.stage].command;
+        synthesize(command, ctx, config)
+    }
+}
+
+type SynthJobs<'a, P> = Jobs<'a, SynthJob<P>, (String, SynthesisReport)>;
+
+/// The commands of a pass handed to the pool and not yet recorded.
+#[derive(Default)]
+struct Cold {
+    submitted: HashSet<String>,
+    finished: HashMap<String, SynthesisReport>,
+}
+
+impl Cold {
+    /// Queues the synthesis of `key` unless a job for it is out already.
+    fn submit<P>(
+        &mut self,
+        jobs: &SynthJobs<'_, P>,
+        key: String,
+        source: &Arc<P>,
+        statement: usize,
+        stage: usize,
+    ) {
+        if self.submitted.insert(key.clone()) {
+            jobs.submit(SynthJob {
+                key,
+                source: source.clone(),
+                statement,
+                stage,
+            });
+        }
+    }
+
+    /// The report of `key`'s job, waiting for it and keeping the reports
+    /// of the jobs that finish first.
+    fn take<P>(&mut self, jobs: &SynthJobs<'_, P>, key: &str) -> SynthesisReport {
+        let report = loop {
+            if let Some(report) = self.finished.remove(key) {
+                break report;
+            }
+            let (done, report) = jobs.next();
+            self.finished.insert(done, report);
+        };
+        self.submitted.remove(key);
+        report
+    }
+}
+
+/// `(statement, stage, command)` for every stage reading stdin, in order.
+fn stdin_commands(script: &Script) -> impl Iterator<Item = (usize, usize, &Command)> {
+    script
+        .statements
+        .iter()
+        .enumerate()
+        .flat_map(|(si, statement)| {
+            statement
+                .stages
+                .iter()
+                .enumerate()
+                .filter(|(_, stage)| stage.command.reads_stdin())
+                .map(move |(gi, stage)| (si, gi, &stage.command))
+        })
+}
+
 /// The planner: synthesis cache plus heuristics.
 pub struct Planner {
     config: SynthesisConfig,
@@ -448,11 +563,7 @@ impl Planner {
         key: &str,
         command: &kq_coreutils::Command,
     ) -> Option<Arc<SynthesizedCombiner>> {
-        if !self.use_lattice {
-            return None;
-        }
-        let class = lattice::classify(command);
-        let combiner = Arc::new(lattice::static_combiner(class)?);
+        let combiner = Arc::new(self.lattice_combiner(command)?);
         kq_trace::instant("lattice", "short-circuit")
             .label(key)
             .emit();
@@ -460,6 +571,15 @@ impl Planner {
         self.cache
             .insert(key.to_owned(), Some(combiner.clone()), false);
         Some(combiner)
+    }
+
+    /// The combiner [`Planner::lattice_shortcut`] would install, with no
+    /// side effect.
+    fn lattice_combiner(&self, command: &Command) -> Option<SynthesizedCombiner> {
+        if !self.use_lattice {
+            return None;
+        }
+        lattice::static_combiner(lattice::classify(command))
     }
 
     /// Resolves `key` from the cache when possible: trusted in-memory
@@ -538,20 +658,125 @@ impl Planner {
     }
 
     /// Plans a whole script against a sample input (used for the shrink
-    /// and stream-output probes).
+    /// and stream-output probes): the one-script case of
+    /// [`Planner::plan_all`].
     ///
-    /// Planning is two-phase: first the script is walked to collect its
-    /// *distinct* uncached stdin-reading commands, which are synthesized
-    /// concurrently on a [`SynthPool`] (one job per command — synthesis
-    /// output is worker-count independent, so the fan-out is invisible in
-    /// the plan); then the per-statement plans are assembled from cache
-    /// hits alone.
+    /// Phase one walks the script for its *distinct* stdin-reading
+    /// commands and resolves each, the uncached ones as concurrent jobs on
+    /// a [`SynthPool`] (one per command — synthesis output is worker-count
+    /// independent, so the fan-out is invisible in the plan); phase two
+    /// assembles the per-statement plans from cache hits alone.
     pub fn plan(&mut self, script: &Script, ctx: &ExecContext, sample: &str) -> PlannedScript {
+        let Ok(mut plans) =
+            self.plan_pass([Ok::<_, std::convert::Infallible>((script, ctx, sample))]);
+        plans.pop().expect("one script in, one plan out")
+    }
+
+    /// Plans many scripts in order, returning their plans in that order.
+    /// The first error a script's preparation yields ends the pass.
+    ///
+    /// One pass over all of them: while script *i* plans, the pass reads
+    /// ahead — preparing at most [`SynthesisConfig::workers`] scripts
+    /// beyond it — and queues each command that no cache entry, lattice
+    /// shortcut or earlier job covers to the [`SynthPool`] (its long-lived
+    /// threads, and the calling thread whenever it waits), one job per
+    /// command, carrying the context of the script it first appears in.
+    /// Script *i* then plans exactly as alone: its phase one waits for the
+    /// jobs of the commands it uses and records them, in their order of
+    /// first appearance, against the cache state a loop of
+    /// [`Planner::plan`] would have reached. So the cache, its counters and
+    /// the order of [`Planner::reports`] — hence the on-disk store — are
+    /// the loop's, whatever the worker count. The read-ahead window is
+    /// small because each prepared script waiting holds its context in
+    /// memory; a one-worker pool synthesizes on the calling thread and
+    /// reads no script ahead.
+    pub fn plan_all<E>(
+        &mut self,
+        scripts: impl IntoIterator<Item = Result<PreparedScript, E>>,
+    ) -> Result<Vec<PlannedScript>, E> {
+        self.plan_pass(scripts)
+    }
+
+    fn plan_pass<P: PlanSource, E>(
+        &mut self,
+        scripts: impl IntoIterator<Item = Result<P, E>>,
+    ) -> Result<Vec<PlannedScript>, E> {
+        let pool = SynthPool::new(self.config.workers);
+        // A one-worker pool runs jobs only when the caller waits for
+        // them: reading ahead would hold scripts for nothing.
+        let window = if pool.workers() > 1 {
+            pool.workers()
+        } else {
+            0
+        };
+        // Distinct commands synthesize concurrently; each job keeps its
+        // own phases serial, so the machine is not oversubscribed
+        // workers² wide. The reports are the same either way.
+        let job_config = SynthesisConfig {
+            workers: 1,
+            ..self.config.clone()
+        };
+        pool.serve(
+            |job: SynthJob<P>| {
+                let report = job.synthesize(&job_config);
+                (job.key, report)
+            },
+            |jobs| {
+                let mut scripts = scripts.into_iter();
+                let mut held: VecDeque<Arc<P>> = VecDeque::new();
+                let mut cold = Cold::default();
+                let mut plans = Vec::new();
+                loop {
+                    while held.len() <= window {
+                        let Some(source) = scripts.next() else {
+                            break;
+                        };
+                        let source = Arc::new(source?);
+                        self.submit_cold(&source, jobs, &mut cold);
+                        held.push_back(source);
+                    }
+                    let Some(source) = held.pop_front() else {
+                        break;
+                    };
+                    plans.push(self.plan_one(&source, jobs, &mut cold));
+                }
+                Ok(plans)
+            },
+        )
+    }
+
+    /// Queues every command of `source` that nothing covers yet — no cache
+    /// entry, no lattice shortcut, no earlier job — touching no counter.
+    /// Such a command stays uncovered until the first script using it
+    /// plans (only its synthesis inserts it), so the job's report is the
+    /// one that script's phase one would have computed.
+    fn submit_cold<P: PlanSource>(
+        &self,
+        source: &Arc<P>,
+        jobs: &SynthJobs<'_, P>,
+        cold: &mut Cold,
+    ) {
+        let (script, _, _) = source.parts();
+        for (statement, stage, command) in stdin_commands(script) {
+            let key = cache_key(command);
+            if !self.cache.contains(&key) && self.lattice_combiner(command).is_none() {
+                cold.submit(jobs, key, source, statement, stage);
+            }
+        }
+    }
+
+    fn plan_one<P: PlanSource>(
+        &mut self,
+        source: &Arc<P>,
+        jobs: &SynthJobs<'_, P>,
+        cold: &mut Cold,
+    ) -> PlannedScript {
+        let (script, ctx, sample) = source.parts();
         let _plan_span = kq_trace::span("plan", "plan").v(script.statements.len() as f64);
         // Probe results depend on context file state; scope the memo to
         // this (script, context) pass.
         self.probe_memo.clear();
-        self.synthesize_script_commands(script, ctx);
+        self.synthesize_script_commands(source, jobs, cold);
         let statements = script
             .statements
             .iter()
@@ -560,49 +785,40 @@ impl Planner {
         PlannedScript { statements }
     }
 
-    /// Phase one of [`Planner::plan`]: resolve every distinct
+    /// Phase one of planning a script: resolve every distinct
     /// stdin-reading command — validating disk entries in order, then
-    /// fanning the remaining cold syntheses out over the pool. Reports
-    /// and cache entries land in first-appearance order regardless of
-    /// which worker finishes first.
-    fn synthesize_script_commands(&mut self, script: &Script, ctx: &ExecContext) {
-        let mut pending: Vec<(String, &kq_coreutils::Command)> = Vec::new();
-        for statement in &script.statements {
-            for stage in &statement.stages {
-                let cmd = &stage.command;
-                if !cmd.reads_stdin() {
-                    continue;
-                }
-                let key = cache_key(cmd);
-                if pending.iter().any(|(k, _)| *k == key) {
-                    continue;
-                }
-                if self.resolve_cached(&key, cmd, ctx).is_some() {
-                    continue;
-                }
-                if self.lattice_shortcut(&key, cmd).is_some() {
-                    continue;
-                }
-                pending.push((key, cmd));
+    /// collecting the syntheses of the rest from the pool. Reports and
+    /// cache entries land in first-appearance order regardless of which
+    /// worker finishes first.
+    fn synthesize_script_commands<P: PlanSource>(
+        &mut self,
+        source: &Arc<P>,
+        jobs: &SynthJobs<'_, P>,
+        cold: &mut Cold,
+    ) {
+        let (script, ctx, _) = source.parts();
+        let mut pending: Vec<(String, usize, usize)> = Vec::new();
+        for (statement, stage, command) in stdin_commands(script) {
+            let key = cache_key(command);
+            if pending.iter().any(|(k, ..)| *k == key) {
+                continue;
             }
+            if self.resolve_cached(&key, command, ctx).is_some() {
+                continue;
+            }
+            if self.lattice_shortcut(&key, command).is_some() {
+                continue;
+            }
+            pending.push((key, statement, stage));
         }
-        if pending.is_empty() {
-            return;
+        // The read-ahead queued what was cold then; a disk entry that
+        // failed validation, or an all-probes-failed verdict that no
+        // longer holds, goes out now.
+        for (key, statement, stage) in &pending {
+            cold.submit(jobs, key.clone(), source, *statement, *stage);
         }
-        // Distinct commands synthesize concurrently; each job keeps its
-        // intra-command phases serial (workers = 1) so the machine is not
-        // oversubscribed workers² wide. Either split yields the same
-        // reports — parallelism here is a pure wall-clock choice.
-        let pool = SynthPool::new(self.config.workers);
-        let per_command = if pending.len() >= pool.workers() {
-            1
-        } else {
-            (pool.workers() / pending.len()).max(1)
-        };
-        let mut job_config = self.config.clone();
-        job_config.workers = per_command;
-        let reports = pool.map(&pending, |_, (_, cmd)| synthesize(cmd, ctx, &job_config));
-        for ((key, _), report) in pending.into_iter().zip(reports) {
+        for (key, ..) in pending {
+            let report = cold.take(jobs, &key);
             self.record_synthesis(key, report);
         }
     }

@@ -30,8 +30,8 @@
 //! pool buys wall clock, never different answers
 //! (`SynthesisConfig::workers`; pinned corpus-wide, and against the
 //! per-candidate loop this replaced, by `tests/synth_engine.rs`). The
-//! same pool fans a script's *distinct* commands out during planning
-//! (`kq_pipeline::plan::Planner`).
+//! same pool fans the *distinct* commands of every script a planning pass
+//! reads out across its workers (`kq_pipeline::plan::Planner`).
 //!
 //! # Caching and validation
 //!

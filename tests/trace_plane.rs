@@ -385,19 +385,36 @@ fn corpus_plan_takes_trace_out_and_metrics() {
         "--plan",
         "--suite",
         "oneliners",
+        "--synth-workers",
+        "2",
         "--trace-out",
         &trace,
         "--metrics",
     ]);
-    assert!(out.text().contains("stages parallel"), "{}", out.text());
+    let text = out.text();
+    assert!(text.contains("stages parallel"), "{text}");
     assert!(out.notes.iter().any(|n| n.starts_with("trace:")));
     assert!(out
         .notes
         .iter()
         .any(|n| n.starts_with("metrics: span synth/synthesize:")));
+    // Every synthesis the listing reports left its span, whichever worker
+    // ran it: a worker that recorded nowhere shows up as missing spans.
+    let reported: usize = text
+        .lines()
+        .find_map(|l| l.strip_prefix("synthesis: "))
+        .and_then(|l| l.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .expect("a synthesis line");
+    assert!(reported > 10, "{text}");
     let records = kq_trace::parse_jsonl(&std::fs::read_to_string(&trace).unwrap()).unwrap();
     let synthesized = |r: &&kq_trace::Record| r.cat == "synth" && r.name == "synthesize";
-    assert!(records.iter().filter(synthesized).count() > 10);
+    assert_eq!(records.iter().filter(synthesized).count(), reported);
+    let report = call(&["trace", "report", &trace]).text();
+    assert!(
+        report.contains(&format!("synthesis: {reported} command(s), ")),
+        "{report}"
+    );
     assert!(std::path::Path::new(&s.trace_path("plan.chrome.json")).is_file());
     // Without the flags nothing is recorded and nothing is said.
     let quiet = call(&["corpus", "--plan", "--suite", "oneliners"]);
