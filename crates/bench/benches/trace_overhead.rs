@@ -11,8 +11,8 @@
 //!   scoped to the threads that carry them, so this thread stays
 //!   untraced and pays one more thread-local read). Both asserted to
 //!   stay in the single-digit-nanosecond range.
-//! * **Dataflow run, off vs on** — the multi-statement dataflow script
-//!   from `dataflow_exec.rs`'s mold, run with and without a live session
+//! * **Dataflow run, off vs on** — a multi-statement dataflow script
+//!   (the shape of the benchmark's `multi-stmt`), run with and without a live session
 //!   (session start/finish and record collection excluded from the timed
 //!   region, as a real `--trace-out` run pays them once, not per chunk).
 //!   The enabled/disabled median ratio is asserted `< 1.05`.

@@ -27,8 +27,6 @@ const VALUED: &[&str] = &[
     "scale-kb",
     "out",
     "suite",
-    "executor",
-    "exec",
     "chunk-kb",
     "queue-depth",
     "mmap",

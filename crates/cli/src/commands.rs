@@ -109,7 +109,6 @@ USAGE:
         the output/input shrink ratio, in (0, 1], below which a
         rerun-combiner stage still parallelizes (default 0.5).
     kumquat run <script|file> [--workers N] [--no-opt] [--var ...]
-                               [--exec dataflow|streaming]
                                [--chunk-kb N|auto] [--queue-depth N]
                                [--mmap auto|on|off] [--no-verify]
                                [--synth-workers N] [--combiner-cache FILE]
@@ -124,9 +123,9 @@ USAGE:
         by the script are read from the host filesystem — memory-mapped
         into the data plane when large (--mmap auto, the default; 'on'
         and 'off' force one backing), so multi-GB inputs are never copied
-        into the heap. The dataflow executor — the default — compiles
-        every statement to a dataflow graph and runs the whole script on
-        one shared work-stealing pool of exactly --workers threads:
+        into the heap. The executor compiles every statement to a
+        dataflow graph and runs the whole script on one shared
+        work-stealing pool of exactly --workers threads:
         stages pass chunks of --chunk-kb KiB (default 64) through queues
         of --queue-depth chunks (default 4), so a stage starts before its
         predecessor finishes; independent statements overlap, dependent
@@ -154,19 +153,17 @@ USAGE:
         worker count, then coarsens barrier-feeding chunks online so
         sort-style folds merge few large runs; adaptation never changes
         output bytes — only chunk boundaries — and is reported in an
-        'adaptive: ...' note. --exec streaming runs each statement in
-        turn on threads of its own per stage group, connected by bounded
-        channels, and runs the plan stage by stage; it keeps a large
-        spilling sort inside a tighter memory bound than the dataflow
-        pool does today (--chunk-kb auto is dataflow-only). (--executor
-        is accepted as an alias for --exec.) --spill-mb N bounds
-        the memory of barrier folds (sort and friends): once a fold's
-        resident sorted runs would exceed N MiB, further runs are written
-        to temp files and mapped back for the final k-way merge, so a
-        sort's peak memory stays O(budget + merge window) instead of
-        O(input). Run files live in --spill-dir (default: the system temp
-        dir) and are unlinked as soon as they are mapped, so they never
-        outlive the run. Disk traffic is reported as 'spill: ...' notes.
+        'adaptive: ...' note. --spill-mb N bounds
+        the memory of barrier folds (sort and friends): a fold keeps
+        sorted runs of up to N/4 MiB on the heap and writes further runs
+        to temp files, mapped back for the final k-way merge, and cuts
+        its batches small enough that every worker's batch fits in the
+        other 3N/4 MiB, so a sort's peak memory stays the budget plus a
+        merge window per worker instead of O(input). Run files live in
+        --spill-dir (default: the system temp dir) and are unlinked as
+        soon as they are mapped, so they never outlive the run. Disk
+        traffic is reported as 'spill: ...' notes. (--exec is gone:
+        there is one executor.)
         --trace-out FILE records a span for every unit of work in every
         layer (planning, synthesis, ingest, chunking, folds, executor
         tasks) and writes FILE as JSONL plus FILE's stem + '.chrome.json'
@@ -449,19 +446,17 @@ fn cmd_plan(args: &ParsedArgs) -> Result<CliOutput, String> {
 }
 
 fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
-    // The executor and every capacity knob are validated up front, before
-    // any file is read, so `--queue-depth 0` fails the same clear way
-    // under either `--exec`. The dataflow executor is the default; the
-    // adaptive sentinel `--chunk-kb auto` parses to `None` and is rejected
-    // below for the streaming executor, which cannot honor it.
-    let executor = args
-        .opt("exec")
-        .or_else(|| args.opt("executor"))
-        .unwrap_or("dataflow");
-    if !matches!(executor, "dataflow" | "streaming") {
-        return Err(format!(
-            "--exec must be 'dataflow' or 'streaming', got {executor:?}"
-        ));
+    // Every capacity knob is validated up front, before any file is read.
+    // `--exec` no longer parses a value, so `--exec streaming` would leave
+    // `streaming` behind as a second script argument: name the removed
+    // option first instead.
+    for removed in ["exec", "executor"] {
+        if args.opt(removed).is_some() {
+            return Err(format!(
+                "--{removed} was removed: kumquat has one executor (the dataflow pool; \
+                 --no-opt runs its graph without rewrites)"
+            ));
+        }
     }
     // Asking the host costs a few file reads: only when the flag is absent.
     let workers = match args.opt("workers") {
@@ -470,9 +465,6 @@ fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
     };
     let chunk_kb = args.opt_parse_nonzero_or_auto("chunk-kb", 64)?;
     let queue_depth = args.opt_parse_nonzero("queue-depth", kq_pipeline::DEFAULT_QUEUE_DEPTH)?;
-    if executor == "streaming" && chunk_kb.is_none() {
-        return Err("--chunk-kb auto requires --exec dataflow".into());
-    }
     let honor = !args.flag("no-opt");
     // --spill-mb turns on bounded-memory barrier folds: sorted runs past
     // the budget go to temp files and come back memory-mapped for the
@@ -498,36 +490,23 @@ fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
     } else {
         Some(run_serial(&planned.script, &planned.ctx).map_err(|e| e.to_string())?)
     };
-    // Stdout stays the segments the run produced (see `CliOutput::stdout`);
-    // only the dataflow executor produces more than one.
-    let (output, timings) = if executor == "streaming" {
-        let opts = kq_pipeline::StreamingOptions {
-            workers,
-            chunk_bytes: chunk_kb.unwrap_or(64) * 1024,
-            queue_depth,
-            fuse_streamable: honor,
-            spill,
-        };
-        kq_pipeline::run_streaming(&planned.script, &planned.plan, &planned.ctx, &opts)
-            .map(|run| (Rope::from(run.output), run.timings))
-    } else {
-        let opts = kq_pipeline::DataflowOptions {
-            workers,
-            chunk: match chunk_kb {
-                Some(kb) => kq_pipeline::ChunkSizing::Fixed(kb * 1024),
-                None => kq_pipeline::ChunkSizing::Auto,
-            },
-            queue: kq_pipeline::QueueCredit::Fixed(queue_depth),
-            fuse_streamable: honor,
-            spill,
-        };
+    // Stdout stays the segments the run produced (see `CliOutput::stdout`).
+    let opts = kq_pipeline::DataflowOptions {
+        workers,
+        chunk: match chunk_kb {
+            Some(kb) => kq_pipeline::ChunkSizing::Fixed(kb * 1024),
+            None => kq_pipeline::ChunkSizing::Auto,
+        },
+        queue: kq_pipeline::QueueCredit::Fixed(queue_depth),
+        fuse_streamable: honor,
+        spill,
+    };
+    let (output, timings) =
         kq_pipeline::run_dataflow_segments(&planned.script, &planned.plan, &planned.ctx, &opts)
-    }
-    .map_err(|e| e.to_string())?;
+            .map_err(|e| e.to_string())?;
     let mut notes = planned.notes;
-    // The streaming executor, and the dataflow graph under --no-opt, run
-    // the plan stage by stage.
-    if executor == "dataflow" && honor {
+    // Under --no-opt the graph runs the plan stage by stage.
+    if honor {
         notes.extend(crate::report::render_rewrite_notes(
             &planned.script,
             &planned.plan,
@@ -539,7 +518,6 @@ fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
         }
     }
     notes.extend(crate::report::render_run_notes(
-        executor,
         workers,
         planned.script.statements.len(),
         &planned.plan,
@@ -908,80 +886,30 @@ mod tests {
 
     #[test]
     fn removed_executors_are_rejected_before_anything_runs() {
-        // The script names no file: the executor check comes first.
-        for gone in ["static", "chunked", "warp"] {
-            let err = call(&["run", "cat /absent | sort", "--exec", gone]).unwrap_err();
+        // The script names no file: the check comes first, whether the
+        // option is spelled with a value, with `=`, or as the old alias.
+        for words in [
+            &["--exec", "streaming"][..],
+            &["--exec=dataflow"],
+            &["--executor", "static"],
+        ] {
+            let mut args = vec!["run", "cat /absent | sort"];
+            args.extend_from_slice(words);
+            let err = call(&args).unwrap_err();
+            let name = if words[0].starts_with("--executor") {
+                "executor"
+            } else {
+                "exec"
+            };
             assert_eq!(
                 err,
-                format!("--exec must be 'dataflow' or 'streaming', got {gone:?}")
-            );
-            let err = call(&["run", "cat /absent | sort", "--executor", gone]).unwrap_err();
-            assert!(
-                err.starts_with("--exec must be 'dataflow' or 'streaming'"),
-                "{err}"
+                format!(
+                    "--{name} was removed: kumquat has one executor (the dataflow pool; \
+                     --no-opt runs its graph without rewrites)"
+                ),
+                "{words:?}"
             );
         }
-    }
-
-    #[test]
-    fn run_with_streaming_executor() {
-        let dir = std::env::temp_dir().join(format!("kq-cli-stream-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let input = dir.join("w.txt");
-        std::fs::write(&input, "b x\na y\nb z\n".repeat(60)).unwrap();
-        let script = format!(
-            "cat {} | cut -d ' ' -f 1 | sort | uniq -c | sort -rn",
-            input.display()
-        );
-        let run = call(&[
-            "run",
-            &script,
-            "--workers",
-            "2",
-            "--exec",
-            "streaming",
-            "--chunk-kb",
-            "1",
-            "--queue-depth",
-            "2",
-        ])
-        .unwrap();
-        assert!(run.text().contains(" b\n"), "got: {}", run.text());
-        assert!(
-            run.notes.iter().any(|n| n.contains("streaming")),
-            "notes: {:?}",
-            run.notes
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn streaming_head_pipeline_reports_early_exit() {
-        let dir = std::env::temp_dir().join(format!("kq-cli-early-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let input = dir.join("w.txt");
-        std::fs::write(&input, "b x\na y\nb z\nc w\n".repeat(4000)).unwrap();
-        let script = format!("cat {} | grep b | head -n 1", input.display());
-        let run = call(&[
-            "run",
-            &script,
-            "--exec",
-            "streaming",
-            "--chunk-kb",
-            "1",
-            "--workers",
-            "2",
-        ])
-        .unwrap();
-        assert_eq!(run.text(), "b x\n");
-        assert!(
-            run.notes
-                .iter()
-                .any(|n| n.starts_with("early-exit:") && n.contains("head -n 1")),
-            "notes: {:?}",
-            run.notes
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1002,8 +930,6 @@ mod tests {
             &script,
             "--workers",
             "2",
-            "--exec",
-            "dataflow",
             "--chunk-kb",
             "1",
             "--queue-depth",
@@ -1029,17 +955,7 @@ mod tests {
         let input = dir.join("w.txt");
         std::fs::write(&input, "b x\na y\nb z\nc w\n".repeat(4000)).unwrap();
         let script = format!("cat {} | grep b | head -n 1", input.display());
-        let run = call(&[
-            "run",
-            &script,
-            "--exec",
-            "dataflow",
-            "--chunk-kb",
-            "1",
-            "--workers",
-            "2",
-        ])
-        .unwrap();
+        let run = call(&["run", &script, "--chunk-kb", "1", "--workers", "2"]).unwrap();
         assert_eq!(run.text(), "b x\n");
         assert!(
             run.notes
@@ -1083,14 +999,19 @@ mod tests {
             .notes
             .iter()
             .any(|n| n == "sorting fold: s1 stage 2 'sort'"));
-        // --no-opt and the streaming executor run stage by stage.
-        for extra in [&["--no-opt"][..], &["--exec", "streaming"]] {
-            let mut words = vec!["run", &script, "--workers", "2", "--chunk-kb", "1"];
-            words.extend_from_slice(extra);
-            let run = call(&words).unwrap();
-            assert_eq!(run.text(), expect, "{extra:?}");
-            assert_eq!(has_notes(&run), [false; 6], "{extra:?}");
-        }
+        // --no-opt runs stage by stage.
+        let run = call(&[
+            "run",
+            &script,
+            "--workers",
+            "2",
+            "--chunk-kb",
+            "1",
+            "--no-opt",
+        ])
+        .unwrap();
+        assert_eq!(run.text(), expect);
+        assert_eq!(has_notes(&run), [false; 6]);
         // `check` names the same sites without planning anything.
         let check = call(&["check", &script]).unwrap();
         for note in notes {
@@ -1191,22 +1112,12 @@ mod tests {
     }
 
     #[test]
-    fn chunk_kb_auto_requires_the_dataflow_executor() {
-        let s = "cat x | sort";
-        let err = call(&["run", s, "--exec", "streaming", "--chunk-kb", "auto"]).unwrap_err();
-        assert_eq!(err, "--chunk-kb auto requires --exec dataflow");
-    }
-
-    #[test]
-    fn queue_depth_auto_is_rejected_under_every_executor() {
-        let s = "cat x | sort";
-        for exec in ["dataflow", "streaming"] {
-            let err = call(&["run", s, "--exec", exec, "--queue-depth", "auto"]).unwrap_err();
-            assert_eq!(
-                err, "--queue-depth must be a positive integer, got \"auto\"",
-                "{exec}"
-            );
-        }
+    fn queue_depth_auto_is_rejected() {
+        let err = call(&["run", "cat x | sort", "--queue-depth", "auto"]).unwrap_err();
+        assert_eq!(
+            err,
+            "--queue-depth must be a positive integer, got \"auto\""
+        );
     }
 
     #[test]
@@ -1247,7 +1158,7 @@ mod tests {
         let input = dir.join("m.txt");
         std::fs::write(&input, "b x\na y\nb z\nc w\n".repeat(200)).unwrap();
         let script = format!("cat {} | cut -d ' ' -f 1 | sort | uniq -c", input.display());
-        let mapped = call(&["run", &script, "--mmap", "on", "--exec", "streaming"]).unwrap();
+        let mapped = call(&["run", &script, "--mmap", "on"]).unwrap();
         let heap = call(&["run", &script, "--mmap", "off"]).unwrap();
         assert_eq!(mapped.text(), heap.text(), "backings must be invisible");
         assert!(
@@ -1271,7 +1182,7 @@ mod tests {
         std::fs::write(&input, "b x\na y\n".repeat(50)).unwrap();
         let script = format!("cat {} | cut -d ' ' -f 1 | sort", input.display());
         let verified = call(&["run", &script]).unwrap();
-        let unverified = call(&["run", &script, "--no-verify", "--exec", "streaming"]).unwrap();
+        let unverified = call(&["run", &script, "--no-verify"]).unwrap();
         assert_eq!(verified.text(), unverified.text());
         assert!(unverified.notes.iter().any(|n| n.contains("unverified")));
         assert!(!unverified.notes.iter().any(|n| n.contains("equals serial")));
@@ -1385,15 +1296,7 @@ mod tests {
         assert_eq!(plan_of(&cold.text()), plan_of(&warm.text()));
 
         // A run through the warm cache still verifies against serial.
-        let run = call(&[
-            "run",
-            &script,
-            "--combiner-cache",
-            &cache_arg,
-            "--exec",
-            "streaming",
-        ])
-        .unwrap();
+        let run = call(&["run", &script, "--combiner-cache", &cache_arg]).unwrap();
         assert!(
             run.notes.iter().any(|n| n.contains("verified")),
             "{:?}",

@@ -2,10 +2,9 @@
 //! post-run telemetry.
 //!
 //! [`render_run_notes`] is the one place executor telemetry becomes text:
-//! every `kumquat run` — whichever `--exec` backend ran — reports the same
-//! fields in the same shapes (pool accounting, early-exit ledger, spill
-//! ledger, verification line), so CI greps and human eyes never chase
-//! per-executor formats.
+//! every `kumquat run` reports the same fields in the same shapes (pool
+//! accounting, early-exit ledger, spill ledger, verification line), which
+//! CI greps.
 
 use kq_pipeline::cache::CacheStats;
 use kq_pipeline::exec::TimingLog;
@@ -166,13 +165,9 @@ pub fn render_synthesis_summary(reports: &[SynthesisReport], stats: CacheStats) 
     out
 }
 
-/// Renders the post-run telemetry notes shared by every executor: the
-/// dataflow pool-accounting line, the early-exit ledger, the spill
-/// ledger, and the verification line. One renderer for all `--exec`
-/// backends — the field names and shapes never depend on which executor
-/// produced the [`TimingLog`].
+/// Renders the post-run telemetry notes: the pool-accounting line, the
+/// adaptive, early-exit and spill ledgers, and the verification line.
 pub fn render_run_notes(
-    executor: &str,
     workers: usize,
     statements: usize,
     plan: &PlannedScript,
@@ -184,11 +179,9 @@ pub fn render_run_notes(
     // every statement, segment, and fold — on one fixed pool, so the
     // thread budget is exactly `--workers` regardless of statement count.
     // (CI greps this line in its multi-statement smoke.)
-    if executor == "dataflow" {
-        notes.push(format!(
-            "dataflow: {statements} statement(s) share one work-stealing pool of {workers} worker thread(s)",
-        ));
-    }
+    notes.push(format!(
+        "dataflow: {statements} statement(s) share one work-stealing pool of {workers} worker thread(s)",
+    ));
     // Adaptive ledger: present exactly when auto chunk sizing ran.
     // Reports the chunk-size trajectory (initial heuristic → coarsened
     // maximum). (CI greps this line.)
@@ -242,13 +235,13 @@ pub fn render_run_notes(
     let (par, total) = plan.parallelized_counts();
     if verified {
         notes.push(format!(
-            "verified: {executor} parallel output (w={workers}) equals serial output; \
+            "verified: dataflow parallel output (w={workers}) equals serial output; \
              {par}/{total} stages parallel, {} combiner(s) eliminated",
             plan.eliminated_count()
         ));
     } else {
         notes.push(format!(
-            "unverified (--no-verify): {executor} output (w={workers}); \
+            "unverified (--no-verify): dataflow output (w={workers}); \
              {par}/{total} stages parallel, {} combiner(s) eliminated",
             plan.eliminated_count()
         ));

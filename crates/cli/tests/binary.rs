@@ -25,16 +25,16 @@ fn unknown_subcommand_exits_nonzero() {
 }
 
 #[test]
-fn removed_executors_exit_two_naming_the_two_that_remain() {
-    for gone in ["static", "chunked"] {
+fn removed_executor_options_exit_two_saying_there_is_one_executor() {
+    for (option, value) in [("--exec", "streaming"), ("--executor", "dataflow")] {
         let out = kumquat()
-            .args(["run", "cat /absent | sort", "--exec", gone])
+            .args(["run", "cat /absent | sort", option, value])
             .output()
             .unwrap();
-        assert_eq!(out.status.code(), Some(2), "--exec {gone}");
+        assert_eq!(out.status.code(), Some(2), "{option} {value}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            stderr.contains("--exec must be 'dataflow' or 'streaming'"),
+            stderr.contains(&format!("{option} was removed: kumquat has one executor")),
             "{stderr}"
         );
         assert!(out.stdout.is_empty());

@@ -170,7 +170,7 @@ pub trait UnixCommand: Send + Sync {
     /// everything else do not. `None` (the default) means the command may
     /// read to end-of-input.
     ///
-    /// This is the early-exit signal: a streaming executor can stop
+    /// This is the early-exit signal: a pipelined executor can stop
     /// feeding such a command the moment `n` complete lines exist and
     /// cancel everything upstream (the paper-corpus
     /// `… | sort -nr | head -n 1` shape). The contract is semantic, not

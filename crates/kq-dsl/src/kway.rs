@@ -103,9 +103,9 @@ fn combine_pair(
 /// Incremental k-way combining: substreams are folded *as they arrive*
 /// instead of being gathered first.
 ///
-/// [`combine_all`] needs the complete piece list, which forces the
-/// streaming executor to buffer a stage's whole output before combining —
-/// exactly the barrier this type removes. Pieces are pushed in stream
+/// [`combine_all`] needs the complete piece list, which forces an
+/// executor to buffer a stage's whole output before combining — exactly
+/// the barrier this type removes. Pieces are pushed in stream
 /// order and the combine work overlaps with whatever produces the pieces;
 /// [`finish`](IncrementalFold::finish) only settles the remainder.
 ///
@@ -135,11 +135,12 @@ fn combine_pair(
 /// own — on whatever thread its holder likes, and the outputs concatenate
 /// in part order to the bytes of the one flat merge. Below two parts the
 /// single part *is* that flat merge. `finish` seals and runs the batches
-/// and parts inline, one after the other, so there is one closing path: a
-/// caller that owns the fold outright (the streaming executor's collector,
-/// every test) and the dataflow scheduler, which runs the batches and the
-/// parts as pool tasks, differ only in where [`RunBatch::merge`] and
-/// `FinishPart::merge` are called.
+/// and parts inline, one after the other, so there is one closing path:
+/// `finish` on one thread (what the dataflow scheduler calls for a fold
+/// that closes in fewer than two parts, and what every test calls) and
+/// the scheduler's pool tasks, one per sealed batch and one per part,
+/// differ only in where [`RunBatch::merge`] and `FinishPart::merge` are
+/// called.
 ///
 /// [`finish`]: IncrementalFold::finish
 /// [`plan_finish`]: IncrementalFold::plan_finish
@@ -158,12 +159,11 @@ fn combine_pair(
 ///   chunks, sorted into one — and `finish` merges the runs. Without a
 ///   spill config a run forms every [`MERGE_RUN_ARITY`]
 ///   pieces (every [`SORT_RUN_BYTES`] of raw chunks); under one, runs are
-///   sized to the budget instead — pieces
-///   accumulate until their bytes reach a quarter of
-///   [`SpillConfig::budget_bytes`] (capped at [`MERGE_RUN_MAX_PIECES`]
-///   pieces), so a spilling sort writes few large runs and `finish` faces
-///   a small merge frontier rather than one run per arity-batch of
-///   arrivals. Each byte moves through at most two merges (versus one for
+///   sized to the budget instead — pieces accumulate until their bytes
+///   reach [`SpillConfig::batch_bytes`] (capped at
+///   [`MERGE_RUN_MAX_PIECES`] pieces), so that every worker of the pool
+///   can be making a run at once within three quarters of the budget (see
+///   the ledger in [`crate::spill`]). Each byte moves through at most two merges (versus one for
 ///   the all-at-once merge — that's the price of overlapping — and
 ///   `log k` for a pairwise tree). A merge costs one prefix scan per line
 ///   plus `log2 k` integer compares (the offset-value-coded loser tree of
@@ -251,16 +251,15 @@ pub const MERGE_RUN_MAX_PIECES: usize = 1024;
 /// [`sorting`]: IncrementalFold::sorting
 pub const SORT_RUN_BYTES: usize = 512 << 10;
 
-/// The run-size target in bytes: under a spill config a quarter of the
-/// budget, so a spilling fold keeps at most a handful of
-/// in-progress/resident runs while still writing runs that are orders of
-/// magnitude larger than arriving pieces (a 64 MiB budget makes 16 MiB
-/// runs instead of one run per [`MERGE_RUN_ARITY`] chunks); without one,
+/// The run-size target in bytes: under a spill config the batch size of
+/// its ledger ([`SpillConfig::batch_bytes`]), so that the batches every
+/// worker may be making runs of at once fit in three quarters of the
+/// budget (a 64 MiB budget on four workers makes 4 MiB runs); without one,
 /// [`SORT_RUN_BYTES`] for the raw chunks of a sorting fold, and none — a
 /// run per [`MERGE_RUN_ARITY`] pieces — for sorted ones.
 fn merge_run_target(spill: &Option<SpillConfig>, raw: bool) -> Option<usize> {
     match spill {
-        Some(cfg) => Some((cfg.budget_bytes / 4).max(1)),
+        Some(cfg) => Some(cfg.batch_bytes()),
         None => raw.then_some(SORT_RUN_BYTES),
     }
 }
@@ -277,12 +276,15 @@ enum FoldState {
     /// `runs[batch index]`
     /// (`None` while the batch is out being merged), and finish merges the
     /// runs (earlier runs first, keeping the stability tiebreak of one
-    /// flat merge). Under a spill config a run that would push the
-    /// heap-resident total (`heap_bytes`) past the budget goes to a temp
-    /// file instead and lives in `runs` as a mapped slice; once any run
-    /// has spilled (`spilled`), finish streams the final merge through a
-    /// temp file too, so the heap never holds more than the budget plus
-    /// the pending pieces and the batches out being merged.
+    /// flat merge). Under a spill config each batch is charged to the
+    /// ledger as it is cut (`heap_bytes`: resident runs plus the runs of
+    /// batches still out): one whose run would push it past the share for
+    /// runs has its run written to a temp file by whoever makes it, and the
+    /// run lives in `runs` as a mapped slice; once any run has spilled
+    /// (`spilled`), finish streams the final merge through a temp file too,
+    /// so the heap never holds more than a quarter of the budget in runs
+    /// plus the pending pieces and the batches out being made runs — which
+    /// the batch size bounds by the other three quarters.
     Merge {
         /// The flags' line order, parsed once for the whole fold.
         order: Result<LineOrder, EvalError>,
@@ -333,7 +335,7 @@ impl<'a> IncrementalFold<'a> {
     /// Like [`new`](IncrementalFold::new), but with a spill policy: merge
     /// runs are sized to the budget (`merge_run_target`) and go to temp
     /// files once the heap-resident run bytes would cross
-    /// `spill.budget_bytes`, and a fold that spilled streams its final
+    /// [`SpillConfig::run_budget`], and a fold that spilled streams its final
     /// merge through a temp file as well (see [`crate::spill`]).
     /// Counter-tree folds (`uniq -c` stitches, arithmetic) account their
     /// stored slot groups against the same budget and spill them as mapped
@@ -430,7 +432,8 @@ impl<'a> IncrementalFold<'a> {
                 runs,
                 pending,
                 pending_bytes,
-                ..
+                heap_bytes,
+                spilled,
             } => {
                 *pending_bytes += piece.len();
                 pending.push(piece);
@@ -441,12 +444,17 @@ impl<'a> IncrementalFold<'a> {
                     None => pending.len() >= MERGE_RUN_ARITY,
                 };
                 if cut {
+                    let order = order.clone()?;
+                    let (charged, spill) =
+                        charge_batch(&self.spill, heap_bytes, spilled, *pending_bytes);
                     let batch = RunBatch {
                         env,
-                        order: order.clone()?,
+                        order,
                         raw: *raw,
                         index: runs.len(),
                         pieces: std::mem::take(pending),
+                        charged,
+                        spill,
                     };
                     runs.push(None);
                     *pending_bytes = 0;
@@ -481,21 +489,21 @@ impl<'a> IncrementalFold<'a> {
     }
 
     /// Takes back the run merged from a batch [`push`](IncrementalFold::push)
-    /// handed out, applying the spill policy to it. Runs may be installed
-    /// in any order; each lands in its batch's place in the stream.
-    pub fn install(&mut self, merged: MergedRun) -> Result<(), EvalError> {
+    /// handed out — on the heap, or already written to disk when the
+    /// ledger had no room for it — and settles the ledger with the run's
+    /// true size. Runs may be installed in any order; each lands in its
+    /// batch's place in the stream.
+    pub fn install(&mut self, merged: MergedRun) {
         let FoldState::Merge {
-            runs,
-            heap_bytes,
-            spilled,
-            ..
+            runs, heap_bytes, ..
         } = &mut self.state
         else {
             unreachable!("only merge folds hand out batches");
         };
-        let run = maybe_spill_run(merged.run, &self.spill, heap_bytes, spilled)?;
-        runs[merged.index] = Some(run);
-        Ok(())
+        if merged.charged > 0 {
+            *heap_bytes = (*heap_bytes + merged.run.len()).saturating_sub(merged.charged);
+        }
+        runs[merged.index] = Some(merged.run);
     }
 
     /// Closes the fold's input: the pieces still pending become run
@@ -522,7 +530,8 @@ impl<'a> IncrementalFold<'a> {
             runs,
             pending,
             pending_bytes,
-            ..
+            heap_bytes,
+            spilled,
         } = &mut self.state
         else {
             return Ok(Vec::new());
@@ -571,6 +580,8 @@ impl<'a> IncrementalFold<'a> {
         Ok(groups
             .into_iter()
             .map(|pieces| {
+                let bytes = pieces.iter().map(Bytes::len).sum();
+                let (charged, spill) = charge_batch(&self.spill, heap_bytes, spilled, bytes);
                 runs.push(None);
                 RunBatch {
                     env,
@@ -578,6 +589,8 @@ impl<'a> IncrementalFold<'a> {
                     raw: *raw,
                     index: runs.len() - 1,
                     pieces,
+                    charged,
+                    spill,
                 }
             })
             .collect())
@@ -614,7 +627,7 @@ impl<'a> IncrementalFold<'a> {
     /// merged one after the other.
     fn plan_finish_at(mut self, part_bytes: usize) -> Result<Vec<FinishPart<'a>>, EvalError> {
         for batch in self.seal_at(part_bytes)? {
-            self.install(batch.merge()?)?;
+            self.install(batch.merge()?);
         }
         let IncrementalFold {
             candidate,
@@ -811,6 +824,12 @@ pub struct RunBatch<'a> {
     /// Position of the batch's run among the fold's runs.
     index: usize,
     pieces: Vec<Bytes>,
+    /// Bytes the fold's ledger reserved for the run on the heap; zero when
+    /// the run goes to disk.
+    charged: usize,
+    /// Set when the ledger had no room: the run is written to a temp file
+    /// as soon as it exists, by whoever makes it.
+    spill: Option<SpillConfig>,
 }
 
 impl RunBatch<'_> {
@@ -821,20 +840,33 @@ impl RunBatch<'_> {
 
     /// Makes the batch one sorted run: the merge of its sorted pieces, or
     /// the sort of its raw ones' concatenation (which joins adjacent views
-    /// of one buffer, the chunks of a split, without a copy).
+    /// of one buffer, the chunks of a split, without a copy) — and writes
+    /// it out and maps it back when the fold's ledger said so.
     pub fn merge(self) -> Result<MergedRun, EvalError> {
         let run = if self.raw {
             let input = kq_stream::concat_bytes(&self.pieces);
             drop(self.pieces);
-            self.order
+            let sorted = self
+                .order
                 .sort_bytes(&input)
-                .map_err(|e| EvalError::Command(e.to_string()))?
+                .map_err(|e| EvalError::Command(e.to_string()))?;
+            // The sort faulted in every page of a mapped batch, which the
+            // split had already let go of: let go of them again.
+            if input.is_mmap_backed() {
+                input.release_range(0..input.len());
+            }
+            sorted
         } else {
             merge_pieces(self.env, self.order, &self.pieces)?
+        };
+        let run = match &self.spill {
+            Some(cfg) => spill_run(run, cfg)?,
+            None => run,
         };
         Ok(MergedRun {
             index: self.index,
             run,
+            charged: self.charged,
         })
     }
 }
@@ -844,6 +876,7 @@ impl RunBatch<'_> {
 pub struct MergedRun {
     index: usize,
     run: Bytes,
+    charged: usize,
 }
 
 /// Fragment granularity of the streamed spilled-run merge: how much merged
@@ -863,22 +896,32 @@ fn spill_err(e: std::io::Error) -> EvalError {
     EvalError::Command(format!("spill: {e}"))
 }
 
-/// Applies the spill policy to a freshly completed merge run: keep it on
-/// the heap while the resident total stays under budget, otherwise write
-/// it out and hand back the mapped (demand-paged, evictable) view.
-fn maybe_spill_run(
-    run: Bytes,
+/// Charges a batch of `bytes` to the fold's ledger as it is cut: its run
+/// may stay on the heap if the resident runs, and the runs of batches
+/// still out, leave room for it within [`SpillConfig::run_budget`] — the
+/// bytes charged, settled by [`IncrementalFold::install`] — and is
+/// otherwise written to disk by whoever makes it, outside any lock on the
+/// fold. Returns `(bytes charged, config to spill with)`.
+fn charge_batch(
     spill: &Option<SpillConfig>,
     heap_bytes: &mut usize,
     spilled: &mut bool,
-) -> Result<Bytes, EvalError> {
+    bytes: usize,
+) -> (usize, Option<SpillConfig>) {
     let Some(cfg) = spill else {
-        return Ok(run);
+        return (0, None);
     };
-    if heap_bytes.saturating_add(run.len()) <= cfg.budget_bytes {
-        *heap_bytes += run.len();
-        return Ok(run);
+    if heap_bytes.saturating_add(bytes) <= cfg.run_budget() {
+        *heap_bytes += bytes;
+        return (bytes, None);
     }
+    *spilled = true;
+    (0, Some(cfg.clone()))
+}
+
+/// Writes a run to a temp file and hands back the mapped (demand-paged,
+/// evictable) view.
+fn spill_run(run: Bytes, cfg: &SpillConfig) -> Result<Bytes, EvalError> {
     let mut writer = kq_io::RunWriter::create(&cfg.dir).map_err(spill_err)?;
     writer.write(run.as_bytes()).map_err(spill_err)?;
     cfg.metrics.record_spill(run.len() as u64);
@@ -887,24 +930,28 @@ fn maybe_spill_run(
     drop(run);
     let mapped = writer.finish().map_err(spill_err)?;
     cfg.metrics.record_mapped(mapped.len() as u64);
-    *spilled = true;
     Ok(mapped)
 }
 
 /// Counter-slot variant of the spill policy: a freshly stored or combined
-/// group is kept on the heap while the resident slot total stays under
-/// budget and otherwise written out, exactly like a merge run. Groups that
-/// are already disk-backed (mapped) pass through unaccounted.
+/// group is kept on the heap while the resident slot total stays within
+/// [`SpillConfig::run_budget`] and otherwise written out. Groups that are
+/// already disk-backed (mapped) pass through unaccounted.
 fn store_group(
     group: Bytes,
     spill: &Option<SpillConfig>,
     heap_bytes: &mut usize,
     spilled: &mut bool,
 ) -> Result<Bytes, EvalError> {
-    if group.is_mmap_backed() {
+    let Some(cfg) = spill.as_ref().filter(|_| !group.is_mmap_backed()) else {
+        return Ok(group);
+    };
+    if heap_bytes.saturating_add(group.len()) <= cfg.run_budget() {
+        *heap_bytes += group.len();
         return Ok(group);
     }
-    maybe_spill_run(group, spill, heap_bytes, spilled)
+    *spilled = true;
+    spill_run(group, cfg)
 }
 
 /// Moves the heap-resident pieces of `pieces` into one temp run file and
@@ -1056,7 +1103,7 @@ mod tests {
     /// back is merged and installed on the spot.
     fn push(fold: &mut IncrementalFold<'_>, piece: &Bytes) {
         if let Some(batch) = fold.push(piece.clone()).unwrap() {
-            fold.install(batch.merge().unwrap()).unwrap();
+            fold.install(batch.merge().unwrap());
         }
     }
 
@@ -1282,7 +1329,7 @@ mod tests {
         assert_eq!(indices, [0, 1, 2], "one batch per full arity of pieces");
         // Last batch back first.
         for batch in batches.into_iter().rev() {
-            fold.install(batch.merge().unwrap()).unwrap();
+            fold.install(batch.merge().unwrap());
         }
         assert_eq!(fold.finish().unwrap().into_bytes(), flat);
     }
@@ -1330,6 +1377,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = crate::spill::SpillConfig {
             budget_bytes: budget,
+            workers: 1,
             dir: dir.clone(),
             metrics: std::sync::Arc::new(crate::spill::SpillMetrics::default()),
         };
@@ -1375,23 +1423,25 @@ mod tests {
 
     #[test]
     fn budgeted_run_sizing_accumulates_pieces_into_large_runs() {
-        // A small-but-nonzero budget: runs cut at budget/4 bytes, so each
-        // spilled run aggregates several pieces instead of one run per
-        // piece (or per MERGE_RUN_ARITY arrivals).
+        // A small-but-nonzero budget: runs cut at the ledger's batch size,
+        // so each spilled run aggregates several pieces instead of one run
+        // per piece (or per MERGE_RUN_ARITY arrivals).
         let c = Candidate::run(RunOp::Merge(vec![]));
         let pieces = spill_pieces(MERGE_RUN_ARITY * 2);
         let total: usize = pieces.iter().map(Bytes::len).sum();
         let flat = combine_all(&c, &pieces, &FakeEnv).unwrap();
-        with_spill_dir("sized", total / 8, |cfg| {
+        with_spill_dir("sized", total / 2, |cfg| {
+            assert!(cfg.batch_bytes().abs_diff(total / 8) <= 2);
             let mut fold = IncrementalFold::new_with_spill(&c, &FakeEnv, Some(cfg.clone()));
             for p in &pieces {
                 push(&mut fold, p);
             }
             assert_eq!(fold.finish().unwrap().into_bytes(), flat);
             let (runs, _, _) = cfg.metrics.snapshot();
-            // Target = total/32: roughly 32 runs form, the over-budget
-            // ones spill — strictly fewer spills than pieces proves the
-            // byte-target batching, more than one proves we still spill.
+            // Batches of an eighth of the total: some 8 runs form, those
+            // past the eighth kept resident spill — strictly fewer spills
+            // than pieces proves the byte-target batching, more than one
+            // proves we still spill.
             assert!(runs > 1, "expected multiple spilled runs, got {runs}");
             assert!(
                 runs < pieces.len() as u64,
@@ -1809,6 +1859,65 @@ mod tests {
         }
     }
 
+    /// Resident KiB of the mapping that holds `addr`, from
+    /// `/proc/self/smaps`.
+    #[cfg(target_os = "linux")]
+    fn mapping_rss_kib(addr: usize) -> usize {
+        let smaps = std::fs::read_to_string("/proc/self/smaps").unwrap();
+        let mut inside = false;
+        for line in smaps.lines() {
+            let range = line.split_whitespace().next().unwrap_or("");
+            if let Some((start, end)) = range.split_once('-') {
+                if let (Ok(start), Ok(end)) = (
+                    usize::from_str_radix(start, 16),
+                    usize::from_str_radix(end, 16),
+                ) {
+                    inside = (start..end).contains(&addr);
+                    continue;
+                }
+            }
+            if let Some(kib) = line.strip_prefix("Rss:").filter(|_| inside) {
+                return kib.trim().trim_end_matches("kB").trim().parse().unwrap();
+            }
+        }
+        panic!("no mapping holds {addr:#x}")
+    }
+
+    /// A sorting fold's batch of a mapped input is a view of the map: the
+    /// sort faults every page of it in, and the batch lets go of them once
+    /// its run exists, so sorting a 32 MiB mapped file batch by batch
+    /// leaves little of the file resident.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_sorting_fold_releases_the_mapped_pages_it_sorted() {
+        use kq_io::{IngestOptions, MmapMode};
+        let path = std::env::temp_dir().join(format!("kq-kway-mapped-{}", std::process::id()));
+        let text: String = (0..1_500_000u64)
+            .map(|i| format!("key {:07} item {:05}\n", (i * 7919) % 1_000_003, i % 99_991))
+            .collect();
+        assert!(text.len() >= 32 << 20);
+        std::fs::write(&path, &text).unwrap();
+        drop(text);
+        let mapped = kq_io::read_path(&path, &IngestOptions::with_mode(MmapMode::On)).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(mapped.is_mmap_backed());
+        let c = merge_candidate("");
+        let order = LineOrder::parse(&[]).unwrap();
+        let mut fold = IncrementalFold::sorting(&c, order, &FakeEnv, None);
+        for chunk in mapped.chunks(64 << 10) {
+            push(&mut fold, &chunk);
+        }
+        for batch in fold.seal().unwrap() {
+            fold.install(batch.merge().unwrap());
+        }
+        let resident = mapping_rss_kib(mapped.as_bytes().as_ptr() as usize);
+        let file_kib = mapped.len() / 1024;
+        assert!(
+            resident < file_kib / 2,
+            "{resident} KiB of the {file_kib} KiB file still resident after sorting"
+        );
+    }
+
     #[test]
     fn sealing_cuts_the_tail_by_bytes_at_line_ends() {
         let c = merge_candidate("");
@@ -1965,6 +2074,7 @@ mod tests {
             let dir = std::env::temp_dir().join(format!("kq-kway-prop-{}", std::process::id()));
             let cfg = crate::spill::SpillConfig {
                 budget_bytes: 0,
+                workers: 1,
                 dir: dir.clone(),
                 metrics: std::sync::Arc::new(crate::spill::SpillMetrics::default()),
             };

@@ -32,6 +32,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// the same name, so uniqueness cannot be per-writer state.
 static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// Largest single `write` of a run, and so the largest page-cache folio a
+/// filesystem that sizes folios by the write gives it: small enough that
+/// the pages one fault maps are a window a reader can release again
+/// (see `Bytes::release_range`), large enough that writing and
+/// faulting a run back cost a fraction of what 64 KiB pieces do.
+const WRITE_GRAIN: usize = 1 << 18;
+
 /// A sorted run being spilled to a temp file. Write line-aligned text with
 /// [`RunWriter::write`], then call [`RunWriter::finish`] to get the run
 /// back as a mapped (or, on mapping failure, heap) [`Bytes`]; dropping an
@@ -70,10 +77,16 @@ impl RunWriter {
     /// plane does not re-view merged lines as `str` just to write them
     /// ([`finish`](RunWriter::finish) validates the run once, as a whole).
     pub fn write(&mut self, fragment: &[u8]) -> io::Result<()> {
-        self.inner
-            .as_mut()
-            .expect("write after finish")
-            .write_all(fragment)?;
+        let inner = self.inner.as_mut().expect("write after finish");
+        // At most `WRITE_GRAIN` per write: a filesystem that sizes its
+        // page-cache folios by the write puts the run in folios no larger
+        // than that, and a fault on the mapped run maps at most one folio —
+        // a window a reader's release can drop again, where a folio the
+        // size of the whole run would stay mapped while any reader touches
+        // any byte of it.
+        for piece in fragment.chunks(WRITE_GRAIN) {
+            inner.write_all(piece)?;
+        }
         self.written += fragment.len();
         Ok(())
     }

@@ -1,9 +1,8 @@
 //! Dataflow-graph IR for the work-stealing executor.
 //!
 //! [`crate::plan::PlannedStatement::stream_segments`] describes a statement
-//! as a list of segment kinds that the streaming executor interprets with
-//! dedicated threads. This module reifies that description into an explicit
-//! graph the shared scheduler ([`crate::scheduler`]) can execute: a
+//! as a list of segment kinds. This module reifies that description into an
+//! explicit graph the shared scheduler ([`crate::scheduler`]) can execute: a
 //! statement becomes a linear chain of [`DataflowNode`]s connected by
 //! *edges* — bounded queues of line-aligned [`kq_stream::Bytes`] chunks —
 //! where edge `i` carries node `i`'s output into node `i + 1` and the last
@@ -157,10 +156,8 @@
 //! [`NodeKind::BoundedConsumer`] at position `b` meets its `lines` demand
 //! before its input closes, the scheduler marks nodes `0..b` cancelled and
 //! **clears** every edge feeding them *and* the bounded node's own input
-//! edge — chunks already queued are dropped, not processed, which is the
-//! piece of work the channel-based streaming executor could not reclaim
-//! (its pool workers drain whatever was already buffered before noticing
-//! the teardown). In-flight tasks at cancelled nodes discard their output
+//! edge — chunks already queued are dropped, not processed. In-flight
+//! tasks at cancelled nodes discard their output
 //! when they complete. The propagation matrix:
 //!
 //! | event | upstream nodes | queued chunks | downstream nodes | statement result |
@@ -171,8 +168,7 @@
 //!
 //! # Demand propagation
 //!
-//! [`DataflowNode::eager_flush`] mirrors the streaming executor's rule: a
-//! `StageWorker` whose downstream chain reaches a bounded consumer through
+//! [`DataflowNode::eager_flush`]: a `StageWorker` whose downstream chain reaches a bounded consumer through
 //! chunk-local nodes only ships complete lines immediately instead of
 //! re-normalizing to the chunk-size target, so a sparse stage (`grep` with
 //! one match) cannot sit on the very lines that would satisfy the bound.

@@ -42,17 +42,17 @@ pub struct StageTiming {
     /// Output bytes produced (post-combine for parallel stages).
     pub bytes_out: usize,
     /// Early exit: set when this stage was a prefix-bounded consumer
-    /// (`head -n k`, `sed kq`) under a pipelined executor and satisfied
-    /// its demand without waiting for end-of-input — it released its
-    /// receiver (the demand token), so any upstream producer still running
-    /// unwound without draining the rest of the stream. `None` for stages
+    /// (`head -n k`, `sed kq`) under the dataflow executor and satisfied
+    /// its demand without waiting for end-of-input — it cancelled every
+    /// node above it, so upstream work still queued was dropped instead of
+    /// draining the rest of the stream. `None` for stages
     /// that read their whole input (every stage of [`run_serial`] and
     /// [`run_parallel_measured`]). The CLI reports these as
     /// `early-exit: statement N stage M ... after K chunk(s)`.
     pub early_exit: Option<EarlyExit>,
-    /// Queue-stall and occupancy counters for executors that move chunks
-    /// through queues (streaming, dataflow). `None` under the batch
-    /// runs, which have no inter-stage queues to stall on.
+    /// Queue-stall and occupancy counters of the dataflow executor, which
+    /// moves chunks through queues. `None` under the batch runs, which
+    /// have no inter-stage queues to stall on.
     pub queue: Option<QueueTelemetry>,
     /// Spill activity for barrier folds run under a spill budget
     /// (`--spill-mb`): `None` when no budget was configured for the stage
@@ -96,27 +96,25 @@ impl SpillTelemetry {
 /// Per-node queue telemetry — the measurable cost of moving chunks
 /// between stages.
 ///
-/// Under the streaming executor the stalls are literal blocking time in
-/// channel `send`/`recv`; under the dataflow scheduler (which never
-/// blocks a worker thread on a queue) they are the wall-clock intervals
-/// during which the node *wanted* to make progress but could not — gated
+/// The dataflow scheduler never blocks a worker thread on a queue, so the
+/// stalls are the wall-clock intervals during which the node *wanted* to
+/// make progress but could not — gated
 /// on a full downstream edge (`send_stall`) or starved on an empty input
 /// edge (`recv_stall`) — measured from the moment a task observed the
 /// condition to the moment a later task found it cleared.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueTelemetry {
-    /// Time the node spent unable to forward output: blocked in a channel
-    /// `send` (streaming) or gated on a full downstream edge (dataflow).
+    /// Time the node spent unable to forward output: gated on a full
+    /// downstream edge.
     pub send_stall: Duration,
-    /// Time the node spent waiting for input: blocked in a channel `recv`
-    /// (streaming) or starved on an empty input edge (dataflow).
+    /// Time the node spent waiting for input: starved on an empty input
+    /// edge.
     pub recv_stall: Duration,
     /// High-water mark of chunks queued at this node: the input-edge
-    /// length observed when a task claimed a chunk (dataflow), or the
-    /// bounded-channel occupancy observed at each send/recv (streaming).
+    /// length observed when a task claimed a chunk.
     pub max_queued: usize,
-    /// Scheduler tasks executed for this node (dataflow), or chunks
-    /// received (streaming) — the denominator for the stall averages.
+    /// Scheduler tasks executed for this node — the denominator for the
+    /// stall averages.
     pub tasks: usize,
 }
 
@@ -203,8 +201,7 @@ pub(crate) fn gather_files(input: &InputSource, ctx: &ExecContext) -> Result<Byt
 
 /// Runs `chain` (a fused run of chunk-local commands) over one chunk. The
 /// chunk enters the first command as the refcounted slice itself — no
-/// per-chunk copy. Shared by the streaming executor's segment pools and
-/// the dataflow scheduler's map tasks.
+/// per-chunk copy. What the dataflow scheduler's map tasks run.
 pub(crate) fn run_chain(
     chain: &[&Command],
     chunk: Bytes,

@@ -32,27 +32,24 @@
 //! stages. `crates/bench/benches/bytes_dataplane.rs` measures the
 //! difference against the legacy copy-per-piece path.
 //!
-//! # The executor matrix
-//!
-//! Two parallel executors share the data plane and produce byte-identical
-//! output to the serial oracle (asserted across the whole corpus by
-//! `tests/dataflow_differential.rs` and `tests/streaming_differential.rs`):
+//! # One executor, one oracle
 //!
 //! | executor | parallelism | barriers | role |
 //! |---|---|---|---|
 //! | [`exec::run_serial`] | none | every stage | the byte oracle every parallel run is checked against |
-//! | [`scheduler::run_dataflow`] | one work-stealing pool of `w` threads for the *whole script* | graph properties, not thread boundaries | the executor: every statement's [`dataflow`] graph shares the same fixed pool (no per-statement spawn/teardown), independent statements overlap, barrier stages fold *while upstream still computes*, and early exit tears down queued upstream work |
-//! | [`streaming::run_streaming`] | a thread pool per segment, segments pipelined over bounded channels | only where a stage truly needs its whole input | the out-of-core bound: a statement's memory is its channels' capacity plus its folds' spill budget, so a 256 MiB sort under a 64 MiB spill budget stays under 160 MiB resident — which the dataflow pool, whose run batches in flight, queued chunks and finish parts are not budget-accounted, does not yet meet |
+//! | [`scheduler::run_dataflow`] | one work-stealing pool of `w` threads for the *whole script* | graph properties, not thread boundaries | the executor: every statement's [`dataflow`] graph shares the same fixed pool (no per-statement spawn/teardown), independent statements overlap, barrier stages fold *while upstream still computes*, early exit tears down queued upstream work, and under a spill budget a fold holds at most its budget (see "Spill lifecycle" below) |
 //!
-//! [`exec::run_parallel_measured`] is not an executor but a measurement:
-//! the paper's split/combine pipeline with each piece run alone, whose
-//! per-piece times [`sim`] replays on virtual workers.
+//! Their outputs are byte-identical across the whole corpus
+//! (`tests/dataflow_differential.rs`). [`exec::run_parallel_measured`] is
+//! not an executor but a measurement: the paper's split/combine pipeline
+//! with each piece run alone, whose per-piece times [`sim`] replays on
+//! virtual workers.
 //!
-//! The streaming executor's segment classification (chunk-local versus
-//! barrier versus sequential) lives in
+//! The segment classification of a statement (chunk-local versus barrier
+//! versus sequential versus prefix-bounded) lives in
 //! [`plan::PlannedStatement::stream_segments`]; the dataflow executor
-//! reifies the same classification as a graph IR ([`dataflow`]) and
-//! executes it with a shared scheduler ([`scheduler`]). Four rewrites of
+//! reifies it as a graph IR ([`dataflow`]) and executes it with a shared
+//! scheduler ([`scheduler`]). Four rewrites of
 //! that graph go beyond the classification, all switched off together
 //! (`fuse_streamable: false`, `--no-opt`): adjacent chunk-local stages
 //! fuse into one node, a `sort | uniq [-c]` pair of barrier stages that
@@ -63,20 +60,15 @@
 //! node instead of once over its gathered input ("Seam rewrite"), and a
 //! `sort` that [`lattice::sorting_order`] licenses passes its chunks to its
 //! fold unsorted, the fold sorting them a run batch at a time ("Sorting
-//! rewrite"). The serial oracle and the streaming executor always run the
-//! plan stage by stage, which is what makes [`exec::run_serial`] the
-//! oracle for all four. `crates/bench/benches/dataflow_exec.rs` measures dataflow
-//! against streaming on a multi-statement script.
+//! rewrite"). The serial oracle always runs the plan stage by stage,
+//! which is what makes [`exec::run_serial`] the oracle for all four.
 //!
 //! # Fold finalization protocol
 //!
-//! Both pipelined executors fold barrier-stage outputs incrementally, and
-//! both must answer the same question without a central coordinator:
-//! *who runs `finish()` when the last piece lands?* The streaming
-//! executor answers structurally — each barrier has one collector thread,
-//! and end-of-input is its result channel disconnecting. The dataflow
-//! scheduler has no such thread: any pool worker may integrate a fold's
-//! chunk, so finalization is a *claim*: a task that observes
+//! The executor folds barrier-stage outputs incrementally and must answer
+//! one question without a central coordinator: *who runs `finish()` when
+//! the last piece lands?* There is no collector thread: any pool worker
+//! may integrate a fold's chunk, so finalization is a *claim*: a task that observes
 //! `input closed && inflight == 0 && queue empty` flips the node's phase
 //! to `Running` under the node lock and runs the finish outside it.
 //!
@@ -102,8 +94,7 @@
 //! a worker's finished map never waits behind another worker's run merge,
 //! finalization cannot start while a batch is out, and `finish` sees the
 //! runs in stream order whatever order they came back in (the third test
-//! of `tests/fold_finalize_stress.rs`). The streaming executor's barrier
-//! collector owns its fold outright and merges each batch on the spot.
+//! of `tests/fold_finalize_stress.rs`).
 //!
 //! **The sealing phase.** The pieces a merge fold still holds when its
 //! input ends are not merged into the closing merge's parts: the task that
@@ -156,15 +147,22 @@
 //! A merge-combiner fold normally keeps every sorted run on the heap
 //! until the final k-way merge, so a big `sort`'s peak memory is O(input).
 //! Under a [`kq_dsl::SpillPolicy`] (CLI `--spill-mb`, carried by
-//! [`StreamingOptions::spill`] / [`DataflowOptions::spill`]) each barrier
-//! stage derives a per-stage [`kq_dsl::SpillConfig`] and the fold spills:
+//! [`DataflowOptions::spill`]) each barrier stage derives a per-stage
+//! [`kq_dsl::SpillConfig`] for the pool's `workers` and the fold spills:
 //!
-//! 1. runs accumulate on the heap only while their total stays within
-//!    the budget; past it, each completed run is written to a temp file
-//!    (`kq_io::RunWriter`) and **immediately mapped back and unlinked** —
-//!    the inode survives while mapped, so cleanup is structural on every
-//!    exit path (success, error, cancellation, even SIGKILL once the
-//!    process dies);
+//! 1. runs accumulate on the heap only while their total stays within a
+//!    quarter of the budget — each batch is charged as it is cut, and one
+//!    that finds no room has its run written to a temp file
+//!    (`kq_io::RunWriter`) by the task that makes it, outside the node
+//!    lock, and **immediately mapped back and unlinked** — the inode
+//!    survives while mapped, so cleanup is structural on every exit path
+//!    (success, error, cancellation, even SIGKILL once the process dies).
+//!    The other three quarters are the batches in flight: a batch is cut
+//!    at `budget / (4 × workers)` bytes and holds up to
+//!    `kq_dsl::spill::BATCH_WORKING_SET` (3) times that while it becomes a
+//!    run, so the `workers` batches the pool can be making runs of at once
+//!    fit — the pool bounds the work in flight, the budget sizes it, and
+//!    nothing waits;
 //! 2. `finish()` then streams the k-way merge of the mapped runs through
 //!    a bounded fragment sink into an output run file — one per part of
 //!    the closing merge, see the finishing phase above — releasing each
@@ -177,18 +175,28 @@
 //!    [`StageTiming::spill`] ([`exec::SpillTelemetry`]), which the CLI
 //!    reports as `spill: ...` notes.
 //!
+//! What is left outside the budget does not grow with the input: each
+//! worker's merge window, and the page windows producers trail behind
+//! their cursors — capped at 2 MiB under a budget — over mapped streams.
+//! Mapped runs are written 256 KiB at a time, so a fault maps at most
+//! that much of a run, and a merge that is done with its slice of a run
+//! releases the folios its faults mapped around it: a wave of a part's
+//! merge reads at most [`kq_dsl::kway::MERGE_RUN_ARITY`] runs. So a fold's
+//! peak RSS is the budget plus a constant: a 256 MiB `sort` of mapped
+//! input peaks at budget + at most ~45 MiB for budgets of 16 to 64 MiB on
+//! two and four workers (the CI out-of-core job holds the 64 MiB,
+//! four-worker case under 160 MiB; it reads ~85 MiB).
+//!
 //! `tests/spill_differential.rs` pins byte-identity with the serial
-//! oracle under a one-byte budget (every run spills) on both executors,
-//! plus the no-leftover-files property across success, failure, and
-//! early-exit teardowns; `crates/bench/benches/spill_fold.rs` records
-//! peak RSS for a 256 MiB sort with and without a budget
-//! (`BENCH_spill.json`).
+//! oracle under a one-byte budget (every run spills), plus the
+//! no-leftover-files property across success, failure, and early-exit
+//! teardowns; `crates/bench/benches/spill_fold.rs` records peak RSS for a
+//! 256 MiB sort with and without a budget (`BENCH_spill.json`).
 //!
 //! # The adaptive control loop
 //!
-//! The dataflow executor can size its chunks closed-loop
-//! ([`scheduler::ChunkSizing::Auto`], CLI `--chunk-kb auto` under the
-//! default `--exec dataflow`):
+//! The executor can size its chunks closed-loop
+//! ([`scheduler::ChunkSizing::Auto`], CLI `--chunk-kb auto`):
 //!
 //! * **Adaptive chunk sizing.** Each statement's base chunk target is
 //!   derived from its input size and the worker count when the statement
@@ -199,9 +207,9 @@
 //!   amortize per-chunk overhead and shrink the fold's merge frontier
 //!   (fewer, bigger sorted runs to k-way merge).
 //! * **Spill-aware run sizing.** Under a spill budget a merge fold
-//!   accumulates incoming pieces until a quarter of the budget before
-//!   sorting/spilling a run ([`kq_dsl` `kway`]), so run count tracks the
-//!   budget rather than the chunk count.
+//!   accumulates incoming pieces up to the budget's batch size before
+//!   sorting/spilling a run ([`kq_dsl::SpillConfig::batch_bytes`]), so
+//!   run count tracks the budget and the pool rather than the chunk count.
 //!
 //! The invariant that makes both safe: **adaptation moves chunk
 //! boundaries, never bytes**. Chunk targets are pure functions of
@@ -218,7 +226,7 @@
 //! # The trace plane
 //!
 //! Every executor is instrumented through [`kq_trace`]: node-task spans
-//! (`dataflow`/`streaming`/`serial`/`measured` categories), graph
+//! (`dataflow`/`serial`/`measured` categories), graph
 //! structure metas, and per-node counters (bytes in/out, tasks,
 //! max-queued, send/recv stall time). Instrumentation is off unless the
 //! calling thread carries a live `kq_trace::TraceSession` — every pool
@@ -268,7 +276,6 @@ pub mod parse;
 pub mod plan;
 pub mod scheduler;
 pub mod sim;
-pub mod streaming;
 
 pub use cache::{cache_key, CacheStats, CombinerCache};
 pub use dataflow::{DataflowGraph, DataflowNode, FoldMode, NodeKind};
@@ -289,4 +296,3 @@ pub use scheduler::{
     DEFAULT_CHUNK_BYTES, DEFAULT_QUEUE_DEPTH,
 };
 pub use sim::{PipelineCosts, SimParams};
-pub use streaming::{run_streaming, StreamingOptions};

@@ -85,7 +85,7 @@ pub struct PlannedStage {
     pub mode: StageMode,
     /// Chunk-local: the stage's combiner is plain `concat` and its outputs
     /// are newline-terminated streams, so `f(c1 ++ c2) = f(c1) ++ f(c2)`
-    /// for line-aligned chunks and the streaming executor can let chunk
+    /// for line-aligned chunks and the executor can let chunk
     /// outputs flow to the next stage without ever materializing the whole
     /// substream (`grep`, `tr`, `cut`, per-line `sed` qualify; `sort` and
     /// `uniq -c` do not and must barrier). Always `false` for sequential
@@ -94,7 +94,7 @@ pub struct PlannedStage {
     /// Prefix bound ([`kq_synth::prefix_bound`]): `Some(k)` when the
     /// stage's output depends only on the first `k` complete lines of its
     /// input (`head -n k`, `sed kq`). Such a stage is a *bounded
-    /// consumer*: the streaming executor runs it as a
+    /// consumer*: the executor runs it as a
     /// [`StreamSegmentKind::Bounded`] segment that stops demanding input
     /// — and cancels everything upstream — the moment `k` lines exist.
     /// Independent of the sequential/parallel mode decision: running the
@@ -155,10 +155,11 @@ impl PlannedStatement {
             .count()
     }
 
-    /// Groups the statement's stages into *streaming* segments — the unit
-    /// the bounded-queue streaming executor spawns workers for.
+    /// Groups the statement's stages into segments — what the nodes of
+    /// the statement's [`DataflowGraph`](crate::dataflow::DataflowGraph)
+    /// are built from.
     ///
-    /// Streaming segmentation breaks at every stage that must see its
+    /// Segmentation breaks at every stage that must see its
     /// whole input:
     ///
     /// * a maximal run of consecutive [`streamable`](PlannedStage::streamable)
@@ -175,13 +176,12 @@ impl PlannedStatement {
     /// * a prefix-bounded stage (`head -n k`, `sed kq` — see
     ///   [`PlannedStage::line_bound`]) is [`StreamSegmentKind::Bounded`]
     ///   whatever its mode: it consumes chunks only until `k` complete
-    ///   lines exist, then cancels everything upstream by dropping its
-    ///   receiver and runs the command once on the prefix.
+    ///   lines exist, then cancels everything upstream and runs the
+    ///   command once on the prefix.
     ///
     /// With `fuse_streamable = false` every streamable stage forms its own
     /// single-stage streaming segment (more hand-offs, same semantics) —
-    /// the differential suite uses this to exercise the channel plumbing
-    /// harder.
+    /// the differential suite uses this to exercise the scheduler harder.
     pub fn stream_segments(&self, fuse_streamable: bool) -> Vec<StreamSegment> {
         let mut out = Vec::new();
         let mut idx = 0;
@@ -237,9 +237,9 @@ pub enum StreamSegmentKind {
     /// A sequential stage: gather, run once, re-chunk.
     Sequential,
     /// A prefix-bounded consumer (`head -n k`, `sed kq`): gathers chunks
-    /// only until `lines` complete lines exist, then drops its receiver —
-    /// the demand token — so every upstream producer unwinds without
-    /// draining the rest of the input, runs the command once on the
+    /// only until `lines` complete lines exist, then cancels every
+    /// upstream producer without draining the rest of the input, runs the
+    /// command once on the
     /// prefix, and re-chunks the output downstream. See
     /// [`PlannedStage::line_bound`].
     Bounded {
@@ -248,7 +248,7 @@ pub enum StreamSegmentKind {
     },
 }
 
-/// One streaming-executor segment: a stage range plus how its data moves.
+/// One segment of a statement: a stage range plus how its data moves.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamSegment {
     /// Stage index range (`start..end`, end exclusive; length 1 except for

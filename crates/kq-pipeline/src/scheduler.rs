@@ -1,10 +1,8 @@
 //! Work-stealing executor for the dataflow IR.
 //!
-//! Where the streaming executor spawns a private thread set per statement
-//! — a feeder plus `segments × (workers + collector)` threads, torn down
-//! and respawned for every statement — this executor runs the *whole
-//! script* on one fixed pool of exactly [`DataflowOptions::workers`]
-//! threads. Each statement's plan becomes a [`DataflowGraph`]
+//! The executor runs the *whole script* on one fixed pool of exactly
+//! [`DataflowOptions::workers`] threads — no thread is spawned per
+//! statement, stage or fold. Each statement's plan becomes a [`DataflowGraph`]
 //! (see [`crate::dataflow`] for the node and edge semantics), and the unit
 //! of scheduling is a *task*: "make progress at node N of statement S" —
 //! process one chunk at a map node (through the node's commands — at a
@@ -56,11 +54,23 @@
 //! bound (in-flight results may overshoot it by the amount already
 //! claimed). Early exit is the graph teardown described in
 //! [`crate::dataflow`]: a satisfied bounded consumer cancels every node
-//! above it and *drops chunks already queued on their edges* — work the
-//! channel-based streaming executor would still have drained. Splits and
+//! above it and *drops chunks already queued on their edges*. Splits and
 //! emitters cut chunks lazily and trail a page-release hint behind their
-//! cursor exactly like the streaming feeder, so mapped multi-GB inputs
-//! stream through at O(window) resident memory.
+//! cursor, so mapped multi-GB inputs stream through at O(window) resident
+//! memory (a window of at most 2 MiB under a spill budget).
+//!
+//! # Memory under a spill budget
+//!
+//! A fold's [`SpillConfig`](kq_dsl::SpillConfig) is derived for the
+//! pool's `workers`: resident runs take a quarter of the budget, and
+//! batches are cut small enough that one batch per worker — the most the
+//! pool can be making runs of at once — fits in the other three quarters
+//! ([`kq_dsl::spill`]); a batch whose run has no room left on the heap
+//! writes it out in the task that makes it, not under the node lock.
+//! Sealed batches and the parts of a closing merge are scheduled all at
+//! once, because a task per worker is all that runs of them at a time: a
+//! sealed batch is never larger than a budget's batch, and a part under a
+//! budget streams through a temp file with a merge window of its own.
 //!
 //! # Auto chunk sizing
 //!
@@ -151,6 +161,10 @@ const COARSEN_EVERY: usize = 8;
 /// [`AUTO_CHUNK_MAX`]).
 const MAX_COARSEN_DOUBLINGS: u32 = 6;
 
+/// How far a producer's page-release hint trails its cursor under a spill
+/// budget: a mapped stream it cuts holds at most twice this resident.
+const SPILL_RELEASE_LAG: usize = 2 << 20;
+
 /// Tuning for the dataflow executor.
 #[derive(Debug, Clone)]
 pub struct DataflowOptions {
@@ -230,8 +244,7 @@ impl Edge {
 }
 
 /// A lazy cursor over a materialized stream: cuts line-aligned chunks on
-/// demand and trails a page-release hint (`release_lag` bytes) behind,
-/// mirroring the streaming executor's `send_chunked` discipline. The
+/// demand and trails a page-release hint (`release_lag` bytes) behind. The
 /// stream is a list of segments — one for an input or a command's output,
 /// one per part for a fold that finished in parts — and a chunk never
 /// spans two of them, so chunk boundaries are a function of the segments
@@ -622,6 +635,13 @@ pub fn run_dataflow_segments(
         .saturating_mul(queue_depth + workers)
         .saturating_mul(max_nodes + 2)
         .max(16 << 20);
+    // Under a spill budget the pages a producer trails are memory the
+    // budget does not count: keep the window small and take the refaults
+    // (of page-cache-hot pages) instead.
+    let release_lag = match opts.spill {
+        Some(_) => release_lag.min(SPILL_RELEASE_LAG),
+        None => release_lag,
+    };
 
     // Combiner environments live outside the node states so the
     // incremental folds (which borrow them) can be shared by the pool.
@@ -683,8 +703,9 @@ pub fn run_dataflow_segments(
                         };
                         let env = envs[si][ni].as_ref().expect("combine fold env");
                         // Each fold gets its own config so the metrics
-                        // counters are per-node, not script-global.
-                        let spill = opts.spill.as_ref().map(|p| p.stage_config());
+                        // counters are per-node, not script-global; every
+                        // worker of the pool may make one of its runs.
+                        let spill = opts.spill.as_ref().map(|p| p.stage_config(workers));
                         state.spill_metrics = spill.as_ref().map(|cfg| cfg.metrics.clone());
                         let pair_order = pair_orders[ni].map(|(_, order)| order);
                         state.accum = Some(match (mode, pair_order) {

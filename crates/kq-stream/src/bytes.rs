@@ -366,12 +366,13 @@ impl Bytes {
                 released = upto;
             }
         }
-        // Drop the tail too: without this, a view smaller than the release
-        // hysteresis (2 × WINDOW) stays *fully* resident after validation —
-        // for a spilled run that's every run pinned until its merge, which
-        // defeats the memory bound the spill exists to provide.
+        // Drop the tail too, through its last byte: without this, a view
+        // smaller than the release hysteresis (2 × WINDOW) stays *fully*
+        // resident after validation — for a spilled run that's every run
+        // pinned until its merge, which defeats the memory bound the spill
+        // exists to provide — and each view keeps its last grain block.
         if released < bytes.len() {
-            self.release_range(released..bytes.len());
+            self.release(released..bytes.len(), true);
         }
         let whole = self.start == 0 && self.end == self.buf.len();
         Ok(Bytes {
@@ -466,8 +467,7 @@ impl Bytes {
 
     /// Lazy [`Bytes::split_chunks`]: yields the same chunks in the same
     /// order, but computes each boundary on demand, touching only the
-    /// pages of the chunk being produced. The streaming feeder uses this
-    /// so a mapped multi-GB input is paged in chunk by chunk, just ahead
+    /// pages of the chunk being produced, so a mapped multi-GB input is paged in chunk by chunk, just ahead
     /// of consumption, instead of being fully scanned (and made fully
     /// resident) before the first chunk is sent.
     pub fn chunks(&self, target_bytes: usize) -> ChunkIter<'_> {
@@ -486,10 +486,20 @@ impl Bytes {
     /// way, because a read-only file-backed private map refaults dropped
     /// pages from the file on the next touch (at re-read cost; callers
     /// should only release data they have structurally finished with).
-    /// The streaming feeder trails one of these behind its chunk cursor so
+    /// A chunk producer trails one of these behind its cursor so
     /// a sequential pass over a mapped file keeps O(window) pages
     /// resident, not O(file).
     pub fn release_range(&self, range: std::ops::Range<usize>) {
+        self.release(range, false);
+    }
+
+    /// [`release_range`](Bytes::release_range), and with `through` every
+    /// page the range's reads can have mapped: the folios it lies in and
+    /// one on either side — for a caller done with every byte of this
+    /// view, whose neighbours in the mapping refault those pages if they
+    /// still need them. Without it a view shorter than a grain — a part's
+    /// slice of a run — would never release anything.
+    fn release(&self, range: std::ops::Range<usize>, through: bool) {
         assert!(
             range.start <= range.end && range.end <= self.len(),
             "release {range:?} out of bounds for {} bytes",
@@ -505,12 +515,26 @@ impl Bytes {
             // bytes the caller already finished). Rounding the start up
             // instead would leave that block un-released at *every* window
             // boundary — a cursor advancing in ~grain-sized steps would
-            // then leak most of the mapping. The end still rounds down: a
-            // partially covered final block may hold bytes the caller
-            // still needs.
+            // then leak most of the mapping. The end still rounds down
+            // unless the caller is through: a partially covered final
+            // block may hold bytes the caller still needs.
             const GRAIN: usize = 1 << 16;
-            let abs_start = (self.start + range.start) / GRAIN * GRAIN;
-            let abs_end = (self.start + range.end) / GRAIN * GRAIN;
+            let (abs_start, abs_end) = match through {
+                // A fault maps the page-cache folio it lands in, and the
+                // fault-around window can reach into the folio beside it:
+                // drop whole folios of a spilled run's size, one past
+                // either end (`kq_io` writes runs 256 KiB at a time).
+                true => {
+                    const FOLIO: usize = 1 << 18;
+                    let start = (self.start + range.start) / FOLIO * FOLIO;
+                    let end = (self.start + range.end).next_multiple_of(FOLIO);
+                    (start.saturating_sub(FOLIO), (end + FOLIO).min(region.len))
+                }
+                false => (
+                    (self.start + range.start) / GRAIN * GRAIN,
+                    (self.start + range.end) / GRAIN * GRAIN,
+                ),
+            };
             if abs_start < abs_end {
                 kq_trace::instant("ingest", "release")
                     .v((abs_end - abs_start) as f64)
@@ -579,11 +603,12 @@ impl ReleaseCursor {
         }
     }
 
-    /// End of the pass: releases the whole remaining tail.
+    /// End of the pass: releases the whole remaining tail and the pages
+    /// the pass's faults can have mapped around the view.
     pub fn finish(&mut self, source: &Bytes) {
         if self.released < source.len() {
             let start = self.released.saturating_sub(Self::BACKFILL_SWEEP);
-            source.release_range(start..source.len());
+            source.release(start..source.len(), true);
             self.released = source.len();
         }
     }

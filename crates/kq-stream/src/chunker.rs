@@ -2,7 +2,7 @@
 //!
 //! The batch splitters ([`split_chunks`](crate::split_chunks),
 //! [`Bytes::split_chunks`](crate::Bytes::split_chunks)) need the whole
-//! stream up front. The streaming executor instead receives a stage's
+//! stream up front. A chunk-local node of the executor instead receives a stage's
 //! output as a sequence of [`Bytes`] segments of drifting sizes (a
 //! selective `grep` shrinks its chunks, `uniq -c` collapses them) and
 //! wants to forward line-aligned chunks of roughly the configured size as

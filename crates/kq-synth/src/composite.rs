@@ -159,7 +159,8 @@ impl SynthesizedCombiner {
     /// [`kq_dsl::spill`] (budget-sized merge runs, budget-accounted
     /// counter slots — see [`kway::IncrementalFold::new_with_spill`]), and
     /// on the selective path the retained raw handles are themselves
-    /// budget-bounded: once their resident bytes cross the budget the
+    /// budget-bounded: once their resident bytes cross the budget's share
+    /// for resident runs ([`kq_dsl::SpillConfig::run_budget`]) the
     /// whole list is batch-spilled to one temp file and re-pointed at
     /// mapped slices ([`kway::spill_piece_batch`]), so even the
     /// gather-first fallback cannot pin O(output) heap.
@@ -264,8 +265,7 @@ impl<'a> IncrementalCombine<'a> {
     /// them back as a batch instead of merging them here (see
     /// [`kway::IncrementalFold::push`]): merge it wherever no lock on this
     /// combine is held and give the outcome to
-    /// [`install`](Self::install). [`push_inline`](Self::push_inline) does
-    /// both on the spot for callers that own the combine outright.
+    /// [`install`](Self::install).
     pub fn push(&mut self, piece: Bytes) -> Option<kway::RunBatch<'a>> {
         self.fed |= !piece.is_empty();
         let mut batch = None;
@@ -310,7 +310,7 @@ impl<'a> IncrementalCombine<'a> {
                 raw.push(piece);
                 if let Some(cfg) = &self.raw_spill {
                     self.raw_heap_bytes += resident;
-                    if self.raw_heap_bytes > cfg.budget_bytes {
+                    if self.raw_heap_bytes > cfg.run_budget() {
                         // Best-effort: push cannot fail, so an IO error
                         // simply leaves the heap copies in place (finish
                         // still works; only the memory bound is lost).
@@ -331,8 +331,9 @@ impl<'a> IncrementalCombine<'a> {
         let Some(fold) = &mut self.fold else {
             return;
         };
-        if let Err(e) = merged.and_then(|run| fold.install(run)) {
-            self.fail(e);
+        match merged {
+            Ok(run) => fold.install(run),
+            Err(e) => self.fail(e),
         }
     }
 
@@ -358,8 +359,9 @@ impl<'a> IncrementalCombine<'a> {
     }
 
     /// [`push`](Self::push), with a batch it hands back merged and
-    /// installed before returning.
-    pub fn push_inline(&mut self, piece: Bytes) {
+    /// installed before returning: how a test that owns the fold feeds it.
+    #[cfg(test)]
+    fn push_inline(&mut self, piece: Bytes) {
         if let Some(batch) = self.push(piece) {
             self.install(batch.merge());
         }
@@ -376,9 +378,9 @@ impl<'a> IncrementalCombine<'a> {
     }
 
     /// Number of raw piece handles currently retained for the
-    /// gather-first fallback: always `0` on the authoritative path (the
-    /// memory-parity property the streaming barrier collectors rely on),
-    /// the pushed piece count on the selective path.
+    /// gather-first fallback: always `0` on the authoritative path (a
+    /// fold does not pin the pieces it has merged), the pushed piece count
+    /// on the selective path.
     pub fn retained_handles(&self) -> usize {
         self.raw.as_ref().map_or(0, Vec::len)
     }
@@ -585,6 +587,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = kq_dsl::SpillConfig {
             budget_bytes: 0,
+            workers: 1,
             dir: dir.clone(),
             metrics: std::sync::Arc::new(kq_dsl::SpillMetrics::default()),
         };

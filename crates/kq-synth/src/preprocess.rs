@@ -83,7 +83,7 @@ impl Preprocessed {
 /// extraction: the *hint* biases generated input sizes so synthesis
 /// exercises the boundary (and deliberately widens `head -n 1` to at
 /// least two lines), while the *bound* is the exact early-exit contract
-/// the streaming executor cancels upstream work against — it must never
+/// the dataflow executor cancels upstream work against — it must never
 /// be widened or guessed, so it comes straight from the parsed command
 /// ([`Command::line_bound`]) rather than from the literal scan.
 pub fn prefix_bound(command: &Command) -> Option<usize> {

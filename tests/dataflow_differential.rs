@@ -12,7 +12,9 @@
 //! chunk sizing checking stdout and every redirect target, and a
 //! watchdog test pins the
 //! cancellation property: a bounded consumer stops a 256 MiB producer
-//! after O(first match) bytes, including chunks already queued.
+//! after O(first match) bytes, including chunks already queued. Mapped
+//! inputs must run like heap ones, and boundary-sensitive scripts hold
+//! at depth-1 queues, one worker and unfused graphs.
 //!
 //! The counting rewrite (`sort | uniq [-c]` as one fold) has its own
 //! sweeps: every corpus script the planner fuses a pair in, and generated
@@ -789,7 +791,7 @@ fn cancelled_256mib_producer_terminates_promptly_without_draining() {
 
 /// The prefix-bounded corpus scripts (`… | head -n 1`-shaped) under the
 /// dataflow scheduler: byte-identical to serial while the bound cancels
-/// upstream, across the same chunk/worker sweep as the streaming suite.
+/// upstream, at one and four workers and chunks of 1 B, 700 B and 16 MiB.
 #[test]
 fn prefix_bounded_corpus_scripts_match_serial_under_early_exit() {
     let scale = Scale {
@@ -840,4 +842,145 @@ fn prefix_bounded_corpus_scripts_match_serial_under_early_exit() {
         covered >= 11,
         "expected >= 11 prefix-bounded corpus scripts, found {covered}"
     );
+}
+
+/// Mapped inputs: the backing store must be invisible. A heap-ingested
+/// context is the oracle (serial semantics on owned buffers); the
+/// mmap-ingested context runs serial and the pool, at chunk sizes
+/// bracketing the file size. Cases cover the documented edges: the empty
+/// file (mmap refuses zero length — heap fallback), a file without a
+/// trailing newline (unterminated final chunk), and a file much larger
+/// than the chunk size (many chunks slicing one mapped region).
+#[cfg(unix)]
+#[test]
+fn mmap_backed_inputs_match_heap_ingest() {
+    use kq_io::{IngestOptions, MmapMode};
+    let dir = std::env::temp_dir().join(format!("kq-mmap-diff-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let chunk_bytes = 700usize;
+    let big: String = (0..2000)
+        .map(|i| format!("word{} tail{}\n", i % 13, i % 7))
+        .collect();
+    assert!(
+        big.len() > 8 * chunk_bytes,
+        "big case must dwarf the chunks"
+    );
+    let cases: Vec<(&str, String)> = vec![
+        ("empty", String::new()),
+        (
+            "unterminated",
+            "alpha one\nbeta two\ngamma three".to_owned(),
+        ),
+        ("big", big),
+    ];
+    let scripts = [
+        "cat IN | grep a | tr a-z A-Z | cut -d ' ' -f 1", // fully chunk-local
+        "cat IN | cut -d ' ' -f 1 | sort | uniq -c",      // barrier combiners
+    ];
+    let mapped_policy = IngestOptions::with_mode(MmapMode::On);
+    for (name, content) in &cases {
+        let path = dir.join(name);
+        std::fs::write(&path, content).unwrap();
+        let path_str = path.display().to_string();
+
+        let heap_ctx = ExecContext::default();
+        heap_ctx.vfs.write(path_str.clone(), content.as_str());
+        let mmap_ctx = ExecContext::default();
+        let ingested = kq_io::read_path_text(&path, &mapped_policy).unwrap();
+        assert_eq!(
+            ingested.is_mmap_backed(),
+            !content.is_empty(),
+            "{name}: non-empty files must actually map"
+        );
+        mmap_ctx.vfs.write(path_str.clone(), ingested);
+
+        for template in scripts {
+            let text = template.replace("IN", &path_str);
+            let parsed = parse_script(&text, &HashMap::new()).unwrap();
+            let sample = "word1 tail1\nword2 tail2\nword3 tail3\n".repeat(20);
+            let mut planner = Planner::new(SynthesisConfig::default());
+            let plan = planner.plan(&parsed, &heap_ctx, &sample);
+            let oracle = run_serial(&parsed, &heap_ctx)
+                .unwrap_or_else(|e| panic!("{name} heap serial: {e}"));
+
+            let serial_m = run_serial(&parsed, &mmap_ctx)
+                .unwrap_or_else(|e| panic!("{name} mmap serial: {e}"));
+            assert_eq!(serial_m.output, oracle.output, "{name}: serial diverged");
+
+            // Chunk sizes bracketing the file: many chunks per map, and
+            // one chunk swallowing the whole file.
+            for workers in [1usize, 3] {
+                for cb in [chunk_bytes, 1 << 24] {
+                    let opts = DataflowOptions {
+                        workers,
+                        chunk: ChunkSizing::Fixed(cb),
+                        ..DataflowOptions::default()
+                    };
+                    let dataflow =
+                        run_dataflow(&parsed, &plan, &mmap_ctx, &opts).unwrap_or_else(|e| {
+                            panic!("{name} mmap dataflow (w={workers}, chunk={cb}): {e}")
+                        });
+                    assert_eq!(
+                        dataflow.output, oracle.output,
+                        "{name}: dataflow diverged at w={workers}, chunk_bytes={cb}"
+                    );
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A deeper option sweep on pipelines whose combiners are sensitive to
+/// where the stream splits (`uniq -c` stitching, `sort` merging, `head`
+/// rerun): single-worker pools, depth-1 queues (fully lock-step), and
+/// unfused per-stage nodes.
+#[test]
+fn options_sweep_on_boundary_sensitive_scripts() {
+    let scale = Scale {
+        input_bytes: 20_000,
+    };
+    let mut planner = Planner::new(SynthesisConfig::default());
+    let picks = ["wf.sh", "2.sh", "4_3.sh"];
+    let selected: Vec<_> = corpus()
+        .iter()
+        .filter(|s| picks.contains(&s.id) || (s.id == "4.sh" && s.suite.dir() == "analytics-mts"))
+        .collect();
+    assert!(
+        selected.len() >= 4,
+        "pick list drifted from the corpus: {selected:?}"
+    );
+    for script in selected {
+        let ctx = ExecContext::default();
+        let env = setup(script, &ctx, &scale, 7);
+        let parsed = parse_script(script.text, &env).unwrap();
+        let sample = ctx.vfs.read(&env["IN"]).unwrap();
+        let cut = sample[..sample.len().min(8_000)]
+            .rfind('\n')
+            .map(|i| i + 1)
+            .unwrap_or(sample.len());
+        let plan = planner.plan(&parsed, &ctx, &sample[..cut]);
+        let serial = run_serial(&parsed, &ctx).unwrap();
+        for workers in [1usize, 4] {
+            for queue_depth in [1usize, 8] {
+                for fuse in [true, false] {
+                    let opts = DataflowOptions {
+                        workers,
+                        chunk: ChunkSizing::Fixed(512),
+                        queue: QueueCredit::Fixed(queue_depth),
+                        fuse_streamable: fuse,
+                        spill: None,
+                    };
+                    let got = run_dataflow(&parsed, &plan, &ctx, &opts).unwrap();
+                    assert_eq!(
+                        got.output,
+                        serial.output,
+                        "{}/{} diverged (w={workers}, depth={queue_depth}, fuse={fuse})",
+                        script.suite.dir(),
+                        script.id
+                    );
+                }
+            }
+        }
+    }
 }

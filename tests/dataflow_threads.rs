@@ -2,9 +2,9 @@
 //! budget is exactly `--workers`, regardless of how many statements,
 //! segments, or folds the script contains.
 //!
-//! The streaming executor spawns a private feeder plus a `segments ×
-//! (workers + collector)` thread set per statement; the dataflow
-//! scheduler replaces all of that with one fixed pool. This test runs a
+//! A thread set per statement — a feeder plus `segments × (workers +
+//! collector)` threads — would grow with the script; the dataflow
+//! scheduler has one fixed pool. This test runs a
 //! 2-statement script under `workers = 2` while a sampler thread polls
 //! `/proc/self/status` `Threads:` and asserts the peak over the baseline
 //! never exceeds the worker budget. The first statement's `sort | uniq -c`
@@ -44,8 +44,8 @@ fn two_statement_script_stays_within_the_worker_budget() {
     ctx.vfs.write("/in.txt", input);
     let env: HashMap<String, String> = HashMap::new();
     // Two statements — enough per-statement thread demand that the old
-    // per-statement pools would blow past the budget (streaming would
-    // spawn feeder + 3 segments × 3 threads for the first alone).
+    // per-statement pools would blow past the budget (a feeder + 3
+    // segments × 3 threads for the first alone).
     let script = parse_script(
         "cat /in.txt | grep word | sort | uniq -c | sort -rn > /out/freq\n\
          cat /in.txt | cut -d ' ' -f 2 | sort -u | head -n 5",

@@ -10,7 +10,7 @@
 
 use kumquat::coreutils::{Bytes, CmdError, Command, ExecContext, UnixCommand};
 use kumquat::pipeline::plan::Planner;
-use kumquat::pipeline::streaming::{run_streaming, StreamingOptions};
+use kumquat::pipeline::scheduler::{run_dataflow, ChunkSizing, DataflowOptions, QueueCredit};
 use kumquat::pipeline::{InputSource, Script, Stage, Statement};
 use kumquat::synth::{synthesize, SynthesisConfig, SynthesisOutcome};
 use kumquat::Kumquat;
@@ -189,7 +189,7 @@ fn zero_length_input_runs_through_every_executor() {
 /// Script (the parser cannot produce custom commands), with a manual
 /// concat combiner registered so the planner keeps the poison stage
 /// parallel — and, since its probe outputs are streams, *chunk-local*,
-/// i.e. on the streaming executor's fast path.
+/// i.e. a stage-worker node of the dataflow graph.
 fn poison_script(
     ctx: &ExecContext,
     prefix: &[&str],
@@ -232,34 +232,45 @@ fn poison_script(
     (script, plan)
 }
 
-/// Runs `run_streaming` on another thread under a watchdog: the streaming
-/// pipeline must *return* (tearing down every worker — scoped threads
-/// cannot leak past the call) within the timeout, not hang on a blocked
-/// channel.
-fn streaming_under_watchdog(
+/// Runs `run_dataflow` on another thread under a watchdog: the pool must
+/// *return* (tearing down every worker — scoped threads cannot leak past
+/// the call) within the timeout, not wait on work nobody will schedule.
+fn dataflow_under_watchdog(
     ctx: ExecContext,
     script: Script,
     plan: kumquat::pipeline::PlannedScript,
-    opts: StreamingOptions,
+    opts: DataflowOptions,
 ) -> Result<Bytes, CmdError> {
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     let handle = std::thread::spawn(move || {
-        let result = run_streaming(&script, &plan, &ctx, &opts).map(|r| r.output);
+        let result = run_dataflow(&script, &plan, &ctx, &opts).map(|r| r.output);
         done_tx.send(()).ok();
         result
     });
     done_rx
         .recv_timeout(std::time::Duration::from_secs(30))
-        .expect("streaming pipeline hung: teardown did not complete within the watchdog");
-    handle.join().expect("streaming thread panicked")
+        .expect("dataflow pool hung: teardown did not complete within the watchdog");
+    handle.join().expect("dataflow thread panicked")
+}
+
+/// Options for the teardown tests: small chunks and a shallow queue, so
+/// the failing chunk is hit while the edges around it are full.
+fn teardown_options(workers: usize, chunk_bytes: usize, queue_depth: usize) -> DataflowOptions {
+    DataflowOptions {
+        workers,
+        chunk: ChunkSizing::Fixed(chunk_bytes),
+        queue: QueueCredit::Fixed(queue_depth),
+        fuse_streamable: true,
+        spill: None,
+    }
 }
 
 #[test]
 fn streaming_mid_pipeline_error_tears_down_promptly() {
     // The poison line lands mid-stream: upstream chunks have already been
     // forwarded, downstream stages (a barrier sort and a chunk-local tr)
-    // are already consuming, and the queues are depth-1 so every channel
-    // is under backpressure when the failing chunk is hit.
+    // are already consuming, and the queues are depth-1 so every edge is
+    // at capacity when the failing chunk is hit.
     let ctx = ExecContext::default();
     let mut input = String::new();
     for i in 0..400 {
@@ -270,14 +281,8 @@ fn streaming_mid_pipeline_error_tears_down_promptly() {
     }
     ctx.vfs.write("/in.txt", input);
     let (script, plan) = poison_script(&ctx, &[], &["tr a-z A-Z", "sort"]);
-    let opts = StreamingOptions {
-        workers: 2,
-        chunk_bytes: 64,
-        queue_depth: 1,
-        fuse_streamable: true,
-        spill: None,
-    };
-    let err = streaming_under_watchdog(ctx, script, plan, opts)
+    let opts = teardown_options(2, 64, 1);
+    let err = dataflow_under_watchdog(ctx, script, plan, opts)
         .expect_err("the poison chunk must fail the run");
     assert!(
         err.to_string().contains("poison-sensitive"),
@@ -298,24 +303,17 @@ fn streaming_error_downstream_of_sequential_stage_tears_down() {
     input.push_str("POISON\n");
     ctx.vfs.write("/in.txt", input);
     let (script, plan) = poison_script(&ctx, &["sed 1d"], &["uniq -c"]);
-    let opts = StreamingOptions {
-        workers: 1,
-        chunk_bytes: 32,
-        queue_depth: 1,
-        fuse_streamable: true,
-        spill: None,
-    };
-    let err = streaming_under_watchdog(ctx, script, plan, opts)
+    let opts = teardown_options(1, 32, 1);
+    let err = dataflow_under_watchdog(ctx, script, plan, opts)
         .expect_err("poison after the gather stage must fail the run");
     assert!(err.to_string().contains("poison-sensitive"), "{err}");
 }
 
 #[test]
 fn streaming_error_downstream_of_streamable_run_tears_down() {
-    // The failing stage is the *last* segment; the streamable run ahead
-    // of it (tr | cut fused) must notice the teardown and stop rather
-    // than chain-process the rest of the stream, and the feeder must
-    // unwind behind it.
+    // The failing stage is the *last* node; the chunk-local run ahead of
+    // it (tr | cut, fused with it) must stop rather than chain-process
+    // the rest of the stream, and the split must unwind behind it.
     let ctx = ExecContext::default();
     let mut input = String::new();
     for i in 0..2_000 {
@@ -326,14 +324,8 @@ fn streaming_error_downstream_of_streamable_run_tears_down() {
     }
     ctx.vfs.write("/in.txt", input);
     let (script, plan) = poison_script(&ctx, &["tr a-z A-Z", "cut -d ' ' -f 1-3"], &[]);
-    let opts = StreamingOptions {
-        workers: 2,
-        chunk_bytes: 64,
-        queue_depth: 1,
-        fuse_streamable: true,
-        spill: None,
-    };
-    let err = streaming_under_watchdog(ctx, script, plan, opts)
+    let opts = teardown_options(2, 64, 1);
+    let err = dataflow_under_watchdog(ctx, script, plan, opts)
         .expect_err("poison in the final segment must fail the run");
     assert!(err.to_string().contains("poison-sensitive"), "{err}");
 }
@@ -341,20 +333,14 @@ fn streaming_error_downstream_of_streamable_run_tears_down() {
 #[test]
 fn streaming_clean_run_of_custom_stage_matches_serial() {
     // Sanity check on the same harness without poison: the custom stage
-    // uppercases, and streaming equals serial.
+    // uppercases, and the pool's output equals serial.
     let ctx = ExecContext::default();
     let input: String = (0..200).map(|i| format!("word {i}\n")).collect();
     ctx.vfs.write("/in.txt", input);
     let (script, plan) = poison_script(&ctx, &[], &["sort", "uniq"]);
     let serial = kumquat::pipeline::exec::run_serial(&script, &ctx).unwrap();
-    let opts = StreamingOptions {
-        workers: 2,
-        chunk_bytes: 128,
-        queue_depth: 2,
-        fuse_streamable: true,
-        spill: None,
-    };
-    let got = streaming_under_watchdog(ctx, script, plan, opts).unwrap();
+    let opts = teardown_options(2, 128, 2);
+    let got = dataflow_under_watchdog(ctx, script, plan, opts).unwrap();
     assert_eq!(got, serial.output);
 }
 

@@ -1,13 +1,13 @@
 //! Spill differential suite: barrier folds running under a deliberately
 //! tiny `--spill-mb` budget (every run goes to disk) must produce output
-//! byte-identical to the serial oracle, on both spill-capable executors,
-//! at several worker counts — and must never leave run files behind in
-//! the spill directory, whether the run succeeds, fails, or exits early.
+//! byte-identical to the serial oracle at several worker counts — and must
+//! never leave run files behind in the spill directory, whether the run
+//! succeeds, fails, or exits early.
 //!
 //! Run files are unlinked the moment they are mapped back (see
 //! `kq_io::RunWriter`), so "no leftovers" is structural rather than a
-//! cleanup pass: these tests pin that property end-to-end through both
-//! executors' success and teardown paths.
+//! cleanup pass: these tests pin that property end-to-end through the
+//! executor's success and teardown paths.
 
 use kq_coreutils::ExecContext;
 use kq_dsl::SpillPolicy;
@@ -15,15 +15,13 @@ use kq_pipeline::exec::run_serial;
 use kq_pipeline::parse::{parse_script, Script};
 use kq_pipeline::plan::{PlannedScript, Planner};
 use kq_pipeline::scheduler::{run_dataflow, ChunkSizing, DataflowOptions, QueueCredit};
-use kq_pipeline::streaming::{run_streaming, StreamingOptions};
 use kq_synth::SynthesisConfig;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 /// Barrier-bearing scripts: a pure sort, a `sort | uniq -c` (one counting
-/// fold under the dataflow executor, whose counted runs spill like any
-/// others; a sort feeding a stitch-combined `uniq -c` under the streaming
-/// one), an add-combined `wc`, and a `sort -nu` over `"<key>
+/// fold, whose counted runs spill like any others), an add-combined `wc`,
+/// and a `sort -nu` over `"<key>
 /// <value>"` lines, whose output keeps the first line of each key *in
 /// stream order*. Under the one-byte budget every piece is a run batch of
 /// its own, merged outside the fold's lock and installed whenever it
@@ -87,44 +85,10 @@ fn stress_input() -> String {
     input
 }
 
-#[test]
-fn spilled_streaming_matches_serial_across_corpus_and_workers() {
-    let dir = spill_dir("streaming");
-    let input = stress_input();
-    for script_text in SCRIPTS {
-        let (script, plan, ctx) = plan_over(script_text, &input);
-        let serial = run_serial(&script, &ctx).unwrap();
-        for workers in [1, 4] {
-            let opts = StreamingOptions {
-                workers,
-                chunk_bytes: 256,
-                queue_depth: 2,
-                fuse_streamable: true,
-                spill: Some(tiny_policy(&dir)),
-            };
-            let got = run_streaming(&script, &plan, &ctx, &opts).unwrap();
-            assert_eq!(
-                got.output, serial.output,
-                "{script_text} w={workers} diverged under spilling"
-            );
-            // Every barrier fold in a sort-bearing script must actually
-            // have hit the disk under the one-byte budget.
-            if script_text.contains("sort") {
-                let spilled: u64 = got
-                    .timings
-                    .statements
-                    .iter()
-                    .flatten()
-                    .filter_map(|t| t.spill)
-                    .map(|sp| sp.runs_spilled)
-                    .sum();
-                assert!(spilled > 0, "{script_text} w={workers} never spilled");
-            }
-        }
-    }
-    assert_clean(&dir);
-}
-
+/// Every script at one, two and four workers, with no budget, a budget of
+/// nothing (every run spills) and one of half the input (the first runs
+/// stay resident, the rest spill): the serial bytes every time, and a
+/// sort-bearing script under the empty budget always writes runs out.
 #[test]
 fn spilled_dataflow_matches_serial_across_corpus_and_workers() {
     let dir = spill_dir("dataflow");
@@ -132,29 +96,37 @@ fn spilled_dataflow_matches_serial_across_corpus_and_workers() {
     for script_text in SCRIPTS {
         let (script, plan, ctx) = plan_over(script_text, &input);
         let serial = run_serial(&script, &ctx).unwrap();
-        for workers in [1, 4] {
-            let opts = DataflowOptions {
-                workers,
-                chunk: ChunkSizing::Fixed(256),
-                queue: QueueCredit::Fixed(2),
-                fuse_streamable: true,
-                spill: Some(tiny_policy(&dir)),
-            };
-            let got = run_dataflow(&script, &plan, &ctx, &opts).unwrap();
-            assert_eq!(
-                got.output, serial.output,
-                "{script_text} w={workers} diverged under spilling"
-            );
-            if script_text.contains("sort") {
-                let spilled: u64 = got
-                    .timings
-                    .statements
-                    .iter()
-                    .flatten()
-                    .filter_map(|t| t.spill)
-                    .map(|sp| sp.runs_spilled)
-                    .sum();
-                assert!(spilled > 0, "{script_text} w={workers} never spilled");
+        for workers in [1, 2, 4] {
+            for budget in [None, Some(0), Some(input.len() / 2)] {
+                let opts = DataflowOptions {
+                    workers,
+                    chunk: ChunkSizing::Fixed(256),
+                    queue: QueueCredit::Fixed(2),
+                    fuse_streamable: true,
+                    spill: budget.map(|budget_bytes| SpillPolicy {
+                        budget_bytes,
+                        dir: Some(dir.clone()),
+                    }),
+                };
+                let got = run_dataflow(&script, &plan, &ctx, &opts).unwrap();
+                assert_eq!(
+                    got.output, serial.output,
+                    "{script_text} w={workers} budget={budget:?} diverged"
+                );
+                if budget == Some(0) && script_text.contains("sort") {
+                    let spilled: u64 = got
+                        .timings
+                        .statements
+                        .iter()
+                        .flatten()
+                        .filter_map(|t| t.spill)
+                        .map(|sp| sp.runs_spilled)
+                        .sum();
+                    assert!(
+                        spilled > 0,
+                        "{script_text} w={workers} budget={budget:?} never spilled"
+                    );
+                }
             }
         }
     }
@@ -169,15 +141,7 @@ fn failed_run_leaves_no_spill_files() {
     // run file must already be unlinked by then.
     let dir = spill_dir("failure");
     let (script, plan, ctx) = plan_over("cat /in.txt | sort | comm -23 - /nodict", &stress_input());
-    for workers in [1, 4] {
-        let sopts = StreamingOptions {
-            workers,
-            chunk_bytes: 256,
-            queue_depth: 2,
-            fuse_streamable: true,
-            spill: Some(tiny_policy(&dir)),
-        };
-        run_streaming(&script, &plan, &ctx, &sopts).expect_err("comm without /nodict must fail");
+    for workers in [1, 2, 4] {
         let dopts = DataflowOptions {
             workers,
             chunk: ChunkSizing::Fixed(256),
@@ -199,16 +163,7 @@ fn early_exit_run_leaves_no_spill_files() {
     let input = stress_input();
     let (script, plan, ctx) = plan_over("cat /in.txt | sort | head -n 1", &input);
     let serial = run_serial(&script, &ctx).unwrap();
-    for workers in [1, 4] {
-        let sopts = StreamingOptions {
-            workers,
-            chunk_bytes: 256,
-            queue_depth: 2,
-            fuse_streamable: true,
-            spill: Some(tiny_policy(&dir)),
-        };
-        let got = run_streaming(&script, &plan, &ctx, &sopts).unwrap();
-        assert_eq!(got.output, serial.output);
+    for workers in [1, 2, 4] {
         let dopts = DataflowOptions {
             workers,
             chunk: ChunkSizing::Fixed(256),

@@ -79,8 +79,6 @@ fn run_traced_script(script: &str, trace: &str, workers: &str) -> Vec<kq_trace::
     let out = call(&[
         "run",
         script,
-        "--exec",
-        "dataflow",
         "--workers",
         workers,
         "--chunk-kb",
@@ -457,15 +455,7 @@ fn chrome_trace_has_a_track_per_dataflow_node() {
 #[test]
 fn metrics_flag_controls_the_metrics_block() {
     let s = Scratch::new("metrics");
-    let with = call(&[
-        "run",
-        &s.script,
-        "--exec",
-        "dataflow",
-        "--workers",
-        "2",
-        "--metrics",
-    ]);
+    let with = call(&["run", &s.script, "--workers", "2", "--metrics"]);
     assert!(
         with.notes
             .iter()
@@ -480,7 +470,7 @@ fn metrics_flag_controls_the_metrics_block() {
         "missing dataflow counters: {:?}",
         with.notes
     );
-    let without = call(&["run", &s.script, "--exec", "dataflow", "--workers", "2"]);
+    let without = call(&["run", &s.script, "--workers", "2"]);
     assert!(
         !without.notes.iter().any(|n| n.starts_with("metrics:")),
         "metrics block leaked without --metrics: {:?}",
@@ -516,7 +506,7 @@ fn an_untraced_run_alongside_a_traced_one_leaves_no_records() {
             let s = scratch;
             inside_rx.recv().unwrap();
             // A whole run — planning, synthesis pool, scheduler pool.
-            let out = call(&["run", &s.script, "--exec", "dataflow", "--workers", "2"]);
+            let out = call(&["run", &s.script, "--workers", "2"]);
             assert!(!out.notes.iter().any(|n| n.starts_with("trace:")));
             ran_tx.send(()).unwrap();
         });
