@@ -85,6 +85,51 @@ fn stress_input() -> String {
     input
 }
 
+/// Spilled runs streamed onward: a fold under the one-byte budget whose
+/// output feeds chunk-local stages and a second barrier, so the merge of
+/// mapped runs is cut into chunks that other nodes consume while it is
+/// still emitting. Fused and unfused graphs at one and four workers: the
+/// serial bytes, a first fold that really spilled, and no run file left.
+#[test]
+fn spilled_streaming_matches_serial_across_corpus_and_workers() {
+    const STREAMED: &[&str] = &[
+        "cat /in.txt | sort | tr a-z A-Z",
+        "cat /in.txt | sort -r | cut -d ' ' -f 2 | uniq -c",
+        "cat /in.txt | sort | grep 'key 1' | sed s/value/v/ | sort -nu",
+    ];
+    let dir = spill_dir("streaming");
+    let input = stress_input();
+    for script_text in STREAMED {
+        let (script, plan, ctx) = plan_over(script_text, &input);
+        let serial = run_serial(&script, &ctx).unwrap();
+        for workers in [1, 4] {
+            for fuse in [true, false] {
+                let opts = DataflowOptions {
+                    workers,
+                    chunk: ChunkSizing::Fixed(256),
+                    queue: QueueCredit::Fixed(2),
+                    fuse_streamable: fuse,
+                    spill: Some(tiny_policy(&dir)),
+                };
+                let got = run_dataflow(&script, &plan, &ctx, &opts).unwrap();
+                assert_eq!(
+                    got.output, serial.output,
+                    "{script_text} w={workers} fuse={fuse} diverged under spilling"
+                );
+                let first_fold = got.timings.statements[0]
+                    .iter()
+                    .find(|t| t.label.starts_with("sort"))
+                    .unwrap_or_else(|| panic!("{script_text}: no sort node timing"));
+                assert!(
+                    first_fold.spill.is_some_and(|sp| sp.runs_spilled > 0),
+                    "{script_text} w={workers} fuse={fuse}: the first sort never spilled"
+                );
+            }
+        }
+    }
+    assert_clean(&dir);
+}
+
 /// Every script at one, two and four workers, with no budget, a budget of
 /// nothing (every run spills) and one of half the input (the first runs
 /// stay resident, the rest spill): the serial bytes every time, and a
