@@ -40,8 +40,8 @@ fn main() {
     }
     let mut planner = kq_pipeline::plan::Planner::new(kq_synth::SynthesisConfig::default());
     let m = kq_bench::measure_script(script, &scale, &kq_bench::WORKER_SWEEP, &mut planner);
-    assert!(m.outputs_verified);
-    println!("\nu1 {}", kq_bench::fmt_ms(m.u1));
+    println!("\n{}", kq_bench::timing_note());
+    println!("u1 {}", kq_bench::fmt_ms(m.u1));
     for &w in &kq_bench::WORKER_SWEEP[1..] {
         let u = kq_bench::ScriptMeasurement::at(&m.unopt, w).unwrap();
         let t = kq_bench::ScriptMeasurement::at(&m.opt, w).unwrap();

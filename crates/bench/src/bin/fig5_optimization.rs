@@ -6,6 +6,7 @@ fn main() {
     let scale = kq_workloads::Scale::bench();
     let mut planner = kq_pipeline::plan::Planner::new(kq_synth::SynthesisConfig::default());
     println!("Figure 5 — intermediate-combiner elimination ablation (w = 16)");
+    println!("{}", kq_bench::timing_note());
     println!(
         "{:<14} {:<22} {:>5} {:>12} {:>12} {:>9}",
         "benchmark", "script", "elim", "u16", "T16", "T16/u16"

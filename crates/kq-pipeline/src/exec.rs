@@ -1,25 +1,12 @@
-//! The serial oracle, the paper's measured split/combine run, and the
-//! records every executor reports.
+//! The serial oracle and the records every run reports.
 //!
-//! * [`run_serial`] — the paper's measurement infrastructure and the byte
-//!   oracle of every parallel executor: every stage runs to completion
-//!   before the next starts, outputs buffered between stages.
-//! * [`run_parallel_measured`] — KumQuat's generated data-parallel
-//!   pipeline as the paper states it: each parallel stage splits its input
-//!   into `w` line-aligned substreams, runs `w` command instances (one
-//!   after the other, so each piece's time is its own), and combines the
-//!   outputs with the synthesized combiner — unless the combiner was
-//!   eliminated (Theorem 5), in which case the substreams flow to the next
-//!   stage.
-//!
-//! Both record a [`TimingLog`] of per-piece wall-clock durations; the
-//! [`crate::sim`] scheduler replays those measurements on virtual workers
-//! to produce the performance-table numbers.
+//! [`run_serial`] is the paper's measurement infrastructure and the byte
+//! oracle of the dataflow executor: every stage runs to completion before
+//! the next starts, outputs buffered between stages. Both it and
+//! [`crate::scheduler::run_dataflow`] record a [`TimingLog`].
 
 use crate::parse::{InputSource, Script, Statement};
-use crate::plan::{PlannedScript, StageMode};
 use kq_coreutils::{CmdError, Command, ExecContext};
-use kq_dsl::eval::CommandEnv;
 use kq_stream::{Bytes, Rope};
 use std::time::{Duration, Instant};
 
@@ -28,10 +15,6 @@ use std::time::{Duration, Instant};
 pub struct StageTiming {
     /// The command line.
     pub label: String,
-    /// Whether the stage ran data-parallel.
-    pub parallel: bool,
-    /// Whether its combiner was eliminated (output stayed split).
-    pub eliminated: bool,
     /// Wall-clock duration of each piece (length 1 for sequential stages).
     pub piece_times: Vec<Duration>,
     /// Wall-clock duration of the combine step (zero when eliminated or
@@ -46,17 +29,17 @@ pub struct StageTiming {
     /// its demand without waiting for end-of-input — it cancelled every
     /// node above it, so upstream work still queued was dropped instead of
     /// draining the rest of the stream. `None` for stages
-    /// that read their whole input (every stage of [`run_serial`] and
-    /// [`run_parallel_measured`]). The CLI reports these as
+    /// that read their whole input (every stage of [`run_serial`]). The
+    /// CLI reports these as
     /// `early-exit: statement N stage M ... after K chunk(s)`.
     pub early_exit: Option<EarlyExit>,
     /// Queue-stall and occupancy counters of the dataflow executor, which
-    /// moves chunks through queues. `None` under the batch runs, which
-    /// have no inter-stage queues to stall on.
+    /// moves chunks through queues. `None` under [`run_serial`], which
+    /// has no inter-stage queues to stall on.
     pub queue: Option<QueueTelemetry>,
     /// Spill activity for barrier folds run under a spill budget
     /// (`--spill-mb`): `None` when no budget was configured for the stage
-    /// (including every batch-run stage); `Some` with zeroed counters
+    /// (including every [`run_serial`] stage); `Some` with zeroed counters
     /// when a budget was set but never crossed.
     pub spill: Option<SpillTelemetry>,
 }
@@ -167,7 +150,7 @@ pub struct ExecutionResult {
     /// byte slice (single-statement scripts hand their final stream
     /// through without copying).
     pub output: Bytes,
-    /// Measured timings for the scheduler.
+    /// Measured per-stage timings.
     pub timings: TimingLog,
 }
 
@@ -235,8 +218,6 @@ pub fn run_serial(script: &Script, ctx: &ExecContext) -> Result<ExecutionResult,
             span.done();
             stage_timings.push(StageTiming {
                 label: stage.command.display(),
-                parallel: false,
-                eliminated: false,
                 piece_times: vec![elapsed],
                 combine_time: Duration::ZERO,
                 bytes_in,
@@ -260,272 +241,11 @@ pub fn run_serial(script: &Script, ctx: &ExecContext) -> Result<ExecutionResult,
     })
 }
 
-/// The stream state between stages of a parallel execution: either one
-/// contiguous stream or the substream vector an eliminated combiner
-/// forwarded (both refcounted; moving the state never copies payload).
-enum State {
-    Single(Bytes),
-    Split(Vec<Bytes>),
-}
-
-/// Runs a planned script the way the paper states its parallel pipeline:
-/// each parallel stage splits its input into `workers` line-aligned
-/// pieces, runs one command instance per piece, and combines the outputs
-/// with the synthesized combiner.
-///
-/// `honor_elimination` selects the optimized pipeline (Theorem 5 applied)
-/// versus the unoptimized one that combines after every parallel stage —
-/// the paper's `T` versus `u` configurations.
-///
-/// The pieces of a stage run one at a time, so every recorded piece
-/// duration is that piece's own cost. This is the measurement mode behind
-/// the performance tables: the virtual scheduler in [`crate::sim`] replays
-/// these unbiased durations on `w` virtual workers, which is the honest
-/// way to report parallel wall clock from a host with fewer cores than the
-/// paper's 80. Running a script in parallel is the dataflow executor's
-/// job ([`crate::scheduler::run_dataflow`]).
-pub fn run_parallel_measured(
-    script: &Script,
-    plan: &PlannedScript,
-    ctx: &ExecContext,
-    workers: usize,
-    honor_elimination: bool,
-) -> Result<ExecutionResult, CmdError> {
-    assert!(workers >= 1, "need at least one worker");
-    let mut output = Rope::new();
-    let mut timings = TimingLog::default();
-    for (si, (statement, planned)) in script.statements.iter().zip(&plan.statements).enumerate() {
-        let mut state = State::Single(gather_input(statement, ctx)?);
-        let mut stage_timings = Vec::with_capacity(statement.stages.len());
-        for (stage_idx, (stage, planned_stage)) in
-            statement.stages.iter().zip(&planned.stages).enumerate()
-        {
-            let cmd = &stage.command;
-            match &planned_stage.mode {
-                StageMode::Sequential => {
-                    let input = match state {
-                        State::Single(s) => s,
-                        State::Split(_) => {
-                            unreachable!("planner never feeds split streams to a sequential stage")
-                        }
-                    };
-                    let bytes_in = input.len();
-                    let span = kq_trace::span("measured", "stage")
-                        .si(si)
-                        .ni(stage_idx)
-                        .label(cmd.display())
-                        .v(bytes_in as f64);
-                    let t0 = Instant::now();
-                    let out = cmd.run(input, ctx)?;
-                    span.done();
-                    stage_timings.push(StageTiming {
-                        label: cmd.display(),
-                        parallel: false,
-                        eliminated: false,
-                        piece_times: vec![t0.elapsed()],
-                        combine_time: Duration::ZERO,
-                        bytes_in,
-                        bytes_out: out.len(),
-                        early_exit: None,
-                        queue: None,
-                        spill: None,
-                    });
-                    state = State::Single(out);
-                }
-                StageMode::Parallel {
-                    combiner,
-                    eliminated,
-                } => {
-                    // Zero-copy piece setup: a contiguous stream splits
-                    // into O(workers) refcounted slices; an already-split
-                    // state (eliminated upstream combiner) is forwarded
-                    // as-is.
-                    let pieces: Vec<Bytes> = match state {
-                        State::Single(s) => s.split_stream(workers),
-                        State::Split(p) => p,
-                    };
-                    let bytes_in: usize = pieces.iter().map(Bytes::len).sum();
-                    // One command instance per piece, one at a time; each
-                    // receives its piece as a refcount bump.
-                    let mut outputs = Vec::with_capacity(pieces.len());
-                    let mut piece_times = Vec::with_capacity(pieces.len());
-                    for (pi, piece) in pieces.into_iter().enumerate() {
-                        let span = kq_trace::span("measured", "piece")
-                            .si(si)
-                            .ni(stage_idx)
-                            .seq(pi)
-                            .v(piece.len() as f64);
-                        let t0 = Instant::now();
-                        outputs.push(cmd.run(piece, ctx)?);
-                        piece_times.push(t0.elapsed());
-                        span.done();
-                    }
-                    if *eliminated && honor_elimination {
-                        // Theorem 5: the substream vector flows to the
-                        // next stage with zero copies.
-                        stage_timings.push(StageTiming {
-                            label: cmd.display(),
-                            parallel: true,
-                            eliminated: true,
-                            piece_times,
-                            combine_time: Duration::ZERO,
-                            bytes_in,
-                            bytes_out: outputs.iter().map(Bytes::len).sum(),
-                            early_exit: None,
-                            queue: None,
-                            spill: None,
-                        });
-                        state = State::Split(outputs);
-                    } else {
-                        let env = CommandEnv { command: cmd, ctx };
-                        let span = kq_trace::span("measured", "combine")
-                            .si(si)
-                            .ni(stage_idx)
-                            .label(cmd.display());
-                        let t0 = Instant::now();
-                        let combined = combiner
-                            .combine_all(&outputs, &env)
-                            .map_err(|e| CmdError::new(cmd.display(), e.to_string()))?;
-                        let combine_time = t0.elapsed();
-                        span.done();
-                        stage_timings.push(StageTiming {
-                            label: cmd.display(),
-                            parallel: true,
-                            eliminated: false,
-                            piece_times,
-                            combine_time,
-                            bytes_in,
-                            bytes_out: combined.len(),
-                            early_exit: None,
-                            queue: None,
-                            spill: None,
-                        });
-                        state = State::Single(combined);
-                    }
-                }
-            }
-        }
-        let final_stream = match state {
-            State::Single(s) => s,
-            // The planner never eliminates the final combiner, but a
-            // statement can *end* split if it had zero stages.
-            State::Split(pieces) => kq_stream::concat_bytes(&pieces),
-        };
-        timings.statements.push(stage_timings);
-        match &statement.output {
-            // Redirection stores the shared slice — no copy.
-            Some(target) => ctx.vfs.write(target.clone(), final_stream),
-            None => output.push(final_stream),
-        }
-    }
-    Ok(ExecutionResult {
-        output: output.into_bytes(),
-        timings,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parse::parse_script;
-    use crate::plan::Planner;
-    use kq_synth::SynthesisConfig;
     use std::collections::HashMap;
-
-    fn make_input() -> String {
-        let words = ["apple", "dog", "cat", "apple", "bird", "cat", "fox"];
-        let mut s = String::new();
-        for i in 0..300 {
-            s.push_str(&format!(
-                "{} {} line {}\n",
-                words[i % words.len()],
-                words[(i * 3 + 1) % words.len()],
-                i % 11
-            ));
-        }
-        s
-    }
-
-    fn check_parallel_matches_serial(script_text: &str) {
-        let env: HashMap<String, String> = [("IN".to_owned(), "/in.txt".to_owned())].into();
-        let script = parse_script(script_text, &env).unwrap();
-        let ctx = ExecContext::default();
-        ctx.vfs.write("/in.txt", make_input());
-        let serial = run_serial(&script, &ctx).unwrap();
-        let mut planner = Planner::new(SynthesisConfig::default());
-        let plan = planner.plan(&script, &ctx, &make_input());
-        for workers in [1, 2, 3, 5, 8] {
-            for honor in [false, true] {
-                let par = run_parallel_measured(&script, &plan, &ctx, workers, honor).unwrap();
-                assert_eq!(
-                    par.output, serial.output,
-                    "script {script_text:?} differs at w={workers} honor={honor}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn word_frequency_parallel_matches_serial() {
-        check_parallel_matches_serial(
-            "cat $IN | tr -cs A-Za-z '\\n' | tr A-Z a-z | sort | uniq -c | sort -rn",
-        );
-    }
-
-    #[test]
-    fn grep_count_parallel_matches_serial() {
-        check_parallel_matches_serial("cat $IN | grep apple | wc -l");
-    }
-
-    #[test]
-    fn uniq_boundaries_parallel_matches_serial() {
-        check_parallel_matches_serial("cat $IN | sort | uniq");
-        check_parallel_matches_serial("cat $IN | sort | uniq -c");
-    }
-
-    #[test]
-    fn head_rerun_parallel_matches_serial() {
-        check_parallel_matches_serial("cat $IN | cut -d ' ' -f 1 | sort -u | head -n 3");
-    }
-
-    #[test]
-    fn redirect_chain_parallel_matches_serial() {
-        check_parallel_matches_serial(
-            "cat $IN | cut -d ' ' -f 1 | sort > /tmp1\ncat /tmp1 | uniq -c | sort -rn",
-        );
-    }
-
-    #[test]
-    fn timing_log_structure() {
-        let env: HashMap<String, String> = [("IN".to_owned(), "/in.txt".to_owned())].into();
-        let script = parse_script("cat $IN | grep apple | wc -l", &env).unwrap();
-        let ctx = ExecContext::default();
-        ctx.vfs.write("/in.txt", make_input());
-        let mut planner = Planner::new(SynthesisConfig::default());
-        let plan = planner.plan(&script, &ctx, &make_input());
-        let result = run_parallel_measured(&script, &plan, &ctx, 4, true).unwrap();
-        let stages = &result.timings.statements[0];
-        assert_eq!(stages.len(), 2);
-        assert!(stages[0].parallel);
-        assert!(stages[0].eliminated); // grep concat feeds wc -l
-        assert_eq!(stages[0].piece_times.len(), 4);
-        assert!(stages[1].parallel);
-        assert!(!stages[1].eliminated);
-        assert!(stages[1].bytes_out > 0);
-    }
-
-    #[test]
-    fn worker_count_larger_than_lines() {
-        let env: HashMap<String, String> = HashMap::new();
-        let script = parse_script("cat /tiny | sort", &env).unwrap();
-        let ctx = ExecContext::default();
-        ctx.vfs.write("/tiny", "b\na\n");
-        let serial = run_serial(&script, &ctx).unwrap();
-        let mut planner = Planner::new(SynthesisConfig::default());
-        let plan = planner.plan(&script, &ctx, "b\na\n");
-        let par = run_parallel_measured(&script, &plan, &ctx, 16, true).unwrap();
-        assert_eq!(par.output, serial.output);
-    }
 
     #[test]
     fn missing_input_file_is_an_error() {

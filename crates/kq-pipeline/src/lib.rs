@@ -5,11 +5,8 @@
 //! decide which stages parallelize ([`plan`] — including the Theorem 5
 //! intermediate-combiner elimination and the §2 rerun-cost heuristic),
 //! execute the script in parallel ([`scheduler::run_dataflow`]) against
-//! the serial oracle ([`exec::run_serial`]), and compute the virtual
-//! wall-clock times the paper's performance tables report ([`sim`] — a
-//! measured-cost scheduler replaying the per-piece durations of
-//! [`exec::run_parallel_measured`], the honest substitute for the paper's
-//! 80-core testbed on a small host).
+//! the serial oracle ([`exec::run_serial`]). The paper's performance
+//! tables (`crates/bench`) time those two calls.
 //!
 //! # The zero-copy data plane
 //!
@@ -40,10 +37,7 @@
 //! | [`scheduler::run_dataflow`] | one work-stealing pool of `w` threads for the *whole script* | graph properties, not thread boundaries | the executor: every statement's [`dataflow`] graph shares the same fixed pool (no per-statement spawn/teardown), independent statements overlap, barrier stages fold *while upstream still computes*, early exit tears down queued upstream work, and under a spill budget a fold holds at most its budget (see "Spill lifecycle" below) |
 //!
 //! Their outputs are byte-identical across the whole corpus
-//! (`tests/dataflow_differential.rs`). [`exec::run_parallel_measured`] is
-//! not an executor but a measurement: the paper's split/combine pipeline
-//! with each piece run alone, whose per-piece times [`sim`] replays on
-//! virtual workers.
+//! (`tests/dataflow_differential.rs`).
 //!
 //! The segment classification of a statement (chunk-local versus barrier
 //! versus sequential versus prefix-bounded) lives in
@@ -226,7 +220,7 @@
 //! # The trace plane
 //!
 //! Every executor is instrumented through [`kq_trace`]: node-task spans
-//! (`dataflow`/`serial`/`measured` categories), graph
+//! (`dataflow`/`serial` categories), graph
 //! structure metas, and per-node counters (bytes in/out, tasks,
 //! max-queued, send/recv stall time). Instrumentation is off unless the
 //! calling thread carries a live `kq_trace::TraceSession` — every pool
@@ -275,7 +269,6 @@ pub mod lattice;
 pub mod parse;
 pub mod plan;
 pub mod scheduler;
-pub mod sim;
 
 pub use cache::{cache_key, CacheStats, CombinerCache};
 pub use dataflow::{DataflowGraph, DataflowNode, FoldMode, NodeKind};
@@ -295,4 +288,3 @@ pub use scheduler::{
     run_dataflow, run_dataflow_segments, ChunkSizing, DataflowOptions, QueueCredit,
     DEFAULT_CHUNK_BYTES, DEFAULT_QUEUE_DEPTH,
 };
-pub use sim::{PipelineCosts, SimParams};

@@ -1948,24 +1948,15 @@ fn finish_statement(cx: &Cx<'_, '_>, si: usize, output: Option<Rope>) {
 /// Builds the per-node [`StageTiming`]s after the pool has drained.
 fn snapshot_timings(stmt: &StmtRt<'_>) -> Vec<StageTiming> {
     let mut out = Vec::with_capacity(stmt.graph.nodes.len().saturating_sub(1));
-    for (ni, node) in stmt.graph.nodes.iter().enumerate().skip(1) {
+    for ni in 1..stmt.graph.nodes.len() {
         let st = lock(&stmt.nodes[ni]);
         let label = stmt.chains[ni]
             .iter()
             .map(|c| c.display())
             .collect::<Vec<_>>()
             .join(" | ");
-        let (parallel, eliminated) = match node.kind {
-            NodeKind::StageWorker => (true, true),
-            NodeKind::Fold {
-                mode: FoldMode::Combine | FoldMode::Sort,
-            } => (true, false),
-            _ => (false, false),
-        };
         out.push(StageTiming {
             label,
-            parallel,
-            eliminated,
             piece_times: st.piece_times.clone(),
             combine_time: st.combine_time,
             bytes_in: st.bytes_in,
@@ -2013,14 +2004,20 @@ mod tests {
     }
 
     fn check(script_text: &str, chunk_bytes: usize) {
+        check_on(script_text, &make_input(500), chunk_bytes, &[1, 3]);
+    }
+
+    /// Runs `script_text` over `input` at `/in.txt` on every worker count
+    /// in `sweep`, fused and unfused, and asserts byte equality with serial.
+    fn check_on(script_text: &str, input: &str, chunk_bytes: usize, sweep: &[usize]) {
         let env: HashMap<String, String> = HashMap::new();
         let script = parse_script(script_text, &env).unwrap();
         let ctx = ExecContext::default();
-        ctx.vfs.write("/in.txt", make_input(500));
+        ctx.vfs.write("/in.txt", input);
         let serial = run_serial(&script, &ctx).unwrap();
         let mut planner = Planner::new(SynthesisConfig::default());
         let plan = planner.plan(&script, &ctx, &make_input(100));
-        for workers in [1, 3] {
+        for &workers in sweep {
             for queue_depth in [1, 4] {
                 for fuse in [true, false] {
                     let opts = DataflowOptions {
@@ -2085,6 +2082,10 @@ mod tests {
             "cat /in.txt | cut -d ' ' -f 1 | sort | uniq -c | sort -rn",
             256,
         );
+        check(
+            "cat /in.txt | tr -cs A-Za-z '\\n' | tr A-Z a-z | sort | uniq -c | sort -rn",
+            256,
+        );
     }
 
     #[test]
@@ -2098,6 +2099,10 @@ mod tests {
     #[test]
     fn counting_pipeline_runs() {
         check("cat /in.txt | grep apple | wc -l", 512);
+        // uniq stitches the boundary between every pair of chunks.
+        for script in ["cat /in.txt | sort | uniq", "cat /in.txt | sort | uniq -c"] {
+            check_on(script, &make_input(500), 256, &[1, 2, 3, 5, 8]);
+        }
     }
 
     #[test]
@@ -2113,13 +2118,17 @@ mod tests {
     #[test]
     fn one_byte_chunks_are_one_line_each() {
         check("cat /in.txt | cut -d ' ' -f 2 | sort | uniq -c", 1);
+        // More workers than lines.
+        check_on("cat /in.txt | sort", "b\na\n", 1, &[16]);
     }
 
     #[test]
     fn redirect_chain_orders_statements() {
-        check(
+        check_on(
             "cat /in.txt | cut -d ' ' -f 1 | sort > /tmp1\ncat /tmp1 | uniq -c | sort -rn",
+            &make_input(500),
             350,
+            &[1, 2, 3, 5, 8],
         );
     }
 
@@ -2137,6 +2146,7 @@ mod tests {
         check("cat /in.txt | grep apple | head -n 1", 64);
         check("cat /in.txt | head -n 2 | cut -d ' ' -f 1", 128);
         check("cat /in.txt | sort -u | head -n 3", 256);
+        check("cat /in.txt | cut -d ' ' -f 1 | sort -u | head -n 3", 256);
         check("cat /in.txt | sed 5q | sort", 200);
         check("cat /in.txt | grep apple | head -n 1 | tr a-z A-Z", 64);
         check("cat /in.txt | head -n 0 | sort", 128);
@@ -2249,8 +2259,7 @@ mod tests {
         let stages = &got.timings.statements[0];
         assert_eq!(stages.len(), 2, "tr|grep fuse; sort folds");
         assert!(stages[0].label.contains('|'));
-        assert!(stages[0].eliminated);
-        assert!(!stages[1].eliminated);
+        assert_eq!(stages[1].label, "sort");
         assert!(stages[1].combine_time > Duration::ZERO);
         assert!(stages[0].piece_times.len() > 1, "expected many chunks");
         let telem = stages[0].queue.expect("dataflow reports queue telemetry");

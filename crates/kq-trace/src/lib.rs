@@ -45,7 +45,6 @@
 //! | `chunk` | `cut` | incremental re-chunking |
 //! | `spill` | `run-out`, `map-back` | bounded-memory fold spills |
 //! | `serial` | `stage` | the serial oracle |
-//! | `measured` | `stage`, `piece`, `combine` | the paper's measured split/combine run |
 //! | `dataflow` | `run`, `gather-input`, `split`, `map`, `fold-push`, `fold-merge`, `fold-partition`, `fold-finish`, `gather`, `gather-run`, `emit`, `early-exit`, `cancel`, `stmt-finish`, per-node counters | the shared-pool executor, one span per node task |
 //! | `graph` | node-kind metas (`split`, `worker`, `fold`, `gather`, `bounded`), `dep` | dataflow graph structure |
 //!

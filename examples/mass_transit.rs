@@ -1,17 +1,19 @@
 //! The analytics-mts suite: the paper's motivating real-world workload —
 //! COVID-era bus telemetry analytics — run end to end on synthetic
-//! telemetry with verified 8-way parallel execution.
+//! telemetry with verified 8-way parallel execution, timed against the
+//! serial run.
 //!
 //! ```sh
 //! cargo run --release --example mass_transit
 //! ```
 
 use kq_coreutils::ExecContext;
-use kq_pipeline::exec::{run_parallel_measured, run_serial};
+use kq_pipeline::exec::run_serial;
 use kq_pipeline::plan::Planner;
-use kq_pipeline::sim::{optimized_time, staged_time, SimParams};
+use kq_pipeline::{run_dataflow, DataflowOptions};
 use kq_synth::SynthesisConfig;
 use kq_workloads::{corpus, setup, Scale, Suite};
+use std::time::Instant;
 
 fn main() {
     let scale = Scale {
@@ -30,21 +32,27 @@ fn main() {
             .unwrap_or(sample.len());
         let plan = planner.plan(&parsed, &ctx, &sample[..cut]);
 
+        let t0 = Instant::now();
         let serial = run_serial(&parsed, &ctx).expect("serial");
-        let opt = run_parallel_measured(&parsed, &plan, &ctx, 8, true).expect("parallel");
+        let u1 = t0.elapsed();
+        let opts = DataflowOptions {
+            workers: 8,
+            ..DataflowOptions::default()
+        };
+        let t0 = Instant::now();
+        let opt = run_dataflow(&parsed, &plan, &ctx, &opts).expect("parallel");
+        let t8 = t0.elapsed();
         assert_eq!(serial.output, opt.output, "{} diverged", script.id);
 
-        let u1 = staged_time(&serial.timings, &SimParams::with_workers(1));
-        let t8 = optimized_time(&opt.timings, &SimParams::with_workers(8));
         let (k, n) = plan.parallelized_counts();
         println!(
             "{:5} ({:24}) parallelized {k}/{n}, eliminated {}, u1 {:>9.1?} -> T8 {:>9.1?} ({:.1}x)",
             script.id,
             script.name,
             plan.eliminated_count(),
-            u1.wall,
-            t8.wall,
-            u1.wall.as_secs_f64() / t8.wall.as_secs_f64(),
+            u1,
+            t8,
+            u1.as_secs_f64() / t8.as_secs_f64(),
         );
         println!(
             "   sample output: {:?}",

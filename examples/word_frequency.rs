@@ -1,18 +1,21 @@
 //! The paper's §2 running example in full: the word-frequency pipeline,
 //! its per-stage combiners, the Theorem 5 optimization, and the measured
-//! unoptimized-vs-optimized virtual speedup curve (the Figure 5 story).
+//! unoptimized-vs-optimized speedup curve (the Figure 5 story): wall
+//! clock of `run_serial` against `run_dataflow` on the `--no-opt` graph
+//! and on the rewritten one.
 //!
 //! ```sh
 //! cargo run --release --example word_frequency
 //! ```
 
-use kq_pipeline::exec::{run_parallel_measured, run_serial};
+use kq_pipeline::exec::run_serial;
 use kq_pipeline::plan::{Planner, StageMode};
-use kq_pipeline::sim::{optimized_time, pipelined_time, staged_time, SimParams};
+use kq_pipeline::{run_dataflow, DataflowOptions};
 use kq_synth::SynthesisConfig;
 use kq_workloads::inputs::gutenberg_text;
 use kumquat::coreutils::ExecContext;
 use std::collections::HashMap;
+use std::time::Instant;
 
 fn main() {
     let ctx = ExecContext::default();
@@ -49,33 +52,37 @@ fn main() {
         println!("  {:22} {mode}", stage.command.display());
     }
 
-    // Serial baseline and the pipelined "original" estimate.
+    let t0 = Instant::now();
     let serial = run_serial(&script, &ctx).expect("serial run");
-    let params1 = SimParams::with_workers(1);
-    let u1 = staged_time(&serial.timings, &params1);
-    let torig = pipelined_time(&serial.timings, &params1);
-    println!("\nvirtual times (measured pieces on simulated workers):");
-    println!(
-        "  T_orig (pipelined shell): {:>9.1?}   u_1 (staged serial): {:>9.1?}",
-        torig.wall, u1.wall
-    );
+    let u1 = t0.elapsed();
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    println!("\nwall clock on this host ({cores} core(s)): u_1 (run_serial) {u1:>9.1?}");
 
     println!("\n  w   unoptimized u_w    speedup   optimized T_w    speedup");
     for w in [1usize, 2, 4, 8, 16] {
-        let params = SimParams::with_workers(w);
-        let unopt = run_parallel_measured(&script, &plan, &ctx, w, false).expect("unopt run");
-        let opt = run_parallel_measured(&script, &plan, &ctx, w, true).expect("opt run");
-        assert_eq!(unopt.output, serial.output, "unoptimized output diverged");
-        assert_eq!(opt.output, serial.output, "optimized output diverged");
-        let uw = staged_time(&unopt.timings, &params);
-        let tw = optimized_time(&opt.timings, &params);
+        let time = |fuse_streamable| {
+            let opts = DataflowOptions {
+                workers: w,
+                fuse_streamable,
+                ..DataflowOptions::default()
+            };
+            let t0 = Instant::now();
+            let run = run_dataflow(&script, &plan, &ctx, &opts).expect("dataflow run");
+            let wall = t0.elapsed();
+            assert_eq!(
+                run.output, serial.output,
+                "w={w} fuse={fuse_streamable} diverged"
+            );
+            wall
+        };
+        let (uw, tw) = (time(false), time(true));
         println!(
-            "  {w:>2}   {:>12.1?}   {:>6.1}x   {:>12.1?}   {:>6.1}x",
-            uw.wall,
-            u1.wall.as_secs_f64() / uw.wall.as_secs_f64(),
-            tw.wall,
-            u1.wall.as_secs_f64() / tw.wall.as_secs_f64(),
+            "  {w:>2}   {uw:>12.1?}   {:>6.1}x   {tw:>12.1?}   {:>6.1}x",
+            u1.as_secs_f64() / uw.as_secs_f64(),
+            u1.as_secs_f64() / tw.as_secs_f64(),
         );
     }
-    println!("\n(the paper reports 10.7x unoptimized / 14.4x optimized at w = 16 on 3 GB)");
+    println!(
+        "\n(the paper reports 10.7x unoptimized / 14.4x optimized at w = 16 on 3 GB, 80 cores)"
+    );
 }

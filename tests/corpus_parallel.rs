@@ -1,20 +1,22 @@
 //! The headline end-to-end property over the whole corpus: for every one
 //! of the 70 benchmark scripts, the KumQuat-parallelized pipeline produces
-//! exactly the serial output — at multiple worker counts, with and without
-//! the Theorem 5 optimization, on the dataflow executor and in the
-//! paper's measured split/combine mode.
+//! exactly the serial output on the dataflow executor — at multiple worker
+//! counts, on the rewritten graph and on the `--no-opt` one (every stage
+//! its own node, every parallel stage combined: the paper's unoptimized
+//! pipeline).
 //! (The paper: "The generated parallel pipelines all produce correct
 //! outputs (same outputs as the original scripts).")
 
 use kq_coreutils::ExecContext;
-use kq_pipeline::exec::{run_parallel_measured, run_serial, ExecutionResult};
+use kq_pipeline::exec::{run_serial, ExecutionResult};
 use kq_pipeline::parse::{parse_script, Script};
 use kq_pipeline::plan::{PlannedScript, Planner};
 use kq_pipeline::{run_dataflow, ChunkSizing, DataflowOptions};
 use kq_synth::SynthesisConfig;
 use kq_workloads::{corpus, setup, Scale};
 
-/// A dataflow run on `workers` threads cutting `chunk_bytes` chunks.
+/// A dataflow run on `workers` threads cutting `chunk_bytes` chunks, on
+/// the rewritten graph.
 fn dataflow(
     script: &Script,
     plan: &PlannedScript,
@@ -63,13 +65,18 @@ fn all_seventy_scripts_parallelize_correctly() {
             script.id
         );
 
-        // Measured mode, unoptimized, w = 5.
-        let measured = run_parallel_measured(&parsed, &plan, &ctx, 5, false)
-            .unwrap_or_else(|e| panic!("{}/{} measured: {e}", script.suite.dir(), script.id));
+        // The dataflow executor, unoptimized (`--no-opt`), w = 5.
+        let opts = DataflowOptions {
+            workers: 5,
+            fuse_streamable: false,
+            ..DataflowOptions::default()
+        };
+        let unopt = run_dataflow(&parsed, &plan, &ctx, &opts)
+            .unwrap_or_else(|e| panic!("{}/{} unoptimized: {e}", script.suite.dir(), script.id));
         assert_eq!(
-            measured.output,
+            unopt.output,
             serial.output,
-            "{}/{} diverged (measured, w=5, unoptimized)",
+            "{}/{} diverged (dataflow, w=5, unoptimized)",
             script.suite.dir(),
             script.id
         );
