@@ -12,16 +12,41 @@
 //!   `plausible` on the ids it keeps) against `plausible` on every
 //!   materialised candidate; the observation is a `uniq -c` boundary
 //!   merge, which reaches into the `stitch2` product. Both sides return
-//!   the same ids (asserted).
+//!   the same ids (asserted, in quick mode too).
+//!
+//! Each line is the median of 9 samples of the per-call time, a sample
+//! repeating the call for at least 20 ms. `KQ_BENCH_QUICK=1` takes one
+//! sample of one call.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use kq_bench::{bench_quick, median_of};
 use kq_dsl::eval::NoRunEnv;
 use kq_dsl::{enumerate_candidates, plausible, CandidateSpace, Delim, EnumConfig, Observation};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
-fn bench_enumeration(c: &mut Criterion) {
-    let mut group = c.benchmark_group("enumeration");
-    group.sample_size(20);
+/// Prints the median per-call time of `f` under `name`.
+fn bench(name: &str, mut f: impl FnMut() -> usize) {
+    let (samples, min) = if bench_quick() {
+        (1, Duration::ZERO)
+    } else {
+        (9, Duration::from_millis(20))
+    };
+    let (per_call, n) = median_of(samples, || {
+        let t0 = Instant::now();
+        let mut calls = 0u32;
+        while calls == 0 || t0.elapsed() < min {
+            black_box(f());
+            calls += 1;
+        }
+        t0.elapsed() / calls
+    });
+    println!(
+        "enumeration/{name:<32} {:>12.2} us/call  ({n} samples)",
+        per_call.as_secs_f64() * 1e6
+    );
+}
+
+fn main() {
     let observation = Observation::new(
         "      2 apple\n      1 beta\n",
         "      3 beta\n      1 cat\n",
@@ -43,11 +68,11 @@ fn bench_enumeration(c: &mut Criterion) {
         assert_eq!(candidates.len(), space.len());
         let tier = format!("delims_{}_{}", config.delims.len(), space.len());
 
-        group.bench_function(format!("layout_{tier}"), |b| {
-            b.iter(|| CandidateSpace::new(black_box(&config)).len())
+        bench(&format!("layout_{tier}"), || {
+            CandidateSpace::new(black_box(&config)).len()
         });
-        group.bench_function(format!("materialise_{tier}"), |b| {
-            b.iter(|| enumerate_candidates(black_box(&config)).0.len())
+        bench(&format!("materialise_{tier}"), || {
+            enumerate_candidates(black_box(&config)).0.len()
         });
 
         let reference = |o: &Observation| -> Vec<u32> {
@@ -61,15 +86,11 @@ fn bench_enumeration(c: &mut Criterion) {
             space.passing(&observation, &NoRunEnv),
             reference(&observation)
         );
-        group.bench_function(format!("filter_walk_{tier}"), |b| {
-            b.iter(|| space.passing(black_box(&observation), &NoRunEnv).len())
+        bench(&format!("filter_walk_{tier}"), || {
+            space.passing(black_box(&observation), &NoRunEnv).len()
         });
-        group.bench_function(format!("filter_reference_{tier}"), |b| {
-            b.iter(|| reference(black_box(&observation)).len())
+        bench(&format!("filter_reference_{tier}"), || {
+            reference(black_box(&observation)).len()
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_enumeration);
-criterion_main!(benches);

@@ -22,13 +22,14 @@
 //! noise-sensitive thresholds). `KQ_TRACE_BENCH_KB` overrides the input
 //! size; `KQ_BENCH_OUT` overrides the output path.
 
+use kq_bench::{bench_quick, median_of};
 use kq_coreutils::ExecContext;
 use kq_pipeline::parse::parse_script;
 use kq_pipeline::plan::Planner;
 use kq_pipeline::scheduler::{run_dataflow, ChunkSizing, DataflowOptions, QueueCredit};
 use kq_synth::SynthesisConfig;
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const WORKERS: usize = 4;
 const CHUNK_BYTES: usize = 64 * 1024;
@@ -41,17 +42,11 @@ const SCRIPT: &str = "cat /in.txt | tr A-Z a-z | sort | uniq -c | sort -rn > /ou
                       cat /in.txt | grep dog | wc -l\n\
                       cat /out/freq | head -n 10";
 
-fn quick_mode() -> bool {
-    std::env::var("KQ_BENCH_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
 fn input_bytes() -> usize {
     let kb = std::env::var("KQ_TRACE_BENCH_KB")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(if quick_mode() { 1024 } else { 16 * 1024 });
+        .unwrap_or(if bench_quick() { 1024 } else { 16 * 1024 });
     kb * 1024
 }
 
@@ -78,18 +73,10 @@ fn fresh_ctx(input: &str) -> ExecContext {
     ctx
 }
 
-/// Runs `routine` (setup excluded: the closure times itself) `n` times and
-/// returns the median duration.
-fn median_of(n: usize, mut routine: impl FnMut() -> Duration) -> (Duration, usize) {
-    let mut samples: Vec<Duration> = (0..n).map(|_| routine()).collect();
-    samples.sort();
-    (samples[samples.len() / 2], samples.len())
-}
-
 /// Per-call cost of a disabled instrumentation point, in nanoseconds.
 fn probe_cost_off_ns() -> f64 {
     assert!(!kq_trace::enabled(), "a session leaked into the bench");
-    let iters: u64 = if quick_mode() { 1_000_000 } else { 20_000_000 };
+    let iters: u64 = if bench_quick() { 1_000_000 } else { 20_000_000 };
     let t0 = Instant::now();
     for i in 0..iters {
         kq_trace::span("bench", "probe")
@@ -151,7 +138,7 @@ fn main() {
         std::hint::black_box(r.output.len());
     }
 
-    let n = if quick_mode() { 1 } else { 9 };
+    let n = if bench_quick() { 1 } else { 9 };
     let (off, off_samples) = median_of(n, || {
         let ctx = fresh_ctx(&input);
         let t0 = Instant::now();
@@ -199,7 +186,7 @@ fn main() {
     std::fs::write(&out, json).unwrap_or_else(|e| panic!("write {out}: {e}"));
     println!("wrote {out}");
 
-    if !quick_mode() {
+    if !bench_quick() {
         // Disabled probes must stay effectively free (an atomic load and a
         // branch — single-digit ns; the bound leaves room for CI jitter).
         assert!(

@@ -203,6 +203,21 @@ pub fn fmt_speedup(base: Duration, d: Duration) -> String {
     format!("{:.1}x", base.as_secs_f64() / d.as_secs_f64().max(1e-9))
 }
 
+/// `KQ_BENCH_QUICK=1`: the benches' smoke mode — small inputs, one sample,
+/// no noise-sensitive assertions.
+pub fn bench_quick() -> bool {
+    std::env::var("KQ_BENCH_QUICK").is_ok_and(|v| v == "1")
+}
+
+/// Runs `routine` `n` times and returns the median duration and the
+/// sample count. The routine times itself, so its setup stays out of the
+/// sample.
+pub fn median_of(n: usize, mut routine: impl FnMut() -> Duration) -> (Duration, usize) {
+    let mut samples: Vec<Duration> = (0..n).map(|_| routine()).collect();
+    samples.sort();
+    (samples[samples.len() / 2], samples.len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

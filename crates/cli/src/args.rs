@@ -100,8 +100,8 @@ impl ParsedArgs {
     /// Every caller is a capacity knob (workers, chunk size, queue depth)
     /// where 0 would deadlock the bounded queues or make no progress, so
     /// zero is rejected with its own message; anything that is not a
-    /// number at all (`auto` where no `auto` exists, `-3`, `deep`) is
-    /// rejected as not a positive integer.
+    /// number at all (`auto`, `-3`, `deep`) is rejected as not a positive
+    /// integer.
     pub fn opt_parse_nonzero(&self, name: &str, default: usize) -> Result<usize, String> {
         let Some(raw) = self.opt(name) else {
             return Ok(default);
@@ -113,23 +113,20 @@ impl ParsedArgs {
         }
     }
 
-    /// `--name` parsed as a *nonzero* count or the literal `auto`
-    /// sentinel: `Ok(None)` means auto, `Ok(Some(n))` a fixed value, and
-    /// an absent option yields `Some(default)` (the static default —
-    /// adaptation is opt-in). Numeric validation matches
-    /// [`ParsedArgs::opt_parse_nonzero`] exactly, so `--chunk-kb 0` and
-    /// `--chunk-kb wide` fail with the same messages whether or not the
-    /// knob supports `auto`.
-    pub fn opt_parse_nonzero_or_auto(
+    /// [`ParsedArgs::opt_parse_nonzero`] counted in `unit`s of bytes, as
+    /// a byte count (`--chunk-kb`, `--spill-mb`). A count whose bytes do
+    /// not fit a `usize` is rejected naming the option instead of
+    /// wrapping to a tiny (or zero) size.
+    pub fn opt_parse_bytes(
         &self,
         name: &str,
         default: usize,
-    ) -> Result<Option<usize>, String> {
-        match self.opt(name) {
-            None => Ok(Some(default)),
-            Some("auto") => Ok(None),
-            Some(_) => self.opt_parse_nonzero(name, default).map(Some),
-        }
+        unit: usize,
+    ) -> Result<usize, String> {
+        let count = self.opt_parse_nonzero(name, default)?;
+        count
+            .checked_mul(unit)
+            .ok_or_else(|| format!("--{name} {count} is too large: the byte count overflows"))
     }
 
     /// `--name` parsed as a ratio in `(0, 1]`, or `default` when absent.
@@ -272,29 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_sentinel_parses_alongside_numbers() {
-        let a = parse(&["run", "x", "--chunk-kb", "auto", "--queue-depth", "8"]);
-        assert_eq!(a.opt_parse_nonzero_or_auto("chunk-kb", 64).unwrap(), None);
-        assert_eq!(
-            a.opt_parse_nonzero_or_auto("queue-depth", 4).unwrap(),
-            Some(8)
-        );
-        // Absent → the static default, not auto.
-        assert_eq!(a.opt_parse_nonzero_or_auto("spill-mb", 7).unwrap(), Some(7));
-        // Zero and garbage keep the plain-count messages.
-        let a = parse(&["run", "x", "--chunk-kb", "0"]);
-        assert_eq!(
-            a.opt_parse_nonzero_or_auto("chunk-kb", 64).unwrap_err(),
-            "--chunk-kb must be at least 1"
-        );
-        let a = parse(&["run", "x", "--chunk-kb", "wide"]);
-        assert_eq!(
-            a.opt_parse_nonzero_or_auto("chunk-kb", 64).unwrap_err(),
-            "--chunk-kb must be a positive integer, got \"wide\""
-        );
-    }
-
-    #[test]
     fn ratio_rejects_nan_inf_zero_and_out_of_range() {
         for bad in ["NaN", "nan", "inf", "-inf", "0", "0.0", "-0.3", "1.5", "2"] {
             let a = parse(&["run", "x", "--rerun-threshold", bad]);
@@ -330,11 +304,13 @@ mod tests {
 
     #[test]
     fn a_count_without_an_auto_mode_rejects_auto() {
-        let a = parse(&["run", "x", "--queue-depth", "auto"]);
-        let err = a.opt_parse_nonzero("queue-depth", 4).unwrap_err();
-        assert_eq!(
-            err,
-            "--queue-depth must be a positive integer, got \"auto\""
-        );
+        for name in ["queue-depth", "chunk-kb"] {
+            let a = parse(&["run", "x", &format!("--{name}"), "auto"]);
+            let err = a.opt_parse_nonzero(name, 4).unwrap_err();
+            assert_eq!(
+                err,
+                format!("--{name} must be a positive integer, got \"auto\"")
+            );
+        }
     }
 }

@@ -109,7 +109,7 @@ USAGE:
         the output/input shrink ratio, in (0, 1], below which a
         rerun-combiner stage still parallelizes (default 0.5).
     kumquat run <script|file> [--workers N] [--no-opt] [--var ...]
-                               [--chunk-kb N|auto] [--queue-depth N]
+                               [--chunk-kb N] [--queue-depth N]
                                [--mmap auto|on|off] [--no-verify]
                                [--synth-workers N] [--combiner-cache FILE]
                                [--rerun-threshold R]
@@ -148,12 +148,7 @@ USAGE:
         runs the plan without its rewrites: every parallel stage combines
         (no Theorem 5 elimination, no fused chunk-local runs), such a
         pair stays two stages, such a 'tr' runs once and every 'sort'
-        sorts its own chunks. --chunk-kb auto
-        derives each statement's chunk size from its input size and the
-        worker count, then coarsens barrier-feeding chunks online so
-        sort-style folds merge few large runs; adaptation never changes
-        output bytes — only chunk boundaries — and is reported in an
-        'adaptive: ...' note. --spill-mb N bounds
+        sorts its own chunks. --spill-mb N bounds
         the memory of barrier folds (sort and friends): a fold keeps
         sorted runs of up to N/4 MiB on the heap and writes further runs
         to temp files, mapped back for the final k-way merge, and cuts
@@ -463,7 +458,7 @@ fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
         Some(_) => args.opt_parse_nonzero("workers", 1)?,
         None => host_parallelism(),
     };
-    let chunk_kb = args.opt_parse_nonzero_or_auto("chunk-kb", 64)?;
+    let chunk_bytes = args.opt_parse_bytes("chunk-kb", 64, 1 << 10)?;
     let queue_depth = args.opt_parse_nonzero("queue-depth", kq_pipeline::DEFAULT_QUEUE_DEPTH)?;
     let honor = !args.flag("no-opt");
     // --spill-mb turns on bounded-memory barrier folds: sorted runs past
@@ -474,7 +469,7 @@ fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
     let spill = match args.opt("spill-mb") {
         None => None,
         Some(_) => Some(kq_dsl::SpillPolicy {
-            budget_bytes: args.opt_parse_nonzero("spill-mb", 1)? * 1024 * 1024,
+            budget_bytes: args.opt_parse_bytes("spill-mb", 1, 1 << 20)?,
             dir: args.opt("spill-dir").map(std::path::PathBuf::from),
         }),
     };
@@ -493,10 +488,7 @@ fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
     // Stdout stays the segments the run produced (see `CliOutput::stdout`).
     let opts = kq_pipeline::DataflowOptions {
         workers,
-        chunk: match chunk_kb {
-            Some(kb) => kq_pipeline::ChunkSizing::Fixed(kb * 1024),
-            None => kq_pipeline::ChunkSizing::Auto,
-        },
+        chunk: kq_pipeline::ChunkSizing::Fixed(chunk_bytes),
         queue: kq_pipeline::QueueCredit::Fixed(queue_depth),
         fuse_streamable: honor,
         spill,
@@ -1080,38 +1072,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_knobs_report_and_stay_correct() {
-        let dir = std::env::temp_dir().join(format!("kq-cli-adaptive-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let input = dir.join("w.txt");
-        std::fs::write(&input, "b x\na y\nb z\nc w\n".repeat(400)).unwrap();
-        let script = format!(
-            "cat {} | cut -d ' ' -f 1 | sort | uniq -c | sort -rn",
-            input.display()
-        );
-        // Auto chunk sizing runs the same bytes (the run verifies against
-        // serial) and adds the adaptive note.
-        let run = call(&["run", &script, "--workers", "2", "--chunk-kb", "auto"]).unwrap();
-        assert!(run.text().contains(" b\n"), "got: {}", run.text());
-        assert!(
-            run.notes
-                .iter()
-                .any(|n| n.starts_with("adaptive: chunk auto (") && n.ends_with(" KiB max)")),
-            "notes: {:?}",
-            run.notes
-        );
-        assert!(run.notes.iter().any(|n| n.contains("verified")));
-        // Fixed knobs stay silent.
-        let fixed = call(&["run", &script, "--workers", "2"]).unwrap();
-        assert!(
-            !fixed.notes.iter().any(|n| n.starts_with("adaptive:")),
-            "notes: {:?}",
-            fixed.notes
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn queue_depth_auto_is_rejected() {
         let err = call(&["run", "cat x | sort", "--queue-depth", "auto"]).unwrap_err();
         assert_eq!(
@@ -1142,6 +1102,17 @@ mod tests {
             err.contains("--chunk-kb must be a positive integer"),
             "{err}"
         );
+        // Counts whose byte size overflows a usize: no wrap to 0 bytes.
+        for (flag, count) in [
+            ("--chunk-kb", "18014398509481984"),
+            ("--spill-mb", "17592186044416"),
+        ] {
+            let err = call(&["run", s, flag, count]).unwrap_err();
+            assert_eq!(
+                err,
+                format!("{flag} {count} is too large: the byte count overflows")
+            );
+        }
     }
 
     #[test]

@@ -166,7 +166,7 @@ pub fn render_synthesis_summary(reports: &[SynthesisReport], stats: CacheStats) 
 }
 
 /// Renders the post-run telemetry notes: the pool-accounting line, the
-/// adaptive, early-exit and spill ledgers, and the verification line.
+/// early-exit and spill ledgers, and the verification line.
 pub fn render_run_notes(
     workers: usize,
     statements: usize,
@@ -182,16 +182,6 @@ pub fn render_run_notes(
     notes.push(format!(
         "dataflow: {statements} statement(s) share one work-stealing pool of {workers} worker thread(s)",
     ));
-    // Adaptive ledger: present exactly when auto chunk sizing ran.
-    // Reports the chunk-size trajectory (initial heuristic → coarsened
-    // maximum). (CI greps this line.)
-    if let Some(a) = timings.adaptive {
-        notes.push(format!(
-            "adaptive: chunk auto ({} KiB initial, {} KiB max)",
-            a.initial_chunk_bytes / 1024,
-            a.max_chunk_bytes / 1024
-        ));
-    }
     // Early-exit ledger: a prefix-bounded stage (head -n k / sed kq) that
     // satisfied its demand before end-of-input reports how little it
     // consumed. The stage number comes from the EarlyExit record —

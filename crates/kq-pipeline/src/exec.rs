@@ -119,28 +119,11 @@ impl StageTiming {
     }
 }
 
-/// What the dataflow executor's auto chunk sizing did during a run
-/// (`--chunk-kb auto`: an input-size heuristic plus online coarsening of
-/// barrier-feeding producers): the run-level summary behind the CLI's
-/// `adaptive:` report line. Per-decision detail (every chunk-target
-/// growth) is emitted as `adaptive` kq-trace instants.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AdaptiveTelemetry {
-    /// Smallest initial chunk target the input-size heuristic chose for
-    /// any statement (0 when no statement started).
-    pub initial_chunk_bytes: usize,
-    /// Largest chunk target any producer coarsened to.
-    pub max_chunk_bytes: usize,
-}
-
 /// Per-statement stage timings for a whole script run.
 #[derive(Debug, Clone, Default)]
 pub struct TimingLog {
     /// One vector of stage timings per statement.
     pub statements: Vec<Vec<StageTiming>>,
-    /// Auto chunk sizing summary — `Some` only for dataflow runs under
-    /// `ChunkSizing::Auto`.
-    pub adaptive: Option<AdaptiveTelemetry>,
 }
 
 /// The product of a script execution.

@@ -26,8 +26,7 @@
 //!
 //! Commands still allocate their own transformed output once (that's the
 //! command's job); what the data plane eliminates is every copy *between*
-//! stages. `crates/bench/benches/bytes_dataplane.rs` measures the
-//! difference against the legacy copy-per-piece path.
+//! stages.
 //!
 //! # One executor, one oracle
 //!
@@ -184,38 +183,7 @@
 //! `tests/spill_differential.rs` pins byte-identity with the serial
 //! oracle under a one-byte budget (every run spills), plus the
 //! no-leftover-files property across success, failure, and early-exit
-//! teardowns; `crates/bench/benches/spill_fold.rs` records peak RSS for a
-//! 256 MiB sort with and without a budget (`BENCH_spill.json`).
-//!
-//! # The adaptive control loop
-//!
-//! The executor can size its chunks closed-loop
-//! ([`scheduler::ChunkSizing::Auto`], CLI `--chunk-kb auto`):
-//!
-//! * **Adaptive chunk sizing.** Each statement's base chunk target is
-//!   derived from its input size and the worker count when the statement
-//!   starts (≈8 chunks per worker, clamped to [128 KiB, 8 MiB]), and
-//!   producers feeding a combine fold *coarsen* geometrically as they cut
-//!   — doubling the target every 8 chunks, up to 6 doublings. The first
-//!   wave of small chunks gets every worker busy; later, larger chunks
-//!   amortize per-chunk overhead and shrink the fold's merge frontier
-//!   (fewer, bigger sorted runs to k-way merge).
-//! * **Spill-aware run sizing.** Under a spill budget a merge fold
-//!   accumulates incoming pieces up to the budget's batch size before
-//!   sorting/spilling a run ([`kq_dsl::SpillConfig::batch_bytes`]), so
-//!   run count tracks the budget and the pool rather than the chunk count.
-//!
-//! The invariant that makes both safe: **adaptation moves chunk
-//! boundaries, never bytes**. Chunk targets are pure functions of
-//! (statement base, chunks already cut) — independent of timing, queue
-//! state, and worker interleaving — and reorder buffers already make
-//! every node's output order-deterministic, so serial byte-equality holds
-//! with the knob on; `tests/dataflow_differential.rs` sweeps the corpus
-//! with auto chunk sizing at several worker counts. Decisions are traced
-//! (`adaptive` instants) and summarized in
-//! [`TimingLog::adaptive`](exec::AdaptiveTelemetry);
-//! `crates/bench/benches/adaptive_exec.rs` measures auto against the
-//! fixed default (`BENCH_adaptive.json`).
+//! teardowns.
 //!
 //! # The trace plane
 //!
@@ -273,8 +241,7 @@ pub mod scheduler;
 pub use cache::{cache_key, CacheStats, CombinerCache};
 pub use dataflow::{DataflowGraph, DataflowNode, FoldMode, NodeKind};
 pub use exec::{
-    AdaptiveTelemetry, EarlyExit, ExecutionResult, QueueTelemetry, SpillTelemetry, StageTiming,
-    TimingLog,
+    EarlyExit, ExecutionResult, QueueTelemetry, SpillTelemetry, StageTiming, TimingLog,
 };
 pub use lattice::{
     classify, fold_pair, newline_seam, sorting_order, EffectClass, EffectSet, FoldPair,

@@ -72,27 +72,14 @@
 //! sealed batch is never larger than a budget's batch, and a part under a
 //! budget streams through a temp file with a merge window of its own.
 //!
-//! # Auto chunk sizing
-//!
-//! Under [`ChunkSizing::Auto`] each statement's base chunk target comes
-//! from its input size and the worker count, and producers that feed a
-//! combine fold coarsen geometrically as they cut (`coarsened_target`),
-//! so barrier folds see few large runs. The target is a pure function of
-//! (base, chunks already cut): chunk boundaries never depend on timing,
-//! queue state, or worker interleaving (see the crate docs). Every
-//! decision is traced (`adaptive` instants: `chunk-init`, `chunk-grow`)
-//! and summarized in [`TimingLog::adaptive`](crate::exec::TimingLog).
-//!
 //! Byte-equality with [`run_serial`](crate::exec::run_serial) across the
 //! corpus — plus multi-statement scripts with redirect dependencies — is
 //! asserted by `tests/dataflow_differential.rs` and
-//! `tests/multi_statement_differential.rs`; the differential suites also
-//! sweep auto chunk sizing.
+//! `tests/multi_statement_differential.rs`.
 
 use crate::dataflow::{DataflowGraph, DataflowNode, FoldMode, NodeKind};
 use crate::exec::{
-    gather_files, run_chain, AdaptiveTelemetry, EarlyExit, ExecutionResult, QueueTelemetry,
-    StageTiming, TimingLog,
+    gather_files, run_chain, EarlyExit, ExecutionResult, QueueTelemetry, StageTiming, TimingLog,
 };
 use crate::lattice::FoldPair;
 use crate::parse::{InputSource, Script, Statement};
@@ -115,13 +102,6 @@ pub enum ChunkSizing {
     /// Every producer cuts line-aligned chunks of this many bytes for the
     /// whole run.
     Fixed(usize),
-    /// Feedback-driven (`--chunk-kb auto`): each statement starts from an
-    /// input-size/worker-count heuristic and barrier-feeding producers
-    /// coarsen geometrically as they cut, so combine folds see few large
-    /// runs. Targets are pure functions of the cut count — adaptation
-    /// moves chunk boundaries, never output bytes (see the
-    /// [module docs](self)).
-    Auto,
 }
 
 /// How the dataflow executor budgets per-edge queue credit (the
@@ -139,27 +119,6 @@ pub const DEFAULT_QUEUE_DEPTH: usize = 4;
 /// Default fixed chunk target ([`DataflowOptions::default`], CLI
 /// `--chunk-kb 64`).
 pub const DEFAULT_CHUNK_BYTES: usize = 64 * 1024;
-
-/// Floor of the auto chunk heuristic: never start below the fixed
-/// default's order of magnitude, so tiny inputs behave like the static
-/// configuration instead of degenerating to per-line chunks.
-const AUTO_CHUNK_MIN: usize = 128 << 10;
-
-/// Ceiling of auto chunk sizing, initial and coarsened: large enough that
-/// a multi-GB sort folds hundreds (not tens of thousands) of runs, small
-/// enough that a pool of workers still load-balances.
-const AUTO_CHUNK_MAX: usize = 8 << 20;
-
-/// Auto coarsening cadence: a barrier-feeding producer doubles its chunk
-/// target every this many cuts. The first wave of small chunks gets every
-/// worker busy; later, larger chunks cut per-chunk overhead and shrink
-/// the fold frontier.
-const COARSEN_EVERY: usize = 8;
-
-/// Cap on auto coarsening doublings (with [`COARSEN_EVERY`] = 8 the
-/// target stops growing after ~56 cuts, or earlier at
-/// [`AUTO_CHUNK_MAX`]).
-const MAX_COARSEN_DOUBLINGS: u32 = 6;
 
 /// How far a producer's page-release hint trails its cursor under a spill
 /// budget: a mapped stream it cuts holds at most twice this resident.
@@ -375,9 +334,6 @@ struct NodeState<'a> {
     next_seq: usize,
     /// StageWorker: output re-normalization.
     chunker: Option<IncrementalChunker>,
-    /// StageWorker: chunks emitted so far — the pure "cut count" input to
-    /// auto chunk coarsening ([`coarsened_target`]).
-    chunks_out: usize,
     /// Fold(Combine): the incremental combiner fold.
     accum: Option<IncrementalCombine<'a>>,
     /// Fold(Combine): this node's spill counters (shared with `accum`),
@@ -410,7 +366,6 @@ impl NodeState<'_> {
             pending: BTreeMap::new(),
             next_seq: 0,
             chunker: None,
-            chunks_out: 0,
             accum: None,
             spill_metrics: None,
             rope: Rope::new(),
@@ -439,14 +394,6 @@ struct StmtRt<'a> {
     nodes: Vec<Mutex<NodeState<'a>>>,
     /// `edges[i]` carries node `i`'s output; the last edge is the sink.
     edges: Vec<Edge>,
-    /// Base chunk target for this statement's producers. Fixed sizing
-    /// stores the configured value; [`ChunkSizing::Auto`] overwrites it
-    /// with the input-size heuristic when the statement starts.
-    base_chunk: AtomicUsize,
-    /// `feeds_fold[i]`: node `i`'s output edge feeds a combine fold —
-    /// the producers auto coarsening targets (larger chunks there mean
-    /// fewer, bigger runs at the barrier).
-    feeds_fold: Vec<bool>,
     error: Mutex<Option<CmdError>>,
     started: AtomicBool,
     finished: AtomicBool,
@@ -504,13 +451,9 @@ struct RunState<'a> {
     abort: AtomicBool,
     finished_count: AtomicUsize,
     ctx: &'a ExecContext,
-    /// The configured chunk sizing mode (resolved: `Fixed` is clamped ≥1).
-    chunk: ChunkSizing,
-    workers: usize,
+    /// The chunk target every producer cuts at (clamped ≥ 1).
+    chunk_bytes: usize,
     release_lag: usize,
-    // Auto chunk telemetry, aggregated into `TimingLog::adaptive`.
-    initial_chunk: AtomicUsize,
-    max_chunk: AtomicUsize,
 }
 
 /// Per-thread scheduling context: where this thread's follow-up tasks go.
@@ -598,12 +541,8 @@ pub fn run_dataflow_segments(
     opts: &DataflowOptions,
 ) -> Result<(Rope, TimingLog), CmdError> {
     let workers = opts.workers.max(1);
-    let (chunk, fixed_chunk) = match opts.chunk {
-        ChunkSizing::Fixed(b) => (ChunkSizing::Fixed(b.max(1)), b.max(1)),
-        // Auto statements pick their base at start (input-size heuristic);
-        // until then the floor stands in wherever a static size is needed.
-        ChunkSizing::Auto => (ChunkSizing::Auto, AUTO_CHUNK_MIN),
-    };
+    let ChunkSizing::Fixed(chunk_bytes) = opts.chunk;
+    let chunk_bytes = chunk_bytes.max(1);
     let QueueCredit::Fixed(depth) = opts.queue;
     let queue_depth = depth.max(1);
 
@@ -624,14 +563,9 @@ pub fn run_dataflow_segments(
         }
     }
     let max_nodes = graphs.iter().map(|g| g.nodes.len()).max().unwrap_or(0);
-    // Page-release is a refault-safe hint (see `Bytes::release_range`), so
-    // sizing the lag for the auto ceiling merely defers releases — it can
-    // never change bytes.
-    let lag_chunk = match chunk {
-        ChunkSizing::Fixed(b) => b,
-        ChunkSizing::Auto => AUTO_CHUNK_MAX,
-    };
-    let release_lag = lag_chunk
+    // Page-release is a refault-safe hint (see `Bytes::release_range`):
+    // the lag only defers releases, it can never change bytes.
+    let release_lag = chunk_bytes
         .saturating_mul(queue_depth + workers)
         .saturating_mul(max_nodes + 2)
         .max(16 << 20);
@@ -691,7 +625,7 @@ pub fn run_dataflow_segments(
                 let mut state = NodeState::new();
                 match node.kind {
                     NodeKind::StageWorker => {
-                        state.chunker = Some(IncrementalChunker::new(fixed_chunk));
+                        state.chunker = Some(IncrementalChunker::new(chunk_bytes));
                     }
                     NodeKind::Fold {
                         mode: mode @ (FoldMode::Combine | FoldMode::Sort),
@@ -744,19 +678,6 @@ pub fn run_dataflow_segments(
         let edges = (0..graph.nodes.len())
             .map(|_| Edge::new(queue_depth))
             .collect();
-        let feeds_fold: Vec<bool> = (0..graph.nodes.len())
-            .map(|ni| {
-                matches!(
-                    graph.nodes.get(ni + 1),
-                    Some(n) if matches!(
-                        n.kind,
-                        NodeKind::Fold {
-                            mode: FoldMode::Combine | FoldMode::Sort
-                        }
-                    )
-                )
-            })
-            .collect();
         stmts.push(StmtRt {
             statement,
             graph,
@@ -764,8 +685,6 @@ pub fn run_dataflow_segments(
             maps,
             nodes,
             edges,
-            base_chunk: AtomicUsize::new(fixed_chunk),
-            feeds_fold,
             error: Mutex::new(None),
             started: AtomicBool::new(false),
             finished: AtomicBool::new(false),
@@ -831,11 +750,8 @@ pub fn run_dataflow_segments(
         abort: AtomicBool::new(false),
         finished_count: AtomicUsize::new(0),
         ctx,
-        chunk,
-        workers,
+        chunk_bytes,
         release_lag,
-        initial_chunk: AtomicUsize::new(usize::MAX),
-        max_chunk: AtomicUsize::new(0),
     };
 
     // Seed every dependency-free statement, then let the pool run.
@@ -876,13 +792,6 @@ pub fn run_dataflow_segments(
 
     let mut output = Rope::new();
     let mut timings = TimingLog::default();
-    if matches!(chunk, ChunkSizing::Auto) {
-        let initial = rt.initial_chunk.load(Ordering::Relaxed);
-        timings.adaptive = Some(AdaptiveTelemetry {
-            initial_chunk_bytes: if initial == usize::MAX { 0 } else { initial },
-            max_chunk_bytes: rt.max_chunk.load(Ordering::Relaxed),
-        });
-    }
     for (si, stmt) in rt.stmts.iter().enumerate() {
         output.extend(
             lock(&stmt.output)
@@ -1015,39 +924,6 @@ fn find_task(
     None
 }
 
-/// Geometric auto coarsening: the chunk target after `cuts` chunks have
-/// been emitted. A pure function of its arguments — never of timing or
-/// queue state — so chunk boundaries (and therefore every downstream
-/// byte) are reproducible for a given input and configuration.
-fn coarsened_target(base: usize, cuts: usize) -> usize {
-    let doublings = ((cuts / COARSEN_EVERY) as u32).min(MAX_COARSEN_DOUBLINGS);
-    base.saturating_mul(1usize << doublings)
-        .min(AUTO_CHUNK_MAX.max(base))
-}
-
-/// The chunk target for node `ni`'s next cut, `cuts` chunks in. Fixed
-/// sizing returns the configured value; auto returns the statement's base
-/// and coarsens it geometrically on barrier-feeding edges.
-fn chunk_target(rt: &RunState<'_>, stmt: &StmtRt<'_>, si: usize, ni: usize, cuts: usize) -> usize {
-    let base = match rt.chunk {
-        ChunkSizing::Fixed(b) => return b,
-        ChunkSizing::Auto => stmt.base_chunk.load(Ordering::Relaxed),
-    };
-    if !stmt.feeds_fold[ni] {
-        return base;
-    }
-    let target = coarsened_target(base, cuts);
-    if target > base && cuts.is_multiple_of(COARSEN_EVERY) {
-        kq_trace::instant("adaptive", "chunk-grow")
-            .si(si)
-            .ni(ni)
-            .v(target as f64)
-            .emit();
-    }
-    rt.max_chunk.fetch_max(target, Ordering::Relaxed);
-    target
-}
-
 fn run_task(cx: &Cx<'_, '_>, (si, ni): Task) {
     let stmt = &cx.rt.stmts[si];
     match stmt.graph.nodes[ni].kind {
@@ -1117,20 +993,6 @@ fn start_statement(cx: &Cx<'_, '_>, si: usize) {
                 // output, handle-through without touching the pool.
                 finish_statement(cx, si, Some(input.into()));
             } else {
-                if matches!(cx.rt.chunk, ChunkSizing::Auto) {
-                    // Base heuristic: ~8 chunks per worker gets the pool
-                    // busy; the clamp keeps tiny inputs at the static
-                    // default's scale and huge ones load-balanceable.
-                    let base =
-                        (input.len() / (cx.rt.workers * 8)).clamp(AUTO_CHUNK_MIN, AUTO_CHUNK_MAX);
-                    stmt.base_chunk.store(base, Ordering::Relaxed);
-                    cx.rt.initial_chunk.fetch_min(base, Ordering::Relaxed);
-                    cx.rt.max_chunk.fetch_max(base, Ordering::Relaxed);
-                    kq_trace::instant("adaptive", "chunk-init")
-                        .si(si)
-                        .v(base as f64)
-                        .emit();
-                }
                 lock(&stmt.nodes[0]).phase = Phase::Emitting(Emit::new(input));
                 cx.schedule((si, 0));
             }
@@ -1166,8 +1028,7 @@ fn split_task(cx: &Cx<'_, '_>, si: usize) {
                 .si(si)
                 .ni(0)
                 .seq(emit.chunks);
-            let target = chunk_target(cx.rt, stmt, si, 0, emit.chunks);
-            let chunk = emit.next_chunk(target, cx.rt.release_lag);
+            let chunk = emit.next_chunk(cx.rt.chunk_bytes, cx.rt.release_lag);
             span.v(chunk.len() as f64).done();
             push_edge(stmt, 0, chunk);
             scheduled_pushes += 1;
@@ -1364,17 +1225,11 @@ fn map_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
             st.next_seq += 1;
             if is_worker {
                 st.bytes_out += ready.len();
-                // Retarget per ready piece: the target depends only on
-                // the (deterministic) count of chunks already emitted, so
-                // boundaries are independent of drain batching.
-                let target = chunk_target(cx.rt, stmt, si, ni, st.chunks_out);
                 let chunker = st.chunker.as_mut().expect("stage worker chunker");
-                chunker.set_target(target);
                 let mut outgoing = chunker.push(ready);
                 if node.eager_flush {
                     outgoing.extend(chunker.flush_pending());
                 }
-                st.chunks_out += outgoing.len();
                 for c in outgoing {
                     push_edge(stmt, ni, c);
                     pushed += 1;
@@ -1849,8 +1704,7 @@ fn emit_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
                 .si(si)
                 .ni(ni)
                 .seq(emit.chunks);
-            let target = chunk_target(cx.rt, stmt, si, ni, emit.chunks);
-            let chunk = emit.next_chunk(target, cx.rt.release_lag);
+            let chunk = emit.next_chunk(cx.rt.chunk_bytes, cx.rt.release_lag);
             span.v(chunk.len() as f64).done();
             push_edge(stmt, ni, chunk);
             pushed += 1;
@@ -2041,41 +1895,6 @@ mod tests {
         }
     }
 
-    /// Runs `script_text` with auto chunk sizing and asserts byte
-    /// equality with serial plus sane adaptive telemetry.
-    fn check_adaptive(script_text: &str) {
-        let env: HashMap<String, String> = HashMap::new();
-        let script = parse_script(script_text, &env).unwrap();
-        let ctx = ExecContext::default();
-        ctx.vfs.write("/in.txt", make_input(500));
-        let serial = run_serial(&script, &ctx).unwrap();
-        let mut planner = Planner::new(SynthesisConfig::default());
-        let plan = planner.plan(&script, &ctx, &make_input(100));
-        for workers in [1, 3] {
-            let opts = DataflowOptions {
-                workers,
-                chunk: ChunkSizing::Auto,
-                queue: QueueCredit::Fixed(DEFAULT_QUEUE_DEPTH),
-                fuse_streamable: true,
-                spill: None,
-            };
-            let got = run_dataflow(&script, &plan, &ctx, &opts).unwrap();
-            assert_eq!(
-                got.output, serial.output,
-                "{script_text:?} differs under adaptation (w={workers})"
-            );
-            let adaptive = got
-                .timings
-                .adaptive
-                .expect("auto chunk sizing reports telemetry");
-            assert!(
-                adaptive.initial_chunk_bytes >= AUTO_CHUNK_MIN,
-                "auto base respects the floor"
-            );
-            assert!(adaptive.max_chunk_bytes >= adaptive.initial_chunk_bytes);
-        }
-    }
-
     #[test]
     fn word_frequency_runs_on_the_shared_pool() {
         check(
@@ -2094,6 +1913,7 @@ mod tests {
             "cat /in.txt | grep apple | tr a-z A-Z | cut -d ' ' -f 1",
             300,
         );
+        check("cat /in.txt | grep apple | tr a-z A-Z", 300);
     }
 
     #[test]
@@ -2265,86 +2085,6 @@ mod tests {
         let telem = stages[0].queue.expect("dataflow reports queue telemetry");
         assert!(telem.tasks > 1, "one task per chunk");
         assert!(stages[1].queue.is_some());
-    }
-
-    #[test]
-    fn adaptive_knobs_stay_byte_identical() {
-        check_adaptive("cat /in.txt | cut -d ' ' -f 1 | sort | uniq -c | sort -rn");
-        check_adaptive("cat /in.txt | grep apple | tr a-z A-Z");
-        check_adaptive("cat /in.txt | sort -u | head -n 3");
-        check_adaptive(
-            "cat /in.txt | cut -d ' ' -f 1 | sort > /tmp1\ncat /tmp1 | uniq -c | sort -rn",
-        );
-    }
-
-    #[test]
-    fn fixed_mode_reports_no_adaptive_telemetry() {
-        let env: HashMap<String, String> = HashMap::new();
-        let script = parse_script("cat /in.txt | sort | uniq", &env).unwrap();
-        let ctx = ExecContext::default();
-        ctx.vfs.write("/in.txt", make_input(100));
-        let mut planner = Planner::new(SynthesisConfig::default());
-        let plan = planner.plan(&script, &ctx, &make_input(50));
-        let got = run_dataflow(&script, &plan, &ctx, &DataflowOptions::default()).unwrap();
-        assert_eq!(got.timings.adaptive, None, "fixed knobs stay silent");
-    }
-
-    #[test]
-    fn coarsening_is_pure_geometric_and_capped() {
-        assert_eq!(coarsened_target(1024, 0), 1024);
-        assert_eq!(coarsened_target(1024, COARSEN_EVERY - 1), 1024);
-        assert_eq!(coarsened_target(1024, COARSEN_EVERY), 2048);
-        assert_eq!(coarsened_target(1024, 3 * COARSEN_EVERY), 8192);
-        // Doubling cap.
-        assert_eq!(
-            coarsened_target(1024, 100 * COARSEN_EVERY),
-            1024 << MAX_COARSEN_DOUBLINGS
-        );
-        // Byte ceiling.
-        assert_eq!(
-            coarsened_target(AUTO_CHUNK_MAX, COARSEN_EVERY),
-            AUTO_CHUNK_MAX
-        );
-        // A base above the ceiling (huge Fixed-style base) is preserved.
-        assert_eq!(coarsened_target(AUTO_CHUNK_MAX * 2, 0), AUTO_CHUNK_MAX * 2);
-    }
-
-    #[test]
-    fn auto_chunking_shrinks_the_fold_frontier() {
-        let env: HashMap<String, String> = HashMap::new();
-        let script = parse_script("cat /in.txt | tr A-Z a-z | sort", &env).unwrap();
-        let ctx = ExecContext::default();
-        let input = make_input(80_000); // ~2 MB
-        ctx.vfs.write("/in.txt", &input);
-        let mut planner = Planner::new(SynthesisConfig::default());
-        let plan = planner.plan(&script, &ctx, &make_input(100));
-        let run = |chunk: ChunkSizing| {
-            let opts = DataflowOptions {
-                workers: 1,
-                chunk,
-                queue: QueueCredit::Fixed(DEFAULT_QUEUE_DEPTH),
-                fuse_streamable: true,
-                spill: None,
-            };
-            run_dataflow(&script, &plan, &ctx, &opts).unwrap()
-        };
-        let fixed = run(ChunkSizing::Fixed(8192));
-        let auto = run(ChunkSizing::Auto);
-        assert_eq!(fixed.output, auto.output);
-        // The sort fold is the last stage; its task count is the number
-        // of runs pushed into the merge frontier.
-        let frontier = |res: &ExecutionResult| {
-            res.timings.statements[0]
-                .last()
-                .and_then(|s| s.queue)
-                .map(|q| q.tasks)
-                .expect("fold stage telemetry")
-        };
-        let (ff, af) = (frontier(&fixed), frontier(&auto));
-        assert!(
-            af * 2 <= ff,
-            "auto frontier {af} should be at most half of fixed {ff}"
-        );
     }
 
     #[test]

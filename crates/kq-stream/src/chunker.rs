@@ -66,23 +66,6 @@ impl IncrementalChunker {
         self.pending.len()
     }
 
-    /// The current chunk-size target in bytes.
-    pub fn target(&self) -> usize {
-        self.target
-    }
-
-    /// Retargets future cuts to `target_bytes` (0 behaves as 1).
-    ///
-    /// Takes effect from the next `push`/`finish`: already-emitted chunks
-    /// are untouched, and the pending tail is simply re-cut at the new
-    /// target. Every invariant on the emitted stream is per-cut, so the
-    /// exact-reassembly and line-termination guarantees hold across any
-    /// sequence of retargets — only chunk *boundaries* move. The dataflow
-    /// runtime uses this to coarsen barrier-feeding chunks online.
-    pub fn set_target(&mut self, target_bytes: usize) {
-        self.target = target_bytes.max(1);
-    }
-
     /// Appends a segment and returns the chunks that became complete.
     ///
     /// A returned chunk is *complete*: line-terminated and at least the
@@ -279,27 +262,6 @@ mod tests {
         assert_eq!(rebuilt, "");
         let (chunks, _) = drain(8, &["", ""]);
         assert!(chunks.is_empty());
-    }
-
-    #[test]
-    fn retarget_changes_boundaries_not_bytes() {
-        let mut chunker = IncrementalChunker::new(4);
-        let mut out = chunker.push(Bytes::from("aa\nbb\ncc\n"));
-        chunker.set_target(64);
-        assert_eq!(chunker.target(), 64);
-        // Under the coarser target the pending tail and the remaining
-        // segments coalesce into one chunk.
-        out.extend(chunker.push(Bytes::from("dd\nee\n")));
-        out.extend(chunker.push(Bytes::from("ff\n")));
-        out.extend(chunker.finish());
-        let rebuilt: String = out.iter().map(|c| c.as_str().to_owned()).collect();
-        assert_eq!(rebuilt, "aa\nbb\ncc\ndd\nee\nff\n");
-        assert!(out.iter().all(|c| c.ends_with_newline()));
-        assert_eq!(out.last().unwrap(), "cc\ndd\nee\nff\n");
-        // Retarget-to-zero clamps like the constructor.
-        chunker = IncrementalChunker::new(4);
-        chunker.set_target(0);
-        assert_eq!(chunker.target(), 1);
     }
 
     #[test]

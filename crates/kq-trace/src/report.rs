@@ -15,7 +15,7 @@
 //! the dependency statement whose work ends latest. The windows tile the
 //! whole trace extent, so the path total equals the run's wall clock by
 //! construction and the busy/wait split says *where* that wall clock
-//! went — the input signal for the ROADMAP's adaptive-execution work.
+//! went.
 //!
 //! # The synthesis split
 //!

@@ -8,10 +8,8 @@
 //! gating, fusion, fold finalization, early-exit teardown — is in play on
 //! every script. The sweep brackets the chunking extremes (1 byte → one
 //! chunk per line; 16 MiB → one chunk total, i.e. serial execution with
-//! scheduler plumbing) at w ∈ {1, 4}, a second sweep runs with *auto*
-//! chunk sizing checking stdout and every redirect target, and a
-//! watchdog test pins the
-//! cancellation property: a bounded consumer stops a 256 MiB producer
+//! scheduler plumbing) at w ∈ {1, 4}, checking stdout and every redirect
+//! target, and a watchdog test pins the cancellation property: a bounded consumer stops a 256 MiB producer
 //! after O(first match) bytes, including chunks already queued. Mapped
 //! inputs must run like heap ones, and boundary-sensitive scripts hold
 //! at depth-1 queues, one worker and unfused graphs.
@@ -32,13 +30,16 @@ use kq_coreutils::ExecContext;
 use kq_pipeline::exec::run_serial;
 use kq_pipeline::parse::parse_script;
 use kq_pipeline::plan::Planner;
-use kq_pipeline::scheduler::{
-    run_dataflow, ChunkSizing, DataflowOptions, QueueCredit, DEFAULT_QUEUE_DEPTH,
-};
+use kq_pipeline::scheduler::{run_dataflow, ChunkSizing, DataflowOptions, QueueCredit};
 use kq_synth::SynthesisConfig;
 use kq_workloads::{corpus, setup, Scale};
 use std::collections::HashMap;
 
+/// Every corpus script, at 1 and 4 workers and 1-byte, 700-byte and
+/// 16 MiB chunks, must be byte-identical to serial on stdout AND on every
+/// `> file` redirect target. Each configuration runs in a fresh context
+/// (same deterministic setup seed) so a redirect target cannot carry one
+/// run's bytes into the next.
 #[test]
 fn full_corpus_dataflow_matches_serial_across_chunkings_and_workers() {
     let scale = Scale {
@@ -47,61 +48,10 @@ fn full_corpus_dataflow_matches_serial_across_chunkings_and_workers() {
     // One planner across scripts: combiners cache per command line.
     let mut planner = Planner::new(SynthesisConfig::default());
     let mut count = 0usize;
-    for script in corpus() {
-        let ctx = ExecContext::default();
-        let env = setup(script, &ctx, &scale, 0xDF01);
-        let parsed = parse_script(script.text, &env)
-            .unwrap_or_else(|e| panic!("{}/{} parse: {e}", script.suite.dir(), script.id));
-        let sample = ctx.vfs.read(&env["IN"]).unwrap();
-        let cut = sample[..sample.len().min(8_000)]
-            .rfind('\n')
-            .map(|i| i + 1)
-            .unwrap_or(sample.len());
-        let plan = planner.plan(&parsed, &ctx, &sample[..cut]);
-
-        let id = format!("{}/{}", script.suite.dir(), script.id);
-        let serial = run_serial(&parsed, &ctx).unwrap_or_else(|e| panic!("{id} serial: {e}"));
-        for workers in [1usize, 4] {
-            for chunk_bytes in [1usize, 700, 16 << 20] {
-                let opts = DataflowOptions {
-                    workers,
-                    chunk: ChunkSizing::Fixed(chunk_bytes),
-                    queue: QueueCredit::Fixed(2),
-                    fuse_streamable: true,
-                    spill: None,
-                };
-                let got = run_dataflow(&parsed, &plan, &ctx, &opts).unwrap_or_else(|e| {
-                    panic!("{id} dataflow (w={workers}, chunk={chunk_bytes}): {e}")
-                });
-                assert_eq!(
-                    got.output, serial.output,
-                    "{id}: dataflow diverged (w={workers}, chunk={chunk_bytes})"
-                );
-            }
-        }
-        count += 1;
-    }
-    assert!(count >= 70, "corpus shrank to {count} scripts");
-}
-
-/// The adaptation-invariance sweep: with auto chunk sizing on, every
-/// corpus script must stay byte-identical to serial, for stdout AND every
-/// `> file` redirect target. The knob moves chunk boundaries — an
-/// input-size base, then coarsening as producers cut — and this test pins
-/// the contract that none of that ever reaches the bytes. Each
-/// configuration runs in a fresh context (same deterministic setup seed)
-/// so redirect targets can't leak results between runs.
-#[test]
-fn full_corpus_adaptive_knobs_match_serial_including_redirects() {
-    let scale = Scale {
-        input_bytes: 10_000,
-    };
-    let mut planner = Planner::new(SynthesisConfig::default());
-    let mut count = 0usize;
     let mut redirects_checked = 0usize;
     for script in corpus() {
         let serial_ctx = ExecContext::default();
-        let env = setup(script, &serial_ctx, &scale, 0xADA9);
+        let env = setup(script, &serial_ctx, &scale, 0xDF01);
         let parsed = parse_script(script.text, &env)
             .unwrap_or_else(|e| panic!("{}/{} parse: {e}", script.suite.dir(), script.id));
         let sample = serial_ctx.vfs.read(&env["IN"]).unwrap();
@@ -126,33 +76,35 @@ fn full_corpus_adaptive_knobs_match_serial_including_redirects() {
                 (t, bytes)
             })
             .collect();
-
         for workers in [1usize, 4] {
-            let ctx = ExecContext::default();
-            setup(script, &ctx, &scale, 0xADA9);
-            let opts = DataflowOptions {
-                workers,
-                chunk: ChunkSizing::Auto,
-                queue: QueueCredit::Fixed(DEFAULT_QUEUE_DEPTH),
-                fuse_streamable: true,
-                spill: None,
-            };
-            let got = run_dataflow(&parsed, &plan, &ctx, &opts)
-                .unwrap_or_else(|e| panic!("{id} adaptive dataflow (w={workers}): {e}"));
-            assert_eq!(
-                got.output, serial.output,
-                "{id}: adaptive dataflow diverged on stdout (w={workers})"
-            );
-            for (target, want) in &serial_files {
-                let have = ctx
-                    .vfs
-                    .read(target)
-                    .unwrap_or_else(|| panic!("{id}: adaptive run left no redirect file {target}"));
+            for chunk_bytes in [1usize, 700, 16 << 20] {
+                let ctx = ExecContext::default();
+                setup(script, &ctx, &scale, 0xDF01);
+                let opts = DataflowOptions {
+                    workers,
+                    chunk: ChunkSizing::Fixed(chunk_bytes),
+                    queue: QueueCredit::Fixed(2),
+                    fuse_streamable: true,
+                    spill: None,
+                };
+                let got = run_dataflow(&parsed, &plan, &ctx, &opts).unwrap_or_else(|e| {
+                    panic!("{id} dataflow (w={workers}, chunk={chunk_bytes}): {e}")
+                });
                 assert_eq!(
-                    &have, want,
-                    "{id}: adaptive dataflow diverged at redirect {target} (w={workers})"
+                    got.output, serial.output,
+                    "{id}: dataflow diverged (w={workers}, chunk={chunk_bytes})"
                 );
-                redirects_checked += 1;
+                for (target, want) in &serial_files {
+                    let have = ctx.vfs.read(target).unwrap_or_else(|| {
+                        panic!("{id}: dataflow run left no redirect file {target}")
+                    });
+                    assert_eq!(
+                        &have, want,
+                        "{id}: dataflow diverged at redirect {target} \
+                         (w={workers}, chunk={chunk_bytes})"
+                    );
+                    redirects_checked += 1;
+                }
             }
         }
         count += 1;
