@@ -9,7 +9,8 @@
 //! every script. The sweep brackets the chunking extremes (1 byte → one
 //! chunk per line; 16 MiB → one chunk total, i.e. serial execution with
 //! scheduler plumbing) at w ∈ {1, 4}, checking stdout and every redirect
-//! target, and a watchdog test pins the cancellation property: a bounded consumer stops a 256 MiB producer
+//! target; the default knobs get the same check. A watchdog test pins the
+//! cancellation property: a bounded consumer stops a 256 MiB producer
 //! after O(first match) bytes, including chunks already queued. Mapped
 //! inputs must run like heap ones, and boundary-sensitive scripts hold
 //! at depth-1 queues, one worker and unfused graphs.
@@ -105,6 +106,79 @@ fn full_corpus_dataflow_matches_serial_across_chunkings_and_workers() {
                     );
                     redirects_checked += 1;
                 }
+            }
+        }
+        count += 1;
+    }
+    assert!(count >= 70, "corpus shrank to {count} scripts");
+    assert!(
+        redirects_checked >= 10,
+        "corpus drifted: only {redirects_checked} redirect targets checked"
+    );
+}
+
+/// The knobs a run gets when none is given — `DataflowOptions::default()`,
+/// the CLI's `--chunk-kb 64` and `--queue-depth 4` — must be byte-identical
+/// to serial on every corpus script, on stdout AND on every redirect
+/// target, at one worker and at four. Each run gets a fresh context.
+#[test]
+fn full_corpus_adaptive_knobs_match_serial_including_redirects() {
+    let scale = Scale {
+        input_bytes: 10_000,
+    };
+    let mut planner = Planner::new(SynthesisConfig::default());
+    let mut count = 0usize;
+    let mut redirects_checked = 0usize;
+    for script in corpus() {
+        let serial_ctx = ExecContext::default();
+        let env = setup(script, &serial_ctx, &scale, 0xADA9);
+        let parsed = parse_script(script.text, &env)
+            .unwrap_or_else(|e| panic!("{}/{} parse: {e}", script.suite.dir(), script.id));
+        let sample = serial_ctx.vfs.read(&env["IN"]).unwrap();
+        let cut = sample[..sample.len().min(8_000)]
+            .rfind('\n')
+            .map(|i| i + 1)
+            .unwrap_or(sample.len());
+        let plan = planner.plan(&parsed, &serial_ctx, &sample[..cut]);
+
+        let id = format!("{}/{}", script.suite.dir(), script.id);
+        let serial =
+            run_serial(&parsed, &serial_ctx).unwrap_or_else(|e| panic!("{id} serial: {e}"));
+        let serial_files: Vec<(String, String)> = parsed
+            .statements
+            .iter()
+            .filter_map(|s| s.output.clone())
+            .map(|t| {
+                let bytes = serial_ctx
+                    .vfs
+                    .read(&t)
+                    .unwrap_or_else(|| panic!("{id}: serial run left no redirect file {t}"));
+                (t, bytes)
+            })
+            .collect();
+
+        for workers in [1usize, 4] {
+            let ctx = ExecContext::default();
+            setup(script, &ctx, &scale, 0xADA9);
+            let opts = DataflowOptions {
+                workers,
+                ..DataflowOptions::default()
+            };
+            let got = run_dataflow(&parsed, &plan, &ctx, &opts)
+                .unwrap_or_else(|e| panic!("{id} default-knob dataflow (w={workers}): {e}"));
+            assert_eq!(
+                got.output, serial.output,
+                "{id}: default-knob dataflow diverged on stdout (w={workers})"
+            );
+            for (target, want) in &serial_files {
+                let have = ctx.vfs.read(target).unwrap_or_else(|| {
+                    panic!("{id}: default-knob run left no redirect file {target}")
+                });
+                assert_eq!(
+                    &have, want,
+                    "{id}: default-knob dataflow diverged at redirect {target} (w={workers})"
+                );
+                redirects_checked += 1;
             }
         }
         count += 1;
