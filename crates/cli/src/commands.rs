@@ -136,7 +136,11 @@ USAGE:
         (or 'sort | uniq') pair of parallel stages runs there as one
         counting fold — each chunk hash-counted, the counts merged —
         instead of a sort of every line and a second pass over it,
-        reported as 'counting fold: s1 stages 4-5 ...'; and a 'tr -s'
+        reported as 'counting fold: s1 stages 4-5 ...'; a numeric sort
+        right after such a 'uniq -c' ('sort -rn', '-n', '-k1nr', ...)
+        joins the fold, which closes by grouping its lines by count
+        instead of sorting them again, reported as 'counting fold: s1
+        stages 3-5 ... (count order)'; and a 'tr -s'
         that splits text into lines (tr -cs A-Za-z '\\n': its combiner is
         a rerun, so it plans sequential unless it shrinks its input) runs
         there chunk by chunk — what it carries across a chunk boundary
@@ -147,8 +151,8 @@ USAGE:
         'sorting fold: s1 stage 2 ...'. --no-opt
         runs the plan without its rewrites: every parallel stage combines
         (no Theorem 5 elimination, no fused chunk-local runs), such a
-        pair stays two stages, such a 'tr' runs once and every 'sort'
-        sorts its own chunks. --spill-mb N bounds
+        pair stays two stages, such a numeric sort sorts again, such a
+        'tr' runs once and every 'sort' sorts its own chunks. --spill-mb N bounds
         the memory of barrier folds (sort and friends): a fold keeps
         sorted runs of up to N/4 MiB on the heap and writes further runs
         to temp files, mapped back for the final k-way merge, and cuts
@@ -973,8 +977,7 @@ mod tests {
         );
         let expect = "    800 b\n    400 a\nz\ny\nx\na\nb\nx\ny\nz\n";
         let notes = [
-            "counting fold: s1 stages 2-3 'sort | uniq -c'",
-            "sorting fold: s1 stage 4 'sort -rn'",
+            "counting fold: s1 stages 2-4 'sort | uniq -c | sort -rn' (count order)",
             "unique fold: s2 stages 2-3 'sort -r | uniq'",
             "sorting fold: s2 stage 2 'sort -r'",
             "seam: s3 stage 1 'tr -s ' ' '\\n'' runs chunk-local",
@@ -982,15 +985,19 @@ mod tests {
         ];
         let has_notes = |out: &CliOutput| notes.map(|n| out.notes.iter().any(|have| have == n));
         // The plan says what it records; a dataflow run says what it ran.
-        assert_eq!(has_notes(&call(&["plan", &script]).unwrap()), [true; 6]);
+        assert_eq!(has_notes(&call(&["plan", &script]).unwrap()), [true; 5]);
         let run = call(&["run", &script, "--workers", "2", "--chunk-kb", "1"]).unwrap();
         assert_eq!(run.text(), expect);
-        assert_eq!(has_notes(&run), [true; 6]);
-        // The sort of the counting pair keeps its counting map.
-        assert!(!run
-            .notes
-            .iter()
-            .any(|n| n == "sorting fold: s1 stage 2 'sort'"));
+        assert_eq!(has_notes(&run), [true; 5]);
+        // The sort of the counting pair keeps its counting map, and the
+        // sort after the pair is the counting fold's close, no fold of its
+        // own.
+        for folded in [
+            "sorting fold: s1 stage 2 'sort'",
+            "sorting fold: s1 stage 4 'sort -rn'",
+        ] {
+            assert!(!run.notes.iter().any(|n| n == folded), "{folded}");
+        }
         // --no-opt runs stage by stage.
         let run = call(&[
             "run",
@@ -1003,7 +1010,7 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(run.text(), expect);
-        assert_eq!(has_notes(&run), [false; 6]);
+        assert_eq!(has_notes(&run), [false; 5]);
         // `check` names the same sites without planning anything.
         let check = call(&["check", &script]).unwrap();
         for note in notes {

@@ -8,7 +8,7 @@
 
 use kq_pipeline::cache::CacheStats;
 use kq_pipeline::exec::TimingLog;
-use kq_pipeline::lattice::{seam_note, sorting_note};
+use kq_pipeline::lattice::{count_order_note, seam_note, sorting_note};
 use kq_pipeline::parse::Script;
 use kq_pipeline::plan::{PlannedScript, StageMode};
 use kq_synth::{SynthesisOutcome, SynthesisReport};
@@ -97,6 +97,9 @@ pub fn render_plan(script: &Script, plan: &PlannedScript) -> String {
 /// One note per site where the dataflow executor's graph departs from the
 /// per-stage modes — what the planner decided beyond them: a `sort | uniq`
 /// pair fused into one fold (`counting fold: s1 stages 4-5 'sort | uniq -c'`),
+/// or fused with the numeric sort after it into one fold closing in count
+/// order (`counting fold: s1 stages 3-5 'sort | uniq -c | sort -rn' (count
+/// order)`),
 /// a sequential `tr -s` run chunk by chunk under its newline seam
 /// (`seam: s1 stage 1 'tr -cs A-Za-z '\n'' runs chunk-local`) and a `sort`
 /// whose fold sorts raw chunks (`sorting fold: s1 stage 1 'sort'`).
@@ -109,7 +112,13 @@ pub fn render_rewrite_notes(script: &Script, plan: &PlannedScript) -> Vec<String
             }
             if let Some(pair) = stage.fold_pair {
                 let (sort, uniq) = (&statement.stages[gi], &statement.stages[gi + 1]);
-                notes.push(pair.note(si, gi, &sort.command, &uniq.command));
+                notes.push(match stage.count_order {
+                    Some(_) => {
+                        let then = &statement.stages[gi + 2].command;
+                        count_order_note(si, gi, &sort.command, &uniq.command, then)
+                    }
+                    None => pair.note(si, gi, &sort.command, &uniq.command),
+                });
             }
             if stage.sorting {
                 notes.push(sorting_note(si, gi, &statement.stages[gi].command));

@@ -166,3 +166,81 @@ fn emit_then_sh_round_trip() {
     assert!(stdout.contains("     40 b\n"), "got: {stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The tail of Figure 1 as one fold: `sort | uniq -c | sort -rn` (and
+/// every spelling of a numeric sort after a counting pair) run with
+/// parallelism and without it prints the same bytes — the bytes
+/// `LC_ALL=C sh` prints where the host's `sort` can be spawned — and the
+/// run says on stderr that the counting fold closed in count order.
+#[test]
+fn count_order_tails_print_the_same_at_one_worker_and_two() {
+    let dir = std::env::temp_dir().join(format!("kq-bin-count-order-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("words.txt");
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut words = String::new();
+    for _ in 0..20_000 {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let r = (state >> 33) as usize;
+        // A few frequent words, leading blanks and digits, many rare ones.
+        let word = match r % 4 {
+            0 => format!("the{}", r % 5),
+            1 => format!(" {} lead", r % 90),
+            2 => format!("{}w", r % 700),
+            _ => format!("rare{}", r % 6_000),
+        };
+        words.push_str(&word);
+        words.push('\n');
+    }
+    std::fs::write(&input, words).unwrap();
+    let has_sort = Command::new("sort")
+        .arg("--version")
+        .output()
+        .is_ok_and(|o| o.status.success());
+    for (pair, tail) in [
+        ("sort", "sort -rn"),
+        ("sort", "sort -nr"),
+        ("sort", "sort -k1nr"),
+        ("sort", "sort -k1,1n"),
+        ("sort -r", "sort -k1n -r"),
+        ("sort -r", "sort -n"),
+    ] {
+        let script = format!("cat {} | {pair} | uniq -c | {tail}", input.display());
+        let fold =
+            format!("counting fold: s1 stages 1-3 '{pair} | uniq -c | {tail}' (count order)");
+        let mut outputs = Vec::new();
+        for workers in ["1", "2"] {
+            let out = kumquat()
+                .args(["run", &script, "--workers", workers, "--chunk-kb", "16"])
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{script} at {workers}: {stderr}");
+            assert!(stderr.contains(&fold), "{script} at {workers}: {stderr}");
+            assert!(
+                stderr.contains("verified"),
+                "{script} at {workers}: {stderr}"
+            );
+            outputs.push(out.stdout);
+        }
+        assert!(
+            outputs[0] == outputs[1],
+            "{script}: --workers 1 and 2 differ"
+        );
+        if has_sort {
+            let sh = Command::new("sh")
+                .args(["-c", &script])
+                .env("LC_ALL", "C")
+                .output()
+                .unwrap();
+            assert!(sh.status.success());
+            assert!(
+                sh.stdout == outputs[0],
+                "{script}: differs from LC_ALL=C sh"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -15,13 +15,15 @@
 //! of the real shape family. The static plan also carries the lattice's
 //! answer about every such pair ([`PlannedStage::fold_pair`]) — what the
 //! planner will fuse once synthesis makes both stages parallel — and about
-//! every `tr -s` that runs chunk-local under a newline seam
-//! ([`PlannedStage::seam`]), and about every `sort` whose fold may sort
-//! raw chunks ([`PlannedStage::sorting`]), which `kumquat check` reports
-//! ([`fold_pair_sites`], [`seam_sites`], [`sorting_sites`]).
+//! every counting pair whose output a numeric `sort` puts in count order
+//! ([`PlannedStage::count_order`]), about every `tr -s` that runs
+//! chunk-local under a newline seam ([`PlannedStage::seam`]), and about
+//! every `sort` whose fold may sort raw chunks ([`PlannedStage::sorting`]),
+//! which `kumquat check` reports ([`fold_pair_sites`], [`seam_sites`],
+//! [`sorting_sites`]).
 
 use crate::diag::{Diagnostic, Severity};
-use kq_coreutils::Command;
+use kq_coreutils::sort::CountOrder;
 use kq_pipeline::lattice::{self, EffectClass, FoldPair};
 use kq_pipeline::plan::{PlannedStage, PlannedStatement, StageMode};
 use kq_pipeline::scheduler::DEFAULT_QUEUE_DEPTH;
@@ -45,10 +47,7 @@ pub fn static_plan(statement: &Statement, classes: &[EffectClass]) -> PlannedSta
                 None => StageMode::Sequential,
             };
             let streamable = mode.is_parallel();
-            let fold_pair = statement
-                .stages
-                .get(stage_idx + 1)
-                .and_then(|next| lattice::fold_pair(&stage.command, &next.command));
+            let fold_pair = pair_at(statement, stage_idx);
             PlannedStage {
                 stage_idx,
                 // What the planner records once synthesis finds this
@@ -56,11 +55,12 @@ pub fn static_plan(statement: &Statement, classes: &[EffectClass]) -> PlannedSta
                 seam: !streamable && lattice::newline_seam(&stage.command),
                 // And once it finds the `merge` of the order the stage
                 // sorts by.
-                sorting: sorts_raw(&stage.command, fold_pair),
+                sorting: sorts_raw(statement, stage_idx),
                 mode,
                 streamable,
                 line_bound: kq_synth::prefix_bound(&stage.command),
                 fold_pair,
+                count_order: count_order_at(statement, stage_idx),
             }
         })
         .collect();
@@ -80,11 +80,33 @@ pub fn static_plan(statement: &Statement, classes: &[EffectClass]) -> PlannedSta
     PlannedStatement { stages }
 }
 
-/// Whether a stage is a `sort` the lattice licenses to fold raw chunks
+/// The fold pair the lattice licenses at stage `gi` of `statement`: that
+/// stage and the next ([`lattice::fold_pair`]).
+fn pair_at(statement: &Statement, gi: usize) -> Option<FoldPair> {
+    let command = |i: usize| statement.stages.get(i).map(|stage| &stage.command);
+    lattice::fold_pair(command(gi)?, command(gi + 1)?)
+}
+
+/// The count order the planner closes the counting pair at stage `gi` in
+/// once synthesis makes the three stages parallel: a counting pair whose
+/// `uniq -c` a numeric `sort` follows ([`lattice::count_order`]) that
+/// starts no pair of its own.
+fn count_order_at(statement: &Statement, gi: usize) -> Option<CountOrder> {
+    if pair_at(statement, gi) != Some(FoldPair::Counting) || pair_at(statement, gi + 2).is_some() {
+        return None;
+    }
+    let command = |i: usize| statement.stages.get(i).map(|stage| &stage.command);
+    lattice::count_order(command(gi)?, command(gi + 2)?)
+}
+
+/// Whether stage `gi` is a `sort` the lattice licenses to fold raw chunks
 /// ([`lattice::sorting_order`]) and the counting rewrite leaves to it: a
-/// `sort | uniq -c` pair keeps its counting map.
-fn sorts_raw(command: &Command, fold_pair: Option<FoldPair>) -> bool {
-    lattice::sorting_order(command).is_some() && fold_pair != Some(FoldPair::Counting)
+/// `sort | uniq -c` pair keeps its counting map, and the numeric sort a
+/// counting fold closes in the order of is no fold of its own.
+fn sorts_raw(statement: &Statement, gi: usize) -> bool {
+    lattice::sorting_order(&statement.stages[gi].command).is_some()
+        && pair_at(statement, gi) != Some(FoldPair::Counting)
+        && !(gi >= 2 && count_order_at(statement, gi - 2).is_some())
 }
 
 /// A `sort | uniq` pair of adjacent stages that the lattice licenses to
@@ -98,7 +120,11 @@ pub struct FoldPairSite {
     pub stage: usize,
     /// What the pair folds into.
     pub pair: FoldPair,
-    /// [`FoldPair::note`] for the pair: the line `check` and the run notes
+    /// The fold extends over the numeric `sort` after the pair and closes
+    /// in its order ([`lattice::count_order`]).
+    pub count_order: bool,
+    /// [`FoldPair::note`] for the pair (or [`lattice::count_order_note`]
+    /// for it and the sort after it): the line `check` and the run notes
     /// print.
     pub note: String,
 }
@@ -111,11 +137,19 @@ pub fn fold_pair_sites(script: &Script) -> Vec<FoldPairSite> {
         for (gi, stages) in statement.stages.windows(2).enumerate() {
             let (sort, uniq) = (&stages[0].command, &stages[1].command);
             if let Some(pair) = lattice::fold_pair(sort, uniq) {
+                let count_order = count_order_at(statement, gi).is_some();
+                let note = if count_order {
+                    let then = &statement.stages[gi + 2].command;
+                    lattice::count_order_note(si, gi, sort, uniq, then)
+                } else {
+                    pair.note(si, gi, sort, uniq)
+                };
                 sites.push(FoldPairSite {
                     statement: si,
                     stage: gi,
                     pair,
-                    note: pair.note(si, gi, sort, uniq),
+                    count_order,
+                    note,
                 });
             }
         }
@@ -171,16 +205,13 @@ pub struct SortingSite {
 /// Every sorting fold of the script, in source order: the `sort` stages
 /// whose folds the dataflow graph feeds raw chunks once synthesis finds
 /// each stage's combiner to merge in the order it sorts by — all but the
-/// sorts of counting pairs.
+/// sorts of counting pairs and the numeric sorts counting folds close in
+/// the order of.
 pub fn sorting_sites(script: &Script) -> Vec<SortingSite> {
     let mut sites = Vec::new();
     for (si, statement) in script.statements.iter().enumerate() {
         for (gi, stage) in statement.stages.iter().enumerate() {
-            let pair = statement
-                .stages
-                .get(gi + 1)
-                .and_then(|next| lattice::fold_pair(&stage.command, &next.command));
-            if sorts_raw(&stage.command, pair) {
+            if sorts_raw(statement, gi) {
                 sites.push(SortingSite {
                     statement: si,
                     stage: gi,
@@ -196,8 +227,10 @@ pub fn sorting_sites(script: &Script) -> Vec<SortingSite> {
 /// must span chunk-local stages only — but for its first stage, which may
 /// be a seam stage instead — a seam stage may sit nowhere else in a fused
 /// node, a fused fold must span exactly a `sort | uniq` pair the lattice
-/// licenses, and a fold fed raw chunks must be a `sort` the lattice
-/// licenses for that, alone or at the head of a unique pair. The rewrites of [`DataflowGraph::build`] produce
+/// licenses — or a counting pair and the numeric sort it licenses the pair
+/// to close in the order of — and a fold fed raw chunks must be a `sort`
+/// the lattice licenses for that, alone or at the head of a unique pair.
+/// The rewrites of [`DataflowGraph::build`] produce
 /// nothing else, so this can fire only if a rewrite (or a hand-built
 /// graph) regresses; it is the static twin of the scheduler's debug
 /// assertion.
@@ -240,13 +273,12 @@ pub fn fusion_findings(
                     }
                 }
             }
-            NodeKind::Fold { .. } if node.stages.len() > 1 => {
-                let licensed = node.stages.len() == 2
-                    && lattice::fold_pair(
-                        &statement.stages[first].command,
-                        &statement.stages[first + 1].command,
-                    )
-                    .is_some();
+            NodeKind::Fold { mode } if node.stages.len() > 1 => {
+                let licensed = match node.stages.len() {
+                    2 => pair_at(statement, first).is_some(),
+                    3 => mode == FoldMode::Combine && count_order_at(statement, first).is_some(),
+                    _ => false,
+                };
                 if !licensed {
                     out.push(
                         Diagnostic::new(
@@ -254,7 +286,8 @@ pub fn fusion_findings(
                             Severity::Error,
                             format!(
                                 "fused fold over stages {:?} is not a sort | uniq pair the \
-                                 lattice licenses",
+                                 lattice licenses, nor a counting pair and the numeric sort \
+                                 it licenses the pair to close in the order of",
                                 node.stages
                             ),
                         )
@@ -270,11 +303,8 @@ pub fn fusion_findings(
                 mode: FoldMode::Sort,
             })
         {
-            let pair = statement.stages.get(first + 1).and_then(|next| {
-                lattice::fold_pair(&statement.stages[first].command, &next.command)
-            });
-            let licensed = sorts_raw(&statement.stages[first].command, pair)
-                && (node.stages.len() == 1 || pair == Some(FoldPair::Unique));
+            let licensed = sorts_raw(statement, first)
+                && (node.stages.len() == 1 || pair_at(statement, first) == Some(FoldPair::Unique));
             if !licensed {
                 out.push(
                     Diagnostic::new(
@@ -358,7 +388,8 @@ mod tests {
         let script = parse_script(
             "cat /in.txt | tr A-Z a-z | sort | uniq -c | sort -rn\n\
              cat /in.txt | sort -u | uniq -c\n\
-             cat /in.txt | sort -r | uniq | sort -f | uniq\n",
+             cat /in.txt | sort -r | uniq | sort -f | uniq\n\
+             cat /in.txt | sort | uniq -c | sort -rnf\n",
             &env,
         )
         .unwrap();
@@ -367,20 +398,30 @@ mod tests {
         assert_eq!(
             notes,
             [
-                "counting fold: s1 stages 2-3 'sort | uniq -c'",
-                "unique fold: s3 stages 1-2 'sort -r | uniq'"
+                "counting fold: s1 stages 2-4 'sort | uniq -c | sort -rn' (count order)",
+                "unique fold: s3 stages 1-2 'sort -r | uniq'",
+                "counting fold: s4 stages 1-2 'sort | uniq -c'",
             ]
         );
+        let closing: Vec<bool> = sites.iter().map(|s| s.count_order).collect();
+        assert_eq!(closing, [true, false, false]);
         // The static plan records the same answers, on the sort's stage.
         let classes = classes_for(&script);
         let planned = static_plan(&script.statements[0], &classes[0]);
         let recorded: Vec<Option<FoldPair>> = planned.stages.iter().map(|s| s.fold_pair).collect();
         assert_eq!(recorded, [None, Some(FoldPair::Counting), None, None]);
+        let closes: Vec<bool> = planned
+            .stages
+            .iter()
+            .map(|s| s.count_order.is_some())
+            .collect();
+        assert_eq!(closes, [false, true, false, false]);
         assert!(verify_graphs(&script, &classes).is_empty());
 
         // A graph whose folds were fused by hand: over the licensed pair
-        // of statement 1 nothing fires; over `sort -u | uniq -c` KQ203.
-        let fuse_stages = |si: usize, first: usize| {
+        // of statement 1, alone or with the sort after it, nothing fires;
+        // over `sort -u | uniq -c` KQ203.
+        let fuse_stages = |si: usize, first: usize, stages: usize| {
             let statement = &script.statements[si];
             let planned = static_plan(statement, &classes[si]);
             let mut graph = DataflowGraph::build(&planned, true);
@@ -392,17 +433,27 @@ mod tests {
             graph.nodes[at].kind = NodeKind::Fold {
                 mode: FoldMode::Combine,
             };
-            graph.nodes[at].stages.end += 1;
-            graph.nodes.remove(at + 1);
+            for _ in 1..stages {
+                graph.nodes[at].stages.end += 1;
+                graph.nodes.remove(at + 1);
+            }
             fusion_findings(si, statement, &planned, &graph)
         };
-        assert!(fuse_stages(0, 1).is_empty());
-        let findings = fuse_stages(1, 0);
+        assert!(fuse_stages(0, 1, 2).is_empty());
+        assert!(fuse_stages(0, 1, 3).is_empty());
+        let findings = fuse_stages(1, 0, 2);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].code, "KQ203");
         assert!(findings[0].message.contains("not a sort | uniq pair"));
-        // `uniq -c | sort -rn`: two folds, but no pair.
-        assert_eq!(fuse_stages(0, 2)[0].code, "KQ203");
+        // `uniq -c | sort -rn`: two folds, but no pair; and a counting pair
+        // with a sort after it that puts its output in no count order.
+        assert_eq!(fuse_stages(0, 2, 2)[0].code, "KQ203");
+        assert!(fuse_stages(3, 0, 2).is_empty());
+        let findings = fuse_stages(3, 0, 3);
+        assert_eq!(findings.len(), 1);
+        assert!(findings[0]
+            .message
+            .contains("nor a counting pair and the numeric sort"));
     }
 
     #[test]
@@ -460,11 +511,12 @@ mod tests {
         )
         .unwrap();
         let notes: Vec<String> = sorting_sites(&script).into_iter().map(|s| s.note).collect();
+        // `sort -k1n` after the counting pair is no fold of its own: the
+        // counting fold closes in its order.
         assert_eq!(
             notes,
             [
                 "sorting fold: s1 stage 1 'sort -rn'",
-                "sorting fold: s2 stage 3 'sort -k1n'",
                 "sorting fold: s3 stage 1 'sort -r'",
                 "sorting fold: s5 stage 2 'sort -u'",
             ]
@@ -474,10 +526,11 @@ mod tests {
         // The static plan records the same answers.
         let planned = static_plan(&script.statements[1], &classes[1]);
         let sorting: Vec<bool> = planned.stages.iter().map(|s| s.sorting).collect();
-        assert_eq!(sorting, [false, false, true]);
+        assert_eq!(sorting, [false, false, false]);
         // A sorting fold made by hand: over a licensed sort, or the unique
-        // pair, nothing fires; over the counting pair's sort, a merge, or a
-        // sort with an operand, KQ203.
+        // pair, nothing fires; over the counting pair's sort, the sort a
+        // counting fold closes in the order of, a merge, or a sort with an
+        // operand, KQ203.
         let sort_fold = |si: usize, first: usize, stages: usize| {
             let statement = &script.statements[si];
             let planned = static_plan(statement, &classes[si]);
@@ -498,7 +551,7 @@ mod tests {
         };
         assert!(sort_fold(0, 0, 1).is_empty());
         assert!(sort_fold(2, 0, 2).is_empty());
-        for (si, first, stages) in [(1, 0, 1), (1, 0, 2), (3, 0, 1), (4, 0, 1)] {
+        for (si, first, stages) in [(1, 0, 1), (1, 0, 2), (1, 2, 1), (3, 0, 1), (4, 0, 1)] {
             let findings = sort_fold(si, first, stages);
             assert!(
                 findings.iter().any(|f| f.code == "KQ203"

@@ -15,7 +15,9 @@
 //!    scheduler executes, and the graph's structural invariants,
 //!    queue-credit coverage, and fusion legality are checked
 //!    (`KQ201`–`KQ203`); the `sort | uniq` pairs the lattice licenses to
-//!    run as one fold are named ([`Analysis::fold_pairs`]), and so are the
+//!    run as one fold — with the numeric `sort` after a counting pair
+//!    where the fold may close in its order — are named
+//!    ([`Analysis::fold_pairs`]), and so are the
 //!    `tr -s` stages it licenses to run chunk-local ([`Analysis::seams`])
 //!    and the `sort` stages whose folds it licenses to sort raw chunks
 //!    ([`Analysis::sortings`]).
@@ -71,7 +73,8 @@ pub struct Analysis {
     pub classes: Vec<StageClass>,
     /// The `sort | uniq` pairs the lattice licenses to run as one fold
     /// (what the planner fuses when both stages parallelize), in source
-    /// order. Facts about the plan, not findings: they are rendered after
+    /// order, each saying whether the fold also closes in the order of the
+    /// numeric `sort` after it. Facts about the plan, not findings: they are rendered after
     /// the diagnostics and do not count among them.
     pub fold_pairs: Vec<FoldPairSite>,
     /// The `tr -s` stages the lattice licenses to run chunk by chunk under
@@ -170,10 +173,15 @@ impl Analysis {
             .iter()
             .map(|site| {
                 format!(
-                    "{{\"statement\":{},\"stage\":{},\"fold\":\"{}\"}}",
+                    "{{\"statement\":{},\"stage\":{},\"fold\":\"{}\"{}}}",
                     site.statement,
                     site.stage,
-                    site.pair.as_str()
+                    site.pair.as_str(),
+                    if site.count_order {
+                        ",\"closes\":\"count order\""
+                    } else {
+                        ""
+                    }
                 )
             })
             .collect();

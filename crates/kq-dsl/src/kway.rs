@@ -9,8 +9,9 @@
 use crate::ast::{Candidate, Combiner, RecOp, RunOp};
 use crate::eval::{eval, merge_order, EvalError, RunEnv};
 use crate::spill::SpillConfig;
-use kq_coreutils::sort::LineOrder;
+use kq_coreutils::sort::{CountOrder, LineOrder};
 use kq_stream::{Bytes, ReleaseCursor, Rope};
+use std::ops::Range;
 
 /// Text view of a substream for the string-semantic combiners; a
 /// non-UTF-8 piece is a domain error, not a panic.
@@ -198,6 +199,9 @@ fn combine_pair(
 /// spilled runs — adds the counts of equal lines, which is as associative
 /// as dropping duplicates is under `-u`. No other piece of the fold knows.
 /// Nor do they know whether a batch was merged or sorted into its run.
+/// Only the closing merge of a counting fold that closes in count order
+/// ([`counting`](IncrementalFold::counting)) does more: each part regroups
+/// what it merged by count, and [`stitch`] interleaves the parts' groups.
 pub struct IncrementalFold<'a> {
     candidate: &'a Candidate,
     env: &'a dyn RunEnv,
@@ -293,6 +297,11 @@ enum FoldState {
         ///
         /// [`sorting`]: IncrementalFold::sorting
         raw: bool,
+        /// The closing merge's output is regrouped into this order (a
+        /// [`counting`] fold that closes in count order).
+        ///
+        /// [`counting`]: IncrementalFold::counting
+        count: Option<CountOrder>,
         runs: Vec<Option<Bytes>>,
         pending: Vec<Bytes>,
         pending_bytes: usize,
@@ -311,11 +320,17 @@ enum FoldState {
 }
 
 impl FoldState {
-    /// An empty merge fold over `order`, of sorted runs or of `raw` chunks.
-    fn merge(order: Result<LineOrder, EvalError>, raw: bool) -> FoldState {
+    /// An empty merge fold over `order`, of sorted runs or of `raw` chunks,
+    /// closing in `count` order when given.
+    fn merge(
+        order: Result<LineOrder, EvalError>,
+        raw: bool,
+        count: Option<CountOrder>,
+    ) -> FoldState {
         FoldState::Merge {
             order,
             raw,
+            count,
             runs: Vec::new(),
             pending: Vec::new(),
             pending_bytes: 0,
@@ -349,7 +364,7 @@ impl<'a> IncrementalFold<'a> {
         let state = match &candidate.op {
             Combiner::Rec(RecOp::Concat) if !candidate.swapped => FoldState::Concat(Vec::new()),
             Combiner::Run(RunOp::Rerun) => FoldState::Gather(Vec::new()),
-            Combiner::Run(RunOp::Merge(flags)) => FoldState::merge(merge_order(flags), false),
+            Combiner::Run(RunOp::Merge(flags)) => FoldState::merge(merge_order(flags), false, None),
             _ => FoldState::Counter {
                 slots: Vec::new(),
                 heap_bytes: 0,
@@ -383,7 +398,30 @@ impl<'a> IncrementalFold<'a> {
         IncrementalFold {
             candidate,
             env,
-            state: FoldState::merge(Ok(order), false),
+            state: FoldState::merge(Ok(order), false, None),
+            spill,
+        }
+    }
+
+    /// The [`merging`](IncrementalFold::merging) fold of a counting pair
+    /// whose output a numeric `sort` puts in `count` order: the fold of
+    /// `sort | uniq -c | sort -rn` as one node. Everything up to the
+    /// closing merge is the counting fold's; each part of the closing
+    /// merge — a key range of the counted stream — regroups its lines by
+    /// count ([`CountOrder::regroup`]) as it is merged, and [`stitch`]
+    /// interleaves the parts' groups count by count.
+    pub fn counting(
+        candidate: &'a Candidate,
+        order: LineOrder,
+        count: CountOrder,
+        env: &'a dyn RunEnv,
+        spill: Option<SpillConfig>,
+    ) -> IncrementalFold<'a> {
+        debug_assert!(matches!(candidate.op, Combiner::Run(RunOp::Merge(_))));
+        IncrementalFold {
+            candidate,
+            env,
+            state: FoldState::merge(Ok(order), false, Some(count)),
             spill,
         }
     }
@@ -409,7 +447,7 @@ impl<'a> IncrementalFold<'a> {
         IncrementalFold {
             candidate,
             env,
-            state: FoldState::merge(Ok(order), true),
+            state: FoldState::merge(Ok(order), true, None),
             spill,
         }
     }
@@ -434,6 +472,7 @@ impl<'a> IncrementalFold<'a> {
                 pending_bytes,
                 heap_bytes,
                 spilled,
+                ..
             } => {
                 *pending_bytes += piece.len();
                 pending.push(piece);
@@ -532,6 +571,7 @@ impl<'a> IncrementalFold<'a> {
             pending_bytes,
             heap_bytes,
             spilled,
+            ..
         } = &mut self.state
         else {
             return Ok(Vec::new());
@@ -642,6 +682,7 @@ impl<'a> IncrementalFold<'a> {
             FoldState::Gather(segments) => combine_all(candidate, &segments, env)?,
             FoldState::Merge {
                 order,
+                count,
                 runs,
                 pending,
                 spilled,
@@ -662,6 +703,7 @@ impl<'a> IncrementalFold<'a> {
                     work: PartWork::Merge {
                         env,
                         order,
+                        count,
                         runs,
                         spill: spill.clone(),
                     },
@@ -728,9 +770,131 @@ impl<'a> IncrementalFold<'a> {
     }
 }
 
-/// Merges `parts` one after the other and concatenates the outputs.
+/// Merges `parts` one after the other and stitches the outputs.
 fn merge_parts(parts: Vec<FinishPart<'_>>) -> Result<Rope, EvalError> {
-    parts.into_iter().map(FinishPart::merge).collect()
+    let outputs = parts
+        .into_iter()
+        .map(FinishPart::merge)
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(stitch(outputs))
+}
+
+/// What one part of a fold's closing work comes to ([`FinishPart::merge`]).
+pub enum PartOutput {
+    /// The part's segment of the combined stream.
+    Segment(Bytes),
+    /// The part's lines regrouped by count, in blocks of its stream (one
+    /// block in memory; under a spill budget one per window written out),
+    /// for [`stitch`] to interleave with the other parts' groups.
+    Regrouped(CountOrder, Vec<CountBlock>),
+}
+
+/// One block of a part regrouped by count: a line-aligned stretch of the
+/// counted stream, its lines regrouped ([`CountOrder::regroup`]).
+pub struct CountBlock {
+    bytes: Bytes,
+    /// The groups of `bytes`.
+    groups: Groups,
+}
+
+/// Each group's count and byte range, in output order.
+type Groups = Vec<(u64, Range<usize>)>;
+
+/// Bytes below which a slice of a regrouped block is copied into a
+/// segment with its neighbours instead of becoming a segment of its own:
+/// the groups of high counts hold a line or two each, and a node
+/// downstream takes a chunk per segment.
+const STITCH_COPY_BYTES: usize = 4 << 10;
+
+/// The combined stream of a fold's part outputs, in part order: the
+/// segments one after the other — or, for a fold closing in count order,
+/// every count's groups in output order, each count's taken block by block
+/// in the order of the counted stream (from the last block when the lines
+/// of one count go against it). A part is a key range of that stream, so
+/// this is the numeric sort of the whole of it, made of at most one slice
+/// per count and block and no second copy of the stream — slices that
+/// continue the one before join it, and short ones are copied together.
+pub fn stitch(parts: Vec<PartOutput>) -> Rope {
+    let mut rope = Rope::new();
+    let mut order = None;
+    let mut blocks = Vec::new();
+    for part in parts {
+        match part {
+            PartOutput::Segment(segment) => rope.push(segment),
+            PartOutput::Regrouped(count, part_blocks) => {
+                order = Some(count);
+                blocks.extend(part_blocks);
+            }
+        }
+    }
+    let Some(order) = order else {
+        return rope;
+    };
+    debug_assert!(rope.is_empty(), "a fold's parts are of one kind");
+    if order.against_stream() {
+        blocks.reverse();
+    }
+    let mut counts: Vec<u64> = (blocks.iter())
+        .flat_map(|block| block.groups.iter().map(|(count, _)| *count))
+        .collect();
+    counts.sort_unstable_by(|&a, &b| match (order.precedes(a, b), a == b) {
+        (true, _) => std::cmp::Ordering::Less,
+        (false, true) => std::cmp::Ordering::Equal,
+        (false, false) => std::cmp::Ordering::Greater,
+    });
+    counts.dedup();
+    let mut next = vec![0usize; blocks.len()];
+    // The segment being gathered: a slice of one block, grown while the
+    // slices continue it, or a copy of short slices.
+    let mut pending = Gathered::Nothing;
+    for count in counts {
+        for (b, (block, at)) in blocks.iter().zip(&mut next).enumerate() {
+            let Some((_, range)) = block.groups.get(*at).filter(|(c, _)| *c == count) else {
+                continue;
+            };
+            *at += 1;
+            let short = range.len() < STITCH_COPY_BYTES;
+            pending = match pending {
+                Gathered::Slice(from, held) if from == b && held.end == range.start => {
+                    Gathered::Slice(b, held.start..range.end)
+                }
+                Gathered::Slice(from, held) if short && held.len() < STITCH_COPY_BYTES => {
+                    let mut copy = blocks[from].bytes.as_bytes()[held].to_vec();
+                    copy.extend_from_slice(&block.bytes.as_bytes()[range.clone()]);
+                    Gathered::Copy(copy)
+                }
+                Gathered::Copy(mut copy) if short => {
+                    copy.extend_from_slice(&block.bytes.as_bytes()[range.clone()]);
+                    Gathered::Copy(copy)
+                }
+                held => {
+                    held.flush(&blocks, &mut rope);
+                    Gathered::Slice(b, range.clone())
+                }
+            };
+        }
+    }
+    pending.flush(&blocks, &mut rope);
+    rope
+}
+
+/// A segment [`stitch`] is gathering.
+enum Gathered {
+    Nothing,
+    /// A range of one block.
+    Slice(usize, Range<usize>),
+    /// Short slices of several blocks, copied together.
+    Copy(Vec<u8>),
+}
+
+impl Gathered {
+    fn flush(self, blocks: &[CountBlock], rope: &mut Rope) {
+        match self {
+            Gathered::Nothing => {}
+            Gathered::Slice(b, range) => rope.push(blocks[b].bytes.slice(range)),
+            Gathered::Copy(copy) => rope.push(Bytes::from(copy)),
+        }
+    }
 }
 
 /// One independent piece of a fold's closing work, handed out by
@@ -748,6 +912,9 @@ enum PartWork<'a> {
     Merge {
         env: &'a dyn RunEnv,
         order: LineOrder,
+        /// Set when the fold closes in count order: the part's output is
+        /// regrouped by count.
+        count: Option<CountOrder>,
         /// This part's slice of every run, in run order.
         runs: Vec<Bytes>,
         /// Set when the fold spilled: the merge streams through a temp
@@ -771,20 +938,31 @@ impl<'a> FinishPart<'a> {
         self.index
     }
 
-    /// Merges the part into its segment of the combined stream.
-    pub fn merge(self) -> Result<Bytes, EvalError> {
-        match self.work {
-            PartWork::Settled(combined) => Ok(combined),
+    /// Merges the part into its segment of the combined stream — or, for
+    /// a fold closing in count order, into its lines regrouped by count.
+    pub fn merge(self) -> Result<PartOutput, EvalError> {
+        let (env, order, count, runs, spill) = match self.work {
+            PartWork::Settled(combined) => return Ok(PartOutput::Segment(combined)),
             PartWork::Merge {
                 env,
                 order,
+                count,
                 runs,
                 spill,
-            } => match spill {
-                None => merge_pieces(env, order, &runs),
-                Some(cfg) => merge_spilled_runs(env, order, runs, &cfg),
-            },
-        }
+            } => (env, order, count, runs, spill),
+        };
+        Ok(match (count, spill) {
+            (None, None) => PartOutput::Segment(merge_pieces(env, order, &runs)?),
+            (None, Some(cfg)) => PartOutput::Segment(merge_spilled_runs(env, order, runs, &cfg)?),
+            (Some(count), None) => {
+                let merged = merge_pieces(env, order, &runs)?;
+                drop(runs);
+                PartOutput::Regrouped(count, vec![regroup_block(count, merged.as_bytes())?])
+            }
+            (Some(count), Some(cfg)) => {
+                PartOutput::Regrouped(count, regroup_spilled_runs(env, order, count, runs, &cfg)?)
+            }
+        })
     }
 }
 
@@ -1024,7 +1202,20 @@ fn merge_spilled_runs(
     if runs.len() > 1 {
         cfg.metrics.record_part();
     }
-    while runs.len() > 1 {
+    let mut runs = merge_waves(env, order, runs, 1, cfg)?;
+    Ok(runs.pop().unwrap_or_default())
+}
+
+/// Merge waves over `runs`, each of groups of [`MERGE_RUN_ARITY`] runs,
+/// until at most `upto` runs are left (see [`merge_spilled_runs`]).
+fn merge_waves(
+    env: &dyn RunEnv,
+    order: LineOrder,
+    mut runs: Vec<Bytes>,
+    upto: usize,
+    cfg: &SpillConfig,
+) -> Result<Vec<Bytes>, EvalError> {
+    while runs.len() > upto.max(1) {
         let mut next = Vec::with_capacity(runs.len().div_ceil(MERGE_RUN_ARITY));
         while !runs.is_empty() {
             let take = runs.len().min(MERGE_RUN_ARITY);
@@ -1040,7 +1231,90 @@ fn merge_spilled_runs(
         }
         runs = next;
     }
-    Ok(runs.pop().unwrap_or_default())
+    Ok(runs)
+}
+
+/// One counted stream regrouped by count into one block on the heap.
+fn regroup_block(count: CountOrder, counted: &[u8]) -> Result<CountBlock, EvalError> {
+    let regrouped = count.regroup(counted);
+    // A permutation of whole lines of text: the scan cannot fail, and it
+    // marks the block as text for every later stage.
+    let bytes = Bytes::from(regrouped.bytes)
+        .into_text()
+        .map_err(|_| EvalError::Command("substream is not valid UTF-8".to_owned()))?;
+    Ok(CountBlock {
+        bytes,
+        groups: regrouped.groups,
+    })
+}
+
+/// The out-of-core closing merge of one part of a fold closing in count
+/// order: the waves of [`merge_spilled_runs`] down to one group of runs,
+/// whose merge streams — or, for one run, whose bytes stream — into
+/// windows of the budget's batch size ([`SpillConfig::batch_bytes`]),
+/// each regrouped on the heap and appended to the part's temp file, one
+/// block per window. The heap holds a window and its regrouped copy, and
+/// the runs' pages are released behind the merge frontier as before.
+fn regroup_spilled_runs(
+    env: &dyn RunEnv,
+    order: LineOrder,
+    count: CountOrder,
+    mut runs: Vec<Bytes>,
+    cfg: &SpillConfig,
+) -> Result<Vec<CountBlock>, EvalError> {
+    runs.retain(|r| !r.is_empty());
+    cfg.metrics.record_part();
+    let runs = merge_waves(env, order, runs, MERGE_RUN_ARITY, cfg)?;
+    let window_bytes = cfg.batch_bytes().max(1);
+    let mut out = kq_io::RunWriter::create(&cfg.dir).map_err(spill_err)?;
+    let mut window: Vec<u8> = Vec::new();
+    let mut blocks: Vec<(Range<usize>, Groups)> = Vec::new();
+    let mut regroup = |window: &mut Vec<u8>, out: &mut kq_io::RunWriter| {
+        if window.is_empty() {
+            return Ok(());
+        }
+        let regrouped = count.regroup(window);
+        window.clear();
+        let start = out.written();
+        out.write(&regrouped.bytes).map_err(spill_err)?;
+        blocks.push((start..out.written(), regrouped.groups));
+        Ok(())
+    };
+    let mut cursors: Vec<ReleaseCursor> = runs
+        .iter()
+        .map(|_| ReleaseCursor::new(SPILL_MERGE_RELEASE_LAG))
+        .collect();
+    let views: Vec<&[u8]> = runs.iter().map(Bytes::as_bytes).collect();
+    env.merge_stream(
+        order,
+        &views,
+        SPILL_MERGE_FRAGMENT,
+        &mut |frag, consumed| {
+            window.extend_from_slice(frag);
+            if window.len() >= window_bytes {
+                regroup(&mut window, &mut out)?;
+            }
+            for ((cursor, run), &done) in cursors.iter_mut().zip(&runs).zip(consumed) {
+                cursor.advance(run, done);
+            }
+            Ok(())
+        },
+    )?;
+    regroup(&mut window, &mut out)?;
+    for (cursor, run) in cursors.iter_mut().zip(&runs) {
+        cursor.finish(run);
+    }
+    drop(runs);
+    cfg.metrics.record_spill(out.written() as u64);
+    let regrouped = out.finish().map_err(spill_err)?;
+    cfg.metrics.record_mapped(regrouped.len() as u64);
+    Ok(blocks
+        .into_iter()
+        .map(|(range, groups)| CountBlock {
+            bytes: regrouped.slice(range),
+            groups,
+        })
+        .collect())
 }
 
 /// One merge wave: streams the k-way merge of `group` into a temp file,
@@ -1745,6 +2019,159 @@ mod tests {
         }
     }
 
+    /// The fold of `sort [-r] | uniq -c | sort <numeric>` as one node: the
+    /// counting fold's pieces, closed in parts of a few lines, in memory
+    /// and with runs and parts spilled, each part regrouped by count and
+    /// the parts stitched — what the three commands print for the whole
+    /// stream, for every kind of tail: counts up or down, ties with the
+    /// counted order or against it.
+    #[test]
+    fn a_counting_fold_closing_in_count_order_equals_the_three_commands() {
+        let ctx = kq_coreutils::ExecContext::default();
+        let run = |line: &str, input: Bytes| {
+            kq_coreutils::parse_command(line)
+                .unwrap()
+                .run(input, &ctx)
+                .unwrap()
+        };
+        // Counts from one to dozens, many tied, over lines with blanks and
+        // digits up front.
+        let chunks: Vec<Bytes> = (0..MERGE_RUN_ARITY * 2 + 5)
+            .map(|p| {
+                let lines: String = (0..9)
+                    .map(|i| match (i * 7 + p * 13) % 29 {
+                        k @ 0..=4 => format!("  {k} x\n"),
+                        k @ 5..=9 => format!("{}\n", k * p % 31),
+                        k if k % 3 == 0 => format!("w{}\n", k % 4),
+                        k => format!("key{}\n", k * p),
+                    })
+                    .collect();
+                Bytes::from(lines)
+            })
+            .collect();
+        let whole = kq_stream::concat_bytes(&chunks);
+        for pair in ["", "-r"] {
+            let sort = format!("sort {pair}");
+            let command = kq_coreutils::parse_command(&sort).unwrap();
+            let env = crate::eval::CommandEnv {
+                command: &command,
+                ctx: &ctx,
+            };
+            let c = merge_candidate(pair);
+            let plain = merge_order(
+                &pair
+                    .split_whitespace()
+                    .map(str::to_owned)
+                    .collect::<Vec<_>>(),
+            )
+            .unwrap();
+            let order = plain.counted();
+            let pieces: Vec<Bytes> = chunks
+                .iter()
+                .map(|c| order.sort_bytes(c).unwrap())
+                .collect();
+            let counted = run("uniq -c", run(&sort, whole.clone()));
+            let total: usize = pieces.iter().map(Bytes::len).sum();
+            for then in ["-rn", "-n", "-k1nr", "-k1n -r"] {
+                let numeric = format!("sort {then}");
+                let expect = run(&numeric, counted.clone());
+                let words: Vec<String> = then.split_whitespace().map(str::to_owned).collect();
+                let count = plain
+                    .count_order(merge_order(&words).unwrap())
+                    .expect("a licensed tail");
+                for budget in [None, Some(0), Some(total / 3)] {
+                    for part_bytes in [1, 40, 300, total * 2] {
+                        let tag = format!(
+                            "count-order-{}-{}-{part_bytes}-{}",
+                            pair.len(),
+                            then.len(),
+                            budget.unwrap_or(usize::MAX)
+                        );
+                        with_spill_dir(&tag, budget.unwrap_or(0), |cfg| {
+                            let spill = budget.map(|_| cfg.clone());
+                            let mut fold = IncrementalFold::counting(&c, order, count, &env, spill);
+                            for p in &pieces {
+                                push(&mut fold, p);
+                            }
+                            let parts = fold.plan_finish_at(part_bytes).unwrap();
+                            if part_bytes <= 40 {
+                                assert!(parts.len() > 2, "{sort} | uniq -c: the fold must cut");
+                            }
+                            let got = merge_parts(parts).unwrap().into_bytes();
+                            assert_eq!(
+                                got, expect,
+                                "{sort} | uniq -c | {numeric}, budget {budget:?}, parts of \
+                                 {part_bytes} bytes"
+                            );
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    /// The stitch over blocks: a counted stream cut into line-aligned
+    /// blocks, each regrouped on its own and the blocks spread over parts,
+    /// stitches to the numeric sort of the whole stream; the slices of a
+    /// block that follow each other join into one segment, and short ones
+    /// from different blocks are copied together.
+    #[test]
+    fn stitched_blocks_are_the_numeric_sort_of_their_stream() {
+        // 400 lines of 13 bytes, in byte order past the count column.
+        let counted: String = (0..400)
+            .map(|i| {
+                format!(
+                    "{:>7} w{i:03}\n",
+                    [1, 1, 2, 3, 1, 7, 2, 40][i % 8] + i / 100
+                )
+            })
+            .collect();
+        let cuts: Vec<usize> = [0, 1, 60, 61, 300, 350, 400].map(|line| line * 13).to_vec();
+        let pair = LineOrder::parse(&[]).unwrap();
+        for then in ["-rn", "-n", "-k1nr", "-k1n -r"] {
+            let words: Vec<String> = then.split_whitespace().map(str::to_owned).collect();
+            let numeric = LineOrder::parse(&words).unwrap();
+            let count = pair.count_order(numeric).unwrap();
+            let expect = numeric.sort_bytes(&Bytes::from(counted.as_str())).unwrap();
+            let blocks = |from: usize, to: usize| -> Vec<CountBlock> {
+                (from..to)
+                    .map(|b| {
+                        regroup_block(count, &counted.as_bytes()[cuts[b]..cuts[b + 1]]).unwrap()
+                    })
+                    .collect()
+            };
+            let last = cuts.len() - 1;
+            // One block is one segment, with no copy.
+            let rope = stitch(vec![PartOutput::Regrouped(
+                count,
+                blocks_of(count, &counted),
+            )]);
+            assert_eq!(rope.segment_count(), 1, "sort {then}");
+            assert_eq!(rope.into_bytes(), expect, "sort {then}");
+            // Every block a part; one part of every block; two parts.
+            for parts in [
+                (0..last)
+                    .map(|b| PartOutput::Regrouped(count, blocks(b, b + 1)))
+                    .collect(),
+                vec![PartOutput::Regrouped(count, blocks(0, last))],
+                vec![
+                    PartOutput::Regrouped(count, blocks(0, 3)),
+                    PartOutput::Regrouped(count, blocks(3, last)),
+                ],
+            ] {
+                let rope = stitch(parts);
+                // Nine counts, six blocks, and every slice short: copies.
+                assert!(rope.segment_count() < 9 * 6, "sort {then}");
+                assert_eq!(rope.into_bytes(), expect, "sort {then}");
+            }
+        }
+    }
+
+    /// A whole counted stream as the one block of a part.
+    fn blocks_of(count: CountOrder, counted: &str) -> Vec<CountBlock> {
+        vec![regroup_block(count, counted.as_bytes()).unwrap()]
+    }
+
     /// The raw chunks of one stream, as a split cuts them: adjacent
     /// line-aligned slices of one buffer, `lines` lines each. Lines repeat
     /// within and across chunks, spell one number several ways (`07`,
@@ -1979,13 +2406,15 @@ mod tests {
             push(&mut fold, p);
         }
         let parts = fold.plan_finish_at(64).unwrap();
-        let mut slots: Vec<Option<Bytes>> = vec![None; parts.len()];
+        let mut slots: Vec<Option<PartOutput>> = (0..parts.len()).map(|_| None).collect();
         for part in parts.into_iter().rev() {
             let index = part.index();
             slots[index] = Some(part.merge().unwrap());
         }
-        let rope: Rope = slots.into_iter().flatten().collect();
-        assert_eq!(rope.into_bytes(), flat);
+        assert_eq!(
+            stitch(slots.into_iter().flatten().collect()).into_bytes(),
+            flat
+        );
     }
 
     #[test]

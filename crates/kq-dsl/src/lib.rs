@@ -92,7 +92,12 @@
 //! flat merge, so folds of KBs close exactly as they did. `finish` runs
 //! the parts inline and returns their outputs as the segments of a
 //! [`kq_stream::Rope`], never gathered; a scheduler runs the same parts as
-//! tasks of its pool.
+//! tasks of its pool and [`kway::stitch`]es their outputs. A
+//! [`counting`](IncrementalFold::counting) fold — `sort | uniq -c` closing
+//! in the order of the numeric `sort` after it — regroups each part's
+//! lines by count as the part is merged
+//! ([`kq_coreutils::sort::CountOrder::regroup`]), and the stitch takes
+//! every count's groups part by part, as slices of the parts' buffers.
 //!
 //! ```
 //! use kq_dsl::ast::{Combiner, RecOp, StructOp};

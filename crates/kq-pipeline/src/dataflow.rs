@@ -17,6 +17,7 @@
 //! | [`NodeKind::StageWorker`] headed by a **seam stage** — a `tr -s` that splits text into lines (see "Seam rewrite") | chunks | as above, except that the head stage's output for every chunk but the first loses one leading `'\n'` before the rest of the run sees it | as any stage worker: the node *is* one |
 //! | [`NodeKind::Fold`] ([`FoldMode::Combine`]) | chunks | the stage's synthesized combiner folded over per-chunk outputs in input order; only the combined stream moves on, re-chunked | per-chunk map tasks in parallel, the fold itself in arrival order |
 //! | [`NodeKind::Fold`] ([`FoldMode::Combine`]) over **two stages** — a `sort \| uniq [-c]` pair (see "Counting rewrite") | chunks | per chunk, what the pair prints for it — the chunk's distinct lines in the sort's order, with their counts under `-c`; these fold through the sort's `merge` under the counted (or `-u`) order; the result is byte for byte the second stage's output | as a one-stage combine fold: the node *is* one |
+//! | [`NodeKind::Fold`] ([`FoldMode::Combine`]) over **three stages** — a `sort \| uniq -c` pair and the numeric `sort` after it (see "Count-order rewrite") | chunks | as the counting fold, except that each part of the closing merge regroups its counted lines by count as it is merged, and the parts' groups are stitched count by count into slices of them: the result is byte for byte the third stage's output | as the counting fold: the parts merge and regroup as pool tasks |
 //! | [`NodeKind::Fold`] ([`FoldMode::Sort`]) — a `sort`, or the `sort \| uniq` of a unique pair (see "Sorting rewrite") | chunks | nothing per chunk: the chunks reach the fold as they are, batches of them are sorted into runs (under `-u` for the pair) and the runs merged by the stage's `merge`; the result is the stage's output | a sort per run batch, batches in parallel; the closing merge in parts as for any merge fold |
 //! | [`NodeKind::Fold`] ([`FoldMode::Gather`]) | chunks | the command run once over the gathered input, re-chunked | one task at a time |
 //! | [`NodeKind::BoundedConsumer`] | chunks, **in stream order**, only until `lines` complete lines exist | the command run once on the prefix, re-chunked | one task at a time |
@@ -70,6 +71,41 @@
 //!
 //! [`PlannedStage::fold_pair`]: crate::plan::PlannedStage::fold_pair
 //! [`run_serial`]: crate::exec::run_serial
+//!
+//! # Count-order rewrite
+//!
+//! Part of the counting rewrite ([`DataflowGraph::fuse_fold_pairs`]): a
+//! counting pair whose sort the plan marks [`PlannedStage::count_order`]
+//! — the answer of [`crate::lattice::count_order`] about that sort and the
+//! numeric `sort` two stages on — absorbs the one-stage combine fold of
+//! that third stage as well. The ranking tail of Figure 1,
+//! `sort | uniq -c | sort -rn`, is then one fold. The counting fold's
+//! output is in the pair's key order, and `sort -n` of it compares the
+//! counts and then, for equal counts (equal columns), the lines' bytes:
+//! the counted order itself, or its reverse. So nothing needs comparing:
+//!
+//! * **map, fold** — the counting fold's, unchanged;
+//! * **closing merge** — each part is a key range of the counted stream;
+//!   as its task merges it, it regroups its lines by count
+//!   (`CountOrder::regroup`: a tally of each count's bytes places every
+//!   group, and one copy puts each line in its group, in the counted order
+//!   or against it) — under a spill budget a window of the budget's batch
+//!   size at a time, into the part's temp file;
+//! * **stitch** — for each count in output order, each part's group of
+//!   that count, parts in counted order (from the last when the lines of
+//!   one count go against it): a [`kq_stream::Rope`] of at most
+//!   (distinct counts × parts) slices, where distinct counts are at most
+//!   √(2 × lines), short slices copied together
+//!   (`kq_dsl::kway::stitch`).
+//!
+//! What it removes is the third barrier: the sort of every counted line a
+//! second time — for a stream of mostly-distinct words, megabytes whose
+//! numeric keys tie on nearly every line, so the sort compares the count
+//! column and then the bytes behind it — and the merge of those runs. The
+//! counted stream exists once. `fuse_streamable = false` builds neither
+//! fold, and [`run_serial`] runs the three stages.
+//!
+//! [`PlannedStage::count_order`]: crate::plan::PlannedStage::count_order
 //!
 //! # Seam rewrite
 //!
@@ -235,8 +271,9 @@ pub struct DataflowNode {
     pub kind: NodeKind,
     /// Stage index range within the statement (`start..end`, end
     /// exclusive). Empty (`0..0`) for [`NodeKind::Split`]; length > 1 only
-    /// for fused [`NodeKind::StageWorker`] runs and for the two-stage
-    /// combine fold of a licensed `sort | uniq` pair. Every stage of a
+    /// for fused [`NodeKind::StageWorker`] runs, for the two-stage combine
+    /// fold of a licensed `sort | uniq` pair, and for the three-stage one
+    /// of a counting pair closing in count order. Every stage of a
     /// `StageWorker` is chunk-local, except that the first may instead be a
     /// seam stage ([`DataflowNode::heads_seam`]).
     pub stages: Range<usize>,
@@ -275,7 +312,8 @@ impl DataflowGraph {
     /// by the [seam rewrite](Self::lift_seam_stages), adjacent
     /// [`NodeKind::StageWorker`] nodes are then merged by the
     /// [fusion rewrite](Self::fuse_streamable), licensed `sort | uniq`
-    /// fold pairs by the [counting rewrite](Self::fuse_fold_pairs), and
+    /// fold pairs — with the numeric sort after a counting pair that
+    /// closes in its order — by the [counting rewrite](Self::fuse_fold_pairs), and
     /// licensed sorts' folds turned into sorting folds by the
     /// [sorting rewrite](Self::sort_runs). Short of those seams and pairs,
     /// the resulting node list (ignoring the leading `Split`) corresponds
@@ -356,19 +394,27 @@ impl DataflowGraph {
     /// combine fold whose stage the plan marks as the `sort` of a licensed
     /// pair ([`PlannedStage::fold_pair`](crate::plan::PlannedStage::fold_pair)),
     /// directly followed by a one-stage combine fold, absorbs it — one node
-    /// over both stages, the edge between them gone.
+    /// over both stages, the edge between them gone. Where the plan also
+    /// marks the sort [`count_order`], the one-stage combine fold after the
+    /// pair is absorbed too (the count-order rewrite): one node over three
+    /// stages.
+    ///
+    /// [`count_order`]: crate::plan::PlannedStage::count_order
     pub fn fuse_fold_pairs(&mut self, planned: &PlannedStatement) {
         let single_combine = |node: &DataflowNode| node.kind == COMBINE && node.stages.len() == 1;
         let mut i = 0;
         while i + 1 < self.nodes.len() {
             let (sort, uniq) = (&self.nodes[i], &self.nodes[i + 1]);
-            if single_combine(sort)
-                && single_combine(uniq)
-                && planned.stages[sort.stages.start].fold_pair.is_some()
-            {
+            let first = &planned.stages[sort.stages.start];
+            if single_combine(sort) && single_combine(uniq) && first.fold_pair.is_some() {
                 debug_assert_eq!(sort.stages.end, uniq.stages.start);
-                self.nodes[i].stages.end = self.nodes[i + 1].stages.end;
-                self.nodes.remove(i + 1);
+                let mut absorbed = 1;
+                if first.count_order.is_some() && self.nodes.get(i + 2).is_some_and(single_combine)
+                {
+                    absorbed = 2;
+                }
+                self.nodes[i].stages.end = self.nodes[i + absorbed].stages.end;
+                self.nodes.drain(i + 1..=i + absorbed);
             }
             i += 1;
         }
@@ -404,7 +450,10 @@ impl DataflowGraph {
     ///    [`NodeKind::StageWorker`] nodes (fused chunk-local runs), and a
     ///    combine (or sorting) fold over exactly the two stages of a
     ///    `sort | uniq` pair the plan licenses
-    ///    (`planned.stages[start].fold_pair`) — any other multi-stage fold
+    ///    (`planned.stages[start].fold_pair`), or a combine fold over
+    ///    exactly the three stages of a counting pair and the numeric sort
+    ///    the plan licenses it to close in the order of
+    ///    (`planned.stages[start].count_order`) — any other multi-stage fold
     ///    is a rewrite gone wrong; a [`FoldMode::Sort`] fold's first stage
     ///    is one the plan marks `sorting`, and a counting pair is never one;
     ///    and within a [`NodeKind::StageWorker`] every stage is chunk-local
@@ -454,10 +503,18 @@ impl DataflowGraph {
             let licensed_pair = (node.kind == COMBINE || node.kind == SORT)
                 && node.stages.len() == 2
                 && first.is_some_and(|sort| sort.fold_pair.is_some());
-            if node.stages.len() > 1 && node.kind != NodeKind::StageWorker && !licensed_pair {
+            let licensed_count_order = node.kind == COMBINE
+                && node.stages.len() == 3
+                && first.is_some_and(|sort| sort.count_order.is_some());
+            if node.stages.len() > 1
+                && node.kind != NodeKind::StageWorker
+                && !licensed_pair
+                && !licensed_count_order
+            {
                 problems.push(format!(
-                    "node {i} ({:?}) spans stages {:?}; only fused StageWorker runs and the \
-                     combine fold of a licensed sort | uniq pair may span more than one stage",
+                    "node {i} ({:?}) spans stages {:?}; only fused StageWorker runs, the \
+                     combine fold of a licensed sort | uniq pair and that of a counting pair \
+                     licensed to close in count order may span more than one stage",
                     node.kind, node.stages
                 ));
             }
@@ -585,8 +642,9 @@ mod tests {
                 // tr -cs (rerun, no shrink: a seam stage) heads the run
                 // that tr | grep fuse into.
                 (NodeKind::StageWorker, 0..3),
-                (COMBINE, 3..5), // sort | uniq -c: one counting fold
-                (SORT, 5..6),    // sort -rn: a sorting fold
+                // sort | uniq -c | sort -rn: one counting fold, closing in
+                // count order.
+                (COMBINE, 3..6),
             ]
         );
     }
@@ -863,36 +921,55 @@ mod tests {
     }
 
     #[test]
-    fn validate_admits_the_licensed_two_stage_fold_and_no_other() {
+    fn validate_admits_the_licensed_two_and_three_stage_folds_and_no_other() {
         let text = "cat /in.txt | tr A-Z a-z | sort | uniq -c | sort -rn | wc -l";
         let plan = planned(text);
-        let spans_too_much = |g: &DataflowGraph| {
-            g.validate(&plan, 8)
+        let spans_too_much = |plan: &PlannedStatement, g: &DataflowGraph| {
+            g.validate(plan, 8)
                 .iter()
                 .any(|p| p.contains("span more than one stage"))
         };
         let built = DataflowGraph::build(&plan, true);
-        assert_eq!(shape(&built)[2], (COMBINE, 1..3));
+        assert_eq!(shape(&built)[2], (COMBINE, 1..4));
         assert_eq!(built.validate(&plan, 8), Vec::<String>::new());
+        // The pair alone, its count order left to a fold of its own.
+        let unfused = DataflowGraph::build(&plan, false);
+        let mut g = unfused.clone();
+        g.nodes[2].stages.end += 1;
+        g.nodes.remove(3);
+        assert_eq!(shape(&g)[2], (COMBINE, 1..3));
+        assert_eq!(g.validate(&plan, 8), Vec::<String>::new());
         // The same fold one stage further on: `uniq -c | sort -rn` is not
         // a pair anyone licensed.
-        let mut g = DataflowGraph::build(&plan, false);
+        let mut g = unfused.clone();
         g.nodes[3].stages.end += 1;
         g.nodes.remove(4);
         assert_eq!(shape(&g)[3], (COMBINE, 2..4));
-        assert!(spans_too_much(&g));
-        // The licensed pair with a third stage swallowed.
+        assert!(spans_too_much(&plan, &g));
+        // The count-order fold with a fourth stage swallowed.
         let mut g = built.clone();
         g.nodes[2].stages.end += 1;
         g.nodes.remove(3);
-        assert_eq!(shape(&g)[2], (COMBINE, 1..4));
-        assert!(spans_too_much(&g));
-        // A gather fold over the licensed stages.
-        let mut g = built.clone();
-        g.nodes[2].kind = NodeKind::Fold {
-            mode: FoldMode::Gather,
-        };
-        assert!(spans_too_much(&g));
+        assert_eq!(shape(&g)[2], (COMBINE, 1..5));
+        assert!(spans_too_much(&plan, &g));
+        // A gather or sorting fold over the licensed stages.
+        for mode in [FoldMode::Gather, FoldMode::Sort] {
+            let mut g = built.clone();
+            g.nodes[2].kind = NodeKind::Fold { mode };
+            assert!(spans_too_much(&plan, &g), "{mode:?}");
+        }
+        // Three stages over a counting pair with no count order.
+        let refused = planned("cat /in.txt | sort | uniq -c | sort -rnf");
+        let g = DataflowGraph::build(&refused, true);
+        assert_eq!(
+            shape(&g),
+            [(NodeKind::Split, 0..0), (COMBINE, 0..2), (SORT, 2..3)]
+        );
+        let mut g = g.clone();
+        g.nodes[1].stages.end += 1;
+        g.nodes[1].kind = COMBINE;
+        g.nodes.remove(2);
+        assert!(spans_too_much(&refused, &g));
     }
 
     #[test]

@@ -57,6 +57,28 @@
 //! [`PlannedStage::fold_pair`]: crate::plan::PlannedStage::fold_pair
 //! [`DataflowGraph::build`]: crate::dataflow::DataflowGraph::build
 //!
+//! # Count order: the `sort -rn` after a counting pair
+//!
+//! A counting pair's fold ends in the sort's key order, and a ranking
+//! pipeline sorts that again: `sort | uniq -c | sort -rn`. But `sort -n`
+//! of a counted run compares the counts and then, for equal counts — which
+//! print equal columns — the lines' bytes, which is the very order the
+//! counting sort left them in, or its reverse. So the third sort needs no
+//! comparison at all: each line goes to the group of its count, the groups
+//! go out by count, and a group's lines keep the counted order or reverse
+//! it. [`count_order`] is that licence over the two sorts' parsed flags:
+//! the counting sort in byte order, the next sort numeric on field one and
+//! otherwise plain. The planner records it on
+//! [`PlannedStage::count_order`] of the pair's sort, and
+//! [`DataflowGraph::build`] extends the pair's fold over the third stage
+//! (see "Count-order rewrite" in [`crate::dataflow`]). GNU `sort` 9.1 on
+//! `a b b c d | sort | uniq -c`: `-rn` gives `2 b, 1 d, 1 c, 1 a`;
+//! `-k1nr` gives `2 b, 1 a, 1 c, 1 d` (`r` on the key reverses the key
+//! alone); `-k1n -r` gives `1 d, 1 c, 1 a, 2 b` (a key with modifiers of
+//! its own takes no global option, but the last resort still takes `-r`).
+//!
+//! [`PlannedStage::count_order`]: crate::plan::PlannedStage::count_order
+//!
 //! # Seams: an `OrderSensitive` command whose carried state is known
 //!
 //! `tr -s` is [`EffectClass::OrderSensitive`] because a squeeze reaches
@@ -109,7 +131,7 @@
 //! `PureParallelizable` ⇒ synthesis finds *a* combiner).
 
 use crate::cache::cache_key;
-use kq_coreutils::sort::{LineOrder, SortCmd};
+use kq_coreutils::sort::{CountOrder, LineOrder, SortCmd};
 use kq_coreutils::tr::TrCmd;
 use kq_coreutils::Command;
 use kq_dsl::ast::{Candidate, RecOp};
@@ -508,6 +530,46 @@ pub fn fold_pair(sort: &Command, uniq: &Command) -> Option<FoldPair> {
     }
 }
 
+/// The count-order licence (see the [module docs](self)): the order in
+/// which `then`, the stage after a counting pair whose sort is `sort`,
+/// puts the pair's output, when that order is the counts' first and the
+/// lines' bytes second — `sort` in byte order (no flags, or `-r`), and
+/// `then` a stdin-reading `sort` with no operand and none of `-m`, `-u`,
+/// `-f` or `-s`, numeric on field one (`-n`, `-k1n`, `-k1,1n`) with `r`
+/// given globally, on the key, or both. The counts go descending when the
+/// key is reversed; within one count the lines go in byte order,
+/// descending only when the last resort is (a global `-r`). Decided by the
+/// in-process `sort`'s own parse of both argvs
+/// ([`LineOrder::count_order`]). Whether `sort` and the `uniq -c` between
+/// them are a counting pair is [`fold_pair`]'s question.
+pub fn count_order(sort: &Command, then: &Command) -> Option<CountOrder> {
+    sorting_order(sort)?.count_order(sorting_order(then)?)
+}
+
+/// The one line that says where a counting pair closes in count order, as
+/// run notes, plan notes and `kumquat check` all print it:
+/// `counting fold: s1 stages 3-5 'sort | uniq -c | sort -rn' (count order)`
+/// (statement and stages counted from one; `stage` is the sort's index
+/// from zero).
+pub fn count_order_note(
+    statement: usize,
+    stage: usize,
+    sort: &Command,
+    uniq: &Command,
+    then: &Command,
+) -> String {
+    format!(
+        "{} fold: s{} stages {}-{} '{} | {} | {}' (count order)",
+        FoldPair::Counting.as_str(),
+        statement + 1,
+        stage + 1,
+        stage + 3,
+        sort.display(),
+        uniq.display(),
+        then.display()
+    )
+}
+
 /// The seam licence (see the [module docs](self)): `true` when `command`
 /// is a stdin-reading `tr` that squeezes `'\n'` and neither deletes nor
 /// retargets it, so that over non-empty line-aligned pieces
@@ -721,6 +783,71 @@ mod tests {
         assert_eq!(pair("uniq -c", "sort"), None);
         assert_eq!(pair("sort", "sort"), None);
         assert_eq!(pair("sort", "wc -l"), None);
+    }
+
+    #[test]
+    fn count_orders_are_licensed_by_the_parsed_sorts() {
+        let order = |sort: &str, then: &str| {
+            count_order(&parse_command(sort).unwrap(), &parse_command(then).unwrap())
+        };
+        for sort in ["sort", "sort -r", "sort -k1"] {
+            for then in [
+                "sort -n",
+                "sort -rn",
+                "sort -nr",
+                "sort -r -n",
+                "sort -k1n",
+                "sort -k 1n",
+                "sort -k1,1n",
+                "sort -k1nr",
+                "sort -k1,1nr",
+                "sort -k1n -r",
+                "sort -rn --parallel=1",
+            ] {
+                assert!(order(sort, then).is_some(), "{sort} | uniq -c | {then}");
+            }
+            // Not numeric, -m, -u, -f, -s, an operand, or not a sort.
+            for then in [
+                "sort",
+                "sort -r",
+                "sort -rnm",
+                "sort -rnu",
+                "sort -rnf",
+                "sort -rns",
+                "sort -rn f.txt",
+                "sort -rn -",
+                "sort -n -k1r",
+                "uniq -c",
+                "head -n 3",
+            ] {
+                assert!(order(sort, then).is_none(), "{sort} | uniq -c | {then}");
+            }
+        }
+        // The counting sort must be byte order.
+        for sort in [
+            "sort -n",
+            "sort -f",
+            "sort -fr",
+            "sort -k1n",
+            "sort -u",
+            "sort -m",
+        ] {
+            assert!(order(sort, "sort -rn").is_none(), "{sort}");
+        }
+        // `r` on the key turns the counts round; a global `-r` the lines of
+        // one count, against the counting sort's byte order.
+        let rn = order("sort", "sort -rn").unwrap();
+        assert!(rn.precedes(2, 1) && rn.against_stream());
+        let key_r = order("sort", "sort -k1nr").unwrap();
+        assert!(key_r.precedes(2, 1) && !key_r.against_stream());
+        let global_r = order("sort", "sort -k1n -r").unwrap();
+        assert!(global_r.precedes(1, 2) && global_r.against_stream());
+        assert!(!order("sort -r", "sort -rn").unwrap().against_stream());
+        let cmd = |line: &str| parse_command(line).unwrap();
+        assert_eq!(
+            count_order_note(0, 2, &cmd("sort"), &cmd("uniq -c"), &cmd("sort -rn")),
+            "counting fold: s1 stages 3-5 'sort | uniq -c | sort -rn' (count order)"
+        );
     }
 
     #[test]

@@ -47,7 +47,9 @@
 //! (`fuse_streamable: false`, `--no-opt`): adjacent chunk-local stages
 //! fuse into one node, a `sort | uniq [-c]` pair of barrier stages that
 //! [`lattice::fold_pair`] licenses becomes one counting fold (see
-//! "Counting rewrite" in [`dataflow`]), a rerun-combined `tr -s` that
+//! "Counting rewrite" in [`dataflow`]) — which takes in the numeric `sort`
+//! after it where [`lattice::count_order`] licenses closing in that
+//! sort's order ("Count-order rewrite") — a rerun-combined `tr -s` that
 //! [`lattice::newline_seam`] licenses — the word splitter
 //! `tr -cs A-Za-z '\n'` — runs chunk by chunk at the head of a chunk-local
 //! node instead of once over its gathered input ("Seam rewrite"), and a
@@ -115,8 +117,10 @@
 //! out), merges it with the lock released (a `fold-finish` span whose
 //! `seq` is the part index, timed into [`StageTiming::combine_time`]),
 //! and slots the output by part index; the task that fills the last slot
-//! — whichever it is — flips the node to `Emitting` over the ordered
-//! segments and starts the emission. There is no thread outside the pool
+//! — whichever it is — stitches the outputs (`kq_dsl::kway::stitch`, a
+//! `fold-stitch` span: the parts in order, or for a fold closing in count
+//! order every count's groups part by part), flips the node to `Emitting`
+//! over the segments and starts the emission. There is no thread outside the pool
 //! and no new node or edge: the graph IR, `DataflowGraph::validate` and
 //! `kumquat check` do not know the phase exists. A part that fails takes
 //! the node out of the phase under the lock before it reports, so the
@@ -244,7 +248,7 @@ pub use exec::{
     EarlyExit, ExecutionResult, QueueTelemetry, SpillTelemetry, StageTiming, TimingLog,
 };
 pub use lattice::{
-    classify, fold_pair, newline_seam, sorting_order, EffectClass, EffectSet, FoldPair,
+    classify, count_order, fold_pair, newline_seam, sorting_order, EffectClass, EffectSet, FoldPair,
 };
 pub use parse::{InputSource, ParseError, Script, SourceSpan, Stage, Statement};
 pub use plan::{

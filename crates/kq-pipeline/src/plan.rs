@@ -108,6 +108,16 @@ pub struct PlannedStage {
     /// is a `merge` — the fused fold is that merge under a derived order.
     /// Executors that run stage by stage ignore it.
     pub fold_pair: Option<lattice::FoldPair>,
+    /// Set on the `sort` of a counting pair
+    /// ([`lattice::FoldPair::Counting`]) whose output the stage after the
+    /// `uniq -c` — a numeric `sort` — puts in count order
+    /// ([`lattice::count_order`]): the dataflow graph extends the pair's
+    /// fold over that third stage, which closes by regrouping its lines by
+    /// count instead of sorting them again (the count-order rewrite of
+    /// [`crate::dataflow`]). The planner sets it only where the third
+    /// stage parallelizes with a `merge` combiner and is not itself the
+    /// sort of a pair. Executors that run stage by stage ignore it.
+    pub count_order: Option<kq_coreutils::sort::CountOrder>,
     /// Set on a stage that the lattice licenses to run chunk by chunk under
     /// a one-newline seam ([`lattice::newline_seam`]): for non-empty
     /// line-aligned pieces, `f(x ++ y)` is `f(x)` followed by `f(y)` less
@@ -901,17 +911,41 @@ impl Planner {
                 )
             })
             .collect();
-        // Fourth pass: the sorts whose folds may sort raw chunks — where
-        // the combiner merges under the order the command sorts by.
+        // Fourth pass: the counting pairs a numeric sort follows, which
+        // close in its order — where that sort combines by a merge and
+        // starts no pair of its own.
+        let count_orders: Vec<Option<kq_coreutils::sort::CountOrder>> = (0..modes.len())
+            .map(|i| {
+                let Some(StageMode::Parallel { combiner, .. }) = modes.get(i + 2) else {
+                    return None;
+                };
+                if fold_pairs[i] != Some(lattice::FoldPair::Counting)
+                    || fold_pairs[i + 2].is_some()
+                    || combiner.merge_order().is_none()
+                {
+                    return None;
+                }
+                lattice::count_order(
+                    &statement.stages[i].command,
+                    &statement.stages[i + 2].command,
+                )
+            })
+            .collect();
+        // Fifth pass: the sorts whose folds may sort raw chunks — where
+        // the combiner merges under the order the command sorts by, and
+        // no counting fold closes in the sort's order instead.
         let sorting: Vec<bool> = modes
             .iter()
             .zip(&fold_pairs)
             .zip(&statement.stages)
-            .map(|((mode, pair), stage)| {
+            .enumerate()
+            .map(|(i, ((mode, pair), stage))| {
                 let StageMode::Parallel { combiner, .. } = mode else {
                     return false;
                 };
+                let absorbed = i >= 2 && count_orders[i - 2].is_some();
                 self.use_lattice
+                    && !absorbed
                     && *pair != Some(lattice::FoldPair::Counting)
                     && combiner.merge_order().is_some()
                     && combiner.merge_order() == lattice::sorting_order(&stage.command)
@@ -922,11 +956,15 @@ impl Planner {
                 .into_iter()
                 .zip(streamable)
                 .zip(fold_pairs)
+                .zip(count_orders)
                 .zip(seams)
                 .zip(sorting)
                 .enumerate()
                 .map(
-                    |(stage_idx, ((((mode, streamable), fold_pair), seam), sorting))| {
+                    |(
+                        stage_idx,
+                        (((((mode, streamable), fold_pair), count_order), seam), sorting),
+                    )| {
                         PlannedStage {
                             stage_idx,
                             mode,
@@ -939,6 +977,7 @@ impl Planner {
                                 &statement.stages[stage_idx].command,
                             ),
                             fold_pair,
+                            count_order,
                             seam,
                             sorting,
                         }
@@ -1202,6 +1241,56 @@ mod tests {
     }
 
     #[test]
+    fn count_orders_are_recorded_on_the_counting_pairs_sort() {
+        let closes = |text: &str| -> Vec<bool> {
+            let (planned, _) = plan(text);
+            planned.statements[0]
+                .stages
+                .iter()
+                .map(|s| s.count_order.is_some())
+                .collect()
+        };
+        for then in [
+            "sort -rn",
+            "sort -nr",
+            "sort -n",
+            "sort -k1nr",
+            "sort -k1,1n",
+            "sort -k1n -r",
+        ] {
+            for pair in ["sort | uniq -c", "sort -r | uniq -c"] {
+                let text = format!("cat $IN | tr A-Z a-z | {pair} | {then} | head -n 3");
+                assert_eq!(closes(&text), [false, true, false, false, false], "{text}");
+            }
+        }
+        // Refusals: a counting sort not in byte order, a unique pair, a
+        // next sort that is not numeric, has -u, -f, -s or an operand, or
+        // starts a pair of its own; and a stage between.
+        for text in [
+            "cat $IN | sort -f | uniq -c | sort -rn",
+            "cat $IN | sort -n | uniq -c | sort -rn",
+            "cat $IN | sort | uniq | sort -rn",
+            "cat $IN | sort | uniq -c | sort -r",
+            "cat $IN | sort | uniq -c | sort -rnu",
+            "cat $IN | sort | uniq -c | sort -rnf",
+            "cat $IN | sort | uniq -c | sort -rns",
+            "cat $IN | sort | uniq -c | sort -rn /in.txt",
+            "cat $IN | sort | uniq -c | sort -n | uniq -c",
+            "cat $IN | sort | uniq -c | grep 1 | sort -rn",
+        ] {
+            assert!(closes(text).iter().all(|c| !c), "{text}");
+        }
+        // The sort it closes in the order of is no sorting fold.
+        let (planned, _) = plan("cat $IN | sort | uniq -c | sort -rn");
+        let sorting: Vec<bool> = planned.statements[0]
+            .stages
+            .iter()
+            .map(|s| s.sorting)
+            .collect();
+        assert_eq!(sorting, [false, false, false]);
+    }
+
+    #[test]
     fn seams_are_recorded_where_synthesis_found_a_licensed_rerun() {
         // (seam, parallel) per stage, planned against `sample`.
         let plan_on = |planner: &mut Planner, text: &str, sample: &str| -> Vec<(bool, bool)> {
@@ -1298,7 +1387,17 @@ mod tests {
             // The unique pair sorts raw chunks; the counting pair counts.
             ("cat $IN | sort -r | uniq", &[true, false]),
             ("cat $IN | sort -rn | uniq -c", &[false, false]),
-            ("cat $IN | sort | uniq -c | sort -rn", &[false, false, true]),
+            // The counting fold closes in the order of the `sort -rn`
+            // after it, which is no fold of its own; a sort it may not
+            // close in the order of sorts raw chunks as ever.
+            (
+                "cat $IN | sort | uniq -c | sort -rn",
+                &[false, false, false],
+            ),
+            (
+                "cat $IN | sort | uniq -c | sort -rnu",
+                &[false, false, true],
+            ),
             // A merge, a file operand beside the input, a file instead of
             // it, and a stage that is no sort.
             ("cat $IN | sort -m", &[false]),

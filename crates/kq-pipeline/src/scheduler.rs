@@ -305,7 +305,7 @@ enum Phase<'a> {
 struct Finishing<'a> {
     unclaimed: VecDeque<kq_dsl::kway::FinishPart<'a>>,
     /// Merged parts by part index.
-    merged: Vec<Option<Bytes>>,
+    merged: Vec<Option<kq_dsl::kway::PartOutput>>,
     /// Parts not yet slotted.
     left: usize,
 }
@@ -491,7 +491,11 @@ fn lock<'m, T>(m: &'m Mutex<T>) -> std::sync::MutexGuard<'m, T> {
 /// The order the fold of a two-stage combine node merges under (see
 /// "Counting rewrite" in [`crate::dataflow`]): the sort stage's `merge`
 /// order, counted for `sort | uniq -c` and under `-u` for `sort | uniq`.
-/// `None` for every one-stage node.
+/// The same for the three-stage fold of the count-order rewrite, which
+/// closes in the sort's [`PlannedStage::count_order`] besides. `None` for
+/// every one-stage node.
+///
+/// [`PlannedStage::count_order`]: crate::plan::PlannedStage::count_order
 fn fold_pair_order(
     node: &DataflowNode,
     planned: &PlannedStatement,
@@ -642,15 +646,23 @@ pub fn run_dataflow_segments(
                         let spill = opts.spill.as_ref().map(|p| p.stage_config(workers));
                         state.spill_metrics = spill.as_ref().map(|cfg| cfg.metrics.clone());
                         let pair_order = pair_orders[ni].map(|(_, order)| order);
-                        state.accum = Some(match (mode, pair_order) {
-                            (FoldMode::Sort, order) => {
+                        let count_order = (node.stages.len() == 3)
+                            .then(|| plan.statements[si].stages[node.stages.start].count_order)
+                            .flatten();
+                        state.accum = Some(match (mode, pair_order, count_order) {
+                            (FoldMode::Sort, order, _) => {
                                 let order = order.or_else(|| combiner.merge_order()).expect(
                                     "the planner licenses only sorts whose combiner merges",
                                 );
                                 combiner.incremental_sorting(order, env, spill)
                             }
-                            (_, Some(order)) => combiner.incremental_merging(order, env, spill),
-                            (_, None) => combiner.incremental_with_spill(env, spill),
+                            (_, Some(order), Some(count)) => {
+                                combiner.incremental_counting(order, count, env, spill)
+                            }
+                            (_, Some(order), None) => {
+                                combiner.incremental_merging(order, env, spill)
+                            }
+                            (_, None, _) => combiner.incremental_with_spill(env, spill),
                         });
                     }
                     _ => {}
@@ -1413,7 +1425,7 @@ fn finish_fold(cx: &Cx<'_, '_>, si: usize, ni: usize) {
                 }
                 st.phase = Phase::Finishing(Finishing {
                     unclaimed: parts.into(),
-                    merged: vec![None; count],
+                    merged: (0..count).map(|_| None).collect(),
                     left: count,
                 });
             }
@@ -1455,7 +1467,7 @@ fn finish_part_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
     let merged = part.merge();
     let elapsed = t0.elapsed();
     span.done();
-    let segments: Rope = {
+    let outputs = {
         let mut st = lock(&stmt.nodes[ni]);
         st.inflight -= 1;
         st.combine_time += elapsed;
@@ -1480,9 +1492,15 @@ fn finish_part_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
         }
         let merged = std::mem::take(&mut finishing.merged);
         st.phase = Phase::Running;
-        merged.into_iter().flatten().collect()
+        merged
     };
-    start_fold_emit(cx, si, ni, segments, Duration::ZERO);
+    // The parts' outputs in part order — for a fold closing in count
+    // order, every count's groups interleaved part by part.
+    let span = kq_trace::span("dataflow", "fold-stitch").si(si).ni(ni);
+    let t0 = Instant::now();
+    let stitched = kq_dsl::kway::stitch(outputs.into_iter().flatten().collect());
+    span.done();
+    start_fold_emit(cx, si, ni, stitched, t0.elapsed());
 }
 
 /// Switches a settled combine fold to emitting its combined stream.

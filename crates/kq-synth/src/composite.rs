@@ -8,7 +8,7 @@
 //! (`concat`/`first`/`second`), that member alone suffices — its domain is
 //! a superset of every other member's.
 
-use kq_coreutils::sort::LineOrder;
+use kq_coreutils::sort::{CountOrder, LineOrder};
 use kq_dsl::ast::{Candidate, Combiner, RecOp, RunOp};
 use kq_dsl::eval::{EvalError, RunEnv};
 use kq_dsl::{domain, kway};
@@ -185,6 +185,21 @@ impl SynthesizedCombiner {
         spill: Option<kq_dsl::SpillConfig>,
     ) -> IncrementalCombine<'a> {
         let fold = kway::IncrementalFold::merging(self.primary(), order, env, spill);
+        self.incremental_over(fold, env, None)
+    }
+
+    /// [`incremental_merging`](Self::incremental_merging) of a counting
+    /// pair's fold whose closing merge regroups its output into `count`
+    /// order — the fold of `sort | uniq -c | sort -rn` as one node
+    /// ([`kway::IncrementalFold::counting`]).
+    pub fn incremental_counting<'a>(
+        &'a self,
+        order: LineOrder,
+        count: CountOrder,
+        env: &'a dyn RunEnv,
+        spill: Option<kq_dsl::SpillConfig>,
+    ) -> IncrementalCombine<'a> {
+        let fold = kway::IncrementalFold::counting(self.primary(), order, count, env, spill);
         self.incremental_over(fold, env, None)
     }
 
@@ -433,10 +448,12 @@ impl<'a> IncrementalCombine<'a> {
     /// with every part merged here, one after the other. The result's
     /// segments are the parts' outputs.
     pub fn finish(self) -> Result<Rope, EvalError> {
-        self.plan_finish()?
+        let parts = self
+            .plan_finish()?
             .into_iter()
             .map(kway::FinishPart::merge)
-            .collect()
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(kway::stitch(parts))
     }
 }
 

@@ -203,36 +203,47 @@ fn broken_fixture_trips_hazard_lints_and_nonzero_exit() {
 /// therefore fuses into one two-stage fold — is a pair `check` reports
 /// from the signatures alone, and every pair `check` reports is one the
 /// planner fuses (in the corpus both stages of each always parallelize and
-/// the sort's combiner is always `merge`). The pairs the lattice refuses
-/// stay two nodes.
+/// the sort's combiner is always `merge`). A counting pair that a numeric
+/// `sort` follows fuses with it into one three-stage fold closing in count
+/// order, and `check` says so of exactly those; the corpus tails that do
+/// are pinned by count. The pairs the lattice refuses stay two nodes.
 #[test]
 fn check_reports_exactly_the_fold_pairs_the_planner_fuses() {
     use kq_pipeline::{DataflowGraph, NodeKind};
     let mut planner = Planner::new(SynthesisConfig::default());
     let mut scripts_with_a_pair = 0usize;
+    let (mut tails, mut scripts_with_a_tail) = (0usize, 0usize);
     for script in corpus() {
         let ctx = ExecContext::default();
         let env = setup(script, &ctx, &SCALE, 0xF01D);
         let parsed = parse_script(script.text, &env).unwrap();
         let sample = ctx.vfs.read(&env["IN"]).unwrap();
         let plan = planner.plan(&parsed, &ctx, planning_sample(&sample, 12_000));
-        // (statement, sort stage) of every two-stage fold in the graphs.
-        let mut fused: Vec<(usize, usize)> = Vec::new();
+        // (statement, sort stage, stages) of every multi-stage fold in the
+        // graphs.
+        let mut fused: Vec<(usize, usize, usize)> = Vec::new();
         for (si, planned) in plan.statements.iter().enumerate() {
             let graph = DataflowGraph::build(planned, true);
             assert!(graph.validate(planned, 4).is_empty());
             for node in &graph.nodes {
                 if matches!(node.kind, NodeKind::Fold { .. }) && node.stages.len() > 1 {
-                    assert_eq!(node.stages.len(), 2);
-                    fused.push((si, node.stages.start));
+                    let count_order = planned.stages[node.stages.start].count_order;
+                    assert_eq!(node.stages.len(), 2 + usize::from(count_order.is_some()));
+                    fused.push((si, node.stages.start, node.stages.len()));
                 }
             }
         }
         let analysis = kq_analyze::check_script(script.text, &env);
-        let reported: Vec<(usize, usize)> = analysis
+        let reported: Vec<(usize, usize, usize)> = analysis
             .fold_pairs
             .iter()
-            .map(|site| (site.statement, site.stage))
+            .map(|site| {
+                (
+                    site.statement,
+                    site.stage,
+                    2 + usize::from(site.count_order),
+                )
+            })
             .collect();
         assert_eq!(
             fused,
@@ -249,10 +260,18 @@ fn check_reports_exactly_the_fold_pairs_the_planner_fuses() {
             );
         }
         scripts_with_a_pair += usize::from(!fused.is_empty());
+        let script_tails = fused.iter().filter(|(_, _, stages)| *stages == 3).count();
+        tails += script_tails;
+        scripts_with_a_tail += usize::from(script_tails > 0);
     }
     assert!(
         scripts_with_a_pair >= 36,
         "only {scripts_with_a_pair} corpus scripts have a fold pair"
+    );
+    assert_eq!(
+        (tails, scripts_with_a_tail),
+        (20, 19),
+        "counting folds closing in count order across the corpus, and the scripts they are in"
     );
 
     // The pairs that must stay two nodes, through the real planner
@@ -354,8 +373,9 @@ fn check_reports_exactly_the_seam_stages_the_planner_lifts() {
 /// whose fold the dataflow graph feeds raw chunks is one `check` reports
 /// from the command alone, and every one `check` reports is such a fold in
 /// the graph (in the corpus every stdin-reading `sort` parallelizes with
-/// the `merge` of its own flags). The sorts of counting pairs are neither;
-/// the sites are pinned by count.
+/// the `merge` of its own flags). The sorts of counting pairs are neither,
+/// nor are the numeric sorts a counting fold closes in the order of; the
+/// sites are pinned by count.
 #[test]
 fn check_reports_exactly_the_sorting_folds_the_planner_builds() {
     use kq_pipeline::{DataflowGraph, FoldMode, NodeKind};
@@ -408,9 +428,11 @@ fn check_reports_exactly_the_sorting_folds_the_planner_builds() {
         sites += built.len();
         scripts += usize::from(!built.is_empty());
     }
+    // 54 sorts in 42 scripts, less the 20 numeric sorts that counting
+    // folds close in the order of.
     assert_eq!(
         (sites, scripts),
-        (54, 42),
+        (34, 27),
         "sorting folds across the corpus, and the scripts they are in"
     );
 }

@@ -303,13 +303,14 @@ fn fixed_opts(workers: usize, chunk_bytes: usize, fuse: bool) -> DataflowOptions
     }
 }
 
-/// How many fold nodes of a plan's graphs span two stages, with or
-/// without the graph rewrites.
+/// How many fold nodes of a plan's graphs span more than one stage — a
+/// fused pair, or a counting pair fused with the numeric sort after it —
+/// with or without the graph rewrites.
 fn fused_folds(plan: &kq_pipeline::PlannedScript, fuse: bool) -> usize {
     plan.statements
         .iter()
         .flat_map(|p| kq_pipeline::DataflowGraph::build(p, fuse).nodes)
-        .filter(|n| matches!(n.kind, kq_pipeline::NodeKind::Fold { .. }) && n.stages.len() == 2)
+        .filter(|n| matches!(n.kind, kq_pipeline::NodeKind::Fold { .. }) && n.stages.len() > 1)
         .count()
 }
 
@@ -383,9 +384,10 @@ fn corpus_scripts_with_a_fused_fold_pair_match_serial_fused_and_unfused() {
 /// with some hundred distinct words — every chunk's table stays small and
 /// the fold merges KBs — and a number stream where nine lines in ten are
 /// distinct — every chunk is sorted and counted, and the counted runs are
-/// as large as the input. Fused, unfused and serial; stdout and a redirect
-/// target that a later statement reads back. (Megabytes in an optimised
-/// build; an unoptimised one takes a tenth.)
+/// as large as the input, which a fold closing in count order regroups
+/// part by part. Fused, unfused and serial; stdout and a redirect target
+/// that a later statement reads back. (Megabytes in an optimised build; an
+/// unoptimised one takes a tenth.)
 #[test]
 fn counting_folds_match_serial_on_low_and_high_cardinality_megabytes() {
     let scale = if cfg!(debug_assertions) { 10 } else { 1 };
@@ -396,7 +398,8 @@ fn counting_folds_match_serial_on_low_and_high_cardinality_megabytes() {
                 cat /numbers.txt | cut -d ' ' -f 1 | sort -n | uniq -c > /out/counts\n\
                 cat /out/counts | sort -rn | head -n 7\n\
                 cat /numbers.txt | cut -d ' ' -f 1 | sort -r | uniq | wc -l\n\
-                cat /words.txt | tr -cs A-Za-z '\\n' | sort -f | uniq -c | sort -k1n | tail -n 4";
+                cat /words.txt | tr -cs A-Za-z '\\n' | sort -f | uniq -c | sort -k1n | tail -n 4\n\
+                cat /numbers.txt | cut -d ' ' -f 1 | sort | uniq -c | sort -rn | tail -n 5";
     let parsed = parse_script(text, &HashMap::new()).unwrap();
     let fresh = || {
         let ctx = ExecContext::default();
@@ -407,7 +410,9 @@ fn counting_folds_match_serial_on_low_and_high_cardinality_megabytes() {
     let serial_ctx = fresh();
     let mut planner = Planner::new(SynthesisConfig::default());
     let plan = planner.plan(&parsed, &serial_ctx, &words[..8_000]);
-    assert_eq!(fused_folds(&plan, true), 4);
+    // The counting pair of the last statement closes in count order, and
+    // in parts: its counted stream is the size of `/out/counts`.
+    assert_eq!(fused_folds(&plan, true), 5);
     let serial = run_serial(&parsed, &serial_ctx).unwrap();
     let counts = serial_ctx.vfs.read_bytes("/out/counts").unwrap();
     // Nine numbers in ten are distinct: the counted stream is the size of
@@ -437,6 +442,148 @@ fn counting_folds_match_serial_on_low_and_high_cardinality_megabytes() {
             );
         }
     }
+}
+
+/// The count-order rewrite: a counting pair and the numeric `sort` after
+/// it are one fold closing in count order, against the graph `--no-opt`
+/// builds (the pair's fold, then a sorting fold) and `run_serial`, for
+/// every tail the licence takes — `-rn`, `-nr`, `-n -r`, `-n`, `-k1nr`,
+/// `-k1,1n`, `-k1,1nr`, `-k1n -r` behind `sort` and `sort -r` — at one,
+/// two and five workers, on 700-byte and 64 KiB chunks, with no budget, a
+/// budget of 0 (every run and every part written out) and one of a
+/// quarter of the input. The lines lead with blanks or digits, counts tie
+/// by the hundred and the top ones run past fifty, and the input ends
+/// without a newline. The tails the licence refuses keep two folds, and match too.
+#[test]
+fn count_order_folds_match_serial_and_no_opt_for_every_tail() {
+    let lines = if cfg!(debug_assertions) {
+        3_000
+    } else {
+        10_000
+    };
+    let mut state = 0x00C0_FFEE_u64;
+    let mut input = String::new();
+    for _ in 0..lines {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let r = (state >> 33) as usize;
+        let line = match r % 5 {
+            0 => format!("w{}", r % 7),
+            1 => format!("  {} lead", r % 300),
+            2 => format!("{}x", r % 2_000),
+            3 => format!(" \t{}", r % 40),
+            _ => format!("rare{}", r % 50_000),
+        };
+        input.push_str(&line);
+        input.push('\n');
+    }
+    input.pop();
+    let licensed = [
+        ("", "-rn"),
+        ("", "-nr"),
+        ("", "-n -r"),
+        ("", "-n"),
+        ("", "-k1nr"),
+        ("", "-k1,1n"),
+        ("-r", "-k1,1nr"),
+        ("-r", "-k1n -r"),
+        ("-r", "-rn"),
+        ("-r", "-n"),
+    ];
+    let refused = [
+        "sort -f | uniq -c | sort -rn",
+        "sort | uniq -c | sort -rnu",
+        "sort | uniq -c | sort -rn /in.txt",
+        "sort | uniq -c | sort -rnf",
+    ];
+    let mut text = String::new();
+    for (i, (pair, then)) in licensed.iter().enumerate() {
+        text.push_str(&format!(
+            "cat /in.txt | sort {pair} | uniq -c | sort {then} > /out/t{i}\n"
+        ));
+    }
+    for tail in refused {
+        text.push_str(&format!("cat /in.txt | {tail} | head -n 50\n"));
+    }
+    let parsed = parse_script(&text, &HashMap::new()).unwrap();
+    let fresh = || {
+        let ctx = ExecContext::default();
+        ctx.vfs.write("/in.txt", input.as_str());
+        ctx
+    };
+    let serial_ctx = fresh();
+    let mut planner = Planner::new(SynthesisConfig::default());
+    let plan = planner.plan(&parsed, &serial_ctx, &input[..8_000]);
+    // Per statement, the stages of each fold the graph builds.
+    let folds = |fuse: bool| -> Vec<Vec<usize>> {
+        plan.statements
+            .iter()
+            .map(|p| {
+                kq_pipeline::DataflowGraph::build(p, fuse)
+                    .nodes
+                    .iter()
+                    .filter(|n| matches!(n.kind, kq_pipeline::NodeKind::Fold { .. }))
+                    .map(|n| n.stages.len())
+                    .collect()
+            })
+            .collect()
+    };
+    let fused = folds(true);
+    for (i, stages) in fused.iter().enumerate() {
+        let expect: &[usize] = if i < licensed.len() {
+            &[3]
+        } else {
+            // A pair's fold, then the sort's own; the sort of a file is
+            // a source, and runs as one.
+            &[2, 1]
+        };
+        assert_eq!(
+            stages,
+            expect,
+            "statement {}: {}",
+            i + 1,
+            text.lines().nth(i).unwrap()
+        );
+    }
+    assert!(folds(false).iter().flatten().all(|&stages| stages == 1));
+    let serial = run_serial(&parsed, &serial_ctx).unwrap();
+    let targets: Vec<String> = (0..licensed.len()).map(|i| format!("/out/t{i}")).collect();
+    // Counts tie by the hundred, and the top ones run past fifty.
+    let ranked = serial_ctx.vfs.read("/out/t0").unwrap();
+    let count = |line: &str| -> usize { line.split_whitespace().next().unwrap().parse().unwrap() };
+    assert!(ranked.lines().next().is_some_and(|top| count(top) > 50));
+    assert!(ranked.lines().filter(|line| count(line) == 1).count() > 100);
+    let dir = std::env::temp_dir().join(format!("kq-count-order-{}", std::process::id()));
+    for fuse in [true, false] {
+        for workers in [1, 2, 5] {
+            for chunk_bytes in [700, 64 << 10] {
+                for budget in [None, Some(0), Some(input.len() / 4)] {
+                    let ctx = fresh();
+                    let opts = DataflowOptions {
+                        spill: budget.map(|budget_bytes| kq_dsl::SpillPolicy {
+                            budget_bytes,
+                            dir: Some(dir.clone()),
+                        }),
+                        ..fixed_opts(workers, chunk_bytes, fuse)
+                    };
+                    let at = format!("fuse={fuse}, w={workers}, chunk={chunk_bytes}, {budget:?}");
+                    let got = run_dataflow(&parsed, &plan, &ctx, &opts)
+                        .unwrap_or_else(|e| panic!("{at}: {e}"));
+                    assert!(got.output == serial.output, "{at}: stdout");
+                    for target in &targets {
+                        assert!(
+                            ctx.vfs.read_bytes(target) == serial_ctx.vfs.read_bytes(target),
+                            "{at}: {target}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    let leftovers = std::fs::read_dir(&dir).map_or(0, |d| d.count());
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(leftovers, 0, "run files left behind");
 }
 
 /// The seam rewrite against the two oracles it has — the graph `--no-opt`
@@ -538,8 +685,9 @@ fn seam_stages_match_serial_fused_and_unfused() {
 }
 
 /// The flag sets of `sort` the kernel and the merge are tested on.
-const SORT_FLAG_SETS: [&str; 13] = [
-    "", "-r", "-n", "-rn", "-nr", "-f", "-u", "-nu", "-fu", "-k1n", "-ru", "-fr", "-nf",
+const SORT_FLAG_SETS: [&str; 16] = [
+    "", "-r", "-n", "-rn", "-nr", "-f", "-u", "-nu", "-fu", "-k1n", "-ru", "-fr", "-nf", "-k1nr",
+    "-k1n -r", "-rns",
 ];
 
 /// GNU `sort -n`'s number at the head of a line — blanks, an optional `-`,
@@ -595,7 +743,7 @@ fn spelled_lines(lines: usize) -> String {
 
 /// The sorting rewrite against the graph `--no-opt` builds (every chunk
 /// sorted by its `sort`, the sorted chunks merged) and against
-/// `run_serial`: all thirteen flag sets and both unique pairs, as redirect
+/// `run_serial`: all sixteen flag sets and both unique pairs, as redirect
 /// targets and on stdout, at one, two and four workers, chunks of 700 B,
 /// 64 KiB and 16 MiB, and no budget, a budget of 0 and one of half the
 /// input. The pieces pending when a fold's input ends — the tail its seal
@@ -645,7 +793,7 @@ fn sorting_folds_match_serial_and_no_opt_for_every_flag_set() {
             })
             .count()
     };
-    assert_eq!((sorting_folds(true), sorting_folds(false)), (15, 0));
+    assert_eq!((sorting_folds(true), sorting_folds(false)), (18, 0));
     let serial = run_serial(&parsed, &serial_ctx).unwrap();
     // The first spelling of each number, and of each word, wins.
     let first_of = |key: &dyn Fn(&str) -> String| {

@@ -427,36 +427,54 @@ fn shared_prefix_line(rng: &mut SmallRng) -> String {
 /// and repeats, for every flag set the kernel's reference comparator
 /// agrees with GNU on — all of those the kernel tests use: plain, `-r`,
 /// `-n`, `-rn`, `-nr`, `-f`, `-u`, `-nu`, `-fu`, `-k1n`, `-ru`, `-fr`,
-/// `-nf` — in rounds of up to two hundred lines and, past the sort
-/// kernel's insertion and radix thresholds, of thousands. (The lines leave
-/// out what the reference reads differently from GNU by design: numbers
-/// past `f64` precision, which `-nu` would call equal.) Skips when `sort`
-/// cannot be spawned.
+/// `-nf`, the key-local and global reverses apart (`-k1nr`, `-k1,1nr`,
+/// `-k1n -r`, `-n -r`) and `-s` (`-s -n`, `-sn`, `-rns`) — in rounds of up
+/// to two hundred lines and, past the sort kernel's insertion and radix
+/// thresholds, of thousands, and one round of `uniq -c` output: tied
+/// counts, and counts eight digits wide. (The lines leave out what the
+/// reference reads differently from GNU by design: numbers past `f64`
+/// precision, which `-nu` would call equal.) Skips when `sort` cannot be
+/// spawned.
 #[test]
 fn sort_matches_gnu_sort() {
     if gnu_sort(&[], "b\na\n").as_deref() != Some("a\nb\n") {
         eprintln!("sort not available; skipping");
         return;
     }
-    const FLAG_SETS: [&str; 13] = [
+    const FLAG_SETS: [&str; 20] = [
         "", "-r", "-n", "-rn", "-nr", "-f", "-u", "-nu", "-fu", "-k1n", "-ru", "-fr", "-nf",
+        "-k1nr", "-k1,1nr", "-k1n -r", "-n -r", "-s -n", "-sn", "-rns",
     ];
+    const ROUNDS: usize = 11;
     let dir = std::env::temp_dir().join(format!("kq-sort-vs-gnu-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let mut rng = SmallRng::seed_from_u64(0x5027);
     let mut compared = 0usize;
-    for round in 0..10 {
+    for round in 0..ROUNDS {
         let files = rng.gen_range(1..=5);
         let (pool_size, lines) = if round < 8 {
             (8, 0..40)
         } else {
             (400, 800..2000)
         };
+        // The last round is `uniq -c` output: counts that tie, and counts
+        // of eight digits, whose column is one wider.
+        let counted = round == ROUNDS - 1;
+        let line = |rng: &mut SmallRng| {
+            let text = shared_prefix_line(rng);
+            if !counted {
+                return text;
+            }
+            let count = match rng.gen_range(0..10) {
+                0 => rng.gen_range(10_000_000..10_000_003),
+                1..=3 => rng.gen_range(1..400),
+                _ => rng.gen_range(1..4),
+            };
+            format!("{count:>7} {text}")
+        };
         let pieces: Vec<String> = (0..files)
             .map(|_| {
-                let pool: Vec<String> = (0..pool_size)
-                    .map(|_| shared_prefix_line(&mut rng))
-                    .collect();
+                let pool: Vec<String> = (0..pool_size).map(|_| line(&mut rng)).collect();
                 (0..rng.gen_range(lines.clone()))
                     .map(|_| format!("{}\n", pool[rng.gen_range(0..pool.len())]))
                     .collect()
@@ -506,5 +524,5 @@ fn sort_matches_gnu_sort() {
         }
     }
     std::fs::remove_dir_all(&dir).unwrap();
-    assert_eq!(compared, 10 * FLAG_SETS.len());
+    assert_eq!(compared, ROUNDS * FLAG_SETS.len());
 }

@@ -316,10 +316,11 @@ fn a_finish_in_parts_traces_one_span_per_part_whatever_the_workers() {
     }
 }
 
-/// A run with a counting fold: `sort | uniq -c` is one graph node — kind
-/// `fold`, labelled with both commands, under the span names every fold
-/// has — there is no `uniq -c` node, `--no-opt` brings it back, and the
-/// span identities are the same multiset at two workers and at four.
+/// A run with a counting fold: `sort | uniq -c | sort -rn` is one graph
+/// node — kind `fold`, labelled with the three commands, under the span
+/// names every fold has — there is no `uniq -c` node and no `sort -rn`
+/// node, `--no-opt` brings both back, and the span identities are the same
+/// multiset at two workers and at four.
 #[test]
 fn a_counting_fold_is_one_fold_node_with_stable_span_identities() {
     let s = Scratch::new("counting");
@@ -338,9 +339,11 @@ fn a_counting_fold_is_one_fold_node_with_stable_span_identities() {
             .map(|r| (r.name.clone(), r.label.clone()))
             .collect()
     };
-    let pair = ("fold".to_owned(), "sort | uniq -c".to_owned());
+    let pair = ("fold".to_owned(), "sort | uniq -c | sort -rn".to_owned());
     assert!(nodes(&two).contains(&pair), "{:?}", nodes(&two));
-    assert!(nodes(&two).iter().all(|(_, label)| label != "uniq -c"));
+    assert!(nodes(&two)
+        .iter()
+        .all(|(_, label)| label != "uniq -c" && label != "sort -rn"));
     let ni = two
         .iter()
         .find(|r| r.cat == "graph" && r.label == pair.1)
@@ -369,6 +372,7 @@ fn a_counting_fold_is_one_fold_node_with_stable_span_identities() {
     let unfused = kq_trace::parse_jsonl(&std::fs::read_to_string(&unfused).unwrap()).unwrap();
     assert!(!nodes(&unfused).contains(&pair));
     assert!(nodes(&unfused).contains(&("fold".to_owned(), "uniq -c".to_owned())));
+    assert!(nodes(&unfused).contains(&("fold".to_owned(), "sort -rn".to_owned())));
 }
 
 /// `corpus --plan` records through the same session `run` does:
