@@ -244,3 +244,77 @@ fn count_order_tails_print_the_same_at_one_worker_and_two() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `cut` through the binary — alone, with a disjoint field list, by
+/// characters, and as the map ahead of Figure 1's counting tail — prints
+/// the same bytes at one worker and two, and the bytes `LC_ALL=C sh`
+/// prints where the host has `cut` and `sort`.
+#[test]
+fn cut_pipelines_print_the_same_at_one_worker_and_two() {
+    let dir = std::env::temp_dir().join(format!("kq-bin-cut-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("fields.txt");
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut text = String::new();
+    for i in 0..30_000 {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let r = (state >> 33) as usize;
+        // Mostly four fields; now and then a line without the delimiter
+        // or with an empty field.
+        match i % 50 {
+            0 => text.push_str("no-delimiter-here\n"),
+            1 => text.push_str(&format!(" lead{} {}\n", r % 9, r % 70)),
+            _ => text.push_str(&format!("w{} k{} {} tail{}\n", r % 40, r % 300, r, r % 7)),
+        }
+    }
+    std::fs::write(&input, text).unwrap();
+    let host_has = |program: &str| {
+        Command::new(program)
+            .arg("--version")
+            .output()
+            .is_ok_and(|o| o.status.success())
+    };
+    let has_coreutils = host_has("cut") && host_has("sort");
+    let file = input.display();
+    for script in [
+        format!("cat {file} | cut -d ' ' -f 1"),
+        format!("cat {file} | cut -d ' ' -f 1,3"),
+        format!("cat {file} | cut -c 1-4"),
+        format!("cat {file} | cut -d ' ' -f 2 | sort | uniq -c | sort -rn"),
+    ] {
+        let mut outputs = Vec::new();
+        for workers in ["1", "2"] {
+            let out = kumquat()
+                .args(["run", &script, "--workers", workers, "--chunk-kb", "16"])
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{script} at {workers}: {stderr}");
+            assert!(
+                stderr.contains("verified"),
+                "{script} at {workers}: {stderr}"
+            );
+            assert!(!out.stdout.is_empty(), "{script} at {workers}");
+            outputs.push(out.stdout);
+        }
+        assert!(
+            outputs[0] == outputs[1],
+            "{script}: --workers 1 and 2 differ"
+        );
+        if has_coreutils {
+            let sh = Command::new("sh")
+                .args(["-c", &script])
+                .env("LC_ALL", "C")
+                .output()
+                .unwrap();
+            assert!(sh.status.success());
+            assert!(
+                sh.stdout == outputs[0],
+                "{script}: differs from LC_ALL=C sh"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -6,13 +6,29 @@
 //! lines *without* the delimiter are printed whole in field mode; attached
 //! option forms (`-d: -f1`) parse like the detached ones.
 //!
-//! When the LIST normalizes to a **single contiguous range** — the common
-//! corpus shape (`-f 1`, `-f 2`, `-c 1-8`) — each line's selection is one
-//! contiguous byte span of the input, so `cut` takes the same byte fast
-//! path as `grep`: spans are emitted as coalesced sub-slices of the input
-//! [`Bytes`] (selecting everything returns the input handle). Multi-range
-//! lists and the synthesized `'\n'` after a clipped line fall back to /
-//! interleave with the line-at-a-time oracle ([`CutCmd::run_reference`]).
+//! # The kernels
+//!
+//! Every output byte of `cut` is an input byte, bar the `'\n'` after a
+//! clipped line, so both modes report byte ranges of the input to the
+//! gather of [`crate::fastpath`]: an output that is one run of the input
+//! (`-c 1-`, `-f 1-`, or lines without the delimiter) is a slice of it,
+//! and any other is written into one buffer reserved at the input's
+//! length — never a slice per line, whose refcount traffic on the buffer
+//! all workers' chunks share grows with the worker count.
+//!
+//! - **Fields**, for any LIST and an ASCII delimiter: one pass finds
+//!   `'\n'` and the delimiter eight bytes at a time (SWAR, [`find_either`]),
+//!   and each line's selected fields become one byte range per run of
+//!   adjacent selected fields. Past the LIST's last field only the
+//!   newline is looked for.
+//! - **Characters**: on an ASCII line a character is a byte, so each
+//!   range of the LIST is one byte range of the line (a prefix, for the
+//!   corpus's `-c 1-4`); a line with a multi-byte character is cut
+//!   character by character.
+//!
+//! A non-ASCII delimiter (or `'\n'`, which no line contains) runs the
+//! line-at-a-time implementation, [`CutCmd::run_reference`], which is
+//! also the oracle the differential tests hold both kernels to.
 
 use crate::fastpath::SliceRuns;
 use crate::{Bytes, CmdError, ExecContext, UnixCommand};
@@ -147,109 +163,102 @@ impl CutCmd {
 }
 
 impl CutCmd {
-    /// The single contiguous selection range `(lo, hi)` when the fast
-    /// path applies: one merged range, and (in field mode) an ASCII
-    /// delimiter so it can be searched bytewise.
-    fn single_range(&self) -> Option<(usize, usize)> {
-        let list = match &self.mode {
-            Mode::Chars(list) => list,
-            Mode::Fields { delim, list } => {
-                if !delim.is_ascii() {
-                    return None;
-                }
-                list
-            }
-        };
-        match list.ranges.as_slice() {
-            [(lo, hi)] => Some((*lo, *hi)),
-            _ => None,
-        }
-    }
-
-    /// The slice fast path: for a single-range LIST every line's
-    /// selection is one contiguous byte span, emitted as coalesced
-    /// sub-slices of `input`. `text` must be the UTF-8 view of `input`.
-    fn run_single_range_slices(&self, input: &Bytes, text: &str, lo: usize, hi: usize) -> Bytes {
-        let newline = Bytes::from("\n");
-        let bytes = text.as_bytes();
-        let len = bytes.len();
+    /// `-d D -f LIST` for an ASCII delimiter: each line's fields are found
+    /// with [`find_either`] and its selected ones kept as byte ranges — a
+    /// run of adjacent selected fields is one range, and a field selected
+    /// after a gap takes the delimiter before it along (`a,c` of `a,b,c`
+    /// is the ranges `a` and `,c`). Past the last selected field only the
+    /// line's newline is looked for.
+    fn run_fields(input: &Bytes, delim: u8, ranges: &[(usize, usize)]) -> Bytes {
+        let bytes = input.as_bytes();
+        let last = ranges.last().map_or(0, |&(_, hi)| hi);
         let mut runs = SliceRuns::new(input);
-        let mut pos = 0usize;
-        while pos < len {
-            let (line_end, next) = match bytes[pos..].iter().position(|&b| b == b'\n') {
-                Some(i) => (pos + i, pos + i + 1),
-                None => (len, len),
-            };
-            let line = &bytes[pos..line_end];
-            // The selected span, relative to the line; None = no field
-            // `lo` exists (GNU prints an empty line).
-            let span: Option<(usize, usize)> = match &self.mode {
-                Mode::Fields { delim, .. } => {
-                    let d = *delim as u8;
-                    let mut dcount = 0usize;
-                    let mut start = (lo == 1).then_some(0);
-                    let mut end = line.len();
-                    for (i, &b) in line.iter().enumerate() {
-                        if b == d {
-                            dcount += 1;
-                            if dcount + 1 == lo {
-                                start = Some(i + 1);
-                            }
-                            if dcount == hi {
-                                end = i;
-                                break;
-                            }
-                        }
-                    }
-                    if dcount == 0 {
-                        // Delimiter-free lines pass through whole.
-                        Some((0, line.len()))
-                    } else {
-                        start.map(|s| (s, end))
-                    }
-                }
-                Mode::Chars(_) => {
-                    if !line.is_ascii() {
-                        // Char positions ≠ byte positions: defer to the
-                        // oracle for this line, interleaved as a literal.
-                        let selected: String = std::str::from_utf8(line)
-                            .expect("line of a str is valid UTF-8")
-                            .chars()
-                            .skip(lo - 1)
-                            .take(hi - lo + 1)
-                            .collect();
-                        runs.lit(Bytes::from(selected));
-                        runs.lit(newline.clone());
-                        pos = next;
-                        continue;
-                    }
-                    if lo > line.len() {
-                        None
-                    } else {
-                        Some((lo - 1, hi.min(line.len())))
-                    }
+        let mut first = 0;
+        while first < bytes.len() {
+            let mut line = FieldLine::at(first);
+            let line_end = loop {
+                // Past the last selected field only the newline matters.
+                let wanted = if line.field <= last { delim } else { b'\n' };
+                match find_either(bytes, line.start, wanted) {
+                    Some(pos) if bytes[pos] == delim => line.close_field(pos, ranges, &mut runs),
+                    Some(pos) => break pos,
+                    None => break bytes.len(),
                 }
             };
-            match span {
-                None => runs.lit(newline.clone()),
-                Some((s, e)) => {
-                    runs.keep(pos + s..pos + e);
-                    if e == line.len() && next > line_end {
-                        // The span reaches the newline: slice through it.
-                        runs.keep(line_end..next);
-                    } else {
-                        runs.lit(newline.clone());
+            let terminated = line_end < bytes.len();
+            if line.field == 1 {
+                // No delimiter: GNU prints the line whole.
+                runs.keep(first..line_end + usize::from(terminated));
+                if !terminated {
+                    runs.lit(b"\n");
+                }
+            } else {
+                if line.field <= last {
+                    line.close_field(line_end, ranges, &mut runs);
+                }
+                match line.open {
+                    Some((start, end)) if end == line_end && terminated => {
+                        runs.keep(start..line_end + 1);
                     }
+                    Some((start, end)) => {
+                        runs.keep(start..end);
+                        runs.lit(b"\n");
+                    }
+                    None => runs.lit(b"\n"),
                 }
             }
-            pos = next;
+            first = line_end + 1;
         }
         runs.finish()
     }
 
-    /// The line-at-a-time implementation — the real path for multi-range
-    /// lists and the oracle the differential tests compare the slice path
-    /// against.
+    /// `-c LIST`: on an ASCII line character positions are byte positions,
+    /// so each range of the list is one byte range of the line; a line
+    /// with a multi-byte character is cut character by character.
+    fn run_chars(input: &Bytes, text: &str, list: &RangeList) -> Bytes {
+        let bytes = input.as_bytes();
+        let mut runs = SliceRuns::new(input);
+        let mut selected = String::new();
+        let mut start = 0;
+        while start < bytes.len() {
+            let (line_end, terminated) = match find_either(bytes, start, b'\n') {
+                Some(pos) => (pos, true),
+                None => (bytes.len(), false),
+            };
+            let line = &bytes[start..line_end];
+            let mut kept_to = start;
+            if line.is_ascii() {
+                for &(lo, hi) in &list.ranges {
+                    if lo > line.len() {
+                        break;
+                    }
+                    kept_to = start + hi.min(line.len());
+                    runs.keep(start + lo - 1..kept_to);
+                }
+            } else {
+                selected.clear();
+                selected.extend(
+                    text[start..line_end]
+                        .chars()
+                        .enumerate()
+                        .filter(|&(i, _)| list.contains(i + 1))
+                        .map(|(_, c)| c),
+                );
+                runs.lit(selected.as_bytes());
+            }
+            if kept_to == line_end && terminated {
+                runs.keep(line_end..line_end + 1);
+            } else {
+                runs.lit(b"\n");
+            }
+            start = line_end + 1;
+        }
+        runs.finish()
+    }
+
+    /// The line-at-a-time implementation — the real path for a non-ASCII
+    /// or newline delimiter, and the oracle the differential tests hold
+    /// both kernels to.
     #[doc(hidden)]
     pub fn run_reference(&self, input: &str) -> String {
         let mut out = String::with_capacity(input.len());
@@ -286,6 +295,99 @@ impl CutCmd {
     }
 }
 
+/// One line's progress through [`CutCmd::run_fields`].
+struct FieldLine {
+    /// The 1-based number of the field being scanned.
+    field: usize,
+    /// Where that field starts.
+    start: usize,
+    /// The first range of the list that does not end before `field`.
+    next_range: usize,
+    /// The selected bytes of the line not yet kept, as a range.
+    open: Option<(usize, usize)>,
+    /// Some field of the line was selected.
+    selected_any: bool,
+}
+
+impl FieldLine {
+    fn at(first: usize) -> FieldLine {
+        FieldLine {
+            field: 1,
+            start: first,
+            next_range: 0,
+            open: None,
+            selected_any: false,
+        }
+    }
+
+    /// Ends the current field at `end` (a delimiter, or the line's end)
+    /// and moves to the next: a selected field joins the open range (or
+    /// opens one, with the delimiter before it if it is not the line's
+    /// first selected field); an unselected one hands the open range to
+    /// `runs`.
+    #[inline]
+    fn close_field(&mut self, end: usize, ranges: &[(usize, usize)], runs: &mut SliceRuns) {
+        let field = self.field;
+        while ranges
+            .get(self.next_range)
+            .is_some_and(|&(_, hi)| hi < field)
+        {
+            self.next_range += 1;
+        }
+        if ranges
+            .get(self.next_range)
+            .is_some_and(|&(lo, _)| lo <= field)
+        {
+            match &mut self.open {
+                Some((_, open_end)) => *open_end = end,
+                None => {
+                    let from = self.start - usize::from(self.selected_any);
+                    self.open = Some((from, end));
+                    self.selected_any = true;
+                }
+            }
+        } else if let Some((from, to)) = self.open.take() {
+            runs.keep(from..to);
+        }
+        self.field += 1;
+        self.start = end + 1;
+    }
+}
+
+const ONES: u64 = 0x0101_0101_0101_0101;
+const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+const NEWLINES: u64 = ONES * b'\n' as u64;
+
+/// The high bit of every byte of `word` equal to the byte `splat`
+/// repeats, and no other bit: exact, since no carry crosses a byte
+/// (`(x & 0x7f) + 0x7f` is at most `0xfe`).
+#[inline(always)]
+fn matches(word: u64, splat: u64) -> u64 {
+    let x = word ^ splat;
+    !(((x & LOW7) + LOW7) | x | LOW7)
+}
+
+/// The first `'\n'` or `delim` at or after `from`, eight bytes at a time:
+/// each word is loaded once and tested for both bytes. With `delim` a
+/// newline it finds the next newline alone.
+#[inline]
+fn find_either(bytes: &[u8], from: usize, delim: u8) -> Option<usize> {
+    let delims = ONES * u64::from(delim);
+    let mut at = from;
+    while let Some(word) = bytes.get(at..at + 8) {
+        let word = u64::from_le_bytes(word.try_into().expect("an 8-byte window"));
+        let hits = matches(word, NEWLINES) | matches(word, delims);
+        if hits != 0 {
+            return Some(at + hits.trailing_zeros() as usize / 8);
+        }
+        at += 8;
+    }
+    bytes[at..]
+        .iter()
+        .position(|&b| b == b'\n' || b == delim)
+        .map(|i| at + i)
+}
+
 impl UnixCommand for CutCmd {
     fn display(&self) -> String {
         self.display.clone()
@@ -293,10 +395,13 @@ impl UnixCommand for CutCmd {
 
     fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
         let text = crate::input_str(&input, "cut")?;
-        if let Some((lo, hi)) = self.single_range() {
-            return Ok(self.run_single_range_slices(&input, text, lo, hi));
-        }
-        Ok(Bytes::from(self.run_reference(text)))
+        Ok(match &self.mode {
+            Mode::Fields { delim, list } if delim.is_ascii() && *delim != '\n' => {
+                CutCmd::run_fields(&input, *delim as u8, &list.ranges)
+            }
+            Mode::Fields { .. } => Bytes::from(self.run_reference(text)),
+            Mode::Chars(list) => CutCmd::run_chars(&input, text, list),
+        })
     }
 }
 
@@ -382,22 +487,22 @@ mod tests {
 
     #[test]
     fn select_everything_is_a_refcount_bump() {
-        // `-c 1-` keeps every character of every line: pure slicing.
-        let input = Bytes::from("abc\ndef\n");
-        let out = cut("cut -c 1-")
-            .run(input.clone(), &ExecContext::default())
-            .unwrap();
-        assert_eq!(out, input);
-        assert!(
-            out.shares_buffer(&input),
-            "full selection must be the input slice, not a copy"
-        );
+        // `-c 1-` and `-f 1-` keep every byte of every line.
+        let input = Bytes::from("abc\nd,ef\n");
+        for cmd in ["cut -c 1-", "cut -d, -f1-"] {
+            let out = cut(cmd)
+                .run(input.clone(), &ExecContext::default())
+                .unwrap();
+            assert_eq!(out, input);
+            assert!(
+                out.shares_buffer(&input),
+                "{cmd}: a full selection must be the input slice, not a copy"
+            );
+        }
     }
 
     #[test]
-    fn trailing_field_selection_slices_through_newlines() {
-        // `-f 2-` on two-field lines keeps a suffix of every line plus its
-        // newline; runs stay sub-slices of the input buffer.
+    fn trailing_field_selection_keeps_newlines() {
         let input = Bytes::from("k1,v1\nk2,v2\n");
         let out = cut("cut -d, -f2-")
             .run(input.clone(), &ExecContext::default())
@@ -406,7 +511,7 @@ mod tests {
     }
 
     #[test]
-    fn single_range_slice_path_agrees_with_reference_on_edge_cases() {
+    fn kernels_agree_with_reference_on_edge_cases() {
         let cases = [
             "",
             "\n",
@@ -414,11 +519,13 @@ mod tests {
             "a,b,c\n",
             "plain\na,b\n",
             "a,b",
+            "a,",
             ",\n,,\n",
             "x,\n,y\n",
             "caf\u{e9},th\u{e9}\n",
             "\u{3b1}\u{3b2}\u{3b3}\n",
             "one two three\nfour\n",
+            "a,b,c,d,e,f,g,h,i,j,k\n,,,,,,,,,,,,\nabcdefghijklmnop,q\n",
         ];
         for cmd_line in [
             "cut -d ',' -f 1",
@@ -426,16 +533,17 @@ mod tests {
             "cut -d ',' -f 2-",
             "cut -d ',' -f -2",
             "cut -d ',' -f 5",
+            "cut -d ',' -f 1,3",
+            "cut -d ',' -f 3,1",
+            "cut -d ',' -f 2,4-5,9-",
+            "cut -d ' ' -f 1,2",
             "cut -c 1-2",
             "cut -c 2-",
             "cut -c 3",
             "cut -c 10",
+            "cut -c 1,3-4,9-",
         ] {
             let c = cut(cmd_line);
-            assert!(
-                c.single_range().is_some(),
-                "{cmd_line} should take the fast path"
-            );
             for input in cases {
                 let fast = c.run(Bytes::from(input), &ExecContext::default()).unwrap();
                 assert_eq!(
@@ -448,10 +556,32 @@ mod tests {
     }
 
     #[test]
-    fn multi_range_lists_stay_off_the_fast_path() {
-        assert!(cut("cut -d ',' -f 1,3").single_range().is_none());
-        assert!(cut("cut -c 1,5-6").single_range().is_none());
-        // Adjacent list elements merge into one range: still fast.
-        assert!(cut("cut -d ',' -f 1,2").single_range().is_some());
+    fn a_newline_delimiter_passes_lines_through_whole() {
+        let args = ["-d", "\n", "-f", "2"].map(str::to_owned);
+        let c = CutCmd::parse(&args).unwrap();
+        let out = c
+            .run(Bytes::from("a\nb,c"), &ExecContext::default())
+            .unwrap();
+        assert_eq!(out, "a\nb,c\n");
+    }
+
+    #[test]
+    fn searches_find_every_newline_and_delimiter_across_word_edges() {
+        for len in 0..20 {
+            let bytes: Vec<u8> = (0..len)
+                .map(|i| match i % 5 {
+                    1 => b'\n',
+                    3 => b',',
+                    4 => 0x80 | b',',
+                    _ => b'a' + i as u8,
+                })
+                .collect();
+            for from in 0..=len {
+                let either = bytes[from..].iter().position(|&b| b == b'\n' || b == b',');
+                let newline = bytes[from..].iter().position(|&b| b == b'\n');
+                assert_eq!(find_either(&bytes, from, b','), either.map(|i| from + i));
+                assert_eq!(find_either(&bytes, from, b'\n'), newline.map(|i| from + i));
+            }
+        }
     }
 }

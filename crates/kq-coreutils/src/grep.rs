@@ -17,12 +17,12 @@
 //! matching line (a lazily built DFA, or a substring search when the
 //! pattern is a plain string; see that crate's docs), and [`GrepCmd::run`]
 //! is one loop over those ranges and the gaps between them, whatever the
-//! output form. The verbatim forms (`grep PAT`, `-v`, `-i`) emit selected
-//! lines as sub-slices of the input [`Bytes`], adjacent ones coalesced
-//! into runs: an all-match result is the input handle itself (refcount
-//! bump, zero copies — also zero *pages touched* beyond the match scan
-//! when the input is a mapped file), and sparse results gather once,
-//! sized to the output. `-c` only counts and `-n` writes its prefixes; no
+//! output form. The verbatim forms (`grep PAT`, `-v`, `-i`) report the
+//! selected lines as byte ranges to the gather of [`crate::fastpath`]:
+//! a result that is one run of lines is a slice of the input [`Bytes`]
+//! (an all-match result is the input handle itself: refcount bump, zero
+//! copies — also zero *pages touched* beyond the match scan when the
+//! input is a mapped file), and any other is copied into one buffer. `-c` only counts and `-n` writes its prefixes; no
 //! form builds a `String` per line. The old line-at-a-time loop survives
 //! as the differential tests' oracle ([`GrepCmd::run_reference`]).
 

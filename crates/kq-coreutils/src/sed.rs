@@ -10,10 +10,10 @@
 //!
 //! Substitution takes a **byte fast path** over the same whole-buffer
 //! scan as `grep` ([`kq_pattern::Regex::matching_lines`]): lines the
-//! pattern does not match pass through as sub-slices of the input
-//! [`Bytes`], coalesced into runs, and only the lines it accepts are
-//! rebuilt (the backtracker computes their match and capture spans). An
-//! input without a match comes back as the input handle itself. The
+//! pattern does not match are copied through as byte ranges of the input
+//! by the gather of [`crate::fastpath`], and only the lines it accepts
+//! are rebuilt (the backtracker computes their match and capture spans).
+//! An input without a match comes back as the input handle itself. The
 //! line-at-a-time loop survives as the differential tests' oracle
 //! ([`SedCmd::run_reference`]), and still runs the address forms.
 
@@ -157,20 +157,15 @@ impl UnixCommand for SedCmd {
             return Ok(Bytes::from(self.run_reference(text)));
         };
         let mut runs = SliceRuns::new(&input);
-        // Consecutive rewritten lines gather here and go out as one piece.
         let mut rewritten = String::new();
         let mut pos = 0;
         for line in regex.matching_lines(text) {
-            if line.start > pos && !rewritten.is_empty() {
-                runs.lit(Bytes::from(std::mem::take(&mut rewritten)));
-            }
             runs.keep(pos..line.start);
+            rewritten.clear();
             regex.replace_into(&text[line.clone()], replacement, *global, &mut rewritten);
             rewritten.push('\n');
+            runs.lit(rewritten.as_bytes());
             pos = (line.end + 1).min(text.len());
-        }
-        if !rewritten.is_empty() {
-            runs.lit(Bytes::from(rewritten));
         }
         runs.keep(pos..text.len());
         Ok(runs.finish_terminated())

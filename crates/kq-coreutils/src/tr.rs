@@ -10,9 +10,9 @@
 //! `-s` (squeeze), including the combined forms `-cs`, `-sc`, `-ds`.
 //!
 //! Pure deletion (`tr -d`, `tr -cd` — no squeeze, ASCII SET1) takes a
-//! **byte fast path** like `grep`'s: kept bytes are emitted as coalesced
-//! sub-slice runs of the input [`Bytes`] (a delete that removes nothing
-//! returns the input handle, zero copies). Translate, squeeze and `-ds`
+//! **byte fast path** like `grep`'s: runs of kept bytes go to the gather
+//! of [`crate::fastpath`], which copies them into one buffer (a delete
+//! that removes nothing returns the input handle, zero copies). Translate, squeeze and `-ds`
 //! over ASCII sets run from a 256-entry **byte table** built once in
 //! [`TrCmd::parse`] ([`ByteTable`]): one load per input byte, no branch on
 //! the data. The character-at-a-time implementation remains for a
@@ -567,9 +567,8 @@ impl TrCmd {
         self.delete && !self.squeeze && self.set1.iter().all(|c| c.is_ascii())
     }
 
-    /// The slice fast path for [`TrCmd::deletes_verbatim`] commands:
-    /// scans bytes and emits kept bytes as coalesced sub-slice runs of
-    /// `input`. `text` must be the UTF-8 view of `input` (same indices).
+    /// The byte fast path for [`TrCmd::deletes_verbatim`] commands:
+    /// scans bytes and gathers the runs of kept bytes of `input`. `text` must be the UTF-8 view of `input` (same indices).
     fn run_delete_slices(&self, input: &Bytes, text: &str) -> Bytes {
         let mut keep = [false; 256];
         for (b, k) in keep.iter_mut().enumerate() {
@@ -598,7 +597,7 @@ impl TrCmd {
 
     /// The character-at-a-time implementation — the real path for a
     /// non-ASCII SET and the oracle the differential tests compare the
-    /// slice path and the byte table against.
+    /// byte fast path and the byte table against.
     #[doc(hidden)]
     pub fn run_reference(&self, input: &str) -> String {
         let set1 = CharSet::from_chars(&self.set1);

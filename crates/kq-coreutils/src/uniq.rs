@@ -7,9 +7,9 @@
 //! Both forms work on line slices of the input bytes. Plain `uniq` emits a
 //! *subsequence of its input bytes* — the first line of every run of equal
 //! lines, newline included — so it takes the
-//! [`SliceRuns`](crate::fastpath) byte fast path: kept lines coalesce into
-//! maximal sub-slices of the input, and an all-unique input comes back as
-//! the input handle itself (a refcount bump, zero copies). `-c` rewrites
+//! [`SliceRuns`](crate::fastpath) byte fast path: kept lines are copied
+//! into one buffer, and an all-unique input comes back as the input
+//! handle itself (a refcount bump, zero copies). `-c` rewrites
 //! every line: a run-length count over the slices into one pre-sized
 //! buffer.
 //!
@@ -41,7 +41,7 @@ impl UniqCmd {
         Ok(UniqCmd { count })
     }
 
-    /// The slice fast path for plain `uniq`: scans lines bytewise and
+    /// The byte fast path for plain `uniq`: scans lines bytewise and
     /// keeps the first line of each run of equal lines — through its
     /// newline, so consecutive kept lines coalesce into one slice. `text`
     /// must be the UTF-8 view of `input` (same indices). An unterminated
@@ -63,7 +63,7 @@ impl UniqCmd {
                     runs.keep(pos..next);
                 } else {
                     runs.keep(pos..line_end);
-                    runs.lit(Bytes::from("\n"));
+                    runs.lit(b"\n");
                 }
             }
             prev = Some(line);

@@ -11,7 +11,9 @@
 //! [`Rope`] is the companion for the *gather* direction: stage outputs and
 //! multi-file inputs accumulate as a segment list and flatten at most once,
 //! when a contiguous view is actually demanded (and not at all when the
-//! rope holds a single segment).
+//! rope holds a single segment). [`Gather`] is the other gather: one
+//! owned buffer that pieces of a view are copied into as they are found,
+//! for outputs made of many small pieces of their input.
 //!
 //! # Backing stores
 //!
@@ -878,6 +880,66 @@ impl From<Vec<Bytes>> for Rope {
     }
 }
 
+/// One owned buffer assembled from pieces — byte ranges copied out of
+/// [`Bytes`] views, and literal bytes — for outputs that are mostly their
+/// input's bytes with gaps (`grep`, `cut`, `tr -d`): one copy into one
+/// allocation, where a [`Rope`] of sub-slices would bump the shared
+/// refcount for every piece and still copy them all when flattened.
+///
+/// It remembers whether it is text: it is while every piece was — a range
+/// of a text view starting and ending on char boundaries, or literal bytes
+/// that are UTF-8 — because concatenated UTF-8 is UTF-8. So the result
+/// keeps the O(1) [`Bytes::to_str`] without a validating scan.
+#[derive(Debug)]
+pub struct Gather {
+    buf: Vec<u8>,
+    text: bool,
+}
+
+impl Gather {
+    /// An empty buffer with room for `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> Gather {
+        Gather {
+            buf: Vec::with_capacity(capacity),
+            text: true,
+        }
+    }
+
+    /// Appends `range` of `src` (relative to the view, like
+    /// [`Bytes::slice`]).
+    ///
+    /// # Panics
+    /// Panics when the range is out of bounds or inverted.
+    #[inline]
+    pub fn copy(&mut self, src: &Bytes, range: std::ops::Range<usize>) {
+        let (start, end) = (src.start + range.start, src.start + range.end);
+        self.buf.extend_from_slice(&src.as_bytes()[range]);
+        // In a text buffer only a continuation byte starts inside a
+        // character, and the first byte never is one.
+        let whole = src.buf.as_slice();
+        let boundary = |pos: usize| whole.get(pos).is_none_or(|&b| b & 0xC0 != 0x80);
+        self.text = self.text && src.text && boundary(start) && boundary(end);
+    }
+
+    /// Appends literal bytes.
+    #[inline]
+    pub fn push(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+        self.text = self.text && (bytes.is_ascii() || std::str::from_utf8(bytes).is_ok());
+    }
+
+    /// The gathered bytes as a whole-buffer [`Bytes`]. A buffer that uses
+    /// less than a quarter of a non-trivial reservation is shrunk first
+    /// (the rule of [`Bytes::compact`]), so a sparse result does not hold
+    /// on to the room it was given.
+    pub fn into_bytes(mut self) -> Bytes {
+        if self.buf.capacity() >= 4096 && self.buf.len() * 4 < self.buf.capacity() {
+            self.buf.shrink_to_fit();
+        }
+        Bytes::from_heap(self.buf, self.text)
+    }
+}
+
 /// Flattens a piece list into one contiguous [`Bytes`] (single-segment
 /// lists are returned without copying). Convenience for executors.
 pub fn concat_bytes<'a>(pieces: impl IntoIterator<Item = &'a Bytes>) -> Bytes {
@@ -887,6 +949,46 @@ pub fn concat_bytes<'a>(pieces: impl IntoIterator<Item = &'a Bytes>) -> Bytes {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn gather_copies_pieces_into_one_buffer_and_tracks_text() {
+        let src = Bytes::from("caf\u{e9},x\n");
+        let view = src.slice(1..src.len());
+        let mut g = Gather::with_capacity(src.len());
+        g.copy(&view, 0..4);
+        g.push(b"|");
+        g.copy(&src, 6..8);
+        let out = g.into_bytes();
+        assert_eq!(out, "af\u{e9}|x\n");
+        assert!(!out.shares_buffer(&src));
+        assert!(out.text, "text pieces cut at char boundaries stay text");
+
+        // A range ending inside a multi-byte character is not text.
+        let mut g = Gather::with_capacity(8);
+        g.copy(&src, 0..4);
+        assert!(!g.into_bytes().text);
+        // Nor are literal bytes that are not UTF-8, nor a byte buffer's range.
+        let mut g = Gather::with_capacity(8);
+        g.push(&[0xff]);
+        assert!(!g.into_bytes().text);
+        let mut g = Gather::with_capacity(8);
+        g.copy(&Bytes::from(b"ab".to_vec()), 0..2);
+        assert!(!g.into_bytes().text);
+    }
+
+    #[test]
+    fn a_sparse_gather_gives_back_its_reservation() {
+        let src = Bytes::from("x".repeat(1 << 16));
+        let mut g = Gather::with_capacity(src.len());
+        g.copy(&src, 0..10);
+        g.push(b"\n");
+        let out = g.into_bytes();
+        assert_eq!(out.len(), 11);
+        let Backing::Heap(vec) = &*out.buf else {
+            panic!("a gather is a heap buffer")
+        };
+        assert!(vec.capacity() < 4096, "capacity {}", vec.capacity());
+    }
 
     #[test]
     fn slice_is_zero_copy() {

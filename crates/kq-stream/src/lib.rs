@@ -54,7 +54,7 @@ pub mod split;
 
 #[cfg(unix)]
 pub use bytes::MmapRegion;
-pub use bytes::{concat_bytes, Bytes, ChunkIter, ReleaseCursor, Rope};
+pub use bytes::{concat_bytes, Bytes, ChunkIter, Gather, ReleaseCursor, Rope};
 pub use chunker::IncrementalChunker;
 pub use delim::Delim;
 pub use split::{split_chunks, split_stream};

@@ -361,8 +361,13 @@ impl UnixCommand for SabotagedSort {
 
     fn run(&self, input: Bytes, ctx: &ExecContext) -> Result<Bytes, CmdError> {
         if input.as_bytes() == SABOTAGE_TRIGGER.as_bytes() {
-            std::fs::remove_dir_all(&self.spill_dir).ok();
-            std::fs::write(&self.spill_dir, "not a directory").unwrap();
+            // Another worker may be opening a run file meanwhile, and
+            // `RunWriter::create` recreates the directory before it does:
+            // remove and write again until the path is a plain file.
+            while !self.spill_dir.is_file() {
+                std::fs::remove_dir_all(&self.spill_dir).ok();
+                std::fs::write(&self.spill_dir, "not a directory").ok();
+            }
             return Ok(Bytes::new());
         }
         self.sort.run(input, ctx)

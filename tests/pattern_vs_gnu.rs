@@ -6,8 +6,9 @@
 //! Skips silently when `grep` cannot be spawned.
 //!
 //! Beside it, and gated the same way, `tr`'s SET grammar against the
-//! host's GNU `tr` ([`tr_sets_match_gnu_tr`]) and `sort`/`sort -m` against
-//! GNU `sort` on lines with long shared prefixes ([`sort_matches_gnu_sort`]).
+//! host's GNU `tr` ([`tr_sets_match_gnu_tr`]), `sort`/`sort -m` against
+//! GNU `sort` on lines with long shared prefixes ([`sort_matches_gnu_sort`]),
+//! and the corpus's `cut` forms against GNU `cut` ([`cut_matches_gnu_cut`]).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -295,10 +296,10 @@ fn fixed_strings_match_gnu_grep() {
     }
 }
 
-/// Runs host `tr ARGS` over `input` in the C locale; `None` when `tr`
-/// cannot be spawned or rejects the arguments.
-fn gnu_tr(args: &[&str], input: &str) -> Option<String> {
-    let mut child = Proc::new("tr")
+/// Runs host `PROGRAM ARGS` over `input` in the C locale; `None` when the
+/// program cannot be spawned or fails (rejects the arguments, say).
+fn gnu<S: AsRef<std::ffi::OsStr>>(program: &str, args: &[S], input: &str) -> Option<String> {
+    let mut child = Proc::new(program)
         .args(args)
         .env("LC_ALL", "C")
         .stdin(Stdio::piped())
@@ -325,7 +326,7 @@ fn gnu_tr(args: &[&str], input: &str) -> Option<String> {
 /// character by character, by design. Skips when `tr` cannot be spawned.
 #[test]
 fn tr_sets_match_gnu_tr() {
-    if gnu_tr(&["a", "b"], "a\n").is_none() {
+    if gnu("tr", &["a", "b"], "a\n").is_none() {
         eprintln!("tr not available; skipping");
         return;
     }
@@ -352,7 +353,8 @@ fn tr_sets_match_gnu_tr() {
             .collect();
         let ours = kq_coreutils::from_argv(&argv).unwrap_or_else(|e| panic!("{args:?}: {e}"));
         for input in inputs {
-            let expect = gnu_tr(args, input).unwrap_or_else(|| panic!("GNU tr rejected {args:?}"));
+            let expect =
+                gnu("tr", args, input).unwrap_or_else(|| panic!("GNU tr rejected {args:?}"));
             assert_eq!(
                 ours.run_str(input, &ctx).unwrap(),
                 expect,
@@ -360,29 +362,6 @@ fn tr_sets_match_gnu_tr() {
             );
         }
     }
-}
-
-/// Runs host `sort ARGS` over `input` in the C locale; `None` when `sort`
-/// cannot be spawned or fails.
-fn gnu_sort(args: &[String], input: &str) -> Option<String> {
-    let mut child = Proc::new("sort")
-        .args(args)
-        .env("LC_ALL", "C")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .ok()?;
-    child
-        .stdin
-        .as_mut()
-        .unwrap()
-        .write_all(input.as_bytes())
-        .ok()?;
-    let out = child.wait_with_output().ok()?;
-    out.status
-        .success()
-        .then(|| String::from_utf8_lossy(&out.stdout).into_owned())
 }
 
 /// A line that shares a long prefix with many others — the shape that
@@ -437,7 +416,7 @@ fn shared_prefix_line(rng: &mut SmallRng) -> String {
 /// spawned.
 #[test]
 fn sort_matches_gnu_sort() {
-    if gnu_sort(&[], "b\na\n").as_deref() != Some("a\nb\n") {
+    if gnu::<&str>("sort", &[], "b\na\n").as_deref() != Some("a\nb\n") {
         eprintln!("sort not available; skipping");
         return;
     }
@@ -498,23 +477,23 @@ fn sort_matches_gnu_sort() {
                     .and_then(|cmd| cmd.run_str(input, &ctx))
                     .unwrap_or_else(|e| panic!("{argv:?}: {e}"))
             };
-            let gnu = gnu_sort(&flag_words, &whole).expect("GNU sort failed");
+            let expect = gnu("sort", &flag_words, &whole).expect("GNU sort failed");
             assert_eq!(
                 ours(&argv(false, &[]), &whole),
-                gnu,
+                expect,
                 "sort {flags} of {whole:?}"
             );
             // Each piece sorted by GNU, written to a file for GNU and to
             // the VFS for the in-process command, then merged by both.
             let mut paths = Vec::new();
             for (i, piece) in pieces.iter().enumerate() {
-                let sorted = gnu_sort(&flag_words, piece).expect("GNU sort failed");
+                let sorted = gnu("sort", &flag_words, piece).expect("GNU sort failed");
                 let path = dir.join(format!("piece{i}")).to_string_lossy().into_owned();
                 std::fs::write(&path, &sorted).unwrap();
                 ctx.vfs.write(path.clone(), sorted);
                 paths.push(path);
             }
-            let gnu_merged = gnu_sort(&argv(true, &paths)[1..], "").expect("GNU sort -m failed");
+            let gnu_merged = gnu("sort", &argv(true, &paths)[1..], "").expect("GNU sort -m failed");
             assert_eq!(
                 ours(&argv(true, &paths), ""),
                 gnu_merged,
@@ -525,4 +504,71 @@ fn sort_matches_gnu_sort() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
     assert_eq!(compared, ROUNDS * FLAG_SETS.len());
+}
+
+/// A line for `cut`: fields of zero to five letters or digits joined by
+/// `,`, `:`, blanks or tabs — some lines without any, some with empty
+/// fields — and up to a dozen fields. ASCII only: GNU `cut -c` counts
+/// bytes, this one characters.
+fn cut_line(rng: &mut SmallRng) -> String {
+    const SEPARATORS: [&str; 5] = [",", ":", " ", "\t", ""];
+    let fields = rng.gen_range(1..=12);
+    let mut line = String::new();
+    for f in 0..fields {
+        if f > 0 {
+            line.push_str(SEPARATORS[rng.gen_range(0..SEPARATORS.len())]);
+        }
+        for _ in 0..rng.gen_range(0..=5) {
+            let set = "abcxyz0189";
+            line.push(set.as_bytes()[rng.gen_range(0..set.len())] as char);
+        }
+    }
+    line
+}
+
+/// The corpus's `cut` forms against GNU `cut` under `LC_ALL=C`: `-d ','
+/// -f 1,2`, `-d: -f1`, `-f 2`, `-c 1-4`, `-d ' ' -f 1-6`, `-d ',' -f 1,3`
+/// (and disjoint and open lists beside them), on random lines with and
+/// without the delimiter, empty fields, and a final line with and without
+/// its newline. Skips when `cut` cannot be spawned.
+#[test]
+fn cut_matches_gnu_cut() {
+    if gnu("cut", &["-c", "1"], "ab\n").as_deref() != Some("a\n") {
+        eprintln!("cut not available; skipping");
+        return;
+    }
+    const FORMS: [&[&str]; 10] = [
+        &["-d", ",", "-f", "1,2"],
+        &["-d:", "-f1"],
+        &["-f", "2"],
+        &["-c", "1-4"],
+        &["-d", " ", "-f", "1-6"],
+        &["-d", ",", "-f", "1,3"],
+        &["-d", ":", "-f", "2-"],
+        &["-d", " ", "-f", "-2,5,9-"],
+        &["-f", "3,1"],
+        &["-c", "2,5-7,11-"],
+    ];
+    let mut rng = SmallRng::seed_from_u64(0xC07);
+    let ctx = kq_coreutils::ExecContext::default();
+    for round in 0..20 {
+        let mut input: String = (0..rng.gen_range(0..60))
+            .map(|_| format!("{}\n", cut_line(&mut rng)))
+            .collect();
+        if round % 4 == 0 {
+            input.push_str(&cut_line(&mut rng));
+        }
+        for args in FORMS {
+            let argv: Vec<String> = std::iter::once("cut")
+                .chain(args.iter().copied())
+                .map(str::to_owned)
+                .collect();
+            let ours = kq_coreutils::from_argv(&argv)
+                .and_then(|cmd| cmd.run_str(&input, &ctx))
+                .unwrap_or_else(|e| panic!("{args:?}: {e}"));
+            let expect =
+                gnu("cut", args, &input).unwrap_or_else(|| panic!("GNU cut rejected {args:?}"));
+            assert_eq!(ours, expect, "cut {args:?} of {input:?}");
+        }
+    }
 }

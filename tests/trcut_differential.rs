@@ -1,11 +1,13 @@
 //! Differential harness for the `tr`, `cut`, `uniq` and `sed s///` byte
 //! fast paths.
 //!
-//! These commands gained `grep`-style slice fast paths: output assembled
-//! as coalesced sub-slices of the input `Bytes` instead of a rebuilt
-//! `String` — and `tr`'s translate, squeeze and `-ds` a byte-table kernel,
-//! so that for every `tr` stage `run` and `run_reference` are two
-//! different programs. This suite mirrors `tests/grep_differential.rs`:
+//! These commands gained `grep`-style byte fast paths: output gathered
+//! from byte ranges of the input `Bytes` instead of a rebuilt `String`
+//! (one run stays a slice of the input; more pieces are copied into one
+//! buffer) — `cut` a SWAR field kernel for every field list, and `tr`'s
+//! translate, squeeze and `-ds` a byte-table kernel, so that for every
+//! `cut` and `tr` stage `run` and `run_reference` are two different
+//! programs. This suite mirrors `tests/grep_differential.rs`:
 //! walk every corpus script, re-parse each `tr`/`cut`/`uniq`/`sed` stage,
 //! and run the fast path against the reference implementation on the
 //! script's own generated input — so the fast paths are validated on
@@ -150,6 +152,143 @@ fn corpus_cut_stages_fast_path_matches_reference() {
         stages_checked >= 10,
         "corpus drifted: only {stages_checked} cut stages checked"
     );
+}
+
+/// Lines that put the delimiter `d` at every byte offset from 0 to 9 —
+/// either side of the 8-byte word the field kernel loads — after `shift`
+/// one-byte lines that move every line start across the word too; then
+/// delimiter-free lines, empty fields, non-ASCII bytes beside the
+/// delimiter, and a field list's worth of fields.
+fn cut_lines(d: char, shift: usize) -> Vec<String> {
+    let mut lines: Vec<String> = (0..shift).map(|i| format!("{i}")).collect();
+    for at in 0..10 {
+        lines.push(format!(
+            "{}{d}tail{d}{}",
+            "x".repeat(at),
+            "y".repeat(9 - at)
+        ));
+        lines.push(format!("{}{d}", "w".repeat(at)));
+    }
+    lines.extend([
+        String::new(),
+        "no delimiter at all".to_owned(),
+        format!("{d}{d}{d}"),
+        format!("{d}lead{d}{d}gap{d}"),
+        format!("caf\u{e9}{d}\u{e9}t\u{e9}{d}\u{4e16}\u{754c}{d}x"),
+        format!("\u{e9}{d}{d}\u{e9}"),
+        (1..=12)
+            .map(|f| format!("f{f}"))
+            .collect::<Vec<_>>()
+            .join(&d.to_string()),
+    ]);
+    lines
+}
+
+/// `cut` against its line-at-a-time oracle for every LIST shape: single
+/// fields, merged (`1,2`), disjoint (`1,3`), open (`2-`, `-2`) and out of
+/// range lists under four delimiters, and `-c` ranges — on every line of
+/// [`cut_lines`] alone, with and without its newline, and on all of them
+/// at once at eight alignments, terminated and not.
+#[test]
+fn cut_kernels_match_reference_on_every_list_shape() {
+    let ctx = ExecContext::default();
+    let field_lists = [
+        "1", "2", "3", "1,2", "1,3", "3,1", "2-", "-2", "2-3", "1,3-4,7-", "9", "20-",
+    ];
+    let char_lists = ["1-4", "1", "2-", "-3", "1,3-4", "5-9", "2,9-", "20"];
+    let mut cmds: Vec<(String, char)> = Vec::new();
+    for (d, spec) in [(',', "-d ','"), (' ', "-d ' '"), (':', "-d:"), ('\t', "")] {
+        for list in field_lists {
+            cmds.push((format!("cut {spec} -f {list}"), d));
+        }
+    }
+    for list in char_lists {
+        cmds.push((format!("cut -c {list}"), ','));
+    }
+    let mut compared = 0usize;
+    for (line, d) in &cmds {
+        let words = kq_coreutils::split_words(line).unwrap();
+        let c = CutCmd::parse(&words[1..]).unwrap_or_else(|e| panic!("{line}: {e}"));
+        let mut agree = |input: &str| {
+            let fast = c.run(Bytes::from(input), &ctx).unwrap();
+            assert_eq!(
+                fast.as_str(),
+                c.run_reference(input),
+                "{line}: kernel diverged on {input:?}"
+            );
+            compared += 1;
+        };
+        for text in cut_lines(*d, 0) {
+            agree(&text);
+            agree(&format!("{text}\n"));
+        }
+        for shift in 0..8 {
+            let whole = cut_lines(*d, shift).join("\n");
+            agree(&whole);
+            agree(&format!("{whole}\n"));
+        }
+    }
+    assert!(compared > 2_000, "only {compared} comparisons");
+}
+
+/// The gather contract of the byte fast paths: an output that is one run
+/// of the input is that run, sharing its buffer; any other output is one
+/// buffer of its own, holding no reference to the input — and a kept
+/// final line without its newline gains one even when a literal came
+/// before it.
+#[test]
+fn partial_selections_own_one_buffer_and_full_ones_share_the_input() {
+    let ctx = ExecContext::default();
+    let run = |line: &str, input: &Bytes| {
+        kq_coreutils::parse_command(line)
+            .unwrap_or_else(|e| panic!("{line}: {e}"))
+            .run(input.clone(), &ctx)
+            .unwrap()
+    };
+    let input = Bytes::from("k1,v1 one\nk2,v2 two\nk3 three\n".repeat(300));
+    for full in ["cut -d, -f1-", "cut -c 1-", "cut -d ';' -f 2"] {
+        let out = run(full, &input);
+        assert_eq!(out, input, "{full}");
+        assert!(
+            out.shares_buffer(&input),
+            "{full}: a full keep is zero-copy"
+        );
+    }
+    for partial in [
+        "cut -d, -f1",
+        "cut -d, -f2",
+        "cut -d, -f 1,3",
+        "cut -c 1-2",
+        "grep two",
+        "grep -v two",
+        "tr -d 1",
+        "sed s/two/2/",
+    ] {
+        let out = run(partial, &input);
+        assert!(!out.is_empty(), "{partial}");
+        assert!(
+            !out.shares_buffer(&input),
+            "{partial}: a partial selection owns its buffer"
+        );
+        assert!(out.to_str().is_ok(), "{partial}: the gather keeps text");
+    }
+    // One run of the input, not at its start: still a slice.
+    let out = run("grep k2", &Bytes::from("k1\nk2\nk3\n"));
+    assert_eq!(out, "k2\n");
+    for (line, input, expect) in [
+        ("sed s/a/b/", "a\nb", "b\nb\n"),
+        ("sed s/a/b/", "x\na\nb", "x\nb\nb\n"),
+        ("uniq", "a\na\nb", "a\nb\n"),
+        ("grep -v a", "b\na\nb", "b\nb\n"),
+        ("cut -c 2-", "\u{e9}x\nab", "x\nb\n"),
+        ("cut -d, -f2", "\u{e9},x\na,b", "x\nb\n"),
+    ] {
+        assert_eq!(
+            run(line, &Bytes::from(input)),
+            expect,
+            "{line} on {input:?}"
+        );
+    }
 }
 
 /// `uniq [-c]` a line at a time, on `&str` with `format!` — the oracle
