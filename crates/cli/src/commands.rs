@@ -52,9 +52,16 @@ impl CliOutput {
     }
 
     /// The stdout text in one piece (a copy: for tests and assertions, not
-    /// for writing the output).
+    /// for writing the output). Bytes that are not UTF-8 are replaced.
     pub fn text(&self) -> String {
-        self.stdout.segments().iter().map(Bytes::as_str).collect()
+        let bytes: Vec<u8> = self
+            .stdout
+            .segments()
+            .iter()
+            .flat_map(Bytes::as_bytes)
+            .copied()
+            .collect();
+        String::from_utf8_lossy(&bytes).into_owned()
     }
 }
 
@@ -314,18 +321,23 @@ fn ingest_options(args: &ParsedArgs) -> Result<IngestOptions, String> {
 
 /// The one host-file ingest door: every path the CLI reads — the script
 /// argument, files the script references, `--input` — comes through here,
-/// so error attribution (`path: message`) and the hard UTF-8 policy are
-/// identical everywhere, and `--mmap` governs them all. Large files enter
-/// the data plane as mapped regions without a heap read.
+/// so error attribution (`path: message`) is identical everywhere, and
+/// `--mmap` governs them all. Large files enter the data plane as mapped
+/// regions without a heap read. Data files are bytes: nothing is checked.
 fn ingest_file(path: &str, opts: &IngestOptions) -> Result<Bytes, String> {
-    kq_io::read_path_text(path, opts).map_err(|e| format!("{path}: {e}"))
+    kq_io::read_path(path, opts).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Reads the script argument: a file path when one exists, otherwise the
-/// argument itself is the script text.
+/// argument itself is the script text. A script file is decoded: its
+/// bytes must be UTF-8.
 fn load_script_text(arg: &str, opts: &IngestOptions) -> Result<String, String> {
     if Path::new(arg).is_file() {
-        ingest_file(arg, opts).map(Bytes::into_string)
+        let bytes = ingest_file(arg, opts)?;
+        match bytes.to_str() {
+            Ok(text) => Ok(text.to_owned()),
+            Err(_) => Err(format!("{arg}: input is not valid UTF-8")),
+        }
     } else if arg.contains('|') || arg.contains(' ') {
         Ok(arg.to_owned())
     } else {
@@ -1174,16 +1186,12 @@ mod tests {
         let input = dir.join("foreign.txt");
         std::fs::write(&input, [0xff, 0xfe, b'x', b'\n']).unwrap();
         let script = format!("cat {} | sort", input.display());
-        // The referenced-file ingest door degrades foreign bytes to an
-        // attributed note (planning continues without the file)...
+        // Data files are bytes: a foreign referenced file loads with no
+        // error note...
         let out = call(&["plan", &script, "--mmap", "on"]).unwrap();
         let notes = out.notes.join("\n");
-        assert!(notes.contains("not valid UTF-8"), "{notes}");
-        assert!(
-            notes.contains(&input.display().to_string()),
-            "error must name the file: {notes}"
-        );
-        // ...and the --input door reports through the same helper.
+        assert!(!notes.contains("not valid UTF-8"), "{notes}");
+        // ...and so does a foreign --input.
         let out = call(&[
             "plan",
             "cat /x | sort",
@@ -1191,10 +1199,16 @@ mod tests {
             &input.display().to_string(),
         ])
         .unwrap();
+        let notes = out.notes.join("\n");
+        assert!(!notes.contains("not valid UTF-8"), "{notes}");
+        // The script is text: a foreign script file fails, naming itself.
+        let script_file = dir.join("foreign.kq");
+        std::fs::write(&script_file, b"cat /x | sed s/\xe9/e/\n").unwrap();
+        let err = call(&["plan", &script_file.display().to_string()]).unwrap_err();
+        assert!(err.contains("not valid UTF-8"), "{err}");
         assert!(
-            out.notes.iter().any(|n| n.contains("not valid UTF-8")),
-            "{:?}",
-            out.notes
+            err.contains(&script_file.display().to_string()),
+            "error must name the file: {err}"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -318,3 +318,87 @@ fn cut_pipelines_print_the_same_at_one_worker_and_two() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Figure 1 on a Latin-1 file (`é`, `°`, a no-break space as single high
+/// bytes): the same bytes at one worker and two, and the bytes
+/// `LC_ALL=C sh` prints where the host has the tools. A `sed` stage reads
+/// characters, so on the same file it fails at both worker counts,
+/// naming `sed`.
+#[test]
+fn figure1_on_latin1_prints_the_same_at_one_worker_and_two() {
+    let dir = std::env::temp_dir().join(format!("kq-bin-latin1-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("latin1.txt");
+    let mut state = 0x51_7CC1_B727_220Au64;
+    let mut text = Vec::new();
+    for _ in 0..20_000 {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let r = (state >> 33) as usize;
+        let word: &[u8] = [
+            &b"Caf\xe9"[..],
+            b"d\xe9j\xe0 Vu",
+            b"40\xb0 North",
+            b"the\xa0End",
+            b"Plain words",
+            b"river",
+        ][r % 6];
+        text.extend_from_slice(word);
+        text.extend_from_slice(format!(" {}\n", r % 13).as_bytes());
+    }
+    std::fs::write(&input, text).unwrap();
+    let host_has = |program: &str| {
+        Command::new(program)
+            .arg("--version")
+            .output()
+            .is_ok_and(|o| o.status.success())
+    };
+    let file = input.display();
+    let script =
+        format!("cat {file} | tr -cs A-Za-z '\\n' | tr A-Z a-z | sort | uniq -c | sort -rn");
+    let mut outputs = Vec::new();
+    for workers in ["1", "2"] {
+        let out = kumquat()
+            .args(["run", &script, "--workers", workers, "--chunk-kb", "16"])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{script} at {workers}: {stderr}");
+        assert!(
+            stderr.contains("verified"),
+            "{script} at {workers}: {stderr}"
+        );
+        outputs.push(out.stdout);
+    }
+    assert!(
+        outputs[0] == outputs[1],
+        "{script}: --workers 1 and 2 differ"
+    );
+    if ["tr", "sort", "uniq"].into_iter().all(host_has) {
+        let sh = Command::new("sh")
+            .args(["-c", &script])
+            .env("LC_ALL", "C")
+            .output()
+            .unwrap();
+        assert!(sh.status.success());
+        assert!(
+            sh.stdout == outputs[0],
+            "{script}: differs from LC_ALL=C sh"
+        );
+    }
+    let script = format!("cat {file} | sed s/river/stream/ | sort");
+    for workers in ["1", "2"] {
+        let out = kumquat()
+            .args(["run", &script, "--workers", workers])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{script} at {workers}");
+        assert!(
+            stderr.contains("sed: input is not valid UTF-8"),
+            "{script} at {workers}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -55,7 +55,7 @@ pub use kq_pipeline as pipeline;
 pub use kq_stream as stream;
 pub use kq_synth as synth;
 
-use kq_coreutils::{CmdError, ExecContext};
+use kq_coreutils::{Bytes, CmdError, ExecContext};
 use kq_pipeline::exec::run_serial;
 use kq_pipeline::parse::{parse_script, Script};
 use kq_pipeline::plan::{planning_sample, PlannedScript, Planner};
@@ -67,7 +67,7 @@ use std::collections::HashMap;
 #[derive(Debug)]
 pub struct ParallelRun {
     /// The pipeline's output (verified equal to the serial output).
-    pub output: String,
+    pub output: Bytes,
     /// `(parallelized, total)` stage counts.
     pub parallelized: (usize, usize),
     /// Intermediate combiners eliminated by the Theorem 5 optimization.
@@ -147,7 +147,7 @@ impl Kumquat {
             ));
         }
         Ok(ParallelRun {
-            output: parallel.output.into_string(),
+            output: parallel.output,
             parallelized: plan.parallelized_counts(),
             eliminated: plan.eliminated_count(),
         })

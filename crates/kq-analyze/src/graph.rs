@@ -25,7 +25,7 @@
 use crate::diag::{Diagnostic, Severity};
 use kq_coreutils::sort::CountOrder;
 use kq_pipeline::lattice::{self, EffectClass, FoldPair};
-use kq_pipeline::plan::{PlannedStage, PlannedStatement, StageMode};
+use kq_pipeline::plan::{self, PlannedStage, PlannedStatement, StageMode};
 use kq_pipeline::scheduler::DEFAULT_QUEUE_DEPTH;
 use kq_pipeline::{DataflowGraph, FoldMode, NodeKind, Script, Statement};
 use std::sync::Arc;
@@ -58,7 +58,7 @@ pub fn static_plan(statement: &Statement, classes: &[EffectClass]) -> PlannedSta
                 sorting: sorts_raw(statement, stage_idx),
                 mode,
                 streamable,
-                line_bound: kq_synth::prefix_bound(&stage.command),
+                line_bound: plan::line_bound(statement, stage_idx),
                 fold_pair,
                 count_order: count_order_at(statement, stage_idx),
             }

@@ -678,8 +678,12 @@ impl UnixCommand for AwkCmd {
         self.display.clone()
     }
 
+    fn decodes(&self) -> bool {
+        true
+    }
+
     fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
-        let input = crate::input_str(&input, "awk")?;
+        let input = crate::decode(&input, "awk")?;
         let text = || -> Result<String, CmdError> {
             let mut interp = Interp {
                 vars: self.presets.iter().cloned().collect(),
@@ -688,7 +692,7 @@ impl UnixCommand for AwkCmd {
             let mut out = String::with_capacity(input.len());
             interp.run_items(Section::Begin, "", &mut out);
             let mut last = "";
-            for line in kq_stream::lines_of(input) {
+            for line in input.split_terminator('\n') {
                 interp.run_line(line, &mut out);
                 last = line;
             }

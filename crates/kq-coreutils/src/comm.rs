@@ -57,8 +57,10 @@ impl CommCmd {
         if name == "-" {
             Ok(stdin.to_owned())
         } else {
-            crate::read_file_str(ctx, name, "comm")?
-                .ok_or_else(|| CmdError::new("comm", format!("{name}: No such file or directory")))
+            let bytes = ctx.vfs.read_bytes(name).ok_or_else(|| {
+                CmdError::new("comm", format!("{name}: No such file or directory"))
+            })?;
+            crate::decode(&bytes, "comm").map(str::to_owned)
         }
     }
 }
@@ -80,17 +82,21 @@ impl UnixCommand for CommCmd {
         self.display.clone()
     }
 
+    fn decodes(&self) -> bool {
+        true
+    }
+
     fn reads_stdin(&self) -> bool {
         self.file1 == "-" || self.file2 == "-"
     }
 
     fn run(&self, input: Bytes, ctx: &ExecContext) -> Result<Bytes, CmdError> {
-        let input = crate::input_str(&input, "comm")?;
+        let input = crate::decode(&input, "comm")?;
         let text = || -> Result<String, CmdError> {
             let c1 = self.read_input(&self.file1, input, ctx)?;
             let c2 = self.read_input(&self.file2, input, ctx)?;
-            let l1: Vec<&str> = kq_stream::lines_of(&c1).collect();
-            let l2: Vec<&str> = kq_stream::lines_of(&c2).collect();
+            let l1: Vec<&str> = c1.split_terminator('\n').collect();
+            let l2: Vec<&str> = c2.split_terminator('\n').collect();
             check_sorted(&l1, 1)?;
             check_sorted(&l2, 2)?;
 

@@ -29,6 +29,9 @@
 //! A non-ASCII delimiter (or `'\n'`, which no line contains) runs the
 //! line-at-a-time implementation, [`CutCmd::run_reference`], which is
 //! also the oracle the differential tests hold both kernels to.
+//!
+//! Fields at an ASCII delimiter are cut from any bytes, as under
+//! `LC_ALL=C`; `-c`, and a non-ASCII delimiter, decode the input first.
 
 use crate::fastpath::SliceRuns;
 use crate::{Bytes, CmdError, ExecContext, UnixCommand};
@@ -262,7 +265,7 @@ impl CutCmd {
     #[doc(hidden)]
     pub fn run_reference(&self, input: &str) -> String {
         let mut out = String::with_capacity(input.len());
-        for line in kq_stream::lines_of(input) {
+        for line in input.split_terminator('\n') {
             match &self.mode {
                 Mode::Chars(list) => {
                     for (i, c) in line.chars().enumerate() {
@@ -393,14 +396,23 @@ impl UnixCommand for CutCmd {
         self.display.clone()
     }
 
+    fn decodes(&self) -> bool {
+        // Fields cut at an ASCII delimiter are byte ranges of any bytes;
+        // characters, and a non-ASCII delimiter, need the text.
+        !matches!(&self.mode, Mode::Fields { delim, .. } if delim.is_ascii() && *delim != '\n')
+    }
+
     fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
-        let text = crate::input_str(&input, "cut")?;
-        Ok(match &self.mode {
-            Mode::Fields { delim, list } if delim.is_ascii() && *delim != '\n' => {
-                CutCmd::run_fields(&input, *delim as u8, &list.ranges)
+        match &self.mode {
+            Mode::Fields { delim, list } if !self.decodes() => {
+                return Ok(CutCmd::run_fields(&input, *delim as u8, &list.ranges));
             }
-            Mode::Fields { .. } => Bytes::from(self.run_reference(text)),
+            _ => {}
+        }
+        let text = crate::decode(&input, "cut")?;
+        Ok(match &self.mode {
             Mode::Chars(list) => CutCmd::run_chars(&input, text, list),
+            Mode::Fields { .. } => Bytes::from(self.run_reference(text)),
         })
     }
 }
@@ -547,7 +559,7 @@ mod tests {
             for input in cases {
                 let fast = c.run(Bytes::from(input), &ExecContext::default()).unwrap();
                 assert_eq!(
-                    fast.as_str(),
+                    fast.to_str().unwrap(),
                     c.run_reference(input),
                     "{cmd_line:?} diverged on {input:?}"
                 );

@@ -42,36 +42,31 @@ impl UnixCommand for ExternalCommand {
     }
 
     fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
-        let input = crate::input_str(&input, &self.argv[0])?;
-        let text = || -> Result<String, CmdError> {
-            let name = &self.argv[0];
-            let mut child = OsCommand::new(name)
-                .args(&self.argv[1..])
-                .env("LC_ALL", "C")
-                .stdin(Stdio::piped())
-                .stdout(Stdio::piped())
-                .stderr(Stdio::piped())
-                .spawn()
-                .map_err(|e| CmdError::new(name.clone(), format!("spawn failed: {e}")))?;
-            child
-                .stdin
-                .as_mut()
-                .expect("stdin piped")
-                .write_all(input.as_bytes())
-                .map_err(|e| CmdError::new(name.clone(), format!("stdin write failed: {e}")))?;
-            let output = child
-                .wait_with_output()
-                .map_err(|e| CmdError::new(name.clone(), format!("wait failed: {e}")))?;
-            if !output.status.success() && output.stdout.is_empty() {
-                return Err(CmdError::new(
-                    name.clone(),
-                    String::from_utf8_lossy(&output.stderr).trim().to_owned(),
-                ));
-            }
-            String::from_utf8(output.stdout)
-                .map_err(|_| CmdError::new(name.clone(), "non-UTF8 output"))
-        };
-        text().map(Bytes::from)
+        let name = &self.argv[0];
+        let mut child = OsCommand::new(name)
+            .args(&self.argv[1..])
+            .env("LC_ALL", "C")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .map_err(|e| CmdError::new(name.clone(), format!("spawn failed: {e}")))?;
+        child
+            .stdin
+            .as_mut()
+            .expect("stdin piped")
+            .write_all(input.as_bytes())
+            .map_err(|e| CmdError::new(name.clone(), format!("stdin write failed: {e}")))?;
+        let output = child
+            .wait_with_output()
+            .map_err(|e| CmdError::new(name.clone(), format!("wait failed: {e}")))?;
+        if !output.status.success() && output.stdout.is_empty() {
+            return Err(CmdError::new(
+                name.clone(),
+                String::from_utf8_lossy(&output.stderr).trim().to_owned(),
+            ));
+        }
+        Ok(Bytes::from(output.stdout))
     }
 }
 
@@ -116,7 +111,7 @@ mod tests {
             let theirs = ExternalCommand::parse(line)
                 .unwrap()
                 .run(Bytes::from(input), &ctx)
-                .map(Bytes::into_string);
+                .map(|out| out.to_str().unwrap().to_owned());
             match (ours, theirs) {
                 (Ok(a), Ok(b)) => assert_eq!(a, b, "divergence for {line}"),
                 (a, b) => panic!("{line}: ours {a:?} vs GNU {b:?}"),

@@ -86,7 +86,7 @@ impl NlCmd {
     pub fn number(&self, input: &str) -> String {
         let mut out = String::with_capacity(input.len() + input.len() / 4);
         let mut n = 0u64;
-        for line in kq_stream::lines_of(input) {
+        for line in input.split_terminator('\n') {
             if self.style == NumberStyle::NonEmpty && line.is_empty() {
                 // GNU nl: unnumbered lines get a 7-character gutter.
                 out.push_str("       \n");
@@ -104,8 +104,12 @@ impl UnixCommand for NlCmd {
         self.display.clone()
     }
 
+    fn decodes(&self) -> bool {
+        true
+    }
+
     fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
-        let input = crate::input_str(&input, "nl")?;
+        let input = crate::decode(&input, "nl")?;
         let text = || -> Result<String, CmdError> { Ok(self.number(input)) };
         text().map(Bytes::from)
     }
@@ -120,17 +124,13 @@ impl UnixCommand for TacCmd {
     }
 
     fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
-        let input = crate::input_str(&input, "tac")?;
-        let text = || -> Result<String, CmdError> {
-            let lines: Vec<&str> = kq_stream::lines_of(input).collect();
-            let mut out = String::with_capacity(input.len());
-            for line in lines.iter().rev() {
-                out.push_str(line);
-                out.push('\n');
-            }
-            Ok(out)
-        };
-        text().map(Bytes::from)
+        let lines: Vec<&[u8]> = kq_stream::lines_of(input.as_bytes()).collect();
+        let mut out = Vec::with_capacity(input.len() + 1);
+        for line in lines.iter().rev() {
+            out.extend_from_slice(line);
+            out.push(b'\n');
+        }
+        Ok(Bytes::from(out))
     }
 }
 
@@ -169,11 +169,15 @@ impl UnixCommand for FoldCmd {
         format!("fold -w{}", self.width)
     }
 
+    fn decodes(&self) -> bool {
+        true
+    }
+
     fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
-        let input = crate::input_str(&input, "fold")?;
+        let input = crate::decode(&input, "fold")?;
         let text = || -> Result<String, CmdError> {
             let mut out = String::with_capacity(input.len());
-            for line in kq_stream::lines_of(input) {
+            for line in input.split_terminator('\n') {
                 let chars: Vec<char> = line.chars().collect();
                 if chars.is_empty() {
                     out.push('\n');
@@ -198,11 +202,15 @@ impl UnixCommand for ExpandCmd {
         "expand".to_owned()
     }
 
+    fn decodes(&self) -> bool {
+        true
+    }
+
     fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
-        let input = crate::input_str(&input, "expand")?;
+        let input = crate::decode(&input, "expand")?;
         let text = || -> Result<String, CmdError> {
             let mut out = String::with_capacity(input.len());
-            for line in kq_stream::lines_of(input) {
+            for line in input.split_terminator('\n') {
                 let mut col = 0usize;
                 for c in line.chars() {
                     if c == '\t' {
@@ -238,10 +246,14 @@ impl UnixCommand for ShufCmd {
         "shuf".to_owned()
     }
 
+    fn decodes(&self) -> bool {
+        true
+    }
+
     fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
-        let input = crate::input_str(&input, "shuf")?;
+        let input = crate::decode(&input, "shuf")?;
         let text = || -> Result<String, CmdError> {
-            let mut lines: Vec<&str> = kq_stream::lines_of(input).collect();
+            let mut lines: Vec<&str> = input.split_terminator('\n').collect();
             // xorshift* seeded from the run counter: cheap, deterministic per
             // call index, different across calls.
             let mut state = SHUF_RUNS.fetch_add(1, Ordering::Relaxed) | 1;

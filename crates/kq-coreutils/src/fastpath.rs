@@ -15,8 +15,6 @@
 //! - From the second piece on (a gap, or a literal), the output is copied
 //!   into **one owned buffer** ([`kq_stream::Gather`]), reserved at the
 //!   input's length up front (and given back when the output is sparse).
-//!   Kept ranges start and end on line or ASCII-byte boundaries, so the
-//!   buffer of a text input stays known text without a scan.
 //!
 //! Slicing every piece instead would cost two atomic operations on the
 //! input's shared refcount per kept line — the one counter every worker's

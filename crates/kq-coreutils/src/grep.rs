@@ -25,11 +25,15 @@
 //! input is a mapped file), and any other is copied into one buffer. `-c` only counts and `-n` writes its prefixes; no
 //! form builds a `String` per line. The old line-at-a-time loop survives
 //! as the differential tests' oracle ([`GrepCmd::run_reference`]).
+//!
+//! A byte-exact pattern ([`kq_pattern::Regex::byte_exact`]: every pattern
+//! of the benchmark ledger) runs on the raw bytes; any other pattern reads
+//! characters, so `grep` decodes its input for it first.
 
 use crate::fastpath::SliceRuns;
 use crate::{Bytes, CmdError, ExecContext, UnixCommand};
 use kq_pattern::{Regex, Syntax};
-use std::fmt::Write as _;
+use std::io::Write as _;
 use std::ops::Range;
 
 /// The `grep` command.
@@ -126,7 +130,7 @@ impl GrepCmd {
     pub fn run_reference(&self, input: &str) -> String {
         let mut out = String::new();
         let mut n: u64 = 0;
-        for (idx, line) in kq_stream::lines_of(input).enumerate() {
+        for (idx, line) in input.split_terminator('\n').enumerate() {
             let hit = self.regex.is_match(line) != self.invert;
             if hit {
                 if self.count {
@@ -154,10 +158,19 @@ impl UnixCommand for GrepCmd {
         self.display.clone()
     }
 
+    fn decodes(&self) -> bool {
+        // A byte-exact pattern matches the same lines of any bytes; any
+        // other reads characters.
+        !self.regex.byte_exact()
+    }
+
     fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
-        let text = crate::input_str(&input, "grep")?;
+        if self.decodes() {
+            crate::decode(&input, "grep")?;
+        }
+        let text = input.as_bytes();
         let mut runs = SliceRuns::new(&input);
-        let mut numbered = String::new();
+        let mut numbered = Vec::new();
         let mut selected_lines = 0usize;
         let mut line_no = 0usize;
         // The input is an alternation of gaps (runs of whole lines that do
@@ -174,9 +187,11 @@ impl UnixCommand for GrepCmd {
             } else if self.count {
                 selected_lines += kq_stream::line_count(&text[span]);
             } else if self.number {
-                for line in text[span].split_terminator('\n') {
+                for line in kq_stream::lines_of(&text[span]) {
                     line_no += 1;
-                    let _ = writeln!(numbered, "{line_no}:{line}");
+                    write!(numbered, "{line_no}:").expect("writing to a Vec cannot fail");
+                    numbered.extend_from_slice(line);
+                    numbered.push(b'\n');
                 }
             } else {
                 runs.keep(span);
@@ -372,7 +387,7 @@ mod tests {
             for input in cases {
                 let fast = g.run(Bytes::from(input), &ExecContext::default()).unwrap();
                 assert_eq!(
-                    fast.as_str(),
+                    fast.to_str().unwrap(),
                     g.run_reference(input),
                     "{cmd_line:?} diverged on {input:?}"
                 );

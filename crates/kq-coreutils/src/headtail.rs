@@ -118,23 +118,11 @@ fn line_offset(bytes: &[u8], n: usize) -> Window {
 
 /// Copies `stream` with a final newline appended (the stream-model
 /// normalization the line-window commands apply to unterminated input).
-/// Valid text goes through `String` so the result keeps the known-UTF-8
-/// fast path; foreign bytes stay bytes instead of panicking.
 fn terminate(stream: &Bytes) -> Bytes {
-    match stream.to_str() {
-        Ok(text) => {
-            let mut out = String::with_capacity(text.len() + 1);
-            out.push_str(text);
-            out.push('\n');
-            Bytes::from(out)
-        }
-        Err(_) => {
-            let mut out = Vec::with_capacity(stream.len() + 1);
-            out.extend_from_slice(stream.as_bytes());
-            out.push(b'\n');
-            Bytes::from(out)
-        }
-    }
+    let mut out = Vec::with_capacity(stream.len() + 1);
+    out.extend_from_slice(stream.as_bytes());
+    out.push(b'\n');
+    Bytes::from(out)
 }
 
 enum TailMode {

@@ -19,6 +19,21 @@
 //! never copy stream payloads. [`Command::run_str`] is a thin owned-string
 //! compatibility shim for tests and probes.
 //!
+//! # Bytes and characters
+//!
+//! A stream is bytes, as under `LC_ALL=C`. The byte-clean commands —
+//! `cat`, `head`, `tail`, `wc`, `sort`, `uniq` (and `-c`), `cut -f` with an
+//! ASCII delimiter, `tr` with ASCII sets (`-c` only
+//! together with `-s`), `tac`, `sed`'s address forms (`Nq`, `Nd`, `$d`),
+//! and `grep` with a byte-exact pattern
+//! ([`kq_pattern::Regex::byte_exact`]) — never look at how bytes decode,
+//! and give GNU's `LC_ALL=C` output on any input. A command whose output
+//! on valid UTF-8 depends on where characters begin and end (`sed s///`,
+//! `awk`, `cut -c`, the other `tr` and `grep` forms, `paste`, `comm`,
+//! `diff`, `xargs`, and the text utilities) decodes its input and file
+//! operands first, and fails with `<cmd>: input is not valid UTF-8` on
+//! bytes that are not ([`UnixCommand::decodes`]).
+//!
 //! ```
 //! use kq_coreutils::{parse_command, ExecContext};
 //!
@@ -56,45 +71,15 @@ pub use kq_stream::{Bytes, Rope};
 pub use shellwords::split_words;
 pub use vfs::Vfs;
 
-/// Views a command input as UTF-8 text, reporting a command-attributed
-/// error for foreign byte data (the corpus is always text, but [`Bytes`]
-/// itself does not enforce that).
-pub(crate) fn input_str<'a>(input: &'a Bytes, command: &str) -> Result<&'a str, CmdError> {
+/// The input of a kernel that reads characters, as text: one validating
+/// scan, and bytes that are not UTF-8 are the command's error. Only such
+/// kernels call this; every other command works on the bytes (see the
+/// crate docs). The message names no byte offset: an offset inside a
+/// chunk would differ with the worker count.
+pub(crate) fn decode<'a>(input: &'a Bytes, command: &str) -> Result<&'a str, CmdError> {
     input
         .to_str()
         .map_err(|_| CmdError::new(command, "input is not valid UTF-8"))
-}
-
-/// Reads a file operand as text with the same UTF-8 validation piped input
-/// gets ([`input_str`]): foreign bytes are a hard, command-attributed
-/// error. (`Vfs::read` used to degrade lossily on this path while piped
-/// bytes hard-errored — the two doors now agree.) Returns `None` when the
-/// file does not exist, so each caller keeps its own missing-file message.
-pub(crate) fn read_file_str(
-    ctx: &ExecContext,
-    path: &str,
-    command: &str,
-) -> Result<Option<String>, CmdError> {
-    Ok(read_file_bytes(ctx, path, command)?.map(Bytes::into_string))
-}
-
-/// [`read_file_str`] without the copy: the validated file as the shared
-/// slice the VFS holds.
-pub(crate) fn read_file_bytes(
-    ctx: &ExecContext,
-    path: &str,
-    command: &str,
-) -> Result<Option<Bytes>, CmdError> {
-    let Some(bytes) = ctx.vfs.read_bytes(path) else {
-        return Ok(None);
-    };
-    if bytes.to_str().is_err() {
-        return Err(CmdError::new(
-            command,
-            format!("{path}: input is not valid UTF-8"),
-        ));
-    }
-    Ok(Some(bytes))
 }
 
 /// An execution failure: the in-process analogue of a command writing to
@@ -180,6 +165,16 @@ pub trait UnixCommand: Send + Sync {
     fn line_bound(&self) -> Option<usize> {
         None
     }
+
+    /// True when `run` decodes its input as UTF-8 and fails on bytes that
+    /// are not (see "Bytes and characters" in the crate docs). Such a
+    /// failure may sit anywhere in the stream, and a serial run reads it
+    /// all, so an executor must not cancel this command early on the
+    /// strength of a prefix bound further down the pipeline. `false`
+    /// (the default) means the command takes any bytes.
+    fn decodes(&self) -> bool {
+        false
+    }
 }
 
 /// A parsed command: argv plus its boxed implementation.
@@ -228,11 +223,14 @@ impl Command {
     /// Owned-string compatibility shim over [`Command::run`]: copies the
     /// input into a fresh buffer and the output into a `String`. Tests and
     /// synthesis probes (which run on tiny generated streams) use this;
-    /// the executors stay on [`Command::run`].
+    /// the executors stay on [`Command::run`]. Output that is not UTF-8
+    /// is an error.
     pub fn run_str(&self, input: &str, ctx: &ExecContext) -> Result<String, CmdError> {
-        self.imp
-            .run(Bytes::from(input), ctx)
-            .map(Bytes::into_string)
+        let out = self.imp.run(Bytes::from(input), ctx)?;
+        match out.to_str() {
+            Ok(text) => Ok(text.to_owned()),
+            Err(_) => Err(CmdError::new(self.program(), "output is not valid UTF-8")),
+        }
     }
 
     /// See [`UnixCommand::reads_stdin`].
@@ -249,6 +247,11 @@ impl Command {
         } else {
             None
         }
+    }
+
+    /// See [`UnixCommand::decodes`].
+    pub fn decodes(&self) -> bool {
+        self.imp.decodes()
     }
 }
 
@@ -435,37 +438,40 @@ mod tests {
     }
 
     #[test]
-    fn foreign_bytes_error_identically_piped_and_as_file_operand() {
-        // The two input doors must agree: piped foreign bytes have always
-        // been a hard error; file operands used to degrade lossily via
-        // `Vfs::read` and now hard-error through the same validation.
+    fn foreign_bytes_agree_piped_and_as_file_operand() {
+        // The two input doors agree: a byte-clean command takes foreign
+        // bytes either way, and a decoding one refuses them either way,
+        // with the same message.
         let vfs = Vfs::new();
-        let foreign: Vec<u8> = vec![0xff, 0xfe, b'x', b'\n'];
+        let foreign: Vec<u8> = vec![0xff, 0xfe, b'x', b'\n', b'a', b'\n'];
         vfs.write("/foreign", Bytes::from(foreign.clone()));
         vfs.write("/clean", "a\nb\n");
         let ctx = ExecContext::with_vfs(vfs);
 
-        // Piped path.
         let sort = parse_command("sort").unwrap();
-        let piped = sort.run(Bytes::from(foreign), &ctx).unwrap_err();
-        assert!(piped.message.contains("not valid UTF-8"), "{piped}");
+        let piped = sort.run(Bytes::from(foreign.clone()), &ctx).unwrap();
+        let operand = parse_command("sort /foreign").unwrap();
+        let operand = operand.run(Bytes::new(), &ctx).unwrap();
+        assert_eq!(piped.as_bytes(), b"a\n\xff\xfex\n");
+        assert_eq!(piped, operand);
 
-        // File-operand paths, one per parsing command.
-        for line in [
-            "sort /foreign",
-            "comm - /foreign",
-            "paste /foreign",
-            "diff /clean /foreign",
+        let piped = parse_command("sed s/x/y/")
+            .unwrap()
+            .run(Bytes::from(foreign), &ctx)
+            .unwrap_err();
+        assert_eq!(piped.to_string(), "sed: input is not valid UTF-8");
+        for (line, cmd) in [
+            ("comm - /foreign", "comm"),
+            ("paste /foreign", "paste"),
+            ("diff /clean /foreign", "diff"),
         ] {
-            let cmd = parse_command(line).unwrap();
-            let err = cmd.run(Bytes::from("a\n"), &ctx).unwrap_err();
-            assert!(
-                err.message.contains("not valid UTF-8"),
-                "{line:?} should hard-error like the piped path, got: {err}"
-            );
+            let err = parse_command(line)
+                .unwrap()
+                .run(Bytes::from("a\n"), &ctx)
+                .unwrap_err();
+            assert_eq!(err.to_string(), format!("{cmd}: input is not valid UTF-8"));
         }
 
-        // Clean files still read fine through the validated door.
         let cmd = parse_command("sort /clean").unwrap();
         assert_eq!(cmd.run(Bytes::new(), &ctx).unwrap(), "a\nb\n");
     }

@@ -30,26 +30,31 @@ impl UnixCommand for PasteCmd {
         format!("paste {}", self.files.join(" "))
     }
 
+    fn decodes(&self) -> bool {
+        true
+    }
+
     fn reads_stdin(&self) -> bool {
         self.files.iter().any(|f| f == "-")
     }
 
     fn run(&self, input: Bytes, ctx: &ExecContext) -> Result<Bytes, CmdError> {
-        let input = crate::input_str(&input, "paste")?;
+        let input = crate::decode(&input, "paste")?;
         let text = || -> Result<String, CmdError> {
             let mut contents = Vec::with_capacity(self.files.len());
             for f in &self.files {
                 if f == "-" {
                     contents.push(input.to_owned());
                 } else {
-                    contents.push(crate::read_file_str(ctx, f, "paste")?.ok_or_else(|| {
+                    let bytes = ctx.vfs.read_bytes(f).ok_or_else(|| {
                         CmdError::new("paste", format!("{f}: No such file or directory"))
-                    })?);
+                    })?;
+                    contents.push(crate::decode(&bytes, "paste")?.to_owned());
                 }
             }
             let columns: Vec<Vec<&str>> = contents
                 .iter()
-                .map(|c| kq_stream::lines_of(c).collect())
+                .map(|c| c.split_terminator('\n').collect())
                 .collect();
             let rows = columns.iter().map(Vec::len).max().unwrap_or(0);
             let mut out = String::new();
@@ -98,26 +103,31 @@ impl UnixCommand for DiffCmd {
         format!("diff {} {}", self.file1, self.file2)
     }
 
+    fn decodes(&self) -> bool {
+        true
+    }
+
     fn reads_stdin(&self) -> bool {
         self.file1 == "-" || self.file2 == "-"
     }
 
     fn run(&self, input: Bytes, ctx: &ExecContext) -> Result<Bytes, CmdError> {
-        let input = crate::input_str(&input, "diff")?;
+        let input = crate::decode(&input, "diff")?;
         let text = || -> Result<String, CmdError> {
             let read = |name: &str| -> Result<String, CmdError> {
                 if name == "-" {
                     Ok(input.to_owned())
                 } else {
-                    crate::read_file_str(ctx, name, "diff")?.ok_or_else(|| {
+                    let bytes = ctx.vfs.read_bytes(name).ok_or_else(|| {
                         CmdError::new("diff", format!("{name}: No such file or directory"))
-                    })
+                    })?;
+                    crate::decode(&bytes, "diff").map(str::to_owned)
                 }
             };
             let c1 = read(&self.file1)?;
             let c2 = read(&self.file2)?;
-            let a: Vec<&str> = kq_stream::lines_of(&c1).collect();
-            let b: Vec<&str> = kq_stream::lines_of(&c2).collect();
+            let a: Vec<&str> = c1.split_terminator('\n').collect();
+            let b: Vec<&str> = c2.split_terminator('\n').collect();
             Ok(normal_diff(&a, &b))
         };
         text().map(Bytes::from)

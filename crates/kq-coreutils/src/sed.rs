@@ -13,12 +13,15 @@
 //! pattern does not match are copied through as byte ranges of the input
 //! by the gather of [`crate::fastpath`], and only the lines it accepts
 //! are rebuilt (the backtracker computes their match and capture spans).
-//! An input without a match comes back as the input handle itself. The
+//! An input without a match comes back as the input handle itself.
+//! Substitution reads characters, so it decodes its input first. The
+//! address forms only count lines: they keep byte ranges of any input,
+//! as under `LC_ALL=C`, and `sed Nq` never looks past its N lines. The
 //! line-at-a-time loop survives as the differential tests' oracle
-//! ([`SedCmd::run_reference`]), and still runs the address forms.
+//! ([`SedCmd::run_reference`]).
 
 use crate::fastpath::SliceRuns;
-use crate::{Bytes, CmdError, ExecContext, UnixCommand};
+use crate::{Bytes, CmdError, ExecContext, Rope, UnixCommand};
 use kq_pattern::Regex;
 
 enum Script {
@@ -35,14 +38,17 @@ enum Script {
 /// The `sed` command.
 pub struct SedCmd {
     script: Script,
+    /// File operands, read in order instead of stdin.
+    files: Vec<String>,
     display: String,
 }
 
 impl SedCmd {
     /// Parses `sed` arguments: a single script word (optionally preceded by
-    /// `-e`).
+    /// `-e`), then file operands.
     pub fn parse(args: &[String]) -> Result<SedCmd, CmdError> {
         let mut script_text: Option<&String> = None;
+        let mut files = Vec::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             match a.as_str() {
@@ -53,18 +59,21 @@ impl SedCmd {
                     );
                 }
                 "-n" => return Err(CmdError::new("sed", "-n is not supported")),
-                other if script_text.is_none() => {
-                    script_text = Some(a);
-                    let _ = other;
-                }
-                other => return Err(CmdError::new("sed", format!("unexpected operand {other}"))),
+                _ if script_text.is_none() => script_text = Some(a),
+                _ => files.push(a.clone()),
             }
         }
         let text = script_text.ok_or_else(|| CmdError::new("sed", "missing script"))?;
         let script = parse_script(text)?;
+        let mut display = format!("sed '{text}'");
+        for f in &files {
+            display.push(' ');
+            display.push_str(f);
+        }
         Ok(SedCmd {
             script,
-            display: format!("sed '{text}'"),
+            files,
+            display,
         })
     }
 }
@@ -135,6 +144,10 @@ impl UnixCommand for SedCmd {
         self.display.clone()
     }
 
+    fn reads_stdin(&self) -> bool {
+        self.files.is_empty()
+    }
+
     fn line_bound(&self) -> Option<usize> {
         // Only the quit form stops reading: `sed kq` prints the first k
         // lines and never observes the rest. The delete forms need the
@@ -146,23 +159,60 @@ impl UnixCommand for SedCmd {
         }
     }
 
-    fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
-        let text = crate::input_str(&input, "sed")?;
-        let Script::Substitute {
-            regex,
-            replacement,
-            global,
-        } = &self.script
-        else {
-            return Ok(Bytes::from(self.run_reference(text)));
+    fn decodes(&self) -> bool {
+        matches!(self.script, Script::Substitute { .. })
+    }
+
+    fn run(&self, input: Bytes, ctx: &ExecContext) -> Result<Bytes, CmdError> {
+        let input = if self.files.is_empty() {
+            input
+        } else {
+            let mut rope = Rope::new();
+            for f in &self.files {
+                rope.push(ctx.vfs.read_bytes(f).ok_or_else(|| {
+                    CmdError::new("sed", format!("can't read {f}: No such file or directory"))
+                })?);
+            }
+            rope.into_bytes()
         };
         let mut runs = SliceRuns::new(&input);
+        let bytes = input.as_bytes();
+        let (regex, replacement, global) = match &self.script {
+            Script::Substitute {
+                regex,
+                replacement,
+                global,
+            } => (regex, replacement, *global),
+            Script::QuitAfter(n) => {
+                runs.keep(0..line_start(bytes, *n));
+                return Ok(runs.finish_terminated());
+            }
+            Script::DeleteLine(n) => {
+                if *n > 0 {
+                    runs.keep(0..line_start(bytes, n - 1));
+                    runs.keep(line_start(bytes, *n)..bytes.len());
+                } else {
+                    runs.keep(0..bytes.len());
+                }
+                return Ok(runs.finish_terminated());
+            }
+            Script::DeleteLast => {
+                let body = bytes.strip_suffix(b"\n").unwrap_or(bytes);
+                let last = body
+                    .iter()
+                    .rposition(|&b| b == b'\n')
+                    .map_or(0, |at| at + 1);
+                runs.keep(0..last);
+                return Ok(runs.finish());
+            }
+        };
+        let text = crate::decode(&input, "sed")?;
         let mut rewritten = String::new();
         let mut pos = 0;
-        for line in regex.matching_lines(text) {
+        for line in regex.matching_lines(text.as_bytes()) {
             runs.keep(pos..line.start);
             rewritten.clear();
-            regex.replace_into(&text[line.clone()], replacement, *global, &mut rewritten);
+            regex.replace_into(&text[line.clone()], replacement, global, &mut rewritten);
             rewritten.push('\n');
             runs.lit(rewritten.as_bytes());
             pos = (line.end + 1).min(text.len());
@@ -172,10 +222,24 @@ impl UnixCommand for SedCmd {
     }
 }
 
+/// Where line `n` (from 0) of `bytes` starts: the end of `bytes` when it
+/// has no such line.
+fn line_start(bytes: &[u8], n: usize) -> usize {
+    if n == 0 {
+        return 0;
+    }
+    bytes
+        .iter()
+        .enumerate()
+        .filter(|&(_, &b)| b == b'\n')
+        .nth(n - 1)
+        .map_or(bytes.len(), |(at, _)| at + 1)
+}
+
 impl SedCmd {
     /// The line-at-a-time implementation, every line rebuilt into a fresh
-    /// `String`: what the address forms run, and the oracle the
-    /// differential tests compare the substitution fast path against.
+    /// `String`: the oracle the differential tests compare the byte paths
+    /// against.
     #[doc(hidden)]
     pub fn run_reference(&self, input: &str) -> String {
         let mut out = String::with_capacity(input.len());
@@ -185,13 +249,13 @@ impl SedCmd {
                 replacement,
                 global,
             } => {
-                for line in kq_stream::lines_of(input) {
+                for line in input.split_terminator('\n') {
                     regex.replace_into(line, replacement, *global, &mut out);
                     out.push('\n');
                 }
             }
             Script::QuitAfter(n) => {
-                for (i, line) in kq_stream::lines_of(input).enumerate() {
+                for (i, line) in input.split_terminator('\n').enumerate() {
                     if i >= *n {
                         break;
                     }
@@ -200,7 +264,7 @@ impl SedCmd {
                 }
             }
             Script::DeleteLine(n) => {
-                for (i, line) in kq_stream::lines_of(input).enumerate() {
+                for (i, line) in input.split_terminator('\n').enumerate() {
                     if i + 1 == *n {
                         continue;
                     }
@@ -209,7 +273,7 @@ impl SedCmd {
                 }
             }
             Script::DeleteLast => {
-                let lines: Vec<&str> = kq_stream::lines_of(input).collect();
+                let lines: Vec<&str> = input.split_terminator('\n').collect();
                 for line in lines.iter().take(lines.len().saturating_sub(1)) {
                     out.push_str(line);
                     out.push('\n');
@@ -293,6 +357,44 @@ mod tests {
     fn delete_last_line() {
         assert_eq!(run("sed '$d'", "1\n2\n3\n"), "1\n2\n");
         assert_eq!(run("sed '$d'", ""), "");
+    }
+
+    #[test]
+    fn address_forms_keep_byte_ranges_equal_to_the_reference() {
+        let ctx = ExecContext::default();
+        let scripts = ["0q", "1q", "2q", "9q", "0d", "1d", "2d", "3d", "9d", "$d"];
+        let inputs = [
+            "",
+            "\n",
+            "a",
+            "a\n",
+            "a\nb",
+            "a\nb\n",
+            "a\n\nc",
+            "a\nb\nc\n",
+        ];
+        for script in scripts {
+            let sed = SedCmd::parse(&[script.to_string()]).unwrap();
+            for input in inputs {
+                let out = sed.run(Bytes::from(input), &ctx).unwrap();
+                assert_eq!(out, sed.run_reference(input), "sed {script} on {input:?}");
+            }
+        }
+        // Lines past the quit, and every line of the other forms, are
+        // bytes as under `LC_ALL=C`.
+        let foreign = Bytes::from(b"a\n\xe9\nc\n".to_vec());
+        let run = |script: &str| {
+            let sed = SedCmd::parse(&[script.to_string()]).unwrap();
+            sed.run(foreign.clone(), &ctx).unwrap()
+        };
+        assert_eq!(run("1q").as_bytes(), b"a\n");
+        assert_eq!(run("1d").as_bytes(), b"\xe9\nc\n");
+        assert_eq!(run("$d").as_bytes(), b"a\n\xe9\n");
+        let sub = SedCmd::parse(&["s/a/b/".to_string()]).unwrap();
+        assert_eq!(
+            sub.run(foreign, &ctx).unwrap_err().to_string(),
+            "sed: input is not valid UTF-8"
+        );
     }
 
     #[test]

@@ -656,15 +656,9 @@ impl LineOrder {
 
     /// `sort <flags>` of one stream of text — in counted mode
     /// `sort <flags> | uniq -c` of it, as one pass (the input is raw lines,
-    /// the output a counted run). Foreign bytes are `sort`'s error.
+    /// the output a counted run).
     pub fn sort_bytes(self, input: &Bytes) -> Result<Bytes, CmdError> {
-        crate::input_str(input, "sort")?;
-        // Whole lines of validated text, reordered (behind ASCII count
-        // columns in counted mode): the scan cannot fail, and it marks the
-        // output as text for every later stage.
-        Bytes::from(self.sort(input.as_bytes(), MAX_SEGMENT)?)
-            .into_text()
-            .map_err(|_| CmdError::new("sort", "input is not valid UTF-8"))
+        self.sort(input.as_bytes(), MAX_SEGMENT).map(Bytes::from)
     }
 
     /// Sorts the lines of `input` (an unterminated final line counts as a
@@ -1944,7 +1938,6 @@ impl UnixCommand for SortCmd {
     }
 
     fn run(&self, input: Bytes, ctx: &ExecContext) -> Result<Bytes, CmdError> {
-        crate::input_str(&input, "sort")?;
         let mut contents: Vec<Bytes> = Vec::new();
         if self.files.is_empty() {
             contents.push(input);
@@ -1953,7 +1946,8 @@ impl UnixCommand for SortCmd {
                 contents.push(if f == "-" {
                     input.clone()
                 } else {
-                    crate::read_file_bytes(ctx, f, "sort")?
+                    ctx.vfs
+                        .read_bytes(f)
                         .ok_or_else(|| CmdError::new("sort", format!("cannot read: {f}")))?
                 });
             }
@@ -1962,17 +1956,12 @@ impl UnixCommand for SortCmd {
             flags: self.flags,
             counted: false,
         };
-        let out = if self.merge {
+        Ok(Bytes::from(if self.merge {
             let streams: Vec<&[u8]> = contents.iter().map(Bytes::as_bytes).collect();
             order.merge(&streams)
         } else {
             order.sort(kq_stream::concat_bytes(&contents).as_bytes(), MAX_SEGMENT)?
-        };
-        // Whole lines of validated text, reordered: the scan cannot fail,
-        // and it marks the output as text for every later stage.
-        Bytes::from(out)
-            .into_text()
-            .map_err(|_| CmdError::new("sort", "input is not valid UTF-8"))
+        }))
     }
 }
 
@@ -2047,7 +2036,7 @@ mod reference {
     }
 
     pub fn sort_lines(input: &str, flags: SortFlags) -> String {
-        let mut lines: Vec<&str> = kq_stream::lines_of(input).collect();
+        let mut lines: Vec<&str> = input.split_terminator('\n').collect();
         lines.sort_by(|a, b| line_compare(a, b, flags));
         emit(lines, flags)
     }
@@ -2057,7 +2046,7 @@ mod reference {
     pub fn merge_sorted(streams: &[&str], flags: SortFlags) -> String {
         let mut heads: Vec<_> = streams
             .iter()
-            .map(|s| kq_stream::lines_of(s).peekable())
+            .map(|s| s.split_terminator('\n').peekable())
             .collect();
         let mut merged = Vec::new();
         loop {
@@ -2079,7 +2068,7 @@ mod reference {
     /// `uniq -c` of `sorted`, one `format!` per run of equal lines.
     pub fn count_lines(sorted: &str) -> String {
         let mut out = String::new();
-        let mut lines = kq_stream::lines_of(sorted).peekable();
+        let mut lines = sorted.split_terminator('\n').peekable();
         while let Some(line) = lines.next() {
             let mut n = 1u64;
             while lines.next_if_eq(&line).is_some() {
@@ -2228,15 +2217,15 @@ mod tests {
     }
 
     #[test]
-    fn non_utf8_input_is_a_sort_error() {
+    fn sort_orders_any_bytes() {
         let cmd = parse_command("sort").unwrap();
-        let err = cmd
+        let out = cmd
             .run(
-                Bytes::from(vec![b'a', b'\n', 0xff, b'\n']),
+                Bytes::from(vec![0xff, b'\n', 0xe9, b'\n', b'a', b'\n']),
                 &ExecContext::default(),
             )
-            .unwrap_err();
-        assert_eq!(err.to_string(), "sort: input is not valid UTF-8");
+            .unwrap();
+        assert_eq!(out.as_bytes(), b"a\n\xe9\n\xff\n");
     }
 
     #[test]
@@ -2541,7 +2530,9 @@ mod tests {
                 .iter()
                 .zip(ranges)
                 .flat_map(|(run, r)| {
-                    kq_stream::lines_of(std::str::from_utf8(&run[r.clone()]).unwrap())
+                    std::str::from_utf8(&run[r.clone()])
+                        .unwrap()
+                        .split_terminator('\n')
                 })
                 .map(|l| std::str::from_utf8(order.payload(l.as_bytes())).unwrap())
                 .collect();
@@ -2638,7 +2629,7 @@ mod tests {
             let expect = run("uniq -c", &sorted);
             let order = order(flags).counted();
             let got = order.sort_bytes(&Bytes::from(input)).unwrap();
-            assert_eq!(got.as_str(), expect, "sort {flags} | uniq -c");
+            assert_eq!(got.to_str().unwrap(), expect, "sort {flags} | uniq -c");
             assert_eq!(
                 count_every_way(order, input),
                 [(); 3].map(|()| expect.clone())
@@ -2650,10 +2641,10 @@ mod tests {
             counted.sort_bytes(&Bytes::from("\n\n")).unwrap(),
             "      2 \n"
         );
-        let err = counted
-            .sort_bytes(&Bytes::from(vec![b'a', b'\n', 0xff, b'\n']))
-            .unwrap_err();
-        assert_eq!(err.to_string(), "sort: input is not valid UTF-8");
+        let out = counted
+            .sort_bytes(&Bytes::from(vec![0xff, b'\n', b'a', b'\n', 0xff, b'\n']))
+            .unwrap();
+        assert_eq!(out.as_bytes(), b"      1 a\n      2 \xff\n");
     }
 
     #[test]
@@ -2678,7 +2669,7 @@ mod tests {
             "1234567\n12345678\n123456789\n1234567",
         ] {
             let got = lines(input);
-            let expect: Vec<&str> = kq_stream::lines_of(input).collect();
+            let expect: Vec<&str> = input.split_terminator('\n').collect();
             let texts: Vec<&[u8]> = got.iter().map(|l| l.0).collect();
             assert_eq!(
                 texts,
@@ -2920,7 +2911,7 @@ mod tests {
         let expect = order(numeric).sort_bytes(&Bytes::from(counted)).unwrap();
         assert_eq!(
             String::from_utf8(got.bytes.clone()).unwrap(),
-            expect.as_str(),
+            expect.to_str().unwrap(),
             "sort {pair} | uniq -c | sort {numeric} of {counted:?}"
         );
         let mut at = 0;
@@ -2985,15 +2976,15 @@ mod tests {
                 let counted = order(pair).counted().sort_bytes(&Bytes::from(raw.as_str()));
                 let counted = counted.unwrap();
                 for numeric in COUNT_ORDER_SETS {
-                    check_regroup(pair, numeric, counted.as_str());
+                    check_regroup(pair, numeric, counted.to_str().unwrap());
                     // A counted run regroups as well by a line-aligned
                     // slice of it at a time.
-                    let half = counted.as_str().len() / 2;
-                    let cut = counted.as_str()[half..]
+                    let half = counted.to_str().unwrap().len() / 2;
+                    let cut = counted.to_str().unwrap()[half..]
                         .find('\n')
                         .map_or(0, |nl| half + nl + 1);
-                    check_regroup(pair, numeric, &counted.as_str()[..cut]);
-                    check_regroup(pair, numeric, &counted.as_str()[cut..]);
+                    check_regroup(pair, numeric, &counted.to_str().unwrap()[..cut]);
+                    check_regroup(pair, numeric, &counted.to_str().unwrap()[cut..]);
                 }
             }
         }
@@ -3043,7 +3034,7 @@ mod tests {
                     let order = order(flags);
                     let got = order.sort_bytes(&Bytes::from(input.as_str())).unwrap();
                     let expect = reference::sort_lines(&input, order.flags);
-                    assert_eq!(got.as_str(), expect, "sort {flags} of {n} lines");
+                    assert_eq!(got.to_str().unwrap(), expect, "sort {flags} of {n} lines");
                     assert_eq!(
                         sort_every_way(order, &input),
                         [(); 3].map(|()| expect.clone()),
@@ -3107,7 +3098,7 @@ mod tests {
                     let order = order(flags);
                     let got = order.sort_bytes(&Bytes::from(input.as_str())).unwrap();
                     let expect = reference::sort_lines(&input, order.flags);
-                    assert_eq!(got.as_str(), expect, "sort {flags} of {n} lines");
+                    assert_eq!(got.to_str().unwrap(), expect, "sort {flags} of {n} lines");
                 }
             }
         }
@@ -3140,7 +3131,7 @@ mod tests {
                     .sort_bytes(&Bytes::from(input.as_str()))
                     .unwrap();
                 let first = format!("{}\n", spell(0));
-                assert_eq!(got.as_str(), first, "{flags} of {n}");
+                assert_eq!(got.to_str().unwrap(), first, "{flags} of {n}");
                 assert_eq!(
                     sort_every_way(order(flags), &input),
                     [(); 3].map(|()| first.clone()),
@@ -3320,7 +3311,7 @@ mod tests {
         ) {
             let input: String = lines.iter().map(|l| format!("{l}\n")).collect();
             let out = run("sort", &input);
-            let out_lines: Vec<&str> = kq_stream::lines_of(&out).collect();
+            let out_lines: Vec<&str> = out.split_terminator('\n').collect();
             let mut expect: Vec<&str> = lines.iter().map(String::as_str).collect();
             expect.sort_by(|a, b| a.as_bytes().cmp(b.as_bytes()));
             prop_assert_eq!(out_lines, expect);
@@ -3612,7 +3603,7 @@ mod tests {
         ) {
             let input: String = nums.iter().map(|n| format!("{n}\n")).collect();
             let out = run("sort -n", &input);
-            let vals: Vec<i32> = kq_stream::lines_of(&out)
+            let vals: Vec<i32> = out.split_terminator('\n')
                 .map(|l| l.parse().unwrap())
                 .collect();
             for w in vals.windows(2) {

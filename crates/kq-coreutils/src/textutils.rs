@@ -50,11 +50,15 @@ impl UnixCommand for ColCmd {
         s
     }
 
+    fn decodes(&self) -> bool {
+        true
+    }
+
     fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
-        let input = crate::input_str(&input, "col")?;
+        let input = crate::decode(&input, "col")?;
         let text = || -> Result<String, CmdError> {
             let mut out = String::with_capacity(input.len());
-            for line in kq_stream::lines_of(input) {
+            for line in input.split_terminator('\n') {
                 let mut cols: Vec<char> = Vec::with_capacity(line.len());
                 for c in line.chars() {
                     match c {
@@ -88,11 +92,15 @@ impl UnixCommand for RevCmd {
         "rev".to_owned()
     }
 
+    fn decodes(&self) -> bool {
+        true
+    }
+
     fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
-        let input = crate::input_str(&input, "rev")?;
+        let input = crate::decode(&input, "rev")?;
         let text = || -> Result<String, CmdError> {
             let mut out = String::with_capacity(input.len());
-            for line in kq_stream::lines_of(input) {
+            for line in input.split_terminator('\n') {
                 out.extend(line.chars().rev());
                 out.push('\n');
             }
@@ -137,12 +145,16 @@ impl UnixCommand for FmtCmd {
         format!("fmt -w{}", self.width)
     }
 
+    fn decodes(&self) -> bool {
+        true
+    }
+
     fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
-        let input = crate::input_str(&input, "fmt")?;
+        let input = crate::decode(&input, "fmt")?;
         let text = || -> Result<String, CmdError> {
             let mut out = String::with_capacity(input.len());
             let mut line_len = 0usize;
-            for line in kq_stream::lines_of(input) {
+            for line in input.split_terminator('\n') {
                 if line.trim().is_empty() {
                     if line_len > 0 {
                         out.push('\n');
@@ -249,8 +261,12 @@ impl UnixCommand for IconvCmd {
         "iconv -f utf-8 -t ascii//translit".to_owned()
     }
 
+    fn decodes(&self) -> bool {
+        true
+    }
+
     fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
-        let input = crate::input_str(&input, "iconv")?;
+        let input = crate::decode(&input, "iconv")?;
         let text = || -> Result<String, CmdError> {
             let mut out = String::with_capacity(input.len());
             for c in input.chars() {

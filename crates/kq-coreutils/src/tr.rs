@@ -284,12 +284,15 @@ impl CharSet {
 /// [`ByteTable::LONE`] is written only when the byte written last differs
 /// from it — a member of the squeeze set; [`ByteTable::DROP`] marks a byte
 /// of the delete set of `-ds`, which writes nothing and is not "written
-/// last" either. Valid for UTF-8 input when every SET character is ASCII:
-/// a multi-byte character is then outside SET1 and SET2 and its bytes
-/// share one fate. Under `-c` that fate is to become one fill character,
-/// which the table spells as: the lead byte becomes the fill, and each
-/// continuation byte is the fill *repeated* — never written, since the
-/// byte written last is then the fill itself.
+/// last" either. Built when every SET character is ASCII: a byte of
+/// `0x80` and above is then outside SET1 and SET2, so the table gives
+/// GNU's `LC_ALL=C` output on any bytes — and on UTF-8 the bytes of a
+/// multi-byte character share one fate. Under `-c` that fate is to become
+/// one fill character, which the table spells as: the lead byte becomes
+/// the fill, and each continuation byte is the fill *repeated* — never
+/// written, since the byte written last is then the fill itself. That
+/// rule reads characters unless the fill is squeezed anyway (`-cs`), so
+/// a `-c` translation without `-s` decodes its input first.
 struct ByteTable {
     entries: [u16; 256],
     shape: TableShape,
@@ -568,8 +571,8 @@ impl TrCmd {
     }
 
     /// The byte fast path for [`TrCmd::deletes_verbatim`] commands:
-    /// scans bytes and gathers the runs of kept bytes of `input`. `text` must be the UTF-8 view of `input` (same indices).
-    fn run_delete_slices(&self, input: &Bytes, text: &str) -> Bytes {
+    /// scans bytes and gathers the runs of kept bytes of `input`.
+    fn run_delete_slices(&self, input: &Bytes) -> Bytes {
         let mut keep = [false; 256];
         for (b, k) in keep.iter_mut().enumerate() {
             // Non-ASCII bytes belong to non-ASCII characters, which are
@@ -582,7 +585,7 @@ impl TrCmd {
         }
         let mut runs = SliceRuns::new(input);
         let mut run_start: Option<usize> = None;
-        for (i, &b) in text.as_bytes().iter().enumerate() {
+        for (i, &b) in input.as_bytes().iter().enumerate() {
             if keep[b as usize] {
                 run_start.get_or_insert(i);
             } else if let Some(s) = run_start.take() {
@@ -590,7 +593,7 @@ impl TrCmd {
             }
         }
         if let Some(s) = run_start.take() {
-            runs.keep(s..text.len());
+            runs.keep(s..input.len());
         }
         runs.finish()
     }
@@ -678,17 +681,26 @@ impl UnixCommand for TrCmd {
         self.display.clone()
     }
 
+    fn decodes(&self) -> bool {
+        match &self.kernel {
+            Kernel::DeleteSlices => false,
+            // `-c` without `-s` writes one fill per character (see
+            // `ByteTable`): it reads characters.
+            Kernel::Table(_) => self.complement && !self.squeeze,
+            Kernel::Reference => true,
+        }
+    }
+
     fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
-        let text = crate::input_str(&input, "tr")?;
         Ok(match &self.kernel {
-            Kernel::DeleteSlices => self.run_delete_slices(&input, text),
-            Kernel::Table(table) => Bytes::from(
-                // One scan instead of one per downstream stage: a `String`
-                // is known text, a `Vec<u8>` is validated by every reader.
-                String::from_utf8(table.run(text.as_bytes()))
-                    .expect("ASCII sets over UTF-8 input write UTF-8"),
-            ),
-            Kernel::Reference => Bytes::from(self.run_reference(text)),
+            Kernel::DeleteSlices => self.run_delete_slices(&input),
+            Kernel::Table(table) => {
+                if self.decodes() {
+                    crate::decode(&input, "tr")?;
+                }
+                Bytes::from(table.run(input.as_bytes()))
+            }
+            Kernel::Reference => Bytes::from(self.run_reference(crate::decode(&input, "tr")?)),
         })
     }
 }
@@ -839,7 +851,7 @@ mod tests {
             for input in cases {
                 let fast = t.run(Bytes::from(input), &ExecContext::default()).unwrap();
                 assert_eq!(
-                    fast.as_str(),
+                    fast.to_str().unwrap(),
                     t.run_reference(input),
                     "{cmd_line:?} diverged on {input:?}"
                 );
@@ -947,7 +959,7 @@ mod tests {
             for input in cases {
                 let fast = t.run(Bytes::from(input), &ExecContext::default()).unwrap();
                 assert_eq!(
-                    fast.as_str(),
+                    fast.to_str().unwrap(),
                     t.run_reference(input),
                     "{cmd_line:?} diverged on {input:?}"
                 );

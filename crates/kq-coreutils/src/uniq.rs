@@ -43,11 +43,11 @@ impl UniqCmd {
 
     /// The byte fast path for plain `uniq`: scans lines bytewise and
     /// keeps the first line of each run of equal lines — through its
-    /// newline, so consecutive kept lines coalesce into one slice. `text`
-    /// must be the UTF-8 view of `input` (same indices). An unterminated
-    /// final line gets a synthesized `"\n"`, matching the reference path.
-    fn run_uniq_slices(&self, input: &Bytes, text: &str) -> Bytes {
-        let bytes = text.as_bytes();
+    /// newline, so consecutive kept lines coalesce into one slice. An
+    /// unterminated final line gets a synthesized `"\n"`, matching the
+    /// reference path.
+    fn run_uniq_slices(input: &Bytes) -> Bytes {
+        let bytes = input.as_bytes();
         let len = bytes.len();
         let mut runs = SliceRuns::new(input);
         let mut prev: Option<&[u8]> = None;
@@ -74,10 +74,7 @@ impl UniqCmd {
 
     /// `uniq -c` on the byte plane: a run-length count over line slices.
     /// The buffer is sized for the worst case (no two adjacent lines equal:
-    /// every line gains a count column), so it never grows. (A byte split
-    /// rather than `kq_stream::lines_of`: on a word stream, where this
-    /// runs after every `sort`, the `str` searcher costs twice as much per
-    /// line.)
+    /// every line gains a count column), so it never grows.
     fn run_counted(bytes: &[u8]) -> Vec<u8> {
         let lines = bytes.iter().filter(|&&b| b == b'\n').count() + 1;
         let mut out = Vec::with_capacity(bytes.len() + (COUNT_WIDTH + 1) * lines + 1);
@@ -116,7 +113,7 @@ impl UniqCmd {
                 out.push('\n');
             }
         };
-        for line in kq_stream::lines_of(input) {
+        for line in input.split_terminator('\n') {
             match current {
                 Some((prev, n)) if prev == line => current = Some((prev, n + 1)),
                 Some((prev, n)) => {
@@ -189,16 +186,11 @@ impl UnixCommand for UniqCmd {
     }
 
     fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
-        let text = crate::input_str(&input, "uniq")?;
-        if !self.count {
-            return Ok(self.run_uniq_slices(&input, text));
-        }
-        // Whole lines of validated text behind ASCII count columns: the
-        // scan cannot fail, and it marks the output as text for every
-        // later stage.
-        Bytes::from(UniqCmd::run_counted(text.as_bytes()))
-            .into_text()
-            .map_err(|_| CmdError::new("uniq", "input is not valid UTF-8"))
+        Ok(if self.count {
+            Bytes::from(UniqCmd::run_counted(input.as_bytes()))
+        } else {
+            UniqCmd::run_uniq_slices(&input)
+        })
     }
 }
 
@@ -277,7 +269,7 @@ mod tests {
             for input in cases {
                 let fast = u.run(Bytes::from(input), &ExecContext::default()).unwrap();
                 assert_eq!(
-                    fast.as_str(),
+                    fast.to_str().unwrap(),
                     u.run_reference(input),
                     "uniq {flags:?} diverged on {input:?}"
                 );
@@ -312,16 +304,19 @@ mod tests {
     }
 
     #[test]
-    fn non_utf8_input_is_a_uniq_error() {
-        for flags in [vec![], vec!["-c".to_owned()]] {
-            let err = UniqCmd::parse(&flags)
+    fn uniq_takes_any_bytes() {
+        for (flags, want) in [
+            (vec![], &b"a\n\xff\n"[..]),
+            (vec!["-c".to_owned()], b"      1 a\n      2 \xff\n"),
+        ] {
+            let out = UniqCmd::parse(&flags)
                 .unwrap()
                 .run(
-                    Bytes::from(vec![b'a', b'\n', 0xff]),
+                    Bytes::from(vec![b'a', b'\n', 0xff, b'\n', 0xff]),
                     &ExecContext::default(),
                 )
-                .unwrap_err();
-            assert_eq!(err.to_string(), "uniq: input is not valid UTF-8");
+                .unwrap();
+            assert_eq!(out.as_bytes(), want);
         }
     }
 
@@ -337,7 +332,7 @@ mod tests {
         ) {
             let input: String = lines.iter().map(|l| format!("{l}\n")).collect();
             let out = run("uniq -c", &input);
-            let total: i64 = kq_stream::lines_of(&out)
+            let total: i64 = kq_stream::lines_of(out.as_bytes())
                 .map(|l| kq_stream::parse_padded_int(l).unwrap().1)
                 .sum();
             prop_assert_eq!(total as usize, lines.len());
@@ -365,7 +360,7 @@ mod tests {
             for flags in [vec![], vec!["-c".to_owned()]] {
                 let u = UniqCmd::parse(&flags).unwrap();
                 let fast = u.run(Bytes::from(input.as_str()), &ExecContext::default()).unwrap();
-                prop_assert_eq!(fast.as_str(), u.run_reference(&input));
+                prop_assert_eq!(fast.to_str().unwrap(), u.run_reference(&input));
             }
         }
     }

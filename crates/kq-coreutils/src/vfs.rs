@@ -75,12 +75,12 @@ impl Vfs {
 
     /// Reads a file's content as an owned `String` (copies; compatibility
     /// for text-shaping call sites off the hot path — planning samples and
-    /// test fixtures). Foreign byte data written through the
-    /// `From<Vec<u8>>` door degrades lossily rather than panicking.
+    /// test fixtures). Bytes that are not UTF-8 degrade lossily.
     ///
-    /// Commands never read operands through this door: they go through
-    /// `read_file_str`, which applies the same hard UTF-8 validation as
-    /// piped input, so a foreign file and a foreign pipe fail identically.
+    /// Commands never read operands through this door: they take the
+    /// bytes ([`Vfs::read_bytes`]), and a command that reads characters
+    /// decodes them as it decodes piped input, so a file and a pipe of
+    /// the same bytes fail alike.
     pub fn read(&self, path: &str) -> Option<String> {
         self.files
             .read()

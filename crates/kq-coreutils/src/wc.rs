@@ -59,13 +59,23 @@ impl WcCmd {
         Ok(WcCmd { selected, display })
     }
 
-    fn count(input: &str, what: Count) -> usize {
+    fn count(input: &[u8], what: Count) -> usize {
         match what {
-            Count::Lines => kq_stream::count_delim('\n', input),
-            Count::Words => input.split_ascii_whitespace().count(),
+            Count::Lines => kq_stream::count_delim(b'\n', input),
+            Count::Words => words(input),
             Count::Bytes => input.len(),
         }
     }
+}
+
+/// Words as GNU `wc` counts them under `LC_ALL=C`: `\t\n\v\f\r` and
+/// space separate words, and a run between separators is a word only if
+/// it holds a printable, non-blank byte (`0x21..=0x7E`).
+fn words(input: &[u8]) -> usize {
+    input
+        .split(|b| matches!(b, b'\t' | b'\n' | 0x0B | 0x0C | b'\r' | b' '))
+        .filter(|run| run.iter().any(|b| b.is_ascii_graphic()))
+        .count()
 }
 
 impl UnixCommand for WcCmd {
@@ -74,29 +84,25 @@ impl UnixCommand for WcCmd {
     }
 
     fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
-        let input = crate::input_str(&input, "wc")?;
-        let text = || -> Result<String, CmdError> {
-            let counts: Vec<usize> = self
-                .selected
-                .iter()
-                .map(|&c| Self::count(input, c))
-                .collect();
-            let mut out = String::new();
-            if counts.len() == 1 {
-                out.push_str(&counts[0].to_string());
-            } else {
-                // GNU pads multi-column stdin output to 7 columns.
-                for (i, c) in counts.iter().enumerate() {
-                    if i > 0 {
-                        out.push(' ');
-                    }
-                    out.push_str(&format!("{c:>7}"));
+        let counts: Vec<usize> = self
+            .selected
+            .iter()
+            .map(|&c| Self::count(input.as_bytes(), c))
+            .collect();
+        let mut out = String::new();
+        if counts.len() == 1 {
+            out.push_str(&counts[0].to_string());
+        } else {
+            // GNU pads multi-column stdin output to 7 columns.
+            for (i, c) in counts.iter().enumerate() {
+                if i > 0 {
+                    out.push(' ');
                 }
+                out.push_str(&format!("{c:>7}"));
             }
-            out.push('\n');
-            Ok(out)
-        };
-        text().map(Bytes::from)
+        }
+        out.push('\n');
+        Ok(Bytes::from(out))
     }
 }
 
@@ -124,6 +130,21 @@ mod tests {
     #[test]
     fn word_count() {
         assert_eq!(run("wc -w", "one two\n three\n"), "3\n");
+    }
+
+    #[test]
+    fn words_are_runs_with_a_printable_byte() {
+        let words = |input: &[u8]| {
+            parse_command("wc -w")
+                .unwrap()
+                .run(Bytes::from(input.to_vec()), &ExecContext::default())
+                .unwrap()
+        };
+        // GNU `wc -w` under `LC_ALL=C`.
+        assert_eq!(words(b"a\x0bb c"), "3\n");
+        assert_eq!(words(b"a\x01b c\n\x01"), "2\n");
+        assert_eq!(words("日本 語\ncafé".as_bytes()), "1\n");
+        assert_eq!(words(b"\xe9\xb0 x\x0c\ty\r"), "2\n");
     }
 
     #[test]

@@ -65,8 +65,12 @@ impl UnixCommand for XargsCmd {
         self.display.clone()
     }
 
+    fn decodes(&self) -> bool {
+        true
+    }
+
     fn run(&self, input: Bytes, ctx: &ExecContext) -> Result<Bytes, CmdError> {
-        let input = crate::input_str(&input, "xargs")?;
+        let input = crate::decode(&input, "xargs")?;
         // xargs tokenizes on whitespace; corpus inputs are one path per
         // line with no embedded blanks.
         match self.sub {

@@ -154,7 +154,7 @@ impl Candidate {
     }
 
     /// Orders the argument pair according to the candidate's orientation.
-    pub fn oriented<'a>(&self, y1: &'a str, y2: &'a str) -> (&'a str, &'a str) {
+    pub fn oriented<'a>(&self, y1: &'a [u8], y2: &'a [u8]) -> (&'a [u8], &'a [u8]) {
         if self.swapped {
             (y2, y1)
         } else {
@@ -283,8 +283,8 @@ mod tests {
             op: Combiner::Rec(RecOp::First),
             swapped: true,
         };
-        assert_eq!(c.oriented("x", "y"), ("y", "x"));
+        assert_eq!(c.oriented(b"x", b"y"), (&b"y"[..], &b"x"[..]));
         let c = Candidate::rec(RecOp::First);
-        assert_eq!(c.oriented("x", "y"), ("x", "y"));
+        assert_eq!(c.oriented(b"x", b"y"), (&b"x"[..], &b"y"[..]));
     }
 }

@@ -10,7 +10,7 @@ use crate::ast::{Combiner, RecOp, RunOp, StructOp};
 use kq_stream::{del_pad, split_first, Delim};
 
 /// `y ∈ L(g)`.
-pub fn in_domain(g: &Combiner, y: &str) -> bool {
+pub fn in_domain(g: &Combiner, y: &[u8]) -> bool {
     match g {
         Combiner::Rec(b) => rec_in_domain(b, y),
         Combiner::Struct(s) => struct_in_domain(s, y),
@@ -39,20 +39,20 @@ pub fn is_universal(g: &Combiner) -> bool {
     )
 }
 
-pub(crate) fn rec_in_domain(b: &RecOp, y: &str) -> bool {
+pub(crate) fn rec_in_domain(b: &RecOp, y: &[u8]) -> bool {
     match b {
-        RecOp::Add => !y.is_empty() && y.bytes().all(|c| c.is_ascii_digit()),
+        RecOp::Add => !y.is_empty() && y.iter().all(u8::is_ascii_digit),
         RecOp::Concat | RecOp::First | RecOp::Second => true,
-        RecOp::Front(d, b) => match y.strip_prefix(d.as_char()) {
+        RecOp::Front(d, b) => match y.strip_prefix(&[d.as_byte()]) {
             Some(rest) => rec_in_domain(b, rest),
             None => false,
         },
-        RecOp::Back(d, b) => match y.strip_suffix(d.as_char()) {
+        RecOp::Back(d, b) => match y.strip_suffix(&[d.as_byte()]) {
             Some(rest) => rec_in_domain(b, rest),
             None => false,
         },
         RecOp::Fuse(d, b) => {
-            let parts: Vec<&str> = y.split(d.as_char()).collect();
+            let parts: Vec<&[u8]> = y.split(|&c| c == d.as_byte()).collect();
             parts.len() >= 2
                 && !parts.first().unwrap().is_empty()
                 && !parts.last().unwrap().is_empty()
@@ -61,12 +61,12 @@ pub(crate) fn rec_in_domain(b: &RecOp, y: &str) -> bool {
     }
 }
 
-fn struct_in_domain(s: &StructOp, y: &str) -> bool {
-    if y == "\n" {
+fn struct_in_domain(s: &StructOp, y: &[u8]) -> bool {
+    if y == b"\n" {
         // All three structural domains include the empty stream.
         return true;
     }
-    if !y.ends_with('\n') {
+    if !y.ends_with(b"\n") {
         return false;
     }
     match s {
@@ -90,9 +90,9 @@ fn struct_in_domain(s: &StructOp, y: &str) -> bool {
 
 /// Decomposes a padded table line `pad ++ h ++ d ++ t`, requiring `d ∉ h`.
 /// Returns `None` when the field delimiter is absent.
-pub(crate) fn table_line(d: Delim, line: &str) -> Option<(&str, &str)> {
+pub(crate) fn table_line(d: Delim, line: &[u8]) -> Option<(&[u8], &[u8])> {
     let (_pad, rest) = del_pad(line);
-    let (h, t) = split_first(d.as_char(), rest);
+    let (h, t) = split_first(d.as_byte(), rest);
     t.map(|t| (h, t))
 }
 
@@ -104,70 +104,70 @@ mod tests {
     #[test]
     fn add_domain_is_digit_runs() {
         let g = C::Rec(R::Add);
-        assert!(in_domain(&g, "0123"));
-        assert!(!in_domain(&g, ""));
-        assert!(!in_domain(&g, "12\n"));
-        assert!(!in_domain(&g, "-2"));
+        assert!(in_domain(&g, b"0123"));
+        assert!(!in_domain(&g, b""));
+        assert!(!in_domain(&g, b"12\n"));
+        assert!(!in_domain(&g, b"-2"));
     }
 
     #[test]
     fn concat_domain_is_everything() {
         let g = C::Rec(R::Concat);
-        assert!(in_domain(&g, ""));
-        assert!(in_domain(&g, "any\nthing"));
+        assert!(in_domain(&g, b""));
+        assert!(in_domain(&g, b"any\nthing"));
     }
 
     #[test]
     fn back_add_domain() {
         let g = C::Rec(R::Back(Delim::Newline, Box::new(R::Add)));
-        assert!(in_domain(&g, "42\n"));
-        assert!(!in_domain(&g, "42"));
-        assert!(!in_domain(&g, "4 2\n"));
+        assert!(in_domain(&g, b"42\n"));
+        assert!(!in_domain(&g, b"42"));
+        assert!(!in_domain(&g, b"4 2\n"));
         // wc -l output is exactly this shape.
-        assert!(in_domain(&g, "0\n"));
+        assert!(in_domain(&g, b"0\n"));
     }
 
     #[test]
     fn fuse_domain_requires_delimiter_and_nonempty_ends() {
         let g = C::Rec(R::Fuse(Delim::Space, Box::new(R::Add)));
-        assert!(in_domain(&g, "1 2 3"));
-        assert!(!in_domain(&g, "123")); // k >= 2 required
-        assert!(!in_domain(&g, " 1")); // first piece empty
-        assert!(!in_domain(&g, "1 ")); // last piece empty
-        assert!(!in_domain(&g, "1 x")); // piece outside L(add)
+        assert!(in_domain(&g, b"1 2 3"));
+        assert!(!in_domain(&g, b"123")); // k >= 2 required
+        assert!(!in_domain(&g, b" 1")); // first piece empty
+        assert!(!in_domain(&g, b"1 ")); // last piece empty
+        assert!(!in_domain(&g, b"1 x")); // piece outside L(add)
     }
 
     #[test]
     fn stitch_domain_lines_in_child_domain() {
         let g = C::Struct(S::Stitch(R::First));
-        assert!(in_domain(&g, "a\nb\n"));
-        assert!(in_domain(&g, "\n"));
-        assert!(!in_domain(&g, "a\nb")); // not a stream
+        assert!(in_domain(&g, b"a\nb\n"));
+        assert!(in_domain(&g, b"\n"));
+        assert!(!in_domain(&g, b"a\nb")); // not a stream
         let g_add = C::Struct(S::Stitch(R::Add));
-        assert!(in_domain(&g_add, "1\n23\n"));
-        assert!(!in_domain(&g_add, "1\nx\n"));
+        assert!(in_domain(&g_add, b"1\n23\n"));
+        assert!(!in_domain(&g_add, b"1\nx\n"));
     }
 
     #[test]
     fn stitch2_domain_requires_table_lines() {
         let g = C::Struct(S::Stitch2(Delim::Space, R::Add, R::First));
-        assert!(in_domain(&g, "      4 word\n      9 other\n"));
-        assert!(in_domain(&g, "\n"));
-        assert!(!in_domain(&g, "word\n")); // no field delimiter
-        assert!(!in_domain(&g, "      x word\n")); // first field not numeric
+        assert!(in_domain(&g, b"      4 word\n      9 other\n"));
+        assert!(in_domain(&g, b"\n"));
+        assert!(!in_domain(&g, b"word\n")); // no field delimiter
+        assert!(!in_domain(&g, b"      x word\n")); // first field not numeric
     }
 
     #[test]
     fn offset_domain_admits_empty_lines() {
         let g = C::Struct(S::Offset(Delim::Space, R::Add));
-        assert!(in_domain(&g, "3 a\n\n4 b\n"));
-        assert!(!in_domain(&g, "bare\n"));
+        assert!(in_domain(&g, b"3 a\n\n4 b\n"));
+        assert!(!in_domain(&g, b"bare\n"));
     }
 
     #[test]
     fn run_ops_accept_everything() {
-        assert!(in_domain(&C::Run(RunOp::Rerun), "anything"));
-        assert!(in_domain(&C::Run(RunOp::Merge(vec![])), ""));
+        assert!(in_domain(&C::Run(RunOp::Rerun), b"anything"));
+        assert!(in_domain(&C::Run(RunOp::Merge(vec![])), b""));
     }
 
     #[test]

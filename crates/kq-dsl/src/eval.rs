@@ -4,6 +4,10 @@
 //! error* — the analogue of a rule's premises not matching. Candidate
 //! filtering treats both a failure and a wrong result as grounds to discard
 //! the candidate.
+//!
+//! Strings are bytes: every rule cuts at ASCII delimiters and compares
+//! bytes, so a combiner accepts whatever bytes its command does, and pad
+//! widths count bytes, as under `LC_ALL=C`.
 
 use crate::ast::{Combiner, RecOp, RunOp, StructOp};
 use kq_coreutils::sort::LineOrder;
@@ -53,24 +57,15 @@ pub fn merge_order(flags: &[String]) -> Result<LineOrder, EvalError> {
 /// a `Send + Sync` command and context), and the requirement is what
 /// makes `&dyn RunEnv: Send`.
 pub trait RunEnv: Sync {
-    /// `rerun_f`: execute `f` on the given input.
-    fn rerun(&self, input: &str) -> Result<String, EvalError>;
+    /// `rerun_f`: execute `f` on the given input — a shared byte slice,
+    /// handed to the command without a copy.
+    fn rerun(&self, input: Bytes) -> Result<Bytes, EvalError>;
 
     /// `unixMerge <flags>`: merge pre-sorted streams (`sort -m <flags>`).
     /// The streams are the substreams' bytes, borrowed in place, and the
     /// result is a data-plane slice: nothing is copied on the way in or
     /// out.
     fn merge(&self, order: LineOrder, streams: &[&[u8]]) -> Result<Bytes, EvalError>;
-
-    /// Byte-plane `rerun_f`: execute `f` on a shared byte slice without
-    /// round-tripping through owned strings. The default shim copies;
-    /// command-backed environments override it with a zero-copy hand-off.
-    fn rerun_bytes(&self, input: Bytes) -> Result<Bytes, EvalError> {
-        let text = input
-            .to_str()
-            .map_err(|_| EvalError::Command("substream is not valid UTF-8".to_owned()))?;
-        self.rerun(text).map(Bytes::from)
-    }
 
     /// Streaming `unixMerge <flags>`: merge pre-sorted streams, handing
     /// the output to `sink` in line-aligned fragments of roughly
@@ -101,7 +96,7 @@ pub trait RunEnv: Sync {
 pub struct NoRunEnv;
 
 impl RunEnv for NoRunEnv {
-    fn rerun(&self, _input: &str) -> Result<String, EvalError> {
+    fn rerun(&self, _input: Bytes) -> Result<Bytes, EvalError> {
         Err(EvalError::Command("rerun unavailable".to_owned()))
     }
 
@@ -119,25 +114,14 @@ pub struct CommandEnv<'a> {
 }
 
 impl RunEnv for CommandEnv<'_> {
-    fn rerun(&self, input: &str) -> Result<String, EvalError> {
+    fn rerun(&self, input: Bytes) -> Result<Bytes, EvalError> {
         self.command
-            .run_str(input, self.ctx)
+            .run(input, self.ctx)
             .map_err(|e| EvalError::Command(e.to_string()))
     }
 
     fn merge(&self, order: LineOrder, streams: &[&[u8]]) -> Result<Bytes, EvalError> {
-        // One validation scan marks the merged lines as text, so every
-        // later stage views them in O(1); it fails only when a substream
-        // was not text to begin with.
-        Bytes::from(order.merge(streams))
-            .into_text()
-            .map_err(|_| EvalError::Command("substream is not valid UTF-8".to_owned()))
-    }
-
-    fn rerun_bytes(&self, input: Bytes) -> Result<Bytes, EvalError> {
-        self.command
-            .run(input, self.ctx)
-            .map_err(|e| EvalError::Command(e.to_string()))
+        Ok(Bytes::from(order.merge(streams)))
     }
 
     fn merge_stream(
@@ -166,19 +150,12 @@ impl RunEnv for CommandEnv<'_> {
 }
 
 /// Evaluates `g y1 y2` per Figure 6.
-pub fn eval(g: &Combiner, y1: &str, y2: &str, env: &dyn RunEnv) -> Result<String, EvalError> {
+pub fn eval(g: &Combiner, y1: &[u8], y2: &[u8], env: &dyn RunEnv) -> Result<Bytes, EvalError> {
     match g {
-        Combiner::Rec(b) => eval_rec(b, y1, y2),
-        Combiner::Struct(s) => eval_struct(s, y1, y2),
-        Combiner::Run(RunOp::Rerun) => {
-            let mut joined = String::with_capacity(y1.len() + y2.len());
-            joined.push_str(y1);
-            joined.push_str(y2);
-            env.rerun(&joined)
-        }
-        Combiner::Run(RunOp::Merge(flags)) => env
-            .merge(merge_order(flags)?, &[y1.as_bytes(), y2.as_bytes()])
-            .map(Bytes::into_string),
+        Combiner::Rec(b) => eval_rec(b, y1, y2).map(Bytes::from),
+        Combiner::Struct(s) => eval_struct(s, y1, y2).map(Bytes::from),
+        Combiner::Run(RunOp::Rerun) => env.rerun(Bytes::from([y1, y2].concat())),
+        Combiner::Run(RunOp::Merge(flags)) => env.merge(merge_order(flags)?, &[y1, y2]),
     }
 }
 
@@ -186,41 +163,38 @@ pub fn eval(g: &Combiner, y1: &str, y2: &str, env: &dyn RunEnv) -> Result<String
 /// neither they nor their sum leave `i64`. The one definition of the
 /// rule — [`eval`] renders the sum, the candidate-space walk
 /// ([`crate::space`]) compares it against the expected output.
-pub(crate) fn add_digit_runs(y1: &str, y2: &str) -> Result<i64, EvalError> {
-    let parse = |s: &str| -> Result<i64, EvalError> {
-        if s.is_empty() || !s.bytes().all(|c| c.is_ascii_digit()) {
+pub(crate) fn add_digit_runs(y1: &[u8], y2: &[u8]) -> Result<i64, EvalError> {
+    let parse = |s: &[u8]| -> Result<i64, EvalError> {
+        if s.is_empty() || !s.iter().all(u8::is_ascii_digit) {
             return Err(EvalError::Domain("add expects a digit run"));
         }
-        s.parse().map_err(|_| EvalError::Domain("add overflow"))
+        s.iter()
+            .try_fold(0i64, |n, &d| {
+                n.checked_mul(10)?.checked_add(i64::from(d - b'0'))
+            })
+            .ok_or(EvalError::Domain("add overflow"))
     };
     parse(y1)?
         .checked_add(parse(y2)?)
         .ok_or(EvalError::Domain("add overflow"))
 }
 
-pub(crate) fn eval_rec(b: &RecOp, y1: &str, y2: &str) -> Result<String, EvalError> {
+pub(crate) fn eval_rec(b: &RecOp, y1: &[u8], y2: &[u8]) -> Result<Vec<u8>, EvalError> {
     match b {
-        RecOp::Add => add_digit_runs(y1, y2).map(|sum| sum.to_string()),
-        RecOp::Concat => {
-            let mut out = String::with_capacity(y1.len() + y2.len());
-            out.push_str(y1);
-            out.push_str(y2);
-            Ok(out)
-        }
-        RecOp::First => Ok(y1.to_owned()),
-        RecOp::Second => Ok(y2.to_owned()),
+        RecOp::Add => add_digit_runs(y1, y2).map(|sum| sum.to_string().into_bytes()),
+        RecOp::Concat => Ok([y1, y2].concat()),
+        RecOp::First => Ok(y1.to_vec()),
+        RecOp::Second => Ok(y2.to_vec()),
         RecOp::Front(d, b) => {
-            let d = d.as_char();
+            let d = d.as_byte();
             let t1 = del_front(d, y1).ok_or(EvalError::Domain("front: missing delimiter"))?;
             let t2 = del_front(d, y2).ok_or(EvalError::Domain("front: missing delimiter"))?;
-            let v = eval_rec(b, t1, t2)?;
-            let mut out = String::with_capacity(v.len() + 1);
-            out.push(d);
-            out.push_str(&v);
+            let mut out = vec![d];
+            out.extend_from_slice(&eval_rec(b, t1, t2)?);
             Ok(out)
         }
         RecOp::Back(d, b) => {
-            let d = d.as_char();
+            let d = d.as_byte();
             let t1 = del_back(d, y1).ok_or(EvalError::Domain("back: missing delimiter"))?;
             let t2 = del_back(d, y2).ok_or(EvalError::Domain("back: missing delimiter"))?;
             let mut out = eval_rec(b, t1, t2)?;
@@ -228,28 +202,42 @@ pub(crate) fn eval_rec(b: &RecOp, y1: &str, y2: &str) -> Result<String, EvalErro
             Ok(out)
         }
         RecOp::Fuse(d, b) => {
-            let d = d.as_char();
-            let p1: Vec<&str> = y1.split(d).collect();
-            let p2: Vec<&str> = y2.split(d).collect();
+            let d = d.as_byte();
+            let p1: Vec<&[u8]> = y1.split(|&c| c == d).collect();
+            let p2: Vec<&[u8]> = y2.split(|&c| c == d).collect();
             if p1.len() < 2 {
                 return Err(EvalError::Domain("fuse: delimiter absent"));
             }
             if p1.len() != p2.len() {
                 return Err(EvalError::Domain("fuse: piece counts differ"));
             }
-            let mut out = String::with_capacity(y1.len() + y2.len());
+            let mut out = Vec::with_capacity(y1.len() + y2.len());
             for (i, (a, c)) in p1.iter().zip(p2.iter()).enumerate() {
                 if i > 0 {
                     out.push(d);
                 }
-                out.push_str(&eval_rec(b, a, c)?);
+                out.extend_from_slice(&eval_rec(b, a, c)?);
             }
             Ok(out)
         }
     }
 }
 
-fn eval_struct(s: &StructOp, y1: &str, y2: &str) -> Result<String, EvalError> {
+/// `pre ++ "\n" ++ v ++ "\n" ++ post`, the `pre` part only when there is
+/// one: the stream with its boundary lines replaced by `v`.
+fn replace_boundary(pre: Option<&[u8]>, v: &[u8], post: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(pre.map_or(0, |p| p.len() + 1) + v.len() + 1 + post.len());
+    if let Some(pre) = pre {
+        out.extend_from_slice(pre);
+        out.push(b'\n');
+    }
+    out.extend_from_slice(v);
+    out.push(b'\n');
+    out.extend_from_slice(post);
+    out
+}
+
+fn eval_struct(s: &StructOp, y1: &[u8], y2: &[u8]) -> Result<Vec<u8>, EvalError> {
     match s {
         StructOp::Stitch(b) => {
             // Figure 6 short-circuits a bare "\n" to concatenation; we let
@@ -259,33 +247,24 @@ fn eval_struct(s: &StructOp, y1: &str, y2: &str) -> Result<String, EvalError> {
             // `uniq`: with the short-circuit, x1 = "\n", x2 = "\na\n" is a
             // counterexample (uniq merges the boundary empties; the
             // short-circuit would not). See DESIGN.md.
-            if !y1.ends_with('\n') || !y2.ends_with('\n') {
+            if !y1.ends_with(b"\n") || !y2.ends_with(b"\n") {
                 return Err(EvalError::Domain("stitch: arguments must be streams"));
             }
             let (pre, l1) = split_last_line(y1);
             let (l2, post) = split_first_line(y2);
             if l1 != l2 {
-                return Ok(format!("{y1}{y2}"));
+                return Ok([y1, y2].concat());
             }
-            let v = eval_rec(b, l1, l2)?;
-            let mut out = String::with_capacity(y1.len() + y2.len());
-            if let Some(pre) = pre {
-                out.push_str(pre);
-                out.push('\n');
-            }
-            out.push_str(&v);
-            out.push('\n');
-            out.push_str(post);
-            Ok(out)
+            Ok(replace_boundary(pre, &eval_rec(b, l1, l2)?, post))
         }
         StructOp::Stitch2(d, b1, b2) => {
-            if y1 == "\n" || y2 == "\n" {
-                return Ok(format!("{y1}{y2}"));
+            if y1 == b"\n" || y2 == b"\n" {
+                return Ok([y1, y2].concat());
             }
-            if !y1.ends_with('\n') || !y2.ends_with('\n') {
+            if !y1.ends_with(b"\n") || !y2.ends_with(b"\n") {
                 return Err(EvalError::Domain("stitch2: arguments must be streams"));
             }
-            let d = d.as_char();
+            let d = d.as_byte();
             let (pre, l1) = split_last_line(y1);
             let (l2, post) = split_first_line(y2);
             let (p1, rest1) = del_pad(l1);
@@ -296,29 +275,23 @@ fn eval_struct(s: &StructOp, y1: &str, y2: &str) -> Result<String, EvalError> {
                 return Err(EvalError::Domain("stitch2: missing field delimiter"));
             };
             if t1 != t2 {
-                return Ok(format!("{y1}{y2}"));
+                return Ok([y1, y2].concat());
             }
             let h = eval_rec(b1, h1, h2)?;
             let t = eval_rec(b2, t1, t2)?;
             // addPad: keep the first field right-aligned to the column it
             // occupied in l1 (GNU `uniq -c`-style alignment).
-            let width = p1 + h1.chars().count();
-            let v = format!("{}{}{}", add_pad(width, &h), d, t);
-            let mut out = String::with_capacity(y1.len() + y2.len());
-            if let Some(pre) = pre {
-                out.push_str(pre);
-                out.push('\n');
-            }
-            out.push_str(&v);
-            out.push('\n');
-            out.push_str(post);
-            Ok(out)
+            let mut v = Vec::with_capacity(p1 + h.len() + 1 + t.len());
+            add_pad(p1 + h1.len(), &h, &mut v);
+            v.push(d);
+            v.extend_from_slice(&t);
+            Ok(replace_boundary(pre, &v, post))
         }
         StructOp::Offset(d, b) => {
-            if !y1.ends_with('\n') || !y2.ends_with('\n') {
+            if !y1.ends_with(b"\n") || !y2.ends_with(b"\n") {
                 return Err(EvalError::Domain("offset: arguments must be streams"));
             }
-            let d = d.as_char();
+            let d = d.as_byte();
             let (_, l1) = split_last_nonempty_line(y1);
             let Some(l1) = l1 else {
                 return Err(EvalError::Domain("offset: y1 has no non-empty line"));
@@ -326,11 +299,11 @@ fn eval_struct(s: &StructOp, y1: &str, y2: &str) -> Result<String, EvalError> {
             let (_, rest1) = del_pad(l1);
             let (h1, _) = split_first(d, rest1);
             // helper d b: rewrite the first field of every line of y2.
-            let mut out = String::with_capacity(y1.len() + y2.len());
-            out.push_str(y1);
+            let mut out = Vec::with_capacity(y1.len() + y2.len());
+            out.extend_from_slice(y1);
             for line in kq_stream::lines_of(y2) {
                 if line.is_empty() {
-                    out.push('\n');
+                    out.push(b'\n');
                     continue;
                 }
                 let (p2, rest2) = del_pad(line);
@@ -338,12 +311,10 @@ fn eval_struct(s: &StructOp, y1: &str, y2: &str) -> Result<String, EvalError> {
                 let Some(t2) = t2 else {
                     return Err(EvalError::Domain("offset: missing field delimiter"));
                 };
-                let h = eval_rec(b, h1, h2)?;
-                let width = p2 + h2.chars().count();
-                out.push_str(&add_pad(width, &h));
+                add_pad(p2 + h2.len(), &eval_rec(b, h1, h2)?, &mut out);
                 out.push(d);
-                out.push_str(t2);
-                out.push('\n');
+                out.extend_from_slice(t2);
+                out.push(b'\n');
             }
             Ok(out)
         }
@@ -361,7 +332,8 @@ pub fn check_equiv_by_intersection(
     env: &dyn RunEnv,
 ) -> Result<usize, String> {
     let mut exercised = 0;
-    for (a, b) in pairs {
+    for (sa, sb) in pairs {
+        let (a, b) = (sa.as_bytes(), sb.as_bytes());
         let in_both = crate::domain::in_domain(g1, a)
             && crate::domain::in_domain(g1, b)
             && crate::domain::in_domain(g2, a)
@@ -370,11 +342,11 @@ pub fn check_equiv_by_intersection(
             continue;
         }
         exercised += 1;
-        let v1 = eval(g1, a, b, env).map_err(|e| format!("{g1} failed on {a:?},{b:?}: {e}"))?;
-        let v2 = eval(g2, a, b, env).map_err(|e| format!("{g2} failed on {a:?},{b:?}: {e}"))?;
+        let v1 = eval(g1, a, b, env).map_err(|e| format!("{g1} failed on {sa:?},{sb:?}: {e}"))?;
+        let v2 = eval(g2, a, b, env).map_err(|e| format!("{g2} failed on {sa:?},{sb:?}: {e}"))?;
         if v1 != v2 {
             return Err(format!(
-                "{g1} and {g2} disagree on ({a:?}, {b:?}): {v1:?} vs {v2:?}"
+                "{g1} and {g2} disagree on ({sa:?}, {sb:?}): {v1:?} vs {v2:?}"
             ));
         }
     }
@@ -387,8 +359,12 @@ mod tests {
     use crate::ast::{Combiner as C, RecOp as R, StructOp as S};
     use kq_stream::Delim;
 
-    fn rec(b: R, y1: &str, y2: &str) -> Result<String, EvalError> {
-        eval(&C::Rec(b), y1, y2, &NoRunEnv)
+    fn ev(g: &C, y1: &str, y2: &str) -> Result<Bytes, EvalError> {
+        eval(g, y1.as_bytes(), y2.as_bytes(), &NoRunEnv)
+    }
+
+    fn rec(b: R, y1: &str, y2: &str) -> Result<Bytes, EvalError> {
+        ev(&C::Rec(b), y1, y2)
     }
 
     #[test]
@@ -463,29 +439,23 @@ mod tests {
     fn stitch_merges_equal_boundary_lines() {
         let g = C::Struct(S::Stitch(R::First));
         // uniq: ... b | b ... -> single b.
-        assert_eq!(
-            eval(&g, "a\nb\n", "b\nc\n", &NoRunEnv).unwrap(),
-            "a\nb\nc\n"
-        );
+        assert_eq!(ev(&g, "a\nb\n", "b\nc\n").unwrap(), "a\nb\nc\n");
         // Distinct boundary lines concatenate.
-        assert_eq!(
-            eval(&g, "a\nb\n", "c\nd\n", &NoRunEnv).unwrap(),
-            "a\nb\nc\nd\n"
-        );
+        assert_eq!(ev(&g, "a\nb\n", "c\nd\n").unwrap(), "a\nb\nc\nd\n");
     }
 
     #[test]
     fn stitch_single_line_streams() {
         let g = C::Struct(S::Stitch(R::First));
-        assert_eq!(eval(&g, "b\n", "b\n", &NoRunEnv).unwrap(), "b\n");
-        assert_eq!(eval(&g, "b\n", "b\nz\n", &NoRunEnv).unwrap(), "b\nz\n");
+        assert_eq!(ev(&g, "b\n", "b\n").unwrap(), "b\n");
+        assert_eq!(ev(&g, "b\n", "b\nz\n").unwrap(), "b\nz\n");
     }
 
     #[test]
     fn stitch_empty_stream_concatenates() {
         let g = C::Struct(S::Stitch(R::First));
-        assert_eq!(eval(&g, "\n", "x\n", &NoRunEnv).unwrap(), "\nx\n");
-        assert_eq!(eval(&g, "x\n", "\n", &NoRunEnv).unwrap(), "x\n\n");
+        assert_eq!(ev(&g, "\n", "x\n").unwrap(), "\nx\n");
+        assert_eq!(ev(&g, "x\n", "\n").unwrap(), "x\n\n");
     }
 
     #[test]
@@ -493,8 +463,8 @@ mod tests {
         // The uniq case that rules out Figure 6's bare-newline
         // short-circuit: empty boundary lines merge like any other.
         let g = C::Struct(S::Stitch(R::First));
-        assert_eq!(eval(&g, "\n", "\nx\n", &NoRunEnv).unwrap(), "\nx\n");
-        assert_eq!(eval(&g, "a\n\n", "\nb\n", &NoRunEnv).unwrap(), "a\n\nb\n");
+        assert_eq!(ev(&g, "\n", "\nx\n").unwrap(), "\nx\n");
+        assert_eq!(ev(&g, "a\n\n", "\nb\n").unwrap(), "a\n\nb\n");
     }
 
     #[test]
@@ -504,7 +474,7 @@ mod tests {
         let y1 = "      2 alpha\n      4 word\n";
         let y2 = "      9 word\n      1 beta\n";
         assert_eq!(
-            eval(&g, y1, y2, &NoRunEnv).unwrap(),
+            ev(&g, y1, y2).unwrap(),
             "      2 alpha\n     13 word\n      1 beta\n"
         );
     }
@@ -514,10 +484,7 @@ mod tests {
         let g = C::Struct(S::Stitch2(Delim::Space, R::Add, R::First));
         let y1 = "      4 word\n";
         let y2 = "      9 other\n";
-        assert_eq!(
-            eval(&g, y1, y2, &NoRunEnv).unwrap(),
-            "      4 word\n      9 other\n"
-        );
+        assert_eq!(ev(&g, y1, y2).unwrap(), "      4 word\n      9 other\n");
     }
 
     #[test]
@@ -525,7 +492,7 @@ mod tests {
         let g = C::Struct(S::Stitch2(Delim::Space, R::Add, R::First));
         let y1 = "9999999 w\n";
         let y2 = "      1 w\n";
-        assert_eq!(eval(&g, y1, y2, &NoRunEnv).unwrap(), "10000000 w\n");
+        assert_eq!(ev(&g, y1, y2).unwrap(), "10000000 w\n");
     }
 
     #[test]
@@ -536,7 +503,7 @@ mod tests {
         let y1 = "3 a.txt\n10 b.txt\n";
         let y2 = "4 c.txt\n1 d.txt\n";
         assert_eq!(
-            eval(&g, y1, y2, &NoRunEnv).unwrap(),
+            ev(&g, y1, y2).unwrap(),
             "3 a.txt\n10 b.txt\n14 c.txt\n11 d.txt\n"
         );
     }
@@ -546,16 +513,13 @@ mod tests {
         let g = C::Struct(S::Offset(Delim::Space, R::Second));
         let y1 = "3 a\n";
         let y2 = "4 b\n5 c\n";
-        assert_eq!(eval(&g, y1, y2, &NoRunEnv).unwrap(), "3 a\n4 b\n5 c\n");
+        assert_eq!(ev(&g, y1, y2).unwrap(), "3 a\n4 b\n5 c\n");
     }
 
     #[test]
     fn offset_keeps_empty_lines() {
         let g = C::Struct(S::Offset(Delim::Space, R::Second));
-        assert_eq!(
-            eval(&g, "1 x\n", "\n2 y\n", &NoRunEnv).unwrap(),
-            "1 x\n\n2 y\n"
-        );
+        assert_eq!(ev(&g, "1 x\n", "\n2 y\n").unwrap(), "1 x\n\n2 y\n");
     }
 
     #[test]

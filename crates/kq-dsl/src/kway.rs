@@ -13,14 +13,6 @@ use kq_coreutils::sort::{CountOrder, LineOrder};
 use kq_stream::{Bytes, ReleaseCursor, Rope};
 use std::ops::Range;
 
-/// Text view of a substream for the string-semantic combiners; a
-/// non-UTF-8 piece is a domain error, not a panic.
-fn view(piece: &Bytes) -> Result<&str, EvalError> {
-    piece
-        .to_str()
-        .map_err(|_| EvalError::Command("substream is not valid UTF-8".to_owned()))
-}
-
 /// Combines `k` parallel output substreams with the given candidate.
 ///
 /// The paper (§3.5) generalizes three combiners natively — `concat` is
@@ -64,7 +56,7 @@ pub fn combine_all(
         }
         // rerun == gather everything, re-run `f` once on the bytes.
         Combiner::Run(RunOp::Rerun) => {
-            return env.rerun_bytes(kq_stream::concat_bytes(live));
+            return env.rerun(kq_stream::concat_bytes(live));
         }
         _ => {}
     }
@@ -76,8 +68,8 @@ pub fn combine_all(
         for pair in level.chunks(2) {
             match pair {
                 [a, b] => {
-                    let (x, y) = candidate.oriented(view(a)?, view(b)?);
-                    next.push(Bytes::from(eval(&candidate.op, x, y, env)?));
+                    let (x, y) = candidate.oriented(a.as_bytes(), b.as_bytes());
+                    next.push(eval(&candidate.op, x, y, env)?);
                 }
                 [a] => next.push(a.clone()),
                 _ => unreachable!("chunks(2) yields 1- or 2-element slices"),
@@ -97,8 +89,8 @@ fn combine_pair(
     earlier: &Bytes,
     later: &Bytes,
 ) -> Result<Bytes, EvalError> {
-    let (x, y) = candidate.oriented(view(earlier)?, view(later)?);
-    eval(&candidate.op, x, y, env).map(Bytes::from)
+    let (x, y) = candidate.oriented(earlier.as_bytes(), later.as_bytes());
+    eval(&candidate.op, x, y, env)
 }
 
 /// Incremental k-way combining: substreams are folded *as they arrive*
@@ -1237,13 +1229,8 @@ fn merge_waves(
 /// One counted stream regrouped by count into one block on the heap.
 fn regroup_block(count: CountOrder, counted: &[u8]) -> Result<CountBlock, EvalError> {
     let regrouped = count.regroup(counted);
-    // A permutation of whole lines of text: the scan cannot fail, and it
-    // marks the block as text for every later stage.
-    let bytes = Bytes::from(regrouped.bytes)
-        .into_text()
-        .map_err(|_| EvalError::Command("substream is not valid UTF-8".to_owned()))?;
     Ok(CountBlock {
-        bytes,
+        bytes: Bytes::from(regrouped.bytes),
         groups: regrouped.groups,
     })
 }
@@ -1364,8 +1351,8 @@ mod tests {
     struct FakeEnv;
 
     impl RunEnv for FakeEnv {
-        fn rerun(&self, input: &str) -> Result<String, EvalError> {
-            Ok(format!("f({input})"))
+        fn rerun(&self, input: Bytes) -> Result<Bytes, EvalError> {
+            Ok(Bytes::from(format!("f({})", input.to_str().unwrap())))
         }
 
         fn merge(&self, order: LineOrder, streams: &[&[u8]]) -> Result<Bytes, EvalError> {
@@ -1450,8 +1437,8 @@ mod tests {
             return Bytes::new();
         };
         live.fold(first.clone(), |acc, piece| {
-            let (x, y) = c.oriented(acc.as_str(), piece.as_str());
-            Bytes::from(eval(&c.op, x, y, env).unwrap())
+            let (x, y) = c.oriented(acc.as_bytes(), piece.as_bytes());
+            eval(&c.op, x, y, env).unwrap()
         })
     }
 
@@ -2235,7 +2222,7 @@ mod tests {
                 let split = raw_chunks(pieces, 23);
                 let copies: Vec<Bytes> = split
                     .iter()
-                    .map(|p| Bytes::from(p.as_str().to_owned()))
+                    .map(|p| Bytes::from(p.to_str().unwrap().to_owned()))
                     .collect();
                 let whole = kq_stream::concat_bytes(&split);
                 let expect = sort.run(whole.clone(), &ctx).unwrap();

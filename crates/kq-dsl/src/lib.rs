@@ -106,15 +106,15 @@
 //!
 //! // The `uniq -c` combiner: merge boundary records whose keys agree.
 //! let g = Combiner::Struct(StructOp::Stitch2(Delim::Space, RecOp::Add, RecOp::First));
-//! let y1 = "      2 apple\n      1 beta\n";
-//! let y2 = "      3 beta\n      1 cat\n";
+//! let y1 = b"      2 apple\n      1 beta\n";
+//! let y2 = b"      3 beta\n      1 cat\n";
 //! let combined = eval(&g, y1, y2, &NoRunEnv).unwrap();
 //! assert_eq!(combined, "      2 apple\n      4 beta\n      1 cat\n");
 //!
 //! // Size (Definition 3.6) and the legal domain L(g) (Definition B.1).
 //! assert_eq!(g.size(), 5);
 //! assert!(kq_dsl::domain::in_domain(&g, y1));
-//! assert!(!kq_dsl::domain::in_domain(&g, "unpadded words\n"));
+//! assert!(!kq_dsl::domain::in_domain(&g, b"unpadded words\n"));
 //! ```
 
 #![deny(unsafe_code)]
@@ -171,7 +171,7 @@ impl Observation {
 /// exactly to `y12`.
 pub fn plausible(candidate: &Candidate, observations: &[Observation], env: &dyn RunEnv) -> bool {
     observations.iter().all(|o| {
-        let (a, b) = candidate.oriented(&o.y1, &o.y2);
+        let (a, b) = candidate.oriented(o.y1.as_bytes(), o.y2.as_bytes());
         domain::in_domain(&candidate.op, a)
             && domain::in_domain(&candidate.op, b)
             && matches!(eval::eval(&candidate.op, a, b, env), Ok(v) if v == o.y12)

@@ -57,8 +57,27 @@ pub fn g_struct(delims: &[Delim]) -> Vec<Combiner> {
     out
 }
 
-fn non_delim_nonzero(c: char) -> bool {
-    !Delim::is_delim_char(c) && c != '0'
+/// A byte outside `Delim ∪ {'0'}`. On UTF-8 the first and the last byte
+/// of a character answer as the character does.
+fn non_delim_nonzero(c: u8) -> bool {
+    !Delim::is_delim_char(char::from(c)) && c != b'0'
+}
+
+/// The observation's boundary lines: the last line of `y1`, the first of
+/// `y2`, and what follows that in `y2`.
+fn boundary(o: &Observation) -> (&[u8], &[u8], &[u8]) {
+    let (_, l1) = split_last_line(o.y1.as_bytes());
+    let (l2, rest) = split_first_line(o.y2.as_bytes());
+    (l1, l2, rest)
+}
+
+/// `l1 == l2`, and the line starts (past its pad) and ends with a byte
+/// outside `Delim ∪ {'0'}`.
+fn shared_boundary(l1: &[u8], l2: &[u8]) -> bool {
+    let (_, depadded) = del_pad(l1);
+    l1 == l2
+        && depadded.first().is_some_and(|&c| non_delim_nonzero(c))
+        && l1.last().is_some_and(|&c| non_delim_nonzero(c))
 }
 
 /// `E(g_a, Y)`: some `y1` and some `y2` are not all-zero digit runs.
@@ -75,12 +94,12 @@ pub fn e_concat(obs: &[Observation]) -> bool {
 /// `E(g_f, Y)`: some observation has `y1 ≠ y2`, and some `y2` contains a
 /// character outside `Delim ∪ {'0'}`.
 pub fn e_first(obs: &[Observation]) -> bool {
-    obs.iter().any(|o| o.y1 != o.y2) && obs.iter().any(|o| o.y2.chars().any(non_delim_nonzero))
+    obs.iter().any(|o| o.y1 != o.y2) && obs.iter().any(|o| o.y2.bytes().any(non_delim_nonzero))
 }
 
 /// `E(g_s, Y)` — symmetric to [`e_first`].
 pub fn e_second(obs: &[Observation]) -> bool {
-    obs.iter().any(|o| o.y1 != o.y2) && obs.iter().any(|o| o.y1.chars().any(non_delim_nonzero))
+    obs.iter().any(|o| o.y1 != o.y2) && obs.iter().any(|o| o.y1.bytes().any(non_delim_nonzero))
 }
 
 /// `E(g_ba, Y)`: strip the trailing delimiter from every component, then
@@ -106,12 +125,8 @@ pub fn e_back_add(d: Delim, obs: &[Observation]) -> bool {
 /// observation whose boundary first-fields differ.
 pub fn e_stitch_first(obs: &[Observation]) -> bool {
     let boundary_ok = obs.iter().any(|o| {
-        let (_, l1) = split_last_line(&o.y1);
-        let (l2, _) = split_first_line(&o.y2);
-        let (_, depadded) = del_pad(l1);
-        l1 == l2
-            && depadded.chars().next().is_some_and(non_delim_nonzero)
-            && l1.chars().last().is_some_and(non_delim_nonzero)
+        let (l1, l2, _) = boundary(o);
+        shared_boundary(l1, l2)
     });
     if !boundary_ok {
         return false;
@@ -119,8 +134,7 @@ pub fn e_stitch_first(obs: &[Observation]) -> bool {
     for d in Delim::ALL {
         if obs_table_shaped(d, obs) {
             let heads_differ = obs.iter().any(|o| {
-                let (_, l1) = split_last_line(&o.y1);
-                let (l2, _) = split_first_line(&o.y2);
+                let (l1, l2, _) = boundary(o);
                 let (h1, t1) = split_field(d, l1);
                 let (h2, t2) = split_field(d, l2);
                 t1 == t2 && h1 != h2
@@ -136,12 +150,8 @@ pub fn e_stitch_first(obs: &[Observation]) -> bool {
 /// `E(g_saf, Y)` — conditions for `(stitch2 d add first)` (Table 2).
 pub fn e_stitch2_add_first(obs: &[Observation]) -> bool {
     obs.iter().any(|o| {
-        let (_, l1) = split_last_line(&o.y1);
-        let (l2, _) = split_first_line(&o.y2);
-        let (_, depadded) = del_pad(l1);
-        l1 == l2
-            && depadded.chars().next().is_some_and(non_delim_nonzero)
-            && l1.chars().last().is_some_and(non_delim_nonzero)
+        let (l1, l2, _) = boundary(o);
+        shared_boundary(l1, l2)
     })
 }
 
@@ -149,8 +159,8 @@ pub fn e_stitch2_add_first(obs: &[Observation]) -> bool {
 /// whenever the correct combiner is in `G_rec`.
 pub fn e_rec(obs: &[Observation]) -> bool {
     obs.iter().any(|o| o.y1 != o.y2)
-        && obs.iter().any(|o| o.y1.chars().any(non_delim_nonzero))
-        && obs.iter().any(|o| o.y2.chars().any(non_delim_nonzero))
+        && obs.iter().any(|o| o.y1.bytes().any(non_delim_nonzero))
+        && obs.iter().any(|o| o.y2.bytes().any(non_delim_nonzero))
 }
 
 /// `T(Y)` (Definition B.14): the observations are interpretable as a table
@@ -167,39 +177,24 @@ fn obs_table_shaped(d: Delim, obs: &[Observation]) -> bool {
     if d == Delim::Newline {
         return false;
     }
-    let line_ok = |l: &str| {
-        if l.is_empty() {
-            return true;
-        }
-        let (_pad, rest) = del_pad(l);
-        let (_h, t) = split_first(d.as_char(), rest);
-        t.is_some()
-    };
-    let stream_ok = |s: &str| kq_stream::lines_of(s).all(line_ok);
+    let line_ok = |l: &[u8]| l.is_empty() || split_field(d, l).1.is_some();
+    let stream_ok = |s: &str| kq_stream::lines_of(s.as_bytes()).all(line_ok);
     !obs.is_empty()
         && obs
             .iter()
             .all(|o| stream_ok(&o.y1) && stream_ok(&o.y2) && stream_ok(&o.y12))
 }
 
-fn split_field(d: Delim, line: &str) -> (String, Option<String>) {
-    let (_pad, rest) = del_pad(line);
-    let (h, t) = split_first(d.as_char(), rest);
-    (h.to_owned(), t.map(str::to_owned))
+fn split_field(d: Delim, line: &[u8]) -> (&[u8], Option<&[u8]>) {
+    split_first(d.as_byte(), del_pad(line).1)
 }
 
 /// `E_struct(Y)` (Definition B.15): sufficient to discriminate within
 /// StructOp whenever the correct combiner is in `G_struct`.
 pub fn e_struct(obs: &[Observation]) -> bool {
     let first = obs.iter().any(|o| {
-        let (_, l1) = split_last_line(&o.y1);
-        let (l2, y2p) = split_first_line(&o.y2);
-        let (l2p, _) = split_first_line(y2p);
-        let (_, depadded) = del_pad(l1);
-        l1 == l2
-            && depadded.chars().next().is_some_and(non_delim_nonzero)
-            && l1.chars().last().is_some_and(non_delim_nonzero)
-            && !l2p.is_empty()
+        let (l1, l2, y2p) = boundary(o);
+        shared_boundary(l1, l2) && !split_first_line(y2p).0.is_empty()
     });
     if !first {
         return false;
@@ -212,15 +207,12 @@ pub fn e_struct(obs: &[Observation]) -> bool {
                 let projected: Vec<Observation> = obs
                     .iter()
                     .filter_map(|o| {
-                        let (_, l1) = split_last_line(&o.y1);
-                        let (l2, _) = split_first_line(&o.y2);
+                        let (l1, l2, _) = boundary(o);
                         let (h1, t1) = split_field(d, l1);
                         let (h2, t2) = split_field(d, l2);
-                        if t1 == t2 {
-                            Some(Observation::new(h1, h2, String::new()))
-                        } else {
-                            None
-                        }
+                        // Cut at an ASCII delimiter: the fields are text.
+                        let text = |h| String::from_utf8_lossy(h).into_owned();
+                        (t1 == t2).then(|| Observation::new(text(h1), text(h2), String::new()))
                     })
                     .collect();
                 if !e_rec(&projected) {

@@ -67,7 +67,8 @@ use crate::enumerate::{EnumConfig, SpaceBreakdown};
 use crate::eval::{add_digit_runs, RunEnv};
 use crate::{plausible, Observation};
 use kq_stream::{
-    lines_of, split_first, split_first_line, split_last_line, split_last_nonempty_line, Delim,
+    count_delim, del_back, del_front, lines_of, split_first, split_first_line, split_last_line,
+    split_last_nonempty_line, Delim,
 };
 use std::cell::Cell;
 
@@ -104,15 +105,15 @@ pub struct CandidateSpace {
 struct Goal<'a> {
     /// `[a, b, want]`: `a` and `b` lie in the operator's domain and it
     /// maps them to `want`.
-    triples: Vec<[&'a str; 3]>,
+    triples: Vec<[&'a [u8]; 3]>,
     /// Strings that only have to lie in the operator's domain.
-    members: Vec<&'a str>,
+    members: Vec<&'a [u8]>,
 }
 
 impl<'a> Goal<'a> {
     /// The goal of the child of `front d` (`back d`): every string
     /// stripped of its leading (trailing) `d`.
-    fn stripped(&self, strip: impl Fn(&'a str) -> Option<&'a str>) -> Option<Goal<'a>> {
+    fn stripped(&self, strip: impl Fn(&'a [u8]) -> Option<&'a [u8]>) -> Option<Goal<'a>> {
         let mut child = Goal::default();
         for [a, b, want] in &self.triples {
             child.triples.push([strip(a)?, strip(b)?, strip(want)?]);
@@ -124,26 +125,27 @@ impl<'a> Goal<'a> {
     }
 
     /// The goal of the child of `fuse d`: the pieces, pairwise.
-    fn fused(&self, d: char) -> Option<Goal<'a>> {
+    fn fused(&self, d: u8) -> Option<Goal<'a>> {
         // L(fuse d b): at least two pieces, the outer two non-empty.
-        let pieces = |y: &str| match y.matches(d).count() + 1 {
-            n if n >= 2 && !y.starts_with(d) && !y.ends_with(d) => Some(n),
+        let pieces = |y: &[u8]| match count_delim(d, y) + 1 {
+            n if n >= 2 && y.first() != Some(&d) && y.last() != Some(&d) => Some(n),
             _ => None,
         };
+        let split = |y: &'a [u8]| y.split(move |&c| c == d);
         let mut child = Goal::default();
         for [a, b, want] in &self.triples {
             let n = pieces(a)?;
-            if pieces(b)? != n || want.matches(d).count() + 1 != n {
+            if pieces(b)? != n || count_delim(d, want) + 1 != n {
                 return None;
             }
-            let parts = a.split(d).zip(b.split(d)).zip(want.split(d));
+            let parts = split(a).zip(split(b)).zip(split(want));
             child
                 .triples
                 .extend(parts.map(|((a, b), want)| [a, b, want]));
         }
         for y in &self.members {
             pieces(y)?;
-            child.members.extend(y.split(d));
+            child.members.extend(split(y));
         }
         Some(child)
     }
@@ -155,7 +157,7 @@ impl<'a> Goal<'a> {
             0 => {
                 self.members.iter().all(|y| rec_in_domain(&RecOp::Add, y))
                     && self.triples.iter().all(
-                        |[a, b, want]| matches!(add_digit_runs(a, b), Ok(sum) if sum.to_string() == *want),
+                        |[a, b, want]| matches!(add_digit_runs(a, b), Ok(sum) if sum.to_string().as_bytes() == *want),
                     )
             }
             1 => self.triples.iter().all(|[a, b, want]| is_concat(a, b, want)),
@@ -165,34 +167,37 @@ impl<'a> Goal<'a> {
     }
 }
 
-fn is_concat(a: &str, b: &str, want: &str) -> bool {
+fn is_concat(a: &[u8], b: &[u8], want: &[u8]) -> bool {
     want.len() == a.len() + b.len() && want.starts_with(a) && want.ends_with(b)
 }
 
 /// `stitch` and `stitch2` replace the two boundary lines by one line `v`:
 /// their result is `a` up to its last line, `v`, a newline, and `b` after
 /// its first line. Returns the `v` that makes that equal `want`.
-fn boundary_slot<'a>(a: &str, b: &str, want: &'a str) -> Option<&'a str> {
+fn boundary_slot<'a>(a: &[u8], b: &[u8], want: &'a [u8]) -> Option<&'a [u8]> {
     let head = split_last_line(a).0.map_or(0, |pre| pre.len() + 1);
     let post = split_first_line(b).1;
     let tail = post.len() + 1;
-    let w = want.as_bytes();
-    // Both cuts fall next to an ASCII newline, hence on char boundaries.
-    (w.len() >= head + tail
-        && w[..head] == a.as_bytes()[..head]
-        && w[w.len() - tail] == b'\n'
-        && w[w.len() - tail + 1..] == *post.as_bytes())
-    .then(|| &want[head..w.len() - tail])
+    (want.len() >= head + tail
+        && want[..head] == a[..head]
+        && want[want.len() - tail] == b'\n'
+        && want[want.len() - tail + 1..] == *post)
+        .then(|| &want[head..want.len() - tail])
+}
+
+/// `s` without its leading spaces.
+fn trim_spaces(s: &[u8]) -> &[u8] {
+    &s[s.iter().take_while(|&&c| c == b' ').count()..]
 }
 
 /// The lines `L(s)` constrains for a structural `s`: `"\n"` is in every
 /// structural domain outright.
-fn constrained_lines(y: &str) -> impl Iterator<Item = &str> {
-    (y != "\n").then(|| lines_of(y)).into_iter().flatten()
+fn constrained_lines(y: &[u8]) -> impl Iterator<Item = &[u8]> {
+    (y != b"\n").then(|| lines_of(y)).into_iter().flatten()
 }
 
 /// The child goal of `stitch b` on streams `a`, `b`.
-fn stitch_goal<'a>(a: &'a str, b: &'a str, want: &'a str) -> Option<Goal<'a>> {
+fn stitch_goal<'a>(a: &'a [u8], b: &'a [u8], want: &'a [u8]) -> Option<Goal<'a>> {
     let (l1, l2) = (split_last_line(a).1, split_first_line(b).0);
     let triples = if l1 != l2 {
         is_concat(a, b, want).then(Vec::new)?
@@ -207,7 +212,7 @@ fn stitch_goal<'a>(a: &'a str, b: &'a str, want: &'a str) -> Option<Goal<'a>> {
 
 /// The child goal of `offset d b` on streams `a`, `b`: the first field of
 /// `a`'s last non-empty line against the first field of every line of `b`.
-fn offset_goal<'a>(d: Delim, a: &'a str, b: &'a str, want: &'a str) -> Option<Goal<'a>> {
+fn offset_goal<'a>(d: Delim, a: &'a [u8], b: &'a [u8], want: &'a [u8]) -> Option<Goal<'a>> {
     let (h1, _) = table_line(d, split_last_nonempty_line(a).1?)?;
     let mut produced = want.strip_prefix(a)?;
     let mut goal = Goal::default();
@@ -215,8 +220,8 @@ fn offset_goal<'a>(d: Delim, a: &'a str, b: &'a str, want: &'a str) -> Option<Go
         goal.members.push(table_line(d, line)?.0);
     }
     for line in lines_of(b) {
-        let (got, rest) = produced.split_once('\n')?;
-        produced = rest;
+        let (got, rest) = produced.split_at(produced.iter().position(|&c| c == b'\n')?);
+        produced = &rest[1..];
         if line.is_empty() {
             if !got.is_empty() {
                 return None;
@@ -227,8 +232,8 @@ fn offset_goal<'a>(d: Delim, a: &'a str, b: &'a str, want: &'a str) -> Option<Go
         // The line reads `pad ++ h ++ d ++ t2`, where the pad is spaces
         // and `h`, computed from fields that had their blanks stripped,
         // starts with none.
-        let padded = got.strip_suffix(t2)?.strip_suffix(d.as_char())?;
-        goal.triples.push([h1, h2, padded.trim_start_matches(' ')]);
+        let padded = del_back(d.as_byte(), got.strip_suffix(t2)?)?;
+        goal.triples.push([h1, h2, trim_spaces(padded)]);
     }
     produced.is_empty().then_some(goal)
 }
@@ -237,12 +242,12 @@ fn offset_goal<'a>(d: Delim, a: &'a str, b: &'a str, want: &'a str) -> Option<Go
 /// `a`, `b`.
 fn stitch2_goals<'a>(
     d: Delim,
-    a: &'a str,
-    b: &'a str,
-    want: &'a str,
+    a: &'a [u8],
+    b: &'a [u8],
+    want: &'a [u8],
 ) -> Option<(Goal<'a>, Goal<'a>)> {
     let (mut heads, mut tails) = (Goal::default(), Goal::default());
-    let boundary = (a != "\n" && b != "\n")
+    let boundary = (a != b"\n" && b != b"\n")
         .then(|| {
             let (h1, t1) = table_line(d, split_last_line(a).1)?;
             let (h2, t2) = table_line(d, split_first_line(b).0)?;
@@ -255,8 +260,8 @@ fn stitch2_goals<'a>(
         Some([h1, h2, t]) => {
             // The merged line reads `pad ++ h ++ d ++ t'`; `h` holds no
             // `d` and starts with no blank (see `offset_goal`).
-            let merged = boundary_slot(a, b, want)?.trim_start_matches(' ');
-            let (h, rest) = split_first(d.as_char(), merged);
+            let merged = trim_spaces(boundary_slot(a, b, want)?);
+            let (h, rest) = split_first(d.as_byte(), merged);
             heads.triples.push([h1, h2, h]);
             tails.triples.push([t, t, rest?]);
         }
@@ -445,11 +450,11 @@ impl CandidateSpace {
     fn walk(&self, o: &Observation, kept: &mut Vec<u32>) {
         for swapped in [false, true] {
             let (a, b) = if swapped {
-                (o.y2.as_str(), o.y1.as_str())
+                (o.y2.as_bytes(), o.y1.as_bytes())
             } else {
-                (o.y1.as_str(), o.y2.as_str())
+                (o.y1.as_bytes(), o.y2.as_bytes())
             };
-            let want = o.y12.as_str();
+            let want = o.y12.as_bytes();
             let mut keep =
                 |combiner: usize| kept.push((2 * combiner + usize::from(swapped)) as u32);
 
@@ -462,7 +467,7 @@ impl CandidateSpace {
                 .for_each(&mut keep);
 
             // Every structural domain is a set of streams.
-            if self.budget < 2 || !a.ends_with('\n') || !b.ends_with('\n') {
+            if self.budget < 2 || !a.ends_with(b"\n") || !b.ends_with(b"\n") {
                 continue;
             }
             let children = self.budget - 1;
@@ -523,11 +528,11 @@ impl CandidateSpace {
             return;
         }
         let fan = WRAPPERS * self.delims.len();
-        for (di, d) in self.delims.iter().map(|d| d.as_char()).enumerate() {
+        for (di, d) in self.delims.iter().map(|d| d.as_byte()).enumerate() {
             for kind in 0..WRAPPERS {
                 let child = match kind {
-                    0 => goal.stripped(|y| y.strip_prefix(d)),
-                    1 => goal.stripped(|y| y.strip_suffix(d)),
+                    0 => goal.stripped(|y| del_front(d, y)),
+                    1 => goal.stripped(|y| del_back(d, y)),
                     _ => goal.fused(d),
                 };
                 if let Some(child) = child {
@@ -812,10 +817,11 @@ mod tests {
             let terminated = rng.gen_range(0..4) > 0;
             let (y1, y2) = (text(&mut rng, terminated), text(&mut rng, terminated));
             let candidate = &candidates[rng.gen_range(0..candidates.len() - 4)];
-            let (a, b) = candidate.oriented(&y1, &y2);
-            let Ok(mut y12) = crate::eval::eval(&candidate.op, a, b, &NoRunEnv) else {
+            let (a, b) = candidate.oriented(y1.as_bytes(), y2.as_bytes());
+            let Ok(y12) = crate::eval::eval(&candidate.op, a, b, &NoRunEnv) else {
                 continue;
             };
+            let mut y12 = y12.to_str().unwrap().to_owned();
             evaluated += 1;
             if rng.gen_range(0..5) == 0 {
                 y12.insert(rng.gen_range(0..=y12.len().min(1)), ' ');
@@ -851,7 +857,7 @@ mod tests {
         assert_eq!(space.passing_among(&alive, &o, &env), &run_ids[2..]);
         struct NoRerun;
         impl RunEnv for NoRerun {
-            fn rerun(&self, _: &str) -> Result<String, crate::EvalError> {
+            fn rerun(&self, _: kq_stream::Bytes) -> Result<kq_stream::Bytes, crate::EvalError> {
                 panic!("rerun is not alive");
             }
             fn merge(

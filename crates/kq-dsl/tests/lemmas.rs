@@ -46,11 +46,11 @@ proptest! {
         y1 in delim_free_string(),
         y2 in delim_free_string(),
     ) {
-        if let Ok(v) = eval(&Combiner::Rec(g), &y1, &y2, &NoRunEnv) {
+        if let Ok(v) = eval(&Combiner::Rec(g), y1.as_bytes(), y2.as_bytes(), &NoRunEnv) {
             for d in Delim::ALL {
-                prop_assume!(count_delim(d.as_char(), &y1) == 0);
-                prop_assume!(count_delim(d.as_char(), &y2) == 0);
-                prop_assert_eq!(count_delim(d.as_char(), &v), 0);
+                prop_assume!(count_delim(d.as_byte(), y1.as_bytes()) == 0);
+                prop_assume!(count_delim(d.as_byte(), y2.as_bytes()) == 0);
+                prop_assert_eq!(count_delim(d.as_byte(), v.as_bytes()), 0);
             }
         }
     }
@@ -63,10 +63,10 @@ proptest! {
         y1 in "[a-z]{1,6}",
         y2 in "[a-z]{1,6}",
     ) {
-        if let Ok(v) = eval(&Combiner::Rec(g), &y1, &y2, &NoRunEnv) {
+        if let Ok(v) = eval(&Combiner::Rec(g), y1.as_bytes(), y2.as_bytes(), &NoRunEnv) {
             if v.len() > y1.len() + y2.len()
-                && v.starts_with(y1.as_str())
-                && v.ends_with(y2.as_str())
+                && v.as_bytes().starts_with(y1.as_bytes())
+                && v.as_bytes().ends_with(y2.as_bytes())
             {
                 // The middle would be invented content.
                 prop_assert!(false, "invented interior: {v:?} from {y1:?} {y2:?}");
@@ -84,9 +84,9 @@ proptest! {
         let g = RecOp::Fuse(Delim::Space, Box::new(RecOp::Add));
         let y1 = parts.join(" ");
         let y2 = parts2.join(" ");
-        if let Ok(v) = eval(&Combiner::Rec(g), &y1, &y2, &NoRunEnv) {
-            prop_assert_eq!(count_delim(' ', &y1), count_delim(' ', &y2));
-            prop_assert_eq!(count_delim(' ', &v), count_delim(' ', &y1));
+        if let Ok(v) = eval(&Combiner::Rec(g), y1.as_bytes(), y2.as_bytes(), &NoRunEnv) {
+            prop_assert_eq!(count_delim(b' ', y1.as_bytes()), count_delim(b' ', y2.as_bytes()));
+            prop_assert_eq!(count_delim(b' ', v.as_bytes()), count_delim(b' ', y1.as_bytes()));
         }
     }
 
@@ -98,10 +98,11 @@ proptest! {
         y1 in "[a-z0-9 ,]{0,16}",
         y2 in "[a-z0-9 ,]{0,16}",
     ) {
-        if let Ok(v) = eval(&Combiner::Rec(g.clone()), &y1, &y2, &NoRunEnv) {
-            for d in [' ', ',', '\t', '\n'] {
+        if let Ok(v) = eval(&Combiner::Rec(g.clone()), y1.as_bytes(), y2.as_bytes(), &NoRunEnv) {
+            for d in [b' ', b',', b'\t', b'\n'] {
+                let count = |y: &[u8]| count_delim(d, y);
                 prop_assert!(
-                    count_delim(d, &v) <= count_delim(d, &y1) + count_delim(d, &y2) + 2,
+                    count(v.as_bytes()) <= count(y1.as_bytes()) + count(y2.as_bytes()) + 2,
                     "combiner {g:?} inflated {d:?}: {v:?} from {y1:?}/{y2:?}"
                 );
             }
@@ -129,9 +130,9 @@ proptest! {
             _ => return Ok(()),
         };
         let c = Combiner::Rec(g);
-        prop_assert!(domain::in_domain(&c, &y1), "{c} should admit {y1:?}");
-        prop_assert!(domain::in_domain(&c, &y2), "{c} should admit {y2:?}");
-        let r = eval(&c, &y1, &y2, &NoRunEnv);
+        prop_assert!(domain::in_domain(&c, y1.as_bytes()), "{c} should admit {y1:?}");
+        prop_assert!(domain::in_domain(&c, y2.as_bytes()), "{c} should admit {y2:?}");
+        let r = eval(&c, y1.as_bytes(), y2.as_bytes(), &NoRunEnv);
         prop_assert!(r.is_ok(), "{c} failed on {y1:?}/{y2:?}: {:?}", r.err());
     }
 }
@@ -173,8 +174,8 @@ fn sample_in_domain(g: &RecOp, rng: &mut rand::rngs::SmallRng, arity: usize) -> 
 fn lemma_edges() {
     // B.3 arity mismatch is an error, not a silent truncation.
     let g = Combiner::Rec(RecOp::Fuse(Delim::Space, Box::new(RecOp::Add)));
-    assert!(eval(&g, "1 2", "1 2 3", &NoRunEnv).is_err());
+    assert!(eval(&g, b"1 2", b"1 2 3", &NoRunEnv).is_err());
     // B.1 boundary: delimiters inside arguments survive concat only.
     let g = Combiner::Rec(RecOp::Concat);
-    assert_eq!(eval(&g, "a b", "c", &NoRunEnv).unwrap(), "a bc");
+    assert_eq!(eval(&g, b"a b", b"c", &NoRunEnv).unwrap(), "a bc");
 }

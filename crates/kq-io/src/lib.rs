@@ -34,11 +34,10 @@
 //!   corpus inputs are not mutated mid-run. Heap ingest is immune.
 //! * **Empty files** cannot be mapped (`mmap` with length 0 is `EINVAL`);
 //!   they ingest as empty heap `Bytes` even under [`MmapMode::On`].
-//! * **UTF-8.** Mapped bytes are not assumed to be text. [`read_path_text`]
-//!   validates the whole view once (the same hard-error policy as piped
-//!   foreign bytes in `kq-coreutils`) and marks the result, so later
-//!   per-stage `to_str` calls are O(1); plain [`read_path`] defers the
-//!   check to the consumer.
+//! * **Bytes, not text.** Ingest validates nothing: a file is a byte
+//!   string, as under `LC_ALL=C`, and only the kernels that read
+//!   characters decode their own input. [`read_path_text`] adds one UTF-8
+//!   check for callers that want it.
 //! * **Unmap lifecycle.** The map lives as long as any `Bytes` slice of
 //!   it; the last drop unmaps exactly once (see `kq_stream::bytes`).
 
@@ -160,17 +159,18 @@ pub fn read_path(path: impl AsRef<Path>, opts: &IngestOptions) -> io::Result<Byt
     out
 }
 
-/// [`read_path`] plus a single whole-file UTF-8 validation
-/// ([`Bytes::into_text`]): foreign bytes are a hard `InvalidData` error —
-/// the same policy piped input gets in `kq-coreutils` — and clean text is
-/// marked so later `to_str` calls across the pipeline are O(1).
+/// [`read_path`] plus one `str::from_utf8` check: bytes that are not
+/// UTF-8 are an `InvalidData` error. The data plane itself takes any
+/// bytes; this is for callers that want text.
 pub fn read_path_text(path: impl AsRef<Path>, opts: &IngestOptions) -> io::Result<Bytes> {
-    read_path(path, opts)?.into_text().map_err(|_| {
-        io::Error::new(
+    let bytes = read_path(path, opts)?;
+    match bytes.to_str() {
+        Ok(_) => Ok(bytes),
+        Err(_) => Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            "input is not valid UTF-8".to_owned(),
-        )
-    })
+            "input is not valid UTF-8",
+        )),
+    }
 }
 
 /// The heap side of the policy: one `read` into an owned buffer sized by
@@ -336,8 +336,6 @@ mod tests {
             assert!(err.to_string().contains("not valid UTF-8"));
             let ok = read_path_text(&clean.0, &opts(mode)).unwrap();
             assert_eq!(ok.as_bytes(), "ok\n".repeat(10).as_bytes());
-            // The one-time validation marks the text fast path.
-            assert!(ok.to_str().is_ok());
         }
     }
 

@@ -104,7 +104,7 @@ impl RunWriter {
         writer.flush()?;
         let mut file = writer.into_inner().map_err(|e| e.into_error())?;
         let _ = fs::remove_file(&self.path);
-        let bytes = if self.written == 0 {
+        Ok(if self.written == 0 {
             Bytes::new()
         } else {
             #[cfg(unix)]
@@ -118,15 +118,7 @@ impl RunWriter {
                     crate::heap_read(file, self.written)?
                 }
             }
-        };
-        // Callers write whole lines of text they already validated, so
-        // this fails only on a caller's bug; it marks the text fast path
-        // (and, for mapped runs, walks the view window-by-window with
-        // trailing release, so even the validation pass stays
-        // out-of-core).
-        bytes
-            .into_text()
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "spilled run is not UTF-8"))
+        })
     }
 }
 
@@ -177,15 +169,14 @@ mod tests {
         assert_eq!(dir.entries(), 0, "finish must unlink immediately");
         // The unlinked inode stays readable through the mapping.
         assert_eq!(bytes.as_bytes(), payload.as_bytes());
-        assert!(bytes.to_str().is_ok(), "runs come back text-marked");
     }
 
     #[test]
-    fn a_run_that_is_not_text_fails_at_finish() {
+    fn a_run_comes_back_byte_for_byte() {
         let dir = TempDir::new("nontext");
         let mut w = RunWriter::create(&dir.0).unwrap();
         w.write(b"ok\n\xff\n").unwrap();
-        assert_eq!(w.finish().unwrap_err().kind(), io::ErrorKind::InvalidData);
+        assert_eq!(w.finish().unwrap().as_bytes(), b"ok\n\xff\n");
         assert_eq!(dir.entries(), 0);
     }
 

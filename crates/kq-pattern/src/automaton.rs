@@ -125,6 +125,10 @@ pub(crate) struct Program {
     needles: Vec<u8>,
     /// The whole pattern, when it is one literal string.
     literal: Option<String>,
+    /// No byte set holds a byte of `0x80` or above: the program reads
+    /// only ASCII, so which lines it matches does not depend on how the
+    /// other bytes decode.
+    pub(crate) ascii_only: bool,
 }
 
 impl Program {
@@ -173,6 +177,10 @@ impl Program {
         }
 
         Program {
+            ascii_only: nfa.iter().all(|state| match state {
+                Nfa::Byte(set, _) => set.0[2..] == [0, 0],
+                _ => true,
+            }),
             every_line: start_set.first() == Some(&MATCH_STATE),
             literal: literal_of(ast, ci),
             stride: usize::from(class) + 1,
@@ -681,6 +689,20 @@ fn find_any(buf: &[u8], from: usize, needles: &[u8]) -> usize {
         .map_or(buf.len(), |at| pos + at)
 }
 
+/// The first occurrence of the non-empty `needle` in `hay` at or after
+/// `from`: every occurrence of its first byte ([`find_any`]) is compared
+/// with the whole needle.
+fn find_literal(hay: &[u8], from: usize, needle: &[u8]) -> Option<usize> {
+    let mut at = from;
+    loop {
+        at = find_any(hay, at, &needle[..1]);
+        if hay.get(at..at + needle.len())? == needle {
+            return Some(at);
+        }
+        at += 1;
+    }
+}
+
 /// How a [`MatchingLines`] decides, chosen by the pattern alone.
 enum Executor<'r> {
     /// Every line matches.
@@ -698,7 +720,7 @@ enum Executor<'r> {
 /// Iterator over the lines of a buffer that a pattern matches; see
 /// [`crate::Regex::matching_lines`].
 pub struct MatchingLines<'r, 't> {
-    text: &'t str,
+    text: &'t [u8],
     /// The start of the first line not looked at yet.
     pos: usize,
     executor: Executor<'r>,
@@ -709,7 +731,7 @@ impl<'r, 't> MatchingLines<'r, 't> {
         ast: &'r Ast,
         program: Option<&'r Program>,
         ci: bool,
-        text: &'t str,
+        text: &'t [u8],
     ) -> MatchingLines<'r, 't> {
         let executor = match program {
             None => Executor::Backtrack { ast, ci },
@@ -739,15 +761,17 @@ impl Iterator for MatchingLines<'_, '_> {
         }
         // The end of the line that contains `at`: the position of its
         // terminator, or the end of the buffer.
-        let line_end = |at| find_any(text.as_bytes(), at, b"\n");
+        let line_end = |at| find_any(text, at, b"\n");
         let line = match &mut self.executor {
             Executor::EveryLine => Some(pos..line_end(pos)),
-            Executor::Literal(literal) => text[pos..].find(*literal).map(|offset| {
-                let hit = pos + offset;
-                let start = text[pos..hit].rfind('\n').map_or(pos, |nl| pos + nl + 1);
+            Executor::Literal(literal) => find_literal(text, pos, literal.as_bytes()).map(|hit| {
+                let start = text[pos..hit]
+                    .iter()
+                    .rposition(|&b| b == b'\n')
+                    .map_or(pos, |nl| pos + nl + 1);
                 start..line_end(hit + literal.len())
             }),
-            Executor::Dfa(dfa) => dfa.next_match(text.as_bytes(), pos),
+            Executor::Dfa(dfa) => dfa.next_match(text, pos),
             Executor::Backtrack { ast, ci } => {
                 let mut start = pos;
                 loop {
@@ -755,7 +779,10 @@ impl Iterator for MatchingLines<'_, '_> {
                         break None;
                     }
                     let end = line_end(start);
-                    if crate::exec::search(ast, &text[start..end], *ci).is_some() {
+                    // The backtracker reads characters: a line that is
+                    // not UTF-8 has none for it to match.
+                    let line = std::str::from_utf8(&text[start..end]);
+                    if line.is_ok_and(|line| crate::exec::search(ast, line, *ci).is_some()) {
                         break Some(start..end);
                     }
                     start = end + 1;
@@ -909,7 +936,7 @@ mod tests {
                 let want: Vec<Range<usize>> = lines_of(&buffer)
                     .filter(|line| backtracks(&re, &buffer[line.clone()]))
                     .collect();
-                let got: Vec<Range<usize>> = re.matching_lines(&buffer).collect();
+                let got: Vec<Range<usize>> = re.matching_lines(buffer.as_bytes()).collect();
                 prop_assert_eq!(got, want, "pattern {:?} over {:?}", &pattern, &buffer);
             }
         }
@@ -977,7 +1004,7 @@ mod tests {
                     let want: Vec<Range<usize>> = lines_of(buffer)
                         .filter(|line| backtracks(&re, &buffer[line.clone()]))
                         .collect();
-                    let got: Vec<Range<usize>> = re.matching_lines(buffer).collect();
+                    let got: Vec<Range<usize>> = re.matching_lines(buffer.as_bytes()).collect();
                     assert_eq!(got, want, "{pattern:?} (-i: {ci}) over {buffer:?}");
                 }
             }
@@ -988,7 +1015,7 @@ mod tests {
     fn the_executor_is_a_function_of_the_pattern() {
         let executor = |pattern: &str, ci: bool| {
             let re = Regex::with_syntax(pattern, Syntax::Basic, ci).unwrap();
-            match re.matching_lines("x").executor {
+            match re.matching_lines(b"x").executor {
                 Executor::EveryLine => "every line",
                 Executor::Literal(_) => "literal",
                 Executor::Dfa(_) => "dfa",
@@ -1008,7 +1035,7 @@ mod tests {
         assert_eq!(executor("\\(.\\).*\\1", false), "backtrack");
         let fixed = Regex::with_syntax("a.*[b]", Syntax::Fixed, false).unwrap();
         assert!(matches!(
-            fixed.matching_lines("x").executor,
+            fixed.matching_lines(b"x").executor,
             Executor::Literal("a.*[b]")
         ));
     }
@@ -1028,6 +1055,27 @@ mod tests {
         // Too many ways out: stepping is cheaper than looking.
         assert_eq!(needles("[a-z]x", false), b"");
         assert_eq!(needles(".x", false), b"");
+    }
+
+    #[test]
+    fn find_literal_finds_the_first_occurrence_in_any_bytes() {
+        let hay: Vec<u8> = (0..200u32)
+            .map(|i| [b'a', b'b', 0xe9, b'\n'][(i * 7 % 11 % 4) as usize])
+            .collect();
+        for from in 0..hay.len() {
+            for needle in [
+                &b"a"[..],
+                b"ab",
+                b"ba\xe9",
+                b"\xe9\n",
+                b"aaaaaaaaaa",
+                b"bab\nab",
+            ] {
+                let want = (from..hay.len()).find(|&i| hay[i..].starts_with(needle));
+                assert_eq!(find_literal(&hay, from, needle), want, "{from} {needle:?}");
+            }
+        }
+        assert_eq!(find_literal(b"abc", 7, b"c"), None);
     }
 
     #[test]
@@ -1129,7 +1177,7 @@ mod tests {
                 let re = Regex::new(pattern).unwrap();
                 let alone = re.is_match(&line);
                 let buffer = format!("{line}\n{line}b\n{line}");
-                (alone, re.matching_lines(&buffer).count())
+                (alone, re.matching_lines(buffer.as_bytes()).count())
             });
             assert_eq!(found, (false, 1), "{pattern}");
         }

@@ -38,9 +38,21 @@
 //!   after it.
 //! * `^` holds at the start of a line and `$` where the next byte is
 //!   `'\n'` or the buffer ends, each for the branch it is written in.
-//! * The buffer is UTF-8 (a `&str`), and `.` and bracket expressions
-//!   consume one whole scalar, so `[^x]` takes all of `é`, never half.
-//!   `-i` folds ASCII letters only.
+//! * The buffer is bytes. `.` and bracket expressions consume one whole
+//!   UTF-8 scalar, so `[^x]` takes all of `é`, never half; a pattern with
+//!   either reads its buffer as UTF-8, and its callers decode first (see
+//!   below). `-i` folds ASCII letters only.
+//!
+//! # Byte-exact patterns
+//!
+//! A pattern whose automaton never consumes a byte of `0x80` or above —
+//! ASCII literals and ASCII classes, such as `l[ia][gn][hd]t* of`, `qqq`
+//! or `dog` — matches the same lines of *any* bytes as it does under
+//! `LC_ALL=C`: each byte it can consume is one ASCII character in both
+//! readings, and every other byte stops it in both. Such a pattern is
+//! [`Regex::byte_exact`], and `grep` runs it on raw bytes. Every other
+//! pattern (`.`, `[^…]`, a non-ASCII literal, a backreference) reads
+//! characters, so `grep` decodes its input for it first.
 //! * A search keeps at most 1024 DFA states; past that it drops them and
 //!   carries on from where it is. Answers do not change, only speed.
 //!
@@ -68,7 +80,7 @@
 //!
 //! let re = Regex::new("l[ia][gn][hd]t* of").unwrap();
 //! let text = "the light of day\nno match\nthe land of nod";
-//! let lines: Vec<&str> = re.matching_lines(text).map(|r| &text[r]).collect();
+//! let lines: Vec<&str> = re.matching_lines(text.as_bytes()).map(|r| &text[r]).collect();
 //! assert_eq!(lines, ["the light of day", "the land of nod"]);
 //! ```
 
@@ -122,6 +134,13 @@ impl Regex {
         })
     }
 
+    /// True when the lines the pattern matches do not depend on how bytes
+    /// of `0x80` and above decode (see the crate docs): the automaton
+    /// runs it, and it consumes ASCII only.
+    pub fn byte_exact(&self) -> bool {
+        self.program.as_ref().is_some_and(|p| p.ascii_only)
+    }
+
     /// The source pattern this regex was compiled from.
     pub fn pattern(&self) -> &str {
         &self.pattern
@@ -131,7 +150,7 @@ impl Regex {
     /// the byte range of each, without its `'\n'`. One pass over the whole
     /// buffer (see the crate docs for the contract); an empty `text` has
     /// no line.
-    pub fn matching_lines<'r, 't>(&'r self, text: &'t str) -> MatchingLines<'r, 't> {
+    pub fn matching_lines<'r, 't>(&'r self, text: &'t [u8]) -> MatchingLines<'r, 't> {
         MatchingLines::new(
             &self.ast,
             self.program.as_deref(),
@@ -145,9 +164,9 @@ impl Regex {
     pub fn is_match(&self, line: &str) -> bool {
         if line.is_empty() {
             // No line to yield, but `^$` and `x*` do match the empty one.
-            return self.matching_lines("\n").next().is_some();
+            return self.matching_lines(b"\n").next().is_some();
         }
-        self.matching_lines(line).next().is_some()
+        self.matching_lines(line.as_bytes()).next().is_some()
     }
 
     /// Returns the byte range of the leftmost match, if any: the
@@ -212,6 +231,28 @@ mod tests {
 
     fn m(pat: &str, s: &str) -> bool {
         Regex::new(pat).unwrap().is_match(s)
+    }
+
+    #[test]
+    fn byte_exact_patterns_read_ascii_only() {
+        for pat in [
+            "l[ia][gn][hd]t* of",
+            "qqq",
+            "Apple",
+            "dog",
+            "^a\\|b$",
+            "[[:punct:]]x*",
+        ] {
+            assert!(Regex::new(pat).unwrap().byte_exact(), "{pat}");
+        }
+        for pat in ["a.b", "[^x]", "caf\u{e9}", "\\(a\\)\\1"] {
+            assert!(!Regex::new(pat).unwrap().byte_exact(), "{pat}");
+        }
+        // A byte-exact pattern matches lines that are not UTF-8.
+        let re = Regex::new("d[ao]g").unwrap();
+        let text = b"\xe9 dog\n\xb0\xa0\ncat dag\xff\n";
+        let lines: Vec<_> = re.matching_lines(text).collect();
+        assert_eq!(lines, [0..5, 9..17]);
     }
 
     #[test]

@@ -194,7 +194,9 @@
 //! **clears** every edge feeding them *and* the bounded node's own input
 //! edge — chunks already queued are dropped, not processed. In-flight
 //! tasks at cancelled nodes discard their output
-//! when they complete. The propagation matrix:
+//! when they complete. A stage after one that decodes its input gets no
+//! bound ([`crate::plan::line_bound`]): the bytes a cancellation skips
+//! are bytes the serial run fails on. The propagation matrix:
 //!
 //! | event | upstream nodes | queued chunks | downstream nodes | statement result |
 //! |---|---|---|---|---|

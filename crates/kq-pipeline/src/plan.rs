@@ -40,6 +40,7 @@ use kq_synth::{
     spot_check, synthesize, InputProfile, SynthPool, SynthesisConfig, SynthesisReport,
     SynthesizedCombiner,
 };
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -91,7 +92,7 @@ pub struct PlannedStage {
     /// `uniq -c` do not and must barrier). Always `false` for sequential
     /// stages.
     pub streamable: bool,
-    /// Prefix bound ([`kq_synth::prefix_bound`]): `Some(k)` when the
+    /// Prefix bound ([`line_bound`]): `Some(k)` when the
     /// stage's output depends only on the first `k` complete lines of its
     /// input (`head -n k`, `sed kq`). Such a stage is a *bounded
     /// consumer*: the executor runs it as a
@@ -296,6 +297,20 @@ impl PlannedScript {
 /// Bytes of the script's input that [`planning_sample`] hands the planner.
 const PLANNING_SAMPLE_BYTES: usize = 64 * 1024;
 
+/// The prefix bound of stage `idx` ([`PlannedStage::line_bound`]). The
+/// early-exit contract comes from the parsed command itself (exact, never
+/// widened: a stage with a file operand reads no stdin and reports no
+/// bound), and holds only while no earlier stage decodes its input
+/// ([`Command::decodes`]): cancelling that stage would skip bytes the
+/// serial run reads, and fails on, so the stage reads to end-of-input.
+pub fn line_bound(statement: &Statement, idx: usize) -> Option<usize> {
+    let stages = &statement.stages;
+    if stages[..idx].iter().any(|stage| stage.command.decodes()) {
+        return None;
+    }
+    kq_synth::prefix_bound(&stages[idx].command)
+}
+
 /// The sample [`Planner::plan`] probes a script's commands on: the first
 /// 64 KiB of the first input file any statement reads,
 /// newline-terminated, or generic text when no statement reads a file that
@@ -332,26 +347,28 @@ pub struct PreparedScript {
     pub script: Script,
     /// The context its commands (and their syntheses) run in.
     pub ctx: ExecContext,
-    /// The planning sample: UTF-8 text, e.g. a line-aligned slice of the
-    /// script's input that `ctx` holds anyway.
+    /// The planning sample, e.g. a line-aligned slice of the script's
+    /// input that `ctx` holds anyway. The probes read it as text: bytes
+    /// that are not UTF-8 are replaced, in a copy.
     pub sample: Bytes,
 }
 
 /// What planning reads of one script: owned ([`PreparedScript`]) in a
 /// many-script pass, borrowed in [`Planner::plan`].
 trait PlanSource: Send + Sync {
-    fn parts(&self) -> (&Script, &ExecContext, &str);
+    fn parts(&self) -> (&Script, &ExecContext, Cow<'_, str>);
 }
 
 impl PlanSource for PreparedScript {
-    fn parts(&self) -> (&Script, &ExecContext, &str) {
-        (&self.script, &self.ctx, self.sample.as_str())
+    fn parts(&self) -> (&Script, &ExecContext, Cow<'_, str>) {
+        let sample = String::from_utf8_lossy(self.sample.as_bytes());
+        (&self.script, &self.ctx, sample)
     }
 }
 
 impl PlanSource for (&Script, &ExecContext, &str) {
-    fn parts(&self) -> (&Script, &ExecContext, &str) {
-        *self
+    fn parts(&self) -> (&Script, &ExecContext, Cow<'_, str>) {
+        (self.0, self.1, Cow::Borrowed(self.2))
     }
 }
 
@@ -790,7 +807,7 @@ impl Planner {
         let statements = script
             .statements
             .iter()
-            .map(|st| self.plan_statement(st, ctx, sample))
+            .map(|st| self.plan_statement(st, ctx, &sample))
             .collect();
         PlannedScript { statements }
     }
@@ -969,13 +986,7 @@ impl Planner {
                             stage_idx,
                             mode,
                             streamable,
-                            // The early-exit contract comes from the parsed
-                            // command itself (exact, never widened) — a
-                            // stage with a file operand reads no stdin and
-                            // reports no bound.
-                            line_bound: kq_synth::prefix_bound(
-                                &statement.stages[stage_idx].command,
-                            ),
+                            line_bound: line_bound(statement, stage_idx),
                             fold_pair,
                             count_order,
                             seam,

@@ -91,6 +91,7 @@ use kq_dsl::eval::CommandEnv;
 use kq_stream::{Bytes, IncrementalChunker, Rope};
 use kq_synth::IncrementalCombine;
 use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -401,6 +402,14 @@ struct StmtRt<'a> {
     dependents: Vec<usize>,
     /// The statement's stdout (unset for a redirected statement).
     output: Mutex<Option<Rope>>,
+}
+
+impl StmtRt<'_> {
+    /// Node `ni`'s command chain, as the trace and errors name it.
+    fn label(&self, ni: usize) -> String {
+        let chain: Vec<String> = self.chains[ni].iter().map(|c| c.display()).collect();
+        chain.join(" | ")
+    }
 }
 
 /// What a map task at a node computes from one input chunk.
@@ -732,15 +741,10 @@ pub fn run_dataflow_segments(
                     } => "gather",
                     NodeKind::BoundedConsumer { .. } => "bounded",
                 };
-                let label = stmt.chains[ni]
-                    .iter()
-                    .map(|c| c.display())
-                    .collect::<Vec<_>>()
-                    .join(" | ");
                 kq_trace::meta("graph", kind)
                     .si(si)
                     .ni(ni)
-                    .label(label)
+                    .label(stmt.label(ni))
                     .emit();
             }
             for &d in &deps[si] {
@@ -885,7 +889,7 @@ fn worker_loop(rt: &RunState<'_>, local: Worker<Task>, stealers: &[Stealer<Task>
     };
     loop {
         while let Some(task) = find_task(rt, &local, stealers, idx) {
-            run_task(&cx, task);
+            run_contained(&cx, task);
         }
         // Record the generation *before* the confirming scan: a task
         // pushed after this read bumps the generation and cancels the
@@ -895,7 +899,7 @@ fn worker_loop(rt: &RunState<'_>, local: Worker<Task>, stealers: &[Stealer<Task>
             break;
         }
         if let Some(task) = find_task(rt, &local, stealers, idx) {
-            run_task(&cx, task);
+            run_contained(&cx, task);
             continue;
         }
         let mut guard = lock(&rt.idle.generation);
@@ -934,6 +938,24 @@ fn find_task(
         }
     }
     None
+}
+
+/// [`run_task`], with a panic turned into its statement's error naming
+/// the stage: the worker lives on, and [`stmt_error`] finishes the
+/// statement with its other tasks in flight, so the run returns the error
+/// instead of waiting for a task that will never end.
+fn run_contained(cx: &Cx<'_, '_>, task: Task) {
+    let Err(panic) = catch_unwind(AssertUnwindSafe(|| run_task(cx, task))) else {
+        return;
+    };
+    let (si, ni) = task;
+    let what = match (panic.downcast_ref::<&str>(), panic.downcast_ref::<String>()) {
+        (Some(s), _) => s,
+        (_, Some(s)) => s.as_str(),
+        _ => "a panic",
+    };
+    let stage = cx.rt.stmts[si].label(ni);
+    stmt_error(cx, si, CmdError::new(stage, format!("panicked: {what}")));
 }
 
 fn run_task(cx: &Cx<'_, '_>, (si, ni): Task) {
@@ -1822,13 +1844,8 @@ fn snapshot_timings(stmt: &StmtRt<'_>) -> Vec<StageTiming> {
     let mut out = Vec::with_capacity(stmt.graph.nodes.len().saturating_sub(1));
     for ni in 1..stmt.graph.nodes.len() {
         let st = lock(&stmt.nodes[ni]);
-        let label = stmt.chains[ni]
-            .iter()
-            .map(|c| c.display())
-            .collect::<Vec<_>>()
-            .join(" | ");
         out.push(StageTiming {
-            label,
+            label: stmt.label(ni),
             piece_times: st.piece_times.clone(),
             combine_time: st.combine_time,
             bytes_in: st.bytes_in,

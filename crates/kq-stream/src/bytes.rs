@@ -31,9 +31,7 @@
 //!
 //! Slicing, splitting, hashing, comparison, and `compact()` behave
 //! identically across backings — the line-aligned splitters cut mapped
-//! memory verbatim. The differences are confined to ownership hand-offs:
-//! [`Bytes::into_string`] moves a uniquely-owned whole *heap* buffer but
-//! must copy out of a mapped region (a map cannot become a `Vec`).
+//! memory verbatim.
 //!
 //! **Sharp edge (SIGBUS):** a mapped region snapshots the file's length at
 //! open time. If another process truncates the file while the map is live,
@@ -49,7 +47,7 @@
 //! let pieces = stream.split_stream(2);
 //! // Zero-copy: both pieces view the same allocation.
 //! assert_eq!(pieces.len(), 2);
-//! assert_eq!(pieces[0].as_str(), "alpha\nbeta\n");
+//! assert_eq!(pieces[0], "alpha\nbeta\n");
 //! assert!(pieces.iter().all(|p| p.shares_buffer(&stream)));
 //! ```
 
@@ -147,11 +145,9 @@ impl Backing {
 
 /// A cheaply clonable, cheaply sliceable view into shared immutable bytes.
 ///
-/// Always holds valid UTF-8 in this workspace (every constructor the
-/// pipeline uses starts from `str`, and the splitters only cut at `'\n'`
-/// boundaries, which cannot fall inside a UTF-8 code point). The type
-/// itself does not enforce UTF-8; use [`Bytes::to_str`] for checked
-/// access and [`Bytes::as_str`] where the text invariant is established.
+/// The bytes are any bytes: a stream is a byte string, as under
+/// `LC_ALL=C`. [`Bytes::to_str`] is the checked door for the few kernels
+/// that read characters.
 ///
 /// The backing store is a refcounted [`Backing`]: either an owned
 /// `Vec<u8>` — so `From<String>`/`From<Vec<u8>>` *move* the buffer
@@ -164,35 +160,25 @@ pub struct Bytes {
     buf: Arc<Backing>,
     start: usize,
     end: usize,
-    /// The *entire backing buffer* is known-valid UTF-8 (set by the
-    /// `str`/`String` constructors). A view into such a buffer is valid
-    /// UTF-8 iff its two endpoints are char boundaries, so [`Bytes::to_str`]
-    /// checks O(1) bytes instead of rescanning the payload at every
-    /// pipeline stage.
-    text: bool,
 }
 
 impl Bytes {
     /// An empty slice (no allocation is shared; cloning is still O(1)).
     pub fn new() -> Bytes {
-        Bytes::from_heap(Vec::new(), true)
+        Bytes::from_heap(Vec::new())
     }
 
-    fn from_heap(vec: Vec<u8>, text: bool) -> Bytes {
+    fn from_heap(vec: Vec<u8>) -> Bytes {
         let end = vec.len();
         Bytes {
             buf: Arc::new(Backing::Heap(vec)),
             start: 0,
             end,
-            text,
         }
     }
 
     /// Wraps a mapped file region as a whole-buffer view — the `kq-io`
-    /// ingest door. O(1): no page is touched here. The bytes are *not*
-    /// assumed to be UTF-8 (a file can hold anything); run the result
-    /// through [`Bytes::into_text`] once to establish the text fast path,
-    /// or let per-command validation reject foreign data lazily.
+    /// ingest door. O(1): no page is touched here.
     #[cfg(unix)]
     pub fn from_mmap_region(region: MmapRegion) -> Bytes {
         let end = region.as_slice().len();
@@ -200,7 +186,6 @@ impl Bytes {
             buf: Arc::new(Backing::Mmap(region)),
             start: 0,
             end,
-            text: false,
         }
     }
 
@@ -215,14 +200,6 @@ impl Bytes {
         {
             false
         }
-    }
-
-    /// True when `pos` does not fall inside a multi-byte UTF-8 sequence of
-    /// the backing buffer.
-    #[inline]
-    fn is_char_boundary(&self, pos: usize) -> bool {
-        let buf = self.buf.as_slice();
-        pos == 0 || pos == buf.len() || (buf[pos] & 0xC0) != 0x80
     }
 
     /// Length in bytes.
@@ -243,144 +220,12 @@ impl Bytes {
         &self.buf.as_slice()[self.start..self.end]
     }
 
-    /// Checked UTF-8 view of the bytes.
-    ///
-    /// O(1) when the backing buffer came from `str`/`String` data (the
-    /// endpoints are checked for char boundaries; the payload needs no
-    /// rescan); a full validation scan only for byte-constructed buffers.
+    /// The bytes as text, when they are valid UTF-8: one validating
+    /// scan. Only the kernels that read characters ask (see the crate
+    /// docs); everything else works on [`Bytes::as_bytes`].
     #[inline]
     pub fn to_str(&self) -> Result<&str, std::str::Utf8Error> {
-        if self.text && self.is_char_boundary(self.start) && self.is_char_boundary(self.end) {
-            // SAFETY: `text` asserts the whole backing buffer is valid
-            // UTF-8 (established at construction from `str`/`String`),
-            // and a sub-slice of valid UTF-8 whose endpoints are char
-            // boundaries is itself valid UTF-8.
-            return Ok(unsafe { std::str::from_utf8_unchecked(self.as_bytes()) });
-        }
         std::str::from_utf8(self.as_bytes())
-    }
-
-    /// UTF-8 view of the bytes.
-    ///
-    /// # Panics
-    /// Panics when the bytes are not valid UTF-8. The pipeline only
-    /// constructs `Bytes` from `str` data and slices at newline
-    /// boundaries, so this holds throughout the workspace; callers
-    /// ingesting foreign byte data should use [`Bytes::to_str`].
-    #[inline]
-    pub fn as_str(&self) -> &str {
-        self.to_str().expect("Bytes holds non-UTF-8 data")
-    }
-
-    /// An owned `String` of the bytes. When this view covers a uniquely
-    /// owned whole *heap* buffer (the common final-output case), the
-    /// buffer is moved out — no copy; otherwise one allocation. A mapped
-    /// region can never become a `Vec`, so mmap-backed views always copy
-    /// out (and, when this was the last reference, unmap on return).
-    pub fn into_string(self) -> String {
-        if self.start == 0 && self.end == self.buf.len() {
-            let (text, end) = (self.text, self.end);
-            match Arc::try_unwrap(self.buf) {
-                Ok(Backing::Heap(vec)) if text => {
-                    // SAFETY: `text` asserts the whole buffer is valid
-                    // UTF-8 (see `to_str`), and this view covers all of it.
-                    return unsafe { String::from_utf8_unchecked(vec) };
-                }
-                Ok(Backing::Heap(vec)) => {
-                    return String::from_utf8(vec).expect("Bytes holds non-UTF-8 data")
-                }
-                #[cfg(unix)]
-                Ok(backing @ Backing::Mmap(_)) => {
-                    // Unique but mapped: copy out; dropping `backing`
-                    // afterwards performs the unmap.
-                    let whole = Bytes {
-                        buf: Arc::new(backing),
-                        start: 0,
-                        end,
-                        text,
-                    };
-                    return whole.as_str().to_owned();
-                }
-                Err(buf) => {
-                    // Still shared: copy, taking the text fast path for
-                    // the validity check.
-                    let whole = Bytes {
-                        buf,
-                        start: 0,
-                        end,
-                        text,
-                    };
-                    return whole.as_str().to_owned();
-                }
-            }
-        }
-        self.as_str().to_owned()
-    }
-
-    /// Establishes the text invariant for a whole-buffer view: validates
-    /// the bytes as UTF-8 **once** and records the result, so every later
-    /// [`Bytes::to_str`] across the pipeline is O(1) instead of an
-    /// O(bytes) rescan. This is how ingest marks a freshly mapped (or
-    /// byte-read) file as known text.
-    ///
-    /// The scan runs in bounded windows with a trailing
-    /// [`Bytes::release_range`] hint, so validating a mapped multi-GB
-    /// file keeps O(window) pages resident instead of pinning the whole
-    /// map — the validated pages refault from the file when the pipeline
-    /// actually consumes them. (Heap backings scan the same way; the
-    /// release is a no-op.)
-    ///
-    /// Partial views validate but cannot record (the flag asserts the
-    /// *whole backing* is UTF-8); they are returned unchanged.
-    pub fn into_text(self) -> Result<Bytes, std::str::Utf8Error> {
-        if self.text && self.is_char_boundary(self.start) && self.is_char_boundary(self.end) {
-            return Ok(self);
-        }
-        const WINDOW: usize = 4 << 20;
-        let bytes = self.as_bytes();
-        let mut pos = 0usize;
-        let mut released = 0usize;
-        while pos < bytes.len() {
-            let end = (pos + WINDOW).min(bytes.len());
-            match std::str::from_utf8(&bytes[pos..end]) {
-                Ok(_) => pos = end,
-                // An incomplete final sequence at an interior window edge
-                // is not an error — resume the next window at the char
-                // boundary. (`valid_up_to() == 0` cannot stall: a UTF-8
-                // sequence is at most 4 bytes and WINDOW is far larger,
-                // so zero progress means genuinely invalid bytes.)
-                Err(e) if e.error_len().is_none() && end < bytes.len() && e.valid_up_to() > 0 => {
-                    pos += e.valid_up_to();
-                }
-                // Genuinely invalid: rescan the whole view so the returned
-                // error carries offsets relative to the *view*, not to the
-                // failing window (the error path may touch every page —
-                // the caller is about to abort the ingest anyway).
-                Err(_) => {
-                    return Err(
-                        std::str::from_utf8(bytes).expect_err("windowed scan found invalid bytes")
-                    )
-                }
-            }
-            if pos > released + 2 * WINDOW {
-                let upto = pos - WINDOW;
-                self.release_range(released..upto);
-                released = upto;
-            }
-        }
-        // Drop the tail too, through its last byte: without this, a view
-        // smaller than the release hysteresis (2 × WINDOW) stays *fully*
-        // resident after validation — for a spilled run that's every run
-        // pinned until its merge, which defeats the memory bound the spill
-        // exists to provide — and each view keeps its last grain block.
-        if released < bytes.len() {
-            self.release(released..bytes.len(), true);
-        }
-        let whole = self.start == 0 && self.end == self.buf.len();
-        Ok(Bytes {
-            text: self.text || whole,
-            ..self
-        })
     }
 
     /// O(1) sub-slice sharing the same allocation.
@@ -397,7 +242,6 @@ impl Bytes {
             buf: self.buf.clone(),
             start: self.start + range.start,
             end: self.start + range.end,
-            text: self.text,
         }
     }
 
@@ -426,10 +270,7 @@ impl Bytes {
         if self.buf.len() < COMPACT_MIN_BACKING || self.len() * 4 >= self.buf.len() {
             self
         } else {
-            // The copy covers its whole new buffer, so it is text iff this
-            // view is valid UTF-8 (O(1) to determine for text buffers).
-            let text = self.to_str().is_ok();
-            Bytes::from_heap(self.as_bytes().to_vec(), text)
+            Bytes::from_heap(self.as_bytes().to_vec())
         }
     }
 
@@ -647,13 +488,13 @@ impl Default for Bytes {
 impl From<String> for Bytes {
     fn from(s: String) -> Bytes {
         // O(1): the String's buffer is moved, not copied.
-        Bytes::from_heap(s.into_bytes(), true)
+        Bytes::from_heap(s.into_bytes())
     }
 }
 
 impl From<&str> for Bytes {
     fn from(s: &str) -> Bytes {
-        Bytes::from_heap(s.as_bytes().to_vec(), true)
+        Bytes::from_heap(s.as_bytes().to_vec())
     }
 }
 
@@ -665,9 +506,8 @@ impl From<&String> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        // O(1): the Vec is moved, not copied. Validity is not assumed;
-        // `to_str` on the result performs a full UTF-8 check.
-        Bytes::from_heap(v, false)
+        // O(1): the Vec is moved, not copied.
+        Bytes::from_heap(v)
     }
 }
 
@@ -745,24 +585,10 @@ impl fmt::Display for Bytes {
 /// their pieces here; the rope flattens into one contiguous [`Bytes`]
 /// only when [`Rope::into_bytes`] is called — and even then a
 /// single-segment rope hands back its segment with no copy at all.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Rope {
     segments: Vec<Bytes>,
     len: usize,
-    /// Every pushed segment was valid UTF-8, so the gathered buffer is
-    /// too (concatenation preserves validity); lets [`Rope::into_bytes`]
-    /// hand the fast [`Bytes::to_str`] path onward.
-    text: bool,
-}
-
-impl Default for Rope {
-    fn default() -> Rope {
-        Rope {
-            segments: Vec::new(),
-            len: 0,
-            text: true,
-        }
-    }
 }
 
 impl Rope {
@@ -785,14 +611,10 @@ impl Rope {
         }
         self.len += segment.len();
         match self.segments.last_mut() {
-            // Same backing buffer, so the same whole-buffer text flag.
             Some(last) if Arc::ptr_eq(&last.buf, &segment.buf) && last.end == segment.start => {
                 last.end = segment.end;
             }
-            _ => {
-                self.text = self.text && segment.to_str().is_ok();
-                self.segments.push(segment);
-            }
+            _ => self.segments.push(segment),
         }
     }
 
@@ -835,7 +657,7 @@ impl Rope {
                 for seg in &self.segments {
                     out.extend_from_slice(seg.as_bytes());
                 }
-                Bytes::from_heap(out, self.text)
+                Bytes::from_heap(out)
             }
         }
     }
@@ -885,15 +707,9 @@ impl From<Vec<Bytes>> for Rope {
 /// input's bytes with gaps (`grep`, `cut`, `tr -d`): one copy into one
 /// allocation, where a [`Rope`] of sub-slices would bump the shared
 /// refcount for every piece and still copy them all when flattened.
-///
-/// It remembers whether it is text: it is while every piece was — a range
-/// of a text view starting and ending on char boundaries, or literal bytes
-/// that are UTF-8 — because concatenated UTF-8 is UTF-8. So the result
-/// keeps the O(1) [`Bytes::to_str`] without a validating scan.
 #[derive(Debug)]
 pub struct Gather {
     buf: Vec<u8>,
-    text: bool,
 }
 
 impl Gather {
@@ -901,7 +717,6 @@ impl Gather {
     pub fn with_capacity(capacity: usize) -> Gather {
         Gather {
             buf: Vec::with_capacity(capacity),
-            text: true,
         }
     }
 
@@ -912,20 +727,13 @@ impl Gather {
     /// Panics when the range is out of bounds or inverted.
     #[inline]
     pub fn copy(&mut self, src: &Bytes, range: std::ops::Range<usize>) {
-        let (start, end) = (src.start + range.start, src.start + range.end);
         self.buf.extend_from_slice(&src.as_bytes()[range]);
-        // In a text buffer only a continuation byte starts inside a
-        // character, and the first byte never is one.
-        let whole = src.buf.as_slice();
-        let boundary = |pos: usize| whole.get(pos).is_none_or(|&b| b & 0xC0 != 0x80);
-        self.text = self.text && src.text && boundary(start) && boundary(end);
     }
 
     /// Appends literal bytes.
     #[inline]
     pub fn push(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
-        self.text = self.text && (bytes.is_ascii() || std::str::from_utf8(bytes).is_ok());
     }
 
     /// The gathered bytes as a whole-buffer [`Bytes`]. A buffer that uses
@@ -936,7 +744,7 @@ impl Gather {
         if self.buf.capacity() >= 4096 && self.buf.len() * 4 < self.buf.capacity() {
             self.buf.shrink_to_fit();
         }
-        Bytes::from_heap(self.buf, self.text)
+        Bytes::from_heap(self.buf)
     }
 }
 
@@ -951,7 +759,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn gather_copies_pieces_into_one_buffer_and_tracks_text() {
+    fn gather_copies_pieces_into_one_buffer() {
         let src = Bytes::from("caf\u{e9},x\n");
         let view = src.slice(1..src.len());
         let mut g = Gather::with_capacity(src.len());
@@ -961,19 +769,13 @@ mod tests {
         let out = g.into_bytes();
         assert_eq!(out, "af\u{e9}|x\n");
         assert!(!out.shares_buffer(&src));
-        assert!(out.text, "text pieces cut at char boundaries stay text");
 
-        // A range ending inside a multi-byte character is not text.
+        // Any bytes: a range ending inside a multi-byte character, and
+        // literal bytes that are not UTF-8.
         let mut g = Gather::with_capacity(8);
-        g.copy(&src, 0..4);
-        assert!(!g.into_bytes().text);
-        // Nor are literal bytes that are not UTF-8, nor a byte buffer's range.
-        let mut g = Gather::with_capacity(8);
+        g.copy(&src, 3..4);
         g.push(&[0xff]);
-        assert!(!g.into_bytes().text);
-        let mut g = Gather::with_capacity(8);
-        g.copy(&Bytes::from(b"ab".to_vec()), 0..2);
-        assert!(!g.into_bytes().text);
+        assert_eq!(g.into_bytes().as_bytes(), [0xc3, 0xff]);
     }
 
     #[test]
@@ -994,7 +796,7 @@ mod tests {
     fn slice_is_zero_copy() {
         let b = Bytes::from("hello\nworld\n");
         let s = b.slice(6..12);
-        assert_eq!(s.as_str(), "world\n");
+        assert_eq!(s, "world\n");
         assert!(s.shares_buffer(&b));
         assert_eq!(s.slice(0..0).len(), 0);
     }
@@ -1111,25 +913,6 @@ mod tests {
                 assert!(lazy.iter().all(|c| c.shares_buffer(&b)));
             }
         }
-    }
-
-    #[test]
-    fn into_text_error_offsets_are_view_relative_across_windows() {
-        // Invalid byte past the first 4 MiB validation window: the error
-        // must locate it relative to the view, not the failing window.
-        let bad_at = 5 * 1024 * 1024;
-        let mut data = vec![b'a'; bad_at];
-        data.push(0xFF);
-        data.push(b'\n');
-        let err = Bytes::from(data).into_text().unwrap_err();
-        assert_eq!(err.valid_up_to(), bad_at);
-    }
-
-    #[test]
-    fn into_text_handles_chars_straddling_window_edges() {
-        let b = Bytes::from("héllo wörld\n");
-        let text = b.into_text().unwrap();
-        assert!(text.to_str().is_ok());
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! let mut out = chunker.push(Bytes::from("alpha\n"));
 //! out.extend(chunker.push(Bytes::from("beta\ngamma\n")));
 //! out.extend(chunker.finish());
-//! let rebuilt: String = out.iter().map(|c| c.as_str().to_owned()).collect();
+//! let rebuilt: String = out.iter().map(|c| c.to_str().unwrap()).collect();
 //! assert_eq!(rebuilt, "alpha\nbeta\ngamma\n");
 //! assert!(out.iter().all(|c| c.ends_with_newline()));
 //! ```
@@ -159,7 +159,7 @@ mod tests {
             out.extend(chunker.push(Bytes::from(*s)));
         }
         out.extend(chunker.finish());
-        let rebuilt = out.iter().map(|c| c.as_str().to_owned()).collect();
+        let rebuilt = out.iter().map(|c| c.to_str().unwrap()).collect();
         (out, rebuilt)
     }
 
@@ -248,7 +248,7 @@ mod tests {
             out.extend(chunker.flush_pending());
         }
         out.extend(chunker.finish());
-        let rebuilt: String = out.iter().map(|c| c.as_str().to_owned()).collect();
+        let rebuilt: String = out.iter().map(|c| c.to_str().unwrap()).collect();
         assert_eq!(rebuilt, segs.concat());
         for c in &out[..out.len() - 1] {
             assert!(c.ends_with_newline());

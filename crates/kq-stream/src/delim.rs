@@ -32,6 +32,12 @@ impl Delim {
         }
     }
 
+    /// The underlying byte (every delimiter is ASCII).
+    #[inline]
+    pub const fn as_byte(self) -> u8 {
+        self.as_char() as u8
+    }
+
     /// Maps a character back to a DSL delimiter, if it is one.
     pub fn from_char(c: char) -> Option<Delim> {
         match c {

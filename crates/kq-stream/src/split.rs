@@ -299,7 +299,7 @@ mod tests {
             let from_bytes = b.split_stream(k);
             assert_eq!(from_str.len(), from_bytes.len(), "k={k}");
             for (a, c) in from_str.iter().zip(&from_bytes) {
-                assert_eq!(*a, c.as_str());
+                assert_eq!(*a, c.to_str().unwrap());
                 assert!(c.shares_buffer(&b), "piece must be zero-copy");
             }
         }
@@ -308,7 +308,7 @@ mod tests {
             let from_bytes = b.split_chunks(target);
             assert_eq!(from_str.len(), from_bytes.len(), "target={target}");
             for (a, c) in from_str.iter().zip(&from_bytes) {
-                assert_eq!(*a, c.as_str());
+                assert_eq!(*a, c.to_str().unwrap());
             }
         }
     }

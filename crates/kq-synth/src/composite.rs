@@ -91,7 +91,7 @@ impl SynthesizedCombiner {
 
     /// Combines two streams: the first member whose domain admits both
     /// arguments is applied (the composite rule of §3.2).
-    pub fn combine2(&self, y1: &str, y2: &str, env: &dyn RunEnv) -> Result<String, EvalError> {
+    pub fn combine2(&self, y1: &[u8], y2: &[u8], env: &dyn RunEnv) -> Result<Bytes, EvalError> {
         for member in &self.members {
             let (a, b) = member.oriented(y1, y2);
             if domain::in_domain(&member.op, a) && domain::in_domain(&member.op, b) {
@@ -107,13 +107,13 @@ impl SynthesizedCombiner {
     /// Combines `k` parallel substreams (paper §3.5): the first member
     /// whose domain admits all pieces is applied k-way. Pieces flow as
     /// refcounted [`Bytes`] slices; the domain checks borrow the piece
-    /// text in place.
+    /// bytes in place.
     pub fn combine_all(&self, pieces: &[Bytes], env: &dyn RunEnv) -> Result<Bytes, EvalError> {
         for member in &self.members {
             if pieces
                 .iter()
                 .filter(|p| !p.is_empty())
-                .all(|p| p.to_str().is_ok_and(|s| domain::in_domain(&member.op, s)))
+                .all(|p| domain::in_domain(&member.op, p.as_bytes()))
             {
                 return kway::combine_all(member, pieces, env);
             }
@@ -307,10 +307,8 @@ impl<'a> IncrementalCombine<'a> {
                     // another member — so the domain check, not
                     // evaluation success, gates the speculation.
                     let primary = self.combiner.primary();
-                    let admissible = piece.is_empty()
-                        || piece
-                            .to_str()
-                            .is_ok_and(|s| domain::in_domain(&primary.op, s));
+                    let admissible =
+                        piece.is_empty() || domain::in_domain(&primary.op, piece.as_bytes());
                     let cut = admissible.then(|| fold.push(piece.clone()).ok()).flatten();
                     match cut {
                         Some(cut) => batch = cut,
@@ -424,7 +422,7 @@ impl<'a> IncrementalCombine<'a> {
     /// empty pieces is only sound next to a non-empty one.)
     pub fn plan_finish(self) -> Result<Vec<kway::FinishPart<'a>>, EvalError> {
         let settled = if !self.fed {
-            self.env.rerun_bytes(Bytes::new())?
+            self.env.rerun(Bytes::new())?
         } else {
             match self.raw {
                 None => match (self.fold, self.failed) {
@@ -496,7 +494,7 @@ mod tests {
         ];
         let s = SynthesizedCombiner::from_plausible(plausible);
         assert_eq!(s.members.len(), 2);
-        assert_eq!(s.combine2("3\n", "4\n", &NoRunEnv).unwrap(), "7\n");
+        assert_eq!(s.combine2(b"3\n", b"4\n", &NoRunEnv).unwrap(), "7\n");
     }
 
     #[test]
@@ -520,8 +518,8 @@ mod tests {
         use kq_dsl::eval::{EvalError, RunEnv};
         struct MergeEnv;
         impl RunEnv for MergeEnv {
-            fn rerun(&self, input: &str) -> Result<String, EvalError> {
-                Ok(input.to_owned())
+            fn rerun(&self, input: Bytes) -> Result<Bytes, EvalError> {
+                Ok(input)
             }
             fn merge(
                 &self,

@@ -143,7 +143,7 @@ mod tests {
         for _ in 0..50 {
             let (x1, x2) = stream_pair(&shape, &plain(), &mut rng).unwrap();
             let combined = format!("{x1}{x2}");
-            let n = kq_stream::line_count(&combined);
+            let n = kq_stream::line_count(combined.as_bytes());
             assert!(
                 n >= shape.lines.min && n <= shape.lines.max,
                 "line count {n} outside [{}, {}]",
@@ -162,7 +162,7 @@ mod tests {
         shape.lines.distinct_pct = 10;
         let (x1, x2) = stream_pair(&shape, &plain(), &mut rng).unwrap();
         let combined = format!("{x1}{x2}");
-        let lines: Vec<&str> = kq_stream::lines_of(&combined).collect();
+        let lines: Vec<&str> = combined.split_terminator('\n').collect();
         let distinct: std::collections::HashSet<_> = lines.iter().collect();
         assert!(distinct.len() < lines.len());
     }
@@ -176,7 +176,7 @@ mod tests {
         for _ in 0..20 {
             let (x1, x2) = stream_pair(&shape, &pre, &mut rng).unwrap();
             let combined = format!("{x1}{x2}");
-            let lines: Vec<&str> = kq_stream::lines_of(&combined).collect();
+            let lines: Vec<&str> = combined.split_terminator('\n').collect();
             for w in lines.windows(2) {
                 assert!(w[0].as_bytes() <= w[1].as_bytes(), "unsorted: {lines:?}");
             }
@@ -191,7 +191,7 @@ mod tests {
         pre.dictionary = vec!["/v/a.txt".to_owned(), "/v/b.txt".to_owned()];
         let shape = InputShape::seed();
         let (x1, x2) = stream_pair(&shape, &pre, &mut rng).unwrap();
-        for line in kq_stream::lines_of(&format!("{x1}{x2}")) {
+        for line in format!("{x1}{x2}").split_terminator('\n') {
             assert!(pre.dictionary.iter().any(|d| d == line), "line {line:?}");
         }
     }

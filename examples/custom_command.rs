@@ -91,7 +91,7 @@ fn main() {
             let combined = c.combine_all(&pieces, &env).unwrap();
             assert_eq!(combined, serial, "combiner must reproduce serial output");
             println!("\n4-way parallel output verified against serial:");
-            for line in combined.as_str().lines().take(6) {
+            for line in combined.to_str().unwrap().lines().take(6) {
                 println!("  {line}");
             }
         }

@@ -56,7 +56,7 @@ fn main() {
         );
         println!(
             "   sample output: {:?}",
-            serial.output.as_str().lines().next().unwrap_or("")
+            serial.output.to_str().unwrap().lines().next().unwrap_or("")
         );
     }
 }

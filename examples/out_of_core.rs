@@ -1,6 +1,6 @@
-//! Out-of-core ingest probe: maps a (large) file with `kq-io`, validates
-//! it as text, and splits it — printing the process's resident set after
-//! each step so the demand-paging behavior is visible.
+//! Out-of-core ingest probe: maps a (large) file with `kq-io`, splits it,
+//! and scans it chunk by chunk — printing the process's resident set
+//! after each step so the demand-paging behavior is visible.
 //!
 //! ```text
 //! cargo run --release --example out_of_core -- /path/to/big.txt
@@ -8,7 +8,7 @@
 //!
 //! Expected shape on a multi-hundred-MiB file: RSS stays flat at map and
 //! split time (no page is touched), and bounded — far below the file size
-//! — through validation (the windowed scan releases pages behind itself).
+//! — through the scan (a release cursor drops pages behind it).
 
 use kq_io::{IngestOptions, MmapMode};
 
@@ -45,12 +45,19 @@ fn main() {
     );
     drop(pieces);
 
-    let text = mapped.into_text().expect("file must be UTF-8");
+    let mut cursor = kq_stream::ReleaseCursor::new(4 << 20);
+    let (mut lines, mut consumed) = (0, 0);
+    for chunk in mapped.chunks(1 << 20) {
+        lines += chunk.count_newlines();
+        consumed += chunk.len();
+        cursor.advance(&mapped, consumed);
+    }
+    cursor.finish(&mapped);
     println!(
-        "validated as text       rss = {} KiB (+{} KiB)",
+        "scanned {lines:>11} lines rss = {} KiB (+{} KiB)",
         rss_kib(),
         rss_kib().saturating_sub(base)
     );
-    drop(text);
+    drop(mapped);
     println!("dropped (unmapped)      rss = {} KiB", rss_kib());
 }

@@ -48,7 +48,7 @@ fn main() {
         run.eliminated
     );
     println!("top five words:");
-    for line in run.output.lines().take(5) {
-        println!("  {line}");
+    for line in kumquat::stream::lines_of(run.output.as_bytes()).take(5) {
+        println!("  {}", String::from_utf8_lossy(line));
     }
 }

@@ -56,8 +56,9 @@ fn main() {
 
     // Run with 8-way parallelism; output is verified against serial.
     let run = kq.parallelize_and_run(script, 8).expect("pipeline runs");
+    let output = run.output.to_str().expect("the corpus is text");
     println!("\nmisspelled words found:");
-    for line in run.output.lines().take(10) {
+    for line in output.lines().take(10) {
         println!("  {line}");
     }
     let (k, n) = run.parallelized;
@@ -65,6 +66,6 @@ fn main() {
         "\nparallelized {k}/{n} stages, {} combiner(s) eliminated",
         run.eliminated
     );
-    assert!(run.output.lines().any(|w| w == "qymirth"));
-    assert!(run.output.lines().any(|w| w == "zorblat"));
+    assert!(output.lines().any(|w| w == "qymirth"));
+    assert!(output.lines().any(|w| w == "zorblat"));
 }

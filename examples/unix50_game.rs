@@ -44,7 +44,13 @@ fn main() {
         assert_eq!(serial.output, par.output, "{} diverged", script.id);
 
         let (k, n) = plan.parallelized_counts();
-        let first = serial.output.as_str().lines().next().unwrap_or("<empty>");
+        let first = serial
+            .output
+            .to_str()
+            .unwrap()
+            .lines()
+            .next()
+            .unwrap_or("<empty>");
         println!(
             "{:6} {:38} {k}/{n} parallel, answer: {first:?}",
             script.id, script.name

@@ -190,6 +190,158 @@ fn full_corpus_adaptive_knobs_match_serial_including_redirects() {
     );
 }
 
+/// Rewrites every file of the context as Latin-1 text would look to a
+/// byte-clean reader: about one ASCII letter in sixteen becomes `0xE9`
+/// (`é`), `0xB0` (`°`) or `0xA0` (no-break space), seeded.
+fn latin1(ctx: &ExecContext, seed: u64) {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+    for path in ctx.vfs.paths() {
+        let mut bytes = ctx.vfs.read_bytes(&path).unwrap().as_bytes().to_vec();
+        for b in bytes.iter_mut().filter(|b| b.is_ascii_alphabetic()) {
+            if rng.gen_range(0..16) == 0 {
+                *b = [0xE9, 0xB0, 0xA0][rng.gen_range(0..3)];
+            }
+        }
+        let file_type = ctx.vfs.file_type(&path).unwrap();
+        ctx.vfs.write_typed(path, bytes, file_type);
+    }
+}
+
+/// The corpus on Latin-1 inputs: every script's dataflow run at one and
+/// four workers must give serial's bytes on stdout and on every redirect
+/// target — or fail with serial's error. Byte-clean commands take the
+/// foreign bytes; the ones that read characters refuse them, chunk or
+/// whole.
+#[test]
+fn full_corpus_latin1_inputs_match_serial_bytes_or_error() {
+    let scale = Scale {
+        input_bytes: 10_000,
+    };
+    let mut planner = Planner::new(SynthesisConfig::default());
+    let (mut count, mut completed) = (0usize, 0usize);
+    for script in corpus() {
+        let id = format!("{}/{}", script.suite.dir(), script.id);
+        let fresh = || {
+            let ctx = ExecContext::default();
+            let env = setup(script, &ctx, &scale, 0x1A71);
+            latin1(&ctx, 0xE9);
+            (ctx, env)
+        };
+        let (serial_ctx, env) = fresh();
+        let parsed = parse_script(script.text, &env).unwrap_or_else(|e| panic!("{id} parse: {e}"));
+        let sample = kq_pipeline::plan::planning_sample(&parsed, &serial_ctx);
+        let plan = planner.plan(&parsed, &serial_ctx, &sample);
+        let targets: Vec<String> = parsed
+            .statements
+            .iter()
+            .filter_map(|s| s.output.clone())
+            .collect();
+        let serial = run_serial(&parsed, &serial_ctx);
+        for workers in [1usize, 4] {
+            let (ctx, _) = fresh();
+            let opts = DataflowOptions {
+                workers,
+                ..DataflowOptions::default()
+            };
+            match (&serial, run_dataflow(&parsed, &plan, &ctx, &opts)) {
+                (Ok(serial), Ok(got)) => {
+                    assert_eq!(got.output, serial.output, "{id}: stdout (w={workers})");
+                    for target in &targets {
+                        assert_eq!(
+                            ctx.vfs.read_bytes(target),
+                            serial_ctx.vfs.read_bytes(target),
+                            "{id}: redirect {target} (w={workers})"
+                        );
+                    }
+                }
+                (Err(serial), Err(got)) => {
+                    assert_eq!(got.to_string(), serial.to_string(), "{id} (w={workers})")
+                }
+                (serial, got) => panic!(
+                    "{id} (w={workers}): serial {:?}, dataflow {:?}",
+                    serial.as_ref().err(),
+                    got.err()
+                ),
+            }
+        }
+        count += 1;
+        completed += usize::from(serial.is_ok());
+    }
+    eprintln!("{completed} of {count} corpus scripts complete on Latin-1 inputs");
+    assert!(count >= 70, "corpus shrank to {count} scripts");
+}
+
+/// One foreign byte past the first 64 KiB chunk, behind stages that stop
+/// early. A prefix bound must not let the dataflow skip bytes the serial
+/// run reads: `sed Nq` and `head` behind byte-clean stages keep their
+/// early exit and print the first lines, while a decoding stage anywhere
+/// before `head` drops the bound and fails as it does serially — at every
+/// worker count and chunk size.
+#[test]
+fn foreign_bytes_past_the_first_chunk_fail_alike_behind_an_early_exit() {
+    let mut text = "alpha river caf\u{e9}\nbeta abc stream\n"
+        .repeat(4096)
+        .into_bytes();
+    text.extend_from_slice(b"gamma \xe9t\xe9\n");
+    text.extend_from_slice(&b"delta\n".repeat(100));
+    assert!(text.len() > 2 * 64 * 1024);
+    // (script, completes: byte-clean up to and including the bound)
+    let cases = [
+        ("cat /in.txt | sed 2q", true),
+        ("cat /in.txt | head -n 3", true),
+        ("cat /in.txt | tr a-z A-Z | head -n 3", true),
+        ("cat /in.txt | grep abc | head -n 2", true),
+        ("cat /in.txt | cut -d ' ' -f 2 | sed 1q", true),
+        ("cat /in.txt | sed 1d | head -n 2", true),
+        ("cat /in.txt | sed s/river/stream/ | head -n 3", false),
+        ("cat /in.txt | sed s/river/stream/ | sed 2q", false),
+        ("cat /in.txt | cut -c 1-3 | head -n 3", false),
+        ("cat /in.txt | grep 'a.c' | head -n 1", false),
+        ("cat /in.txt | awk '{print $1}' | sed 2q", false),
+        ("cat /in.txt | tr -d a | sed s/x/y/ | head -n 1", false),
+        (
+            "cat /in.txt | sed s/river/stream/ | sort | head -n 1",
+            false,
+        ),
+    ];
+    let ctx = ExecContext::default();
+    ctx.vfs.write("/in.txt", text);
+    let mut planner = Planner::new(SynthesisConfig::default());
+    for (text, completes) in cases {
+        let parsed = parse_script(text, &HashMap::new()).unwrap();
+        let sample = kq_pipeline::plan::planning_sample(&parsed, &ctx);
+        let plan = planner.plan(&parsed, &ctx, &sample);
+        let bounded = plan.statements[0].stages.last().unwrap().line_bound;
+        assert_eq!(bounded.is_some(), completes, "{text}: bound {bounded:?}");
+        let serial = run_serial(&parsed, &ctx);
+        assert_eq!(
+            serial.is_ok(),
+            completes,
+            "{text}: serial {:?}",
+            serial.as_ref().err()
+        );
+        for workers in [1usize, 4] {
+            for chunk_bytes in [700usize, 64 * 1024] {
+                let opts = fixed_opts(workers, chunk_bytes, true);
+                let got = run_dataflow(&parsed, &plan, &ctx, &opts);
+                let at = format!("{text} (w={workers}, chunk={chunk_bytes})");
+                match (&serial, got) {
+                    (Ok(serial), Ok(got)) => assert_eq!(got.output, serial.output, "{at}"),
+                    (Err(serial), Err(got)) => {
+                        assert_eq!(got.to_string(), serial.to_string(), "{at}")
+                    }
+                    (serial, got) => panic!(
+                        "{at}: serial {:?}, dataflow {:?}",
+                        serial.as_ref().err(),
+                        got.err()
+                    ),
+                }
+            }
+        }
+    }
+}
+
 /// A fold that no line reaches still owes the command's output on the
 /// empty stream: `grep zzz | wc -l` prints `0`, not nothing. Covers the
 /// counting folds (`wc -l`, `grep -c`), the merge fold (`sort`), the
@@ -806,8 +958,11 @@ fn sorting_folds_match_serial_and_no_opt_for_every_flag_set() {
         firsts
     };
     let firsts = first_of(&|l| format!("{:e}", leading_number(l)));
-    assert_eq!(serial.output.as_str().lines().count(), firsts.len());
-    for line in serial.output.as_str().lines() {
+    assert_eq!(
+        serial.output.to_str().unwrap().lines().count(),
+        firsts.len()
+    );
+    for line in serial.output.to_str().unwrap().lines() {
         assert!(
             firsts.iter().any(|(_, first)| *first == line),
             "-nu: {line}"

@@ -79,7 +79,7 @@ fn check_dnc(cmd: &str, trials: usize, sorted: bool) {
             continue;
         };
         let got = combiner
-            .combine2(&y1, &y2, &env)
+            .combine2(y1.as_bytes(), y2.as_bytes(), &env)
             .unwrap_or_else(|e| panic!("{cmd}: combiner failed on {x1:?}/{x2:?}: {e}"));
         assert_eq!(
             got,

@@ -173,7 +173,7 @@ fn head_behind_a_sort_that_finishes_in_parts_cancels_cleanly() {
     let mut planner = Planner::new(SynthesisConfig::default());
     let plan = planner.plan(&script, &ctx, &input[..8_000]);
     let serial = run_serial(&script, &ctx).unwrap();
-    assert_eq!(serial.output.as_str().lines().count(), 5);
+    assert_eq!(serial.output.to_str().unwrap().lines().count(), 5);
 
     let dir = std::env::temp_dir().join(format!("kq-early-exit-parts-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -250,7 +250,7 @@ fn head_behind_a_counting_fold_cancels_cleanly() {
             "{text}: the pair must fuse"
         );
         let serial = run_serial(&script, &ctx).unwrap();
-        assert_eq!(serial.output.as_str().lines().count(), lines);
+        assert_eq!(serial.output.to_str().unwrap().lines().count(), lines);
         let (script, plan) = (std::sync::Arc::new(script), std::sync::Arc::new(plan));
         for workers in [1usize, 2, 4] {
             let opts = DataflowOptions {
@@ -306,7 +306,7 @@ fn head_behind_the_word_splitter_exits_early() {
     let plan = planner.plan(&script, &ctx, &input[..8_000]);
     assert!(plan.statements[0].stages[0].seam, "the splitter is a seam");
     let serial = run_serial(&script, &ctx).unwrap();
-    assert_eq!(serial.output.as_str().lines().count(), 3);
+    assert_eq!(serial.output.to_str().unwrap().lines().count(), 3);
     for fuse in [true, false] {
         for workers in [1usize, 2, 4] {
             let opts = DataflowOptions {

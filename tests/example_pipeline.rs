@@ -59,7 +59,9 @@ fn figure1_parallel_run_is_correct_and_optimized() {
     assert_eq!(run.parallelized, (4, 5));
     assert_eq!(run.eliminated, 1);
     // Output sanity: count-ordered word frequencies.
-    let first = run.output.lines().next().expect("nonempty output");
+    let first = kumquat::stream::lines_of(run.output.as_bytes())
+        .next()
+        .expect("nonempty output");
     let count: i64 = kumquat::stream::parse_padded_int(first)
         .expect("count field")
         .1;

@@ -33,7 +33,7 @@ impl UnixCommand for StatefulCounter {
         Ok(Bytes::from(format!(
             "{}:{}\n",
             n,
-            input.as_str().lines().count()
+            input.to_str().unwrap().lines().count()
         )))
     }
 }
@@ -48,10 +48,26 @@ impl UnixCommand for PoisonSensitive {
     }
 
     fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
-        if input.as_str().lines().any(|l| l == "POISON") {
+        if input.to_str().unwrap().lines().any(|l| l == "POISON") {
             return Err(CmdError::new("poison-sensitive", "bad record"));
         }
-        Ok(Bytes::from(input.as_str().to_uppercase()))
+        Ok(Bytes::from(input.to_str().unwrap().to_uppercase()))
+    }
+}
+
+/// A command that panics on inputs containing a poison line: a bug in a
+/// stage, not a failure it reports.
+struct PoisonPanics;
+
+impl UnixCommand for PoisonPanics {
+    fn display(&self) -> String {
+        "poison-panics".to_owned()
+    }
+
+    fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
+        let text = input.to_str().unwrap();
+        assert!(!text.lines().any(|l| l == "POISON"), "poison record");
+        Ok(input)
     }
 }
 
@@ -115,7 +131,8 @@ fn nondeterminism_laundered_through_sort_is_fine() {
     let run = kq
         .parallelize_and_run("cat /in.txt | shuf | sort | uniq -c", 4)
         .expect("sort|uniq -c after shuf is deterministic");
-    assert!(run.output.contains(" line0\n"), "got: {}", run.output);
+    let out = run.output.to_str().unwrap();
+    assert!(out.contains(" line0\n"), "got: {out}");
     // shuf itself stayed sequential; sort and uniq -c parallelized.
     assert_eq!(run.parallelized.1, 3, "three stages total");
     assert!(
@@ -157,21 +174,25 @@ fn missing_input_file_fails_before_spawning_workers() {
 
 #[test]
 fn foreign_bytes_fail_consistently_piped_and_as_file_operand() {
-    // ROADMAP's non-UTF-8 inconsistency, pinned end-to-end: a foreign
-    // input file fails the same way whether the bytes reach the command
-    // through a pipe (`cat /foreign | sort`) or as a file operand
-    // (`sort /foreign`). Before the fix the operand path silently
-    // produced lossily-transcoded output.
+    // A foreign input file behaves the same whether the bytes reach the
+    // command through a pipe (`cat /foreign | sort`) or as a file operand
+    // (`sort /foreign`): a byte-clean command sorts the bytes either way,
+    // and a command that reads characters fails either way, with one
+    // message.
     let mut kq = Kumquat::new();
-    kq.write_file("/foreign", vec![0xffu8, 0xfe, b'x', b'\n']);
+    kq.write_file("/foreign", vec![0xffu8, 0xfe, b'x', b'\n', b'a', b'\n']);
+    let piped = kq.parallelize_and_run("cat /foreign | sort", 2).unwrap();
+    let operand = kq.parallelize_and_run("sort /foreign", 2).unwrap();
+    assert_eq!(piped.output.as_bytes(), b"a\n\xff\xfex\n");
+    assert_eq!(operand.output, piped.output);
     let piped = kq
-        .parallelize_and_run("cat /foreign | sort", 2)
-        .expect_err("piped foreign bytes must fail");
+        .parallelize_and_run("cat /foreign | sed s/x/y/", 2)
+        .expect_err("sed reads characters");
     let operand = kq
-        .parallelize_and_run("sort /foreign", 2)
-        .expect_err("file-operand foreign bytes must fail");
+        .parallelize_and_run("sed s/x/y/ /foreign", 2)
+        .expect_err("sed reads characters");
     for err in [&piped, &operand] {
-        assert!(err.to_string().contains("not valid UTF-8"), "{err}");
+        assert_eq!(err.to_string(), "sed: input is not valid UTF-8");
     }
 }
 
@@ -195,6 +216,16 @@ fn poison_script(
     prefix: &[&str],
     tail: &[&str],
 ) -> (Script, kumquat::pipeline::PlannedScript) {
+    custom_script(ctx, prefix, Box::new(PoisonSensitive), tail)
+}
+
+/// [`poison_script`] around any custom stage, registered under its name.
+fn custom_script(
+    ctx: &ExecContext,
+    prefix: &[&str],
+    custom: Box<dyn UnixCommand>,
+    tail: &[&str],
+) -> (Script, kumquat::pipeline::PlannedScript) {
     use kumquat::dsl::ast::{Candidate, RecOp};
     use kumquat::synth::SynthesizedCombiner;
     let mut stages: Vec<Stage> = prefix
@@ -204,8 +235,9 @@ fn poison_script(
             span: Default::default(),
         })
         .collect();
+    let name = custom.display();
     stages.push(Stage {
-        command: Command::custom(vec!["poison-sensitive".into()], Box::new(PoisonSensitive)),
+        command: Command::custom(vec![name.clone()], custom),
         span: Default::default(),
     });
     for t in tail {
@@ -224,7 +256,7 @@ fn poison_script(
     };
     let mut planner = Planner::new(SynthesisConfig::default());
     planner.register_manual(
-        "poison-sensitive",
+        &name,
         SynthesizedCombiner::from_plausible(vec![Candidate::rec(RecOp::Concat)]),
     );
     let sample: String = (0..50).map(|i| format!("clean line {i}\n")).collect();
@@ -288,6 +320,32 @@ fn streaming_mid_pipeline_error_tears_down_promptly() {
         err.to_string().contains("poison-sensitive"),
         "error not attributed to the failing stage: {err}"
     );
+}
+
+#[test]
+fn a_panicking_stage_fails_the_run_naming_it() {
+    // A stage that panics on one chunk: the pool must catch it, fail the
+    // statement with an error naming the stage, and return — not lose the
+    // worker and wait for a task that never ends.
+    let mut input = String::new();
+    for i in 0..400 {
+        input.push_str(&format!("line number {i}\n"));
+        if i == 200 {
+            input.push_str("POISON\n");
+        }
+    }
+    for workers in [1, 2, 4] {
+        let ctx = ExecContext::default();
+        ctx.vfs.write("/in.txt", input.clone());
+        let (script, plan) = custom_script(&ctx, &[], Box::new(PoisonPanics), &["sort"]);
+        let opts = teardown_options(workers, 64, 1);
+        let err = dataflow_under_watchdog(ctx, script, plan, opts)
+            .expect_err("the panicking chunk must fail the run");
+        assert!(
+            err.to_string().contains("poison-panics"),
+            "w={workers}: error not attributed to the panicking stage: {err}"
+        );
+    }
 }
 
 #[test]
@@ -474,12 +532,12 @@ fn a_failing_part_of_the_closing_merge_fails_the_statement_once() {
     }
 }
 
-/// A map error inside a counting fold. The node's map is the counting
-/// kernel, which fails the way `sort` does on bytes that are not text; the
-/// file is text except for one line in one chunk, well past the planning
-/// sample. The statement must fail once — `sort`'s error, one teardown —
-/// with the maps of the chunks around it in flight on other workers, and
-/// the run must return.
+/// A map error inside a counting fold: `grep -c`, whose combiner is
+/// `add`. Its pattern reads characters, so its map decodes each chunk and
+/// fails on bytes that are not UTF-8; the file is text except for one
+/// line in one chunk, well past the planning sample. The statement must
+/// fail once — `grep`'s error, one teardown — with the maps of the chunks
+/// around it in flight on other workers, and the run must return.
 #[test]
 fn a_map_error_inside_a_counting_fold_fails_the_statement_once() {
     use kumquat::pipeline::parse::parse_script;
@@ -495,7 +553,7 @@ fn a_map_error_inside_a_counting_fold_fails_the_statement_once() {
     let sample = String::from_utf8(input[..8_000].to_vec()).unwrap();
     for workers in [1usize, 2, 4] {
         let script = parse_script(
-            "cat /in.txt | sort | uniq -c | sort -rn",
+            "cat /in.txt | grep -c '^....$'",
             &std::collections::HashMap::new(),
         )
         .unwrap();
@@ -503,7 +561,12 @@ fn a_map_error_inside_a_counting_fold_fails_the_statement_once() {
         ctx.vfs.write("/in.txt", Bytes::from(input.clone()));
         let mut planner = Planner::new(SynthesisConfig::default());
         let plan = planner.plan(&script, &ctx, &sample);
-        assert!(plan.statements[0].stages[0].fold_pair.is_some());
+        let kumquat::pipeline::plan::StageMode::Parallel { combiner, .. } =
+            &plan.statements[0].stages[0].mode
+        else {
+            panic!("grep -c runs parallel");
+        };
+        assert_eq!(combiner.primary().to_string(), "((back '\\n' add) a b)");
         let opts = DataflowOptions {
             workers,
             chunk: ChunkSizing::Fixed(2 << 10),
@@ -524,7 +587,7 @@ fn a_map_error_inside_a_counting_fold_fails_the_statement_once() {
             .expect("the failing map left the pool waiting");
         let (result, records) = handle.join().expect("dataflow thread panicked");
         let err = result.expect_err("a chunk that is not text must fail the fold");
-        assert_eq!(err.to_string(), "sort: input is not valid UTF-8");
+        assert_eq!(err.to_string(), "grep: input is not valid UTF-8");
         let named = |name: &str| records.iter().filter(|r| r.name == name).count();
         assert_eq!(named("cancel"), 1, "one teardown at w={workers}");
         assert_eq!(named("stmt-finish"), 1, "one statement end at w={workers}");

@@ -40,7 +40,7 @@ fn corpus_grep_stages_agree_with_reference_path() {
                         .run(Bytes::from(input.as_str()), &ctx)
                         .unwrap_or_else(|e| panic!("{}/{}: {e}", script.suite.dir(), script.id));
                     assert_eq!(
-                        fast.as_str(),
+                        fast.to_str().unwrap(),
                         g.run_reference(&input),
                         "{}/{}: run diverged for {:?} with {extra:?}",
                         script.suite.dir(),
@@ -85,7 +85,7 @@ fn alternation_and_extended_syntax_agree_on_both_paths() {
         let argv: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
         let g = GrepCmd::parse(&argv).unwrap_or_else(|e| panic!("grep {args:?}: {e}"));
         let fast = g.run(Bytes::from(input), &ctx).unwrap();
-        assert_eq!(fast.as_str(), expect, "grep {args:?}");
+        assert_eq!(fast.to_str().unwrap(), expect, "grep {args:?}");
         assert_eq!(
             g.run_reference(input),
             expect,
@@ -122,7 +122,7 @@ fn fixed_strings_explicit_patterns_and_intervals_agree_on_both_paths() {
         let argv: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
         let g = GrepCmd::parse(&argv).unwrap_or_else(|e| panic!("grep {args:?}: {e}"));
         let fast = g.run(Bytes::from(input), &ctx).unwrap();
-        assert_eq!(fast.as_str(), expect, "grep {args:?}");
+        assert_eq!(fast.to_str().unwrap(), expect, "grep {args:?}");
         assert_eq!(
             g.run_reference(input),
             expect,

@@ -8,7 +8,9 @@
 //! Beside it, and gated the same way, `tr`'s SET grammar against the
 //! host's GNU `tr` ([`tr_sets_match_gnu_tr`]), `sort`/`sort -m` against
 //! GNU `sort` on lines with long shared prefixes ([`sort_matches_gnu_sort`]),
-//! and the corpus's `cut` forms against GNU `cut` ([`cut_matches_gnu_cut`]).
+//! the corpus's `cut` forms against GNU `cut` ([`cut_matches_gnu_cut`]),
+//! and the byte-clean commands on bytes that are not UTF-8
+//! ([`foreign_bytes_match_gnu`]).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -247,7 +249,7 @@ fn intervals_match_gnu_grep_in_both_syntaxes() {
                 continue;
             };
             let ours: String = re
-                .matching_lines(&input)
+                .matching_lines(input.as_bytes())
                 .map(|line| format!("{}\n", &input[line]))
                 .collect();
             assert_eq!(
@@ -286,7 +288,7 @@ fn fixed_strings_match_gnu_grep() {
         let gnu = gnu_grep(&pattern, &input, kq_pattern::Syntax::Fixed)
             .expect("GNU grep accepts every fixed string");
         let ours: String = re
-            .matching_lines(&input)
+            .matching_lines(input.as_bytes())
             .map(|line| format!("{}\n", &input[line]))
             .collect();
         assert_eq!(
@@ -569,6 +571,114 @@ fn cut_matches_gnu_cut() {
             let expect =
                 gnu("cut", args, &input).unwrap_or_else(|| panic!("GNU cut rejected {args:?}"));
             assert_eq!(ours, expect, "cut {args:?} of {input:?}");
+        }
+    }
+}
+
+/// Runs host `PROGRAM ARGS` over `input` bytes in the C locale, returning
+/// stdout's bytes; exit code 1 counts as success for `grep` (no line
+/// selected). `None` when the program cannot be spawned or fails.
+fn gnu_bytes(program: &str, args: &[&str], input: &[u8]) -> Option<Vec<u8>> {
+    let mut child = Proc::new(program)
+        .args(args)
+        .env("LC_ALL", "C")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .ok()?;
+    child.stdin.as_mut().unwrap().write_all(input).ok()?;
+    let out = child.wait_with_output().ok()?;
+    let ok = out.status.success() || (program == "grep" && out.status.code() == Some(1));
+    ok.then_some(out.stdout)
+}
+
+/// A line of foreign bytes: words of ASCII, Latin-1 high bytes, control
+/// bytes (`\v`, `\x01`) and numbers, joined by spaces and tabs, with the
+/// ledger's `grep` words among them.
+fn foreign_line(rng: &mut SmallRng) -> Vec<u8> {
+    const WORDS: [&[u8]; 16] = [
+        b"light of",
+        b"land of",
+        b"Apple",
+        b"dog",
+        b"bird",
+        b"qqq",
+        b"caf\xe9",
+        b"\xb0C",
+        b"\xa0",
+        b"\xff\xfe",
+        b"a\x0bb",
+        b"\x01",
+        b"12",
+        b"-3",
+        b"Z\xe9ro",
+        b"word",
+    ];
+    let mut line = Vec::new();
+    for i in 0..rng.gen_range(0..6) {
+        if i > 0 {
+            line.push([b' ', b' ', b'\t'][rng.gen_range(0..3)]);
+        }
+        line.extend_from_slice(WORDS[rng.gen_range(0..WORDS.len())]);
+    }
+    line
+}
+
+/// The byte-clean commands on bytes that are not UTF-8 — Latin-1 letters,
+/// `\v`, `\x01`, tabs — give GNU's `LC_ALL=C` bytes: `sort` and its
+/// flags, `uniq`, `uniq -c`, `cut -f` at an ASCII delimiter, `tr` with
+/// ASCII sets, `wc` and `wc -w`, and `grep` with the benchmark's
+/// byte-exact patterns. Skips when `sort` cannot be spawned.
+#[test]
+fn foreign_bytes_match_gnu() {
+    if gnu_bytes("sort", &[], b"b\na\n").as_deref() != Some(&b"a\nb\n"[..]) {
+        eprintln!("sort not available; skipping");
+        return;
+    }
+    const FORMS: [&[&str]; 17] = [
+        &["sort"],
+        &["sort", "-n"],
+        &["sort", "-r"],
+        &["sort", "-f"],
+        &["sort", "-u"],
+        &["uniq"],
+        &["uniq", "-c"],
+        &["cut", "-d", " ", "-f", "2"],
+        &["tr", "A-Z", "a-z"],
+        &["tr", "-cs", "A-Za-z", "\\n"],
+        &["wc"],
+        &["wc", "-w"],
+        &["grep", "l[ia][gn][hd]t* of"],
+        &["grep", "-v", "qqq"],
+        &["grep", "Apple"],
+        &["grep", "dog"],
+        &["grep", "-c", "bird"],
+    ];
+    let mut rng = SmallRng::seed_from_u64(0xE9);
+    let ctx = kq_coreutils::ExecContext::default();
+    for round in 0..20 {
+        let mut input = Vec::new();
+        for _ in 0..rng.gen_range(0..40) {
+            input.extend(foreign_line(&mut rng));
+            input.push(b'\n');
+        }
+        if round % 4 == 0 {
+            input.extend(foreign_line(&mut rng));
+        }
+        for args in FORMS {
+            let argv: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
+            let ours = kq_coreutils::from_argv(&argv)
+                .and_then(|cmd| cmd.run(kq_coreutils::Bytes::from(input.clone()), &ctx))
+                .unwrap_or_else(|e| panic!("{args:?}: {e}"));
+            let expect = gnu_bytes(args[0], &args[1..], &input)
+                .unwrap_or_else(|| panic!("GNU rejected {args:?}"));
+            assert_eq!(
+                ours.as_bytes(),
+                expect,
+                "{args:?} of {:?}",
+                String::from_utf8_lossy(&input)
+            );
         }
     }
 }

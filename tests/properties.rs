@@ -55,14 +55,15 @@ fn any_combiner() -> BoxedStrategy<Combiner> {
 /// The pairwise reference for k-way combining: the binary combiner folded
 /// left over the non-empty pieces through `eval`, one piece at a time.
 fn fold_pairwise(cand: &Candidate, pieces: &[kq_stream::Bytes]) -> Result<String, String> {
-    let mut live = pieces.iter().filter(|p| !p.is_empty()).map(|p| p.as_str());
+    let mut live = pieces.iter().filter(|p| !p.is_empty());
     let Some(first) = live.next() else {
         return Ok(String::new());
     };
-    live.try_fold(first.to_owned(), |acc, piece| {
-        let (x, y) = cand.oriented(&acc, piece);
+    live.try_fold(first.clone(), |acc, piece| {
+        let (x, y) = cand.oriented(acc.as_bytes(), piece.as_bytes());
         eval(&cand.op, x, y, &NoRunEnv).map_err(|e| e.to_string())
     })
+    .map(|out| out.to_str().unwrap().to_owned())
 }
 
 /// True when the combiner applies `fuse` anywhere in its tree (see
@@ -134,10 +135,10 @@ fn compact_releases_mapped_backings_like_heap_ones() {
 
     // into_string out of a *shared* mapped view copies; out of the last
     // reference it copies then unmaps — both equal the heap result.
-    assert_eq!(mapped.clone().into_string(), content);
+    assert_eq!(mapped.clone().to_str().unwrap().to_owned(), content);
     drop(most_m);
     drop(tiny_m);
-    assert_eq!(mapped.into_string(), content);
+    assert_eq!(mapped.to_str().unwrap().to_owned(), content);
 }
 
 /// The fuse caveat, pinned concretely: both arguments lie in
@@ -149,12 +150,15 @@ fn fuse_domain_membership_does_not_imply_evaluation_success() {
     let op = Combiner::Rec(RecOp::Fuse(Delim::Space, Box::new(RecOp::Concat)));
     let y1 = "a b\n"; // one space: two fuse segments
     let y2 = "x y z\n"; // two spaces: three fuse segments
-    assert!(kq_dsl::domain::in_domain(&op, y1));
-    assert!(kq_dsl::domain::in_domain(&op, y2));
-    assert!(eval(&op, y1, y2, &NoRunEnv).is_err());
+    assert!(kq_dsl::domain::in_domain(&op, y1.as_bytes()));
+    assert!(kq_dsl::domain::in_domain(&op, y2.as_bytes()));
+    assert!(eval(&op, y1.as_bytes(), y2.as_bytes(), &NoRunEnv).is_err());
     // With matching counts the evaluation succeeds as B.1 promises:
     // piecewise concat of ["a", "b\n"] and ["x", "y\n"], re-joined by ' '.
-    assert_eq!(eval(&op, "a b\n", "x y\n", &NoRunEnv).unwrap(), "ax b\ny\n");
+    assert_eq!(
+        eval(&op, b"a b\n", b"x y\n", &NoRunEnv).unwrap(),
+        "ax b\ny\n"
+    );
 }
 
 proptest! {
@@ -167,7 +171,7 @@ proptest! {
         y1 in ".{0,40}",
         y2 in ".{0,40}",
     ) {
-        let _ = eval(&op, &y1, &y2, &NoRunEnv);
+        let _ = eval(&op, y1.as_bytes(), y2.as_bytes(), &NoRunEnv);
     }
 
     /// Evaluation succeeds when both arguments are in the combiner's
@@ -185,9 +189,9 @@ proptest! {
         y1 in "[a-z0-9 \t\n,]{1,30}\n",
         y2 in "[a-z0-9 \t\n,]{1,30}\n",
     ) {
-        let in_domain = kq_dsl::domain::in_domain(&op, &y1)
-            && kq_dsl::domain::in_domain(&op, &y2);
-        let result = eval(&op, &y1, &y2, &NoRunEnv);
+        let in_domain = kq_dsl::domain::in_domain(&op, y1.as_bytes())
+            && kq_dsl::domain::in_domain(&op, y2.as_bytes());
+        let result = eval(&op, y1.as_bytes(), y2.as_bytes(), &NoRunEnv);
         if in_domain && !contains_fuse(&op) {
             prop_assert!(
                 result.is_ok(),
@@ -213,7 +217,7 @@ proptest! {
             Candidate::structural(StructOp::Stitch(RecOp::First)),
         ] {
             let flat = combine_all(&cand, &pieces, &NoRunEnv)
-                .map(|b| b.as_str().to_owned())
+                .map(|b| b.to_str().unwrap().to_owned())
                 .map_err(|e| e.to_string());
             prop_assert_eq!(&flat, &fold_pairwise(&cand, &pieces), "{} pairwise", &cand);
         }
@@ -267,7 +271,7 @@ proptest! {
         let byte_chunks = owned.split_chunks(target);
         prop_assert_eq!(chunks.len(), byte_chunks.len());
         for (a, b) in chunks.iter().zip(&byte_chunks) {
-            prop_assert_eq!(*a, b.as_str());
+            prop_assert_eq!(*a, b.to_str().unwrap());
             prop_assert!(b.shares_buffer(&owned), "chunk copied instead of sliced");
         }
     }
@@ -304,7 +308,7 @@ proptest! {
         chunks.extend(chunker.finish());
 
         // (1) Exact partition.
-        let rebuilt: String = chunks.iter().map(|c| c.as_str().to_owned()).collect();
+        let rebuilt: String = chunks.iter().map(|c| c.to_str().unwrap().to_owned()).collect();
         prop_assert_eq!(rebuilt, input.clone());
         // (2) Line-aligned boundaries.
         for c in &chunks[..chunks.len().saturating_sub(1)] {
@@ -368,11 +372,11 @@ proptest! {
             prop_assert_eq!(ca, cb);
         }
 
-        prop_assert_eq!(heap.into_string(), mapped.clone().into_string());
+        prop_assert_eq!(heap.to_str().unwrap().to_owned(), mapped.clone().to_str().unwrap().to_owned());
         // And once more as the sole surviving reference (unmap path).
         drop(mp);
         drop(mc);
-        prop_assert_eq!(mapped.into_string(), input);
+        prop_assert_eq!(mapped.to_str().unwrap().to_owned(), input);
     }
 
     /// Same partition/alignment contract for the k-way stream splitter,
@@ -393,7 +397,7 @@ proptest! {
         let byte_pieces = owned.split_stream(k);
         prop_assert_eq!(pieces.len(), byte_pieces.len());
         for (a, b) in pieces.iter().zip(&byte_pieces) {
-            prop_assert_eq!(*a, b.as_str());
+            prop_assert_eq!(*a, b.to_str().unwrap());
             prop_assert!(b.shares_buffer(&owned), "piece copied instead of sliced");
         }
     }

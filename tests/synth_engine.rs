@@ -181,7 +181,7 @@ fn cache_path(tag: &str) -> std::path::PathBuf {
 
 fn stage_modes(planner: &mut Planner, script: &BenchmarkScript) -> Vec<String> {
     let p = prepared(script);
-    fingerprint(&planner.plan(&p.script, &p.ctx, p.sample.as_str()))
+    fingerprint(&planner.plan(&p.script, &p.ctx, p.sample.to_str().unwrap()))
 }
 
 #[test]
@@ -307,7 +307,7 @@ fn prepared(script: &BenchmarkScript) -> PreparedScript {
     let env = setup(script, &ctx, &Scale::tests(), 0xC0FFEE);
     let parsed = parse_script(script.text, &env).unwrap();
     let input = ctx.vfs.read_bytes(&env["IN"]).unwrap();
-    let cut = kq_workloads::planning_sample(input.as_str(), 16_000).len();
+    let cut = kq_workloads::planning_sample(input.to_str().unwrap(), 16_000).len();
     PreparedScript {
         script: parsed,
         ctx,
@@ -387,7 +387,7 @@ fn pass_equals_loop(scripts: &[&BenchmarkScript], workers: usize, store: Option<
         .iter()
         .map(|script| {
             let p = prepared(script);
-            fingerprint(&looped.plan(&p.script, &p.ctx, p.sample.as_str()))
+            fingerprint(&looped.plan(&p.script, &p.ctx, p.sample.to_str().unwrap()))
         })
         .collect();
     let loop_validations = validations(&session.finish());

@@ -165,8 +165,8 @@ fn theorem5_combiner_elimination_equation() {
         let y2 = f1.run_str(x2, &ctx).unwrap();
         let lhs = kq_dsl::eval::eval(
             &g2,
-            &f2.run_str(&y1, &ctx).unwrap(),
-            &f2.run_str(&y2, &ctx).unwrap(),
+            f2.run_str(&y1, &ctx).unwrap().as_bytes(),
+            f2.run_str(&y2, &ctx).unwrap().as_bytes(),
             &NoRunEnv,
         )
         .unwrap();

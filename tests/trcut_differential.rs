@@ -52,7 +52,7 @@ fn corpus_tr_stages_fast_path_matches_reference() {
             .run(Bytes::from(input), &ctx_proto)
             .unwrap_or_else(|e| panic!("{what}: {e}"));
         assert_eq!(
-            fast.as_str(),
+            fast.to_str().unwrap(),
             t.run_reference(input),
             "{what}: fast path diverged on {:?}",
             &input[..input.len().min(80)]
@@ -137,7 +137,7 @@ fn corpus_cut_stages_fast_path_matches_reference() {
                     .unwrap_or_else(|e| panic!("{}: {e}", stage.command.display()));
                 let reference = c.run_reference(&input);
                 assert_eq!(
-                    fast.as_str(),
+                    fast.to_str().unwrap(),
                     reference,
                     "{}/{}: {} fast path diverged",
                     script.suite.dir(),
@@ -212,7 +212,7 @@ fn cut_kernels_match_reference_on_every_list_shape() {
         let mut agree = |input: &str| {
             let fast = c.run(Bytes::from(input), &ctx).unwrap();
             assert_eq!(
-                fast.as_str(),
+                fast.to_str().unwrap(),
                 c.run_reference(input),
                 "{line}: kernel diverged on {input:?}"
             );
@@ -295,7 +295,7 @@ fn partial_selections_own_one_buffer_and_full_ones_share_the_input() {
 /// the byte paths of `UniqCmd` are held to here.
 fn uniq_reference(count: bool, input: &str) -> String {
     let mut out = String::new();
-    let mut lines = kq_stream::lines_of(input).peekable();
+    let mut lines = input.split_terminator('\n').peekable();
     while let Some(line) = lines.next() {
         let mut n = 1u64;
         while lines.next_if_eq(&line).is_some() {
@@ -326,7 +326,7 @@ fn corpus_uniq_stages_fast_path_matches_reference() {
         let input = ctx.vfs.read(&env["IN"]).unwrap();
         // A uniq stage's real input is usually sorted (long duplicate
         // runs) — exercise that shape too, not just the raw file.
-        let mut sorted_lines: Vec<&str> = kq_stream::lines_of(&input).collect();
+        let mut sorted_lines: Vec<&str> = input.split_terminator('\n').collect();
         sorted_lines.sort_unstable();
         let sorted: String = sorted_lines.iter().map(|l| format!("{l}\n")).collect();
         for statement in &parsed.statements {
@@ -341,7 +341,7 @@ fn corpus_uniq_stages_fast_path_matches_reference() {
                         .run(Bytes::from(text), &ctx_proto)
                         .unwrap_or_else(|e| panic!("{}: {e}", stage.command.display()));
                     assert_eq!(
-                        fast.as_str(),
+                        fast.to_str().unwrap(),
                         uniq_reference(stage.command.argv().len() > 1, text),
                         "{}/{}: {} fast path diverged",
                         script.suite.dir(),
@@ -387,7 +387,7 @@ fn corpus_sed_stages_fast_path_matches_reference() {
                         .run(Bytes::from(text), &ctx_proto)
                         .unwrap_or_else(|e| panic!("{}: {e}", stage.command.display()));
                     assert_eq!(
-                        fast.as_str(),
+                        fast.to_str().unwrap(),
                         sed.run_reference(text),
                         "{}/{}: {} fast path diverged",
                         script.suite.dir(),
@@ -443,7 +443,7 @@ fn sed_fast_path_agrees_with_reference_on_edge_cases() {
         for input in inputs {
             let fast = sed.run(Bytes::from(input), &ctx).unwrap();
             assert_eq!(
-                fast.as_str(),
+                fast.to_str().unwrap(),
                 sed.run_reference(input),
                 "sed {script:?} diverged on {input:?}"
             );
