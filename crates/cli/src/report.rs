@@ -8,7 +8,6 @@
 
 use kq_pipeline::cache::CacheStats;
 use kq_pipeline::exec::TimingLog;
-use kq_pipeline::lattice::{count_order_note, seam_note, sorting_note};
 use kq_pipeline::parse::Script;
 use kq_pipeline::plan::{PlannedScript, StageMode};
 use kq_synth::{SynthesisOutcome, SynthesisReport};
@@ -95,37 +94,18 @@ pub fn render_plan(script: &Script, plan: &PlannedScript) -> String {
 }
 
 /// One note per site where the dataflow executor's graph departs from the
-/// per-stage modes — what the planner decided beyond them: a `sort | uniq`
-/// pair fused into one fold (`counting fold: s1 stages 4-5 'sort | uniq -c'`),
-/// or fused with the numeric sort after it into one fold closing in count
-/// order (`counting fold: s1 stages 3-5 'sort | uniq -c | sort -rn' (count
-/// order)`),
-/// a sequential `tr -s` run chunk by chunk under its newline seam
-/// (`seam: s1 stage 1 'tr -cs A-Za-z '\n'' runs chunk-local`) and a `sort`
-/// whose fold sorts raw chunks (`sorting fold: s1 stage 1 'sort'`).
+/// per-stage modes — what the planner decided beyond them
+/// ([`PlannedStatement::rewrites`](kq_pipeline::plan::PlannedStatement::rewrites)):
+/// a `sort | uniq` pair fused into one fold, or fused with the numeric sort
+/// after it into one fold closing in count order, a sequential `tr -s` run
+/// chunk by chunk under its newline seam, and a `sort` whose fold sorts raw
+/// chunks.
 pub fn render_rewrite_notes(script: &Script, plan: &PlannedScript) -> Vec<String> {
-    let mut notes = Vec::new();
-    for (si, (statement, planned)) in script.statements.iter().zip(&plan.statements).enumerate() {
-        for (gi, stage) in planned.stages.iter().enumerate() {
-            if stage.seam {
-                notes.push(seam_note(si, gi, &statement.stages[gi].command));
-            }
-            if let Some(pair) = stage.fold_pair {
-                let (sort, uniq) = (&statement.stages[gi], &statement.stages[gi + 1]);
-                notes.push(match stage.count_order {
-                    Some(_) => {
-                        let then = &statement.stages[gi + 2].command;
-                        count_order_note(si, gi, &sort.command, &uniq.command, then)
-                    }
-                    None => pair.note(si, gi, &sort.command, &uniq.command),
-                });
-            }
-            if stage.sorting {
-                notes.push(sorting_note(si, gi, &statement.stages[gi].command));
-            }
-        }
-    }
-    notes
+    let statements = script.statements.iter().zip(&plan.statements).enumerate();
+    statements
+        .flat_map(|(si, (statement, planned))| planned.rewrites(si, statement))
+        .map(|(_, _, note)| note)
+        .collect()
 }
 
 /// Total synthesis wall time in milliseconds. (An empty float sum is

@@ -12,9 +12,9 @@
 //! | `KQ101` | warning | use-before-def: a statement reads a path the script only writes *later* |
 //! | `KQ102` | warning | dead write: a redirection target is overwritten before anything reads it |
 //! | `KQ103` | warning | self-alias: a statement reads its own redirection target |
-//! | `KQ201` | error | a statement's dataflow graph violates a structural invariant |
+//! | `KQ201` | error | a statement's dataflow graph violates a structural invariant (node order, stage coverage, eager flush) |
 //! | `KQ202` | error | bounded-queue credit cannot cover the graph (deadlock) |
-//! | `KQ203` | error | illegal fusion: a fused run spans a stage that is not chunk-local |
+//! | `KQ203` | error | illegal fusion: a node the plan does not license — a fused run over a stage that is not chunk-local or a seam stage behind its head, a multi-stage fold that is no licensed pair, a sorting fold over no licensed sort |
 //! | `KQ301` | info | a stage is statically `stateless`; dynamic synthesis is short-circuited |
 //! | `KQ302` | info | a stage's effect class is known statically (advisory; synthesis still runs) |
 

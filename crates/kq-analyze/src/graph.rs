@@ -8,105 +8,75 @@
 //! combiner is the same `concat` the short-circuit hands the planner);
 //! every other stage becomes sequential. That plan is conservative — the
 //! dynamic plan may parallelize more — but it exercises the same
-//! [`DataflowGraph::build`] + fusion rewrite the scheduler runs, so the
-//! structural invariants ([`DataflowGraph::validate`]) and the fusion
-//! legality rules (fused runs span chunk-local stages only; a fused fold
-//! spans a `sort | uniq` pair the lattice licenses) are checked on a graph
-//! of the real shape family. The static plan also carries the lattice's
-//! answer about every such pair ([`PlannedStage::fold_pair`]) — what the
-//! planner will fuse once synthesis makes both stages parallel — and about
-//! every counting pair whose output a numeric `sort` puts in count order
-//! ([`PlannedStage::count_order`]), about every `tr -s` that runs
-//! chunk-local under a newline seam ([`PlannedStage::seam`]), and about
-//! every `sort` whose fold may sort raw chunks ([`PlannedStage::sorting`]),
-//! which `kumquat check` reports ([`fold_pair_sites`], [`seam_sites`],
-//! [`sorting_sites`]).
+//! [`DataflowGraph::build`] and rewrites the scheduler runs, and
+//! [`DataflowGraph::validate`] checks the result: its structure
+//! (`KQ201`), its queue credit (`KQ202`) and that every fused run, fused
+//! fold and sorting fold is one the plan licenses (`KQ203`).
+//!
+//! The static plan's licences come from the planner's own rules
+//! ([`PlannedStatement::new`]), fed what each licence assumes synthesis
+//! finds ([`Evidence::assumed`]) in place of what it found. So its flags
+//! are the rewrites the planner applies once synthesis makes the stages
+//! parallel: every `sort | uniq` pair that runs as one fold
+//! ([`PlannedStage::fold_pair`]), every counting pair that closes in the
+//! order of the numeric `sort` after it ([`PlannedStage::count_order`]),
+//! every `tr -s` that runs chunk-local under a newline seam
+//! ([`PlannedStage::seam`]) and every `sort` whose fold sorts raw chunks
+//! ([`PlannedStage::sorting`]). `kumquat check` reports them
+//! ([`fold_pair_sites`], [`seam_sites`], [`sorting_sites`]) with the notes
+//! `plan` and `run` print ([`PlannedStatement::rewrites`]).
+//!
+//! [`PlannedStage::fold_pair`]: kq_pipeline::plan::PlannedStage::fold_pair
+//! [`PlannedStage::count_order`]: kq_pipeline::plan::PlannedStage::count_order
+//! [`PlannedStage::seam`]: kq_pipeline::plan::PlannedStage::seam
+//! [`PlannedStage::sorting`]: kq_pipeline::plan::PlannedStage::sorting
 
 use crate::diag::{Diagnostic, Severity};
-use kq_coreutils::sort::CountOrder;
 use kq_pipeline::lattice::{self, EffectClass, FoldPair};
-use kq_pipeline::plan::{self, PlannedStage, PlannedStatement, StageMode};
+use kq_pipeline::plan::{Evidence, PlannedStatement, Rewrite, StageMode};
 use kq_pipeline::scheduler::DEFAULT_QUEUE_DEPTH;
-use kq_pipeline::{DataflowGraph, FoldMode, NodeKind, Script, Statement};
+use kq_pipeline::{DataflowGraph, GraphFault, Script, Statement};
 use std::sync::Arc;
 
 /// Builds the conservative static plan for one statement from its
 /// per-stage effect classes.
 pub fn static_plan(statement: &Statement, classes: &[EffectClass]) -> PlannedStatement {
-    let mut stages: Vec<PlannedStage> = statement
-        .stages
+    let modes: Vec<StageMode> = classes
         .iter()
-        .zip(classes)
-        .enumerate()
-        .map(|(stage_idx, (stage, class))| {
-            let mode = match lattice::static_combiner(*class) {
-                Some(combiner) => StageMode::Parallel {
-                    combiner: Arc::new(combiner),
-                    eliminated: false,
-                },
-                None => StageMode::Sequential,
-            };
-            let streamable = mode.is_parallel();
-            let fold_pair = pair_at(statement, stage_idx);
-            PlannedStage {
-                stage_idx,
-                // What the planner records once synthesis finds this
-                // stage's combiner to be `rerun`.
-                seam: !streamable && lattice::newline_seam(&stage.command),
-                // And once it finds the `merge` of the order the stage
-                // sorts by.
-                sorting: sorts_raw(statement, stage_idx),
-                mode,
-                streamable,
-                line_bound: plan::line_bound(statement, stage_idx),
-                fold_pair,
-                count_order: count_order_at(statement, stage_idx),
-            }
+        .map(|class| match lattice::static_combiner(*class) {
+            Some(combiner) => StageMode::Parallel {
+                combiner: Arc::new(combiner),
+                eliminated: false,
+            },
+            None => StageMode::Sequential,
         })
         .collect();
-    // Mirror the planner's Theorem 5 pass: a chunk-local stage followed by
-    // another parallel stage sheds its intermediate combiner.
-    for i in 0..stages.len() {
-        let next_parallel = stages
-            .get(i + 1)
-            .map(|s| s.mode.is_parallel())
-            .unwrap_or(false);
-        if stages[i].streamable && next_parallel {
-            if let StageMode::Parallel { eliminated, .. } = &mut stages[i].mode {
-                *eliminated = true;
-            }
-        }
-    }
-    PlannedStatement { stages }
+    let streamable = modes.iter().map(StageMode::is_parallel).collect();
+    let evidence: Vec<Evidence> = statement
+        .stages
+        .iter()
+        .map(|stage| Evidence::assumed(&stage.command))
+        .collect();
+    PlannedStatement::new(statement, modes, streamable, &evidence)
 }
 
-/// The fold pair the lattice licenses at stage `gi` of `statement`: that
-/// stage and the next ([`lattice::fold_pair`]).
-fn pair_at(statement: &Statement, gi: usize) -> Option<FoldPair> {
-    let command = |i: usize| statement.stages.get(i).map(|stage| &stage.command);
-    lattice::fold_pair(command(gi)?, command(gi + 1)?)
-}
-
-/// The count order the planner closes the counting pair at stage `gi` in
-/// once synthesis makes the three stages parallel: a counting pair whose
-/// `uniq -c` a numeric `sort` follows ([`lattice::count_order`]) that
-/// starts no pair of its own.
-fn count_order_at(statement: &Statement, gi: usize) -> Option<CountOrder> {
-    if pair_at(statement, gi) != Some(FoldPair::Counting) || pair_at(statement, gi + 2).is_some() {
-        return None;
-    }
-    let command = |i: usize| statement.stages.get(i).map(|stage| &stage.command);
-    lattice::count_order(command(gi)?, command(gi + 2)?)
-}
-
-/// Whether stage `gi` is a `sort` the lattice licenses to fold raw chunks
-/// ([`lattice::sorting_order`]) and the counting rewrite leaves to it: a
-/// `sort | uniq -c` pair keeps its counting map, and the numeric sort a
-/// counting fold closes in the order of is no fold of its own.
-fn sorts_raw(statement: &Statement, gi: usize) -> bool {
-    lattice::sorting_order(&statement.stages[gi].command).is_some()
-        && pair_at(statement, gi) != Some(FoldPair::Counting)
-        && !(gi >= 2 && count_order_at(statement, gi - 2).is_some())
+/// `(statement, stage, rewrite, note)` for every rewrite the static plans
+/// license, in source order.
+fn rewrites<'a>(
+    script: &'a Script,
+    plans: &'a [PlannedStatement],
+) -> impl Iterator<Item = (usize, usize, Rewrite, String)> + 'a {
+    script
+        .statements
+        .iter()
+        .zip(plans)
+        .enumerate()
+        .flat_map(|(si, (statement, planned))| {
+            planned
+                .rewrites(si, statement)
+                .into_iter()
+                .map(move |(gi, rewrite, note)| (si, gi, rewrite, note))
+        })
 }
 
 /// A `sort | uniq` pair of adjacent stages that the lattice licenses to
@@ -123,38 +93,26 @@ pub struct FoldPairSite {
     /// The fold extends over the numeric `sort` after the pair and closes
     /// in its order ([`lattice::count_order`]).
     pub count_order: bool,
-    /// [`FoldPair::note`] for the pair (or [`lattice::count_order_note`]
-    /// for it and the sort after it): the line `check` and the run notes
-    /// print.
+    /// The line `check` and the run notes print for the pair
+    /// ([`PlannedStatement::rewrites`]).
     pub note: String,
 }
 
-/// Every fold pair of the script, in source order: the sites the planner
-/// fuses when both stages parallelize.
-pub fn fold_pair_sites(script: &Script) -> Vec<FoldPairSite> {
-    let mut sites = Vec::new();
-    for (si, statement) in script.statements.iter().enumerate() {
-        for (gi, stages) in statement.stages.windows(2).enumerate() {
-            let (sort, uniq) = (&stages[0].command, &stages[1].command);
-            if let Some(pair) = lattice::fold_pair(sort, uniq) {
-                let count_order = count_order_at(statement, gi).is_some();
-                let note = if count_order {
-                    let then = &statement.stages[gi + 2].command;
-                    lattice::count_order_note(si, gi, sort, uniq, then)
-                } else {
-                    pair.note(si, gi, sort, uniq)
-                };
-                sites.push(FoldPairSite {
-                    statement: si,
-                    stage: gi,
-                    pair,
-                    count_order,
-                    note,
-                });
-            }
-        }
-    }
-    sites
+/// Every fold pair of the static plans, in source order: the sites the
+/// planner fuses when both stages parallelize.
+pub fn fold_pair_sites(script: &Script, plans: &[PlannedStatement]) -> Vec<FoldPairSite> {
+    rewrites(script, plans)
+        .filter_map(|(si, gi, rewrite, note)| match rewrite {
+            Rewrite::Fold(pair) => Some(FoldPairSite {
+                statement: si,
+                stage: gi,
+                pair,
+                count_order: plans[si].stages[gi].count_order.is_some(),
+                note,
+            }),
+            Rewrite::Seam | Rewrite::Sorting => None,
+        })
+        .collect()
 }
 
 /// A `tr -s` stage that the lattice licenses to run chunk by chunk under a
@@ -165,28 +123,23 @@ pub struct SeamSite {
     pub statement: usize,
     /// Index of the stage within the statement (0-based).
     pub stage: usize,
-    /// [`lattice::seam_note`] for the stage: the line `check` and the run
-    /// notes print.
+    /// The line `check` and the run notes print for the stage
+    /// ([`PlannedStatement::rewrites`]).
     pub note: String,
 }
 
-/// Every seam stage of the script, in source order: the sites the dataflow
-/// graph lifts out of their folds when synthesis finds the stage's combiner
-/// to be `rerun`.
-pub fn seam_sites(script: &Script) -> Vec<SeamSite> {
-    let mut sites = Vec::new();
-    for (si, statement) in script.statements.iter().enumerate() {
-        for (gi, stage) in statement.stages.iter().enumerate() {
-            if lattice::newline_seam(&stage.command) {
-                sites.push(SeamSite {
-                    statement: si,
-                    stage: gi,
-                    note: lattice::seam_note(si, gi, &stage.command),
-                });
-            }
-        }
-    }
-    sites
+/// Every seam stage of the static plans, in source order: the sites the
+/// dataflow graph lifts out of their folds when synthesis finds the
+/// stage's combiner to be `rerun`.
+pub fn seam_sites(script: &Script, plans: &[PlannedStatement]) -> Vec<SeamSite> {
+    rewrites(script, plans)
+        .filter(|(.., rewrite, _)| *rewrite == Rewrite::Seam)
+        .map(|(statement, stage, _, note)| SeamSite {
+            statement,
+            stage,
+            note,
+        })
+        .collect()
 }
 
 /// A `sort` stage whose fold the lattice licenses to sort raw chunks
@@ -197,175 +150,126 @@ pub struct SortingSite {
     pub statement: usize,
     /// Index of the stage within the statement (0-based).
     pub stage: usize,
-    /// [`lattice::sorting_note`] for the stage: the line `check` and the
-    /// run notes print.
+    /// The line `check` and the run notes print for the stage
+    /// ([`PlannedStatement::rewrites`]).
     pub note: String,
 }
 
-/// Every sorting fold of the script, in source order: the `sort` stages
-/// whose folds the dataflow graph feeds raw chunks once synthesis finds
-/// each stage's combiner to merge in the order it sorts by — all but the
-/// sorts of counting pairs and the numeric sorts counting folds close in
-/// the order of.
-pub fn sorting_sites(script: &Script) -> Vec<SortingSite> {
-    let mut sites = Vec::new();
-    for (si, statement) in script.statements.iter().enumerate() {
-        for (gi, stage) in statement.stages.iter().enumerate() {
-            if sorts_raw(statement, gi) {
-                sites.push(SortingSite {
-                    statement: si,
-                    stage: gi,
-                    note: lattice::sorting_note(si, gi, &stage.command),
-                });
-            }
-        }
-    }
-    sites
+/// Every sorting fold of the static plans, in source order: the `sort`
+/// stages whose folds the dataflow graph feeds raw chunks once synthesis
+/// finds each stage's combiner to merge in the order it sorts by — all but
+/// the sorts of counting pairs and the numeric sorts counting folds close
+/// in the order of.
+pub fn sorting_sites(script: &Script, plans: &[PlannedStatement]) -> Vec<SortingSite> {
+    rewrites(script, plans)
+        .filter(|(.., rewrite, _)| *rewrite == Rewrite::Sorting)
+        .map(|(statement, stage, _, note)| SortingSite {
+            statement,
+            stage,
+            note,
+        })
+        .collect()
 }
 
-/// `KQ203` — fusion legality of one statement's graph: a StageWorker run
-/// must span chunk-local stages only — but for its first stage, which may
-/// be a seam stage instead — a seam stage may sit nowhere else in a fused
-/// node, a fused fold must span exactly a `sort | uniq` pair the lattice
-/// licenses — or a counting pair and the numeric sort it licenses the pair
-/// to close in the order of — and a fold fed raw chunks must be a `sort`
-/// the lattice licenses for that, alone or at the head of a unique pair.
-/// The rewrites of [`DataflowGraph::build`] produce
-/// nothing else, so this can fire only if a rewrite (or a hand-built
-/// graph) regresses; it is the static twin of the scheduler's debug
-/// assertion.
-pub fn fusion_findings(
+/// The findings on one statement's graph: one per problem
+/// [`DataflowGraph::validate`] finds, `KQ201` for the graph's structure,
+/// `KQ202` for its queue credit and `KQ203` for a fusion the plan does not
+/// license.
+fn graph_findings(
     si: usize,
     statement: &Statement,
     planned: &PlannedStatement,
     graph: &DataflowGraph,
+    queue_seed: usize,
 ) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for node in &graph.nodes {
-        let first = node.stages.start;
-        match node.kind {
-            NodeKind::StageWorker => {
-                for idx in node.stages.clone() {
-                    let stage = &planned.stages[idx];
-                    let heads_seam = idx == first && stage.seam;
-                    if !(stage.streamable || heads_seam) {
-                        let what = if stage.seam {
-                            "a seam stage behind the head of its run"
-                        } else {
-                            "not chunk-local"
-                        };
-                        out.push(
-                            Diagnostic::new(
-                                "KQ203",
-                                Severity::Error,
-                                format!(
-                                    "fused run over stages {:?} includes stage {idx}, \
-                                     which is {what}",
-                                    node.stages
-                                ),
-                            )
-                            .at_stage(
-                                si,
-                                idx,
-                                statement.stages[idx].span,
-                            ),
-                        );
-                    }
-                }
-            }
-            NodeKind::Fold { mode } if node.stages.len() > 1 => {
-                let licensed = match node.stages.len() {
-                    2 => pair_at(statement, first).is_some(),
-                    3 => mode == FoldMode::Combine && count_order_at(statement, first).is_some(),
-                    _ => false,
-                };
-                if !licensed {
-                    out.push(
-                        Diagnostic::new(
-                            "KQ203",
-                            Severity::Error,
-                            format!(
-                                "fused fold over stages {:?} is not a sort | uniq pair the \
-                                 lattice licenses, nor a counting pair and the numeric sort \
-                                 it licenses the pair to close in the order of",
-                                node.stages
-                            ),
-                        )
-                        .at_stage(si, first, statement.stages[first].span),
-                    );
-                }
-            }
-            // `validate` (KQ201) reports every other multi-stage node.
-            NodeKind::Split | NodeKind::Fold { .. } | NodeKind::BoundedConsumer { .. } => {}
-        }
-        if node.kind
-            == (NodeKind::Fold {
-                mode: FoldMode::Sort,
-            })
-        {
-            let licensed = sorts_raw(statement, first)
-                && (node.stages.len() == 1 || pair_at(statement, first) == Some(FoldPair::Unique));
-            if !licensed {
-                out.push(
-                    Diagnostic::new(
-                        "KQ203",
-                        Severity::Error,
-                        format!(
-                            "sorting fold over stages {:?} is not a sort the lattice licenses to \
-                             fold raw chunks",
-                            node.stages
-                        ),
-                    )
-                    .at_stage(si, first, statement.stages[first].span),
-                );
-            }
-        }
-    }
-    out
+    graph
+        .validate(planned, queue_seed)
+        .into_iter()
+        .map(|(fault, problem)| {
+            let code = match fault {
+                GraphFault::Structure => "KQ201",
+                GraphFault::Credit => "KQ202",
+                GraphFault::Fusion => "KQ203",
+            };
+            Diagnostic::new(code, Severity::Error, format!("dataflow graph: {problem}"))
+                .at_statement(si, statement.span)
+        })
+        .collect()
 }
 
-/// Verifies every statement's dataflow graph (`KQ201`–`KQ203`).
-pub fn verify_graphs(script: &Script, classes: &[Vec<EffectClass>]) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for (si, (statement, stage_classes)) in script.statements.iter().zip(classes).enumerate() {
-        let planned = static_plan(statement, stage_classes);
-        let graph = DataflowGraph::build(&planned, true);
-
-        // KQ201/KQ202 — structural invariants and queue-credit coverage.
-        for problem in graph.validate(&planned, DEFAULT_QUEUE_DEPTH) {
-            let code = if problem.contains("queue credit") {
-                "KQ202"
-            } else {
-                "KQ201"
-            };
-            out.push(
-                Diagnostic::new(code, Severity::Error, format!("dataflow graph: {problem}"))
-                    .at_statement(si, statement.span),
-            );
-        }
-
-        out.extend(fusion_findings(si, statement, &planned, &graph));
-    }
-    out
+/// Verifies every statement's dataflow graph, as the scheduler builds it
+/// from the statement's static plan ([`graph_findings`]).
+pub fn verify_graphs(script: &Script, plans: &[PlannedStatement]) -> Vec<Diagnostic> {
+    let statements = script.statements.iter().zip(plans).enumerate();
+    statements
+        .flat_map(|(si, (statement, planned))| {
+            let graph = DataflowGraph::build(planned, true);
+            graph_findings(si, statement, planned, &graph, DEFAULT_QUEUE_DEPTH)
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use kq_pipeline::parse::parse_script;
+    use kq_pipeline::{FoldMode, NodeKind};
     use std::collections::HashMap;
 
-    fn classes_for(script: &Script) -> Vec<Vec<EffectClass>> {
+    fn plans_for(script: &Script) -> Vec<PlannedStatement> {
+        let classes = |st: &Statement| -> Vec<EffectClass> {
+            st.stages
+                .iter()
+                .map(|s| lattice::classify(&s.command))
+                .collect()
+        };
         script
             .statements
             .iter()
-            .map(|st| {
-                st.stages
-                    .iter()
-                    .map(|s| lattice::classify(&s.command))
-                    .collect()
-            })
+            .map(|st| static_plan(st, &classes(st)))
             .collect()
+    }
+
+    /// The graph of `planned` with the node at stage `first` made a fold in
+    /// `mode` over `stages` stages, by hand.
+    fn fold_by_hand(
+        planned: &PlannedStatement,
+        first: usize,
+        stages: usize,
+        mode: FoldMode,
+    ) -> DataflowGraph {
+        let mut graph = DataflowGraph::build(planned, true);
+        let at = graph
+            .nodes
+            .iter()
+            .position(|n| n.stages.start == first && !n.stages.is_empty())
+            .unwrap();
+        graph.nodes[at].kind = NodeKind::Fold { mode };
+        for _ in 1..stages {
+            graph.nodes[at].stages.end += 1;
+            graph.nodes.remove(at + 1);
+        }
+        graph
+    }
+
+    /// The findings on `graph` as statement `si`'s graph, under
+    /// `queue_seed` chunks of credit.
+    fn findings(
+        script: &Script,
+        plans: &[PlannedStatement],
+        si: usize,
+        graph: &DataflowGraph,
+        queue_seed: usize,
+    ) -> Vec<Diagnostic> {
+        graph_findings(si, &script.statements[si], &plans[si], graph, queue_seed)
+    }
+
+    /// Asserts that `findings` is exactly one `code` finding whose message
+    /// says `what`.
+    fn assert_one(findings: &[Diagnostic], code: &str, what: &str) {
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].code, code, "{findings:?}");
+        assert!(findings[0].message.contains(what), "{findings:?}");
     }
 
     #[test]
@@ -377,13 +281,12 @@ mod tests {
             &env,
         )
         .unwrap();
-        let classes = classes_for(&script);
-        assert!(verify_graphs(&script, &classes).is_empty());
+        let plans = plans_for(&script);
+        assert!(verify_graphs(&script, &plans).is_empty());
     }
 
     #[test]
     fn fold_pairs_are_reported_and_unlicensed_fused_folds_are_kq203() {
-        use kq_pipeline::FoldMode;
         let env: HashMap<String, String> = HashMap::new();
         let script = parse_script(
             "cat /in.txt | tr A-Z a-z | sort | uniq -c | sort -rn\n\
@@ -393,7 +296,8 @@ mod tests {
             &env,
         )
         .unwrap();
-        let sites = fold_pair_sites(&script);
+        let plans = plans_for(&script);
+        let sites = fold_pair_sites(&script, &plans);
         let notes: Vec<&str> = sites.iter().map(|s| s.note.as_str()).collect();
         assert_eq!(
             notes,
@@ -405,55 +309,40 @@ mod tests {
         );
         let closing: Vec<bool> = sites.iter().map(|s| s.count_order).collect();
         assert_eq!(closing, [true, false, false]);
-        // The static plan records the same answers, on the sort's stage.
-        let classes = classes_for(&script);
-        let planned = static_plan(&script.statements[0], &classes[0]);
-        let recorded: Vec<Option<FoldPair>> = planned.stages.iter().map(|s| s.fold_pair).collect();
+        // The sites are the static plan's flags, on the sort's stage.
+        let recorded: Vec<Option<FoldPair>> = plans[0].stages.iter().map(|s| s.fold_pair).collect();
         assert_eq!(recorded, [None, Some(FoldPair::Counting), None, None]);
-        let closes: Vec<bool> = planned
+        let closes: Vec<bool> = plans[0]
             .stages
             .iter()
             .map(|s| s.count_order.is_some())
             .collect();
         assert_eq!(closes, [false, true, false, false]);
-        assert!(verify_graphs(&script, &classes).is_empty());
+        assert!(verify_graphs(&script, &plans).is_empty());
 
         // A graph whose folds were fused by hand: over the licensed pair
         // of statement 1, alone or with the sort after it, nothing fires;
-        // over `sort -u | uniq -c` KQ203.
-        let fuse_stages = |si: usize, first: usize, stages: usize| {
-            let statement = &script.statements[si];
-            let planned = static_plan(statement, &classes[si]);
-            let mut graph = DataflowGraph::build(&planned, true);
-            let at = graph
-                .nodes
-                .iter()
-                .position(|n| n.stages.start == first && !n.stages.is_empty())
-                .unwrap();
-            graph.nodes[at].kind = NodeKind::Fold {
-                mode: FoldMode::Combine,
-            };
-            for _ in 1..stages {
-                graph.nodes[at].stages.end += 1;
-                graph.nodes.remove(at + 1);
-            }
-            fusion_findings(si, statement, &planned, &graph)
+        // over `sort -u | uniq -c` one KQ203.
+        let fused = |si: usize, first: usize, stages: usize| {
+            let graph = fold_by_hand(&plans[si], first, stages, FoldMode::Combine);
+            findings(&script, &plans, si, &graph, DEFAULT_QUEUE_DEPTH)
         };
-        assert!(fuse_stages(0, 1, 2).is_empty());
-        assert!(fuse_stages(0, 1, 3).is_empty());
-        let findings = fuse_stages(1, 0, 2);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].code, "KQ203");
-        assert!(findings[0].message.contains("not a sort | uniq pair"));
+        let spans = "may span more than one stage";
+        assert!(fused(0, 1, 2).is_empty());
+        assert!(fused(0, 1, 3).is_empty());
+        assert_one(&fused(1, 0, 2), "KQ203", spans);
         // `uniq -c | sort -rn`: two folds, but no pair; and a counting pair
         // with a sort after it that puts its output in no count order.
-        assert_eq!(fuse_stages(0, 2, 2)[0].code, "KQ203");
-        assert!(fuse_stages(3, 0, 2).is_empty());
-        let findings = fuse_stages(3, 0, 3);
-        assert_eq!(findings.len(), 1);
-        assert!(findings[0]
-            .message
-            .contains("nor a counting pair and the numeric sort"));
+        assert_one(&fused(0, 2, 2), "KQ203", spans);
+        assert!(fused(3, 0, 2).is_empty());
+        assert_one(&fused(3, 0, 3), "KQ203", spans);
+        // A graph no edge of which can carry a chunk: one KQ202.
+        let graph = DataflowGraph::build(&plans[0], true);
+        assert_one(
+            &findings(&script, &plans, 0, &graph, 0),
+            "KQ202",
+            "queue credit",
+        );
     }
 
     #[test]
@@ -465,7 +354,11 @@ mod tests {
             &env,
         )
         .unwrap();
-        let notes: Vec<String> = seam_sites(&script).into_iter().map(|s| s.note).collect();
+        let plans = plans_for(&script);
+        let notes: Vec<String> = seam_sites(&script, &plans)
+            .into_iter()
+            .map(|s| s.note)
+            .collect();
         assert_eq!(
             notes,
             [
@@ -473,29 +366,25 @@ mod tests {
                 "seam: s2 stage 2 'tr -s ' ' '\\n'' runs chunk-local"
             ]
         );
-        let classes = classes_for(&script);
-        assert!(verify_graphs(&script, &classes).is_empty());
+        assert!(verify_graphs(&script, &plans).is_empty());
         // The static plan marks the stage and the graph puts it at the
         // head of the run `tr A-Z a-z` fuses into.
-        let statement = &script.statements[0];
-        let planned = static_plan(statement, &classes[0]);
-        let seams: Vec<bool> = planned.stages.iter().map(|s| s.seam).collect();
+        let seams: Vec<bool> = plans[0].stages.iter().map(|s| s.seam).collect();
         assert_eq!(seams, [false, true, false, false]);
-        let graph = DataflowGraph::build(&planned, true);
+        let graph = DataflowGraph::build(&plans[0], true);
         assert_eq!(graph.nodes[2].kind, NodeKind::StageWorker);
         assert_eq!(graph.nodes[2].stages, 1..3);
-        assert!(fusion_findings(0, statement, &planned, &graph).is_empty());
         // Fused into the `grep` before it, the seam stage no longer sees
-        // the chunks of its own input edge.
+        // the chunks of its own input edge: one KQ203, and nothing else.
         let mut fused = graph.clone();
         fused.nodes[1].stages.end = 3;
         fused.nodes.remove(2);
-        let findings = fusion_findings(0, statement, &planned, &fused);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].code, "KQ203");
-        assert!(findings[0].message.contains("a seam stage behind the head"));
-        // `validate` calls the same graph malformed (KQ201).
-        assert!(!fused.validate(&planned, DEFAULT_QUEUE_DEPTH).is_empty());
+        let found = findings(&script, &plans, 0, &fused, DEFAULT_QUEUE_DEPTH);
+        assert_one(
+            &found,
+            "KQ203",
+            "a seam stage: it may only head a StageWorker",
+        );
     }
 
     #[test]
@@ -510,7 +399,11 @@ mod tests {
             &env,
         )
         .unwrap();
-        let notes: Vec<String> = sorting_sites(&script).into_iter().map(|s| s.note).collect();
+        let plans = plans_for(&script);
+        let notes: Vec<String> = sorting_sites(&script, &plans)
+            .into_iter()
+            .map(|s| s.note)
+            .collect();
         // `sort -k1n` after the counting pair is no fold of its own: the
         // counting fold closes in its order.
         assert_eq!(
@@ -521,43 +414,22 @@ mod tests {
                 "sorting fold: s5 stage 2 'sort -u'",
             ]
         );
-        let classes = classes_for(&script);
-        assert!(verify_graphs(&script, &classes).is_empty());
-        // The static plan records the same answers.
-        let planned = static_plan(&script.statements[1], &classes[1]);
-        let sorting: Vec<bool> = planned.stages.iter().map(|s| s.sorting).collect();
+        assert!(verify_graphs(&script, &plans).is_empty());
+        let sorting: Vec<bool> = plans[1].stages.iter().map(|s| s.sorting).collect();
         assert_eq!(sorting, [false, false, false]);
         // A sorting fold made by hand: over a licensed sort, or the unique
         // pair, nothing fires; over the counting pair's sort, the sort a
         // counting fold closes in the order of, a merge, or a sort with an
-        // operand, KQ203.
+        // operand, one KQ203.
         let sort_fold = |si: usize, first: usize, stages: usize| {
-            let statement = &script.statements[si];
-            let planned = static_plan(statement, &classes[si]);
-            let mut graph = DataflowGraph::build(&planned, true);
-            let at = graph
-                .nodes
-                .iter()
-                .position(|n| n.stages.start == first && !n.stages.is_empty())
-                .unwrap();
-            graph.nodes[at].kind = NodeKind::Fold {
-                mode: FoldMode::Sort,
-            };
-            for _ in 1..stages {
-                graph.nodes[at].stages.end += 1;
-                graph.nodes.remove(at + 1);
-            }
-            fusion_findings(si, statement, &planned, &graph)
+            let graph = fold_by_hand(&plans[si], first, stages, FoldMode::Sort);
+            findings(&script, &plans, si, &graph, DEFAULT_QUEUE_DEPTH)
         };
         assert!(sort_fold(0, 0, 1).is_empty());
         assert!(sort_fold(2, 0, 2).is_empty());
         for (si, first, stages) in [(1, 0, 1), (1, 0, 2), (1, 2, 1), (3, 0, 1), (4, 0, 1)] {
-            let findings = sort_fold(si, first, stages);
-            assert!(
-                findings.iter().any(|f| f.code == "KQ203"
-                    && f.message.contains("is not a sort the lattice licenses")),
-                "s{si}: {findings:?}"
-            );
+            let found = sort_fold(si, first, stages);
+            assert_one(&found, "KQ203", "does not license to fold raw chunks");
         }
     }
 
@@ -566,9 +438,8 @@ mod tests {
         let env: HashMap<String, String> = HashMap::new();
         let script =
             parse_script("cat /in.txt | grep fox | tr A-Z a-z | sort | wc -l\n", &env).unwrap();
-        let classes = classes_for(&script);
-        let planned = static_plan(&script.statements[0], &classes[0]);
-        let shape: Vec<(bool, bool, bool)> = planned
+        let plans = plans_for(&script);
+        let shape: Vec<(bool, bool, bool)> = plans[0]
             .stages
             .iter()
             .map(|s| (s.mode.is_parallel(), s.mode.is_eliminated(), s.streamable))

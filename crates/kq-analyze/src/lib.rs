@@ -12,15 +12,17 @@
 //!    `KQ301`/`KQ302` infos.
 //! 2. **Graph verification** ([`graph`]): each statement compiles to the
 //!    same [`kq_pipeline::dataflow::DataflowGraph`] IR the work-stealing
-//!    scheduler executes, and the graph's structural invariants,
-//!    queue-credit coverage, and fusion legality are checked
-//!    (`KQ201`–`KQ203`); the `sort | uniq` pairs the lattice licenses to
-//!    run as one fold — with the numeric `sort` after a counting pair
-//!    where the fold may close in its order — are named
-//!    ([`Analysis::fold_pairs`]), and so are the
-//!    `tr -s` stages it licenses to run chunk-local ([`Analysis::seams`])
-//!    and the `sort` stages whose folds it licenses to sort raw chunks
-//!    ([`Analysis::sortings`]).
+//!    scheduler executes, and the scheduler's own validator
+//!    ([`kq_pipeline::dataflow::DataflowGraph::validate`]) checks it; each
+//!    problem is one finding, by class: structure (`KQ201`), queue credit
+//!    (`KQ202`) and fusion (`KQ203`). The rewrites the planner applies are
+//!    named from the static plan's licence flags, which the planner's own
+//!    rules set ([`kq_pipeline::plan::PlannedStatement::new`]): the
+//!    `sort | uniq` pairs that run as one fold — with the numeric `sort`
+//!    after a counting pair where the fold closes in its order —
+//!    ([`Analysis::fold_pairs`]), the `tr -s` stages that run chunk-local
+//!    ([`Analysis::seams`]) and the `sort` stages whose folds sort raw
+//!    chunks ([`Analysis::sortings`]).
 //! 3. **Hazard lints** ([`hazards`]): use-before-def, dead writes, and
 //!    read/write aliasing over the exact access relation the scheduler's
 //!    dependency pass uses (`KQ101`–`KQ103`).
@@ -305,16 +307,22 @@ pub fn check_parsed(script: &Script) -> Analysis {
     }
 
     diagnostics.extend(hazards::vfs_hazards(script));
-    diagnostics.extend(graph::verify_graphs(script, &class_table));
+    let plans: Vec<_> = script
+        .statements
+        .iter()
+        .zip(&class_table)
+        .map(|(statement, classes)| graph::static_plan(statement, classes))
+        .collect();
+    diagnostics.extend(graph::verify_graphs(script, &plans));
 
     Analysis {
         diagnostics,
         statements: script.statements.len(),
         stages: script.statements.iter().map(|s| s.stages.len()).sum(),
         classes,
-        fold_pairs: graph::fold_pair_sites(script),
-        seams: graph::seam_sites(script),
-        sortings: graph::sorting_sites(script),
+        fold_pairs: graph::fold_pair_sites(script, &plans),
+        seams: graph::seam_sites(script, &plans),
+        sortings: graph::sorting_sites(script, &plans),
     }
 }
 

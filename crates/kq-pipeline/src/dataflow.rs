@@ -1,9 +1,9 @@
 //! Dataflow-graph IR for the work-stealing executor.
 //!
-//! [`crate::plan::PlannedStatement::stream_segments`] describes a statement
-//! as a list of segment kinds. This module reifies that description into an
+//! A planned statement ([`crate::plan::PlannedStatement`]) becomes an
 //! explicit graph the shared scheduler ([`crate::scheduler`]) can execute: a
-//! statement becomes a linear chain of [`DataflowNode`]s connected by
+//! linear chain of [`DataflowNode`]s, one per stage before the rewrites
+//! below ([`DataflowGraph::build`]), connected by
 //! *edges* — bounded queues of line-aligned [`kq_stream::Bytes`] chunks —
 //! where edge `i` carries node `i`'s output into node `i + 1` and the last
 //! node's edge drains into the statement sink.
@@ -32,9 +32,7 @@
 //! becomes a single node piping each chunk through all three commands).
 //! The rewrite is semantics-preserving by the chunk-local property — each
 //! stage's combiner is plain concat over newline-terminated chunk outputs,
-//! so per-chunk composition commutes with concatenation — and produces
-//! exactly the shape [`stream_segments`]`(true)` describes, but as a
-//! mechanical rewrite instead of a special case in segment planning.
+//! so per-chunk composition commutes with concatenation.
 //!
 //! # Counting rewrite
 //!
@@ -210,10 +208,8 @@
 //! chunk-local nodes only ships complete lines immediately instead of
 //! re-normalizing to the chunk-size target, so a sparse stage (`grep` with
 //! one match) cannot sit on the very lines that would satisfy the bound.
-//!
-//! [`stream_segments`]: crate::plan::PlannedStatement::stream_segments
 
-use crate::plan::{PlannedStatement, StreamSegmentKind};
+use crate::plan::PlannedStatement;
 use std::ops::Range;
 
 /// What a [`NodeKind::Fold`] node does with its gathered input.
@@ -261,6 +257,11 @@ const COMBINE: NodeKind = NodeKind::Fold {
     mode: FoldMode::Combine,
 };
 
+/// The kind of a sequential stage's node.
+const GATHER: NodeKind = NodeKind::Fold {
+    mode: FoldMode::Gather,
+};
+
 /// The kind of a fold the sorting rewrite made.
 const SORT: NodeKind = NodeKind::Fold {
     mode: FoldMode::Sort,
@@ -298,6 +299,19 @@ impl DataflowNode {
     }
 }
 
+/// What a problem [`DataflowGraph::validate`] finds breaks: `kumquat
+/// check` reports each class under its own code.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GraphFault {
+    /// The node chain's shape: the split, the stage partition and the
+    /// eager-flush flags (invariants 1, 2 and 4).
+    Structure,
+    /// Queue credit that cannot carry a chunk (invariant 5).
+    Credit,
+    /// A node the plan's flags do not license (invariant 3).
+    Fusion,
+}
+
 /// A statement's dataflow graph: a linear node chain; edge `i` connects
 /// node `i` to node `i + 1`, and the last node feeds the statement sink.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -309,43 +323,54 @@ pub struct DataflowGraph {
 impl DataflowGraph {
     /// Builds the graph for one planned statement.
     ///
-    /// The graph is assembled unfused — one node per stage — and, with
-    /// `fuse_streamable`, seam stages are lifted out of their gather folds
-    /// by the [seam rewrite](Self::lift_seam_stages), adjacent
-    /// [`NodeKind::StageWorker`] nodes are then merged by the
+    /// The graph is assembled unfused, one node per stage:
+    ///
+    /// * a prefix-bounded stage ([`PlannedStage::line_bound`], `head -n k`,
+    ///   `sed kq`) is a [`NodeKind::BoundedConsumer`] whatever its mode —
+    ///   it consumes chunks only until `k` complete lines exist, then
+    ///   cancels everything upstream and runs the command once on the
+    ///   prefix;
+    /// * a chunk-local stage ([`PlannedStage::streamable`]) is a
+    ///   [`NodeKind::StageWorker`];
+    /// * any other parallel stage is a [`FoldMode::Combine`] fold, and a
+    ///   sequential one a [`FoldMode::Gather`] fold.
+    ///
+    /// With `fuse_streamable`, seam stages are then lifted out of their
+    /// folds by the [seam rewrite](Self::lift_seam_stages), adjacent
+    /// [`NodeKind::StageWorker`] nodes are merged by the
     /// [fusion rewrite](Self::fuse_streamable), licensed `sort | uniq`
     /// fold pairs — with the numeric sort after a counting pair that
     /// closes in its order — by the [counting rewrite](Self::fuse_fold_pairs), and
     /// licensed sorts' folds turned into sorting folds by the
-    /// [sorting rewrite](Self::sort_runs). Short of those seams and pairs,
-    /// the resulting node list (ignoring the leading `Split`) corresponds
-    /// one-to-one with [`stream_segments`]`(fuse_streamable)`.
+    /// [sorting rewrite](Self::sort_runs).
     ///
-    /// [`stream_segments`]: crate::plan::PlannedStatement::stream_segments
+    /// [`PlannedStage::line_bound`]: crate::plan::PlannedStage::line_bound
+    /// [`PlannedStage::streamable`]: crate::plan::PlannedStage::streamable
     pub fn build(planned: &PlannedStatement, fuse_streamable: bool) -> DataflowGraph {
-        let mut nodes = vec![DataflowNode {
+        let split = DataflowNode {
             kind: NodeKind::Split,
             stages: 0..0,
             eager_flush: false,
-        }];
-        for segment in planned.stream_segments(false) {
-            let kind = match segment.kind {
-                StreamSegmentKind::Streaming => NodeKind::StageWorker,
-                StreamSegmentKind::Barrier => NodeKind::Fold {
-                    mode: FoldMode::Combine,
-                },
-                StreamSegmentKind::Sequential => NodeKind::Fold {
-                    mode: FoldMode::Gather,
-                },
-                StreamSegmentKind::Bounded { lines } => NodeKind::BoundedConsumer { lines },
+        };
+        let stages = planned.stages.iter().enumerate().map(|(idx, stage)| {
+            let kind = if let Some(lines) = stage.line_bound {
+                NodeKind::BoundedConsumer { lines }
+            } else if stage.streamable {
+                NodeKind::StageWorker
+            } else if stage.mode.is_parallel() {
+                COMBINE
+            } else {
+                GATHER
             };
-            nodes.push(DataflowNode {
+            DataflowNode {
                 kind,
-                stages: segment.stages,
+                stages: idx..idx + 1,
                 eager_flush: false,
-            });
-        }
-        let mut graph = DataflowGraph { nodes };
+            }
+        });
+        let mut graph = DataflowGraph {
+            nodes: std::iter::once(split).chain(stages).collect(),
+        };
         if fuse_streamable {
             graph.lift_seam_stages(planned);
             graph.fuse_streamable(planned);
@@ -437,18 +462,20 @@ impl DataflowGraph {
     }
 
     /// Checks the structural invariants every well-formed statement graph
-    /// satisfies, returning one human-readable violation per breach (empty
-    /// means valid). The scheduler asserts this under `debug_assertions`
-    /// right after building its graphs, and `kumquat check` runs it as the
-    /// graph-verification layer of static analysis.
+    /// satisfies, returning one human-readable violation per breach, tagged
+    /// with the [`GraphFault`] it is (empty means valid). The scheduler
+    /// asserts this under `debug_assertions` right after building its
+    /// graphs, and `kumquat check` runs it as the graph-verification layer
+    /// of static analysis.
     ///
     /// Invariants:
     ///
-    /// 1. the graph starts with exactly one [`NodeKind::Split`] owning no
-    ///    stages, and no other `Split` appears;
-    /// 2. the remaining nodes' stage ranges partition `0..n_stages`
-    ///    contiguously and in order — no gap, overlap, or inversion;
-    /// 3. only two kinds of node span more than one stage:
+    /// 1. (structure) the graph starts with exactly one [`NodeKind::Split`]
+    ///    owning no stages, and no other `Split` appears;
+    /// 2. (structure) the remaining nodes' stage ranges partition
+    ///    `0..n_stages` contiguously and in order — no gap, overlap, or
+    ///    inversion;
+    /// 3. (fusion) only two kinds of node span more than one stage:
     ///    [`NodeKind::StageWorker`] nodes (fused chunk-local runs), and a
     ///    combine (or sorting) fold over exactly the two stages of a
     ///    `sort | uniq` pair the plan licenses
@@ -464,39 +491,43 @@ impl DataflowGraph {
     ///    stage anywhere else — behind another stage of a run, in a fold
     ///    over two stages, in a bounded consumer — is a rewrite gone wrong
     ///    (a one-stage fold is where it sits in the unfused graph);
-    /// 4. [`DataflowNode::eager_flush`] agrees with the canonical
-    ///    right-to-left demand propagation — a stale flag after a rewrite
-    ///    would let a sparse stage sit on the lines a bounded consumer
-    ///    needs;
-    /// 5. every edge carries at least one chunk of queue credit
+    /// 4. (structure) [`DataflowNode::eager_flush`] agrees with the
+    ///    canonical right-to-left demand propagation — a stale flag after a
+    ///    rewrite would let a sparse stage sit on the lines a bounded
+    ///    consumer needs;
+    /// 5. (credit) every edge carries at least one chunk of queue credit
     ///    (`queue_seed >= 1`) — a [`NodeKind::Fold`] buffers its whole
     ///    input before emitting, so a zero-credit edge upstream of a fold
     ///    deadlocks the statement.
-    pub fn validate(&self, planned: &PlannedStatement, queue_seed: usize) -> Vec<String> {
+    pub fn validate(
+        &self,
+        planned: &PlannedStatement,
+        queue_seed: usize,
+    ) -> Vec<(GraphFault, String)> {
         let n_stages = planned.stages.len();
-        let mut problems = Vec::new();
+        let (mut structure, mut fusion) = (Vec::new(), Vec::new());
         match self.nodes.first() {
             Some(n) if n.kind == NodeKind::Split && n.stages == (0..0) => {}
-            Some(n) => problems.push(format!(
+            Some(n) => structure.push(format!(
                 "node 0 must be a Split owning no stages, got {:?} over stages {:?}",
                 n.kind, n.stages
             )),
-            None => problems.push("graph has no nodes".to_owned()),
+            None => structure.push("graph has no nodes".to_owned()),
         }
         let mut cursor = 0usize;
         for (i, node) in self.nodes.iter().enumerate().skip(1) {
             if node.kind == NodeKind::Split {
-                problems.push(format!("node {i} is a Split; only node 0 may split"));
+                structure.push(format!("node {i} is a Split; only node 0 may split"));
                 continue;
             }
             if node.stages.start != cursor {
-                problems.push(format!(
+                structure.push(format!(
                     "node {i} covers stages {:?} but the previous node ended at stage {cursor}",
                     node.stages
                 ));
             }
             if node.stages.end <= node.stages.start {
-                problems.push(format!(
+                structure.push(format!(
                     "node {i} ({:?}) owns an empty or inverted stage range {:?}",
                     node.kind, node.stages
                 ));
@@ -513,7 +544,7 @@ impl DataflowGraph {
                 && !licensed_pair
                 && !licensed_count_order
             {
-                problems.push(format!(
+                fusion.push(format!(
                     "node {i} ({:?}) spans stages {:?}; only fused StageWorker runs, the \
                      combine fold of a licensed sort | uniq pair and that of a counting pair \
                      licensed to close in count order may span more than one stage",
@@ -524,7 +555,7 @@ impl DataflowGraph {
                 sort.sorting && sort.fold_pair != Some(crate::lattice::FoldPair::Counting)
             });
             if node.kind == SORT && !sorts {
-                problems.push(format!(
+                fusion.push(format!(
                     "node {i} is a sorting fold over stages {:?}, whose first stage the plan \
                      does not license to fold raw chunks",
                     node.stages
@@ -542,7 +573,7 @@ impl DataflowGraph {
                     _ => !stage.seam,
                 };
                 if !legal {
-                    problems.push(format!(
+                    fusion.push(format!(
                         "node {i} ({:?}) over stages {:?} holds stage {idx}, which is {}",
                         node.kind,
                         node.stages,
@@ -557,7 +588,7 @@ impl DataflowGraph {
             cursor = cursor.max(node.stages.end);
         }
         if cursor != n_stages {
-            problems.push(format!(
+            structure.push(format!(
                 "graph covers stages 0..{cursor} but the statement has {n_stages} stage(s)"
             ));
         }
@@ -565,18 +596,22 @@ impl DataflowGraph {
         canonical.compute_eager_flush();
         for (i, (have, want)) in self.nodes.iter().zip(&canonical.nodes).enumerate() {
             if have.eager_flush != want.eager_flush {
-                problems.push(format!(
+                structure.push(format!(
                     "node {i} has eager_flush={} but demand propagation requires {}",
                     have.eager_flush, want.eager_flush
                 ));
             }
         }
-        if queue_seed == 0 && self.nodes.len() > 1 {
-            problems.push(
-                "queue credit is 0: no edge can carry a chunk, so every fold deadlocks".to_owned(),
-            );
-        }
-        problems
+        let credit = (queue_seed == 0 && self.nodes.len() > 1).then(|| {
+            "queue credit is 0: no edge can carry a chunk, so every fold deadlocks".to_owned()
+        });
+        let tag = |fault| move |problem| (fault, problem);
+        let structure = structure.into_iter().map(tag(GraphFault::Structure));
+        let fusion = fusion.into_iter().map(tag(GraphFault::Fusion));
+        structure
+            .chain(fusion)
+            .chain(credit.map(tag(GraphFault::Credit)))
+            .collect()
     }
 
     /// Recomputes [`DataflowNode::eager_flush`] right-to-left: a node
@@ -632,30 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn graph_mirrors_stream_segments() {
-        let g = graph(
-            "cat /in.txt | tr -cs A-Za-z '\\n' | tr A-Z a-z | grep o | sort | uniq -c | sort -rn",
-            true,
-        );
-        assert_eq!(
-            shape(&g),
-            vec![
-                (NodeKind::Split, 0..0),
-                // tr -cs (rerun, no shrink: a seam stage) heads the run
-                // that tr | grep fuse into.
-                (NodeKind::StageWorker, 0..3),
-                // sort | uniq -c | sort -rn: one counting fold, closing in
-                // count order.
-                (COMBINE, 3..6),
-            ]
-        );
-    }
-
-    const GATHER: NodeKind = NodeKind::Fold {
-        mode: FoldMode::Gather,
-    };
-
-    #[test]
     fn seam_rewrite_lifts_licensed_gathers_and_keeps_them_at_the_head() {
         // Behind a chunk-local stage the seam stage starts a node of its
         // own; two in a row do not fuse either; what follows fuses in.
@@ -677,13 +688,13 @@ mod tests {
         );
         let heads: Vec<bool> = g.nodes.iter().map(|n| n.heads_seam(&p)).collect();
         assert_eq!(heads, [false, false, true, true, false]);
-        assert_eq!(g.validate(&p, 8), Vec::<String>::new());
+        assert!(g.validate(&p, 8).is_empty());
         // The switch that builds no rewrite keeps the gather folds.
         let unfused = DataflowGraph::build(&p, false);
         assert_eq!(unfused.nodes[2].kind, GATHER);
         assert_eq!(unfused.nodes[4].kind, GATHER);
         assert!(unfused.nodes.iter().all(|n| !n.heads_seam(&p)));
-        assert_eq!(unfused.validate(&p, 8), Vec::<String>::new());
+        assert!(unfused.validate(&p, 8).is_empty());
         // A squeeze the lattice refuses stays a gather fold, and so does
         // any other sequential stage.
         for text in [
@@ -706,7 +717,7 @@ mod tests {
         let misplaced = |g: &DataflowGraph| {
             g.validate(&p, 8)
                 .iter()
-                .any(|problem| problem.contains("a seam stage"))
+                .any(|(_, problem)| problem.contains("a seam stage"))
         };
         let built = DataflowGraph::build(&p, true);
         assert!(!misplaced(&built));
@@ -727,7 +738,7 @@ mod tests {
         assert!(g
             .validate(&p, 8)
             .iter()
-            .any(|problem| problem.contains("not chunk-local")));
+            .any(|(_, problem)| problem.contains("not chunk-local")));
     }
 
     #[test]
@@ -808,17 +819,14 @@ mod tests {
             "cat /in.txt | sort -m",
         ] {
             let p = planned(text);
-            assert_eq!(
-                DataflowGraph::build(&p, true).validate(&p, 8),
-                Vec::<String>::new()
-            );
+            assert!(DataflowGraph::build(&p, true).validate(&p, 8).is_empty());
             let mut g = DataflowGraph::build(&p, false);
             for node in &mut g.nodes[1..] {
                 node.kind = SORT;
             }
             let refused = g.validate(&p, 8);
             assert!(
-                refused.iter().any(|p| p.contains("does not license")),
+                refused.iter().any(|(_, p)| p.contains("does not license")),
                 "{text}: {refused:?}"
             );
         }
@@ -828,7 +836,7 @@ mod tests {
         assert!(g
             .validate(&p, 8)
             .iter()
-            .any(|p| p.contains("sorting fold over stages 0..2")));
+            .any(|(_, p)| p.contains("sorting fold over stages 0..2")));
     }
 
     #[test]
@@ -870,19 +878,21 @@ mod tests {
     fn validate_accepts_built_graphs_and_rejects_broken_ones() {
         let script = "cat /in.txt | grep fox | tr A-Z a-z | sort | head -n 2";
         let plan = planned(script);
+        let finds = |g: &DataflowGraph, plan: &PlannedStatement, seed: usize, want, text| {
+            g.validate(plan, seed)
+                .iter()
+                .any(|(fault, p)| *fault == want && p.contains(text))
+        };
         for fuse in [false, true] {
             let g = graph(script, fuse);
-            assert_eq!(g.validate(&plan, 8), Vec::<String>::new());
+            assert!(g.validate(&plan, 8).is_empty());
         }
 
         let mut g = graph(script, true);
         // A gap in the stage partition.
         let last = g.nodes.len() - 1;
         g.nodes[last].stages.start += 1;
-        assert!(g
-            .validate(&plan, 8)
-            .iter()
-            .any(|p| p.contains("previous node")));
+        assert!(finds(&g, &plan, 8, GraphFault::Structure, "previous node"));
 
         // A fold pretending to span a fused run.
         let mut g = graph(script, true);
@@ -893,33 +903,33 @@ mod tests {
             .unwrap();
         g.nodes[fold - 1].stages.end -= 1;
         g.nodes[fold].stages.start -= 1;
-        assert!(g
-            .validate(&plan, 8)
-            .iter()
-            .any(|p| p.contains("span more than one stage")));
+        assert!(finds(
+            &g,
+            &plan,
+            8,
+            GraphFault::Fusion,
+            "span more than one stage"
+        ));
 
         // A stale eager_flush flag after a rewrite.
         let mut g = graph(script, true);
         g.nodes[0].eager_flush = !g.nodes[0].eager_flush;
-        assert!(g
-            .validate(&plan, 8)
-            .iter()
-            .any(|p| p.contains("eager_flush")));
+        assert!(finds(&g, &plan, 8, GraphFault::Structure, "eager_flush"));
 
         // Zero queue credit deadlocks every fold.
         let g = graph(script, true);
-        assert!(g
-            .validate(&plan, 0)
-            .iter()
-            .any(|p| p.contains("queue credit")));
+        assert!(finds(&g, &plan, 0, GraphFault::Credit, "queue credit"));
 
         // Wrong stage count.
         let g = graph(script, true);
         let longer = planned("cat /in.txt | grep fox | tr A-Z a-z | sort | head -n 2 | wc -l");
-        assert!(g
-            .validate(&longer, 8)
-            .iter()
-            .any(|p| p.contains("has 5 stage(s)")));
+        assert!(finds(
+            &g,
+            &longer,
+            8,
+            GraphFault::Structure,
+            "has 5 stage(s)"
+        ));
     }
 
     #[test]
@@ -929,18 +939,18 @@ mod tests {
         let spans_too_much = |plan: &PlannedStatement, g: &DataflowGraph| {
             g.validate(plan, 8)
                 .iter()
-                .any(|p| p.contains("span more than one stage"))
+                .any(|(_, p)| p.contains("span more than one stage"))
         };
         let built = DataflowGraph::build(&plan, true);
         assert_eq!(shape(&built)[2], (COMBINE, 1..4));
-        assert_eq!(built.validate(&plan, 8), Vec::<String>::new());
+        assert!(built.validate(&plan, 8).is_empty());
         // The pair alone, its count order left to a fold of its own.
         let unfused = DataflowGraph::build(&plan, false);
         let mut g = unfused.clone();
         g.nodes[2].stages.end += 1;
         g.nodes.remove(3);
         assert_eq!(shape(&g)[2], (COMBINE, 1..3));
-        assert_eq!(g.validate(&plan, 8), Vec::<String>::new());
+        assert!(g.validate(&plan, 8).is_empty());
         // The same fold one stage further on: `uniq -c | sort -rn` is not
         // a pair anyone licensed.
         let mut g = unfused.clone();

@@ -474,22 +474,6 @@ impl FoldPair {
             FoldPair::Unique => "unique",
         }
     }
-
-    /// The one line that says where a pair is and what it folds into, as
-    /// run notes, plan notes and `kumquat check` all print it:
-    /// `counting fold: s1 stages 4-5 'sort | uniq -c'` (statement and
-    /// stages counted from one; `stage` is the sort's index from zero).
-    pub fn note(self, statement: usize, stage: usize, sort: &Command, uniq: &Command) -> String {
-        format!(
-            "{} fold: s{} stages {}-{} '{} | {}'",
-            self.as_str(),
-            statement + 1,
-            stage + 1,
-            stage + 2,
-            sort.display(),
-            uniq.display()
-        )
-    }
 }
 
 /// The legality test of the counting rewrite: `Some` when `sort | uniq`,
@@ -546,30 +530,6 @@ pub fn count_order(sort: &Command, then: &Command) -> Option<CountOrder> {
     sorting_order(sort)?.count_order(sorting_order(then)?)
 }
 
-/// The one line that says where a counting pair closes in count order, as
-/// run notes, plan notes and `kumquat check` all print it:
-/// `counting fold: s1 stages 3-5 'sort | uniq -c | sort -rn' (count order)`
-/// (statement and stages counted from one; `stage` is the sort's index
-/// from zero).
-pub fn count_order_note(
-    statement: usize,
-    stage: usize,
-    sort: &Command,
-    uniq: &Command,
-    then: &Command,
-) -> String {
-    format!(
-        "{} fold: s{} stages {}-{} '{} | {} | {}' (count order)",
-        FoldPair::Counting.as_str(),
-        statement + 1,
-        stage + 1,
-        stage + 3,
-        sort.display(),
-        uniq.display(),
-        then.display()
-    )
-}
-
 /// The seam licence (see the [module docs](self)): `true` when `command`
 /// is a stdin-reading `tr` that squeezes `'\n'` and neither deletes nor
 /// retargets it, so that over non-empty line-aligned pieces
@@ -580,19 +540,6 @@ pub fn newline_seam(command: &Command) -> bool {
     command.reads_stdin()
         && command.program() == "tr"
         && TrCmd::parse(&command.argv()[1..]).is_ok_and(|tr| tr.newline_seam())
-}
-
-/// The one line that says where a seam stage is, as run notes, plan notes
-/// and `kumquat check` all print it:
-/// `seam: s1 stage 2 'tr -cs A-Za-z '\n'' runs chunk-local` (statement and
-/// stage counted from one; `stage` is the index from zero).
-pub fn seam_note(statement: usize, stage: usize, command: &Command) -> String {
-    format!(
-        "seam: s{} stage {} '{}' runs chunk-local",
-        statement + 1,
-        stage + 1,
-        command.display()
-    )
 }
 
 /// The sorting licence (see the [module docs](self)): the order in which
@@ -607,18 +554,6 @@ pub fn sorting_order(command: &Command) -> Option<LineOrder> {
         return None;
     }
     SortCmd::parse(&command.argv()[1..]).ok()?.stdin_order()
-}
-
-/// The one line that says where a sorting fold is, as run notes, plan
-/// notes and `kumquat check` all print it: `sorting fold: s1 stage 1 'sort'`
-/// (statement and stage counted from one; `stage` is the index from zero).
-pub fn sorting_note(statement: usize, stage: usize, command: &Command) -> String {
-    format!(
-        "sorting fold: s{} stage {} '{}'",
-        statement + 1,
-        stage + 1,
-        command.display()
-    )
 }
 
 /// The combiner a classification certifies without synthesis: plain
@@ -745,15 +680,6 @@ mod tests {
         }
         assert_eq!(pair("sort", "uniq"), Some(FoldPair::Unique));
         assert_eq!(pair("sort -r", "uniq"), Some(FoldPair::Unique));
-        assert_eq!(
-            FoldPair::Counting.note(
-                0,
-                3,
-                &parse_command("sort -f").unwrap(),
-                &parse_command("uniq -c").unwrap()
-            ),
-            "counting fold: s1 stages 4-5 'sort -f | uniq -c'"
-        );
         // Key-equal is not identical outside byte order.
         for sort in ["sort -f", "sort -n", "sort -k1n", "sort -rn"] {
             assert_eq!(pair(sort, "uniq"), None, "{sort} | uniq");
@@ -843,11 +769,6 @@ mod tests {
         let global_r = order("sort", "sort -k1n -r").unwrap();
         assert!(global_r.precedes(1, 2) && global_r.against_stream());
         assert!(!order("sort -r", "sort -rn").unwrap().against_stream());
-        let cmd = |line: &str| parse_command(line).unwrap();
-        assert_eq!(
-            count_order_note(0, 2, &cmd("sort"), &cmd("uniq -c"), &cmd("sort -rn")),
-            "counting fold: s1 stages 3-5 'sort | uniq -c | sort -rn' (count order)"
-        );
     }
 
     #[test]
@@ -880,10 +801,6 @@ mod tests {
             Box::new(kq_coreutils::uniq::UniqCmd::parse(&[]).unwrap()),
         );
         assert!(!newline_seam(&odd));
-        assert_eq!(
-            seam_note(0, 1, &parse_command("tr -cs A-Za-z '\\n'").unwrap()),
-            "seam: s1 stage 2 'tr -cs A-Za-z '\\n'' runs chunk-local"
-        );
     }
 
     #[test]

@@ -38,13 +38,13 @@
 //! Their outputs are byte-identical across the whole corpus
 //! (`tests/dataflow_differential.rs`).
 //!
-//! The segment classification of a statement (chunk-local versus barrier
-//! versus sequential versus prefix-bounded) lives in
-//! [`plan::PlannedStatement::stream_segments`]; the dataflow executor
-//! reifies it as a graph IR ([`dataflow`]) and executes it with a shared
-//! scheduler ([`scheduler`]). Four rewrites of
-//! that graph go beyond the classification, all switched off together
-//! (`fuse_streamable: false`, `--no-opt`): adjacent chunk-local stages
+//! The dataflow executor builds each statement's plan into a graph IR
+//! ([`dataflow`]) — one node per stage, by its plan: chunk-local,
+//! barrier, sequential or prefix-bounded — and executes it with a shared
+//! scheduler ([`scheduler`]). Four rewrites of that graph go beyond the
+//! per-stage modes, each where the plan's licence flags say so (they are
+//! set in one place, [`plan::PlannedStatement::new`]), all switched off
+//! together (`fuse_streamable: false`, `--no-opt`): adjacent chunk-local stages
 //! fuse into one node, a `sort | uniq [-c]` pair of barrier stages that
 //! [`lattice::fold_pair`] licenses becomes one counting fold (see
 //! "Counting rewrite" in [`dataflow`]) — which takes in the numeric `sort`
@@ -243,7 +243,7 @@ pub mod plan;
 pub mod scheduler;
 
 pub use cache::{cache_key, CacheStats, CombinerCache};
-pub use dataflow::{DataflowGraph, DataflowNode, FoldMode, NodeKind};
+pub use dataflow::{DataflowGraph, DataflowNode, FoldMode, GraphFault, NodeKind};
 pub use exec::{
     EarlyExit, ExecutionResult, QueueTelemetry, SpillTelemetry, StageTiming, TimingLog,
 };
@@ -251,10 +251,7 @@ pub use lattice::{
     classify, count_order, fold_pair, newline_seam, sorting_order, EffectClass, EffectSet, FoldPair,
 };
 pub use parse::{InputSource, ParseError, Script, SourceSpan, Stage, Statement};
-pub use plan::{
-    planning_sample, PlannedScript, PlannedStage, Planner, PreparedScript, StageMode,
-    StreamSegment, StreamSegmentKind,
-};
+pub use plan::{planning_sample, PlannedScript, PlannedStage, Planner, PreparedScript, StageMode};
 pub use scheduler::{
     run_dataflow, run_dataflow_segments, ChunkSizing, DataflowOptions, QueueCredit,
     DEFAULT_CHUNK_BYTES, DEFAULT_QUEUE_DEPTH,

@@ -26,6 +26,13 @@
 //! additionally requires the stage's outputs to be newline-terminated
 //! streams — `tr -d '\n'` fails that precondition and keeps its combiner.
 //!
+//! The graph rewrites beyond the modes — the counting fold, count order,
+//! the newline seam and the sorting fold — are licensed in one place,
+//! [`PlannedStatement::new`], from what is known of each stage
+//! ([`Evidence`]): the planner passes what synthesis and the probes found,
+//! and `kumquat check`, which synthesizes nothing, what each licence
+//! assumes synthesis finds ([`Evidence::assumed`]).
+//!
 //! Many scripts plan in one pass ([`Planner::plan_all`]; [`Planner::plan`]
 //! is its one-script case): while one script plans, the pass reads ahead
 //! and queues the commands of the next scripts that nothing cached yet
@@ -34,6 +41,7 @@
 use crate::cache::{cache_key, CacheLookup, CacheStats, CombinerCache};
 use crate::lattice;
 use crate::parse::{InputSource, Script, Statement};
+use kq_coreutils::sort::LineOrder;
 use kq_coreutils::{Bytes, Command, ExecContext};
 use kq_synth::pool::Jobs;
 use kq_synth::{
@@ -96,8 +104,9 @@ pub struct PlannedStage {
     /// stage's output depends only on the first `k` complete lines of its
     /// input (`head -n k`, `sed kq`). Such a stage is a *bounded
     /// consumer*: the executor runs it as a
-    /// [`StreamSegmentKind::Bounded`] segment that stops demanding input
-    /// — and cancels everything upstream — the moment `k` lines exist.
+    /// [`NodeKind::BoundedConsumer`](crate::dataflow::NodeKind::BoundedConsumer)
+    /// node that stops demanding input — and cancels everything upstream —
+    /// the moment `k` lines exist.
     /// Independent of the sequential/parallel mode decision: running the
     /// command once on a `k`-line prefix is exact under either plan.
     pub line_bound: Option<usize>,
@@ -166,107 +175,178 @@ impl PlannedStatement {
             .count()
     }
 
-    /// Groups the statement's stages into segments — what the nodes of
-    /// the statement's [`DataflowGraph`](crate::dataflow::DataflowGraph)
-    /// are built from.
-    ///
-    /// Segmentation breaks at every stage that must see its
-    /// whole input:
-    ///
-    /// * a maximal run of consecutive [`streamable`](PlannedStage::streamable)
-    ///   stages forms one [`StreamSegmentKind::Streaming`] segment — chunks
-    ///   are piped through the run's commands and flow straight downstream,
-    ///   no combiner ever runs (the Theorem 5 argument, applied per chunk);
-    /// * a parallel stage that is not chunk-local (`sort`, `uniq -c`,
-    ///   `wc`, …) is a [`StreamSegmentKind::Barrier`]: chunks are still
-    ///   processed as they arrive, but the outputs fold through the
-    ///   stage's combiner and only the combined stream moves on;
-    /// * a sequential stage is [`StreamSegmentKind::Sequential`]: the
-    ///   input is re-gathered, the command runs once, and the output is
-    ///   re-chunked;
-    /// * a prefix-bounded stage (`head -n k`, `sed kq` — see
-    ///   [`PlannedStage::line_bound`]) is [`StreamSegmentKind::Bounded`]
-    ///   whatever its mode: it consumes chunks only until `k` complete
-    ///   lines exist, then cancels everything upstream and runs the
-    ///   command once on the prefix.
-    ///
-    /// With `fuse_streamable = false` every streamable stage forms its own
-    /// single-stage streaming segment (more hand-offs, same semantics) —
-    /// the differential suite uses this to exercise the scheduler harder.
-    pub fn stream_segments(&self, fuse_streamable: bool) -> Vec<StreamSegment> {
-        let mut out = Vec::new();
-        let mut idx = 0;
-        while idx < self.stages.len() {
-            let stage = &self.stages[idx];
-            if let Some(lines) = stage.line_bound {
-                // A bounded consumer gets its own demand-token segment
-                // regardless of mode: the collector stops pulling chunks
-                // (and tears upstream down) once `lines` complete lines
-                // arrived. Checked before streamability — a prefix-bounded
-                // command is never chunk-local anyway (`head`/`sed kq`
-                // synthesize first/rerun combiners, not concat).
-                out.push(StreamSegment {
-                    stages: idx..idx + 1,
-                    kind: StreamSegmentKind::Bounded { lines },
-                });
-                idx += 1;
-            } else if stage.streamable {
-                let start = idx;
-                idx += 1;
-                while fuse_streamable && idx < self.stages.len() && self.stages[idx].streamable {
-                    idx += 1;
+    /// Assembles a statement's plan from each stage's mode, chunk-locality
+    /// ([`PlannedStage::streamable`]) and the evidence the rewrite licences
+    /// read. Theorem 5 is applied here: a chunk-local stage followed by
+    /// another parallel stage sheds its intermediate combiner. The licences
+    /// come from one private function, the one place where the lattice's
+    /// rules become plan flags.
+    pub fn new(
+        statement: &Statement,
+        modes: Vec<StageMode>,
+        streamable: Vec<bool>,
+        evidence: &[Evidence],
+    ) -> PlannedStatement {
+        let mut stages: Vec<PlannedStage> = modes
+            .into_iter()
+            .zip(streamable)
+            .enumerate()
+            .map(|(stage_idx, (mode, streamable))| PlannedStage {
+                stage_idx,
+                mode,
+                streamable,
+                line_bound: None,
+                fold_pair: None,
+                count_order: None,
+                seam: false,
+                sorting: false,
+            })
+            .collect();
+        for i in 0..stages.len() {
+            let next_parallel = stages.get(i + 1).is_some_and(|s| s.mode.is_parallel());
+            if stages[i].streamable && next_parallel {
+                if let StageMode::Parallel { eliminated, .. } = &mut stages[i].mode {
+                    *eliminated = true;
                 }
-                out.push(StreamSegment {
-                    stages: start..idx,
-                    kind: StreamSegmentKind::Streaming,
-                });
-            } else {
-                let kind = match &stage.mode {
-                    StageMode::Sequential => StreamSegmentKind::Sequential,
-                    StageMode::Parallel { .. } => StreamSegmentKind::Barrier,
+            }
+        }
+        license(statement, evidence, &mut stages);
+        PlannedStatement { stages }
+    }
+
+    /// Every rewrite the plan licenses, in stage order (at one stage: the
+    /// seam, the fold pair, the sorting fold), each with the one line that
+    /// `plan`, `run` and `kumquat check` print for it:
+    /// `counting fold: s1 stages 4-5 'sort | uniq -c'`, or `... stages 3-5
+    /// 'sort | uniq -c | sort -rn' (count order)` where the pair closes in
+    /// the order of the sort after it, `seam: s1 stage 1 'tr -cs A-Za-z
+    /// '\n'' runs chunk-local` and `sorting fold: s1 stage 1 'sort'`.
+    /// `si` is the statement's index; statements and stages print counted
+    /// from one.
+    pub fn rewrites(&self, si: usize, statement: &Statement) -> Vec<(usize, Rewrite, String)> {
+        let command = |gi: usize| statement.stages[gi].command.display();
+        let s = si + 1;
+        let mut out = Vec::new();
+        for (gi, stage) in self.stages.iter().enumerate() {
+            if stage.seam {
+                let note = format!(
+                    "seam: s{s} stage {} '{}' runs chunk-local",
+                    gi + 1,
+                    command(gi)
+                );
+                out.push((gi, Rewrite::Seam, note));
+            }
+            if let Some(pair) = stage.fold_pair {
+                let fold = format!("{} fold: s{s} stages {}", pair.as_str(), gi + 1);
+                let (sort, uniq) = (command(gi), command(gi + 1));
+                let note = match stage.count_order {
+                    Some(_) => format!(
+                        "{fold}-{} '{sort} | {uniq} | {}' (count order)",
+                        gi + 3,
+                        command(gi + 2)
+                    ),
+                    None => format!("{fold}-{} '{sort} | {uniq}'", gi + 2),
                 };
-                out.push(StreamSegment {
-                    stages: idx..idx + 1,
-                    kind,
-                });
-                idx += 1;
+                out.push((gi, Rewrite::Fold(pair), note));
+            }
+            if stage.sorting {
+                let note = format!("sorting fold: s{s} stage {} '{}'", gi + 1, command(gi));
+                out.push((gi, Rewrite::Sorting, note));
             }
         }
         out
     }
 }
 
-/// How a [`StreamSegment`] moves data (see
-/// [`PlannedStatement::stream_segments`]).
+/// A rewrite the plan licenses at one stage
+/// ([`PlannedStatement::rewrites`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamSegmentKind {
-    /// Chunk-local stages: chunk outputs flow downstream uncombined.
-    Streaming,
-    /// A parallel stage whose outputs fold through its combiner; only the
-    /// combined stream continues.
-    Barrier,
-    /// A sequential stage: gather, run once, re-chunk.
-    Sequential,
-    /// A prefix-bounded consumer (`head -n k`, `sed kq`): gathers chunks
-    /// only until `lines` complete lines exist, then cancels every
-    /// upstream producer without draining the rest of the input, runs the
-    /// command once on the
-    /// prefix, and re-chunks the output downstream. See
-    /// [`PlannedStage::line_bound`].
-    Bounded {
-        /// The stage's prefix bound in complete lines.
-        lines: usize,
-    },
+pub enum Rewrite {
+    /// The stage is a [`PlannedStage::seam`].
+    Seam,
+    /// The stage is the `sort` of a [`PlannedStage::fold_pair`], closing
+    /// in count order where [`PlannedStage::count_order`] says so.
+    Fold(lattice::FoldPair),
+    /// The stage is a [`PlannedStage::sorting`] fold.
+    Sorting,
 }
 
-/// One segment of a statement: a stage range plus how its data moves.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamSegment {
-    /// Stage index range (`start..end`, end exclusive; length 1 except for
-    /// fused streamable runs).
-    pub stages: std::ops::Range<usize>,
-    /// Data movement.
-    pub kind: StreamSegmentKind,
+/// What synthesis and the planning probes found about one stage: the
+/// evidence the rewrite licences of [`PlannedStatement::new`] read. The
+/// default is no evidence, so no licence. The planner gathers it from each
+/// stage's combiner and mode; [`Evidence::assumed`] is what the licences
+/// need synthesis to find, for a plan made without it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Evidence {
+    /// The stage runs parallel.
+    parallel: bool,
+    /// The order the stage's combiner merges in, where it is a `merge`.
+    merge_order: Option<LineOrder>,
+    /// The stage's combiner is a `rerun`.
+    rerun: bool,
+}
+
+impl Evidence {
+    /// What each licence assumes synthesis finds about `command`, as
+    /// `kumquat check` reports the rewrites without synthesizing: a stage
+    /// reading its standard input runs parallel, a `sort` merges in the
+    /// order it sorts by ([`lattice::sorting_order`]), and any other
+    /// stage's combiner is a `rerun`.
+    pub fn assumed(command: &Command) -> Evidence {
+        let merge_order = lattice::sorting_order(command);
+        Evidence {
+            parallel: command.reads_stdin(),
+            merge_order,
+            rerun: command.reads_stdin() && merge_order.is_none(),
+        }
+    }
+}
+
+/// The rewrite licences: sets every stage's [`PlannedStage::line_bound`],
+/// [`PlannedStage::fold_pair`], [`PlannedStage::count_order`],
+/// [`PlannedStage::seam`] and [`PlannedStage::sorting`] from the
+/// statement's commands and each stage's `evidence`. Each flag asks the
+/// lattice about the commands only where the evidence holds what the
+/// rewrite needs:
+///
+/// * a seam needs a `rerun` combiner, whatever the stage's mode;
+/// * a fold pair needs both stages parallel and the sort's combiner a
+///   `merge`;
+/// * a count order needs a counting pair, and the sort two stages on
+///   parallel with a `merge` and starting no pair of its own;
+/// * a sorting fold needs a parallel `sort` whose combiner merges in the
+///   order it sorts by, that is not the sort of a counting pair (whose
+///   fold keeps its own map) nor a sort a counting pair closes in the
+///   order of.
+fn license(statement: &Statement, evidence: &[Evidence], stages: &mut [PlannedStage]) {
+    let command = |i: usize| &statement.stages[i].command;
+    let at = |i: usize| evidence.get(i).copied().unwrap_or_default();
+    let merges = |i: usize| at(i).parallel && at(i).merge_order.is_some();
+    for (i, stage) in stages.iter_mut().enumerate() {
+        stage.line_bound = line_bound(statement, i);
+        stage.seam = at(i).rerun && lattice::newline_seam(command(i));
+        if merges(i) && at(i + 1).parallel {
+            stage.fold_pair = lattice::fold_pair(command(i), command(i + 1));
+        }
+    }
+    for i in 0..stages.len() {
+        let counting = stages[i].fold_pair == Some(lattice::FoldPair::Counting);
+        let then_folds = stages
+            .get(i + 2)
+            .is_some_and(|then| then.fold_pair.is_some());
+        if counting && merges(i + 2) && !then_folds {
+            stages[i].count_order = lattice::count_order(command(i), command(i + 2));
+        }
+    }
+    for i in 0..stages.len() {
+        let absorbed = i >= 2 && stages[i - 2].count_order.is_some();
+        let own_order =
+            at(i).merge_order.is_some() && at(i).merge_order == lattice::sorting_order(command(i));
+        stages[i].sorting = at(i).parallel
+            && own_order
+            && !absorbed
+            && stages[i].fold_pair != Some(lattice::FoldPair::Counting);
+    }
 }
 
 /// Planning result for a whole script.
@@ -856,146 +936,57 @@ impl Planner {
         ctx: &ExecContext,
         sample: &str,
     ) -> PlannedStatement {
-        // First pass: decide sequential/parallel per stage — and, for a
-        // stage whose combiner is `rerun`, whether the lattice knows the
-        // rerun to be a one-newline seam.
-        let mut modes: Vec<StageMode> = Vec::with_capacity(statement.stages.len());
-        let mut seams = vec![false; statement.stages.len()];
+        // First pass: decide sequential/parallel per stage, and keep what
+        // synthesis found as the licences' evidence — none without the
+        // lattice, which then licenses nothing.
+        let n = statement.stages.len();
+        let mut modes: Vec<StageMode> = Vec::with_capacity(n);
+        let mut evidence = vec![Evidence::default(); n];
         for (idx, stage) in statement.stages.iter().enumerate() {
             let cmd = &stage.command;
-            if !cmd.reads_stdin() {
-                modes.push(StageMode::Sequential);
-                continue;
-            }
-            let Some(combiner) = self.combiner_for(cmd, ctx) else {
+            let combiner = if cmd.reads_stdin() {
+                self.combiner_for(cmd, ctx)
+            } else {
+                None
+            };
+            let Some(combiner) = combiner else {
                 modes.push(StageMode::Sequential);
                 continue;
             };
-            seams[idx] = self.use_lattice && combiner.is_rerun() && lattice::newline_seam(cmd);
-            if combiner.is_rerun() && !self.shrinks_enough(cmd, ctx, sample) {
-                // §2: parallelizing with a rerun combiner only pays when
-                // the command significantly reduces the stream.
-                modes.push(StageMode::Sequential);
-                continue;
+            // §2: parallelizing with a rerun combiner only pays when the
+            // command significantly reduces the stream.
+            let parallel = !combiner.is_rerun() || self.shrinks_enough(cmd, ctx, sample);
+            if self.use_lattice {
+                evidence[idx] = Evidence {
+                    parallel,
+                    merge_order: combiner.merge_order(),
+                    rerun: combiner.is_rerun(),
+                };
             }
-            modes.push(StageMode::Parallel {
-                combiner,
-                eliminated: false,
+            modes.push(if parallel {
+                StageMode::Parallel {
+                    combiner,
+                    eliminated: false,
+                }
+            } else {
+                StageMode::Sequential
             });
         }
         // Second pass: probe once per parallel stage whether its outputs
-        // are newline-terminated streams, then derive both chunk-locality
-        // (a concat combiner on a stream-emitting stage) and the Theorem 5
-        // elimination (chunk-local and followed by another parallel stage).
-        let mut streamable: Vec<bool> = Vec::with_capacity(modes.len());
-        for (stage, mode) in statement.stages.iter().zip(&modes) {
-            streamable.push(match mode {
+        // are newline-terminated streams; with a concat combiner that makes
+        // the stage chunk-local.
+        let streamable: Vec<bool> = statement
+            .stages
+            .iter()
+            .zip(&modes)
+            .map(|(stage, mode)| match mode {
                 StageMode::Parallel { combiner, .. } => {
                     combiner.is_concat() && self.outputs_streams(&stage.command, ctx, sample)
                 }
                 StageMode::Sequential => false,
-            });
-        }
-        for i in 0..modes.len() {
-            let next_parallel = modes
-                .get(i + 1)
-                .map(StageMode::is_parallel)
-                .unwrap_or(false);
-            if !(streamable[i] && next_parallel) {
-                continue;
-            }
-            let StageMode::Parallel { eliminated, .. } = &mut modes[i] else {
-                unreachable!("streamable implies parallel");
-            };
-            *eliminated = true;
-        }
-        // Third pass: the `sort | uniq` pairs that fold as one keyed
-        // aggregation — a lattice question about the two commands, asked
-        // only where both stages combine and the sort's combiner merges.
-        let fold_pairs: Vec<Option<lattice::FoldPair>> = (0..modes.len())
-            .map(|i| {
-                let (StageMode::Parallel { combiner, .. }, Some(StageMode::Parallel { .. })) =
-                    (&modes[i], modes.get(i + 1))
-                else {
-                    return None;
-                };
-                if !self.use_lattice || combiner.merge_order().is_none() {
-                    return None;
-                }
-                lattice::fold_pair(
-                    &statement.stages[i].command,
-                    &statement.stages[i + 1].command,
-                )
             })
             .collect();
-        // Fourth pass: the counting pairs a numeric sort follows, which
-        // close in its order — where that sort combines by a merge and
-        // starts no pair of its own.
-        let count_orders: Vec<Option<kq_coreutils::sort::CountOrder>> = (0..modes.len())
-            .map(|i| {
-                let Some(StageMode::Parallel { combiner, .. }) = modes.get(i + 2) else {
-                    return None;
-                };
-                if fold_pairs[i] != Some(lattice::FoldPair::Counting)
-                    || fold_pairs[i + 2].is_some()
-                    || combiner.merge_order().is_none()
-                {
-                    return None;
-                }
-                lattice::count_order(
-                    &statement.stages[i].command,
-                    &statement.stages[i + 2].command,
-                )
-            })
-            .collect();
-        // Fifth pass: the sorts whose folds may sort raw chunks — where
-        // the combiner merges under the order the command sorts by, and
-        // no counting fold closes in the sort's order instead.
-        let sorting: Vec<bool> = modes
-            .iter()
-            .zip(&fold_pairs)
-            .zip(&statement.stages)
-            .enumerate()
-            .map(|(i, ((mode, pair), stage))| {
-                let StageMode::Parallel { combiner, .. } = mode else {
-                    return false;
-                };
-                let absorbed = i >= 2 && count_orders[i - 2].is_some();
-                self.use_lattice
-                    && !absorbed
-                    && *pair != Some(lattice::FoldPair::Counting)
-                    && combiner.merge_order().is_some()
-                    && combiner.merge_order() == lattice::sorting_order(&stage.command)
-            })
-            .collect();
-        PlannedStatement {
-            stages: modes
-                .into_iter()
-                .zip(streamable)
-                .zip(fold_pairs)
-                .zip(count_orders)
-                .zip(seams)
-                .zip(sorting)
-                .enumerate()
-                .map(
-                    |(
-                        stage_idx,
-                        (((((mode, streamable), fold_pair), count_order), seam), sorting),
-                    )| {
-                        PlannedStage {
-                            stage_idx,
-                            mode,
-                            streamable,
-                            line_bound: line_bound(statement, stage_idx),
-                            fold_pair,
-                            count_order,
-                            seam,
-                            sorting,
-                        }
-                    },
-                )
-                .collect(),
-        }
+        PlannedStatement::new(statement, modes, streamable, &evidence)
     }
 
     /// One memoized probe run per (command display, sample): executes the
@@ -1072,6 +1063,7 @@ fn sample_fingerprint(sample: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataflow::{DataflowGraph, FoldMode, NodeKind};
     use crate::parse::parse_script;
     use std::collections::HashMap as Map;
 
@@ -1473,28 +1465,41 @@ mod tests {
         assert!(!planned.statements[0].stages[0].streamable);
     }
 
+    fn shape(graph: &DataflowGraph) -> Vec<(NodeKind, std::ops::Range<usize>)> {
+        graph.nodes[1..]
+            .iter()
+            .map(|n| (n.kind, n.stages.clone()))
+            .collect()
+    }
+
     #[test]
-    fn stream_segments_fuse_streamable_runs_and_isolate_barriers() {
+    fn graph_fuses_streamable_runs_and_isolates_barriers() {
         let (planned, _) =
             plan("cat $IN | tr -cs A-Za-z '\\n' | tr A-Z a-z | grep o | sort | uniq -c | sort -rn");
         let st = &planned.statements[0];
-        let segs = st.stream_segments(true);
-        let shape: Vec<(StreamSegmentKind, std::ops::Range<usize>)> =
-            segs.iter().map(|s| (s.kind, s.stages.clone())).collect();
+        // The fusion rewrite alone, without the seam and fold rewrites.
+        let mut graph = DataflowGraph::build(st, false);
+        graph.fuse_streamable(st);
+        let gather = NodeKind::Fold {
+            mode: FoldMode::Gather,
+        };
+        let combine = NodeKind::Fold {
+            mode: FoldMode::Combine,
+        };
         assert_eq!(
-            shape,
+            shape(&graph),
             vec![
-                (StreamSegmentKind::Sequential, 0..1), // tr -cs (rerun, no shrink)
-                (StreamSegmentKind::Streaming, 1..3),  // tr | grep fused
-                (StreamSegmentKind::Barrier, 3..4),    // sort
-                (StreamSegmentKind::Barrier, 4..5),    // uniq -c
-                (StreamSegmentKind::Barrier, 5..6),    // sort -rn
+                (gather, 0..1),                // tr -cs (rerun, no shrink)
+                (NodeKind::StageWorker, 1..3), // tr | grep fused
+                (combine, 3..4),               // sort
+                (combine, 4..5),               // uniq -c
+                (combine, 5..6),               // sort -rn
             ]
         );
-        // Unfused: the streamable run splits into single-stage segments.
-        let unfused = st.stream_segments(false);
-        assert_eq!(unfused.len(), 6);
-        assert!(unfused.iter().all(|s| s.stages.len() == 1));
+        // Unfused: one node per stage.
+        let unfused = DataflowGraph::build(st, false);
+        assert_eq!(unfused.nodes.len(), 7);
+        assert!(unfused.nodes[1..].iter().all(|n| n.stages.len() == 1));
     }
 
     #[test]
@@ -1513,23 +1518,23 @@ mod tests {
     }
 
     #[test]
-    fn bounded_stages_form_their_own_stream_segment_in_any_mode() {
+    fn bounded_stages_form_their_own_graph_node_in_any_mode() {
         // head -n 1 plans parallel (First combiner); sed 100q plans with a
-        // rerun combiner — both must segment as Bounded regardless.
-        let (planned, _) = plan("cat $IN | grep fox | head -n 1");
-        let segs = planned.statements[0].stream_segments(true);
+        // rerun combiner — both must become bounded consumers regardless.
+        let graph = |text: &str| {
+            let (planned, _) = plan(text);
+            shape(&DataflowGraph::build(&planned.statements[0], true))
+        };
+        let nodes = graph("cat $IN | grep fox | head -n 1");
         assert_eq!(
-            segs.last().map(|s| s.kind),
-            Some(StreamSegmentKind::Bounded { lines: 1 })
+            nodes.last().map(|n| n.0),
+            Some(NodeKind::BoundedConsumer { lines: 1 })
         );
-        let (planned, _) = plan("cat $IN | sed 100q | sort");
-        let segs = planned.statements[0].stream_segments(true);
-        assert_eq!(segs[0].kind, StreamSegmentKind::Bounded { lines: 100 });
-        assert_eq!(segs[0].stages, 0..1);
+        let nodes = graph("cat $IN | sed 100q | sort");
+        assert_eq!(nodes[0], (NodeKind::BoundedConsumer { lines: 100 }, 0..1));
         // A bounded stage never fuses into a neighboring streamable run.
-        let (planned, _) = plan("cat $IN | grep fox | head -n 2 | grep o");
-        let segs = planned.statements[0].stream_segments(true);
-        assert_eq!(segs.len(), 3);
-        assert_eq!(segs[1].kind, StreamSegmentKind::Bounded { lines: 2 });
+        let nodes = graph("cat $IN | grep fox | head -n 2 | grep o");
+        assert_eq!(nodes.len(), 3);
+        assert_eq!(nodes[1].0, NodeKind::BoundedConsumer { lines: 2 });
     }
 }

@@ -12,14 +12,17 @@
 //! 5. the `sort | uniq` pairs `check` names are exactly the pairs the
 //!    planner fuses into one fold, corpus-wide;
 //! 6. so are the `tr -s` seam stages the planner lifts out of their folds;
-//! 7. and the `sort` stages whose folds the planner feeds raw chunks.
+//! 7. and the `sort` stages whose folds the planner feeds raw chunks;
+//! 8. beyond the corpus, over a table of `sort` spellings, followers and
+//!    tails, the sites `check` reports are the nodes the planner's graph
+//!    builds, and the dataflow run prints what the serial run prints.
 
 use kq_analyze::EffectClass;
 use kq_cli::{emit_script, EmitOptions};
 use kq_coreutils::ExecContext;
 use kq_pipeline::cache_key;
 use kq_pipeline::parse::parse_script;
-use kq_pipeline::plan::Planner;
+use kq_pipeline::plan::{Planner, StageMode};
 use kq_synth::SynthesisConfig;
 use kq_workloads::{corpus, planning_sample, setup, Scale};
 use std::collections::HashMap;
@@ -435,4 +438,121 @@ fn check_reports_exactly_the_sorting_folds_the_planner_builds() {
         (34, 27),
         "sorting folds across the corpus, and the scripts they are in"
     );
+}
+
+/// (8) The licences beyond the corpus: every `sort` spelling × follower ×
+/// tail, with and without the word splitter in front. Wherever synthesis
+/// gave each `sort` that the lattice can order the `merge` of its own
+/// order — what `check` assumes it finds — the fold pairs, sorting folds
+/// and seams `check` reports are exactly the multi-stage folds, sorting
+/// folds and seam-headed nodes of the planner's graphs. Every script, at
+/// one and four workers on small chunks, prints what the serial run
+/// prints.
+#[test]
+fn check_reports_the_rewrites_the_planner_builds_beyond_the_corpus() {
+    use kq_pipeline::exec::run_serial;
+    use kq_pipeline::lattice::sorting_order;
+    use kq_pipeline::scheduler::{run_dataflow, ChunkSizing, DataflowOptions, QueueCredit};
+    use kq_pipeline::{DataflowGraph, FoldMode, NodeKind};
+    let input: String = (0..240)
+        .map(|i| {
+            format!(
+                "{} {} Word{}\n",
+                ["apple", "Banana", "10", "cherry", "9", "apple"][i % 6],
+                i % 7,
+                i % 5
+            )
+        })
+        .collect();
+    let mut planner = Planner::new(SynthesisConfig::default());
+    let (mut scripts, mut compared, mut sites) = (0usize, 0usize, 0usize);
+    for lead in ["", "tr -cs A-Za-z '\\n' | "] {
+        for flags in [
+            "",
+            "-r",
+            "-n",
+            "-f",
+            "-u",
+            "-s",
+            "-m",
+            "-k1n",
+            "-k1,1nr",
+            "- /in.txt",
+        ] {
+            for follower in ["uniq", "uniq -c"] {
+                for tail in ["", " | sort -rn", " | sort -n", " | sort -k1nr", " | sort"] {
+                    let text = format!("cat /in.txt | {lead}sort {flags} | {follower}{tail}");
+                    let ctx = ExecContext::default();
+                    ctx.vfs.write("/in.txt", input.as_str());
+                    let parsed = parse_script(&text, &HashMap::new()).unwrap();
+                    let plan = planner.plan(&parsed, &ctx, &input);
+                    let planned = &plan.statements[0];
+                    scripts += 1;
+
+                    let serial = run_serial(&parsed, &ctx).unwrap();
+                    for workers in [1, 4] {
+                        let opts = DataflowOptions {
+                            workers,
+                            chunk: ChunkSizing::Fixed(700),
+                            queue: QueueCredit::Fixed(2),
+                            fuse_streamable: true,
+                            spill: None,
+                        };
+                        let got = run_dataflow(&parsed, &plan, &ctx, &opts).unwrap();
+                        assert_eq!(got.output, serial.output, "{text} (w={workers})");
+                    }
+
+                    let merges_own_order =
+                        parsed.statements[0].stages.iter().zip(&planned.stages).all(
+                            |(stage, plan)| match sorting_order(&stage.command) {
+                                None => true,
+                                Some(order) => matches!(&plan.mode,
+                                StageMode::Parallel { combiner, .. }
+                                    if combiner.merge_order() == Some(order)),
+                            },
+                        );
+                    if !merges_own_order {
+                        continue;
+                    }
+                    compared += 1;
+                    let graph = DataflowGraph::build(planned, true);
+                    let (mut folds, mut sorting, mut seams) = (Vec::new(), Vec::new(), Vec::new());
+                    for node in &graph.nodes {
+                        let first = node.stages.start;
+                        if matches!(node.kind, NodeKind::Fold { .. }) && node.stages.len() > 1 {
+                            folds.push((first, node.stages.len()));
+                        }
+                        if node.kind
+                            == (NodeKind::Fold {
+                                mode: FoldMode::Sort,
+                            })
+                        {
+                            sorting.push(first);
+                        }
+                        if node.heads_seam(planned) {
+                            seams.push(first);
+                        }
+                    }
+                    let analysis = kq_analyze::check_script(&text, &HashMap::new());
+                    let reported: Vec<(usize, usize)> = analysis
+                        .fold_pairs
+                        .iter()
+                        .map(|site| (site.stage, 2 + usize::from(site.count_order)))
+                        .collect();
+                    assert_eq!(folds, reported, "{text}: fold pairs");
+                    let reported: Vec<usize> = analysis.sortings.iter().map(|s| s.stage).collect();
+                    assert_eq!(sorting, reported, "{text}: sorting folds");
+                    let reported: Vec<usize> = analysis.seams.iter().map(|s| s.stage).collect();
+                    assert_eq!(seams, reported, "{text}: seams");
+                    sites += folds.len() + sorting.len() + seams.len();
+                }
+            }
+        }
+    }
+    assert_eq!(scripts, 200);
+    assert!(
+        compared >= 160,
+        "only {compared} of {scripts} scripts compared"
+    );
+    assert!(sites >= 200, "only {sites} rewrite sites compared");
 }

@@ -17,7 +17,6 @@ const ALLOWED_UNSAFE: &[&str] = &["crates/kq-io", "crates/kq-stream", "crates/sh
 /// Crate roots that must carry `#![deny(unsafe_code)]`.
 const DENYING_ROOTS: &[&str] = &[
     "src/lib.rs",
-    "crates/core/src/lib.rs",
     "crates/kq-pattern/src/lib.rs",
     "crates/kq-coreutils/src/lib.rs",
     "crates/kq-dsl/src/lib.rs",
