@@ -141,8 +141,10 @@ USAGE:
         queued is dropped (reported as 'early-exit: ... after M
         chunk(s)'). A 'sort | uniq -c'
         (or 'sort | uniq') pair of parallel stages runs there as one
-        counting fold — each chunk hash-counted, the counts merged —
-        instead of a sort of every line and a second pass over it,
+        counting fold — each chunk hash-counted, the counts merged, and
+        a chunk of mostly distinct lines sorted raw in a 128 KiB batch
+        with others like it — instead of a sort of every line and a
+        second pass over it,
         reported as 'counting fold: s1 stages 4-5 ...'; a numeric sort
         right after such a 'uniq -c' ('sort -rn', '-n', '-k1nr', ...)
         joins the fold, which closes by grouping its lines by count

@@ -587,6 +587,17 @@ fn radix_sort<T: Sortable>(items: &mut [T], scratch: &mut Vec<T>) {
     }
 }
 
+/// The counted run of sorted `groups` of `input`: each line behind its
+/// count, as `uniq -c` prints it.
+fn write_counted(input: &[u8], groups: Vec<(Entry, u64)>) -> Vec<u8> {
+    let bytes: usize = groups.iter().map(|g| g.0.len as usize + 9).sum();
+    let mut out = Vec::with_capacity(bytes);
+    for (e, n) in groups {
+        push_counted(&mut out, n, e.line(input));
+    }
+    out
+}
+
 /// Lines [`LineOrder::count_segment`] reads into its table before it first
 /// asks whether the table is still small against them: any text starts
 /// with mostly new lines, and what share stays new shows only after the
@@ -633,6 +644,13 @@ impl LineOrder {
         } else {
             line
         }
+    }
+
+    /// True in counted mode: the order of `sort <flags> | uniq -c`, whose
+    /// merges add the counts of equal lines — and call only identical
+    /// lines equal, so its runs may be merged in any grouping.
+    pub fn is_counted(self) -> bool {
+        self.counted
     }
 
     /// True when the key is a number (`-k1n` and `-n` outrank `-f`).
@@ -760,32 +778,47 @@ impl LineOrder {
     /// [`FIRST_TABLE_CHECK`] outside tests, which force the sort with 1
     /// and the table with `usize::MAX`.
     fn count_segment(self, input: &[u8], first_check: usize) -> Vec<u8> {
-        let symbols = self.symbols();
-        let groups = match self.count_distinct(input, first_check) {
-            // The table hands the groups back in first-occurrence order.
-            Some(mut groups) => {
-                symbols.sort_lines(input, &mut groups);
-                groups
-            }
-            None => {
-                let mut entries = self.entries(input);
-                symbols.sort_lines(input, &mut entries);
-                let mut groups: Vec<(Entry, u64)> = Vec::new();
-                for e in entries {
-                    match groups.last_mut() {
-                        Some((prev, n)) if prev.line(input) == e.line(input) => *n += 1,
-                        _ => groups.push((e, 1)),
-                    }
-                }
-                groups
-            }
-        };
-        let bytes: usize = groups.iter().map(|g| g.0.len as usize + 9).sum();
-        let mut out = Vec::with_capacity(bytes);
-        for (e, n) in groups {
-            push_counted(&mut out, n, e.line(input));
+        if let Some(counted) = self.count_table(input, first_check) {
+            return counted;
         }
-        out
+        let symbols = self.symbols();
+        let mut entries = self.entries(input);
+        symbols.sort_lines(input, &mut entries);
+        let mut groups: Vec<(Entry, u64)> = Vec::new();
+        for e in entries {
+            match groups.last_mut() {
+                Some((prev, n)) if prev.line(input) == e.line(input) => *n += 1,
+                _ => groups.push((e, 1)),
+            }
+        }
+        write_counted(input, groups)
+    }
+
+    /// The counted run of one chunk of raw lines — `sort <flags> | uniq -c`
+    /// of it, as [`sort_bytes`](LineOrder::sort_bytes) makes it in counted
+    /// mode — when the counting table stays small against its lines, and
+    /// `None` when the table gives up (see
+    /// [`count_distinct`](LineOrder::count_distinct)): such a chunk is
+    /// better sorted in a batch with its neighbours than on its own. A
+    /// counting fold's map runs this and hands the chunk on raw when it
+    /// declines.
+    pub fn count_bytes(self, input: &Bytes) -> Option<Bytes> {
+        debug_assert!(self.counted, "counting is the counted mode's");
+        if input.len() > MAX_SEGMENT {
+            return None;
+        }
+        self.count_table(input.as_bytes(), FIRST_TABLE_CHECK)
+            .map(Bytes::from)
+    }
+
+    /// The table half of [`count_segment`](LineOrder::count_segment): the
+    /// distinct lines counted in the table and sorted, or `None` when the
+    /// table gives up.
+    fn count_table(self, input: &[u8], first_check: usize) -> Option<Vec<u8>> {
+        // The table hands the groups back in first-occurrence order.
+        let mut groups = self.count_distinct(input, first_check)?;
+        self.symbols().sort_lines(input, &mut groups);
+        Some(write_counted(input, groups))
     }
 
     /// Counts the distinct lines of `input` — distinct under the order's
@@ -1967,11 +2000,22 @@ impl UnixCommand for SortCmd {
 
 /// The comparator this module used before the key-cached kernel, kept
 /// verbatim as the oracle the kernel is tested against: it re-derives keys
-/// inside every comparison and works on `&str`.
-#[cfg(test)]
-mod reference {
-    use super::SortFlags;
+/// inside every comparison and works on `&str`. Public for the tests of
+/// the folds built on [`LineOrder`], not for use.
+#[doc(hidden)]
+pub mod reference {
+    use super::{LineOrder, SortFlags};
     use std::cmp::Ordering;
+
+    /// `sort <flags>` of `input` for `order`'s flags (counted or not).
+    pub fn sort(order: LineOrder, input: &str) -> String {
+        sort_lines(input, order.flags)
+    }
+
+    /// `sort <flags> | uniq -c` of `input` for `order`'s flags.
+    pub fn sort_count(order: LineOrder, input: &str) -> String {
+        count_lines(&sort_lines(input, order.flags))
+    }
 
     fn numeric_prefix(s: &str) -> f64 {
         let t = s.trim_start_matches([' ', '\t']);
@@ -2001,7 +2045,7 @@ mod reference {
         t[..end].parse().unwrap_or(0.0)
     }
 
-    pub fn key_compare(a: &str, b: &str, flags: SortFlags) -> Ordering {
+    pub(super) fn key_compare(a: &str, b: &str, flags: SortFlags) -> Ordering {
         if flags.key_field1_numeric {
             let fa = a.split_ascii_whitespace().next().unwrap_or("");
             let fb = b.split_ascii_whitespace().next().unwrap_or("");
@@ -2025,7 +2069,7 @@ mod reference {
         a.as_bytes().cmp(b.as_bytes())
     }
 
-    pub fn line_compare(a: &str, b: &str, flags: SortFlags) -> Ordering {
+    pub(super) fn line_compare(a: &str, b: &str, flags: SortFlags) -> Ordering {
         let orient = |ord: Ordering, reverse: bool| if reverse { ord.reverse() } else { ord };
         let primary = orient(key_compare(a, b, flags), flags.key_reverse);
         if primary != Ordering::Equal || flags.unique || flags.stable {
@@ -2035,7 +2079,7 @@ mod reference {
         }
     }
 
-    pub fn sort_lines(input: &str, flags: SortFlags) -> String {
+    pub(super) fn sort_lines(input: &str, flags: SortFlags) -> String {
         let mut lines: Vec<&str> = input.split_terminator('\n').collect();
         lines.sort_by(|a, b| line_compare(a, b, flags));
         emit(lines, flags)
@@ -2043,7 +2087,8 @@ mod reference {
 
     /// Picks the smallest head by (line order, stream index) until every
     /// stream is drained.
-    pub fn merge_sorted(streams: &[&str], flags: SortFlags) -> String {
+    #[cfg(test)]
+    pub(super) fn merge_sorted(streams: &[&str], flags: SortFlags) -> String {
         let mut heads: Vec<_> = streams
             .iter()
             .map(|s| s.split_terminator('\n').peekable())
@@ -3143,15 +3188,19 @@ mod tests {
 
     /// The sort kernel on 64 KiB chunks and on 4 MiB, the sizes of a
     /// chunk and of a run batch under a 16 MiB spill budget, of keyed
-    /// lines that share an eight-byte prefix per key. (Optimised builds
-    /// only, best of five: floors, not benchmarks — a third of the ~750
-    /// and ~540 MB/s the kernel does on one core of a 2-core host, where
-    /// the comparison kernel before it did ~360 and ~215.)
+    /// lines that share an eight-byte prefix per key — timed against the
+    /// reference comparator sorting the same chunks in the same process,
+    /// so that a slow or busy host slows both. (Optimised builds only, best
+    /// of five each, the two interleaved: floors, not benchmarks. On one
+    /// core of a 2-core host the kernel sorts 2.2–2.6 times as fast as the
+    /// reference on the chunks and 2.7–3.4 times on the batch; the floors
+    /// are half of that, where the absolute MB/s floors before them failed
+    /// runs on a busy host with the kernel untouched.)
     #[test]
     #[cfg(not(debug_assertions))]
     fn the_sort_kernel_keeps_its_pace() {
-        const CHUNK_FLOOR_MBPS: f64 = 250.0;
-        const BATCH_FLOOR_MBPS: f64 = 180.0;
+        const CHUNK_SPEEDUP_FLOOR: f64 = 1.2;
+        const BATCH_SPEEDUP_FLOOR: f64 = 1.4;
         let mut state = 7u64;
         let mut below = |n: u64| {
             state = state
@@ -3168,43 +3217,47 @@ mod tests {
                 below(7919)
             ));
         }
-        let pace = |bytes: usize| {
-            let input = Bytes::from(keyed.as_str());
-            let chunks: Vec<Bytes> = (0..input.len() / bytes)
-                .map(|i| {
-                    let at = |p: usize| {
-                        p + input.as_bytes()[p..]
-                            .iter()
-                            .position(|&b| b == b'\n')
-                            .unwrap()
-                            + 1
-                    };
-                    let start = if i == 0 { 0 } else { at(i * bytes) };
-                    input.slice(start..at((i + 1) * bytes - 1))
-                })
-                .collect();
-            let total: usize = chunks.iter().map(Bytes::len).sum();
-            let best = (0..5)
-                .map(|_| {
-                    let t0 = std::time::Instant::now();
-                    for chunk in &chunks {
-                        std::hint::black_box(order("").sort_bytes(chunk).unwrap());
+        // How many times as fast as the reference the kernel sorts the
+        // input cut into chunks of `bytes`.
+        let speedup = |bytes: usize| {
+            let mut chunks = Vec::new();
+            let mut rest = keyed.as_str();
+            while !rest.is_empty() {
+                let end = rest[..bytes.min(rest.len())].rfind('\n').unwrap() + 1;
+                let (chunk, tail) = rest.split_at(end);
+                chunks.push(chunk);
+                rest = tail;
+            }
+            let inputs: Vec<Bytes> = chunks.iter().map(|&c| Bytes::from(c)).collect();
+            let time = |f: &dyn Fn()| {
+                let t0 = std::time::Instant::now();
+                f();
+                t0.elapsed()
+            };
+            let (mut kernel, mut reference) = (std::time::Duration::MAX, std::time::Duration::MAX);
+            for _ in 0..5 {
+                kernel = kernel.min(time(&|| {
+                    for input in &inputs {
+                        std::hint::black_box(order("").sort_bytes(input).unwrap());
                     }
-                    t0.elapsed()
-                })
-                .min()
-                .unwrap();
-            total as f64 / 1e6 / best.as_secs_f64()
+                }));
+                reference = reference.min(time(&|| {
+                    for chunk in &chunks {
+                        std::hint::black_box(reference::sort(order(""), chunk));
+                    }
+                }));
+            }
+            reference.as_secs_f64() / kernel.as_secs_f64()
         };
-        let chunks = pace(64 << 10);
+        let chunks = speedup(64 << 10);
         assert!(
-            chunks >= CHUNK_FLOOR_MBPS,
-            "sort of 64 KiB chunks at {chunks:.0} MB/s"
+            chunks >= CHUNK_SPEEDUP_FLOOR,
+            "sort of 64 KiB chunks only {chunks:.1}x the reference's pace"
         );
-        let batch = pace(4 << 20);
+        let batch = speedup(4 << 20);
         assert!(
-            batch >= BATCH_FLOOR_MBPS,
-            "sort of a 4 MiB batch at {batch:.0} MB/s"
+            batch >= BATCH_SPEEDUP_FLOOR,
+            "sort of a 4 MiB batch only {batch:.1}x the reference's pace"
         );
     }
 

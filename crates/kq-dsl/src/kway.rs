@@ -93,6 +93,40 @@ fn combine_pair(
     eval(&candidate.op, x, y, env)
 }
 
+/// A substream pushed into an [`IncrementalFold`].
+#[derive(Debug, Clone)]
+pub enum Piece {
+    /// What the stage printed for a chunk — for a merge fold, a run in the
+    /// fold's order. Plain [`Bytes`] convert into this.
+    Output(Bytes),
+    /// A chunk of the stage's *input*, which a merge fold sorts itself, in
+    /// a batch with the raw chunks around it: the chunks of a sorting
+    /// fold, and those a counting fold's hash table gave up on.
+    Raw(Bytes),
+}
+
+impl From<Bytes> for Piece {
+    fn from(output: Bytes) -> Piece {
+        Piece::Output(output)
+    }
+}
+
+impl Piece {
+    /// The piece's bytes, raw or not.
+    pub fn bytes(&self) -> &Bytes {
+        match self {
+            Piece::Output(bytes) | Piece::Raw(bytes) => bytes,
+        }
+    }
+
+    /// [`bytes`](Piece::bytes), by value.
+    pub fn into_bytes(self) -> Bytes {
+        match self {
+            Piece::Output(bytes) | Piece::Raw(bytes) => bytes,
+        }
+    }
+}
+
 /// Incremental k-way combining: substreams are folded *as they arrive*
 /// instead of being gathered first.
 ///
@@ -147,27 +181,32 @@ fn combine_pair(
 ///   `finish` (pairwise rerun would re-run the command per piece on a
 ///   growing accumulator, O(n·k) command work);
 /// * `merge` — run accumulation: arrivals are cut into a batch as soon
-///   as enough of them exist, each batch is k-way merged into one sorted
-///   run — or, in a [`sorting`](IncrementalFold::sorting) fold of raw
-///   chunks, sorted into one — and `finish` merges the runs. Without a
-///   spill config a run forms every [`MERGE_RUN_ARITY`]
-///   pieces (every [`SORT_RUN_BYTES`] of raw chunks); under one, runs are
-///   sized to the budget instead — pieces accumulate until their bytes
-///   reach [`SpillConfig::batch_bytes`] (capped at
-///   [`MERGE_RUN_MAX_PIECES`] pieces), so that every worker of the pool
-///   can be making a run at once within three quarters of the budget (see
-///   the ledger in [`crate::spill`]). Each byte moves through at most two merges (versus one for
-///   the all-at-once merge — that's the price of overlapping — and
-///   `log k` for a pairwise tree). A merge costs one prefix scan per line
-///   plus `log2 k` integer compares (the offset-value-coded loser tree of
-///   [`LineOrder::merge`]): on 31-byte keyed lines with long shared
-///   prefixes, ~90 ns/line for a 64-way batch and ~65 ns/line for an
-///   8-way closing merge on one core of a 2-core host (152 and 97 ns/line
-///   with the seven-byte-key comparator before it). A sorting fold's batch
-///   costs one sort ([`LineOrder::sort_bytes`]: ~57 ns/line on a 4 MiB
-///   batch of those lines), where the chunk sorts and the batch merge of a
-///   merging fold cost ~86 + ~90, so each line is sorted once and merged
-///   once;
+///   as enough of them exist, each batch becomes one sorted run, and
+///   `finish` merges the runs. Whether a piece is sorted is a property of
+///   the piece ([`Piece`]), so the fold keeps two pending lists: a batch
+///   of [`Piece::Output`] runs is k-way merged, a batch of [`Piece::Raw`]
+///   chunks is sorted as one ([`LineOrder::sort_bytes`]). Without a spill
+///   config a batch of runs forms every [`MERGE_RUN_ARITY`] pieces, and
+///   a batch of raw chunks every [`SORT_RUN_BYTES`] — [`COUNT_RUN_BYTES`]
+///   under a counted order; under a config, batches are sized to the
+///   budget instead — pieces accumulate until their bytes reach
+///   [`SpillConfig::batch_bytes`] (capped at [`MERGE_RUN_MAX_PIECES`]
+///   pieces), so that every worker of the pool can be making a run at
+///   once within three quarters of the budget (see the ledger in
+///   [`crate::spill`]). Each byte moves through at most two merges
+///   (versus one for the all-at-once merge — that's the price of
+///   overlapping — and `log k` for a pairwise tree). A merge costs one
+///   prefix scan per line plus `log2 k` integer compares (the
+///   offset-value-coded loser tree of [`LineOrder::merge`]): on 31-byte
+///   keyed lines with long shared prefixes, ~90 ns/line for a 64-way
+///   batch and ~65 ns/line for an 8-way closing merge on one core of a
+///   2-core host (152 and 97 ns/line with the seven-byte-key comparator
+///   before it). A batch of raw chunks costs one sort (~57 ns/line on a
+///   4 MiB batch of those lines), where sorting each chunk and merging
+///   the batch cost ~86 + ~90, so each raw line is sorted once and merged
+///   once. The two kinds are cut apart, so their runs leave stream order:
+///   only a counted order, which calls only identical lines equal, may
+///   be fed both;
 /// * everything else (the structural stitches, arithmetic folds) — a
 ///   binary-counter tree fold: slot *i* holds a combined group of `2^i`
 ///   adjacent pieces, so each push performs O(1) amortized combines and
@@ -186,11 +225,14 @@ fn combine_pair(
 /// A merge fold is parameterized by its [`LineOrder`] and by nothing else,
 /// so the same fold serves a `sort` stage fused with the `uniq` that
 /// follows it ([`merging`](IncrementalFold::merging)): over a *counted*
-/// order the pieces are counted runs (`sort | uniq -c` of each chunk) and
-/// every merge — of a batch, of a part of the closing merge, of a wave of
-/// spilled runs — adds the counts of equal lines, which is as associative
-/// as dropping duplicates is under `-u`. No other piece of the fold knows.
-/// Nor do they know whether a batch was merged or sorted into its run.
+/// order the pieces are counted runs (`sort | uniq -c` of each chunk) or
+/// raw chunks (whose batch sort counts them), and every merge — of a
+/// batch, of a part of the closing merge, of a wave of spilled runs —
+/// adds the counts of equal lines, which is as associative as dropping
+/// duplicates is under `-u`. No other piece of the fold knows. Nor do
+/// they know whether a batch was merged or sorted into its run, so the
+/// fold of a `sort` fed its raw chunks (the sorting rewrite) is a merge
+/// fold whose pieces all arrive raw.
 /// Only the closing merge of a counting fold that closes in count order
 /// ([`counting`](IncrementalFold::counting)) does more: each part regroups
 /// what it merged by count, and [`stitch`] interleaves the parts' groups.
@@ -221,6 +263,47 @@ pub const FINISH_PART_BYTES: usize = 2 << 20;
 /// the fold's output.
 pub const FINISH_MAX_PARTS: usize = 32;
 
+/// `pending`'s pieces cut into batches of about `part_bytes`, give or take
+/// a line: a piece that overfills a batch is cut at a line end — a
+/// line-aligned slice of a sorted piece is sorted, and of a raw one raw —
+/// and its rest starts the next. Contiguous in the order pushed, as `push`
+/// cuts them.
+fn cut_by_bytes(pending: Pending, part_bytes: usize) -> Vec<Vec<Bytes>> {
+    let batches = (pending.bytes / part_bytes.max(1)).max(1);
+    let target = pending.bytes.div_ceil(batches);
+    let mut groups = vec![Vec::new()];
+    let mut room = target;
+    for mut piece in pending.pieces {
+        while piece.len() > room {
+            let Some(nl) = piece.as_bytes()[room - 1..]
+                .iter()
+                .position(|&b| b == b'\n')
+            else {
+                break;
+            };
+            let cut = room + nl;
+            if cut == piece.len() {
+                break;
+            }
+            groups
+                .last_mut()
+                .expect("a group")
+                .push(piece.slice(0..cut));
+            piece = piece.slice(cut..piece.len());
+            groups.push(Vec::new());
+            room = target;
+        }
+        room = room.saturating_sub(piece.len());
+        groups.last_mut().expect("a group").push(piece);
+        if room == 0 {
+            groups.push(Vec::new());
+            room = target;
+        }
+    }
+    groups.retain(|group| !group.is_empty());
+    groups
+}
+
 /// The bytes a merge fold holds: its runs (those installed) and the
 /// pieces still pending.
 fn folded_bytes(runs: &[Option<Bytes>], pending_bytes: usize) -> usize {
@@ -237,26 +320,39 @@ fn finish_part_count(total_bytes: usize, part_bytes: usize) -> usize {
 /// when the budget allows very large runs of very small pieces.
 pub const MERGE_RUN_MAX_PIECES: usize = 1024;
 
-/// Bytes of raw chunks per run batch of a [`sorting`] fold when no spill
-/// budget informs the sizing. Sorting a batch takes about 2.5 times its
-/// bytes beside it on short lines — a 24-byte entry per line and the radix
+/// Bytes of raw chunks per run batch of a merge fold when no spill budget
+/// informs the sizing. Sorting a batch takes about 2.5 times its bytes
+/// beside it on short lines — a 24-byte entry per line and the radix
 /// sort's second buffer — where merging one takes only its output: at
 /// 512 KiB a sort's working set stays within that of a merge batch of
 /// [`MERGE_RUN_ARITY`] 64 KiB chunks, and in a core's cache.
-///
-/// [`sorting`]: IncrementalFold::sorting
 pub const SORT_RUN_BYTES: usize = 512 << 10;
 
-/// The run-size target in bytes: under a spill config the batch size of
-/// its ledger ([`SpillConfig::batch_bytes`]), so that the batches every
-/// worker may be making runs of at once fit in three quarters of the
-/// budget (a 64 MiB budget on four workers makes 4 MiB runs); without one,
-/// [`SORT_RUN_BYTES`] for the raw chunks of a sorting fold, and none — a
-/// run per [`MERGE_RUN_ARITY`] pieces — for sorted ones.
-fn merge_run_target(spill: &Option<SpillConfig>, raw: bool) -> Option<usize> {
+/// [`SORT_RUN_BYTES`] under a counted order: the raw chunks a counting
+/// fold's hash table gave up on, nearly every line distinct. Their runs
+/// are as large as their input, count columns and all, and live until the
+/// closing merge beside the batches being sorted; at 128 KiB a batch is
+/// two default chunks. On the `multi-stmt` benchmark script (4 MiB, its
+/// first statement's counting fold over 218k lines of which 196k are
+/// distinct; `--workers 2` on a 2-core host, 15 alternating runs), raw
+/// batches of 128, 256 and 512 KiB took 22%, 21% and 23% off the wall
+/// time of sorting every chunk and merging it twice, at +1%, +7% and
+/// +13% peak RSS.
+pub const COUNT_RUN_BYTES: usize = 128 << 10;
+
+/// The run-size target in bytes of a batch of raw pieces (`raw`) or of
+/// runs, under an order that is `counted` or not: under a spill config the
+/// batch size of its ledger ([`SpillConfig::batch_bytes`]), so that the
+/// batches every worker may be making runs of at once fit in three
+/// quarters of the budget (a 64 MiB budget on four workers makes 4 MiB
+/// runs); without one, [`SORT_RUN_BYTES`] (or [`COUNT_RUN_BYTES`]) for
+/// raw chunks, and none — a run per [`MERGE_RUN_ARITY`] pieces — for runs.
+fn merge_run_target(spill: &Option<SpillConfig>, raw: bool, counted: bool) -> Option<usize> {
     match spill {
         Some(cfg) => Some(cfg.batch_bytes()),
-        None => raw.then_some(SORT_RUN_BYTES),
+        None if !raw => None,
+        None if counted => Some(COUNT_RUN_BYTES),
+        None => Some(SORT_RUN_BYTES),
     }
 }
 
@@ -265,11 +361,10 @@ enum FoldState {
     Concat(Vec<Bytes>),
     /// Rerun: gather everything, one re-execution at finish.
     Gather(Vec<Bytes>),
-    /// Merge: pending pieces are cut into a batch once they reach the
-    /// run-size trigger — [`merge_run_target`] bytes (`pending_bytes`
-    /// tracks that) under a spill config or for raw chunks,
-    /// [`MERGE_RUN_ARITY`] pieces otherwise; the batch's run becomes
-    /// `runs[batch index]`
+    /// Merge: pending pieces of each kind are cut into a batch once they
+    /// reach the run-size trigger — [`merge_run_target`] bytes under a
+    /// spill config or for raw chunks, [`MERGE_RUN_ARITY`] pieces
+    /// otherwise; the batch's run becomes `runs[batch index]`
     /// (`None` while the batch is out being merged), and finish merges the
     /// runs (earlier runs first, keeping the stability tiebreak of one
     /// flat merge). Under a spill config each batch is charged to the
@@ -284,19 +379,18 @@ enum FoldState {
     Merge {
         /// The flags' line order, parsed once for the whole fold.
         order: Result<LineOrder, EvalError>,
-        /// The pieces are raw chunks of the stream, not sorted runs: a
-        /// batch is sorted, not merged (a [`sorting`] fold).
-        ///
-        /// [`sorting`]: IncrementalFold::sorting
-        raw: bool,
         /// The closing merge's output is regrouped into this order (a
         /// [`counting`] fold that closes in count order).
         ///
         /// [`counting`]: IncrementalFold::counting
         count: Option<CountOrder>,
         runs: Vec<Option<Bytes>>,
-        pending: Vec<Bytes>,
-        pending_bytes: usize,
+        /// Runs ([`Piece::Output`]) not yet cut into a batch.
+        pending: Pending,
+        /// Raw chunks ([`Piece::Raw`]) not yet cut into a batch.
+        pending_raw: Pending,
+        /// Which kinds of piece were pushed: `[runs, raw chunks]`.
+        fed: [bool; 2],
         heap_bytes: usize,
         spilled: bool,
     },
@@ -311,21 +405,24 @@ enum FoldState {
     },
 }
 
+/// Pieces of one kind a merge fold has not yet cut into a batch.
+#[derive(Default)]
+struct Pending {
+    pieces: Vec<Bytes>,
+    bytes: usize,
+}
+
 impl FoldState {
-    /// An empty merge fold over `order`, of sorted runs or of `raw` chunks,
-    /// closing in `count` order when given.
-    fn merge(
-        order: Result<LineOrder, EvalError>,
-        raw: bool,
-        count: Option<CountOrder>,
-    ) -> FoldState {
+    /// An empty merge fold over `order`, closing in `count` order when
+    /// given.
+    fn merge(order: Result<LineOrder, EvalError>, count: Option<CountOrder>) -> FoldState {
         FoldState::Merge {
             order,
-            raw,
             count,
             runs: Vec::new(),
-            pending: Vec::new(),
-            pending_bytes: 0,
+            pending: Pending::default(),
+            pending_raw: Pending::default(),
+            fed: [false; 2],
             heap_bytes: 0,
             spilled: false,
         }
@@ -356,7 +453,7 @@ impl<'a> IncrementalFold<'a> {
         let state = match &candidate.op {
             Combiner::Rec(RecOp::Concat) if !candidate.swapped => FoldState::Concat(Vec::new()),
             Combiner::Run(RunOp::Rerun) => FoldState::Gather(Vec::new()),
-            Combiner::Run(RunOp::Merge(flags)) => FoldState::merge(merge_order(flags), false, None),
+            Combiner::Run(RunOp::Merge(flags)) => FoldState::merge(merge_order(flags), None),
             _ => FoldState::Counter {
                 slots: Vec::new(),
                 heap_bytes: 0,
@@ -390,7 +487,7 @@ impl<'a> IncrementalFold<'a> {
         IncrementalFold {
             candidate,
             env,
-            state: FoldState::merge(Ok(order), false, None),
+            state: FoldState::merge(Ok(order), None),
             spill,
         }
     }
@@ -413,82 +510,74 @@ impl<'a> IncrementalFold<'a> {
         IncrementalFold {
             candidate,
             env,
-            state: FoldState::merge(Ok(order), false, Some(count)),
-            spill,
-        }
-    }
-
-    /// The merge fold of a `merge <flags>` candidate fed *raw* chunks of a
-    /// `sort`'s input instead of the chunks' sorted outputs: the fold of
-    /// the sorting rewrite. Batches are cut as for any merge fold but by
-    /// bytes when there is no budget ([`SORT_RUN_BYTES`]), and a
-    /// batch becomes a run by one `sort` of its pieces' concatenation under
-    /// `order` ([`LineOrder::sort_bytes`]) where another fold merges them —
-    /// the same run, since `sort(x1 ++ … ++ xk) = merge(sort(x1), …,
-    /// sort(xk))` with ties to the earlier input. Runs, spill and the
-    /// closing merge are those of every merge fold; the pieces still
-    /// pending when the input ends must be [`seal`](IncrementalFold::seal)ed
-    /// into runs before anything is merged.
-    pub fn sorting(
-        candidate: &'a Candidate,
-        order: LineOrder,
-        env: &'a dyn RunEnv,
-        spill: Option<SpillConfig>,
-    ) -> IncrementalFold<'a> {
-        debug_assert!(matches!(candidate.op, Combiner::Run(RunOp::Merge(_))));
-        IncrementalFold {
-            candidate,
-            env,
-            state: FoldState::merge(Ok(order), true, None),
+            state: FoldState::merge(Ok(order), Some(count)),
             spill,
         }
     }
 
     /// Folds in the next substream (empty pieces are skipped, as in
-    /// [`combine_all`]). Combine errors surface immediately. A merge fold
-    /// whose pending pieces reached the run trigger returns them as a
-    /// batch: merge it ([`RunBatch::merge`]) outside any lock that guards
-    /// this fold and [`install`](IncrementalFold::install) the run.
-    pub fn push(&mut self, piece: Bytes) -> Result<Option<RunBatch<'a>>, EvalError> {
+    /// [`combine_all`]): a stage's output, or — into a merge fold only —
+    /// a [`Piece::Raw`] chunk of its input, which the fold sorts itself:
+    /// `sort(x1 ++ … ++ xk) = merge(sort(x1), …, sort(xk))` with ties to
+    /// the earlier input. Combine errors surface immediately. A merge fold
+    /// whose pending pieces of one kind reached the run trigger returns
+    /// them as a batch: merge it ([`RunBatch::merge`]) outside any lock
+    /// that guards this fold and [`install`](IncrementalFold::install) the
+    /// run.
+    pub fn push(&mut self, piece: impl Into<Piece>) -> Result<Option<RunBatch<'a>>, EvalError> {
+        let (raw, piece) = match piece.into() {
+            Piece::Output(piece) => (false, piece),
+            Piece::Raw(chunk) => (true, chunk),
+        };
         if piece.is_empty() {
             return Ok(None);
         }
+        assert!(
+            !raw || matches!(self.state, FoldState::Merge { .. }),
+            "raw chunks feed merge folds only"
+        );
         let (candidate, env) = (self.candidate, self.env);
         match &mut self.state {
             FoldState::Concat(segments) | FoldState::Gather(segments) => segments.push(piece),
             FoldState::Merge {
                 order,
-                raw,
                 runs,
                 pending,
-                pending_bytes,
+                pending_raw,
+                fed,
                 heap_bytes,
                 spilled,
                 ..
             } => {
-                *pending_bytes += piece.len();
-                pending.push(piece);
-                let cut = match merge_run_target(&self.spill, *raw) {
+                let counted = order.as_ref().is_ok_and(|order| order.is_counted());
+                fed[usize::from(raw)] = true;
+                debug_assert!(
+                    counted || !fed.iter().all(|&kind| kind),
+                    "runs and raw chunks leave stream order: only a counted order mixes them"
+                );
+                let list = if raw { pending_raw } else { pending };
+                list.bytes += piece.len();
+                list.pieces.push(piece);
+                let cut = match merge_run_target(&self.spill, raw, counted) {
                     Some(target) => {
-                        *pending_bytes >= target || pending.len() >= MERGE_RUN_MAX_PIECES
+                        list.bytes >= target || list.pieces.len() >= MERGE_RUN_MAX_PIECES
                     }
-                    None => pending.len() >= MERGE_RUN_ARITY,
+                    None => list.pieces.len() >= MERGE_RUN_ARITY,
                 };
                 if cut {
                     let order = order.clone()?;
-                    let (charged, spill) =
-                        charge_batch(&self.spill, heap_bytes, spilled, *pending_bytes);
+                    let Pending { pieces, bytes } = std::mem::take(list);
+                    let (charged, spill) = charge_batch(&self.spill, heap_bytes, spilled, bytes);
                     let batch = RunBatch {
                         env,
                         order,
-                        raw: *raw,
+                        raw,
                         index: runs.len(),
-                        pieces: std::mem::take(pending),
+                        pieces,
                         charged,
                         spill,
                     };
                     runs.push(None);
-                    *pending_bytes = 0;
                     return Ok(Some(batch));
                 }
             }
@@ -542,8 +631,8 @@ impl<'a> IncrementalFold<'a> {
     /// suits — each on a worker of its own — and
     /// [`install`](IncrementalFold::install)ed like those
     /// [`push`](IncrementalFold::push) cuts, so that the closing merge reads
-    /// runs only. The tail is cut by bytes, at line ends — one piece may
-    /// feed two batches — into batches of about a part's bytes
+    /// runs only. Each kind's tail is cut by bytes, at line ends — one
+    /// piece may feed two batches — into batches of about a part's bytes
     /// ([`FINISH_PART_BYTES`]), a pure function of the pieces like every
     /// other cut the fold makes. Folds that are not merges, and merges with
     /// nothing pending, hand out nothing.
@@ -557,10 +646,9 @@ impl<'a> IncrementalFold<'a> {
         let env = self.env;
         let FoldState::Merge {
             order,
-            raw,
             runs,
             pending,
-            pending_bytes,
+            pending_raw,
             heap_bytes,
             spilled,
             ..
@@ -568,64 +656,28 @@ impl<'a> IncrementalFold<'a> {
         else {
             return Ok(Vec::new());
         };
-        if pending.is_empty() {
+        if pending.pieces.is_empty() && pending_raw.pieces.is_empty() {
             return Ok(Vec::new());
         }
         let order = order.clone()?;
-        let batches = (*pending_bytes / part_bytes.max(1)).max(1);
-        let target = pending_bytes.div_ceil(batches);
-        // Batches of `target` bytes, give or take a line: a piece that
-        // overfills a batch is cut at a line end — a line-aligned slice of
-        // a sorted piece is sorted, and of a raw one raw — and its rest
-        // starts the next. Contiguous in stream order, as `push` cuts them.
-        let mut groups = vec![Vec::new()];
-        let mut room = target;
-        for mut piece in pending.drain(..) {
-            while piece.len() > room {
-                let Some(nl) = piece.as_bytes()[room - 1..]
-                    .iter()
-                    .position(|&b| b == b'\n')
-                else {
-                    break;
-                };
-                let cut = room + nl;
-                if cut == piece.len() {
-                    break;
-                }
-                groups
-                    .last_mut()
-                    .expect("a group")
-                    .push(piece.slice(0..cut));
-                piece = piece.slice(cut..piece.len());
-                groups.push(Vec::new());
-                room = target;
-            }
-            room = room.saturating_sub(piece.len());
-            groups.last_mut().expect("a group").push(piece);
-            if room == 0 {
-                groups.push(Vec::new());
-                room = target;
-            }
-        }
-        groups.retain(|group| !group.is_empty());
-        *pending_bytes = 0;
-        Ok(groups
-            .into_iter()
-            .map(|pieces| {
+        let mut batches = Vec::new();
+        for (raw, list) in [(false, pending), (true, pending_raw)] {
+            for pieces in cut_by_bytes(std::mem::take(list), part_bytes) {
                 let bytes = pieces.iter().map(Bytes::len).sum();
                 let (charged, spill) = charge_batch(&self.spill, heap_bytes, spilled, bytes);
                 runs.push(None);
-                RunBatch {
+                batches.push(RunBatch {
                     env,
                     order,
-                    raw: *raw,
+                    raw,
                     index: runs.len() - 1,
                     pieces,
                     charged,
                     spill,
-                }
-            })
-            .collect())
+                });
+            }
+        }
+        Ok(batches)
     }
 
     /// How many parts [`plan_finish`](IncrementalFold::plan_finish) will
@@ -636,9 +688,13 @@ impl<'a> IncrementalFold<'a> {
         match &self.state {
             FoldState::Merge {
                 runs,
-                pending_bytes,
+                pending,
+                pending_raw,
                 ..
-            } => finish_part_count(folded_bytes(runs, *pending_bytes), FINISH_PART_BYTES),
+            } => finish_part_count(
+                folded_bytes(runs, pending.bytes + pending_raw.bytes),
+                FINISH_PART_BYTES,
+            ),
             _ => 1,
         }
     }
@@ -677,10 +733,14 @@ impl<'a> IncrementalFold<'a> {
                 count,
                 runs,
                 pending,
+                pending_raw,
                 spilled,
                 ..
             } => {
-                debug_assert!(pending.is_empty(), "sealed above");
+                debug_assert!(
+                    pending.pieces.is_empty() && pending_raw.pieces.is_empty(),
+                    "sealed above"
+                );
                 let order = order?;
                 let parts = finish_part_count(folded_bytes(&runs, 0), part_bytes);
                 let runs: Vec<Bytes> = runs
@@ -981,11 +1041,11 @@ fn merge_pieces(env: &dyn RunEnv, order: LineOrder, pieces: &[Bytes]) -> Result<
     }
 }
 
-/// The pending pieces of a merge fold, cut at the run trigger and handed
-/// back by [`IncrementalFold::push`] (or by [`IncrementalFold::seal`] when
-/// the input ends) so that making them a run — a k-way merge, or for the
-/// raw chunks of a [`sorting`](IncrementalFold::sorting) fold one sort —
-/// happens outside whatever lock guards the fold.
+/// The pending pieces of one kind of a merge fold, cut at the run trigger
+/// and handed back by [`IncrementalFold::push`] (or by
+/// [`IncrementalFold::seal`] when the input ends) so that making them a
+/// run — a k-way merge of runs, or one sort of raw chunks — happens
+/// outside whatever lock guards the fold.
 pub struct RunBatch<'a> {
     env: &'a dyn RunEnv,
     order: LineOrder,
@@ -1363,7 +1423,16 @@ mod tests {
     /// A push the way a single owner of the fold does it: a batch handed
     /// back is merged and installed on the spot.
     fn push(fold: &mut IncrementalFold<'_>, piece: &Bytes) {
-        if let Some(batch) = fold.push(piece.clone()).unwrap() {
+        push_piece(fold, Piece::Output(piece.clone()));
+    }
+
+    /// [`push`] of a raw chunk.
+    fn push_raw(fold: &mut IncrementalFold<'_>, chunk: &Bytes) {
+        push_piece(fold, Piece::Raw(chunk.clone()));
+    }
+
+    fn push_piece(fold: &mut IncrementalFold<'_>, piece: Piece) {
+        if let Some(batch) = fold.push(piece).unwrap() {
             fold.install(batch.merge().unwrap());
         }
     }
@@ -2097,6 +2166,137 @@ mod tests {
         }
     }
 
+    /// What a counting fold's map hands on: stretches of one repeated word
+    /// (their chunks counted, as the hash table does) alternating with
+    /// stretches of distinct lines (their chunks raw, as when the table
+    /// gives up), enough of each for both kinds of batch to be cut while
+    /// pushing — raw ones under a budget of 1 MiB too. Lines lead with blanks and digits and differ only in case.
+    /// Returns the stream and the pieces.
+    fn counted_and_raw_chunks(order: LineOrder) -> (String, Vec<Piece>) {
+        let mut stream = String::new();
+        let pieces = (0..MERGE_RUN_ARITY * 3 + 5)
+            .map(|p| {
+                let lines: String = (0..240)
+                    .map(|i| match (p % 2, (i * 7 + p) % 5) {
+                        (0, 0) => format!("w{}\n", p % 3),
+                        (0, 1) => "W1\n".to_owned(),
+                        (0, k) => format!("  {k} x\n"),
+                        (_, 0) => format!("{} distinct {p}\n", i * 37 % 101),
+                        (_, 1) => format!("Distinct line {i} of {p}\n"),
+                        (_, k) => format!("distinct line {i} of {p} {k}\n"),
+                    })
+                    .collect();
+                stream.push_str(&lines);
+                let chunk = Bytes::from(lines);
+                if p % 2 == 0 {
+                    Piece::Output(order.sort_bytes(&chunk).unwrap())
+                } else {
+                    Piece::Raw(chunk)
+                }
+            })
+            .collect();
+        (stream, pieces)
+    }
+
+    /// A counting fold fed counted runs and raw chunks interleaved — the
+    /// two kinds are batched apart, so their runs leave stream order, which
+    /// a counted order allows — equals `sort | uniq -c` of the stream by
+    /// the reference comparator, and closing in count order, that piped
+    /// through the numeric `sort`: sealed in parts of a few lines and in
+    /// one, in memory, under a 1 MiB budget and with every run spilled.
+    #[test]
+    fn a_counting_fold_of_counted_runs_and_raw_chunks_equals_sort_then_uniq_c() {
+        use kq_coreutils::sort::reference;
+        let ctx = kq_coreutils::ExecContext::default();
+        for (flags, tails) in [
+            ("", &["", "-rn", "-n", "-k1n -r"][..]),
+            ("-r", &["", "-k1nr"][..]),
+            ("-n", &[""][..]),
+            ("-f", &[""][..]),
+        ] {
+            let plain = merge_order(&words(flags)).unwrap();
+            let order = plain.counted();
+            let (stream, pieces) = counted_and_raw_chunks(order);
+            let counted = reference::sort_count(order, &stream);
+            let sort = kq_coreutils::parse_command(&format!("sort {flags}")).unwrap();
+            let env = crate::eval::CommandEnv {
+                command: &sort,
+                ctx: &ctx,
+            };
+            let c = merge_candidate(flags);
+            for &then in tails {
+                let numeric = LineOrder::parse(&words(then)).unwrap();
+                let count = (!then.is_empty()).then(|| plain.count_order(numeric).unwrap());
+                let expect = match count {
+                    None => counted.clone(),
+                    Some(_) => reference::sort(numeric, &counted),
+                };
+                for budget in [None, Some(1 << 20), Some(0)] {
+                    for part_bytes in [40, 2_000, 1 << 30] {
+                        let tag = format!(
+                            "mixed-{}-{}-{part_bytes}-{}",
+                            flags.len(),
+                            then.len(),
+                            budget.unwrap_or(usize::MAX)
+                        );
+                        with_spill_dir(&tag, budget.unwrap_or(0), |cfg| {
+                            let spill = budget.map(|_| cfg.clone());
+                            let mut fold = match count {
+                                None => IncrementalFold::merging(&c, order, &env, spill),
+                                Some(count) => {
+                                    IncrementalFold::counting(&c, order, count, &env, spill)
+                                }
+                            };
+                            // Batches cut while pushing, of runs and of raw
+                            // chunks; a budget sizes both by bytes, and the
+                            // counted runs are small.
+                            let mut cut = [0usize; 2];
+                            for piece in &pieces {
+                                if let Some(batch) = fold.push(piece.clone()).unwrap() {
+                                    cut[usize::from(batch.raw)] += 1;
+                                    fold.install(batch.merge().unwrap());
+                                }
+                            }
+                            assert!(cut[1] > 0 && (cut[0] > 0 || budget.is_some()), "{cut:?}");
+                            let parts = fold.plan_finish_at(part_bytes).unwrap();
+                            if part_bytes <= 40 {
+                                assert!(
+                                    parts.len() > 2,
+                                    "sort {flags} | uniq -c: the fold must cut"
+                                );
+                            }
+                            let got = merge_parts(parts).unwrap().into_bytes();
+                            assert!(
+                                got == expect.as_str(),
+                                "sort {flags} | uniq -c | sort {then}, budget {budget:?}, parts \
+                                 of {part_bytes} bytes"
+                            );
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs and raw chunks are batched apart, so their runs leave stream
+    /// order: under an order that calls lines of different bytes equal,
+    /// that would change which of them comes first.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "only a counted order mixes them")]
+    fn only_a_counted_order_takes_runs_and_raw_chunks() {
+        let c = merge_candidate("-n");
+        let order = LineOrder::parse(&words("-n")).unwrap();
+        let mut fold = IncrementalFold::merging(&c, order, &FakeEnv, None);
+        push(&mut fold, &Bytes::from("1 b\n"));
+        push_raw(&mut fold, &Bytes::from("1 a\n"));
+    }
+
+    /// The words of a flag list.
+    fn words(flags: &str) -> Vec<String> {
+        flags.split_whitespace().map(str::to_owned).collect()
+    }
+
     /// The stitch over blocks: a counted stream cut into line-aligned
     /// blocks, each regrouped on its own and the blocks spread over parts,
     /// stitches to the numeric sort of the whole stream; the slices of a
@@ -2237,9 +2437,9 @@ mod tests {
                             );
                             with_spill_dir(&tag, budget.unwrap_or(0), |cfg| {
                                 let spill = budget.map(|_| cfg.clone());
-                                let mut fold = IncrementalFold::sorting(&c, order, &env, spill);
+                                let mut fold = IncrementalFold::merging(&c, order, &env, spill);
                                 for p in chunks {
-                                    push(&mut fold, p);
+                                    push_raw(&mut fold, p);
                                 }
                                 let parts = fold.plan_finish_at(part_bytes).unwrap();
                                 let got = merge_parts(parts).unwrap().into_bytes();
@@ -2264,10 +2464,10 @@ mod tests {
         let order = LineOrder::parse(&[]).unwrap();
         let piece = Bytes::from("b\na\n".repeat(SORT_RUN_BYTES / 32));
         assert_eq!(piece.len() * 8, SORT_RUN_BYTES);
-        let mut sorting = IncrementalFold::sorting(&c, order, &FakeEnv, None);
+        let mut sorting = IncrementalFold::merging(&c, order, &FakeEnv, None);
         let mut merging = IncrementalFold::new(&c, &FakeEnv);
         for i in 1..=MERGE_RUN_ARITY {
-            let raw_cut = sorting.push(piece.clone()).unwrap().is_some();
+            let raw_cut = sorting.push(Piece::Raw(piece.clone())).unwrap().is_some();
             let merge_cut = merging.push(piece.clone()).unwrap().is_some();
             assert_eq!((raw_cut, merge_cut), (i % 8 == 0, i == MERGE_RUN_ARITY));
         }
@@ -2317,9 +2517,9 @@ mod tests {
         assert!(mapped.is_mmap_backed());
         let c = merge_candidate("");
         let order = LineOrder::parse(&[]).unwrap();
-        let mut fold = IncrementalFold::sorting(&c, order, &FakeEnv, None);
+        let mut fold = IncrementalFold::merging(&c, order, &FakeEnv, None);
         for chunk in mapped.chunks(64 << 10) {
-            push(&mut fold, &chunk);
+            push_raw(&mut fold, &chunk);
         }
         for batch in fold.seal().unwrap() {
             fold.install(batch.merge().unwrap());
@@ -2341,9 +2541,9 @@ mod tests {
         // Three raw pieces that close in parts of a third of their bytes:
         // three batches, each about a third, cut at line ends, that are
         // the pieces' bytes in order.
-        let mut fold = IncrementalFold::sorting(&c, order, &FakeEnv, None);
+        let mut fold = IncrementalFold::merging(&c, order, &FakeEnv, None);
         for p in &pieces {
-            assert!(fold.push(p.clone()).unwrap().is_none());
+            assert!(fold.push(Piece::Raw(p.clone())).unwrap().is_none());
         }
         let batches = fold.seal_at(total / 3).unwrap();
         assert_eq!(batches.len(), 3);
@@ -2364,16 +2564,16 @@ mod tests {
         assert!(fold.seal_at(total / 3).unwrap().is_empty());
         // Below a part's bytes, the tail is one batch, raw or sorted.
         for raw in [true, false] {
-            let mut fold = if raw {
-                IncrementalFold::sorting(&c, order, &FakeEnv, None)
+            let mut fold = IncrementalFold::merging(&c, order, &FakeEnv, None);
+            if raw {
+                pieces.iter().for_each(|p| push_raw(&mut fold, p));
             } else {
-                IncrementalFold::new(&c, &FakeEnv)
-            };
-            pieces.iter().for_each(|p| push(&mut fold, p));
+                pieces.iter().for_each(|p| push(&mut fold, p));
+            }
             assert_eq!(fold.seal().unwrap().len(), 1);
         }
         // Nothing pending, or no merge: nothing to hand out.
-        assert!(IncrementalFold::sorting(&c, order, &FakeEnv, None)
+        assert!(IncrementalFold::merging(&c, order, &FakeEnv, None)
             .seal()
             .unwrap()
             .is_empty());

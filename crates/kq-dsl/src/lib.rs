@@ -67,10 +67,15 @@
 //! guards the fold with a lock can merge the batch with the lock released
 //! and [`install`](IncrementalFold::install) the run afterwards. Runs are
 //! slotted by batch index, so batches may come back in any order and
-//! `finish` still merges them in stream order. A
-//! [`sorting`](IncrementalFold::sorting) fold is fed a `sort`'s raw input
-//! chunks instead of their sorted outputs and makes each batch a run by
-//! one sort of its concatenation — the same run. When the input ends,
+//! `finish` still merges them in stream order. A piece may also arrive
+//! raw ([`kway::Piece::Raw`]): a chunk of the `sort`'s input instead of
+//! its sorted output. Raw chunks are batched apart from runs, by bytes,
+//! and a batch of them becomes a run by one sort of its concatenation —
+//! the same run. The fold of the sorting rewrite is fed nothing else; a
+//! counting fold (`sort | uniq -c` under a counted order) is fed the
+//! chunks its map's hash table gave up on raw and the rest counted, and
+//! since a counted order calls only identical lines equal, its runs may
+//! leave stream order. When the input ends,
 //! [`seal`](IncrementalFold::seal) hands out the pieces still pending as
 //! batches of their own, cut by bytes.
 //!

@@ -16,7 +16,7 @@
 //! | [`NodeKind::StageWorker`] | chunks | per-chunk outputs of a chunk-local command run, re-normalized by an incremental chunker and forwarded **in input order** | one scheduler task per chunk, any number in flight |
 //! | [`NodeKind::StageWorker`] headed by a **seam stage** — a `tr -s` that splits text into lines (see "Seam rewrite") | chunks | as above, except that the head stage's output for every chunk but the first loses one leading `'\n'` before the rest of the run sees it | as any stage worker: the node *is* one |
 //! | [`NodeKind::Fold`] ([`FoldMode::Combine`]) | chunks | the stage's synthesized combiner folded over per-chunk outputs in input order; only the combined stream moves on, re-chunked | per-chunk map tasks in parallel, the fold itself in arrival order |
-//! | [`NodeKind::Fold`] ([`FoldMode::Combine`]) over **two stages** — a `sort \| uniq [-c]` pair (see "Counting rewrite") | chunks | per chunk, what the pair prints for it — the chunk's distinct lines in the sort's order, with their counts under `-c`; these fold through the sort's `merge` under the counted (or `-u`) order; the result is byte for byte the second stage's output | as a one-stage combine fold: the node *is* one |
+//! | [`NodeKind::Fold`] ([`FoldMode::Combine`]) over **two stages** — a `sort \| uniq [-c]` pair (see "Counting rewrite") | chunks | per chunk, what the pair prints for it — the chunk's distinct lines in the sort's order, with their counts under `-c` — or, for `-c` when most of its lines are distinct, the chunk itself, raw; these fold through the sort's `merge` under the counted (or `-u`) order, raw chunks sorted in batches of their own; the result is byte for byte the second stage's output | as a one-stage combine fold: the node *is* one |
 //! | [`NodeKind::Fold`] ([`FoldMode::Combine`]) over **three stages** — a `sort \| uniq -c` pair and the numeric `sort` after it (see "Count-order rewrite") | chunks | as the counting fold, except that each part of the closing merge regroups its counted lines by count as it is merged, and the parts' groups are stitched count by count into slices of them: the result is byte for byte the third stage's output | as the counting fold: the parts merge and regroup as pool tasks |
 //! | [`NodeKind::Fold`] ([`FoldMode::Sort`]) — a `sort`, or the `sort \| uniq` of a unique pair (see "Sorting rewrite") | chunks | nothing per chunk: the chunks reach the fold as they are, batches of them are sorted into runs (under `-u` for the pair) and the runs merged by the stage's `merge`; the result is the stage's output | a sort per run batch, batches in parallel; the closing merge in parts as for any merge fold |
 //! | [`NodeKind::Fold`] ([`FoldMode::Gather`]) | chunks | the command run once over the gathered input, re-chunked | one task at a time |
@@ -47,16 +47,26 @@
 //!
 //! * **map** — each chunk becomes what `sort <flags> | uniq -c` prints for
 //!   it: its distinct lines in the sort's order behind their counts (for a
-//!   plain `uniq`, what `sort -u` prints). For the counting pair that is
-//!   one kernel (`LineOrder::counted` + `sort_bytes`): a hash count while
-//!   the chunk has few distinct lines, the sort plus a count of adjacent
-//!   equals otherwise — never the full sort *and* a second pass;
+//!   plain `uniq`, what `sort -u` prints). For the counting pair that is a
+//!   hash count (`LineOrder::count_bytes` of the counted order) while the
+//!   chunk has few distinct lines. When the table gives up — most lines
+//!   distinct, so counting buys nothing — the map does nothing more: the
+//!   chunk goes to the fold *raw* ([`kq_dsl::kway::Piece::Raw`]), a
+//!   refcount bump;
 //! * **fold** — the sort stage's own `merge <flags>` fold, run under the
 //!   counted order: every merge reads a line's key past the count column
-//!   and, where a `-u` merge drops a duplicate, adds the counts. Run
-//!   batches, spill, the closing merge in parts and the scheduler's
-//!   `Finishing` phase see ordinary line runs. (Plain `uniq`: the `-u`
-//!   order, nothing new at all.);
+//!   and, where a `-u` merge drops a duplicate, adds the counts. Counted
+//!   runs are merged in batches of 32; raw chunks are batched apart, by
+//!   their bytes (128 KiB, `kq_dsl::kway::COUNT_RUN_BYTES`), and each
+//!   batch is sorted and counted once (`sort_bytes`), so a line of a
+//!   high-cardinality stream is sorted once and merged once — in the
+//!   closing merge — not sorted per chunk and merged twice. The counted
+//!   order calls only identical lines equal, so the two kinds' runs may
+//!   leave stream order. Spill, the closing merge in parts and the
+//!   scheduler's `Finishing` phase see ordinary line runs. (Plain `uniq`:
+//!   the `-u` order, nothing new at all.) The trace's
+//!   `dataflow/raw-pieces` counter says how many chunks each such fold
+//!   took raw;
 //! * **output** — exactly the bytes the `uniq` stage would have emitted,
 //!   so nothing downstream changes.
 //!
@@ -162,9 +172,9 @@
 //! ```
 //!
 //! where the merge hands ties to the earlier piece and a stable sort keeps
-//! them in input order. So the node's map passes each chunk through as it
-//! is, and the fold — the stage's own merge fold, cutting run batches
-//! where it would, or without a budget every 512 KiB
+//! them in input order. So the node's map passes each chunk on raw, and
+//! the fold — the stage's own merge fold, all of whose pieces arrive raw,
+//! cutting run batches where it would, or without a budget every 512 KiB
 //! (`kq_dsl::kway::SORT_RUN_BYTES`) — makes each batch one run by **one
 //! sort of the batch's concatenation** (adjacent chunks of a split
 //! concatenate without a copy) instead of a merge of its sorted chunks.
@@ -176,9 +186,10 @@
 //!
 //! What it removes: the sort of every 64 KiB chunk and the merge of their
 //! sorted copies — each line is sorted once, in a run of half a megabyte
-//! or more, and merged once. A counting pair keeps its counting map (its chunks shrink
-//! to their distinct lines before they reach the fold), so the planner
-//! does not mark its sort. `fuse_streamable = false` keeps every chunk's
+//! or more, and merged once. A counting pair keeps its counting map (its
+//! chunks shrink to their distinct lines before they reach the fold, and
+//! only those that would not shrink go raw), so the planner does not mark
+//! its sort. `fuse_streamable = false` keeps every chunk's
 //! sort, and [`run_serial`] and the other executors run the stage on its
 //! own, so the suites that run both settings compare the two.
 //!

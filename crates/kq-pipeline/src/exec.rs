@@ -99,6 +99,10 @@ pub struct QueueTelemetry {
     /// Scheduler tasks executed for this node — the denominator for the
     /// stall averages.
     pub tasks: usize,
+    /// Chunks this node's map handed its fold raw, to be sorted there in
+    /// a batch: every chunk of a sorting fold, and the chunks a counting
+    /// fold's hash table gave up on. Zero at every other node.
+    pub raw_pieces: usize,
 }
 
 /// The record behind [`StageTiming::early_exit`].

@@ -6,12 +6,12 @@
 //! (see [`crate::dataflow`] for the node and edge semantics), and the unit
 //! of scheduling is a *task*: "make progress at node N of statement S" —
 //! process one chunk at a map node (through the node's commands — at a
-//! counting fold, through the `sort | uniq -c` kernel of its counted line
-//! order; at a sorting fold, through nothing; behind a seam stage, with
-//! the seam's `'\n'` taken off first), drain the input of a fold, make a
-//! run of a batch a fold sealed, merge one part of a fold's closing merge,
-//! cut the next chunk at a split, emit the next chunk of a materialized
-//! output.
+//! counting fold, through the hash table of its counted line order, or
+//! through nothing when the table gives up; at a sorting fold, through
+//! nothing; behind a seam stage, with the seam's `'\n'` taken off first),
+//! drain the input of a fold, make a run of a batch a fold sealed, merge
+//! one part of a fold's closing merge, cut the next chunk at a split, emit
+//! the next chunk of a materialized output.
 //!
 //! # Scheduling
 //!
@@ -88,6 +88,7 @@ use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use kq_coreutils::sort::LineOrder;
 use kq_coreutils::{CmdError, Command, ExecContext};
 use kq_dsl::eval::CommandEnv;
+use kq_dsl::kway::Piece;
 use kq_stream::{Bytes, IncrementalChunker, Rope};
 use kq_synth::IncrementalCombine;
 use std::collections::{BTreeMap, VecDeque};
@@ -330,8 +331,9 @@ struct NodeState<'a> {
     /// (a selective stage between this node and the next fold pushes
     /// nothing for most chunks it takes).
     deferred: usize,
-    /// Reorder buffer: results keyed by input pop ordinal.
-    pending: BTreeMap<usize, Bytes>,
+    /// Reorder buffer: results keyed by input pop ordinal — raw only at a
+    /// combine fold whose map hands chunks on unsorted.
+    pending: BTreeMap<usize, Piece>,
     next_seq: usize,
     /// StageWorker: output re-normalization.
     chunker: Option<IncrementalChunker>,
@@ -417,11 +419,13 @@ enum NodeMap {
     /// The node's command chain.
     Chain,
     /// A sorting fold (see "Sorting rewrite" in [`crate::dataflow`]):
-    /// nothing — the chunk goes to the fold as it is, sorted there in a
-    /// batch with its neighbours.
+    /// nothing — the chunk goes to the fold raw, sorted there in a batch
+    /// with its neighbours.
     Raw,
-    /// A counting fold (`sort | uniq -c` as one node): the kernel of its
-    /// counted order instead of the chain.
+    /// A counting fold (`sort | uniq -c` as one node): the hash table of
+    /// its counted order instead of the chain ([`LineOrder::count_bytes`])
+    /// — the chunk's counted run, or, when the table gives up, the chunk
+    /// itself, raw.
     Counted(LineOrder),
     /// A stage worker headed by a seam stage
     /// ([`DataflowNode::heads_seam`]): the chain, with the head's output
@@ -658,20 +662,21 @@ pub fn run_dataflow_segments(
                         let count_order = (node.stages.len() == 3)
                             .then(|| plan.statements[si].stages[node.stages.start].count_order)
                             .flatten();
-                        state.accum = Some(match (mode, pair_order, count_order) {
-                            (FoldMode::Sort, order, _) => {
-                                let order = order.or_else(|| combiner.merge_order()).expect(
+                        // A sorting fold is a merge fold fed raw chunks, in
+                        // its pair's order when it is the sort of one.
+                        let merge_order =
+                            match (mode, pair_order) {
+                                (FoldMode::Sort, None) => Some(combiner.merge_order().expect(
                                     "the planner licenses only sorts whose combiner merges",
-                                );
-                                combiner.incremental_sorting(order, env, spill)
-                            }
-                            (_, Some(order), Some(count)) => {
+                                )),
+                                (_, order) => order,
+                            };
+                        state.accum = Some(match (merge_order, count_order) {
+                            (Some(order), Some(count)) => {
                                 combiner.incremental_counting(order, count, env, spill)
                             }
-                            (_, Some(order), None) => {
-                                combiner.incremental_merging(order, env, spill)
-                            }
-                            (_, None, _) => combiner.incremental_with_spill(env, spill),
+                            (Some(order), None) => combiner.incremental_merging(order, env, spill),
+                            (None, _) => combiner.incremental_with_spill(env, spill),
                         });
                     }
                     _ => {}
@@ -817,7 +822,7 @@ pub fn run_dataflow_segments(
         );
         let stages = snapshot_timings(stmt);
         if kq_trace::enabled() {
-            emit_node_counters(si, &stages);
+            emit_node_counters(si, &stages, &stmt.maps);
         }
         timings.statements.push(stages);
     }
@@ -974,9 +979,10 @@ fn run_task(cx: &Cx<'_, '_>, (si, ni): Task) {
 }
 
 /// Trace plane: the per-node queue/stall/volume telemetry as counter
-/// records, emitted once per node after the pool has drained.
+/// records, emitted once per node after the pool has drained — and, at a
+/// fold whose map may hand chunks on raw, how many it did.
 /// `stages[k]` is node `k + 1` (the split has no StageTiming).
-fn emit_node_counters(si: usize, stages: &[StageTiming]) {
+fn emit_node_counters(si: usize, stages: &[StageTiming], maps: &[NodeMap]) {
     for (k, t) in stages.iter().enumerate() {
         let ni = k + 1;
         kq_trace::counter("dataflow", "bytes-in", t.bytes_in as f64)
@@ -1004,6 +1010,12 @@ fn emit_node_counters(si: usize, stages: &[StageTiming]) {
                 .si(si)
                 .ni(ni)
                 .emit();
+            if matches!(maps[ni], NodeMap::Raw | NodeMap::Counted(_)) {
+                kq_trace::counter("dataflow", "raw-pieces", q.raw_pieces as f64)
+                    .si(si)
+                    .ni(ni)
+                    .emit();
+            }
         }
     }
 }
@@ -1220,10 +1232,14 @@ fn map_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
         .v(chunk.len() as f64);
     let t0 = Instant::now();
     let result = match &stmt.maps[ni] {
-        NodeMap::Chain => run_chain(&stmt.chains[ni], chunk.clone(), cx.rt.ctx),
-        NodeMap::Raw => Ok(chunk.clone()),
-        NodeMap::Counted(order) => order.sort_bytes(&chunk),
-        NodeMap::Seam => run_seam_chain(&stmt.chains[ni], seq, chunk.clone(), cx.rt.ctx),
+        NodeMap::Chain => run_chain(&stmt.chains[ni], chunk.clone(), cx.rt.ctx).map(Piece::Output),
+        NodeMap::Raw => Ok(Piece::Raw(chunk.clone())),
+        NodeMap::Counted(order) => Ok(order
+            .count_bytes(&chunk)
+            .map_or_else(|| Piece::Raw(chunk.clone()), Piece::Output)),
+        NodeMap::Seam => {
+            run_seam_chain(&stmt.chains[ni], seq, chunk.clone(), cx.rt.ctx).map(Piece::Output)
+        }
     };
     let dur = t0.elapsed();
     span.done();
@@ -1251,6 +1267,7 @@ fn map_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
                 return;
             }
         };
+        st.telem.raw_pieces += usize::from(matches!(out, Piece::Raw(_)));
         st.pending.insert(seq, out);
         while let Some(ready) = {
             let next = st.next_seq;
@@ -1258,6 +1275,7 @@ fn map_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
         } {
             st.next_seq += 1;
             if is_worker {
+                let ready = ready.into_bytes();
                 st.bytes_out += ready.len();
                 let chunker = st.chunker.as_mut().expect("stage worker chunker");
                 let mut outgoing = chunker.push(ready);
@@ -1591,12 +1609,13 @@ fn gather_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
                 }
                 st.telem.tasks += 1;
                 st.telem.max_queued = st.telem.max_queued.max(len_at);
-                st.pending.insert(seq, chunk);
+                st.pending.insert(seq, Piece::Output(chunk));
                 while let Some(ready) = {
                     let next = st.next_seq;
                     st.pending.remove(&next)
                 } {
                     st.next_seq += 1;
+                    let ready = ready.into_bytes();
                     match bound {
                         None => {
                             st.bytes_in += ready.len();

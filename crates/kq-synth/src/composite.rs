@@ -203,20 +203,6 @@ impl SynthesizedCombiner {
         self.incremental_over(fold, env, None)
     }
 
-    /// The incremental combine of a `sort` stage fed its raw input chunks
-    /// instead of their sorted outputs, merging under `order` — the fold
-    /// of the sorting rewrite ([`kway::IncrementalFold::sorting`]).
-    /// Authoritative like [`incremental_merging`](Self::incremental_merging).
-    pub fn incremental_sorting<'a>(
-        &'a self,
-        order: LineOrder,
-        env: &'a dyn RunEnv,
-        spill: Option<kq_dsl::SpillConfig>,
-    ) -> IncrementalCombine<'a> {
-        let fold = kway::IncrementalFold::sorting(self.primary(), order, env, spill);
-        self.incremental_over(fold, env, None)
-    }
-
     /// An incremental combine speculating on `fold`, a fold of the primary
     /// member; `raw_spill` bounds the raw handles of the selective path.
     fn incremental_over<'a>(
@@ -280,9 +266,11 @@ impl<'a> IncrementalCombine<'a> {
     /// them back as a batch instead of merging them here (see
     /// [`kway::IncrementalFold::push`]): merge it wherever no lock on this
     /// combine is held and give the outcome to
-    /// [`install`](Self::install).
-    pub fn push(&mut self, piece: Bytes) -> Option<kway::RunBatch<'a>> {
-        self.fed |= !piece.is_empty();
+    /// [`install`](Self::install). A raw chunk ([`kway::Piece::Raw`]) is
+    /// for a `merge` fold only, which is always authoritative.
+    pub fn push(&mut self, piece: impl Into<kway::Piece>) -> Option<kway::RunBatch<'a>> {
+        let piece = piece.into();
+        self.fed |= !piece.bytes().is_empty();
         let mut batch = None;
         match &mut self.raw {
             None => {
@@ -296,6 +284,9 @@ impl<'a> IncrementalCombine<'a> {
                 }
             }
             Some(raw) => {
+                let kway::Piece::Output(piece) = piece else {
+                    unreachable!("raw chunks feed merge folds, which are authoritative");
+                };
                 if let Some(fold) = &mut self.fold {
                     // Committing to the primary member is sound only under
                     // the condition

@@ -19,7 +19,9 @@
 //! sweeps: every corpus script the planner fuses a pair in, and generated
 //! multi-MiB inputs of low and high cardinality, run fused, unfused
 //! (`fuse_streamable: false`, what `--no-opt` builds) and serially —
-//! stdout and every redirect target, at one, two and four workers.
+//! stdout and every redirect target, at one, two and four workers — and
+//! inputs whose chunks the counting table takes and gives up on in turn,
+//! so that counted runs and raw chunks meet in one fold.
 //!
 //! So has the seam rewrite (a line-splitting `tr -s` run chunk by chunk):
 //! the stage at the head of a statement, behind a `grep` that empties
@@ -729,6 +731,100 @@ fn count_order_folds_match_serial_and_no_opt_for_every_tail() {
                             "{at}: {target}"
                         );
                     }
+                }
+            }
+        }
+    }
+    let leftovers = std::fs::read_dir(&dir).map_or(0, |d| d.count());
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(leftovers, 0, "run files left behind");
+}
+
+/// A counting fold's map hands a chunk on raw when its hash table gives
+/// up on it (most lines distinct) and counted otherwise, and the fold
+/// batches the two kinds apart. On an input whose stretches of one
+/// repeated word alternate with stretches of distinct lines, both kinds
+/// meet in one fold at 64 KiB chunks (at 700 B no chunk has the lines the
+/// table needs before it may give up): `sort | uniq -c` under `-r`, `-f`
+/// and `-n`, and closing in count order, equal `run_serial` at one, two
+/// and four workers, in memory and under a 1 MiB budget. A word per line
+/// never makes the table give up, so no chunk of it goes raw.
+#[test]
+fn counting_folds_of_counted_and_raw_chunks_match_serial() {
+    let stretches = if cfg!(debug_assertions) { 4 } else { 12 };
+    let mut input = String::new();
+    for s in 0..stretches {
+        for i in 0..4_000 {
+            input.push_str(&format!("{} item {s} of {i}\n", (i * 7919 + s) % 9_973));
+        }
+        let word = ["the", "The", "and", "  12 of"][s % 4];
+        input.push_str(&format!("{word}\n").repeat(4_000));
+    }
+    let words = kq_workloads::inputs::gutenberg_text(
+        if cfg!(debug_assertions) { 300 } else { 1_500 } << 10,
+        7,
+    );
+    let text = "cat /in.txt | sort | uniq -c > /out/plain\n\
+                cat /in.txt | sort -r | uniq -c > /out/r\n\
+                cat /in.txt | sort -f | uniq -c > /out/f\n\
+                cat /in.txt | sort -n | uniq -c > /out/n\n\
+                cat /in.txt | sort | uniq -c | sort -rn > /out/ranked\n\
+                cat /words.txt | tr -cs A-Za-z '\\n' | sort | uniq -c";
+    let parsed = parse_script(text, &HashMap::new()).unwrap();
+    let fresh = || {
+        let ctx = ExecContext::default();
+        ctx.vfs.write("/in.txt", input.as_str());
+        ctx.vfs.write("/words.txt", words.as_str());
+        ctx
+    };
+    let serial_ctx = fresh();
+    let mut planner = Planner::new(SynthesisConfig::default());
+    let plan = planner.plan(&parsed, &serial_ctx, &input[..8_000]);
+    assert_eq!(fused_folds(&plan, true), 6);
+    let serial = run_serial(&parsed, &serial_ctx).unwrap();
+    let targets = ["/out/plain", "/out/r", "/out/f", "/out/n", "/out/ranked"];
+    let dir = std::env::temp_dir().join(format!("kq-raw-pieces-{}", std::process::id()));
+    for workers in [1, 2, 4] {
+        for chunk_bytes in [700, 64 << 10] {
+            for spill in [false, true] {
+                let ctx = fresh();
+                let opts = DataflowOptions {
+                    spill: spill.then(|| kq_dsl::SpillPolicy {
+                        budget_bytes: 1 << 20,
+                        dir: Some(dir.clone()),
+                    }),
+                    ..fixed_opts(workers, chunk_bytes, true)
+                };
+                let at = format!("w={workers}, chunk={chunk_bytes}, spill={spill}");
+                let got = run_dataflow(&parsed, &plan, &ctx, &opts)
+                    .unwrap_or_else(|e| panic!("{at}: {e}"));
+                assert!(got.output == serial.output, "{at}: stdout");
+                for target in targets {
+                    assert!(
+                        ctx.vfs.read_bytes(target) == serial_ctx.vfs.read_bytes(target),
+                        "{at}: {target}"
+                    );
+                }
+                // Per statement, the chunks its counting fold took and how
+                // many of them went raw.
+                let folds: Vec<(usize, usize)> = (got.timings.statements.iter())
+                    .map(|stages| {
+                        let q = stages.last().unwrap().queue.unwrap();
+                        (q.tasks, q.raw_pieces)
+                    })
+                    .collect();
+                for (si, &(chunks, raw)) in folds.iter().enumerate() {
+                    let mixed = raw > 0 && raw < chunks;
+                    let expect = match (si, chunk_bytes) {
+                        (5, _) => raw == 0,
+                        (_, 700) => raw == 0,
+                        _ => mixed,
+                    };
+                    assert!(
+                        expect,
+                        "{at}: statement {}: {raw} of {chunks} chunk(s) raw",
+                        si + 1
+                    );
                 }
             }
         }
