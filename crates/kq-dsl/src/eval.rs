@@ -24,6 +24,10 @@ pub enum EvalError {
     Domain(&'static str),
     /// A `rerun`/`merge` execution failed.
     Command(String),
+    /// The command itself failed (a `rerun`, or the sort of raw chunks):
+    /// its error as it reported it, so a fold that fails says what the
+    /// serial run says.
+    Run(kq_coreutils::CmdError),
 }
 
 impl std::fmt::Display for EvalError {
@@ -31,6 +35,7 @@ impl std::fmt::Display for EvalError {
         match self {
             EvalError::Domain(m) => write!(f, "domain error: {m}"),
             EvalError::Command(m) => write!(f, "command error: {m}"),
+            EvalError::Run(e) => write!(f, "{e}"),
         }
     }
 }
@@ -115,9 +120,7 @@ pub struct CommandEnv<'a> {
 
 impl RunEnv for CommandEnv<'_> {
     fn rerun(&self, input: Bytes) -> Result<Bytes, EvalError> {
-        self.command
-            .run(input, self.ctx)
-            .map_err(|e| EvalError::Command(e.to_string()))
+        self.command.run(input, self.ctx).map_err(EvalError::Run)
     }
 
     fn merge(&self, order: LineOrder, streams: &[&[u8]]) -> Result<Bytes, EvalError> {
@@ -141,11 +144,7 @@ impl RunEnv for CommandEnv<'_> {
                 kq_coreutils::CmdError::new("sort", "merge sink failed")
             })
         });
-        res.map_err(|e| {
-            sink_err
-                .take()
-                .unwrap_or_else(|| EvalError::Command(e.to_string()))
-        })
+        res.map_err(|e| sink_err.take().unwrap_or(EvalError::Run(e)))
     }
 }
 

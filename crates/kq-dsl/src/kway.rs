@@ -100,8 +100,10 @@ pub enum Piece {
     /// fold's order. Plain [`Bytes`] convert into this.
     Output(Bytes),
     /// A chunk of the stage's *input*, which a merge fold sorts itself, in
-    /// a batch with the raw chunks around it: the chunks of a sorting
-    /// fold, and those a counting fold's hash table gave up on.
+    /// a batch with the raw chunks around it — the chunks of a sorting
+    /// fold, and those a counting fold's hash table gave up on — and a
+    /// rerun fold runs the command over, once, with all the others: the
+    /// chunks of a sequential or prefix-bounded stage.
     Raw(Bytes),
 }
 
@@ -359,8 +361,11 @@ fn merge_run_target(spill: &Option<SpillConfig>, raw: bool, counted: bool) -> Op
 enum FoldState {
     /// Unswapped concat: a segment list, gathered once at finish.
     Concat(Vec<Bytes>),
-    /// Rerun: gather everything, one re-execution at finish.
-    Gather(Vec<Bytes>),
+    /// Rerun: gather everything, one re-execution at finish. The pieces
+    /// are the stage's outputs — `rerun` as a combiner, which leaves a
+    /// lone piece as it is — or, `raw`, chunks of its input: the command
+    /// runs once over all of them, however many there are.
+    Gather { pieces: Vec<Bytes>, raw: bool },
     /// Merge: pending pieces of each kind are cut into a batch once they
     /// reach the run-size trigger — [`merge_run_target`] bytes under a
     /// spill config or for raw chunks, [`MERGE_RUN_ARITY`] pieces
@@ -452,7 +457,10 @@ impl<'a> IncrementalFold<'a> {
     ) -> IncrementalFold<'a> {
         let state = match &candidate.op {
             Combiner::Rec(RecOp::Concat) if !candidate.swapped => FoldState::Concat(Vec::new()),
-            Combiner::Run(RunOp::Rerun) => FoldState::Gather(Vec::new()),
+            Combiner::Run(RunOp::Rerun) => FoldState::Gather {
+                pieces: Vec::new(),
+                raw: false,
+            },
             Combiner::Run(RunOp::Merge(flags)) => FoldState::merge(merge_order(flags), None),
             _ => FoldState::Counter {
                 slots: Vec::new(),
@@ -516,14 +524,15 @@ impl<'a> IncrementalFold<'a> {
     }
 
     /// Folds in the next substream (empty pieces are skipped, as in
-    /// [`combine_all`]): a stage's output, or — into a merge fold only —
-    /// a [`Piece::Raw`] chunk of its input, which the fold sorts itself:
-    /// `sort(x1 ++ … ++ xk) = merge(sort(x1), …, sort(xk))` with ties to
-    /// the earlier input. Combine errors surface immediately. A merge fold
-    /// whose pending pieces of one kind reached the run trigger returns
-    /// them as a batch: merge it ([`RunBatch::merge`]) outside any lock
-    /// that guards this fold and [`install`](IncrementalFold::install) the
-    /// run.
+    /// [`combine_all`]): a stage's output, or — into a merge or rerun
+    /// fold only — a [`Piece::Raw`] chunk of its input. A merge fold sorts
+    /// raw chunks itself: `sort(x1 ++ … ++ xk) = merge(sort(x1), …,
+    /// sort(xk))` with ties to the earlier input. A rerun fold fed raw
+    /// chunks runs the command once over them at finish. Combine errors
+    /// surface immediately. A merge fold whose pending pieces of one kind
+    /// reached the run trigger returns them as a batch: merge it
+    /// ([`RunBatch::merge`]) outside any lock that guards this fold and
+    /// [`install`](IncrementalFold::install) the run.
     pub fn push(&mut self, piece: impl Into<Piece>) -> Result<Option<RunBatch<'a>>, EvalError> {
         let (raw, piece) = match piece.into() {
             Piece::Output(piece) => (false, piece),
@@ -533,12 +542,26 @@ impl<'a> IncrementalFold<'a> {
             return Ok(None);
         }
         assert!(
-            !raw || matches!(self.state, FoldState::Merge { .. }),
-            "raw chunks feed merge folds only"
+            !raw || matches!(
+                self.state,
+                FoldState::Merge { .. } | FoldState::Gather { .. }
+            ),
+            "raw chunks feed merge and rerun folds only"
         );
         let (candidate, env) = (self.candidate, self.env);
         match &mut self.state {
-            FoldState::Concat(segments) | FoldState::Gather(segments) => segments.push(piece),
+            FoldState::Concat(segments) => segments.push(piece),
+            FoldState::Gather {
+                pieces,
+                raw: fed_raw,
+            } => {
+                debug_assert!(
+                    pieces.is_empty() || *fed_raw == raw,
+                    "a rerun fold gathers outputs or raw chunks, not both"
+                );
+                *fed_raw = raw;
+                pieces.push(piece);
+            }
             FoldState::Merge {
                 order,
                 runs,
@@ -727,7 +750,10 @@ impl<'a> IncrementalFold<'a> {
             // Only constructed for unswapped concat: stream order is
             // output order.
             FoldState::Concat(segments) => kq_stream::concat_bytes(&segments),
-            FoldState::Gather(segments) => combine_all(candidate, &segments, env)?,
+            FoldState::Gather { pieces, raw: true } => {
+                env.rerun(kq_stream::concat_bytes(&pieces))?
+            }
+            FoldState::Gather { pieces, .. } => combine_all(candidate, &pieces, env)?,
             FoldState::Merge {
                 order,
                 count,
@@ -1076,10 +1102,7 @@ impl RunBatch<'_> {
         let run = if self.raw {
             let input = kq_stream::concat_bytes(&self.pieces);
             drop(self.pieces);
-            let sorted = self
-                .order
-                .sort_bytes(&input)
-                .map_err(|e| EvalError::Command(e.to_string()))?;
+            let sorted = self.order.sort_bytes(&input).map_err(EvalError::Run)?;
             // The sort faulted in every page of a mapped batch, which the
             // split had already let go of: let go of them again.
             if input.is_mmap_backed() {
@@ -1460,6 +1483,23 @@ mod tests {
         let c = Candidate::run(RunOp::Rerun);
         let out = combine_all(&c, &s(&["x\n", "y\n"]), &FakeEnv).unwrap();
         assert_eq!(out, "f(x\ny\n)");
+    }
+
+    #[test]
+    fn a_rerun_fold_runs_the_command_over_raw_chunks_however_many() {
+        let c = Candidate::run(RunOp::Rerun);
+        for chunks in [&["x\n"][..], &["x\n", "y\n", "z\n"]] {
+            let mut fold = IncrementalFold::new(&c, &FakeEnv);
+            for chunk in chunks {
+                push_raw(&mut fold, &Bytes::from(*chunk));
+            }
+            let expect = format!("f({})", chunks.concat());
+            assert_eq!(fold.finish().unwrap().into_bytes(), expect);
+        }
+        // An output is the command's already: one stays as it is.
+        let mut fold = IncrementalFold::new(&c, &FakeEnv);
+        push(&mut fold, &Bytes::from("x\n"));
+        assert_eq!(fold.finish().unwrap().into_bytes(), "x\n");
     }
 
     #[test]

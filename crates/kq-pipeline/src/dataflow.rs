@@ -19,8 +19,8 @@
 //! | [`NodeKind::Fold`] ([`FoldMode::Combine`]) over **two stages** — a `sort \| uniq [-c]` pair (see "Counting rewrite") | chunks | per chunk, what the pair prints for it — the chunk's distinct lines in the sort's order, with their counts under `-c` — or, for `-c` when most of its lines are distinct, the chunk itself, raw; these fold through the sort's `merge` under the counted (or `-u`) order, raw chunks sorted in batches of their own; the result is byte for byte the second stage's output | as a one-stage combine fold: the node *is* one |
 //! | [`NodeKind::Fold`] ([`FoldMode::Combine`]) over **three stages** — a `sort \| uniq -c` pair and the numeric `sort` after it (see "Count-order rewrite") | chunks | as the counting fold, except that each part of the closing merge regroups its counted lines by count as it is merged, and the parts' groups are stitched count by count into slices of them: the result is byte for byte the third stage's output | as the counting fold: the parts merge and regroup as pool tasks |
 //! | [`NodeKind::Fold`] ([`FoldMode::Sort`]) — a `sort`, or the `sort \| uniq` of a unique pair (see "Sorting rewrite") | chunks | nothing per chunk: the chunks reach the fold as they are, batches of them are sorted into runs (under `-u` for the pair) and the runs merged by the stage's `merge`; the result is the stage's output | a sort per run batch, batches in parallel; the closing merge in parts as for any merge fold |
-//! | [`NodeKind::Fold`] ([`FoldMode::Gather`]) | chunks | the command run once over the gathered input, re-chunked | one task at a time |
-//! | [`NodeKind::BoundedConsumer`] | chunks, **in stream order**, only until `lines` complete lines exist | the command run once on the prefix, re-chunked | one task at a time |
+//! | [`NodeKind::Fold`] ([`FoldMode::Gather`]) | chunks | nothing per chunk: the chunks reach the stage's `rerun` fold as they are, which runs the command once over all of them when the input ends (on the empty stream when none came); the output is re-chunked | per-chunk tasks, the fold in arrival order; the one run of the command by one task |
+//! | [`NodeKind::BoundedConsumer`] | chunks, **in stream order**, only until `lines` complete lines exist | as a `Fold(Gather)`, except that the fold counts the lines it takes in: the chunk that meets the bound cancels everything upstream, chunks behind it are dropped, and the command runs once on the prefix | as a `Fold(Gather)`: the node *is* one |
 //!
 //! # Fusion rewrite
 //!
@@ -231,7 +231,7 @@ pub enum FoldMode {
     /// the outputs fold through the synthesized combiner in input order.
     Combine,
     /// A sequential stage (no combiner, or a rerun that does not pay):
-    /// chunks gather into a rope and the command runs once.
+    /// chunks gather into a `rerun` fold and the command runs once.
     Gather,
     /// A parallel `sort` (or `sort | uniq` pair) whose chunks reach the
     /// fold raw: batches of chunks are sorted into runs and the runs merged

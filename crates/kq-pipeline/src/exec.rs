@@ -15,10 +15,13 @@ use std::time::{Duration, Instant};
 pub struct StageTiming {
     /// The command line.
     pub label: String,
-    /// Wall-clock duration of each piece (length 1 for sequential stages).
+    /// Wall-clock duration of each piece: of the stage under
+    /// [`run_serial`] (length 1), of each chunk's map under the dataflow
+    /// executor (next to nothing at a node that hands its chunks on raw).
     pub piece_times: Vec<Duration>,
-    /// Wall-clock duration of the combine step (zero when eliminated or
-    /// sequential).
+    /// Wall-clock duration of the combine step: zero when eliminated, and
+    /// under [`run_serial`]; at a sequential or prefix-bounded stage's
+    /// node, the one run of its command.
     pub combine_time: Duration,
     /// Input bytes consumed by the stage.
     pub bytes_in: usize,
@@ -99,9 +102,12 @@ pub struct QueueTelemetry {
     /// Scheduler tasks executed for this node — the denominator for the
     /// stall averages.
     pub tasks: usize,
-    /// Chunks this node's map handed its fold raw, to be sorted there in
-    /// a batch: every chunk of a sorting fold, and the chunks a counting
-    /// fold's hash table gave up on. Zero at every other node.
+    /// Chunks this node's map handed its fold raw: every chunk of a
+    /// sorting fold (sorted there in a batch), of a sequential or
+    /// prefix-bounded stage (which its `rerun` fold runs the command over
+    /// once), and the chunks a counting fold's hash table gave up on. Zero
+    /// at every other node; the trace reports it at counting and sorting
+    /// folds.
     pub raw_pieces: usize,
 }
 

@@ -67,6 +67,19 @@
 //! `input closed && inflight == 0 && queue empty` flips the node's phase
 //! to `Running` under the node lock and runs the finish outside it.
 //!
+//! Every node past the split runs the one task loop that asks it
+//! (`scheduler::node_task`): claim a chunk, map it, integrate it in
+//! stream order, finalize. A sequential stage is a fold like any other:
+//! its map hands each chunk on raw and its fold is the paper's `rerun`
+//! (`cat $* | f`), which gathers the chunks and runs the command once at
+//! the finish — on the empty stream when it was fed nothing. A
+//! prefix-bounded stage (`head -n k`, `sed kq`) is the same fold whose
+//! integration counts lines: the chunk that meets the bound cancels
+//! every node above it, which clears and closes the node's input edge, so
+//! the claim above fires as soon as the chunks still in flight come back
+//! — each dropped as it integrates — and the finish runs the command on
+//! the prefix.
+//!
 //! The protocol's invariant: **every task that pops a chunk or observes
 //! the closed edge re-evaluates the finalization condition after
 //! integrating its own work** — unconditionally, not only on the path
@@ -77,7 +90,8 @@
 //! observer of the closed edge had already bailed on the nonzero
 //! inflight — nobody checked again, and the run hung with the pool
 //! idle). `tests/fold_finalize_stress.rs` hammers the window at both
-//! gather and combine folds under tiny chunks and a shallow queue.
+//! sequential stages' rerun folds and combine folds under tiny chunks and
+//! a shallow queue.
 //!
 //! The same count keeps the node lock short. Integrating a map result
 //! into a merge fold is O(1) under the lock: when the fold has enough

@@ -5,13 +5,18 @@
 //! statement, stage or fold. Each statement's plan becomes a [`DataflowGraph`]
 //! (see [`crate::dataflow`] for the node and edge semantics), and the unit
 //! of scheduling is a *task*: "make progress at node N of statement S" —
-//! process one chunk at a map node (through the node's commands — at a
+//! process one chunk at a node (through the node's commands — at a
 //! counting fold, through the hash table of its counted line order, or
-//! through nothing when the table gives up; at a sorting fold, through
-//! nothing; behind a seam stage, with the seam's `'\n'` taken off first),
-//! drain the input of a fold, make a run of a batch a fold sealed, merge
-//! one part of a fold's closing merge, cut the next chunk at a split, emit
-//! the next chunk of a materialized output.
+//! through nothing when the table gives up; at a sorting fold and at a
+//! sequential or prefix-bounded stage, through nothing; behind a seam
+//! stage, with the seam's `'\n'` taken off first) and fold or forward it,
+//! make a run of a batch a fold sealed, finish a fold — run a `rerun`
+//! fold's command once, or merge one part of a closing merge — cut the
+//! next chunk at a split, emit the next chunk of a materialized output.
+//! Every node but the split runs the one loop of [`node_task`]: a
+//! sequential stage is a `rerun` fold fed its chunks raw, and a bounded
+//! consumer the same fold, cancelling upstream once the lines it folded
+//! meet its bound.
 //!
 //! # Scheduling
 //!
@@ -87,10 +92,11 @@ use crate::plan::{PlannedScript, PlannedStatement, StageMode};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use kq_coreutils::sort::LineOrder;
 use kq_coreutils::{CmdError, Command, ExecContext};
-use kq_dsl::eval::CommandEnv;
+use kq_dsl::ast::{Candidate, RunOp};
+use kq_dsl::eval::{CommandEnv, EvalError};
 use kq_dsl::kway::Piece;
 use kq_stream::{Bytes, IncrementalChunker, Rope};
-use kq_synth::IncrementalCombine;
+use kq_synth::{IncrementalCombine, SynthesizedCombiner};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -278,17 +284,20 @@ fn next_chunk_end(bytes: &[u8], start: usize, target: usize) -> usize {
 }
 
 /// What a node is currently doing.
+#[derive(Default)]
 enum Phase<'a> {
     /// Consuming input chunks.
+    #[default]
     Collecting,
-    /// One task is running the node's command (gather/bounded folds) or
-    /// finishing its combiner — long work done outside every lock.
+    /// One task is finishing the node's fold — a rerun fold's one run of
+    /// the command, a merge fold's closing merge in one part, the stitch
+    /// of its parts — long work done outside every lock.
     Running,
-    /// Fold(Combine): the input ended, and the pieces the fold still held
+    /// A merge fold: the input ended, and the pieces the fold still held
     /// were cut into run batches, each merged by a pool task of its own;
     /// the closing merge waits for the last.
     Sealing(VecDeque<kq_dsl::kway::RunBatch<'a>>),
-    /// Fold(Combine): the closing merge was cut into parts, each merged by
+    /// A merge fold: the closing merge was cut into parts, each merged by
     /// a pool task of its own.
     Finishing(Finishing<'a>),
     /// Streaming a materialized output downstream, credit-gated.
@@ -315,6 +324,7 @@ struct Finishing<'a> {
 /// Runtime state of one node, guarded by its mutex. The lock order is
 /// `node state → that node's output edge`; input-edge operations never
 /// nest inside the state lock.
+#[derive(Default)]
 struct NodeState<'a> {
     phase: Phase<'a>,
     cancelled: bool,
@@ -331,22 +341,23 @@ struct NodeState<'a> {
     /// (a selective stage between this node and the next fold pushes
     /// nothing for most chunks it takes).
     deferred: usize,
-    /// Reorder buffer: results keyed by input pop ordinal — raw only at a
-    /// combine fold whose map hands chunks on unsorted.
+    /// Reorder buffer: results keyed by input pop ordinal — raw at a
+    /// fold whose map hands chunks on as they are.
     pending: BTreeMap<usize, Piece>,
     next_seq: usize,
     /// StageWorker: output re-normalization.
     chunker: Option<IncrementalChunker>,
-    /// Fold(Combine): the incremental combiner fold.
+    /// Every node but the split and the stage workers: the incremental
+    /// fold — the stage's combiner at a Fold(Combine/Sort), a `rerun` fold
+    /// fed the raw chunks at a Fold(Gather) or BoundedConsumer.
     accum: Option<IncrementalCombine<'a>>,
-    /// Fold(Combine): this node's spill counters (shared with `accum`),
-    /// snapshotted into the node's StageTiming after the run.
+    /// Fold(Combine/Sort): this node's spill counters (shared with
+    /// `accum`), snapshotted into the node's StageTiming after the run.
     spill_metrics: Option<std::sync::Arc<kq_dsl::SpillMetrics>>,
-    /// Fold(Gather) / BoundedConsumer: the gathered input prefix.
-    rope: Rope,
-    /// BoundedConsumer: complete lines gathered so far.
+    /// BoundedConsumer: complete lines folded so far; chunks integrated
+    /// past the bound are dropped.
     seen_lines: usize,
-    /// BoundedConsumer: input chunks consumed.
+    /// BoundedConsumer: input chunks folded.
     chunks_consumed: usize,
     early_exit: Option<EarlyExit>,
     // Timing fields, snapshotted into a StageTiming after the run.
@@ -357,33 +368,6 @@ struct NodeState<'a> {
     telem: QueueTelemetry,
     gate_since: Option<Instant>,
     starve_since: Option<Instant>,
-}
-
-impl NodeState<'_> {
-    fn new() -> NodeState<'static> {
-        NodeState {
-            phase: Phase::Collecting,
-            cancelled: false,
-            inflight: 0,
-            deferred: 0,
-            pending: BTreeMap::new(),
-            next_seq: 0,
-            chunker: None,
-            accum: None,
-            spill_metrics: None,
-            rope: Rope::new(),
-            seen_lines: 0,
-            chunks_consumed: 0,
-            early_exit: None,
-            piece_times: Vec::new(),
-            combine_time: Duration::ZERO,
-            bytes_in: 0,
-            bytes_out: 0,
-            telem: QueueTelemetry::default(),
-            gate_since: None,
-            starve_since: None,
-        }
-    }
 }
 
 /// Runtime state of one statement.
@@ -414,13 +398,14 @@ impl StmtRt<'_> {
     }
 }
 
-/// What a map task at a node computes from one input chunk.
+/// What a task at a node computes from one input chunk.
 enum NodeMap {
     /// The node's command chain.
     Chain,
-    /// A sorting fold (see "Sorting rewrite" in [`crate::dataflow`]):
-    /// nothing — the chunk goes to the fold raw, sorted there in a batch
-    /// with its neighbours.
+    /// Nothing: the chunk goes to the fold raw, a refcount bump. A sorting
+    /// fold (see "Sorting rewrite" in [`crate::dataflow`]) sorts it there
+    /// in a batch with its neighbours; the `rerun` fold of a sequential or
+    /// bounded stage runs the command once over it and all the others.
     Raw,
     /// A counting fold (`sort | uniq -c` as one node): the hash table of
     /// its counted order instead of the chain ([`LineOrder::count_bytes`])
@@ -594,8 +579,10 @@ pub fn run_dataflow_segments(
         None => release_lag,
     };
 
-    // Combiner environments live outside the node states so the
+    // Combiner environments — and the `rerun` combiner of the sequential
+    // and bounded stages — live outside the node states so the
     // incremental folds (which borrow them) can be shared by the pool.
+    let rerun = SynthesizedCombiner::from_plausible(vec![Candidate::run(RunOp::Rerun)]);
     let envs: Vec<Vec<Option<CommandEnv<'_>>>> = script
         .statements
         .iter()
@@ -605,13 +592,11 @@ pub fn run_dataflow_segments(
                 .nodes
                 .iter()
                 .map(|node| match node.kind {
-                    NodeKind::Fold {
-                        mode: FoldMode::Combine | FoldMode::Sort,
-                    } => Some(CommandEnv {
+                    NodeKind::Split | NodeKind::StageWorker => None,
+                    _ => Some(CommandEnv {
                         command: &statement.stages[node.stages.start].command,
                         ctx,
                     }),
-                    _ => None,
                 })
                 .collect()
         })
@@ -639,10 +624,18 @@ pub fn run_dataflow_segments(
             .iter()
             .enumerate()
             .map(|(ni, node)| {
-                let mut state = NodeState::new();
+                let mut state = NodeState::default();
+                let env = envs[si][ni].as_ref();
                 match node.kind {
+                    NodeKind::Split => {}
                     NodeKind::StageWorker => {
                         state.chunker = Some(IncrementalChunker::new(chunk_bytes));
+                    }
+                    NodeKind::Fold {
+                        mode: FoldMode::Gather,
+                    }
+                    | NodeKind::BoundedConsumer { .. } => {
+                        state.accum = Some(rerun.incremental(env.expect("fold env")));
                     }
                     NodeKind::Fold {
                         mode: mode @ (FoldMode::Combine | FoldMode::Sort),
@@ -652,7 +645,7 @@ pub fn run_dataflow_segments(
                         else {
                             unreachable!("combine folds are parallel stages");
                         };
-                        let env = envs[si][ni].as_ref().expect("combine fold env");
+                        let env = env.expect("fold env");
                         // Each fold gets its own config so the metrics
                         // counters are per-node, not script-global; every
                         // worker of the pool may make one of its runs.
@@ -679,7 +672,6 @@ pub fn run_dataflow_segments(
                             (None, _) => combiner.incremental_with_spill(env, spill),
                         });
                     }
-                    _ => {}
                 }
                 Mutex::new(state)
             })
@@ -687,15 +679,15 @@ pub fn run_dataflow_segments(
         let maps = pair_orders
             .into_iter()
             .zip(&graph.nodes)
-            .map(|(pair, node)| match pair {
-                _ if node.kind
-                    == (NodeKind::Fold {
-                        mode: FoldMode::Sort,
-                    }) =>
-                {
-                    NodeMap::Raw
-                }
-                Some((FoldPair::Counting, order)) => NodeMap::Counted(order),
+            .map(|(pair, node)| match (node.kind, pair) {
+                (
+                    NodeKind::Fold {
+                        mode: FoldMode::Sort | FoldMode::Gather,
+                    }
+                    | NodeKind::BoundedConsumer { .. },
+                    _,
+                ) => NodeMap::Raw,
+                (_, Some((FoldPair::Counting, order))) => NodeMap::Counted(order),
                 // `sort | uniq` of a chunk is its `sort -u`: the chain.
                 _ if node.heads_seam(&plan.statements[si]) => NodeMap::Seam,
                 _ => NodeMap::Chain,
@@ -822,7 +814,7 @@ pub fn run_dataflow_segments(
         );
         let stages = snapshot_timings(stmt);
         if kq_trace::enabled() {
-            emit_node_counters(si, &stages, &stmt.maps);
+            emit_node_counters(si, &stages, stmt);
         }
         timings.statements.push(stages);
     }
@@ -964,58 +956,40 @@ fn run_contained(cx: &Cx<'_, '_>, task: Task) {
 }
 
 fn run_task(cx: &Cx<'_, '_>, (si, ni): Task) {
-    let stmt = &cx.rt.stmts[si];
-    match stmt.graph.nodes[ni].kind {
+    match cx.rt.stmts[si].graph.nodes[ni].kind {
         NodeKind::Split => split_task(cx, si),
-        NodeKind::StageWorker
-        | NodeKind::Fold {
-            mode: FoldMode::Combine | FoldMode::Sort,
-        } => map_task(cx, si, ni),
-        NodeKind::Fold {
-            mode: FoldMode::Gather,
-        }
-        | NodeKind::BoundedConsumer { .. } => gather_task(cx, si, ni),
+        _ => node_task(cx, si, ni),
     }
 }
 
 /// Trace plane: the per-node queue/stall/volume telemetry as counter
 /// records, emitted once per node after the pool has drained — and, at a
-/// fold whose map may hand chunks on raw, how many it did.
+/// counting or sorting fold, how many chunks its map handed on raw.
 /// `stages[k]` is node `k + 1` (the split has no StageTiming).
-fn emit_node_counters(si: usize, stages: &[StageTiming], maps: &[NodeMap]) {
+fn emit_node_counters(si: usize, stages: &[StageTiming], stmt: &StmtRt<'_>) {
     for (k, t) in stages.iter().enumerate() {
         let ni = k + 1;
-        kq_trace::counter("dataflow", "bytes-in", t.bytes_in as f64)
-            .si(si)
-            .ni(ni)
-            .emit();
-        kq_trace::counter("dataflow", "bytes-out", t.bytes_out as f64)
-            .si(si)
-            .ni(ni)
-            .emit();
+        let mut counters = vec![("bytes-in", t.bytes_in), ("bytes-out", t.bytes_out)];
         if let Some(q) = &t.queue {
-            kq_trace::counter("dataflow", "tasks", q.tasks as f64)
-                .si(si)
-                .ni(ni)
-                .emit();
-            kq_trace::counter("dataflow", "max-queued", q.max_queued as f64)
-                .si(si)
-                .ni(ni)
-                .emit();
-            kq_trace::counter("dataflow", "send-stall-ns", q.send_stall.as_nanos() as f64)
-                .si(si)
-                .ni(ni)
-                .emit();
-            kq_trace::counter("dataflow", "recv-stall-ns", q.recv_stall.as_nanos() as f64)
-                .si(si)
-                .ni(ni)
-                .emit();
-            if matches!(maps[ni], NodeMap::Raw | NodeMap::Counted(_)) {
-                kq_trace::counter("dataflow", "raw-pieces", q.raw_pieces as f64)
-                    .si(si)
-                    .ni(ni)
-                    .emit();
+            counters.extend([
+                ("tasks", q.tasks),
+                ("max-queued", q.max_queued),
+                ("send-stall-ns", q.send_stall.as_nanos() as usize),
+                ("recv-stall-ns", q.recv_stall.as_nanos() as usize),
+            ]);
+            let sorting = stmt.graph.nodes[ni].kind
+                == (NodeKind::Fold {
+                    mode: FoldMode::Sort,
+                });
+            if sorting || matches!(stmt.maps[ni], NodeMap::Counted(_)) {
+                counters.push(("raw-pieces", q.raw_pieces));
             }
+        }
+        for (name, value) in counters {
+            kq_trace::counter("dataflow", name, value as f64)
+                .si(si)
+                .ni(ni)
+                .emit();
         }
     }
 }
@@ -1147,9 +1121,18 @@ fn pop_input(stmt: &StmtRt<'_>, ni: usize) -> Option<(usize, Bytes, usize)> {
     Some((seq, chunk, len_at))
 }
 
-/// One map task at a StageWorker or Fold(Combine) node: claim one input
-/// chunk, run the chain on it outside every lock, integrate the result in
-/// input order, forward/fold, and finalize when the input is exhausted.
+/// One task at any node but the split: claim one input chunk, map it
+/// outside every lock ([`NodeMap`]), integrate the result in input order
+/// — forward it at a stage worker, fold it anywhere else — and finalize
+/// when the input is exhausted.
+///
+/// A sequential stage (`Fold(Gather)`) maps nothing: its chunks reach a
+/// `rerun` fold raw, which runs the command once over all of them when
+/// the input ends (on the empty stream when there were none). A bounded
+/// consumer does the same and counts the lines it folds; once they meet
+/// the bound it cancels everything upstream, which closes its input edge,
+/// drops the chunks still in flight as they integrate, and finishes like
+/// any fold — the command runs on the prefix.
 ///
 /// Integration under the node lock is O(pieces), never O(bytes): a merge
 /// fold that has enough pieces for a run hands them back as a batch
@@ -1161,10 +1144,14 @@ fn pop_input(stmt: &StmtRt<'_>, ni: usize) -> Option<(usize, Bytes, usize)> {
 /// A task that finds the node past collecting continues whatever phase it
 /// is in: the emission of a combined output, or — for a fold finishing in
 /// parts — the merge of the next unclaimed part ([`finish_part_task`]).
-fn map_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
+fn node_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
     let stmt = &cx.rt.stmts[si];
     let node = &stmt.graph.nodes[ni];
     let is_worker = node.kind == NodeKind::StageWorker;
+    let bound = match node.kind {
+        NodeKind::BoundedConsumer { lines } => Some(lines),
+        _ => None,
+    };
     let last = ni + 1 == stmt.graph.nodes.len();
     let reissue = {
         let mut st = lock(&stmt.nodes[ni]);
@@ -1219,7 +1206,7 @@ fn map_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
             st.inflight -= 1;
             st.starve_since.get_or_insert_with(Instant::now);
             drop(st);
-            maybe_finalize_map(cx, si, ni);
+            maybe_finalize(cx, si, ni);
             return;
         }
     };
@@ -1246,6 +1233,7 @@ fn map_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
 
     let mut pushed = 0usize;
     let mut batches = Vec::new();
+    let mut satisfied = None;
     {
         let mut st = lock(&stmt.nodes[ni]);
         st.inflight -= 1;
@@ -1286,13 +1274,19 @@ fn map_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
                     push_edge(stmt, ni, c);
                     pushed += 1;
                 }
+            } else if bound.is_some_and(|lines| st.seen_lines >= lines) {
+                // Past a met bound: a chunk that was in flight, dropped.
             } else {
+                if bound.is_some() {
+                    st.seen_lines += ready.bytes().count_newlines();
+                    st.chunks_consumed += 1;
+                }
                 let span = kq_trace::span("dataflow", "fold-push")
                     .si(si)
                     .ni(ni)
                     .seq(st.next_seq - 1);
                 let t0 = Instant::now();
-                let batch = st.accum.as_mut().expect("combine fold accum").push(ready);
+                let batch = st.accum.as_mut().expect("fold accum").push(ready);
                 let elapsed = t0.elapsed();
                 span.done();
                 st.combine_time += elapsed;
@@ -1302,35 +1296,60 @@ fn map_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
                 }
             }
         }
+        // The bound is met once: by the chunk that meets it, or — a bound
+        // of zero lines — by the first to arrive.
+        if bound.is_some_and(|lines| st.seen_lines >= lines) && st.early_exit.is_none() {
+            let chunks = st.chunks_consumed;
+            st.early_exit = Some(EarlyExit {
+                stage: node.stages.start,
+                chunks,
+            });
+            satisfied = Some(chunks);
+        }
     }
     schedule_pushes(cx, si, ni + 1, pushed);
-    for batch in batches {
-        let span = kq_trace::span("dataflow", "fold-merge")
+    if let Some(chunks) = satisfied {
+        kq_trace::instant("dataflow", "early-exit")
             .si(si)
             .ni(ni)
-            .seq(batch.index());
-        let t0 = Instant::now();
-        let merged = batch.merge();
-        let elapsed = t0.elapsed();
-        span.done();
-        let mut st = lock(&stmt.nodes[ni]);
-        st.inflight -= 1;
-        st.combine_time += elapsed;
-        if st.cancelled {
+            .v(chunks as f64)
+            .emit();
+        cancel_upstream(cx, si, ni);
+    }
+    for batch in batches {
+        if !merge_batch(cx, si, ni, batch) {
             return;
         }
-        st.accum
-            .as_mut()
-            .expect("combine fold accum")
-            .install(merged);
     }
-    maybe_finalize_map(cx, si, ni);
+    maybe_finalize(cx, si, ni);
 }
 
-/// Finalizes a map node once its input is closed, drained, and no claims
-/// are in flight — a condition that is stable once true (`closed` is
-/// sticky and set after the producer's last push).
-fn maybe_finalize_map(cx: &Cx<'_, '_>, si: usize, ni: usize) {
+/// Makes a run of a batch the node's fold handed out, outside every lock,
+/// and installs it — unless the node was cancelled meanwhile (`false`).
+/// The batch was counted in `inflight` when it was handed out.
+fn merge_batch(cx: &Cx<'_, '_>, si: usize, ni: usize, batch: kq_dsl::kway::RunBatch<'_>) -> bool {
+    let span = kq_trace::span("dataflow", "fold-merge")
+        .si(si)
+        .ni(ni)
+        .seq(batch.index());
+    let t0 = Instant::now();
+    let merged = batch.merge();
+    let elapsed = t0.elapsed();
+    span.done();
+    let mut st = lock(&cx.rt.stmts[si].nodes[ni]);
+    st.inflight -= 1;
+    st.combine_time += elapsed;
+    if !st.cancelled {
+        st.accum.as_mut().expect("fold accum").install(merged);
+    }
+    !st.cancelled
+}
+
+/// Finalizes a node once its input is closed, drained, and no claims are
+/// in flight — a condition that is stable once true (`closed` is sticky
+/// and set after the producer's last push, or by the cancellation a met
+/// bound makes).
+fn maybe_finalize(cx: &Cx<'_, '_>, si: usize, ni: usize) {
     let stmt = &cx.rt.stmts[si];
     {
         let q = lock(&stmt.edges[ni - 1].q);
@@ -1360,9 +1379,10 @@ fn maybe_finalize_map(cx: &Cx<'_, '_>, si: usize, ni: usize) {
     }
 }
 
-/// Closes a combine fold whose input is exhausted: the pieces it still
+/// Closes a fold whose input is exhausted: the pieces a merge fold still
 /// holds become run batches, merged by pool tasks, one `(si, ni)` task per
-/// batch — or, when there are none, the closing merge starts at once.
+/// batch — or, when there are none (every other fold), the finish starts
+/// at once.
 fn seal_fold(cx: &Cx<'_, '_>, si: usize, ni: usize) {
     let stmt = &cx.rt.stmts[si];
     let count = {
@@ -1370,7 +1390,7 @@ fn seal_fold(cx: &Cx<'_, '_>, si: usize, ni: usize) {
         if st.cancelled || !matches!(st.phase, Phase::Collecting) || st.inflight > 0 {
             return;
         }
-        let batches = st.accum.as_mut().expect("combine fold accum").seal();
+        let batches = st.accum.as_mut().expect("fold accum").seal();
         let count = batches.len();
         st.phase = Phase::Sealing(batches.into());
         count
@@ -1399,32 +1419,15 @@ fn sealed_batch_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
         st.inflight += 1;
         batch
     };
-    let span = kq_trace::span("dataflow", "fold-merge")
-        .si(si)
-        .ni(ni)
-        .seq(batch.index());
-    let t0 = Instant::now();
-    let merged = batch.merge();
-    let elapsed = t0.elapsed();
-    span.done();
-    {
-        let mut st = lock(&stmt.nodes[ni]);
-        st.inflight -= 1;
-        st.combine_time += elapsed;
-        if st.cancelled {
-            return;
-        }
-        st.accum
-            .as_mut()
-            .expect("combine fold accum")
-            .install(merged);
+    if merge_batch(cx, si, ni, batch) {
+        finish_fold(cx, si, ni);
     }
-    finish_fold(cx, si, ni);
 }
 
-/// Settles a sealed combine fold once no batch is out, outside the lock —
-/// this is where `sort`'s closing merge happens: here when it is one part,
-/// as pool tasks when it was cut into several.
+/// Settles a sealed fold once no batch is out, outside the lock — this is
+/// where `sort`'s closing merge happens, here when it is one part and as
+/// pool tasks when it was cut into several, and where a rerun fold runs
+/// its command.
 fn finish_fold(cx: &Cx<'_, '_>, si: usize, ni: usize) {
     let stmt = &cx.rt.stmts[si];
     let accum = {
@@ -1434,7 +1437,7 @@ fn finish_fold(cx: &Cx<'_, '_>, si: usize, ni: usize) {
             return;
         }
         st.phase = Phase::Running;
-        st.accum.take().expect("combine fold accum")
+        st.accum.take().expect("fold accum")
     };
     if accum.finish_parts() < 2 {
         let span = kq_trace::span("dataflow", "fold-finish").si(si).ni(ni);
@@ -1476,9 +1479,13 @@ fn finish_fold(cx: &Cx<'_, '_>, si: usize, ni: usize) {
     }
 }
 
-/// A combine fold's error, attributed to the fold's command.
-fn fold_error(stmt: &StmtRt<'_>, ni: usize, e: kq_dsl::EvalError) -> CmdError {
-    CmdError::new(stmt.chains[ni][0].display(), e.to_string())
+/// A fold's error: the command's own when the command failed, as the
+/// serial run reports it, else attributed to the fold's command.
+fn fold_error(stmt: &StmtRt<'_>, ni: usize, e: EvalError) -> CmdError {
+    match e {
+        EvalError::Run(e) => e,
+        e => CmdError::new(stmt.chains[ni][0].display(), e.to_string()),
+    }
 }
 
 /// One task of a combine fold's finishing phase: claim the next unclaimed
@@ -1543,7 +1550,7 @@ fn finish_part_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
     start_fold_emit(cx, si, ni, stitched, t0.elapsed());
 }
 
-/// Switches a settled combine fold to emitting its combined stream.
+/// Switches a settled fold to emitting its combined stream.
 fn start_fold_emit(cx: &Cx<'_, '_>, si: usize, ni: usize, combined: Rope, busy: Duration) {
     {
         let mut st = lock(&cx.rt.stmts[si].nodes[ni]);
@@ -1555,176 +1562,6 @@ fn start_fold_emit(cx: &Cx<'_, '_>, si: usize, ni: usize, combined: Rope, busy: 
         st.phase = Phase::Emitting(Emit::new(combined));
     }
     emit_task(cx, si, ni);
-}
-
-/// One task at a Fold(Gather) or BoundedConsumer node: claim one queued
-/// chunk, integrate it in order, and either finalize (input exhausted) or
-/// — for a satisfied bound — cancel upstream and run early.
-fn gather_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
-    let stmt = &cx.rt.stmts[si];
-    let bound = match stmt.graph.nodes[ni].kind {
-        NodeKind::BoundedConsumer { lines } => Some(lines),
-        _ => None,
-    };
-    {
-        let mut st = lock(&stmt.nodes[ni]);
-        if st.cancelled {
-            return;
-        }
-        match st.phase {
-            Phase::Collecting => {}
-            Phase::Emitting(_) => {
-                drop(st);
-                emit_task(cx, si, ni);
-                return;
-            }
-            _ => return,
-        }
-        st.inflight += 1;
-    }
-    let popped = pop_input(stmt, ni);
-    let popped_none = popped.is_none();
-    let gather_span = popped.as_ref().map(|(seq, chunk, _)| {
-        kq_trace::span("dataflow", "gather")
-            .si(si)
-            .ni(ni)
-            .seq(*seq)
-            .v(chunk.len() as f64)
-    });
-    let mut satisfied = false;
-    let mut exit_chunks = 0usize;
-    {
-        let mut st = lock(&stmt.nodes[ni]);
-        st.inflight -= 1;
-        if st.cancelled || !matches!(st.phase, Phase::Collecting) {
-            return;
-        }
-        match popped {
-            None => {
-                st.starve_since.get_or_insert_with(Instant::now);
-            }
-            Some((seq, chunk, len_at)) => {
-                if let Some(starved) = st.starve_since.take() {
-                    st.telem.recv_stall += starved.elapsed();
-                }
-                st.telem.tasks += 1;
-                st.telem.max_queued = st.telem.max_queued.max(len_at);
-                st.pending.insert(seq, Piece::Output(chunk));
-                while let Some(ready) = {
-                    let next = st.next_seq;
-                    st.pending.remove(&next)
-                } {
-                    st.next_seq += 1;
-                    let ready = ready.into_bytes();
-                    match bound {
-                        None => {
-                            st.bytes_in += ready.len();
-                            st.rope.push(ready);
-                        }
-                        Some(lines) if st.seen_lines < lines => {
-                            st.seen_lines += ready.count_newlines();
-                            st.chunks_consumed += 1;
-                            st.bytes_in += ready.len();
-                            st.rope.push(ready);
-                        }
-                        // Past the bound (late queued chunks): dropped.
-                        Some(_) => {}
-                    }
-                }
-            }
-        }
-        // A bound of zero lines is satisfied before any input arrives.
-        if let Some(lines) = bound {
-            if st.seen_lines >= lines {
-                st.phase = Phase::Running;
-                st.early_exit = Some(EarlyExit {
-                    stage: stmt.graph.nodes[ni].stages.start,
-                    chunks: st.chunks_consumed,
-                });
-                satisfied = true;
-                exit_chunks = st.chunks_consumed;
-            }
-        }
-    }
-    drop(gather_span);
-    if satisfied {
-        kq_trace::instant("dataflow", "early-exit")
-            .si(si)
-            .ni(ni)
-            .v(exit_chunks as f64)
-            .emit();
-        cancel_upstream(cx, si, ni);
-        run_gathered(cx, si, ni);
-        return;
-    }
-    // The pop freed one credit upstream.
-    if !popped_none {
-        cx.schedule((si, ni - 1));
-    }
-    // Every retiring claim re-checks finalization, successful pops
-    // included. Without the re-check on this path there is a lost-wakeup
-    // window: task A claims `inflight` and pops the *final* chunk; task B
-    // pops nothing, retires, and sees closed+empty but bails on
-    // A's `inflight > 0`; A then integrates and — if it only rescheduled
-    // upstream (a no-op once the split is Done) — nobody ever runs the
-    // finalize check again, `done` is never set, and the pool sleeps
-    // forever. The condition is stable once true, so the extra check on
-    // the common path costs one edge-lock peek and nothing else.
-    maybe_finalize_gather(cx, si, ni);
-}
-
-/// Finalizes a gather/bounded node whose input closed without meeting any
-/// bound: run the command on everything gathered.
-fn maybe_finalize_gather(cx: &Cx<'_, '_>, si: usize, ni: usize) {
-    let stmt = &cx.rt.stmts[si];
-    {
-        let q = lock(&stmt.edges[ni - 1].q);
-        if !q.closed || !q.items.is_empty() {
-            return;
-        }
-    }
-    {
-        let mut st = lock(&stmt.nodes[ni]);
-        if st.cancelled || !matches!(st.phase, Phase::Collecting) || st.inflight > 0 {
-            return;
-        }
-        st.phase = Phase::Running;
-        // Input ended before the bound: a plain run, not an early exit.
-        st.early_exit = None;
-    }
-    run_gathered(cx, si, ni);
-}
-
-/// Runs a gather/bounded node's command once over its gathered prefix and
-/// switches to emitting. `Phase::Running` (set by the caller) keeps
-/// concurrent tasks out while the command runs lock-free.
-fn run_gathered(cx: &Cx<'_, '_>, si: usize, ni: usize) {
-    let stmt = &cx.rt.stmts[si];
-    let cmd = stmt.chains[ni][0];
-    let input = {
-        let mut st = lock(&stmt.nodes[ni]);
-        std::mem::replace(&mut st.rope, Rope::new()).into_bytes()
-    };
-    let span = kq_trace::span("dataflow", "gather-run")
-        .si(si)
-        .ni(ni)
-        .v(input.len() as f64);
-    let t0 = Instant::now();
-    let ran = cmd.run(input, cx.rt.ctx);
-    span.done();
-    match ran {
-        Err(e) => stmt_error(cx, si, e),
-        Ok(out) => {
-            let elapsed = t0.elapsed();
-            {
-                let mut st = lock(&stmt.nodes[ni]);
-                st.piece_times.push(elapsed);
-                st.bytes_out = out.len();
-                st.phase = Phase::Emitting(Emit::new(out));
-            }
-            emit_task(cx, si, ni);
-        }
-    }
 }
 
 /// One emit quantum: stream a materialized output downstream as lazily
@@ -1916,7 +1753,9 @@ mod tests {
     }
 
     /// Runs `script_text` over `input` at `/in.txt` on every worker count
-    /// in `sweep`, fused and unfused, and asserts byte equality with serial.
+    /// in `sweep`, fused and unfused, and asserts byte equality with serial
+    /// — and, at every bounded stage that exits early, that the chunks its
+    /// early exit counts are the chunks it folded (its `fold-push` spans).
     fn check_on(script_text: &str, input: &str, chunk_bytes: usize, sweep: &[usize]) {
         let env: HashMap<String, String> = HashMap::new();
         let script = parse_script(script_text, &env).unwrap();
@@ -1938,12 +1777,31 @@ mod tests {
                     // Redirect targets persist in the VFS: reset them by
                     // using a fresh context per configuration is not
                     // needed — serial already wrote the same bytes.
+                    let session = kq_trace::TraceSession::start();
                     let got = run_dataflow(&script, &plan, &ctx, &opts).unwrap();
-                    assert_eq!(
-                        got.output, serial.output,
-                        "{script_text:?} differs (w={workers}, chunk={chunk_bytes}, \
+                    let records = session.finish();
+                    let at = format!(
+                        "{script_text:?} (w={workers}, chunk={chunk_bytes}, \
                          depth={queue_depth}, fuse={fuse})"
                     );
+                    assert_eq!(got.output, serial.output, "{at} differs");
+                    for (si, stages) in got.timings.statements.iter().enumerate() {
+                        // `stages[k]` is node `k + 1`.
+                        for (k, stage) in stages.iter().enumerate() {
+                            let Some(early) = stage.early_exit else {
+                                continue;
+                            };
+                            let folded = records
+                                .iter()
+                                .filter(|r| {
+                                    r.name == "fold-push"
+                                        && r.si == Some(si as u64)
+                                        && r.ni == Some(k as u64 + 1)
+                                })
+                                .count();
+                            assert_eq!(early.chunks, folded, "{at}: s{si} {}", stage.label);
+                        }
+                    }
                 }
             }
         }
@@ -1982,6 +1840,9 @@ mod tests {
     #[test]
     fn sequential_stage_mid_pipeline() {
         check("cat /in.txt | sed 1d | sort | uniq", 400);
+        // Fed nothing, the stage still runs once, on the empty stream.
+        check("cat /in.txt | grep zzz | sed 1d | wc -l", 400);
+        check("cat /in.txt | grep zzz | tail -n +2", 64);
     }
 
     #[test]
@@ -2024,7 +1885,15 @@ mod tests {
         check("cat /in.txt | sed 5q | sort", 200);
         check("cat /in.txt | grep apple | head -n 1 | tr a-z A-Z", 64);
         check("cat /in.txt | head -n 0 | sort", 128);
+        check("cat /in.txt | head -n 0", 64);
         check("cat /in.txt | head -n 999 | sort", 300);
+        // Met while other tasks at the node still hold popped chunks.
+        for script in [
+            "cat /in.txt | head -n 40",
+            "cat /in.txt | tail -n +3 | head -n 40",
+        ] {
+            check_on(script, &make_input(500), 64, &[4]);
+        }
     }
 
     #[test]

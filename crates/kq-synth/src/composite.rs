@@ -267,7 +267,7 @@ impl<'a> IncrementalCombine<'a> {
     /// [`kway::IncrementalFold::push`]): merge it wherever no lock on this
     /// combine is held and give the outcome to
     /// [`install`](Self::install). A raw chunk ([`kway::Piece::Raw`]) is
-    /// for a `merge` fold only, which is always authoritative.
+    /// for a `merge` or `rerun` fold only, both always authoritative.
     pub fn push(&mut self, piece: impl Into<kway::Piece>) -> Option<kway::RunBatch<'a>> {
         let piece = piece.into();
         self.fed |= !piece.bytes().is_empty();
@@ -285,7 +285,7 @@ impl<'a> IncrementalCombine<'a> {
             }
             Some(raw) => {
                 let kway::Piece::Output(piece) = piece else {
-                    unreachable!("raw chunks feed merge folds, which are authoritative");
+                    unreachable!("raw chunks feed merge and rerun folds, which are authoritative");
                 };
                 if let Some(fold) = &mut self.fold {
                     // Committing to the primary member is sound only under

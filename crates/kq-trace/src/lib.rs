@@ -45,7 +45,7 @@
 //! | `chunk` | `cut` | incremental re-chunking |
 //! | `spill` | `run-out`, `map-back` | bounded-memory fold spills |
 //! | `serial` | `stage` | the serial oracle |
-//! | `dataflow` | `run`, `gather-input`, `split`, `map`, `fold-push`, `fold-merge`, `fold-partition`, `fold-finish`, `fold-stitch`, `gather`, `gather-run`, `emit`, `early-exit`, `cancel`, `stmt-finish`, per-node counters | the shared-pool executor, one span per node task |
+//! | `dataflow` | `run`, `gather-input`, `split`, `map`, `fold-push`, `fold-merge`, `fold-partition`, `fold-finish`, `fold-stitch`, `emit`, `early-exit`, `cancel`, `stmt-finish`, per-node counters | the shared-pool executor, one span per node task |
 //! | `graph` | node-kind metas (`split`, `worker`, `fold`, `gather`, `bounded`), `dep` | dataflow graph structure |
 //!
 //! # Exports

@@ -105,10 +105,11 @@ impl TlsBuf {
 
 impl Drop for TlsBuf {
     fn drop(&mut self) {
-        // Lock order (everywhere): sink, then registry/buffer. Holding the
-        // sink throughout serializes this against a concurrent drain, so
-        // leftovers either land in the sink before the drain takes them
-        // or are drained from the buffer by the drain itself.
+        // Lock order (everywhere): live sessions, sink, then
+        // registry/buffer. Holding the sink throughout serializes this
+        // against a concurrent drain, so leftovers either land in the sink
+        // before the drain takes them or are drained from the buffer by
+        // the drain itself.
         let mut sink = sink();
         let records = std::mem::take(&mut *lock(&self.buf));
         sink.extend(records);
@@ -224,12 +225,12 @@ impl TraceSession {
         if self.attached.take().is_none() {
             return Vec::new();
         }
-        let live = {
-            let mut ids = live_ids();
-            ids.retain(|&id| id != self.id);
-            LIVE.store(ids.len(), Ordering::SeqCst);
-            ids.clone()
-        };
+        // The live list stays locked until every buffer is drained: a
+        // session that started meanwhile would look gone, and the records
+        // it had made so far would be thrown away.
+        let mut live = live_ids();
+        live.retain(|&id| id != self.id);
+        LIVE.store(live.len(), Ordering::SeqCst);
         let mut mine = Vec::new();
         let mut take = |tagged: &mut Vec<Tagged>| {
             for (id, record) in std::mem::take(tagged) {
@@ -547,6 +548,39 @@ mod tests {
                 let records = handle.join().unwrap();
                 assert_eq!(records.len(), 4, "{records:?}");
                 assert!(records.iter().all(|r| r.name == name), "{records:?}");
+            }
+        });
+    }
+
+    #[test]
+    fn a_session_that_starts_while_another_drains_keeps_its_records() {
+        // One thread opens and drains sessions as fast as it can while
+        // another runs short sessions of one span each: a drain must not
+        // take a session that started after it for one that is gone.
+        struct StopOnDrop<'s>(&'s std::sync::atomic::AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            // Stops the busy thread on a failed assertion too.
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    let session = TraceSession::start();
+                    for _ in 0..50 {
+                        span("t", "busy").done();
+                    }
+                    session.finish();
+                }
+            });
+            let _stop = StopOnDrop(&stop);
+            for round in 0..20_000 {
+                let session = TraceSession::start();
+                span("t", "short").done();
+                let records = session.finish();
+                assert_eq!(records.len(), 1, "round {round}: {records:?}");
             }
         });
     }

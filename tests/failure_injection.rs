@@ -598,3 +598,133 @@ fn a_map_error_inside_a_counting_fold_fails_the_statement_once() {
         );
     }
 }
+
+/// Drops the first line, like `sed 1d` — no combiner can say that of two
+/// pieces, so the stage plans sequential — and fails on a poison line.
+struct DropFirst;
+
+impl UnixCommand for DropFirst {
+    fn display(&self) -> String {
+        "drop-first".to_owned()
+    }
+
+    fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
+        let text = input.to_str().unwrap();
+        if text.lines().any(|l| l == "POISON") {
+            return Err(CmdError::new("drop-first", "bad record"));
+        }
+        Ok(Bytes::from(
+            text.split_inclusive('\n').skip(1).collect::<String>(),
+        ))
+    }
+}
+
+/// Keeps the lines that start with `keep`, and fails when it is handed
+/// more than five of them: every chunk of the inputs below passes, and
+/// so does the planning sample, but the whole stream does not.
+struct KeepAtMostFive;
+
+impl UnixCommand for KeepAtMostFive {
+    fn display(&self) -> String {
+        "keep-at-most-five".to_owned()
+    }
+
+    fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
+        let kept: String = (input.to_str().unwrap().split_inclusive('\n'))
+            .filter(|l| l.starts_with("keep"))
+            .collect();
+        if kept.lines().count() > 5 {
+            return Err(CmdError::new(
+                "keep-at-most-five",
+                "more than five lines kept",
+            ));
+        }
+        Ok(Bytes::from(kept))
+    }
+}
+
+/// `cat /in.txt | <custom>`, planned on `sample`, with `combiner`
+/// registered for the custom stage when there is one.
+fn one_custom_stage(
+    ctx: &ExecContext,
+    custom: Box<dyn UnixCommand>,
+    combiner: Option<kumquat::dsl::ast::Candidate>,
+    sample: &str,
+) -> (Script, kumquat::pipeline::PlannedScript) {
+    let name = custom.display();
+    let script = Script {
+        statements: vec![Statement {
+            stages: vec![Stage {
+                command: Command::custom(vec![name.clone()], custom),
+                span: Default::default(),
+            }],
+            input: InputSource::Files(vec!["/in.txt".to_owned()]),
+            output: None,
+            span: Default::default(),
+        }],
+    };
+    let mut planner = Planner::new(SynthesisConfig::default());
+    if let Some(candidate) = combiner {
+        planner.register_manual(
+            &name,
+            kumquat::synth::SynthesizedCombiner::from_plausible(vec![candidate]),
+        );
+    }
+    let plan = planner.plan(&script, ctx, sample);
+    (script, plan)
+}
+
+/// `run_dataflow` fails with exactly `run_serial`'s message, at one and
+/// at two workers.
+fn fails_as_serial_does(
+    ctx: &ExecContext,
+    script: &Script,
+    plan: &kumquat::pipeline::PlannedScript,
+) {
+    let serial = kumquat::pipeline::exec::run_serial(script, ctx)
+        .expect_err("the serial run must fail")
+        .to_string();
+    for workers in [1, 2] {
+        let err = run_dataflow(script, plan, ctx, &teardown_options(workers, 64, 2))
+            .expect_err("the dataflow run must fail");
+        assert_eq!(err.to_string(), serial, "w={workers}");
+    }
+}
+
+#[test]
+fn a_failing_sequential_stage_fails_with_the_serial_message() {
+    let ctx = ExecContext::default();
+    let mut input: String = (0..300).map(|i| format!("row {i}\n")).collect();
+    input.push_str("POISON\n");
+    ctx.vfs.write("/in.txt", input.as_str());
+    let (script, plan) = one_custom_stage(&ctx, Box::new(DropFirst), None, &input[..2_000]);
+    assert!(
+        !plan.statements[0].stages[0].mode.is_parallel(),
+        "drop-first plans sequential"
+    );
+    fails_as_serial_does(&ctx, &script, &plan);
+}
+
+#[test]
+fn a_rerun_fold_that_fails_on_the_whole_stream_fails_with_the_serial_message() {
+    use kumquat::dsl::ast::{Candidate, RunOp};
+    let ctx = ExecContext::default();
+    let input: String = (0..400)
+        .map(|i| match i % 20 {
+            0 => format!("keep {i}\n"),
+            _ => format!("drop {i}\n"),
+        })
+        .collect();
+    ctx.vfs.write("/in.txt", input.as_str());
+    let (script, plan) = one_custom_stage(
+        &ctx,
+        Box::new(KeepAtMostFive),
+        Some(Candidate::run(RunOp::Rerun)),
+        &input[..600],
+    );
+    assert!(
+        plan.statements[0].stages[0].mode.is_parallel(),
+        "the rerun pays: keep-at-most-five shrinks its input"
+    );
+    fails_as_serial_does(&ctx, &script, &plan);
+}

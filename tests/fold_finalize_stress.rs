@@ -1,14 +1,15 @@
 //! Regression stress for the Fold-finalization race in the dataflow
 //! scheduler (promoted from a temporary reviewer repro).
 //!
-//! The bug: `gather_task` claimed the inflight counter, popped the final
-//! chunk, and then only rescheduled its *upstream* node — so when a
-//! sibling task had already observed the closed edge and bailed out on
-//! the nonzero inflight count, nobody ever re-ran the finalization check
-//! and the run hung with the pool idle. The fix makes every pop path
-//! call `maybe_finalize_gather`/`maybe_finalize_map` unconditionally
-//! after integrating its chunk (the condition is stable once true, so
-//! the extra call is idempotent).
+//! The bug: the task of a sequential stage's node claimed the inflight
+//! counter, popped the final chunk, and then only rescheduled its
+//! *upstream* node — so when a sibling task had already observed the
+//! closed edge and bailed out on the nonzero inflight count, nobody ever
+//! re-ran the finalization check and the run hung with the pool idle. The
+//! fix makes every pop path call the check (`maybe_finalize`, which every
+//! node past the split now shares) unconditionally after integrating its
+//! chunk (the condition is stable once true, so the extra call is
+//! idempotent).
 //!
 //! These tests hammer the window with tiny chunks (64 B) and a shallow
 //! queue (depth 2) so the final-chunk/closed-edge interleaving happens
