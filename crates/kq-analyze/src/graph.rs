@@ -198,7 +198,7 @@ fn graph_findings(
 }
 
 /// Verifies every statement's dataflow graph, as the scheduler builds it
-/// from the statement's static plan ([`graph_findings`]).
+/// from the statement's static plan (`graph_findings`).
 pub fn verify_graphs(script: &Script, plans: &[PlannedStatement]) -> Vec<Diagnostic> {
     let statements = script.statements.iter().zip(plans).enumerate();
     statements

@@ -1,13 +1,14 @@
 //! VFS hazard lints over a parsed script.
 //!
-//! These lints reuse the *exact* access model the dataflow scheduler's
-//! dependency pass ([`kq_pipeline::scheduler::statement_deps`]) runs
-//! under — reads are the statement's input files plus every argv word
-//! after the program name (any word could name a file: `comm - dict`),
-//! `xargs` reads unboundedly, and the only write is the statement's `>`
-//! redirection target. Working on the same relation means a hazard the
-//! lints flag is a hazard the scheduler actually orders around (or, for
-//! `KQ101`, cannot order around).
+//! These lints read the access model the dataflow scheduler's dependency
+//! pass runs under ([`kq_pipeline::scheduler::VfsAccess`], read by
+//! [`kq_pipeline::scheduler::statement_deps`]) — reads are the
+//! statement's input files plus every argv word after the program name
+//! (any word could name a file: `comm - dict`), `xargs` reads
+//! unboundedly, and the only write is the statement's `>` redirection
+//! target. Working on the same relation means a hazard the lints flag is
+//! a hazard the scheduler actually orders around (or, for `KQ101`, cannot
+//! order around).
 //!
 //! To keep the conservative read set from spraying false positives
 //! (`grep fox` does not read a file named `fox`), the lints only consider
@@ -15,43 +16,12 @@
 //! when some statement's redirection targets it.
 
 use crate::diag::{Diagnostic, Severity};
-use kq_pipeline::{InputSource, Script};
-
-/// One statement's accesses under the scheduler's model.
-struct Access {
-    reads: Vec<String>,
-    reads_everything: bool,
-    write: Option<String>,
-}
-
-fn access_model(script: &Script) -> Vec<Access> {
-    script
-        .statements
-        .iter()
-        .map(|st| {
-            let mut reads: Vec<String> = match &st.input {
-                InputSource::Files(files) => files.clone(),
-                InputSource::None => Vec::new(),
-            };
-            let mut reads_everything = false;
-            for stage in &st.stages {
-                if stage.command.program() == "xargs" {
-                    reads_everything = true;
-                }
-                reads.extend(stage.command.argv().iter().skip(1).cloned());
-            }
-            Access {
-                reads,
-                reads_everything,
-                write: st.output.clone(),
-            }
-        })
-        .collect()
-}
+use kq_pipeline::scheduler::VfsAccess;
+use kq_pipeline::Script;
 
 /// Runs the three VFS hazard lints (`KQ101`, `KQ102`, `KQ103`).
 pub fn vfs_hazards(script: &Script) -> Vec<Diagnostic> {
-    let access = access_model(script);
+    let access = VfsAccess::of(script);
     let mut out = Vec::new();
 
     let reads_path = |j: usize, path: &str| access[j].reads.iter().any(|r| r == path);
@@ -116,8 +86,7 @@ pub fn vfs_hazards(script: &Script) -> Vec<Diagnostic> {
         else {
             continue;
         };
-        let read_in_between =
-            (i + 1..=next_write).any(|k| access[k].reads_everything || reads_path(k, &w));
+        let read_in_between = (i + 1..=next_write).any(|k| access[k].may_read(&w));
         if !read_in_between {
             out.push(
                 Diagnostic::new(

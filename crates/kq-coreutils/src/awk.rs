@@ -1,6 +1,6 @@
 //! `awk` — a purpose-built interpreter for the AWK subset appearing in the
 //! KumQuat corpus (Table 10): pattern/action items with field references,
-//! `NF`, `length`, numeric/string comparisons, `print` lists, field
+//! `NF`, `NR`, `length`, numeric/string comparisons, `print` lists, field
 //! assignment (`{$1=$1};1` — the whitespace normalizer), `-v` variable
 //! presets (only `OFS` is used), and the bare `1` truthy pattern.
 //!
@@ -20,6 +20,8 @@ enum Expr {
     Field(Box<Expr>),
     /// `NF` — number of fields.
     Nf,
+    /// `NR` — the current record's number; in `END`, the records read.
+    Nr,
     /// `length` — length of `$0`.
     Length,
     /// A scalar variable (e.g. `OFS`, or an unset user variable).
@@ -423,6 +425,7 @@ impl Parser {
                 self.pos += 1;
                 match name.as_str() {
                     "NF" => Ok(Expr::Nf),
+                    "NR" => Ok(Expr::Nr),
                     "length" => Ok(Expr::Length),
                     _ => Ok(Expr::Var(name)),
                 }
@@ -537,6 +540,8 @@ impl Record {
 struct Interp<'a> {
     vars: HashMap<String, String>,
     items: &'a [Item],
+    /// Records read so far (`NR`).
+    nr: usize,
 }
 
 impl Interp<'_> {
@@ -552,6 +557,7 @@ impl Interp<'_> {
             Expr::Num(n) => Value::Num(*n),
             Expr::Str(s) => Value::Str(s.clone()),
             Expr::Nf => Value::Num(rec.fields.len() as f64),
+            Expr::Nr => Value::Num(self.nr as f64),
             Expr::Length => Value::Num(rec.line.chars().count() as f64),
             Expr::Var(name) => {
                 let v = self.vars.get(name).cloned().unwrap_or_default();
@@ -598,6 +604,7 @@ impl Interp<'_> {
     }
 
     fn run_line(&mut self, line: &str, out: &mut String) {
+        self.nr += 1;
         self.run_items(Section::Main, line, out);
     }
 
@@ -688,6 +695,7 @@ impl UnixCommand for AwkCmd {
             let mut interp = Interp {
                 vars: self.presets.iter().cloned().collect(),
                 items: &self.items,
+                nr: 0,
             };
             let mut out = String::with_capacity(input.len());
             interp.run_items(Section::Begin, "", &mut out);
@@ -839,6 +847,14 @@ zz
             run("awk 'BEGIN {print \"hdr\"} {print $1}'", "a b\n"),
             "hdr\na\n"
         );
+    }
+
+    #[test]
+    fn nr_numbers_records_and_counts_them_in_end() {
+        assert_eq!(run("awk '{print NR}'", "a\nb c\n\nd\n"), "1\n2\n3\n4\n");
+        assert_eq!(run("awk 'END {print NR}'", "a\nb\nc\n"), "3\n");
+        assert_eq!(run("awk 'END {print NR}'", ""), "0\n");
+        assert_eq!(run("awk 'NR >= 2'", "a\nb\nc\n"), "b\nc\n");
     }
 
     #[test]

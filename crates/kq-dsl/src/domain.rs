@@ -23,20 +23,45 @@ pub fn in_domain(g: &Combiner, y: &[u8]) -> bool {
     }
 }
 
-/// True when `L(g)` is every string — [`in_domain`] is constantly `true`.
-///
-/// Universal-domain combiners (`concat`, `first`, `second`, `rerun`,
-/// `merge`) can never be deselected by a composite's first-member-whose-
-/// domain-admits-all-pieces rule: when such a combiner leads a composite,
-/// it is the selected member for *any* piece list. Incremental folds use
-/// this to commit to the primary member without retaining raw piece
-/// handles for a fallback that cannot be selected.
-pub fn is_universal(g: &Combiner) -> bool {
-    matches!(
-        g,
-        Combiner::Rec(RecOp::Concat | RecOp::First | RecOp::Second)
-            | Combiner::Run(RunOp::Rerun | RunOp::Merge(_))
-    )
+/// True when `L(g) = L(h)`, shown on the structure of the two combiners:
+/// `concat`, `first`, `second`, `rerun` and `merge` all admit every
+/// string, and otherwise both must be the same operator, with the same
+/// delimiter, over children of equal domains. `false` only means that
+/// equality was not shown. Orientation plays no part — a composite checks
+/// both arguments against one domain — so the composite rule can never
+/// select a member whose domain equals an earlier member's.
+pub fn same_domain(g: &Combiner, h: &Combiner) -> bool {
+    let universal = |c: &Combiner| {
+        matches!(c, Combiner::Run(_)) || matches!(c, Combiner::Rec(b) if rec_universal(b))
+    };
+    match (g, h) {
+        (Combiner::Rec(a), Combiner::Rec(b)) => same_rec_domain(a, b),
+        (Combiner::Struct(StructOp::Stitch(a)), Combiner::Struct(StructOp::Stitch(b))) => {
+            same_rec_domain(a, b)
+        }
+        (
+            Combiner::Struct(StructOp::Stitch2(d, a1, a2)),
+            Combiner::Struct(StructOp::Stitch2(e, b1, b2)),
+        ) => d == e && same_rec_domain(a1, b1) && same_rec_domain(a2, b2),
+        (Combiner::Struct(StructOp::Offset(d, a)), Combiner::Struct(StructOp::Offset(e, b))) => {
+            d == e && same_rec_domain(a, b)
+        }
+        _ => universal(g) && universal(h),
+    }
+}
+
+fn rec_universal(b: &RecOp) -> bool {
+    matches!(b, RecOp::Concat | RecOp::First | RecOp::Second)
+}
+
+fn same_rec_domain(a: &RecOp, b: &RecOp) -> bool {
+    match (a, b) {
+        (RecOp::Add, RecOp::Add) => true,
+        (RecOp::Front(d, a), RecOp::Front(e, b))
+        | (RecOp::Back(d, a), RecOp::Back(e, b))
+        | (RecOp::Fuse(d, a), RecOp::Fuse(e, b)) => d == e && same_rec_domain(a, b),
+        _ => rec_universal(a) && rec_universal(b),
+    }
 }
 
 pub(crate) fn rec_in_domain(b: &RecOp, y: &[u8]) -> bool {
@@ -171,17 +196,37 @@ mod tests {
     }
 
     #[test]
-    fn universal_domains_are_exactly_the_unrestricted_ops() {
-        assert!(is_universal(&C::Rec(R::Concat)));
-        assert!(is_universal(&C::Rec(R::First)));
-        assert!(is_universal(&C::Rec(R::Second)));
-        assert!(is_universal(&C::Run(RunOp::Rerun)));
-        assert!(is_universal(&C::Run(RunOp::Merge(vec!["-rn".into()]))));
-        assert!(!is_universal(&C::Rec(R::Add)));
-        assert!(!is_universal(&C::Rec(R::Back(
-            Delim::Newline,
-            Box::new(R::Add)
-        ))));
-        assert!(!is_universal(&C::Struct(S::Stitch(R::First))));
+    fn same_domain_ignores_orientation_and_the_choice_among_selectors() {
+        let back_add = || R::Back(Delim::Newline, Box::new(R::Add));
+        // `wc -l`'s, `uniq -c`'s and `uniq`'s composites: one domain each.
+        assert!(same_domain(&C::Rec(back_add()), &C::Rec(back_add())));
+        assert!(same_domain(
+            &C::Struct(S::Stitch2(Delim::Space, R::Add, R::First)),
+            &C::Struct(S::Stitch2(Delim::Space, R::Add, R::Second)),
+        ));
+        assert!(same_domain(
+            &C::Struct(S::Stitch(R::First)),
+            &C::Struct(S::Stitch(R::Second)),
+        ));
+        // `sort`'s: every member admits every string.
+        assert!(same_domain(
+            &C::Run(RunOp::Merge(vec![])),
+            &C::Run(RunOp::Rerun)
+        ));
+        assert!(same_domain(&C::Rec(R::Concat), &C::Run(RunOp::Rerun)));
+        // Distinct domains: a count line, and numbers around a newline.
+        assert!(!same_domain(
+            &C::Rec(back_add()),
+            &C::Rec(R::Fuse(Delim::Newline, Box::new(R::Add))),
+        ));
+        assert!(!same_domain(
+            &C::Rec(back_add()),
+            &C::Rec(R::Back(Delim::Space, Box::new(R::Add))),
+        ));
+        assert!(!same_domain(&C::Rec(R::Add), &C::Rec(R::Concat)));
+        assert!(!same_domain(
+            &C::Struct(S::Stitch(R::First)),
+            &C::Struct(S::Stitch(R::Add)),
+        ));
     }
 }

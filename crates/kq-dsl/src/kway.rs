@@ -5,8 +5,15 @@
 //! `cat $*`, `merge <flags>` is `sort -m <flags> $*`, and `rerun` is one
 //! re-execution over the concatenation — while every other combiner is
 //! applied pairwise, in a balanced tree, until one stream remains.
+//!
+//! [`combine_all`] combines a list of pieces with one candidate;
+//! [`IncrementalFold`] folds them as they arrive, over the members of a
+//! composite, and applies the composite rule of §3.2 to each pair it
+//! combines ([`combine_pair`]): the first member whose legal domain
+//! contains both arguments.
 
 use crate::ast::{Candidate, Combiner, RecOp, RunOp};
+use crate::domain::in_domain;
 use crate::eval::{eval, merge_order, EvalError, RunEnv};
 use crate::spill::SpillConfig;
 use kq_coreutils::sort::{CountOrder, LineOrder};
@@ -80,17 +87,28 @@ pub fn combine_all(
     Ok(level.pop().expect("at least one piece"))
 }
 
-/// Combines two adjacent substream groups with a binary combiner (the
-/// earlier group is the left argument; [`Candidate::oriented`] handles
-/// swapped combiners).
-fn combine_pair(
-    candidate: &Candidate,
+/// Combines two adjacent substreams with a composite (paper §3.2): the
+/// first of `members` whose legal domain contains both arguments is
+/// applied, `earlier` as the left argument ([`Candidate::oriented`]
+/// handles swapped members). A lone member is applied with no domain
+/// scan. When no member admits both, the last member is evaluated, for
+/// its error.
+pub fn combine_pair(
+    members: &[Candidate],
+    earlier: &[u8],
+    later: &[u8],
     env: &dyn RunEnv,
-    earlier: &Bytes,
-    later: &Bytes,
 ) -> Result<Bytes, EvalError> {
-    let (x, y) = candidate.oriented(earlier.as_bytes(), later.as_bytes());
-    eval(&candidate.op, x, y, env)
+    let member = match members {
+        [only] => only,
+        _ => members
+            .iter()
+            .find(|m| in_domain(&m.op, earlier) && in_domain(&m.op, later))
+            .or(members.last())
+            .expect("a composite has members"),
+    };
+    let (x, y) = member.oriented(earlier, later);
+    eval(&member.op, x, y, env)
 }
 
 /// A substream pushed into an [`IncrementalFold`].
@@ -175,7 +193,10 @@ impl Piece {
 /// [`plan_finish`]: IncrementalFold::plan_finish
 /// [`seal`]: IncrementalFold::seal
 ///
-/// How each combiner folds (mirroring [`combine_all`]):
+/// A fold is built over a composite's members ([`over`]) and folds by its
+/// first member, the primary — by the composite rule pair by pair where
+/// the primary's domain is restricted. How each primary folds (mirroring
+/// [`combine_all`]):
 ///
 /// * unswapped `concat` — pieces accumulate in a segment list; `finish`
 ///   is the single gather memcpy (zero work per push);
@@ -213,6 +234,10 @@ impl Piece {
 ///   binary-counter tree fold: slot *i* holds a combined group of `2^i`
 ///   adjacent pieces, so each push performs O(1) amortized combines and
 ///   every byte is touched O(log k) times, matching the tree-fold cost.
+///   Each combine is §3.2's composite rule on the pair ([`combine_pair`]):
+///   the first member whose domain contains both groups. No piece is kept
+///   once it is combined, so no later piece can make the fold redo its
+///   work with another member.
 ///   Under a spill config the slot groups are budget-accounted like merge
 ///   runs: a stored group that would push the resident slot bytes past
 ///   the budget goes to a temp file and lives in its slot as a mapped
@@ -226,8 +251,8 @@ impl Piece {
 ///
 /// A merge fold is parameterized by its [`LineOrder`] and by nothing else,
 /// so the same fold serves a `sort` stage fused with the `uniq` that
-/// follows it ([`merging`](IncrementalFold::merging)): over a *counted*
-/// order the pieces are counted runs (`sort | uniq -c` of each chunk) or
+/// follows it (a fold [`over`] an order other than its flags'): over a
+/// *counted* order the pieces are counted runs (`sort | uniq -c` of each chunk) or
 /// raw chunks (whose batch sort counts them), and every merge — of a
 /// batch, of a part of the closing merge, of a wave of spilled runs —
 /// adds the counts of equal lines, which is as associative as dropping
@@ -236,13 +261,27 @@ impl Piece {
 /// fold of a `sort` fed its raw chunks (the sorting rewrite) is a merge
 /// fold whose pieces all arrive raw.
 /// Only the closing merge of a counting fold that closes in count order
-/// ([`counting`](IncrementalFold::counting)) does more: each part regroups
-/// what it merged by count, and [`stitch`] interleaves the parts' groups.
+/// (a fold [`over`] a count order too) does more: each part regroups what
+/// it merged by count, and [`stitch`] interleaves the parts' groups.
+///
+/// Two rules hold for every fold. One fed no non-empty piece — none at
+/// all, or only empty ones, as when an upstream `grep` matched no line —
+/// finishes as the command run on the empty stream: `wc -l` still owes
+/// its `0`. And [`push`] never fails: the first error of a push or an
+/// install is kept, the fold takes nothing more, and [`finish`] (or
+/// [`plan_finish`]) returns the error.
+///
+/// [`over`]: IncrementalFold::over
+/// [`push`]: IncrementalFold::push
 pub struct IncrementalFold<'a> {
-    candidate: &'a Candidate,
+    members: &'a [Candidate],
     env: &'a dyn RunEnv,
     state: FoldState,
     spill: Option<SpillConfig>,
+    /// A non-empty piece was pushed.
+    fed: bool,
+    /// The first error of a push or an install, returned at the finish.
+    failed: Option<EvalError>,
 }
 
 /// Pieces per intermediate merge run (see [`IncrementalFold`]) when no
@@ -382,12 +421,11 @@ enum FoldState {
     /// plus the pending pieces and the batches out being made runs — which
     /// the batch size bounds by the other three quarters.
     Merge {
-        /// The flags' line order, parsed once for the whole fold.
+        /// The flags' line order, parsed once for the whole fold, or the
+        /// order the fold was built [`over`](IncrementalFold::over).
         order: Result<LineOrder, EvalError>,
         /// The closing merge's output is regrouped into this order (a
-        /// [`counting`] fold that closes in count order).
-        ///
-        /// [`counting`]: IncrementalFold::counting
+        /// counting fold that closes in count order).
         count: Option<CountOrder>,
         runs: Vec<Option<Bytes>>,
         /// Runs ([`Piece::Output`]) not yet cut into a batch.
@@ -435,33 +473,46 @@ impl FoldState {
 }
 
 impl<'a> IncrementalFold<'a> {
-    /// An empty fold for `candidate` (finishing immediately yields the
-    /// empty stream, like [`combine_all`] on no pieces).
-    pub fn new(candidate: &'a Candidate, env: &'a dyn RunEnv) -> IncrementalFold<'a> {
-        IncrementalFold::new_with_spill(candidate, env, None)
-    }
-
-    /// Like [`new`](IncrementalFold::new), but with a spill policy: merge
-    /// runs are sized to the budget (`merge_run_target`) and go to temp
-    /// files once the heap-resident run bytes would cross
-    /// [`SpillConfig::run_budget`], and a fold that spilled streams its final
-    /// merge through a temp file as well (see [`crate::spill`]).
-    /// Counter-tree folds (`uniq -c` stitches, arithmetic) account their
-    /// stored slot groups against the same budget and spill them as mapped
-    /// slices. Only `concat`/`rerun` ignore the config — their
-    /// accumulation is inherently a gather.
-    pub fn new_with_spill(
-        candidate: &'a Candidate,
+    /// An empty fold over a composite's `members` (at least one), which
+    /// folds by the first of them. `order` is set for a merge fold only:
+    /// it merges under that line order instead of the one its flags name —
+    /// how a `sort` folds when it is fused with the `uniq -c`
+    /// ([`LineOrder::counted`]: the merges add the counts of equal lines)
+    /// or `uniq` ([`LineOrder::unique`]) after it — and, given a
+    /// [`CountOrder`] too, its closing merge regroups each part by count
+    /// ([`CountOrder::regroup`]), the fold of `sort | uniq -c | sort -rn`
+    /// as one node.
+    ///
+    /// Under a spill config merge runs are sized to the budget
+    /// (`merge_run_target`) and go to temp files once the heap-resident run
+    /// bytes would cross [`SpillConfig::run_budget`], and a fold that
+    /// spilled streams its closing merge through temp files as well (see
+    /// [`crate::spill`]). Counter-tree folds account their stored slot
+    /// groups against the same budget and spill them as mapped slices.
+    /// Only `concat`/`rerun` ignore the config — their accumulation is
+    /// inherently a gather.
+    pub fn over(
+        members: &'a [Candidate],
+        order: Option<(LineOrder, Option<CountOrder>)>,
         env: &'a dyn RunEnv,
         spill: Option<SpillConfig>,
     ) -> IncrementalFold<'a> {
-        let state = match &candidate.op {
-            Combiner::Rec(RecOp::Concat) if !candidate.swapped => FoldState::Concat(Vec::new()),
-            Combiner::Run(RunOp::Rerun) => FoldState::Gather {
+        let primary = members.first().expect("a composite has members");
+        let state = match (&primary.op, order) {
+            (Combiner::Run(RunOp::Merge(_)), Some((order, count))) => {
+                FoldState::merge(Ok(order), count)
+            }
+            (_, Some(_)) => panic!("a merge order is for a merge fold"),
+            (Combiner::Run(RunOp::Merge(flags)), None) => {
+                FoldState::merge(merge_order(flags), None)
+            }
+            (Combiner::Rec(RecOp::Concat), None) if !primary.swapped => {
+                FoldState::Concat(Vec::new())
+            }
+            (Combiner::Run(RunOp::Rerun), None) => FoldState::Gather {
                 pieces: Vec::new(),
                 raw: false,
             },
-            Combiner::Run(RunOp::Merge(flags)) => FoldState::merge(merge_order(flags), None),
             _ => FoldState::Counter {
                 slots: Vec::new(),
                 heap_bytes: 0,
@@ -469,57 +520,12 @@ impl<'a> IncrementalFold<'a> {
             },
         };
         IncrementalFold {
-            candidate,
+            members,
             env,
             state,
             spill,
-        }
-    }
-
-    /// The merge fold of a `merge <flags>` candidate, run under `order`
-    /// instead of the order its flags name: how the streams of a stage that
-    /// *follows* the sort fold when the pair is one keyed aggregation —
-    /// `sort <flags> | uniq -c` outputs under [`LineOrder::counted`] (the
-    /// merge adds the counts of equal lines), `sort | uniq` outputs under
-    /// [`LineOrder::unique`]. Everything else is the merge fold of
-    /// [`new_with_spill`](IncrementalFold::new_with_spill): run batches,
-    /// spill and the closing merge in parts see ordinary line runs, and
-    /// every merge goes through `env` with the order given here.
-    pub fn merging(
-        candidate: &'a Candidate,
-        order: LineOrder,
-        env: &'a dyn RunEnv,
-        spill: Option<SpillConfig>,
-    ) -> IncrementalFold<'a> {
-        debug_assert!(matches!(candidate.op, Combiner::Run(RunOp::Merge(_))));
-        IncrementalFold {
-            candidate,
-            env,
-            state: FoldState::merge(Ok(order), None),
-            spill,
-        }
-    }
-
-    /// The [`merging`](IncrementalFold::merging) fold of a counting pair
-    /// whose output a numeric `sort` puts in `count` order: the fold of
-    /// `sort | uniq -c | sort -rn` as one node. Everything up to the
-    /// closing merge is the counting fold's; each part of the closing
-    /// merge — a key range of the counted stream — regroups its lines by
-    /// count ([`CountOrder::regroup`]) as it is merged, and [`stitch`]
-    /// interleaves the parts' groups count by count.
-    pub fn counting(
-        candidate: &'a Candidate,
-        order: LineOrder,
-        count: CountOrder,
-        env: &'a dyn RunEnv,
-        spill: Option<SpillConfig>,
-    ) -> IncrementalFold<'a> {
-        debug_assert!(matches!(candidate.op, Combiner::Run(RunOp::Merge(_))));
-        IncrementalFold {
-            candidate,
-            env,
-            state: FoldState::merge(Ok(order), Some(count)),
-            spill,
+            fed: false,
+            failed: None,
         }
     }
 
@@ -528,19 +534,32 @@ impl<'a> IncrementalFold<'a> {
     /// fold only — a [`Piece::Raw`] chunk of its input. A merge fold sorts
     /// raw chunks itself: `sort(x1 ++ … ++ xk) = merge(sort(x1), …,
     /// sort(xk))` with ties to the earlier input. A rerun fold fed raw
-    /// chunks runs the command once over them at finish. Combine errors
-    /// surface immediately. A merge fold whose pending pieces of one kind
-    /// reached the run trigger returns them as a batch: merge it
-    /// ([`RunBatch::merge`]) outside any lock that guards this fold and
-    /// [`install`](IncrementalFold::install) the run.
-    pub fn push(&mut self, piece: impl Into<Piece>) -> Result<Option<RunBatch<'a>>, EvalError> {
-        let (raw, piece) = match piece.into() {
+    /// chunks runs the command once over them at finish. A merge fold
+    /// whose pending pieces of one kind reached the run trigger returns
+    /// them as a batch: merge it ([`RunBatch::merge`]) outside any lock
+    /// that guards this fold and [`install`](IncrementalFold::install) the
+    /// run. Never fails: a combine error is kept for the finish, and a
+    /// fold that failed takes nothing more.
+    pub fn push(&mut self, piece: impl Into<Piece>) -> Option<RunBatch<'a>> {
+        if self.failed.is_some() {
+            return None;
+        }
+        self.fold_in(piece.into()).unwrap_or_else(|e| {
+            self.failed = Some(e);
+            None
+        })
+    }
+
+    /// [`push`](IncrementalFold::push), with the error returned.
+    fn fold_in(&mut self, piece: Piece) -> Result<Option<RunBatch<'a>>, EvalError> {
+        let (raw, piece) = match piece {
             Piece::Output(piece) => (false, piece),
             Piece::Raw(chunk) => (true, chunk),
         };
         if piece.is_empty() {
             return Ok(None);
         }
+        self.fed = true;
         assert!(
             !raw || matches!(
                 self.state,
@@ -548,7 +567,7 @@ impl<'a> IncrementalFold<'a> {
             ),
             "raw chunks feed merge and rerun folds only"
         );
-        let (candidate, env) = (self.candidate, self.env);
+        let (members, env) = (self.members, self.env);
         match &mut self.state {
             FoldState::Concat(segments) => segments.push(piece),
             FoldState::Gather {
@@ -620,7 +639,8 @@ impl<'a> IncrementalFold<'a> {
                             if !earlier.is_mmap_backed() {
                                 *heap_bytes = heap_bytes.saturating_sub(earlier.len());
                             }
-                            carry = combine_pair(candidate, env, &earlier, &carry)?;
+                            carry =
+                                combine_pair(members, earlier.as_bytes(), carry.as_bytes(), env)?;
                         }
                     }
                 }
@@ -635,8 +655,19 @@ impl<'a> IncrementalFold<'a> {
     /// handed out — on the heap, or already written to disk when the
     /// ledger had no room for it — and settles the ledger with the run's
     /// true size. Runs may be installed in any order; each lands in its
-    /// batch's place in the stream.
-    pub fn install(&mut self, merged: MergedRun) {
+    /// batch's place in the stream. A failed merge fails the fold the way
+    /// a failed push does.
+    pub fn install(&mut self, merged: Result<MergedRun, EvalError>) {
+        if self.failed.is_some() {
+            return;
+        }
+        let merged = match merged {
+            Ok(merged) => merged,
+            Err(e) => {
+                self.failed = Some(e);
+                return;
+            }
+        };
         let FoldState::Merge {
             runs, heap_bytes, ..
         } = &mut self.state
@@ -657,15 +688,15 @@ impl<'a> IncrementalFold<'a> {
     /// runs only. Each kind's tail is cut by bytes, at line ends — one
     /// piece may feed two batches — into batches of about a part's bytes
     /// ([`FINISH_PART_BYTES`]), a pure function of the pieces like every
-    /// other cut the fold makes. Folds that are not merges, and merges with
-    /// nothing pending, hand out nothing.
-    pub fn seal(&mut self) -> Result<Vec<RunBatch<'a>>, EvalError> {
+    /// other cut the fold makes. Folds that are not merges, merges with
+    /// nothing pending, and failed folds hand out nothing.
+    pub fn seal(&mut self) -> Vec<RunBatch<'a>> {
         self.seal_at(FINISH_PART_BYTES)
     }
 
     /// [`seal`](IncrementalFold::seal) with the part size as an argument
     /// (see [`plan_finish_at`](IncrementalFold::plan_finish_at)).
-    fn seal_at(&mut self, part_bytes: usize) -> Result<Vec<RunBatch<'a>>, EvalError> {
+    fn seal_at(&mut self, part_bytes: usize) -> Vec<RunBatch<'a>> {
         let env = self.env;
         let FoldState::Merge {
             order,
@@ -677,12 +708,18 @@ impl<'a> IncrementalFold<'a> {
             ..
         } = &mut self.state
         else {
-            return Ok(Vec::new());
+            return Vec::new();
         };
-        if pending.pieces.is_empty() && pending_raw.pieces.is_empty() {
-            return Ok(Vec::new());
+        if self.failed.is_some() || pending.pieces.is_empty() && pending_raw.pieces.is_empty() {
+            return Vec::new();
         }
-        let order = order.clone()?;
+        let order = match order {
+            Ok(order) => *order,
+            Err(e) => {
+                self.failed = Some(e.clone());
+                return Vec::new();
+            }
+        };
         let mut batches = Vec::new();
         for (raw, list) in [(false, pending), (true, pending_raw)] {
             for pieces in cut_by_bytes(std::mem::take(list), part_bytes) {
@@ -700,7 +737,7 @@ impl<'a> IncrementalFold<'a> {
                 });
             }
         }
-        Ok(batches)
+        batches
     }
 
     /// How many parts [`plan_finish`](IncrementalFold::plan_finish) will
@@ -727,7 +764,8 @@ impl<'a> IncrementalFold<'a> {
     /// ([`FinishPart::merge`]) wherever and in whatever order suits, and
     /// concatenate the outputs by [`FinishPart::index`]. Every fold that
     /// is not a merge settles here and returns its result as one finished
-    /// part.
+    /// part, and so does a fold fed nothing: the command run on the empty
+    /// stream. A fold that failed returns its first error.
     pub fn plan_finish(self) -> Result<Vec<FinishPart<'a>>, EvalError> {
         self.plan_finish_at(FINISH_PART_BYTES)
     }
@@ -737,15 +775,23 @@ impl<'a> IncrementalFold<'a> {
     /// yet [`seal`](IncrementalFold::seal)ed is sealed here, its batches
     /// merged one after the other.
     fn plan_finish_at(mut self, part_bytes: usize) -> Result<Vec<FinishPart<'a>>, EvalError> {
-        for batch in self.seal_at(part_bytes)? {
-            self.install(batch.merge()?);
+        if !self.fed {
+            return Ok(vec![FinishPart::settled(self.env.rerun(Bytes::new())?)]);
+        }
+        for batch in self.seal_at(part_bytes) {
+            self.install(batch.merge());
         }
         let IncrementalFold {
-            candidate,
+            members,
             env,
             state,
             spill,
+            failed,
+            ..
         } = self;
+        if let Some(e) = failed {
+            return Err(e);
+        }
         let settled = match state {
             // Only constructed for unswapped concat: stream order is
             // output order.
@@ -753,7 +799,7 @@ impl<'a> IncrementalFold<'a> {
             FoldState::Gather { pieces, raw: true } => {
                 env.rerun(kq_stream::concat_bytes(&pieces))?
             }
-            FoldState::Gather { pieces, .. } => combine_all(candidate, &pieces, env)?,
+            FoldState::Gather { pieces, .. } => combine_all(&members[0], &pieces, env)?,
             FoldState::Merge {
                 order,
                 count,
@@ -827,7 +873,8 @@ impl<'a> IncrementalFold<'a> {
                                     heap_bytes = heap_bytes.saturating_sub(consumed.len());
                                 }
                             }
-                            let combined = combine_pair(candidate, env, &earlier, &later)?;
+                            let combined =
+                                combine_pair(members, earlier.as_bytes(), later.as_bytes(), env)?;
                             store_group(combined, &spill, &mut heap_bytes, &mut spilled)?
                         }
                     });
@@ -838,8 +885,8 @@ impl<'a> IncrementalFold<'a> {
         Ok(vec![FinishPart::settled(settled)])
     }
 
-    /// Settles the fold into the combined stream (empty when nothing was
-    /// pushed): [`plan_finish`](IncrementalFold::plan_finish), with every
+    /// Settles the fold into the combined stream:
+    /// [`plan_finish`](IncrementalFold::plan_finish), with every
     /// part merged here and now. The segments of the result are the parts'
     /// outputs — a merge fold that spilled never gathers them onto the
     /// heap.
@@ -1207,43 +1254,6 @@ fn store_group(
     spill_run(group, cfg)
 }
 
-/// Moves the heap-resident pieces of `pieces` into one temp run file and
-/// replaces each with its mapped (demand-paged, evictable) sub-slice.
-/// Bytes and piece boundaries are preserved exactly — every replacement
-/// views the byte range its heap copy occupied — so a later
-/// [`combine_all`] over the list sees identical input. The raw-handle
-/// fallback list of a selective composite fold routes through this once
-/// its resident bytes cross the spill budget (see
-/// `kq_synth::CompositeCombiner::incremental_with_spill`). Pieces already
-/// mapped (from an earlier batch) and empty pieces are left alone.
-/// Returns the number of bytes moved off the heap (0 means nothing was
-/// resident and no file was created).
-pub fn spill_piece_batch(pieces: &mut [Bytes], cfg: &SpillConfig) -> Result<usize, EvalError> {
-    let mut spans: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
-    let mut total = 0usize;
-    for (i, p) in pieces.iter().enumerate() {
-        if p.is_empty() || p.is_mmap_backed() {
-            continue;
-        }
-        spans.push((i, total..total + p.len()));
-        total += p.len();
-    }
-    if total == 0 {
-        return Ok(0);
-    }
-    let mut writer = kq_io::RunWriter::create(&cfg.dir).map_err(spill_err)?;
-    for (i, _) in &spans {
-        writer.write(pieces[*i].as_bytes()).map_err(spill_err)?;
-    }
-    cfg.metrics.record_spill(total as u64);
-    let mapped = writer.finish().map_err(spill_err)?;
-    cfg.metrics.record_mapped(mapped.len() as u64);
-    for (i, span) in spans {
-        pieces[i] = mapped.slice(span);
-    }
-    Ok(total)
-}
-
 /// The out-of-core final merge of one [`FinishPart`]: an arity-bounded
 /// merge tree over the part's slices of the accumulated runs, each wave
 /// streaming `env.merge_stream` fragments into a fresh temp file while
@@ -1455,8 +1465,8 @@ mod tests {
     }
 
     fn push_piece(fold: &mut IncrementalFold<'_>, piece: Piece) {
-        if let Some(batch) = fold.push(piece).unwrap() {
-            fold.install(batch.merge().unwrap());
+        if let Some(batch) = fold.push(piece) {
+            fold.install(batch.merge());
         }
     }
 
@@ -1489,7 +1499,7 @@ mod tests {
     fn a_rerun_fold_runs_the_command_over_raw_chunks_however_many() {
         let c = Candidate::run(RunOp::Rerun);
         for chunks in [&["x\n"][..], &["x\n", "y\n", "z\n"]] {
-            let mut fold = IncrementalFold::new(&c, &FakeEnv);
+            let mut fold = IncrementalFold::over(std::slice::from_ref(&c), None, &FakeEnv, None);
             for chunk in chunks {
                 push_raw(&mut fold, &Bytes::from(*chunk));
             }
@@ -1497,7 +1507,7 @@ mod tests {
             assert_eq!(fold.finish().unwrap().into_bytes(), expect);
         }
         // An output is the command's already: one stays as it is.
-        let mut fold = IncrementalFold::new(&c, &FakeEnv);
+        let mut fold = IncrementalFold::over(std::slice::from_ref(&c), None, &FakeEnv, None);
         push(&mut fold, &Bytes::from("x\n"));
         assert_eq!(fold.finish().unwrap().into_bytes(), "x\n");
     }
@@ -1609,7 +1619,7 @@ mod tests {
     }
 
     fn incremental(c: &Candidate, pieces: &[Bytes], env: &dyn RunEnv) -> Bytes {
-        let mut fold = IncrementalFold::new(c, env);
+        let mut fold = IncrementalFold::over(std::slice::from_ref(c), None, env, None);
         for p in pieces {
             push(&mut fold, p);
         }
@@ -1690,16 +1700,16 @@ mod tests {
             .map(|i| Bytes::from(format!("{} piece {}\n", i % 5, 999 - i)))
             .collect();
         let flat = combine_all(&c, &pieces, &FakeEnv).unwrap();
-        let mut fold = IncrementalFold::new(&c, &FakeEnv);
+        let mut fold = IncrementalFold::over(std::slice::from_ref(&c), None, &FakeEnv, None);
         let mut batches = Vec::new();
         for p in &pieces {
-            batches.extend(fold.push(p.clone()).unwrap());
+            batches.extend(fold.push(p.clone()));
         }
         let indices: Vec<usize> = batches.iter().map(RunBatch::index).collect();
         assert_eq!(indices, [0, 1, 2], "one batch per full arity of pieces");
         // Last batch back first.
         for batch in batches.into_iter().rev() {
-            fold.install(batch.merge().unwrap());
+            fold.install(batch.merge());
         }
         assert_eq!(fold.finish().unwrap().into_bytes(), flat);
     }
@@ -1707,13 +1717,45 @@ mod tests {
     #[test]
     fn an_unparsable_merge_flag_fails_the_fold_not_the_constructor() {
         let c = Candidate::run(RunOp::Merge(vec!["-Z".to_owned()]));
-        let mut fold = IncrementalFold::new(&c, &FakeEnv);
-        for _ in 0..MERGE_RUN_ARITY - 1 {
-            assert!(fold.push(Bytes::from("a\n")).unwrap().is_none());
+        let mut fold = IncrementalFold::over(std::slice::from_ref(&c), None, &FakeEnv, None);
+        // The batch the flags would be parsed for is never handed out: the
+        // error is kept, and the fold takes nothing more.
+        for _ in 0..MERGE_RUN_ARITY + 1 {
+            assert!(fold.push(Bytes::from("a\n")).is_none());
         }
-        assert!(fold.push(Bytes::from("a\n")).is_err());
-        let fold = IncrementalFold::new(&c, &FakeEnv);
+        assert!(fold.seal().is_empty());
+        assert_eq!(fold.finish_parts(), 1);
         assert!(fold.finish().is_err());
+    }
+
+    #[test]
+    fn a_fold_fed_nothing_is_the_command_on_the_empty_stream() {
+        let wc = kq_coreutils::parse_command("wc -l").unwrap();
+        let ctx = kq_coreutils::ExecContext::default();
+        let env = crate::CommandEnv {
+            command: &wc,
+            ctx: &ctx,
+        };
+        let members = [
+            Candidate::rec(RecOp::Back(Delim::Newline, Box::new(RecOp::Add))),
+            Candidate::rec(RecOp::Fuse(Delim::Newline, Box::new(RecOp::Add))),
+        ];
+        for pieces in [&[][..], &["", ""], &["", "3\n"]] {
+            let mut fold = IncrementalFold::over(&members, None, &env, None);
+            for piece in pieces {
+                push(&mut fold, &Bytes::from(*piece));
+            }
+            let expect = if pieces.concat().is_empty() {
+                "0\n"
+            } else {
+                "3\n"
+            };
+            assert_eq!(fold.finish().unwrap().into_bytes(), expect, "{pieces:?}");
+        }
+        // Whatever the fold: a merge fold with flags it cannot parse too.
+        let c = Candidate::run(RunOp::Merge(vec!["-Z".to_owned()]));
+        let fold = IncrementalFold::over(std::slice::from_ref(&c), None, &FakeEnv, None);
+        assert_eq!(fold.finish().unwrap().into_bytes(), "f()");
     }
 
     #[test]
@@ -1735,7 +1777,7 @@ mod tests {
     #[test]
     fn incremental_empty_and_single() {
         let c = Candidate::rec(RecOp::Concat);
-        assert_eq!(incremental(&c, &[], &NoRunEnv), "");
+        assert_eq!(incremental(&c, &[], &FakeEnv), "f()");
         assert_eq!(incremental(&c, &s(&["only\n"]), &NoRunEnv), "only\n");
     }
 
@@ -1778,7 +1820,8 @@ mod tests {
         let pieces = spill_pieces(MERGE_RUN_ARITY * 3 + 5);
         let flat = combine_all(&c, &pieces, &FakeEnv).unwrap();
         with_spill_dir("zero", 0, |cfg| {
-            let mut fold = IncrementalFold::new_with_spill(&c, &FakeEnv, Some(cfg.clone()));
+            let mut fold =
+                IncrementalFold::over(std::slice::from_ref(&c), None, &FakeEnv, Some(cfg.clone()));
             for p in &pieces {
                 push(&mut fold, p);
             }
@@ -1802,7 +1845,8 @@ mod tests {
         let flat = combine_all(&c, &pieces, &FakeEnv).unwrap();
         with_spill_dir("sized", total / 2, |cfg| {
             assert!(cfg.batch_bytes().abs_diff(total / 8) <= 2);
-            let mut fold = IncrementalFold::new_with_spill(&c, &FakeEnv, Some(cfg.clone()));
+            let mut fold =
+                IncrementalFold::over(std::slice::from_ref(&c), None, &FakeEnv, Some(cfg.clone()));
             for p in &pieces {
                 push(&mut fold, p);
             }
@@ -1840,7 +1884,8 @@ mod tests {
             .collect();
         let flat = combine_all(&c, &pieces, &NoRunEnv).unwrap();
         with_spill_dir("counter", 0, |cfg| {
-            let mut fold = IncrementalFold::new_with_spill(&c, &NoRunEnv, Some(cfg.clone()));
+            let mut fold =
+                IncrementalFold::over(std::slice::from_ref(&c), None, &NoRunEnv, Some(cfg.clone()));
             for p in &pieces {
                 push(&mut fold, p);
             }
@@ -1857,37 +1902,13 @@ mod tests {
         let pieces = s(&["a\nb\n", "b\nc\n", "c\nd\n", "d\ne\n", "e\nf\n"]);
         let flat = combine_all(&c, &pieces, &NoRunEnv).unwrap();
         with_spill_dir("counter-mem", usize::MAX, |cfg| {
-            let mut fold = IncrementalFold::new_with_spill(&c, &NoRunEnv, Some(cfg.clone()));
+            let mut fold =
+                IncrementalFold::over(std::slice::from_ref(&c), None, &NoRunEnv, Some(cfg.clone()));
             for p in &pieces {
                 push(&mut fold, p);
             }
             assert_eq!(fold.finish().unwrap().into_bytes(), flat);
             assert_eq!(cfg.metrics.snapshot(), (0, 0, 0), "no spill under budget");
-        });
-    }
-
-    #[test]
-    fn spill_piece_batch_preserves_bytes_and_boundaries() {
-        with_spill_dir("batch", 0, |cfg| {
-            let originals = ["alpha\n", "", "beta\nbeta2\n", "gamma\n"];
-            let mut pieces: Vec<Bytes> = originals.iter().copied().map(Bytes::from).collect();
-            let moved = spill_piece_batch(&mut pieces, cfg).unwrap();
-            assert_eq!(
-                moved,
-                originals.iter().map(|s| s.len()).sum::<usize>(),
-                "every non-empty heap piece moves"
-            );
-            for (piece, original) in pieces.iter().zip(originals) {
-                assert_eq!(piece, original);
-                assert_eq!(piece.is_mmap_backed(), !original.is_empty());
-            }
-            let (runs, written, mapped) = cfg.metrics.snapshot();
-            assert_eq!(runs, 1, "one batch file, not one per piece");
-            assert_eq!(written, moved as u64);
-            assert_eq!(mapped, moved as u64);
-            // A second batch over already-mapped pieces is a no-op.
-            assert_eq!(spill_piece_batch(&mut pieces, cfg).unwrap(), 0);
-            assert_eq!(cfg.metrics.snapshot().0, 1);
         });
     }
 
@@ -1912,7 +1933,8 @@ mod tests {
             .collect();
         let flat = combine_all(&c, &pieces, &env).unwrap();
         with_spill_dir("cmdenv", 0, |cfg| {
-            let mut fold = IncrementalFold::new_with_spill(&c, &env, Some(cfg.clone()));
+            let mut fold =
+                IncrementalFold::over(std::slice::from_ref(&c), None, &env, Some(cfg.clone()));
             for p in &pieces {
                 push(&mut fold, p);
             }
@@ -1926,7 +1948,8 @@ mod tests {
         let pieces = spill_pieces(MERGE_RUN_ARITY + 3);
         let flat = combine_all(&c, &pieces, &FakeEnv).unwrap();
         with_spill_dir("generous", usize::MAX, |cfg| {
-            let mut fold = IncrementalFold::new_with_spill(&c, &FakeEnv, Some(cfg.clone()));
+            let mut fold =
+                IncrementalFold::over(std::slice::from_ref(&c), None, &FakeEnv, Some(cfg.clone()));
             for p in &pieces {
                 push(&mut fold, p);
             }
@@ -1943,7 +1966,8 @@ mod tests {
         let c = Candidate::run(RunOp::Merge(vec![]));
         let pieces = spill_pieces(MERGE_RUN_ARITY * 2);
         with_spill_dir("abandon", 0, |cfg| {
-            let mut fold = IncrementalFold::new_with_spill(&c, &FakeEnv, Some(cfg.clone()));
+            let mut fold =
+                IncrementalFold::over(std::slice::from_ref(&c), None, &FakeEnv, Some(cfg.clone()));
             for p in &pieces {
                 push(&mut fold, p);
             }
@@ -1992,7 +2016,8 @@ mod tests {
                     let tag = format!("parts-{part_bytes}-{}", budget.unwrap_or(usize::MAX));
                     with_spill_dir(&tag, budget.unwrap_or(0), |cfg| {
                         let spill = budget.map(|_| cfg.clone());
-                        let mut fold = IncrementalFold::new_with_spill(&c, &FakeEnv, spill);
+                        let mut fold =
+                            IncrementalFold::over(std::slice::from_ref(&c), None, &FakeEnv, spill);
                         for p in &pieces {
                             push(&mut fold, p);
                         }
@@ -2096,7 +2121,12 @@ mod tests {
                     );
                     with_spill_dir(&tag, budget.unwrap_or(0), |cfg| {
                         let spill = budget.map(|_| cfg.clone());
-                        let mut fold = IncrementalFold::merging(&c, order, &env, spill);
+                        let mut fold = IncrementalFold::over(
+                            std::slice::from_ref(&c),
+                            Some((order, None)),
+                            &env,
+                            spill,
+                        );
                         for p in &pieces {
                             push(&mut fold, p);
                         }
@@ -2185,7 +2215,12 @@ mod tests {
                         );
                         with_spill_dir(&tag, budget.unwrap_or(0), |cfg| {
                             let spill = budget.map(|_| cfg.clone());
-                            let mut fold = IncrementalFold::counting(&c, order, count, &env, spill);
+                            let mut fold = IncrementalFold::over(
+                                std::slice::from_ref(&c),
+                                Some((order, Some(count))),
+                                &env,
+                                spill,
+                            );
                             for p in &pieces {
                                 push(&mut fold, p);
                             }
@@ -2282,19 +2317,27 @@ mod tests {
                         with_spill_dir(&tag, budget.unwrap_or(0), |cfg| {
                             let spill = budget.map(|_| cfg.clone());
                             let mut fold = match count {
-                                None => IncrementalFold::merging(&c, order, &env, spill),
-                                Some(count) => {
-                                    IncrementalFold::counting(&c, order, count, &env, spill)
-                                }
+                                None => IncrementalFold::over(
+                                    std::slice::from_ref(&c),
+                                    Some((order, None)),
+                                    &env,
+                                    spill,
+                                ),
+                                Some(count) => IncrementalFold::over(
+                                    std::slice::from_ref(&c),
+                                    Some((order, Some(count))),
+                                    &env,
+                                    spill,
+                                ),
                             };
                             // Batches cut while pushing, of runs and of raw
                             // chunks; a budget sizes both by bytes, and the
                             // counted runs are small.
                             let mut cut = [0usize; 2];
                             for piece in &pieces {
-                                if let Some(batch) = fold.push(piece.clone()).unwrap() {
+                                if let Some(batch) = fold.push(piece.clone()) {
                                     cut[usize::from(batch.raw)] += 1;
-                                    fold.install(batch.merge().unwrap());
+                                    fold.install(batch.merge());
                                 }
                             }
                             assert!(cut[1] > 0 && (cut[0] > 0 || budget.is_some()), "{cut:?}");
@@ -2327,7 +2370,12 @@ mod tests {
     fn only_a_counted_order_takes_runs_and_raw_chunks() {
         let c = merge_candidate("-n");
         let order = LineOrder::parse(&words("-n")).unwrap();
-        let mut fold = IncrementalFold::merging(&c, order, &FakeEnv, None);
+        let mut fold = IncrementalFold::over(
+            std::slice::from_ref(&c),
+            Some((order, None)),
+            &FakeEnv,
+            None,
+        );
         push(&mut fold, &Bytes::from("1 b\n"));
         push_raw(&mut fold, &Bytes::from("1 a\n"));
     }
@@ -2477,7 +2525,12 @@ mod tests {
                             );
                             with_spill_dir(&tag, budget.unwrap_or(0), |cfg| {
                                 let spill = budget.map(|_| cfg.clone());
-                                let mut fold = IncrementalFold::merging(&c, order, &env, spill);
+                                let mut fold = IncrementalFold::over(
+                                    std::slice::from_ref(&c),
+                                    Some((order, None)),
+                                    &env,
+                                    spill,
+                                );
                                 for p in chunks {
                                     push_raw(&mut fold, p);
                                 }
@@ -2504,11 +2557,16 @@ mod tests {
         let order = LineOrder::parse(&[]).unwrap();
         let piece = Bytes::from("b\na\n".repeat(SORT_RUN_BYTES / 32));
         assert_eq!(piece.len() * 8, SORT_RUN_BYTES);
-        let mut sorting = IncrementalFold::merging(&c, order, &FakeEnv, None);
-        let mut merging = IncrementalFold::new(&c, &FakeEnv);
+        let mut sorting = IncrementalFold::over(
+            std::slice::from_ref(&c),
+            Some((order, None)),
+            &FakeEnv,
+            None,
+        );
+        let mut merging = IncrementalFold::over(std::slice::from_ref(&c), None, &FakeEnv, None);
         for i in 1..=MERGE_RUN_ARITY {
-            let raw_cut = sorting.push(Piece::Raw(piece.clone())).unwrap().is_some();
-            let merge_cut = merging.push(piece.clone()).unwrap().is_some();
+            let raw_cut = sorting.push(Piece::Raw(piece.clone())).is_some();
+            let merge_cut = merging.push(piece.clone()).is_some();
             assert_eq!((raw_cut, merge_cut), (i % 8 == 0, i == MERGE_RUN_ARITY));
         }
     }
@@ -2557,12 +2615,17 @@ mod tests {
         assert!(mapped.is_mmap_backed());
         let c = merge_candidate("");
         let order = LineOrder::parse(&[]).unwrap();
-        let mut fold = IncrementalFold::merging(&c, order, &FakeEnv, None);
+        let mut fold = IncrementalFold::over(
+            std::slice::from_ref(&c),
+            Some((order, None)),
+            &FakeEnv,
+            None,
+        );
         for chunk in mapped.chunks(64 << 10) {
             push_raw(&mut fold, &chunk);
         }
-        for batch in fold.seal().unwrap() {
-            fold.install(batch.merge().unwrap());
+        for batch in fold.seal() {
+            fold.install(batch.merge());
         }
         let resident = mapping_rss_kib(mapped.as_bytes().as_ptr() as usize);
         let file_kib = mapped.len() / 1024;
@@ -2581,11 +2644,16 @@ mod tests {
         // Three raw pieces that close in parts of a third of their bytes:
         // three batches, each about a third, cut at line ends, that are
         // the pieces' bytes in order.
-        let mut fold = IncrementalFold::merging(&c, order, &FakeEnv, None);
+        let mut fold = IncrementalFold::over(
+            std::slice::from_ref(&c),
+            Some((order, None)),
+            &FakeEnv,
+            None,
+        );
         for p in &pieces {
-            assert!(fold.push(Piece::Raw(p.clone())).unwrap().is_none());
+            assert!(fold.push(Piece::Raw(p.clone())).is_none());
         }
-        let batches = fold.seal_at(total / 3).unwrap();
+        let batches = fold.seal_at(total / 3);
         assert_eq!(batches.len(), 3);
         let indices: Vec<usize> = batches.iter().map(RunBatch::index).collect();
         assert_eq!(indices, [0, 1, 2]);
@@ -2601,26 +2669,35 @@ mod tests {
             kq_stream::concat_bytes(&pieces)
         );
         // Sealed: nothing is left to hand out.
-        assert!(fold.seal_at(total / 3).unwrap().is_empty());
+        assert!(fold.seal_at(total / 3).is_empty());
         // Below a part's bytes, the tail is one batch, raw or sorted.
         for raw in [true, false] {
-            let mut fold = IncrementalFold::merging(&c, order, &FakeEnv, None);
+            let mut fold = IncrementalFold::over(
+                std::slice::from_ref(&c),
+                Some((order, None)),
+                &FakeEnv,
+                None,
+            );
             if raw {
                 pieces.iter().for_each(|p| push_raw(&mut fold, p));
             } else {
                 pieces.iter().for_each(|p| push(&mut fold, p));
             }
-            assert_eq!(fold.seal().unwrap().len(), 1);
+            assert_eq!(fold.seal().len(), 1);
         }
         // Nothing pending, or no merge: nothing to hand out.
-        assert!(IncrementalFold::merging(&c, order, &FakeEnv, None)
-            .seal()
-            .unwrap()
-            .is_empty());
+        assert!(IncrementalFold::over(
+            std::slice::from_ref(&c),
+            Some((order, None)),
+            &FakeEnv,
+            None
+        )
+        .seal()
+        .is_empty());
         let cat = Candidate::rec(RecOp::Concat);
-        let mut concat = IncrementalFold::new(&cat, &NoRunEnv);
+        let mut concat = IncrementalFold::over(std::slice::from_ref(&cat), None, &NoRunEnv, None);
         push(&mut concat, &pieces[0]);
-        assert!(concat.seal().unwrap().is_empty());
+        assert!(concat.seal().is_empty());
     }
 
     #[test]
@@ -2628,7 +2705,7 @@ mod tests {
         let c = merge_candidate("-nu");
         let pieces = keyed_pieces("-nu", MERGE_RUN_ARITY + 7, 12);
         let flat = combine_all(&c, &pieces, &FakeEnv).unwrap();
-        let mut fold = IncrementalFold::new(&c, &FakeEnv);
+        let mut fold = IncrementalFold::over(std::slice::from_ref(&c), None, &FakeEnv, None);
         for p in &pieces {
             push(&mut fold, p);
         }
@@ -2663,14 +2740,14 @@ mod tests {
         // are not merges settle in planning.
         let c = merge_candidate("");
         let pieces = spill_pieces(MERGE_RUN_ARITY + 3);
-        let mut fold = IncrementalFold::new(&c, &FakeEnv);
+        let mut fold = IncrementalFold::over(std::slice::from_ref(&c), None, &FakeEnv, None);
         for p in &pieces {
             push(&mut fold, p);
         }
         assert_eq!(fold.finish_parts(), 1);
         assert_eq!(fold.plan_finish().unwrap().len(), 1);
         let concat = Candidate::rec(RecOp::Concat);
-        let mut fold = IncrementalFold::new(&concat, &NoRunEnv);
+        let mut fold = IncrementalFold::over(std::slice::from_ref(&concat), None, &NoRunEnv, None);
         push(&mut fold, &Bytes::from("a\n"));
         push(&mut fold, &Bytes::from("b\n"));
         assert_eq!(fold.finish_parts(), 1);
@@ -2685,7 +2762,8 @@ mod tests {
         let pieces = keyed_pieces("", MERGE_RUN_ARITY, 9);
         let flat = combine_all(&c, &pieces, &FakeEnv).unwrap();
         with_spill_dir("part-files", 0, |cfg| {
-            let mut fold = IncrementalFold::new_with_spill(&c, &FakeEnv, Some(cfg.clone()));
+            let mut fold =
+                IncrementalFold::over(std::slice::from_ref(&c), None, &FakeEnv, Some(cfg.clone()));
             for p in &pieces {
                 push(&mut fold, p);
             }
@@ -2726,7 +2804,11 @@ mod tests {
                 })
                 .collect();
             let c = Candidate::run(RunOp::Merge(vec![]));
-            let flat = combine_all(&c, &pieces, &FakeEnv).unwrap();
+            // A fold fed only empty pieces is the command on the empty stream.
+            let flat = match pieces.iter().all(Bytes::is_empty) {
+                true => FakeEnv.rerun(Bytes::new()).unwrap(),
+                false => combine_all(&c, &pieces, &FakeEnv).unwrap(),
+            };
             let dir = std::env::temp_dir().join(format!("kq-kway-prop-{}", std::process::id()));
             let cfg = crate::spill::SpillConfig {
                 budget_bytes: 0,
@@ -2734,7 +2816,7 @@ mod tests {
                 dir: dir.clone(),
                 metrics: std::sync::Arc::new(crate::spill::SpillMetrics::default()),
             };
-            let mut fold = IncrementalFold::new_with_spill(&c, &FakeEnv, Some(cfg));
+            let mut fold = IncrementalFold::over(std::slice::from_ref(&c), None, &FakeEnv, Some(cfg));
             for p in &pieces {
                 push(&mut fold, p);
             }

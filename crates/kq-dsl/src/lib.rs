@@ -57,52 +57,16 @@
 //! `Bytes` (or fragments of bytes) — there is no `&str` view, `String`
 //! result, or re-wrap on the way. The flags are parsed into a
 //! [`kq_coreutils::sort::LineOrder`] once per combine
-//! ([`eval::merge_order`]) — once per *fold* for an
-//! [`IncrementalFold`], which then makes many merges with it — and the
-//! merge itself is `kq_coreutils::sort`'s offset-value-coded loser tree.
-//!
-//! An [`IncrementalFold`] over `merge` never merges inside
-//! [`push`](IncrementalFold::push): when enough pieces are pending it
-//! cuts them into a [`kway::RunBatch`] and returns it, so a caller that
-//! guards the fold with a lock can merge the batch with the lock released
-//! and [`install`](IncrementalFold::install) the run afterwards. Runs are
-//! slotted by batch index, so batches may come back in any order and
-//! `finish` still merges them in stream order. A piece may also arrive
-//! raw ([`kway::Piece::Raw`]): a chunk of the `sort`'s input instead of
-//! its sorted output. Raw chunks are batched apart from runs, by bytes,
-//! and a batch of them becomes a run by one sort of its concatenation —
-//! the same run. The fold of the sorting rewrite is fed nothing else; a
-//! counting fold (`sort | uniq -c` under a counted order) is fed the
-//! chunks its map's hash table gave up on raw and the rest counted, and
-//! since a counted order calls only identical lines equal, its runs may
-//! leave stream order. When the input ends,
-//! [`seal`](IncrementalFold::seal) hands out the pieces still pending as
-//! batches of their own, cut by bytes.
-//!
-//! The closing merge is handed out the same way, and for the same reason:
-//! it is the one merge that reads every byte, and a k-way merge is one
-//! thread's work. [`finish`](IncrementalFold::finish) of a merge fold is
-//! *seal, plan the parts, merge each part, concatenate*.
-//! [`plan_finish`](IncrementalFold::plan_finish) cuts the runs into key
-//! ranges with
-//! [`LineOrder::partition`](kq_coreutils::sort::LineOrder::partition) —
-//! sample-sort splitters, every stream cut where no two lines the
-//! comparator calls equal are separated, so `-u`, `-f`, `-n`, `-r` and the
-//! stream-order tie-break are those of the one flat merge — and returns a
-//! [`kway::FinishPart`] per range, owning O(1) slices. A part is merged by
-//! what merged the whole fold before: in memory, or through a temp file of
-//! its own with release cursors once a run has spilled. The part count is
-//! a function of the bytes folded (one per [`kway::FINISH_PART_BYTES`], at
-//! most [`kway::FINISH_MAX_PARTS`]); below two parts the one part is the
-//! flat merge, so folds of KBs close exactly as they did. `finish` runs
-//! the parts inline and returns their outputs as the segments of a
-//! [`kq_stream::Rope`], never gathered; a scheduler runs the same parts as
-//! tasks of its pool and [`kway::stitch`]es their outputs. A
-//! [`counting`](IncrementalFold::counting) fold — `sort | uniq -c` closing
-//! in the order of the numeric `sort` after it — regroups each part's
-//! lines by count as the part is merged
-//! ([`kq_coreutils::sort::CountOrder::regroup`]), and the stitch takes
-//! every count's groups part by part, as slices of the parts' buffers.
+//! ([`eval::merge_order`]) — once per *fold* for an [`IncrementalFold`] —
+//! and the merge itself is `kq_coreutils::sort`'s offset-value-coded loser
+//! tree. An [`IncrementalFold`] hands its merges out instead of making
+//! them itself, so that its owner can make them with no lock held: the
+//! run batches of [`push`](IncrementalFold::push) and
+//! [`seal`](IncrementalFold::seal), and the key ranges of its closing
+//! merge ([`plan_finish`](IncrementalFold::plan_finish), cut by
+//! [`LineOrder::partition`](kq_coreutils::sort::LineOrder::partition) so
+//! that `-u`, `-f`, `-n`, `-r` and the stream-order tie-break are those of
+//! the one flat merge). Its docs tell how each combiner folds.
 //!
 //! ```
 //! use kq_dsl::ast::{Combiner, RecOp, StructOp};

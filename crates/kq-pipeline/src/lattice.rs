@@ -569,8 +569,8 @@ pub fn static_combiner(class: EffectClass) -> Option<SynthesizedCombiner> {
     }
 }
 
-/// A command's read effect set, mirroring the scheduler's conservative
-/// dependency pass (`kq_pipeline::scheduler::statement_deps`): any argv
+/// A command's read effect set, which the scheduler's conservative
+/// dependency pass reads ([`crate::scheduler::VfsAccess`]): any argv
 /// word may name a file the command reads (`comm - dict`, `paste a b`),
 /// and `xargs` reads paths from its *data*, which no static scan can
 /// bound.

@@ -80,6 +80,14 @@
 //! — each dropped as it integrates — and the finish runs the command on
 //! the prefix.
 //!
+//! Each fold is one `kq_dsl::kway::IncrementalFold`, built through its one
+//! constructor over the stage combiner's members (the one `rerun` at a
+//! sequential or bounded stage), a fused fold's merge and count order,
+//! the node's environment and its spill config. It keeps no piece once it
+//! is combined: a composite combines each pair by the first member whose
+//! domain admits both (§3.2). Its `push` never fails: the first error
+//! comes back at the finish, which a cancelled node never reaches.
+//!
 //! The protocol's invariant: **every task that pops a chunk or observes
 //! the closed edge re-evaluates the finalization condition after
 //! integrating its own work** — unconditionally, not only on the path
@@ -96,7 +104,7 @@
 //! The same count keeps the node lock short. Integrating a map result
 //! into a merge fold is O(1) under the lock: when the fold has enough
 //! pieces for a run it hands them back as a batch
-//! (`kq_synth::IncrementalCombine::push`), the task bumps `inflight` for
+//! (`kq_dsl::kway::IncrementalFold::push`), the task bumps `inflight` for
 //! the batch, drops the lock, k-way merges the batch (a `fold-merge`
 //! span, timed into [`StageTiming::combine_time`]), and re-takes the lock
 //! only to install the run at the batch's index and retire the claim. So
@@ -108,7 +116,7 @@
 //! **The sealing phase.** The pieces a merge fold still holds when its
 //! input ends are not merged into the closing merge's parts: the task that
 //! claims the finalization seals the fold
-//! (`kq_synth::IncrementalCombine::seal`), which cuts them by bytes into
+//! (`kq_dsl::kway::IncrementalFold::seal`), which cuts them by bytes into
 //! ordinary run batches, stores them in the node as `Phase::Sealing` and
 //! schedules one `(si, ni)` task per batch. Each claims a batch under the
 //! lock, makes it a run with the lock released (a `fold-merge` span, as for

@@ -13,7 +13,7 @@
 //! make a run of a batch a fold sealed, finish a fold — run a `rerun`
 //! fold's command once, or merge one part of a closing merge — cut the
 //! next chunk at a split, emit the next chunk of a materialized output.
-//! Every node but the split runs the one loop of [`node_task`]: a
+//! Every node but the split runs the one loop of `node_task`: a
 //! sequential stage is a `rerun` fold fed its chunks raw, and a bounded
 //! consumer the same fold, cancelling upstream once the lines it folded
 //! meet its bound.
@@ -90,13 +90,12 @@ use crate::lattice::FoldPair;
 use crate::parse::{InputSource, Script, Statement};
 use crate::plan::{PlannedScript, PlannedStatement, StageMode};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use kq_coreutils::sort::LineOrder;
+use kq_coreutils::sort::{CountOrder, LineOrder};
 use kq_coreutils::{CmdError, Command, ExecContext};
 use kq_dsl::ast::{Candidate, RunOp};
 use kq_dsl::eval::{CommandEnv, EvalError};
-use kq_dsl::kway::Piece;
+use kq_dsl::kway::{IncrementalFold, Piece};
 use kq_stream::{Bytes, IncrementalChunker, Rope};
-use kq_synth::{IncrementalCombine, SynthesizedCombiner};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -348,9 +347,11 @@ struct NodeState<'a> {
     /// StageWorker: output re-normalization.
     chunker: Option<IncrementalChunker>,
     /// Every node but the split and the stage workers: the incremental
-    /// fold — the stage's combiner at a Fold(Combine/Sort), a `rerun` fold
-    /// fed the raw chunks at a Fold(Gather) or BoundedConsumer.
-    accum: Option<IncrementalCombine<'a>>,
+    /// fold — over the members of the stage's combiner at a
+    /// Fold(Combine/Sort), folding each pair by the first member whose
+    /// domain admits both; a `rerun` fold fed the raw chunks at a
+    /// Fold(Gather) or BoundedConsumer. It keeps no piece once combined.
+    accum: Option<IncrementalFold<'a>>,
     /// Fold(Combine/Sort): this node's spill counters (shared with
     /// `accum`), snapshotted into the node's StageTiming after the run.
     spill_metrics: Option<std::sync::Arc<kq_dsl::SpillMetrics>>,
@@ -486,33 +487,39 @@ fn lock<'m, T>(m: &'m Mutex<T>) -> std::sync::MutexGuard<'m, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The order the fold of a two-stage combine node merges under (see
-/// "Counting rewrite" in [`crate::dataflow`]): the sort stage's `merge`
-/// order, counted for `sort | uniq -c` and under `-u` for `sort | uniq`.
-/// The same for the three-stage fold of the count-order rewrite, which
-/// closes in the sort's [`PlannedStage::count_order`] besides. `None` for
-/// every one-stage node.
+/// The orders a merge fold node folds under, if it is one (see "Counting
+/// rewrite" and "Sorting rewrite" in [`crate::dataflow`]): the sort
+/// stage's `merge` order at a sorting fold; at a fused node that order
+/// counted for `sort | uniq -c` and under `-u` for `sort | uniq`, with —
+/// at the three-stage fold of the count-order rewrite — the sort's
+/// [`PlannedStage::count_order`] its closing merge regroups in. `None`
+/// for every other node, which folds by its combiner's own flags.
 ///
 /// [`PlannedStage::count_order`]: crate::plan::PlannedStage::count_order
-fn fold_pair_order(
+fn merge_fold_order(
     node: &DataflowNode,
     planned: &PlannedStatement,
-) -> Option<(FoldPair, LineOrder)> {
-    if node.stages.len() < 2 || !matches!(node.kind, NodeKind::Fold { .. }) {
+) -> Option<(LineOrder, Option<CountOrder>)> {
+    let NodeKind::Fold { mode } = node.kind else {
         return None;
-    }
-    let sort = &planned.stages[node.stages.start];
-    let pair = sort.fold_pair.expect("a two-stage fold is a licensed pair");
-    let StageMode::Parallel { combiner, .. } = &sort.mode else {
-        unreachable!("combine folds are parallel stages");
     };
-    let order = combiner
-        .merge_order()
-        .expect("the planner licenses only sorts that merge");
-    Some(match pair {
-        FoldPair::Counting => (pair, order.counted()),
-        FoldPair::Unique => (pair, order.unique()),
-    })
+    let sort = &planned.stages[node.stages.start];
+    let StageMode::Parallel { combiner, .. } = &sort.mode else {
+        return None;
+    };
+    let order = || {
+        combiner
+            .merge_order()
+            .expect("the planner licenses only sorts whose combiner merges")
+    };
+    if node.stages.len() == 1 {
+        return (mode == FoldMode::Sort).then(|| (order(), None));
+    }
+    let order = match sort.fold_pair.expect("a fused fold is a licensed pair") {
+        FoldPair::Counting => order().counted(),
+        FoldPair::Unique => order().unique(),
+    };
+    Some((order, sort.count_order.filter(|_| node.stages.len() == 3)))
 }
 
 /// Runs a planned script on the shared work-stealing pool (see the
@@ -582,7 +589,7 @@ pub fn run_dataflow_segments(
     // Combiner environments — and the `rerun` combiner of the sequential
     // and bounded stages — live outside the node states so the
     // incremental folds (which borrow them) can be shared by the pool.
-    let rerun = SynthesizedCombiner::from_plausible(vec![Candidate::run(RunOp::Rerun)]);
+    let rerun = [Candidate::run(RunOp::Rerun)];
     let envs: Vec<Vec<Option<CommandEnv<'_>>>> = script
         .statements
         .iter()
@@ -614,10 +621,10 @@ pub fn run_dataflow_segments(
                     .collect()
             })
             .collect();
-        let pair_orders: Vec<Option<(FoldPair, LineOrder)>> = graph
+        let fold_orders: Vec<Option<(LineOrder, Option<CountOrder>)>> = graph
             .nodes
             .iter()
-            .map(|node| fold_pair_order(node, &plan.statements[si]))
+            .map(|node| merge_fold_order(node, &plan.statements[si]))
             .collect();
         let nodes: Vec<Mutex<NodeState<'_>>> = graph
             .nodes
@@ -635,10 +642,11 @@ pub fn run_dataflow_segments(
                         mode: FoldMode::Gather,
                     }
                     | NodeKind::BoundedConsumer { .. } => {
-                        state.accum = Some(rerun.incremental(env.expect("fold env")));
+                        let env = env.expect("fold env");
+                        state.accum = Some(IncrementalFold::over(&rerun, None, env, None));
                     }
                     NodeKind::Fold {
-                        mode: mode @ (FoldMode::Combine | FoldMode::Sort),
+                        mode: FoldMode::Combine | FoldMode::Sort,
                     } => {
                         let StageMode::Parallel { combiner, .. } =
                             &plan.statements[si].stages[node.stages.start].mode
@@ -651,35 +659,18 @@ pub fn run_dataflow_segments(
                         // worker of the pool may make one of its runs.
                         let spill = opts.spill.as_ref().map(|p| p.stage_config(workers));
                         state.spill_metrics = spill.as_ref().map(|cfg| cfg.metrics.clone());
-                        let pair_order = pair_orders[ni].map(|(_, order)| order);
-                        let count_order = (node.stages.len() == 3)
-                            .then(|| plan.statements[si].stages[node.stages.start].count_order)
-                            .flatten();
-                        // A sorting fold is a merge fold fed raw chunks, in
-                        // its pair's order when it is the sort of one.
-                        let merge_order =
-                            match (mode, pair_order) {
-                                (FoldMode::Sort, None) => Some(combiner.merge_order().expect(
-                                    "the planner licenses only sorts whose combiner merges",
-                                )),
-                                (_, order) => order,
-                            };
-                        state.accum = Some(match (merge_order, count_order) {
-                            (Some(order), Some(count)) => {
-                                combiner.incremental_counting(order, count, env, spill)
-                            }
-                            (Some(order), None) => combiner.incremental_merging(order, env, spill),
-                            (None, _) => combiner.incremental_with_spill(env, spill),
-                        });
+                        let members = &combiner.members;
+                        state.accum =
+                            Some(IncrementalFold::over(members, fold_orders[ni], env, spill));
                     }
                 }
                 Mutex::new(state)
             })
             .collect();
-        let maps = pair_orders
+        let maps = fold_orders
             .into_iter()
             .zip(&graph.nodes)
-            .map(|(pair, node)| match (node.kind, pair) {
+            .map(|(fold_order, node)| match (node.kind, fold_order) {
                 (
                     NodeKind::Fold {
                         mode: FoldMode::Sort | FoldMode::Gather,
@@ -687,7 +678,7 @@ pub fn run_dataflow_segments(
                     | NodeKind::BoundedConsumer { .. },
                     _,
                 ) => NodeMap::Raw,
-                (_, Some((FoldPair::Counting, order))) => NodeMap::Counted(order),
+                (_, Some((order, _))) if order.is_counted() => NodeMap::Counted(order),
                 // `sort | uniq` of a chunk is its `sort -u`: the chain.
                 _ if node.heads_seam(&plan.statements[si]) => NodeMap::Seam,
                 _ => NodeMap::Chain,
@@ -821,57 +812,66 @@ pub fn run_dataflow_segments(
     Ok((output, timings))
 }
 
-/// Conservative read/write dependency analysis over VFS paths:
-/// `deps[j]` lists every earlier statement `j` must wait for.
-///
-/// Public so the static analyzer (`kumquat check`) can reuse the exact
-/// dependency relation the scheduler runs under when it lints for
-/// use-before-def, dead writes, and read/write aliasing.
-pub fn statement_deps(script: &Script) -> Vec<Vec<usize>> {
-    struct Access {
-        reads: Vec<String>,
-        reads_everything: bool,
-        write: Option<String>,
-    }
-    let access: Vec<Access> = script
-        .statements
-        .iter()
-        .map(|st| {
-            let mut reads: Vec<String> = match &st.input {
-                InputSource::Files(files) => files.clone(),
-                InputSource::None => Vec::new(),
-            };
-            let mut reads_everything = false;
-            for stage in &st.stages {
-                // Any argv word could name a file the command reads
-                // (`comm - dict`, `paste a b`); xargs reads paths from its
-                // *data*, which no static scan can bound.
-                if stage.command.program() == "xargs" {
-                    reads_everything = true;
+/// One statement's VFS accesses, as the dependency pass
+/// ([`statement_deps`]) models them and `kumquat check`'s hazard lints
+/// read them: every stage's [`effects`](crate::lattice::effects) — any
+/// argv word may name a file the command reads (`comm - dict`, `paste a
+/// b`), and `xargs` reads paths from its *data*, which no static scan can
+/// bound — plus the statement's input files and its `>` target.
+pub struct VfsAccess {
+    /// The statement's input files and its commands' argv words.
+    pub reads: Vec<String>,
+    /// A stage is `xargs`: the statement may read any path.
+    pub reads_everything: bool,
+    /// The statement's `>` redirection target.
+    pub write: Option<String>,
+}
+
+impl VfsAccess {
+    /// The accesses of every statement of `script`, in statement order.
+    pub fn of(script: &Script) -> Vec<VfsAccess> {
+        script
+            .statements
+            .iter()
+            .map(|st| {
+                let mut access = VfsAccess {
+                    reads: match &st.input {
+                        InputSource::Files(files) => files.clone(),
+                        InputSource::None => Vec::new(),
+                    },
+                    reads_everything: false,
+                    write: st.output.clone(),
+                };
+                for stage in &st.stages {
+                    let effects = crate::lattice::effects(&stage.command);
+                    access.reads.extend(effects.reads);
+                    access.reads_everything |= effects.reads_everything;
                 }
-                reads.extend(stage.command.argv().iter().skip(1).cloned());
-            }
-            Access {
-                reads,
-                reads_everything,
-                write: st.output.clone(),
-            }
-        })
-        .collect();
+                access
+            })
+            .collect()
+    }
+
+    /// The statement may read `path`.
+    pub fn may_read(&self, path: &str) -> bool {
+        self.reads_everything || self.reads.iter().any(|r| r == path)
+    }
+}
+
+/// Conservative read/write dependency analysis over VFS paths
+/// ([`VfsAccess`]): `deps[j]` lists every earlier statement `j` must wait
+/// for — one that writes what `j` may read, writes `j`'s target, or may
+/// read `j`'s target.
+pub fn statement_deps(script: &Script) -> Vec<Vec<usize>> {
+    let access = VfsAccess::of(script);
     (0..access.len())
         .map(|j| {
             (0..j)
                 .filter(|&i| {
                     let (ai, aj) = (&access[i], &access[j]);
-                    let raw = ai
-                        .write
-                        .as_ref()
-                        .is_some_and(|w| aj.reads_everything || aj.reads.iter().any(|r| r == w));
+                    let raw = ai.write.as_ref().is_some_and(|w| aj.may_read(w));
                     let waw = ai.write.is_some() && ai.write == aj.write;
-                    let war = aj
-                        .write
-                        .as_ref()
-                        .is_some_and(|w| ai.reads_everything || ai.reads.iter().any(|r| r == w));
+                    let war = aj.write.as_ref().is_some_and(|w| ai.may_read(w));
                     raw || waw || war
                 })
                 .collect()
@@ -1126,20 +1126,13 @@ fn pop_input(stmt: &StmtRt<'_>, ni: usize) -> Option<(usize, Bytes, usize)> {
 /// — forward it at a stage worker, fold it anywhere else — and finalize
 /// when the input is exhausted.
 ///
-/// A sequential stage (`Fold(Gather)`) maps nothing: its chunks reach a
-/// `rerun` fold raw, which runs the command once over all of them when
-/// the input ends (on the empty stream when there were none). A bounded
-/// consumer does the same and counts the lines it folds; once they meet
-/// the bound it cancels everything upstream, which closes its input edge,
-/// drops the chunks still in flight as they integrate, and finishes like
-/// any fold — the command runs on the prefix.
-///
-/// Integration under the node lock is O(pieces), never O(bytes): a merge
-/// fold that has enough pieces for a run hands them back as a batch
-/// ([`IncrementalCombine::push`]), and this task merges the batch after
-/// dropping the lock — so the other workers' finished maps integrate
-/// while it does — and installs the run by batch index. The batch counts
-/// as `inflight` until then, so finalization waits for it.
+/// A sequential stage (`Fold(Gather)`) and a bounded consumer map
+/// nothing; the bounded consumer counts the lines it folds and, once they
+/// meet the bound, cancels everything upstream. Integration under the
+/// node lock is O(pieces): a batch the fold hands back
+/// ([`IncrementalFold::push`]) is merged after the lock is dropped and
+/// counts as `inflight` until it is installed (see "Fold finalization
+/// protocol" in the [crate docs](crate)).
 ///
 /// A task that finds the node past collecting continues whatever phase it
 /// is in: the emission of a combined output, or — for a fold finishing in

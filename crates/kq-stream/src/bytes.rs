@@ -149,7 +149,7 @@ impl Backing {
 /// `LC_ALL=C`. [`Bytes::to_str`] is the checked door for the few kernels
 /// that read characters.
 ///
-/// The backing store is a refcounted [`Backing`]: either an owned
+/// The backing store is refcounted: either an owned
 /// `Vec<u8>` — so `From<String>`/`From<Vec<u8>>` *move* the buffer
 /// instead of copying it, and commands wrapping their `String` output
 /// stay O(1) — or a memory-mapped file region ([`MmapRegion`]) so

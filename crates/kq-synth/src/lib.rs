@@ -4,7 +4,7 @@
 //!
 //! 1. preprocesses the command line — extracting regex/number literals and
 //!    probing `f` with three canonical inputs to pick an input profile
-//!    ([`preprocess`]);
+//!    ([`preprocess()`], module [`mod@preprocess`]);
 //! 2. lays out the candidate combiner space `G_n` for the command's
 //!    delimiter alphabet — implicitly, as counts (`kq_dsl::space`), never
 //!    as a list of trees;
@@ -68,7 +68,7 @@ pub mod preprocess;
 pub mod shape;
 pub mod synthesize;
 
-pub use composite::{IncrementalCombine, SynthesizedCombiner};
+pub use composite::SynthesizedCombiner;
 pub use pool::SynthPool;
 pub use preprocess::{prefix_bound, preprocess, probe_profile, InputProfile, Preprocessed};
 pub use shape::{Config, InputShape, Mutation};

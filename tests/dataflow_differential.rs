@@ -395,6 +395,38 @@ fn folds_that_receive_no_line_match_serial() {
     }
 }
 
+/// `awk`'s `NR` numbers the records of the whole stream: `END {print NR}`
+/// prints the record count, and `{print NR}` numbers every line — serially
+/// as `awk` does, and in parallel as serially.
+#[test]
+fn awk_record_numbers_match_serial() {
+    let mut input = String::new();
+    let mut numbers = String::new();
+    for i in 0..3000 {
+        input.push_str(&format!("word{} payload {}\n", i % 17, i));
+        numbers.push_str(&format!("{}\n", i + 1));
+    }
+    let mut planner = Planner::new(SynthesisConfig::default());
+    for (text, expect) in [
+        ("cat /in.txt | awk 'END {print NR}'", "3000\n"),
+        ("cat /in.txt | awk '{print NR}'", numbers.as_str()),
+    ] {
+        let ctx = ExecContext::default();
+        ctx.vfs.write("/in.txt", input.as_str());
+        let parsed = parse_script(text, &HashMap::new()).unwrap();
+        let plan = planner.plan(&parsed, &ctx, &input[..8_000]);
+        let serial = run_serial(&parsed, &ctx).unwrap();
+        assert_eq!(serial.output, expect, "{text}: serial output");
+        for workers in [1usize, 4] {
+            let got = run_dataflow(&parsed, &plan, &ctx, &fixed_opts(workers, 700, true)).unwrap();
+            assert_eq!(
+                got.output, serial.output,
+                "{text}: dataflow diverged (w={workers})"
+            );
+        }
+    }
+}
+
 /// Folds large enough that their closing merge runs in parts (one per
 /// 2 MiB folded), in memory: a `sort` that folds 6.6 MiB in three parts
 /// into a redirect target (gathered once for the VFS), a `sort -nu` over
