@@ -97,11 +97,10 @@ USAGE:
         order-sensitive / unknown), lint the script's file accesses for
         hazards (use-before-def KQ101, dead writes KQ102, read/write
         aliasing KQ103), and verify each statement's dataflow graph
-        (structural invariants KQ201, queue-credit deadlock-freedom
-        KQ202, fusion legality KQ203). Findings carry stable KQnnn codes
-        and line/column spans. Exits 0 when the script passes, 1 when it
-        does not; --deny-warnings makes warnings fail too; --format json
-        emits a machine-readable report.
+        (structural invariants KQ201, fusion legality KQ203). Findings
+        carry stable KQnnn codes and line/column spans. Exits 0 when the
+        script passes, 1 when it does not; --deny-warnings makes warnings
+        fail too; --format json emits a machine-readable report.
     kumquat plan <script|file> [--var NAME=VALUE,...] [--input FILE]
                                [--synth-workers N] [--combiner-cache FILE]
                                [--rerun-threshold R]

@@ -10,8 +10,8 @@
 //! dynamic plan may parallelize more — but it exercises the same
 //! [`DataflowGraph::build`] and rewrites the scheduler runs, and
 //! [`DataflowGraph::validate`] checks the result: its structure
-//! (`KQ201`), its queue credit (`KQ202`) and that every fused run, fused
-//! fold and sorting fold is one the plan licenses (`KQ203`).
+//! (`KQ201`) and that every fused run, fused fold, counting fold and
+//! sorting fold is one the plan licenses (`KQ203`).
 //!
 //! The static plan's licences come from the planner's own rules
 //! ([`PlannedStatement::new`]), fed what each licence assumes synthesis
@@ -34,7 +34,6 @@
 use crate::diag::{Diagnostic, Severity};
 use kq_pipeline::lattice::{self, EffectClass, FoldPair};
 use kq_pipeline::plan::{Evidence, PlannedStatement, Rewrite, StageMode};
-use kq_pipeline::scheduler::DEFAULT_QUEUE_DEPTH;
 use kq_pipeline::{DataflowGraph, GraphFault, Script, Statement};
 use std::sync::Arc;
 
@@ -172,23 +171,20 @@ pub fn sorting_sites(script: &Script, plans: &[PlannedStatement]) -> Vec<Sorting
 }
 
 /// The findings on one statement's graph: one per problem
-/// [`DataflowGraph::validate`] finds, `KQ201` for the graph's structure,
-/// `KQ202` for its queue credit and `KQ203` for a fusion the plan does not
-/// license.
+/// [`DataflowGraph::validate`] finds, `KQ201` for the graph's structure
+/// and `KQ203` for a node the plan does not license.
 fn graph_findings(
     si: usize,
     statement: &Statement,
     planned: &PlannedStatement,
     graph: &DataflowGraph,
-    queue_seed: usize,
 ) -> Vec<Diagnostic> {
     graph
-        .validate(planned, queue_seed)
+        .validate(planned)
         .into_iter()
         .map(|(fault, problem)| {
             let code = match fault {
                 GraphFault::Structure => "KQ201",
-                GraphFault::Credit => "KQ202",
                 GraphFault::Fusion => "KQ203",
             };
             Diagnostic::new(code, Severity::Error, format!("dataflow graph: {problem}"))
@@ -204,7 +200,7 @@ pub fn verify_graphs(script: &Script, plans: &[PlannedStatement]) -> Vec<Diagnos
     statements
         .flat_map(|(si, (statement, planned))| {
             let graph = DataflowGraph::build(planned, true);
-            graph_findings(si, statement, planned, &graph, DEFAULT_QUEUE_DEPTH)
+            graph_findings(si, statement, planned, &graph)
         })
         .collect()
 }
@@ -212,8 +208,9 @@ pub fn verify_graphs(script: &Script, plans: &[PlannedStatement]) -> Vec<Diagnos
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kq_coreutils::sort::{CountOrder, LineOrder};
     use kq_pipeline::parse::parse_script;
-    use kq_pipeline::{FoldMode, NodeKind};
+    use kq_pipeline::{FoldBy, NodeKind, NodeMap};
     use std::collections::HashMap;
 
     fn plans_for(script: &Script) -> Vec<PlannedStatement> {
@@ -230,13 +227,23 @@ mod tests {
             .collect()
     }
 
-    /// The graph of `planned` with the node at stage `first` made a fold in
-    /// `mode` over `stages` stages, by hand.
+    /// A merge fold of chunks mapped by `map`, under an order no check
+    /// reads, closing in `count`.
+    fn merge(map: NodeMap, count: Option<CountOrder>) -> NodeKind {
+        let order = LineOrder::parse(&[]).unwrap();
+        NodeKind::Fold {
+            map,
+            by: FoldBy::Merge { order, count },
+        }
+    }
+
+    /// The graph of `planned` with the node at stage `first` made a node of
+    /// `kind` over `stages` stages, by hand.
     fn fold_by_hand(
         planned: &PlannedStatement,
         first: usize,
         stages: usize,
-        mode: FoldMode,
+        kind: NodeKind,
     ) -> DataflowGraph {
         let mut graph = DataflowGraph::build(planned, true);
         let at = graph
@@ -244,7 +251,7 @@ mod tests {
             .iter()
             .position(|n| n.stages.start == first && !n.stages.is_empty())
             .unwrap();
-        graph.nodes[at].kind = NodeKind::Fold { mode };
+        graph.nodes[at].kind = kind;
         for _ in 1..stages {
             graph.nodes[at].stages.end += 1;
             graph.nodes.remove(at + 1);
@@ -252,16 +259,14 @@ mod tests {
         graph
     }
 
-    /// The findings on `graph` as statement `si`'s graph, under
-    /// `queue_seed` chunks of credit.
+    /// The findings on `graph` as statement `si`'s graph.
     fn findings(
         script: &Script,
         plans: &[PlannedStatement],
         si: usize,
         graph: &DataflowGraph,
-        queue_seed: usize,
     ) -> Vec<Diagnostic> {
-        graph_findings(si, &script.statements[si], &plans[si], graph, queue_seed)
+        graph_findings(si, &script.statements[si], &plans[si], graph)
     }
 
     /// Asserts that `findings` is exactly one `code` finding whose message
@@ -323,26 +328,25 @@ mod tests {
         // A graph whose folds were fused by hand: over the licensed pair
         // of statement 1, alone or with the sort after it, nothing fires;
         // over `sort -u | uniq -c` one KQ203.
-        let fused = |si: usize, first: usize, stages: usize| {
-            let graph = fold_by_hand(&plans[si], first, stages, FoldMode::Combine);
-            findings(&script, &plans, si, &graph, DEFAULT_QUEUE_DEPTH)
+        let fused = |si: usize, first: usize, stages: usize, kind: NodeKind| {
+            let graph = fold_by_hand(&plans[si], first, stages, kind);
+            findings(&script, &plans, si, &graph)
         };
+        let count = plans[0].stages[1].count_order;
+        let (counting, closing) = (
+            merge(NodeMap::Counted, None),
+            merge(NodeMap::Counted, count),
+        );
+        let unique = merge(NodeMap::Chain, None);
         let spans = "may span more than one stage";
-        assert!(fused(0, 1, 2).is_empty());
-        assert!(fused(0, 1, 3).is_empty());
-        assert_one(&fused(1, 0, 2), "KQ203", spans);
+        assert!(fused(0, 1, 2, counting).is_empty());
+        assert!(fused(0, 1, 3, closing).is_empty());
+        assert_one(&fused(1, 0, 2, unique), "KQ203", spans);
         // `uniq -c | sort -rn`: two folds, but no pair; and a counting pair
         // with a sort after it that puts its output in no count order.
-        assert_one(&fused(0, 2, 2), "KQ203", spans);
-        assert!(fused(3, 0, 2).is_empty());
-        assert_one(&fused(3, 0, 3), "KQ203", spans);
-        // A graph no edge of which can carry a chunk: one KQ202.
-        let graph = DataflowGraph::build(&plans[0], true);
-        assert_one(
-            &findings(&script, &plans, 0, &graph, 0),
-            "KQ202",
-            "queue credit",
-        );
+        assert_one(&fused(0, 2, 2, unique), "KQ203", spans);
+        assert!(fused(3, 0, 2, counting).is_empty());
+        assert_one(&fused(3, 0, 3, closing), "KQ203", spans);
     }
 
     #[test]
@@ -372,14 +376,14 @@ mod tests {
         let seams: Vec<bool> = plans[0].stages.iter().map(|s| s.seam).collect();
         assert_eq!(seams, [false, true, false, false]);
         let graph = DataflowGraph::build(&plans[0], true);
-        assert_eq!(graph.nodes[2].kind, NodeKind::StageWorker);
+        assert_eq!(graph.nodes[2].kind, NodeKind::StageWorker { seam: true });
         assert_eq!(graph.nodes[2].stages, 1..3);
         // Fused into the `grep` before it, the seam stage no longer sees
         // the chunks of its own input edge: one KQ203, and nothing else.
         let mut fused = graph.clone();
         fused.nodes[1].stages.end = 3;
         fused.nodes.remove(2);
-        let found = findings(&script, &plans, 0, &fused, DEFAULT_QUEUE_DEPTH);
+        let found = findings(&script, &plans, 0, &fused);
         assert_one(
             &found,
             "KQ203",
@@ -422,8 +426,8 @@ mod tests {
         // counting fold closes in the order of, a merge, or a sort with an
         // operand, one KQ203.
         let sort_fold = |si: usize, first: usize, stages: usize| {
-            let graph = fold_by_hand(&plans[si], first, stages, FoldMode::Sort);
-            findings(&script, &plans, si, &graph, DEFAULT_QUEUE_DEPTH)
+            let graph = fold_by_hand(&plans[si], first, stages, merge(NodeMap::Raw, None));
+            findings(&script, &plans, si, &graph)
         };
         assert!(sort_fold(0, 0, 1).is_empty());
         assert!(sort_fold(2, 0, 2).is_empty());

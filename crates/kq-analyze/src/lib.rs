@@ -14,8 +14,8 @@
 //!    same [`kq_pipeline::dataflow::DataflowGraph`] IR the work-stealing
 //!    scheduler executes, and the scheduler's own validator
 //!    ([`kq_pipeline::dataflow::DataflowGraph::validate`]) checks it; each
-//!    problem is one finding, by class: structure (`KQ201`), queue credit
-//!    (`KQ202`) and fusion (`KQ203`). The rewrites the planner applies are
+//!    problem is one finding, by class: structure (`KQ201`) and fusion
+//!    (`KQ203`). The rewrites the planner applies are
 //!    named from the static plan's licence flags, which the planner's own
 //!    rules set ([`kq_pipeline::plan::PlannedStatement::new`]): the
 //!    `sort | uniq` pairs that run as one fold — with the numeric `sort`

@@ -10,14 +10,14 @@
 //!
 //! Every output byte of `cut` is an input byte, bar the `'\n'` after a
 //! clipped line, so both modes report byte ranges of the input to the
-//! gather of [`crate::fastpath`]: an output that is one run of the input
+//! gather of `fastpath`: an output that is one run of the input
 //! (`-c 1-`, `-f 1-`, or lines without the delimiter) is a slice of it,
 //! and any other is written into one buffer reserved at the input's
 //! length — never a slice per line, whose refcount traffic on the buffer
 //! all workers' chunks share grows with the worker count.
 //!
 //! - **Fields**, for any LIST and an ASCII delimiter: one pass finds
-//!   `'\n'` and the delimiter eight bytes at a time (SWAR, [`find_either`]),
+//!   `'\n'` and the delimiter eight bytes at a time (SWAR, `find_either`),
 //!   and each line's selected fields become one byte range per run of
 //!   adjacent selected fields. Past the LIST's last field only the
 //!   newline is looked for.

@@ -18,7 +18,7 @@
 //! pattern is a plain string; see that crate's docs), and [`GrepCmd::run`]
 //! is one loop over those ranges and the gaps between them, whatever the
 //! output form. The verbatim forms (`grep PAT`, `-v`, `-i`) report the
-//! selected lines as byte ranges to the gather of [`crate::fastpath`]:
+//! selected lines as byte ranges to the gather of `fastpath`:
 //! a result that is one run of lines is a slice of the input [`Bytes`]
 //! (an all-match result is the input handle itself: refcount bump, zero
 //! copies — also zero *pages touched* beyond the match scan when the

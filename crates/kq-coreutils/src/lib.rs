@@ -187,10 +187,10 @@ impl Command {
     /// Wraps a user-provided [`UnixCommand`] implementation.
     ///
     /// This is the paper's headline extension point: KumQuat "immediately
-    /// work[s] with new commands ... without the need to manually develop
+    /// work\[s\] with new commands ... without the need to manually develop
     /// new combiners". A downstream crate implements `UnixCommand` for its
     /// own stream processor, wraps it here, and hands it to
-    /// [`kq_synth::synthesize`] — no registry changes needed.
+    /// `kq_synth::synthesize` — no registry changes needed.
     ///
     /// `argv` is only used for display and shell re-emission; it should
     /// round-trip to an executable command line when shell emission is

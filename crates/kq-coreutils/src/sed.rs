@@ -11,7 +11,7 @@
 //! Substitution takes a **byte fast path** over the same whole-buffer
 //! scan as `grep` ([`kq_pattern::Regex::matching_lines`]): lines the
 //! pattern does not match are copied through as byte ranges of the input
-//! by the gather of [`crate::fastpath`], and only the lines it accepts
+//! by the gather of `fastpath`, and only the lines it accepts
 //! are rebuilt (the backtracker computes their match and capture spans).
 //! An input without a match comes back as the input handle itself.
 //! Substitution reads characters, so it decodes its input first. The

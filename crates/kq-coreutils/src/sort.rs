@@ -798,7 +798,7 @@ impl LineOrder {
     /// of it, as [`sort_bytes`](LineOrder::sort_bytes) makes it in counted
     /// mode — when the counting table stays small against its lines, and
     /// `None` when the table gives up (see
-    /// [`count_distinct`](LineOrder::count_distinct)): such a chunk is
+    /// `count_distinct`): such a chunk is
     /// better sorted in a batch with its neighbours than on its own. A
     /// counting fold's map runs this and hands the chunk on raw when it
     /// declines.

@@ -11,10 +11,10 @@
 //!
 //! Pure deletion (`tr -d`, `tr -cd` — no squeeze, ASCII SET1) takes a
 //! **byte fast path** like `grep`'s: runs of kept bytes go to the gather
-//! of [`crate::fastpath`], which copies them into one buffer (a delete
+//! of `fastpath`, which copies them into one buffer (a delete
 //! that removes nothing returns the input handle, zero copies). Translate, squeeze and `-ds`
 //! over ASCII sets run from a 256-entry **byte table** built once in
-//! [`TrCmd::parse`] ([`ByteTable`]): one load per input byte, no branch on
+//! [`TrCmd::parse`] (`ByteTable`): one load per input byte, no branch on
 //! the data. The character-at-a-time implementation remains for a
 //! non-ASCII SET and as the oracle ([`TrCmd::run_reference`]) the
 //! differential tests compare both fast paths against.

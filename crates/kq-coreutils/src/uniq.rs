@@ -7,7 +7,7 @@
 //! Both forms work on line slices of the input bytes. Plain `uniq` emits a
 //! *subsequence of its input bytes* — the first line of every run of equal
 //! lines, newline included — so it takes the
-//! [`SliceRuns`](crate::fastpath) byte fast path: kept lines are copied
+//! `SliceRuns` byte fast path (`fastpath`): kept lines are copied
 //! into one buffer, and an all-unique input comes back as the input
 //! handle itself (a refcount bump, zero copies). `-c` rewrites
 //! every line: a run-length count over the slices into one pre-sized

@@ -10,38 +10,50 @@
 //!
 //! # Node semantics
 //!
-//! | node | input | output | parallelism |
-//! |---|---|---|---|
-//! | [`NodeKind::Split`] | the statement's gathered input | line-aligned chunks, cut lazily | one task at a time |
-//! | [`NodeKind::StageWorker`] | chunks | per-chunk outputs of a chunk-local command run, re-normalized by an incremental chunker and forwarded **in input order** | one scheduler task per chunk, any number in flight |
-//! | [`NodeKind::StageWorker`] headed by a **seam stage** — a `tr -s` that splits text into lines (see "Seam rewrite") | chunks | as above, except that the head stage's output for every chunk but the first loses one leading `'\n'` before the rest of the run sees it | as any stage worker: the node *is* one |
-//! | [`NodeKind::Fold`] ([`FoldMode::Combine`]) | chunks | the stage's synthesized combiner folded over per-chunk outputs in input order; only the combined stream moves on, re-chunked | per-chunk map tasks in parallel, the fold itself in arrival order |
-//! | [`NodeKind::Fold`] ([`FoldMode::Combine`]) over **two stages** — a `sort \| uniq [-c]` pair (see "Counting rewrite") | chunks | per chunk, what the pair prints for it — the chunk's distinct lines in the sort's order, with their counts under `-c` — or, for `-c` when most of its lines are distinct, the chunk itself, raw; these fold through the sort's `merge` under the counted (or `-u`) order, raw chunks sorted in batches of their own; the result is byte for byte the second stage's output | as a one-stage combine fold: the node *is* one |
-//! | [`NodeKind::Fold`] ([`FoldMode::Combine`]) over **three stages** — a `sort \| uniq -c` pair and the numeric `sort` after it (see "Count-order rewrite") | chunks | as the counting fold, except that each part of the closing merge regroups its counted lines by count as it is merged, and the parts' groups are stitched count by count into slices of them: the result is byte for byte the third stage's output | as the counting fold: the parts merge and regroup as pool tasks |
-//! | [`NodeKind::Fold`] ([`FoldMode::Sort`]) — a `sort`, or the `sort \| uniq` of a unique pair (see "Sorting rewrite") | chunks | nothing per chunk: the chunks reach the fold as they are, batches of them are sorted into runs (under `-u` for the pair) and the runs merged by the stage's `merge`; the result is the stage's output | a sort per run batch, batches in parallel; the closing merge in parts as for any merge fold |
-//! | [`NodeKind::Fold`] ([`FoldMode::Gather`]) | chunks | nothing per chunk: the chunks reach the stage's `rerun` fold as they are, which runs the command once over all of them when the input ends (on the empty stream when none came); the output is re-chunked | per-chunk tasks, the fold in arrival order; the one run of the command by one task |
-//! | [`NodeKind::BoundedConsumer`] | chunks, **in stream order**, only until `lines` complete lines exist | as a `Fold(Gather)`, except that the fold counts the lines it takes in: the chunk that meets the bound cancels everything upstream, chunks behind it are dropped, and the command runs once on the prefix | as a `Fold(Gather)`: the node *is* one |
+//! Every node past the split says what a task makes of one input chunk
+//! (its *map*) and what the chunks it maps fold by (its *fold*):
+//! [`NodeKind::StageWorker`] maps each chunk through its chain and folds
+//! nothing, and [`NodeKind::Fold`] names its [`NodeMap`] and [`FoldBy`].
+//! One row per map × fold that [`DataflowGraph::build`] makes:
+//!
+//! | node | map of a chunk | fold | output | parallelism |
+//! |---|---|---|---|---|
+//! | [`NodeKind::Split`] | — | — | the statement's gathered input cut into line-aligned chunks, lazily | one task at a time |
+//! | `StageWorker { seam: false }` | the chain of chunk-local commands | none: outputs are re-normalized by an incremental chunker and forwarded **in input order** | the chunk outputs | one scheduler task per chunk, any number in flight |
+//! | `StageWorker { seam: true }` — headed by a seam stage, a `tr -s` that splits text into lines (see "Seam rewrite") | the chain, except that the head stage's output for every chunk but the first loses one leading `'\n'` before the rest of the chain sees it | none, as above | as above | as any stage worker |
+//! | `Fold { map: Chain, by: Combiner }` | the stage's command | the stage's synthesized combiner, by its own flags, in input order | the combined stream, re-chunked | per-chunk map tasks in parallel, the fold itself in arrival order |
+//! | `Fold { map: Counted, by: Merge { count: None, .. } }` — a `sort \| uniq -c` pair (see "Counting rewrite") | the hash count of the counted order: the chunk's distinct lines in the sort's order behind their counts — or, when most of its lines are distinct, the chunk itself, raw | the sort's `merge` under the counted order, raw chunks sorted in batches of their own | byte for byte the `uniq -c` stage's output | as a one-stage combine fold |
+//! | `Fold { map: Counted, by: Merge { count: Some(_), .. } }` — that pair and the numeric `sort` after it (see "Count-order rewrite") | as the counting fold | as the counting fold, except that each part of the closing merge regroups its counted lines by count, and the parts' groups are stitched count by count | byte for byte the third stage's output | as the counting fold: the parts merge and regroup as pool tasks |
+//! | `Fold { map: Chain, by: Merge { .. } }` — a `sort \| uniq` pair whose sort is not a sorting fold | `sort -u` of the chunk: the pair's chain | the sort's `merge` under `-u` | byte for byte the `uniq` stage's output | as a one-stage combine fold |
+//! | `Fold { map: Raw, by: Merge { .. } }` — a `sort`, or the `sort \| uniq` of a unique pair (see "Sorting rewrite") | nothing: the chunk goes as it is | batches of chunks sorted into runs (under `-u` for the pair), the runs merged by the stage's `merge` | the stage's output | a sort per run batch, batches in parallel; the closing merge in parts as for any merge fold |
+//! | `Fold { map: Raw, by: Rerun { bound: None } }` — a sequential stage | nothing | the stage's `rerun`: the command runs once over all the chunks when the input ends (on the empty stream when none came) | the command's output, re-chunked | per-chunk tasks, the fold in arrival order; the one run of the command by one task |
+//! | `Fold { map: Raw, by: Rerun { bound: Some(k) } }` — a prefix-bounded stage (`head -n k`, `sed kq`) | nothing; chunks are taken **in stream order**, only until `k` complete lines exist | as the rerun fold, except that the fold counts the lines it takes in: the chunk that meets the bound cancels everything upstream, chunks behind it are dropped, and the command runs once on the prefix | as the rerun fold | as the rerun fold |
+//!
+//! [`DataflowGraph::build`] makes each node in one pass over the stages,
+//! from the flags [`PlannedStatement::new`](crate::plan::PlannedStatement::new)
+//! set: the rewrites below are the clauses of that pass, and building
+//! with `rewrite = false` (`--no-opt`) takes none of them.
 //!
 //! # Fusion rewrite
 //!
-//! The graph is first built *unfused* — one node per planned stage — and
-//! adjacent chunk-local stages are then merged by a graph rewrite
-//! ([`DataflowGraph::fuse_streamable`]): two neighboring
-//! [`NodeKind::StageWorker`] nodes collapse into one whose stage range is
-//! the concatenation, eliminating the edge between them (`grep | tr | cut`
-//! becomes a single node piping each chunk through all three commands).
-//! The rewrite is semantics-preserving by the chunk-local property — each
+//! Unrewritten, the graph has one node per planned stage. The pass
+//! instead extends a [`NodeKind::StageWorker`] over every chunk-local
+//! stage after it: one node whose stage range is the concatenation, with
+//! no edge between the stages (`grep | tr | cut` becomes a single node
+//! piping each chunk through all three commands) — up to a seam stage,
+//! which heads a node of its own (see "Seam rewrite"). The rewrite is
+//! semantics-preserving by the chunk-local property — each
 //! stage's combiner is plain concat over newline-terminated chunk outputs,
 //! so per-chunk composition commutes with concatenation.
 //!
 //! # Counting rewrite
 //!
-//! A second rewrite, under the same switch as fusion
-//! ([`DataflowGraph::fuse_fold_pairs`]): a [`FoldMode::Combine`] `sort`
-//! node directly followed by a [`FoldMode::Combine`] `uniq` node becomes
-//! **one** combine fold spanning both stages when the plan says the pair is
-//! licensed ([`PlannedStage::fold_pair`], the answer of
-//! [`crate::lattice::fold_pair`]). `uniq` needs the sort only for
+//! A second clause of the pass, under the same switch as fusion: a
+//! parallel `sort` directly followed by a parallel `uniq`, each of which
+//! would be a one-stage combine fold, becomes **one** fold spanning both
+//! stages — `Fold { map: Counted, by: Merge { .. } }` for `uniq -c` — when
+//! the plan says the pair is licensed ([`PlannedStage::fold_pair`], the
+//! answer of [`crate::lattice::fold_pair`]). `uniq` needs the sort only for
 //! adjacency, and absent `-u` the sort's comparator calls exactly the
 //! identical lines equal, so the pair is one keyed aggregation:
 //!
@@ -82,9 +94,8 @@
 //!
 //! # Count-order rewrite
 //!
-//! Part of the counting rewrite ([`DataflowGraph::fuse_fold_pairs`]): a
-//! counting pair whose sort the plan marks [`PlannedStage::count_order`]
-//! — the answer of [`crate::lattice::count_order`] about that sort and the
+//! Part of the counting rewrite: a counting pair whose sort the plan
+//! marks [`PlannedStage::count_order`] — the answer of [`crate::lattice::count_order`] about that sort and the
 //! numeric `sort` two stages on — absorbs the one-stage combine fold of
 //! that third stage as well. The ranking tail of Figure 1,
 //! `sort | uniq -c | sort -rn`, is then one fold. The counting fold's
@@ -117,13 +128,11 @@
 //!
 //! # Seam rewrite
 //!
-//! The third rewrite under that switch
-//! ([`DataflowGraph::lift_seam_stages`]) takes a serial pass off the
-//! chain: a one-stage [`NodeKind::Fold`] whose stage the plan marks
-//! [`PlannedStage::seam`] — the gather fold of a stage planned sequential,
-//! or the fold of one planned parallel, which would gather the chunk
-//! outputs and rerun the command over them — becomes a
-//! [`NodeKind::StageWorker`]. Such a
+//! The third clause under that switch takes a serial pass off the
+//! chain: a stage the plan marks [`PlannedStage::seam`] — which would be
+//! the rerun fold of a stage planned sequential, or the fold of one
+//! planned parallel, which would gather the chunk outputs and rerun the
+//! command over them — heads a `StageWorker { seam: true }`. Such a
 //! stage is a `tr -s` that leaves `'\n'` alone and squeezes it — the word
 //! splitter `tr -cs A-Za-z '\n'` — and the only thing it carries from one
 //! line-aligned piece of its input to the next is the last character it
@@ -157,13 +166,12 @@
 //!
 //! # Sorting rewrite
 //!
-//! The fourth rewrite under the switch ([`DataflowGraph::sort_runs`]),
-//! run last: a [`FoldMode::Combine`] fold whose first stage the plan marks
-//! [`PlannedStage::sorting`] — a `sort` whose combiner is the `merge` of
-//! the very order it sorts by, alone or at the head of a unique pair the
-//! counting rewrite fused — becomes a [`FoldMode::Sort`] fold. A parallel
-//! `sort` sorts every chunk and the fold merges the sorted chunks, in two
-//! levels (run batches, then the closing merge): every line handled three
+//! The fourth clause under the switch: a fold whose first stage the plan
+//! marks [`PlannedStage::sorting`] — a `sort` whose combiner is the `merge`
+//! of the very order it sorts by, alone or at the head of a unique pair
+//! the counting rewrite fuses — maps nothing: `Fold { map: Raw, by:
+//! Merge { .. } }`. A parallel `sort` sorts every chunk and the fold
+//! merges the sorted chunks, in two levels (run batches, then the closing merge): every line handled three
 //! times, and the sorted chunks exist only to be merged. But merging the
 //! sorts of pieces is sorting them together:
 //!
@@ -198,14 +206,16 @@
 //! # Cancellation propagation
 //!
 //! Early exit is edge teardown propagated through the graph. When a
-//! [`NodeKind::BoundedConsumer`] at position `b` meets its `lines` demand
-//! before its input closes, the scheduler marks nodes `0..b` cancelled and
-//! **clears** every edge feeding them *and* the bounded node's own input
-//! edge — chunks already queued are dropped, not processed. In-flight
-//! tasks at cancelled nodes discard their output
-//! when they complete. A stage after one that decodes its input gets no
-//! bound ([`crate::plan::line_bound`]): the bytes a cancellation skips
-//! are bytes the serial run fails on. The propagation matrix:
+//! bounded fold (`Fold { map: Raw, by: Rerun { bound: Some(k) } }`) at
+//! position `b` meets its demand of `k` lines before its input closes,
+//! the scheduler marks nodes `0..b` cancelled and **clears** every edge
+//! feeding them *and* the bounded node's own input edge — chunks already
+//! queued are dropped, not processed. In-flight tasks at cancelled nodes
+//! discard their output when they complete. A stage after one that decodes its input gets no
+//! bound ([`PlannedStage::line_bound`]) unless a barrier — a fold that
+//! reads all its input before it emits — stands between them: without
+//! one, the bytes a cancellation skips are bytes the serial run fails on.
+//! The propagation matrix:
 //!
 //! | event | upstream nodes | queued chunks | downstream nodes | statement result |
 //! |---|---|---|---|---|
@@ -215,28 +225,58 @@
 //!
 //! # Demand propagation
 //!
-//! [`DataflowNode::eager_flush`]: a `StageWorker` whose downstream chain reaches a bounded consumer through
-//! chunk-local nodes only ships complete lines immediately instead of
-//! re-normalizing to the chunk-size target, so a sparse stage (`grep` with
-//! one match) cannot sit on the very lines that would satisfy the bound.
+//! [`DataflowGraph::eager_flush`]: a `StageWorker` whose downstream chain
+//! reaches a bounded fold through chunk-local nodes only ships complete
+//! lines immediately instead of re-normalizing to the chunk-size target,
+//! so a sparse stage (`grep` with one match) cannot sit on the very lines
+//! that would satisfy the bound.
+//! It is a function of the node chain alone, so the scheduler derives it
+//! when it sets up each node, and no graph stores it.
+//!
+//! [`PlannedStage::line_bound`]: crate::plan::PlannedStage::line_bound
 
-use crate::plan::PlannedStatement;
+use crate::lattice::FoldPair;
+use crate::plan::{PlannedStage, PlannedStatement, StageMode};
+use kq_coreutils::sort::{CountOrder, LineOrder};
 use std::ops::Range;
 
-/// What a [`NodeKind::Fold`] node does with its gathered input.
+/// What a task at a [`NodeKind::Fold`] makes of one input chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FoldMode {
-    /// A parallel stage whose combiner is not plain concat (`sort`,
-    /// `uniq -c`, `wc`): chunks map through the command in parallel and
-    /// the outputs fold through the synthesized combiner in input order.
-    Combine,
-    /// A sequential stage (no combiner, or a rerun that does not pay):
-    /// chunks gather into a `rerun` fold and the command runs once.
-    Gather,
-    /// A parallel `sort` (or `sort | uniq` pair) whose chunks reach the
-    /// fold raw: batches of chunks are sorted into runs and the runs merged
-    /// by the stage's combiner (see "Sorting rewrite").
-    Sort,
+pub enum NodeMap {
+    /// The node's command chain.
+    Chain,
+    /// Nothing: the chunk goes to the fold raw, a refcount bump. A sorting
+    /// fold sorts it there in a batch with its neighbours; a `rerun` fold
+    /// runs the command once over it and all the others.
+    Raw,
+    /// The hash count of the counted order the node merges under
+    /// ([`LineOrder::count_bytes`]): the chunk's counted run, or, when the
+    /// table gives up, the chunk itself, raw.
+    Counted,
+}
+
+/// What the mapped chunks of a [`NodeKind::Fold`] fold by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FoldBy {
+    /// The stage's synthesized combiner, by its own flags.
+    Combiner,
+    /// The stage's `merge`, under `order` — the sort's own, counted for a
+    /// `sort | uniq -c` pair, under `-u` for a `sort | uniq` pair — with
+    /// the [`CountOrder`] its closing merge regroups in, at a counting pair
+    /// that closes in the order of the numeric sort after it.
+    Merge {
+        /// The line order every merge of the fold compares by.
+        order: LineOrder,
+        /// The count order the closing merge regroups its lines in.
+        count: Option<CountOrder>,
+    },
+    /// The paper's `rerun`: the command runs once over every chunk, or,
+    /// with a prefix bound (`head -n k`, `sed kq`), over the chunks until
+    /// `k` complete lines exist, cancelling everything upstream then.
+    Rerun {
+        /// The stage's prefix bound in complete lines.
+        bound: Option<usize>,
+    },
 }
 
 /// The operation a dataflow node performs (see the [module docs](self)).
@@ -247,36 +287,20 @@ pub enum NodeKind {
     /// A run of chunk-local stages: each chunk pipes through the run's
     /// commands independently; outputs flow on uncombined (Theorem 5
     /// applied per chunk).
-    StageWorker,
-    /// A stage that must see its whole input before emitting.
-    Fold {
-        /// How the gathered input turns into output.
-        mode: FoldMode,
+    StageWorker {
+        /// The run's first stage is a seam stage, whose output for every
+        /// chunk but the first loses one leading `'\n'`.
+        seam: bool,
     },
-    /// A prefix-bounded stage (`head -n k`, `sed kq`): consumes in-order
-    /// chunks only until `lines` complete lines exist, then cancels
-    /// everything upstream and runs the command once on the prefix.
-    BoundedConsumer {
-        /// The stage's prefix bound in complete lines.
-        lines: usize,
+    /// Stages that must see their whole input (or, bounded, a prefix of
+    /// it) before emitting.
+    Fold {
+        /// What a task makes of one chunk.
+        map: NodeMap,
+        /// What the mapped chunks fold by.
+        by: FoldBy,
     },
 }
-
-/// The kind of a parallel barrier stage's node — the only kind the
-/// counting and sorting rewrites act on.
-const COMBINE: NodeKind = NodeKind::Fold {
-    mode: FoldMode::Combine,
-};
-
-/// The kind of a sequential stage's node.
-const GATHER: NodeKind = NodeKind::Fold {
-    mode: FoldMode::Gather,
-};
-
-/// The kind of a fold the sorting rewrite made.
-const SORT: NodeKind = NodeKind::Fold {
-    mode: FoldMode::Sort,
-};
 
 /// One node of a statement's dataflow graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -285,40 +309,21 @@ pub struct DataflowNode {
     pub kind: NodeKind,
     /// Stage index range within the statement (`start..end`, end
     /// exclusive). Empty (`0..0`) for [`NodeKind::Split`]; length > 1 only
-    /// for fused [`NodeKind::StageWorker`] runs, for the two-stage combine
+    /// for fused [`NodeKind::StageWorker`] runs, for the two-stage merge
     /// fold of a licensed `sort | uniq` pair, and for the three-stage one
     /// of a counting pair closing in count order. Every stage of a
-    /// `StageWorker` is chunk-local, except that the first may instead be a
-    /// seam stage ([`DataflowNode::heads_seam`]).
+    /// `StageWorker` is chunk-local, except that the first is a seam stage
+    /// where the node says so.
     pub stages: Range<usize>,
-    /// Demand propagation: this node's output chain reaches a
-    /// [`NodeKind::BoundedConsumer`] through chunk-local nodes only, so
-    /// complete lines must ship immediately (see the [module docs](self)).
-    pub eager_flush: bool,
-}
-
-impl DataflowNode {
-    /// True for a [`NodeKind::StageWorker`] whose first stage is a seam
-    /// stage of `planned` (see "Seam rewrite" in the [module docs](self)):
-    /// the node whose map strips the seam.
-    pub fn heads_seam(&self, planned: &PlannedStatement) -> bool {
-        self.kind == NodeKind::StageWorker
-            && planned
-                .stages
-                .get(self.stages.start)
-                .is_some_and(|stage| stage.seam)
-    }
 }
 
 /// What a problem [`DataflowGraph::validate`] finds breaks: `kumquat
 /// check` reports each class under its own code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GraphFault {
-    /// The node chain's shape: the split, the stage partition and the
-    /// eager-flush flags (invariants 1, 2 and 4).
+    /// The node chain's shape: the split and the stage partition
+    /// (invariants 1 and 2).
     Structure,
-    /// Queue credit that cannot carry a chunk (invariant 5).
-    Credit,
     /// A node the plan's flags do not license (invariant 3).
     Fusion,
 }
@@ -331,145 +336,120 @@ pub struct DataflowGraph {
     pub nodes: Vec<DataflowNode>,
 }
 
+/// The stage would be a one-stage fold by its combiner: what the counting
+/// rewrite fuses.
+fn combines(stage: Option<&PlannedStage>) -> bool {
+    stage.is_some_and(|stage| {
+        stage.line_bound.is_none() && !stage.seam && !stage.streamable && stage.mode.is_parallel()
+    })
+}
+
+/// The node that starts at stage `i`, with the number of stages it takes
+/// (see [`DataflowGraph::build`]).
+fn node_at(stages: &[PlannedStage], i: usize, rewrite: bool) -> (NodeKind, usize) {
+    let stage = &stages[i];
+    let fold = |map, by| NodeKind::Fold { map, by };
+    let rerun = |bound| fold(NodeMap::Raw, FoldBy::Rerun { bound });
+    if stage.line_bound.is_some() {
+        return (rerun(stage.line_bound), 1);
+    }
+    let seam = rewrite && stage.seam;
+    if stage.streamable || seam {
+        return (NodeKind::StageWorker { seam }, 1);
+    }
+    let StageMode::Parallel { combiner, .. } = &stage.mode else {
+        return (rerun(None), 1);
+    };
+    let plain = (fold(NodeMap::Chain, FoldBy::Combiner), 1);
+    let Some(order) = combiner.merge_order().filter(|_| rewrite) else {
+        return plain;
+    };
+    let merge = |order, count| FoldBy::Merge { order, count };
+    let sorted = if stage.sorting {
+        NodeMap::Raw
+    } else {
+        NodeMap::Chain
+    };
+    let uniq = combines(stages.get(i + 1));
+    match stage.fold_pair {
+        Some(FoldPair::Counting) if uniq => {
+            let count = stage.count_order.filter(|_| combines(stages.get(i + 2)));
+            let by = merge(order.counted(), count);
+            (fold(NodeMap::Counted, by), 2 + usize::from(count.is_some()))
+        }
+        Some(FoldPair::Unique) if uniq => (fold(sorted, merge(order.unique(), None)), 2),
+        _ if stage.sorting => (fold(NodeMap::Raw, merge(order, None)), 1),
+        _ => plain,
+    }
+}
+
 impl DataflowGraph {
-    /// Builds the graph for one planned statement.
-    ///
-    /// The graph is assembled unfused, one node per stage:
+    /// Builds the graph for one planned statement, in one pass over its
+    /// stages. Each stage starts a node by its plan:
     ///
     /// * a prefix-bounded stage ([`PlannedStage::line_bound`], `head -n k`,
-    ///   `sed kq`) is a [`NodeKind::BoundedConsumer`] whatever its mode —
-    ///   it consumes chunks only until `k` complete lines exist, then
-    ///   cancels everything upstream and runs the command once on the
-    ///   prefix;
+    ///   `sed kq`) is a bounded `rerun` fold whatever its mode — it takes
+    ///   chunks only until `k` complete lines exist, then cancels
+    ///   everything upstream and runs the command once on the prefix;
     /// * a chunk-local stage ([`PlannedStage::streamable`]) is a
     ///   [`NodeKind::StageWorker`];
-    /// * any other parallel stage is a [`FoldMode::Combine`] fold, and a
-    ///   sequential one a [`FoldMode::Gather`] fold.
+    /// * any other parallel stage is a fold of its chain by its combiner,
+    ///   and a sequential one a `rerun` fold of the raw chunks.
     ///
-    /// With `fuse_streamable`, seam stages are then lifted out of their
-    /// folds by the [seam rewrite](Self::lift_seam_stages), adjacent
-    /// [`NodeKind::StageWorker`] nodes are merged by the
-    /// [fusion rewrite](Self::fuse_streamable), licensed `sort | uniq`
-    /// fold pairs — with the numeric sort after a counting pair that
-    /// closes in its order — by the [counting rewrite](Self::fuse_fold_pairs), and
-    /// licensed sorts' folds turned into sorting folds by the
-    /// [sorting rewrite](Self::sort_runs).
+    /// With `rewrite` (`--no-opt` builds without), the pass also takes the
+    /// rewrites the plan licenses: a seam stage heads a stage worker of
+    /// its own ("Seam rewrite" in the [module docs](self)), a chunk-local
+    /// stage joins the stage worker before it ("Fusion rewrite"), a
+    /// licensed `sort | uniq` pair is one merge fold — with the numeric
+    /// sort after a counting pair that closes in its order ("Counting
+    /// rewrite", "Count-order rewrite") — and a licensed sort's fold takes
+    /// its chunks raw ("Sorting rewrite").
     ///
     /// [`PlannedStage::line_bound`]: crate::plan::PlannedStage::line_bound
     /// [`PlannedStage::streamable`]: crate::plan::PlannedStage::streamable
-    pub fn build(planned: &PlannedStatement, fuse_streamable: bool) -> DataflowGraph {
+    pub fn build(planned: &PlannedStatement, rewrite: bool) -> DataflowGraph {
         let split = DataflowNode {
             kind: NodeKind::Split,
             stages: 0..0,
-            eager_flush: false,
         };
-        let stages = planned.stages.iter().enumerate().map(|(idx, stage)| {
-            let kind = if let Some(lines) = stage.line_bound {
-                NodeKind::BoundedConsumer { lines }
-            } else if stage.streamable {
-                NodeKind::StageWorker
-            } else if stage.mode.is_parallel() {
-                COMBINE
+        let mut nodes = vec![split];
+        let mut i = 0;
+        while i < planned.stages.len() {
+            let (kind, len) = node_at(&planned.stages, i, rewrite);
+            let last = nodes.last_mut().expect("the split");
+            let joins = matches!(last.kind, NodeKind::StageWorker { .. })
+                && kind == NodeKind::StageWorker { seam: false };
+            if rewrite && joins {
+                last.stages.end = i + len;
             } else {
-                GATHER
+                nodes.push(DataflowNode {
+                    kind,
+                    stages: i..i + len,
+                });
+            }
+            i += len;
+        }
+        DataflowGraph { nodes }
+    }
+
+    /// Demand propagation (see the [module docs](self)), per node: whether
+    /// it must ship complete lines at once. A node does when its successor
+    /// is a bounded fold, or is a stage worker that itself does. Other
+    /// folds need their whole input regardless, so the propagation stops
+    /// there.
+    pub fn eager_flush(&self) -> Vec<bool> {
+        let mut flush = vec![false; self.nodes.len()];
+        for i in (0..self.nodes.len().saturating_sub(1)).rev() {
+            flush[i] = match self.nodes[i + 1].kind {
+                NodeKind::Fold {
+                    by: FoldBy::Rerun { bound: Some(_) },
+                    ..
+                } => true,
+                NodeKind::StageWorker { .. } => flush[i + 1],
+                NodeKind::Fold { .. } | NodeKind::Split => false,
             };
-            DataflowNode {
-                kind,
-                stages: idx..idx + 1,
-                eager_flush: false,
-            }
-        });
-        let mut graph = DataflowGraph {
-            nodes: std::iter::once(split).chain(stages).collect(),
-        };
-        if fuse_streamable {
-            graph.lift_seam_stages(planned);
-            graph.fuse_streamable(planned);
-            graph.fuse_fold_pairs(planned);
-            graph.sort_runs(planned);
         }
-        graph.compute_eager_flush();
-        graph
-    }
-
-    /// The seam rewrite (see the [module docs](self)): a fold over a stage
-    /// the plan marks [`PlannedStage::seam`](crate::plan::PlannedStage::seam)
-    /// becomes a stage worker, which [`DataflowNode::heads_seam`] then
-    /// recognizes. Runs first, on the one-node-per-stage graph.
-    pub fn lift_seam_stages(&mut self, planned: &PlannedStatement) {
-        for node in &mut self.nodes {
-            if matches!(node.kind, NodeKind::Fold { .. }) && planned.stages[node.stages.start].seam
-            {
-                debug_assert_eq!(node.stages.len(), 1);
-                node.kind = NodeKind::StageWorker;
-            }
-        }
-    }
-
-    /// The fusion rewrite: merges every adjacent pair of
-    /// [`NodeKind::StageWorker`] nodes into one node spanning both stage
-    /// ranges, deleting the edge between them — unless the second heads a
-    /// seam, whose map must see the chunks of its own input edge. Applied
-    /// to fixpoint, this turns each maximal run of chunk-local stages, with
-    /// the seam stage that may lead it, into a single node.
-    pub fn fuse_streamable(&mut self, planned: &PlannedStatement) {
-        let mut i = 0;
-        while i + 1 < self.nodes.len() {
-            let fusable = self.nodes[i].kind == NodeKind::StageWorker
-                && self.nodes[i + 1].kind == NodeKind::StageWorker
-                && !self.nodes[i + 1].heads_seam(planned);
-            if fusable {
-                debug_assert_eq!(self.nodes[i].stages.end, self.nodes[i + 1].stages.start);
-                self.nodes[i].stages.end = self.nodes[i + 1].stages.end;
-                self.nodes.remove(i + 1);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// The counting rewrite (see the [module docs](self)): a one-stage
-    /// combine fold whose stage the plan marks as the `sort` of a licensed
-    /// pair ([`PlannedStage::fold_pair`](crate::plan::PlannedStage::fold_pair)),
-    /// directly followed by a one-stage combine fold, absorbs it — one node
-    /// over both stages, the edge between them gone. Where the plan also
-    /// marks the sort [`count_order`], the one-stage combine fold after the
-    /// pair is absorbed too (the count-order rewrite): one node over three
-    /// stages.
-    ///
-    /// [`count_order`]: crate::plan::PlannedStage::count_order
-    pub fn fuse_fold_pairs(&mut self, planned: &PlannedStatement) {
-        let single_combine = |node: &DataflowNode| node.kind == COMBINE && node.stages.len() == 1;
-        let mut i = 0;
-        while i + 1 < self.nodes.len() {
-            let (sort, uniq) = (&self.nodes[i], &self.nodes[i + 1]);
-            let first = &planned.stages[sort.stages.start];
-            if single_combine(sort) && single_combine(uniq) && first.fold_pair.is_some() {
-                debug_assert_eq!(sort.stages.end, uniq.stages.start);
-                let mut absorbed = 1;
-                if first.count_order.is_some() && self.nodes.get(i + 2).is_some_and(single_combine)
-                {
-                    absorbed = 2;
-                }
-                self.nodes[i].stages.end = self.nodes[i + absorbed].stages.end;
-                self.nodes.drain(i + 1..=i + absorbed);
-            }
-            i += 1;
-        }
-    }
-
-    /// The sorting rewrite (see the [module docs](self)): a combine fold
-    /// whose first stage the plan marks
-    /// [`PlannedStage::sorting`](crate::plan::PlannedStage::sorting) — a
-    /// one-stage `sort`, or the `sort | uniq` of a unique pair the counting
-    /// rewrite fused — becomes a [`FoldMode::Sort`] fold. Runs last, on the
-    /// pairs the counting rewrite left.
-    pub fn sort_runs(&mut self, planned: &PlannedStatement) {
-        for node in &mut self.nodes {
-            if node.kind == COMBINE && planned.stages[node.stages.start].sorting {
-                node.kind = SORT;
-            }
-        }
+        flush
     }
 
     /// Checks the structural invariants every well-formed statement graph
@@ -488,33 +468,24 @@ impl DataflowGraph {
     ///    inversion;
     /// 3. (fusion) only two kinds of node span more than one stage:
     ///    [`NodeKind::StageWorker`] nodes (fused chunk-local runs), and a
-    ///    combine (or sorting) fold over exactly the two stages of a
-    ///    `sort | uniq` pair the plan licenses
-    ///    (`planned.stages[start].fold_pair`), or a combine fold over
-    ///    exactly the three stages of a counting pair and the numeric sort
-    ///    the plan licenses it to close in the order of
-    ///    (`planned.stages[start].count_order`) — any other multi-stage fold
-    ///    is a rewrite gone wrong; a [`FoldMode::Sort`] fold's first stage
-    ///    is one the plan marks `sorting`, and a counting pair is never one;
-    ///    and within a [`NodeKind::StageWorker`] every stage is chunk-local
+    ///    merge fold over exactly the two stages of a `sort | uniq` pair
+    ///    the plan licenses (`planned.stages[start].fold_pair`), or a
+    ///    counting merge fold closing in a count order over exactly the
+    ///    three stages of a counting pair and the numeric sort the plan
+    ///    licenses it to close in the order of
+    ///    (`planned.stages[start].count_order`) — any other multi-stage
+    ///    node is a rewrite gone wrong; a fold that maps its chunks raw
+    ///    into a merge has a first stage the plan marks `sorting`, and a
+    ///    counting pair is never one, nor anything but a counting pair a
+    ///    fold that counts its chunks; and within a
+    ///    [`NodeKind::StageWorker`] every stage is chunk-local
     ///    ([`PlannedStage::streamable`](crate::plan::PlannedStage::streamable))
-    ///    but possibly the first, which may be a seam stage instead. A seam
-    ///    stage anywhere else — behind another stage of a run, in a fold
-    ///    over two stages, in a bounded consumer — is a rewrite gone wrong
-    ///    (a one-stage fold is where it sits in the unfused graph);
-    /// 4. (structure) [`DataflowNode::eager_flush`] agrees with the
-    ///    canonical right-to-left demand propagation — a stale flag after a
-    ///    rewrite would let a sparse stage sit on the lines a bounded
-    ///    consumer needs;
-    /// 5. (credit) every edge carries at least one chunk of queue credit
-    ///    (`queue_seed >= 1`) — a [`NodeKind::Fold`] buffers its whole
-    ///    input before emitting, so a zero-credit edge upstream of a fold
-    ///    deadlocks the statement.
-    pub fn validate(
-        &self,
-        planned: &PlannedStatement,
-        queue_seed: usize,
-    ) -> Vec<(GraphFault, String)> {
+    ///    but the first of a `seam` worker, which is a seam stage. A seam
+    ///    stage anywhere else — behind another stage of a run, at the
+    ///    head of a worker that does not strip its seam, in a fold over
+    ///    two stages — is a rewrite gone wrong (a one-stage fold is where
+    ///    it sits in the unrewritten graph).
+    pub fn validate(&self, planned: &PlannedStatement) -> Vec<(GraphFault, String)> {
         let n_stages = planned.stages.len();
         let (mut structure, mut fusion) = (Vec::new(), Vec::new());
         match self.nodes.first() {
@@ -544,33 +515,51 @@ impl DataflowGraph {
                 ));
             }
             let first = planned.stages.get(node.stages.start);
-            let licensed_pair = (node.kind == COMBINE || node.kind == SORT)
-                && node.stages.len() == 2
-                && first.is_some_and(|sort| sort.fold_pair.is_some());
-            let licensed_count_order = node.kind == COMBINE
-                && node.stages.len() == 3
-                && first.is_some_and(|sort| sort.count_order.is_some());
-            if node.stages.len() > 1
-                && node.kind != NodeKind::StageWorker
-                && !licensed_pair
-                && !licensed_count_order
-            {
+            let pair = first.and_then(|sort| sort.fold_pair);
+            let licensed = match (node.kind, node.stages.len()) {
+                (NodeKind::StageWorker { .. }, _) | (_, 0 | 1) => true,
+                (
+                    NodeKind::Fold {
+                        by: FoldBy::Merge { count: None, .. },
+                        ..
+                    },
+                    2,
+                ) => pair.is_some(),
+                (
+                    NodeKind::Fold {
+                        map: NodeMap::Counted,
+                        by: FoldBy::Merge { count: Some(_), .. },
+                    },
+                    3,
+                ) => first.is_some_and(|sort| sort.count_order.is_some()),
+                _ => false,
+            };
+            if !licensed {
                 fusion.push(format!(
                     "node {i} ({:?}) spans stages {:?}; only fused StageWorker runs, the \
-                     combine fold of a licensed sort | uniq pair and that of a counting pair \
+                     merge fold of a licensed sort | uniq pair and that of a counting pair \
                      licensed to close in count order may span more than one stage",
                     node.kind, node.stages
                 ));
             }
-            let sorts = first.is_some_and(|sort| {
-                sort.sorting && sort.fold_pair != Some(crate::lattice::FoldPair::Counting)
-            });
-            if node.kind == SORT && !sorts {
-                fusion.push(format!(
-                    "node {i} is a sorting fold over stages {:?}, whose first stage the plan \
-                     does not license to fold raw chunks",
-                    node.stages
-                ));
+            if let NodeKind::Fold {
+                map: map @ (NodeMap::Raw | NodeMap::Counted),
+                by: FoldBy::Merge { .. },
+            } = node.kind
+            {
+                let sorts = first.is_some_and(|sort| sort.sorting);
+                let counts = pair == Some(FoldPair::Counting);
+                let (holds, what) = match map {
+                    NodeMap::Raw => (sorts && !counts, "fold raw chunks"),
+                    _ => (counts, "count its chunks"),
+                };
+                if !holds {
+                    fusion.push(format!(
+                        "node {i} is a merge fold over stages {:?}, whose first stage the \
+                         plan does not license to {what}",
+                        node.stages
+                    ));
+                }
             }
             for idx in node.stages.clone() {
                 // A range past the plan is reported below, once.
@@ -579,9 +568,9 @@ impl DataflowGraph {
                 };
                 let heads = idx == node.stages.start;
                 let legal = match node.kind {
-                    NodeKind::StageWorker => stage.streamable || (heads && stage.seam),
-                    NodeKind::Fold { .. } => node.stages.len() == 1 || !stage.seam,
-                    _ => !stage.seam,
+                    NodeKind::StageWorker { seam: true } if heads => stage.seam,
+                    NodeKind::StageWorker { .. } => stage.streamable,
+                    _ => node.stages.len() == 1 || !stage.seam,
                 };
                 if !legal {
                     fusion.push(format!(
@@ -589,7 +578,9 @@ impl DataflowGraph {
                         node.kind,
                         node.stages,
                         if stage.seam {
-                            "a seam stage: it may only head a StageWorker"
+                            "a seam stage: it may only head a StageWorker that strips its seam"
+                        } else if heads && node.kind == (NodeKind::StageWorker { seam: true }) {
+                            "no seam stage"
                         } else {
                             "not chunk-local"
                         }
@@ -603,40 +594,11 @@ impl DataflowGraph {
                 "graph covers stages 0..{cursor} but the statement has {n_stages} stage(s)"
             ));
         }
-        let mut canonical = self.clone();
-        canonical.compute_eager_flush();
-        for (i, (have, want)) in self.nodes.iter().zip(&canonical.nodes).enumerate() {
-            if have.eager_flush != want.eager_flush {
-                structure.push(format!(
-                    "node {i} has eager_flush={} but demand propagation requires {}",
-                    have.eager_flush, want.eager_flush
-                ));
-            }
-        }
-        let credit = (queue_seed == 0 && self.nodes.len() > 1).then(|| {
-            "queue credit is 0: no edge can carry a chunk, so every fold deadlocks".to_owned()
-        });
         let tag = |fault| move |problem| (fault, problem);
         let structure = structure.into_iter().map(tag(GraphFault::Structure));
-        let fusion = fusion.into_iter().map(tag(GraphFault::Fusion));
         structure
-            .chain(fusion)
-            .chain(credit.map(tag(GraphFault::Credit)))
+            .chain(fusion.into_iter().map(tag(GraphFault::Fusion)))
             .collect()
-    }
-
-    /// Recomputes [`DataflowNode::eager_flush`] right-to-left: a node
-    /// flushes eagerly when its successor is a bounded consumer, or is a
-    /// chunk-local node that itself flushes eagerly. Folds need their whole
-    /// input regardless, so the propagation stops there.
-    fn compute_eager_flush(&mut self) {
-        for i in (0..self.nodes.len().saturating_sub(1)).rev() {
-            self.nodes[i].eager_flush = match self.nodes[i + 1].kind {
-                NodeKind::BoundedConsumer { .. } => true,
-                NodeKind::StageWorker => self.nodes[i + 1].eager_flush,
-                NodeKind::Fold { .. } | NodeKind::Split => false,
-            };
-        }
     }
 }
 
@@ -669,12 +631,44 @@ mod tests {
             .remove(0)
     }
 
-    fn graph(script_text: &str, fuse: bool) -> DataflowGraph {
-        DataflowGraph::build(&planned(script_text), fuse)
+    fn graph(script_text: &str, rewrite: bool) -> DataflowGraph {
+        DataflowGraph::build(&planned(script_text), rewrite)
     }
 
     fn shape(g: &DataflowGraph) -> Vec<(NodeKind, Range<usize>)> {
         g.nodes.iter().map(|n| (n.kind, n.stages.clone())).collect()
+    }
+
+    const RERUN: NodeKind = NodeKind::Fold {
+        map: NodeMap::Raw,
+        by: FoldBy::Rerun { bound: None },
+    };
+    const WORKER: NodeKind = NodeKind::StageWorker { seam: false };
+    const SEAM: NodeKind = NodeKind::StageWorker { seam: true };
+    const COMBINE: NodeKind = NodeKind::Fold {
+        map: NodeMap::Chain,
+        by: FoldBy::Combiner,
+    };
+
+    /// A fold whose map hands chunks on raw into a merge: a sorting fold.
+    fn sorts(kind: NodeKind) -> bool {
+        matches!(
+            kind,
+            NodeKind::Fold {
+                map: NodeMap::Raw,
+                by: FoldBy::Merge { .. }
+            }
+        )
+    }
+
+    /// A sorting fold under `order`.
+    fn sorting(order: &[&str]) -> NodeKind {
+        let flags: Vec<String> = order.iter().map(|f| f.to_string()).collect();
+        let order = LineOrder::parse(&flags).unwrap();
+        NodeKind::Fold {
+            map: NodeMap::Raw,
+            by: FoldBy::Merge { order, count: None },
+        }
     }
 
     #[test]
@@ -691,45 +685,44 @@ mod tests {
             shape(&g),
             vec![
                 (NodeKind::Split, 0..0),
-                (NodeKind::StageWorker, 0..1),
-                (NodeKind::StageWorker, 1..3),
-                (NodeKind::StageWorker, 3..5),
-                (SORT, 5..6),
+                (WORKER, 0..1),
+                (SEAM, 1..3),
+                (SEAM, 3..5),
+                (sorting(&[]), 5..6),
             ]
         );
-        let heads: Vec<bool> = g.nodes.iter().map(|n| n.heads_seam(&p)).collect();
-        assert_eq!(heads, [false, false, true, true, false]);
-        assert!(g.validate(&p, 8).is_empty());
-        // The switch that builds no rewrite keeps the gather folds.
+        assert!(g.validate(&p).is_empty());
+        // The switch that builds no rewrite keeps the rerun folds.
         let unfused = DataflowGraph::build(&p, false);
-        assert_eq!(unfused.nodes[2].kind, GATHER);
-        assert_eq!(unfused.nodes[4].kind, GATHER);
-        assert!(unfused.nodes.iter().all(|n| !n.heads_seam(&p)));
-        assert!(unfused.validate(&p, 8).is_empty());
-        // A squeeze the lattice refuses stays a gather fold, and so does
+        assert_eq!(unfused.nodes[2].kind, RERUN);
+        assert_eq!(unfused.nodes[4].kind, RERUN);
+        assert!(unfused.nodes.iter().all(|n| n.kind != SEAM));
+        assert!(unfused.validate(&p).is_empty());
+        // A squeeze the lattice refuses stays a rerun fold, and so does
         // any other sequential stage.
         for text in [
             "cat /in.txt | tr -s '\\n' ' ' | sort",
             "cat /in.txt | sed 1d | sort",
         ] {
-            assert_eq!(graph(text, true).nodes[1].kind, GATHER, "{text}");
+            assert_eq!(graph(text, true).nodes[1].kind, RERUN, "{text}");
         }
-        // A bounded consumer behind a seam node demands eager flushes
+        // A bounded fold behind a seam node demands eager flushes
         // through it.
         let g = graph("cat /in.txt | tr -cs A-Za-z '\\n' | head -n 3", true);
-        assert_eq!(g.nodes[1].kind, NodeKind::StageWorker);
-        assert!(g.nodes[0].eager_flush && g.nodes[1].eager_flush);
+        assert_eq!(g.nodes[1].kind, SEAM);
+        assert_eq!(g.eager_flush()[..2], [true, true]);
     }
 
     #[test]
     fn validate_admits_a_seam_stage_only_at_the_head_of_a_worker() {
         let text = "cat /in.txt | grep o | tr -cs A-Za-z '\\n' | tr A-Z a-z | sort";
         let p = planned(text);
-        let misplaced = |g: &DataflowGraph| {
-            g.validate(&p, 8)
+        let finds = |g: &DataflowGraph, what: &str| {
+            g.validate(&p)
                 .iter()
-                .any(|(_, problem)| problem.contains("a seam stage"))
+                .any(|(_, problem)| problem.contains(what))
         };
+        let misplaced = |g: &DataflowGraph| finds(g, "a seam stage");
         let built = DataflowGraph::build(&p, true);
         assert!(!misplaced(&built));
         // Fused into its predecessor: the seam stage is stage 1 of 0..3.
@@ -742,14 +735,19 @@ mod tests {
         g.nodes[2].stages.end = g.nodes[3].stages.end;
         g.nodes.remove(3);
         assert!(misplaced(&g));
+        // At the head of a worker that does not strip its seam.
+        let mut g = built.clone();
+        g.nodes[2].kind = WORKER;
+        assert!(misplaced(&g));
+        // A worker that strips a seam its head stage does not have.
+        let mut g = built.clone();
+        g.nodes[1].kind = SEAM;
+        assert!(finds(&g, "no seam stage"));
         // A stage that is neither chunk-local nor a seam, in a worker.
         let mut g = built.clone();
         let sort = g.nodes.len() - 1;
-        g.nodes[sort].kind = NodeKind::StageWorker;
-        assert!(g
-            .validate(&p, 8)
-            .iter()
-            .any(|(_, problem)| problem.contains("not chunk-local")));
+        g.nodes[sort].kind = WORKER;
+        assert!(finds(&g, "not chunk-local"));
     }
 
     #[test]
@@ -758,17 +756,24 @@ mod tests {
         // `uniq` of the first pair, and `sort -rn` has no `uniq` after it.
         let text = "cat /in.txt | sort -r | uniq | sort -f | uniq -c | sort -rn";
         let p = planned(text);
+        let g = DataflowGraph::build(&p, true);
+        let ranges: Vec<Range<usize>> = g.nodes.iter().map(|n| n.stages.clone()).collect();
+        assert_eq!(ranges, [0..0, 0..2, 2..4, 4..5]);
+        // The unique pair, and the last sort, sort raw chunks too (the
+        // pair under `-u`); the counting pair keeps its counting map.
+        assert_eq!(g.nodes[1].kind, sorting(&["-r", "-u"]));
+        let counted = LineOrder::parse(&["-f".to_owned()]).unwrap().counted();
         assert_eq!(
-            shape(&DataflowGraph::build(&p, true)),
-            vec![
-                (NodeKind::Split, 0..0),
-                // The unique pair, and the last sort, sort raw chunks too;
-                // the counting pair keeps its counting map.
-                (SORT, 0..2),
-                (COMBINE, 2..4),
-                (SORT, 4..5),
-            ]
+            g.nodes[2].kind,
+            NodeKind::Fold {
+                map: NodeMap::Counted,
+                by: FoldBy::Merge {
+                    order: counted,
+                    count: None
+                },
+            }
         );
+        assert_eq!(g.nodes[3].kind, sorting(&["-rn"]));
         // The switch that leaves chunk-local stages unfused leaves these
         // alone too: one node per stage.
         let unfused = DataflowGraph::build(&p, false);
@@ -795,33 +800,43 @@ mod tests {
 
     #[test]
     fn sorting_rewrite_marks_exactly_the_licensed_sorts() {
-        let kinds = |text: &str, fuse: bool| -> Vec<NodeKind> {
-            graph(text, fuse).nodes.iter().map(|n| n.kind).collect()
+        let kinds = |text: &str, rewrite: bool| -> Vec<NodeKind> {
+            graph(text, rewrite).nodes.iter().map(|n| n.kind).collect()
         };
         let split = NodeKind::Split;
         // Plain, unique, numeric, reversed, folded and field-keyed sorts;
         // the counting pair keeps its map.
-        for text in [
-            "cat /in.txt | sort",
-            "cat /in.txt | sort -u",
-            "cat /in.txt | sort -rn",
-            "cat /in.txt | sort -fu",
-            "cat /in.txt | sort -k1n",
-            "cat /in.txt | sort --parallel=1",
+        for (text, order) in [
+            ("cat /in.txt | sort", &[][..]),
+            ("cat /in.txt | sort -u", &["-u"][..]),
+            ("cat /in.txt | sort -rn", &["-rn"][..]),
+            ("cat /in.txt | sort -fu", &["-fu"][..]),
+            ("cat /in.txt | sort -k1n", &["-k1n"][..]),
+            ("cat /in.txt | sort --parallel=1", &[][..]),
         ] {
-            assert_eq!(kinds(text, true), [split, SORT], "{text}");
+            assert_eq!(kinds(text, true), [split, sorting(order)], "{text}");
             // `--no-opt` builds none of it.
             assert_eq!(kinds(text, false), [split, COMBINE], "{text}");
         }
+        let counting = kinds("cat /in.txt | sort | uniq -c", true);
+        assert!(matches!(
+            counting[..],
+            [
+                NodeKind::Split,
+                NodeKind::Fold {
+                    map: NodeMap::Counted,
+                    ..
+                }
+            ]
+        ));
         assert_eq!(
-            kinds("cat /in.txt | sort | uniq -c", true),
-            [split, COMBINE]
+            kinds("cat /in.txt | sort -r | uniq", true),
+            [split, sorting(&["-r", "-u"])]
         );
-        assert_eq!(kinds("cat /in.txt | sort -r | uniq", true), [split, SORT]);
         // A merge, and a sort of a named stream besides its input, are not
         // sorts of their input chunks.
         for text in ["cat /in.txt | sort -m", "cat /in.txt | sort - /in.txt"] {
-            assert!(!kinds(text, true).contains(&SORT), "{text}");
+            assert!(!kinds(text, true).into_iter().any(sorts), "{text}");
         }
         // Every graph the rewrite builds is valid; a sorting fold the plan
         // does not license is not.
@@ -830,12 +845,12 @@ mod tests {
             "cat /in.txt | sort -m",
         ] {
             let p = planned(text);
-            assert!(DataflowGraph::build(&p, true).validate(&p, 8).is_empty());
+            assert!(DataflowGraph::build(&p, true).validate(&p).is_empty());
             let mut g = DataflowGraph::build(&p, false);
             for node in &mut g.nodes[1..] {
-                node.kind = SORT;
+                node.kind = sorting(&[]);
             }
-            let refused = g.validate(&p, 8);
+            let refused = g.validate(&p);
             assert!(
                 refused.iter().any(|(_, p)| p.contains("does not license")),
                 "{text}: {refused:?}"
@@ -843,11 +858,26 @@ mod tests {
         }
         let p = planned("cat /in.txt | sort | uniq -c");
         let mut g = DataflowGraph::build(&p, true);
-        g.nodes[1].kind = SORT;
+        g.nodes[1].kind = sorting(&[]);
         assert!(g
-            .validate(&p, 8)
+            .validate(&p)
             .iter()
-            .any(|(_, p)| p.contains("sorting fold over stages 0..2")));
+            .any(|(_, p)| p.contains("merge fold over stages 0..2")
+                && p.contains("to fold raw chunks")));
+        // Nor does it license anything but a counting pair to count.
+        let p = planned("cat /in.txt | sort -r | uniq");
+        let mut g = DataflowGraph::build(&p, true);
+        g.nodes[1].kind = NodeKind::Fold {
+            map: NodeMap::Counted,
+            by: FoldBy::Merge {
+                order: LineOrder::parse(&[]).unwrap().counted(),
+                count: None,
+            },
+        };
+        assert!(g
+            .validate(&p)
+            .iter()
+            .any(|(_, p)| p.contains("to count its chunks")));
     }
 
     #[test]
@@ -860,27 +890,34 @@ mod tests {
         assert_eq!(g.nodes.len(), 5);
         assert!(g.nodes[1..4]
             .iter()
-            .all(|n| n.kind == NodeKind::StageWorker && n.stages.len() == 1));
+            .all(|n| n.kind == WORKER && n.stages.len() == 1));
     }
 
     #[test]
     fn fusion_rewrite_merges_maximal_streamable_runs() {
-        let p = planned("cat /in.txt | grep o | tr A-Z a-z | cut -c 1-5 | sort");
-        let mut g = DataflowGraph::build(&p, false);
-        g.fuse_streamable(&p);
+        let g = graph(
+            "cat /in.txt | grep o | tr A-Z a-z | cut -c 1-5 | sort",
+            true,
+        );
         let workers: Vec<Range<usize>> = g
             .nodes
             .iter()
-            .filter(|n| n.kind == NodeKind::StageWorker)
+            .filter(|n| n.kind == WORKER)
             .map(|n| n.stages.clone())
             .collect();
         assert_eq!(workers, vec![0..3], "three chunk-local stages fuse");
     }
 
     #[test]
-    fn bounded_stage_becomes_bounded_consumer_node() {
+    fn bounded_stage_becomes_bounded_rerun_fold() {
         let g = graph("cat /in.txt | grep fox | head -n 2 | grep o", true);
-        assert_eq!(g.nodes[2].kind, NodeKind::BoundedConsumer { lines: 2 });
+        assert_eq!(
+            g.nodes[2].kind,
+            NodeKind::Fold {
+                map: NodeMap::Raw,
+                by: FoldBy::Rerun { bound: Some(2) }
+            }
+        );
         // A bounded node never fuses into a neighboring streamable run.
         assert_eq!(g.nodes.len(), 4);
     }
@@ -889,21 +926,21 @@ mod tests {
     fn validate_accepts_built_graphs_and_rejects_broken_ones() {
         let script = "cat /in.txt | grep fox | tr A-Z a-z | sort | head -n 2";
         let plan = planned(script);
-        let finds = |g: &DataflowGraph, plan: &PlannedStatement, seed: usize, want, text| {
-            g.validate(plan, seed)
+        let finds = |g: &DataflowGraph, plan: &PlannedStatement, want, text| {
+            g.validate(plan)
                 .iter()
                 .any(|(fault, p)| *fault == want && p.contains(text))
         };
-        for fuse in [false, true] {
-            let g = graph(script, fuse);
-            assert!(g.validate(&plan, 8).is_empty());
+        for rewrite in [false, true] {
+            let g = graph(script, rewrite);
+            assert!(g.validate(&plan).is_empty());
         }
 
         let mut g = graph(script, true);
         // A gap in the stage partition.
         let last = g.nodes.len() - 1;
         g.nodes[last].stages.start += 1;
-        assert!(finds(&g, &plan, 8, GraphFault::Structure, "previous node"));
+        assert!(finds(&g, &plan, GraphFault::Structure, "previous node"));
 
         // A fold pretending to span a fused run.
         let mut g = graph(script, true);
@@ -917,30 +954,14 @@ mod tests {
         assert!(finds(
             &g,
             &plan,
-            8,
             GraphFault::Fusion,
             "span more than one stage"
         ));
 
-        // A stale eager_flush flag after a rewrite.
-        let mut g = graph(script, true);
-        g.nodes[0].eager_flush = !g.nodes[0].eager_flush;
-        assert!(finds(&g, &plan, 8, GraphFault::Structure, "eager_flush"));
-
-        // Zero queue credit deadlocks every fold.
-        let g = graph(script, true);
-        assert!(finds(&g, &plan, 0, GraphFault::Credit, "queue credit"));
-
         // Wrong stage count.
         let g = graph(script, true);
         let longer = planned("cat /in.txt | grep fox | tr A-Z a-z | sort | head -n 2 | wc -l");
-        assert!(finds(
-            &g,
-            &longer,
-            8,
-            GraphFault::Structure,
-            "has 5 stage(s)"
-        ));
+        assert!(finds(&g, &longer, GraphFault::Structure, "has 5 stage(s)"));
     }
 
     #[test]
@@ -948,49 +969,77 @@ mod tests {
         let text = "cat /in.txt | tr A-Z a-z | sort | uniq -c | sort -rn | wc -l";
         let plan = planned(text);
         let spans_too_much = |plan: &PlannedStatement, g: &DataflowGraph| {
-            g.validate(plan, 8)
+            g.validate(plan)
                 .iter()
                 .any(|(_, p)| p.contains("span more than one stage"))
         };
         let built = DataflowGraph::build(&plan, true);
-        assert_eq!(shape(&built)[2], (COMBINE, 1..4));
-        assert!(built.validate(&plan, 8).is_empty());
+        let counted = LineOrder::parse(&[]).unwrap().counted();
+        let pair = |count| NodeKind::Fold {
+            map: NodeMap::Counted,
+            by: FoldBy::Merge {
+                order: counted,
+                count,
+            },
+        };
+        let count_order = plan.stages[1].count_order;
+        assert!(count_order.is_some());
+        assert_eq!(shape(&built)[2], (pair(count_order), 1..4));
+        assert!(built.validate(&plan).is_empty());
         // The pair alone, its count order left to a fold of its own.
         let unfused = DataflowGraph::build(&plan, false);
         let mut g = unfused.clone();
         g.nodes[2].stages.end += 1;
+        g.nodes[2].kind = pair(None);
         g.nodes.remove(3);
-        assert_eq!(shape(&g)[2], (COMBINE, 1..3));
-        assert!(g.validate(&plan, 8).is_empty());
+        assert_eq!(shape(&g)[2], (pair(None), 1..3));
+        assert!(g.validate(&plan).is_empty());
         // The same fold one stage further on: `uniq -c | sort -rn` is not
         // a pair anyone licensed.
         let mut g = unfused.clone();
         g.nodes[3].stages.end += 1;
+        g.nodes[3].kind = pair(None);
         g.nodes.remove(4);
-        assert_eq!(shape(&g)[3], (COMBINE, 2..4));
+        assert_eq!(shape(&g)[3], (pair(None), 2..4));
         assert!(spans_too_much(&plan, &g));
         // The count-order fold with a fourth stage swallowed.
         let mut g = built.clone();
         g.nodes[2].stages.end += 1;
         g.nodes.remove(3);
-        assert_eq!(shape(&g)[2], (COMBINE, 1..5));
+        assert_eq!(shape(&g)[2], (pair(count_order), 1..5));
         assert!(spans_too_much(&plan, &g));
-        // A gather or sorting fold over the licensed stages.
-        for mode in [FoldMode::Gather, FoldMode::Sort] {
+        // A rerun or sorting fold over the licensed stages, and a counting
+        // fold over them that does not close in count order.
+        let count = count_order.unwrap();
+        for kind in [
+            RERUN,
+            NodeKind::Fold {
+                map: NodeMap::Raw,
+                by: FoldBy::Merge {
+                    order: counted,
+                    count: Some(count),
+                },
+            },
+            pair(None),
+        ] {
             let mut g = built.clone();
-            g.nodes[2].kind = NodeKind::Fold { mode };
-            assert!(spans_too_much(&plan, &g), "{mode:?}");
+            g.nodes[2].kind = kind;
+            assert!(spans_too_much(&plan, &g), "{kind:?}");
         }
         // Three stages over a counting pair with no count order.
         let refused = planned("cat /in.txt | sort | uniq -c | sort -rnf");
         let g = DataflowGraph::build(&refused, true);
         assert_eq!(
             shape(&g),
-            [(NodeKind::Split, 0..0), (COMBINE, 0..2), (SORT, 2..3)]
+            [
+                (NodeKind::Split, 0..0),
+                (pair(None), 0..2),
+                (sorting(&["-rnf"]), 2..3)
+            ]
         );
         let mut g = g.clone();
         g.nodes[1].stages.end += 1;
-        g.nodes[1].kind = COMBINE;
+        g.nodes[1].kind = pair(Some(count));
         g.nodes.remove(2);
         assert!(spans_too_much(&refused, &g));
     }
@@ -999,15 +1048,9 @@ mod tests {
     fn eager_flush_propagates_through_chunk_local_nodes_only() {
         let g = graph("cat /in.txt | grep fox | grep o | head -n 1", false);
         // Split, grep, grep, head: both greps and the split flush eagerly.
-        assert_eq!(
-            g.nodes.iter().map(|n| n.eager_flush).collect::<Vec<_>>(),
-            vec![true, true, true, false]
-        );
+        assert_eq!(g.eager_flush(), vec![true, true, true, false]);
         let g = graph("cat /in.txt | sort | head -n 1", true);
         // The fold blocks the propagation: split need not flush eagerly.
-        assert_eq!(
-            g.nodes.iter().map(|n| n.eager_flush).collect::<Vec<_>>(),
-            vec![false, true, false]
-        );
+        assert_eq!(g.eager_flush(), vec![false, true, false]);
     }
 }

@@ -41,10 +41,12 @@
 //! The dataflow executor builds each statement's plan into a graph IR
 //! ([`dataflow`]) — one node per stage, by its plan: chunk-local,
 //! barrier, sequential or prefix-bounded — and executes it with a shared
-//! scheduler ([`scheduler`]). Four rewrites of that graph go beyond the
-//! per-stage modes, each where the plan's licence flags say so (they are
-//! set in one place, [`plan::PlannedStatement::new`]), all switched off
-//! together (`fuse_streamable: false`, `--no-opt`): adjacent chunk-local stages
+//! scheduler ([`scheduler`]). Each node says what it maps and what it
+//! folds by, decided in one pass over the plan's licence flags (set in one
+//! place, [`plan::PlannedStatement::new`]), so the scheduler derives
+//! nothing again. Four rewrites in that pass go beyond the per-stage
+//! modes, all switched off together (`fuse_streamable: false`,
+//! `--no-opt`): adjacent chunk-local stages
 //! fuse into one node, a `sort | uniq [-c]` pair of barrier stages that
 //! [`lattice::fold_pair`] licenses becomes one counting fold (see
 //! "Counting rewrite" in [`dataflow`]) — which takes in the numeric `sort`
@@ -265,7 +267,7 @@ pub mod plan;
 pub mod scheduler;
 
 pub use cache::{cache_key, CacheStats, CombinerCache};
-pub use dataflow::{DataflowGraph, DataflowNode, FoldMode, GraphFault, NodeKind};
+pub use dataflow::{DataflowGraph, DataflowNode, FoldBy, GraphFault, NodeKind, NodeMap};
 pub use exec::{
     EarlyExit, ExecutionResult, QueueTelemetry, SpillTelemetry, StageTiming, TimingLog,
 };

@@ -100,13 +100,13 @@ pub struct PlannedStage {
     /// `uniq -c` do not and must barrier). Always `false` for sequential
     /// stages.
     pub streamable: bool,
-    /// Prefix bound ([`line_bound`]): `Some(k)` when the
-    /// stage's output depends only on the first `k` complete lines of its
-    /// input (`head -n k`, `sed kq`). Such a stage is a *bounded
-    /// consumer*: the executor runs it as a
-    /// [`NodeKind::BoundedConsumer`](crate::dataflow::NodeKind::BoundedConsumer)
-    /// node that stops demanding input — and cancels everything upstream —
-    /// the moment `k` lines exist.
+    /// Prefix bound: `Some(k)` when the stage's output depends only on the
+    /// first `k` complete lines of its input (`head -n k`, `sed kq`), and
+    /// no stage since the last barrier before it decodes its input (see
+    /// `license`). The executor runs such a stage as a bounded `rerun`
+    /// fold ([`FoldBy::Rerun`](crate::dataflow::FoldBy::Rerun)) that stops
+    /// demanding input — and cancels everything upstream — the moment `k`
+    /// lines exist.
     /// Independent of the sequential/parallel mode decision: running the
     /// command once on a `k`-line prefix is exact under either plan.
     pub line_bound: Option<usize>,
@@ -309,6 +309,16 @@ impl Evidence {
 /// lattice about the commands only where the evidence holds what the
 /// rewrite needs:
 ///
+/// * a prefix bound comes from the parsed command itself (exact, never
+///   widened: a stage with a file operand reads no stdin and reports no
+///   bound), and holds only while no stage since the last *barrier*
+///   before it decodes its input ([`Command::decodes`]): cancelling such
+///   a stage would skip bytes the serial run reads, and fails on. A
+///   barrier is a stage that is neither chunk-local, nor a seam, nor
+///   bounded itself: a fold in the rewritten and the unrewritten graph
+///   alike, which reads all its input before it emits — so every stage
+///   before it has passed or failed before the bound can fire. Bounds are
+///   set in stage order, after the seams they read;
 /// * a seam needs a `rerun` combiner, whatever the stage's mode;
 /// * a fold pair needs both stages parallel and the sort's combiner a
 ///   `merge`;
@@ -323,10 +333,18 @@ fn license(statement: &Statement, evidence: &[Evidence], stages: &mut [PlannedSt
     let at = |i: usize| evidence.get(i).copied().unwrap_or_default();
     let merges = |i: usize| at(i).parallel && at(i).merge_order.is_some();
     for (i, stage) in stages.iter_mut().enumerate() {
-        stage.line_bound = line_bound(statement, i);
         stage.seam = at(i).rerun && lattice::newline_seam(command(i));
         if merges(i) && at(i + 1).parallel {
             stage.fold_pair = lattice::fold_pair(command(i), command(i + 1));
+        }
+    }
+    for i in 0..stages.len() {
+        let barrier = stages[..i]
+            .iter()
+            .rposition(|s| !s.streamable && !s.seam && s.line_bound.is_none());
+        let since = barrier.map_or(0, |b| b + 1)..i;
+        if !statement.stages[since].iter().any(|s| s.command.decodes()) {
+            stages[i].line_bound = kq_synth::prefix_bound(command(i));
         }
     }
     for i in 0..stages.len() {
@@ -376,20 +394,6 @@ impl PlannedScript {
 
 /// Bytes of the script's input that [`planning_sample`] hands the planner.
 const PLANNING_SAMPLE_BYTES: usize = 64 * 1024;
-
-/// The prefix bound of stage `idx` ([`PlannedStage::line_bound`]). The
-/// early-exit contract comes from the parsed command itself (exact, never
-/// widened: a stage with a file operand reads no stdin and reports no
-/// bound), and holds only while no earlier stage decodes its input
-/// ([`Command::decodes`]): cancelling that stage would skip bytes the
-/// serial run reads, and fails on, so the stage reads to end-of-input.
-pub fn line_bound(statement: &Statement, idx: usize) -> Option<usize> {
-    let stages = &statement.stages;
-    if stages[..idx].iter().any(|stage| stage.command.decodes()) {
-        return None;
-    }
-    kq_synth::prefix_bound(&stages[idx].command)
-}
 
 /// The sample [`Planner::plan`] probes a script's commands on: the first
 /// 64 KiB of the first input file any statement reads,
@@ -1063,7 +1067,7 @@ fn sample_fingerprint(sample: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataflow::{DataflowGraph, FoldMode, NodeKind};
+    use crate::dataflow::{DataflowGraph, FoldBy, NodeKind, NodeMap};
     use crate::parse::parse_script;
     use std::collections::HashMap as Map;
 
@@ -1474,26 +1478,27 @@ mod tests {
 
     #[test]
     fn graph_fuses_streamable_runs_and_isolates_barriers() {
-        let (planned, _) =
-            plan("cat $IN | tr -cs A-Za-z '\\n' | tr A-Z a-z | grep o | sort | uniq -c | sort -rn");
+        // No stage here licenses a rewrite but fusion.
+        let (planned, _) = plan("cat $IN | sed 1d | tr A-Z a-z | grep o | uniq | uniq -c | wc -l");
         let st = &planned.statements[0];
-        // The fusion rewrite alone, without the seam and fold rewrites.
-        let mut graph = DataflowGraph::build(st, false);
-        graph.fuse_streamable(st);
-        let gather = NodeKind::Fold {
-            mode: FoldMode::Gather,
+        let graph = DataflowGraph::build(st, true);
+        let rerun = NodeKind::Fold {
+            map: NodeMap::Raw,
+            by: FoldBy::Rerun { bound: None },
         };
         let combine = NodeKind::Fold {
-            mode: FoldMode::Combine,
+            map: NodeMap::Chain,
+            by: FoldBy::Combiner,
         };
+        let worker = NodeKind::StageWorker { seam: false };
         assert_eq!(
             shape(&graph),
             vec![
-                (gather, 0..1),                // tr -cs (rerun, no shrink)
-                (NodeKind::StageWorker, 1..3), // tr | grep fused
-                (combine, 3..4),               // sort
-                (combine, 4..5),               // uniq -c
-                (combine, 5..6),               // sort -rn
+                (rerun, 0..1),   // sed 1d (sequential)
+                (worker, 1..3),  // tr | grep fused
+                (combine, 3..4), // uniq
+                (combine, 4..5), // uniq -c
+                (combine, 5..6), // wc -l
             ]
         );
         // Unfused: one node per stage.
@@ -1515,26 +1520,60 @@ mod tests {
         assert_eq!(planned.statements[0].stages[0].line_bound, None);
         let (planned, _) = plan("cat $IN | tail -n 1");
         assert_eq!(planned.statements[0].stages[0].line_bound, None);
+        // Behind a stage that decodes, a bound holds only past a barrier:
+        // a fold that reads all its input before the bound can fire. A
+        // chunk-local stage, a seam stage or a bounded stage is none.
+        let bounds = |text: &str| -> Vec<Option<usize>> {
+            let (planned, _) = plan(text);
+            planned.statements[0]
+                .stages
+                .iter()
+                .map(|s| s.line_bound)
+                .collect()
+        };
+        assert_eq!(bounds("cat $IN | sed s/o/0/ | head -n 3"), [None, None]);
+        assert_eq!(
+            bounds("cat $IN | sed s/o/0/ | sort | head -n 3"),
+            [None, None, Some(3)]
+        );
+        assert_eq!(
+            bounds("cat $IN | sort | sed s/o/0/ | head -n 3"),
+            [None, None, None]
+        );
+        assert_eq!(
+            bounds("cat $IN | sed s/o/0/ | tr -cs A-Za-z '\\n' | sed 2q"),
+            [None, None, None]
+        );
+        // An unbounded `head` is a fold like any other.
+        assert_eq!(
+            bounds("cat $IN | sed s/o/0/ | head -n 5 | grep o | head -n 2"),
+            [None, None, None, Some(2)]
+        );
+        assert_eq!(
+            bounds("cat $IN | head -n 5 | sed s/o/0/ | head -n 2"),
+            [Some(5), None, None]
+        );
     }
 
     #[test]
     fn bounded_stages_form_their_own_graph_node_in_any_mode() {
         // head -n 1 plans parallel (First combiner); sed 100q plans with a
-        // rerun combiner — both must become bounded consumers regardless.
+        // rerun combiner — both must become bounded rerun folds regardless.
         let graph = |text: &str| {
             let (planned, _) = plan(text);
             shape(&DataflowGraph::build(&planned.statements[0], true))
         };
+        let bounded = |k| NodeKind::Fold {
+            map: NodeMap::Raw,
+            by: FoldBy::Rerun { bound: Some(k) },
+        };
         let nodes = graph("cat $IN | grep fox | head -n 1");
-        assert_eq!(
-            nodes.last().map(|n| n.0),
-            Some(NodeKind::BoundedConsumer { lines: 1 })
-        );
+        assert_eq!(nodes.last().map(|n| n.0), Some(bounded(1)));
         let nodes = graph("cat $IN | sed 100q | sort");
-        assert_eq!(nodes[0], (NodeKind::BoundedConsumer { lines: 100 }, 0..1));
+        assert_eq!(nodes[0], (bounded(100), 0..1));
         // A bounded stage never fuses into a neighboring streamable run.
         let nodes = graph("cat $IN | grep fox | head -n 2 | grep o");
         assert_eq!(nodes.len(), 3);
-        assert_eq!(nodes[1].0, NodeKind::BoundedConsumer { lines: 2 });
+        assert_eq!(nodes[1].0, bounded(2));
     }
 }

@@ -5,18 +5,20 @@
 //! statement, stage or fold. Each statement's plan becomes a [`DataflowGraph`]
 //! (see [`crate::dataflow`] for the node and edge semantics), and the unit
 //! of scheduling is a *task*: "make progress at node N of statement S" —
-//! process one chunk at a node (through the node's commands — at a
-//! counting fold, through the hash table of its counted line order, or
-//! through nothing when the table gives up; at a sorting fold and at a
-//! sequential or prefix-bounded stage, through nothing; behind a seam
-//! stage, with the seam's `'\n'` taken off first) and fold or forward it,
-//! make a run of a batch a fold sealed, finish a fold — run a `rerun`
-//! fold's command once, or merge one part of a closing merge — cut the
-//! next chunk at a split, emit the next chunk of a materialized output.
-//! Every node but the split runs the one loop of `node_task`: a
+//! process one chunk at a node (by the node's map: through its commands —
+//! behind a seam stage, with the seam's `'\n'` taken off first — through
+//! the hash table of its counted line order, or through nothing) and fold
+//! or forward it, make a run of a batch a fold sealed, finish a fold — run
+//! a `rerun` fold's command once, or merge one part of a closing merge —
+//! cut the next chunk at a split, emit the next chunk of a materialized
+//! output.
+//! Every node but the split runs the one loop of `node_task`, and every
+//! decision it acts on — the map, the fold, the bound — is read from the
+//! node's [`NodeKind`], which [`DataflowGraph::build`] made from the plan's
+//! licence flags; of the plan it reads only the combiner's members. A
 //! sequential stage is a `rerun` fold fed its chunks raw, and a bounded
-//! consumer the same fold, cancelling upstream once the lines it folded
-//! meet its bound.
+//! stage the same fold, cancelling upstream once the lines it folded meet
+//! its bound.
 //!
 //! # Scheduling
 //!
@@ -58,7 +60,7 @@
 //! producer claims new input only while its output edge is below the
 //! bound (in-flight results may overshoot it by the amount already
 //! claimed). Early exit is the graph teardown described in
-//! [`crate::dataflow`]: a satisfied bounded consumer cancels every node
+//! [`crate::dataflow`]: a satisfied bounded fold cancels every node
 //! above it and *drops chunks already queued on their edges*. Splits and
 //! emitters cut chunks lazily and trail a page-release hint behind their
 //! cursor, so mapped multi-GB inputs stream through at O(window) resident
@@ -82,20 +84,18 @@
 //! asserted by `tests/dataflow_differential.rs` and
 //! `tests/multi_statement_differential.rs`.
 
-use crate::dataflow::{DataflowGraph, DataflowNode, FoldMode, NodeKind};
+use crate::dataflow::{DataflowGraph, FoldBy, NodeKind, NodeMap};
 use crate::exec::{
     gather_files, run_chain, EarlyExit, ExecutionResult, QueueTelemetry, StageTiming, TimingLog,
 };
-use crate::lattice::FoldPair;
 use crate::parse::{InputSource, Script, Statement};
-use crate::plan::{PlannedScript, PlannedStatement, StageMode};
+use crate::plan::{PlannedScript, StageMode};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use kq_coreutils::sort::{CountOrder, LineOrder};
 use kq_coreutils::{CmdError, Command, ExecContext};
 use kq_dsl::ast::{Candidate, RunOp};
 use kq_dsl::eval::{CommandEnv, EvalError};
 use kq_dsl::kway::{IncrementalFold, Piece};
-use kq_stream::{Bytes, IncrementalChunker, Rope};
+use kq_stream::{next_chunk_end, Bytes, IncrementalChunker, Rope};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -143,15 +143,15 @@ pub struct DataflowOptions {
     /// Soft per-edge queue credit: a producer stops claiming input once
     /// its output edge holds that many chunks.
     pub queue: QueueCredit,
-    /// Apply the fusion rewrite ([`DataflowGraph::fuse_streamable`]).
-    /// `false` leaves every chunk-local stage as its own node — same
-    /// output, more edge hops; the differential suite uses it to stress
-    /// the scheduler harder.
+    /// Build the graph with the rewrites the plan licenses
+    /// ([`DataflowGraph::build`]). `false` (`--no-opt`) leaves every stage
+    /// its own node — same output, more edge hops; the differential suite
+    /// uses it to stress the scheduler harder.
     pub fuse_streamable: bool,
-    /// Spill policy for combine folds: when set, every `Fold(Combine)`
-    /// node derives a per-node [`SpillConfig`](kq_dsl::SpillConfig) from it
-    /// and writes sorted runs to disk once the resident run bytes would
-    /// cross the budget. `None` keeps every run on the heap (the default).
+    /// Spill policy for combine folds: when set, every fold by a combiner
+    /// or a merge derives a per-node [`SpillConfig`](kq_dsl::SpillConfig)
+    /// from it and writes sorted runs to disk once the resident run bytes
+    /// would cross the budget. `None` keeps every run on the heap (the default).
     pub spill: Option<kq_dsl::SpillPolicy>,
 }
 
@@ -272,16 +272,6 @@ impl Emit {
     }
 }
 
-/// The chunk-boundary rule shared with `kq_stream`'s splitter: extend to
-/// the next newline so every chunk is line-aligned.
-fn next_chunk_end(bytes: &[u8], start: usize, target: usize) -> usize {
-    let mut end = (start + target.max(1)).min(bytes.len());
-    while end < bytes.len() && bytes[end - 1] != b'\n' {
-        end += 1;
-    }
-    end
-}
-
 /// What a node is currently doing.
 #[derive(Default)]
 enum Phase<'a> {
@@ -346,19 +336,22 @@ struct NodeState<'a> {
     next_seq: usize,
     /// StageWorker: output re-normalization.
     chunker: Option<IncrementalChunker>,
-    /// Every node but the split and the stage workers: the incremental
-    /// fold — over the members of the stage's combiner at a
-    /// Fold(Combine/Sort), folding each pair by the first member whose
-    /// domain admits both; a `rerun` fold fed the raw chunks at a
-    /// Fold(Gather) or BoundedConsumer. It keeps no piece once combined.
+    /// StageWorker: demand propagation ([`DataflowGraph::eager_flush`]) —
+    /// complete lines ship at once.
+    eager_flush: bool,
+    /// Every fold: the incremental fold its [`FoldBy`] names — over the
+    /// members of the stage's combiner, folding each pair by the first
+    /// member whose domain admits both, by their own flags or under the
+    /// node's merge order; or a `rerun` fold fed the raw chunks. It keeps
+    /// no piece once combined.
     accum: Option<IncrementalFold<'a>>,
-    /// Fold(Combine/Sort): this node's spill counters (shared with
-    /// `accum`), snapshotted into the node's StageTiming after the run.
+    /// A fold by a combiner or a merge: this node's spill counters (shared
+    /// with `accum`), snapshotted into the node's StageTiming after the run.
     spill_metrics: Option<std::sync::Arc<kq_dsl::SpillMetrics>>,
-    /// BoundedConsumer: complete lines folded so far; chunks integrated
+    /// A bounded fold: complete lines folded so far; chunks integrated
     /// past the bound are dropped.
     seen_lines: usize,
-    /// BoundedConsumer: input chunks folded.
+    /// A bounded fold: input chunks folded.
     chunks_consumed: usize,
     early_exit: Option<EarlyExit>,
     // Timing fields, snapshotted into a StageTiming after the run.
@@ -377,8 +370,6 @@ struct StmtRt<'a> {
     graph: DataflowGraph,
     /// Command chain per node (empty for the split node).
     chains: Vec<Vec<&'a Command>>,
-    /// Per node: what a map task does with a chunk.
-    maps: Vec<NodeMap>,
     nodes: Vec<Mutex<NodeState<'a>>>,
     /// `edges[i]` carries node `i`'s output; the last edge is the sink.
     edges: Vec<Edge>,
@@ -397,26 +388,6 @@ impl StmtRt<'_> {
         let chain: Vec<String> = self.chains[ni].iter().map(|c| c.display()).collect();
         chain.join(" | ")
     }
-}
-
-/// What a task at a node computes from one input chunk.
-enum NodeMap {
-    /// The node's command chain.
-    Chain,
-    /// Nothing: the chunk goes to the fold raw, a refcount bump. A sorting
-    /// fold (see "Sorting rewrite" in [`crate::dataflow`]) sorts it there
-    /// in a batch with its neighbours; the `rerun` fold of a sequential or
-    /// bounded stage runs the command once over it and all the others.
-    Raw,
-    /// A counting fold (`sort | uniq -c` as one node): the hash table of
-    /// its counted order instead of the chain ([`LineOrder::count_bytes`])
-    /// — the chunk's counted run, or, when the table gives up, the chunk
-    /// itself, raw.
-    Counted(LineOrder),
-    /// A stage worker headed by a seam stage
-    /// ([`DataflowNode::heads_seam`]): the chain, with the head's output
-    /// for every chunk but the first less one leading `'\n'`.
-    Seam,
 }
 
 /// The map of a seam-headed node (see "Seam rewrite" in
@@ -487,41 +458,6 @@ fn lock<'m, T>(m: &'m Mutex<T>) -> std::sync::MutexGuard<'m, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The orders a merge fold node folds under, if it is one (see "Counting
-/// rewrite" and "Sorting rewrite" in [`crate::dataflow`]): the sort
-/// stage's `merge` order at a sorting fold; at a fused node that order
-/// counted for `sort | uniq -c` and under `-u` for `sort | uniq`, with —
-/// at the three-stage fold of the count-order rewrite — the sort's
-/// [`PlannedStage::count_order`] its closing merge regroups in. `None`
-/// for every other node, which folds by its combiner's own flags.
-///
-/// [`PlannedStage::count_order`]: crate::plan::PlannedStage::count_order
-fn merge_fold_order(
-    node: &DataflowNode,
-    planned: &PlannedStatement,
-) -> Option<(LineOrder, Option<CountOrder>)> {
-    let NodeKind::Fold { mode } = node.kind else {
-        return None;
-    };
-    let sort = &planned.stages[node.stages.start];
-    let StageMode::Parallel { combiner, .. } = &sort.mode else {
-        return None;
-    };
-    let order = || {
-        combiner
-            .merge_order()
-            .expect("the planner licenses only sorts whose combiner merges")
-    };
-    if node.stages.len() == 1 {
-        return (mode == FoldMode::Sort).then(|| (order(), None));
-    }
-    let order = match sort.fold_pair.expect("a fused fold is a licensed pair") {
-        FoldPair::Counting => order().counted(),
-        FoldPair::Unique => order().unique(),
-    };
-    Some((order, sort.count_order.filter(|_| node.stages.len() == 3)))
-}
-
 /// Runs a planned script on the shared work-stealing pool (see the
 /// [module docs](self)), gathering the script's stdout into one buffer.
 /// [`run_dataflow_segments`] is the same run without the gather.
@@ -564,7 +500,7 @@ pub fn run_dataflow_segments(
         .collect();
     if cfg!(debug_assertions) {
         for (si, (graph, planned)) in graphs.iter().zip(&plan.statements).enumerate() {
-            let problems = graph.validate(planned, queue_depth);
+            let problems = graph.validate(planned);
             assert!(
                 problems.is_empty(),
                 "statement {si} dataflow graph violates its invariants: {problems:?}"
@@ -599,8 +535,8 @@ pub fn run_dataflow_segments(
                 .nodes
                 .iter()
                 .map(|node| match node.kind {
-                    NodeKind::Split | NodeKind::StageWorker => None,
-                    _ => Some(CommandEnv {
+                    NodeKind::Split | NodeKind::StageWorker { .. } => None,
+                    NodeKind::Fold { .. } => Some(CommandEnv {
                         command: &statement.stages[node.stages.start].command,
                         ctx,
                     }),
@@ -621,11 +557,7 @@ pub fn run_dataflow_segments(
                     .collect()
             })
             .collect();
-        let fold_orders: Vec<Option<(LineOrder, Option<CountOrder>)>> = graph
-            .nodes
-            .iter()
-            .map(|node| merge_fold_order(node, &plan.statements[si]))
-            .collect();
+        let eager_flush = graph.eager_flush();
         let nodes: Vec<Mutex<NodeState<'_>>> = graph
             .nodes
             .iter()
@@ -635,19 +567,18 @@ pub fn run_dataflow_segments(
                 let env = envs[si][ni].as_ref();
                 match node.kind {
                     NodeKind::Split => {}
-                    NodeKind::StageWorker => {
+                    NodeKind::StageWorker { .. } => {
                         state.chunker = Some(IncrementalChunker::new(chunk_bytes));
+                        state.eager_flush = eager_flush[ni];
                     }
                     NodeKind::Fold {
-                        mode: FoldMode::Gather,
-                    }
-                    | NodeKind::BoundedConsumer { .. } => {
+                        by: FoldBy::Rerun { .. },
+                        ..
+                    } => {
                         let env = env.expect("fold env");
                         state.accum = Some(IncrementalFold::over(&rerun, None, env, None));
                     }
-                    NodeKind::Fold {
-                        mode: FoldMode::Combine | FoldMode::Sort,
-                    } => {
+                    NodeKind::Fold { by, .. } => {
                         let StageMode::Parallel { combiner, .. } =
                             &plan.statements[si].stages[node.stages.start].mode
                         else {
@@ -659,29 +590,15 @@ pub fn run_dataflow_segments(
                         // worker of the pool may make one of its runs.
                         let spill = opts.spill.as_ref().map(|p| p.stage_config(workers));
                         state.spill_metrics = spill.as_ref().map(|cfg| cfg.metrics.clone());
+                        let order = match by {
+                            FoldBy::Merge { order, count } => Some((order, count)),
+                            _ => None,
+                        };
                         let members = &combiner.members;
-                        state.accum =
-                            Some(IncrementalFold::over(members, fold_orders[ni], env, spill));
+                        state.accum = Some(IncrementalFold::over(members, order, env, spill));
                     }
                 }
                 Mutex::new(state)
-            })
-            .collect();
-        let maps = fold_orders
-            .into_iter()
-            .zip(&graph.nodes)
-            .map(|(fold_order, node)| match (node.kind, fold_order) {
-                (
-                    NodeKind::Fold {
-                        mode: FoldMode::Sort | FoldMode::Gather,
-                    }
-                    | NodeKind::BoundedConsumer { .. },
-                    _,
-                ) => NodeMap::Raw,
-                (_, Some((order, _))) if order.is_counted() => NodeMap::Counted(order),
-                // `sort | uniq` of a chunk is its `sort -u`: the chain.
-                _ if node.heads_seam(&plan.statements[si]) => NodeMap::Seam,
-                _ => NodeMap::Chain,
             })
             .collect();
         let edges = (0..graph.nodes.len())
@@ -691,7 +608,6 @@ pub fn run_dataflow_segments(
             statement,
             graph,
             chains,
-            maps,
             nodes,
             edges,
             error: Mutex::new(None),
@@ -720,14 +636,16 @@ pub fn run_dataflow_segments(
             for (ni, node) in stmt.graph.nodes.iter().enumerate() {
                 let kind = match node.kind {
                     NodeKind::Split => "split",
-                    NodeKind::StageWorker => "worker",
+                    NodeKind::StageWorker { .. } => "worker",
                     NodeKind::Fold {
-                        mode: FoldMode::Combine | FoldMode::Sort,
-                    } => "fold",
-                    NodeKind::Fold {
-                        mode: FoldMode::Gather,
+                        by: FoldBy::Rerun { bound: None },
+                        ..
                     } => "gather",
-                    NodeKind::BoundedConsumer { .. } => "bounded",
+                    NodeKind::Fold {
+                        by: FoldBy::Rerun { bound: Some(_) },
+                        ..
+                    } => "bounded",
+                    NodeKind::Fold { .. } => "fold",
                 };
                 kq_trace::meta("graph", kind)
                     .si(si)
@@ -977,11 +895,13 @@ fn emit_node_counters(si: usize, stages: &[StageTiming], stmt: &StmtRt<'_>) {
                 ("send-stall-ns", q.send_stall.as_nanos() as usize),
                 ("recv-stall-ns", q.recv_stall.as_nanos() as usize),
             ]);
-            let sorting = stmt.graph.nodes[ni].kind
-                == (NodeKind::Fold {
-                    mode: FoldMode::Sort,
-                });
-            if sorting || matches!(stmt.maps[ni], NodeMap::Counted(_)) {
+            // A sorting or counting fold: a merge fold whose map may hand
+            // chunks on raw.
+            if let NodeKind::Fold {
+                map: NodeMap::Raw | NodeMap::Counted,
+                by: FoldBy::Merge { .. },
+            } = stmt.graph.nodes[ni].kind
+            {
                 counters.push(("raw-pieces", q.raw_pieces));
             }
         }
@@ -1122,14 +1042,13 @@ fn pop_input(stmt: &StmtRt<'_>, ni: usize) -> Option<(usize, Bytes, usize)> {
 }
 
 /// One task at any node but the split: claim one input chunk, map it
-/// outside every lock ([`NodeMap`]), integrate the result in input order
-/// — forward it at a stage worker, fold it anywhere else — and finalize
-/// when the input is exhausted.
+/// outside every lock (by the node's [`NodeMap`]), integrate the result in
+/// input order — forward it at a stage worker, fold it anywhere else — and
+/// finalize when the input is exhausted.
 ///
-/// A sequential stage (`Fold(Gather)`) and a bounded consumer map
-/// nothing; the bounded consumer counts the lines it folds and, once they
-/// meet the bound, cancels everything upstream. Integration under the
-/// node lock is O(pieces): a batch the fold hands back
+/// A `rerun` fold maps nothing; a bounded one counts the lines it folds
+/// and, once they meet the bound, cancels everything upstream. Integration
+/// under the node lock is O(pieces): a batch the fold hands back
 /// ([`IncrementalFold::push`]) is merged after the lock is dropped and
 /// counts as `inflight` until it is installed (see "Fold finalization
 /// protocol" in the [crate docs](crate)).
@@ -1140,9 +1059,12 @@ fn pop_input(stmt: &StmtRt<'_>, ni: usize) -> Option<(usize, Bytes, usize)> {
 fn node_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
     let stmt = &cx.rt.stmts[si];
     let node = &stmt.graph.nodes[ni];
-    let is_worker = node.kind == NodeKind::StageWorker;
+    let is_worker = matches!(node.kind, NodeKind::StageWorker { .. });
     let bound = match node.kind {
-        NodeKind::BoundedConsumer { lines } => Some(lines),
+        NodeKind::Fold {
+            by: FoldBy::Rerun { bound },
+            ..
+        } => bound,
         _ => None,
     };
     let last = ni + 1 == stmt.graph.nodes.len();
@@ -1211,15 +1133,21 @@ fn node_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
         .seq(seq)
         .v(chunk.len() as f64);
     let t0 = Instant::now();
-    let result = match &stmt.maps[ni] {
-        NodeMap::Chain => run_chain(&stmt.chains[ni], chunk.clone(), cx.rt.ctx).map(Piece::Output),
-        NodeMap::Raw => Ok(Piece::Raw(chunk.clone())),
-        NodeMap::Counted(order) => Ok(order
+    let chain = &stmt.chains[ni];
+    let result = match node.kind {
+        NodeKind::StageWorker { seam: true } => {
+            run_seam_chain(chain, seq, chunk.clone(), cx.rt.ctx).map(Piece::Output)
+        }
+        NodeKind::Fold {
+            map: NodeMap::Raw, ..
+        } => Ok(Piece::Raw(chunk.clone())),
+        NodeKind::Fold {
+            map: NodeMap::Counted,
+            by: FoldBy::Merge { order, .. },
+        } => Ok(order
             .count_bytes(&chunk)
             .map_or_else(|| Piece::Raw(chunk.clone()), Piece::Output)),
-        NodeMap::Seam => {
-            run_seam_chain(&stmt.chains[ni], seq, chunk.clone(), cx.rt.ctx).map(Piece::Output)
-        }
+        _ => run_chain(chain, chunk.clone(), cx.rt.ctx).map(Piece::Output),
     };
     let dur = t0.elapsed();
     span.done();
@@ -1258,9 +1186,10 @@ fn node_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
             if is_worker {
                 let ready = ready.into_bytes();
                 st.bytes_out += ready.len();
+                let eager_flush = st.eager_flush;
                 let chunker = st.chunker.as_mut().expect("stage worker chunker");
                 let mut outgoing = chunker.push(ready);
-                if node.eager_flush {
+                if eager_flush {
                     outgoing.extend(chunker.flush_pending());
                 }
                 for c in outgoing {
@@ -1351,7 +1280,7 @@ fn maybe_finalize(cx: &Cx<'_, '_>, si: usize, ni: usize) {
         }
     }
     let node = &stmt.graph.nodes[ni];
-    if node.kind == NodeKind::StageWorker {
+    if matches!(node.kind, NodeKind::StageWorker { .. }) {
         let mut pushed = 0usize;
         {
             let mut st = lock(&stmt.nodes[ni]);

@@ -63,7 +63,7 @@ pub use bytes::MmapRegion;
 pub use bytes::{concat_bytes, Bytes, ChunkIter, Gather, ReleaseCursor, Rope};
 pub use chunker::IncrementalChunker;
 pub use delim::Delim;
-pub use split::{split_chunks, split_stream};
+pub use split::{next_chunk_end, split_chunks, split_stream};
 
 /// The position of the first `d` in `y`.
 #[inline]

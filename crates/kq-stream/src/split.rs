@@ -33,13 +33,7 @@ pub(crate) fn stream_boundaries(bytes: &[u8], k: usize) -> Vec<(usize, usize)> {
             break;
         }
         let remaining = bytes.len() - start;
-        let target = start + remaining.div_ceil(remaining_pieces);
-        // Advance to the next newline at or after `target - 1` so the piece
-        // ends on a line boundary.
-        let mut end = target.min(bytes.len());
-        while end < bytes.len() && bytes[end - 1] != b'\n' {
-            end += 1;
-        }
+        let end = next_chunk_end(bytes, start, remaining.div_ceil(remaining_pieces));
         pieces.push((start, end));
         start = end;
     }
@@ -66,12 +60,13 @@ pub(crate) fn chunk_boundaries(bytes: &[u8], target_bytes: usize) -> Vec<(usize,
 }
 
 /// One step of the chunk-boundary rule: the end of the chunk starting at
-/// `start` — `target` bytes, extended to the next newline. Shared by
-/// [`chunk_boundaries`] (eager) and [`Bytes::chunks`](crate::Bytes::chunks)
-/// (lazy), so the two can never disagree; the lazy form only ever touches
-/// the pages of the chunk it is producing, which is what keeps mapped
-/// multi-GB inputs out-of-core.
-pub(crate) fn next_chunk_end(bytes: &[u8], start: usize, target: usize) -> usize {
+/// `start` — `target` bytes (at least one), extended to the next newline.
+/// The one rule behind every cut: [`split_stream`]'s pieces,
+/// [`split_chunks`] (eager), [`Bytes::chunks`](crate::Bytes::chunks)
+/// (lazy) and the dataflow executor's splits, so none can disagree; the
+/// lazy forms only ever touch the pages of the chunk they are producing,
+/// which is what keeps mapped multi-GB inputs out-of-core.
+pub fn next_chunk_end(bytes: &[u8], start: usize, target: usize) -> usize {
     let mut end = (start + target.max(1)).min(bytes.len());
     while end < bytes.len() && bytes[end - 1] != b'\n' {
         end += 1;

@@ -15,14 +15,17 @@
 //! 7. and the `sort` stages whose folds the planner feeds raw chunks;
 //! 8. beyond the corpus, over a table of `sort` spellings, followers and
 //!    tails, the sites `check` reports are the nodes the planner's graph
-//!    builds, and the dataflow run prints what the serial run prints.
+//!    builds, and the dataflow run prints what the serial run prints;
+//! 9. the census of the corpus graphs: how many nodes of each shape the
+//!    planner's plans build, with and without the rewrites, all valid, and
+//!    every prefix-bounded stage bounded.
 
 use kq_analyze::EffectClass;
 use kq_cli::{emit_script, EmitOptions};
 use kq_coreutils::ExecContext;
-use kq_pipeline::cache_key;
 use kq_pipeline::parse::parse_script;
 use kq_pipeline::plan::{Planner, StageMode};
+use kq_pipeline::{cache_key, FoldBy, NodeKind, NodeMap};
 use kq_synth::SynthesisConfig;
 use kq_workloads::{corpus, planning_sample, setup, Scale};
 use std::collections::HashMap;
@@ -30,6 +33,17 @@ use std::collections::HashMap;
 const SCALE: Scale = Scale {
     input_bytes: 16_000,
 };
+
+/// A sorting fold: its map hands each chunk to a merge raw.
+fn sorts(kind: NodeKind) -> bool {
+    matches!(
+        kind,
+        NodeKind::Fold {
+            map: NodeMap::Raw,
+            by: FoldBy::Merge { .. }
+        }
+    )
+}
 
 /// (1) Agreement: for every unique stdin-reading command in the corpus,
 /// the static classification is a *lower bound* on what synthesis
@@ -212,7 +226,7 @@ fn broken_fixture_trips_hazard_lints_and_nonzero_exit() {
 /// are pinned by count. The pairs the lattice refuses stay two nodes.
 #[test]
 fn check_reports_exactly_the_fold_pairs_the_planner_fuses() {
-    use kq_pipeline::{DataflowGraph, NodeKind};
+    use kq_pipeline::DataflowGraph;
     let mut planner = Planner::new(SynthesisConfig::default());
     let mut scripts_with_a_pair = 0usize;
     let (mut tails, mut scripts_with_a_tail) = (0usize, 0usize);
@@ -227,7 +241,7 @@ fn check_reports_exactly_the_fold_pairs_the_planner_fuses() {
         let mut fused: Vec<(usize, usize, usize)> = Vec::new();
         for (si, planned) in plan.statements.iter().enumerate() {
             let graph = DataflowGraph::build(planned, true);
-            assert!(graph.validate(planned, 4).is_empty());
+            assert!(graph.validate(planned).is_empty());
             for node in &graph.nodes {
                 if matches!(node.kind, NodeKind::Fold { .. }) && node.stages.len() > 1 {
                     let count_order = planned.stages[node.stages.start].count_order;
@@ -315,7 +329,7 @@ fn check_reports_exactly_the_fold_pairs_the_planner_fuses() {
 /// they are in are pinned by count.
 #[test]
 fn check_reports_exactly_the_seam_stages_the_planner_lifts() {
-    use kq_pipeline::{DataflowGraph, NodeKind};
+    use kq_pipeline::DataflowGraph;
     let mut planner = Planner::new(SynthesisConfig::default());
     let (mut sites, mut scripts, mut planned_parallel) = (0usize, 0usize, 0usize);
     for script in corpus() {
@@ -328,9 +342,9 @@ fn check_reports_exactly_the_seam_stages_the_planner_lifts() {
         let mut lifted: Vec<(usize, usize)> = Vec::new();
         for (si, planned) in plan.statements.iter().enumerate() {
             let graph = DataflowGraph::build(planned, true);
-            assert!(graph.validate(planned, 4).is_empty());
+            assert!(graph.validate(planned).is_empty());
             for node in &graph.nodes {
-                if node.heads_seam(planned) {
+                if node.kind == (NodeKind::StageWorker { seam: true }) {
                     lifted.push((si, node.stages.start));
                     planned_parallel +=
                         usize::from(planned.stages[node.stages.start].mode.is_parallel());
@@ -381,7 +395,7 @@ fn check_reports_exactly_the_seam_stages_the_planner_lifts() {
 /// sites are pinned by count.
 #[test]
 fn check_reports_exactly_the_sorting_folds_the_planner_builds() {
-    use kq_pipeline::{DataflowGraph, FoldMode, NodeKind};
+    use kq_pipeline::DataflowGraph;
     let mut planner = Planner::new(SynthesisConfig::default());
     let (mut sites, mut scripts) = (0usize, 0usize);
     for script in corpus() {
@@ -393,24 +407,17 @@ fn check_reports_exactly_the_sorting_folds_the_planner_builds() {
         let mut built: Vec<(usize, usize)> = Vec::new();
         for (si, planned) in plan.statements.iter().enumerate() {
             let graph = DataflowGraph::build(planned, true);
-            assert!(graph.validate(planned, 4).is_empty());
+            assert!(graph.validate(planned).is_empty());
             for node in &graph.nodes {
-                if node.kind
-                    == (NodeKind::Fold {
-                        mode: FoldMode::Sort,
-                    })
-                {
+                if sorts(node.kind) {
                     built.push((si, node.stages.start));
                 }
             }
             // `--no-opt` builds none.
-            assert!(DataflowGraph::build(planned, false)
+            assert!(!DataflowGraph::build(planned, false)
                 .nodes
                 .iter()
-                .all(|n| n.kind
-                    != NodeKind::Fold {
-                        mode: FoldMode::Sort
-                    }));
+                .any(|n| sorts(n.kind)));
         }
         let analysis = kq_analyze::check_script(script.text, &env);
         let reported: Vec<(usize, usize)> = analysis
@@ -453,7 +460,7 @@ fn check_reports_the_rewrites_the_planner_builds_beyond_the_corpus() {
     use kq_pipeline::exec::run_serial;
     use kq_pipeline::lattice::sorting_order;
     use kq_pipeline::scheduler::{run_dataflow, ChunkSizing, DataflowOptions, QueueCredit};
-    use kq_pipeline::{DataflowGraph, FoldMode, NodeKind};
+    use kq_pipeline::DataflowGraph;
     let input: String = (0..240)
         .map(|i| {
             format!(
@@ -522,14 +529,10 @@ fn check_reports_the_rewrites_the_planner_builds_beyond_the_corpus() {
                         if matches!(node.kind, NodeKind::Fold { .. }) && node.stages.len() > 1 {
                             folds.push((first, node.stages.len()));
                         }
-                        if node.kind
-                            == (NodeKind::Fold {
-                                mode: FoldMode::Sort,
-                            })
-                        {
+                        if sorts(node.kind) {
                             sorting.push(first);
                         }
-                        if node.heads_seam(planned) {
+                        if node.kind == (NodeKind::StageWorker { seam: true }) {
                             seams.push(first);
                         }
                     }
@@ -556,3 +559,120 @@ fn check_reports_the_rewrites_the_planner_builds_beyond_the_corpus() {
     );
     assert!(sites >= 200, "only {sites} rewrite sites compared");
 }
+
+/// (9) The census of the corpus graphs, as the planner plans each script:
+/// the nodes of every shape the one-pass build makes, with the rewrites
+/// and without (`--no-opt`), every graph valid. Every stage with a prefix
+/// bound keeps it: in the corpus a decoding stage before a bound always
+/// has a barrier — a fold that reads all its input — between them.
+#[test]
+fn corpus_graph_census_pins_every_node_shape() {
+    use kq_pipeline::DataflowGraph;
+    use std::collections::BTreeMap;
+    let shape = |kind: NodeKind| match kind {
+        NodeKind::Split => "split",
+        NodeKind::StageWorker { seam: false } => "worker",
+        NodeKind::StageWorker { seam: true } => "seam worker",
+        NodeKind::Fold {
+            map: NodeMap::Chain,
+            by: FoldBy::Combiner,
+        } => "combiner fold",
+        NodeKind::Fold {
+            map: NodeMap::Chain,
+            by: FoldBy::Merge { .. },
+        } => "unique fold",
+        NodeKind::Fold {
+            map: NodeMap::Counted,
+            by: FoldBy::Merge { count: None, .. },
+        } => "counting fold",
+        NodeKind::Fold {
+            map: NodeMap::Counted,
+            by: FoldBy::Merge { count: Some(_), .. },
+        } => "count-order fold",
+        NodeKind::Fold {
+            map: NodeMap::Raw,
+            by: FoldBy::Merge { .. },
+        } => "sorting fold",
+        NodeKind::Fold {
+            map: NodeMap::Raw,
+            by: FoldBy::Rerun { bound: None },
+        } => "rerun fold",
+        NodeKind::Fold {
+            map: NodeMap::Raw,
+            by: FoldBy::Rerun { bound: Some(_) },
+        } => "bounded fold",
+        kind => panic!("no build makes {kind:?}"),
+    };
+    let mut planner = Planner::new(SynthesisConfig::default());
+    let mut census: [BTreeMap<&str, usize>; 2] = Default::default();
+    let (mut bounded, mut unbounded) = (0usize, Vec::new());
+    for script in corpus() {
+        let ctx = ExecContext::default();
+        let env = setup(script, &ctx, &SCALE, 0xCE45);
+        let parsed = parse_script(script.text, &env).unwrap();
+        let sample = ctx.vfs.read(&env["IN"]).unwrap();
+        let plan = planner.plan(&parsed, &ctx, planning_sample(&sample, 12_000));
+        let statements = parsed.statements.iter().zip(&plan.statements);
+        for (si, (statement, planned)) in statements.enumerate() {
+            for (rewrite, census) in [false, true].into_iter().zip(&mut census) {
+                let graph = DataflowGraph::build(planned, rewrite);
+                let found = graph.validate(planned);
+                assert!(
+                    found.is_empty(),
+                    "{}/{}: {found:?}",
+                    script.suite.dir(),
+                    script.id
+                );
+                for node in &graph.nodes {
+                    *census.entry(shape(node.kind)).or_default() += 1;
+                }
+            }
+            for (stage, planned) in statement.stages.iter().zip(&planned.stages) {
+                if kq_synth::prefix_bound(&stage.command).is_none() {
+                    continue;
+                }
+                match planned.line_bound {
+                    Some(_) => bounded += 1,
+                    None => unbounded.push(format!(
+                        "{}/{} s{} '{}'",
+                        script.suite.dir(),
+                        script.id,
+                        si + 1,
+                        stage.command.display()
+                    )),
+                }
+            }
+        }
+    }
+    assert_eq!(bounded, 20, "prefix-bounded stages across the corpus");
+    assert!(unbounded.is_empty(), "unbounded: {unbounded:?}");
+    let pinned = |pairs: &[(&'static str, usize)]| pairs.iter().copied().collect();
+    assert_eq!(census[0], pinned(&CENSUS_UNREWRITTEN), "--no-opt graphs");
+    assert_eq!(census[1], pinned(&CENSUS_REWRITTEN), "rewritten graphs");
+}
+
+/// The node shapes of the corpus graphs built without the rewrites.
+const CENSUS_UNREWRITTEN: [(&str, usize); 5] = [
+    ("bounded fold", 20),
+    ("combiner fold", 172),
+    ("rerun fold", 48),
+    ("split", 99),
+    ("worker", 187),
+];
+
+/// The node shapes of the corpus graphs built with the rewrites: 30 seam
+/// stages lift out of their folds, and they and the 187 chunk-local stages
+/// fuse into 135 workers; 31 `sort | uniq -c` pairs become counting folds, 20 of them
+/// closing in the order of the numeric sort after them; 34 sorts fold raw
+/// chunks. No unique pair keeps its chain.
+const CENSUS_REWRITTEN: [(&str, usize); 9] = [
+    ("bounded fold", 20),
+    ("combiner fold", 45),
+    ("count-order fold", 20),
+    ("counting fold", 11),
+    ("rerun fold", 22),
+    ("seam worker", 30),
+    ("sorting fold", 34),
+    ("split", 99),
+    ("worker", 105),
+];

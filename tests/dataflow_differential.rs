@@ -277,9 +277,11 @@ fn full_corpus_latin1_inputs_match_serial_bytes_or_error() {
 /// One foreign byte past the first 64 KiB chunk, behind stages that stop
 /// early. A prefix bound must not let the dataflow skip bytes the serial
 /// run reads: `sed Nq` and `head` behind byte-clean stages keep their
-/// early exit and print the first lines, while a decoding stage anywhere
-/// before `head` drops the bound and fails as it does serially — at every
-/// worker count and chunk size.
+/// early exit and print the first lines, while a decoding stage before
+/// `head` drops the bound and fails as it does serially — unless a fold
+/// stands between them, which reads (and fails on) all its input before
+/// the bound can fire. On clean bytes that bound exits early and prints
+/// what the serial run prints. At every worker count and chunk size.
 #[test]
 fn foreign_bytes_past_the_first_chunk_fail_alike_behind_an_early_exit() {
     let mut text = "alpha river caf\u{e9}\nbeta abc stream\n"
@@ -288,34 +290,52 @@ fn foreign_bytes_past_the_first_chunk_fail_alike_behind_an_early_exit() {
     text.extend_from_slice(b"gamma \xe9t\xe9\n");
     text.extend_from_slice(&b"delta\n".repeat(100));
     assert!(text.len() > 2 * 64 * 1024);
-    // (script, completes: byte-clean up to and including the bound)
+    // (script, bounded: the last stage keeps its prefix bound, completes:
+    // byte-clean up to and including the bound)
     let cases = [
-        ("cat /in.txt | sed 2q", true),
-        ("cat /in.txt | head -n 3", true),
-        ("cat /in.txt | tr a-z A-Z | head -n 3", true),
-        ("cat /in.txt | grep abc | head -n 2", true),
-        ("cat /in.txt | cut -d ' ' -f 2 | sed 1q", true),
-        ("cat /in.txt | sed 1d | head -n 2", true),
-        ("cat /in.txt | sed s/river/stream/ | head -n 3", false),
-        ("cat /in.txt | sed s/river/stream/ | sed 2q", false),
-        ("cat /in.txt | cut -c 1-3 | head -n 3", false),
-        ("cat /in.txt | grep 'a.c' | head -n 1", false),
-        ("cat /in.txt | awk '{print $1}' | sed 2q", false),
-        ("cat /in.txt | tr -d a | sed s/x/y/ | head -n 1", false),
+        ("cat /in.txt | sed 2q", true, true),
+        ("cat /in.txt | head -n 3", true, true),
+        ("cat /in.txt | tr a-z A-Z | head -n 3", true, true),
+        ("cat /in.txt | grep abc | head -n 2", true, true),
+        ("cat /in.txt | cut -d ' ' -f 2 | sed 1q", true, true),
+        ("cat /in.txt | sed 1d | head -n 2", true, true),
+        (
+            "cat /in.txt | sed s/river/stream/ | head -n 3",
+            false,
+            false,
+        ),
+        ("cat /in.txt | sed s/river/stream/ | sed 2q", false, false),
+        ("cat /in.txt | cut -c 1-3 | head -n 3", false, false),
+        ("cat /in.txt | grep 'a.c' | head -n 1", false, false),
+        ("cat /in.txt | awk '{print $1}' | sed 2q", false, false),
+        (
+            "cat /in.txt | tr -d a | sed s/x/y/ | head -n 1",
+            false,
+            false,
+        ),
         (
             "cat /in.txt | sed s/river/stream/ | sort | head -n 1",
+            true,
             false,
+        ),
+        // The same bound behind the same barrier, on clean bytes.
+        (
+            "cat /clean.txt | sed s/river/stream/ | sort | head -n 1",
+            true,
+            true,
         ),
     ];
     let ctx = ExecContext::default();
+    let clean = "alpha river caf\u{e9}\nbeta abc stream\n".repeat(4096);
+    ctx.vfs.write("/clean.txt", clean);
     ctx.vfs.write("/in.txt", text);
     let mut planner = Planner::new(SynthesisConfig::default());
-    for (text, completes) in cases {
+    for (text, bounded, completes) in cases {
         let parsed = parse_script(text, &HashMap::new()).unwrap();
         let sample = kq_pipeline::plan::planning_sample(&parsed, &ctx);
         let plan = planner.plan(&parsed, &ctx, &sample);
-        let bounded = plan.statements[0].stages.last().unwrap().line_bound;
-        assert_eq!(bounded.is_some(), completes, "{text}: bound {bounded:?}");
+        let bound = plan.statements[0].stages.last().unwrap().line_bound;
+        assert_eq!(bound.is_some(), bounded, "{text}: bound {bound:?}");
         let serial = run_serial(&parsed, &ctx);
         assert_eq!(
             serial.is_ok(),
@@ -329,7 +349,13 @@ fn foreign_bytes_past_the_first_chunk_fail_alike_behind_an_early_exit() {
                 let got = run_dataflow(&parsed, &plan, &ctx, &opts);
                 let at = format!("{text} (w={workers}, chunk={chunk_bytes})");
                 match (&serial, got) {
-                    (Ok(serial), Ok(got)) => assert_eq!(got.output, serial.output, "{at}"),
+                    (Ok(serial), Ok(got)) => {
+                        assert_eq!(got.output, serial.output, "{at}");
+                        // A bounded last stage that meets its bound exits
+                        // early, whatever stands before it.
+                        let last = got.timings.statements[0].last().unwrap();
+                        assert_eq!(last.early_exit.is_some(), bounded, "{at}");
+                    }
                     (Err(serial), Err(got)) => {
                         assert_eq!(got.to_string(), serial.to_string(), "{at}")
                     }
@@ -709,7 +735,13 @@ fn count_order_folds_match_serial_and_no_opt_for_every_tail() {
                 kq_pipeline::DataflowGraph::build(p, fuse)
                     .nodes
                     .iter()
-                    .filter(|n| matches!(n.kind, kq_pipeline::NodeKind::Fold { .. }))
+                    .filter(|n| match n.kind {
+                        // Not the bounded `head`, which no rewrite makes.
+                        kq_pipeline::NodeKind::Fold { by, .. } => {
+                            !matches!(by, kq_pipeline::FoldBy::Rerun { bound: Some(_) })
+                        }
+                        _ => false,
+                    })
                     .map(|n| n.stages.len())
                     .collect()
             })
@@ -928,7 +960,8 @@ fn seam_stages_match_serial_fused_and_unfused() {
                     .iter()
                     .map(|p| {
                         let graph = kq_pipeline::DataflowGraph::build(p, fuse);
-                        graph.nodes.iter().filter(|n| n.heads_seam(p)).count()
+                        let seam = kq_pipeline::NodeKind::StageWorker { seam: true };
+                        graph.nodes.iter().filter(|n| n.kind == seam).count()
                     })
                     .sum::<usize>()
             };
@@ -1066,10 +1099,13 @@ fn sorting_folds_match_serial_and_no_opt_for_every_flag_set() {
             .iter()
             .flat_map(|p| kq_pipeline::DataflowGraph::build(p, fuse).nodes)
             .filter(|n| {
-                n.kind
-                    == kq_pipeline::NodeKind::Fold {
-                        mode: kq_pipeline::FoldMode::Sort,
+                matches!(
+                    n.kind,
+                    kq_pipeline::NodeKind::Fold {
+                        map: kq_pipeline::NodeMap::Raw,
+                        by: kq_pipeline::FoldBy::Merge { .. },
                     }
+                )
             })
             .count()
     };

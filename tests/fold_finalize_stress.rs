@@ -111,14 +111,14 @@ fn stress_with(script_text: &str, input: &str, iterations: usize, chunk_bytes: u
     }
 }
 
-/// The original repro: `sed 1d` plans as a sequential Fold(Gather) node
-/// fed by the split, the shape whose finalization was lost.
+/// The original repro: `sed 1d` plans as a sequential stage, a `rerun`
+/// fold node fed by the split, the shape whose finalization was lost.
 #[test]
 fn gather_finalize_stress() {
     stress("cat /in.txt | sed 1d | sort", &short_input(), ITERATIONS);
 }
 
-/// The same window at a Fold(Combine) node: no gather stage in the
+/// The same window at a fold by a combiner: no rerun stage in the
 /// pipeline, so the incremental combiner fold's pop paths are the ones
 /// racing the closed-edge observer.
 #[test]
