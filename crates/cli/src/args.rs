@@ -3,6 +3,8 @@
 //! Grammar: `kumquat <subcommand> [positional ...] [--flag] [--opt value]`.
 //! Options may appear anywhere after the subcommand; `--opt=value` and
 //! `--opt value` are both accepted. A literal `--` ends option parsing.
+//! An option no subcommand reads is an error, so a misspelt one is not
+//! silently ignored.
 
 use std::collections::HashMap;
 
@@ -18,13 +20,12 @@ pub struct ParsedArgs {
     options: HashMap<String, String>,
 }
 
-/// Options that take a value (everything else is a boolean flag).
+/// Options that take a value.
 const VALUED: &[&str] = &[
     "workers",
     "input",
     "var",
     "seed",
-    "scale-kb",
     "out",
     "suite",
     "chunk-kb",
@@ -32,12 +33,24 @@ const VALUED: &[&str] = &[
     "mmap",
     "synth-workers",
     "combiner-cache",
-    "rerun-threshold",
     "spill-mb",
     "spill-dir",
     "trace-out",
     "top",
     "format",
+];
+
+/// Boolean flags, and the removed `--exec`/`--executor`, which `run`
+/// names in its error.
+const FLAGS: &[&str] = &[
+    "external",
+    "deny-warnings",
+    "metrics",
+    "no-opt",
+    "no-verify",
+    "plan",
+    "exec",
+    "executor",
 ];
 
 impl ParsedArgs {
@@ -60,6 +73,10 @@ impl ParsedArgs {
                 continue;
             }
             let body = &arg[2..];
+            let name = body.split_once('=').map_or(body, |(name, _)| name);
+            if !VALUED.contains(&name) && !FLAGS.contains(&name) {
+                return Err(format!("unknown option --{name}"));
+            }
             if let Some((name, value)) = body.split_once('=') {
                 parsed.options.insert(name.to_owned(), value.to_owned());
             } else if VALUED.contains(&body) {
@@ -127,21 +144,6 @@ impl ParsedArgs {
         count
             .checked_mul(unit)
             .ok_or_else(|| format!("--{name} {count} is too large: the byte count overflows"))
-    }
-
-    /// `--name` parsed as a ratio in `(0, 1]`, or `default` when absent.
-    /// The one caller is `--rerun-threshold` (an output/input shrink
-    /// ratio): `0` would disable rerun parallelism by accident, anything
-    /// above `1` would "justify" rerun combiners on growing streams, and
-    /// `NaN`/`inf` parse as valid `f64`s — so all three are rejected up
-    /// front with their own message, in the same style as
-    /// [`ParsedArgs::opt_parse_nonzero`].
-    pub fn opt_parse_ratio(&self, name: &str, default: f64) -> Result<f64, String> {
-        let v = self.opt_parse::<f64>(name, default)?;
-        if !(v.is_finite() && v > 0.0 && v <= 1.0) {
-            return Err(format!("--{name} must be a number in (0, 1]"));
-        }
-        Ok(v)
     }
 
     /// All `--var NAME=VALUE` bindings (repeatable via comma separation).
@@ -266,30 +268,6 @@ mod tests {
         let a = parse(&["run", "x", "--queue-depth", "8"]);
         assert_eq!(a.opt_parse_nonzero("queue-depth", 4).unwrap(), 8);
         assert_eq!(a.opt_parse_nonzero("chunk-kb", 64).unwrap(), 64);
-    }
-
-    #[test]
-    fn ratio_rejects_nan_inf_zero_and_out_of_range() {
-        for bad in ["NaN", "nan", "inf", "-inf", "0", "0.0", "-0.3", "1.5", "2"] {
-            let a = parse(&["run", "x", "--rerun-threshold", bad]);
-            let err = a.opt_parse_ratio("rerun-threshold", 0.5).unwrap_err();
-            assert_eq!(err, "--rerun-threshold must be a number in (0, 1]", "{bad}");
-        }
-        let a = parse(&["run", "x", "--rerun-threshold", "lots"]);
-        assert!(a
-            .opt_parse_ratio("rerun-threshold", 0.5)
-            .unwrap_err()
-            .contains("invalid value"));
-    }
-
-    #[test]
-    fn ratio_accepts_the_valid_range_and_defaults() {
-        for (raw, want) in [("0.25", 0.25), ("1", 1.0), ("1.0", 1.0), ("0.999", 0.999)] {
-            let a = parse(&["run", "x", "--rerun-threshold", raw]);
-            assert_eq!(a.opt_parse_ratio("rerun-threshold", 0.5).unwrap(), want);
-        }
-        let a = parse(&["run", "x"]);
-        assert_eq!(a.opt_parse_ratio("rerun-threshold", 0.5).unwrap(), 0.5);
     }
 
     #[test]

@@ -103,7 +103,6 @@ USAGE:
         fail too; --format json emits a machine-readable report.
     kumquat plan <script|file> [--var NAME=VALUE,...] [--input FILE]
                                [--synth-workers N] [--combiner-cache FILE]
-                               [--rerun-threshold R]
         Parse a pipeline script and print the parallelization plan plus a
         synthesis summary (per-command wall time, cache hit/miss counts).
         --synth-workers synthesizes distinct commands on N threads
@@ -111,14 +110,11 @@ USAGE:
         identical for every N);
         --combiner-cache persists synthesized combiners to FILE so repeat
         invocations skip synthesis (on-disk hits are re-validated against
-        a fresh observation before being trusted); --rerun-threshold sets
-        the output/input shrink ratio, in (0, 1], below which a
-        rerun-combiner stage still parallelizes (default 0.5).
+        a fresh observation before being trusted).
     kumquat run <script|file> [--workers N] [--no-opt] [--var ...]
                                [--chunk-kb N] [--queue-depth N]
                                [--mmap auto|on|off] [--no-verify]
                                [--synth-workers N] [--combiner-cache FILE]
-                               [--rerun-threshold R]
                                [--spill-mb N] [--spill-dir DIR]
                                [--trace-out FILE] [--metrics]
         Execute a script with N-way data parallelism (default: the
@@ -217,16 +213,14 @@ fn synthesis_config(args: &ParsedArgs) -> Result<SynthesisConfig, String> {
 }
 
 /// Builds the planner the way every planning subcommand shares: synthesis
-/// config from `--seed`/`--synth-workers`, an on-disk combiner cache when
-/// `--combiner-cache` is given, and the `--rerun-threshold` heuristic
-/// knob. Cache-load warnings land in `notes`.
+/// config from `--seed`/`--synth-workers`, and an on-disk combiner cache
+/// when `--combiner-cache` is given. Cache-load warnings land in `notes`.
 fn planner_from_args(args: &ParsedArgs, notes: &mut Vec<String>) -> Result<Planner, String> {
     let config = synthesis_config(args)?;
-    let mut planner = match args.opt("combiner-cache") {
+    let planner = match args.opt("combiner-cache") {
         Some(path) => Planner::with_cache(config.clone(), CombinerCache::open(path, &config)),
         None => Planner::new(config),
     };
-    planner.rerun_shrink_threshold = args.opt_parse_ratio("rerun-threshold", 0.5)?;
     notes.extend(planner.cache_warnings().iter().cloned());
     Ok(planner)
 }
@@ -414,10 +408,9 @@ fn plan_from_args(args: &ParsedArgs) -> Result<PlannedRun, String> {
         return Err("expected exactly one script argument".into());
     };
     // Validate every synthesis knob up front — like the executor capacity
-    // knobs, a bad --synth-workers/--rerun-threshold fails before any
-    // file is read or synthesis starts.
+    // knobs, a bad --synth-workers fails before any file is read or
+    // synthesis starts.
     synthesis_config(args)?;
-    args.opt_parse_ratio("rerun-threshold", 0.5)?;
     let ingest = ingest_options(args)?;
     let text = load_script_text(arg, &ingest)?;
     let env: HashMap<String, String> = args.vars()?.into_iter().collect();
@@ -1381,42 +1374,23 @@ mod tests {
     }
 
     #[test]
-    fn synth_workers_and_rerun_threshold_validate_up_front() {
-        let s = "cat x | sort";
-        let err = call(&["plan", s, "--synth-workers", "0"]).unwrap_err();
+    fn synth_workers_validate_up_front() {
+        let err = call(&["plan", "cat x | sort", "--synth-workers", "0"]).unwrap_err();
         assert!(err.contains("--synth-workers must be at least 1"), "{err}");
-        let err = call(&["run", s, "--rerun-threshold", "NaN"]).unwrap_err();
-        assert!(
-            err.contains("--rerun-threshold must be a number in (0, 1]"),
-            "{err}"
-        );
-        let err = call(&["run", s, "--rerun-threshold", "0"]).unwrap_err();
-        assert!(err.contains("(0, 1]"), "{err}");
-        let err = call(&["emit", s, "--rerun-threshold", "1.5"]).unwrap_err();
-        assert!(err.contains("(0, 1]"), "{err}");
     }
 
     #[test]
-    fn rerun_threshold_changes_the_plan() {
-        // `sort -u | head` keeps a rerun stage parallel at the default
-        // threshold on a duplicate-heavy input; an extreme threshold
-        // (a hair above zero) demands an impossible shrink and forces it
-        // sequential.
-        let dir = std::env::temp_dir().join(format!("kq-cli-thresh-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let input = dir.join("in.txt");
-        std::fs::write(&input, "b\na\nb\na\nc\n".repeat(60)).unwrap();
-        let script = format!("cat {} | sort -u | head -n 2", input.display());
-        let default = call(&["plan", &script]).unwrap();
-        let strict = call(&["plan", &script, "--rerun-threshold", "0.0001"]).unwrap();
-        let par_line = |s: &str| {
-            s.lines()
-                .find(|l| l.contains("stages parallelized"))
-                .unwrap()
-                .to_owned()
-        };
-        assert_ne!(par_line(&default.text()), par_line(&strict.text()));
-        std::fs::remove_dir_all(&dir).ok();
+    fn every_option_the_usage_names_parses() {
+        let names: std::collections::BTreeSet<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|word| word.strip_prefix("--"))
+            .filter(|name| !name.is_empty())
+            .collect();
+        assert!(names.len() > 20, "{names:?}");
+        for name in names {
+            let words = ["run".to_owned(), "x".to_owned(), format!("--{name}=1")];
+            assert!(ParsedArgs::parse(&words).is_ok(), "--{name}");
+        }
     }
 
     #[test]

@@ -42,6 +42,28 @@ fn removed_executor_options_exit_two_saying_there_is_one_executor() {
 }
 
 #[test]
+fn a_misspelt_option_exits_two_naming_it() {
+    for (words, name) in [
+        (&["--wrokers=8", "--no-verify"][..], "--wrokers"),
+        (&["--no-verfy"], "--no-verfy"),
+        (&["--rerun-threshold", "0.5"], "--rerun-threshold"),
+    ] {
+        let out = kumquat()
+            .args(["run", "cat /absent | sort"])
+            .args(words)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{words:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with(&format!("kumquat: unknown option {name}\n")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty());
+    }
+}
+
+#[test]
 fn synthesize_prints_report_on_stdout() {
     let out = kumquat().args(["synthesize", "wc -l"]).output().unwrap();
     assert!(out.status.success());

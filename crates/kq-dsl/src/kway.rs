@@ -153,59 +153,52 @@ impl Piece {
 /// [`combine_all`] needs the complete piece list, which forces an
 /// executor to buffer a stage's whole output before combining — exactly
 /// the barrier this type removes. Pieces are pushed in stream
-/// order and the combine work overlaps with whatever produces the pieces;
-/// [`finish`](IncrementalFold::finish) only settles the remainder.
+/// order and the combine work overlaps with whatever produces the pieces.
+///
+/// # The protocol
 ///
 /// A fold usually sits behind a lock that the producers of its pieces
-/// share, so [`push`](IncrementalFold::push) itself never does work
-/// proportional to a run: when enough pieces are pending it cuts them
-/// into a [`RunBatch`] and hands that back. The caller merges the batch
-/// with the lock released ([`RunBatch::merge`]) and gives the run back
-/// through [`install`](IncrementalFold::install), which slots it by batch
-/// index — batches may come back in any order and `finish` still sees the
-/// runs in stream order.
+/// share, so none of its methods does work proportional to a run. Work
+/// that is goes out as a [`FoldWork`]: the owner runs it with the lock
+/// released ([`FoldWork::run`]), on any thread and in any order, and hands
+/// the result back ([`complete`]). The fold is the only code that knows
+/// what comes next:
 ///
-/// The end of the input is handed out the same way: [`seal`] turns the
-/// pieces still pending into ordinary run batches, cut by bytes into
-/// batches of about a part's bytes, so that several workers make runs of
-/// the tail at once and the closing merge reads nothing but runs.
+/// * [`push`] folds a piece in, and may hand out a run batch;
+/// * [`close`], when the input ends, and [`complete`] return a [`Step`]:
+///   wait for work still out, run more work, or the combined stream.
 ///
-/// The closing merge is handed out too. [`finish`] of a merge fold is
-/// *seal, plan the parts, merge each part, concatenate*: [`plan_finish`]
-/// cuts the runs into key ranges ([`LineOrder::partition`] — one part per
-/// [`FINISH_PART_BYTES`] folded, at most [`FINISH_MAX_PARTS`], so the count
-/// depends on the bytes folded and on nothing else) and returns one
-/// [`FinishPart`] per range, each owning O(1) slices of the runs. A part is
-/// merged by the code that merged the whole fold before there were parts —
-/// `merge_pieces` in memory or, once a run has spilled,
-/// `merge_spilled_runs` with its release cursors and a temp file of its
-/// own — on whatever thread its holder likes, and the outputs concatenate
-/// in part order to the bytes of the one flat merge. Below two parts the
-/// single part *is* that flat merge. `finish` seals and runs the batches
-/// and parts inline, one after the other, so there is one closing path:
-/// `finish` on one thread (what the dataflow scheduler calls for a fold
-/// that closes in fewer than two parts, and what every test calls) and
-/// the scheduler's pool tasks, one per sealed batch and one per part,
-/// differ only in where [`RunBatch::merge`] and `FinishPart::merge` are
-/// called.
+/// A merge fold closes in up to four rounds of work. The pieces it still
+/// holds are cut by bytes into run batches, so that several workers make
+/// runs of the tail at once. A fold of at least two parts' bytes
+/// ([`FINISH_PART_BYTES`] per part, at most [`FINISH_MAX_PARTS`], so the
+/// count depends on the bytes folded and on nothing else) is then cut
+/// into key ranges ([`LineOrder::partition`]), each merged as work of its
+/// own — in memory, or once a run has spilled through a temp file of its
+/// own — and the parts' outputs are stitched in part order. A smaller
+/// fold merges its runs as one part, and every other fold settles in one
+/// piece of work. [`finish`] is the one-thread driver over the same calls.
 ///
+/// [`push`]: IncrementalFold::push
+/// [`close`]: IncrementalFold::close
+/// [`complete`]: IncrementalFold::complete
 /// [`finish`]: IncrementalFold::finish
-/// [`plan_finish`]: IncrementalFold::plan_finish
-/// [`seal`]: IncrementalFold::seal
+///
+/// # How each combiner folds
 ///
 /// A fold is built over a composite's members ([`over`]) and folds by its
 /// first member, the primary — by the composite rule pair by pair where
 /// the primary's domain is restricted. How each primary folds (mirroring
 /// [`combine_all`]):
 ///
-/// * unswapped `concat` — pieces accumulate in a segment list; `finish`
+/// * unswapped `concat` — pieces accumulate in a segment list; the close
 ///   is the single gather memcpy (zero work per push);
 /// * `rerun` — pieces are gathered and the command re-executes once at
-///   `finish` (pairwise rerun would re-run the command per piece on a
+///   the close (pairwise rerun would re-run the command per piece on a
 ///   growing accumulator, O(n·k) command work);
 /// * `merge` — run accumulation: arrivals are cut into a batch as soon
 ///   as enough of them exist, each batch becomes one sorted run, and
-///   `finish` merges the runs. Whether a piece is sorted is a property of
+///   the close merges the runs. Whether a piece is sorted is a property of
 ///   the piece ([`Piece`]), so the fold keeps two pending lists: a batch
 ///   of [`Piece::Output`] runs is k-way merged, a batch of [`Piece::Raw`]
 ///   chunks is sorted as one ([`LineOrder::sort_bytes`]). Without a spill
@@ -262,17 +255,16 @@ impl Piece {
 /// fold whose pieces all arrive raw.
 /// Only the closing merge of a counting fold that closes in count order
 /// (a fold [`over`] a count order too) does more: each part regroups what
-/// it merged by count, and [`stitch`] interleaves the parts' groups.
+/// it merged by count, and the stitch interleaves the parts' groups.
 ///
 /// Two rules hold for every fold. One fed no non-empty piece — none at
 /// all, or only empty ones, as when an upstream `grep` matched no line —
-/// finishes as the command run on the empty stream: `wc -l` still owes
-/// its `0`. And [`push`] never fails: the first error of a push or an
-/// install is kept, the fold takes nothing more, and [`finish`] (or
-/// [`plan_finish`]) returns the error.
+/// closes as the command run on the empty stream: `wc -l` still owes
+/// its `0`. And [`push`] never fails: the first error of a push or of
+/// completed work is kept, the fold takes nothing more, and the close
+/// returns the error.
 ///
 /// [`over`]: IncrementalFold::over
-/// [`push`]: IncrementalFold::push
 pub struct IncrementalFold<'a> {
     members: &'a [Candidate],
     env: &'a dyn RunEnv,
@@ -280,8 +272,16 @@ pub struct IncrementalFold<'a> {
     spill: Option<SpillConfig>,
     /// A non-empty piece was pushed.
     fed: bool,
-    /// The first error of a push or an install, returned at the finish.
+    /// The first error of a push or of completed work, returned at the
+    /// close.
     failed: Option<EvalError>,
+    /// Work handed out and not yet completed.
+    out: usize,
+    /// The input ended ([`close`](IncrementalFold::close)).
+    closed: bool,
+    /// Bytes of runs per part of the closing merge: [`FINISH_PART_BYTES`],
+    /// or a few lines' worth in tests.
+    part_bytes: usize,
 }
 
 /// Pieces per intermediate merge run (see [`IncrementalFold`]) when no
@@ -292,7 +292,7 @@ pub struct IncrementalFold<'a> {
 pub const MERGE_RUN_ARITY: usize = 32;
 
 /// Bytes of accumulated runs per part of a merge fold's closing merge (see
-/// [`IncrementalFold::plan_finish`]): large enough that a part's merge
+/// [`IncrementalFold`]): large enough that a part's merge
 /// dwarfs the cost of cutting it and that folds of KBs — counts, `sort -u`
 /// of a selective `grep` — close with the one flat merge they always had,
 /// small enough that a sort of tens of MiB gives every worker of a pool
@@ -345,12 +345,6 @@ fn cut_by_bytes(pending: Pending, part_bytes: usize) -> Vec<Vec<Bytes>> {
     groups
 }
 
-/// The bytes a merge fold holds: its runs (those installed) and the
-/// pieces still pending.
-fn folded_bytes(runs: &[Option<Bytes>], pending_bytes: usize) -> usize {
-    runs.iter().flatten().map(Bytes::len).sum::<usize>() + pending_bytes
-}
-
 /// Parts to cut a closing merge over `total_bytes` of runs into.
 fn finish_part_count(total_bytes: usize, part_bytes: usize) -> usize {
     (total_bytes / part_bytes.max(1)).clamp(1, FINISH_MAX_PARTS)
@@ -398,9 +392,9 @@ fn merge_run_target(spill: &Option<SpillConfig>, raw: bool, counted: bool) -> Op
 }
 
 enum FoldState {
-    /// Unswapped concat: a segment list, gathered once at finish.
+    /// Unswapped concat: a segment list, gathered once at the close.
     Concat(Vec<Bytes>),
-    /// Rerun: gather everything, one re-execution at finish. The pieces
+    /// Rerun: gather everything, one re-execution at the close. The pieces
     /// are the stage's outputs — `rerun` as a combiner, which leaves a
     /// lone piece as it is — or, `raw`, chunks of its input: the command
     /// runs once over all of them, however many there are.
@@ -409,14 +403,14 @@ enum FoldState {
     /// reach the run-size trigger — [`merge_run_target`] bytes under a
     /// spill config or for raw chunks, [`MERGE_RUN_ARITY`] pieces
     /// otherwise; the batch's run becomes `runs[batch index]`
-    /// (`None` while the batch is out being merged), and finish merges the
+    /// (`None` while the batch is out being merged), and the close merges the
     /// runs (earlier runs first, keeping the stability tiebreak of one
     /// flat merge). Under a spill config each batch is charged to the
     /// ledger as it is cut (`heap_bytes`: resident runs plus the runs of
     /// batches still out): one whose run would push it past the share for
     /// runs has its run written to a temp file by whoever makes it, and the
     /// run lives in `runs` as a mapped slice; once any run has spilled
-    /// (`spilled`), finish streams the final merge through a temp file too,
+    /// (`spilled`), the close streams the final merge through a temp file too,
     /// so the heap never holds more than a quarter of the budget in runs
     /// plus the pending pieces and the batches out being made runs — which
     /// the batch size bounds by the other three quarters.
@@ -446,6 +440,11 @@ enum FoldState {
         heap_bytes: usize,
         spilled: bool,
     },
+    /// A merge fold's closing merge, cut into parts: each part's output by
+    /// part index, `None` while the part is out being merged.
+    Parts(Vec<Option<PartOutput>>),
+    /// The fold's last work is out: its result closes the fold.
+    Settling,
 }
 
 /// Pieces of one kind a merge fold has not yet cut into a batch.
@@ -526,6 +525,9 @@ impl<'a> IncrementalFold<'a> {
             spill,
             fed: false,
             failed: None,
+            out: 0,
+            closed: false,
+            part_bytes: FINISH_PART_BYTES,
         }
     }
 
@@ -534,24 +536,28 @@ impl<'a> IncrementalFold<'a> {
     /// fold only — a [`Piece::Raw`] chunk of its input. A merge fold sorts
     /// raw chunks itself: `sort(x1 ++ … ++ xk) = merge(sort(x1), …,
     /// sort(xk))` with ties to the earlier input. A rerun fold fed raw
-    /// chunks runs the command once over them at finish. A merge fold
-    /// whose pending pieces of one kind reached the run trigger returns
-    /// them as a batch: merge it ([`RunBatch::merge`]) outside any lock
-    /// that guards this fold and [`install`](IncrementalFold::install) the
-    /// run. Never fails: a combine error is kept for the finish, and a
-    /// fold that failed takes nothing more.
-    pub fn push(&mut self, piece: impl Into<Piece>) -> Option<RunBatch<'a>> {
+    /// chunks runs the command once over them at the close. A merge fold
+    /// whose pending pieces of one kind reached the run trigger hands them
+    /// out as a run batch. Never fails: a combine error is kept for the
+    /// close, and a fold that failed takes nothing more.
+    pub fn push(&mut self, piece: impl Into<Piece>) -> Option<FoldWork<'a>> {
         if self.failed.is_some() {
             return None;
         }
-        self.fold_in(piece.into()).unwrap_or_else(|e| {
-            self.failed = Some(e);
-            None
-        })
+        match self.fold_in(piece.into()) {
+            Ok(batch) => {
+                self.out += usize::from(batch.is_some());
+                batch.map(|batch| FoldWork(Work::Batch(batch)))
+            }
+            Err(e) => {
+                self.failed = Some(e);
+                None
+            }
+        }
     }
 
     /// [`push`](IncrementalFold::push), with the error returned.
-    fn fold_in(&mut self, piece: Piece) -> Result<Option<RunBatch<'a>>, EvalError> {
+    fn fold_in(&mut self, piece: Piece) -> Result<Option<Batch<'a>>, EvalError> {
         let (raw, piece) = match piece {
             Piece::Output(piece) => (false, piece),
             Piece::Raw(chunk) => (true, chunk),
@@ -610,7 +616,7 @@ impl<'a> IncrementalFold<'a> {
                     let order = order.clone()?;
                     let Pending { pieces, bytes } = std::mem::take(list);
                     let (charged, spill) = charge_batch(&self.spill, heap_bytes, spilled, bytes);
-                    let batch = RunBatch {
+                    let batch = Batch {
                         env,
                         order,
                         raw,
@@ -647,56 +653,162 @@ impl<'a> IncrementalFold<'a> {
                 let carry = store_group(carry, &self.spill, heap_bytes, spilled)?;
                 slots.push(Some(carry));
             }
+            FoldState::Parts(_) | FoldState::Settling => {
+                unreachable!("a piece pushed after the close")
+            }
         }
         Ok(None)
     }
 
-    /// Takes back the run merged from a batch [`push`](IncrementalFold::push)
-    /// handed out — on the heap, or already written to disk when the
-    /// ledger had no room for it — and settles the ledger with the run's
-    /// true size. Runs may be installed in any order; each lands in its
-    /// batch's place in the stream. A failed merge fails the fold the way
-    /// a failed push does.
-    pub fn install(&mut self, merged: Result<MergedRun, EvalError>) {
-        if self.failed.is_some() {
-            return;
-        }
-        let merged = match merged {
-            Ok(merged) => merged,
-            Err(e) => {
-                self.failed = Some(e);
-                return;
+    /// Closes the fold's input and returns its first step.
+    pub fn close(&mut self) -> Step<'a> {
+        self.closed = true;
+        self.advance()
+    }
+
+    /// Takes back the result of work the fold handed out, in any order,
+    /// and returns the fold's next step. A run lands in its batch's place
+    /// in the stream and settles the spill ledger with its true size; a
+    /// part lands at its index. A failure is kept like a failed push, and
+    /// once the input has ended it closes the fold at once, with work
+    /// still out.
+    pub fn complete(&mut self, done: WorkDone<'a>) -> Step<'a> {
+        self.out -= 1;
+        let landed = match done.0 {
+            Done::Run {
+                index,
+                charged,
+                run,
+            } => run.map(|run| self.slot_run(index, charged, run)),
+            Done::Parts(parts) => {
+                self.state = FoldState::Parts((0..parts.len()).map(|_| None).collect());
+                self.out += parts.len();
+                let work = (parts.into_iter().enumerate())
+                    .map(|(index, part)| FoldWork(Work::Part(Some(index), part)));
+                return Step::Work(work.collect());
             }
+            Done::Part(index, output) => output.map(|output| {
+                if let FoldState::Parts(outputs) = &mut self.state {
+                    outputs[index] = Some(output);
+                }
+            }),
+            Done::Closed(result) => return Step::Done(result),
         };
+        if let Err(e) = landed {
+            self.failed.get_or_insert(e);
+        }
+        self.advance()
+    }
+
+    /// The run of batch `index`, slotted, with the `charged` bytes of the
+    /// ledger settled.
+    fn slot_run(&mut self, index: usize, charged: usize, run: Bytes) {
         let FoldState::Merge {
             runs, heap_bytes, ..
         } = &mut self.state
         else {
             unreachable!("only merge folds hand out batches");
         };
-        if merged.charged > 0 {
-            *heap_bytes = (*heap_bytes + merged.run.len()).saturating_sub(merged.charged);
+        if charged > 0 {
+            *heap_bytes = (*heap_bytes + run.len()).saturating_sub(charged);
         }
-        runs[merged.index] = Some(merged.run);
+        runs[index] = Some(run);
     }
 
-    /// Closes the fold's input: the pieces still pending become run
-    /// batches, handed back to be merged ([`RunBatch::merge`]) wherever
-    /// suits — each on a worker of its own — and
-    /// [`install`](IncrementalFold::install)ed like those
-    /// [`push`](IncrementalFold::push) cuts, so that the closing merge reads
-    /// runs only. Each kind's tail is cut by bytes, at line ends — one
-    /// piece may feed two batches — into batches of about a part's bytes
-    /// ([`FINISH_PART_BYTES`]), a pure function of the pieces like every
-    /// other cut the fold makes. Folds that are not merges, merges with
-    /// nothing pending, and failed folds hand out nothing.
-    pub fn seal(&mut self) -> Vec<RunBatch<'a>> {
-        self.seal_at(FINISH_PART_BYTES)
+    /// The step of a fold that may have moved on: none before the close;
+    /// the first error once closed; otherwise, with no work out, the next
+    /// round of work.
+    fn advance(&mut self) -> Step<'a> {
+        if !self.closed {
+            return Step::Wait;
+        }
+        let next = match self.failed.take() {
+            Some(e) => Err(e),
+            None if self.out > 0 => return Step::Wait,
+            None => self.next_work(),
+        };
+        match next {
+            Ok(work) => {
+                self.out += work.len();
+                Step::Work(work.into_iter().map(FoldWork).collect())
+            }
+            Err(e) => Step::Done(Err(e)),
+        }
     }
 
-    /// [`seal`](IncrementalFold::seal) with the part size as an argument
-    /// (see [`plan_finish_at`](IncrementalFold::plan_finish_at)).
-    fn seal_at(&mut self, part_bytes: usize) -> Vec<RunBatch<'a>> {
+    /// The next round of a closed fold's work, none of it out: the run
+    /// batches of a merge fold's pending pieces, then its closing merge —
+    /// in one part, or cut into parts whose outputs are then stitched —
+    /// or the settling of any other fold, or of one fed nothing.
+    fn next_work(&mut self) -> Result<Vec<Work<'a>>, EvalError> {
+        if let FoldState::Merge {
+            pending,
+            pending_raw,
+            ..
+        } = &self.state
+        {
+            if !(pending.pieces.is_empty() && pending_raw.pieces.is_empty()) {
+                return self.seal();
+            }
+        }
+        let (members, env, spill) = (self.members, self.env, self.spill.clone());
+        let work = match std::mem::replace(&mut self.state, FoldState::Settling) {
+            _ if !self.fed => Work::Settle(Settle {
+                members,
+                env,
+                state: FoldState::Gather {
+                    pieces: Vec::new(),
+                    raw: true,
+                },
+                spill,
+            }),
+            FoldState::Merge {
+                order,
+                count,
+                runs,
+                spilled,
+                ..
+            } => {
+                let runs: Vec<Bytes> = (runs.into_iter())
+                    .map(|run| run.expect("every batch completed"))
+                    .collect();
+                let parts = finish_part_count(runs.iter().map(Bytes::len).sum(), self.part_bytes);
+                let merge = ClosingMerge {
+                    env,
+                    order: order?,
+                    count,
+                    runs,
+                    // Once a run has spilled, every part streams through a
+                    // temp file, so the heap never holds the merged output.
+                    spill: spill.filter(|_| spilled),
+                };
+                match parts {
+                    0 | 1 => Work::Part(None, merge),
+                    _ => Work::Partition(merge, parts),
+                }
+            }
+            FoldState::Parts(outputs) => Work::Stitch(
+                (outputs.into_iter())
+                    .map(|output| output.expect("every part completed"))
+                    .collect(),
+            ),
+            FoldState::Settling => unreachable!("a fold with no work out has not settled"),
+            state => Work::Settle(Settle {
+                members,
+                env,
+                state,
+                spill,
+            }),
+        };
+        Ok(vec![work])
+    }
+
+    /// The pending pieces of a closed merge fold as run batches, so that
+    /// the closing merge reads runs only. Each kind's tail is cut by bytes,
+    /// at line ends — one piece may feed two batches — into batches of
+    /// about a part's bytes, a pure function of the pieces like every
+    /// other cut the fold makes.
+    fn seal(&mut self) -> Result<Vec<Work<'a>>, EvalError> {
         let env = self.env;
         let FoldState::Merge {
             order,
@@ -708,25 +820,16 @@ impl<'a> IncrementalFold<'a> {
             ..
         } = &mut self.state
         else {
-            return Vec::new();
+            unreachable!("only merge folds seal");
         };
-        if self.failed.is_some() || pending.pieces.is_empty() && pending_raw.pieces.is_empty() {
-            return Vec::new();
-        }
-        let order = match order {
-            Ok(order) => *order,
-            Err(e) => {
-                self.failed = Some(e.clone());
-                return Vec::new();
-            }
-        };
+        let order = order.clone()?;
         let mut batches = Vec::new();
         for (raw, list) in [(false, pending), (true, pending_raw)] {
-            for pieces in cut_by_bytes(std::mem::take(list), part_bytes) {
+            for pieces in cut_by_bytes(std::mem::take(list), self.part_bytes) {
                 let bytes = pieces.iter().map(Bytes::len).sum();
                 let (charged, spill) = charge_batch(&self.spill, heap_bytes, spilled, bytes);
                 runs.push(None);
-                batches.push(RunBatch {
+                batches.push(Work::Batch(Batch {
                     env,
                     order,
                     raw,
@@ -734,178 +837,112 @@ impl<'a> IncrementalFold<'a> {
                     pieces,
                     charged,
                     spill,
-                });
+                }));
             }
         }
-        batches
+        Ok(batches)
     }
 
-    /// How many parts [`plan_finish`](IncrementalFold::plan_finish) will
-    /// cut the closing merge into (before dropping any that come out
-    /// empty): a pure function of the bytes folded so far. One for every
-    /// fold that is not a merge.
-    pub fn finish_parts(&self) -> usize {
-        match &self.state {
-            FoldState::Merge {
-                runs,
-                pending,
-                pending_raw,
-                ..
-            } => finish_part_count(
-                folded_bytes(runs, pending.bytes + pending_raw.bytes),
-                FINISH_PART_BYTES,
-            ),
-            _ => 1,
-        }
-    }
-
-    /// Does everything [`finish`](IncrementalFold::finish) does except the
-    /// part merges, and returns those as work to be done: merge each part
-    /// ([`FinishPart::merge`]) wherever and in whatever order suits, and
-    /// concatenate the outputs by [`FinishPart::index`]. Every fold that
-    /// is not a merge settles here and returns its result as one finished
-    /// part, and so does a fold fed nothing: the command run on the empty
-    /// stream. A fold that failed returns its first error.
-    pub fn plan_finish(self) -> Result<Vec<FinishPart<'a>>, EvalError> {
-        self.plan_finish_at(FINISH_PART_BYTES)
-    }
-
-    /// [`plan_finish`](IncrementalFold::plan_finish) with the part size
-    /// as an argument, so tests can cut folds of a few lines. A fold not
-    /// yet [`seal`](IncrementalFold::seal)ed is sealed here, its batches
-    /// merged one after the other.
-    fn plan_finish_at(mut self, part_bytes: usize) -> Result<Vec<FinishPart<'a>>, EvalError> {
-        if !self.fed {
-            return Ok(vec![FinishPart::settled(self.env.rerun(Bytes::new())?)]);
-        }
-        for batch in self.seal_at(part_bytes) {
-            self.install(batch.merge());
-        }
-        let IncrementalFold {
-            members,
-            env,
-            state,
-            spill,
-            failed,
-            ..
-        } = self;
-        if let Some(e) = failed {
-            return Err(e);
-        }
-        let settled = match state {
-            // Only constructed for unswapped concat: stream order is
-            // output order.
-            FoldState::Concat(segments) => kq_stream::concat_bytes(&segments),
-            FoldState::Gather { pieces, raw: true } => {
-                env.rerun(kq_stream::concat_bytes(&pieces))?
+    /// Settles the fold into the combined stream on this thread: the
+    /// [`close`](IncrementalFold::close) and every piece of work after it,
+    /// run in the order handed out. Work [`push`](IncrementalFold::push)
+    /// handed out must be completed first. The segments of the result are
+    /// the parts' outputs — a merge fold that spilled never gathers them
+    /// onto the heap.
+    pub fn finish(mut self) -> Result<Rope, EvalError> {
+        let mut queue = std::collections::VecDeque::new();
+        let mut step = self.close();
+        loop {
+            match step {
+                Step::Done(result) => return result,
+                Step::Work(work) => queue.extend(work),
+                Step::Wait => {}
             }
-            FoldState::Gather { pieces, .. } => combine_all(&members[0], &pieces, env)?,
-            FoldState::Merge {
-                order,
-                count,
-                runs,
-                pending,
-                pending_raw,
-                spilled,
-                ..
-            } => {
-                debug_assert!(
-                    pending.pieces.is_empty() && pending_raw.pieces.is_empty(),
-                    "sealed above"
-                );
-                let order = order?;
-                let parts = finish_part_count(folded_bytes(&runs, 0), part_bytes);
-                let runs: Vec<Bytes> = runs
-                    .into_iter()
-                    .map(|run| run.expect("finish before every batch was installed"))
-                    .collect();
-                // Once a run has spilled, every part streams through a temp
-                // file, so the heap never holds the merged output.
-                let spill = spill.filter(|_| spilled);
-                let part = |index: usize, runs: Vec<Bytes>| FinishPart {
-                    index,
-                    work: PartWork::Merge {
-                        env,
-                        order,
-                        count,
-                        runs,
-                        spill: spill.clone(),
-                    },
-                };
-                if parts < 2 {
-                    return Ok(vec![part(0, runs)]);
-                }
-                let views: Vec<&[u8]> = runs.iter().map(Bytes::as_bytes).collect();
-                // Searching a spilled run leaves pages all over it
-                // resident: drop them as soon as each search is done, or
-                // planning alone would map every run whole.
-                let mut release = |r: usize| runs[r].release_range(0..runs[r].len());
-                return Ok(order
-                    .partition(&views, parts, &mut release)
-                    .into_iter()
-                    .filter(|ranges| ranges.iter().any(|r| !r.is_empty()))
-                    .enumerate()
-                    .map(|(index, ranges)| {
-                        part(
-                            index,
-                            runs.iter().zip(ranges).map(|(s, r)| s.slice(r)).collect(),
-                        )
-                    })
-                    .collect());
-            }
-            FoldState::Counter {
-                slots,
-                mut heap_bytes,
-                mut spilled,
-            } => {
-                // Low slots hold later data: combine upward so each slot
-                // (an earlier group) becomes the left argument. At most
-                // `log k` intermediates form; each stays budget-accounted
-                // so the closing combine chain cannot regrow the heap the
-                // incremental pushes kept bounded.
-                let mut acc: Option<Bytes> = None;
-                for earlier in slots.into_iter().flatten() {
-                    acc = Some(match acc {
-                        None => earlier,
-                        Some(later) => {
-                            for consumed in [&earlier, &later] {
-                                if !consumed.is_mmap_backed() {
-                                    heap_bytes = heap_bytes.saturating_sub(consumed.len());
-                                }
-                            }
-                            let combined =
-                                combine_pair(members, earlier.as_bytes(), later.as_bytes(), env)?;
-                            store_group(combined, &spill, &mut heap_bytes, &mut spilled)?
-                        }
-                    });
-                }
-                acc.unwrap_or_default()
-            }
-        };
-        Ok(vec![FinishPart::settled(settled)])
-    }
-
-    /// Settles the fold into the combined stream:
-    /// [`plan_finish`](IncrementalFold::plan_finish), with every
-    /// part merged here and now. The segments of the result are the parts'
-    /// outputs — a merge fold that spilled never gathers them onto the
-    /// heap.
-    pub fn finish(self) -> Result<Rope, EvalError> {
-        merge_parts(self.plan_finish()?)
+            let work = queue.pop_front().expect("a fold that waits has work out");
+            step = self.complete(work.run());
+        }
     }
 }
 
-/// Merges `parts` one after the other and stitches the outputs.
-fn merge_parts(parts: Vec<FinishPart<'_>>) -> Result<Rope, EvalError> {
-    let outputs = parts
-        .into_iter()
-        .map(FinishPart::merge)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(stitch(outputs))
+/// What a fold asks of its owner next ([`IncrementalFold::close`],
+/// [`IncrementalFold::complete`]).
+pub enum Step<'a> {
+    /// Nothing, until work still out comes back.
+    Wait,
+    /// Work to run, each piece with no lock held, in any order.
+    Work(Vec<FoldWork<'a>>),
+    /// The fold is closed: its combined stream, or its first error. It
+    /// takes nothing more.
+    Done(Result<Rope, EvalError>),
 }
 
-/// What one part of a fold's closing work comes to ([`FinishPart::merge`]).
-pub enum PartOutput {
+/// A piece of a fold's work, handed out to be run outside whatever lock
+/// guards the fold ([`FoldWork::run`]) and completed
+/// ([`IncrementalFold::complete`]).
+pub struct FoldWork<'a>(Work<'a>);
+
+enum Work<'a> {
+    /// A run batch: merge its runs, or sort its raw chunks.
+    Batch(Batch<'a>),
+    /// Cut the closing merge into this many key ranges.
+    Partition(ClosingMerge<'a>, usize),
+    /// Merge one key range of the closing merge, by part index — or, with
+    /// no index, the closing merge whole, which closes the fold.
+    Part(Option<usize>, ClosingMerge<'a>),
+    /// Stitch the parts' outputs, in part order.
+    Stitch(Vec<PartOutput>),
+    /// Settle a fold that closes by no merge, or one fed nothing.
+    Settle(Settle<'a>),
+}
+
+impl<'a> FoldWork<'a> {
+    /// Does the work.
+    pub fn run(self) -> WorkDone<'a> {
+        WorkDone(match self.0 {
+            Work::Batch(batch) => Done::Run {
+                index: batch.index,
+                charged: batch.charged,
+                run: batch.run(),
+            },
+            Work::Partition(merge, parts) => Done::Parts(merge.partition(parts)),
+            Work::Part(Some(index), part) => Done::Part(index, part.merge()),
+            Work::Part(None, part) => Done::Closed(part.merge().map(|output| stitch(vec![output]))),
+            Work::Stitch(outputs) => Done::Closed(Ok(stitch(outputs))),
+            Work::Settle(settle) => Done::Closed(settle.run().map(Rope::from)),
+        })
+    }
+
+    /// The name of the work's trace span, and its `seq`: `fold-merge` for
+    /// a run batch (the batch index), `fold-partition`, `fold-finish` for a
+    /// part (the part index), `fold-stitch`, and an unnumbered
+    /// `fold-finish` for work that closes the fold by itself.
+    pub fn span(&self) -> (&'static str, Option<usize>) {
+        match &self.0 {
+            Work::Batch(batch) => ("fold-merge", Some(batch.index)),
+            Work::Partition(..) => ("fold-partition", None),
+            Work::Part(index, _) => ("fold-finish", *index),
+            Work::Stitch(_) => ("fold-stitch", None),
+            Work::Settle(_) => ("fold-finish", None),
+        }
+    }
+}
+
+/// The result of a [`FoldWork`], to hand back to its fold.
+pub struct WorkDone<'a>(Done<'a>);
+
+enum Done<'a> {
+    Run {
+        index: usize,
+        charged: usize,
+        run: Result<Bytes, EvalError>,
+    },
+    Parts(Vec<ClosingMerge<'a>>),
+    Part(usize, Result<PartOutput, EvalError>),
+    Closed(Result<Rope, EvalError>),
+}
+
+/// What one part of a closing merge comes to ([`ClosingMerge::merge`]).
+enum PartOutput {
     /// The part's segment of the combined stream.
     Segment(Bytes),
     /// The part's lines regrouped by count, in blocks of its stream (one
@@ -916,7 +953,7 @@ pub enum PartOutput {
 
 /// One block of a part regrouped by count: a line-aligned stretch of the
 /// counted stream, its lines regrouped ([`CountOrder::regroup`]).
-pub struct CountBlock {
+struct CountBlock {
     bytes: Bytes,
     /// The groups of `bytes`.
     groups: Groups,
@@ -939,7 +976,7 @@ const STITCH_COPY_BYTES: usize = 4 << 10;
 /// this is the numeric sort of the whole of it, made of at most one slice
 /// per count and block and no second copy of the stream — slices that
 /// continue the one before join it, and short ones are copied together.
-pub fn stitch(parts: Vec<PartOutput>) -> Rope {
+fn stitch(parts: Vec<PartOutput>) -> Rope {
     let mut rope = Rope::new();
     let mut order = None;
     let mut blocks = Vec::new();
@@ -1022,60 +1059,60 @@ impl Gathered {
     }
 }
 
-/// One independent piece of a fold's closing work, handed out by
-/// [`IncrementalFold::plan_finish`]: a key range of a merge fold's runs
-/// still to be merged, or — for folds that do not partition — the settled
-/// result. The outputs of a fold's parts, concatenated by
-/// [`index`](FinishPart::index), are the fold's combined stream.
-pub struct FinishPart<'a> {
-    index: usize,
-    work: PartWork<'a>,
+/// A merge fold's closing merge, or one key range of it.
+struct ClosingMerge<'a> {
+    env: &'a dyn RunEnv,
+    order: LineOrder,
+    /// Set when the fold closes in count order: the output is regrouped
+    /// by count.
+    count: Option<CountOrder>,
+    /// The runs — or this part's slice of each — in run order.
+    runs: Vec<Bytes>,
+    /// Set when the fold spilled: the merge streams through a temp file,
+    /// releasing the run slices' pages behind its frontier.
+    spill: Option<SpillConfig>,
 }
 
-enum PartWork<'a> {
-    Settled(Bytes),
-    Merge {
-        env: &'a dyn RunEnv,
-        order: LineOrder,
-        /// Set when the fold closes in count order: the part's output is
-        /// regrouped by count.
-        count: Option<CountOrder>,
-        /// This part's slice of every run, in run order.
-        runs: Vec<Bytes>,
-        /// Set when the fold spilled: the merge streams through a temp
-        /// file, releasing the run slices' pages behind its frontier.
-        spill: Option<SpillConfig>,
-    },
-}
-
-impl<'a> FinishPart<'a> {
-    /// A finished part holding `combined`: how a fold that settles without
-    /// partitioning returns its result.
-    pub fn settled(combined: Bytes) -> FinishPart<'a> {
-        FinishPart {
-            index: 0,
-            work: PartWork::Settled(combined),
-        }
+impl<'a> ClosingMerge<'a> {
+    /// The merge cut into `parts` key ranges, empty ones dropped: the
+    /// splitters sampled from the runs, every run cut by binary search,
+    /// no bytes moved.
+    fn partition(self, parts: usize) -> Vec<ClosingMerge<'a>> {
+        let views: Vec<&[u8]> = self.runs.iter().map(Bytes::as_bytes).collect();
+        // Searching a spilled run leaves pages all over it resident: drop
+        // them as soon as each search is done, or the partition alone
+        // would map every run whole.
+        let mut release = |r: usize| self.runs[r].release_range(0..self.runs[r].len());
+        (self
+            .order
+            .partition(&views, parts, &mut release)
+            .into_iter())
+        .filter(|ranges| ranges.iter().any(|r| !r.is_empty()))
+        .map(|ranges| ClosingMerge {
+            env: self.env,
+            order: self.order,
+            count: self.count,
+            runs: self
+                .runs
+                .iter()
+                .zip(ranges)
+                .map(|(s, r)| s.slice(r))
+                .collect(),
+            spill: self.spill.clone(),
+        })
+        .collect()
     }
 
-    /// Position of this part's output in the combined stream.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Merges the part into its segment of the combined stream — or, for
-    /// a fold closing in count order, into its lines regrouped by count.
-    pub fn merge(self) -> Result<PartOutput, EvalError> {
-        let (env, order, count, runs, spill) = match self.work {
-            PartWork::Settled(combined) => return Ok(PartOutput::Segment(combined)),
-            PartWork::Merge {
-                env,
-                order,
-                count,
-                runs,
-                spill,
-            } => (env, order, count, runs, spill),
-        };
+    /// Merges the runs into a segment of the combined stream — or, for a
+    /// fold closing in count order, into their lines regrouped by count.
+    fn merge(self) -> Result<PartOutput, EvalError> {
+        let ClosingMerge {
+            env,
+            order,
+            count,
+            runs,
+            spill,
+        } = self;
         Ok(match (count, spill) {
             (None, None) => PartOutput::Segment(merge_pieces(env, order, &runs)?),
             (None, Some(cfg)) => PartOutput::Segment(merge_spilled_runs(env, order, runs, &cfg)?),
@@ -1087,6 +1124,64 @@ impl<'a> FinishPart<'a> {
             (Some(count), Some(cfg)) => {
                 PartOutput::Regrouped(count, regroup_spilled_runs(env, order, count, runs, &cfg)?)
             }
+        })
+    }
+}
+
+/// The close of a fold that is no merge — or of one fed nothing, as a
+/// rerun fold fed no chunk.
+struct Settle<'a> {
+    members: &'a [Candidate],
+    env: &'a dyn RunEnv,
+    state: FoldState,
+    spill: Option<SpillConfig>,
+}
+
+impl Settle<'_> {
+    fn run(self) -> Result<Bytes, EvalError> {
+        let Settle {
+            members,
+            env,
+            state,
+            spill,
+        } = self;
+        Ok(match state {
+            // Only constructed for unswapped concat: stream order is
+            // output order.
+            FoldState::Concat(segments) => kq_stream::concat_bytes(&segments),
+            FoldState::Gather { pieces, raw: true } => {
+                env.rerun(kq_stream::concat_bytes(&pieces))?
+            }
+            FoldState::Gather { pieces, .. } => combine_all(&members[0], &pieces, env)?,
+            FoldState::Counter {
+                slots,
+                mut heap_bytes,
+                mut spilled,
+            } => {
+                // Low slots hold later data: combine upward so each slot
+                // (an earlier group) becomes the left argument. At most
+                // `log k` intermediates form; each stays budget-accounted
+                // so the closing combine chain cannot regrow the heap the
+                // incremental pushes kept bounded.
+                let mut acc: Option<Bytes> = None;
+                for earlier in slots.into_iter().flatten() {
+                    acc = Some(match acc {
+                        None => earlier,
+                        Some(later) => {
+                            for consumed in [&earlier, &later] {
+                                if !consumed.is_mmap_backed() {
+                                    heap_bytes = heap_bytes.saturating_sub(consumed.len());
+                                }
+                            }
+                            let combined =
+                                combine_pair(members, earlier.as_bytes(), later.as_bytes(), env)?;
+                            store_group(combined, &spill, &mut heap_bytes, &mut spilled)?
+                        }
+                    });
+                }
+                acc.unwrap_or_default()
+            }
+            _ => unreachable!("a merge fold closes by its merge"),
         })
     }
 }
@@ -1115,11 +1210,9 @@ fn merge_pieces(env: &dyn RunEnv, order: LineOrder, pieces: &[Bytes]) -> Result<
 }
 
 /// The pending pieces of one kind of a merge fold, cut at the run trigger
-/// and handed back by [`IncrementalFold::push`] (or by
-/// [`IncrementalFold::seal`] when the input ends) so that making them a
-/// run — a k-way merge of runs, or one sort of raw chunks — happens
-/// outside whatever lock guards the fold.
-pub struct RunBatch<'a> {
+/// or when the input ends, to be made a run — a k-way merge of runs, or
+/// one sort of raw chunks — outside whatever lock guards the fold.
+struct Batch<'a> {
     env: &'a dyn RunEnv,
     order: LineOrder,
     /// The pieces are raw chunks: sort them, do not merge them.
@@ -1135,17 +1228,12 @@ pub struct RunBatch<'a> {
     spill: Option<SpillConfig>,
 }
 
-impl RunBatch<'_> {
-    /// Position of this batch among the batches its fold has cut.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
+impl Batch<'_> {
     /// Makes the batch one sorted run: the merge of its sorted pieces, or
     /// the sort of its raw ones' concatenation (which joins adjacent views
     /// of one buffer, the chunks of a split, without a copy) — and writes
     /// it out and maps it back when the fold's ledger said so.
-    pub fn merge(self) -> Result<MergedRun, EvalError> {
+    fn run(self) -> Result<Bytes, EvalError> {
         let run = if self.raw {
             let input = kq_stream::concat_bytes(&self.pieces);
             drop(self.pieces);
@@ -1159,24 +1247,11 @@ impl RunBatch<'_> {
         } else {
             merge_pieces(self.env, self.order, &self.pieces)?
         };
-        let run = match &self.spill {
-            Some(cfg) => spill_run(run, cfg)?,
-            None => run,
-        };
-        Ok(MergedRun {
-            index: self.index,
-            run,
-            charged: self.charged,
-        })
+        match &self.spill {
+            Some(cfg) => spill_run(run, cfg),
+            None => Ok(run),
+        }
     }
-}
-
-/// A merged [`RunBatch`], to be given back with
-/// [`IncrementalFold::install`].
-pub struct MergedRun {
-    index: usize,
-    run: Bytes,
-    charged: usize,
 }
 
 /// Fragment granularity of the streamed spilled-run merge: how much merged
@@ -1199,7 +1274,7 @@ fn spill_err(e: std::io::Error) -> EvalError {
 /// Charges a batch of `bytes` to the fold's ledger as it is cut: its run
 /// may stay on the heap if the resident runs, and the runs of batches
 /// still out, leave room for it within [`SpillConfig::run_budget`] — the
-/// bytes charged, settled by [`IncrementalFold::install`] — and is
+/// bytes charged, settled when the run comes back — and is
 /// otherwise written to disk by whoever makes it, outside any lock on the
 /// fold. Returns `(bytes charged, config to spill with)`.
 fn charge_batch(
@@ -1254,7 +1329,7 @@ fn store_group(
     spill_run(group, cfg)
 }
 
-/// The out-of-core final merge of one [`FinishPart`]: an arity-bounded
+/// The out-of-core merge of a [`ClosingMerge`]: an arity-bounded
 /// merge tree over the part's slices of the accumulated runs, each wave
 /// streaming `env.merge_stream` fragments into a fresh temp file while
 /// releasing every mapped run's consumed prefix behind the merge frontier,
@@ -1454,7 +1529,7 @@ mod tests {
     }
 
     /// A push the way a single owner of the fold does it: a batch handed
-    /// back is merged and installed on the spot.
+    /// out is run and completed on the spot.
     fn push(fold: &mut IncrementalFold<'_>, piece: &Bytes) {
         push_piece(fold, Piece::Output(piece.clone()));
     }
@@ -1465,9 +1540,42 @@ mod tests {
     }
 
     fn push_piece(fold: &mut IncrementalFold<'_>, piece: Piece) {
-        if let Some(batch) = fold.push(piece) {
-            fold.install(batch.merge());
+        if let Some(work) = fold.push(piece) {
+            assert!(matches!(fold.complete(work.run()), Step::Wait));
         }
+    }
+
+    /// The trace span of each piece of work a fold handed out.
+    type Spans = Vec<(&'static str, Option<usize>)>;
+
+    /// Closes `fold` in parts of `part_bytes`, its work run on this thread
+    /// in the order handed out: the combined stream, and the span of each
+    /// piece of work run.
+    fn close_in_parts(mut fold: IncrementalFold<'_>, part_bytes: usize) -> (Rope, Spans) {
+        fold.part_bytes = part_bytes;
+        let mut spans = Vec::new();
+        let mut queue = std::collections::VecDeque::new();
+        let mut step = fold.close();
+        loop {
+            match step {
+                Step::Done(result) => return (result.unwrap(), spans),
+                Step::Work(work) => queue.extend(work),
+                Step::Wait => {}
+            }
+            let work = queue.pop_front().expect("work out");
+            spans.push(work.span());
+            step = fold.complete(work.run());
+        }
+    }
+
+    /// The parts a close merged, checked to be numbered in order.
+    fn parts(spans: &Spans) -> usize {
+        let seqs: Vec<usize> = (spans.iter())
+            .filter(|(name, _)| *name == "fold-finish")
+            .filter_map(|&(_, seq)| seq)
+            .collect();
+        assert_eq!(seqs, (0..seqs.len()).collect::<Vec<_>>());
+        seqs.len()
     }
 
     fn s(v: &[&str]) -> Vec<Bytes> {
@@ -1690,28 +1798,163 @@ mod tests {
         assert_eq!(incremental(&c, &pieces, &FakeEnv), flat);
     }
 
+    /// Runs `pieces` through `fold`, closed in parts of `part_bytes`, with
+    /// every piece of work it hands out run and completed in an order drawn
+    /// from `seed`: batches handed out while pushing come back now and
+    /// then, and those still out when the input ends come back among the
+    /// close's work.
+    fn fold_shuffled(
+        mut fold: IncrementalFold<'_>,
+        pieces: &[Piece],
+        part_bytes: usize,
+        seed: u64,
+    ) -> Bytes {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        fold.part_bytes = part_bytes;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut out: Vec<FoldWork> = Vec::new();
+        for piece in pieces {
+            out.extend(fold.push(piece.clone()));
+            while !out.is_empty() && rng.gen_range(0..3) == 0 {
+                let work = out.swap_remove(rng.gen_range(0..out.len()));
+                assert!(matches!(fold.complete(work.run()), Step::Wait));
+            }
+        }
+        let mut step = fold.close();
+        loop {
+            match step {
+                Step::Done(result) => return result.unwrap().into_bytes(),
+                Step::Work(work) => out.extend(work),
+                Step::Wait => {}
+            }
+            let work = out.swap_remove(rng.gen_range(0..out.len()));
+            step = fold.complete(work.run());
+        }
+    }
+
+    /// A fold closes right whatever order its work comes back in. Plain,
+    /// `-nu`, counted (counted runs and raw chunks mixed) and count-order
+    /// merges, and rerun, concat and counter folds, each with no spill
+    /// config, with every run spilled and with some resident, closed in
+    /// parts of a few lines and their work completed in seeded shuffled
+    /// orders, equal `combine_all` — or, for the counted kinds, the serial
+    /// commands.
     #[test]
-    fn batches_installed_out_of_arrival_order_finish_in_stream_order() {
-        // Every line is its piece number under `-n`, with a tail that
-        // last-resort byte order would sort the other way: only batch
-        // *position* keeps key-equal lines in stream order under -nu.
-        let c = Candidate::run(RunOp::Merge(vec!["-nu".to_owned()]));
-        let pieces: Vec<Bytes> = (0..MERGE_RUN_ARITY * 3 + 2)
-            .map(|i| Bytes::from(format!("{} piece {}\n", i % 5, 999 - i)))
-            .collect();
-        let flat = combine_all(&c, &pieces, &FakeEnv).unwrap();
-        let mut fold = IncrementalFold::over(std::slice::from_ref(&c), None, &FakeEnv, None);
-        let mut batches = Vec::new();
-        for p in &pieces {
-            batches.extend(fold.push(p.clone()));
+    fn a_fold_closes_right_in_any_completion_order() {
+        use kq_coreutils::sort::reference;
+        let ctx = kq_coreutils::ExecContext::default();
+        let sort = kq_coreutils::parse_command("sort").unwrap();
+        let sort_env = crate::eval::CommandEnv {
+            command: &sort,
+            ctx: &ctx,
+        };
+        let counted = LineOrder::parse(&[]).unwrap().counted();
+        let by_count = LineOrder::parse(&words("-rn")).unwrap();
+        let count = LineOrder::parse(&[])
+            .unwrap()
+            .count_order(by_count)
+            .unwrap();
+        let (stream, mixed) = counted_and_raw_chunks(counted);
+        let uniq_c = reference::sort_count(counted, &stream);
+        let outputs = |pieces: Vec<Bytes>| pieces.into_iter().map(Piece::Output).collect();
+        let flat = |c: &Candidate, pieces: &[Piece]| {
+            let bytes: Vec<Bytes> = pieces.iter().map(|p| p.bytes().clone()).collect();
+            combine_all(c, &bytes, &FakeEnv).unwrap()
+        };
+        let lines = |n: usize, line: &dyn Fn(usize) -> String| -> Vec<Bytes> {
+            (0..n).map(|i| Bytes::from(line(i))).collect()
+        };
+        type Kind<'e> = (
+            &'static str,
+            Candidate,
+            Option<(LineOrder, Option<CountOrder>)>,
+            Vec<Piece>,
+            &'e dyn RunEnv,
+        );
+        let kinds: Vec<Kind> = vec![
+            (
+                "merge",
+                merge_candidate(""),
+                None,
+                outputs(keyed_pieces("", MERGE_RUN_ARITY * 2 + 5, 9)),
+                &FakeEnv,
+            ),
+            // Lines equal by key: only a run's place in the stream keeps
+            // the first of them.
+            (
+                "merge -nu",
+                merge_candidate("-nu"),
+                None,
+                outputs(keyed_pieces("-nu", MERGE_RUN_ARITY * 2 + 5, 9)),
+                &FakeEnv,
+            ),
+            (
+                "counted",
+                merge_candidate(""),
+                Some((counted, None)),
+                mixed.clone(),
+                &sort_env,
+            ),
+            (
+                "count order",
+                merge_candidate(""),
+                Some((counted, Some(count))),
+                mixed,
+                &sort_env,
+            ),
+            (
+                "rerun",
+                Candidate::run(RunOp::Rerun),
+                None,
+                (lines(40, &|i| format!("x{i}\n")).into_iter())
+                    .map(Piece::Raw)
+                    .collect(),
+                &FakeEnv,
+            ),
+            (
+                "concat",
+                Candidate::rec(RecOp::Concat),
+                None,
+                outputs(lines(40, &|i| format!("c{i}\n"))),
+                &FakeEnv,
+            ),
+            (
+                "counter",
+                Candidate::structural(StructOp::Stitch2(Delim::Space, RecOp::Add, RecOp::First)),
+                None,
+                outputs(lines(40, &|i| {
+                    format!("      2 k{:03}\n      1 k{:03}\n", i / 2, i / 2 + 1)
+                })),
+                &FakeEnv,
+            ),
+        ];
+        for (label, c, order, pieces, env) in &kinds {
+            let expect = match *label {
+                "counted" => Bytes::from(uniq_c.clone()),
+                "count order" => Bytes::from(reference::sort(by_count, &uniq_c)),
+                "rerun" => FakeEnv
+                    .rerun(kq_stream::concat_bytes(pieces.iter().map(Piece::bytes)))
+                    .unwrap(),
+                _ => flat(c, pieces),
+            };
+            let total: usize = pieces.iter().map(|p| p.bytes().len()).sum();
+            for budget in [None, Some(0), Some(total / 3)] {
+                for seed in 0..3 {
+                    let tag = format!("order-{label}-{seed}-{}", budget.unwrap_or(usize::MAX));
+                    with_spill_dir(&tag.replace(' ', "-"), budget.unwrap_or(0), |cfg| {
+                        let spill = budget.map(|_| cfg.clone());
+                        let fold =
+                            IncrementalFold::over(std::slice::from_ref(c), *order, *env, spill);
+                        let part_bytes = [40, 300][seed as usize % 2];
+                        assert_eq!(
+                            fold_shuffled(fold, pieces, part_bytes, seed),
+                            expect,
+                            "{label}, budget {budget:?}, seed {seed}"
+                        );
+                    });
+                }
+            }
         }
-        let indices: Vec<usize> = batches.iter().map(RunBatch::index).collect();
-        assert_eq!(indices, [0, 1, 2], "one batch per full arity of pieces");
-        // Last batch back first.
-        for batch in batches.into_iter().rev() {
-            fold.install(batch.merge());
-        }
-        assert_eq!(fold.finish().unwrap().into_bytes(), flat);
     }
 
     #[test]
@@ -1723,9 +1966,8 @@ mod tests {
         for _ in 0..MERGE_RUN_ARITY + 1 {
             assert!(fold.push(Bytes::from("a\n")).is_none());
         }
-        assert!(fold.seal().is_empty());
-        assert_eq!(fold.finish_parts(), 1);
-        assert!(fold.finish().is_err());
+        // The close hands out no work: it fails at once.
+        assert!(matches!(fold.close(), Step::Done(Err(_))));
     }
 
     #[test]
@@ -2021,16 +2263,14 @@ mod tests {
                         for p in &pieces {
                             push(&mut fold, p);
                         }
-                        let parts = fold.plan_finish_at(part_bytes).unwrap();
+                        let (got, spans) = close_in_parts(fold, part_bytes);
                         // `-u` runs are smaller than the pieces they merged.
                         let at_most = finish_part_count(total, part_bytes);
-                        assert!((1..=at_most).contains(&parts.len()));
+                        assert!(parts(&spans) <= at_most);
                         if part_bytes <= 40 {
-                            assert!(parts.len() > 2, "{flags:?}: the fold must cut");
+                            assert!(parts(&spans) > 2, "{flags:?}: the fold must cut");
                         }
-                        let indices: Vec<usize> = parts.iter().map(FinishPart::index).collect();
-                        assert_eq!(indices, (0..parts.len()).collect::<Vec<_>>());
-                        let got = merge_parts(parts).unwrap().into_bytes();
+                        let got = got.into_bytes();
                         assert_eq!(
                             got, flat,
                             "merge {flags:?}, budget {budget:?}, parts of {part_bytes} bytes"
@@ -2130,11 +2370,11 @@ mod tests {
                         for p in &pieces {
                             push(&mut fold, p);
                         }
-                        let parts = fold.plan_finish_at(part_bytes).unwrap();
+                        let (got, spans) = close_in_parts(fold, part_bytes);
                         if part_bytes <= 40 {
-                            assert!(parts.len() > 2, "{sort} | {uniq}: the fold must cut");
+                            assert!(parts(&spans) > 2, "{sort} | {uniq}: the fold must cut");
                         }
-                        let got = merge_parts(parts).unwrap().into_bytes();
+                        let got = got.into_bytes();
                         assert_eq!(
                             got, expect,
                             "{sort} | {uniq}, budget {budget:?}, parts of {part_bytes} bytes"
@@ -2224,11 +2464,11 @@ mod tests {
                             for p in &pieces {
                                 push(&mut fold, p);
                             }
-                            let parts = fold.plan_finish_at(part_bytes).unwrap();
+                            let (got, spans) = close_in_parts(fold, part_bytes);
                             if part_bytes <= 40 {
-                                assert!(parts.len() > 2, "{sort} | uniq -c: the fold must cut");
+                                assert!(parts(&spans) > 2, "{sort} | uniq -c: the fold must cut");
                             }
-                            let got = merge_parts(parts).unwrap().into_bytes();
+                            let got = got.into_bytes();
                             assert_eq!(
                                 got, expect,
                                 "{sort} | uniq -c | {numeric}, budget {budget:?}, parts of \
@@ -2335,20 +2575,23 @@ mod tests {
                             // counted runs are small.
                             let mut cut = [0usize; 2];
                             for piece in &pieces {
-                                if let Some(batch) = fold.push(piece.clone()) {
+                                if let Some(work) = fold.push(piece.clone()) {
+                                    let Work::Batch(batch) = &work.0 else {
+                                        panic!("a push hands out run batches only");
+                                    };
                                     cut[usize::from(batch.raw)] += 1;
-                                    fold.install(batch.merge());
+                                    fold.complete(work.run());
                                 }
                             }
                             assert!(cut[1] > 0 && (cut[0] > 0 || budget.is_some()), "{cut:?}");
-                            let parts = fold.plan_finish_at(part_bytes).unwrap();
+                            let (got, spans) = close_in_parts(fold, part_bytes);
                             if part_bytes <= 40 {
                                 assert!(
-                                    parts.len() > 2,
+                                    parts(&spans) > 2,
                                     "sort {flags} | uniq -c: the fold must cut"
                                 );
                             }
-                            let got = merge_parts(parts).unwrap().into_bytes();
+                            let got = got.into_bytes();
                             assert!(
                                 got == expect.as_str(),
                                 "sort {flags} | uniq -c | sort {then}, budget {budget:?}, parts \
@@ -2534,8 +2777,7 @@ mod tests {
                                 for p in chunks {
                                     push_raw(&mut fold, p);
                                 }
-                                let parts = fold.plan_finish_at(part_bytes).unwrap();
-                                let got = merge_parts(parts).unwrap().into_bytes();
+                                let got = close_in_parts(fold, part_bytes).0.into_bytes();
                                 assert_eq!(
                                     got, expect,
                                     "sort {flags} of {pieces} piece(s), budget {budget:?}, \
@@ -2624,8 +2866,13 @@ mod tests {
         for chunk in mapped.chunks(64 << 10) {
             push_raw(&mut fold, &chunk);
         }
-        for batch in fold.seal() {
-            fold.install(batch.merge());
+        // The tail's batches, sorted; the closing merge is not run.
+        let Step::Work(batches) = fold.close() else {
+            panic!("a fold with chunks pending hands out their batches");
+        };
+        for batch in batches {
+            assert_eq!(batch.span().0, "fold-merge");
+            fold.complete(batch.run());
         }
         let resident = mapping_rss_kib(mapped.as_bytes().as_ptr() as usize);
         let file_kib = mapped.len() / 1024;
@@ -2633,6 +2880,21 @@ mod tests {
             resident < file_kib / 2,
             "{resident} KiB of the {file_kib} KiB file still resident after sorting"
         );
+    }
+
+    /// The batches a close hands out, and the spans of all it hands out.
+    fn close_batches<'a>(fold: &mut IncrementalFold<'a>) -> (Vec<Batch<'a>>, Spans) {
+        let Step::Work(work) = fold.close() else {
+            panic!("a fold fed something closes by work");
+        };
+        let spans = work.iter().map(FoldWork::span).collect();
+        let batches = (work.into_iter())
+            .filter_map(|work| match work.0 {
+                Work::Batch(batch) => Some(batch),
+                _ => None,
+            })
+            .collect();
+        (batches, spans)
     }
 
     #[test]
@@ -2650,13 +2912,15 @@ mod tests {
             &FakeEnv,
             None,
         );
+        fold.part_bytes = total / 3;
         for p in &pieces {
             assert!(fold.push(Piece::Raw(p.clone())).is_none());
         }
-        let batches = fold.seal_at(total / 3);
+        let (batches, spans) = close_batches(&mut fold);
         assert_eq!(batches.len(), 3);
-        let indices: Vec<usize> = batches.iter().map(RunBatch::index).collect();
+        let indices: Vec<usize> = batches.iter().map(|batch| batch.index).collect();
         assert_eq!(indices, [0, 1, 2]);
+        assert_eq!(spans.len(), 3, "the close hands out batches only");
         let mut cut = Vec::new();
         for batch in &batches {
             let bytes: usize = batch.pieces.iter().map(Bytes::len).sum();
@@ -2668,8 +2932,17 @@ mod tests {
             kq_stream::concat_bytes(&cut),
             kq_stream::concat_bytes(&pieces)
         );
-        // Sealed: nothing is left to hand out.
-        assert!(fold.seal_at(total / 3).is_empty());
+        // Sealed: once the runs are back, the closing merge is cut.
+        let mut steps: Vec<Step> = batches
+            .into_iter()
+            .map(|batch| fold.complete(FoldWork(Work::Batch(batch)).run()))
+            .collect();
+        let Some(Step::Work(next)) = steps.pop() else {
+            panic!("the last run back moves the close on");
+        };
+        assert!(steps.iter().all(|step| matches!(step, Step::Wait)));
+        let next: Spans = next.iter().map(FoldWork::span).collect();
+        assert_eq!(next, [("fold-partition", None)]);
         // Below a part's bytes, the tail is one batch, raw or sorted.
         for raw in [true, false] {
             let mut fold = IncrementalFold::over(
@@ -2683,42 +2956,23 @@ mod tests {
             } else {
                 pieces.iter().for_each(|p| push(&mut fold, p));
             }
-            assert_eq!(fold.seal().len(), 1);
+            assert_eq!(close_batches(&mut fold).0.len(), 1);
         }
-        // Nothing pending, or no merge: nothing to hand out.
-        assert!(IncrementalFold::over(
-            std::slice::from_ref(&c),
-            Some((order, None)),
-            &FakeEnv,
-            None
-        )
-        .seal()
-        .is_empty());
+        // Nothing pending, or no merge: the close is one unnumbered finish.
         let cat = Candidate::rec(RecOp::Concat);
         let mut concat = IncrementalFold::over(std::slice::from_ref(&cat), None, &NoRunEnv, None);
         push(&mut concat, &pieces[0]);
-        assert!(concat.seal().is_empty());
-    }
-
-    #[test]
-    fn parts_merged_out_of_order_concatenate_by_index() {
-        let c = merge_candidate("-nu");
-        let pieces = keyed_pieces("-nu", MERGE_RUN_ARITY + 7, 12);
-        let flat = combine_all(&c, &pieces, &FakeEnv).unwrap();
-        let mut fold = IncrementalFold::over(std::slice::from_ref(&c), None, &FakeEnv, None);
-        for p in &pieces {
-            push(&mut fold, p);
-        }
-        let parts = fold.plan_finish_at(64).unwrap();
-        let mut slots: Vec<Option<PartOutput>> = (0..parts.len()).map(|_| None).collect();
-        for part in parts.into_iter().rev() {
-            let index = part.index();
-            slots[index] = Some(part.merge().unwrap());
-        }
-        assert_eq!(
-            stitch(slots.into_iter().flatten().collect()).into_bytes(),
-            flat
+        let mut merge = IncrementalFold::over(
+            std::slice::from_ref(&c),
+            Some((order, None)),
+            &FakeEnv,
+            None,
         );
+        for fold in [&mut concat, &mut merge] {
+            let (batches, spans) = close_batches(fold);
+            assert!(batches.is_empty());
+            assert_eq!(spans, [("fold-finish", None)]);
+        }
     }
 
     #[test]
@@ -2736,24 +2990,23 @@ mod tests {
             finish_part_count(usize::MAX, FINISH_PART_BYTES),
             FINISH_MAX_PARTS
         );
-        // A fold of KBs plans one part — the flat merge — and folds that
-        // are not merges settle in planning.
+        // A fold of KBs closes by the flat merge, after the batch of its
+        // tail, and folds that are not merges settle in one piece of work.
         let c = merge_candidate("");
         let pieces = spill_pieces(MERGE_RUN_ARITY + 3);
         let mut fold = IncrementalFold::over(std::slice::from_ref(&c), None, &FakeEnv, None);
         for p in &pieces {
             push(&mut fold, p);
         }
-        assert_eq!(fold.finish_parts(), 1);
-        assert_eq!(fold.plan_finish().unwrap().len(), 1);
+        let (_, spans) = close_in_parts(fold, FINISH_PART_BYTES);
+        assert_eq!(spans, [("fold-merge", Some(1)), ("fold-finish", None)]);
         let concat = Candidate::rec(RecOp::Concat);
         let mut fold = IncrementalFold::over(std::slice::from_ref(&concat), None, &NoRunEnv, None);
         push(&mut fold, &Bytes::from("a\n"));
         push(&mut fold, &Bytes::from("b\n"));
-        assert_eq!(fold.finish_parts(), 1);
-        let parts = fold.plan_finish().unwrap();
-        assert_eq!(parts.len(), 1);
-        assert_eq!(merge_parts(parts).unwrap().into_bytes(), "a\nb\n");
+        let (combined, spans) = close_in_parts(fold, FINISH_PART_BYTES);
+        assert_eq!(spans, [("fold-finish", None)]);
+        assert_eq!(combined.into_bytes(), "a\nb\n");
     }
 
     #[test]
@@ -2768,10 +3021,9 @@ mod tests {
                 push(&mut fold, p);
             }
             let (runs_before, ..) = cfg.metrics.snapshot();
-            let parts = fold.plan_finish_at(200).unwrap();
-            let cut = parts.len() as u64;
+            let (rope, spans) = close_in_parts(fold, 200);
+            let cut = parts(&spans) as u64;
             assert!(cut > 2);
-            let rope = merge_parts(parts).unwrap();
             assert_eq!(rope.segment_count() as u64, cut, "one mapped file per part");
             assert!(rope.segments().iter().all(Bytes::is_mmap_backed));
             assert_eq!(rope.into_bytes(), flat);

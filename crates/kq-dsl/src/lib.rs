@@ -59,14 +59,15 @@
 //! [`kq_coreutils::sort::LineOrder`] once per combine
 //! ([`eval::merge_order`]) — once per *fold* for an [`IncrementalFold`] —
 //! and the merge itself is `kq_coreutils::sort`'s offset-value-coded loser
-//! tree. An [`IncrementalFold`] hands its merges out instead of making
-//! them itself, so that its owner can make them with no lock held: the
-//! run batches of [`push`](IncrementalFold::push) and
-//! [`seal`](IncrementalFold::seal), and the key ranges of its closing
-//! merge ([`plan_finish`](IncrementalFold::plan_finish), cut by
+//! tree. An [`IncrementalFold`] hands its merges out as
+//! [`FoldWork`](kway::FoldWork) instead of making them itself, so that its
+//! owner can run them with no lock held and hand the results back: the
+//! run batches of [`push`](IncrementalFold::push) and of the close, and
+//! the key ranges of its closing merge (cut by
 //! [`LineOrder::partition`](kq_coreutils::sort::LineOrder::partition) so
 //! that `-u`, `-f`, `-n`, `-r` and the stream-order tie-break are those of
-//! the one flat merge). Its docs tell how each combiner folds.
+//! the one flat merge). Its docs tell the protocol and how each combiner
+//! folds.
 //!
 //! ```
 //! use kq_dsl::ast::{Combiner, RecOp, StructOp};

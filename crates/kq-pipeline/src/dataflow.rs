@@ -74,8 +74,8 @@
 //!   high-cardinality stream is sorted once and merged once — in the
 //!   closing merge — not sorted per chunk and merged twice. The counted
 //!   order calls only identical lines equal, so the two kinds' runs may
-//!   leave stream order. Spill, the closing merge in parts and the
-//!   scheduler's `Finishing` phase see ordinary line runs. (Plain `uniq`:
+//!   leave stream order. Spill and the closing merge in parts see
+//!   ordinary line runs. (Plain `uniq`:
 //!   the `-u` order, nothing new at all.) The trace's
 //!   `dataflow/raw-pieces` counter says how many chunks each such fold
 //!   took raw;
@@ -114,8 +114,8 @@
 //!   that count, parts in counted order (from the last when the lines of
 //!   one count go against it): a [`kq_stream::Rope`] of at most
 //!   (distinct counts × parts) slices, where distinct counts are at most
-//!   √(2 × lines), short slices copied together
-//!   (`kq_dsl::kway::stitch`).
+//!   √(2 × lines), short slices copied together (the fold's
+//!   `fold-stitch` work).
 //!
 //! What it removes is the third barrier: the sort of every counted line a
 //! second time — for a stream of mostly-distinct words, megabytes whose
@@ -188,9 +188,8 @@
 //! concatenate without a copy) instead of a merge of its sorted chunks.
 //! The runs merge in batch order as before, so `-u` still keeps the first
 //! of key-equal lines; the chunks still pending when the input ends are
-//! sealed into batches of a part's bytes
-//! (`kq_dsl::kway::IncrementalFold::seal`), sorted as pool tasks of their
-//! own, so that the closing merge in parts reads runs only.
+//! cut into batches of a part's bytes by the fold's close, sorted as pool
+//! tasks of their own, so that the closing merge in parts reads runs only.
 //!
 //! What it removes: the sort of every 64 KiB chunk and the merge of their
 //! sorted copies — each line is sorted once, in a run of half a megabyte

@@ -63,23 +63,23 @@
 //! # Fold finalization protocol
 //!
 //! The executor folds barrier-stage outputs incrementally and must answer
-//! one question without a central coordinator: *who runs `finish()` when
+//! one question without a central coordinator: *who closes the fold when
 //! the last piece lands?* There is no collector thread: any pool worker
-//! may integrate a fold's chunk, so finalization is a *claim*: a task that observes
-//! `input closed && inflight == 0 && queue empty` flips the node's phase
-//! to `Running` under the node lock and runs the finish outside it.
+//! may integrate a fold's chunk, so the close is a *claim*: a task that
+//! observes `input closed && inflight == 0 && queue empty` flips the
+//! node's phase to `Closing` under the node lock.
 //!
 //! Every node past the split runs the one task loop that asks it
 //! (`scheduler::node_task`): claim a chunk, map it, integrate it in
-//! stream order, finalize. A sequential stage is a fold like any other:
+//! stream order, close. A sequential stage is a fold like any other:
 //! its map hands each chunk on raw and its fold is the paper's `rerun`
 //! (`cat $* | f`), which gathers the chunks and runs the command once at
-//! the finish — on the empty stream when it was fed nothing. A
+//! the close — on the empty stream when it was fed nothing. A
 //! prefix-bounded stage (`head -n k`, `sed kq`) is the same fold whose
 //! integration counts lines: the chunk that meets the bound cancels
 //! every node above it, which clears and closes the node's input edge, so
 //! the claim above fires as soon as the chunks still in flight come back
-//! — each dropped as it integrates — and the finish runs the command on
+//! — each dropped as it integrates — and the close runs the command on
 //! the prefix.
 //!
 //! Each fold is one `kq_dsl::kway::IncrementalFold`, built through its one
@@ -88,74 +88,62 @@
 //! the node's environment and its spill config. It keeps no piece once it
 //! is combined: a composite combines each pair by the first member whose
 //! domain admits both (§3.2). Its `push` never fails: the first error
-//! comes back at the finish, which a cancelled node never reaches.
+//! comes back at the close, which a cancelled node never reaches.
 //!
 //! The protocol's invariant: **every task that pops a chunk or observes
-//! the closed edge re-evaluates the finalization condition after
-//! integrating its own work** — unconditionally, not only on the path
-//! that "should" be last. The condition is stable once true, so the extra
-//! checks are idempotent; skipping one is how the lost-finalization race
-//! happened (a task popped the final chunk, saw *its own* inflight claim
-//! still counted, and only rescheduled upstream, while the concurrent
-//! observer of the closed edge had already bailed on the nonzero
-//! inflight — nobody checked again, and the run hung with the pool
-//! idle). `tests/fold_finalize_stress.rs` hammers the window at both
-//! sequential stages' rerun folds and combine folds under tiny chunks and
-//! a shallow queue.
+//! the closed edge re-evaluates the close condition after integrating its
+//! own work** — unconditionally, not only on the path that "should" be
+//! last. The condition is stable once true, so the extra checks are
+//! idempotent; skipping one is how the lost-finalization race happened (a
+//! task popped the final chunk, saw *its own* inflight claim still
+//! counted, and only rescheduled upstream, while the concurrent observer
+//! of the closed edge had already bailed on the nonzero inflight — nobody
+//! checked again, and the run hung with the pool idle).
+//! `tests/fold_finalize_stress.rs` hammers the window at both sequential
+//! stages' rerun folds and combine folds under tiny chunks and a shallow
+//! queue.
 //!
-//! The same count keeps the node lock short. Integrating a map result
-//! into a merge fold is O(1) under the lock: when the fold has enough
-//! pieces for a run it hands them back as a batch
-//! (`kq_dsl::kway::IncrementalFold::push`), the task bumps `inflight` for
-//! the batch, drops the lock, k-way merges the batch (a `fold-merge`
-//! span, timed into [`StageTiming::combine_time`]), and re-takes the lock
-//! only to install the run at the batch's index and retire the claim. So
-//! a worker's finished map never waits behind another worker's run merge,
-//! finalization cannot start while a batch is out, and `finish` sees the
-//! runs in stream order whatever order they came back in (the third test
-//! of `tests/fold_finalize_stress.rs`).
+//! The same count keeps the node lock short. A fold never does work
+//! proportional to a run under the lock: it hands that work out
+//! (`kq_dsl::kway::FoldWork`) and the scheduler runs every piece of it the
+//! same way (`scheduler::run_fold_work`) — outside every lock, under the
+//! work's trace span, counted in `inflight` while it is out — then takes
+//! the node lock, retires the claim, times the work into
+//! [`StageTiming::combine_time`] and hands the result back, and the fold
+//! says what comes next. While the node collects, that work is the run
+//! batches a merge fold cuts as pieces arrive (`fold-merge` spans, `seq`
+//! the batch index), each run by the task whose push cut it: a worker's
+//! finished map never waits behind another worker's merge, the close
+//! cannot start while a batch is out, and the runs keep their batches'
+//! places in the stream whatever order they come back in.
 //!
-//! **The sealing phase.** The pieces a merge fold still holds when its
-//! input ends are not merged into the closing merge's parts: the task that
-//! claims the finalization seals the fold
-//! (`kq_dsl::kway::IncrementalFold::seal`), which cuts them by bytes into
-//! ordinary run batches, stores them in the node as `Phase::Sealing` and
-//! schedules one `(si, ni)` task per batch. Each claims a batch under the
-//! lock, makes it a run with the lock released (a `fold-merge` span, as for
-//! every batch) and installs it; the task that installs the last — or the
-//! sealing task, when there was nothing to cut — goes on to the finish. A
-//! sorting fold's tail is raw chunks that no partition could cut; sealed,
-//! it is sorted by as many workers as it has batches.
-//!
-//! **The finishing phase.** The finish itself used to be one task: the
-//! k-way merge of every run, on one thread, with the rest of the pool idle
-//! (on a 32 MiB sort at two workers, 39% of the wall clock). A merge fold
-//! that has folded enough bytes — `kq_dsl::kway::FINISH_PART_BYTES` per
-//! part, so the decision never depends on `--workers` — now finishes in
-//! parts. The task that claimed the finalization plans them (a
-//! `fold-partition` span: splitters sampled from the runs, every run cut
-//! by binary search, no bytes moved; `kq_dsl::IncrementalFold::plan_finish`),
-//! stores them in the node as `Phase::Finishing`, and schedules one
-//! ordinary `(si, ni)` task per part. Each such task claims the next
-//! unclaimed part under the node lock (counted in `inflight` while it is
-//! out), merges it with the lock released (a `fold-finish` span whose
-//! `seq` is the part index, timed into [`StageTiming::combine_time`]),
-//! and slots the output by part index; the task that fills the last slot
-//! — whichever it is — stitches the outputs (`kq_dsl::kway::stitch`, a
-//! `fold-stitch` span: the parts in order, or for a fold closing in count
-//! order every count's groups part by part), flips the node to `Emitting`
-//! over the segments and starts the emission. There is no thread outside the pool
-//! and no new node or edge: the graph IR, `DataflowGraph::validate` and
-//! `kumquat check` do not know the phase exists. A part that fails takes
-//! the node out of the phase under the lock before it reports, so the
-//! statement fails once and siblings still out are dropped when they come
+//! **The closing phase.** The claiming task closes the fold, and the node
+//! holds the work the fold hands out in its `Closing` queue: one pool task
+//! per piece, the claiming task running the first. A merge fold closes in
+//! rounds, each handed out when the last piece of the one before is back:
+//! the pieces it still holds cut by bytes into run batches, so that a
+//! sorting fold's raw tail is sorted by as many workers as it has batches;
+//! then, once it has folded `kq_dsl::kway::FINISH_PART_BYTES` per part or
+//! more — a count that never depends on `--workers` — the partition of its
+//! closing merge (a `fold-partition` span: splitters sampled from the runs,
+//! every run cut by binary search, no bytes moved), one merge per key range
+//! (`fold-finish` spans, `seq` the part index), and the stitch of the
+//! parts' outputs (a `fold-stitch` span: the parts in order, or for a fold
+//! closing in count order every count's groups part by part); closed as
+//! one merge on one thread, a 32 MiB sort at two workers spent 39% of its
+//! wall clock there. A smaller merge fold, every other fold, and a fold
+//! fed nothing
+//! close in one unnumbered `fold-finish`. The fold's result turns the node
+//! `Emitting` over its segments. There is no thread outside the pool and
+//! no new node or edge: the graph IR, `DataflowGraph::validate` and
+//! `kumquat check` do not know the phase exists. A failed piece of work
+//! takes the node out of `Closing` under the lock before it reports, so
+//! the statement fails once and work still out is dropped when it comes
 //! back; cancellation (`cancel_upstream`, a statement error elsewhere)
-//! drops the phase the same way — unclaimed parts with it, claimed ones on
-//! return — like a run batch that is never installed. An emitter walks the
-//! segment list and never cuts a chunk across two parts, so downstream
-//! chunk boundaries, and with them every trace span identity, are equal
-//! at every worker count. Below two parts nothing of this runs: the
-//! finalizing task merges the one part itself, as before.
+//! drops the queue the same way. An emitter walks the segment list and
+//! never cuts a chunk across two parts, so downstream chunk boundaries,
+//! and with them every trace span identity, are equal at every worker
+//! count.
 //!
 //! A statement's stdout stays the segments its last node emitted
 //! ([`scheduler::run_dataflow_segments`]); the CLI writes them out one
@@ -184,9 +172,9 @@
 //!    run, so the `workers` batches the pool can be making runs of at once
 //!    fit — the pool bounds the work in flight, the budget sizes it, and
 //!    nothing waits;
-//! 2. `finish()` then streams the k-way merge of the mapped runs through
-//!    a bounded fragment sink into an output run file — one per part of
-//!    the closing merge, see the finishing phase above — releasing each
+//! 2. the closing merge then streams the k-way merge of the mapped runs
+//!    through a bounded fragment sink into an output run file — one per
+//!    part of the closing merge, see the closing phase above — releasing each
 //!    run's consumed pages as the merge frontier passes them
 //!    ([`kq_stream::ReleaseCursor`]), and maps the output back the same
 //!    way — so neither the runs nor the merged result are ever fully

@@ -534,6 +534,16 @@ fn stdin_commands(script: &Script) -> impl Iterator<Item = (usize, usize, &Comma
         })
 }
 
+/// Output/input size ratio at or below which a rerun-only combiner still
+/// pays off (paper §2's cost observation, probed on the planning sample).
+/// A rerun combiner re-executes the command on the concatenated worker
+/// outputs, so parallelizing only wins when the command *shrinks* its
+/// stream — `sort -u` or `grep -c` do, `tr -cs A-Za-z '\n'` does not (that
+/// one is sequential by this rule and runs chunk-local anyway, as a
+/// [`PlannedStage::seam`]; a `sed 100q` has no such way out): at least a
+/// 2× reduction.
+const RERUN_SHRINK_THRESHOLD: f64 = 0.5;
+
 /// The planner: synthesis cache plus heuristics.
 pub struct Planner {
     config: SynthesisConfig,
@@ -543,18 +553,6 @@ pub struct Planner {
     /// Synthesis reports for every unique command actually synthesized
     /// this process (Table 10 rows); cache hits produce none.
     pub reports: Vec<SynthesisReport>,
-    /// Output/input size ratio at or below which a rerun-only combiner
-    /// still pays off (paper §2's cost observation, probed on the
-    /// planning sample). A rerun combiner re-executes the command on the
-    /// concatenated worker outputs, so parallelizing only wins when the
-    /// command *shrinks* its stream — `sort -u` or `grep -c` do,
-    /// `tr -cs A-Za-z '\n'` does not (that one is sequential by this rule
-    /// and runs chunk-local anyway, as a [`PlannedStage::seam`]; a
-    /// `sed 100q` has no such way out). `0.5` (the default) demands at
-    /// least a 2× reduction; `1.0` accepts any non-growing stage; values
-    /// near `0` effectively disable rerun parallelism. Exposed on the CLI
-    /// as `--rerun-threshold`, validated to be a real number in `(0, 1]`.
-    pub rerun_shrink_threshold: f64,
     /// Memoized `(output length, ends-with-newline)` probe results per
     /// (command display, sample fingerprint): identical commands used to
     /// re-run both planning probes in every statement mentioning them.
@@ -592,7 +590,6 @@ impl Planner {
             config,
             cache,
             reports: Vec::new(),
-            rerun_shrink_threshold: 0.5,
             probe_memo: HashMap::new(),
             use_lattice: true,
             lattice_short_circuits: 0,
@@ -1023,7 +1020,7 @@ impl Planner {
     }
 
     /// Probes whether the command shrinks the sample enough to justify a
-    /// rerun combiner (see [`Planner::rerun_shrink_threshold`]).
+    /// rerun combiner (see [`RERUN_SHRINK_THRESHOLD`]).
     fn shrinks_enough(
         &mut self,
         cmd: &kq_coreutils::Command,
@@ -1033,7 +1030,7 @@ impl Planner {
         match self.probe(cmd, ctx, sample) {
             Some((out_len, _)) => {
                 let ratio = out_len as f64 / sample.len().max(1) as f64;
-                ratio <= self.rerun_shrink_threshold
+                ratio <= RERUN_SHRINK_THRESHOLD
             }
             None => false,
         }

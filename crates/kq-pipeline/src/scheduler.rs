@@ -8,10 +8,10 @@
 //! process one chunk at a node (by the node's map: through its commands —
 //! behind a seam stage, with the seam's `'\n'` taken off first — through
 //! the hash table of its counted line order, or through nothing) and fold
-//! or forward it, make a run of a batch a fold sealed, finish a fold — run
-//! a `rerun` fold's command once, or merge one part of a closing merge —
-//! cut the next chunk at a split, emit the next chunk of a materialized
-//! output.
+//! or forward it, run a piece of work a closing fold handed out — make a
+//! run of a batch, run a `rerun` fold's command once, merge one part of a
+//! closing merge — or emit the next chunk of a materialized output: the
+//! statement's input at the split, a fold's result anywhere else.
 //! Every node but the split runs the one loop of `node_task`, and every
 //! decision it acts on — the map, the fold, the bound — is read from the
 //! node's [`NodeKind`], which [`DataflowGraph::build`] made from the plan's
@@ -74,10 +74,10 @@
 //! pool can be making runs of at once — fits in the other three quarters
 //! ([`kq_dsl::spill`]); a batch whose run has no room left on the heap
 //! writes it out in the task that makes it, not under the node lock.
-//! Sealed batches and the parts of a closing merge are scheduled all at
-//! once, because a task per worker is all that runs of them at a time: a
-//! sealed batch is never larger than a budget's batch, and a part under a
-//! budget streams through a temp file with a merge window of its own.
+//! The work a closing fold hands out is scheduled all at once, because a
+//! task per worker is all that runs of it at a time: a part of a closing
+//! merge under a budget streams through a temp file with a merge window
+//! of its own.
 //!
 //! Byte-equality with [`run_serial`](crate::exec::run_serial) across the
 //! corpus — plus multi-statement scripts with redirect dependencies — is
@@ -94,7 +94,7 @@ use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use kq_coreutils::{CmdError, Command, ExecContext};
 use kq_dsl::ast::{Candidate, RunOp};
 use kq_dsl::eval::{CommandEnv, EvalError};
-use kq_dsl::kway::{IncrementalFold, Piece};
+use kq_dsl::kway::{FoldWork, IncrementalFold, Piece, Step};
 use kq_stream::{next_chunk_end, Bytes, IncrementalChunker, Rope};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -278,36 +278,14 @@ enum Phase<'a> {
     /// Consuming input chunks.
     #[default]
     Collecting,
-    /// One task is finishing the node's fold — a rerun fold's one run of
-    /// the command, a merge fold's closing merge in one part, the stitch
-    /// of its parts — long work done outside every lock.
-    Running,
-    /// A merge fold: the input ended, and the pieces the fold still held
-    /// were cut into run batches, each merged by a pool task of its own;
-    /// the closing merge waits for the last.
-    Sealing(VecDeque<kq_dsl::kway::RunBatch<'a>>),
-    /// A merge fold: the closing merge was cut into parts, each merged by
-    /// a pool task of its own.
-    Finishing(Finishing<'a>),
+    /// A fold whose input ended, closing: the work its fold handed out that
+    /// no task has claimed yet. Each piece is a pool task of its own, run
+    /// outside every lock.
+    Closing(VecDeque<FoldWork<'a>>),
     /// Streaming a materialized output downstream, credit-gated.
     Emitting(Emit),
     /// Output edge closed (or node cancelled); nothing left to do.
     Done,
-}
-
-/// The finishing phase of a combine fold whose closing merge runs in
-/// parts (see the crate docs, "Fold finalization protocol"). One
-/// `(si, ni)` task was scheduled per part; each claims the next unclaimed
-/// part, merges it outside the node lock and slots the output, and the
-/// task that fills the last slot starts the emission. Cancellation drops
-/// the phase — the unclaimed parts with it, and each part out being merged
-/// when its task comes back — like a run batch that is never installed.
-struct Finishing<'a> {
-    unclaimed: VecDeque<kq_dsl::kway::FinishPart<'a>>,
-    /// Merged parts by part index.
-    merged: Vec<Option<kq_dsl::kway::PartOutput>>,
-    /// Parts not yet slotted.
-    left: usize,
 }
 
 /// Runtime state of one node, guarded by its mutex. The lock order is
@@ -317,10 +295,9 @@ struct Finishing<'a> {
 struct NodeState<'a> {
     phase: Phase<'a>,
     cancelled: bool,
-    /// Chunks claimed but not yet integrated, run batches cut from
-    /// `accum` and not yet installed back, and parts of the closing merge
-    /// claimed and not yet slotted: work in progress outside the lock.
-    /// Finalization waits for it to reach zero.
+    /// Chunks claimed but not yet integrated, and fold work claimed but
+    /// not yet completed: work in progress outside the lock. The close
+    /// waits for it to reach zero.
     inflight: usize,
     /// StageWorker: tasks that found the output edge at capacity and went
     /// away without claiming the chunk they were scheduled for. Each is
@@ -343,7 +320,7 @@ struct NodeState<'a> {
     /// members of the stage's combiner, folding each pair by the first
     /// member whose domain admits both, by their own flags or under the
     /// node's merge order; or a `rerun` fold fed the raw chunks. It keeps
-    /// no piece once combined.
+    /// no piece once combined, and goes once it returns its result.
     accum: Option<IncrementalFold<'a>>,
     /// A fold by a combiner or a merge: this node's spill counters (shared
     /// with `accum`), snapshotted into the node's StageTiming after the run.
@@ -875,7 +852,8 @@ fn run_contained(cx: &Cx<'_, '_>, task: Task) {
 
 fn run_task(cx: &Cx<'_, '_>, (si, ni): Task) {
     match cx.rt.stmts[si].graph.nodes[ni].kind {
-        NodeKind::Split => split_task(cx, si),
+        // The split emits the statement's input.
+        NodeKind::Split => emit_task(cx, si, ni),
         _ => node_task(cx, si, ni),
     }
 }
@@ -938,44 +916,6 @@ fn start_statement(cx: &Cx<'_, '_>, si: usize) {
             }
         }
     }
-}
-
-/// One split quantum: cut and push chunks until the first edge is at
-/// capacity (a downstream pop reschedules us) or the input is exhausted.
-fn split_task(cx: &Cx<'_, '_>, si: usize) {
-    let stmt = &cx.rt.stmts[si];
-    let mut scheduled_pushes = 0usize;
-    {
-        let mut st = lock(&stmt.nodes[0]);
-        if st.cancelled {
-            return;
-        }
-        let Phase::Emitting(emit) = &mut st.phase else {
-            return;
-        };
-        loop {
-            if emit.done() {
-                st.phase = Phase::Done;
-                break;
-            }
-            if cx.rt.stmts[si].edges[0].check_gate() {
-                // Gated: the consumer's next pop schedules us again.
-                drop(st);
-                schedule_pushes(cx, si, 1, scheduled_pushes);
-                return;
-            }
-            let span = kq_trace::span("dataflow", "split")
-                .si(si)
-                .ni(0)
-                .seq(emit.chunks);
-            let chunk = emit.next_chunk(cx.rt.chunk_bytes, cx.rt.release_lag);
-            span.v(chunk.len() as f64).done();
-            push_edge(stmt, 0, chunk);
-            scheduled_pushes += 1;
-        }
-    }
-    schedule_pushes(cx, si, 1, scheduled_pushes);
-    close_edge(cx, si, 0);
 }
 
 /// Pushes one chunk onto edge `i` (caller holds the producing node's
@@ -1048,14 +988,14 @@ fn pop_input(stmt: &StmtRt<'_>, ni: usize) -> Option<(usize, Bytes, usize)> {
 ///
 /// A `rerun` fold maps nothing; a bounded one counts the lines it folds
 /// and, once they meet the bound, cancels everything upstream. Integration
-/// under the node lock is O(pieces): a batch the fold hands back
-/// ([`IncrementalFold::push`]) is merged after the lock is dropped and
-/// counts as `inflight` until it is installed (see "Fold finalization
+/// under the node lock is O(pieces): a run batch the fold hands out
+/// ([`IncrementalFold::push`]) is run after the lock is dropped and
+/// counts as `inflight` until it is completed (see "Fold finalization
 /// protocol" in the [crate docs](crate)).
 ///
 /// A task that finds the node past collecting continues whatever phase it
-/// is in: the emission of a combined output, or — for a fold finishing in
-/// parts — the merge of the next unclaimed part ([`finish_part_task`]).
+/// is in: the emission of a combined output, or the next piece of a
+/// closing fold's work ([`closing_task`]).
 fn node_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
     let stmt = &cx.rt.stmts[si];
     let node = &stmt.graph.nodes[ni];
@@ -1082,17 +1022,12 @@ fn node_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
                 emit_task(cx, si, ni);
                 return;
             }
-            Phase::Sealing(_) => {
+            Phase::Closing(_) => {
                 drop(st);
-                sealed_batch_task(cx, si, ni);
+                closing_task(cx, si, ni);
                 return;
             }
-            Phase::Finishing(_) => {
-                drop(st);
-                finish_part_task(cx, si, ni);
-                return;
-            }
-            _ => return,
+            Phase::Done => return,
         }
         // Credit gate: stage workers forward chunk-per-chunk, so claiming
         // input while downstream is full only grows the overshoot. Folds
@@ -1239,32 +1174,10 @@ fn node_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
         cancel_upstream(cx, si, ni);
     }
     for batch in batches {
-        if !merge_batch(cx, si, ni, batch) {
-            return;
-        }
+        let next = run_fold_work(cx, si, ni, batch);
+        take_step(cx, si, ni, next);
     }
     maybe_finalize(cx, si, ni);
-}
-
-/// Makes a run of a batch the node's fold handed out, outside every lock,
-/// and installs it — unless the node was cancelled meanwhile (`false`).
-/// The batch was counted in `inflight` when it was handed out.
-fn merge_batch(cx: &Cx<'_, '_>, si: usize, ni: usize, batch: kq_dsl::kway::RunBatch<'_>) -> bool {
-    let span = kq_trace::span("dataflow", "fold-merge")
-        .si(si)
-        .ni(ni)
-        .seq(batch.index());
-    let t0 = Instant::now();
-    let merged = batch.merge();
-    let elapsed = t0.elapsed();
-    span.done();
-    let mut st = lock(&cx.rt.stmts[si].nodes[ni]);
-    st.inflight -= 1;
-    st.combine_time += elapsed;
-    if !st.cancelled {
-        st.accum.as_mut().expect("fold accum").install(merged);
-    }
-    !st.cancelled
 }
 
 /// Finalizes a node once its input is closed, drained, and no claims are
@@ -1297,107 +1210,126 @@ fn maybe_finalize(cx: &Cx<'_, '_>, si: usize, ni: usize) {
         schedule_pushes(cx, si, ni + 1, pushed);
         close_edge(cx, si, ni);
     } else {
-        seal_fold(cx, si, ni);
+        close_fold(cx, si, ni);
     }
 }
 
-/// Closes a fold whose input is exhausted: the pieces a merge fold still
-/// holds become run batches, merged by pool tasks, one `(si, ni)` task per
-/// batch — or, when there are none (every other fold), the finish starts
-/// at once.
-fn seal_fold(cx: &Cx<'_, '_>, si: usize, ni: usize) {
-    let stmt = &cx.rt.stmts[si];
-    let count = {
-        let mut st = lock(&stmt.nodes[ni]);
+/// Closes a fold whose input is exhausted and whose work is all back: the
+/// node turns `Closing`, and the task acts on the fold's first step.
+fn close_fold(cx: &Cx<'_, '_>, si: usize, ni: usize) {
+    let next = {
+        let mut st = lock(&cx.rt.stmts[si].nodes[ni]);
         if st.cancelled || !matches!(st.phase, Phase::Collecting) || st.inflight > 0 {
             return;
         }
-        let batches = st.accum.as_mut().expect("fold accum").seal();
-        let count = batches.len();
-        st.phase = Phase::Sealing(batches.into());
-        count
+        st.phase = Phase::Closing(VecDeque::new());
+        let step = st.accum.as_mut().expect("fold accum").close();
+        queue_step(&mut st, step)
     };
-    if count == 0 {
-        finish_fold(cx, si, ni);
-    }
-    for _ in 0..count {
-        cx.schedule((si, ni));
-    }
+    take_step(cx, si, ni, next);
 }
 
-/// One task of a combine fold's sealing phase: claim the next run batch,
-/// merge it outside every lock and install the run — then try the closing
-/// merge, which the task that installs the last run starts.
-fn sealed_batch_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
-    let stmt = &cx.rt.stmts[si];
-    let batch = {
-        let mut st = lock(&stmt.nodes[ni]);
-        let Phase::Sealing(batches) = &mut st.phase else {
+/// One task of a closing fold: claim the next piece of work its fold
+/// handed out and run it ([`run_fold_work`]).
+fn closing_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
+    let work = {
+        let mut st = lock(&cx.rt.stmts[si].nodes[ni]);
+        // A cancelled node is `Done`: its queued work went with the phase.
+        let Phase::Closing(queue) = &mut st.phase else {
             return;
         };
-        let Some(batch) = batches.pop_front() else {
+        let Some(work) = queue.pop_front() else {
             return;
         };
         st.inflight += 1;
-        batch
+        work
     };
-    if merge_batch(cx, si, ni, batch) {
-        finish_fold(cx, si, ni);
+    let next = run_fold_work(cx, si, ni, work);
+    take_step(cx, si, ni, next);
+}
+
+/// Runs a piece of a fold's work outside every lock, under its trace
+/// span, then retires its `inflight` claim, times it into
+/// `combine_time` and hands the result back to the fold under the node
+/// lock — unless the node was cancelled meanwhile, or its fold already
+/// returned its result, and the result is dropped.
+fn run_fold_work<'a>(cx: &Cx<'_, 'a>, si: usize, ni: usize, work: FoldWork<'a>) -> Next {
+    let (name, seq) = work.span();
+    let span = kq_trace::span("dataflow", name).si(si).ni(ni);
+    let span = match seq {
+        Some(seq) => span.seq(seq),
+        None => span,
+    };
+    let t0 = Instant::now();
+    let done = work.run();
+    let elapsed = t0.elapsed();
+    span.done();
+    let mut st = lock(&cx.rt.stmts[si].nodes[ni]);
+    st.inflight -= 1;
+    st.combine_time += elapsed;
+    if st.cancelled {
+        return Next::Nothing;
+    }
+    let Some(fold) = st.accum.as_mut() else {
+        return Next::Nothing;
+    };
+    let step = fold.complete(done);
+    queue_step(&mut st, step)
+}
+
+/// What a task does after a fold's step, once the node lock is dropped.
+enum Next {
+    Nothing,
+    /// Claim this many pieces of work from the closing queue: one here,
+    /// the rest as tasks of their own.
+    Claim(usize),
+    Emit,
+    Fail(EvalError),
+}
+
+/// Acts on a fold's step under the node lock: queues its work, or — when
+/// the fold returned its result — leaves `Closing` for `Emitting` or, on
+/// an error, `Done`, so that one failure fails the statement once.
+fn queue_step<'a>(st: &mut NodeState<'a>, step: Step<'a>) -> Next {
+    match step {
+        Step::Wait => Next::Nothing,
+        Step::Work(work) => {
+            let Phase::Closing(queue) = &mut st.phase else {
+                unreachable!("a fold hands out closing work once closed");
+            };
+            let count = work.len();
+            queue.extend(work);
+            Next::Claim(count)
+        }
+        Step::Done(result) => {
+            st.accum = None;
+            match result {
+                Ok(combined) => {
+                    st.bytes_out = combined.len();
+                    st.phase = Phase::Emitting(Emit::new(combined));
+                    Next::Emit
+                }
+                Err(e) => {
+                    st.phase = Phase::Done;
+                    Next::Fail(e)
+                }
+            }
+        }
     }
 }
 
-/// Settles a sealed fold once no batch is out, outside the lock — this is
-/// where `sort`'s closing merge happens, here when it is one part and as
-/// pool tasks when it was cut into several, and where a rerun fold runs
-/// its command.
-fn finish_fold(cx: &Cx<'_, '_>, si: usize, ni: usize) {
-    let stmt = &cx.rt.stmts[si];
-    let accum = {
-        let mut st = lock(&stmt.nodes[ni]);
-        let sealed = matches!(&st.phase, Phase::Sealing(batches) if batches.is_empty());
-        if st.cancelled || !sealed || st.inflight > 0 {
-            return;
-        }
-        st.phase = Phase::Running;
-        st.accum.take().expect("fold accum")
-    };
-    if accum.finish_parts() < 2 {
-        let span = kq_trace::span("dataflow", "fold-finish").si(si).ni(ni);
-        let t0 = Instant::now();
-        let finished = accum.finish();
-        span.done();
-        match finished {
-            Err(e) => stmt_error(cx, si, fold_error(stmt, ni, e)),
-            Ok(combined) => start_fold_emit(cx, si, ni, combined, t0.elapsed()),
-        }
-        return;
-    }
-    // The closing merge is large enough to cut: plan the parts here
-    // and let the pool merge them, one `(si, ni)` task per part.
-    let span = kq_trace::span("dataflow", "fold-partition").si(si).ni(ni);
-    let t0 = Instant::now();
-    let planned = accum.plan_finish();
-    span.done();
-    match planned {
-        Err(e) => stmt_error(cx, si, fold_error(stmt, ni, e)),
-        Ok(parts) => {
-            let count = parts.len();
-            {
-                let mut st = lock(&stmt.nodes[ni]);
-                st.combine_time += t0.elapsed();
-                if st.cancelled {
-                    return;
-                }
-                st.phase = Phase::Finishing(Finishing {
-                    unclaimed: parts.into(),
-                    merged: (0..count).map(|_| None).collect(),
-                    left: count,
-                });
-            }
-            for _ in 0..count {
+/// Does what [`queue_step`] left to do with the lock dropped.
+fn take_step(cx: &Cx<'_, '_>, si: usize, ni: usize, next: Next) {
+    match next {
+        Next::Nothing => {}
+        Next::Claim(count) => {
+            for _ in 1..count {
                 cx.schedule((si, ni));
             }
+            closing_task(cx, si, ni);
         }
+        Next::Emit => emit_task(cx, si, ni),
+        Next::Fail(e) => stmt_error(cx, si, fold_error(&cx.rt.stmts[si], ni, e)),
     }
 }
 
@@ -1410,85 +1342,10 @@ fn fold_error(stmt: &StmtRt<'_>, ni: usize, e: EvalError) -> CmdError {
     }
 }
 
-/// One task of a combine fold's finishing phase: claim the next unclaimed
-/// part of the closing merge, merge it outside every lock, slot the
-/// output by part index — and, when it was the last part, start emitting
-/// the segments in order.
-fn finish_part_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
-    let stmt = &cx.rt.stmts[si];
-    let part = {
-        let mut st = lock(&stmt.nodes[ni]);
-        let Phase::Finishing(finishing) = &mut st.phase else {
-            return;
-        };
-        let Some(part) = finishing.unclaimed.pop_front() else {
-            return;
-        };
-        st.inflight += 1;
-        part
-    };
-    let index = part.index();
-    let span = kq_trace::span("dataflow", "fold-finish")
-        .si(si)
-        .ni(ni)
-        .seq(index);
-    let t0 = Instant::now();
-    let merged = part.merge();
-    let elapsed = t0.elapsed();
-    span.done();
-    let outputs = {
-        let mut st = lock(&stmt.nodes[ni]);
-        st.inflight -= 1;
-        st.combine_time += elapsed;
-        // A cancelled node is `Done`: the part's output is dropped here.
-        let Phase::Finishing(finishing) = &mut st.phase else {
-            return;
-        };
-        match merged {
-            Err(e) => {
-                // Leave the phase under the lock, so that a sibling part
-                // failing at the same moment is dropped, not reported.
-                st.phase = Phase::Done;
-                drop(st);
-                stmt_error(cx, si, fold_error(stmt, ni, e));
-                return;
-            }
-            Ok(segment) => finishing.merged[index] = Some(segment),
-        }
-        finishing.left -= 1;
-        if finishing.left > 0 {
-            return;
-        }
-        let merged = std::mem::take(&mut finishing.merged);
-        st.phase = Phase::Running;
-        merged
-    };
-    // The parts' outputs in part order — for a fold closing in count
-    // order, every count's groups interleaved part by part.
-    let span = kq_trace::span("dataflow", "fold-stitch").si(si).ni(ni);
-    let t0 = Instant::now();
-    let stitched = kq_dsl::kway::stitch(outputs.into_iter().flatten().collect());
-    span.done();
-    start_fold_emit(cx, si, ni, stitched, t0.elapsed());
-}
-
-/// Switches a settled fold to emitting its combined stream.
-fn start_fold_emit(cx: &Cx<'_, '_>, si: usize, ni: usize, combined: Rope, busy: Duration) {
-    {
-        let mut st = lock(&cx.rt.stmts[si].nodes[ni]);
-        st.combine_time += busy;
-        if st.cancelled {
-            return;
-        }
-        st.bytes_out = combined.len();
-        st.phase = Phase::Emitting(Emit::new(combined));
-    }
-    emit_task(cx, si, ni);
-}
-
 /// One emit quantum: stream a materialized output downstream as lazily
 /// cut chunks, stopping at the credit bound (a downstream pop reschedules
-/// us) and closing the edge at the end.
+/// us) and closing the edge at the end. The split is the emitter of the
+/// statement's input, and its chunks are `split` spans.
 fn emit_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
     let stmt = &cx.rt.stmts[si];
     let last = ni + 1 == stmt.graph.nodes.len();
@@ -1518,7 +1375,8 @@ fn emit_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
             let Phase::Emitting(emit) = &mut st.phase else {
                 unreachable!()
             };
-            let span = kq_trace::span("dataflow", "emit")
+            let name = if ni == 0 { "split" } else { "emit" };
+            let span = kq_trace::span("dataflow", name)
                 .si(si)
                 .ni(ni)
                 .seq(emit.chunks);

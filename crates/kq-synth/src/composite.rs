@@ -199,8 +199,8 @@ mod tests {
     fn fold(s: &SynthesizedCombiner, pieces: &[Bytes], env: &dyn RunEnv) -> Bytes {
         let mut fold = kway::IncrementalFold::over(&s.members, None, env, None);
         for p in pieces {
-            if let Some(batch) = fold.push(p.clone()) {
-                fold.install(batch.merge());
+            if let Some(work) = fold.push(p.clone()) {
+                fold.complete(work.run());
             }
         }
         fold.finish().unwrap().into_bytes()
