@@ -40,8 +40,8 @@ const VALUED: &[&str] = &[
     "format",
 ];
 
-/// Boolean flags, and the removed `--exec`/`--executor`, which `run`
-/// names in its error.
+/// Boolean flags, and the removed `--exec`/`--executor`, which every
+/// subcommand names in its error (`run_cli`).
 const FLAGS: &[&str] = &[
     "external",
     "deny-warnings",

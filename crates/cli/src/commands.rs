@@ -68,6 +68,17 @@ impl CliOutput {
 /// Top-level dispatch. `args` excludes the program name.
 pub fn run_cli(args: &[String]) -> Result<CliOutput, String> {
     let parsed = ParsedArgs::parse(args).map_err(|e| format!("{e}\n\n{USAGE}"))?;
+    // `--exec` no longer parses a value, so `--exec streaming` would leave
+    // `streaming` behind as a second script argument: name the removed
+    // option first instead, whatever the subcommand.
+    for removed in ["exec", "executor"] {
+        if parsed.opt(removed).is_some() {
+            return Err(format!(
+                "--{removed} was removed: kumquat has one executor (the dataflow pool; \
+                 --no-opt runs its graph without rewrites)"
+            ));
+        }
+    }
     match parsed.subcommand.as_str() {
         "synthesize" => cmd_synthesize(&parsed),
         "check" => cmd_check(&parsed),
@@ -452,17 +463,6 @@ fn cmd_plan(args: &ParsedArgs) -> Result<CliOutput, String> {
 
 fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
     // Every capacity knob is validated up front, before any file is read.
-    // `--exec` no longer parses a value, so `--exec streaming` would leave
-    // `streaming` behind as a second script argument: name the removed
-    // option first instead.
-    for removed in ["exec", "executor"] {
-        if args.opt(removed).is_some() {
-            return Err(format!(
-                "--{removed} was removed: kumquat has one executor (the dataflow pool; \
-                 --no-opt runs its graph without rewrites)"
-            ));
-        }
-    }
     // Asking the host costs a few file reads: only when the flag is absent.
     let workers = match args.opt("workers") {
         Some(_) => args.opt_parse_nonzero("workers", 1)?,
@@ -889,13 +889,17 @@ mod tests {
     #[test]
     fn removed_executors_are_rejected_before_anything_runs() {
         // The script names no file: the check comes first, whether the
-        // option is spelled with a value, with `=`, or as the old alias.
-        for words in [
-            &["--exec", "streaming"][..],
-            &["--exec=dataflow"],
-            &["--executor", "static"],
+        // option is spelled with a value, with `=`, or as the old alias,
+        // and whichever subcommand it is given to.
+        for (subcommand, words) in [
+            ("run", &["--exec", "streaming"][..]),
+            ("run", &["--exec=dataflow"]),
+            ("run", &["--executor", "static"]),
+            ("plan", &["--exec=dataflow"]),
+            ("check", &["--executor=dataflow"]),
+            ("emit", &["--exec", "streaming"]),
         ] {
-            let mut args = vec!["run", "cat /absent | sort"];
+            let mut args = vec![subcommand, "cat /absent | sort"];
             args.extend_from_slice(words);
             let err = call(&args).unwrap_err();
             let name = if words[0].starts_with("--executor") {

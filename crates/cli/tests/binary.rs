@@ -42,6 +42,26 @@ fn removed_executor_options_exit_two_saying_there_is_one_executor() {
 }
 
 #[test]
+fn removed_executor_options_exit_two_under_every_subcommand() {
+    for subcommand in ["plan", "check", "emit"] {
+        for option in ["--exec=dataflow", "--executor=dataflow"] {
+            let out = kumquat()
+                .args([subcommand, "cat /absent | sort", option])
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code(), Some(2), "{subcommand} {option}");
+            let name = option.split('=').next().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("{name} was removed: kumquat has one executor")),
+                "{subcommand} {option}: {stderr}"
+            );
+            assert!(out.stdout.is_empty(), "{subcommand} {option}");
+        }
+    }
+}
+
+#[test]
 fn a_misspelt_option_exits_two_naming_it() {
     for (words, name) in [
         (&["--wrokers=8", "--no-verify"][..], "--wrokers"),

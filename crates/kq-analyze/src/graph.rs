@@ -115,7 +115,7 @@ pub fn fold_pair_sites(script: &Script, plans: &[PlannedStatement]) -> Vec<FoldP
 }
 
 /// A `tr -s` stage that the lattice licenses to run chunk by chunk under a
-/// one-newline seam ([`lattice::newline_seam`]).
+/// one-newline seam ([`kq_coreutils::Command::newline_seam`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeamSite {
     /// Statement index (0-based).
@@ -142,7 +142,7 @@ pub fn seam_sites(script: &Script, plans: &[PlannedStatement]) -> Vec<SeamSite> 
 }
 
 /// A `sort` stage whose fold the lattice licenses to sort raw chunks
-/// ([`lattice::sorting_order`]).
+/// ([`kq_coreutils::Command::stdin_order`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SortingSite {
     /// Statement index (0-based).
@@ -215,10 +215,7 @@ mod tests {
 
     fn plans_for(script: &Script) -> Vec<PlannedStatement> {
         let classes = |st: &Statement| -> Vec<EffectClass> {
-            st.stages
-                .iter()
-                .map(|s| lattice::classify(&s.command))
-                .collect()
+            st.stages.iter().map(|s| s.command.effect_class()).collect()
         };
         script
             .statements

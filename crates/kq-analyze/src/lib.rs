@@ -6,10 +6,10 @@
 //! run without executing anything, in three layers:
 //!
 //! 1. **Effect lattice** ([`kq_pipeline::lattice`], re-exported here):
-//!    per-command effect classes derived from the normalized command
-//!    signature. `stateless` classifications short-circuit dynamic
-//!    synthesis in the planner; the analyzer surfaces all classes as
-//!    `KQ301`/`KQ302` infos.
+//!    per-command effect classes, each stated by the command's own parser
+//!    ([`kq_coreutils::Command::effect_class`]). `stateless`
+//!    classifications short-circuit dynamic synthesis in the planner; the
+//!    analyzer surfaces all classes as `KQ301`/`KQ302` infos.
 //! 2. **Graph verification** ([`graph`]): each statement compiles to the
 //!    same [`kq_pipeline::dataflow::DataflowGraph`] IR the work-stealing
 //!    scheduler executes, and the scheduler's own validator
@@ -41,9 +41,8 @@ pub mod hazards;
 
 pub use diag::{Diagnostic, Severity};
 pub use graph::{FoldPairSite, SeamSite, SortingSite};
-pub use kq_pipeline::lattice::{classify, effects, fold_pair, EffectClass, EffectSet, FoldPair};
+pub use kq_pipeline::lattice::{effects, fold_pair, EffectClass, EffectSet, FoldPair};
 
-use kq_pipeline::lattice;
 use kq_pipeline::parse::parse_script;
 use kq_pipeline::{Script, SourceSpan};
 use std::collections::HashMap;
@@ -266,7 +265,7 @@ pub fn check_parsed(script: &Script) -> Analysis {
     for (si, statement) in script.statements.iter().enumerate() {
         let mut row = Vec::new();
         for (gi, stage) in statement.stages.iter().enumerate() {
-            let class = lattice::classify(&stage.command);
+            let class = stage.command.effect_class();
             row.push(class);
             classes.push(StageClass {
                 statement: si,

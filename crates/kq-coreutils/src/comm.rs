@@ -7,7 +7,7 @@
 //! the sorted probe stream, which tells the synthesizer to generate sorted
 //! inputs for these commands.
 
-use crate::{Bytes, CmdError, ExecContext, UnixCommand};
+use crate::{Bytes, CmdError, EffectClass, ExecContext, UnixCommand};
 
 /// The `comm` command.
 pub struct CommCmd {
@@ -88,6 +88,11 @@ impl UnixCommand for CommCmd {
 
     fn reads_stdin(&self) -> bool {
         self.file1 == "-" || self.file2 == "-"
+    }
+
+    fn effect_class(&self) -> EffectClass {
+        // A sorted two-way merge against a whole file.
+        EffectClass::OrderSensitive
     }
 
     fn run(&self, input: Bytes, ctx: &ExecContext) -> Result<Bytes, CmdError> {

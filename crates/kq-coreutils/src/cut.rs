@@ -34,7 +34,7 @@
 //! `LC_ALL=C`; `-c`, and a non-ASCII delimiter, decode the input first.
 
 use crate::fastpath::SliceRuns;
-use crate::{Bytes, CmdError, ExecContext, UnixCommand};
+use crate::{Bytes, CmdError, EffectClass, ExecContext, UnixCommand};
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct RangeList {
@@ -394,6 +394,10 @@ fn find_either(bytes: &[u8], from: usize, delim: u8) -> Option<usize> {
 impl UnixCommand for CutCmd {
     fn display(&self) -> String {
         self.display.clone()
+    }
+
+    fn effect_class(&self) -> EffectClass {
+        EffectClass::Stateless
     }
 
     fn decodes(&self) -> bool {

@@ -19,7 +19,7 @@
 //!   inconsistent outputs and eliminate every candidate (failure
 //!   injection for Algorithm 1).
 
-use crate::{Bytes, CmdError, ExecContext, UnixCommand};
+use crate::{Bytes, CmdError, EffectClass, ExecContext, UnixCommand};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Line-numbering style shared by `nl` and `cat -n`.
@@ -104,6 +104,11 @@ impl UnixCommand for NlCmd {
         self.display.clone()
     }
 
+    fn effect_class(&self) -> EffectClass {
+        // Position numbering.
+        EffectClass::OrderSensitive
+    }
+
     fn decodes(&self) -> bool {
         true
     }
@@ -121,6 +126,11 @@ pub struct TacCmd;
 impl UnixCommand for TacCmd {
     fn display(&self) -> String {
         "tac".to_owned()
+    }
+
+    fn effect_class(&self) -> EffectClass {
+        // Reversal of the whole stream.
+        EffectClass::OrderSensitive
     }
 
     fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
@@ -169,6 +179,11 @@ impl UnixCommand for FoldCmd {
         format!("fold -w{}", self.width)
     }
 
+    fn effect_class(&self) -> EffectClass {
+        // Wrapping long lines is a per-line map.
+        EffectClass::Stateless
+    }
+
     fn decodes(&self) -> bool {
         true
     }
@@ -200,6 +215,10 @@ pub struct ExpandCmd;
 impl UnixCommand for ExpandCmd {
     fn display(&self) -> String {
         "expand".to_owned()
+    }
+
+    fn effect_class(&self) -> EffectClass {
+        EffectClass::Stateless
     }
 
     fn decodes(&self) -> bool {

@@ -31,7 +31,7 @@
 //! characters, so `grep` decodes its input for it first.
 
 use crate::fastpath::SliceRuns;
-use crate::{Bytes, CmdError, ExecContext, UnixCommand};
+use crate::{Bytes, CmdError, EffectClass, ExecContext, UnixCommand};
 use kq_pattern::{Regex, Syntax};
 use std::io::Write as _;
 use std::ops::Range;
@@ -156,6 +156,19 @@ impl GrepCmd {
 impl UnixCommand for GrepCmd {
     fn display(&self) -> String {
         self.display.clone()
+    }
+
+    fn effect_class(&self) -> EffectClass {
+        if self.number {
+            // Line numbers depend on where a line sits in the stream.
+            EffectClass::OrderSensitive
+        } else if self.count {
+            // Per-piece counts sum.
+            EffectClass::CommutativeFold
+        } else {
+            // Each input line maps to itself or nothing.
+            EffectClass::Stateless
+        }
     }
 
     fn decodes(&self) -> bool {

@@ -5,7 +5,7 @@
 //! `-n +N` (everything starting at line N) — the latter being Table 9's
 //! `tail +2`/`tail +3`, for which no combiner exists.
 
-use crate::{Bytes, CmdError, ExecContext, UnixCommand};
+use crate::{Bytes, CmdError, EffectClass, ExecContext, UnixCommand};
 
 /// The `head` command.
 pub struct HeadCmd {
@@ -58,6 +58,11 @@ impl UnixCommand for HeadCmd {
 
     fn reads_stdin(&self) -> bool {
         self.file.is_none()
+    }
+
+    fn effect_class(&self) -> EffectClass {
+        // A line prefix: the first piece (or a rerun) combines.
+        EffectClass::PureParallelizable
     }
 
     fn line_bound(&self) -> Option<usize> {
@@ -195,6 +200,11 @@ impl UnixCommand for TailCmd {
 
     fn reads_stdin(&self) -> bool {
         self.file.is_none()
+    }
+
+    fn effect_class(&self) -> EffectClass {
+        // A suffix, or everything from a line number on.
+        EffectClass::OrderSensitive
     }
 
     fn run(&self, input: Bytes, ctx: &ExecContext) -> Result<Bytes, CmdError> {

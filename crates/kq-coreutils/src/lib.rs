@@ -175,6 +175,82 @@ pub trait UnixCommand: Send + Sync {
     fn decodes(&self) -> bool {
         false
     }
+
+    /// Where the command sits on the static effect lattice
+    /// ([`EffectClass`]), answered from its own parse of its arguments.
+    /// [`EffectClass::Unknown`] (the default) claims nothing: synthesis
+    /// decides.
+    fn effect_class(&self) -> EffectClass {
+        EffectClass::Unknown
+    }
+
+    /// The order the command puts its standard input in, when sorting
+    /// that input is all it does (`sort`, with no `-m` and no operand);
+    /// `None` (the default) otherwise. Over line-aligned pieces such a
+    /// command satisfies `f(x1 ++ … ++ xk) = merge(f(x1), …, f(xk))`
+    /// under this order, ties to the earlier piece.
+    fn stdin_order(&self) -> Option<sort::LineOrder> {
+        None
+    }
+
+    /// True when every non-empty newline-terminated piece of input leaves
+    /// the command having written a `'\n'` that it will squeeze, so that
+    /// over such pieces `f(x ++ y) = f(x) ++ (f(y) minus one leading
+    /// '\n')` (`tr -cs A-Za-z '\n'`). `false` (the default) claims no
+    /// such seam.
+    fn newline_seam(&self) -> bool {
+        false
+    }
+
+    /// `Some(counts)` when the command writes one line per run of
+    /// identical adjacent input lines and nothing else: the line itself
+    /// (`false`, `uniq`) or the line behind its count in `uniq -c`'s
+    /// format (`true`). `None` (the default) for anything else.
+    fn collapses_runs(&self) -> Option<bool> {
+        None
+    }
+}
+
+/// The static effect classification of a command: the PaSh-style lattice
+/// `kq_pipeline::lattice` acts on, strongest promise first. A command
+/// states its own class ([`UnixCommand::effect_class`]) from what its
+/// parser understood; anything it did not understand is
+/// [`EffectClass::Unknown`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum EffectClass {
+    /// A per-line (or per-byte) pure map: combiner is plain `concat`.
+    /// The planner short-circuits synthesis for these.
+    Stateless,
+    /// Parallelizable with a structured, order-aware combiner (`head -n k`
+    /// keeps a prefix, `uniq` re-merges the piece boundary). Synthesis is
+    /// still consulted — the class only promises a combiner exists.
+    PureParallelizable,
+    /// Parallelizable with an order-insensitive aggregate (`sort` merges,
+    /// `wc`/`grep -c` sum). Synthesis is still consulted.
+    CommutativeFold,
+    /// Correct only on the whole stream in order (`tail`, `nl`, `tr -s`,
+    /// `sed` with addresses): naive splitting changes observable output,
+    /// so synthesis decides (it may still find a rerun combiner) — except
+    /// where the state that crosses a split is known exactly, which is
+    /// what [`UnixCommand::newline_seam`] claims for a line-splitting
+    /// `tr -s`.
+    OrderSensitive,
+    /// Not statically understood; dynamic synthesis decides.
+    #[default]
+    Unknown,
+}
+
+impl EffectClass {
+    /// Stable lowercase name (used by `kumquat check --format json`).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            EffectClass::Stateless => "stateless",
+            EffectClass::PureParallelizable => "pure-parallelizable",
+            EffectClass::CommutativeFold => "commutative-fold",
+            EffectClass::OrderSensitive => "order-sensitive",
+            EffectClass::Unknown => "unknown",
+        }
+    }
 }
 
 /// A parsed command: argv plus its boxed implementation.
@@ -238,20 +314,47 @@ impl Command {
         self.imp.reads_stdin()
     }
 
-    /// See [`UnixCommand::line_bound`]. Always `None` for commands that do
-    /// not read their standard input (a file-operand `head big.txt` is a
-    /// source; the bound applies to the file, not the pipe).
-    pub fn line_bound(&self) -> Option<usize> {
+    /// `answer` of the implementation for a command that reads its
+    /// standard input, and the default — no claim — for a source: a
+    /// file-operand `head big.txt` or `cat big.txt` is a pipeline head,
+    /// whose parallelization question does not arise.
+    fn on_stdin<T: Default>(&self, answer: impl FnOnce(&dyn UnixCommand) -> T) -> T {
         if self.imp.reads_stdin() {
-            self.imp.line_bound()
+            answer(&*self.imp)
         } else {
-            None
+            T::default()
         }
+    }
+
+    /// See [`UnixCommand::line_bound`]; `None` for a source.
+    pub fn line_bound(&self) -> Option<usize> {
+        self.on_stdin(|imp| imp.line_bound())
     }
 
     /// See [`UnixCommand::decodes`].
     pub fn decodes(&self) -> bool {
         self.imp.decodes()
+    }
+
+    /// See [`UnixCommand::effect_class`]; [`EffectClass::Unknown`] for a
+    /// source.
+    pub fn effect_class(&self) -> EffectClass {
+        self.on_stdin(|imp| imp.effect_class())
+    }
+
+    /// See [`UnixCommand::stdin_order`]; `None` for a source.
+    pub fn stdin_order(&self) -> Option<sort::LineOrder> {
+        self.on_stdin(|imp| imp.stdin_order())
+    }
+
+    /// See [`UnixCommand::newline_seam`]; `false` for a source.
+    pub fn newline_seam(&self) -> bool {
+        self.on_stdin(|imp| imp.newline_seam())
+    }
+
+    /// See [`UnixCommand::collapses_runs`]; `None` for a source.
+    pub fn collapses_runs(&self) -> Option<bool> {
+        self.on_stdin(|imp| imp.collapses_runs())
     }
 }
 
@@ -298,10 +401,10 @@ pub fn from_argv(words: &[String]) -> Result<Command, CmdError> {
         }
         "cat" => Box::new(CatCmd::new(rest)),
         "nl" => Box::new(extras::NlCmd::parse(rest)?),
-        "tac" => Box::new(extras::TacCmd),
+        "tac" => Box::new(bare(prog, rest, extras::TacCmd)?),
         "fold" => Box::new(extras::FoldCmd::parse(rest)?),
-        "expand" => Box::new(extras::ExpandCmd),
-        "shuf" => Box::new(extras::ShufCmd),
+        "expand" => Box::new(bare(prog, rest, extras::ExpandCmd)?),
+        "shuf" => Box::new(bare(prog, rest, extras::ShufCmd)?),
         "tr" => Box::new(tr::TrCmd::parse(rest)?),
         "sort" => Box::new(sort::SortCmd::parse(rest)?),
         "uniq" => Box::new(uniq::UniqCmd::parse(rest)?),
@@ -315,7 +418,7 @@ pub fn from_argv(words: &[String]) -> Result<Command, CmdError> {
         "awk" | "gawk" => Box::new(awk::AwkCmd::parse(rest)?),
         "xargs" => Box::new(xargs::XargsCmd::parse(rest)?),
         "col" => Box::new(textutils::ColCmd::parse(rest)?),
-        "rev" => Box::new(textutils::RevCmd),
+        "rev" => Box::new(bare(prog, rest, textutils::RevCmd)?),
         "fmt" => Box::new(textutils::FmtCmd::parse(rest)?),
         "iconv" => Box::new(textutils::IconvCmd::parse(rest)?),
         "paste" => Box::new(multi::PasteCmd::parse(rest)?),
@@ -329,6 +432,19 @@ pub fn from_argv(words: &[String]) -> Result<Command, CmdError> {
         }
     };
     Ok(Command { argv, imp })
+}
+
+/// `command`, a program that takes no arguments here: it reads its
+/// standard input only, so a file operand — or an option — is an error,
+/// not something to drop.
+fn bare<C>(program: &str, args: &[String], command: C) -> Result<C, CmdError> {
+    match args.first() {
+        None => Ok(command),
+        Some(a) if a.starts_with('-') && a != "-" => {
+            Err(CmdError::new(program, format!("unknown option {a}")))
+        }
+        Some(_) => Err(CmdError::new(program, "file operands are not supported")),
+    }
 }
 
 /// `cat` — concatenates its file arguments, or copies stdin when invoked
@@ -356,6 +472,16 @@ impl UnixCommand for CatCmd {
 
     fn reads_stdin(&self) -> bool {
         self.files.is_empty() || self.files.iter().any(|f| f == "-")
+    }
+
+    fn effect_class(&self) -> EffectClass {
+        // Copying the input and nothing else is the identity map; any
+        // file around `-` is text the pieces do not hold.
+        if self.files.is_empty() || self.files == ["-"] {
+            EffectClass::Stateless
+        } else {
+            EffectClass::Unknown
+        }
     }
 
     fn run(&self, input: Bytes, ctx: &ExecContext) -> Result<Bytes, CmdError> {
@@ -406,6 +532,43 @@ mod tests {
         let c = parse_command("cat a.txt b.txt").unwrap();
         assert_eq!(c.run_str("", &ctx()).unwrap(), "alpha\nbeta\n");
         assert!(!c.reads_stdin());
+    }
+
+    /// `program` runs bare and names what it was given that it refuses.
+    fn rejects_arguments(program: &str) {
+        assert!(parse_command(program).is_ok(), "{program}");
+        let err = parse_command(&format!("{program} in.txt")).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("{program}: file operands are not supported")
+        );
+        let err = parse_command(&format!("{program} - in.txt")).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("{program}: file operands are not supported")
+        );
+        let err = parse_command(&format!("{program} -x")).unwrap_err();
+        assert_eq!(err.to_string(), format!("{program}: unknown option -x"));
+    }
+
+    #[test]
+    fn rev_rejects_operands() {
+        rejects_arguments("rev");
+    }
+
+    #[test]
+    fn tac_rejects_operands() {
+        rejects_arguments("tac");
+    }
+
+    #[test]
+    fn expand_rejects_operands() {
+        rejects_arguments("expand");
+    }
+
+    #[test]
+    fn shuf_rejects_operands() {
+        rejects_arguments("shuf");
     }
 
     #[test]

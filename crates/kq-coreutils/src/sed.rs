@@ -21,7 +21,7 @@
 //! ([`SedCmd::run_reference`]).
 
 use crate::fastpath::SliceRuns;
-use crate::{Bytes, CmdError, ExecContext, Rope, UnixCommand};
+use crate::{Bytes, CmdError, EffectClass, ExecContext, Rope, UnixCommand};
 use kq_pattern::Regex;
 
 enum Script {
@@ -161,6 +161,17 @@ impl UnixCommand for SedCmd {
 
     fn decodes(&self) -> bool {
         matches!(self.script, Script::Substitute { .. })
+    }
+
+    fn effect_class(&self) -> EffectClass {
+        match self.script {
+            // A per-line map.
+            Script::Substitute { .. } => EffectClass::Stateless,
+            // An address pins behaviour to line positions.
+            Script::QuitAfter(_) | Script::DeleteLine(_) | Script::DeleteLast => {
+                EffectClass::OrderSensitive
+            }
+        }
     }
 
     fn run(&self, input: Bytes, ctx: &ExecContext) -> Result<Bytes, CmdError> {

@@ -178,7 +178,7 @@
 //! under the numeric flags, on the same counted bytes.
 
 use crate::uniq::{push_counted, split_counted};
-use crate::{Bytes, CmdError, ExecContext, UnixCommand};
+use crate::{Bytes, CmdError, EffectClass, ExecContext, UnixCommand};
 use std::cmp::Ordering;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -279,16 +279,6 @@ impl SortCmd {
             merge,
             files,
             display,
-        })
-    }
-
-    /// The order this command puts its standard input in, when sorting
-    /// that input is all it does — `None` under `-m`, which merges instead,
-    /// and with a file operand, whose lines join the input's.
-    pub fn stdin_order(&self) -> Option<LineOrder> {
-        (!self.merge && self.files.is_empty()).then_some(LineOrder {
-            flags: self.flags,
-            counted: false,
         })
     }
 }
@@ -644,6 +634,20 @@ impl LineOrder {
         } else {
             line
         }
+    }
+
+    /// The fold-pair licence in the kernel's terms: whether a `sort` in
+    /// this order followed by `uniq` (`counts` false) or `uniq -c`
+    /// (`counts` true) is one keyed aggregation — count (or keep one of)
+    /// each distinct line — whose per-piece results merge by key. The
+    /// comparator must call two lines equal only when they are the same
+    /// bytes: no `-u`, which keeps one line per key, and no `-s`, which
+    /// keeps key-equal lines in input order. Before a plain `uniq` the
+    /// pair is `sort -u`, which keeps one line per *key*, so the key must
+    /// be the bytes as well: byte order, either way.
+    pub fn folds_runs(self, counts: bool) -> bool {
+        let identical = !self.counted && !self.flags.unique && !self.flags.stable;
+        identical && (counts || (!self.numeric() && !self.flags.fold_case))
     }
 
     /// True in counted mode: the order of `sort <flags> | uniq -c`, whose
@@ -1968,6 +1972,25 @@ impl UnixCommand for SortCmd {
 
     fn reads_stdin(&self) -> bool {
         self.files.is_empty() || self.files.iter().any(|f| f == "-")
+    }
+
+    fn effect_class(&self) -> EffectClass {
+        // Sorted pieces merge — unless a file's lines join the input's,
+        // or `-m` merges instead of sorting.
+        if self.stdin_order().is_some() {
+            EffectClass::CommutativeFold
+        } else {
+            EffectClass::Unknown
+        }
+    }
+
+    /// `None` under `-m`, which merges instead, and with a file operand,
+    /// whose lines join the input's.
+    fn stdin_order(&self) -> Option<LineOrder> {
+        (!self.merge && self.files.is_empty()).then_some(LineOrder {
+            flags: self.flags,
+            counted: false,
+        })
     }
 
     fn run(&self, input: Bytes, ctx: &ExecContext) -> Result<Bytes, CmdError> {

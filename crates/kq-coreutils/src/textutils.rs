@@ -1,7 +1,7 @@
 //! Small text-filter commands: `col -bx`, `rev`, `fmt -w N`, and
 //! `iconv -f utf-8 -t ascii//translit`.
 
-use crate::{Bytes, CmdError, ExecContext, UnixCommand};
+use crate::{Bytes, CmdError, EffectClass, ExecContext, UnixCommand};
 
 /// `col -bx` — process backspaces (keeping the last character written to
 /// each column) and expand tabs to spaces. The spell benchmark uses it to
@@ -90,6 +90,10 @@ pub struct RevCmd;
 impl UnixCommand for RevCmd {
     fn display(&self) -> String {
         "rev".to_owned()
+    }
+
+    fn effect_class(&self) -> EffectClass {
+        EffectClass::Stateless
     }
 
     fn decodes(&self) -> bool {

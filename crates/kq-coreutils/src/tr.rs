@@ -27,11 +27,11 @@
 //! splitter `tr -cs A-Za-z '\n'` and its relatives — that character is
 //! `'\n'` after every non-empty piece, whatever the piece held, so
 //! `f(x ++ y) = f(x) ++ (f(y) minus one leading '\n')`.
-//! [`TrCmd::newline_seam`] answers whether a command is of that kind; the
-//! dataflow executor uses it to run the stage chunk by chunk.
+//! Its [`UnixCommand::newline_seam`] answers whether a command is of that
+//! kind; the dataflow executor uses it to run the stage chunk by chunk.
 
 use crate::fastpath::SliceRuns;
-use crate::{Bytes, CmdError, ExecContext, UnixCommand};
+use crate::{Bytes, CmdError, EffectClass, ExecContext, UnixCommand};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SetItem {
@@ -446,23 +446,6 @@ impl TrCmd {
         Ok(cmd)
     }
 
-    /// Whether every non-empty newline-terminated piece of input leaves
-    /// this command in one state — it last wrote a `'\n'` that it will
-    /// squeeze — so that for line-aligned pieces
-    /// `f(x ++ y) = f(x) ++ (f(y) minus one leading '\n')` (see the
-    /// [module docs](self)). True when the command squeezes `'\n'` and
-    /// neither deletes it nor translates it to something else:
-    /// `-cs A-Za-z '\n'`, `-s ' ' '\n'`; not `-s '\n' ' '`, `-ds '\n' x`
-    /// or `-cs 'A-Za-z\n' ' '`. Answered from the byte table, so `false`
-    /// for a command with a non-ASCII SET.
-    pub fn newline_seam(&self) -> bool {
-        let Kernel::Table(table) = &self.kernel else {
-            return false;
-        };
-        // Written as itself, never dropped, and squeezed.
-        table.entries[b'\n' as usize] == u16::from(b'\n')
-    }
-
     /// The byte table of a translate, squeeze or `-ds` command whose sets
     /// are ASCII (see [`ByteTable`]); it follows
     /// [`run_reference`](Self::run_reference) case by case.
@@ -679,6 +662,32 @@ impl TrCmd {
 impl UnixCommand for TrCmd {
     fn display(&self) -> String {
         self.display.clone()
+    }
+
+    /// The seam of [`UnixCommand::newline_seam`] (see the
+    /// [module docs](self)): true when the command squeezes `'\n'` and
+    /// neither deletes it nor translates it to something else:
+    /// `-cs A-Za-z '\n'`, `-s ' ' '\n'`; not `-s '\n' ' '`, `-ds '\n' x`
+    /// or `-cs 'A-Za-z\n' ' '`. Answered from the byte table, so `false`
+    /// for a command with a non-ASCII SET.
+    fn newline_seam(&self) -> bool {
+        let Kernel::Table(table) = &self.kernel else {
+            return false;
+        };
+        // Written as itself, never dropped, and squeezed.
+        table.entries[b'\n' as usize] == u16::from(b'\n')
+    }
+
+    fn effect_class(&self) -> EffectClass {
+        if self.squeeze {
+            // Squeezing repeats merges across any split point.
+            EffectClass::OrderSensitive
+        } else {
+            // Translate/delete is a pure per-byte map (`tr -d '\n'` too:
+            // concat holds byte-wise; whether its output *streams*
+            // line-aligned is a separate, probed property).
+            EffectClass::Stateless
+        }
     }
 
     fn decodes(&self) -> bool {

@@ -21,7 +21,7 @@
 //! line is the same bytes whoever wrote it.
 
 use crate::fastpath::SliceRuns;
-use crate::{Bytes, CmdError, ExecContext, UnixCommand};
+use crate::{Bytes, CmdError, EffectClass, ExecContext, UnixCommand};
 
 /// The `uniq` command.
 pub struct UniqCmd {
@@ -183,6 +183,16 @@ impl UnixCommand for UniqCmd {
         } else {
             "uniq".to_owned()
         }
+    }
+
+    fn effect_class(&self) -> EffectClass {
+        // Plain `uniq` re-runs over the piece boundary; `uniq -c`
+        // stitches boundary counts.
+        EffectClass::PureParallelizable
+    }
+
+    fn collapses_runs(&self) -> Option<bool> {
+        Some(self.count)
     }
 
     fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {

@@ -5,7 +5,7 @@
 //! triple. The corpus uses `wc -l`, `wc -w`, and `wc -c`; the synthesized
 //! combiner for all of them is `(back '\n' add)`.
 
-use crate::{Bytes, CmdError, ExecContext, UnixCommand};
+use crate::{Bytes, CmdError, EffectClass, ExecContext, UnixCommand};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Count {
@@ -81,6 +81,11 @@ fn words(input: &[u8]) -> usize {
 impl UnixCommand for WcCmd {
     fn display(&self) -> String {
         self.display.clone()
+    }
+
+    fn effect_class(&self) -> EffectClass {
+        // Per-piece counts sum.
+        EffectClass::CommutativeFold
     }
 
     fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {

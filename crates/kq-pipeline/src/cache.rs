@@ -11,8 +11,11 @@
 //! `grep -c -n p` all share one entry; `grep -cn q` does not.
 //! Normalization is deliberately conservative — only the programs this
 //! crate ships (with a per-program table of value-taking options) are
-//! normalized; anything else (e.g. a [`Command::custom`] wrapper) keys on
-//! its raw display line. A key collision can therefore only arise from
+//! normalized; any other program keys on its raw display line. The key
+//! reads the argv alone, so a [`Command::custom`] wrapper keys raw only
+//! when its `argv[0]` names no shipped program: one whose argv reads
+//! `grep x` keys as the built-in `grep x` does. A key collision can
+//! therefore only arise from
 //! the normalizer itself, and even then costs at most a wasted
 //! re-synthesis: on-disk hits are validated against a fresh observation
 //! before being trusted (see below).

@@ -137,7 +137,7 @@
 //! splitter `tr -cs A-Za-z '\n'` — and the only thing it carries from one
 //! line-aligned piece of its input to the next is the last character it
 //! wrote, which after any non-empty piece is `'\n'`
-//! ([`crate::lattice::newline_seam`]). So for chunks `x0, x1, …`:
+//! ([`kq_coreutils::Command::newline_seam`]). So for chunks `x0, x1, …`:
 //!
 //! ```text
 //! f(x0 ++ x1 ++ …) = f(x0) ++ strip(f(x1)) ++ …      strip = drop one leading '\n'

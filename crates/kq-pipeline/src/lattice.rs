@@ -2,10 +2,13 @@
 //!
 //! KumQuat discovers parallelizability *dynamically* (generate → observe →
 //! filter); this module is the static complement: a conservative
-//! classification of each command into an effect lattice derived from its
-//! *normalized signature* (the same [`cache_key`] normalization the
-//! combiner cache uses, so `grep -n -c p` and `grep -cn p` classify
-//! identically).
+//! classification of each command into an effect lattice. The lattice
+//! records what a command *is*, and each command says so itself: its
+//! parser in `kq-coreutils` reads the flags once and answers
+//! [`Command::effect_class`], [`Command::stdin_order`],
+//! [`Command::newline_seam`] and [`Command::collapses_runs`] from what it
+//! parsed. Nothing here reads an argv; the rules below combine those
+//! answers.
 //!
 //! ```text
 //!                 Unknown
@@ -36,23 +39,26 @@
 //! comparator calls two lines equal exactly when they are the same bytes,
 //! the pair is one keyed aggregation — count (or keep one of) each
 //! distinct line — whose per-chunk results merge by key. [`fold_pair`] is
-//! the legality test over the two normalized signatures, the planner
+//! the legality test over the sort's order and the uniq's answer, the planner
 //! records its answer on [`PlannedStage::fold_pair`], and
 //! [`DataflowGraph::build`] turns a licensed pair of combine folds into
 //! one fold spanning both stages (see "Counting rewrite" in
 //! [`crate::dataflow`]).
 //!
-//! The condition on the sort is why `-u` and file operands are excluded.
-//! The in-process `sort` compares by its flagged key and then, *absent
-//! `-u`*, by the whole line's bytes — so under `-n`, `-r`, `-f` and `-k1n`
-//! alike, lines that compare equal are identical and identical lines are
-//! adjacent. `-u` switches that last resort off and keeps one line per
-//! *key*: `sort -nu | uniq -c` counts spellings that survived, not lines
-//! that occurred. `-m` does not sort at all. A file operand makes the
-//! stream the concatenation of files the chunks never see (and a `sort`
-//! that reads only files is a source, not a stage). `uniq` must be plain
-//! or exactly `-c`: `-d`, `-u`, `-i`, `-f N` ask about runs in ways a count
-//! per line does not answer. Any flag not named here means no rewrite.
+//! The condition on the sort is why `-u`, `-s` and file operands are
+//! excluded. The in-process `sort` compares by its flagged key and then,
+//! *absent `-u` and `-s`*, by the whole line's bytes — so under `-n`,
+//! `-r`, `-f` and `-k1n` alike, lines that compare equal are identical and
+//! identical lines are adjacent. `-u` switches that last resort off and
+//! keeps one line per *key*: `sort -nu | uniq -c` counts spellings that
+//! survived, not lines that occurred. `-m` does not sort at all. A file
+//! operand makes the stream the concatenation of files the chunks never
+//! see (and a `sort` that reads only files is a source, not a stage): the
+//! sort's [`Command::stdin_order`] is `None` for both, and
+//! [`LineOrder::folds_runs`] decides the rest. The `uniq` must say that
+//! it writes one line per run ([`Command::collapses_runs`]): `-d`, `-u`,
+//! `-i`, `-f N` ask about runs in ways a count per line does not answer,
+//! and the in-process `uniq` parses none of them.
 //!
 //! [`PlannedStage::fold_pair`]: crate::plan::PlannedStage::fold_pair
 //! [`DataflowGraph::build`]: crate::dataflow::DataflowGraph::build
@@ -66,7 +72,7 @@
 //! counting sort left them in, or its reverse. So the third sort needs no
 //! comparison at all: each line goes to the group of its count, the groups
 //! go out by count, and a group's lines keep the counted order or reverse
-//! it. [`count_order`] is that licence over the two sorts' parsed flags:
+//! it. [`count_order`] is that licence over the two sorts' orders:
 //! the counting sort in byte order, the next sort numeric on field one and
 //! otherwise plain. The planner records it on
 //! [`PlannedStage::count_order`] of the pair's sort, and
@@ -88,9 +94,10 @@
 //! (`tr -cs A-Za-z '\n'`, `tr -s ' ' '\n'`) that character is `'\n'` after
 //! every non-empty line-aligned piece, whatever the piece held. So
 //! `f(x ++ y) = f(x) ++ (f(y) minus one leading '\n')`: the `rerun` at the
-//! seam is an O(1) slice of the right-hand output. [`newline_seam`] asks
-//! the parsed command ([`kq_coreutils::tr::TrCmd::newline_seam`]) whether
-//! it is of that kind; the planner records the answer on
+//! seam is an O(1) slice of the right-hand output. The command says
+//! whether it is of that kind ([`Command::newline_seam`], which the
+//! in-process `tr` answers from its byte table); the planner records the
+//! answer on
 //! [`PlannedStage::seam`] where synthesis found `rerun` — the stage would
 //! otherwise run once over its gathered input, or over its gathered chunk
 //! outputs — and [`DataflowGraph::build`] runs such a stage chunk by chunk
@@ -107,9 +114,10 @@
 //! makes: `sort(x1 ++ … ++ xk) = merge(sort(x1), …, sort(xk))`, where the
 //! merge hands ties to the earlier piece and a stable sort keeps them in
 //! input order. So the sort of each chunk is work the fold could do on
-//! more lines at once. [`sorting_order`] licenses a stage for that: a
-//! stdin-reading `sort` with no `-m` (which merges, not sorts) and no
-//! operand (whose lines the chunks never see); the planner records it on
+//! more lines at once. The command's [`Command::stdin_order`] licenses a
+//! stage for that: a stdin-reading `sort` with no `-m` (which merges, not
+//! sorts) and no operand (whose lines the chunks never see) has one; the
+//! planner records it on
 //! [`PlannedStage::sorting`] where the stage's combiner merges under that
 //! very order — the order the fold's sorts must keep — and
 //! [`DataflowGraph::build`] turns the stage's fold into one fed raw chunks
@@ -121,338 +129,26 @@
 //!
 //! # Soundness
 //!
-//! The table is deliberately *under*-approximating. A command is
-//! classified below [`EffectClass::Unknown`] only when its whole
-//! flag/operand shape is understood; any unrecognized flag falls back to
-//! `Unknown` (= "ask synthesis"). The agreement test in `kq-analyze`
-//! pins the invariant for every unique corpus command: the static class
-//! is never *stronger* than what synthesis proves (`Stateless` ⇒
-//! synthesis finds a concat combiner; `CommutativeFold` /
-//! `PureParallelizable` ⇒ synthesis finds *a* combiner).
+//! The table is deliberately *under*-approximating. A command classifies
+//! below [`EffectClass::Unknown`] only when its own parser understood its
+//! whole flag/operand shape, and only when it reads its standard input (a
+//! source's parallelization question does not arise). A command gets
+//! only what its implementation claims: a [`Command::custom`] wrapper
+//! whose implementation claims nothing is `Unknown` (= "ask synthesis")
+//! and gets no licence, whatever its `argv[0]` says. The
+//! agreement test in `kq-analyze` pins the invariant for every unique
+//! corpus command: the static class is never *stronger* than what
+//! synthesis proves (`Stateless` ⇒ synthesis finds a concat combiner;
+//! `CommutativeFold` / `PureParallelizable` ⇒ synthesis finds *a*
+//! combiner).
+//!
+//! [`LineOrder::folds_runs`]: kq_coreutils::sort::LineOrder::folds_runs
 
-use crate::cache::cache_key;
-use kq_coreutils::sort::{CountOrder, LineOrder, SortCmd};
-use kq_coreutils::tr::TrCmd;
+use kq_coreutils::sort::CountOrder;
 use kq_coreutils::Command;
+pub use kq_coreutils::EffectClass;
 use kq_dsl::ast::{Candidate, RecOp};
-use kq_dsl::codec::unescape_token;
 use kq_synth::SynthesizedCombiner;
-
-/// The static effect classification (see the [module docs](self)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EffectClass {
-    /// A per-line (or per-byte) pure map: combiner is plain `concat`.
-    /// The planner short-circuits synthesis for these.
-    Stateless,
-    /// Parallelizable with a structured, order-aware combiner (`head -n k`
-    /// keeps a prefix, `uniq` re-merges the piece boundary). Synthesis is
-    /// still consulted — the class only promises a combiner exists.
-    PureParallelizable,
-    /// Parallelizable with an order-insensitive aggregate (`sort` merges,
-    /// `wc`/`grep -c` sum). Synthesis is still consulted.
-    CommutativeFold,
-    /// Correct only on the whole stream in order (`tail`, `nl`, `tr -s`,
-    /// `sed` with addresses): naive splitting changes observable output,
-    /// so synthesis decides (it may still find a rerun combiner) — except
-    /// where the state that crosses a split is known exactly, which is
-    /// what [`newline_seam`] licenses for a line-splitting `tr -s`.
-    OrderSensitive,
-    /// Not statically understood; dynamic synthesis decides.
-    Unknown,
-}
-
-impl EffectClass {
-    /// Stable lowercase name (used by `kumquat check --format json`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EffectClass::Stateless => "stateless",
-            EffectClass::PureParallelizable => "pure-parallelizable",
-            EffectClass::CommutativeFold => "commutative-fold",
-            EffectClass::OrderSensitive => "order-sensitive",
-            EffectClass::Unknown => "unknown",
-        }
-    }
-}
-
-/// A command's normalized signature, recovered from its [`cache_key`]:
-/// the program, the canonical flag set (clusters exploded, value-taking
-/// options paired as `-f=value`, sorted), and the operands in order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Signature {
-    /// The program name (`argv[0]`).
-    pub program: String,
-    /// Canonical flags (`-c`, `-n=3`, `--long`).
-    pub flags: Vec<String>,
-    /// Non-flag operands, in order.
-    pub operands: Vec<String>,
-}
-
-impl Signature {
-    /// True when a canonical boolean flag is present.
-    pub fn has_flag(&self, flag: &str) -> bool {
-        self.flags.iter().any(|f| f == flag)
-    }
-
-    /// The value of a `-x=value` flag, when present.
-    pub fn flag_value(&self, letter: char) -> Option<&str> {
-        let prefix = [b'-', letter as u8, b'='];
-        self.flags
-            .iter()
-            .find_map(|f| f.as_bytes().starts_with(&prefix).then(|| &f[3..]))
-    }
-}
-
-/// Recovers the normalized [`Signature`] from a command's [`cache_key`].
-/// Returns `None` for commands the normalizer does not understand (raw
-/// keys — custom wrappers, unknown programs).
-pub fn signature(command: &Command) -> Option<Signature> {
-    let key = cache_key(command);
-    let mut fields = key.split('\x1f');
-    let program = fields.next()?.to_owned();
-    if program == "raw" {
-        return None;
-    }
-    let mut flags = Vec::new();
-    let mut operands = Vec::new();
-    let mut past_separator = false;
-    for field in fields {
-        if !past_separator && field == "|" {
-            past_separator = true;
-            continue;
-        }
-        // Keys are produced by `escape_token`; failures cannot happen on
-        // round-tripped data, but stay conservative anyway.
-        let token = unescape_token(field).ok()?;
-        if past_separator {
-            operands.push(token);
-        } else {
-            flags.push(token);
-        }
-    }
-    Some(Signature {
-        program,
-        flags,
-        operands,
-    })
-}
-
-/// Classifies a command into the effect lattice.
-///
-/// Only commands that consume their standard input classify below
-/// [`EffectClass::Unknown`]: a source command (`cat big.txt`,
-/// `paste a b`) is a pipeline head, and its parallelization question does
-/// not arise. Gating here also means operands are unambiguous — a
-/// stdin-reading `grep`'s operand is its pattern, never a file.
-pub fn classify(command: &Command) -> EffectClass {
-    if !command.reads_stdin() {
-        return EffectClass::Unknown;
-    }
-    let Some(sig) = signature(command) else {
-        return EffectClass::Unknown;
-    };
-    match sig.program.as_str() {
-        "cat" => classify_cat(&sig),
-        "tr" => classify_tr(&sig),
-        "grep" => classify_grep(&sig),
-        "cut" => classify_cut(&sig),
-        "sed" => classify_sed(&sig),
-        "sort" => classify_sort(&sig),
-        "wc" => EffectClass::CommutativeFold,
-        "uniq" => classify_uniq(&sig),
-        "head" => classify_head(&sig),
-        "rev" | "expand" => classify_flagless_map(&sig),
-        "fold" => classify_fold(&sig),
-        // Whole-stream order dependence: position numbering, reversal,
-        // suffixes, sorted two-way merges.
-        "nl" | "tac" | "tail" | "comm" => EffectClass::OrderSensitive,
-        _ => EffectClass::Unknown,
-    }
-}
-
-fn classify_cat(sig: &Signature) -> EffectClass {
-    if sig.flags.is_empty() {
-        // A stdin-reading cat is the identity map.
-        EffectClass::Stateless
-    } else if sig.has_flag("-n") {
-        // `cat -n` is line numbering.
-        EffectClass::OrderSensitive
-    } else {
-        EffectClass::Unknown
-    }
-}
-
-fn classify_tr(sig: &Signature) -> EffectClass {
-    if sig.has_flag("-s") {
-        // Squeezing repeats merges across any split point.
-        EffectClass::OrderSensitive
-    } else if sig
-        .flags
-        .iter()
-        .all(|f| f == "-c" || f == "-C" || f == "-d")
-    {
-        // Translate/delete is a pure per-byte map. (This includes
-        // `tr -d '\n'`: concat still holds byte-wise; whether its output
-        // *streams* line-aligned is a separate, probed property.)
-        EffectClass::Stateless
-    } else {
-        EffectClass::Unknown
-    }
-}
-
-fn classify_grep(sig: &Signature) -> EffectClass {
-    // Positional or contextual output depends on line positions/neighbors.
-    let order_sensitive = ["-n", "-b"].iter().any(|f| sig.has_flag(f))
-        || ['m', 'A', 'B', 'C']
-            .iter()
-            .any(|&l| sig.flag_value(l).is_some());
-    if order_sensitive {
-        return EffectClass::OrderSensitive;
-    }
-    // Selecting-form flags: each input line maps to itself or nothing.
-    let selecting = |f: &String| {
-        matches!(f.as_str(), "-i" | "-v" | "-w" | "-x" | "-E" | "-F" | "-o") || f.starts_with("-e=")
-    };
-    if sig.has_flag("-c") {
-        // Per-piece counts sum.
-        if sig.flags.iter().all(|f| f == "-c" || selecting(f)) {
-            EffectClass::CommutativeFold
-        } else {
-            EffectClass::Unknown
-        }
-    } else if sig.flags.iter().all(selecting) {
-        EffectClass::Stateless
-    } else {
-        EffectClass::Unknown
-    }
-}
-
-fn classify_cut(sig: &Signature) -> EffectClass {
-    let known = |f: &String| {
-        f == "-s"
-            || ['d', 'f', 'c', 'b']
-                .iter()
-                .any(|&l| f.as_bytes().starts_with(&[b'-', l as u8, b'=']))
-    };
-    if sig.flags.iter().all(known) {
-        EffectClass::Stateless
-    } else {
-        EffectClass::Unknown
-    }
-}
-
-fn classify_sed(sig: &Signature) -> EffectClass {
-    // Only the plain single-script form is classified; `-n`, `-e`, and
-    // multi-operand invocations fall through to synthesis.
-    if !sig.flags.is_empty() || sig.operands.len() != 1 {
-        return EffectClass::Unknown;
-    }
-    let script = sig.operands[0].as_str();
-    let mut chars = script.chars();
-    match chars.next() {
-        // An address prefix (`1d`, `100q`, `$d`) pins behaviour to line
-        // positions.
-        Some(c) if c.is_ascii_digit() || c == '$' || c == '/' => EffectClass::OrderSensitive,
-        // `s<d>pat<d>rep<d>flags` / `y<d>a<d>b<d>`: a per-line map,
-        // provided the flags do not write files (`w`) — conservatively
-        // require them to be the known per-line set.
-        Some(op @ ('s' | 'y')) => {
-            let Some(delim) = chars.next() else {
-                return EffectClass::Unknown;
-            };
-            if delim.is_ascii_alphanumeric() || delim == '\\' {
-                return EffectClass::Unknown;
-            }
-            let body = &script[op.len_utf8() + delim.len_utf8()..];
-            let parts = split_sed_body(body, delim);
-            match parts.as_slice() {
-                [_, _, tail]
-                    if tail
-                        .chars()
-                        .all(|c| c == 'g' || c == 'i' || c.is_ascii_digit()) =>
-                {
-                    EffectClass::Stateless
-                }
-                _ => EffectClass::Unknown,
-            }
-        }
-        _ => EffectClass::Unknown,
-    }
-}
-
-/// Splits a sed `s`/`y` body on its unescaped delimiters.
-fn split_sed_body(body: &str, delim: char) -> Vec<&str> {
-    let mut parts = Vec::new();
-    let mut start = 0;
-    let mut escaped = false;
-    for (idx, c) in body.char_indices() {
-        if escaped {
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == delim {
-            parts.push(&body[start..idx]);
-            start = idx + c.len_utf8();
-        }
-    }
-    parts.push(&body[start..]);
-    parts
-}
-
-fn classify_sort(sig: &Signature) -> EffectClass {
-    if sig.flag_value('o').is_some() {
-        // `sort -o file` writes a file: an effect the lattice's pure
-        // stream model does not cover.
-        EffectClass::Unknown
-    } else {
-        EffectClass::CommutativeFold
-    }
-}
-
-fn classify_uniq(sig: &Signature) -> EffectClass {
-    if sig.flags.is_empty() || sig.flags == ["-c"] {
-        // Plain `uniq` re-runs over the piece boundary; `uniq -c`
-        // stitches boundary counts.
-        EffectClass::PureParallelizable
-    } else {
-        EffectClass::Unknown
-    }
-}
-
-fn classify_head(sig: &Signature) -> EffectClass {
-    let line_form = match sig.flags.as_slice() {
-        [] => true,
-        [f] => {
-            sig.flag_value('n')
-                .is_some_and(|v| v.parse::<u64>().is_ok())
-                || (f.starts_with('-') && f[1..].parse::<u64>().is_ok())
-        }
-        _ => false,
-    };
-    if line_form {
-        // A line prefix: the first piece (or a rerun) combines.
-        EffectClass::PureParallelizable
-    } else {
-        EffectClass::Unknown
-    }
-}
-
-fn classify_flagless_map(sig: &Signature) -> EffectClass {
-    if sig.flags.is_empty() {
-        EffectClass::Stateless
-    } else {
-        EffectClass::Unknown
-    }
-}
-
-fn classify_fold(sig: &Signature) -> EffectClass {
-    let known = |f: &String| f == "-s" || f.starts_with("-w=");
-    if sig.flags.iter().all(known) {
-        // Wrapping long lines is a per-line map.
-        EffectClass::Stateless
-    } else {
-        EffectClass::Unknown
-    }
-}
 
 /// What a `sort` stage and the `uniq` stage that follows it fold into when
 /// the pair is one keyed aggregation (see the [module docs](self)).
@@ -477,41 +173,19 @@ impl FoldPair {
 }
 
 /// The legality test of the counting rewrite: `Some` when `sort | uniq`,
-/// as adjacent stages, compute one keyed aggregation. Both commands must
-/// read their standard input and take no operand; `sort` may carry `-n`,
-/// `-r`, `-f` and a field-1 key (`-k1n` and its spellings) before
-/// `uniq -c`, and nothing but `-r` before a plain `uniq`, which is
-/// `sort -u` only in byte order. Conservative like [`classify`]: any flag
-/// not listed here — `-u`, `-m`, `-s`, a long option — means `None`.
+/// as adjacent stages, compute one keyed aggregation — the `uniq` writes
+/// one line per run ([`Command::collapses_runs`]), and the `sort` sorts
+/// its standard input ([`Command::stdin_order`]) under an order whose
+/// equal lines are identical, and in byte order before a plain `uniq`
+/// ([`LineOrder::folds_runs`](kq_coreutils::sort::LineOrder::folds_runs)).
 pub fn fold_pair(sort: &Command, uniq: &Command) -> Option<FoldPair> {
-    if !sort.reads_stdin() || !uniq.reads_stdin() {
-        return None;
-    }
-    let (sort, uniq) = (signature(sort)?, signature(uniq)?);
-    if sort.program != "sort" || uniq.program != "uniq" {
-        return None;
-    }
-    if !sort.operands.is_empty() || !uniq.operands.is_empty() {
-        return None;
-    }
-    // `-k=1`, `-k=1n`, `-k=1,1n`, …: field one, with modifiers the flags
-    // below also spell.
-    let field1_key = |f: &String| {
-        f.strip_prefix("-k=").is_some_and(|spec| {
-            spec.split(',').all(|part| {
-                part.strip_prefix('1')
-                    .is_some_and(|mods| mods.chars().all(|m| matches!(m, 'n' | 'r' | 'f')))
-            })
-        })
-    };
-    let sort_flag = |f: &String| matches!(f.as_str(), "-n" | "-r" | "-f") || field1_key(f);
-    if uniq.flags == ["-c"] && sort.flags.iter().all(sort_flag) {
-        Some(FoldPair::Counting)
-    } else if uniq.flags.is_empty() && sort.flags.iter().all(|f| f == "-r") {
-        Some(FoldPair::Unique)
+    let counts = uniq.collapses_runs()?;
+    let pair = if counts {
+        FoldPair::Counting
     } else {
-        None
-    }
+        FoldPair::Unique
+    };
+    sort.stdin_order()?.folds_runs(counts).then_some(pair)
 }
 
 /// The count-order licence (see the [module docs](self)): the order in
@@ -522,38 +196,13 @@ pub fn fold_pair(sort: &Command, uniq: &Command) -> Option<FoldPair> {
 /// `-f` or `-s`, numeric on field one (`-n`, `-k1n`, `-k1,1n`) with `r`
 /// given globally, on the key, or both. The counts go descending when the
 /// key is reversed; within one count the lines go in byte order,
-/// descending only when the last resort is (a global `-r`). Decided by the
-/// in-process `sort`'s own parse of both argvs
-/// ([`LineOrder::count_order`]). Whether `sort` and the `uniq -c` between
-/// them are a counting pair is [`fold_pair`]'s question.
+/// descending only when the last resort is (a global `-r`). Decided from
+/// the two sorts' own orders ([`Command::stdin_order`],
+/// [`LineOrder::count_order`](kq_coreutils::sort::LineOrder::count_order)).
+/// Whether `sort` and the `uniq -c` between them are a counting pair is
+/// [`fold_pair`]'s question.
 pub fn count_order(sort: &Command, then: &Command) -> Option<CountOrder> {
-    sorting_order(sort)?.count_order(sorting_order(then)?)
-}
-
-/// The seam licence (see the [module docs](self)): `true` when `command`
-/// is a stdin-reading `tr` that squeezes `'\n'` and neither deletes nor
-/// retargets it, so that over non-empty line-aligned pieces
-/// `f(x ++ y) = f(x) ++ (f(y) minus one leading '\n')`. Decided by the
-/// in-process `tr`'s own parse of the argv; anything it rejects, and any
-/// SET it does not run from its byte table, is `false`.
-pub fn newline_seam(command: &Command) -> bool {
-    command.reads_stdin()
-        && command.program() == "tr"
-        && TrCmd::parse(&command.argv()[1..]).is_ok_and(|tr| tr.newline_seam())
-}
-
-/// The sorting licence (see the [module docs](self)): the order in which
-/// `command` sorts its standard input, when it is a stdin-reading `sort`
-/// that the in-process command parses, with no `-m` and no operand —
-/// `None` for anything else. A `sort` stage whose fold merges under this
-/// same order may feed the fold its raw chunks, sorted there a batch at a
-/// time (`sort(x1 ++ … ++ xk) = merge(sort(x1), …, sort(xk))`, ties to the
-/// earlier input).
-pub fn sorting_order(command: &Command) -> Option<LineOrder> {
-    if !command.reads_stdin() || command.program() != "sort" {
-        return None;
-    }
-    SortCmd::parse(&command.argv()[1..]).ok()?.stdin_order()
+    sort.stdin_order()?.count_order(then.stdin_order()?)
 }
 
 /// The combiner a classification certifies without synthesis: plain
@@ -596,10 +245,11 @@ pub fn effects(command: &Command) -> EffectSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kq_coreutils::external::ExternalCommand;
     use kq_coreutils::parse_command;
 
     fn class_of(line: &str) -> EffectClass {
-        classify(&parse_command(line).unwrap())
+        parse_command(line).unwrap().effect_class()
     }
 
     #[test]
@@ -618,6 +268,8 @@ mod tests {
             "cut -c 1-5",
             "rev",
             "sed 's/a/b/g'",
+            // The script as `-e`'s value is the same parsed script.
+            "sed -e 's/a/b/g'",
         ] {
             let class = class_of(line);
             if line.contains("-cs") {
@@ -655,10 +307,14 @@ mod tests {
         assert_eq!(class_of("xargs wc -l"), EffectClass::Unknown);
         // Sources never classify: the parallelization question is moot.
         assert_eq!(class_of("cat big.txt"), EffectClass::Unknown);
+        // Nor does a file around the input: its lines join the pieces'.
+        assert_eq!(class_of("cat - big.txt"), EffectClass::Unknown);
+        assert_eq!(class_of("cat big.txt -"), EffectClass::Unknown);
+        assert_eq!(class_of("cat - -"), EffectClass::Unknown);
     }
 
     #[test]
-    fn fold_pairs_are_licensed_by_both_signatures() {
+    fn fold_pairs_are_licensed_by_both_commands() {
         let pair = |sort: &str, uniq: &str| {
             fold_pair(&parse_command(sort).unwrap(), &parse_command(uniq).unwrap())
         };
@@ -676,21 +332,31 @@ mod tests {
             "sort -r -n",
         ] {
             assert_eq!(pair(sort, "uniq -c"), Some(FoldPair::Counting), "{sort}");
-            assert_eq!(pair(sort, "uniq --count"), None, "long spelling: {sort}");
+            // `uniq` parses the long spelling to the same command.
+            assert_eq!(
+                pair(sort, "uniq --count"),
+                Some(FoldPair::Counting),
+                "{sort}"
+            );
         }
+        // `sort` ignores `--parallel`: the order is the same.
+        assert_eq!(
+            pair("sort --parallel=1", "uniq -c"),
+            Some(FoldPair::Counting)
+        );
+        assert_eq!(pair("sort --parallel=2", "uniq"), Some(FoldPair::Unique));
         assert_eq!(pair("sort", "uniq"), Some(FoldPair::Unique));
         assert_eq!(pair("sort -r", "uniq"), Some(FoldPair::Unique));
         // Key-equal is not identical outside byte order.
         for sort in ["sort -f", "sort -n", "sort -k1n", "sort -rn"] {
             assert_eq!(pair(sort, "uniq"), None, "{sort} | uniq");
         }
-        // -u, -m, -s, long options, operands.
+        // -u, -m, -s, operands.
         for sort in [
             "sort -u",
             "sort -nu",
             "sort -m",
             "sort -s",
-            "sort --parallel=1",
             "sort f.txt",
             "sort -",
             "sort -n f.txt",
@@ -699,10 +365,11 @@ mod tests {
             assert_eq!(pair(sort, "uniq"), None, "{sort} | uniq");
         }
         // A `uniq` asking about runs (the in-process one parses no such
-        // flag; a wrapped system binary would).
+        // flag; a wrapped system binary does, and claims nothing).
+        let words = ["uniq".to_owned(), "-d".to_owned()];
         let uniq_d = Command::custom(
-            vec!["uniq".to_owned(), "-d".to_owned()],
-            Box::new(kq_coreutils::uniq::UniqCmd::parse(&[]).unwrap()),
+            words.to_vec(),
+            Box::new(ExternalCommand::new(&words).unwrap()),
         );
         assert_eq!(fold_pair(&parse_command("sort").unwrap(), &uniq_d), None);
         // Only `sort` then `uniq`, in that order.
@@ -773,7 +440,7 @@ mod tests {
 
     #[test]
     fn seams_are_licensed_by_the_parsed_sets() {
-        let seam = |line: &str| newline_seam(&parse_command(line).unwrap());
+        let seam = |line: &str| parse_command(line).unwrap().newline_seam();
         for line in [
             "tr -cs A-Za-z '\\n'",
             "tr -sc '[A-Z][a-z]' '[\\012*]'",
@@ -800,18 +467,16 @@ mod tests {
             vec!["tr".to_owned(), "--squeeze".to_owned()],
             Box::new(kq_coreutils::uniq::UniqCmd::parse(&[]).unwrap()),
         );
-        assert!(!newline_seam(&odd));
+        assert!(!odd.newline_seam());
     }
 
     #[test]
-    fn signature_round_trips_normalization() {
-        let sig = signature(&parse_command("grep -cn p").unwrap()).unwrap();
-        assert_eq!(sig.program, "grep");
-        assert_eq!(sig.flags, vec!["-c", "-n"]);
-        assert_eq!(sig.operands, vec!["p"]);
-        let a = signature(&parse_command("cut -d, -f1").unwrap());
-        let b = signature(&parse_command("cut -f 1 -d ','").unwrap());
-        assert_eq!(a, b);
+    fn spellings_of_one_command_classify_alike() {
+        // The class comes from the parsed command, not from how its
+        // flags were written.
+        assert_eq!(class_of("grep -n -c p"), class_of("grep -cn p"));
+        assert_eq!(class_of("cut -d, -f1"), class_of("cut -f 1 -d ','"));
+        assert_eq!(class_of("head -3"), class_of("head -n 3"));
     }
 
     #[test]

@@ -51,11 +51,13 @@
 //! [`lattice::fold_pair`] licenses becomes one counting fold (see
 //! "Counting rewrite" in [`dataflow`]) — which takes in the numeric `sort`
 //! after it where [`lattice::count_order`] licenses closing in that
-//! sort's order ("Count-order rewrite") — a rerun-combined `tr -s` that
-//! [`lattice::newline_seam`] licenses — the word splitter
+//! sort's order ("Count-order rewrite") — a rerun-combined `tr -s` whose
+//! command claims a newline seam ([`kq_coreutils::Command::newline_seam`])
+//! — the word splitter
 //! `tr -cs A-Za-z '\n'` — runs chunk by chunk at the head of a chunk-local
 //! node instead of once over its gathered input ("Seam rewrite"), and a
-//! `sort` that [`lattice::sorting_order`] licenses passes its chunks to its
+//! `sort` that sorts its input in an order of its own
+//! ([`kq_coreutils::Command::stdin_order`]) passes its chunks to its
 //! fold unsorted, the fold sorting them a run batch at a time ("Sorting
 //! rewrite"). The serial oracle always runs the plan stage by stage,
 //! which is what makes [`exec::run_serial`] the oracle for all four.
@@ -259,9 +261,7 @@ pub use dataflow::{DataflowGraph, DataflowNode, FoldBy, GraphFault, NodeKind, No
 pub use exec::{
     EarlyExit, ExecutionResult, QueueTelemetry, SpillTelemetry, StageTiming, TimingLog,
 };
-pub use lattice::{
-    classify, count_order, fold_pair, newline_seam, sorting_order, EffectClass, EffectSet, FoldPair,
-};
+pub use lattice::{count_order, fold_pair, EffectClass, EffectSet, FoldPair};
 pub use parse::{InputSource, ParseError, Script, SourceSpan, Stage, Statement};
 pub use plan::{planning_sample, PlannedScript, PlannedStage, Planner, PreparedScript, StageMode};
 pub use scheduler::{

@@ -15,7 +15,7 @@
 //!   its input (e.g. `tr -cs A-Za-z '\n'`) → **sequential**, per §2's cost
 //!   observation — though where the lattice knows exactly what a
 //!   rerun-combined command carries across a split
-//!   ([`lattice::newline_seam`]: that `tr` does, `tr -s '\n' ' '` does
+//!   ([`Command::newline_seam`]: that `tr` does, `tr -s '\n' ' '` does
 //!   not) the stage is also marked [`PlannedStage::seam`], whichever mode
 //!   it got, and the dataflow executor runs it chunk by chunk all the same;
 //! * otherwise → **parallel**.
@@ -129,7 +129,7 @@ pub struct PlannedStage {
     /// sort of a pair. Executors that run stage by stage ignore it.
     pub count_order: Option<kq_coreutils::sort::CountOrder>,
     /// Set on a stage that the lattice licenses to run chunk by chunk under
-    /// a one-newline seam ([`lattice::newline_seam`]): for non-empty
+    /// a one-newline seam ([`Command::newline_seam`]): for non-empty
     /// line-aligned pieces, `f(x ++ y)` is `f(x)` followed by `f(y)` less
     /// one leading `'\n'`. The planner sets it only where synthesis found a
     /// `rerun` combiner — the seam *is* that rerun, reduced to an O(1)
@@ -142,7 +142,7 @@ pub struct PlannedStage {
     /// stage by stage ignore it.
     pub seam: bool,
     /// Set on a `sort` stage that the lattice licenses to feed its fold
-    /// raw chunks ([`lattice::sorting_order`]): the fold sorts batches of
+    /// raw chunks ([`Command::stdin_order`]): the fold sorts batches of
     /// chunks, each into one run, where the stage would sort every chunk
     /// and the fold merge them (the sorting rewrite of
     /// [`crate::dataflow`]). The planner sets it only where the stage
@@ -290,10 +290,10 @@ impl Evidence {
     /// What each licence assumes synthesis finds about `command`, as
     /// `kumquat check` reports the rewrites without synthesizing: a stage
     /// reading its standard input runs parallel, a `sort` merges in the
-    /// order it sorts by ([`lattice::sorting_order`]), and any other
+    /// order it sorts by ([`Command::stdin_order`]), and any other
     /// stage's combiner is a `rerun`.
     pub fn assumed(command: &Command) -> Evidence {
-        let merge_order = lattice::sorting_order(command);
+        let merge_order = command.stdin_order();
         Evidence {
             parallel: command.reads_stdin(),
             merge_order,
@@ -333,7 +333,7 @@ fn license(statement: &Statement, evidence: &[Evidence], stages: &mut [PlannedSt
     let at = |i: usize| evidence.get(i).copied().unwrap_or_default();
     let merges = |i: usize| at(i).parallel && at(i).merge_order.is_some();
     for (i, stage) in stages.iter_mut().enumerate() {
-        stage.seam = at(i).rerun && lattice::newline_seam(command(i));
+        stage.seam = at(i).rerun && command(i).newline_seam();
         if merges(i) && at(i + 1).parallel {
             stage.fold_pair = lattice::fold_pair(command(i), command(i + 1));
         }
@@ -344,7 +344,7 @@ fn license(statement: &Statement, evidence: &[Evidence], stages: &mut [PlannedSt
             .rposition(|s| !s.streamable && !s.seam && s.line_bound.is_none());
         let since = barrier.map_or(0, |b| b + 1)..i;
         if !statement.stages[since].iter().any(|s| s.command.decodes()) {
-            stages[i].line_bound = kq_synth::prefix_bound(command(i));
+            stages[i].line_bound = command(i).line_bound();
         }
     }
     for i in 0..stages.len() {
@@ -359,7 +359,7 @@ fn license(statement: &Statement, evidence: &[Evidence], stages: &mut [PlannedSt
     for i in 0..stages.len() {
         let absorbed = i >= 2 && stages[i - 2].count_order.is_some();
         let own_order =
-            at(i).merge_order.is_some() && at(i).merge_order == lattice::sorting_order(command(i));
+            at(i).merge_order.is_some() && at(i).merge_order == command(i).stdin_order();
         stages[i].sorting = at(i).parallel
             && own_order
             && !absorbed
@@ -687,7 +687,7 @@ impl Planner {
         if !self.use_lattice {
             return None;
         }
-        lattice::static_combiner(lattice::classify(command))
+        lattice::static_combiner(command.effect_class())
     }
 
     /// Resolves `key` from the cache when possible: trusted in-memory

@@ -70,7 +70,7 @@ pub mod synthesize;
 
 pub use composite::SynthesizedCombiner;
 pub use pool::SynthPool;
-pub use preprocess::{prefix_bound, preprocess, probe_profile, InputProfile, Preprocessed};
+pub use preprocess::{preprocess, probe_profile, InputProfile, Preprocessed};
 pub use shape::{Config, InputShape, Mutation};
 #[doc(hidden)]
 pub use synthesize::synthesize_reference;

@@ -52,7 +52,11 @@ pub struct Preprocessed {
     pub profile: InputProfile,
     /// Dictionary entries biased into generated words.
     pub dictionary: Vec<String>,
-    /// Line-count hint from numeric literals (`sed 100q` → 100).
+    /// Line-count hint from numeric literals (`sed 100q` → 100). It
+    /// biases generated input sizes so synthesis exercises the boundary,
+    /// and deliberately widens `head -n 1` to two lines; the exact
+    /// early-exit bound the executor cancels against is the parsed
+    /// command's own ([`Command::line_bound`]), never this guess.
     pub line_hint: Option<usize>,
     /// Delimiter alphabet observed in command outputs (always contains
     /// `'\n'`).
@@ -73,21 +77,6 @@ impl Preprocessed {
             merge_flags: Vec::new(),
         }
     }
-}
-
-/// The prefix bound a command certifies for the execution planner:
-/// `Some(k)` when its output depends only on the first `k` complete lines
-/// of its standard input (`head -n k`, `sed kq`), `None` otherwise.
-///
-/// This is the planning-side twin of the [`Preprocessed::line_hint`]
-/// extraction: the *hint* biases generated input sizes so synthesis
-/// exercises the boundary (and deliberately widens `head -n 1` to at
-/// least two lines), while the *bound* is the exact early-exit contract
-/// the dataflow executor cancels upstream work against — it must never
-/// be widened or guessed, so it comes straight from the parsed command
-/// ([`Command::line_bound`]) rather than from the literal scan.
-pub fn prefix_bound(command: &Command) -> Option<usize> {
-    command.line_bound()
 }
 
 /// The probe file names written by [`ensure_probe_files`]; these populate
@@ -378,7 +367,7 @@ mod tests {
         // the execution bound must stay exactly 1. And the hint fires for
         // commands that are NOT prefix-bounded (sed 1d, tail +2) — the
         // bound must not.
-        let bound = |line: &str| prefix_bound(&parse_command(line).unwrap());
+        let bound = |line: &str| parse_command(line).unwrap().line_bound();
         assert_eq!(bound("head -n 1"), Some(1));
         assert_eq!(pre("head -n 1").line_hint, Some(2));
         assert_eq!(bound("sed 100q"), Some(100));

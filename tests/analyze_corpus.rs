@@ -18,7 +18,13 @@
 //!    builds, and the dataflow run prints what the serial run prints;
 //! 9. the census of the corpus graphs: how many nodes of each shape the
 //!    planner's plans build, with and without the rewrites, all valid, and
-//!    every prefix-bounded stage bounded.
+//!    every prefix-bounded stage bounded;
+//! 10. the census of the lattice's answers: every distinct corpus
+//!     command's class, seam and sorting order, every `sort | uniq` pair's
+//!     fold pair, and how many commands skip synthesis, pinned;
+//! 11. and the answers come from what each command is: a `cat` with a
+//!     file beside its input is no map, and a custom command claims
+//!     nothing its name suggests.
 
 use kq_analyze::EffectClass;
 use kq_cli::{emit_script, EmitOptions};
@@ -71,7 +77,7 @@ fn lattice_never_claims_more_than_synthesis_proves() {
                     continue;
                 }
                 seen.insert(key, cmd.display().to_owned());
-                let class = kq_analyze::classify(cmd);
+                let class = cmd.effect_class();
                 let combiner = planner.combiner_for(cmd, &ctx);
                 match class {
                     EffectClass::Stateless => {
@@ -458,7 +464,6 @@ fn check_reports_exactly_the_sorting_folds_the_planner_builds() {
 #[test]
 fn check_reports_the_rewrites_the_planner_builds_beyond_the_corpus() {
     use kq_pipeline::exec::run_serial;
-    use kq_pipeline::lattice::sorting_order;
     use kq_pipeline::scheduler::{run_dataflow, ChunkSizing, DataflowOptions, QueueCredit};
     use kq_pipeline::DataflowGraph;
     let input: String = (0..240)
@@ -511,7 +516,7 @@ fn check_reports_the_rewrites_the_planner_builds_beyond_the_corpus() {
 
                     let merges_own_order =
                         parsed.statements[0].stages.iter().zip(&planned.stages).all(
-                            |(stage, plan)| match sorting_order(&stage.command) {
+                            |(stage, plan)| match stage.command.stdin_order() {
                                 None => true,
                                 Some(order) => matches!(&plan.mode,
                                 StageMode::Parallel { combiner, .. }
@@ -628,7 +633,7 @@ fn corpus_graph_census_pins_every_node_shape() {
                 }
             }
             for (stage, planned) in statement.stages.iter().zip(&planned.stages) {
-                if kq_synth::prefix_bound(&stage.command).is_none() {
+                if stage.command.line_bound().is_none() {
                     continue;
                 }
                 match planned.line_bound {
@@ -676,3 +681,282 @@ const CENSUS_REWRITTEN: [(&str, usize); 9] = [
     ("split", 99),
     ("worker", 105),
 ];
+
+/// (10) The census of the lattice's answers over the corpus: for every
+/// distinct stage argv, its effect class, whether it is a newline seam and
+/// whether it sorts its standard input in an order of its own; for every
+/// distinct `sort` then `uniq` pair of adjacent stages, the fold pair; and
+/// how many distinct commands the lattice-on planner resolves without
+/// synthesis. Pinned, so that moving where an answer is decided cannot
+/// change what it is.
+#[test]
+fn lattice_census_pins_every_corpus_answer() {
+    use kq_pipeline::lattice::fold_pair;
+    use std::collections::BTreeMap;
+    let mut commands: BTreeMap<String, String> = BTreeMap::new();
+    let mut pairs: BTreeMap<String, String> = BTreeMap::new();
+    let mut planner = Planner::new(SynthesisConfig::default());
+    for script in corpus() {
+        let ctx = ExecContext::default();
+        let env = setup(script, &ctx, &SCALE, 0xCE45);
+        let parsed = parse_script(script.text, &env).unwrap();
+        for statement in &parsed.statements {
+            for (i, stage) in statement.stages.iter().enumerate() {
+                let cmd = &stage.command;
+                commands
+                    .entry(format!("{:?}", cmd.argv()))
+                    .or_insert_with(|| {
+                        format!(
+                            "{} seam={} sorts={}",
+                            cmd.effect_class().as_str(),
+                            cmd.newline_seam(),
+                            cmd.stdin_order().is_some()
+                        )
+                    });
+                let Some(next) = statement.stages.get(i + 1) else {
+                    continue;
+                };
+                if cmd.program() == "sort" && next.command.program() == "uniq" {
+                    let key = format!("{:?} | {:?}", cmd.argv(), next.command.argv());
+                    let pair = fold_pair(cmd, &next.command);
+                    pairs.insert(key, pair.map_or("none", |p| p.as_str()).to_owned());
+                }
+            }
+        }
+        let sample = ctx.vfs.read(&env["IN"]).unwrap();
+        planner.plan(&parsed, &ctx, planning_sample(&sample, 12_000));
+    }
+    let table: Vec<String> = commands
+        .iter()
+        .chain(&pairs)
+        .map(|(key, answer)| format!("{key} => {answer}"))
+        .collect();
+    let pinned: Vec<&str> = LATTICE_CENSUS.lines().filter(|l| !l.is_empty()).collect();
+    if table != pinned {
+        panic!("lattice census changed; now:\n{}", table.join("\n"));
+    }
+    assert_eq!(commands.len(), 145, "distinct stage argvs");
+    assert_eq!(
+        planner.lattice_short_circuits, 70,
+        "short-circuited commands"
+    );
+}
+
+const LATTICE_CENSUS: &str = r#"
+["awk", "$1 == 2 {print $2, $0}"] => unknown seam=false sorts=false
+["awk", "$1 == 2 {print $2, $3}"] => unknown seam=false sorts=false
+["awk", "$1 >= 1000"] => unknown seam=false sorts=false
+["awk", "$1 >= 2 {print $2}"] => unknown seam=false sorts=false
+["awk", "-v", "OFS=\\t", "{print $2,$1}"] => unknown seam=false sorts=false
+["awk", "length <= 45"] => unknown seam=false sorts=false
+["awk", "length >= 16"] => unknown seam=false sorts=false
+["awk", "{$1=$1};1"] => unknown seam=false sorts=false
+["awk", "{print $2, $0}"] => unknown seam=false sorts=false
+["awk", "{print $2}"] => unknown seam=false sorts=false
+["awk", "{print NF}"] => unknown seam=false sorts=false
+["col", "-bx"] => unknown seam=false sorts=false
+["comm", "-23", "-", "/aux/dict"] => order-sensitive seam=false sorts=false
+["comm", "-23", "-", "/tmp/p833_e"] => order-sensitive seam=false sorts=false
+["comm", "-23", "/tmp/sd_a", "/tmp/sd_b"] => unknown seam=false sorts=false
+["cut", "-c", "1-1"] => stateless seam=false sorts=false
+["cut", "-c", "1-12"] => stateless seam=false sorts=false
+["cut", "-c", "1-2"] => stateless seam=false sorts=false
+["cut", "-c", "1-4"] => stateless seam=false sorts=false
+["cut", "-c", "3-3"] => stateless seam=false sorts=false
+["cut", "-d", " ", "-f", "1"] => stateless seam=false sorts=false
+["cut", "-d", " ", "-f", "2"] => stateless seam=false sorts=false
+["cut", "-d", " ", "-f", "3"] => stateless seam=false sorts=false
+["cut", "-d", " ", "-f", "4"] => stateless seam=false sorts=false
+["cut", "-d", "(", "-f", "2"] => stateless seam=false sorts=false
+["cut", "-d", ")", "-f", "1"] => stateless seam=false sorts=false
+["cut", "-d", ",", "-f", "1"] => stateless seam=false sorts=false
+["cut", "-d", ",", "-f", "1,2"] => stateless seam=false sorts=false
+["cut", "-d", ",", "-f", "1,2,3"] => stateless seam=false sorts=false
+["cut", "-d", ",", "-f", "2"] => stateless seam=false sorts=false
+["cut", "-d", ",", "-f", "2,1"] => stateless seam=false sorts=false
+["cut", "-d", ",", "-f", "3"] => stateless seam=false sorts=false
+["cut", "-d", ".", "-f", "2"] => stateless seam=false sorts=false
+["cut", "-d", "@", "-f", "1"] => stateless seam=false sorts=false
+["cut", "-d", "\"", "-f", "2"] => stateless seam=false sorts=false
+["cut", "-d:", "-f1"] => stateless seam=false sorts=false
+["cut", "-f", "1"] => stateless seam=false sorts=false
+["cut", "-f", "2"] => stateless seam=false sorts=false
+["cut", "-f", "4"] => stateless seam=false sorts=false
+["diff", "/tmp/d_up", "/tmp/d_low"] => unknown seam=false sorts=false
+["fmt", "-w1"] => unknown seam=false sorts=false
+["grep", "("] => stateless seam=false sorts=false
+["grep", "-c", "@"] => commutative-fold seam=false sorts=false
+["grep", "-c", "^....$"] => commutative-fold seam=false sorts=false
+["grep", "-c", "^[A-Z]"] => commutative-fold seam=false sorts=false
+["grep", "-c", "light.*light"] => commutative-fold seam=false sorts=false
+["grep", "-c", "light.*light.*light"] => commutative-fold seam=false sorts=false
+["grep", "-i", "^[^aeiou]*[aeiou][^aeiou]*$"] => stateless seam=false sorts=false
+["grep", "-i", "^[^aeiou]*[aeiou][^aeiou]*[aeiou][^aeiou]$"] => stateless seam=false sorts=false
+["grep", "-v", "[KQRBN]"] => stateless seam=false sorts=false
+["grep", "-v", "\\."] => stateless seam=false sorts=false
+["grep", "-v", "^0$"] => stateless seam=false sorts=false
+["grep", "-vc", "light.*light.*light"] => commutative-fold seam=false sorts=false
+["grep", "-vi", "[aeiou]"] => stateless seam=false sorts=false
+["grep", "1969"] => stateless seam=false sorts=false
+["grep", "@"] => stateless seam=false sorts=false
+["grep", "And he said"] => stateless seam=false sorts=false
+["grep", "BELL"] => stateless seam=false sorts=false
+["grep", "Bell"] => stateless seam=false sorts=false
+["grep", "PORT"] => stateless seam=false sorts=false
+["grep", "TELE"] => stateless seam=false sorts=false
+["grep", "UNIX"] => stateless seam=false sorts=false
+["grep", "V"] => stateless seam=false sorts=false
+["grep", "[A-Z]"] => stateless seam=false sorts=false
+["grep", "[KQRBN]"] => stateless seam=false sorts=false
+["grep", "\""] => stateless seam=false sorts=false
+["grep", "\\(.\\).*\\1\\(.\\).*\\2\\(.\\).*\\3\\(.\\).*\\4"] => stateless seam=false sorts=false
+["grep", "\\."] => stateless seam=false sorts=false
+["grep", "light.*light"] => stateless seam=false sorts=false
+["grep", "print"] => stateless seam=false sorts=false
+["grep", "shell script"] => stateless seam=false sorts=false
+["grep", "the land of"] => stateless seam=false sorts=false
+["grep", "the"] => stateless seam=false sorts=false
+["grep", "x"] => stateless seam=false sorts=false
+["head", "-15"] => pure-parallelizable seam=false sorts=false
+["head", "-n", "1"] => pure-parallelizable seam=false sorts=false
+["head", "-n", "2"] => pure-parallelizable seam=false sorts=false
+["head", "-n", "200"] => pure-parallelizable seam=false sorts=false
+["head", "-n", "3"] => pure-parallelizable seam=false sorts=false
+["head", "-n", "4"] => pure-parallelizable seam=false sorts=false
+["head", "-n", "5"] => pure-parallelizable seam=false sorts=false
+["iconv", "-f", "utf-8", "-t", "ascii//translit"] => unknown seam=false sorts=false
+["mkfifo", "/tmp/d_fifo"] => unknown seam=false sorts=false
+["mkfifo", "/tmp/sd_fifo"] => unknown seam=false sorts=false
+["paste", "/tmp/bg_words", "/tmp/bg_next"] => unknown seam=false sorts=false
+["paste", "/tmp/p43_words", "/tmp/p43_next"] => unknown seam=false sorts=false
+["paste", "/tmp/p43b_words", "/tmp/p43b_next", "/tmp/p43b_third"] => unknown seam=false sorts=false
+["paste", "/tmp/p81_n", "/tmp/p81_w"] => unknown seam=false sorts=false
+["paste", "/tmp/p822_words", "/tmp/p822_next"] => unknown seam=false sorts=false
+["rev"] => stateless seam=false sorts=false
+["rm", "/tmp/d_fifo"] => unknown seam=false sorts=false
+["rm", "/tmp/sd_fifo"] => unknown seam=false sorts=false
+["sed", "100q"] => order-sensitive seam=false sorts=false
+["sed", "1d"] => order-sensitive seam=false sorts=false
+["sed", "5q"] => order-sensitive seam=false sorts=false
+["sed", "s/$/0s/"] => stateless seam=false sorts=false
+["sed", "s/T..:..:..//"] => stateless seam=false sorts=false
+["sed", "s/T\\(..\\):..:../,\\1/"] => stateless seam=false sorts=false
+["sed", "s;^;/books/;"] => stateless seam=false sorts=false
+["sort", "-f"] => commutative-fold seam=false sorts=true
+["sort", "-k1n"] => commutative-fold seam=false sorts=true
+["sort", "-n"] => commutative-fold seam=false sorts=true
+["sort", "-nr"] => commutative-fold seam=false sorts=true
+["sort", "-r"] => commutative-fold seam=false sorts=true
+["sort", "-rn"] => commutative-fold seam=false sorts=true
+["sort", "-u"] => commutative-fold seam=false sorts=true
+["sort"] => commutative-fold seam=false sorts=true
+["tail", "+2", "/tmp/bg_words"] => unknown seam=false sorts=false
+["tail", "+2", "/tmp/p43_words"] => unknown seam=false sorts=false
+["tail", "+2", "/tmp/p43b_words"] => unknown seam=false sorts=false
+["tail", "+2", "/tmp/p822_words"] => unknown seam=false sorts=false
+["tail", "+2"] => order-sensitive seam=false sorts=false
+["tail", "+3", "/tmp/p43b_words"] => unknown seam=false sorts=false
+["tail", "+3"] => order-sensitive seam=false sorts=false
+["tail", "-n", "1"] => order-sensitive seam=false sorts=false
+["tr", " ", "\\n"] => stateless seam=false sorts=false
+["tr", "-c", "[A-Z]", "\\n"] => stateless seam=false sorts=false
+["tr", "-c", "[a-z][A-Z]", "\\n"] => stateless seam=false sorts=false
+["tr", "-cs", "A-Za-z", "\\n"] => order-sensitive seam=true sorts=false
+["tr", "-d", ","] => stateless seam=false sorts=false
+["tr", "-d", "[:punct:]"] => stateless seam=false sorts=false
+["tr", "-d", "\\n"] => stateless seam=false sorts=false
+["tr", "-s", " ", "\\n"] => order-sensitive seam=true sorts=false
+["tr", "-sc", "AEIOU", "[\\012*]"] => order-sensitive seam=true sorts=false
+["tr", "-sc", "AEIOUaeiou", "[\\012*]"] => order-sensitive seam=true sorts=false
+["tr", "-sc", "BCDFGHJKLMNPQRSTVWXYZ", "[\\012*]"] => order-sensitive seam=true sorts=false
+["tr", "-sc", "[A-Z]", "[\\012*]"] => order-sensitive seam=true sorts=false
+["tr", "-sc", "[A-Z][a-z]", " [\\012*]"] => order-sensitive seam=true sorts=false
+["tr", "-sc", "[A-Z][a-z]", "[\\012*]"] => order-sensitive seam=true sorts=false
+["tr", "-sc", "[AEIOUaeiou\\012]", " "] => order-sensitive seam=false sorts=false
+["tr", "-sc", "[a-z]", "[\\012*]"] => order-sensitive seam=true sorts=false
+["tr", "A-Z", "a-z"] => stateless seam=false sorts=false
+["tr", "[:lower:]", "[:upper:]"] => stateless seam=false sorts=false
+["tr", "[:upper:]", "[:lower:]"] => stateless seam=false sorts=false
+["tr", "[A-Z]", "[a-z]"] => stateless seam=false sorts=false
+["tr", "[a-z]", "P"] => stateless seam=false sorts=false
+["tr", "[a-z]", "[A-Z]"] => stateless seam=false sorts=false
+["tr", "[a-z]", "\\n"] => stateless seam=false sorts=false
+["tr", "a-z", "[A-Z]"] => stateless seam=false sorts=false
+["uniq", "-c"] => pure-parallelizable seam=false sorts=false
+["uniq"] => pure-parallelizable seam=false sorts=false
+["wc", "-l"] => commutative-fold seam=false sorts=false
+["xargs", "-L", "1", "wc", "-l"] => unknown seam=false sorts=false
+["xargs", "cat"] => unknown seam=false sorts=false
+["xargs", "file"] => unknown seam=false sorts=false
+["sort", "-f"] | ["uniq", "-c"] => counting
+["sort"] | ["uniq", "-c"] => counting
+["sort"] | ["uniq"] => unique
+"#;
+
+/// (11) `cat - F` and `cat F -` read their input and a file: the file's
+/// lines join every piece's, so neither is a per-line map, and `check`
+/// says nothing of a concat combiner for them. `cat` and `cat -` are.
+#[test]
+fn cat_beside_a_file_is_not_statically_stateless() {
+    for (text, stateless) in [
+        ("cat /in.txt | cat - /tail.txt | wc -l", false),
+        ("cat /in.txt | cat /tail.txt - | wc -l", false),
+        ("cat /in.txt | cat - | wc -l", true),
+    ] {
+        let analysis = kq_analyze::check_script(text, &HashMap::new());
+        let cat = &analysis.classes[0];
+        assert!(cat.command.starts_with("cat"), "{text}: {}", cat.command);
+        assert_eq!(cat.class == EffectClass::Stateless, stateless, "{text}");
+        let kq301 = analysis
+            .diagnostics
+            .iter()
+            .any(|d| d.code == "KQ301" && d.message.contains(&format!("`{}`", cat.command)));
+        assert_eq!(kq301, stateless, "{text}: {}", analysis.render_human());
+    }
+}
+
+/// (11) A [`Command::custom`] whose argv names a built-in runs its own
+/// implementation, so it gets only what that implementation claims — here
+/// nothing: no class, no seam, no sorting order, no fold pair, and the
+/// planner synthesizes its combiner instead of short-circuiting it.
+#[test]
+fn custom_commands_get_no_licence_from_their_names() {
+    use kq_coreutils::{parse_command, Bytes, CmdError, Command, UnixCommand};
+    use kq_pipeline::lattice::{count_order, fold_pair};
+    /// Upper-cases its input: none of the programs it is named after.
+    struct Upper;
+    impl UnixCommand for Upper {
+        fn display(&self) -> String {
+            "upper".to_owned()
+        }
+        fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
+            Ok(Bytes::from(input.as_bytes().to_ascii_uppercase()))
+        }
+    }
+    let custom = |line: &str| {
+        let argv = kq_coreutils::split_words(line).unwrap();
+        Command::custom(argv, Box::new(Upper))
+    };
+    let uniq_c = parse_command("uniq -c").unwrap();
+    let sort_rn = parse_command("sort -rn").unwrap();
+    for line in ["tr -cs A-Za-z '\n'", "sort", "grep x"] {
+        let built_in = parse_command(line).unwrap();
+        let cmd = custom(line);
+        assert!(cmd.reads_stdin(), "{line}");
+        assert_ne!(built_in.effect_class(), EffectClass::Unknown, "{line}");
+        assert_eq!(cmd.effect_class(), EffectClass::Unknown, "{line}");
+        assert!(!cmd.newline_seam(), "{line}");
+        assert!(cmd.stdin_order().is_none(), "{line}");
+        assert!(cmd.collapses_runs().is_none(), "{line}");
+        assert!(fold_pair(&cmd, &uniq_c).is_none(), "{line}");
+        assert!(count_order(&cmd, &sort_rn).is_none(), "{line}");
+    }
+    // The names are the built-ins' own licences.
+    assert!(parse_command("tr -cs A-Za-z '\n'").unwrap().newline_seam());
+    assert!(fold_pair(&parse_command("sort").unwrap(), &uniq_c).is_some());
+    // Nor does the planner take the name for a map.
+    let mut planner = Planner::new(SynthesisConfig::default());
+    planner.combiner_for(&custom("grep x"), &ExecContext::default());
+    assert_eq!(planner.lattice_short_circuits, 0);
+    assert_eq!(planner.reports.len(), 1);
+}

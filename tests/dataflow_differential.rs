@@ -421,6 +421,35 @@ fn folds_that_receive_no_line_match_serial() {
     }
 }
 
+/// A `cat` that reads its input and a file is no per-line map: every piece
+/// of the input would get the file's lines after it. Planned with the
+/// lattice on and run without the oracle — what `--no-verify` does — the
+/// dataflow run prints what the serial run prints, whichever side of the
+/// input the file is on, and with no file the stage is still a map.
+#[test]
+fn cat_of_the_input_and_a_file_matches_serial() {
+    let input: String = (0..2000).map(|i| format!("line {i}\n")).collect();
+    let mut planner = Planner::new(SynthesisConfig::default());
+    let env = HashMap::new();
+    for text in [
+        "cat /in.txt | cat - /tail.txt | grep -c TAIL",
+        "cat /in.txt | cat /tail.txt - | grep -c TAIL",
+        "cat /in.txt | cat - /tail.txt | wc -l",
+        "cat /in.txt | cat - | wc -l",
+    ] {
+        let ctx = ExecContext::default();
+        ctx.vfs.write("/in.txt", input.as_str());
+        ctx.vfs.write("/tail.txt", "TAIL\n");
+        let parsed = parse_script(text, &env).unwrap();
+        let plan = planner.plan(&parsed, &ctx, &input[..input.len().min(8_000)]);
+        let serial = run_serial(&parsed, &ctx).unwrap();
+        for workers in [1usize, 2] {
+            let got = run_dataflow(&parsed, &plan, &ctx, &fixed_opts(workers, 700, true)).unwrap();
+            assert_eq!(got.output, serial.output, "{text} (w={workers})");
+        }
+    }
+}
+
 /// `awk`'s `NR` numbers the records of the whole stream: `END {print NR}`
 /// prints the record count, and `{print NR}` numbers every line — serially
 /// as `awk` does, and in parallel as serially.
@@ -1299,7 +1328,7 @@ fn prefix_bounded_corpus_scripts_match_serial_under_early_exit() {
         let bounded_terminal = parsed.statements.iter().any(|st| {
             st.stages
                 .last()
-                .is_some_and(|stage| kq_synth::prefix_bound(&stage.command).is_some())
+                .is_some_and(|stage| stage.command.line_bound().is_some())
         });
         if !bounded_terminal {
             continue;

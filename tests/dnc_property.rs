@@ -3,7 +3,7 @@
 //! never saw. For every supported command family we synthesize once, then
 //! hammer the combiner with hundreds of fresh random stream pairs.
 //!
-//! The seam licence (`kq_pipeline::lattice::newline_seam`) claims such an
+//! The seam licence (`kq_coreutils::Command::newline_seam`) claims such an
 //! equation without synthesis — `f(x0 ++ x1 ++ …)` is `f(x0)` followed by
 //! each `f(xi)` less one leading newline — and is held to it here the same
 //! way, for every corpus `tr` stage it licenses.
@@ -244,7 +244,6 @@ fn random_line_aligned_pieces<'a>(rng: &mut SmallRng, text: &'a str) -> Vec<&'a 
 /// the licensed shapes the corpus does not use.
 #[test]
 fn seam_equation_holds_for_every_licensed_corpus_tr_stage() {
-    use kq_pipeline::lattice::newline_seam;
     let mut lines: Vec<String> = vec![
         r"tr -s ' ' '\n'".to_owned(),
         r"tr -s '\n'".to_owned(),
@@ -265,7 +264,7 @@ fn seam_equation_holds_for_every_licensed_corpus_tr_stage() {
                     .argv()
                     .get(1)
                     .is_some_and(|flags| flags.starts_with('-') && flags.contains('s'));
-            if newline_seam(command) {
+            if command.newline_seam() {
                 assert!(squeezes, "{}", command.display());
                 stages += 1;
                 if !lines.contains(&command.display()) {
@@ -284,7 +283,7 @@ fn seam_equation_holds_for_every_licensed_corpus_tr_stage() {
     let mut rng = SmallRng::seed_from_u64(0x5EA4);
     for line in &lines {
         let command = parse_command(line).unwrap();
-        assert!(newline_seam(&command), "{line}");
+        assert!(command.newline_seam(), "{line}");
         for _ in 0..200 {
             let text = random_text(&mut rng, 12);
             if text.is_empty() {
@@ -304,7 +303,6 @@ fn seam_equation_holds_for_every_licensed_corpus_tr_stage() {
 /// line-aligned pieces on which the seam equation is false.
 #[test]
 fn refused_squeezes_break_the_seam_equation() {
-    use kq_pipeline::lattice::newline_seam;
     let ctx = ExecContext::default();
     for (line, pieces) in [
         // '\n' becomes ' ': what is carried is a blank, not a newline.
@@ -315,7 +313,7 @@ fn refused_squeezes_break_the_seam_equation() {
         (r"tr -cs 'A-Za-z\n' ' '", ["a\n", "\nb\n"]),
     ] {
         let command = parse_command(line).unwrap();
-        assert!(!newline_seam(&command), "{line}");
+        assert!(!command.newline_seam(), "{line}");
         assert_ne!(
             seamed(&command, &ctx, &pieces),
             command.run_str(&pieces.concat(), &ctx).unwrap(),

@@ -44,7 +44,7 @@ fn prefix_bounded_corpus_scripts_match_serial_under_early_exit() {
         let bounded_terminal = parsed.statements.iter().any(|st| {
             st.stages
                 .last()
-                .is_some_and(|stage| kq_synth::prefix_bound(&stage.command).is_some())
+                .is_some_and(|stage| stage.command.line_bound().is_some())
         });
         if !bounded_terminal {
             continue;
