@@ -96,7 +96,7 @@ impl<'a> SliceRuns<'a> {
 
     /// [`SliceRuns::finish`] for line-oriented output: when the last thing
     /// emitted is the input's final line and that line is unterminated,
-    /// it gains the `'\n'` GNU `grep` and `sed` give it.
+    /// it gains the `'\n'` GNU `grep` (and `sed`'s `q`) give it.
     pub(crate) fn finish_terminated(mut self) -> Bytes {
         if self.kept_tail && !self.input.ends_with_newline() {
             self.lit(b"\n");

@@ -257,6 +257,8 @@ impl EffectClass {
 pub struct Command {
     argv: Vec<String>,
     imp: Box<dyn UnixCommand>,
+    /// Built by [`Command::custom`]: its argv says nothing of what runs.
+    custom: bool,
 }
 
 impl Command {
@@ -273,7 +275,17 @@ impl Command {
     /// wanted.
     pub fn custom(argv: Vec<String>, imp: Box<dyn UnixCommand>) -> Command {
         assert!(!argv.is_empty(), "custom commands need a program name");
-        Command { argv, imp }
+        Command {
+            argv,
+            imp,
+            custom: true,
+        }
+    }
+
+    /// True for a command built by [`Command::custom`], whose argv may
+    /// name a shipped program without running it.
+    pub fn is_custom(&self) -> bool {
+        self.custom
     }
 
     /// The words of the command line.
@@ -431,7 +443,11 @@ pub fn from_argv(words: &[String]) -> Result<Command, CmdError> {
             return Err(CmdError::new(other, "unknown command"));
         }
     };
-    Ok(Command { argv, imp })
+    Ok(Command {
+        argv,
+        imp,
+        custom: false,
+    })
 }
 
 /// `command`, a program that takes no arguments here: it reads its

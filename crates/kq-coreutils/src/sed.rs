@@ -11,14 +11,20 @@
 //! Substitution takes a **byte fast path** over the same whole-buffer
 //! scan as `grep` ([`kq_pattern::Regex::matching_lines`]): lines the
 //! pattern does not match are copied through as byte ranges of the input
-//! by the gather of `fastpath`, and only the lines it accepts
-//! are rebuilt (the backtracker computes their match and capture spans).
-//! An input without a match comes back as the input handle itself.
+//! by the gather of `fastpath`, and only the lines it accepts are
+//! rebuilt. An accepted line is not scanned again: it goes straight to
+//! the backtracker, which computes its match and capture spans
+//! ([`kq_pattern::Regex::replace_matched_into`]). An input without a
+//! match comes back as the input handle itself.
 //! Substitution reads characters, so it decodes its input first. The
 //! address forms only count lines: they keep byte ranges of any input,
 //! as under `LC_ALL=C`, and `sed Nq` never looks past its N lines. The
 //! line-at-a-time loop survives as the differential tests' oracle
 //! ([`SedCmd::run_reference`]).
+//!
+//! As in GNU `sed`, the output ends in a newline where the input does: an
+//! unterminated last line stays unterminated, except that `q` ends the
+//! line it quits on with one.
 
 use crate::fastpath::SliceRuns;
 use crate::{Bytes, CmdError, EffectClass, ExecContext, Rope, UnixCommand};
@@ -195,8 +201,16 @@ impl UnixCommand for SedCmd {
                 global,
             } => (regex, replacement, *global),
             Script::QuitAfter(n) => {
-                runs.keep(0..line_start(bytes, *n));
-                return Ok(runs.finish_terminated());
+                let end = line_start(bytes, *n);
+                runs.keep(0..end);
+                // `q` ends the line it quits on with a newline, even the
+                // input's unterminated last one; a shorter input is copied.
+                let quits = end < bytes.len() || (*n > 0 && line_start(bytes, n - 1) < bytes.len());
+                return Ok(if quits {
+                    runs.finish_terminated()
+                } else {
+                    runs.finish()
+                });
             }
             Script::DeleteLine(n) => {
                 if *n > 0 {
@@ -205,7 +219,7 @@ impl UnixCommand for SedCmd {
                 } else {
                     runs.keep(0..bytes.len());
                 }
-                return Ok(runs.finish_terminated());
+                return Ok(runs.finish());
             }
             Script::DeleteLast => {
                 let body = bytes.strip_suffix(b"\n").unwrap_or(bytes);
@@ -223,13 +237,15 @@ impl UnixCommand for SedCmd {
         for line in regex.matching_lines(text.as_bytes()) {
             runs.keep(pos..line.start);
             rewritten.clear();
-            regex.replace_into(&text[line.clone()], replacement, global, &mut rewritten);
-            rewritten.push('\n');
+            regex.replace_matched_into(&text[line.clone()], replacement, global, &mut rewritten);
+            if line.end < text.len() {
+                rewritten.push('\n');
+            }
             runs.lit(rewritten.as_bytes());
             pos = (line.end + 1).min(text.len());
         }
         runs.keep(pos..text.len());
-        Ok(runs.finish_terminated())
+        Ok(runs.finish())
     }
 }
 
@@ -260,34 +276,33 @@ impl SedCmd {
                 replacement,
                 global,
             } => {
-                for line in input.split_terminator('\n') {
-                    regex.replace_into(line, replacement, *global, &mut out);
-                    out.push('\n');
+                for line in input.split_inclusive('\n') {
+                    let body = line.strip_suffix('\n');
+                    regex.replace_into(body.unwrap_or(line), replacement, *global, &mut out);
+                    if body.is_some() {
+                        out.push('\n');
+                    }
                 }
             }
             Script::QuitAfter(n) => {
-                for (i, line) in input.split_terminator('\n').enumerate() {
-                    if i >= *n {
-                        break;
-                    }
+                for (i, line) in input.split_inclusive('\n').take(*n).enumerate() {
                     out.push_str(line);
-                    out.push('\n');
+                    if i + 1 == *n && !line.ends_with('\n') {
+                        out.push('\n');
+                    }
                 }
             }
             Script::DeleteLine(n) => {
-                for (i, line) in input.split_terminator('\n').enumerate() {
-                    if i + 1 == *n {
-                        continue;
+                for (i, line) in input.split_inclusive('\n').enumerate() {
+                    if i + 1 != *n {
+                        out.push_str(line);
                     }
-                    out.push_str(line);
-                    out.push('\n');
                 }
             }
             Script::DeleteLast => {
-                let lines: Vec<&str> = input.split_terminator('\n').collect();
+                let lines: Vec<&str> = input.split_inclusive('\n').collect();
                 for line in lines.iter().take(lines.len().saturating_sub(1)) {
                     out.push_str(line);
-                    out.push('\n');
                 }
             }
         }
@@ -298,7 +313,7 @@ impl SedCmd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse_command;
+    use crate::{parse_command, split_words};
 
     fn run(cmd: &str, input: &str) -> String {
         parse_command(cmd)
@@ -371,6 +386,27 @@ mod tests {
     }
 
     #[test]
+    fn an_unterminated_last_line_stays_unterminated_unless_q_quits_on_it() {
+        // GNU sed 4.9's outputs on "a\nb".
+        let cases = [
+            ("sed 5q", "a\nb"),
+            ("sed 2q", "a\nb\n"),
+            ("sed 1q", "a\n"),
+            ("sed 5d", "a\nb"),
+            ("sed 2d", "a\n"),
+            ("sed 1d", "b"),
+            ("sed '$d'", "a\n"),
+            ("sed s/x/y/", "a\nb"),
+            ("sed s/b/B/", "a\nB"),
+        ];
+        for (cmd, want) in cases {
+            assert_eq!(run(cmd, "a\nb"), want, "{cmd}");
+            let sed = SedCmd::parse(&split_words(cmd).unwrap()[1..]).unwrap();
+            assert_eq!(sed.run_reference("a\nb"), want, "{cmd} (reference)");
+        }
+    }
+
+    #[test]
     fn address_forms_keep_byte_ranges_equal_to_the_reference() {
         let ctx = ExecContext::default();
         let scripts = ["0q", "1q", "2q", "9q", "0d", "1d", "2d", "3d", "9d", "$d"];
@@ -406,6 +442,37 @@ mod tests {
             sub.run(foreign, &ctx).unwrap_err().to_string(),
             "sed: input is not valid UTF-8"
         );
+    }
+
+    #[test]
+    fn the_fast_path_rewrites_accepted_lines_as_the_reference_does() {
+        let ctx = ExecContext::default();
+        // Matches at a line's start, middle and end, and lines without one.
+        let scripts = [
+            "s/ab/X/",
+            "s/^ab/X/",
+            "s/ab$/X/",
+            "s/b/<&>/g",
+            "s/a\\(b*\\)/[\\1]/",
+            "s/x*/-/g",
+            "s/$/!/",
+            "s/T..:..:..//",
+        ];
+        let inputs = [
+            "abc\ncab\ncabc\nab\n",
+            "xyz\n\nab",
+            "abab\nbbab\nzz\nba\n",
+            "2020-07-01T08:15:59,v42\nno stamp\nT12:00:00\n",
+            "",
+            "\n",
+        ];
+        for script in scripts {
+            let sed = SedCmd::parse(&[script.to_string()]).unwrap();
+            for input in inputs {
+                let out = sed.run(Bytes::from(input), &ctx).unwrap();
+                assert_eq!(out, sed.run_reference(input), "sed {script} on {input:?}");
+            }
+        }
     }
 
     #[test]

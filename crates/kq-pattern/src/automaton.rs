@@ -27,6 +27,14 @@
 //! literal is a substring search, and a scan that falls back to its idle
 //! state (nothing matched so far but the restart) jumps to the next of
 //! the few bytes that can leave it.
+//!
+//! `'\n'` is one of those bytes only when a line end can change the idle
+//! state: when a `^` is passable at the pattern's start, so the next line
+//! starts elsewhere, or when the idle state accepts at a line end (`$`,
+//! `x*$`). For every other pattern the skip runs across lines without
+//! stopping, so the scan does not know where the line it is in starts. It
+//! finds out only on a hit, searching back from it to the last line start
+//! it saw.
 
 use crate::exec::class_contains;
 use crate::parse::{Ast, Atom, ClassItem, Piece};
@@ -120,9 +128,10 @@ pub(crate) struct Program {
     idle_set: Vec<u32>,
     /// The pattern matches the empty string at the start of a line.
     every_line: bool,
-    /// `'\n'` and the bytes that leave the idle state, when few enough to
-    /// search for; else empty.
-    needles: Vec<u8>,
+    /// The bytes that leave the idle state, when few enough to search
+    /// for: those that can start a match, and `'\n'` unless a line end
+    /// cannot change the idle state. `None` when there are too many.
+    needles: Option<Vec<u8>>,
     /// The whole pattern, when it is one literal string.
     literal: Option<String>,
     /// No byte set holds a byte of `0x80` or above: the program reads
@@ -170,11 +179,24 @@ impl Program {
                 leaving.union(set);
             }
         }
-        let mut needles = vec![b'\n'];
-        needles.extend(leaving.bytes().take(SKIP_NEEDLES_MAX + 1));
-        if needles.len() > 1 + SKIP_NEEDLES_MAX {
-            needles.clear();
-        }
+        // A line end leaves the idle state when the next line starts in
+        // another one (a `^` is passable at the pattern's start) or when a
+        // line can end in it with a match (`$`, `x*$`). Asked from the
+        // line-start state, where `^` holds too, so an empty line counts.
+        let mut at_line_end = Vec::new();
+        marks.closure(
+            &nfa,
+            start_set.iter().copied(),
+            true,
+            true,
+            &mut at_line_end,
+        );
+        let newline_leaves = start_set != idle_set || at_line_end.first() == Some(&MATCH_STATE);
+        let leaving: Vec<u8> = leaving.bytes().take(SKIP_NEEDLES_MAX + 1).collect();
+        let needles = (leaving.len() <= SKIP_NEEDLES_MAX).then(|| {
+            let newline = newline_leaves.then_some(b'\n');
+            newline.into_iter().chain(leaving).collect()
+        });
 
         Program {
             ascii_only: nfa.iter().all(|state| match state {
@@ -578,10 +600,10 @@ impl<'p> Dfa<'p> {
             if target.first() == Some(&MATCH_STATE) {
                 MATCHED
             } else if target == prog.idle_set {
-                if prog.needles.is_empty() {
-                    self.idle_row() as u32
-                } else {
+                if prog.needles.is_some() {
                     TO_IDLE
+                } else {
+                    self.idle_row() as u32
                 }
             } else if let Some(&known) = self.index.get(target.as_slice()) {
                 known
@@ -610,7 +632,17 @@ impl<'p> Dfa<'p> {
     fn next_match(&mut self, buf: &[u8], from: usize) -> Option<Range<usize>> {
         let prog = self.prog;
         let class_of = &prog.class_of;
-        let mut line_start = from;
+        let needles = prog.needles.as_deref().unwrap_or_default();
+        // The last line start the scan has seen: the idle skip may cross
+        // line ends without looking, so a line's start is found only when
+        // it matches, searching back from the hit.
+        let mut known_start = from;
+        let line_start = |known: usize, at: usize| {
+            buf[known..at]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(known, |nl| known + nl + 1)
+        };
         let mut row = START_ROW;
         let mut i = from;
         while i < buf.len() {
@@ -627,14 +659,14 @@ impl<'p> Dfa<'p> {
             match entry {
                 TO_IDLE => {
                     row = self.idle_row();
-                    i = find_any(buf, i + 1, &prog.needles);
+                    i = find_any(buf, i + 1, needles);
                 }
-                MATCHED => return Some(line_start..find_any(buf, i, b"\n")),
-                EOL_HIT => return Some(line_start..i),
+                MATCHED => return Some(line_start(known_start, i)..find_any(buf, i, b"\n")),
+                EOL_HIT => return Some(line_start(known_start, i)..i),
                 EOL_MISS => {
                     row = START_ROW;
                     i += 1;
-                    line_start = i;
+                    known_start = i;
                 }
                 next => {
                     row = next as usize;
@@ -643,13 +675,14 @@ impl<'p> Dfa<'p> {
             }
         }
         // An unterminated last line ends at the end of the buffer.
-        if line_start < buf.len() {
+        let last = line_start(known_start, buf.len());
+        if last < buf.len() {
             let mut entry = self.table[row + usize::from(class_of[usize::from(b'\n')])];
             if entry == UNKNOWN {
                 entry = self.fill(row, b'\n');
             }
             if entry == EOL_HIT {
-                return Some(line_start..buf.len());
+                return Some(last..buf.len());
             }
         }
         None
@@ -1046,15 +1079,102 @@ mod tests {
             let ast = crate::parse::parse(pattern, Syntax::Basic).unwrap();
             Program::new(&ast, ci).needles
         };
-        assert_eq!(needles("l[ia][gn][hd]t* of", false), b"\nl");
-        assert_eq!(needles("light", true), b"\nLl");
-        assert_eq!(needles("\\(light\\|land\\|river\\)", false), b"\nlr");
+        let some = |bytes: &[u8]| Some(bytes.to_vec());
+        // A line end cannot change an unanchored pattern's idle state: the
+        // skip crosses it.
+        assert_eq!(needles("l[ia][gn][hd]t* of", false), some(b"l"));
+        assert_eq!(needles("light", true), some(b"Ll"));
+        assert_eq!(needles("\\(light\\|land\\|river\\)", false), some(b"lr"));
+        assert_eq!(needles("foo$", false), some(b"f"));
+        assert_eq!(needles("a\\|b$", false), some(b"ab"));
+        // Nothing leaves a pattern that matches nothing: skip to the end.
+        assert_eq!(needles("\\n", false), some(b""));
+        // The idle state accepts at a line end: every line end leaves it.
+        assert_eq!(needles("$", false), some(b"\n"));
+        assert_eq!(needles("x*$", false), some(b"\nx"));
         // An anchored pattern is dead once it fails: only the next line
-        // can match.
-        assert_eq!(needles("^abc", false), b"\n");
+        // can match, and it starts in another state.
+        assert_eq!(needles("^abc", false), some(b"\n"));
+        assert_eq!(needles("^a\\|b", false), some(b"\nb"));
         // Too many ways out: stepping is cheaper than looking.
-        assert_eq!(needles("[a-z]x", false), b"");
-        assert_eq!(needles(".x", false), b"");
+        assert_eq!(needles("[a-z]x", false), None);
+        assert_eq!(needles(".x", false), None);
+    }
+
+    /// Buffers of long match-free runs over many lines, empty lines, and
+    /// hits on the first and the last byte, with and without a final
+    /// newline.
+    fn skip_buffers() -> Vec<String> {
+        const HITS: [&str; 14] = [
+            "light of day",
+            "the land of nod",
+            "LIGHT of",
+            "light and light",
+            "abc",
+            "xabc",
+            "foo",
+            "foox",
+            "four",
+            "a",
+            "b",
+            "ba",
+            "x",
+            "xx",
+        ];
+        const FILLER: [&str; 3] = ["zzzz qqqq", "", "  mute  text  "];
+        let mut rng = SmallRng::seed_from_u64(0x5C1B);
+        let mut buffers = vec![
+            "light of\nzz\nzz light of".to_owned(),
+            "abc\n\n\nfoo".to_owned(),
+            "\n\n\n".to_owned(),
+            "x".to_owned(),
+            "foo\n".to_owned(),
+        ];
+        for _ in 0..24 {
+            let mut lines = Vec::new();
+            for _ in 0..rng.gen_range(1..6) {
+                for _ in 0..rng.gen_range(0..300) {
+                    lines.push(pick(&mut rng, &FILLER));
+                }
+                lines.push(pick(&mut rng, &HITS));
+            }
+            let mut buffer = lines.join("\n");
+            if rng.gen_bool(0.5) {
+                buffer.push('\n');
+            }
+            buffers.push(buffer);
+        }
+        buffers
+    }
+
+    #[test]
+    fn the_skip_across_line_ends_reports_what_a_line_by_line_scan_does() {
+        // (pattern, -i, whether a line end leaves the idle state)
+        let cases = [
+            ("l[ia][gn][hd]t* of", false, false),
+            ("light.*light", false, false),
+            ("light", true, false),
+            ("foo$", false, false),
+            ("$", false, true),
+            ("x*$", false, true),
+            ("^abc", false, true),
+            ("^....$", false, true),
+            ("^a\\|b", false, true),
+            ("a\\|b$", false, false),
+        ];
+        let buffers = skip_buffers();
+        for (pattern, ci, newline_leaves) in cases {
+            let re = Regex::with_syntax(pattern, Syntax::Basic, ci).unwrap();
+            let needles = re.program.as_ref().unwrap().needles.as_ref().unwrap();
+            assert_eq!(needles.contains(&b'\n'), newline_leaves, "{pattern:?}");
+            for buffer in &buffers {
+                let want: Vec<Range<usize>> = lines_of(buffer)
+                    .filter(|line| re.is_match(&buffer[line.clone()]))
+                    .collect();
+                let got: Vec<Range<usize>> = re.matching_lines(buffer.as_bytes()).collect();
+                assert_eq!(got, want, "{pattern:?} (-i: {ci}) over {buffer:?}");
+            }
+        }
     }
 
     #[test]

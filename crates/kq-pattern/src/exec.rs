@@ -201,16 +201,28 @@ pub(crate) fn search_chars(
     if ast.anchored_start && !at_line_start {
         return None;
     }
-    let ngroups = ast.group_count();
     let last_start = if ast.anchored_start { 0 } else { text.len() };
     let anchored_end = ast.anchored_end;
+    // A match can only start where its first character does, when that
+    // is one plain literal.
+    let first = match ast.atoms.first() {
+        Some(Atom {
+            piece: Piece::Literal(c),
+            star: false,
+        }) => Some(*c),
+        _ => None,
+    };
+    let ctx = Ctx {
+        text,
+        at_line_start,
+        ci,
+        caps: RefCell::new(vec![None; ast.group_count()]),
+    };
     for start in 0..=last_start {
-        let ctx = Ctx {
-            text,
-            at_line_start,
-            ci,
-            caps: RefCell::new(vec![None; ngroups]),
-        };
+        if first.is_some_and(|c| !text.get(start).is_some_and(|&t| eq_char(ci, t, c))) {
+            continue;
+        }
+        ctx.caps.borrow_mut().fill(None);
         let mut matched_end = None;
         ctx.seq_match(&ast.atoms, 0, start, &mut |p| {
             if anchored_end && p != text.len() {
@@ -268,7 +280,9 @@ fn expand_replacement(template: &str, text: &[char], m: &MatchResult, out: &mut 
 }
 
 /// Implements `sed`-style substitution over a single line, appending the
-/// rewritten line to `out`.
+/// rewritten line to `out`. Under `global`, as in GNU `sed`, an empty match
+/// is not taken where the previous match ended (`s/x*/-/g` turns `xxaxx`
+/// into `-a-`).
 pub(crate) fn replace(
     ast: &Ast,
     line: &str,
@@ -279,61 +293,39 @@ pub(crate) fn replace(
 ) {
     let chars: Vec<char> = line.chars().collect();
     let mut pos = 0usize;
+    let mut last_end = None;
     loop {
-        let rest = &chars[pos..];
         // `^` matches only at pos == 0 overall (e.g. 's/^/p/' fires once).
-        let Some(m) = search_chars(ast, rest, pos == 0, ci) else {
+        let Some(m) = search_chars(ast, &chars[pos..], pos == 0, ci) else {
             out.extend(&chars[pos..]);
-            break;
+            return;
         };
-        let (abs_start, abs_end) = (pos + m.start, pos + m.end);
-        out.extend(&chars[pos..abs_start]);
-        let shifted = MatchResult {
-            start: abs_start,
-            end: abs_end,
-            caps: m
-                .caps
-                .iter()
-                .map(|c| c.map(|(s, e)| (s + pos, e + pos)))
-                .collect(),
-        };
-        expand_replacement(template, &chars, &shifted, out);
-        if !global {
-            out.extend(&chars[abs_end..]);
-            break;
-        }
-        if abs_end == pos + m.start && abs_end == abs_start {
-            // Empty match: copy one char forward to guarantee progress.
-            if abs_end < chars.len() {
-                out.push(chars[abs_end]);
-                pos = abs_end + 1;
-            } else {
-                break;
+        let (start, end) = (pos + m.start, pos + m.end);
+        if start < end || last_end != Some(start) {
+            out.extend(&chars[pos..start]);
+            let shifted = MatchResult {
+                start,
+                end,
+                caps: m
+                    .caps
+                    .iter()
+                    .map(|c| c.map(|(s, e)| (s + pos, e + pos)))
+                    .collect(),
+            };
+            expand_replacement(template, &chars, &shifted, out);
+            if !global {
+                out.extend(&chars[end..]);
+                return;
             }
-        } else {
-            pos = abs_end;
+            last_end = Some(end);
         }
-        if pos > chars.len() {
-            break;
-        }
-        if pos == chars.len() && !ast.anchored_end {
-            // One final empty-position match opportunity only for patterns
-            // that can match empty; search above will handle it next loop.
-        }
-        if pos >= chars.len() {
-            // Allow one trailing empty match (e.g. 's/x*/-/g' on "ab" ends
-            // with "-a-b-").
-            if let Some(m2) = search_chars(ast, &[], false, ci) {
-                if m2.start == 0 && m2.end == 0 {
-                    let shifted = MatchResult {
-                        start: chars.len(),
-                        end: chars.len(),
-                        caps: m2.caps,
-                    };
-                    expand_replacement(template, &chars, &shifted, out);
-                }
-            }
-            break;
+        pos = end;
+        if start == end {
+            // An empty match, taken or refused: copy one character
+            // forward to make progress.
+            let Some(&c) = chars.get(end) else { return };
+            out.push(c);
+            pos += 1;
         }
     }
 }

@@ -62,8 +62,10 @@
 //! bounds them). The automaton's scan is O(text): one table lookup per
 //! byte once its states exist, less where it can skip — a pattern that is
 //! a plain string is a substring search, and a scan with nothing in
-//! progress jumps to the next byte that could start a match, or past the
-//! rest of a line already decided. A state's first visit costs O(pattern).
+//! progress jumps to the next byte that could start a match, across line
+//! ends unless a `^` at the pattern's start or a `$` the idle state could
+//! reach makes them matter. The scan looks for a line's start only when
+//! the line matches. A state's first visit costs O(pattern).
 //! The backtracker is exponential in the worst case (`a*a*a*b` on a line
 //! of `a`) and recurses once per repetition of a starred group.
 //!
@@ -198,13 +200,29 @@ impl Regex {
     /// `global` — replaced as [`Regex::replace_first`] describes. A line
     /// the automaton rejects comes back unchanged after one linear scan;
     /// the backtracker runs only on lines that match (and on every line of
-    /// a pattern with a backreference). A caller with many lines still
-    /// does better filtering them through [`Regex::matching_lines`] first.
+    /// a pattern with a backreference). A caller with many lines does
+    /// better filtering them through [`Regex::matching_lines`] first and
+    /// handing the lines it yields to [`Regex::replace_matched_into`].
     pub fn replace_into(&self, line: &str, replacement: &str, global: bool, out: &mut String) {
         if self.program.is_some() && !self.is_match(line) {
             out.push_str(line);
             return;
         }
+        self.replace_matched_into(line, replacement, global, out);
+    }
+
+    /// [`Regex::replace_into`] for a line [`Regex::matching_lines`] has
+    /// already yielded: the backtracker computes the spans straight away,
+    /// with no second scan. On a line the pattern does not match the
+    /// answer is the same, but the backtracker may take exponential time
+    /// to find that out (`\(a*\)*b` on a run of `a`).
+    pub fn replace_matched_into(
+        &self,
+        line: &str,
+        replacement: &str,
+        global: bool,
+        out: &mut String,
+    ) {
         exec::replace(
             &self.ast,
             line,
@@ -411,6 +429,28 @@ mod tests {
         // 's/x*/-/g' on "ab" must not loop forever.
         let re = Regex::new("x*").unwrap();
         assert_eq!(re.replace_all("ab", "-"), "-a-b-");
+    }
+
+    #[test]
+    fn replace_all_takes_no_empty_match_where_a_match_ended() {
+        // GNU sed's outputs.
+        let cases = [
+            ("x*", "-", "xxaxx", "-a-"),
+            ("b*", "X", "abc", "XaXcX"),
+            ("a*", "<&>", "ab", "<a>b<>"),
+            ("x*", "-", "xx", "-"),
+            ("x*", "-", "", "-"),
+            ("b*", "X", "bb", "X"),
+            ("b*", "X", "abba", "XaXaX"),
+        ];
+        for (pattern, replacement, line, want) in cases {
+            let re = Regex::new(pattern).unwrap();
+            assert_eq!(
+                re.replace_all(line, replacement),
+                want,
+                "s/{pattern}/{replacement}/g on {line:?}"
+            );
+        }
     }
 
     #[test]

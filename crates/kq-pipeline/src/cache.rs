@@ -11,12 +11,13 @@
 //! `grep -c -n p` all share one entry; `grep -cn q` does not.
 //! Normalization is deliberately conservative — only the programs this
 //! crate ships (with a per-program table of value-taking options) are
-//! normalized; any other program keys on its raw display line. The key
-//! reads the argv alone, so a [`Command::custom`] wrapper keys raw only
-//! when its `argv[0]` names no shipped program: one whose argv reads
-//! `grep x` keys as the built-in `grep x` does. A key collision can
-//! therefore only arise from
-//! the normalizer itself, and even then costs at most a wasted
+//! normalized; any other program keys on its raw display line. A
+//! [`Command::custom`] wrapper keys as its argv would, behind a `custom`
+//! prefix: its argv may name a shipped program (`grep x`) while it runs
+//! something else, and an in-memory hit is trusted without a replay, so
+//! sharing the built-in's entry would hand it the built-in's combiner.
+//! Among built-in commands a key collision can only arise from the
+//! normalizer itself, and even then costs at most a wasted
 //! re-synthesis: on-disk hits are validated against a fresh observation
 //! before being trusted (see below).
 //!
@@ -104,8 +105,8 @@ const NORMALIZED_PROGRAMS: &[&str] = &[
 ];
 
 /// The raw-line key used for commands the normalizer does not
-/// understand (and for manual registrations that fail to parse). The
-/// line is escaped so it cannot smuggle the `\x1f` field separator.
+/// understand. The line is escaped so it cannot smuggle the `\x1f` field
+/// separator.
 pub(crate) fn raw_key(line: &str) -> String {
     format!("raw\x1f{}", escape_token(line))
 }
@@ -115,6 +116,21 @@ pub(crate) fn raw_key(line: &str) -> String {
 /// hostile argument containing the separator byte cannot make two
 /// different commands collide on one key.
 pub fn cache_key(command: &Command) -> String {
+    let key = argv_key(command);
+    if command.is_custom() {
+        custom_key(key)
+    } else {
+        key
+    }
+}
+
+/// `key` as the key of a [`Command::custom`] wrapper.
+pub(crate) fn custom_key(key: String) -> String {
+    format!("custom\x1f{key}")
+}
+
+/// The signature of `command`'s argv alone.
+fn argv_key(command: &Command) -> String {
     let argv = command.argv();
     let program = argv[0].as_str();
     if !NORMALIZED_PROGRAMS.contains(&program) {
@@ -619,7 +635,8 @@ mod tests {
         // accept (sed, for one, rejects such scripts outright): a single
         // hostile `-e` expression containing the field separator must not
         // produce the same key as two separate expressions. `cache_key`
-        // reads argv only, so a custom wrapper stands in for the parser.
+        // reads argv (behind the custom prefix), so a custom wrapper
+        // stands in for the parser.
         struct Noop;
         impl kq_coreutils::UnixCommand for Noop {
             fn display(&self) -> String {
@@ -667,7 +684,28 @@ mod tests {
             }
         }
         let cmd = Command::custom(vec!["upper".to_owned(), "-x".to_owned()], Box::new(Upper));
-        assert_eq!(cache_key(&cmd), "raw\x1fupper%20-x");
+        assert_eq!(cache_key(&cmd), "custom\x1fraw\x1fupper%20-x");
+    }
+
+    #[test]
+    fn a_custom_command_never_shares_a_built_in_key() {
+        use kq_coreutils::{Bytes, CmdError, ExecContext, UnixCommand};
+        struct Same;
+        impl UnixCommand for Same {
+            fn display(&self) -> String {
+                "grep x".to_owned()
+            }
+            fn run(&self, input: Bytes, _: &ExecContext) -> Result<Bytes, CmdError> {
+                Ok(input)
+            }
+        }
+        let custom = Command::custom(vec!["grep".to_owned(), "x".to_owned()], Box::new(Same));
+        assert!(custom.is_custom() && !parse_command("grep x").unwrap().is_custom());
+        assert_ne!(cache_key(&custom), key_of("grep x"));
+        assert_eq!(
+            cache_key(&custom),
+            format!("custom\x1f{}", key_of("grep x"))
+        );
     }
 
     fn sample_combiner() -> Arc<SynthesizedCombiner> {

@@ -624,7 +624,10 @@ impl Planner {
     /// files produced earlier in the same script). The caller asserts
     /// correctness; the executors still verify outputs against serial
     /// runs. Manual entries stay process-local: they are never persisted
-    /// to the on-disk store (no synthesis provenance to validate).
+    /// to the on-disk store (no synthesis provenance to validate). A line
+    /// that names no shipped command is taken for the display line of a
+    /// [`Command::custom`] stage whose argv names no shipped program
+    /// either.
     pub fn register_manual(
         &mut self,
         command_line: impl Into<String>,
@@ -634,7 +637,7 @@ impl Planner {
         // Key like any other lookup so stages naming this command find it.
         let key = match kq_coreutils::parse_command(&line) {
             Ok(cmd) => cache_key(&cmd),
-            Err(_) => crate::cache::raw_key(&line),
+            Err(_) => crate::cache::custom_key(crate::cache::raw_key(&line)),
         };
         self.cache.insert(key, Some(Arc::new(combiner)), false);
     }
@@ -1572,5 +1575,46 @@ mod tests {
         let nodes = graph("cat $IN | grep fox | head -n 2 | grep o");
         assert_eq!(nodes.len(), 3);
         assert_eq!(nodes[1].0, bounded(2));
+    }
+
+    #[test]
+    fn a_custom_command_named_like_a_built_in_gets_its_own_combiner() {
+        use kq_coreutils::{Bytes, CmdError, UnixCommand};
+        /// `grep x` by name, `grep -c x` by behaviour.
+        struct CountingGrep;
+        impl UnixCommand for CountingGrep {
+            fn display(&self) -> String {
+                "grep x".to_owned()
+            }
+            fn run(&self, input: Bytes, _: &ExecContext) -> Result<Bytes, CmdError> {
+                let text = input
+                    .to_str()
+                    .map_err(|_| CmdError::new("grep", "not UTF-8"))?;
+                let count = text.lines().filter(|line| line.contains('x')).count();
+                Ok(Bytes::from(format!("{count}\n")))
+            }
+        }
+        let ctx = ExecContext::default();
+        let mut planner = Planner::new(SynthesisConfig::default());
+        let built_in = kq_coreutils::parse_command("grep x").unwrap();
+        let concat = planner.combiner_for(&built_in, &ctx).unwrap();
+        assert!(concat.is_concat());
+        let custom = Command::custom(
+            vec!["grep".to_owned(), "x".to_owned()],
+            Box::new(CountingGrep),
+        );
+        let own = planner
+            .combiner_for(&custom, &ctx)
+            .expect("a line count has a combiner");
+        assert!(!own.is_concat(), "the built-in's concat was handed out");
+        let sum = own
+            .combine2(b"2\n", b"3\n", &kq_dsl::eval::NoRunEnv)
+            .unwrap();
+        assert_eq!(sum.as_bytes(), b"5\n");
+        assert_eq!(
+            planner.reports.len(),
+            1,
+            "only the custom command synthesizes"
+        );
     }
 }

@@ -9,7 +9,8 @@
 //! host's GNU `tr` ([`tr_sets_match_gnu_tr`]), `sort`/`sort -m` against
 //! GNU `sort` on lines with long shared prefixes ([`sort_matches_gnu_sort`]),
 //! the corpus's `cut` forms against GNU `cut` ([`cut_matches_gnu_cut`]),
-//! and the byte-clean commands on bytes that are not UTF-8
+//! `sed s///` against GNU `sed` ([`sed_matches_gnu_sed`]), and the
+//! byte-clean commands on bytes that are not UTF-8
 //! ([`foreign_bytes_match_gnu`]).
 
 use rand::rngs::SmallRng;
@@ -572,6 +573,101 @@ fn cut_matches_gnu_cut() {
                 gnu("cut", args, &input).unwrap_or_else(|| panic!("GNU cut rejected {args:?}"));
             assert_eq!(ours, expect, "cut {args:?} of {input:?}");
         }
+    }
+}
+
+/// `sed s///` against GNU `sed` under `LC_ALL=C`:
+///
+/// * every `s///` form of the corpus scripts, on its script's own input;
+/// * the two timestamp forms on generated transit rows, among lines
+///   without a timestamp;
+/// * random patterns of the first test's subset (no alternation: the
+///   backtracker takes the leftmost-first match where GNU takes the
+///   leftmost-longest one), some with a group, under replacements with
+///   `&` and `\1` and with and without `g`, on random lines with and
+///   without matches;
+/// * the empty matches `s///g` must not take where a match ended;
+///
+/// each input with and without its final newline. Skips when `sed`
+/// cannot be spawned.
+#[test]
+fn sed_matches_gnu_sed() {
+    if gnu("sed", &["s/a/b/"], "a\n").as_deref() != Some("b\n") {
+        eprintln!("sed not available; skipping");
+        return;
+    }
+    let ctx = kq_coreutils::ExecContext::default();
+    let check = |script: &str, input: &str| {
+        let argv = ["sed".to_owned(), script.to_owned()];
+        let ours = kq_coreutils::from_argv(&argv)
+            .and_then(|cmd| cmd.run_str(input, &ctx))
+            .unwrap_or_else(|e| panic!("sed {script:?}: {e}"));
+        let expect =
+            gnu("sed", &[script], input).unwrap_or_else(|| panic!("GNU sed rejected {script:?}"));
+        assert_eq!(ours, expect, "sed {script:?} on {input:?}");
+    };
+    let both_ends = |script: &str, input: &str| {
+        check(script, input);
+        if let Some(body) = input.strip_suffix('\n') {
+            check(script, body);
+        }
+    };
+
+    let mut corpus_forms = std::collections::BTreeSet::new();
+    for script in kq_workloads::corpus() {
+        let script_ctx = kq_coreutils::ExecContext::default();
+        let scale = kq_workloads::Scale { input_bytes: 4_000 };
+        let env = kq_workloads::setup(script, &script_ctx, &scale, 0x5ED);
+        let parsed = kq_pipeline::parse::parse_script(script.text, &env).unwrap();
+        let input = script_ctx.vfs.read(&env["IN"]).unwrap();
+        for stage in parsed.statements.iter().flat_map(|s| &s.stages) {
+            let argv = stage.command.argv();
+            if argv[0] == "sed" && argv[1].starts_with('s') && corpus_forms.insert(argv[1].clone())
+            {
+                both_ends(&argv[1], &input);
+            }
+        }
+    }
+    assert!(corpus_forms.len() >= 4, "corpus forms: {corpus_forms:?}");
+
+    let mut rng = SmallRng::seed_from_u64(0x5ED);
+    let mut transit = kq_workloads::inputs::mass_transit_csv(200, 7);
+    transit.push_str("no stamp here\nT1:2:3\n\nTT00:00:00T\n");
+    for form in ["s/T..:..:..//", "s/T\\(..\\):..:../,\\1/"] {
+        both_ends(form, &transit);
+    }
+
+    const REPLACEMENTS: [&str; 6] = ["X", "", "<&>", "&&", "[\\1]", "\\1-&"];
+    for _ in 0..200 {
+        let pattern = random_pattern(&mut rng);
+        let pattern = if rng.gen_bool(0.5) {
+            // The pattern's body in a group, then a second body.
+            let body = |p: &str| p.trim_start_matches('^').trim_end_matches('$').to_owned();
+            let head = if pattern.starts_with('^') { "^" } else { "" };
+            let tail = if pattern.ends_with('$') { "$" } else { "" };
+            let more = body(&random_pattern(&mut rng));
+            format!("{head}\\({}\\){more}{tail}", body(&pattern))
+        } else {
+            pattern
+        };
+        let grouped = pattern.contains("\\(");
+        let replacement = REPLACEMENTS[rng.gen_range(0..if grouped { 6 } else { 4 })];
+        let flags = if rng.gen_bool(0.5) { "g" } else { "" };
+        let script = format!("s/{pattern}/{replacement}/{flags}");
+        let input: String = (0..12)
+            .map(|_| format!("{}\n", random_line(&mut rng)))
+            .collect();
+        both_ends(&script, &input);
+    }
+
+    for script in [
+        "s/x*/-/g",
+        "s/b*/X/g",
+        "s/a*/<&>/g",
+        "s/x*/-/",
+        "s/[^a]*/(&)/g",
+    ] {
+        both_ends(script, "xxaxx\nabc\nab\n\nbbb\naxbxc\n");
     }
 }
 
