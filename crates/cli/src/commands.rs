@@ -148,9 +148,9 @@ USAGE:
         chunk(s)'). A 'sort | uniq -c'
         (or 'sort | uniq') pair of parallel stages runs there as one
         counting fold — each chunk hash-counted, the counts merged, and
-        a chunk of mostly distinct lines sorted raw in a 128 KiB batch
-        with others like it — instead of a sort of every line and a
-        second pass over it,
+        the chunks of mostly distinct lines kept raw until the input
+        ends, then scattered into key ranges, each sorted once —
+        instead of a sort of every line and a second pass over it,
         reported as 'counting fold: s1 stages 4-5 ...'; a numeric sort
         right after such a 'uniq -c' ('sort -rn', '-n', '-k1nr', ...)
         joins the fold, which closes by grouping its lines by count

@@ -444,3 +444,30 @@ fn figure1_on_latin1_prints_the_same_at_one_worker_and_two() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `sed` line address 0 is refused with GNU sed 4.9's message. Like every
+/// script kumquat cannot parse (`sed 5x` too), the run prints nothing and
+/// exits 2, where GNU sed exits 1: kumquat keeps exit 1 for the findings
+/// of `check --deny-warnings`.
+#[test]
+fn sed_line_address_zero_is_refused_with_empty_stdout() {
+    let dir = std::env::temp_dir().join(format!("kq-bin-sed0-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("two.txt");
+    std::fs::write(&input, "a\nb\n").unwrap();
+    for script in ["0q", "0d"] {
+        let line = format!("cat {} | sed {script}", input.display());
+        let out = kumquat()
+            .args(["run", &line, "--workers", "2"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{line}");
+        assert!(out.stdout.is_empty(), "{line}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("sed: invalid usage of line address 0"),
+            "{line}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

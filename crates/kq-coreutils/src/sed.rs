@@ -98,6 +98,10 @@ fn parse_script(text: &str) -> Result<Script, CmdError> {
         let n: usize = digits
             .parse()
             .map_err(|_| CmdError::new("sed", "address overflow"))?;
+        // Lines count from 1: GNU sed refuses the address as a usage error.
+        if n == 0 {
+            return Err(CmdError::new("sed", "invalid usage of line address 0"));
+        }
         match chars[chars.len() - 1] {
             'q' => return Ok(Script::QuitAfter(n)),
             'd' => return Ok(Script::DeleteLine(n)),
@@ -380,6 +384,14 @@ mod tests {
     }
 
     #[test]
+    fn line_address_zero_is_refused_as_gnu_sed_refuses_it() {
+        for script in ["0q", "0d", "00q"] {
+            let err = SedCmd::parse(&[script.to_string()]).err().expect(script);
+            assert_eq!(err.to_string(), "sed: invalid usage of line address 0");
+        }
+    }
+
+    #[test]
     fn delete_last_line() {
         assert_eq!(run("sed '$d'", "1\n2\n3\n"), "1\n2\n");
         assert_eq!(run("sed '$d'", ""), "");
@@ -409,7 +421,7 @@ mod tests {
     #[test]
     fn address_forms_keep_byte_ranges_equal_to_the_reference() {
         let ctx = ExecContext::default();
-        let scripts = ["0q", "1q", "2q", "9q", "0d", "1d", "2d", "3d", "9d", "$d"];
+        let scripts = ["1q", "2q", "9q", "1d", "2d", "3d", "9d", "$d"];
         let inputs = [
             "",
             "\n",

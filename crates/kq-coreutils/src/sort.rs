@@ -117,14 +117,22 @@
 //! # Merging in parts
 //!
 //! A k-way merge is one thread's work however many streams it reads. To
-//! spread it, [`LineOrder::partition`] cuts the sorted streams into key
+//! spread it, [`LineOrder::splitters`] cuts the sorted streams into key
 //! ranges the way a sample sort does — splitter lines sampled from the
 //! streams, every stream cut at its lower bound for each splitter — and
 //! the ranges are merged independently, by the same `merge`/`merge_to`,
 //! and concatenated. A boundary only ever separates lines the full
 //! comparator orders strictly, so `-u`, the folded and numeric orders, `-r`
 //! and the stream-index tie-break come out exactly as in the flat merge;
-//! the method's documentation states the contract.
+//! [`LineOrder::splitters`] states the contract.
+//!
+//! Unsorted lines take the same cut without being sorted first: the
+//! splitters are sampled from them too, and [`Splitters::scatter`] writes
+//! each line to its range — one order-preserving eight-symbol key per line
+//! (the sort kernel's first key), binary-searched among the splitters'
+//! keys, the full comparator called only where the keys tie — keeping
+//! stream order within a range. Sorting each range once and concatenating
+//! the sorts is the sort of the whole: a sample sort, with no merge.
 //!
 //! # Counted mode
 //!
@@ -147,7 +155,7 @@
 //! * [`LineOrder::merge`] and [`LineOrder::merge_to`] add the counts of
 //!   equal lines where a `-u` merge drops the duplicate, and rewrite the
 //!   column (a sum of 10^7 or more widens it, as `uniq -c` does);
-//! * [`LineOrder::partition`] cuts by the counted lines, so a boundary
+//! * [`LineOrder::splitters`] cut by the counted lines, so a boundary
 //!   separates only entries for lines the comparator orders strictly: all
 //!   runs' entries for one line land in one part and their counts meet.
 //!
@@ -1040,96 +1048,96 @@ impl LineOrder {
         }
     }
 
-    /// Cuts `runs` — each sorted under this order, the way `sort <flags>`
-    /// or a merge leaves it — into `parts` key ranges whose merges are
-    /// independent: `result[p][r]` is the byte range of run `r` that
-    /// belongs to part `p`, every run is tiled by its ranges in part
-    /// order, and merging each part's ranges (runs in the same order) and
-    /// concatenating the outputs in part order is byte for byte the flat
-    /// [`merge`](LineOrder::merge) of the whole runs.
+    /// The splitters that cut this order's lines into `parts` key ranges
+    /// the way a sample sort does: lines sampled one per so many bytes
+    /// across `runs` (sorted, the way `sort <flags>` or a merge leaves
+    /// them) and `raw` (chunks of raw lines, in any order) together — a
+    /// fixed number per part, so ranges come out within a few percent of
+    /// even unless one key dominates — which makes the cut a pure function
+    /// of the input. A range may be empty: one repeated line puts
+    /// everything in the last.
     ///
     /// The contract is about which lines a boundary may separate: only
     /// lines the full comparator orders *strictly*. Each boundary is a
-    /// splitter line, and every run is cut at its lower bound — the first
-    /// line that does not compare less than the splitter — so all lines
-    /// that compare equal to it, in every run, start the same part. Lines
-    /// the comparator calls equal (key-equal lines under `-u`, whatever
-    /// their bytes under `-n` or `-f`; identical lines otherwise)
-    /// therefore never straddle a boundary: `-u` drops exactly the
-    /// duplicates the flat merge drops, and the stream-index tie-break
-    /// decides among the same candidates.
+    /// splitter line, and a line belongs to the range after every
+    /// splitter it does not compare less than — the lower-bound rule — so
+    /// all lines that compare equal to a splitter, in every run and raw
+    /// chunk, start the same range. Lines the comparator calls equal
+    /// (key-equal lines under `-u`, whatever their bytes under `-n` or
+    /// `-f`; identical lines otherwise) therefore never straddle a
+    /// boundary: `-u` drops exactly the duplicates the flat sort or merge
+    /// drops, and the tie-break to the earlier input decides among the
+    /// same candidates.
     ///
-    /// Splitters are lines sampled one per so many bytes across the runs (a
-    /// fixed number per part, so parts come out within a few percent of
-    /// even unless one key dominates), which makes the cut a pure function
-    /// of the runs. Parts may be empty: an input of one repeated line puts
-    /// everything in the last part.
-    ///
-    /// `done_with` is called with a run's index each time the search has
-    /// finished reading that run for the moment — after sampling it, and
-    /// after each boundary search in it. Sampling and binary searches
-    /// touch pages all over a run (and a page fault maps its neighbours
-    /// along with it), so a caller whose runs are mapped files and should
-    /// stay out of core drops the run's resident pages there; the search
-    /// keeps copies of the lines it sampled, not references into the runs.
-    /// Callers with runs in memory pass `&mut |_| {}`.
-    pub fn partition(
+    /// `done_with` is called with a run's index each time the sampler has
+    /// finished reading that run. Sampling touches pages all over a run
+    /// (and a page fault maps its neighbours along with it), so a caller
+    /// whose runs are mapped files and should stay out of core drops the
+    /// run's resident pages there; the splitters are copies of the lines
+    /// sampled, not references into the runs. Callers with runs in memory
+    /// pass `&mut |_| {}`.
+    pub fn splitters(
         self,
         runs: &[&[u8]],
+        raw: &[&[u8]],
         parts: usize,
         done_with: &mut dyn FnMut(usize),
-    ) -> Vec<Vec<std::ops::Range<usize>>> {
+    ) -> Splitters {
         /// Samples per part: the largest part exceeds the mean by a few
         /// percent at 32, and the whole sample stays a few KB to sort.
         const OVERSAMPLE: usize = 32;
         let parts = parts.max(1);
         let symbols = self.symbols();
-        let total: usize = runs.iter().map(|r| r.len()).sum();
+        let total: usize = runs.iter().chain(raw).map(|r| r.len()).sum();
         let mut samples: Vec<Vec<u8>> = Vec::new();
         if parts > 1 && total > 0 {
             let step = (total / (parts * OVERSAMPLE)).max(1);
-            // One sample per `step` bytes of the runs' concatenation, at an
-            // offset inside its step that changes from sample to sample
-            // (multiples of the golden ratio): runs about as long as a
+            // One sample per `step` bytes of the inputs' concatenation, at
+            // an offset inside its step that changes from sample to sample
+            // (multiples of the golden ratio): inputs about as long as a
             // step would otherwise all be sampled at the same depth, and
             // the sample would see only that slice of the key space.
             let mut cell = 0usize;
             let mut skipped = 0usize;
-            for (r, run) in runs.iter().enumerate() {
+            for (i, input) in runs.iter().chain(raw).enumerate() {
                 loop {
                     let jitter = (cell as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
                     let pos = cell * step + (jitter as usize) % step - skipped;
-                    if pos >= run.len() {
+                    if pos >= input.len() {
                         break;
                     }
-                    let (start, end) = line_around(run, 0, pos);
-                    samples.push(self.payload(&run[start..end]).to_vec());
+                    let (start, end) = line_around(input, 0, pos);
+                    let line = &input[start..end];
+                    // A raw line has no count column to read past.
+                    let line = if i < runs.len() {
+                        self.payload(line)
+                    } else {
+                        line
+                    };
+                    samples.push(line.to_vec());
                     cell += 1;
                 }
-                skipped += run.len();
-                done_with(r);
+                skipped += input.len();
+                if i < runs.len() {
+                    done_with(i);
+                }
             }
             samples.sort_by(|a, b| symbols.compare(a, b));
         }
-        let mut from = vec![0usize; runs.len()];
-        let mut cuts = Vec::with_capacity(parts);
-        for p in 1..=parts {
-            let upto: Vec<usize> = match samples.get(p * samples.len() / parts) {
-                // Searching from the previous cut keeps every run's
-                // ranges in order whatever the run holds.
-                Some(splitter) if p < parts => (0..runs.len())
-                    .map(|r| {
-                        let cut = self.lower_bound(runs[r], from[r], splitter);
-                        done_with(r);
-                        cut
-                    })
-                    .collect(),
-                _ => runs.iter().map(|r| r.len()).collect(),
-            };
-            cuts.push(from.iter().zip(&upto).map(|(&lo, &hi)| lo..hi).collect());
-            from = upto;
-        }
-        cuts
+        let lines: Vec<Vec<u8>> = (1..parts)
+            .filter_map(|p| samples.get(p * samples.len() / parts).cloned())
+            .collect();
+        let mut splitters = Splitters {
+            order: self,
+            parts,
+            lines,
+            keys: Vec::new(),
+            nexts: Vec::new(),
+        };
+        (splitters.keys, splitters.nexts) = (splitters.lines.iter())
+            .map(|line| splitters.keys(symbols, line, 0, line.len()))
+            .unzip();
+        splitters
     }
 
     /// The offset of the first line of `run`, at or after the line start
@@ -1149,6 +1157,171 @@ impl LineOrder {
             }
         }
         lo
+    }
+}
+
+/// The boundaries of a sample sort's key ranges under one order
+/// ([`LineOrder::splitters`]): sorted runs are cut at them by binary search
+/// ([`cut`](Splitters::cut)), and raw lines scattered among them
+/// ([`scatter`](Splitters::scatter)), by the same lower-bound rule, so a
+/// range's lines from every input meet in one part.
+#[derive(Debug, Clone)]
+pub struct Splitters {
+    order: LineOrder,
+    parts: usize,
+    /// The boundary lines, sorted: `parts - 1` of them, or none when
+    /// nothing was sampled (every line then falls in the first range).
+    lines: Vec<Vec<u8>>,
+    /// Each boundary line's first and second sort key
+    /// ([`Splitters::keys`]), apart: the search reads the first alone.
+    keys: Vec<u64>,
+    nexts: Vec<u64>,
+}
+
+impl Splitters {
+    /// The number of key ranges.
+    pub fn parts(&self) -> usize {
+        self.parts
+    }
+
+    /// Cuts `runs`, each sorted under the order, into the key ranges:
+    /// `result[p][r]` is the byte range of run `r` in range `p`, every run
+    /// tiled by its ranges in order — each cut at its lower bound for each
+    /// splitter, the first line that does not compare less than it.
+    /// `done_with` is called with a run's index after each search in it
+    /// (see [`LineOrder::splitters`]).
+    pub fn cut(
+        &self,
+        runs: &[&[u8]],
+        done_with: &mut dyn FnMut(usize),
+    ) -> Vec<Vec<std::ops::Range<usize>>> {
+        let mut from = vec![0usize; runs.len()];
+        let mut cuts = Vec::with_capacity(self.parts);
+        for p in 0..self.parts {
+            let upto: Vec<usize> = match self.lines.get(p) {
+                // Searching from the previous cut keeps every run's
+                // ranges in order whatever the run holds.
+                Some(splitter) => (0..runs.len())
+                    .map(|r| {
+                        let cut = self.order.lower_bound(runs[r], from[r], splitter);
+                        done_with(r);
+                        cut
+                    })
+                    .collect(),
+                None => runs.iter().map(|r| r.len()).collect(),
+            };
+            cuts.push(from.iter().zip(&upto).map(|(&lo, &hi)| lo..hi).collect());
+            from = upto;
+        }
+        cuts
+    }
+
+    /// The raw lines of `chunks` written to their key ranges: one buffer
+    /// per range, each line newline-terminated (an unterminated last line
+    /// of a chunk too) and the lines of a range in input order, so that
+    /// sorting each buffer and concatenating the sorts in range order is
+    /// the sort of the whole input — `-u`, `-s` and counted mode included.
+    /// Under `-u` only the first line of each class in a chunk is written,
+    /// when the table of `sort -u` finds the classes few: the range's sort
+    /// would drop the others. Each buffer is allocated once, at its size.
+    pub fn scatter(&self, chunks: &[&[u8]]) -> Vec<Vec<u8>> {
+        let symbols = self.order.symbols();
+        let firsts: Vec<Option<Vec<(Entry, u64)>>> = chunks
+            .iter()
+            .map(|chunk| self.unique_firsts(chunk))
+            .collect();
+        // Each line's range, then the lines copied out, in one order.
+        let mut sizes = vec![0usize; self.parts];
+        let mut placed: Vec<u32> = Vec::new();
+        for (chunk, firsts) in chunks.iter().zip(&firsts) {
+            each_line(chunk, firsts.as_deref(), |start, end| {
+                let part = self.part_of(symbols, chunk, start, end);
+                sizes[part] += end - start + 1;
+                placed.push(part as u32);
+            });
+        }
+        let mut out: Vec<Vec<u8>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
+        let mut placed = placed.into_iter();
+        for (chunk, firsts) in chunks.iter().zip(&firsts) {
+            each_line(chunk, firsts.as_deref(), |start, end| {
+                let range = &mut out[placed.next().expect("a line placed") as usize];
+                range.extend_from_slice(&chunk[start..end]);
+                range.push(b'\n');
+            });
+        }
+        out
+    }
+
+    /// Under `-u`, the first line of each class of `chunk`, in input
+    /// order, while the classes are few against its lines
+    /// ([`LineOrder::count_distinct`]); `None` otherwise.
+    fn unique_firsts(&self, chunk: &[u8]) -> Option<Vec<(Entry, u64)>> {
+        let order = self.order;
+        if !order.flags.unique || order.counted || chunk.len() > MAX_SEGMENT {
+            return None;
+        }
+        order.count_distinct(chunk, FIRST_TABLE_CHECK)
+    }
+
+    /// The sort kernel's keys of the line `input[start..end]` for its
+    /// first two steps ([`Symbols::entry`]): sixteen symbols that order
+    /// lines as the comparator does wherever they differ. Under `-u` or
+    /// `-s` a numeric lead is all the order compares, so its second key,
+    /// the bytes after it, is left out.
+    #[inline(always)]
+    fn keys(&self, symbols: Symbols, input: &[u8], start: usize, end: usize) -> (u64, u64) {
+        let e = symbols.entry(input, start, end);
+        match symbols.lead {
+            Lead::Numeric if !symbols.tail => (e.key, 0),
+            _ => (e.key, e.next),
+        }
+    }
+
+    /// The key range of the line `input[start..end]`: the number of
+    /// splitters it does not compare less than. The splitters whose first
+    /// keys are at most the line's are counted without a branch — a binary
+    /// search mispredicts at every step on unsorted lines — and of those
+    /// whose first keys tie with it, the second keys, then the full
+    /// comparator, take back the ones the line compares less than.
+    #[inline]
+    fn part_of(&self, symbols: Symbols, input: &[u8], start: usize, end: usize) -> usize {
+        let (key, next) = self.keys(symbols, input, start, end);
+        let mut part: usize = self.keys.iter().map(|&k| usize::from(k <= key)).sum();
+        while part > 0 && self.keys[part - 1] == key {
+            let below = match next.cmp(&self.nexts[part - 1]) {
+                Ordering::Less => true,
+                Ordering::Greater => false,
+                Ordering::Equal => {
+                    symbols.compare(&input[start..end], &self.lines[part - 1]) == Ordering::Less
+                }
+            };
+            if !below {
+                break;
+            }
+            part -= 1;
+        }
+        part
+    }
+}
+
+/// Calls `f` with the bounds, newline excluded, of each line of `chunk`
+/// in input order — or of the lines of `firsts` only.
+fn each_line(chunk: &[u8], firsts: Option<&[(Entry, u64)]>, mut f: impl FnMut(usize, usize)) {
+    match firsts {
+        Some(firsts) => {
+            for (e, _) in firsts {
+                let start = e.start as usize;
+                f(start, start + e.len as usize);
+            }
+        }
+        None => {
+            let mut at = 0;
+            while at < chunk.len() {
+                let end = line_end(chunk, at, |_| {});
+                f(at, end);
+                at = end + 1;
+            }
+        }
     }
 }
 
@@ -2559,7 +2732,16 @@ mod tests {
 
     type Cuts = Vec<Vec<std::ops::Range<usize>>>;
 
-    /// Each part of a [`LineOrder::partition`] merged on its own, the
+    /// `runs`, each sorted under `order`, cut into `parts` key ranges at
+    /// splitters sampled from them alone: `result[p][r]` is the byte range
+    /// of run `r` in part `p`.
+    fn partition(order: LineOrder, runs: &[&[u8]], parts: usize) -> Cuts {
+        order
+            .splitters(runs, &[], parts, &mut |_| {})
+            .cut(runs, &mut |_| {})
+    }
+
+    /// Each part of a [`partition`] merged on its own, the
     /// outputs concatenated in part order.
     fn merge_in_parts(order: LineOrder, runs: &[&[u8]], cuts: &Cuts) -> Vec<u8> {
         cuts.iter()
@@ -2627,7 +2809,7 @@ mod tests {
         let cut = |flags: &str, runs: &[&str], parts: usize| {
             let order = order(flags);
             let runs: Vec<&[u8]> = runs.iter().map(|r| r.as_bytes()).collect();
-            let cuts = order.partition(&runs, parts, &mut |_| {});
+            let cuts = partition(order, &runs, parts);
             assert_eq!(cuts.len(), parts.max(1));
             check_cuts(order, &runs, &cuts);
             assert_eq!(merge_in_parts(order, &runs, &cuts), order.merge(&runs));
@@ -2843,7 +3025,7 @@ mod tests {
         );
         let runs: [&[u8]; 2] = [wide.as_bytes(), b"      5 x\n      5 z\n"];
         for parts in 1..=9 {
-            let cuts = counted.partition(&runs, parts, &mut |_| {});
+            let cuts = partition(counted, &runs, parts);
             check_cuts(counted, &runs, &cuts);
             assert_eq!(
                 merge_in_parts(counted, &runs, &cuts),
@@ -3584,13 +3766,88 @@ mod tests {
                 let runs: Vec<&[u8]> = sorted.iter().map(|s| s.as_bytes()).collect();
                 let flat = order.merge(&runs);
                 for parts in 1..=9 {
-                    let cuts = order.partition(&runs, parts, &mut |_| {});
+                    let cuts = partition(order, &runs, parts);
                     prop_assert_eq!(cuts.len(), parts);
                     prop_assert_eq!(
                         &merge_in_parts(order, &runs, &cuts), &flat,
                         "merge {} of {:?} in {} parts", flags, sorted, parts
                     );
                     check_cuts(order, &runs, &cuts);
+                }
+            }
+        }
+
+        /// The sample sort: raw chunks scattered among splitters sampled
+        /// from them, each range sorted on its own and the sorts
+        /// concatenated, is the sort of the whole stream; each range holds
+        /// the lines the same splitters cut from the sorted stream; and in
+        /// counted mode, with counted runs of the same stream sampled and
+        /// cut beside the chunks, each range's count merged with its run
+        /// slices concatenates to the count of both.
+        #[test]
+        fn prop_scattered_ranges_sort_to_the_whole_sort(
+            chunks in proptest::collection::vec(
+                proptest::collection::vec(0usize..vocabulary().len(), 0..12),
+                0..6,
+            ),
+            final_newline in 0usize..2,
+        ) {
+            let mut texts: Vec<String> = chunks.iter().map(|picks| text(picks, true)).collect();
+            if final_newline == 0 {
+                if let Some(last) = texts.last_mut() {
+                    last.pop();
+                }
+            }
+            let whole = texts.concat();
+            let raw: Vec<&[u8]> = texts.iter().map(|t| t.as_bytes()).collect();
+            for parts in [1, 2, 3, 9] {
+                for flags in FLAG_SETS {
+                    let order = order(flags);
+                    let expect = reference::sort_lines(&whole, order.flags);
+                    let splitters = order.splitters(&[], &raw, parts, &mut |_| {});
+                    prop_assert_eq!(splitters.parts(), parts);
+                    let ranges = splitters.scatter(&raw);
+                    prop_assert_eq!(ranges.len(), parts);
+                    let sorted: Vec<Vec<u8>> = (ranges.iter())
+                        .map(|range| order.sort(range, MAX_SEGMENT).unwrap())
+                        .collect();
+                    prop_assert_eq!(
+                        &String::from_utf8(sorted.concat()).unwrap(), &expect,
+                        "sort {} of {:?} in {} ranges", flags, texts, parts
+                    );
+                    let cuts = splitters.cut(&[expect.as_bytes()], &mut |_| {});
+                    for (range, cut) in sorted.iter().zip(&cuts) {
+                        prop_assert_eq!(&range[..], &expect.as_bytes()[cut[0].clone()]);
+                    }
+                }
+                for flags in COUNTED_FLAG_SETS {
+                    let order = order(flags).counted();
+                    let runs: Vec<String> =
+                        texts.iter().map(|t| counted_reference(t, order.flags)).collect();
+                    let runs: Vec<&[u8]> = runs.iter().map(|r| r.as_bytes()).collect();
+                    let splitters = order.splitters(&runs, &raw, parts, &mut |_| {});
+                    let cuts = splitters.cut(&runs, &mut |_| {});
+                    let merged: Vec<u8> = (splitters.scatter(&raw).iter().zip(&cuts))
+                        .flat_map(|(range, cut)| {
+                            let counted = order.sort(range, MAX_SEGMENT).unwrap();
+                            let mut slices: Vec<&[u8]> = (runs.iter().zip(cut))
+                                .map(|(run, r)| &run[r.clone()])
+                                .collect();
+                            slices.push(&counted);
+                            order.merge(&slices)
+                        })
+                        .collect();
+                    let twice = format!("{whole}\n{whole}");
+                    let twice = if whole.is_empty() || whole.ends_with('\n') {
+                        whole.repeat(2)
+                    } else {
+                        twice
+                    };
+                    prop_assert_eq!(
+                        &String::from_utf8(merged).unwrap(),
+                        &counted_reference(&twice, order.flags),
+                        "sort {} | uniq -c of {:?} in {} ranges", flags, texts, parts
+                    );
                 }
             }
         }
@@ -3657,7 +3914,7 @@ mod tests {
                 }
                 // No boundary separates two runs' entries for one line.
                 for parts in 1..=9 {
-                    let cuts = order.partition(&runs, parts, &mut |_| {});
+                    let cuts = partition(order, &runs, parts);
                     prop_assert_eq!(cuts.len(), parts);
                     prop_assert_eq!(
                         &merge_in_parts(order, &runs, &cuts), &flat,

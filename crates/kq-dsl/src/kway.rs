@@ -16,9 +16,10 @@ use crate::ast::{Candidate, Combiner, RecOp, RunOp};
 use crate::domain::in_domain;
 use crate::eval::{eval, merge_order, EvalError, RunEnv};
 use crate::spill::SpillConfig;
-use kq_coreutils::sort::{CountOrder, LineOrder};
+use kq_coreutils::sort::{CountOrder, LineOrder, Splitters};
 use kq_stream::{Bytes, ReleaseCursor, Rope};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Combines `k` parallel output substreams with the given candidate.
 ///
@@ -117,11 +118,11 @@ pub enum Piece {
     /// What the stage printed for a chunk — for a merge fold, a run in the
     /// fold's order. Plain [`Bytes`] convert into this.
     Output(Bytes),
-    /// A chunk of the stage's *input*, which a merge fold sorts itself, in
-    /// a batch with the raw chunks around it — the chunks of a sorting
-    /// fold, and those a counting fold's hash table gave up on — and a
-    /// rerun fold runs the command over, once, with all the others: the
-    /// chunks of a sequential or prefix-bounded stage.
+    /// A chunk of the stage's *input*, which a merge fold sorts itself —
+    /// the chunks of a sorting fold, and those a counting fold's hash
+    /// table gave up on — and a rerun fold runs the command over, once,
+    /// with all the others: the chunks of a sequential or prefix-bounded
+    /// stage.
     Raw(Bytes),
 }
 
@@ -168,16 +169,21 @@ impl Piece {
 /// * [`close`], when the input ends, and [`complete`] return a [`Step`]:
 ///   wait for work still out, run more work, or the combined stream.
 ///
-/// A merge fold closes in up to four rounds of work. The pieces it still
-/// holds are cut by bytes into run batches, so that several workers make
-/// runs of the tail at once. A fold of at least two parts' bytes
-/// ([`FINISH_PART_BYTES`] per part, at most [`FINISH_MAX_PARTS`], so the
-/// count depends on the bytes folded and on nothing else) is then cut
-/// into key ranges ([`LineOrder::partition`]), each merged as work of its
-/// own — in memory, or once a run has spilled through a temp file of its
-/// own — and the parts' outputs are stitched in part order. A smaller
-/// fold merges its runs as one part, and every other fold settles in one
-/// piece of work. [`finish`] is the one-thread driver over the same calls.
+/// A merge fold closes in up to five rounds of work. The runs it still
+/// holds pieces of are cut by bytes into run batches, so that several
+/// workers make runs of the tail at once. A fold of at least two parts'
+/// bytes ([`FINISH_PART_BYTES`] of runs or [`SORT_RUN_BYTES`] of raw chunks
+/// per part, at most [`FINISH_MAX_PARTS`], so the count depends on the
+/// bytes folded and on nothing else) is then cut into key ranges
+/// ([`LineOrder::splitters`], sampled from the runs and the raw chunks
+/// together): the runs by binary search, and the raw chunks by scatter
+/// work, each item writing about a part's bytes of lines to their ranges
+/// ([`Splitters::scatter`]). Each range is then sorted and merged as work
+/// of its own — in memory, or once a run has spilled through a temp file
+/// of its own — and the parts' outputs are stitched in part order. A
+/// smaller fold sorts and merges as one part, and every other fold
+/// settles in one piece of work. [`finish`] makes the same calls on one
+/// thread.
 ///
 /// [`push`]: IncrementalFold::push
 /// [`close`]: IncrementalFold::close
@@ -203,26 +209,28 @@ impl Piece {
 ///   of [`Piece::Output`] runs is k-way merged, a batch of [`Piece::Raw`]
 ///   chunks is sorted as one ([`LineOrder::sort_bytes`]). Without a spill
 ///   config a batch of runs forms every [`MERGE_RUN_ARITY`] pieces, and
-///   a batch of raw chunks every [`SORT_RUN_BYTES`] — [`COUNT_RUN_BYTES`]
-///   under a counted order; under a config, batches are sized to the
-///   budget instead — pieces accumulate until their bytes reach
-///   [`SpillConfig::batch_bytes`] (capped at [`MERGE_RUN_MAX_PIECES`]
-///   pieces), so that every worker of the pool can be making a run at
-///   once within three quarters of the budget (see the ledger in
-///   [`crate::spill`]). Each byte moves through at most two merges
-///   (versus one for the all-at-once merge — that's the price of
-///   overlapping — and `log k` for a pairwise tree). A merge costs one
-///   prefix scan per line plus `log2 k` integer compares (the
-///   offset-value-coded loser tree of [`LineOrder::merge`]): on 31-byte
-///   keyed lines with long shared prefixes, ~90 ns/line for a 64-way
-///   batch and ~65 ns/line for an 8-way closing merge on one core of a
-///   2-core host (152 and 97 ns/line with the seven-byte-key comparator
-///   before it). A batch of raw chunks costs one sort (~57 ns/line on a
-///   4 MiB batch of those lines), where sorting each chunk and merging
-///   the batch cost ~86 + ~90, so each raw line is sorted once and merged
-///   once. The two kinds are cut apart, so their runs leave stream order:
-///   only a counted order, which calls only identical lines equal, may
-///   be fed both;
+///   raw chunks are never batched: they wait, as refcounted slices, for
+///   the close's sample sort, which scatters them into its key ranges and
+///   sorts each range once, so a raw line is sorted once and merged at
+///   most with the counted runs of its range. Under a config, batches of
+///   both kinds are sized to the budget — pieces accumulate until their
+///   bytes reach [`SpillConfig::batch_bytes`] (capped at
+///   [`MERGE_RUN_MAX_PIECES`] pieces), so that every worker of the pool
+///   can be making a run at once within three quarters of the budget (see
+///   the ledger in [`crate::spill`]); a run is what can go to disk. Each
+///   byte moves through at most two merges (versus one for the
+///   all-at-once merge — that's the price of overlapping — and `log k`
+///   for a pairwise tree). A merge costs one prefix scan per line plus
+///   `log2 k` integer compares (the offset-value-coded loser tree of
+///   [`LineOrder::merge`]): on 31-byte keyed lines with long shared
+///   prefixes, ~90 ns/line for a 64-way batch and ~65 ns/line for an
+///   8-way closing merge on one core of a 2-core host (152 and 97 ns/line
+///   with the seven-byte-key comparator before it). A sort costs ~57
+///   ns/line on 4 MiB of those lines and ~41 on 64 KiB, so sorting raw
+///   chunks in 256 KiB ranges beats sorting them in batches and merging
+///   the batches' runs. Runs and raw chunks reach a part apart, so their
+///   lines leave stream order: only a counted order, which calls only
+///   identical lines equal, may be fed both;
 /// * everything else (the structural stitches, arithmetic folds) — a
 ///   binary-counter tree fold: slot *i* holds a combined group of `2^i`
 ///   adjacent pieces, so each push performs O(1) amortized combines and
@@ -246,13 +254,13 @@ impl Piece {
 /// so the same fold serves a `sort` stage fused with the `uniq` that
 /// follows it (a fold [`over`] an order other than its flags'): over a
 /// *counted* order the pieces are counted runs (`sort | uniq -c` of each chunk) or
-/// raw chunks (whose batch sort counts them), and every merge — of a
-/// batch, of a part of the closing merge, of a wave of spilled runs —
-/// adds the counts of equal lines, which is as associative as dropping
-/// duplicates is under `-u`. No other piece of the fold knows. Nor do
-/// they know whether a batch was merged or sorted into its run, so the
-/// fold of a `sort` fed its raw chunks (the sorting rewrite) is a merge
-/// fold whose pieces all arrive raw.
+/// raw chunks (whose sort counts them), and every merge — of a batch, of
+/// a part of the closing merge, of a wave of spilled runs — adds the
+/// counts of equal lines, which is as associative as dropping duplicates
+/// is under `-u`. No other piece of the fold knows. Nor do they know
+/// whether a run was merged or sorted, so the fold of a `sort` fed its
+/// raw chunks (the sorting rewrite) is a merge fold whose pieces all
+/// arrive raw.
 /// Only the closing merge of a counting fold that closes in count order
 /// (a fold [`over`] a count order too) does more: each part regroups what
 /// it merged by count, and the stitch interleaves the parts' groups.
@@ -268,7 +276,7 @@ impl Piece {
 pub struct IncrementalFold<'a> {
     members: &'a [Candidate],
     env: &'a dyn RunEnv,
-    state: FoldState,
+    state: FoldState<'a>,
     spill: Option<SpillConfig>,
     /// A non-empty piece was pushed.
     fed: bool,
@@ -282,6 +290,9 @@ pub struct IncrementalFold<'a> {
     /// Bytes of runs per part of the closing merge: [`FINISH_PART_BYTES`],
     /// or a few lines' worth in tests.
     part_bytes: usize,
+    /// Bytes of raw chunks per part of the closing merge:
+    /// [`SORT_RUN_BYTES`], or a few lines' worth in tests.
+    raw_part_bytes: usize,
 }
 
 /// Pieces per intermediate merge run (see [`IncrementalFold`]) when no
@@ -345,9 +356,11 @@ fn cut_by_bytes(pending: Pending, part_bytes: usize) -> Vec<Vec<Bytes>> {
     groups
 }
 
-/// Parts to cut a closing merge over `total_bytes` of runs into.
-fn finish_part_count(total_bytes: usize, part_bytes: usize) -> usize {
-    (total_bytes / part_bytes.max(1)).clamp(1, FINISH_MAX_PARTS)
+/// Parts to cut a closing merge over `[run bytes, raw bytes]` into, at
+/// `[part_bytes, raw_part_bytes]` per part.
+fn finish_part_count(bytes: [usize; 2], per_part: [usize; 2]) -> usize {
+    let parts = (bytes[0] / per_part[0].max(1)).max(bytes[1] / per_part[1].max(1));
+    parts.clamp(1, FINISH_MAX_PARTS)
 }
 
 /// Ceiling on pieces per merge run under budget-derived sizing: bounds the
@@ -355,43 +368,20 @@ fn finish_part_count(total_bytes: usize, part_bytes: usize) -> usize {
 /// when the budget allows very large runs of very small pieces.
 pub const MERGE_RUN_MAX_PIECES: usize = 1024;
 
-/// Bytes of raw chunks per run batch of a merge fold when no spill budget
-/// informs the sizing. Sorting a batch takes about 2.5 times its bytes
-/// beside it on short lines — a 24-byte entry per line and the radix
-/// sort's second buffer — where merging one takes only its output: at
-/// 512 KiB a sort's working set stays within that of a merge batch of
-/// [`MERGE_RUN_ARITY`] 64 KiB chunks, and in a core's cache.
-pub const SORT_RUN_BYTES: usize = 512 << 10;
+/// Bytes of raw chunks per key range of a merge fold's closing sample
+/// sort (see [`IncrementalFold`]). Sorting a range takes about 2.5 times
+/// its bytes beside it on short lines — a 24-byte entry per line and the
+/// radix sort's second buffer — and a part holds its gathered lines and
+/// its output too, on every worker at once: at 256 KiB that stays within
+/// a core's cache. On the `multi-stmt` benchmark script (its first
+/// statement's counting fold sorts 4 MiB of raw lines, 196k of 218k
+/// distinct; 2-vCPU KVM host, `--workers 2`) the close is a 16-item
+/// scatter (~11 ms) and 16 range sorts; 512 KiB ranges were no faster and
+/// left 5–13% more peak RSS, the allocator keeping the larger freed part
+/// buffers.
+pub const SORT_RUN_BYTES: usize = 256 << 10;
 
-/// [`SORT_RUN_BYTES`] under a counted order: the raw chunks a counting
-/// fold's hash table gave up on, nearly every line distinct. Their runs
-/// are as large as their input, count columns and all, and live until the
-/// closing merge beside the batches being sorted; at 128 KiB a batch is
-/// two default chunks. On the `multi-stmt` benchmark script (4 MiB, its
-/// first statement's counting fold over 218k lines of which 196k are
-/// distinct; `--workers 2` on a 2-core host, 15 alternating runs), raw
-/// batches of 128, 256 and 512 KiB took 22%, 21% and 23% off the wall
-/// time of sorting every chunk and merging it twice, at +1%, +7% and
-/// +13% peak RSS.
-pub const COUNT_RUN_BYTES: usize = 128 << 10;
-
-/// The run-size target in bytes of a batch of raw pieces (`raw`) or of
-/// runs, under an order that is `counted` or not: under a spill config the
-/// batch size of its ledger ([`SpillConfig::batch_bytes`]), so that the
-/// batches every worker may be making runs of at once fit in three
-/// quarters of the budget (a 64 MiB budget on four workers makes 4 MiB
-/// runs); without one, [`SORT_RUN_BYTES`] (or [`COUNT_RUN_BYTES`]) for
-/// raw chunks, and none — a run per [`MERGE_RUN_ARITY`] pieces — for runs.
-fn merge_run_target(spill: &Option<SpillConfig>, raw: bool, counted: bool) -> Option<usize> {
-    match spill {
-        Some(cfg) => Some(cfg.batch_bytes()),
-        None if !raw => None,
-        None if counted => Some(COUNT_RUN_BYTES),
-        None => Some(SORT_RUN_BYTES),
-    }
-}
-
-enum FoldState {
+enum FoldState<'a> {
     /// Unswapped concat: a segment list, gathered once at the close.
     Concat(Vec<Bytes>),
     /// Rerun: gather everything, one re-execution at the close. The pieces
@@ -440,6 +430,14 @@ enum FoldState {
         heap_bytes: usize,
         spilled: bool,
     },
+    /// A merge fold's closing merge cut into key ranges, while its raw
+    /// chunks are scattered among them: each range's merge, and the lines
+    /// each scatter item wrote to every range, by item index (`None`
+    /// while the item is out).
+    Cut {
+        parts: Vec<ClosingMerge<'a>>,
+        scattered: Vec<Option<Vec<Bytes>>>,
+    },
     /// A merge fold's closing merge, cut into parts: each part's output by
     /// part index, `None` while the part is out being merged.
     Parts(Vec<Option<PartOutput>>),
@@ -454,10 +452,10 @@ struct Pending {
     bytes: usize,
 }
 
-impl FoldState {
+impl FoldState<'_> {
     /// An empty merge fold over `order`, closing in `count` order when
     /// given.
-    fn merge(order: Result<LineOrder, EvalError>, count: Option<CountOrder>) -> FoldState {
+    fn merge<'a>(order: Result<LineOrder, EvalError>, count: Option<CountOrder>) -> FoldState<'a> {
         FoldState::Merge {
             order,
             count,
@@ -483,7 +481,7 @@ impl<'a> IncrementalFold<'a> {
     /// as one node.
     ///
     /// Under a spill config merge runs are sized to the budget
-    /// (`merge_run_target`) and go to temp files once the heap-resident run
+    /// ([`SpillConfig::batch_bytes`]) and go to temp files once the heap-resident run
     /// bytes would cross [`SpillConfig::run_budget`], and a fold that
     /// spilled streams its closing merge through temp files as well (see
     /// [`crate::spill`]). Counter-tree folds account their stored slot
@@ -528,6 +526,7 @@ impl<'a> IncrementalFold<'a> {
             out: 0,
             closed: false,
             part_bytes: FINISH_PART_BYTES,
+            raw_part_bytes: SORT_RUN_BYTES,
         }
     }
 
@@ -538,8 +537,9 @@ impl<'a> IncrementalFold<'a> {
     /// sort(xk))` with ties to the earlier input. A rerun fold fed raw
     /// chunks runs the command once over them at the close. A merge fold
     /// whose pending pieces of one kind reached the run trigger hands them
-    /// out as a run batch. Never fails: a combine error is kept for the
-    /// close, and a fold that failed takes nothing more.
+    /// out as a run batch — raw chunks only under a spill config: without
+    /// one they wait for the close. Never fails: a combine error is kept
+    /// for the close, and a fold that failed takes nothing more.
     pub fn push(&mut self, piece: impl Into<Piece>) -> Option<FoldWork<'a>> {
         if self.failed.is_some() {
             return None;
@@ -606,11 +606,13 @@ impl<'a> IncrementalFold<'a> {
                 let list = if raw { pending_raw } else { pending };
                 list.bytes += piece.len();
                 list.pieces.push(piece);
-                let cut = match merge_run_target(&self.spill, raw, counted) {
-                    Some(target) => {
-                        list.bytes >= target || list.pieces.len() >= MERGE_RUN_MAX_PIECES
+                let cut = match (&self.spill, raw) {
+                    (Some(cfg), _) => {
+                        list.bytes >= cfg.batch_bytes() || list.pieces.len() >= MERGE_RUN_MAX_PIECES
                     }
-                    None => list.pieces.len() >= MERGE_RUN_ARITY,
+                    // Raw chunks wait for the close's sample sort.
+                    (None, true) => false,
+                    (None, false) => list.pieces.len() >= MERGE_RUN_ARITY,
                 };
                 if cut {
                     let order = order.clone()?;
@@ -653,7 +655,7 @@ impl<'a> IncrementalFold<'a> {
                 let carry = store_group(carry, &self.spill, heap_bytes, spilled)?;
                 slots.push(Some(carry));
             }
-            FoldState::Parts(_) | FoldState::Settling => {
+            FoldState::Cut { .. } | FoldState::Parts(_) | FoldState::Settling => {
                 unreachable!("a piece pushed after the close")
             }
         }
@@ -680,12 +682,23 @@ impl<'a> IncrementalFold<'a> {
                 charged,
                 run,
             } => run.map(|run| self.slot_run(index, charged, run)),
-            Done::Parts(parts) => {
-                self.state = FoldState::Parts((0..parts.len()).map(|_| None).collect());
-                self.out += parts.len();
-                let work = (parts.into_iter().enumerate())
-                    .map(|(index, part)| FoldWork(Work::Part(Some(index), part)));
-                return Step::Work(work.collect());
+            Done::Cut(parts, scatters) => {
+                self.state = FoldState::Cut {
+                    parts,
+                    scattered: scatters.iter().map(|_| None).collect(),
+                };
+                if !scatters.is_empty() {
+                    self.out += scatters.len();
+                    let work = scatters.into_iter().map(|s| FoldWork(Work::Scatter(s)));
+                    return Step::Work(work.collect());
+                }
+                Ok(())
+            }
+            Done::Scattered(index, lines) => {
+                if let FoldState::Cut { scattered, .. } = &mut self.state {
+                    scattered[index] = Some(lines);
+                }
+                Ok(())
             }
             Done::Part(index, output) => output.map(|output| {
                 if let FoldState::Parts(outputs) = &mut self.state {
@@ -738,8 +751,9 @@ impl<'a> IncrementalFold<'a> {
 
     /// The next round of a closed fold's work, none of it out: the run
     /// batches of a merge fold's pending pieces, then its closing merge —
-    /// in one part, or cut into parts whose outputs are then stitched —
-    /// or the settling of any other fold, or of one fed nothing.
+    /// in one part, or cut into key ranges (scattering its raw chunks
+    /// among them) whose outputs are then stitched — or the settling of
+    /// any other fold, or of one fed nothing.
     fn next_work(&mut self) -> Result<Vec<Work<'a>>, EvalError> {
         if let FoldState::Merge {
             pending,
@@ -747,7 +761,9 @@ impl<'a> IncrementalFold<'a> {
             ..
         } = &self.state
         {
-            if !(pending.pieces.is_empty() && pending_raw.pieces.is_empty()) {
+            // Without a spill config raw chunks go to the close as they are.
+            let raw_batches = self.spill.is_some() && !pending_raw.pieces.is_empty();
+            if !pending.pieces.is_empty() || raw_batches {
                 return self.seal();
             }
         }
@@ -766,18 +782,23 @@ impl<'a> IncrementalFold<'a> {
                 order,
                 count,
                 runs,
+                pending_raw,
                 spilled,
                 ..
             } => {
                 let runs: Vec<Bytes> = (runs.into_iter())
                     .map(|run| run.expect("every batch completed"))
                     .collect();
-                let parts = finish_part_count(runs.iter().map(Bytes::len).sum(), self.part_bytes);
+                let parts = finish_part_count(
+                    [runs.iter().map(Bytes::len).sum(), pending_raw.bytes],
+                    [self.part_bytes, self.raw_part_bytes],
+                );
                 let merge = ClosingMerge {
                     env,
                     order: order?,
                     count,
                     runs,
+                    raw: pending_raw.pieces,
                     // Once a run has spilled, every part streams through a
                     // temp file, so the heap never holds the merged output.
                     spill: spill.filter(|_| spilled),
@@ -786,6 +807,13 @@ impl<'a> IncrementalFold<'a> {
                     0 | 1 => Work::Part(None, merge),
                     _ => Work::Partition(merge, parts),
                 }
+            }
+            FoldState::Cut { parts, scattered } => {
+                let parts = with_scattered_lines(parts, scattered);
+                self.state = FoldState::Parts(parts.iter().map(|_| None).collect());
+                let work = (parts.into_iter().enumerate())
+                    .map(|(index, part)| Work::Part(Some(index), part));
+                return Ok(work.collect());
             }
             FoldState::Parts(outputs) => Work::Stitch(
                 (outputs.into_iter())
@@ -804,10 +832,10 @@ impl<'a> IncrementalFold<'a> {
     }
 
     /// The pending pieces of a closed merge fold as run batches, so that
-    /// the closing merge reads runs only. Each kind's tail is cut by bytes,
-    /// at line ends — one piece may feed two batches — into batches of
-    /// about a part's bytes, a pure function of the pieces like every
-    /// other cut the fold makes.
+    /// the closing merge reads runs — and, without a spill config, raw
+    /// chunks — only. Each kind's tail is cut by bytes, at line ends — one
+    /// piece may feed two batches — into batches of about a part's bytes,
+    /// a pure function of the pieces like every other cut the fold makes.
     fn seal(&mut self) -> Result<Vec<Work<'a>>, EvalError> {
         let env = self.env;
         let FoldState::Merge {
@@ -825,6 +853,9 @@ impl<'a> IncrementalFold<'a> {
         let order = order.clone()?;
         let mut batches = Vec::new();
         for (raw, list) in [(false, pending), (true, pending_raw)] {
+            if raw && self.spill.is_none() {
+                continue;
+            }
             for pieces in cut_by_bytes(std::mem::take(list), self.part_bytes) {
                 let bytes = pieces.iter().map(Bytes::len).sum();
                 let (charged, spill) = charge_batch(&self.spill, heap_bytes, spilled, bytes);
@@ -884,8 +915,12 @@ pub struct FoldWork<'a>(Work<'a>);
 enum Work<'a> {
     /// A run batch: merge its runs, or sort its raw chunks.
     Batch(Batch<'a>),
-    /// Cut the closing merge into this many key ranges.
+    /// Cut the closing merge into this many key ranges: sample its
+    /// splitters, cut its runs, and hand its raw chunks out to be
+    /// scattered.
     Partition(ClosingMerge<'a>, usize),
+    /// Write some of the closing merge's raw chunks to its key ranges.
+    Scatter(Scatter),
     /// Merge one key range of the closing merge, by part index — or, with
     /// no index, the closing merge whole, which closes the fold.
     Part(Option<usize>, ClosingMerge<'a>),
@@ -904,7 +939,11 @@ impl<'a> FoldWork<'a> {
                 charged: batch.charged,
                 run: batch.run(),
             },
-            Work::Partition(merge, parts) => Done::Parts(merge.partition(parts)),
+            Work::Partition(merge, parts) => {
+                let (parts, scatters) = merge.partition(parts);
+                Done::Cut(parts, scatters)
+            }
+            Work::Scatter(scatter) => Done::Scattered(scatter.index, scatter.run()),
             Work::Part(Some(index), part) => Done::Part(index, part.merge()),
             Work::Part(None, part) => Done::Closed(part.merge().map(|output| stitch(vec![output]))),
             Work::Stitch(outputs) => Done::Closed(Ok(stitch(outputs))),
@@ -913,13 +952,15 @@ impl<'a> FoldWork<'a> {
     }
 
     /// The name of the work's trace span, and its `seq`: `fold-merge` for
-    /// a run batch (the batch index), `fold-partition`, `fold-finish` for a
-    /// part (the part index), `fold-stitch`, and an unnumbered
-    /// `fold-finish` for work that closes the fold by itself.
+    /// a run batch (the batch index), `fold-partition`, `fold-scatter` for
+    /// a scatter item (the item index), `fold-finish` for a part (the part
+    /// index), `fold-stitch`, and an unnumbered `fold-finish` for work that
+    /// closes the fold by itself.
     pub fn span(&self) -> (&'static str, Option<usize>) {
         match &self.0 {
             Work::Batch(batch) => ("fold-merge", Some(batch.index)),
             Work::Partition(..) => ("fold-partition", None),
+            Work::Scatter(scatter) => ("fold-scatter", Some(scatter.index)),
             Work::Part(index, _) => ("fold-finish", *index),
             Work::Stitch(_) => ("fold-stitch", None),
             Work::Settle(_) => ("fold-finish", None),
@@ -936,7 +977,11 @@ enum Done<'a> {
         charged: usize,
         run: Result<Bytes, EvalError>,
     },
-    Parts(Vec<ClosingMerge<'a>>),
+    /// The closing merge's key ranges, and the scatter work that fills
+    /// them with its raw lines.
+    Cut(Vec<ClosingMerge<'a>>, Vec<Scatter>),
+    /// What a scatter item wrote to each key range, by item index.
+    Scattered(usize, Vec<Bytes>),
     Part(usize, Result<PartOutput, EvalError>),
     Closed(Result<Rope, EvalError>),
 }
@@ -1068,51 +1113,72 @@ struct ClosingMerge<'a> {
     count: Option<CountOrder>,
     /// The runs — or this part's slice of each — in run order.
     runs: Vec<Bytes>,
+    /// Raw chunks — or the lines of this part — to sort into one more run.
+    raw: Vec<Bytes>,
     /// Set when the fold spilled: the merge streams through a temp file,
     /// releasing the run slices' pages behind its frontier.
     spill: Option<SpillConfig>,
 }
 
 impl<'a> ClosingMerge<'a> {
-    /// The merge cut into `parts` key ranges, empty ones dropped: the
-    /// splitters sampled from the runs, every run cut by binary search,
-    /// no bytes moved.
-    fn partition(self, parts: usize) -> Vec<ClosingMerge<'a>> {
+    /// The merge cut into `parts` key ranges, some perhaps empty: the
+    /// splitters sampled from the runs and the raw chunks together, every
+    /// run cut by binary search, no bytes moved — and the raw chunks, in
+    /// stream order, handed out as scatter items of about a part's bytes
+    /// each, which move every raw line to its range.
+    fn partition(self, parts: usize) -> (Vec<ClosingMerge<'a>>, Vec<Scatter>) {
         let views: Vec<&[u8]> = self.runs.iter().map(Bytes::as_bytes).collect();
+        let raw: Vec<&[u8]> = self.raw.iter().map(Bytes::as_bytes).collect();
         // Searching a spilled run leaves pages all over it resident: drop
         // them as soon as each search is done, or the partition alone
         // would map every run whole.
         let mut release = |r: usize| self.runs[r].release_range(0..self.runs[r].len());
-        (self
-            .order
-            .partition(&views, parts, &mut release)
-            .into_iter())
-        .filter(|ranges| ranges.iter().any(|r| !r.is_empty()))
-        .map(|ranges| ClosingMerge {
-            env: self.env,
-            order: self.order,
-            count: self.count,
-            runs: self
-                .runs
-                .iter()
-                .zip(ranges)
-                .map(|(s, r)| s.slice(r))
-                .collect(),
-            spill: self.spill.clone(),
+        let splitters = self.order.splitters(&views, &raw, parts, &mut release);
+        let merges = (splitters.cut(&views, &mut release).into_iter())
+            .map(|ranges| ClosingMerge {
+                env: self.env,
+                order: self.order,
+                count: self.count,
+                runs: (self.runs.iter().zip(ranges))
+                    .map(|(s, r)| s.slice(r))
+                    .collect(),
+                raw: Vec::new(),
+                spill: self.spill.clone(),
+            })
+            .collect();
+        let bytes = raw.iter().map(|chunk| chunk.len()).sum();
+        let splitters = Arc::new(splitters);
+        let pending = Pending {
+            pieces: self.raw,
+            bytes,
+        };
+        let scatters = (cut_by_bytes(pending, (bytes / parts).max(1))
+            .into_iter()
+            .enumerate())
+        .map(|(index, chunks)| Scatter {
+            index,
+            splitters: Arc::clone(&splitters),
+            chunks,
         })
-        .collect()
+        .collect();
+        (merges, scatters)
     }
 
-    /// Merges the runs into a segment of the combined stream — or, for a
-    /// fold closing in count order, into their lines regrouped by count.
+    /// Sorts the raw lines into a run beside the others, and merges the
+    /// runs into a segment of the combined stream — or, for a fold closing
+    /// in count order, into their lines regrouped by count.
     fn merge(self) -> Result<PartOutput, EvalError> {
         let ClosingMerge {
             env,
             order,
             count,
-            runs,
+            mut runs,
+            raw,
             spill,
         } = self;
+        if !raw.is_empty() {
+            runs.push(sort_raw(order, raw)?);
+        }
         Ok(match (count, spill) {
             (None, None) => PartOutput::Segment(merge_pieces(env, order, &runs)?),
             (None, Some(cfg)) => PartOutput::Segment(merge_spilled_runs(env, order, runs, &cfg)?),
@@ -1128,12 +1194,58 @@ impl<'a> ClosingMerge<'a> {
     }
 }
 
+/// The key ranges of a closing merge with the lines every scatter item
+/// wrote to each, in item order — stream order — and the ranges that
+/// hold nothing dropped.
+fn with_scattered_lines<'a>(
+    parts: Vec<ClosingMerge<'a>>,
+    scattered: Vec<Option<Vec<Bytes>>>,
+) -> Vec<ClosingMerge<'a>> {
+    let mut scattered: Vec<_> = (scattered.into_iter())
+        .map(|lines| lines.expect("every scatter item completed").into_iter())
+        .collect();
+    (parts.into_iter())
+        .map(|mut part| {
+            part.raw = (scattered.iter_mut())
+                .filter_map(Iterator::next)
+                .filter(|lines| !lines.is_empty())
+                .collect();
+            part
+        })
+        .filter(|part| part.runs.iter().chain(&part.raw).any(|b| !b.is_empty()))
+        .collect()
+}
+
+/// Some of a closing merge's raw chunks, in stream order, to be written
+/// to its key ranges outside whatever lock guards the fold.
+struct Scatter {
+    /// Position of the item among the close's scatter items.
+    index: usize,
+    splitters: Arc<Splitters>,
+    chunks: Vec<Bytes>,
+}
+
+impl Scatter {
+    /// The lines of the chunks, one buffer per key range
+    /// ([`Splitters::scatter`]).
+    fn run(self) -> Vec<Bytes> {
+        let views: Vec<&[u8]> = self.chunks.iter().map(Bytes::as_bytes).collect();
+        let ranges = self.splitters.scatter(&views);
+        // The scatter faulted in every page of a mapped chunk, which the
+        // split had already let go of: let go of them again.
+        for chunk in self.chunks.iter().filter(|chunk| chunk.is_mmap_backed()) {
+            chunk.release_range(0..chunk.len());
+        }
+        ranges.into_iter().map(Bytes::from).collect()
+    }
+}
+
 /// The close of a fold that is no merge — or of one fed nothing, as a
 /// rerun fold fed no chunk.
 struct Settle<'a> {
     members: &'a [Candidate],
     env: &'a dyn RunEnv,
-    state: FoldState,
+    state: FoldState<'a>,
     spill: Option<SpillConfig>,
 }
 
@@ -1230,20 +1342,11 @@ struct Batch<'a> {
 
 impl Batch<'_> {
     /// Makes the batch one sorted run: the merge of its sorted pieces, or
-    /// the sort of its raw ones' concatenation (which joins adjacent views
-    /// of one buffer, the chunks of a split, without a copy) — and writes
-    /// it out and maps it back when the fold's ledger said so.
+    /// the sort of its raw ones ([`sort_raw`]) — and writes it out and
+    /// maps it back when the fold's ledger said so.
     fn run(self) -> Result<Bytes, EvalError> {
         let run = if self.raw {
-            let input = kq_stream::concat_bytes(&self.pieces);
-            drop(self.pieces);
-            let sorted = self.order.sort_bytes(&input).map_err(EvalError::Run)?;
-            // The sort faulted in every page of a mapped batch, which the
-            // split had already let go of: let go of them again.
-            if input.is_mmap_backed() {
-                input.release_range(0..input.len());
-            }
-            sorted
+            sort_raw(self.order, self.pieces)?
         } else {
             merge_pieces(self.env, self.order, &self.pieces)?
         };
@@ -1252,6 +1355,21 @@ impl Batch<'_> {
             None => Ok(run),
         }
     }
+}
+
+/// The sort of raw chunks' concatenation — in counted mode, their count —
+/// which joins adjacent views of one buffer, the chunks of a split,
+/// without a copy.
+fn sort_raw(order: LineOrder, chunks: Vec<Bytes>) -> Result<Bytes, EvalError> {
+    let input = kq_stream::concat_bytes(&chunks);
+    drop(chunks);
+    let sorted = order.sort_bytes(&input).map_err(EvalError::Run)?;
+    // The sort faulted in every page of a mapped input, which the split
+    // had already let go of: let go of them again.
+    if input.is_mmap_backed() {
+        input.release_range(0..input.len());
+    }
+    Ok(sorted)
 }
 
 /// Fragment granularity of the streamed spilled-run merge: how much merged
@@ -1552,7 +1670,7 @@ mod tests {
     /// in the order handed out: the combined stream, and the span of each
     /// piece of work run.
     fn close_in_parts(mut fold: IncrementalFold<'_>, part_bytes: usize) -> (Rope, Spans) {
-        fold.part_bytes = part_bytes;
+        set_part_bytes(&mut fold, part_bytes);
         let mut spans = Vec::new();
         let mut queue = std::collections::VecDeque::new();
         let mut step = fold.close();
@@ -1566,6 +1684,12 @@ mod tests {
             spans.push(work.span());
             step = fold.complete(work.run());
         }
+    }
+
+    /// Parts of `part_bytes` bytes, of runs and of raw chunks alike.
+    fn set_part_bytes(fold: &mut IncrementalFold<'_>, part_bytes: usize) {
+        fold.part_bytes = part_bytes;
+        fold.raw_part_bytes = part_bytes;
     }
 
     /// The parts a close merged, checked to be numbered in order.
@@ -1810,7 +1934,7 @@ mod tests {
         seed: u64,
     ) -> Bytes {
         use rand::{rngs::SmallRng, Rng, SeedableRng};
-        fold.part_bytes = part_bytes;
+        set_part_bytes(&mut fold, part_bytes);
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut out: Vec<FoldWork> = Vec::new();
         for piece in pieces {
@@ -2265,7 +2389,7 @@ mod tests {
                         }
                         let (got, spans) = close_in_parts(fold, part_bytes);
                         // `-u` runs are smaller than the pieces they merged.
-                        let at_most = finish_part_count(total, part_bytes);
+                        let at_most = finish_part_count([total, 0], [part_bytes; 2]);
                         assert!(parts(&spans) <= at_most);
                         if part_bytes <= 40 {
                             assert!(parts(&spans) > 2, "{flags:?}: the fold must cut");
@@ -2583,7 +2707,9 @@ mod tests {
                                     fold.complete(work.run());
                                 }
                             }
-                            assert!(cut[1] > 0 && (cut[0] > 0 || budget.is_some()), "{cut:?}");
+                            // Raw chunks are batched under a budget only.
+                            assert_eq!(cut[1] > 0, budget.is_some(), "{cut:?}");
+                            assert!(cut[0] > 0 || budget.is_some(), "{cut:?}");
                             let (got, spans) = close_in_parts(fold, part_bytes);
                             if part_bytes <= 40 {
                                 assert!(
@@ -2791,14 +2917,14 @@ mod tests {
         }
     }
 
-    /// Without a budget, raw chunks are cut into batches by their bytes,
-    /// sorted pieces by their number.
+    /// Raw chunks are cut into batches under a budget only, by their
+    /// bytes — without one they wait for the close's sample sort — and
+    /// sorted pieces without a budget by their number.
     #[test]
-    fn raw_batches_are_cut_by_bytes_and_sorted_ones_by_count() {
+    fn raw_chunks_are_batched_under_a_budget_only_and_sorted_ones_by_count() {
         let c = merge_candidate("");
         let order = LineOrder::parse(&[]).unwrap();
         let piece = Bytes::from("b\na\n".repeat(SORT_RUN_BYTES / 32));
-        assert_eq!(piece.len() * 8, SORT_RUN_BYTES);
         let mut sorting = IncrementalFold::over(
             std::slice::from_ref(&c),
             Some((order, None)),
@@ -2809,7 +2935,238 @@ mod tests {
         for i in 1..=MERGE_RUN_ARITY {
             let raw_cut = sorting.push(Piece::Raw(piece.clone())).is_some();
             let merge_cut = merging.push(piece.clone()).is_some();
-            assert_eq!((raw_cut, merge_cut), (i % 8 == 0, i == MERGE_RUN_ARITY));
+            assert_eq!((raw_cut, merge_cut), (false, i == MERGE_RUN_ARITY));
+        }
+        with_spill_dir("raw-batches", 8 * SORT_RUN_BYTES, |cfg| {
+            let mut budgeted = IncrementalFold::over(
+                std::slice::from_ref(&c),
+                Some((order, None)),
+                &FakeEnv,
+                Some(cfg.clone()),
+            );
+            let mut pending = 0;
+            for _ in 0..MERGE_RUN_ARITY {
+                pending += piece.len();
+                let cut = budgeted.push(Piece::Raw(piece.clone()));
+                assert_eq!(cut.is_some(), pending >= cfg.batch_bytes());
+                if let Some(batch) = cut {
+                    budgeted.complete(batch.run());
+                    pending = 0;
+                }
+            }
+        });
+    }
+
+    /// The close of a merge fold fed raw chunks with no budget, handed out
+    /// in the order it runs: the spans of each round of work, and the
+    /// close's result.
+    fn sample_sort_rounds(mut fold: IncrementalFold<'_>) -> (Vec<Spans>, Bytes) {
+        let mut rounds = Vec::new();
+        let mut step = fold.close();
+        loop {
+            let work = match step {
+                Step::Done(result) => return (rounds, result.unwrap().into_bytes()),
+                Step::Work(work) => work,
+                Step::Wait => unreachable!("a round is run whole before the next"),
+            };
+            rounds.push(work.iter().map(FoldWork::span).collect());
+            let mut steps: Vec<Step> = work.into_iter().map(|w| fold.complete(w.run())).collect();
+            step = steps.pop().expect("a round of work");
+            assert!(steps.iter().all(|step| matches!(step, Step::Wait)));
+        }
+    }
+
+    /// The sample-sort close: a merge fold fed raw chunks with no budget
+    /// hands out no batch, samples its splitters from the raw chunks (and
+    /// any counted runs), scatters the chunks into its key ranges in
+    /// numbered items, and sorts each range once — in 1, 2 and 32 parts,
+    /// for every order and for inputs that put everything in one range,
+    /// tie in their first eight bytes across a splitter, differ only past
+    /// them, hold NULs, empty lines, an unterminated last line and Latin-1
+    /// bytes. The result is `sort::reference` of the stream: the sort, its
+    /// count, or that count in count order.
+    #[test]
+    fn a_sample_sort_close_equals_the_reference_sort() {
+        use kq_coreutils::sort::reference;
+        let ctx = kq_coreutils::ExecContext::default();
+        let mut inputs: Vec<(&str, Vec<u8>)> = vec![
+            ("one line", "same line\n".repeat(600).into_bytes()),
+            (
+                "ties past byte 8",
+                (0..900)
+                    .flat_map(|i| format!("apple dog item {:04}\n", i * 7919 % 1000).into_bytes())
+                    .collect(),
+            ),
+            (
+                "differ past byte 8",
+                (0..900)
+                    .flat_map(|i| {
+                        format!("prefix{:02}{}\n", i % 3, "z".repeat(i % 11)).into_bytes()
+                    })
+                    .collect(),
+            ),
+            // Over a thousand lines a chunk, nearly all distinct: the
+            // table of `-u` gives up on them.
+            (
+                "distinct",
+                (0..9000)
+                    .flat_map(|i| format!("line {:05} of many\n", i * 7919 % 9001).into_bytes())
+                    .collect(),
+            ),
+            (
+                "NULs",
+                (0..900)
+                    .flat_map(|i| {
+                        let mut line = vec![b'k'; i % 5];
+                        line.extend(std::iter::repeat_n(0u8, i % 4));
+                        line.extend_from_slice(format!("{}", i % 13).as_bytes());
+                        line.extend(std::iter::repeat_n(0u8, i % 3));
+                        line.push(b'\n');
+                        line
+                    })
+                    .collect(),
+            ),
+        ];
+        let mut odd: Vec<u8> = (0..900)
+            .flat_map(|i| match i % 6 {
+                0 => b"\n".to_vec(),
+                1 => format!("Caf\u{e9}{}\n", i % 7).into_bytes(),
+                2 => [&b"caf\xe9 "[..], format!("{}\n", i % 9).as_bytes()].concat(),
+                3 => format!(" {} x\n", i % 11).into_bytes(),
+                4 => format!("-{}\n", i % 5).into_bytes(),
+                _ => [&b"\xffKey"[..], format!("{}\n", i % 4).as_bytes()].concat(),
+            })
+            .collect();
+        odd.extend_from_slice(b"unterminated last");
+        inputs.push(("odd lines", odd));
+        let kinds = [
+            ("sorted", ""),
+            ("sorted", "-r"),
+            ("sorted", "-f"),
+            ("sorted", "-n"),
+            ("sorted", "-rn"),
+            ("sorted", "-k1n"),
+            ("sorted", "-u"),
+            ("sorted", "-fu"),
+            ("sorted", "-nu"),
+            ("counted", ""),
+            ("counted", "-r"),
+            ("counted", "-n"),
+            ("counted", "-f"),
+            ("count order", ""),
+            ("count order", "-r"),
+        ];
+        for (name, input) in &inputs {
+            let text = String::from_utf8_lossy(input);
+            // The reference reads text: keep to inputs it reads whole.
+            let lossless = std::str::from_utf8(input).is_ok();
+            let whole = Bytes::from(input.clone());
+            let chunks = whole.split_chunks(input.len() / 7);
+            for (kind, pair) in kinds {
+                if !lossless && kind != "sorted" {
+                    continue;
+                }
+                let plain = LineOrder::parse(&words(pair)).unwrap();
+                let by_count = LineOrder::parse(&words("-rn")).unwrap();
+                let (order, count) = match kind {
+                    "sorted" => (plain, None),
+                    "counted" => (plain.counted(), None),
+                    _ => (plain.counted(), Some(plain.count_order(by_count).unwrap())),
+                };
+                let command = kq_coreutils::parse_command(&format!("sort {pair}")).unwrap();
+                let env = crate::eval::CommandEnv {
+                    command: &command,
+                    ctx: &ctx,
+                };
+                let expect = match kind {
+                    "sorted" => command.run(whole.clone(), &ctx).unwrap(),
+                    "counted" => Bytes::from(reference::sort_count(order, &text)),
+                    _ => Bytes::from(reference::sort(
+                        by_count,
+                        &reference::sort_count(order, &text),
+                    )),
+                };
+                if lossless && kind == "sorted" {
+                    assert_eq!(expect, reference::sort(order, &text), "{name}: sort {pair}");
+                }
+                let c = merge_candidate(pair);
+                for (parts, part_bytes) in [(1, input.len() * 2), (2, input.len() / 2), (32, 1)] {
+                    let mut fold = IncrementalFold::over(
+                        std::slice::from_ref(&c),
+                        Some((order, count)),
+                        &env,
+                        None,
+                    );
+                    set_part_bytes(&mut fold, part_bytes);
+                    for chunk in &chunks {
+                        assert!(fold.push(Piece::Raw(chunk.clone())).is_none());
+                    }
+                    let (rounds, got) = sample_sort_rounds(fold);
+                    let label = format!("{name}: {kind} {pair} in {parts} part(s)");
+                    assert_eq!(got, expect, "{label}");
+                    let names = |round: &Spans| -> Vec<&str> {
+                        let mut names: Vec<&str> = round.iter().map(|s| s.0).collect();
+                        names.dedup();
+                        names
+                    };
+                    let shape: Vec<Vec<&str>> = rounds.iter().map(names).collect();
+                    if parts == 1 {
+                        assert_eq!(shape, [["fold-finish"]], "{label}");
+                        continue;
+                    }
+                    assert_eq!(
+                        shape,
+                        [
+                            &["fold-partition"][..],
+                            &["fold-scatter"],
+                            &["fold-finish"],
+                            &["fold-stitch"]
+                        ],
+                        "{label}"
+                    );
+                    let seqs = |round: &Spans| round.iter().map(|s| s.1).collect::<Vec<_>>();
+                    let items = seqs(&rounds[1]);
+                    assert_eq!(items, (0..items.len()).map(Some).collect::<Vec<_>>());
+                    assert!(items.len() >= parts.min(chunks.len()) / 2, "{label}");
+                    let ranges = seqs(&rounds[2]).len();
+                    if *name == "one line" {
+                        assert_eq!(ranges, 1, "{label}: one repeated line is one range");
+                    } else if (kind, pair) == ("sorted", "") {
+                        assert!(ranges > parts / 4, "{label}: {ranges} ranges");
+                    }
+                }
+            }
+        }
+        // Counted runs and raw chunks mixed under a counted order, closed
+        // in 1, 2 and 32 parts: the runs cut by binary search beside the
+        // scattered chunks.
+        let counted = LineOrder::parse(&[]).unwrap().counted();
+        let (stream, pieces) = counted_and_raw_chunks(counted);
+        let expect = reference::sort_count(counted, &stream);
+        let sort = kq_coreutils::parse_command("sort").unwrap();
+        let env = crate::eval::CommandEnv {
+            command: &sort,
+            ctx: &ctx,
+        };
+        let raw: usize = (pieces.iter())
+            .filter(|piece| matches!(piece, Piece::Raw(_)))
+            .map(|piece| piece.bytes().len())
+            .sum();
+        for part_bytes in [raw * 2, raw / 2, 1] {
+            let c = merge_candidate("");
+            let mut fold =
+                IncrementalFold::over(std::slice::from_ref(&c), Some((counted, None)), &env, None);
+            for piece in &pieces {
+                push_piece(&mut fold, piece.clone());
+            }
+            set_part_bytes(&mut fold, part_bytes);
+            let (rounds, got) = sample_sort_rounds(fold);
+            assert!(
+                got == expect.as_str(),
+                "mixed in parts of {part_bytes} bytes"
+            );
+            let scattered = rounds.iter().flatten().any(|s| s.0 == "fold-scatter");
+            assert_eq!(scattered, part_bytes < raw, "parts of {part_bytes} bytes");
         }
     }
 
@@ -2837,13 +3194,13 @@ mod tests {
         panic!("no mapping holds {addr:#x}")
     }
 
-    /// A sorting fold's batch of a mapped input is a view of the map: the
-    /// sort faults every page of it in, and the batch lets go of them once
-    /// its run exists, so sorting a 32 MiB mapped file batch by batch
-    /// leaves little of the file resident.
+    /// A sorting fold's raw chunks of a mapped input are views of the map:
+    /// the scatter faults every page of them in, and each scatter item
+    /// lets go of its chunks' pages once their lines are in their ranges,
+    /// so scattering a 32 MiB mapped file leaves little of it resident.
     #[cfg(target_os = "linux")]
     #[test]
-    fn a_sorting_fold_releases_the_mapped_pages_it_sorted() {
+    fn a_sorting_fold_releases_the_mapped_pages_it_scattered() {
         use kq_io::{IngestOptions, MmapMode};
         let path = std::env::temp_dir().join(format!("kq-kway-mapped-{}", std::process::id()));
         let text: String = (0..1_500_000u64)
@@ -2864,21 +3221,27 @@ mod tests {
             None,
         );
         for chunk in mapped.chunks(64 << 10) {
-            push_raw(&mut fold, &chunk);
+            assert!(fold.push(Piece::Raw(chunk)).is_none());
         }
-        // The tail's batches, sorted; the closing merge is not run.
-        let Step::Work(batches) = fold.close() else {
-            panic!("a fold with chunks pending hands out their batches");
+        // The partition, then the scatter; the range sorts are not run.
+        let Step::Work(mut work) = fold.close() else {
+            panic!("a fold with raw chunks closes by work");
         };
-        for batch in batches {
-            assert_eq!(batch.span().0, "fold-merge");
-            fold.complete(batch.run());
+        let partition = work.pop().expect("the partition");
+        assert_eq!(partition.span(), ("fold-partition", None));
+        let Step::Work(scatters) = fold.complete(partition.run()) else {
+            panic!("the partition hands out the scatter");
+        };
+        assert_eq!(scatters.len(), FINISH_MAX_PARTS);
+        for scatter in scatters {
+            assert_eq!(scatter.span().0, "fold-scatter");
+            fold.complete(scatter.run());
         }
         let resident = mapping_rss_kib(mapped.as_bytes().as_ptr() as usize);
         let file_kib = mapped.len() / 1024;
         assert!(
             resident < file_kib / 2,
-            "{resident} KiB of the {file_kib} KiB file still resident after sorting"
+            "{resident} KiB of the {file_kib} KiB file still resident after the scatter"
         );
     }
 
@@ -2897,66 +3260,83 @@ mod tests {
         (batches, spans)
     }
 
+    /// The tail a close seals — sorted pieces, and raw chunks under a
+    /// budget — is cut by bytes at line ends into batches of about a
+    /// part's bytes; raw chunks without a budget are not sealed, but
+    /// scattered.
     #[test]
     fn sealing_cuts_the_tail_by_bytes_at_line_ends() {
         let c = merge_candidate("");
         let order = LineOrder::parse(&[]).unwrap();
         let pieces = raw_chunks(3, 40);
         let total: usize = pieces.iter().map(Bytes::len).sum();
-        // Three raw pieces that close in parts of a third of their bytes:
-        // three batches, each about a third, cut at line ends, that are
-        // the pieces' bytes in order.
+        // Three raw pieces under a budget that cuts no batch while they
+        // are pushed, closing in parts of a third of their bytes: three
+        // batches, each about a third, cut at line ends, that are the
+        // pieces' bytes in order.
+        with_spill_dir("seal", 1 << 30, |cfg| {
+            let mut fold = IncrementalFold::over(
+                std::slice::from_ref(&c),
+                Some((order, None)),
+                &FakeEnv,
+                Some(cfg.clone()),
+            );
+            fold.part_bytes = total / 3;
+            for p in &pieces {
+                assert!(fold.push(Piece::Raw(p.clone())).is_none());
+            }
+            let (batches, spans) = close_batches(&mut fold);
+            assert_eq!(batches.len(), 3);
+            let indices: Vec<usize> = batches.iter().map(|batch| batch.index).collect();
+            assert_eq!(indices, [0, 1, 2]);
+            assert_eq!(spans.len(), 3, "the close hands out batches only");
+            let mut cut = Vec::new();
+            for batch in &batches {
+                assert!(batch.raw);
+                let bytes: usize = batch.pieces.iter().map(Bytes::len).sum();
+                assert!(bytes.abs_diff(total / 3) < 40, "{bytes} of {total}");
+                assert!(batch.pieces.iter().all(|p| p.as_bytes().ends_with(b"\n")));
+                cut.extend(batch.pieces.iter().cloned());
+            }
+            assert_eq!(
+                kq_stream::concat_bytes(&cut),
+                kq_stream::concat_bytes(&pieces)
+            );
+            // Sealed: once the runs are back, the closing merge is cut.
+            let mut steps: Vec<Step> = batches
+                .into_iter()
+                .map(|batch| fold.complete(FoldWork(Work::Batch(batch)).run()))
+                .collect();
+            let Some(Step::Work(next)) = steps.pop() else {
+                panic!("the last run back moves the close on");
+            };
+            assert!(steps.iter().all(|step| matches!(step, Step::Wait)));
+            let next: Spans = next.iter().map(FoldWork::span).collect();
+            assert_eq!(next, [("fold-partition", None)]);
+        });
+        // Sorted pieces below a part's bytes: the tail is one batch.
         let mut fold = IncrementalFold::over(
             std::slice::from_ref(&c),
             Some((order, None)),
             &FakeEnv,
             None,
         );
-        fold.part_bytes = total / 3;
-        for p in &pieces {
-            assert!(fold.push(Piece::Raw(p.clone())).is_none());
-        }
-        let (batches, spans) = close_batches(&mut fold);
-        assert_eq!(batches.len(), 3);
-        let indices: Vec<usize> = batches.iter().map(|batch| batch.index).collect();
-        assert_eq!(indices, [0, 1, 2]);
-        assert_eq!(spans.len(), 3, "the close hands out batches only");
-        let mut cut = Vec::new();
-        for batch in &batches {
-            let bytes: usize = batch.pieces.iter().map(Bytes::len).sum();
-            assert!(bytes.abs_diff(total / 3) < 40, "{bytes} of {total}");
-            assert!(batch.pieces.iter().all(|p| p.as_bytes().ends_with(b"\n")));
-            cut.extend(batch.pieces.iter().cloned());
-        }
-        assert_eq!(
-            kq_stream::concat_bytes(&cut),
-            kq_stream::concat_bytes(&pieces)
-        );
-        // Sealed: once the runs are back, the closing merge is cut.
-        let mut steps: Vec<Step> = batches
-            .into_iter()
-            .map(|batch| fold.complete(FoldWork(Work::Batch(batch)).run()))
-            .collect();
-        let Some(Step::Work(next)) = steps.pop() else {
-            panic!("the last run back moves the close on");
-        };
-        assert!(steps.iter().all(|step| matches!(step, Step::Wait)));
-        let next: Spans = next.iter().map(FoldWork::span).collect();
-        assert_eq!(next, [("fold-partition", None)]);
-        // Below a part's bytes, the tail is one batch, raw or sorted.
-        for raw in [true, false] {
+        pieces.iter().for_each(|p| push(&mut fold, p));
+        assert_eq!(close_batches(&mut fold).0.len(), 1);
+        // Raw chunks without a budget: no batch, the partition of the
+        // sample sort when they are a part's bytes or more.
+        for (raw_part_bytes, first) in [(total / 3, "fold-partition"), (total * 2, "fold-finish")] {
             let mut fold = IncrementalFold::over(
                 std::slice::from_ref(&c),
                 Some((order, None)),
                 &FakeEnv,
                 None,
             );
-            if raw {
-                pieces.iter().for_each(|p| push_raw(&mut fold, p));
-            } else {
-                pieces.iter().for_each(|p| push(&mut fold, p));
-            }
-            assert_eq!(close_batches(&mut fold).0.len(), 1);
+            fold.raw_part_bytes = raw_part_bytes;
+            pieces.iter().for_each(|p| push_raw(&mut fold, p));
+            let (batches, spans) = close_batches(&mut fold);
+            assert!(batches.is_empty());
+            assert_eq!(spans, [(first, None)]);
         }
         // Nothing pending, or no merge: the close is one unnumbered finish.
         let cat = Candidate::rec(RecOp::Concat);
@@ -2977,17 +3357,27 @@ mod tests {
 
     #[test]
     fn the_part_count_follows_the_bytes_folded_and_small_folds_do_not_cut() {
-        assert_eq!(finish_part_count(0, FINISH_PART_BYTES), 1);
+        let per_part = [FINISH_PART_BYTES, SORT_RUN_BYTES];
+        assert_eq!(finish_part_count([0, 0], per_part), 1);
         assert_eq!(
-            finish_part_count(2 * FINISH_PART_BYTES - 1, FINISH_PART_BYTES),
+            finish_part_count(
+                [2 * FINISH_PART_BYTES - 1, 2 * SORT_RUN_BYTES - 1],
+                per_part
+            ),
             1
         );
+        assert_eq!(finish_part_count([2 * FINISH_PART_BYTES, 0], per_part), 2);
+        // The larger count of the two kinds.
         assert_eq!(
-            finish_part_count(2 * FINISH_PART_BYTES, FINISH_PART_BYTES),
-            2
+            finish_part_count([2 * FINISH_PART_BYTES, 8 * SORT_RUN_BYTES], per_part),
+            8
         );
         assert_eq!(
-            finish_part_count(usize::MAX, FINISH_PART_BYTES),
+            finish_part_count([usize::MAX, 0], per_part),
+            FINISH_MAX_PARTS
+        );
+        assert_eq!(
+            finish_part_count([0, usize::MAX], per_part),
             FINISH_MAX_PARTS
         );
         // A fold of KBs closes by the flat merge, after the batch of its

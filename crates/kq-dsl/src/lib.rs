@@ -62,11 +62,11 @@
 //! tree. An [`IncrementalFold`] hands its merges out as
 //! [`FoldWork`](kway::FoldWork) instead of making them itself, so that its
 //! owner can run them with no lock held and hand the results back: the
-//! run batches of [`push`](IncrementalFold::push) and of the close, and
-//! the key ranges of its closing merge (cut by
-//! [`LineOrder::partition`](kq_coreutils::sort::LineOrder::partition) so
-//! that `-u`, `-f`, `-n`, `-r` and the stream-order tie-break are those of
-//! the one flat merge). Its docs tell the protocol and how each combiner
+//! run batches of [`push`](IncrementalFold::push) and of the close, the
+//! scatter of its raw chunks and the key ranges of its closing merge (cut
+//! at [`LineOrder::splitters`](kq_coreutils::sort::LineOrder::splitters)
+//! so that `-u`, `-f`, `-n`, `-r` and the stream-order tie-break are those
+//! of the one flat sort or merge). Its docs tell the protocol and how each combiner
 //! folds.
 //!
 //! ```

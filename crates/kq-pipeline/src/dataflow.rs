@@ -22,10 +22,10 @@
 //! | `StageWorker { seam: false }` | the chain of chunk-local commands | none: outputs are re-normalized by an incremental chunker and forwarded **in input order** | the chunk outputs | one scheduler task per chunk, any number in flight |
 //! | `StageWorker { seam: true }` — headed by a seam stage, a `tr -s` that splits text into lines (see "Seam rewrite") | the chain, except that the head stage's output for every chunk but the first loses one leading `'\n'` before the rest of the chain sees it | none, as above | as above | as any stage worker |
 //! | `Fold { map: Chain, by: Combiner }` | the stage's command | the stage's synthesized combiner, by its own flags, in input order | the combined stream, re-chunked | per-chunk map tasks in parallel, the fold itself in arrival order |
-//! | `Fold { map: Counted, by: Merge { count: None, .. } }` — a `sort \| uniq -c` pair (see "Counting rewrite") | the hash count of the counted order: the chunk's distinct lines in the sort's order behind their counts — or, when most of its lines are distinct, the chunk itself, raw | the sort's `merge` under the counted order, raw chunks sorted in batches of their own | byte for byte the `uniq -c` stage's output | as a one-stage combine fold |
+//! | `Fold { map: Counted, by: Merge { count: None, .. } }` — a `sort \| uniq -c` pair (see "Counting rewrite") | the hash count of the counted order: the chunk's distinct lines in the sort's order behind their counts — or, when most of its lines are distinct, the chunk itself, raw | the sort's `merge` under the counted order, raw chunks kept for the close, scattered into its key ranges and each range sorted once | byte for byte the `uniq -c` stage's output | as a one-stage combine fold |
 //! | `Fold { map: Counted, by: Merge { count: Some(_), .. } }` — that pair and the numeric `sort` after it (see "Count-order rewrite") | as the counting fold | as the counting fold, except that each part of the closing merge regroups its counted lines by count, and the parts' groups are stitched count by count | byte for byte the third stage's output | as the counting fold: the parts merge and regroup as pool tasks |
 //! | `Fold { map: Chain, by: Merge { .. } }` — a `sort \| uniq` pair whose sort is not a sorting fold | `sort -u` of the chunk: the pair's chain | the sort's `merge` under `-u` | byte for byte the `uniq` stage's output | as a one-stage combine fold |
-//! | `Fold { map: Raw, by: Merge { .. } }` — a `sort`, or the `sort \| uniq` of a unique pair (see "Sorting rewrite") | nothing: the chunk goes as it is | batches of chunks sorted into runs (under `-u` for the pair), the runs merged by the stage's `merge` | the stage's output | a sort per run batch, batches in parallel; the closing merge in parts as for any merge fold |
+//! | `Fold { map: Raw, by: Merge { .. } }` — a `sort`, or the `sort \| uniq` of a unique pair (see "Sorting rewrite") | nothing: the chunk goes as it is | the chunks scattered into key ranges at the close, each range sorted once (under `-u` for the pair) — under a spill budget, batches of chunks sorted into runs and the runs merged by the stage's `merge` | the stage's output | the scatter and the range sorts as pool tasks; under a budget a sort per run batch, batches in parallel, and the closing merge in parts as for any merge fold |
 //! | `Fold { map: Raw, by: Rerun { bound: None } }` — a sequential stage | nothing | the stage's `rerun`: the command runs once over all the chunks when the input ends (on the empty stream when none came) | the command's output, re-chunked | per-chunk tasks, the fold in arrival order; the one run of the command by one task |
 //! | `Fold { map: Raw, by: Rerun { bound: Some(k) } }` — a prefix-bounded stage (`head -n k`, `sed kq`) | nothing; chunks are taken **in stream order**, only until `k` complete lines exist | as the rerun fold, except that the fold counts the lines it takes in: the chunk that meets the bound cancels everything upstream, chunks behind it are dropped, and the command runs once on the prefix | as the rerun fold | as the rerun fold |
 //!
@@ -68,14 +68,18 @@
 //! * **fold** — the sort stage's own `merge <flags>` fold, run under the
 //!   counted order: every merge reads a line's key past the count column
 //!   and, where a `-u` merge drops a duplicate, adds the counts. Counted
-//!   runs are merged in batches of 32; raw chunks are batched apart, by
-//!   their bytes (128 KiB, `kq_dsl::kway::COUNT_RUN_BYTES`), and each
-//!   batch is sorted and counted once (`sort_bytes`), so a line of a
-//!   high-cardinality stream is sorted once and merged once — in the
-//!   closing merge — not sorted per chunk and merged twice. The counted
-//!   order calls only identical lines equal, so the two kinds' runs may
-//!   leave stream order. Spill and the closing merge in parts see
-//!   ordinary line runs. (Plain `uniq`:
+//!   runs are merged in batches of 32; raw chunks wait for the close,
+//!   which is a sample sort: splitters sampled from the runs and the raw
+//!   chunks together, the runs cut at them and every raw line scattered
+//!   to its key range (about `kq_dsl::kway::SORT_RUN_BYTES` of raw lines
+//!   per range), and each range sorted and counted once (`sort_bytes`)
+//!   and merged with its slices of the runs. So a line of a
+//!   high-cardinality stream is sorted once, not sorted per chunk and
+//!   merged twice, and no merge of batch runs is left. The counted order
+//!   calls only identical lines equal, so the two kinds may leave stream
+//!   order. Under a spill budget raw chunks are batched apart by bytes
+//!   instead, each batch sorted into a run, and spill and the closing
+//!   merge in parts see ordinary line runs. (Plain `uniq`:
 //!   the `-u` order, nothing new at all.) The trace's
 //!   `dataflow/raw-pieces` counter says how many chunks each such fold
 //!   took raw;
@@ -181,19 +185,24 @@
 //!
 //! where the merge hands ties to the earlier piece and a stable sort keeps
 //! them in input order. So the node's map passes each chunk on raw, and
-//! the fold — the stage's own merge fold, all of whose pieces arrive raw,
-//! cutting run batches where it would, or without a budget every 512 KiB
-//! (`kq_dsl::kway::SORT_RUN_BYTES`) — makes each batch one run by **one
-//! sort of the batch's concatenation** (adjacent chunks of a split
-//! concatenate without a copy) instead of a merge of its sorted chunks.
-//! The runs merge in batch order as before, so `-u` still keeps the first
-//! of key-equal lines; the chunks still pending when the input ends are
-//! cut into batches of a part's bytes by the fold's close, sorted as pool
-//! tasks of their own, so that the closing merge in parts reads runs only.
+//! the fold — the stage's own merge fold, all of whose pieces arrive raw —
+//! keeps them until the input ends and closes by **sample sort**:
+//! splitters sampled from the chunks, every line scattered to its key
+//! range in stream order (scatter items of about a range's bytes, pool
+//! tasks of their own), and each range — about 256 KiB,
+//! `kq_dsl::kway::SORT_RUN_BYTES` — sorted once, the sorts concatenated in
+//! range order. Lines the order calls equal share a range, so `-u` still
+//! keeps the first of key-equal lines. Under a spill budget the fold cuts
+//! run batches of its budget's size instead, each one run by **one sort of
+//! the batch's concatenation** (adjacent chunks of a split concatenate
+//! without a copy), the chunks still pending when the input ends cut into
+//! batches of a part's bytes by the fold's close, so that the closing
+//! merge in parts reads runs only.
 //!
 //! What it removes: the sort of every 64 KiB chunk and the merge of their
-//! sorted copies — each line is sorted once, in a run of half a megabyte
-//! or more, and merged once. A counting pair keeps its counting map (its
+//! sorted copies — each line is sorted once, in a range of a quarter of
+//! a megabyte or more, and not merged at all (under a budget, merged
+//! once). A counting pair keeps its counting map (its
 //! chunks shrink to their distinct lines before they reach the fold, and
 //! only those that would not shrink go raw), so the planner does not mark
 //! its sort. `fuse_streamable = false` keeps every chunk's

@@ -123,13 +123,17 @@
 //! holds the work the fold hands out in its `Closing` queue: one pool task
 //! per piece, the claiming task running the first. A merge fold closes in
 //! rounds, each handed out when the last piece of the one before is back:
-//! the pieces it still holds cut by bytes into run batches, so that a
-//! sorting fold's raw tail is sorted by as many workers as it has batches;
-//! then, once it has folded `kq_dsl::kway::FINISH_PART_BYTES` per part or
-//! more — a count that never depends on `--workers` — the partition of its
-//! closing merge (a `fold-partition` span: splitters sampled from the runs,
-//! every run cut by binary search, no bytes moved), one merge per key range
-//! (`fold-finish` spans, `seq` the part index), and the stitch of the
+//! the runs it still holds pieces of cut by bytes into run batches (and,
+//! under a spill budget, its raw chunks); then, once it has folded
+//! `kq_dsl::kway::FINISH_PART_BYTES` of runs or
+//! `kq_dsl::kway::SORT_RUN_BYTES` of raw chunks per part or more — a count
+//! that never depends on `--workers` — the partition of its closing merge
+//! (a `fold-partition` span: splitters sampled from the runs and raw
+//! chunks, every run cut by binary search, no bytes moved), the scatter of
+//! its raw chunks into the key ranges (`fold-scatter` spans, `seq` the
+//! item index: a sorting fold's chunks are moved by as many workers as it
+//! has items), one sort and merge per key range (`fold-finish` spans,
+//! `seq` the part index), and the stitch of the
 //! parts' outputs (a `fold-stitch` span: the parts in order, or for a fold
 //! closing in count order every count's groups part by part); closed as
 //! one merge on one thread, a 32 MiB sort at two workers spent 39% of its

@@ -247,10 +247,13 @@ fn cold_plan_splits_into_observe_and_filter() {
     assert!(out.text().contains("deciding candidates"), "{}", out.text());
 }
 
-/// A run whose first fold finishes in parts: 5 MiB sorted under 64 KiB
-/// chunks closes with a two-part merge. The trace has one `fold-partition`
-/// span for the planning and one `fold-finish` span per part, `seq` the
-/// part index; since the part count follows the bytes folded and never the
+/// A run whose first fold finishes in parts: two and a half ranges' bytes
+/// (`SORT_RUN_BYTES`) sorted under 64 KiB chunks, all of them raw, close
+/// with a two-part sample sort. The trace
+/// has one `fold-partition` span for the planning, one `fold-scatter` span
+/// per scatter item and one `fold-finish` span per part, `seq` the item
+/// and the part index, every scatter span over before the first part
+/// starts; since the part count follows the bytes folded and never the
 /// worker count, the span identities are the same multiset at two workers
 /// and at four; and the node's finish being several spans on several
 /// threads leaves the critical path tiling the trace.
@@ -258,9 +261,10 @@ fn cold_plan_splits_into_observe_and_filter() {
 fn a_finish_in_parts_traces_one_span_per_part_whatever_the_workers() {
     let s = Scratch::new("parts");
     let input = s.dir.join("big.txt");
-    let mut text = String::with_capacity(5 << 20);
+    let bytes = kumquat::dsl::kway::SORT_RUN_BYTES * 5 / 2;
+    let mut text = String::with_capacity(bytes);
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    while text.len() < 5 << 20 {
+    while text.len() < bytes {
         state = state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
@@ -302,7 +306,23 @@ fn a_finish_in_parts_traces_one_span_per_part_whatever_the_workers() {
         seqs
     };
     assert_eq!(of_sort(&two, "fold-partition"), [None]);
+    assert_eq!(of_sort(&two, "fold-scatter"), [Some(0), Some(1)]);
     assert_eq!(of_sort(&two, "fold-finish"), [Some(0), Some(1)]);
+    assert_eq!(of_sort(&two, "fold-merge"), [], "no batch is sorted");
+    for records in [&two, &four] {
+        let times = |name: &str| -> Vec<(u64, u64)> {
+            (records.iter())
+                .filter(|r| r.kind == kq_trace::Kind::Span && r.name == name && r.ni == Some(1))
+                .map(|r| (r.t0, r.t1))
+                .collect()
+        };
+        let scattered = times("fold-scatter").iter().map(|t| t.1).max().unwrap();
+        let first_part = times("fold-finish").iter().map(|t| t.0).min().unwrap();
+        assert!(
+            scattered <= first_part,
+            "a range is sorted only once scattered"
+        );
+    }
     // The folds downstream see KBs and finish in one unnumbered span.
     let unnumbered = |r: &&kq_trace::Record| r.name == "fold-finish" && r.seq.is_none();
     assert_eq!(two.iter().filter(unnumbered).count(), 2);
