@@ -390,9 +390,10 @@ enum FoldState<'a> {
     /// runs once over all of them, however many there are.
     Gather { pieces: Vec<Bytes>, raw: bool },
     /// Merge: pending pieces of each kind are cut into a batch once they
-    /// reach the run-size trigger — [`merge_run_target`] bytes under a
-    /// spill config or for raw chunks, [`MERGE_RUN_ARITY`] pieces
-    /// otherwise; the batch's run becomes `runs[batch index]`
+    /// reach the run-size trigger — [`SpillConfig::batch_bytes`] under a
+    /// spill config, otherwise [`MERGE_RUN_ARITY`] runs, and raw chunks
+    /// never (they wait for the close's sample sort); the batch's run
+    /// becomes `runs[batch index]`
     /// (`None` while the batch is out being merged), and the close merges the
     /// runs (earlier runs first, keeping the stability tiebreak of one
     /// flat merge). Under a spill config each batch is charged to the
