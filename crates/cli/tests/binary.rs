@@ -287,6 +287,63 @@ fn count_order_tails_print_the_same_at_one_worker_and_two() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `sort -k 1n` spells `-k1n` with the key spec in a word of its own:
+/// through the binary at two workers it runs as a sorting fold, as
+/// `-k1n` does, and prints the same bytes — the bytes `LC_ALL=C sh`
+/// prints where the host's `sort` can be spawned.
+#[test]
+fn a_detached_key_spec_sorts_as_a_fold_and_prints_what_the_attached_one_prints() {
+    let dir = std::env::temp_dir().join(format!("kq-bin-sort-key-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("numbers.txt");
+    let mut state = 0x853C_49E6_748F_EA9Bu64;
+    let mut text = String::new();
+    for _ in 0..30_000 {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let r = (state >> 33) as usize;
+        // Numbers with ties, a second field that orders them, and now
+        // and then a blank-led or non-numeric key.
+        match r % 20 {
+            0 => text.push_str(&format!(" {} lead\n", r % 500)),
+            1 => text.push_str(&format!("x{} word\n", r % 30)),
+            _ => text.push_str(&format!("{} {}\n", r % 5_000, r % 97)),
+        }
+    }
+    std::fs::write(&input, text).unwrap();
+    let file = input.display();
+    let mut outputs = Vec::new();
+    for sort in ["sort -k 1n", "sort -k1n"] {
+        let script = format!("cat {file} | {sort}");
+        let out = kumquat()
+            .args(["run", &script, "--workers", "2", "--chunk-kb", "16"])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{script}: {stderr}");
+        let fold = format!("sorting fold: s1 stage 1 '{sort}'");
+        assert!(stderr.contains(&fold), "{script}: {stderr}");
+        assert!(stderr.contains("verified"), "{script}: {stderr}");
+        outputs.push(out.stdout);
+    }
+    assert!(outputs[0] == outputs[1], "-k 1n and -k1n differ");
+    let has_sort = Command::new("sort")
+        .arg("--version")
+        .output()
+        .is_ok_and(|o| o.status.success());
+    if has_sort {
+        let sh = Command::new("sh")
+            .args(["-c", &format!("sort -k 1n {file}")])
+            .env("LC_ALL", "C")
+            .output()
+            .unwrap();
+        assert!(sh.status.success());
+        assert!(sh.stdout == outputs[0], "differs from LC_ALL=C sort -k 1n");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `cut` through the binary — alone, with a disjoint field list, by
 /// characters, and as the map ahead of Figure 1's counting tail — prints
 /// the same bytes at one worker and two, and the bytes `LC_ALL=C sh`

@@ -34,7 +34,7 @@
 //! `LC_ALL=C`; `-c`, and a non-ASCII delimiter, decode the input first.
 
 use crate::fastpath::SliceRuns;
-use crate::{Bytes, CmdError, EffectClass, ExecContext, UnixCommand};
+use crate::{Bytes, CmdError, EffectClass, ExecContext, SynthesisHints, UnixCommand};
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct RangeList {
@@ -400,6 +400,16 @@ impl UnixCommand for CutCmd {
         EffectClass::Stateless
     }
 
+    fn synthesis_hints(&self) -> SynthesisHints {
+        SynthesisHints {
+            field_delim: match self.mode {
+                Mode::Fields { delim, .. } => Some(delim),
+                Mode::Chars(_) => None,
+            },
+            ..SynthesisHints::default()
+        }
+    }
+
     fn decodes(&self) -> bool {
         // Fields cut at an ASCII delimiter are byte ranges of any bytes;
         // characters, and a non-ASCII delimiter, need the text.
@@ -599,5 +609,16 @@ mod tests {
                 assert_eq!(find_either(&bytes, from, b'\n'), newline.map(|i| from + i));
             }
         }
+    }
+
+    #[test]
+    fn the_hint_is_the_field_delimiter() {
+        let delim = |cmd: &str| parse_command(cmd).unwrap().synthesis_hints().field_delim;
+        assert_eq!(delim("cut -d ',' -f 1,3"), Some(','));
+        assert_eq!(delim("cut -d: -f1"), Some(':'));
+        // Fields split at TAB unless `-d` says otherwise; characters at
+        // nothing.
+        assert_eq!(delim("cut -f 2"), Some('\t'));
+        assert_eq!(delim("cut -c 1-4"), None);
     }
 }

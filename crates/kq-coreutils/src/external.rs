@@ -8,7 +8,7 @@
 //! `KQ_VALIDATE_GNU=1 cargo test -- --ignored`) diff our outputs against
 //! the host's binaries over shared inputs.
 
-use crate::{Bytes, CmdError, ExecContext, UnixCommand};
+use crate::{Bytes, CmdError, ExecContext, SynthesisHints, UnixCommand};
 use std::io::Write;
 use std::process::{Command as OsCommand, Stdio};
 
@@ -39,6 +39,15 @@ impl ExternalCommand {
 impl UnixCommand for ExternalCommand {
     fn display(&self) -> String {
         self.argv.join(" ")
+    }
+
+    /// The binary is a black box, but its command line is not: the hints
+    /// are what the built-in parse of the same argv answers, and none
+    /// where there is no built-in of that name.
+    fn synthesis_hints(&self) -> SynthesisHints {
+        crate::from_argv(&self.argv)
+            .map(|command| command.synthesis_hints())
+            .unwrap_or_default()
     }
 
     fn run(&self, input: Bytes, _ctx: &ExecContext) -> Result<Bytes, CmdError> {
@@ -117,5 +126,21 @@ mod tests {
                 (a, b) => panic!("{line}: ours {a:?} vs GNU {b:?}"),
             }
         }
+    }
+
+    #[test]
+    fn the_hints_are_the_built_in_parse_of_the_same_argv() {
+        // Reading the hints parses the argv; it spawns nothing (there is
+        // no such binary on any host).
+        let words = |line: &str| crate::split_words(line).unwrap();
+        let grep = ExternalCommand::new(&words("grep -c x")).unwrap();
+        let hints = grep.synthesis_hints();
+        assert_eq!(hints.patterns.len(), 1);
+        assert!(hints.patterns[0].is_match("axb") && !hints.patterns[0].is_match("ab"));
+        let sort = ExternalCommand::new(&words("sort -k 1n")).unwrap();
+        assert_eq!(sort.synthesis_hints().merge_flags, ["-k", "1n"]);
+        let unknown = ExternalCommand::new(&words("kq-no-such-binary -x")).unwrap();
+        let none = unknown.synthesis_hints();
+        assert!(none.patterns.is_empty() && none.lines.is_none() && none.merge_flags.is_empty());
     }
 }

@@ -31,7 +31,7 @@
 //! characters, so `grep` decodes its input for it first.
 
 use crate::fastpath::SliceRuns;
-use crate::{Bytes, CmdError, EffectClass, ExecContext, UnixCommand};
+use crate::{Bytes, CmdError, EffectClass, ExecContext, SynthesisHints, UnixCommand};
 use kq_pattern::{Regex, Syntax};
 use std::io::Write as _;
 use std::ops::Range;
@@ -118,11 +118,6 @@ impl GrepCmd {
         })
     }
 
-    /// The compiled pattern (synthesis samples matching strings from it).
-    pub fn regex(&self) -> &Regex {
-        &self.regex
-    }
-
     /// The line-at-a-time implementation, one `is_match` and one rebuilt
     /// line each: the oracle the differential tests compare
     /// [`GrepCmd::run`] against.
@@ -156,6 +151,13 @@ impl GrepCmd {
 impl UnixCommand for GrepCmd {
     fn display(&self) -> String {
         self.display.clone()
+    }
+
+    fn synthesis_hints(&self) -> SynthesisHints {
+        SynthesisHints {
+            patterns: vec![self.regex.clone()],
+            ..SynthesisHints::default()
+        }
     }
 
     fn effect_class(&self) -> EffectClass {
@@ -406,5 +408,22 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn the_hint_is_the_pattern_as_parsed() {
+        let pattern = |cmd: &str| {
+            let hints = parse_command(cmd).unwrap().synthesis_hints();
+            assert_eq!(hints.patterns.len(), 1, "{cmd}");
+            hints.patterns[0].clone()
+        };
+        // A fixed string matches only itself.
+        let fixed = pattern("grep -cF 'a.*b'");
+        assert!(fixed.is_match("a.*b") && !fixed.is_match("axxb"));
+        // `-e` names the pattern even when it looks like a flag.
+        let explicit = pattern("grep -ie -x");
+        assert!(explicit.is_match("-x") && explicit.is_match("-X"));
+        let basic = pattern("grep 'light.light'");
+        assert!(basic.is_match("lightXlight") && !basic.is_match("light"));
     }
 }

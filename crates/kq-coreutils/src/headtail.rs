@@ -5,7 +5,7 @@
 //! `-n +N` (everything starting at line N) — the latter being Table 9's
 //! `tail +2`/`tail +3`, for which no combiner exists.
 
-use crate::{Bytes, CmdError, EffectClass, ExecContext, UnixCommand};
+use crate::{Bytes, CmdError, EffectClass, ExecContext, SynthesisHints, UnixCommand};
 
 /// The `head` command.
 pub struct HeadCmd {
@@ -70,6 +70,13 @@ impl UnixCommand for HeadCmd {
         // operand stdin is ignored entirely (Command::line_bound already
         // masks that case, but the answer is honest either way).
         self.file.is_none().then_some(self.n)
+    }
+
+    fn synthesis_hints(&self) -> SynthesisHints {
+        SynthesisHints {
+            lines: Some(self.n),
+            ..SynthesisHints::default()
+        }
     }
 
     fn run(&self, input: Bytes, ctx: &ExecContext) -> Result<Bytes, CmdError> {
@@ -205,6 +212,14 @@ impl UnixCommand for TailCmd {
     fn effect_class(&self) -> EffectClass {
         // A suffix, or everything from a line number on.
         EffectClass::OrderSensitive
+    }
+
+    fn synthesis_hints(&self) -> SynthesisHints {
+        let (TailMode::LastN(n) | TailMode::FromLine(n)) = self.mode;
+        SynthesisHints {
+            lines: Some(n),
+            ..SynthesisHints::default()
+        }
     }
 
     fn run(&self, input: Bytes, ctx: &ExecContext) -> Result<Bytes, CmdError> {
@@ -355,5 +370,16 @@ mod tests {
         assert!(parse_command("head -x").is_err());
         assert!(parse_command("tail -n x").is_err());
         assert!(parse_command("head a b").is_err());
+    }
+
+    #[test]
+    fn the_hint_is_the_count() {
+        let lines = |cmd: &str| parse_command(cmd).unwrap().synthesis_hints().lines;
+        assert_eq!(lines("head -n 3"), Some(3));
+        assert_eq!(lines("head -15"), Some(15));
+        assert_eq!(lines("head"), Some(10));
+        assert_eq!(lines("tail +2"), Some(2));
+        assert_eq!(lines("tail -n +3"), Some(3));
+        assert_eq!(lines("tail -n 1"), Some(1));
     }
 }

@@ -209,6 +209,33 @@ pub trait UnixCommand: Send + Sync {
     fn collapses_runs(&self) -> Option<bool> {
         None
     }
+
+    /// What the command's own parse says synthesis should feed it (paper
+    /// §3.2, "Preprocessing"): the patterns it matches, the line count it
+    /// turns on, the field delimiter it splits at, and the flags its
+    /// outputs merge under. [`SynthesisHints::default`] (the default)
+    /// says nothing.
+    fn synthesis_hints(&self) -> SynthesisHints {
+        SynthesisHints::default()
+    }
+}
+
+/// The literals a command line holds for synthesis to exercise
+/// ([`UnixCommand::synthesis_hints`]). Every field is empty when the
+/// command says nothing.
+#[derive(Debug, Clone, Default)]
+pub struct SynthesisHints {
+    /// Patterns the command matches lines against (`grep`, `sed s///`).
+    pub patterns: Vec<kq_pattern::Regex>,
+    /// A line count the command's output turns on (`head -n 3`,
+    /// `tail +2`, `sed 100q`, `sed 1d`).
+    pub lines: Option<usize>,
+    /// The delimiter the command splits lines into fields at (`cut -f`:
+    /// its `-d`, TAB without one).
+    pub field_delim: Option<char>,
+    /// The flags of a `merge` combiner: the words of a `sort` that order
+    /// its output, so that `sort -m <merge_flags>` merges in that order.
+    pub merge_flags: Vec<String>,
 }
 
 /// The static effect classification of a command: the PaSh-style lattice
@@ -270,9 +297,9 @@ impl Command {
     /// own stream processor, wraps it here, and hands it to
     /// `kq_synth::synthesize` — no registry changes needed.
     ///
-    /// `argv` is only used for display and shell re-emission; it should
-    /// round-trip to an executable command line when shell emission is
-    /// wanted.
+    /// `argv` is only used for display, shell re-emission and the
+    /// combiner cache's key; it should round-trip to an executable command
+    /// line when shell emission is wanted.
     pub fn custom(argv: Vec<String>, imp: Box<dyn UnixCommand>) -> Command {
         assert!(!argv.is_empty(), "custom commands need a program name");
         Command {
@@ -367,6 +394,11 @@ impl Command {
     /// See [`UnixCommand::collapses_runs`]; `None` for a source.
     pub fn collapses_runs(&self) -> Option<bool> {
         self.on_stdin(|imp| imp.collapses_runs())
+    }
+
+    /// See [`UnixCommand::synthesis_hints`].
+    pub fn synthesis_hints(&self) -> SynthesisHints {
+        self.imp.synthesis_hints()
     }
 }
 

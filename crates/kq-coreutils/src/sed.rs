@@ -27,7 +27,7 @@
 //! line it quits on with one.
 
 use crate::fastpath::SliceRuns;
-use crate::{Bytes, CmdError, EffectClass, ExecContext, Rope, UnixCommand};
+use crate::{Bytes, CmdError, EffectClass, ExecContext, Rope, SynthesisHints, UnixCommand};
 use kq_pattern::Regex;
 
 enum Script {
@@ -171,6 +171,20 @@ impl UnixCommand for SedCmd {
 
     fn decodes(&self) -> bool {
         matches!(self.script, Script::Substitute { .. })
+    }
+
+    fn synthesis_hints(&self) -> SynthesisHints {
+        match &self.script {
+            Script::Substitute { regex, .. } => SynthesisHints {
+                patterns: vec![regex.clone()],
+                ..SynthesisHints::default()
+            },
+            Script::QuitAfter(n) | Script::DeleteLine(n) => SynthesisHints {
+                lines: Some(*n),
+                ..SynthesisHints::default()
+            },
+            Script::DeleteLast => SynthesisHints::default(),
+        }
     }
 
     fn effect_class(&self) -> EffectClass {
@@ -503,5 +517,24 @@ mod tests {
         assert!(parse_command("sed y/abc/xyz/").is_err());
         assert!(parse_command("sed").is_err());
         assert!(parse_command("sed s/a/b").is_err());
+    }
+
+    #[test]
+    fn the_hint_is_the_address_or_the_substitution_pattern() {
+        let hints = |cmd: &str| parse_command(cmd).unwrap().synthesis_hints();
+        assert_eq!(hints("sed 100q").lines, Some(100));
+        assert_eq!(hints("sed 5q").lines, Some(5));
+        assert_eq!(hints("sed 1d").lines, Some(1));
+        assert!(hints("sed 1d").patterns.is_empty());
+        let last = hints("sed '$d'");
+        assert!(last.lines.is_none() && last.patterns.is_empty());
+        // The pattern is the parsed one: an escaped delimiter is part of
+        // it, not its end.
+        let escaped = hints(r"sed 's/a\/b/X/'");
+        assert_eq!(escaped.lines, None);
+        assert_eq!(escaped.patterns.len(), 1);
+        assert!(escaped.patterns[0].is_match("a/b"));
+        let other_delim = hints("sed -e 's;^;x;'");
+        assert!(other_delim.patterns[0].is_match("anything"));
     }
 }

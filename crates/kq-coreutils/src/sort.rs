@@ -186,7 +186,7 @@
 //! under the numeric flags, on the same counted bytes.
 
 use crate::uniq::{push_counted, split_counted};
-use crate::{Bytes, CmdError, EffectClass, ExecContext, UnixCommand};
+use crate::{Bytes, CmdError, EffectClass, ExecContext, SynthesisHints, UnixCommand};
 use std::cmp::Ordering;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -211,6 +211,9 @@ struct SortFlags {
 /// The `sort` command.
 pub struct SortCmd {
     flags: SortFlags,
+    /// The words that set `flags`, as written: every option word and a
+    /// detached `-k` spec, but not `-m` or `--parallel=N`.
+    order_words: Vec<String>,
     merge: bool,
     files: Vec<String>,
     display: String,
@@ -223,6 +226,7 @@ impl SortCmd {
         // The modifiers of a `-k` key, which replace the global ordering
         // options for that key when there are any (as in GNU `sort`).
         let mut key_mods: Option<String> = None;
+        let mut order_words = Vec::new();
         let mut merge = false;
         let mut files = Vec::new();
         let mut it = args.iter().peekable();
@@ -240,6 +244,9 @@ impl SortCmd {
                     files.push("-".to_owned());
                     continue;
                 }
+                if a != "-m" {
+                    order_words.push(a.clone());
+                }
                 let mut chars = body.chars().peekable();
                 while let Some(f) = chars.next() {
                     match f {
@@ -253,9 +260,11 @@ impl SortCmd {
                             // Key spec: rest of this word, or next word.
                             let spec: String = chars.by_ref().collect();
                             let spec = if spec.is_empty() {
-                                it.next()
-                                    .ok_or_else(|| CmdError::new("sort", "missing key spec"))?
-                                    .clone()
+                                let word = it
+                                    .next()
+                                    .ok_or_else(|| CmdError::new("sort", "missing key spec"))?;
+                                order_words.push(word.clone());
+                                word.clone()
                             } else {
                                 spec
                             };
@@ -284,6 +293,7 @@ impl SortCmd {
         }
         Ok(SortCmd {
             flags,
+            order_words,
             merge,
             files,
             display,
@@ -2166,6 +2176,13 @@ impl UnixCommand for SortCmd {
         })
     }
 
+    fn synthesis_hints(&self) -> SynthesisHints {
+        SynthesisHints {
+            merge_flags: self.order_words.clone(),
+            ..SynthesisHints::default()
+        }
+    }
+
     fn run(&self, input: Bytes, ctx: &ExecContext) -> Result<Bytes, CmdError> {
         let mut contents: Vec<Bytes> = Vec::new();
         if self.files.is_empty() {
@@ -3951,6 +3968,42 @@ mod tests {
             for w in vals.windows(2) {
                 prop_assert!(w[0] <= w[1]);
             }
+        }
+    }
+
+    #[test]
+    fn the_merge_flags_are_the_ordering_words_as_written() {
+        let merge_flags = |cmd: &str| parse_command(cmd).unwrap().synthesis_hints().merge_flags;
+        assert_eq!(merge_flags("sort -rn"), ["-rn"]);
+        assert_eq!(merge_flags("sort -u"), ["-u"]);
+        assert!(merge_flags("sort --parallel=1").is_empty());
+        assert!(merge_flags("sort -m").is_empty());
+        // A detached key spec is the option's value, not a file operand.
+        assert_eq!(merge_flags("sort -k 1n"), ["-k", "1n"]);
+        assert_eq!(merge_flags("sort -s -k 1nr -f"), ["-s", "-k", "1nr", "-f"]);
+        assert!(merge_flags("uniq").is_empty());
+    }
+
+    #[test]
+    fn the_merge_flags_parse_to_the_order_the_sort_sorts_by() {
+        for line in [
+            "sort",
+            "sort -rn",
+            "sort -n -r",
+            "sort -k 1n",
+            "sort -k1n",
+            "sort -k 1,1nr -u",
+            "sort -k1 -r",
+            "sort -f --parallel=2 -s",
+            "sort -u -n",
+        ] {
+            let command = parse_command(line).unwrap();
+            let flags = command.synthesis_hints().merge_flags;
+            assert_eq!(
+                LineOrder::parse(&flags).ok(),
+                command.stdin_order(),
+                "{line}: {flags:?}"
+            );
         }
     }
 }

@@ -1,44 +1,40 @@
-//! The combiner cache: normalized command signatures, in-process reuse,
-//! and an optional versioned on-disk store.
+//! The combiner cache: keys by argv as written, in-process reuse, and an
+//! optional versioned on-disk store.
 //!
 //! # Keys
 //!
-//! Entries are keyed by a *normalized command signature*
-//! ([`cache_key`]) rather than the raw display line: the program name,
-//! the flag set in canonical form (single-letter clusters exploded,
-//! value-taking options paired with their values, the whole set sorted),
-//! and the operands in order. `grep -n -c p`, `grep -cn p`, and
-//! `grep -c -n p` all share one entry; `grep -cn q` does not.
-//! Normalization is deliberately conservative — only the programs this
-//! crate ships (with a per-program table of value-taking options) are
-//! normalized; any other program keys on its raw display line. A
+//! Entries are keyed by the command's argv words as written
+//! ([`cache_key`]): each word percent-escaped, joined by `\x1f`. No code
+//! here reads a flag — only the command's own parser knows which words
+//! are flags, which take values and which spellings mean the same — so
+//! `sort -rn` and `sort -nr` are two entries, synthesized once each, and
+//! `sort -k 1n` never shares the entry of `sort -k1n`. The key is not the
+//! display line: several commands join their words with unquoted spaces,
+//! so `cat - 'a b'` and `cat - a b` display alike. A
 //! [`Command::custom`] wrapper keys as its argv would, behind a `custom`
 //! prefix: its argv may name a shipped program (`grep x`) while it runs
 //! something else, and an in-memory hit is trusted without a replay, so
 //! sharing the built-in's entry would hand it the built-in's combiner.
-//! Among built-in commands a key collision can only arise from the
-//! normalizer itself, and even then costs at most a wasted
-//! re-synthesis: on-disk hits are validated against a fresh observation
-//! before being trusted (see below).
 //!
 //! # The on-disk store
 //!
 //! [`CombinerCache::open`] attaches a line-oriented store:
 //!
 //! ```text
-//! kumquat-combiner-cache v1 seed=<rng_seed> max_size=<n>
+//! kumquat-combiner-cache v2 seed=<rng_seed> max_size=<n>
 //! <escaped-key>\t-                      # synthesis proved: no combiner
 //! <escaped-key>\t?                      # no combiner: every probe failed
 //! <escaped-key>\t+\t<cand>;<cand>;...   # the plausible set (kq_dsl::codec)
 //! ```
 //!
-//! The header pins both the format version and the synthesis
-//! configuration fingerprint: a version bump or a different
-//! `rng_seed`/`max_size` would make cached results unreproducible, so a
-//! mismatched or corrupted file is **ignored with a warning, never
-//! trusted** — any malformed line discards the whole file. Saving writes
-//! to a temp file and renames, so concurrent processes sharing a path
-//! can race without producing a torn file.
+//! The header pins both the format version (which fixes what a key
+//! means) and the synthesis configuration fingerprint: a version bump or
+//! a different `rng_seed`/`max_size` would make cached results
+//! unreproducible or unreachable, so a mismatched or corrupted file is
+//! **ignored with a warning, never trusted** — any malformed line
+//! discards the whole file. Saving writes to a temp file and renames, so
+//! concurrent processes sharing a path can race without producing a torn
+//! file.
 //!
 //! ## Cross-process exclusion
 //!
@@ -80,43 +76,12 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Programs whose flag grammar the normalizer understands, with their
-/// value-taking single-letter options. Everything else keys raw.
-fn value_taking(program: &str, flag: char) -> bool {
-    matches!(
-        (program, flag),
-        ("cut", 'd' | 'f' | 'c' | 'b')
-            | ("head" | "tail", 'n' | 'c')
-            | ("sort", 'k' | 't' | 'o' | 'S')
-            | ("uniq", 'f' | 's' | 'w')
-            | ("grep", 'e' | 'f' | 'm' | 'A' | 'B' | 'C')
-            | ("sed", 'e')
-            | ("awk" | "gawk", 'F' | 'v')
-            | ("fold" | "fmt", 'w')
-            | ("iconv", 'f' | 't')
-            | ("xargs", 'L' | 'n' | 'I')
-    )
-}
-
-const NORMALIZED_PROGRAMS: &[&str] = &[
-    "cat", "nl", "tac", "fold", "expand", "shuf", "tr", "sort", "uniq", "grep", "sed", "cut",
-    "head", "tail", "wc", "comm", "awk", "gawk", "xargs", "col", "rev", "fmt", "iconv", "paste",
-    "diff", "ls", "mkfifo", "rm",
-];
-
-/// The raw-line key used for commands the normalizer does not
-/// understand. The line is escaped so it cannot smuggle the `\x1f` field
-/// separator.
-pub(crate) fn raw_key(line: &str) -> String {
-    format!("raw\x1f{}", escape_token(line))
-}
-
-/// The normalized cache signature for a command (see the module docs).
-/// Every field is percent-escaped before being joined with `\x1f`, so a
-/// hostile argument containing the separator byte cannot make two
-/// different commands collide on one key.
+/// The cache key of a command: its argv words as written (see the
+/// module docs). Every word is percent-escaped before being joined with
+/// `\x1f`, so a hostile argument containing the separator byte cannot make
+/// two different commands collide on one key.
 pub fn cache_key(command: &Command) -> String {
-    let key = argv_key(command);
+    let key = argv_key(command.argv());
     if command.is_custom() {
         custom_key(key)
     } else {
@@ -129,78 +94,19 @@ pub(crate) fn custom_key(key: String) -> String {
     format!("custom\x1f{key}")
 }
 
-/// The signature of `command`'s argv alone.
-fn argv_key(command: &Command) -> String {
-    let argv = command.argv();
-    let program = argv[0].as_str();
-    if !NORMALIZED_PROGRAMS.contains(&program) {
-        return raw_key(&command.display());
-    }
-    let mut flags: Vec<String> = Vec::new();
-    let mut operands: Vec<&str> = Vec::new();
-    let mut i = 1;
-    while i < argv.len() {
-        let word = argv[i].as_str();
-        i += 1;
-        if word == "-" || word == "--" || !word.starts_with('-') {
-            operands.push(word);
-            continue;
-        }
-        if word.starts_with("--") {
-            flags.push(word.to_owned());
-            continue;
-        }
-        // A short cluster: explode letter flags, pair a value-taking
-        // option with the rest of the cluster (or the next word). A
-        // cluster containing anything that is not a plain letter (e.g.
-        // `head -15`) is kept whole — no guessing.
-        let body = &word[1..];
-        let mut exploded: Vec<String> = Vec::new();
-        let mut intact = true;
-        for (pos, c) in body.char_indices() {
-            if value_taking(program, c) {
-                let attached = &body[pos + c.len_utf8()..];
-                let value = if !attached.is_empty() {
-                    attached.to_owned()
-                } else if i < argv.len() {
-                    let v = argv[i].clone();
-                    i += 1;
-                    v
-                } else {
-                    String::new()
-                };
-                exploded.push(format!("-{c}={value}"));
-                break;
-            } else if c.is_ascii_alphabetic() {
-                exploded.push(format!("-{c}"));
-            } else {
-                intact = false;
-                break;
-            }
-        }
-        if intact {
-            flags.extend(exploded);
-        } else {
-            flags.push(word.to_owned());
-        }
-    }
-    flags.sort();
-    // Repeated boolean flags are idempotent (`grep -c -c`); repeated
-    // value-carrying flags can be semantically meaningful (`sed -e A -e A`
-    // applies the script twice), so only the former dedup.
-    flags.dedup_by(|a, b| a == b && !a.contains('='));
-    let mut key = String::from(program);
-    for f in &flags {
-        key.push('\x1f');
-        key.push_str(&escape_token(f));
-    }
-    key.push('\x1f');
-    key.push('|');
-    for o in &operands {
-        key.push('\x1f');
-        key.push_str(&escape_token(o));
-    }
-    key
+/// The key of the argv `words`, custom prefix aside.
+pub(crate) fn argv_key(words: &[String]) -> String {
+    let escaped: Vec<String> = words.iter().map(|w| escape_token(w)).collect();
+    escaped.join("\x1f")
+}
+
+/// The store's first line: the format version and the synthesis
+/// configuration it was written under.
+fn store_header(fingerprint: (u64, usize)) -> String {
+    format!(
+        "kumquat-combiner-cache v2 seed={} max_size={}",
+        fingerprint.0, fingerprint.1
+    )
 }
 
 /// An advisory cross-process lock over a store path, held for the
@@ -494,10 +400,7 @@ impl CombinerCache {
             }
         }
         let mut lines: Vec<String> = Vec::with_capacity(self.entries.len() + 1);
-        lines.push(format!(
-            "kumquat-combiner-cache v1 seed={} max_size={}",
-            self.fingerprint.0, self.fingerprint.1
-        ));
+        lines.push(store_header(self.fingerprint));
         let mut body: Vec<String> = Vec::new();
         for (key, slot) in &self.entries {
             let encoded_key = escape_token(key);
@@ -546,10 +449,7 @@ type StoreEntries = Vec<(String, Stored)>;
 fn parse_store(text: &str, fingerprint: (u64, usize)) -> Result<StoreEntries, String> {
     let mut lines = text.lines();
     let header = lines.next().unwrap_or("");
-    let expected = format!(
-        "kumquat-combiner-cache v1 seed={} max_size={}",
-        fingerprint.0, fingerprint.1
-    );
+    let expected = store_header(fingerprint);
     if header != expected {
         return Err(format!(
             "header {header:?} does not match this build/configuration ({expected:?})"
@@ -596,19 +496,20 @@ mod tests {
     }
 
     #[test]
-    fn equivalent_flag_orderings_share_one_key() {
-        // The satellite's canonical example plus a few families.
-        assert_eq!(key_of("grep -n -c p"), key_of("grep -cn p"));
-        assert_eq!(key_of("grep -cn p"), key_of("grep -nc p"));
-        assert_eq!(key_of("grep -F -c p"), key_of("grep -cF p"));
-        assert_eq!(key_of("grep -ie p"), key_of("grep -i -ep"));
-        assert_eq!(key_of("sort -rn"), key_of("sort -nr"));
-        assert_eq!(key_of("sort -r -n"), key_of("sort -nr"));
-        assert_eq!(key_of("tr -cs A-Za-z x"), key_of("tr -sc A-Za-z x"));
-        assert_eq!(key_of("cut -d ',' -f 1"), key_of("cut -f 1 -d ','"));
-        assert_eq!(key_of("cut -d, -f1"), key_of("cut -f 1 -d ','"));
-        assert_eq!(key_of("sort -k1n"), key_of("sort -k 1n"));
-        assert_eq!(key_of("head -n 3"), key_of("head -n3"));
+    fn spellings_key_apart_as_written() {
+        // Only the command's parser knows two spellings mean the same;
+        // the key does not guess.
+        assert_ne!(key_of("sort -rn"), key_of("sort -nr"));
+        assert_ne!(key_of("sort -k1n"), key_of("sort -k 1n"));
+        assert_ne!(key_of("grep -cn p"), key_of("grep -nc p"));
+        assert_eq!(key_of("sort -k 1n"), key_of("sort  -k  '1n'"));
+        // Words, not the display line: these two display alike.
+        let (quoted, split) = ("cat - 'a b'", "cat - a b");
+        assert_eq!(
+            parse_command(quoted).unwrap().display(),
+            parse_command(split).unwrap().display()
+        );
+        assert_ne!(key_of(quoted), key_of(split));
     }
 
     #[test]
@@ -659,20 +560,20 @@ mod tests {
         let hostile = argv(&["sed", "-e", "1d\x1f-e=2d"]);
         let honest = argv(&["sed", "-e", "1d", "-e", "2d"]);
         assert_ne!(cache_key(&hostile), cache_key(&honest));
-        // Repeated value-carrying flags are NOT deduplicated (they can be
-        // semantically meaningful); repeated boolean flags are.
+        // Keys are the words as written: a repeated expression keys apart
+        // from a single one, and so does a repeated flag.
         assert_ne!(
             cache_key(&argv(&["sed", "-e", "1d", "-e", "1d"])),
             cache_key(&argv(&["sed", "-e", "1d"]))
         );
-        assert_eq!(key_of("grep -c -c a"), key_of("grep -c a"));
-        // Separator bytes in operands and raw-keyed lines escape too.
+        assert_ne!(key_of("grep -c -c a"), key_of("grep -c a"));
+        // Separator bytes in operands and in any other word escape too.
         assert_ne!(key_of("grep a\x1fb"), key_of("grep a"));
-        assert_ne!(raw_key("x\x1fy"), raw_key("x"));
+        assert_ne!(cache_key(&argv(&["x\x1fy"])), cache_key(&argv(&["x", "y"])));
     }
 
     #[test]
-    fn unknown_programs_key_on_the_raw_line() {
+    fn a_custom_command_keys_on_its_argv() {
         use kq_coreutils::{Bytes, CmdError, ExecContext, UnixCommand};
         struct Upper;
         impl UnixCommand for Upper {
@@ -684,7 +585,7 @@ mod tests {
             }
         }
         let cmd = Command::custom(vec!["upper".to_owned(), "-x".to_owned()], Box::new(Upper));
-        assert_eq!(cache_key(&cmd), "custom\x1fraw\x1fupper%20-x");
+        assert_eq!(cache_key(&cmd), "custom\x1fupper\x1f-x");
     }
 
     #[test]
@@ -818,6 +719,18 @@ mod tests {
             "{:?}",
             cache.warnings
         );
+        // A `v1` store keyed by normalized flag sets, written under this
+        // very configuration: its entries are not carried along either.
+        let (seed, max_size) = CombinerCache::in_memory(&SynthesisConfig::default()).fingerprint;
+        let v1 = format!("kumquat-combiner-cache v1 seed={seed} max_size={max_size}\nx\t-\n");
+        std::fs::write(&path, v1).unwrap();
+        let cache = CombinerCache::open(&path, &SynthesisConfig::default());
+        assert_eq!(cache.stats.loaded, 0);
+        assert!(
+            cache.warnings.iter().any(|w| w.contains("does not match")),
+            "{:?}",
+            cache.warnings
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -840,7 +753,8 @@ mod tests {
 
     #[test]
     fn corrupted_files_are_never_trusted() {
-        let header = "kumquat-combiner-cache v1 seed=24301 max_size=7";
+        let header =
+            store_header(CombinerCache::in_memory(&SynthesisConfig::default()).fingerprint);
         for (tag, body) in [
             ("truncated", "wc\t+\tab back nl"), // candidate cut short
             ("garbage", "wc\t?\twhat"),         // unknown verdict tag

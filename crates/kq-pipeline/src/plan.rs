@@ -4,8 +4,9 @@
 //! collect its *distinct* stdin-reading commands and resolves each one —
 //! from the combiner cache, from the effect lattice, or by synthesis on a
 //! [`kq_synth::SynthPool`] (the paper synthesizes once per unique
-//! command/flag combination; combiners are cached under a normalized
-//! command signature, optionally persisted on disk — see [`crate::cache`]).
+//! command/flag combination; combiners are cached under the command's
+//! argv words as written, optionally persisted on disk — see
+//! [`crate::cache`]).
 //! It then assembles each statement's plan from the cache, deciding the
 //! stage's execution mode:
 //!
@@ -547,7 +548,7 @@ const RERUN_SHRINK_THRESHOLD: f64 = 0.5;
 /// The planner: synthesis cache plus heuristics.
 pub struct Planner {
     config: SynthesisConfig,
-    /// Combiner cache keyed by normalized command signature
+    /// Combiner cache keyed by the command's argv words as written
     /// ([`cache_key`]); optionally backed by a versioned on-disk store.
     cache: CombinerCache,
     /// Synthesis reports for every unique command actually synthesized
@@ -625,9 +626,9 @@ impl Planner {
     /// correctness; the executors still verify outputs against serial
     /// runs. Manual entries stay process-local: they are never persisted
     /// to the on-disk store (no synthesis provenance to validate). A line
-    /// that names no shipped command is taken for the display line of a
-    /// [`Command::custom`] stage whose argv names no shipped program
-    /// either.
+    /// that names no shipped command is taken for the argv of a
+    /// [`Command::custom`] stage, split into words as the shell would
+    /// split it (or the whole line as one word, where it does not split).
     pub fn register_manual(
         &mut self,
         command_line: impl Into<String>,
@@ -637,7 +638,10 @@ impl Planner {
         // Key like any other lookup so stages naming this command find it.
         let key = match kq_coreutils::parse_command(&line) {
             Ok(cmd) => cache_key(&cmd),
-            Err(_) => crate::cache::custom_key(crate::cache::raw_key(&line)),
+            Err(_) => {
+                let words = kq_coreutils::split_words(&line).unwrap_or_else(|_| vec![line]);
+                crate::cache::custom_key(crate::cache::argv_key(&words))
+            }
         };
         self.cache.insert(key, Some(Arc::new(combiner)), false);
     }
@@ -1138,6 +1142,31 @@ mod tests {
     }
 
     #[test]
+    fn a_detached_key_spec_plans_a_sorting_fold() {
+        // `-k 1n` is one option in two words: the merge flags are both,
+        // so the stage merges in its own order and folds raw chunks.
+        let (planned, _) = plan("cat $IN | sort -k 1n");
+        let stage = &planned.statements[0].stages[0];
+        let StageMode::Parallel { combiner, .. } = &stage.mode else {
+            panic!("sort -k 1n must plan [par]");
+        };
+        assert_eq!(combiner.primary().to_string(), "(merge(-k 1n) a b)");
+        assert!(stage.sorting);
+    }
+
+    #[test]
+    fn each_spelling_of_a_key_plans_on_its_own() {
+        // The two spellings key apart, so a later `-k1n` is not planned
+        // from the entry of an earlier `-k 1n`.
+        let (planned, planner) = plan("cat $IN | sort -k 1n > /a\ncat $IN | sort -k1n > /b");
+        for st in &planned.statements {
+            assert_eq!(st.parallelized_counts(), (1, 1));
+            assert!(st.stages[0].sorting);
+        }
+        assert_eq!(planner.reports.len(), 2);
+    }
+
+    #[test]
     fn last_stage_combiner_never_eliminated() {
         let (planned, _) = plan("cat $IN | tr A-Z a-z | tr a-z A-Z");
         let st = &planned.statements[0];
@@ -1592,6 +1621,14 @@ mod tests {
                     .map_err(|_| CmdError::new("grep", "not UTF-8"))?;
                 let count = text.lines().filter(|line| line.contains('x')).count();
                 Ok(Bytes::from(format!("{count}\n")))
+            }
+            // Hints come from the implementation, never from the argv:
+            // without its pattern no generated line holds an `x`, and
+            // `first` fits every observation.
+            fn synthesis_hints(&self) -> kq_coreutils::SynthesisHints {
+                kq_coreutils::parse_command("grep -c x")
+                    .unwrap()
+                    .synthesis_hints()
             }
         }
         let ctx = ExecContext::default();

@@ -35,8 +35,8 @@
 //!
 //! # Caching and validation
 //!
-//! Synthesis results are cacheable: the planner keys them by a normalized
-//! command signature and can persist them across processes
+//! Synthesis results are cacheable: the planner keys them by the
+//! command's argv words as written and can persist them across processes
 //! (`kq_pipeline::cache::CombinerCache`). A cache hit loaded from disk is
 //! **validated before it is trusted**: [`spot_check`] regenerates, from
 //! the configured RNG seed, the first observation synthesis itself would

@@ -1,13 +1,16 @@
 //! Command preprocessing (paper §3.2, "Preprocessing").
 //!
-//! Before synthesis, KumQuat inspects the command line and probes the
-//! command with three canonical inputs:
+//! Before synthesis, KumQuat reads the literals off the command line and
+//! probes the command with three canonical inputs:
 //!
-//! * literals are extracted — regex patterns from `grep`/`sed` become a
-//!   dictionary of matching strings (via the `kq-pattern` sampler), numeric
-//!   addresses (`sed 100q`, `head -n 3`) become line-count hints, and `cut`
-//!   delimiters produce composite dictionary words that exercise the
-//!   splitting path;
+//! * the literals are what the command's own parse answers
+//!   ([`Command::synthesis_hints`]); nothing here reads an argv. Its
+//!   patterns (`grep`, `sed s///`) become a dictionary of matching strings
+//!   (via the `kq-pattern` sampler), its line count (`sed 100q`,
+//!   `head -n 3`) a line-count hint of at least two lines, its field
+//!   delimiter (`cut`) composite dictionary words that exercise the
+//!   splitting path, and its merge flags (`sort`) the flags of the `merge`
+//!   candidate;
 //! * the command runs on an unsorted word list, a sorted word list, and a
 //!   file-name list. `comm`-style commands fail the first and pass the
 //!   second (→ generate sorted inputs only); `xargs`-style commands fail
@@ -15,8 +18,7 @@
 //! * the delimiter alphabet for candidate enumeration is read off the
 //!   command's outputs on representative inputs.
 
-use kq_coreutils::{Command, ExecContext};
-use kq_pattern::Regex;
+use kq_coreutils::{Command, ExecContext, SynthesisHints};
 use kq_stream::Delim;
 use rand::Rng;
 
@@ -52,17 +54,17 @@ pub struct Preprocessed {
     pub profile: InputProfile,
     /// Dictionary entries biased into generated words.
     pub dictionary: Vec<String>,
-    /// Line-count hint from numeric literals (`sed 100q` → 100). It
-    /// biases generated input sizes so synthesis exercises the boundary,
-    /// and deliberately widens `head -n 1` to two lines; the exact
+    /// Line-count hint from the command's line count (`sed 100q` → 100).
+    /// It biases generated input sizes so synthesis exercises the
+    /// boundary, and deliberately widens `head -n 1` to two lines; the exact
     /// early-exit bound the executor cancels against is the parsed
     /// command's own ([`Command::line_bound`]), never this guess.
     pub line_hint: Option<usize>,
     /// Delimiter alphabet observed in command outputs (always contains
     /// `'\n'`).
     pub delims: Vec<Delim>,
-    /// Flags for the `merge` candidate (the command's own flags when it is
-    /// a `sort`).
+    /// Flags for the `merge` candidate (a `sort`'s own ordering flags, as
+    /// written).
     pub merge_flags: Vec<String>,
 }
 
@@ -110,14 +112,15 @@ pub fn preprocess<R: Rng + ?Sized>(
     ctx: &ExecContext,
     rng: &mut R,
 ) -> Preprocessed {
-    let (dictionary, line_hint) = extract_literals(command, rng);
+    let hints = command.synthesis_hints();
+    let dictionary = dictionary(&hints, rng);
     let profile = probe_profile(command, ctx);
     let mut pre = Preprocessed {
         profile,
         dictionary,
-        line_hint,
+        line_hint: hints.lines.map(|n| n.max(2)),
         delims: vec![Delim::Newline],
-        merge_flags: merge_flags(command),
+        merge_flags: hints.merge_flags,
     };
     if matches!(profile, InputProfile::FileNames) {
         pre.dictionary = PROBE_FILES.iter().map(|s| (*s).to_owned()).collect();
@@ -126,85 +129,25 @@ pub fn preprocess<R: Rng + ?Sized>(
     pre
 }
 
-/// Extracts regex/number literals from the command line.
-fn extract_literals<R: Rng + ?Sized>(
-    command: &Command,
-    rng: &mut R,
-) -> (Vec<String>, Option<usize>) {
-    let argv = command.argv();
-    let mut dictionary = Vec::new();
-    let mut line_hint = None;
-    match command.program() {
-        "grep" => {
-            // The command's own parser knows which word is the pattern
-            // and in which syntax (`-E`, `-F`, `-e PAT`).
-            if let Ok(grep) = kq_coreutils::grep::GrepCmd::parse(&argv[1..]) {
-                for _ in 0..10 {
-                    let s = grep.regex().sample(rng, 3);
-                    if !s.is_empty() && !s.contains('\n') {
-                        dictionary.push(s);
-                    }
-                }
+/// The dictionary a command's hints seed: strings sampled from each of
+/// its patterns, and words that a field delimiter splits, since that
+/// delimiter only matters if inputs contain it.
+fn dictionary<R: Rng + ?Sized>(hints: &SynthesisHints, rng: &mut R) -> Vec<String> {
+    let mut words = Vec::new();
+    for pattern in &hints.patterns {
+        for _ in 0..10 {
+            let s = pattern.sample(rng, 3);
+            if !s.is_empty() && !s.contains('\n') {
+                words.push(s);
             }
-        }
-        "sed" => {
-            if let Some(script) = argv[1..].iter().find(|a| !a.starts_with('-')) {
-                let digits: String = script.chars().take_while(|c| c.is_ascii_digit()).collect();
-                if !digits.is_empty() && (script.ends_with('q') || script.ends_with('d')) {
-                    line_hint = digits.parse().ok();
-                } else if let Some(rest) = script.strip_prefix('s') {
-                    // Sample the pattern between the first two delimiters.
-                    let mut chars = rest.chars();
-                    if let Some(d) = chars.next() {
-                        let body: String = chars.collect();
-                        if let Some((re_text, _)) = body.split_once(d) {
-                            if let Ok(re) = Regex::new(re_text) {
-                                for _ in 0..8 {
-                                    let s = re.sample(rng, 2);
-                                    if !s.is_empty() && !s.contains('\n') {
-                                        dictionary.push(s);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        "head" | "tail" => {
-            for a in &argv[1..] {
-                let trimmed = a
-                    .trim_start_matches(['-', '+', 'n'])
-                    .trim_start_matches(' ');
-                if let Ok(n) = trimmed.parse::<usize>() {
-                    line_hint = Some(n.max(2));
-                }
-            }
-        }
-        "cut" => {
-            // A `-d X` delimiter only matters if inputs contain it.
-            if let Some(d) = cut_delimiter(argv) {
-                for seed in ["ab", "cd", "efg"] {
-                    dictionary.push(format!("{seed}{d}x{d}y{d}z"));
-                }
-            }
-        }
-        _ => {}
-    }
-    (dictionary, line_hint)
-}
-
-fn cut_delimiter(argv: &[String]) -> Option<char> {
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        if a == "-d" {
-            return it.next().and_then(|v| v.chars().next());
-        }
-        if let Some(body) = a.strip_prefix("-d") {
-            return body.chars().next();
         }
     }
-    None
+    if let Some(d) = hints.field_delim {
+        for seed in ["ab", "cd", "efg"] {
+            words.push(format!("{seed}{d}x{d}y{d}z"));
+        }
+    }
+    words
 }
 
 /// The three canonical probes (paper §3.2): unsorted words, sorted words,
@@ -280,17 +223,6 @@ fn detect_delims<R: Rng + ?Sized>(
     delims
 }
 
-fn merge_flags(command: &Command) -> Vec<String> {
-    if command.program() != "sort" {
-        return Vec::new();
-    }
-    command.argv()[1..]
-        .iter()
-        .filter(|a| a.starts_with('-') && !a.starts_with("--parallel") && *a != "-m")
-        .cloned()
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,33 +264,25 @@ mod tests {
     }
 
     #[test]
-    fn grep_literals_sampled_into_dictionary() {
-        let p = pre("grep 'light.light'");
+    fn patterns_are_sampled_into_the_dictionary() {
+        let line = "grep 'light.light'";
+        let p = pre(line);
         assert!(!p.dictionary.is_empty());
-        let re = Regex::new("light.light").unwrap();
-        assert!(p.dictionary.iter().all(|w| re.is_match(w)));
-        // A fixed string is its own only sample; `-e` names the pattern
-        // even when it looks like a flag.
-        let fixed = pre("grep -cF 'a.*b'");
-        assert!(!fixed.dictionary.is_empty());
-        assert!(fixed.dictionary.iter().all(|w| w == "a.*b"));
-        let explicit = pre("grep -ie -x");
-        assert!(!explicit.dictionary.is_empty());
-        assert!(explicit.dictionary.iter().all(|w| w == "-x"));
+        let hints = parse_command(line).unwrap().synthesis_hints();
+        assert!(p.dictionary.iter().all(|w| hints.patterns[0].is_match(w)));
+        // The pattern the sed parse holds, escaped delimiter and all.
+        let sed = pre(r"sed 's/a\/b/X/'");
+        assert!(!sed.dictionary.is_empty());
+        assert!(sed.dictionary.iter().all(|w| w == "a/b"));
     }
 
     #[test]
-    fn sed_quit_address_becomes_line_hint() {
+    fn the_line_hint_is_at_least_two_lines() {
         assert_eq!(pre("sed 100q").line_hint, Some(100));
-        assert_eq!(pre("sed 5q").line_hint, Some(5));
-        assert_eq!(pre("sed 1d").line_hint, Some(1));
-    }
-
-    #[test]
-    fn head_count_becomes_line_hint() {
-        assert_eq!(pre("head -n 3").line_hint, Some(3));
         assert_eq!(pre("head -15").line_hint, Some(15));
         assert_eq!(pre("tail +2").line_hint, Some(2));
+        assert_eq!(pre("sed 1d").line_hint, Some(2));
+        assert_eq!(pre("uniq").line_hint, None);
     }
 
     #[test]
@@ -372,7 +296,7 @@ mod tests {
         assert_eq!(pre("head -n 1").line_hint, Some(2));
         assert_eq!(bound("sed 100q"), Some(100));
         assert_eq!(bound("sed 1d"), None);
-        assert_eq!(pre("sed 1d").line_hint, Some(1));
+        assert_eq!(pre("sed 1d").line_hint, Some(2));
         assert_eq!(bound("tail +2"), None);
         assert_eq!(bound("grep x"), None);
     }
@@ -384,10 +308,8 @@ mod tests {
     }
 
     #[test]
-    fn merge_flags_taken_from_sort() {
-        assert_eq!(pre("sort -rn").merge_flags, vec!["-rn".to_owned()]);
-        assert_eq!(pre("sort -u").merge_flags, vec!["-u".to_owned()]);
-        assert!(pre("sort --parallel=1").merge_flags.is_empty());
+    fn merge_flags_pass_through() {
+        assert_eq!(pre("sort -k 1n").merge_flags, ["-k", "1n"]);
         assert!(pre("uniq").merge_flags.is_empty());
     }
 

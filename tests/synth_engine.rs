@@ -281,11 +281,16 @@ fn cold_corpus_plan_writes_the_same_cache_file_at_any_synth_worker_count() {
     let (listing, cache) = cold("1");
     assert!(cache.len() > 1000, "cache of {} bytes", cache.len());
     assert!(
-        listing.contains("planned 70 script(s); synthesis rounds: 163; lattice short-circuits: 70"),
+        listing.contains("planned 70 script(s); synthesis rounds: 166; lattice short-circuits: 70"),
         "{listing}"
     );
     assert!(listing.contains(" miss(es), "), "{listing}");
     assert!(listing.contains("\n_ ms sort (merge a b)\n"), "{listing}");
+    // The cache keys argv as written: `sort -nr` is not `sort -rn`.
+    assert!(
+        listing.contains("\n_ ms sort -nr (merge(-nr) a b)\n"),
+        "{listing}"
+    );
     assert_eq!(listing.matches(" stages parallel").count(), 70);
     for workers in ["2", "4"] {
         let (other_listing, other_cache) = cold(workers);
