@@ -26,15 +26,22 @@
 //! things keep it off the byte-at-a-time path: a pattern that is a single
 //! literal is a substring search, and a scan that falls back to its idle
 //! state (nothing matched so far but the restart) jumps to the next of
-//! the few bytes that can leave it.
+//! the few bytes that can leave it — or, when few bytes can come next
+//! and no match ends after one byte, to the next *pair* of such a byte
+//! and a byte that can follow it into a match (`l` then `[ia]` for
+//! `l[ia][gn][hd]t* of`): a lone first byte steps back to the idle state
+//! on the byte after it, so skipping it changes nothing. A literal of two
+//! or more bytes searches for its first two bytes the same way. This is
+//! the first/last-byte filter of W. Muła's "SIMD-friendly algorithms for
+//! substring searching", with byte sets taken from the automaton.
 //!
 //! `'\n'` is one of those bytes only when a line end can change the idle
 //! state: when a `^` is passable at the pattern's start, so the next line
 //! starts elsewhere, or when the idle state accepts at a line end (`$`,
-//! `x*$`). For every other pattern the skip runs across lines without
-//! stopping, so the scan does not know where the line it is in starts. It
-//! finds out only on a hit, searching back from it to the last line start
-//! it saw.
+//! `x*$`); such a pattern keeps the one-byte skip. For every other
+//! pattern the skip runs across lines without stopping, so the scan does
+//! not know where the line it is in starts. It finds out only on a hit,
+//! searching back from it to the last line start it saw.
 
 use crate::exec::class_contains;
 use crate::parse::{Ast, Atom, ClassItem, Piece};
@@ -48,6 +55,10 @@ const STATE_CAP: usize = 1024;
 /// The idle state is worth a byte search when at most this many byte
 /// values leave it.
 const SKIP_NEEDLES_MAX: usize = 3;
+
+/// The idle skip searches for byte pairs when at most this many byte
+/// values can follow a needle.
+const PAIR_FOLLOWERS_MAX: usize = 4;
 
 /// A set of byte values.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
@@ -130,8 +141,15 @@ pub(crate) struct Program {
     every_line: bool,
     /// The bytes that leave the idle state, when few enough to search
     /// for: those that can start a match, and `'\n'` unless a line end
-    /// cannot change the idle state. `None` when there are too many.
+    /// cannot change the idle state. `None` when there are too many. The
+    /// skip searches for one of them alone only when `pairs` is `None`.
     needles: Option<Vec<u8>>,
+    /// The needles and the bytes that can follow one of them one step
+    /// into a match, when the idle skip searches for a needle followed by
+    /// such a byte instead of a needle alone: `'\n'` is no needle, no
+    /// match ends after one byte, and at most [`PAIR_FOLLOWERS_MAX`] bytes
+    /// can follow.
+    pairs: Option<(Splats, Splats)>,
     /// The whole pattern, when it is one literal string.
     literal: Option<String>,
     /// No byte set holds a byte of `0x80` or above: the program reads
@@ -193,10 +211,17 @@ impl Program {
         );
         let newline_leaves = start_set != idle_set || at_line_end.first() == Some(&MATCH_STATE);
         let leaving: Vec<u8> = leaving.bytes().take(SKIP_NEEDLES_MAX + 1).collect();
-        let needles = (leaving.len() <= SKIP_NEEDLES_MAX).then(|| {
+        let needles: Option<Vec<u8>> = (leaving.len() <= SKIP_NEEDLES_MAX).then(|| {
             let newline = newline_leaves.then_some(b'\n');
             newline.into_iter().chain(leaving).collect()
         });
+        let pairs = needles
+            .as_ref()
+            .filter(|needles| !needles.contains(&b'\n'))
+            .and_then(|needles| {
+                let followers = followers(&nfa, &idle_set, &mut marks)?;
+                Some((Splats::new(needles), followers))
+            });
 
         Program {
             ascii_only: nfa.iter().all(|state| match state {
@@ -211,8 +236,38 @@ impl Program {
             start_set,
             idle_set,
             needles,
+            pairs,
         }
     }
+}
+
+/// The bytes that can come one step into a match after a byte that
+/// leaves the idle state: those of the byte states in the closure of each
+/// idle-state transition's target. `None` when a match can end after that
+/// one byte (at a line end too: `l$`, `lx*`), or when more than
+/// [`PAIR_FOLLOWERS_MAX`] bytes can follow.
+fn followers(nfa: &[Nfa], idle_set: &[u32], marks: &mut Marks) -> Option<Splats> {
+    let mut after = ByteSet::default();
+    let mut one_step = Vec::new();
+    for &state in idle_set {
+        let Nfa::Byte(set, next) = nfa[state as usize] else {
+            continue;
+        };
+        if set.is_empty() {
+            continue;
+        }
+        marks.closure(nfa, [next], false, true, &mut one_step);
+        if one_step.first() == Some(&MATCH_STATE) {
+            return None;
+        }
+        for &reached in &one_step {
+            if let Nfa::Byte(set, _) = &nfa[reached as usize] {
+                after.union(set);
+            }
+        }
+    }
+    let after: Vec<u8> = after.bytes().take(PAIR_FOLLOWERS_MAX + 1).collect();
+    (after.len() <= PAIR_FOLLOWERS_MAX).then(|| Splats::new(&after))
 }
 
 /// The pattern as one string, when matching it is a substring search:
@@ -633,6 +688,10 @@ impl<'p> Dfa<'p> {
         let prog = self.prog;
         let class_of = &prog.class_of;
         let needles = prog.needles.as_deref().unwrap_or_default();
+        let skip = |from| match &prog.pairs {
+            Some((needles, followers)) => find_pair(buf, from, needles, followers),
+            None => find_any(buf, from, needles),
+        };
         // The last line start the scan has seen: the idle skip may cross
         // line ends without looking, so a line's start is found only when
         // it matches, searching back from the hit.
@@ -659,7 +718,7 @@ impl<'p> Dfa<'p> {
             match entry {
                 TO_IDLE => {
                     row = self.idle_row();
-                    i = find_any(buf, i + 1, needles);
+                    i = skip(i + 1);
                 }
                 MATCHED => return Some(line_start(known_start, i)..find_any(buf, i, b"\n")),
                 EOL_HIT => return Some(line_start(known_start, i)..i),
@@ -722,13 +781,79 @@ fn find_any(buf: &[u8], from: usize, needles: &[u8]) -> usize {
         .map_or(buf.len(), |at| pos + at)
 }
 
+/// At most four byte values, each repeated across a word: a set that eight
+/// bytes are tested against at once.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Splats {
+    words: [u64; PAIR_FOLLOWERS_MAX],
+    len: usize,
+}
+
+impl Splats {
+    fn new(bytes: &[u8]) -> Splats {
+        assert!(bytes.len() <= PAIR_FOLLOWERS_MAX, "{bytes:?} is too many");
+        let mut words = [0; PAIR_FOLLOWERS_MAX];
+        for (word, &b) in words.iter_mut().zip(bytes) {
+            *word = 0x0101_0101_0101_0101 * u64::from(b);
+        }
+        Splats {
+            words,
+            len: bytes.len(),
+        }
+    }
+
+    fn contains(&self, b: u8) -> bool {
+        self.words[..self.len].iter().any(|&word| word as u8 == b)
+    }
+
+    /// The high bit of every byte of `word` that is in the set, and of no
+    /// other. Exact, unlike [`find_any`]'s test: no carry crosses a byte,
+    /// so two such masks can be ANDed.
+    fn hits(&self, word: u64) -> u64 {
+        const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+        let misses = self.words[..self.len]
+            .iter()
+            .fold(u64::MAX, |misses, &splat| {
+                // A byte's high bit is set here when its byte is not zero.
+                let diff = word ^ splat;
+                misses & (((diff & LOW7) + LOW7) | diff)
+            });
+        !misses & !LOW7
+    }
+}
+
+/// The position of the first byte of `buf` at or after `from` that is in
+/// `firsts` and is followed by a byte in `seconds`, else `buf.len()`: a
+/// first byte that is the last byte of `buf` starts no pair. Eight
+/// positions at a time: the word at `pos` and the word at `pos + 1` are
+/// tested, and their masks ANDed.
+fn find_pair(buf: &[u8], from: usize, firsts: &Splats, seconds: &Splats) -> usize {
+    let word_at = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().expect("eight bytes"));
+    let mut pos = from.min(buf.len());
+    while pos + 9 <= buf.len() {
+        let pairs = firsts.hits(word_at(pos)) & seconds.hits(word_at(pos + 1));
+        if pairs != 0 {
+            return pos + (pairs.trailing_zeros() / 8) as usize;
+        }
+        pos += 8;
+    }
+    buf[pos..]
+        .windows(2)
+        .position(|pair| firsts.contains(pair[0]) && seconds.contains(pair[1]))
+        .map_or(buf.len(), |at| pos + at)
+}
+
 /// The first occurrence of the non-empty `needle` in `hay` at or after
-/// `from`: every occurrence of its first byte ([`find_any`]) is compared
-/// with the whole needle.
+/// `from`: every occurrence of its first two bytes ([`find_pair`]), or of
+/// its only byte ([`find_any`]), is compared with the whole needle.
 fn find_literal(hay: &[u8], from: usize, needle: &[u8]) -> Option<usize> {
+    let head = (needle.len() > 1).then(|| (Splats::new(&needle[..1]), Splats::new(&needle[1..2])));
     let mut at = from;
     loop {
-        at = find_any(hay, at, &needle[..1]);
+        at = match &head {
+            Some((first, second)) => find_pair(hay, at, first, second),
+            None => find_any(hay, at, needle),
+        };
         if hay.get(at..at + needle.len())? == needle {
             return Some(at);
         }
@@ -1101,12 +1226,41 @@ mod tests {
         assert_eq!(needles(".x", false), None);
     }
 
+    #[test]
+    fn the_idle_state_searches_for_pairs_when_few_bytes_follow_a_needle() {
+        let pair = |pattern: &str, ci: bool| {
+            let ast = crate::parse::parse(pattern, Syntax::Basic).unwrap();
+            Program::new(&ast, ci).pairs
+        };
+        let some =
+            |firsts: &[u8], seconds: &[u8]| Some((Splats::new(firsts), Splats::new(seconds)));
+        assert_eq!(pair("l[ia][gn][hd]t* of", false), some(b"l", b"ai"));
+        assert_eq!(pair("light", true), some(b"Ll", b"Ii"));
+        assert_eq!(pair("\\(ab\\|cd\\)", false), some(b"ac", b"bd"));
+        assert_eq!(pair("é", false), some(&[0xC3], &[0xA9]));
+        assert_eq!(pair("ab$", false), some(b"a", b"b"));
+        // A match can end after the first byte: a lone one is a hit.
+        assert_eq!(pair("lx*", false), None);
+        assert_eq!(pair("l$", false), None);
+        assert_eq!(pair("l", false), None);
+        // A line end leaves the idle state: the skip must stop at it.
+        assert_eq!(pair("^ab", false), None);
+        assert_eq!(pair("x*$", false), None);
+        // Too many bytes can follow.
+        assert_eq!(pair("a.", false), None);
+        assert_eq!(pair("a[b-f]", false), None);
+    }
+
     /// Buffers of long match-free runs over many lines, empty lines, and
     /// hits on the first and the last byte, with and without a final
     /// newline.
     fn skip_buffers() -> Vec<String> {
-        const HITS: [&str; 14] = [
+        const HITS: [&str; 18] = [
             "light of day",
+            "cd",
+            "xxab",
+            "a\u{e9}",
+            "\u{e9}",
             "the land of nod",
             "LIGHT of",
             "light and light",
@@ -1121,7 +1275,15 @@ mod tests {
             "x",
             "xx",
         ];
-        const FILLER: [&str; 3] = ["zzzz qqqq", "", "  mute  text  "];
+        // Needles not followed by their pair's second byte, and pairs that
+        // start no match.
+        const FILLER: [&str; 5] = [
+            "zzzz qqqq",
+            "",
+            "  mute  text  ",
+            "lull llama lolita a c ad cb",
+            "\u{c3}l",
+        ];
         let mut rng = SmallRng::seed_from_u64(0x5C1B);
         let mut buffers = vec![
             "light of\nzz\nzz light of".to_owned(),
@@ -1149,24 +1311,33 @@ mod tests {
 
     #[test]
     fn the_skip_across_line_ends_reports_what_a_line_by_line_scan_does() {
-        // (pattern, -i, whether a line end leaves the idle state)
+        // (pattern, -i, whether a line end leaves the idle state, whether
+        // the skip searches for byte pairs)
         let cases = [
-            ("l[ia][gn][hd]t* of", false, false),
-            ("light.*light", false, false),
-            ("light", true, false),
-            ("foo$", false, false),
-            ("$", false, true),
-            ("x*$", false, true),
-            ("^abc", false, true),
-            ("^....$", false, true),
-            ("^a\\|b", false, true),
-            ("a\\|b$", false, false),
+            ("l[ia][gn][hd]t* of", false, false, true),
+            ("light.*light", false, false, true),
+            ("light", true, false, true),
+            ("foo$", false, false, true),
+            ("\\(ab\\|cd\\)", false, false, true),
+            ("\\(ab\\|cd\\)$", false, false, true),
+            ("a\u{e9}", false, false, true),
+            ("\u{e9}", false, false, true),
+            ("ab", true, false, true),
+            ("$", false, true, false),
+            ("x*$", false, true, false),
+            ("^abc", false, true, false),
+            ("^....$", false, true, false),
+            ("^a\\|b", false, true, false),
+            ("a\\|b$", false, false, false),
+            ("la*", false, false, false),
         ];
         let buffers = skip_buffers();
-        for (pattern, ci, newline_leaves) in cases {
+        for (pattern, ci, newline_leaves, pairs) in cases {
             let re = Regex::with_syntax(pattern, Syntax::Basic, ci).unwrap();
-            let needles = re.program.as_ref().unwrap().needles.as_ref().unwrap();
+            let prog = re.program.as_ref().unwrap();
+            let needles = prog.needles.as_ref().unwrap();
             assert_eq!(needles.contains(&b'\n'), newline_leaves, "{pattern:?}");
+            assert_eq!(prog.pairs.is_some(), pairs, "{pattern:?}");
             for buffer in &buffers {
                 let want: Vec<Range<usize>> = lines_of(buffer)
                     .filter(|line| re.is_match(&buffer[line.clone()]))
@@ -1218,6 +1389,58 @@ mod tests {
             find_any(&[0x80, 0x81, 0x7f, 0xff, 0, 0, 0, 0x80], 2, &[0x80]),
             7
         );
+    }
+
+    #[test]
+    fn find_pair_finds_the_first_pair_a_naive_scan_does() {
+        let naive = |buf: &[u8], from: usize, firsts: &[u8], seconds: &[u8]| {
+            (from..buf.len().saturating_sub(1))
+                .find(|&i| firsts.contains(&buf[i]) && seconds.contains(&buf[i + 1]))
+                .unwrap_or(buf.len())
+        };
+        let sets: [(&[u8], &[u8]); 6] = [
+            (b"l", b"ai"),
+            (b"Ll", b"Ii"),
+            (b"ac", b"bd"),
+            (&[0xC3], &[0xA9]),
+            (&[0x80, 0xFF, b'a'], &[0x80, 0x00, 0xFF, b'a']),
+            (b"a", b""),
+        ];
+        // Few byte values, so pairs are common and straddle every offset
+        // of the eight-byte step.
+        let alphabet = [
+            b'a', b'b', b'c', b'd', b'i', b'l', b'L', 0x00, 0x80, 0xA9, 0xC3, 0xFF,
+        ];
+        let mut rng = SmallRng::seed_from_u64(0xFA12);
+        for _ in 0..400 {
+            let len = rng.gen_range(0..40);
+            let mut buf: Vec<u8> = (0..len)
+                .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
+                .collect();
+            let (firsts, seconds) = sets[rng.gen_range(0..sets.len())];
+            // A first byte as the last byte starts no pair.
+            if rng.gen_bool(0.3) {
+                buf.push(firsts[0]);
+            }
+            for from in 0..=buf.len() + 1 {
+                let (splat_firsts, splat_seconds) = (Splats::new(firsts), Splats::new(seconds));
+                assert_eq!(
+                    find_pair(&buf, from, &splat_firsts, &splat_seconds),
+                    naive(&buf, from, firsts, seconds),
+                    "{buf:?} from {from}, {firsts:?} then {seconds:?}"
+                );
+            }
+        }
+        // A first byte whose match sits in the next word's first byte, and
+        // zero bytes beside bytes one above the needle (the borrow noise
+        // of an inexact zero test).
+        let buf = [b'x', b'x', b'x', b'x', b'x', b'x', b'x', b'l', b'i', b'x'];
+        let find = |buf: &[u8], firsts: &[u8], seconds: &[u8]| {
+            find_pair(buf, 0, &Splats::new(firsts), &Splats::new(seconds))
+        };
+        assert_eq!(find(&buf, b"l", b"i"), 7);
+        let buf = [1, 1, 0, 2, 1, 0, 1, 0, 1, 1, 1, 1];
+        assert_eq!(find(&buf, &[0], &[1]), 5);
     }
 
     #[test]

@@ -61,11 +61,15 @@
 //! Compiling is O(pattern) (intervals are expanded by the parser, which
 //! bounds them). The automaton's scan is O(text): one table lookup per
 //! byte once its states exist, less where it can skip — a pattern that is
-//! a plain string is a substring search, and a scan with nothing in
-//! progress jumps to the next byte that could start a match, across line
-//! ends unless a `^` at the pattern's start or a `$` the idle state could
-//! reach makes them matter. The scan looks for a line's start only when
-//! the line matches. A state's first visit costs O(pattern).
+//! a plain string is a substring search for its first two bytes, and a
+//! scan with nothing in progress jumps to the next byte that could start
+//! a match, across line ends unless a `^` at the pattern's start or a `$`
+//! the idle state could reach makes them matter. When at most four bytes
+//! can follow that byte into a match and no match ends after it, the jump
+//! is to the next such *pair* of bytes (`l` then `i` or `a` for
+//! `l[ia][gn][hd]t* of`): eight positions are tested at once, and a
+//! lone first byte costs nothing. The scan looks for a line's start only
+//! when the line matches. A state's first visit costs O(pattern).
 //! The backtracker is exponential in the worst case (`a*a*a*b` on a line
 //! of `a`) and recurses once per repetition of a starred group.
 //!

@@ -21,7 +21,7 @@
 //! [`CombinerCache::open`] attaches a line-oriented store:
 //!
 //! ```text
-//! kumquat-combiner-cache v2 seed=<rng_seed> max_size=<n>
+//! kumquat-combiner-cache v3 seed=<rng_seed> max_size=<n>
 //! <escaped-key>\t-                      # synthesis proved: no combiner
 //! <escaped-key>\t?                      # no combiner: every probe failed
 //! <escaped-key>\t+\t<cand>;<cand>;...   # the plausible set (kq_dsl::codec)
@@ -101,10 +101,11 @@ pub(crate) fn argv_key(words: &[String]) -> String {
 }
 
 /// The store's first line: the format version and the synthesis
-/// configuration it was written under.
+/// configuration it was written under. `v3`: a verdict needs two kept
+/// observations, so a `v2` entry may hold a combiner fitted to one.
 fn store_header(fingerprint: (u64, usize)) -> String {
     format!(
-        "kumquat-combiner-cache v2 seed={} max_size={}",
+        "kumquat-combiner-cache v3 seed={} max_size={}",
         fingerprint.0, fingerprint.1
     )
 }

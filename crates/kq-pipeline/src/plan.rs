@@ -1654,4 +1654,44 @@ mod tests {
             "only the custom command synthesizes"
         );
     }
+
+    #[test]
+    fn a_counter_whose_observations_never_vary_runs_sequentially() {
+        use kq_coreutils::{Bytes, CmdError, UnixCommand};
+        /// Counts the lines that hold an `x`, and states no hints: no
+        /// generated line holds one, so every observation is `0`.
+        struct HintlessCounter;
+        impl UnixCommand for HintlessCounter {
+            fn display(&self) -> String {
+                "count-x".to_owned()
+            }
+            fn run(&self, input: Bytes, _: &ExecContext) -> Result<Bytes, CmdError> {
+                let lines = input.as_bytes().split(|&b| b == b'\n');
+                let count = lines.filter(|line| line.contains(&b'x')).count();
+                Ok(Bytes::from(format!("{count}\n")))
+            }
+        }
+        let env: Map<String, String> = [("IN".to_owned(), "/in.txt".to_owned())].into();
+        let mut script = parse_script("cat $IN | grep x", &env).unwrap();
+        script.statements[0].stages[0].command =
+            Command::custom(vec!["count-x".to_owned()], Box::new(HintlessCounter));
+        let ctx = ExecContext::default();
+        ctx.vfs.write("/in.txt", sample_text());
+        let mut planner = Planner::new(SynthesisConfig::default());
+        let planned = planner.plan(&script, &ctx, &sample_text());
+        assert!(
+            !planned.statements[0].stages[0].mode.is_parallel(),
+            "one observation is no evidence for a combiner"
+        );
+        assert_eq!(planner.reports[0].observations, 1);
+        let serial = crate::exec::run_serial(&script, &ctx).unwrap();
+        assert_eq!(serial.output, "200\n");
+        let opts = crate::scheduler::DataflowOptions {
+            workers: 2,
+            chunk: crate::scheduler::ChunkSizing::Fixed(1024),
+            ..Default::default()
+        };
+        let parallel = crate::scheduler::run_dataflow(&script, &planned, &ctx, &opts).unwrap();
+        assert_eq!(parallel.output, serial.output);
+    }
 }

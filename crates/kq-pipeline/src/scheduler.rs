@@ -62,9 +62,10 @@
 //! claimed). Early exit is the graph teardown described in
 //! [`crate::dataflow`]: a satisfied bounded fold cancels every node
 //! above it and *drops chunks already queued on their edges*. Splits and
-//! emitters cut chunks lazily and trail a page-release hint behind their
-//! cursor, so mapped multi-GB inputs stream through at O(window) resident
-//! memory (a window of at most 2 MiB under a spill budget).
+//! emitters cut chunks lazily and trail a page-release hint one in-flight
+//! window behind their cursor (what the edges and the workers can hold
+//! between them, at least 2 MiB), so mapped multi-GB inputs stream
+//! through at O(window) resident memory, with or without a spill budget.
 //!
 //! # Memory under a spill budget
 //!
@@ -127,9 +128,9 @@ pub const DEFAULT_QUEUE_DEPTH: usize = 4;
 /// `--chunk-kb 64`).
 pub const DEFAULT_CHUNK_BYTES: usize = 64 * 1024;
 
-/// How far a producer's page-release hint trails its cursor under a spill
-/// budget: a mapped stream it cuts holds at most twice this resident.
-const SPILL_RELEASE_LAG: usize = 2 << 20;
+/// The least distance a producer's page-release hint trails its cursor:
+/// a mapped stream it cuts holds about twice its lag resident.
+const MIN_RELEASE_LAG: usize = 2 << 20;
 
 /// Tuning for the dataflow executor.
 #[derive(Debug, Clone)]
@@ -485,19 +486,14 @@ pub fn run_dataflow_segments(
         }
     }
     let max_nodes = graphs.iter().map(|g| g.nodes.len()).max().unwrap_or(0);
-    // Page-release is a refault-safe hint (see `Bytes::release_range`):
-    // the lag only defers releases, it can never change bytes.
+    // One in-flight window: the chunks every edge and worker of the widest
+    // graph can hold at once. Pages behind it are read already; a later
+    // read refaults them from the page cache, as page-release is a hint
+    // (see `Bytes::release_range`) that never changes bytes.
     let release_lag = chunk_bytes
         .saturating_mul(queue_depth + workers)
         .saturating_mul(max_nodes + 2)
-        .max(16 << 20);
-    // Under a spill budget the pages a producer trails are memory the
-    // budget does not count: keep the window small and take the refaults
-    // (of page-cache-hot pages) instead.
-    let release_lag = match opts.spill {
-        Some(_) => release_lag.min(SPILL_RELEASE_LAG),
-        None => release_lag,
-    };
+        .max(MIN_RELEASE_LAG);
 
     // Combiner environments — and the `rerun` combiner of the sequential
     // and bounded stages — live outside the node states so the

@@ -318,13 +318,15 @@ fn run(
         }
     }
 
-    // A verdict needs evidence: with no successful observations, every
-    // candidate is vacuously "plausible" and none is certified. (With
-    // one, `alive` is an explicit list, and only now do its ids become
-    // trees.)
+    // A verdict needs evidence that varied: observations are kept once
+    // each, so with fewer than two every output the command gave was the
+    // same (or there was none), and `first` fits them as well as the
+    // combiner would — a hint-less counter of lines no generated input
+    // holds prints `0` every time. (With evidence, `alive` is an explicit
+    // list, and only now do its ids become trees.)
     let survivors = alive
         .ids
-        .filter(|ids| !ids.is_empty() && !observations.is_empty());
+        .filter(|ids| !ids.is_empty() && observations.len() >= 2);
     let outcome = match survivors {
         None => SynthesisOutcome::NoCombiner { counterexample },
         Some(ids) => SynthesisOutcome::Synthesized(SynthesizedCombiner::from_plausible(

@@ -660,14 +660,14 @@ fn corpus_graph_census_pins_every_node_shape() {
 const CENSUS_UNREWRITTEN: [(&str, usize); 5] = [
     ("bounded fold", 20),
     ("combiner fold", 172),
-    ("rerun fold", 48),
+    ("rerun fold", 49),
     ("split", 99),
-    ("worker", 187),
+    ("worker", 186),
 ];
 
 /// The node shapes of the corpus graphs built with the rewrites: 30 seam
-/// stages lift out of their folds, and they and the 187 chunk-local stages
-/// fuse into 135 workers; 31 `sort | uniq -c` pairs become counting folds, 20 of them
+/// stages lift out of their folds, and they and the 186 chunk-local stages
+/// fuse into 134 workers; 31 `sort | uniq -c` pairs become counting folds, 20 of them
 /// closing in the order of the numeric sort after them; 34 sorts fold raw
 /// chunks. No unique pair keeps its chain.
 const CENSUS_REWRITTEN: [(&str, usize); 9] = [
@@ -675,11 +675,11 @@ const CENSUS_REWRITTEN: [(&str, usize); 9] = [
     ("combiner fold", 45),
     ("count-order fold", 20),
     ("counting fold", 11),
-    ("rerun fold", 22),
+    ("rerun fold", 23),
     ("seam worker", 30),
     ("sorting fold", 34),
     ("split", 99),
-    ("worker", 105),
+    ("worker", 104),
 ];
 
 /// (10) The census of the lattice's answers over the corpus: for every

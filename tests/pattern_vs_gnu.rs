@@ -31,12 +31,18 @@ fn gnu_grep_available() -> bool {
 /// Runs host `grep [-E|-F] PATTERN` over `input`, returning the selected
 /// lines. Treats exit code 1 (no matches) as success with empty output.
 fn gnu_grep(pattern: &str, input: &str, syntax: kq_pattern::Syntax) -> Option<String> {
+    gnu_grep_ci(pattern, input, syntax, false)
+}
+
+/// [`gnu_grep`], with `-i` when `ci`.
+fn gnu_grep_ci(pattern: &str, input: &str, syntax: kq_pattern::Syntax, ci: bool) -> Option<String> {
     let mut child = Proc::new("grep")
         .args(match syntax {
             kq_pattern::Syntax::Basic => None,
             kq_pattern::Syntax::Extended => Some("-E"),
             kq_pattern::Syntax::Fixed => Some("-F"),
         })
+        .args(ci.then_some("-i"))
         .arg("--")
         .arg(pattern)
         .stdin(Stdio::piped())
@@ -267,6 +273,65 @@ fn intervals_match_gnu_grep_in_both_syntaxes() {
     // Past the stated bound the pattern is refused, not mis-compiled.
     let err = kq_pattern::Regex::new("a\\{1,300\\}").unwrap_err();
     assert!(err.to_string().contains("255"), "{err}");
+}
+
+/// Patterns whose first two characters come from small classes — the
+/// ones the idle skip searches for as byte pairs — with and without `-i`,
+/// against GNU grep over whole buffers of many lines, so that pairs fall
+/// on every offset of the skip's eight-byte step and straddle line ends.
+#[test]
+fn two_byte_prefix_classes_match_gnu_grep() {
+    if !gnu_grep_available() {
+        eprintln!("skipping: no GNU grep on this host");
+        return;
+    }
+    let mut rng = SmallRng::seed_from_u64(0x9A12);
+    let firsts = ["l", "a", "[ab]", "[lr]", "\\(ab\\|cd\\)", "é"];
+    let seconds = ["i", "[ia]", "[bc]", "[a-d]", "x", ""];
+    // No `.` or negated class: GNU grep in the C locale reads `é` as two
+    // characters where this engine reads one.
+    let tails = ["", "", "d", "x*", "c$", "[gn][hd]t* o", "b*d", "$"];
+    let mut compared = 0usize;
+    for _ in 0..160 {
+        let pick = |rng: &mut SmallRng, from: &[&'static str]| from[rng.gen_range(0..from.len())];
+        let pattern = format!(
+            "{}{}{}",
+            pick(&mut rng, &firsts),
+            pick(&mut rng, &seconds),
+            pick(&mut rng, &tails)
+        );
+        let ci = rng.gen_bool(0.4);
+        let Ok(re) = kq_pattern::Regex::with_syntax(&pattern, kq_pattern::Syntax::Basic, ci) else {
+            continue;
+        };
+        let input: String = (0..40)
+            .map(|_| {
+                let n = rng.gen_range(0..24);
+                let line: String = (0..n)
+                    .map(|_| {
+                        let set = [
+                            "a", "b", "c", "d", "i", "l", "r", "x", "A", "L", "I", "é", " ",
+                        ];
+                        set[rng.gen_range(0..set.len())]
+                    })
+                    .collect();
+                format!("{line}\n")
+            })
+            .collect();
+        let Some(gnu) = gnu_grep_ci(&pattern, &input, kq_pattern::Syntax::Basic, ci) else {
+            continue;
+        };
+        let ours: String = re
+            .matching_lines(input.as_bytes())
+            .map(|line| format!("{}\n", &input[line]))
+            .collect();
+        assert_eq!(
+            ours, gnu,
+            "pattern {pattern:?} (-i: {ci}) disagrees with GNU grep on {input:?}"
+        );
+        compared += 1;
+    }
+    assert!(compared > 120, "only {compared} cases compared");
 }
 
 /// `grep -F`: the random patterns of the first test, read as plain

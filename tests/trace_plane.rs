@@ -336,6 +336,51 @@ fn a_finish_in_parts_traces_one_span_per_part_whatever_the_workers() {
     }
 }
 
+/// The split lets go of a mapped input one in-flight window behind its
+/// cursor: on an input several windows long, `ingest/release` instants
+/// fire while the split still has chunks to cut, not only once it has
+/// cut them all.
+#[test]
+fn a_mapped_input_is_released_before_the_split_cuts_its_last_chunk() {
+    let s = Scratch::new("release");
+    let input = s.dir.join("mapped.txt");
+    let line = "a line of filler text that the split cuts into chunks\n";
+    std::fs::write(&input, line.repeat((12 << 20) / line.len())).unwrap();
+    let trace = s.trace_path("t.json");
+    let script = format!("cat {} | wc -l", input.display());
+    let out = call(&[
+        "run",
+        &script,
+        "--mmap",
+        "on",
+        "--no-verify",
+        "--workers",
+        "2",
+        "--trace-out",
+        &trace,
+    ]);
+    assert!(
+        out.notes.iter().any(|n| n.starts_with("mapped ")),
+        "{:?}",
+        out.notes
+    );
+    let records = kq_trace::parse_jsonl(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+    let last_cut = records
+        .iter()
+        .filter(|r| r.kind == kq_trace::Kind::Span && r.cat == "dataflow" && r.name == "split")
+        .max_by_key(|r| r.seq)
+        .expect("the split cuts chunks");
+    let early = records
+        .iter()
+        .filter(|r| r.cat == "ingest" && r.name == "release" && r.t0 < last_cut.t0)
+        .count();
+    assert!(
+        early >= 2,
+        "{early} release(s) before the last of {} chunks was cut",
+        last_cut.seq.unwrap_or(0) + 1
+    );
+}
+
 /// A run with a counting fold: `sort | uniq -c | sort -rn` is one graph
 /// node — kind `fold`, labelled with the three commands, under the span
 /// names every fold has — there is no `uniq -c` node and no `sort -rn`
